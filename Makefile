@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check check-sharded test bench bench-quick bench-diff bench-gate gate fmt vet race fuzz-smoke cover
+.PHONY: check check-sharded test bench bench-quick bench-diff bench-gate bench-test gate fmt vet race fuzz-smoke cover
 
 ## check: the pre-commit gate — vet, formatting, and the race-enabled
 ## tests of the engine, instrumentation, and parallel-runner layers
@@ -20,7 +20,18 @@ check: vet
 	go test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/netem/... ./internal/faults/... ./internal/invariant/... ./internal/scenario/...
 	go test -race -short ./internal/experiments/...
 	@$(MAKE) --no-print-directory fuzz-smoke
+	@$(MAKE) --no-print-directory bench-test
 	@echo "check: OK"
+
+## bench-test: the tests of the benchmark harness (bench/, a module of
+## its own that `go build ./...` and `go test ./...` at the root never
+## see). Its per-layer probes compile against internal/obs, netem, core
+## and friends, so a signature change there turns the benchmark's
+## `layers` block into `layers: unavailable … correct:false`; this makes
+## that a local test failure first.
+bench-test:
+	cd bench && go test -short ./... && go test -short -tags benchlayers ./...
+	@echo "bench-test: OK"
 
 ## fuzz-smoke: an 8-seed scenario-fuzz sweep (~30s) with every runtime
 ## invariant checker armed, under the race detector. Set

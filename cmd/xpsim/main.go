@@ -327,7 +327,7 @@ func buildRuntime(tracePath, traceTypes, metricsPath string, ival time.Duration,
 	var cfg obs.Config
 	if tracePath != "" {
 		isCSV := strings.HasSuffix(tracePath, ".csv")
-		var w io.Writer
+		var w io.WriteCloser
 		if rotateBytes > 0 || gz {
 			rcfg := obs.RotateConfig{MaxBytes: rotateBytes, Gzip: gz}
 			if isCSV {
@@ -348,11 +348,12 @@ func buildRuntime(tracePath, traceTypes, metricsPath string, ival time.Duration,
 			}
 			w = f
 		}
+		tw := &traceWriter{WriteCloser: w}
 		var sink obs.Sink
 		if isCSV {
-			sink = obs.NewCSVSink(w)
+			sink = obs.NewCSVSink(tw)
 		} else {
-			sink = obs.NewJSONLSink(w)
+			sink = obs.NewJSONLSink(tw)
 		}
 		types, err := parseEventTypes(traceTypes)
 		if err != nil {
@@ -360,6 +361,7 @@ func buildRuntime(tracePath, traceTypes, metricsPath string, ival time.Duration,
 			return nil, err
 		}
 		cfg.Tracer = obs.NewTracer(sink, types...)
+		tw.tracer = cfg.Tracer
 	}
 	if metricsPath != "" {
 		f, err := os.Create(metricsPath)
@@ -376,6 +378,25 @@ func buildRuntime(tracePath, traceTypes, metricsPath string, ival time.Duration,
 		return nil, nil
 	}
 	return obs.NewRuntime(cfg), nil
+}
+
+// traceWriter sits between the trace sink and its file and reports a
+// failed write on stderr when it happens rather than only at exit. The
+// sink latches the error and drops every later event, so the run goes
+// on untraced, the line appears once, and the exit code is still set
+// from Runtime.Close.
+type traceWriter struct {
+	io.WriteCloser
+	tracer *obs.Tracer
+}
+
+func (w *traceWriter) Write(p []byte) (int, error) {
+	n, err := w.WriteCloser.Write(p)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xpsim: trace write failed after %d events: %v; continuing untraced\n",
+			w.tracer.Count(), err)
+	}
+	return n, err
 }
 
 func parseEventTypes(list string) ([]obs.EventType, error) {

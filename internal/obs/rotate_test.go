@@ -188,13 +188,16 @@ func TestRotatingWriterHeaderPerSegment(t *testing.T) {
 	}
 }
 
-// failAfterWriter fails every write once n bytes have been accepted.
+// failAfterWriter fails every write once n bytes have been accepted,
+// counting the calls it receives.
 type failAfterWriter struct {
-	n   int
-	err error
+	n     int
+	err   error
+	calls int
 }
 
 func (w *failAfterWriter) Write(p []byte) (int, error) {
+	w.calls++
 	if w.n <= 0 {
 		return 0, w.err
 	}
@@ -207,34 +210,53 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestJSONLSinkLatchesWriteError(t *testing.T) {
-	boom := errors.New("disk full")
-	sink := NewJSONLSink(&failAfterWriter{n: 100, err: boom})
+var errDiskFull = errors.New("disk full")
+
+// checkSinkLatchesWriteError drives a sink whose writer w fails after
+// 100 bytes: the error must latch, Close must report it, and once it
+// has latched Record must stop encoding (lw's buffer stays as it was)
+// and the dead writer must see no further calls — not format into the
+// void for the rest of the run.
+func checkSinkLatchesWriteError(t *testing.T, sink interface {
+	Sink
+	Err() error
+}, lw *lineWriter, w *failAfterWriter) {
 	// The 64 KiB buffer absorbs writes until enough records force a
 	// flush; keep recording well past that point.
 	for i := 0; i < 5000; i++ {
 		sink.Record(testEvent(i))
 	}
-	if !errors.Is(sink.Err(), boom) {
-		t.Fatalf("Err() = %v, want latched %v", sink.Err(), boom)
+	if !errors.Is(sink.Err(), errDiskFull) {
+		t.Fatalf("Err() = %v, want latched %v", sink.Err(), errDiskFull)
 	}
-	if !errors.Is(sink.Close(), boom) {
-		t.Fatal("Close must report the latched write error")
+	if w.calls != 1 {
+		t.Fatalf("writer saw %d calls by the time the error latched, want the one that failed", w.calls)
 	}
-}
-
-func TestCSVSinkLatchesWriteError(t *testing.T) {
-	boom := errors.New("disk full")
-	sink := NewCSVSink(&failAfterWriter{n: 100, err: boom})
+	held := len(lw.buf)
 	for i := 0; i < 5000; i++ {
 		sink.Record(testEvent(i))
 	}
-	if !errors.Is(sink.Err(), boom) {
-		t.Fatalf("Err() = %v, want latched %v", sink.Err(), boom)
+	if len(lw.buf) != held {
+		t.Errorf("Record kept encoding after the write failed: buffer grew %d → %d bytes", held, len(lw.buf))
 	}
-	if !errors.Is(sink.Close(), boom) {
+	if !errors.Is(sink.Close(), errDiskFull) {
 		t.Fatal("Close must report the latched write error")
 	}
+	if w.calls != 1 {
+		t.Fatalf("writer saw %d calls after its write failed, want none", w.calls-1)
+	}
+}
+
+func TestJSONLSinkLatchesWriteError(t *testing.T) {
+	w := &failAfterWriter{n: 100, err: errDiskFull}
+	sink := NewJSONLSink(w)
+	checkSinkLatchesWriteError(t, sink, sink.lw, w)
+}
+
+func TestCSVSinkLatchesWriteError(t *testing.T) {
+	w := &failAfterWriter{n: 100, err: errDiskFull}
+	sink := NewCSVSink(w)
+	checkSinkLatchesWriteError(t, sink, sink.lw, w)
 }
 
 func TestSinkCloseReportsDeferredFlushError(t *testing.T) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -54,9 +53,8 @@ type Runtime struct {
 	engines []*sim.Engine
 	seen    map[*sim.Engine]struct{}
 	scopes  int
-	mw      *bufio.Writer
+	mw      *lineWriter // metrics CSV; nil when metrics are off
 	header  bool
-	scratch [64]byte
 
 	// Totals folded in from flushed runner trials (Trial.Flush). Trial
 	// engines never enter the engines list — they are read once, after
@@ -96,7 +94,7 @@ func NewRuntime(cfg Config) *Runtime {
 		started: time.Now(),
 	}
 	if cfg.MetricsOut != nil {
-		rt.mw = bufio.NewWriterSize(cfg.MetricsOut, 1<<16)
+		rt.mw = newLineWriter(cfg.MetricsOut)
 	}
 	return rt
 }
@@ -286,19 +284,24 @@ func (rt *Runtime) WriteRow(t sim.Time, scope, metric string, v float64) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	lw := rt.mw
+	if lw.failed() {
+		return
+	}
+	b := lw.buf
 	if !rt.header {
 		rt.header = true
-		rt.mw.WriteString("t_us,scope,metric,value\n")
+		b = append(b, "t_us,scope,metric,value\n"...)
 	}
-	b := rt.mw
-	b.Write(strconv.AppendFloat(rt.scratch[:0], t.Micros(), 'g', -1, 64))
-	b.WriteByte(',')
-	b.WriteString(scope)
-	b.WriteByte(',')
-	b.WriteString(metric)
-	b.WriteByte(',')
-	b.Write(strconv.AppendFloat(rt.scratch[:0], v, 'g', -1, 64))
-	b.WriteByte('\n')
+	b = lw.micros(b, t)
+	b = append(b, ',')
+	b = append(b, scope...)
+	b = append(b, ',')
+	b = append(b, metric...)
+	b = append(b, ',')
+	b = appendValue(b, v)
+	b = append(b, '\n')
+	lw.commit(b)
 }
 
 // Close flushes the metrics CSV and closes the tracer's sink. Call it
@@ -307,12 +310,7 @@ func (rt *Runtime) Close() error {
 	var err error
 	rt.mu.Lock()
 	if rt.mw != nil {
-		err = rt.mw.Flush()
-		if c, ok := rt.cfg.MetricsOut.(io.Closer); ok {
-			if cerr := c.Close(); err == nil {
-				err = cerr
-			}
-		}
+		err = rt.mw.Close()
 	}
 	rt.mu.Unlock()
 	if rt.cfg.Tracer != nil {

@@ -95,7 +95,7 @@ func TestStreamingTrialWritesThrough(t *testing.T) {
 	tr.Tracer().Emit(Event{T: sim.Microsecond, Type: EvCreditSent, Scope: "a->b"})
 	tr.WriteRow(sim.Microsecond, "t0.0", "port/x/util", 0.5)
 	rt.mu.Lock()
-	rt.mw.Flush()
+	rt.mw.flush()
 	rt.mu.Unlock()
 	if !strings.Contains(metrics.String(), "t0.0,port/x/util,0.5") {
 		t.Error("streaming trial buffered its metrics row")

@@ -122,6 +122,10 @@ const (
 	numEventTypes
 )
 
+// Tracer.mask holds one filter bit per type in a uint64; a 65th type
+// would alias bit 0, so it fails to compile here instead.
+var _ [64 - numEventTypes]struct{}
+
 var eventNames = [numEventTypes]string{
 	EvCreditSent:   "credit_sent",
 	EvCreditRecv:   "credit_recv",
