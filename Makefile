@@ -3,13 +3,13 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check check-sharded test bench bench-quick bench-diff bench-gate bench-test gate fmt vet race fuzz-smoke cover
+.PHONY: check check-sharded test bench bench-quick bench-gate bench-test gate fmt vet race fuzz-smoke cover
 
 ## check: the pre-commit gate — vet, formatting, and the race-enabled
 ## tests of the engine, instrumentation, and parallel-runner layers
 ## (the packages with the subtlest invariants). The experiments package
 ## runs with -short so the full determinism gate (see `make gate`)
-## stays out of the race budget; its obs byte-identity test still runs.
+## stays out of the race budget; the gate's obs variant still runs.
 ## Run `make bench-gate` alongside check before committing hot-path
 ## changes: it fails if the steady-state allocation budget regresses.
 check: vet
@@ -36,9 +36,12 @@ bench-test:
 ## fuzz-smoke: an 8-seed scenario-fuzz sweep (~30s) with every runtime
 ## invariant checker armed, under the race detector. Set
 ## XPSIM_FUZZ_SEEDS=64 XPSIM_FUZZ_BASE=1000 for a longer shifted soak;
-## a failing seed prints its exact replay command.
+## a failing seed prints its exact replay command. Then a few seconds
+## of native fuzzing of the -faults grammar: any input must yield a
+## plan or a typed error, never a panic.
 fuzz-smoke:
 	XPSIM_FUZZ_SEEDS=$${XPSIM_FUZZ_SEEDS:-8} go test -race -count=1 -run TestFuzzSmoke ./internal/scenario/
+	go test -run '^$$' -fuzz '^FuzzParseFaultSpec$$' -fuzztime 5s ./internal/faults/
 	@echo "fuzz-smoke: OK"
 
 ## cover: per-package statement coverage, with per-package enforced
@@ -65,21 +68,23 @@ cover:
 	done; \
 	exit $$fail
 
-## gate: the full serial-vs-parallel determinism gate — every registered
-## experiment, including the heavy realistic workloads, run at -procs 1
-## and at the worker-pool width with byte-compared output.
+## gate: the full determinism gate — every registered experiment,
+## including the heavy realistic workloads, run serially and then at
+## -procs 4 and at -shards 4, each byte-compared to the serial run with
+## the invariant checkers armed; plus the obs variant (stdout, trace,
+## metrics).
 gate:
-	XPSIM_GATE_ALL=1 go test -run TestSerialParallel -timeout 30m -v ./internal/experiments/
+	XPSIM_GATE_ALL=1 go test -run TestModeMatrix -timeout 30m -v ./internal/experiments/
 
-## check-sharded: the sharded-engine determinism gate — the race-enabled
-## shard unit tests (epoch barriers, dom ordering, byte-identity on a
-## dumbbell), then every registered experiment byte-compared between one
-## event heap and -shards 4 with the invariant checkers armed. Set
-## XPSIM_GATE_ALL=1 to include the five heavy realistic workloads, as in
-## `make gate`.
+## check-sharded: the sharded-engine checks — the race-enabled shard
+## unit tests (epoch barriers, dom ordering, byte-identity on a
+## dumbbell), then the sharded row of the determinism gate: every
+## registered experiment byte-compared between one event queue and
+## -shards 4 with the invariant checkers armed. Set XPSIM_GATE_ALL=1 to
+## include the five heavy realistic workloads, as in `make gate`.
 check-sharded:
-	go test -race -run 'TestShard|TestDefaultShards|TestHeapPopOrder' ./internal/sim/ ./internal/core/
-	go test -run TestSerialSharded -timeout 30m -v ./internal/experiments/
+	go test -race -run 'TestShard|TestDefaultShards|TestPopOrder' ./internal/sim/ ./internal/core/
+	go test -run 'TestModeMatrixByteIdentical/.*/shards4|TestModeMatrixObsByteIdentical/shards4' -timeout 30m -v ./internal/experiments/
 	@echo "check-sharded: OK"
 
 # `make check` already runs `go vet ./...` through this target (check's
@@ -116,51 +121,18 @@ bench-quick:
 ## concurrently-active flow population (see TestLifecycleRSSGate and
 ## BENCH_8.json for the 1155→44 MB before/after at scale=1.0).
 ## HOTPATH_EVRATE_FLOOR guards throughput the same way the alloc budget
-## guards the heap: the same BenchmarkHotPath run must sustain at least
-## this many sim-events/sec (80% of the rate recorded after the PR-4
-## hot-path work, BENCH_4.json; retained unchanged for the calendar
-## scheduler, which clears it with ~20% headroom — see BENCH_9.json —
-## since 80% of the new rate would loosen the floor; override for
-## slower CI hosts).
+## guards the Go heap: the same BenchmarkHotPath run must sustain at
+## least this many sim-events/sec (80% of the rate recorded after the
+## PR-4 hot-path work, BENCH_4.json; the calendar scheduler clears it
+## with ~20% headroom — see BENCH_9.json; override for slower CI hosts).
 HOTPATH_ALLOC_BUDGET ?= 0
 HOTPATH_EVRATE_FLOOR ?= 9202272
 
-## bench-diff: the paired scheduler comparison — BenchmarkHotPathSched
-## runs the identical hot path under the 4-ary heap and the calendar
-## queue in one process and this target prints a benchstat-style table
-## (sim-events/sec, allocs/op, calendar-vs-heap delta). The calendar
-## arm — the default scheduler — must clear the same
-## HOTPATH_EVRATE_FLOOR and HOTPATH_ALLOC_BUDGET as BenchmarkHotPath,
-## so a calendar regression fails loudly even when the heap arm still
-## passes. Runs as the first stage of `make bench-gate`.
-bench-diff:
-	@out=$$(go test -run '^$$' -bench '^BenchmarkHotPathSched$$' -benchmem -benchtime 200x .) || { echo "$$out"; exit 1; }; \
-	echo "$$out"; \
-	heap_ev=$$(echo "$$out" | awk '/^BenchmarkHotPathSched\/heap/ { for (i=1; i<NF; i++) if ($$(i+1) == "sim-events/sec") print $$i }'); \
-	cal_ev=$$(echo "$$out" | awk '/^BenchmarkHotPathSched\/calendar/ { for (i=1; i<NF; i++) if ($$(i+1) == "sim-events/sec") print $$i }'); \
-	heap_al=$$(echo "$$out" | awk '/^BenchmarkHotPathSched\/heap/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") print $$i }'); \
-	cal_al=$$(echo "$$out" | awk '/^BenchmarkHotPathSched\/calendar/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") print $$i }'); \
-	if [ -z "$$heap_ev" ] || [ -z "$$cal_ev" ] || [ -z "$$heap_al" ] || [ -z "$$cal_al" ]; then \
-		echo "bench-diff: could not parse paired benchmark output"; exit 1; \
-	fi; \
-	echo ""; \
-	printf "bench-diff: %-9s %16s %10s\n" scheduler sim-events/sec allocs/op; \
-	printf "bench-diff: %-9s %16s %10s\n" heap "$$heap_ev" "$$heap_al"; \
-	printf "bench-diff: %-9s %16s %10s\n" calendar "$$cal_ev" "$$cal_al"; \
-	echo "$$heap_ev $$cal_ev" | awk '{ printf "bench-diff: %-9s %+15.1f%%\n", "delta", ($$2-$$1)/$$1*100 }'; \
-	if echo "$$cal_ev $(HOTPATH_EVRATE_FLOOR)" | awk '{ exit !($$1 < $$2) }'; then \
-		echo "bench-diff: FAIL — calendar $$cal_ev sim-events/sec below floor $(HOTPATH_EVRATE_FLOOR)"; exit 1; \
-	fi; \
-	if [ "$$cal_al" -gt "$(HOTPATH_ALLOC_BUDGET)" ]; then \
-		echo "bench-diff: FAIL — calendar $$cal_al allocs/op exceeds budget $(HOTPATH_ALLOC_BUDGET)"; exit 1; \
-	fi; \
-	echo "bench-diff: OK (calendar clears floor $(HOTPATH_EVRATE_FLOOR) and budget $(HOTPATH_ALLOC_BUDGET))"
 OBS_BYTES_BUDGET ?= 160
 OBS_RSS_BUDGET_MB ?= 256
 LIFECYCLE_RSS_BUDGET_MB ?= 256
 LIFECYCLE_SCALE ?= 0.5
 bench-gate:
-	@$(MAKE) --no-print-directory bench-diff
 	@out=$$(go test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 200x .) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	allocs=$$(echo "$$out" | awk '/^BenchmarkHotPath/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") print $$i }'); \

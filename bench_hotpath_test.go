@@ -24,26 +24,7 @@ import (
 // packet crossing 5 links — thousands of engine events per op.
 const hotPathSlice = 100 * expresspass.Microsecond
 
-func BenchmarkHotPath(b *testing.B) { runHotPath(b) }
-
-// BenchmarkHotPathSched runs the identical hot path under each event
-// scheduler in one process, so `make bench-diff` can print a paired
-// events/sec and allocs/op table free of machine-to-machine noise.
-// Both arms share the 0 allocs/op budget and the events/sec floor.
-func BenchmarkHotPathSched(b *testing.B) {
-	for _, name := range []string{"heap", "calendar"} {
-		b.Run(name, func(b *testing.B) {
-			prev := expresspass.Scheduler()
-			if err := expresspass.SetScheduler(name); err != nil {
-				b.Fatal(err)
-			}
-			defer expresspass.SetScheduler(prev)
-			runHotPath(b)
-		})
-	}
-}
-
-func runHotPath(b *testing.B) {
+func BenchmarkHotPath(b *testing.B) {
 	eng := expresspass.NewEngine(1)
 	net := expresspass.NewNetwork(eng)
 	link := expresspass.Link(10*expresspass.Gbps, 2*expresspass.Microsecond)

@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -100,8 +101,6 @@ func main() {
 		"worker goroutines for sweep trials (1 = serial; output is identical either way)")
 	shards := flag.Int("shards", 0,
 		"intra-run topology shards per trial (0/1 = serial; output is identical at any count)")
-	sched := flag.String("sched", "calendar",
-		"event scheduler: calendar (timer-wheel calendar queue) or heap (4-ary min-heap); output is identical under either")
 	invariants := flag.Bool("invariants", false,
 		"arm the runtime invariant checkers; violations are printed and exit nonzero")
 	flightPath := flag.String("flight", "",
@@ -113,10 +112,6 @@ func main() {
 
 	expresspass.SetSweepProcs(*procs)
 	expresspass.SetShards(*shards)
-	if err := expresspass.SetScheduler(*sched); err != nil {
-		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *faultSpec != "" {
 		plan, err := expresspass.ParseFaultSpec(*faultSpec)
@@ -275,7 +270,7 @@ func parseSize(s string) (int64, error) {
 	if s == "" {
 		return 0, nil
 	}
-	mult := int64(1)
+	orig, mult := s, int64(1)
 	switch s[len(s)-1] {
 	case 'k', 'K':
 		mult, s = 1<<10, s[:len(s)-1]
@@ -285,8 +280,8 @@ func parseSize(s string) (int64, error) {
 		mult, s = 1<<30, s[:len(s)-1]
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid size %q", s)
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("invalid size %q", orig)
 	}
 	return n * mult, nil
 }

@@ -262,24 +262,6 @@ func SetShards(k int) { netem.SetDefaultShards(k) }
 // Shards returns the process-wide default intra-run shard count.
 func Shards() int { return netem.DefaultShards() }
 
-// SetScheduler selects the pending-event queue implementation for
-// engines created after this call: "calendar" (the default — a
-// timer-wheel calendar queue with O(1) amortized push/pop) or "heap"
-// (the 4-ary min-heap, kept for differential testing and benchmarking;
-// xpsim exposes this as -sched). Event execution order — and therefore
-// every table, trace, and metric byte — is identical under either.
-func SetScheduler(name string) error {
-	k, err := sim.ParseScheduler(name)
-	if err != nil {
-		return err
-	}
-	sim.SetDefaultScheduler(k)
-	return nil
-}
-
-// Scheduler returns the process-wide default scheduler name.
-func Scheduler() string { return sim.DefaultScheduler().String() }
-
 // Fault injection (see internal/faults): deterministic, event-scheduled
 // link flaps, host credit stalls, and the seeded impairment suite —
 // uniform and correlated loss (Gilbert-Elliott, 4-state Markov,

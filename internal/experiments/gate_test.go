@@ -1,0 +1,239 @@
+package experiments
+
+import (
+	"bytes"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"expresspass/internal/invariant"
+	"expresspass/internal/netem"
+	"expresspass/internal/obs"
+	"expresspass/internal/runner"
+)
+
+// gateScale holds the per-experiment scale used by the determinism
+// gate: small enough that the gate runs in CI time, large enough that
+// every experiment executes multiple sweep trials.
+var gateScale = map[string]float64{
+	"fig1":           0.03,
+	"fig2":           0.1,
+	"fig5":           1,
+	"fig6":           0.03,
+	"fig8":           0.1,
+	"fig9":           0.1,
+	"fig10":          0.1,
+	"fig11":          0.06,
+	"fig13":          0.03,
+	"fig14":          0.25,
+	"fig15":          0.06,
+	"fig16":          0.06,
+	"fig17":          0.03,
+	"fig18":          0.004,
+	"fig19":          0.004,
+	"fig20":          0.004,
+	"fig21":          0.004,
+	"table1":         1,
+	"table3":         0.002,
+	"ext-classes":    0.05,
+	"ext-spray":      0.03,
+	"ext-failover":   0.03,
+	"ext-stopmargin": 0.05,
+	"ext-dcqcn":      0.05,
+
+	// Fault-injection experiments: the timelines floor at a few ms of
+	// simulated time regardless of scale, so a small scale suffices.
+	"ext-faults-flap":  0.06,
+	"ext-faults-loss":  0.06,
+	"ext-faults-stall": 0.06,
+
+	// Chaos-impairment experiments: like the fault timelines, their
+	// runtimes floor at a few ms of simulated time per trial.
+	"ext-chaos-matrix": 0.06,
+	"ext-chaos-storm":  0.06,
+}
+
+// gateHeavy marks the realistic-workload experiments whose cost is
+// dominated by per-trial floors (≈150 flows/trial) rather than Scale,
+// so each serial arm takes tens of seconds even at microscopic scale.
+// They are still gated — `make gate` (XPSIM_GATE_ALL=1) runs the full
+// registry — but skipped in the default `go test ./...` budget.
+var gateHeavy = map[string]bool{
+	"fig18":  true,
+	"fig19":  true,
+	"fig20":  true,
+	"fig21":  true,
+	"table3": true,
+}
+
+// gateWorkers returns the parallel arm's worker count: at least 4 so
+// the worker pool, trial buffering, and submission-order merge are
+// genuinely exercised even on single-core CI runners (where
+// GOMAXPROCS(0) == 1 would degenerate to the serial path).
+func gateWorkers() int {
+	if w := runtime.GOMAXPROCS(0); w > 4 {
+		return w
+	}
+	return 4
+}
+
+// gateModes is the execution-mode matrix: every way xpsim can run an
+// experiment other than the serial reference (-procs 1, no shards).
+// Each row must reproduce the reference byte for byte.
+var gateModes = []struct {
+	name   string
+	procs  int // sweep-trial worker pool width
+	shards int // intra-run topology shards per trial
+}{
+	// Trials fan out across the worker pool (wider than 4 on hosts with
+	// more cores) and merge in submission order.
+	{"procs4", gateWorkers(), 0},
+	// Trials stay serial so the row isolates the sharded engine: each
+	// topology cut into (up to) four regions on their own event queues
+	// with epoch-barrier synchronization.
+	{"shards4", 1, 4},
+}
+
+// runMode runs one experiment at the given pool width and shard count.
+func runMode(t *testing.T, procs, shards int, id string, p Params) []byte {
+	t.Helper()
+	netem.SetDefaultShards(shards)
+	defer netem.SetDefaultShards(0)
+	return runAt(t, procs, id, p)
+}
+
+func runAt(t *testing.T, procs int, id string, p Params) []byte {
+	t.Helper()
+	runner.SetProcs(procs)
+	defer runner.SetProcs(0)
+	var out bytes.Buffer
+	if err := Run(id, p, &out); err != nil {
+		t.Fatalf("procs=%d: %v", procs, err)
+	}
+	return out.Bytes()
+}
+
+// TestModeMatrixByteIdentical is the determinism gate: every registered
+// experiment runs once serially as the reference, then once per row of
+// gateModes, and each row's output must match the reference byte for
+// byte at the same seed. The whole gate runs with the runtime invariant
+// checkers armed, so it doubles as a paper-property audit of every
+// registered experiment in every mode: arming must neither change any
+// output byte nor surface a single violation.
+func TestModeMatrixByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("determinism gate runs every experiment three times")
+	}
+	all := os.Getenv("XPSIM_GATE_ALL") != ""
+	invariant.Reset()
+	invariant.Arm(invariant.Options{})
+	defer invariant.Disarm()
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			if gateHeavy[e.ID] && !all {
+				t.Skip("heavy realistic workload; run via `make gate` (XPSIM_GATE_ALL=1)")
+			}
+			scale, ok := gateScale[e.ID]
+			if !ok {
+				scale = 0.01 // new experiments are gated by default
+			}
+			p := Params{Scale: scale, Seed: 42}
+			serial := runMode(t, 1, 0, e.ID, p)
+			for _, m := range gateModes {
+				t.Run(m.name, func(t *testing.T) {
+					got := runMode(t, m.procs, m.shards, e.ID, p)
+					if !bytes.Equal(serial, got) {
+						t.Errorf("output differs between serial and -procs %d -shards %d\nserial:\n%s\n%s:\n%s",
+							m.procs, m.shards, serial, m.name, got)
+					}
+				})
+			}
+			// Flush positional (queue/delay) findings and release the
+			// experiment's networks before the next one runs.
+			invariant.FinishArmed()
+			if n := invariant.Count(); n != 0 {
+				for i, v := range invariant.Violations() {
+					if i == 8 {
+						break
+					}
+					t.Errorf("invariant violation: %s", v)
+				}
+				t.Errorf("%d invariant violations with checkers armed", n)
+				invariant.Reset()
+			}
+		})
+	}
+}
+
+// shardShapeGauges are engine-shape metrics whose values legitimately
+// depend on how the event population is split across queues: pending
+// counts and queue peaks are per-queue quantities sampled mid-run, and
+// the event freelist is per-engine. Every other metric — and the trace
+// — must still match byte for byte.
+var shardShapeGauges = map[string]bool{
+	"engine/pending":     true,
+	"engine/peak_heap":   true,
+	"sim/freelist_size":  true,
+	"sim/freelist_drops": true,
+}
+
+// stripShapeGauges removes metric CSV rows for the shard-shape gauges.
+func stripShapeGauges(csv string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(csv, "\n") {
+		// t_us,scope,metric,value
+		f := strings.Split(line, ",")
+		if len(f) == 4 && shardShapeGauges[f[2]] {
+			continue
+		}
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestModeMatrixObsByteIdentical is the obs variant of the gate: a
+// traced, metered experiment runs serially and once per row of
+// gateModes, and stdout, the trace — produced through the per-trial and
+// per-shard buffering paths netem actually uses — and the metrics CSV
+// must match the serial run byte for byte. Only the sharded row's
+// metrics are compared after dropping the shard-shape gauges.
+func TestModeMatrixObsByteIdentical(t *testing.T) {
+	run := func(t *testing.T, procs, shards int) (out, trace, metrics string) {
+		var tb, mb bytes.Buffer
+		rt := obs.NewRuntime(obs.Config{
+			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb)),
+			MetricsOut: &mb,
+		})
+		obs.SetActive(rt)
+		defer obs.SetActive(nil)
+		ob := runMode(t, procs, shards, "ext-classes", Params{Scale: 0.05, Seed: 42})
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return string(ob), tb.String(), mb.String()
+	}
+	so, st, sm := run(t, 1, 0)
+	if st == "" {
+		t.Error("trace is empty — experiment emitted no events through the trial scope")
+	}
+	for _, m := range gateModes {
+		t.Run(m.name, func(t *testing.T) {
+			mo, mt, mm := run(t, m.procs, m.shards)
+			if mo != so {
+				t.Errorf("stdout differs from the serial run under tracing")
+			}
+			if mt != st {
+				t.Errorf("trace bytes differ from the serial run")
+			}
+			if m.shards > 1 {
+				if stripShapeGauges(mm) != stripShapeGauges(sm) {
+					t.Errorf("metrics rows differ from the serial run beyond the engine-shape gauges")
+				}
+			} else if mm != sm {
+				t.Errorf("metrics bytes differ from the serial run")
+			}
+		})
+	}
+}

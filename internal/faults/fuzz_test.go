@@ -1,0 +1,47 @@
+package faults
+
+import (
+	"errors"
+	"testing"
+)
+
+// FuzzParseFaultSpec feeds arbitrary strings to the -faults grammar:
+// whatever arrives on the command line, ParseSpec returns either a
+// non-empty plan or a *ConfigError pointing inside the input — never a
+// panic, never an untyped error. Seeded with the specs spec_test.go
+// already pins, valid and invalid. Runs its seed corpus as a plain test
+// in tier-1; `make fuzz-smoke` mutates it for a few seconds.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, s := range []string{
+		"flap@10ms+2ms; loss:credit:0.05@20ms+5ms; loss:both:0.01:swL->swR@1s+100us; stall:s0@30ms+1ms",
+		"gemodel:data:0.1:0.5:h=0.2:k=0.9:swL->swR@1ms+1ms;state:both:0.05:p31=0.4:p23=0.8:p32=0.1:p14=0.01@2ms+2ms",
+		"loss:data:0.02:corr=0.5@3ms+3ms;dup:credit:0.01@4ms+4ms;corrupt:data:0.005:swR->swL@5ms+5ms",
+		"reorder:0.1:20us@6ms+6ms;jitter:delay:pareto:5us@7ms+7ms;jitter:rate:normal:0.25@8ms+8ms",
+		"every:20ms:jitter=1ms:count=3:duty=0.1:roll{ stall@0ms+2ms; flap@5ms+1ms }@10ms+80ms",
+		"flap@1ms+1ms; every:10ms{ loss:credit:0.1@0ms+1ms; stall@2ms+1ms }@5ms+50ms; dup:data:0.01@2ms+2ms",
+	} {
+		f.Add(s)
+	}
+	for _, s := range invalidSpecs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParseSpec(spec)
+		if err == nil {
+			if len(plan.Directives)+len(plan.Schedules) == 0 {
+				t.Fatalf("ParseSpec(%q) accepted the spec but returned an empty plan", spec)
+			}
+			return
+		}
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("ParseSpec(%q) error %T is not *ConfigError", spec, err)
+		}
+		if ce.Pos < 0 || ce.Pos > len(spec) {
+			t.Fatalf("ParseSpec(%q) error offset %d is outside the input", spec, ce.Pos)
+		}
+		if len(plan.Directives)+len(plan.Schedules) != 0 {
+			t.Fatalf("ParseSpec(%q) returned both a plan and an error", spec)
+		}
+	})
+}

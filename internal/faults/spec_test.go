@@ -129,38 +129,41 @@ func TestParseSpecSchedule(t *testing.T) {
 	}
 }
 
+// invalidSpecs must each be rejected with a *ConfigError; they also seed
+// FuzzParseFaultSpec.
+var invalidSpecs = []string{
+	"",
+	"flap",                                 // no timing
+	"flap@10ms",                            // no duration
+	"flap@10ms+0ms",                        // zero duration
+	"flap@10+2ms",                          // missing unit
+	"melt@10ms+2ms",                        // unknown kind
+	"loss@10ms+2ms",                        // loss without class/rate
+	"loss:credit:1.5@1ms+1ms",              // rate out of range
+	"loss:acks:0.1@1ms+1ms",                // unknown class
+	"stall:a:b@1ms+1ms",                    // too many args
+	"loss:credit:0.1:corr=2@1ms+1ms",       // correlation out of range
+	"gemodel:credit:0.1@1ms+1ms",           // missing r
+	"gemodel:credit:0:0.5@1ms+1ms",         // p must be positive
+	"gemodel:credit:0.1:0.5:q=1@1ms+1ms",   // unknown option
+	"state:credit:0.6:p14=0.5@1ms+1ms",     // p13+p14 > 1
+	"dup:data@1ms+1ms",                     // missing rate
+	"corrupt:frames:0.1@1ms+1ms",           // unknown class
+	"reorder:0.1:xyz@1ms+1ms",              // bad maxdelay
+	"jitter:delay:zipf:1us@1ms+1ms",        // unknown distribution
+	"jitter:sideways:uniform:1us@1ms+1ms",  // unknown axis
+	"jitter:rate:uniform:-0.5@1ms+1ms",     // negative mean
+	"every:10ms{ flap@0ms+1ms }",           // schedule without timing
+	"every:10ms{}@1ms+10ms",                // empty body
+	"every{ flap@0ms+1ms }@1ms+10ms",       // missing period
+	"every:0ms{ flap@0ms+1ms }@1ms+10ms",   // zero period
+	"every:10ms:duty=2{ flap@0+1ms }@1+1s", // duty out of range
+	"every:10ms{ flap@0ms+1ms @1ms+10ms",   // unterminated brace
+	"every:10ms{ every:1ms{ flap@0ms+1ms }@0ms+5ms }@1ms+10ms", // nesting
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"flap",                                 // no timing
-		"flap@10ms",                            // no duration
-		"flap@10ms+0ms",                        // zero duration
-		"flap@10+2ms",                          // missing unit
-		"melt@10ms+2ms",                        // unknown kind
-		"loss@10ms+2ms",                        // loss without class/rate
-		"loss:credit:1.5@1ms+1ms",              // rate out of range
-		"loss:acks:0.1@1ms+1ms",                // unknown class
-		"stall:a:b@1ms+1ms",                    // too many args
-		"loss:credit:0.1:corr=2@1ms+1ms",       // correlation out of range
-		"gemodel:credit:0.1@1ms+1ms",           // missing r
-		"gemodel:credit:0:0.5@1ms+1ms",         // p must be positive
-		"gemodel:credit:0.1:0.5:q=1@1ms+1ms",   // unknown option
-		"state:credit:0.6:p14=0.5@1ms+1ms",     // p13+p14 > 1
-		"dup:data@1ms+1ms",                     // missing rate
-		"corrupt:frames:0.1@1ms+1ms",           // unknown class
-		"reorder:0.1:xyz@1ms+1ms",              // bad maxdelay
-		"jitter:delay:zipf:1us@1ms+1ms",        // unknown distribution
-		"jitter:sideways:uniform:1us@1ms+1ms",  // unknown axis
-		"jitter:rate:uniform:-0.5@1ms+1ms",     // negative mean
-		"every:10ms{ flap@0ms+1ms }",           // schedule without timing
-		"every:10ms{}@1ms+10ms",                // empty body
-		"every{ flap@0ms+1ms }@1ms+10ms",       // missing period
-		"every:0ms{ flap@0ms+1ms }@1ms+10ms",   // zero period
-		"every:10ms:duty=2{ flap@0+1ms }@1+1s", // duty out of range
-		"every:10ms{ flap@0ms+1ms @1ms+10ms",   // unterminated brace
-		"every:10ms{ every:1ms{ flap@0ms+1ms }@0ms+5ms }@1ms+10ms", // nesting
-	}
-	for _, s := range bad {
+	for _, s := range invalidSpecs {
 		_, err := ParseSpec(s)
 		if err == nil {
 			t.Errorf("ParseSpec(%q) accepted invalid spec", s)

@@ -3,8 +3,8 @@ package sim
 import "math/bits"
 
 // Calendar-queue event scheduler (Brown 1988, as used by ns-3's
-// calendar scheduler and kernel timer wheels), selected by
-// SchedCalendar. The structure splits pending events by horizon:
+// calendar scheduler and kernel timer wheels): the engine's one
+// pending-event queue. The structure splits pending events by horizon:
 //
 //   - a power-of-two wheel of "day" buckets covers the near future.
 //     A day is ev.at >> logW (logW = log2 of the bucket width in
@@ -17,8 +17,9 @@ import "math/bits"
 //     They migrate into the wheel in amortized O(log n) batches once
 //     the clock brings their day within the horizon.
 //
-// Determinism: pop order must be byte-identical to the 4-ary heap's —
-// exact (time, dom, seq) via the shared less() comparator. Two
+// Determinism: pop order must be exactly (time, dom, seq) by the less()
+// comparator — what a sort of the pending set would give, and what the
+// ordered-slice reference model in sched_prop_test.go checks. Two
 // properties make that cheap to guarantee:
 //
 //   - every queued event satisfies ev.at >= engine.now (alloc and
@@ -229,10 +230,10 @@ func (c *calQ) pop(now Time) *event {
 // remove deletes a resident event from whichever container holds it:
 // indexed heap-remove from overflow, or swap-remove from its wheel
 // bucket. O(1) for the wheel, O(log n) for overflow — this is what
-// lets EventID.Reschedule relocate an event in place with the same
-// success condition the heap scheduler has, which byte-identity
-// requires (a fallback-to-fresh-schedule on one scheduler but not the
-// other would diverge the seq stream).
+// lets EventID.Reschedule relocate any pending event in place, so its
+// success depends only on whether the event is still pending, never on
+// where the queue happens to hold it (a fallback to a fresh schedule
+// would consume a seq and shift every later tie-break).
 func (c *calQ) remove(ev *event) {
 	if c.cached == ev {
 		c.cached = nil

@@ -32,10 +32,10 @@ type Handler2 func(obj, aux any, arg uint64)
 // eng is the engine whose queue currently holds the event (updated if
 // ShardGroup.Activate migrates it); EventID.Cancel and Reschedule go
 // through it to keep live-event accounting and queue position correct.
-// index is the event's slot in its container — heap index, calendar
-// bucket slot, or overflow-heap index — and is -1 once popped. bucket
-// is calendar-only: the wheel bucket holding the event, or
-// calInOverflow when it is parked in the overflow heap.
+// index is the event's slot in its container — calendar bucket slot or
+// overflow-heap index — and is -1 once popped. bucket is the wheel
+// bucket holding the event, or calInOverflow when it is parked in the
+// overflow heap.
 type event struct {
 	at       Time
 	seq      uint64
@@ -99,14 +99,9 @@ func (id EventID) Reschedule(at Time) bool {
 		panic(fmt.Sprintf("sim: rescheduling event to %v, before now %v", at, e.now))
 	}
 	e.resched++
-	if c := e.cal; c != nil {
-		c.remove(ev)
-		ev.at = at
-		c.push(ev, e.now)
-	} else {
-		ev.at = at
-		e.heapFix(ev.index)
-	}
+	e.cal.remove(ev)
+	ev.at = at
+	e.cal.push(ev, e.now)
 	return true
 }
 
@@ -115,9 +110,7 @@ func (id EventID) Reschedule(at Time) bool {
 // rescheduled in place to at (no dead struct left in the queue, no new
 // seq consumed) and returned unchanged; otherwise — the timer already
 // fired, was canceled, or was never armed — a fresh typed event is
-// scheduled on e and its ID returned. Both queue implementations share
-// Reschedule's success condition, so heap and calendar runs take the
-// same branch here and their seq streams stay byte-identical.
+// scheduled on e and its ID returned.
 func Rearm(id EventID, e *Engine, dom int32, at Time, h Handler2, obj, aux any, arg uint64) EventID {
 	if id.Reschedule(at) {
 		return id
@@ -125,65 +118,14 @@ func Rearm(id EventID, e *Engine, dom int32, at Time, h Handler2, obj, aux any, 
 	return e.At2D(dom, at, h, obj, aux, arg)
 }
 
-// SchedulerKind selects the pending-event queue implementation.
-type SchedulerKind uint8
-
-const (
-	// SchedHeap is the hand-rolled 4-ary min-heap: O(log n) per
-	// operation, no auxiliary state. Kept for differential testing and
-	// benchmarking against SchedCalendar (`xpsim -sched heap`).
-	SchedHeap SchedulerKind = iota
-	// SchedCalendar is the calendar-queue scheduler (see calendar.go):
-	// a power-of-two wheel of time buckets with O(1) amortized push/pop
-	// for the short-horizon events that dominate the simulator, plus a
-	// 4-ary overflow heap for far-future timers. Pop order is
-	// byte-identical to SchedHeap: exact (time, dom, seq).
-	SchedCalendar
-)
-
-// String returns the -sched flag spelling of k.
-func (k SchedulerKind) String() string {
-	if k == SchedHeap {
-		return "heap"
-	}
-	return "calendar"
-}
-
-// ParseScheduler maps a -sched flag value to a SchedulerKind.
-func ParseScheduler(name string) (SchedulerKind, error) {
-	switch name {
-	case "heap":
-		return SchedHeap, nil
-	case "calendar":
-		return SchedCalendar, nil
-	}
-	return SchedHeap, fmt.Errorf("unknown scheduler %q (want heap or calendar)", name)
-}
-
-// defaultScheduler is the kind New uses; calendar is the default, with
-// the heap kept behind `-sched heap` for differential comparison.
-var defaultScheduler = SchedCalendar
-
-// SetDefaultScheduler selects the queue implementation New gives future
-// engines (existing engines are unaffected). Not safe to call while
-// engines are running; runners set it once at process start.
-func SetDefaultScheduler(k SchedulerKind) { defaultScheduler = k }
-
-// DefaultScheduler returns the kind New currently hands out.
-func DefaultScheduler() SchedulerKind { return defaultScheduler }
-
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; construct with New.
 //
-// The pending-event queue is pluggable (see SchedulerKind): a calendar
-// queue by default, or a 4-ary min-heap, both ordered by (time, dom,
-// seq). Queue churn dominates the simulator's CPU profile, so the
-// dispatch between them is a single predictable nil-check on e.cal
-// rather than an interface call.
+// The pending-event queue is the calendar queue of calendar.go, ordered
+// by (time, dom, seq).
 type Engine struct {
 	now     Time
-	heap    []*event // SchedHeap storage (nil container in calendar mode)
-	cal     *calQ    // SchedCalendar storage, nil in heap mode
+	cal     *calQ
 	nextSeq uint64
 	rng     *Rand
 	nEvents uint64 // executed events, for instrumentation
@@ -240,26 +182,9 @@ type post struct {
 	dom      int32
 }
 
-// New returns an engine at time zero whose RNG is seeded with seed,
-// using the process-default scheduler (see SetDefaultScheduler).
-func New(seed uint64) *Engine { return NewWithScheduler(seed, defaultScheduler) }
-
-// NewWithScheduler returns an engine at time zero whose RNG is seeded
-// with seed and whose pending-event queue is the given kind.
-func NewWithScheduler(seed uint64, kind SchedulerKind) *Engine {
-	e := &Engine{rng: NewRand(seed), shardIdx: -1}
-	if kind == SchedCalendar {
-		e.cal = newCalQ()
-	}
-	return e
-}
-
-// Scheduler returns the queue implementation this engine runs on.
-func (e *Engine) Scheduler() SchedulerKind {
-	if e.cal != nil {
-		return SchedCalendar
-	}
-	return SchedHeap
+// New returns an engine at time zero whose RNG is seeded with seed.
+func New(seed uint64) *Engine {
+	return &Engine{rng: NewRand(seed), shardIdx: -1, cal: newCalQ()}
 }
 
 // Now returns the current simulation time.
@@ -396,8 +321,7 @@ func (e *Engine) SetHook(fn func(now Time, pending int)) { e.hook = fn }
 // every domain's events live in exactly one shard, so each shard pops
 // its own events in globally consistent key order and equal-time events
 // from different domains never race — the serial engine resolves them
-// by dom just as the barrier does. Both queue implementations use this
-// one comparator, which is why their pop orders are byte-identical.
+// by dom just as the barrier does.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -408,101 +332,12 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// ---- 4-ary min-heap (SchedHeap) ----
-
-func (e *Engine) siftUp(i int) {
-	ev := e.heap[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		p := e.heap[parent]
-		if !less(ev, p) {
-			break
-		}
-		e.heap[i] = p
-		p.index = i
-		i = parent
-	}
-	e.heap[i] = ev
-	ev.index = i
-}
-
-func (e *Engine) siftDown(i int) {
-	ev := e.heap[i]
-	n := len(e.heap)
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if less(e.heap[c], e.heap[best]) {
-				best = c
-			}
-		}
-		if !less(e.heap[best], ev) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		e.heap[i].index = i
-		i = best
-	}
-	e.heap[i] = ev
-	ev.index = i
-}
-
-func (e *Engine) heapPush(ev *event) {
-	e.heap = append(e.heap, ev)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// heapPopMin removes and returns the earliest event.
-func (e *Engine) heapPopMin() *event {
-	ev := e.heap[0]
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap[0].index = 0
-	e.heap[n] = nil
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-	ev.index = -1
-	return ev
-}
-
-// heapFix restores the heap property after heap[i]'s key changed
-// (container/heap Fix: sink first, and float only if it never sank).
-func (e *Engine) heapFix(i int) {
-	ev := e.heap[i]
-	e.siftDown(i)
-	if ev.index == i {
-		e.siftUp(i)
-	}
-}
-
-// ---- scheduler-agnostic queue operations ----
-//
-// Everything below engine code goes through these. The branch on e.cal
-// is the entire scheduler dispatch: one nil check, no interface call.
-
 // qPush inserts a prepared event (at/dom/seq set) and maintains the
-// live/peak accounting shared by both schedulers.
+// live/peak accounting.
 func (e *Engine) qPush(ev *event) {
-	if c := e.cal; c != nil {
-		c.push(ev, e.now)
-		if n := c.len(); n > e.maxQueue {
-			e.maxQueue = n
-		}
-	} else {
-		e.heapPush(ev)
-		if n := len(e.heap); n > e.maxQueue {
-			e.maxQueue = n
-		}
+	e.cal.push(ev, e.now)
+	if n := e.cal.len(); n > e.maxQueue {
+		e.maxQueue = n
 	}
 	if !ev.canceled {
 		e.live++
@@ -516,19 +351,8 @@ func (e *Engine) qPush(ev *event) {
 // when the queue is empty. Canceled events are returned too (their
 // structs must still be recycled); they left the live count at Cancel.
 func (e *Engine) qPop() *event {
-	var ev *event
-	if c := e.cal; c != nil {
-		ev = c.pop(e.now)
-		if ev == nil {
-			return nil
-		}
-	} else {
-		if len(e.heap) == 0 {
-			return nil
-		}
-		ev = e.heapPopMin()
-	}
-	if !ev.canceled {
+	ev := e.cal.pop(e.now)
+	if ev != nil && !ev.canceled {
 		e.live--
 	}
 	return ev
@@ -536,37 +360,14 @@ func (e *Engine) qPop() *event {
 
 // qPeek returns the minimum event without removing it (possibly a
 // canceled one), or nil when the queue is empty.
-func (e *Engine) qPeek() *event {
-	if c := e.cal; c != nil {
-		return c.peek(e.now)
-	}
-	if len(e.heap) == 0 {
-		return nil
-	}
-	return e.heap[0]
-}
-
-// qLen returns the raw queue population, canceled structs included.
-func (e *Engine) qLen() int {
-	if c := e.cal; c != nil {
-		return c.len()
-	}
-	return len(e.heap)
-}
+func (e *Engine) qPeek() *event { return e.cal.peek(e.now) }
 
 // qExtractAll empties the queue and returns every resident event in
 // unspecified order (ShardGroup.Activate redistributes them through
 // qPush, which rebuilds the live accounting).
 func (e *Engine) qExtractAll() []*event {
-	var evs []*event
-	if c := e.cal; c != nil {
-		evs = c.extractAll()
-	} else {
-		evs = e.heap
-		e.heap = nil
-	}
 	e.live = 0
-	return evs
+	return e.cal.extractAll()
 }
 
 // alloc claims a recycled event struct (or allocates a fresh one),

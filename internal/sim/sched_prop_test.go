@@ -2,49 +2,136 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 )
 
-// Differential scheduler properties: the heap and the calendar queue
-// must be observationally indistinguishable. Each test replays one
-// seeded operation stream — schedules across domains and horizons,
-// cancels, in-place reschedules, partial drains — against an engine of
-// each kind and requires the executed (time, dom, seq) streams, the
-// live-event accounting, and every Reschedule success/failure to agree
-// exactly. This is the unit-level form of the experiment gate's
-// "-sched heap vs -sched calendar byte-identity" criterion: if pop
-// order or the Reschedule branch ever diverged, the engines' seq
-// streams would split and downstream runs could not stay identical.
+// Differential scheduler properties: the calendar queue must be
+// observationally indistinguishable from the obvious implementation of
+// its contract. Each test replays one seeded operation stream —
+// schedules across domains and horizons, cancels, in-place reschedules,
+// partial drains — against an engine and, in lockstep, against refModel
+// below, and requires the executed (time, dom, seq) stream, the
+// live-event accounting, and every Cancel/Reschedule outcome to agree
+// exactly. If pop order or the Reschedule branch ever diverged from the
+// model, seq streams would shift and no run could stay byte-identical
+// with the recorded ones.
 
-// schedTrace is everything observable about one op-stream replay.
-type schedTrace struct {
-	popped  []popKey
-	resched []bool // success bit per Reschedule attempt
-	pending []int  // Pending() checkpoint per round
-	maxPend int
+// refModel is the reference the engine is checked against: the live
+// pending set as one slice kept sorted by (time, dom, seq). Every
+// operation is the naive one — binary-search insert, linear find by
+// seq, delete, pop the front — so it shares no logic with calendar.go
+// (no wheel, no overflow heap, no lazy cancellation, no resize). It is
+// valid for the streams these tests generate: events are scheduled
+// between steps at times strictly after now.
+type refModel struct {
+	now     Time
+	nextSeq uint64
+	pending []popKey // live events only, sorted by keyLess
+	maxLive int
 }
 
-// replayOps drives a fresh engine of the given kind through the op
-// stream derived from seed. All decisions come from a private RNG and
-// the tracked-ID table, so two kinds given the same seed see the same
-// requests in the same order.
-func replayOps(kind SchedulerKind, seed uint64, rounds int, adversarial bool) schedTrace {
+func (m *refModel) insert(k popKey) {
+	i := sort.Search(len(m.pending), func(i int) bool { return keyLess(k, m.pending[i]) })
+	m.pending = slices.Insert(m.pending, i, k)
+}
+
+// find returns the slot of the live event with sequence number seq, or
+// -1 when it already fired or was canceled.
+func (m *refModel) find(seq uint64) int {
+	return slices.IndexFunc(m.pending, func(k popKey) bool { return k.seq == seq })
+}
+
+func (m *refModel) schedule(at Time, dom int32) uint64 {
+	seq := m.nextSeq
+	m.nextSeq++
+	m.insert(popKey{at, dom, seq})
+	m.maxLive = max(m.maxLive, len(m.pending))
+	return seq
+}
+
+func (m *refModel) cancel(seq uint64) bool {
+	i := m.find(seq)
+	if i < 0 {
+		return false
+	}
+	m.pending = slices.Delete(m.pending, i, i+1)
+	return true
+}
+
+// reschedule moves a live event to at, keeping its dom and seq.
+func (m *refModel) reschedule(seq uint64, at Time) bool {
+	i := m.find(seq)
+	if i < 0 {
+		return false
+	}
+	k := m.pending[i]
+	k.at = at
+	m.pending = slices.Delete(m.pending, i, i+1)
+	m.insert(k)
+	return true
+}
+
+func (m *refModel) step() (popKey, bool) {
+	if len(m.pending) == 0 {
+		return popKey{}, false
+	}
+	k := m.pending[0]
+	m.pending = m.pending[1:]
+	m.now = k.at
+	return k, true
+}
+
+// replayOps drives a fresh engine and a fresh refModel through the op
+// stream derived from seed, comparing them after every operation. All
+// decisions come from a private RNG and the tracked-ID table.
+func replayOps(t *testing.T, seed uint64, rounds int, adversarial bool) {
+	t.Helper()
 	rng := NewRand(seed)
-	e := NewWithScheduler(seed, kind)
-	var tr schedTrace
+	e := New(seed)
+	m := &refModel{}
 	var ids []EventID
+	var fired []popKey
 	record := func(obj, aux any, arg uint64) {
-		tr.popped = append(tr.popped, popKey{e.Now(), e.curDom, e.curSeq})
+		fired = append(fired, popKey{e.Now(), e.curDom, e.curSeq})
 	}
 	schedule := func(at Time, dom int32) {
-		ids = append(ids, e.At2D(dom, at, record, nil, nil, 0))
+		// Either API: seq is assigned by call order across both.
+		var id EventID
+		if rng.Intn(2) == 0 {
+			id = e.AtD(dom, at, func() { record(nil, nil, 0) })
+		} else {
+			id = e.At2D(dom, at, record, nil, nil, 0)
+		}
+		if seq := m.schedule(at, dom); id.seq != seq {
+			t.Fatalf("schedule %d: engine assigned seq %d, model %d", len(ids), id.seq, seq)
+		}
+		ids = append(ids, id)
+	}
+	pops := 0
+	step := func() bool {
+		fired = fired[:0]
+		ok := e.Step()
+		want, wok := m.step()
+		if ok != wok {
+			t.Fatalf("pop %d: engine Step() = %v, model has event = %v", pops, ok, wok)
+		}
+		if !ok {
+			return false
+		}
+		if len(fired) != 1 || fired[0] != want {
+			t.Fatalf("pop %d diverged: engine %+v, model %+v", pops, fired, want)
+		}
+		pops++
+		return true
 	}
 	for round := 0; round < rounds; round++ {
 		switch mode := rng.Intn(4); {
 		case adversarial && mode == 0:
 			// Same-timestamp burst: one instant, many domains, both
-			// in-order and reversed dom arrival. Every bucket-internal
-			// comparison and the heap's sift ties get exercised at once.
+			// in-order and reversed dom arrival, so every
+			// bucket-internal full-key comparison gets exercised at once.
 			at := e.Now() + Duration(1+rng.Intn(16))
 			for i, n := 0, 8+rng.Intn(24); i < n; i++ {
 				schedule(at, int32(rng.Intn(5)))
@@ -65,15 +152,19 @@ func replayOps(kind SchedulerKind, seed uint64, rounds int, adversarial bool) sc
 				schedule(e.Now()+Duration(1+rng.Intn(2000)), int32(rng.Intn(5)))
 			}
 		}
-		// Cancel a random subset of pending events.
+		// Cancel a random subset, dead IDs included: the engine must
+		// refuse exactly the ones the model no longer holds.
 		for i := range ids {
-			if ids[i].Pending() && rng.Intn(8) == 0 {
-				ids[i].Cancel()
+			if rng.Intn(8) != 0 {
+				continue
+			}
+			if got, want := ids[i].Cancel(), m.cancel(ids[i].seq); got != want {
+				t.Fatalf("round %d: Cancel(seq %d) = %v, model %v", round, ids[i].seq, got, want)
 			}
 		}
 		// Reschedule a random subset — nearer, further, across the
 		// wheel/overflow boundary in both directions — plus attempts on
-		// dead IDs, whose failure must be reproduced identically.
+		// dead IDs, which must fail exactly where the model's do.
 		for i := range ids {
 			if rng.Intn(6) != 0 {
 				continue
@@ -84,62 +175,56 @@ func replayOps(kind SchedulerKind, seed uint64, rounds int, adversarial bool) sc
 			} else {
 				at = e.Now() + Duration(1+rng.Intn(500)) // near
 			}
-			tr.resched = append(tr.resched, ids[i].Reschedule(at))
+			if got, want := ids[i].Reschedule(at), m.reschedule(ids[i].seq, at); got != want {
+				t.Fatalf("round %d: Reschedule(seq %d) = %v, model %v — the in-place path must succeed exactly on live events",
+					round, ids[i].seq, got, want)
+			}
 		}
-		// Partial drain, occasionally a full one.
-		pops := rng.Intn(20)
-		if rng.Intn(16) == 0 {
-			pops = 1 << 20
+		// Partial drain, occasionally a full one — event by event, or
+		// up to a deadline, which leaves the engine holding a peeked
+		// minimum that the next round's pushes must still order against.
+		if rng.Intn(4) == 0 {
+			deadline := e.Now() + Duration(rng.Intn(3000))
+			fired = fired[:0]
+			e.RunUntil(deadline)
+			var want []popKey
+			for len(m.pending) > 0 && m.pending[0].at <= deadline {
+				k, _ := m.step()
+				want = append(want, k)
+			}
+			m.now = deadline
+			if !slices.Equal(fired, want) {
+				t.Fatalf("round %d: RunUntil(%v) diverged: engine %+v, model %+v", round, deadline, fired, want)
+			}
+			pops += len(want)
+		} else {
+			n := rng.Intn(20)
+			if rng.Intn(16) == 0 {
+				n = 1 << 20
+			}
+			for i := 0; i < n && step(); i++ {
+			}
 		}
-		for i := 0; i < pops && e.Step(); i++ {
+		if got, want := e.Pending(), len(m.pending); got != want {
+			t.Fatalf("round %d: Pending() = %d, model holds %d live events", round, got, want)
 		}
-		tr.pending = append(tr.pending, e.Pending())
-	}
-	for e.Step() {
-	}
-	tr.maxPend = e.MaxPending()
-	return tr
-}
-
-func diffTraces(t *testing.T, seed uint64, h, c schedTrace) {
-	t.Helper()
-	if len(h.popped) != len(c.popped) {
-		t.Fatalf("seed %d: heap executed %d events, calendar %d", seed, len(h.popped), len(c.popped))
-	}
-	for i := range h.popped {
-		if h.popped[i] != c.popped[i] {
-			t.Fatalf("seed %d: pop %d diverged: heap %+v, calendar %+v",
-				seed, i, h.popped[i], c.popped[i])
-		}
-	}
-	if len(h.resched) != len(c.resched) {
-		t.Fatalf("seed %d: %d vs %d Reschedule attempts", seed, len(h.resched), len(c.resched))
-	}
-	for i := range h.resched {
-		if h.resched[i] != c.resched[i] {
-			t.Fatalf("seed %d: Reschedule %d: heap %v, calendar %v — the fast path must succeed on both or neither",
-				seed, i, h.resched[i], c.resched[i])
-		}
-	}
-	for i := range h.pending {
-		if h.pending[i] != c.pending[i] {
-			t.Fatalf("seed %d: round %d Pending(): heap %d, calendar %d",
-				seed, i, h.pending[i], c.pending[i])
+		if e.Now() != m.now {
+			t.Fatalf("round %d: engine clock %v, model %v", round, e.Now(), m.now)
 		}
 	}
-	if h.maxPend != c.maxPend {
-		t.Fatalf("seed %d: MaxPending: heap %d, calendar %d", seed, h.maxPend, c.maxPend)
+	for step() {
+	}
+	if got, want := e.MaxPending(), m.maxLive; got != want {
+		t.Fatalf("MaxPending() = %d, model peak %d", got, want)
 	}
 }
 
-// TestSchedDifferentialRandom compares heap vs calendar over mixed
-// random Push/Pop/Cancel/Reschedule interleavings.
+// TestSchedDifferentialRandom checks the engine against the model over
+// mixed random Push/Pop/Cancel/Reschedule interleavings.
 func TestSchedDifferentialRandom(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 5, 8, 13, 21, 34, 6502, 68000} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			diffTraces(t, seed,
-				replayOps(SchedHeap, seed, 120, false),
-				replayOps(SchedCalendar, seed, 120, false))
+			replayOps(t, seed, 120, false)
 		})
 	}
 }
@@ -153,132 +238,118 @@ func TestSchedDifferentialRandom(t *testing.T) {
 func TestSchedDifferentialAdversarial(t *testing.T) {
 	for _, seed := range []uint64{4, 9, 16, 25, 36, 49, 31337} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			diffTraces(t, seed,
-				replayOps(SchedHeap, seed, 150, true),
-				replayOps(SchedCalendar, seed, 150, true))
+			replayOps(t, seed, 150, true)
 		})
 	}
 }
 
 // TestSchedForeverSentinel pins the far edge of the time axis: events
 // at Forever and Forever-1 must order correctly against each other and
-// near events on both schedulers (they live permanently in the
-// calendar's overflow heap — day arithmetic must not wrap), and
-// canceling them must keep them out of the executed stream.
+// near events (they live permanently in the calendar's overflow heap —
+// day arithmetic must not wrap), and canceling them must keep them out
+// of the executed stream.
 func TestSchedForeverSentinel(t *testing.T) {
-	for _, kind := range schedKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewWithScheduler(7, kind)
-			var got []popKey
-			record := func(obj, aux any, arg uint64) {
-				got = append(got, popKey{e.Now(), e.curDom, e.curSeq})
-			}
-			idF := e.At2D(1, Forever, record, nil, nil, 0) // seq 0
-			e.At2D(2, Forever, record, nil, nil, 0)        // seq 1
-			e.At2D(1, Forever-1, record, nil, nil, 0)      // seq 2
-			e.At2D(1, 10*Microsecond, record, nil, nil, 0) // seq 3
-			idC := e.At2D(3, Forever, record, nil, nil, 0) // seq 4
-			idC.Cancel()
-			want := []popKey{
-				{10 * Microsecond, 1, 3},
-				{Forever - 1, 1, 2},
-				{Forever, 1, 0},
-				{Forever, 2, 1},
-			}
-			e.Run()
-			if len(got) != len(want) {
-				t.Fatalf("executed %d events, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("pop %d = %+v, want %+v", i, got[i], want[i])
-				}
-			}
-			if idF.Pending() || idF.Reschedule(Forever) {
-				t.Fatal("fired Forever event still reschedulable")
-			}
-		})
+	e := New(7)
+	var got []popKey
+	record := func(obj, aux any, arg uint64) {
+		got = append(got, popKey{e.Now(), e.curDom, e.curSeq})
+	}
+	idF := e.At2D(1, Forever, record, nil, nil, 0) // seq 0
+	e.At2D(2, Forever, record, nil, nil, 0)        // seq 1
+	e.At2D(1, Forever-1, record, nil, nil, 0)      // seq 2
+	e.At2D(1, 10*Microsecond, record, nil, nil, 0) // seq 3
+	idC := e.At2D(3, Forever, record, nil, nil, 0) // seq 4
+	idC.Cancel()
+	want := []popKey{
+		{10 * Microsecond, 1, 3},
+		{Forever - 1, 1, 2},
+		{Forever, 1, 0},
+		{Forever, 2, 1},
+	}
+	e.Run()
+	if len(got) != len(want) {
+		t.Fatalf("executed %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("pop %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if idF.Pending() || idF.Reschedule(Forever) {
+		t.Fatal("fired Forever event still reschedulable")
 	}
 }
 
-// TestRescheduleSemantics pins the Reschedule contract on both
-// schedulers: an in-place move keeps the event's original seq (so at
+// TestRescheduleSemantics pins the Reschedule contract: an in-place
+// move keeps the event's original seq (so at
 // its new time it outranks events scheduled later, even if they were
 // pushed first at that timestamp), fails after fire/cancel, and the
 // resched counter counts only successes.
 func TestRescheduleSemantics(t *testing.T) {
-	for _, kind := range schedKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewWithScheduler(11, kind)
-			var got []uint64
-			record := func(obj, aux any, arg uint64) { got = append(got, e.curSeq) }
-			early := e.At2D(1, 5*Microsecond, record, nil, nil, 0) // seq 0
-			e.At2D(1, 20*Microsecond, record, nil, nil, 0)         // seq 1
-			if !early.Reschedule(20 * Microsecond) {
-				t.Fatal("Reschedule refused a pending event")
-			}
-			if !early.Pending() {
-				t.Fatal("event lost pending state across Reschedule")
-			}
-			e.Run()
-			// Both now fire at 20µs; the rescheduled event keeps seq 0 and
-			// must run first.
-			if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-				t.Fatalf("executed seqs %v, want [0 1]", got)
-			}
-			if early.Reschedule(e.Now() + Microsecond) {
-				t.Fatal("Reschedule succeeded on a fired event")
-			}
-			id := e.At2D(1, e.Now()+Microsecond, record, nil, nil, 0)
-			id.Cancel()
-			if id.Reschedule(e.Now() + 2*Microsecond) {
-				t.Fatal("Reschedule succeeded on a canceled event")
-			}
-			if n := e.Rescheduled(); n != 1 {
-				t.Fatalf("Rescheduled() = %d, want 1 (failures must not count)", n)
-			}
-		})
+	e := New(11)
+	var got []uint64
+	record := func(obj, aux any, arg uint64) { got = append(got, e.curSeq) }
+	early := e.At2D(1, 5*Microsecond, record, nil, nil, 0) // seq 0
+	e.At2D(1, 20*Microsecond, record, nil, nil, 0)         // seq 1
+	if !early.Reschedule(20 * Microsecond) {
+		t.Fatal("Reschedule refused a pending event")
+	}
+	if !early.Pending() {
+		t.Fatal("event lost pending state across Reschedule")
+	}
+	e.Run()
+	// Both now fire at 20µs; the rescheduled event keeps seq 0 and
+	// must run first.
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("executed seqs %v, want [0 1]", got)
+	}
+	if early.Reschedule(e.Now() + Microsecond) {
+		t.Fatal("Reschedule succeeded on a fired event")
+	}
+	id := e.At2D(1, e.Now()+Microsecond, record, nil, nil, 0)
+	id.Cancel()
+	if id.Reschedule(e.Now() + 2*Microsecond) {
+		t.Fatal("Reschedule succeeded on a canceled event")
+	}
+	if n := e.Rescheduled(); n != 1 {
+		t.Fatalf("Rescheduled() = %d, want 1 (failures must not count)", n)
 	}
 }
 
-// TestPendingCountsLiveEventsOnly pins the satellite accounting fix:
+// TestPendingCountsLiveEventsOnly pins the live accounting:
 // lazily-canceled structs still sitting in the queue must not inflate
-// Pending or the MaxPending peak on either scheduler.
+// Pending or the MaxPending peak.
 func TestPendingCountsLiveEventsOnly(t *testing.T) {
-	for _, kind := range schedKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			e := NewWithScheduler(3, kind)
-			var ids []EventID
-			for i := 0; i < 100; i++ {
-				ids = append(ids, e.At2D(1, Time(i+1)*Microsecond, func(any, any, uint64) {}, nil, nil, 0))
-			}
-			if got := e.Pending(); got != 100 {
-				t.Fatalf("Pending = %d, want 100", got)
-			}
-			for _, id := range ids[50:] {
-				id.Cancel()
-			}
-			// The canceled 50 are still queued (lazy cancellation) but no
-			// longer live.
-			if got := e.Pending(); got != 50 {
-				t.Fatalf("Pending = %d after canceling 50, want 50", got)
-			}
-			if got := e.MaxPending(); got != 100 {
-				t.Fatalf("MaxPending = %d, want peak 100", got)
-			}
-			// Cancel+new-schedule churn must not ratchet the peak the way
-			// the old structure-size accounting did.
-			for i := 0; i < 200; i++ {
-				ids[i%50].Cancel()
-				ids[i%50] = e.At2D(1, Time(500+i)*Microsecond, func(any, any, uint64) {}, nil, nil, 0)
-			}
-			if got := e.MaxPending(); got != 100 {
-				t.Fatalf("MaxPending = %d after churn, want 100 (dead structs must not count)", got)
-			}
-			e.Run()
-			if got := e.Pending(); got != 0 {
-				t.Fatalf("Pending = %d after drain, want 0", got)
-			}
-		})
+	e := New(3)
+	var ids []EventID
+	for i := 0; i < 100; i++ {
+		ids = append(ids, e.At2D(1, Time(i+1)*Microsecond, func(any, any, uint64) {}, nil, nil, 0))
+	}
+	if got := e.Pending(); got != 100 {
+		t.Fatalf("Pending = %d, want 100", got)
+	}
+	for _, id := range ids[50:] {
+		id.Cancel()
+	}
+	// The canceled 50 are still queued (lazy cancellation) but no
+	// longer live.
+	if got := e.Pending(); got != 50 {
+		t.Fatalf("Pending = %d after canceling 50, want 50", got)
+	}
+	if got := e.MaxPending(); got != 100 {
+		t.Fatalf("MaxPending = %d, want peak 100", got)
+	}
+	// Cancel+new-schedule churn must not ratchet the peak the way
+	// the old structure-size accounting did.
+	for i := 0; i < 200; i++ {
+		ids[i%50].Cancel()
+		ids[i%50] = e.At2D(1, Time(500+i)*Microsecond, func(any, any, uint64) {}, nil, nil, 0)
+	}
+	if got := e.MaxPending(); got != 100 {
+		t.Fatalf("MaxPending = %d after churn, want 100 (dead structs must not count)", got)
+	}
+	e.Run()
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after drain, want 0", got)
 	}
 }

@@ -61,11 +61,7 @@ func NewShardGroup(root *Engine, k int, look Duration) *ShardGroup {
 	}
 	g := &ShardGroup{root: root, look: look, domTo: make(map[int32]int)}
 	for i := 0; i < k; i++ {
-		// Shards must run the same queue implementation as the root:
-		// byte-identity between serial and sharded runs is argued per
-		// comparator, and mixing schedulers would make peak/free-list
-		// instrumentation incomparable too.
-		e := NewWithScheduler(uint64(i)*0x9e3779b97f4a7c15+1, root.Scheduler())
+		e := New(uint64(i)*0x9e3779b97f4a7c15 + 1)
 		e.group = g
 		e.shardIdx = i
 		g.shards = append(g.shards, e)
