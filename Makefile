@@ -10,6 +10,11 @@ GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 ## (the packages with the subtlest invariants). The experiments package
 ## runs with -short so the full determinism gate (see `make gate`)
 ## stays out of the race budget; the gate's obs variant still runs.
+## The internal/sim run is not -short, so it includes the inlining
+## guard (TestHotPathInlining: `go build -gcflags=-m` must still report
+## the scheduler's per-event helpers inlinable) — a regression no
+## behavioural test can see. The timing guard TestBurstDrainScales
+## skips itself under -race; plain `go test ./...` runs it.
 ## Run `make bench-gate` alongside check before committing hot-path
 ## changes: it fails if the steady-state allocation budget regresses.
 check: vet

@@ -41,7 +41,9 @@
 //	-metrics-interval sampling period in simulated time (default 1ms)
 //	-progress         per-trial heartbeat lines on stderr plus an
 //	                  end-of-run resource summary (peak RSS, events/sec,
-//	                  GC pauses)
+//	                  GC pauses) and the scheduler's crowded-bucket
+//	                  counters (share of pops that were same-instant
+//	                  timer bursts)
 //	-sketch           collect FCT/gap distributions in streaming quantile
 //	                  sketches (O(1) memory, ≤0.5% percentile error)
 //	                  instead of retaining every sample
@@ -110,6 +112,10 @@ func main() {
 		"run the fuzz scenario for this seed (with invariants armed) instead of experiments")
 	flag.Parse()
 
+	if err := checkScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
+		os.Exit(2)
+	}
 	expresspass.SetSweepProcs(*procs)
 	expresspass.SetShards(*shards)
 
@@ -251,6 +257,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "xpsim: peak worker trace/metrics buffers %s\n",
 					humanBytes(uint64(peak)))
 			}
+			events, _ := rt.EngineTotals()
+			peakBucket, crowded := rt.SchedTotals()
+			fmt.Fprintf(os.Stderr, "xpsim: sched: %s\n", schedSummary(events, peakBucket, crowded))
 		}
 		if err := rt.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
@@ -262,6 +271,18 @@ func main() {
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// checkScale rejects a -scale outside (0,1]. The library clamps such
+// values (and treats zero as "default"), which suits a zero-value
+// Params but would let a mistyped flag run a different experiment than
+// the one asked for without a word. The test is a negated conjunction so
+// that NaN, which fails every comparison, is rejected too.
+func checkScale(s float64) error {
+	if !(s > 0 && s <= 1) {
+		return fmt.Errorf("-scale must be in (0,1], got %v", s)
+	}
+	return nil
 }
 
 // parseSize parses a byte size with an optional k/m/g suffix (case-
@@ -284,6 +305,17 @@ func parseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("invalid size %q", orig)
 	}
 	return n * mult, nil
+}
+
+// schedSummary renders the scheduler's crowded-bucket counters: what
+// share of the run's pops were same-instant timers served from a
+// heap-ordered calendar bucket, and how long the longest such bucket got.
+func schedSummary(events uint64, peakBucket int, crowded uint64) string {
+	if peakBucket == 0 {
+		return "no crowded bucket"
+	}
+	return fmt.Sprintf("%d pops from crowded buckets (%.1f%% of %d sim events), peak bucket %d events",
+		crowded, 100*float64(crowded)/float64(max(events, 1)), events, peakBucket)
 }
 
 // humanBytes renders a byte count with a binary-unit suffix.

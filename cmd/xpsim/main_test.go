@@ -1,9 +1,36 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
+
+func TestCheckScale(t *testing.T) {
+	for _, tc := range []struct {
+		in float64
+		ok bool
+	}{
+		{0.1, true},
+		{1, true},
+		{math.SmallestNonzeroFloat64, true},
+		{0, false},
+		{-1, false},
+		{5, false},
+		{math.Nextafter(1, 2), false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		err := checkScale(tc.in)
+		if tc.ok != (err == nil) {
+			t.Errorf("checkScale(%v) = %v; want ok=%v", tc.in, err, tc.ok)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "-scale must be in (0,1], got ") {
+			t.Errorf("checkScale(%v) error %q lacks the usage text", tc.in, err)
+		}
+	}
+}
 
 func TestParseSize(t *testing.T) {
 	for _, tc := range []struct {
@@ -34,5 +61,15 @@ func TestParseSize(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "invalid size") {
 			t.Errorf("parseSize(%q) = %d, %v; want an invalid size error", tc.in, got, err)
 		}
+	}
+}
+
+func TestSchedSummary(t *testing.T) {
+	if got := schedSummary(1000, 0, 0); got != "no crowded bucket" {
+		t.Errorf("uncrowded run: %q", got)
+	}
+	want := "250 pops from crowded buckets (25.0% of 1000 sim events), peak bucket 258 events"
+	if got := schedSummary(1000, 258, 250); got != want {
+		t.Errorf("crowded run: %q, want %q", got, want)
 	}
 }

@@ -312,8 +312,14 @@ type ExperimentParams = experiments.Params
 // Experiments returns the registered paper reproductions, ordered.
 func Experiments() []Experiment { return experiments.All() }
 
+// ExperimentScaleError reports an ExperimentParams.Scale of NaN or ±Inf
+// (retrieve with errors.As).
+type ExperimentScaleError = experiments.ScaleError
+
 // RunExperiment executes the experiment with the given ID, writing its
-// table(s) to w. Scale 1.0 reproduces the paper-scale configuration.
+// table(s) to w. Scale 1.0 reproduces the paper-scale configuration;
+// zero means the default 0.1, other finite values are clamped to
+// (0, 1], and NaN or ±Inf return an *ExperimentScaleError.
 func RunExperiment(id string, p ExperimentParams, w io.Writer) error {
 	return experiments.Run(id, p, w)
 }

@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -21,6 +22,16 @@ type Params struct {
 	Scale float64
 	// Seed drives every random choice.
 	Seed uint64
+}
+
+// ScaleError reports a Params.Scale that is not a number to scale by:
+// NaN compares false against both clamps in withDefaults and ±Inf has no
+// meaningful clamp, so Run refuses them rather than run every experiment
+// at its floors. Finite values outside (0, 1] are still clamped.
+type ScaleError struct{ Scale float64 }
+
+func (e *ScaleError) Error() string {
+	return fmt.Sprintf("experiments: scale %v is not a finite number", e.Scale)
 }
 
 func (p Params) withDefaults() Params {
@@ -148,6 +159,9 @@ func Run(id string, p Params, w io.Writer) error {
 	e, ok := Get(id)
 	if !ok {
 		return fmt.Errorf("experiments: unknown id %q", id)
+	}
+	if math.IsNaN(p.Scale) || math.IsInf(p.Scale, 0) {
+		return &ScaleError{Scale: p.Scale}
 	}
 	p = p.withDefaults()
 	fmt.Fprintf(w, "== %s: %s (scale=%.2g seed=%d)\n", e.ID, e.Title, p.Scale, p.Seed)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -59,6 +61,23 @@ func TestGetUnknown(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Run("fig99", Params{}, &buf); err == nil {
 		t.Error("Run of unknown id did not error")
+	}
+}
+
+// TestRunRejectsNonFiniteScale: NaN slips through both clamps of
+// withDefaults and int(NaN·n) then falls to every floor, so Run must
+// refuse it (and ±Inf) with a typed error before printing anything.
+func TestRunRejectsNonFiniteScale(t *testing.T) {
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var buf bytes.Buffer
+		err := Run("fig16", Params{Scale: s}, &buf)
+		var se *ScaleError
+		if !errors.As(err, &se) {
+			t.Errorf("Run with scale %v: error %v, want a *ScaleError", s, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("Run with scale %v printed %q before failing", s, buf.String())
+		}
 	}
 }
 

@@ -60,8 +60,10 @@ type Runtime struct {
 	// engines never enter the engines list — they are read once, after
 	// their trial finishes, and accumulated here atomically so
 	// EngineTotals stays race-free while other trials are still running.
-	trialEvents atomic.Uint64
-	trialPeak   atomic.Int64
+	trialEvents      atomic.Uint64
+	trialPeak        atomic.Int64
+	trialPeakBucket  atomic.Int64
+	trialCrowdedPops atomic.Uint64
 
 	// Sweep progress: phase label plus trial counters, driven by the
 	// runner. All atomic so heartbeats never contend with workers.
@@ -161,13 +163,34 @@ func (rt *Runtime) EngineTotals() (events uint64, peakHeap int) {
 	return events, peakHeap
 }
 
-// addTrialTotals folds one flushed trial's engine totals into the
-// runtime's accumulators (events add; peak is a CAS max).
-func (rt *Runtime) addTrialTotals(events uint64, peak int) {
-	rt.trialEvents.Add(events)
+// SchedTotals reports how crowded the event scheduler's buckets got
+// across the same engines EngineTotals covers: the longest bucket built
+// (0 when none passed the crowding threshold) and the pops served from
+// crowded buckets (sim.Engine.PeakBucket, CrowdedPops).
+func (rt *Runtime) SchedTotals() (peakBucket int, crowdedPops uint64) {
+	rt.mu.Lock()
+	for _, e := range rt.engines {
+		peakBucket = max(peakBucket, e.PeakBucket())
+		crowdedPops += e.CrowdedPops()
+	}
+	rt.mu.Unlock()
+	peakBucket = max(peakBucket, int(rt.trialPeakBucket.Load()))
+	return peakBucket, crowdedPops + rt.trialCrowdedPops.Load()
+}
+
+// addTrialTotals folds one finished trial engine's totals into the
+// runtime's accumulators (counts add; peaks are a CAS max).
+func (rt *Runtime) addTrialTotals(e *sim.Engine) {
+	rt.trialEvents.Add(e.Executed())
+	rt.trialCrowdedPops.Add(e.CrowdedPops())
+	atomicMax(&rt.trialPeak, int64(e.MaxPending()))
+	atomicMax(&rt.trialPeakBucket, int64(e.PeakBucket()))
+}
+
+func atomicMax(a *atomic.Int64, v int64) {
 	for {
-		cur := rt.trialPeak.Load()
-		if int64(peak) <= cur || rt.trialPeak.CompareAndSwap(cur, int64(peak)) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -176,13 +199,7 @@ func (rt *Runtime) addTrialTotals(events uint64, peak int) {
 // addBufBytes adjusts the live worker-buffer gauge by n (negative at
 // flush) and maintains the high-water mark.
 func (rt *Runtime) addBufBytes(n int64) {
-	v := rt.bufBytes.Add(n)
-	for {
-		peak := rt.bufPeak.Load()
-		if v <= peak || rt.bufPeak.CompareAndSwap(peak, v) {
-			return
-		}
-	}
+	atomicMax(&rt.bufPeak, rt.bufBytes.Add(n))
 }
 
 // BufferedBytes returns the bytes currently held in unflushed

@@ -203,17 +203,11 @@ func (tr *Trial) Complete() {
 		return
 	}
 	tr.completed = true
-	var events uint64
-	var peak int
 	for _, e := range tr.engines {
 		trialBindings.Delete(e)
-		events += e.Executed()
-		if p := e.MaxPending(); p > peak {
-			peak = p
-		}
+		tr.rt.addTrialTotals(e)
 	}
 	tr.engines = nil
-	tr.rt.addTrialTotals(events, peak)
 	tr.rt.TrialDone()
 }
 

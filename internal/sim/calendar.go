@@ -28,10 +28,27 @@ import "math/bits"
 //     that window day -> bucket is injective, meaning the first
 //     non-empty bucket at or after curDay holds exactly the events of
 //     the earliest pending day — no per-event day check needed.
-//   - each bucket is small (width adapts to observed inter-event
-//     spacing), so taking the full-key minimum inside the one bucket
-//     that matters is a short linear scan, and overflow's heap root is
-//     compared with the wheel's candidate before either is returned.
+//   - the full-key minimum of that one bucket is found by its length.
+//     A bucket of at most calCrowded events is unordered and scanned:
+//     width adapts to the observed inter-event spacing, so this is the
+//     common case and the scan is a few compares. A bucket LONGER than
+//     calCrowded is an index-tracked 4-ary min-heap in less() order and
+//     its minimum is slot 0. Overflow's heap root is compared with the
+//     wheel's candidate before either is returned.
+//
+// The crowded-bucket invariant exists because width adaptation cannot
+// separate equal timestamps: a model that arms one timer per port per
+// RTT (RCP's rate recomputation, the metrics sampler, DCQCN timers,
+// synchronised RTOs) puts hundreds to thousands of events on the same
+// picosecond, hence in the same bucket at any width. Every pop
+// invalidates the memoized minimum, so draining k such events by
+// rescanning costs k²/2 compares; as a heap it costs k·log k. Length is
+// the only flag: the append that takes a bucket to calCrowded+1 events
+// heapifies it, later appends sift up, removal from a crowded bucket is
+// a heap remove-at, and a heap that has shrunk to calCrowded is already
+// a valid unordered bucket (the scan reads every slot). rebuild,
+// overflow migration and ShardGroup.Activate re-place through the same
+// insert, so they re-establish the invariant without knowing of it.
 //
 // The adaptive geometry is resized at most once per calResizeEvery
 // pops, with hysteresis, by rebuilding: bucket count tracks the queue
@@ -55,6 +72,12 @@ type calQ struct {
 	lastPop  Time
 	havePop  bool
 	sincePop int
+
+	// Crowded-path instrumentation, written only inside the crowded
+	// branches: the longest bucket ever built past calCrowded (0 when
+	// none was) and the pops served from a crowded bucket's root.
+	peakBucket  int
+	crowdedPops uint64
 }
 
 const (
@@ -75,6 +98,11 @@ const (
 	// calResizeEvery pops between geometry re-evaluations; rebuilds
 	// are O(n), so this bounds resize overhead to O(1) amortized.
 	calResizeEvery = 1024
+
+	// calCrowded is the longest bucket kept unordered; a longer one is
+	// a heap (see the header). At or below it a linear scan of one or
+	// two cache lines of pointers beats the sifts.
+	calCrowded = 12
 )
 
 func newCalQ() *calQ {
@@ -99,13 +127,18 @@ func (c *calQ) advance(now Time) {
 }
 
 // place routes an event to its container by horizon. Callers maintain
-// the cache and accounting.
+// the cache and accounting. wheelInsert leaves ev.index at the bucket's
+// previous length, so index >= calCrowded says the bucket is now
+// crowded without reloading it.
 func (c *calQ) place(ev *event) {
 	d := int64(ev.at) >> c.logW
 	if d-c.curDay >= int64(len(c.buckets)) {
 		c.overPush(ev)
-	} else {
-		c.wheelInsert(ev, d)
+		return
+	}
+	c.wheelInsert(ev, d)
+	if ev.index >= calCrowded {
+		c.crowd(ev.bucket)
 	}
 }
 
@@ -116,6 +149,26 @@ func (c *calQ) wheelInsert(ev *event, d int64) {
 	c.buckets[b] = append(c.buckets[b], ev)
 	c.occ[b>>6] |= 1 << uint(b&63)
 	c.wheelN++
+}
+
+// crowd restores the crowded-bucket invariant after wheelInsert took
+// bucket b past calCrowded: the append that crosses the threshold finds
+// an unordered bucket and heapifies it, every later one finds a heap
+// and sifts the new tail up. It is kept out of wheelInsert so the
+// common path stays inlinable (see TestHotPathInlining).
+func (c *calQ) crowd(b int32) {
+	h := c.buckets[b]
+	n := len(h)
+	if n == calCrowded+1 {
+		for i := (n - 2) >> 2; i >= 0; i-- {
+			heapDown(h, i)
+		}
+	} else {
+		heapUp(h, n-1)
+	}
+	if n > c.peakBucket {
+		c.peakBucket = n
+	}
 }
 
 func (c *calQ) push(ev *event, now Time) {
@@ -133,6 +186,11 @@ func (c *calQ) peek(now Time) *event {
 	if c.cached != nil {
 		return c.cached
 	}
+	return c.findMin(now)
+}
+
+// findMin is peek's miss path: it locates the minimum and memoizes it.
+func (c *calQ) findMin(now Time) *event {
 	c.advance(now)
 	// Migrate overflow events whose day has come inside the horizon.
 	// The overflow heap is full-key ordered, so the first out-of-range
@@ -144,7 +202,12 @@ func (c *calQ) peek(now Time) *event {
 		if d-c.curDay >= n {
 			break
 		}
-		c.wheelInsert(c.overRemoveAt(0), d)
+		ev := c.over[0]
+		c.over = heapRemoveAt(c.over, 0)
+		c.wheelInsert(ev, d)
+		if ev.index >= calCrowded {
+			c.crowd(ev.bucket)
+		}
 	}
 	best := c.wheelMin()
 	if len(c.over) > 0 && (best == nil || less(c.over[0], best)) {
@@ -197,9 +260,14 @@ func (c *calQ) wheelMin() *event {
 	panic("sim: calendar wheel population desynchronized")
 }
 
+// bucketMin returns the full-key minimum of a non-empty bucket: the
+// root when the bucket is crowded (a heap), else the result of a scan.
 func (c *calQ) bucketMin(slot int) *event {
 	b := c.buckets[slot]
 	best := b[0]
+	if len(b) > calCrowded {
+		return best
+	}
 	for _, ev := range b[1:] {
 		if less(ev, best) {
 			best = ev
@@ -215,7 +283,9 @@ func (c *calQ) pop(now Time) *event {
 	if ev == nil {
 		return nil
 	}
-	c.remove(ev)
+	if c.remove(ev) {
+		c.crowdedPops++
+	}
 	if c.havePop {
 		if gap := int64(ev.at - c.lastPop); gap > 0 {
 			c.gapEWMA += (gap - c.gapEWMA) >> 3
@@ -223,27 +293,35 @@ func (c *calQ) pop(now Time) *event {
 	}
 	c.lastPop = ev.at
 	c.havePop = true
-	c.maybeResize(now)
+	if c.sincePop++; c.sincePop >= calResizeEvery {
+		c.resize(now)
+	}
 	return ev
 }
 
-// remove deletes a resident event from whichever container holds it:
-// indexed heap-remove from overflow, or swap-remove from its wheel
-// bucket. O(1) for the wheel, O(log n) for overflow — this is what
+// remove deletes a resident event from whichever container holds it —
+// indexed heap-remove from overflow or from a crowded wheel bucket,
+// swap-remove from an uncrowded one — and reports whether it came out
+// of a crowded bucket. O(1) or O(log n), never a search: this is what
 // lets EventID.Reschedule relocate any pending event in place, so its
 // success depends only on whether the event is still pending, never on
 // where the queue happens to hold it (a fallback to a fresh schedule
 // would consume a seq and shift every later tie-break).
-func (c *calQ) remove(ev *event) {
+func (c *calQ) remove(ev *event) (crowded bool) {
 	if c.cached == ev {
 		c.cached = nil
 	}
 	if ev.bucket == calInOverflow {
-		c.overRemoveAt(ev.index)
-		return
+		c.over = heapRemoveAt(c.over, ev.index)
+		return false
 	}
 	b := ev.bucket
 	s := c.buckets[b]
+	c.wheelN--
+	if len(s) > calCrowded {
+		c.buckets[b] = heapRemoveAt(s, ev.index)
+		return true
+	}
 	i := ev.index
 	last := len(s) - 1
 	if i != last {
@@ -255,8 +333,8 @@ func (c *calQ) remove(ev *event) {
 	if last == 0 {
 		c.occ[b>>6] &^= 1 << uint(b&63)
 	}
-	c.wheelN--
 	ev.index = -1
+	return false
 }
 
 // extractAll empties the queue and returns every resident event in
@@ -283,17 +361,13 @@ func (c *calQ) extractAll() []*event {
 	return evs
 }
 
-// maybeResize re-evaluates the wheel geometry every calResizeEvery
-// pops: bucket count tracks the total population (wheel + overflow)
-// and bucket width targets ~4x the inter-pop gap EWMA, so a handful of
-// events share each active bucket. Both adjustments carry hysteresis
-// (4x slack on count, 2 steps on width) so steady-state workloads
-// never rebuild.
-func (c *calQ) maybeResize(now Time) {
-	c.sincePop++
-	if c.sincePop < calResizeEvery {
-		return
-	}
+// resize re-evaluates the wheel geometry; pop calls it every
+// calResizeEvery pops. Bucket count tracks the total population (wheel
+// + overflow) and bucket width targets ~4x the inter-pop gap EWMA, so a
+// handful of events share each active bucket. Both adjustments carry
+// hysteresis (4x slack on count, 2 steps on width) so steady-state
+// workloads never rebuild.
+func (c *calQ) resize(now Time) {
 	c.sincePop = 0
 	n := c.len()
 	newN := len(c.buckets)
@@ -339,27 +413,30 @@ func (c *calQ) rebuild(newN int, newLogW uint, now Time) {
 	}
 }
 
-// ---- overflow 4-ary min-heap (full-key order, index-tracked) ----
+// ---- 4-ary min-heap (full-key order, index-tracked) ----
+//
+// One implementation over a bare slice, shared by the overflow heap and
+// every crowded wheel bucket. Each event's index field tracks its slot.
 
-func (c *calQ) overUp(i int) {
-	ev := c.over[i]
+func heapUp(h []*event, i int) {
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		p := c.over[parent]
+		p := h[parent]
 		if !less(ev, p) {
 			break
 		}
-		c.over[i] = p
+		h[i] = p
 		p.index = i
 		i = parent
 	}
-	c.over[i] = ev
+	h[i] = ev
 	ev.index = i
 }
 
-func (c *calQ) overDown(i int) {
-	ev := c.over[i]
-	n := len(c.over)
+func heapDown(h []*event, i int) {
+	ev := h[i]
+	n := len(h)
 	for {
 		first := i<<2 + 1
 		if first >= n {
@@ -371,44 +448,44 @@ func (c *calQ) overDown(i int) {
 			last = n
 		}
 		for j := first + 1; j < last; j++ {
-			if less(c.over[j], c.over[best]) {
+			if less(h[j], h[best]) {
 				best = j
 			}
 		}
-		if !less(c.over[best], ev) {
+		if !less(h[best], ev) {
 			break
 		}
-		c.over[i] = c.over[best]
-		c.over[i].index = i
+		h[i] = h[best]
+		h[i].index = i
 		i = best
 	}
-	c.over[i] = ev
+	h[i] = ev
 	ev.index = i
 }
 
 func (c *calQ) overPush(ev *event) {
 	ev.bucket = calInOverflow
 	c.over = append(c.over, ev)
-	c.overUp(len(c.over) - 1)
+	heapUp(c.over, len(c.over)-1)
 }
 
-// overRemoveAt deletes and returns the event at heap slot i.
-func (c *calQ) overRemoveAt(i int) *event {
-	ev := c.over[i]
-	n := len(c.over) - 1
+// heapRemoveAt deletes the event at heap slot i, marks it unqueued
+// (index -1) and returns the shortened heap.
+func heapRemoveAt(h []*event, i int) []*event {
+	h[i].index = -1
+	n := len(h) - 1
 	if i != n {
-		c.over[i] = c.over[n]
-		c.over[i].index = i
+		h[i] = h[n]
+		h[i].index = i
 	}
-	c.over[n] = nil
-	c.over = c.over[:n]
+	h[n] = nil
+	h = h[:n]
 	if i < n {
-		moved := c.over[i]
-		c.overDown(i)
+		moved := h[i]
+		heapDown(h, i)
 		if moved.index == i {
-			c.overUp(i)
+			heapUp(h, i)
 		}
 	}
-	ev.index = -1
-	return ev
+	return h
 }

@@ -253,6 +253,31 @@ func (e *Engine) Rescheduled() uint64 {
 	return n
 }
 
+// PeakBucket returns the longest calendar bucket the scheduler has built
+// past its crowding threshold (max over shards on a sharded root), or 0
+// when no bucket ever crossed it. A value in the hundreds means that
+// many events shared one bucket width — in practice, timers the model
+// arms for the same picosecond.
+func (e *Engine) PeakBucket() int {
+	m := e.cal.peakBucket
+	for _, s := range e.shardEngines() {
+		m = max(m, s.cal.peakBucket)
+	}
+	return m
+}
+
+// CrowdedPops returns how many pops were served from the heap root of a
+// crowded calendar bucket rather than by a short scan (summed over
+// shards on a sharded root). Set against Executed it says what share of
+// a run is synchronised same-instant timers.
+func (e *Engine) CrowdedPops() uint64 {
+	n := e.cal.crowdedPops
+	for _, s := range e.shardEngines() {
+		n += s.cal.crowdedPops
+	}
+	return n
+}
+
 // FreeListSize returns the number of event structs currently parked on
 // the recycling free list (instrumentation: obs exports it as
 // sim/freelist_size; summed over shards on a sharded root).

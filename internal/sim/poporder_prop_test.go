@@ -32,7 +32,7 @@ func keyLess(a, b popKey) bool {
 func TestPopOrderProperty(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1234, 987654321} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			replayOps(t, seed, 200, false)
+			replayOps(t, seed, 200, opsRandom)
 		})
 	}
 }

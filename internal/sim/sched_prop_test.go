@@ -83,15 +83,56 @@ func (m *refModel) step() (popKey, bool) {
 	return k, true
 }
 
+// opsMode selects the shapes replayOps generates; each mode keeps the
+// shapes of the ones before it.
+type opsMode int
+
+const (
+	opsRandom      opsMode = iota // short-horizon traffic only
+	opsAdversarial                // + small same-instant bursts, far-future outliers
+	opsCrowded                    // + bursts that build, drain, refill and move crowded buckets
+)
+
+// checkBuckets is the white-box half of the crowded-bucket property:
+// every wheel bucket tracks its events' slots, and one longer than
+// calCrowded is a 4-ary min-heap in less() order. Pop order alone would
+// catch a broken heap only when the wrong event surfaced; this catches
+// it on the operation that broke it.
+func checkBuckets(t *testing.T, c *calQ) {
+	t.Helper()
+	n := 0
+	for b, h := range c.buckets {
+		n += len(h)
+		if occ := c.occ[b>>6]&(1<<uint(b&63)) != 0; occ != (len(h) > 0) {
+			t.Fatalf("bucket %d: occupancy bit %v with %d events", b, occ, len(h))
+		}
+		for i, ev := range h {
+			if ev.index != i || int(ev.bucket) != b {
+				t.Fatalf("bucket %d slot %d: event records bucket %d slot %d", b, i, ev.bucket, ev.index)
+			}
+			if len(h) > calCrowded && i > 0 && less(ev, h[(i-1)>>2]) {
+				t.Fatalf("crowded bucket %d (%d events): slot %d orders before its parent %d", b, len(h), i, (i-1)>>2)
+			}
+		}
+	}
+	if n != c.wheelN {
+		t.Fatalf("wheel holds %d events, wheelN = %d", n, c.wheelN)
+	}
+}
+
 // replayOps drives a fresh engine and a fresh refModel through the op
 // stream derived from seed, comparing them after every operation. All
 // decisions come from a private RNG and the tracked-ID table.
-func replayOps(t *testing.T, seed uint64, rounds int, adversarial bool) {
+func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 	t.Helper()
 	rng := NewRand(seed)
 	e := New(seed)
 	m := &refModel{}
 	var ids []EventID
+	// burstAt is the instant of the latest crowded burst: the target of
+	// refills and of reschedules into, within and (by the generic
+	// reschedule loop) out of a crowded bucket.
+	burstAt := Time(-1)
 	var fired []popKey
 	record := func(obj, aux any, arg uint64) {
 		fired = append(fired, popKey{e.Now(), e.curDom, e.curSeq})
@@ -127,8 +168,37 @@ func replayOps(t *testing.T, seed uint64, rounds int, adversarial bool) {
 		return true
 	}
 	for round := 0; round < rounds; round++ {
-		switch mode := rng.Intn(4); {
-		case adversarial && mode == 0:
+		// Picks 0-3 are the shapes every mode shares (2 and 3 are plain
+		// traffic); the crowded mode draws three more.
+		picks := 4
+		if mode == opsCrowded {
+			picks = 7
+		}
+		switch pick := rng.Intn(picks); {
+		case pick == 4 && burstAt >= e.Now():
+			// Refill: the bucket a partial drain just took down through
+			// calCrowded goes back up, possibly while the clock stands on
+			// its instant; +1 ps lands in the same bucket under another key.
+			for i, n := 0, 1+rng.Intn(2*calCrowded); i < n; i++ {
+				schedule(burstAt+Time(rng.Intn(2)), int32(rng.Intn(7)))
+			}
+		case pick >= 4:
+			// Crowded burst: 1x-4x calCrowded events on one instant (one in
+			// eight ~50x), seven doms, both APIs. Half land in the wheel;
+			// half go milliseconds out so they cross the overflow heap and
+			// migrate into one bucket together.
+			n := calCrowded*(1+rng.Intn(4)) + rng.Intn(calCrowded)
+			if rng.Intn(8) == 0 {
+				n = 50 * calCrowded
+			}
+			burstAt = e.Now() + Duration(1+rng.Intn(16))
+			if rng.Intn(2) == 0 {
+				burstAt = e.Now() + Duration(1+rng.Intn(10))*Millisecond
+			}
+			for i := 0; i < n; i++ {
+				schedule(burstAt, int32(rng.Intn(7)))
+			}
+		case mode >= opsAdversarial && pick == 0:
 			// Same-timestamp burst: one instant, many domains, both
 			// in-order and reversed dom arrival, so every
 			// bucket-internal full-key comparison gets exercised at once.
@@ -136,7 +206,7 @@ func replayOps(t *testing.T, seed uint64, rounds int, adversarial bool) {
 			for i, n := 0, 8+rng.Intn(24); i < n; i++ {
 				schedule(at, int32(rng.Intn(5)))
 			}
-		case adversarial && mode == 1:
+		case mode >= opsAdversarial && pick == 1:
 			// Far-future outliers: milliseconds-to-seconds out, far past
 			// any initial wheel horizon, so they land in overflow and
 			// must migrate (or be served from overflow) in exact order.
@@ -180,10 +250,31 @@ func replayOps(t *testing.T, seed uint64, rounds int, adversarial bool) {
 					round, ids[i].seq, got, want)
 			}
 		}
+		// Move live events into the crowded bucket and around inside it.
+		if mode == opsCrowded && burstAt >= e.Now() {
+			for i := range ids {
+				if rng.Intn(12) != 0 {
+					continue
+				}
+				at := burstAt + Time(rng.Intn(2))
+				if got, want := ids[i].Reschedule(at), m.reschedule(ids[i].seq, at); got != want {
+					t.Fatalf("round %d: Reschedule(seq %d) into the burst = %v, model %v", round, ids[i].seq, got, want)
+				}
+			}
+			checkBuckets(t, e.cal)
+		}
 		// Partial drain, occasionally a full one — event by event, or
 		// up to a deadline, which leaves the engine holding a peeked
 		// minimum that the next round's pushes must still order against.
-		if rng.Intn(4) == 0 {
+		if mode == opsCrowded && burstAt >= e.Now() && rng.Intn(3) == 0 {
+			// Run up to the burst and part of the way through it, so its
+			// bucket ends the round on either side of calCrowded.
+			for e.Now() < burstAt && step() {
+			}
+			for i, n := 0, rng.Intn(5*calCrowded); i < n && step(); i++ {
+				checkBuckets(t, e.cal)
+			}
+		} else if rng.Intn(4) == 0 {
 			deadline := e.Now() + Duration(rng.Intn(3000))
 			fired = fired[:0]
 			e.RunUntil(deadline)
@@ -211,6 +302,7 @@ func replayOps(t *testing.T, seed uint64, rounds int, adversarial bool) {
 		if e.Now() != m.now {
 			t.Fatalf("round %d: engine clock %v, model %v", round, e.Now(), m.now)
 		}
+		checkBuckets(t, e.cal)
 	}
 	for step() {
 	}
@@ -224,7 +316,7 @@ func replayOps(t *testing.T, seed uint64, rounds int, adversarial bool) {
 func TestSchedDifferentialRandom(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 5, 8, 13, 21, 34, 6502, 68000} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			replayOps(t, seed, 120, false)
+			replayOps(t, seed, 120, opsRandom)
 		})
 	}
 }
@@ -238,7 +330,7 @@ func TestSchedDifferentialRandom(t *testing.T) {
 func TestSchedDifferentialAdversarial(t *testing.T) {
 	for _, seed := range []uint64{4, 9, 16, 25, 36, 49, 31337} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			replayOps(t, seed, 150, true)
+			replayOps(t, seed, 150, opsAdversarial)
 		})
 	}
 }
@@ -352,4 +444,100 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending = %d after drain, want 0", got)
 	}
+}
+
+// TestSchedDifferentialCrowded aims at the crowded-bucket heap: bursts
+// of 1x-4x and ~50x calCrowded on one instant, Cancel and Reschedule of
+// events inside such a bucket (out of it, into it, within it), drains
+// that stop part-way through a burst followed by refills back over the
+// threshold, and bursts that reach their bucket through the overflow
+// heap or a rebuild — with checkBuckets asserting the heap shape after
+// every step of those drains.
+func TestSchedDifferentialCrowded(t *testing.T) {
+	for _, seed := range []uint64{3, 12, 27, 48, 75, 108, 4242} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			replayOps(t, seed, 100, opsCrowded)
+		})
+	}
+}
+
+// TestCrowdedBucketRelocation pins the three bulk paths that put events
+// into a crowded bucket without going through push: a geometry rebuild,
+// ShardGroup.Activate moving a same-instant burst from the root queue to
+// a shard, and overflow migration into a bucket that already holds
+// events. Each must leave a heap behind and drain in key order.
+func TestCrowdedBucketRelocation(t *testing.T) {
+	const n = 5 * calCrowded
+	var got, want []popKey
+	// burst schedules k events at one instant on e, doms cycling downward
+	// from hi so they arrive out of key order; on is the engine they run on.
+	burst := func(e, on *Engine, at Time, k int, hi int32) {
+		for i := 0; i < k; i++ {
+			dom := hi - int32(i%3)
+			id := e.At2D(dom, at, func(any, any, uint64) {
+				got = append(got, popKey{on.Now(), on.curDom, on.curSeq})
+			}, nil, nil, 0)
+			want = append(want, popKey{at, dom, id.seq})
+		}
+	}
+	// drain runs e dry and requires key order and the expected counters:
+	// the last calCrowded pops leave a bucket that is a heap no more.
+	drain := func(t *testing.T, e *Engine) {
+		t.Helper()
+		if e.PeakBucket() != n {
+			t.Fatalf("PeakBucket() = %d, want the %d-event burst", e.PeakBucket(), n)
+		}
+		sort.Slice(want, func(i, j int) bool { return keyLess(want[i], want[j]) })
+		e.Run()
+		if !slices.Equal(got, want) {
+			t.Fatalf("drain order diverged from key order:\n got %+v\nwant %+v", got, want)
+		}
+		if e.CrowdedPops() != n-calCrowded {
+			t.Fatalf("CrowdedPops() = %d, want %d", e.CrowdedPops(), n-calCrowded)
+		}
+	}
+	const near = 100 * Nanosecond // inside a fresh wheel's 512 ns horizon
+	t.Run("rebuild", func(t *testing.T) {
+		got, want = nil, nil
+		e := New(1)
+		burst(e, e, near, n, 5)
+		e.cal.rebuild(4*len(e.cal.buckets), e.cal.logW-3, e.now)
+		checkBuckets(t, e.cal)
+		drain(t, e)
+	})
+	t.Run("activate", func(t *testing.T) {
+		got, want = nil, nil
+		root := New(1)
+		g := NewShardGroup(root, 2, Microsecond)
+		for d := int32(1); d <= 5; d++ {
+			g.AssignDom(d, 1)
+		}
+		burst(root, g.Shard(1), near, n, 5)
+		g.Activate()
+		if root.cal.len() != 0 {
+			t.Fatalf("root still holds %d events after Activate", root.cal.len())
+		}
+		checkBuckets(t, g.Shard(1).cal)
+		drain(t, root) // the root folds shard counters in, as for Rescheduled
+	})
+	t.Run("migrate", func(t *testing.T) {
+		got, want = nil, nil
+		e := New(1)
+		const far = 10 * Microsecond // beyond the horizon: parked in overflow
+		burst(e, e, far, n-calCrowded, 3)
+		e.At2D(1, far-near, func(any, any, uint64) {}, nil, nil, 0)
+		e.Step() // served from overflow: the clock is now within a horizon of far
+		// These land in the wheel directly, unordered and under higher
+		// doms, so every migrant that follows must sift up past them.
+		burst(e, e, far, calCrowded, 6)
+		if e.cal.wheelN != calCrowded || len(e.cal.over) != n-calCrowded {
+			t.Fatalf("setup: %d events in the wheel, %d in overflow", e.cal.wheelN, len(e.cal.over))
+		}
+		e.cal.peek(e.now)
+		if len(e.cal.over) != 0 {
+			t.Fatalf("%d events still in overflow after peek", len(e.cal.over))
+		}
+		checkBuckets(t, e.cal)
+		drain(t, e)
+	})
 }
