@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"os"
 	"runtime"
 	"strings"
@@ -114,18 +117,71 @@ func runAt(t *testing.T, procs int, id string, p Params) []byte {
 	return out.Bytes()
 }
 
+// gateSumsFile pins the serial reference of every experiment: one
+// "id  sha256" line per experiment, the digest of its stdout at
+// gateScale, seed 42. The mode matrix proves the modes agree with each
+// other; this file proves they agree with the commit that last wrote it,
+// so a change that promises "every output byte unchanged" is checked
+// against its parent at no extra run time. A change that means to move
+// output rewrites it with
+//
+//	XPSIM_GATE_ALL=1 go test -run TestModeMatrixByteIdentical -timeout 30m ./internal/experiments -update
+//
+// (without XPSIM_GATE_ALL the heavy rows keep their committed digests).
+const gateSumsFile = "testdata/gate.sha256"
+
+var updateGateSums = flag.Bool("update", false, "rewrite "+gateSumsFile+" from this run's serial reference outputs")
+
+// readGateSums parses gateSumsFile into id → hex digest.
+func readGateSums(t *testing.T) map[string]string {
+	t.Helper()
+	sums := map[string]string{}
+	data, err := os.ReadFile(gateSumsFile)
+	if err != nil {
+		if *updateGateSums && os.IsNotExist(err) {
+			return sums
+		}
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			sums[f[0]] = f[1]
+		}
+	}
+	return sums
+}
+
+// writeGateSums rewrites gateSumsFile in registry order.
+func writeGateSums(t *testing.T, sums map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	for _, e := range All() {
+		if sum, ok := sums[e.ID]; ok {
+			b.WriteString(e.ID + "  " + sum + "\n")
+		}
+	}
+	if err := os.WriteFile(gateSumsFile, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestModeMatrixByteIdentical is the determinism gate: every registered
 // experiment runs once serially as the reference, then once per row of
 // gateModes, and each row's output must match the reference byte for
-// byte at the same seed. The whole gate runs with the runtime invariant
-// checkers armed, so it doubles as a paper-property audit of every
-// registered experiment in every mode: arming must neither change any
-// output byte nor surface a single violation.
+// byte at the same seed; the reference itself must match the digest
+// committed in gateSumsFile. The whole gate runs with the runtime
+// invariant checkers armed, so it doubles as a paper-property audit of
+// every registered experiment in every mode: arming must neither change
+// any output byte nor surface a single violation.
 func TestModeMatrixByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism gate runs every experiment three times")
 	}
 	all := os.Getenv("XPSIM_GATE_ALL") != ""
+	sums := readGateSums(t)
+	if *updateGateSums {
+		defer writeGateSums(t, sums)
+	}
 	invariant.Reset()
 	invariant.Arm(invariant.Options{})
 	defer invariant.Disarm()
@@ -140,6 +196,15 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 			}
 			p := Params{Scale: scale, Seed: 42}
 			serial := runMode(t, 1, 0, e.ID, p)
+			digest := sha256.Sum256(serial)
+			if got := hex.EncodeToString(digest[:]); *updateGateSums {
+				sums[e.ID] = got
+			} else if want, ok := sums[e.ID]; !ok {
+				t.Errorf("no digest for %s in %s; add one with -update", e.ID, gateSumsFile)
+			} else if got != want {
+				t.Errorf("serial stdout sha256 %s, %s has %s: output differs from the commit that wrote the file (rerun with -update if that is intended)\n%s",
+					got, gateSumsFile, want, serial)
+			}
 			for _, m := range gateModes {
 				t.Run(m.name, func(t *testing.T) {
 					got := runMode(t, m.procs, m.shards, e.ID, p)
