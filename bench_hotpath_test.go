@@ -12,6 +12,14 @@ package expresspass_test
 // The typed event API (sim.Engine.At2) plus the packet pool make this
 // loop allocation-free: the benchmark's budget, enforced by
 // `make bench-gate`, is 0 allocs/op.
+//
+// Speed is reported per delivered data packet (pkts/sec, the figure
+// `make bench-gate` holds to a floor) because that is the work: the
+// events spent on a packet are a property of the simulator, not of the
+// load. The chain is saturated but never queues, so almost no
+// transmitter-done event is ever queued here (events/pkt says how many
+// events a packet costs end to end, credits included); sim-events/sec is
+// printed for reference and falls when a change removes events.
 
 import (
 	"testing"
@@ -37,7 +45,7 @@ func BenchmarkHotPath(b *testing.B) {
 		net.Connect(prev, sw, link)
 		prev = sw
 	}
-	net.Connect(prev, dst, link)
+	lastHop, _ := net.Connect(prev, dst, link)
 	net.BuildRoutes()
 
 	// Size 0 = unbounded flow: the credit loop never stops, so every
@@ -52,13 +60,21 @@ func BenchmarkHotPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := eng.Executed()
+	// Frames onto the last link: the flow's data packets (credits travel
+	// the other way).
+	startPkts := lastHop.Stats().TxPackets
 	for i := 0; i < b.N; i++ {
 		eng.RunFor(hotPathSlice)
 	}
 	b.StopTimer()
 	events := eng.Executed() - start
+	pkts := lastHop.Stats().TxPackets - startPkts
 	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(pkts)/sec, "pkts/sec")
 		b.ReportMetric(float64(events)/sec, "sim-events/sec")
+	}
+	if pkts > 0 {
+		b.ReportMetric(float64(events)/float64(pkts), "events/pkt")
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 	if f.BytesDelivered == 0 {

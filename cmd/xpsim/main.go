@@ -258,8 +258,7 @@ func main() {
 					humanBytes(uint64(peak)))
 			}
 			events, _ := rt.EngineTotals()
-			peakBucket, crowded := rt.SchedTotals()
-			fmt.Fprintf(os.Stderr, "xpsim: sched: %s\n", schedSummary(events, peakBucket, crowded))
+			fmt.Fprintf(os.Stderr, "xpsim: sched: %s\n", schedSummary(events, rt.SchedTotals()))
 		}
 		if err := rt.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
@@ -307,15 +306,24 @@ func parseSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// schedSummary renders the scheduler's crowded-bucket counters: what
-// share of the run's pops were same-instant timers served from a
-// heap-ordered calendar bucket, and how long the longest such bucket got.
-func schedSummary(events uint64, peakBucket int, crowded uint64) string {
-	if peakBucket == 0 {
-		return "no crowded bucket"
+// schedSummary renders the scheduler's counters: what share of the
+// run's pops were same-instant timers served from a heap-ordered
+// calendar bucket and how long the longest such bucket got, then how
+// many transmitter-done events were reserved but never queued because no
+// packet waited for them (events counts queued events only, so the run
+// an eager scheduler would have executed is events plus that figure).
+func schedSummary(events uint64, s obs.SchedTotals) string {
+	out := "no crowded bucket"
+	if s.PeakBucket > 0 {
+		out = fmt.Sprintf("%d pops from crowded buckets (%.1f%% of %d sim events), peak bucket %d events",
+			s.CrowdedPops, 100*float64(s.CrowdedPops)/float64(max(events, 1)), events, s.PeakBucket)
 	}
-	return fmt.Sprintf("%d pops from crowded buckets (%.1f%% of %d sim events), peak bucket %d events",
-		crowded, 100*float64(crowded)/float64(max(events, 1)), events, peakBucket)
+	if s.Reserved > 0 {
+		never := s.Reserved - s.Armed
+		out += fmt.Sprintf("; %d of %d tx-done events never queued (%.1f%%)",
+			never, s.Reserved, 100*float64(never)/float64(s.Reserved))
+	}
+	return out
 }
 
 // humanBytes renders a byte count with a binary-unit suffix.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"expresspass/internal/obs"
 )
 
 func TestCheckScale(t *testing.T) {
@@ -65,11 +67,19 @@ func TestParseSize(t *testing.T) {
 }
 
 func TestSchedSummary(t *testing.T) {
-	if got := schedSummary(1000, 0, 0); got != "no crowded bucket" {
+	if got := schedSummary(1000, obs.SchedTotals{}); got != "no crowded bucket" {
 		t.Errorf("uncrowded run: %q", got)
 	}
 	want := "250 pops from crowded buckets (25.0% of 1000 sim events), peak bucket 258 events"
-	if got := schedSummary(1000, 258, 250); got != want {
+	if got := schedSummary(1000, obs.SchedTotals{PeakBucket: 258, CrowdedPops: 250}); got != want {
 		t.Errorf("crowded run: %q, want %q", got, want)
+	}
+	want += "; 300 of 400 tx-done events never queued (75.0%)"
+	if got := schedSummary(1000, obs.SchedTotals{PeakBucket: 258, CrowdedPops: 250, Reserved: 400, Armed: 100}); got != want {
+		t.Errorf("crowded run with elided tx-dones: %q, want %q", got, want)
+	}
+	want = "no crowded bucket; 0 of 8 tx-done events never queued (0.0%)"
+	if got := schedSummary(1000, obs.SchedTotals{Reserved: 8, Armed: 8}); got != want {
+		t.Errorf("saturated run: %q, want %q", got, want)
 	}
 }

@@ -236,6 +236,14 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 // counts and queue peaks are per-queue quantities sampled mid-run, and
 // the event freelist is per-engine. Every other metric — and the trace
 // — must still match byte for byte.
+//
+// These four, with engine/events and engine/events_per_sec, describe
+// *queued* events: a transmitter-done event no packet waited for is
+// reserved, never queued (sim.Engine.Reserve), so they are also the only
+// rows that may differ from an engine that queues every one. The two
+// event counts are NOT in this map: which tx-dones get queued is decided
+// by dispatch order alone, so serial and sharded runs execute the same
+// number of events and the gate below compares them.
 var shardShapeGauges = map[string]bool{
 	"engine/pending":     true,
 	"engine/peak_heap":   true,

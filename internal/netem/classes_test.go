@@ -119,6 +119,45 @@ func TestClassStatsAccessors(t *testing.T) {
 	}
 }
 
+// TestResetStatsCoversCreditClasses overloads a two-class port through a
+// warm-up, resets, and requires every per-class figure to count from the
+// reset on: ResetStats used to zero only the aggregate credit counters,
+// which a port with CreditClasses never touches.
+func TestResetStatsCoversCreditClasses(t *testing.T) {
+	eng, _, ab := classPair(t, []CreditClassConfig{{Priority: 0, Weight: 2}, {Priority: 0, Weight: 1}})
+	gap := unit.TxTime(unit.MinFrame+unit.MaxFrame, 10*unit.Gbps)
+	offerCredits(eng, ab, 0, gap, 10*sim.Millisecond)
+	offerCredits(eng, ab, 1, gap, 10*sim.Millisecond)
+	eng.RunUntil(5 * sim.Millisecond)
+	warm := ab.TxCreditByClass()
+	if warm[0] == 0 || warm[1] == 0 || ab.CreditDrops() == 0 || ab.ClassStats(1).Enqueued == 0 {
+		t.Fatalf("warm-up left nothing to reset: tx %v, drops %d", warm, ab.CreditDrops())
+	}
+	ab.ResetStats()
+	if tx := ab.TxCreditByClass(); tx[0] != 0 || tx[1] != 0 {
+		t.Errorf("TxCreditByClass() = %v right after ResetStats", tx)
+	}
+	if d := ab.CreditDrops(); d != 0 {
+		t.Errorf("CreditDrops() = %d right after ResetStats", d)
+	}
+	for c := 0; c < 2; c++ {
+		if st := ab.ClassStats(c); st.Drops != 0 || st.Enqueued != 0 || st.MaxPkts != 0 {
+			t.Errorf("class %d stats after ResetStats: %+v", c, *st)
+		}
+	}
+	eng.RunUntil(10 * sim.Millisecond)
+	// The second half repeats the first: per-class counts must come out
+	// about equal to the warm-up's, not twice it.
+	for c, tx := range ab.TxCreditByClass() {
+		if tx == 0 || tx > warm[c]+warm[c]/10+2 {
+			t.Errorf("class %d sent %d credits after the reset, %d in the equal warm-up", c, tx, warm[c])
+		}
+	}
+	if st := ab.Stats(); st.TxCreditPkts != ab.TxCreditByClass()[0]+ab.TxCreditByClass()[1] {
+		t.Errorf("per-class counts %v do not add up to TxCreditPkts %d", ab.TxCreditByClass(), st.TxCreditPkts)
+	}
+}
+
 func TestFailureExclusion(t *testing.T) {
 	eng := sim.New(1)
 	net := NewNetwork(eng)

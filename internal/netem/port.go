@@ -74,7 +74,10 @@ func (c PortConfig) withDefaults() PortConfig {
 
 // Port is the egress side of one simplex channel from its owner node to
 // the peer node. It owns the data and credit queues, the credit rate
-// limiter, and the transmitter.
+// limiter, and the transmitter. The transmitter has no busy flag and, on
+// an idle port, no event: the end of a serialisation is a key reserved
+// on the engine (txEnd), queued as a transmitter-done event only when a
+// packet is waiting for it — see the txEnd field and kick.
 type Port struct {
 	eng    *sim.Engine
 	owner  Node
@@ -105,7 +108,22 @@ type Port struct {
 	phantom *phantomQueue
 	pfc     *pfcState
 
-	busy       bool
+	// Transmitter state. txEnd is the key reserved on the engine for the
+	// end of the current (or last) serialisation — the transmitter-done
+	// event's exact place in dispatch order — and txQueued says whether
+	// that event is actually in the queue. It is queued only when a
+	// packet is waiting for the transmitter, at transmit or at a later
+	// kick; with both queues empty its handler would do nothing, so the
+	// transmitter is simply idle again once dispatch order has Reached
+	// txEnd (a port that never transmitted holds the zero key, which every
+	// engine has reached).
+	//
+	//	idle          !txQueued, Reached(txEnd)   kick may transmit
+	//	serialising   !txQueued, !Reached(txEnd)  a kick that finds a packet waiting queues the event
+	//	tx-done due    txQueued                   portTxDone clears it and kicks
+	txEnd    sim.Key
+	txQueued bool
+
 	failed     bool
 	down       bool // hard link-down (faults): queues flushed, arrivals lost
 	dataPaused bool
@@ -294,6 +312,15 @@ func (p *Port) ResetStats() {
 	p.data.stats.ResetWindow(now)
 	p.credit.stats = QueueStats{}
 	p.credit.stats.ResetWindow(now)
+	if p.sched != nil {
+		// The per-class credit queues and counters are the ones a port
+		// with CreditClasses actually uses.
+		for i := range p.sched.queues {
+			p.sched.queues[i].stats = QueueStats{}
+			p.sched.queues[i].stats.ResetWindow(now)
+		}
+		clear(p.txCreditClass)
+	}
 	p.txPackets, p.txBytes, p.txDataBytes, p.txPayload = 0, 0, 0, 0
 	p.txCreditBytes, p.txCreditPkts = 0, 0
 }
@@ -405,9 +432,20 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 	p.kick()
 }
 
+// waiting reports whether either egress class holds a packet.
+func (p *Port) waiting() bool { return !p.data.empty() || !p.creditEmpty() }
+
 // kick starts the transmitter if it is idle and a packet is eligible.
+// While it is serialising, kick makes sure the transmitter-done event is
+// queued as soon as a packet is waiting for it.
 func (p *Port) kick() {
-	if p.busy {
+	if p.txQueued {
+		return
+	}
+	if !p.eng.Reached(p.txEnd) {
+		if p.waiting() {
+			p.queueTxDone()
+		}
 		return
 	}
 	now := p.eng.Now()
@@ -438,19 +476,28 @@ func (p *Port) kick() {
 
 // Typed event handlers (sim.Handler2). These are the steady-state
 // packet events — transmitter done, wire arrival, token-bucket wake,
-// and PFC pause/resume — scheduled through Engine.At2 so the per-packet
-// path never allocates: the handler is a static function and the
-// receiver/packet pointers are stored inline in the recycled event
-// struct.
+// and PFC pause/resume — scheduled through Engine.At2 (transmitter done
+// through Engine.Arm, at its reserved key) so the per-packet path never
+// allocates: the handler is a static function and the receiver/packet
+// pointers are stored inline in the recycled event struct.
 
 // portWake re-runs the scheduler when credit tokens have accrued.
 func portWake(obj, _ any, _ uint64) { obj.(*Port).kick() }
 
-// portTxDone frees the transmitter after one serialization time.
+// portTxDone frees the transmitter after one serialization time. It is
+// queued only for a transmission some packet waited behind (see kick);
+// dispatch order has reached txEnd by the time it runs.
 func portTxDone(obj, _ any, _ uint64) {
 	p := obj.(*Port)
-	p.busy = false
+	p.txQueued = false
 	p.kick()
+}
+
+// queueTxDone puts the transmitter-done event on the queue at its
+// reserved key.
+func (p *Port) queueTxDone() {
+	p.txQueued = true
+	p.eng.Arm(p.txEnd, portTxDone, p, nil, 0)
 }
 
 // portArrive lands pkt at the far end of p's link after propagation.
@@ -477,7 +524,6 @@ func portSetDataPaused(obj, _ any, arg uint64) {
 }
 
 func (p *Port) transmit(pkt *packet.Packet) {
-	p.busy = true
 	tx := unit.TxTime(pkt.Wire, p.cfg.Rate)
 	// Departure-side impairments. Rate jitter stretches serialization
 	// (the transmitter stays busy longer — real head-of-line impact);
@@ -526,8 +572,17 @@ func (p *Port) transmit(pkt *packet.Packet) {
 		}
 	}
 	p.pfcOnDepart(pkt)
+	// Reserve the transmitter-done event's key at the point the event
+	// used to be scheduled, so every other event keeps its sequence
+	// number; queue it only if a packet is already waiting behind this
+	// one (kick queues it later if one arrives mid-serialisation). A
+	// zero-length serialisation can reserve a key dispatch order has
+	// already passed: only the queued event keeps the port busy then.
 	done := p.eng.Now() + tx
-	p.eng.At2D(p.dom, done, portTxDone, p, nil, 0)
+	p.txEnd = p.eng.Reserve(p.dom, done)
+	if p.waiting() || p.eng.Reached(p.txEnd) {
+		p.queueTxDone()
+	}
 	pkt.Hops++
 	// The arrival executes at the far node: schedule it in this link
 	// direction's delivery domain, crossing shards through the outbox

@@ -64,6 +64,8 @@ type Runtime struct {
 	trialPeak        atomic.Int64
 	trialPeakBucket  atomic.Int64
 	trialCrowdedPops atomic.Uint64
+	trialReserved    atomic.Uint64
+	trialArmed       atomic.Uint64
 
 	// Sweep progress: phase label plus trial counters, driven by the
 	// runner. All atomic so heartbeats never contend with workers.
@@ -163,19 +165,38 @@ func (rt *Runtime) EngineTotals() (events uint64, peakHeap int) {
 	return events, peakHeap
 }
 
-// SchedTotals reports how crowded the event scheduler's buckets got
-// across the same engines EngineTotals covers: the longest bucket built
-// (0 when none passed the crowding threshold) and the pops served from
-// crowded buckets (sim.Engine.PeakBucket, CrowdedPops).
-func (rt *Runtime) SchedTotals() (peakBucket int, crowdedPops uint64) {
+// SchedTotals is what the event scheduler did across the engines
+// EngineTotals covers: the longest calendar bucket built (0 when none
+// passed the crowding threshold), the pops served from crowded buckets
+// (sim.Engine.PeakBucket, CrowdedPops), and the keys reserved for
+// transmitter-done events against how many of them were ever queued
+// (sim.Engine.Reserved) — Reserved-Armed events never existed, so
+// EngineTotals' event count does not include them.
+type SchedTotals struct {
+	PeakBucket  int
+	CrowdedPops uint64
+	Reserved    uint64
+	Armed       uint64
+}
+
+// SchedTotals sums the scheduler counters over every engine attached so
+// far plus every flushed runner trial.
+func (rt *Runtime) SchedTotals() SchedTotals {
+	var t SchedTotals
 	rt.mu.Lock()
 	for _, e := range rt.engines {
-		peakBucket = max(peakBucket, e.PeakBucket())
-		crowdedPops += e.CrowdedPops()
+		t.PeakBucket = max(t.PeakBucket, e.PeakBucket())
+		t.CrowdedPops += e.CrowdedPops()
+		r, a := e.Reserved()
+		t.Reserved += r
+		t.Armed += a
 	}
 	rt.mu.Unlock()
-	peakBucket = max(peakBucket, int(rt.trialPeakBucket.Load()))
-	return peakBucket, crowdedPops + rt.trialCrowdedPops.Load()
+	t.PeakBucket = max(t.PeakBucket, int(rt.trialPeakBucket.Load()))
+	t.CrowdedPops += rt.trialCrowdedPops.Load()
+	t.Reserved += rt.trialReserved.Load()
+	t.Armed += rt.trialArmed.Load()
+	return t
 }
 
 // addTrialTotals folds one finished trial engine's totals into the
@@ -183,6 +204,9 @@ func (rt *Runtime) SchedTotals() (peakBucket int, crowdedPops uint64) {
 func (rt *Runtime) addTrialTotals(e *sim.Engine) {
 	rt.trialEvents.Add(e.Executed())
 	rt.trialCrowdedPops.Add(e.CrowdedPops())
+	r, a := e.Reserved()
+	rt.trialReserved.Add(r)
+	rt.trialArmed.Add(a)
 	atomicMax(&rt.trialPeak, int64(e.MaxPending()))
 	atomicMax(&rt.trialPeakBucket, int64(e.PeakBucket()))
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Calendar-queue event scheduler (Brown 1988, as used by ns-3's
 // calendar scheduler and kernel timer wheels): the engine's one
@@ -64,6 +67,7 @@ type calQ struct {
 	wheelN  int      // events resident in the wheel
 	over    []*event // overflow 4-ary min-heap, full-key order
 	cached  *event   // memoized queue minimum, nil when unknown
+	spare   []*event // rebuild's extraction buffer, kept between rebuilds
 
 	// Adaptive-width state: EWMA of nonzero inter-pop gaps (the
 	// zero-gap bursts of same-time events carry no width information)
@@ -338,9 +342,13 @@ func (c *calQ) remove(ev *event) (crowded bool) {
 }
 
 // extractAll empties the queue and returns every resident event in
-// unspecified order (used by ShardGroup.Activate and rebuild).
+// unspecified order (used by ShardGroup.Activate and rebuild). The
+// slice is the caller's: rebuild hands it back as spare, so a geometry
+// that flips between two widths on every check — an inter-pop gap EWMA
+// sitting on a power of two does — allocates nothing per flip.
 func (c *calQ) extractAll() []*event {
-	evs := make([]*event, 0, c.len())
+	evs := slices.Grow(c.spare[:0], c.len())
+	c.spare = nil
 	for i, b := range c.buckets {
 		evs = append(evs, b...)
 		for j := range b {
@@ -411,6 +419,8 @@ func (c *calQ) rebuild(newN int, newLogW uint, now Time) {
 	for _, ev := range evs {
 		c.place(ev)
 	}
+	clear(evs)
+	c.spare = evs
 }
 
 // ---- 4-ary min-heap (full-key order, index-tracked) ----

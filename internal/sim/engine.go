@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Handler is a callback executed when an event fires.
 type Handler func()
@@ -118,11 +121,25 @@ func Rearm(id EventID, e *Engine, dom int32, at Time, h Handler2, obj, aux any, 
 	return e.At2D(dom, at, h, obj, aux, arg)
 }
 
+// Key is an event's place in dispatch order: the (time, dom, seq) triple
+// the comparator sorts by. Engine.Reserve hands one out without queueing
+// anything, for an event that will usually turn out to have nothing to
+// do (see Reserve). The zero Key is one every engine has Reached.
+type Key struct {
+	At  Time
+	Seq uint64
+	Dom int32
+}
+
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; construct with New.
 //
 // The pending-event queue is the calendar queue of calendar.go, ordered
-// by (time, dom, seq).
+// by (time, dom, seq). Not every key in that order need be a queued
+// event: Reserve takes a key — sequence number included — for an event
+// that is queued later through Arm or, when it would have had nothing to
+// do, never; Reached tells the key's owner whether dispatch order has
+// passed it. Executed, Pending and MaxPending count queued events only.
 type Engine struct {
 	now     Time
 	cal     *calQ
@@ -151,8 +168,22 @@ type Engine struct {
 	// Key of the event currently being dispatched (see CurrentKey);
 	// instrumentation uses it to attribute emissions to their causing
 	// event so per-shard buffers can be merged in execution order.
-	curDom int32
-	curSeq uint64
+	//
+	// The dispatch position (see Reached) is the largest key dispatch
+	// order has passed, as (now, posDom, posSeq). Step raises it to each
+	// dispatched event's key; the places that move the clock without a
+	// dispatch set it through advanceTo ("before every key at t") or
+	// settleAt ("after every key at t"). It differs from the current key
+	// only when a handler schedules a same-instant event in a lower
+	// domain: that event runs next, but nothing already passed is
+	// un-passed by it.
+	curDom, posDom int32
+	curSeq, posSeq uint64
+
+	// Reserve calls and how many of the reserved keys were later queued
+	// through Arm; the difference is events that never existed.
+	reserved uint64
+	armed    uint64
 
 	// Sharded execution (see shard.go). group is set on the root engine
 	// when a ShardGroup partitions it, and on every shard engine (with
@@ -278,6 +309,19 @@ func (e *Engine) CrowdedPops() uint64 {
 	return n
 }
 
+// Reserved returns how many keys Reserve has handed out and how many of
+// them Arm went on to queue (summed over shards on a sharded root). The
+// difference is events a run with eager scheduling would have executed
+// to no effect.
+func (e *Engine) Reserved() (reserved, armed uint64) {
+	reserved, armed = e.reserved, e.armed
+	for _, s := range e.shardEngines() {
+		reserved += s.reserved
+		armed += s.armed
+	}
+	return reserved, armed
+}
+
 // FreeListSize returns the number of event structs currently parked on
 // the recycling free list (instrumentation: obs exports it as
 // sim/freelist_size; summed over shards on a sharded root).
@@ -395,20 +439,25 @@ func (e *Engine) qExtractAll() []*event {
 	return e.cal.extractAll()
 }
 
-// alloc claims a recycled event struct (or allocates a fresh one),
-// stamps it with at, dom, and the next sequence number, and pushes it
-// on the queue. Shared by the closure and typed scheduling APIs so
-// tie-breaking seq order is identical no matter which API scheduled an
-// event. A shard engine refuses dom-0 (global-domain) events: global
-// events must stay on the root engine, where the coordinator runs them
-// serially at barriers — the same relative order a serial run gives
-// them — so any dom-0 schedule on a shard is a wiring bug.
-func (e *Engine) alloc(at Time, dom int32) *event {
+// badSchedule panics for the two schedules every scheduling call
+// refuses. Scheduling in the past always indicates a logic bug in a
+// model. A
+// shard engine refuses dom-0 (global-domain) events: global events must
+// stay on the root engine, where the coordinator runs them serially at
+// barriers — the same relative order a serial run gives them — so any
+// dom-0 schedule on a shard is a wiring bug.
+func (e *Engine) badSchedule(at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", at, e.now))
 	}
-	if dom == 0 && e.shardIdx >= 0 {
-		panic("sim: dom-0 (global) event scheduled on a shard engine; global timers must run on the root engine")
+	panic("sim: dom-0 (global) event scheduled on a shard engine; global timers must run on the root engine")
+}
+
+// enqueue claims a recycled event struct (or allocates a fresh one),
+// stamps it with the key (at, dom, seq) and pushes it on the queue.
+func (e *Engine) enqueue(at Time, dom int32, seq uint64) *event {
+	if at < e.now || (dom == 0 && e.shardIdx >= 0) {
+		e.badSchedule(at)
 	}
 	var ev *event
 	if n := len(e.free); n > 0 {
@@ -419,12 +468,97 @@ func (e *Engine) alloc(at Time, dom int32) *event {
 	}
 	ev.at = at
 	ev.dom = dom
-	ev.seq = e.nextSeq
+	ev.seq = seq
 	ev.eng = e
 	ev.canceled = false
-	e.nextSeq++
 	e.qPush(ev)
 	return ev
+}
+
+// alloc queues an event struct at (at, dom) under the next sequence
+// number. Shared by the closure and typed scheduling APIs so
+// tie-breaking seq order is identical no matter which API scheduled an
+// event.
+func (e *Engine) alloc(at Time, dom int32) *event {
+	seq := e.nextSeq
+	e.nextSeq++
+	return e.enqueue(at, dom, seq)
+}
+
+// Reserve claims the key an event scheduled right now at (at, dom)
+// would get — the sequence number is consumed exactly as At2D consumes
+// it, so every other event of the run keeps its key — and queues
+// nothing. It is for an event whose handler usually finds nothing to do
+// (a port's transmitter-done on an empty queue): the owner holds the
+// key, asks Reached where it would have tested a flag the handler
+// clears, and calls Arm only once the handler would have work. An event
+// that is never armed is never queued, popped or counted.
+//
+// The scheme is exact when the key lies ahead of the dispatch position,
+// which a key later than now always does. A key reserved for the current
+// instant may come back already Reached; an owner that schedules with
+// zero delay must Arm such a key at once.
+func (e *Engine) Reserve(dom int32, at Time) Key {
+	if at < e.now || (dom == 0 && e.shardIdx >= 0) {
+		e.badSchedule(at)
+	}
+	k := Key{At: at, Seq: e.nextSeq, Dom: dom}
+	e.nextSeq++
+	e.reserved++
+	return k
+}
+
+// Arm queues the typed event h(obj, aux, arg) at a key obtained from
+// Reserve, at most once per key. Dispatch order is the comparator's, so
+// the event runs exactly where one queued at Reserve time would have.
+// On a sharded network the key may have been reserved on the root engine
+// before the partition and armed on the shard that now owns its domain.
+func (e *Engine) Arm(k Key, h Handler2, obj, aux any, arg uint64) {
+	e.armed++
+	ev := e.enqueue(k.At, k.Dom, k.Seq)
+	ev.h = h
+	ev.obj = obj
+	ev.aux = aux
+	ev.arg = arg
+}
+
+// Reached reports whether dispatch order has reached k: an event queued
+// at k would have been dispatched by now (or is the one dispatching).
+// The engine's position is the largest key it has passed — the keys of
+// the events it dispatched and, where the clock moved without a
+// dispatch, "before every key at t" or "after every key at t" as
+// advanceTo and settleAt define them — so the answer is the same whether
+// or not the event at k was ever queued, in serial and sharded runs.
+// Comparing times alone would get every same-picosecond case wrong.
+func (e *Engine) Reached(k Key) bool {
+	if k.At != e.now {
+		return k.At < e.now
+	}
+	if k.Dom != e.posDom {
+		return k.Dom < e.posDom
+	}
+	return k.Seq <= e.posSeq
+}
+
+// advanceTo moves the clock forward to t without a dispatch, at a point
+// where every queued event earlier than t has run and none at t has:
+// the dispatch position becomes "before every key at t".
+func (e *Engine) advanceTo(t Time) {
+	if e.now < t {
+		e.now = t
+		e.posDom, e.posSeq = math.MinInt32, 0
+	}
+}
+
+// settleAt moves the clock forward to t without a dispatch, at a point
+// where every event at or before t has run: the dispatch position
+// becomes "after every key at t". Events scheduled at t afterwards (by
+// set-up code between runs) still run, and do not lower it.
+func (e *Engine) settleAt(t Time) {
+	if e.now <= t {
+		e.now = t
+		e.posDom, e.posSeq = math.MaxInt32, math.MaxUint64
+	}
 }
 
 // At schedules fn to run at absolute time at, in the global domain
@@ -509,6 +643,9 @@ func (e *Engine) Step() bool {
 			e.recycle(ev)
 			continue
 		}
+		if ev.at != e.now || ev.dom > e.posDom || (ev.dom == e.posDom && ev.seq > e.posSeq) {
+			e.posDom, e.posSeq = ev.dom, ev.seq
+		}
 		e.now = ev.at
 		e.curDom = ev.dom
 		e.curSeq = ev.seq
@@ -570,9 +707,13 @@ func (e *Engine) peekNext() Time {
 }
 
 // runWindow executes every event with timestamp < end, then advances
-// the clock to clockTo if it is still behind. The shard coordinator
-// calls it concurrently on disjoint shard engines; each call touches
-// only e's own state.
+// the clock to clockTo if it is still behind. Normally clockTo is end,
+// whose own events are still to run. When the run's deadline cut the
+// window to deadline+1, clockTo is the deadline and its events are done
+// too; ShardGroup.run then settles every engine there before it
+// returns, which is the first point anything can ask. The shard
+// coordinator calls runWindow concurrently on disjoint shard engines;
+// each call touches only e's own state.
 func (e *Engine) runWindow(end, clockTo Time) {
 	for {
 		ev := e.qPeek()
@@ -588,23 +729,20 @@ func (e *Engine) runWindow(end, clockTo Time) {
 		}
 		e.Step()
 	}
-	if e.now < clockTo {
-		e.now = clockTo
-	}
+	e.advanceTo(clockTo)
 }
 
 // runInstant executes every event with timestamp exactly t (there must
 // be at least one), including events those events schedule back at t.
 func (e *Engine) runInstant(t Time) {
+	e.advanceTo(t)
 	for e.peekNext() == t {
 		e.Step()
 	}
-	if e.now < t {
-		e.now = t
-	}
 }
 
-// Run executes events until the queue is exhausted.
+// Run executes events until the queue is exhausted. The clock stays at
+// the last executed event, with everything at that instant done.
 func (e *Engine) Run() {
 	e.firePreRun()
 	if g := e.group; g != nil && g.root == e {
@@ -613,6 +751,7 @@ func (e *Engine) Run() {
 	}
 	for e.Step() {
 	}
+	e.settleAt(e.now)
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
@@ -637,9 +776,7 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		e.Step()
 	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.settleAt(deadline)
 }
 
 // RunFor executes events for d of simulated time from now.

@@ -17,6 +17,14 @@ import (
 // exactly. If pop order or the Reschedule branch ever diverged from the
 // model, seq streams would shift and no run could stay byte-identical
 // with the recorded ones.
+//
+// Reserved keys (Engine.Reserve / Arm / Reached) are checked the same
+// way: the model does what an engine without them would do — it inserts
+// every reserved key at once, as an event with nothing to do — and
+// remembers the moment each one fires; the engine, which queues a
+// reserved key only if Arm is called, must dispatch exactly the model's
+// other events and answer Reached(k) with "the model has fired k" at
+// every dispatch and after every run.
 
 // refModel is the reference the engine is checked against: the live
 // pending set as one slice kept sorted by (time, dom, seq). Every
@@ -24,13 +32,28 @@ import (
 // seq, delete, pop the front — so it shares no logic with calendar.go
 // (no wheel, no overflow heap, no lazy cancellation, no resize). It is
 // valid for the streams these tests generate: events are scheduled
-// between steps at times strictly after now.
+// between steps or from the handler of the event being dispatched, at
+// times not before now.
 type refModel struct {
 	now     Time
 	nextSeq uint64
 	pending []popKey // live events only, sorted by keyLess
 	maxLive int
+
+	// idle holds the seqs of reserved keys not armed so far: queued here,
+	// absent from the engine. nIdle counts those still in pending, so
+	// live() is what the engine's Pending must report. passed records
+	// every reserved key that has fired, armed or not.
+	idle   map[uint64]bool
+	nIdle  int
+	passed map[uint64]bool
 }
+
+func newRefModel() *refModel {
+	return &refModel{idle: map[uint64]bool{}, passed: map[uint64]bool{}}
+}
+
+func (m *refModel) live() int { return len(m.pending) - m.nIdle }
 
 func (m *refModel) insert(k popKey) {
 	i := sort.Search(len(m.pending), func(i int) bool { return keyLess(k, m.pending[i]) })
@@ -47,8 +70,38 @@ func (m *refModel) schedule(at Time, dom int32) uint64 {
 	seq := m.nextSeq
 	m.nextSeq++
 	m.insert(popKey{at, dom, seq})
-	m.maxLive = max(m.maxLive, len(m.pending))
+	m.maxLive = max(m.maxLive, m.live())
 	return seq
+}
+
+// reserve queues the key eagerly, as an event that will do nothing.
+func (m *refModel) reserve(at Time, dom int32) uint64 {
+	seq := m.nextSeq
+	m.nextSeq++
+	m.insert(popKey{at, dom, seq})
+	m.idle[seq] = true
+	m.nIdle++
+	return seq
+}
+
+// arm turns a reserved key that has not fired into an ordinary event.
+func (m *refModel) arm(seq uint64) {
+	delete(m.idle, seq)
+	m.nIdle--
+	m.maxLive = max(m.maxLive, m.live())
+}
+
+// popFront fires the earliest pending entry.
+func (m *refModel) popFront() popKey {
+	k := m.pending[0]
+	m.pending = m.pending[1:]
+	if m.idle[k.seq] {
+		m.nIdle--
+	}
+	if _, reserved := m.passed[k.seq]; reserved {
+		m.passed[k.seq] = true
+	}
+	return k
 }
 
 func (m *refModel) cancel(seq uint64) bool {
@@ -73,14 +126,33 @@ func (m *refModel) reschedule(seq uint64, at Time) bool {
 	return true
 }
 
+// step fires entries up to and including the next one the engine holds
+// too (idle reserved keys on the way fire unseen), or nothing when only
+// idle keys are left: a bare Engine.Step moves no clock for them.
 func (m *refModel) step() (popKey, bool) {
-	if len(m.pending) == 0 {
+	if m.live() == 0 {
 		return popKey{}, false
 	}
-	k := m.pending[0]
-	m.pending = m.pending[1:]
-	m.now = k.at
-	return k, true
+	for {
+		k := m.popFront()
+		if !m.idle[k.seq] {
+			m.now = k.at
+			return k, true
+		}
+	}
+}
+
+// runUntil fires everything at or before deadline, as RunUntil does, and
+// returns the entries the engine must have dispatched.
+func (m *refModel) runUntil(deadline Time) []popKey {
+	var ran []popKey
+	for len(m.pending) > 0 && m.pending[0].at <= deadline {
+		if k := m.popFront(); !m.idle[k.seq] {
+			ran = append(ran, k)
+		}
+	}
+	m.now = max(m.now, deadline)
+	return ran
 }
 
 // opsMode selects the shapes replayOps generates; each mode keeps the
@@ -127,17 +199,73 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 	t.Helper()
 	rng := NewRand(seed)
 	e := New(seed)
-	m := &refModel{}
+	m := newRefModel()
 	var ids []EventID
+	var keys []Key // every key reserved ahead of the dispatch position
+	reserved := 0  // Reserve calls, the ones born behind it included
 	// burstAt is the instant of the latest crowded burst: the target of
 	// refills and of reschedules into, within and (by the generic
 	// reschedule loop) out of a crowded bucket.
 	burstAt := Time(-1)
 	var fired []popKey
-	record := func(obj, aux any, arg uint64) {
-		fired = append(fired, popKey{e.Now(), e.curDom, e.curSeq})
+	// checkReached holds the engine to the model on every key reserved
+	// so far: reached exactly when the model has fired it.
+	checkReached := func(where string) {
+		t.Helper()
+		for _, k := range keys {
+			if got, want := e.Reached(k), m.passed[k.Seq]; got != want {
+				t.Fatalf("%s: Reached(%+v) = %v with the clock at %v; the model's eager no-op at that key has fired: %v",
+					where, k, got, e.Now(), want)
+			}
+		}
 	}
-	schedule := func(at Time, dom int32) {
+	// armSome queues a random subset of the reserved keys that are still
+	// ahead (the model knows which).
+	var record Handler2
+	armSome := func(oneIn int) {
+		for _, k := range keys {
+			if m.idle[k.Seq] && !m.passed[k.Seq] && rng.Intn(oneIn) == 0 {
+				e.Arm(k, record, nil, nil, 0)
+				m.arm(k.Seq)
+			}
+		}
+	}
+	// lockstep is set while the model has been stepped to the very event
+	// the engine is dispatching, so the handler may compare the two and
+	// act on both: Reached from inside a dispatch, arming a key
+	// mid-instant, and a same-instant schedule into another domain — a
+	// lower one runs next without un-passing anything.
+	lockstep := false
+	var schedule func(at Time, dom int32)
+	record = func(obj, aux any, arg uint64) {
+		fired = append(fired, popKey{e.Now(), e.curDom, e.curSeq})
+		if !lockstep {
+			return
+		}
+		checkReached("inside a dispatch")
+		armSome(6)
+		if rng.Intn(8) == 0 {
+			schedule(e.Now(), int32(rng.Intn(7)))
+		}
+	}
+	reserve := func(at Time, dom int32) {
+		k := e.Reserve(dom, at)
+		if seq := m.reserve(at, dom); k != (Key{At: at, Seq: seq, Dom: dom}) {
+			t.Fatalf("Reserve(%d, %v) = %+v, model assigned seq %d", dom, at, k, seq)
+		}
+		reserved++
+		if e.Reached(k) {
+			// Reserved for the instant the clock stands on, under a key
+			// dispatch order is already past: only a queued event can
+			// stand for it, so it is armed at once and never asked about.
+			e.Arm(k, record, nil, nil, 0)
+			m.arm(k.Seq)
+			return
+		}
+		m.passed[k.Seq] = false
+		keys = append(keys, k)
+	}
+	schedule = func(at Time, dom int32) {
 		// Either API: seq is assigned by call order across both.
 		var id EventID
 		if rng.Intn(2) == 0 {
@@ -153,8 +281,10 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 	pops := 0
 	step := func() bool {
 		fired = fired[:0]
-		ok := e.Step()
 		want, wok := m.step()
+		lockstep = true
+		ok := e.Step()
+		lockstep = false
 		if ok != wok {
 			t.Fatalf("pop %d: engine Step() = %v, model has event = %v", pops, ok, wok)
 		}
@@ -222,6 +352,20 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 				schedule(e.Now()+Duration(1+rng.Intn(2000)), int32(rng.Intn(5)))
 			}
 		}
+		// Reserve a few keys, most of them on an instant that already
+		// holds events (the latest burst, or a tracked event's time) so
+		// that dom and seq decide on which side of each they fall; then
+		// arm some of the outstanding ones late.
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			at := e.Now() + Duration(1+rng.Intn(16))
+			if id := ids[rng.Intn(len(ids))]; id.Pending() && rng.Intn(4) != 0 {
+				at = id.ev.at
+			} else if burstAt >= e.Now() && rng.Intn(2) == 0 {
+				at = burstAt
+			}
+			reserve(at, int32(rng.Intn(7)))
+		}
+		armSome(4)
 		// Cancel a random subset, dead IDs included: the engine must
 		// refuse exactly the ones the model no longer holds.
 		for i := range ids {
@@ -276,14 +420,16 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 			}
 		} else if rng.Intn(4) == 0 {
 			deadline := e.Now() + Duration(rng.Intn(3000))
+			if len(keys) > 0 && rng.Intn(2) == 0 {
+				// Stop on the very instant of a reserved key: the run's
+				// tail must leave it reached whichever dom it is in.
+				if k := keys[rng.Intn(len(keys))]; k.At >= e.Now() {
+					deadline = k.At
+				}
+			}
 			fired = fired[:0]
 			e.RunUntil(deadline)
-			var want []popKey
-			for len(m.pending) > 0 && m.pending[0].at <= deadline {
-				k, _ := m.step()
-				want = append(want, k)
-			}
-			m.now = deadline
+			want := m.runUntil(deadline)
 			if !slices.Equal(fired, want) {
 				t.Fatalf("round %d: RunUntil(%v) diverged: engine %+v, model %+v", round, deadline, fired, want)
 			}
@@ -296,18 +442,27 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 			for i := 0; i < n && step(); i++ {
 			}
 		}
-		if got, want := e.Pending(), len(m.pending); got != want {
+		if got, want := e.Pending(), m.live(); got != want {
 			t.Fatalf("round %d: Pending() = %d, model holds %d live events", round, got, want)
 		}
 		if e.Now() != m.now {
 			t.Fatalf("round %d: engine clock %v, model %v", round, e.Now(), m.now)
 		}
+		checkReached(fmt.Sprintf("round %d", round))
 		checkBuckets(t, e.cal)
 	}
 	for step() {
 	}
 	if got, want := e.MaxPending(), m.maxLive; got != want {
 		t.Fatalf("MaxPending() = %d, model peak %d", got, want)
+	}
+	// Run on an empty queue settles the instant the clock stands on:
+	// idle keys the last event left behind at that instant have fired.
+	e.Run()
+	m.runUntil(m.now)
+	checkReached("after Run")
+	if r, a := e.Reserved(); r != uint64(reserved) || a != r-uint64(len(m.idle)) {
+		t.Fatalf("Reserved() = %d reserved, %d armed; model %d, %d", r, a, reserved, reserved-len(m.idle))
 	}
 }
 

@@ -118,6 +118,7 @@ func (g *ShardGroup) Activate() {
 	g.active = true
 	for _, s := range g.shards {
 		s.now = g.root.now
+		s.posDom, s.posSeq = g.root.posDom, g.root.posSeq
 		s.nextSeq = g.root.nextSeq
 	}
 	// Drain the root queue and re-push every event into its owning
@@ -148,14 +149,22 @@ func (g *ShardGroup) nextShardEvent() Time {
 
 // advanceClocks moves every shard clock forward to t (never backward).
 // Called only when no shard holds an event earlier than t, so root
-// events running at t observe shard-local Now() == t exactly as they
-// would serially.
+// events running at t observe shard-local Now() == t — and a dispatch
+// position ahead of everything earlier, behind everything at t — exactly
+// as they would serially, where dom 0 sorts first within the instant.
 func (g *ShardGroup) advanceClocks(t Time) {
 	for _, s := range g.shards {
-		if s.now < t {
-			s.now = t
-		}
+		s.advanceTo(t)
 	}
+}
+
+// settleClocks leaves every engine of the group at t with every event
+// at or before t done: the state a serial RunUntil or Run returns in.
+func (g *ShardGroup) settleClocks(t Time) {
+	for _, s := range g.shards {
+		s.settleAt(t)
+	}
+	g.root.settleAt(t)
 }
 
 // deliverPosts drains every shard's outbox into the destination heaps.
@@ -284,10 +293,7 @@ func (g *ShardGroup) run(deadline Time) {
 		}
 	}
 	if deadline != Forever {
-		g.advanceClocks(deadline)
-		if root.now < deadline {
-			root.now = deadline
-		}
+		g.settleClocks(deadline)
 	} else {
 		// Serial Run leaves the clock at the last executed event; match
 		// it by settling every engine at the global maximum.
@@ -297,9 +303,6 @@ func (g *ShardGroup) run(deadline Time) {
 				tmax = s.now
 			}
 		}
-		g.advanceClocks(tmax)
-		if root.now < tmax {
-			root.now = tmax
-		}
+		g.settleClocks(tmax)
 	}
 }
