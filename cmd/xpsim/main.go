@@ -219,17 +219,9 @@ func main() {
 
 	if *invariants {
 		expresspass.FinishArmedInvariants()
-		if n := expresspass.InvariantCount(); n > 0 {
-			for i, v := range expresspass.InvariantViolations() {
-				if i == 16 {
-					break
-				}
-				fmt.Fprintf(os.Stderr, "xpsim: invariant violation: %s\n", v)
-			}
-			fmt.Fprintf(os.Stderr, "xpsim: %d invariant violations\n", n)
+		if reportInvariants(os.Stderr, expresspass.ArmedInvariantStats(),
+			expresspass.InvariantCount(), expresspass.InvariantViolations()) {
 			code = 1
-		} else {
-			fmt.Fprintln(os.Stderr, "xpsim: invariants clean")
 		}
 	}
 
@@ -270,6 +262,33 @@ func main() {
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// reportInvariants prints the end-of-run invariant summary and reports
+// whether the run failed: first what the verdict rests on (how much the
+// checkers actually looked at, with a warning when that undercuts it),
+// then the violations, or "invariants clean".
+func reportInvariants(w io.Writer, st expresspass.InvariantStats, n uint64, vs []expresspass.InvariantViolation) (failed bool) {
+	fmt.Fprintf(w, "xpsim: invariants: %s\n", st)
+	if st.Displaced > 0 {
+		fmt.Fprintf(w, "xpsim: warning: %d of %d checkers were displaced from their network's trace path before the run ended and saw only part of it\n",
+			st.Displaced, st.Networks)
+	}
+	if st.Events == 0 {
+		fmt.Fprintln(w, "xpsim: warning: the invariant checkers saw no events: nothing was checked")
+	}
+	if n == 0 {
+		fmt.Fprintln(w, "xpsim: invariants clean")
+		return false
+	}
+	for i, v := range vs {
+		if i == 16 {
+			break
+		}
+		fmt.Fprintf(w, "xpsim: invariant violation: %s\n", v)
+	}
+	fmt.Fprintf(w, "xpsim: %d invariant violations\n", n)
+	return true
 }
 
 // checkScale rejects a -scale outside (0,1]. The library clamps such

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"expresspass"
 	"expresspass/internal/obs"
 )
 
@@ -81,5 +82,60 @@ func TestSchedSummary(t *testing.T) {
 	want = "no crowded bucket; 0 of 8 tx-done events never queued (0.0%)"
 	if got := schedSummary(1000, obs.SchedTotals{Reserved: 8, Armed: 8}); got != want {
 		t.Errorf("saturated run: %q, want %q", got, want)
+	}
+}
+
+// TestReportInvariants pins the end-of-run invariant lines: what was
+// checked comes first, a warning follows when that undercuts the verdict
+// (a displaced checker, nothing checked at all — which is also what a run
+// that built no network reports), and a clean verdict is still exactly
+// the line the benchmark harness greps for. Exempt ports and voided
+// networks are part of the summary, not warnings: both are how healthy
+// DCTCP and fault-injection runs look.
+func TestReportInvariants(t *testing.T) {
+	viol := []expresspass.InvariantViolation{{Invariant: "token-bucket", Scope: "a->b", Detail: "x"}}
+	for _, tc := range []struct {
+		name   string
+		st     expresspass.InvariantStats
+		n      uint64
+		vs     []expresspass.InvariantViolation
+		want   []string
+		failed bool
+	}{
+		{"healthy", expresspass.InvariantStats{Events: 3221739, Ports: 40, Exempt: 20, Networks: 2}, 0, nil, []string{
+			"xpsim: invariants: 3221739 events checked on 40 ports (20 exempt) in 2 networks (0 voided)",
+			"xpsim: invariants clean",
+		}, false},
+		{"every port exempt", expresspass.InvariantStats{Events: 10, Ports: 4, Exempt: 4, Networks: 1}, 0, nil, []string{
+			"xpsim: invariants: 10 events checked on 4 ports (4 exempt) in 1 networks (0 voided)",
+			"xpsim: invariants clean",
+		}, false},
+		{"voided", expresspass.InvariantStats{Events: 10, Ports: 4, Networks: 3, Voided: 3}, 0, nil, []string{
+			"xpsim: invariants: 10 events checked on 4 ports (0 exempt) in 3 networks (3 voided)",
+			"xpsim: invariants clean",
+		}, false},
+		{"displaced", expresspass.InvariantStats{Events: 10, Ports: 4, Networks: 3, Displaced: 1}, 0, nil, []string{
+			"xpsim: invariants: 10 events checked on 4 ports (0 exempt) in 3 networks (0 voided)",
+			"xpsim: warning: 1 of 3 checkers were displaced from their network's trace path before the run ended and saw only part of it",
+			"xpsim: invariants clean",
+		}, false},
+		{"no network", expresspass.InvariantStats{}, 0, nil, []string{
+			"xpsim: invariants: 0 events checked on 0 ports (0 exempt) in 0 networks (0 voided)",
+			"xpsim: warning: the invariant checkers saw no events: nothing was checked",
+			"xpsim: invariants clean",
+		}, false},
+		{"violations", expresspass.InvariantStats{Events: 10, Ports: 4, Networks: 1}, 1, viol, []string{
+			"xpsim: invariants: 10 events checked on 4 ports (0 exempt) in 1 networks (0 voided)",
+			"xpsim: invariant violation: " + viol[0].String(),
+			"xpsim: 1 invariant violations",
+		}, true},
+	} {
+		var b strings.Builder
+		if failed := reportInvariants(&b, tc.st, tc.n, tc.vs); failed != tc.failed {
+			t.Errorf("%s: failed = %v, want %v", tc.name, failed, tc.failed)
+		}
+		if got, want := b.String(), strings.Join(tc.want, "\n")+"\n"; got != want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, want)
+		}
 	}
 }

@@ -349,6 +349,16 @@ func InvariantViolations() []InvariantViolation { return invariant.Violations() 
 // InvariantCount returns the total number of violations recorded.
 func InvariantCount() uint64 { return invariant.Count() }
 
+// InvariantStats says what the armed checkers looked at: events that
+// reached a check, ports tracked and exempted, networks checked, and how
+// many of those had their positional findings voided or their checker
+// displaced. A clean verdict is only as strong as these numbers.
+type InvariantStats = invariant.Stats
+
+// ArmedInvariantStats returns the totals over every checker finished by
+// FinishArmedInvariants so far.
+func ArmedInvariantStats() InvariantStats { return invariant.ArmedStats() }
+
 // ScenarioOptions tunes the deterministic scenario fuzzer.
 type ScenarioOptions = scenario.Options
 

@@ -631,7 +631,7 @@ func (rc *receiver) sendCredit() {
 	c.Wire = size
 	rc.creditsSent++
 	// Emit before Send: the port takes ownership of c and may recycle it.
-	if tr := rc.host.Tracer(); tr != nil {
+	if tr := rc.host.Tracer(); tr != nil && tr.Enabled(obs.EvCreditSent) {
 		tr.Emit(obs.Event{T: rc.host.Engine().Now(), Type: obs.EvCreditSent,
 			Scope: rc.host.Name(), Flow: int64(c.Flow), Seq: c.Seq, Bytes: size,
 			Val: rc.fb.Rate.Gbits(), Aux: rc.fb.W})

@@ -272,41 +272,81 @@ func stripShapeGauges(csv string) string {
 // per-shard buffering paths netem actually uses — and the metrics CSV
 // must match the serial run byte for byte. Only the sharded row's
 // metrics are compared after dropping the shard-shape gauges.
+//
+// The serial reference runs unarmed and every other row runs with the
+// invariant checkers armed, so the rows also prove that arming changes
+// no trace byte: the checker sits on the tee in front of the trial's or
+// the shards' tracer, subscribed to the union of its own types and the
+// trace's. The last row does the same, sharded, under a -trace-types
+// filter of three types the checker does not read, where that union is
+// narrower than "everything" and the displaced tracer has to filter
+// again.
 func TestModeMatrixObsByteIdentical(t *testing.T) {
-	run := func(t *testing.T, procs, shards int) (out, trace, metrics string) {
+	run := func(t *testing.T, procs, shards int, armed bool, types ...obs.EventType) (out, trace, metrics string) {
 		var tb, mb bytes.Buffer
 		rt := obs.NewRuntime(obs.Config{
-			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb)),
+			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb), types...),
 			MetricsOut: &mb,
 		})
 		obs.SetActive(rt)
 		defer obs.SetActive(nil)
+		if armed {
+			invariant.Reset()
+			invariant.Arm(invariant.Options{})
+			defer invariant.Disarm()
+		}
 		ob := runMode(t, procs, shards, "ext-classes", Params{Scale: 0.05, Seed: 42})
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if armed {
+			invariant.FinishArmed()
+			for _, v := range invariant.Violations() {
+				t.Errorf("invariant violation: %s", v)
+			}
+			if st := invariant.ArmedStats(); st.Events == 0 || st.Displaced != 0 {
+				t.Errorf("armed row checked too little: %s, %d displaced", st, st.Displaced)
+			}
+			invariant.Reset()
+		}
 		return string(ob), tb.String(), mb.String()
 	}
-	so, st, sm := run(t, 1, 0)
+	compare := func(t *testing.T, shards int, so, st, sm, mo, mt, mm string) {
+		if mo != so {
+			t.Errorf("stdout differs from the serial run under tracing")
+		}
+		if mt != st {
+			t.Errorf("trace bytes differ from the serial run")
+		}
+		if shards > 1 {
+			if stripShapeGauges(mm) != stripShapeGauges(sm) {
+				t.Errorf("metrics rows differ from the serial run beyond the engine-shape gauges")
+			}
+		} else if mm != sm {
+			t.Errorf("metrics bytes differ from the serial run")
+		}
+	}
+	so, st, sm := run(t, 1, 0, false)
 	if st == "" {
 		t.Error("trace is empty — experiment emitted no events through the trial scope")
 	}
 	for _, m := range gateModes {
 		t.Run(m.name, func(t *testing.T) {
-			mo, mt, mm := run(t, m.procs, m.shards)
-			if mo != so {
-				t.Errorf("stdout differs from the serial run under tracing")
-			}
-			if mt != st {
-				t.Errorf("trace bytes differ from the serial run")
-			}
-			if m.shards > 1 {
-				if stripShapeGauges(mm) != stripShapeGauges(sm) {
-					t.Errorf("metrics rows differ from the serial run beyond the engine-shape gauges")
-				}
-			} else if mm != sm {
-				t.Errorf("metrics bytes differ from the serial run")
-			}
+			mo, mt, mm := run(t, m.procs, m.shards, true)
+			compare(t, m.shards, so, st, sm, mo, mt, mm)
 		})
 	}
+	t.Run("filtered", func(t *testing.T) {
+		filter := []obs.EventType{obs.EvQueueDepth, obs.EvFeedback, obs.EvCreditDrop}
+		fo, ft, fm := run(t, 1, 0, false, filter...)
+		if ft == "" || len(ft) >= len(st) {
+			t.Fatalf("filtered trace is %d bytes, unfiltered %d", len(ft), len(st))
+		}
+		// Sharded, because that is where the union is visible: every
+		// shard tracer carries it (Tracer.WithSink), the shard buffers
+		// hold the checker's types beside the trace's, and the merge
+		// feeds both through the tee in serial order.
+		mo, mt, mm := run(t, 1, 4, true, filter...)
+		compare(t, 4, fo, ft, fm, mo, mt, mm)
+	})
 }

@@ -39,9 +39,13 @@ func NewInjector(net *netem.Network) *Injector {
 	return &Injector{net: net, eng: net.Eng}
 }
 
-func (in *Injector) emit(ty obs.EventType, scope string, val, aux float64) {
+// emit announces a fault transition. p is the port the fault is aimed at
+// (a stalled host's NIC): its number rides in the event beside the
+// "<kind>:<target>" scope, so a consumer finds the port without parsing
+// the target back out of the name.
+func (in *Injector) emit(ty obs.EventType, p *netem.Port, scope string, val, aux float64) {
 	if tr := in.net.Tracer(); tr != nil {
-		tr.Emit(obs.Event{T: in.eng.Now(), Type: ty, Scope: scope, Val: val, Aux: aux})
+		tr.Emit(obs.Event{T: in.eng.Now(), Type: ty, Port: p.Number(), Scope: scope, Val: val, Aux: aux})
 	}
 }
 
@@ -56,14 +60,14 @@ func (in *Injector) FlapLink(p *netem.Port, at sim.Time, dur sim.Duration) {
 	scope := "flap:" + p.Name()
 	ms := float64(dur) / float64(sim.Millisecond)
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, ms, 0)
+		in.emit(obs.EvFaultStart, p, scope, ms, 0)
 		in.net.SetLinkDown(p, true)
 		in.net.BuildRoutes()
 	})
 	in.eng.At(at+dur, func() {
 		in.net.SetLinkDown(p, false)
 		in.net.BuildRoutes()
-		in.emit(obs.EvFaultEnd, scope, ms, 0)
+		in.emit(obs.EvFaultEnd, p, scope, ms, 0)
 	})
 }
 
@@ -76,12 +80,12 @@ func (in *Injector) FlapLink(p *netem.Port, at sim.Time, dur sim.Duration) {
 func (in *Injector) Loss(p *netem.Port, creditRate, dataRate float64, at sim.Time, dur sim.Duration) {
 	scope := "loss:" + p.Name()
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, creditRate, dataRate)
+		in.emit(obs.EvFaultStart, p, scope, creditRate, dataRate)
 		p.SetFaultLoss(creditRate, dataRate, in.eng.Rand().Fork())
 	})
 	in.eng.At(at+dur, func() {
 		p.SetFaultLoss(0, 0, nil)
-		in.emit(obs.EvFaultEnd, scope, creditRate, dataRate)
+		in.emit(obs.EvFaultEnd, p, scope, creditRate, dataRate)
 	})
 }
 
@@ -96,7 +100,7 @@ func (in *Injector) Loss(p *netem.Port, creditRate, dataRate float64, at sim.Tim
 func (in *Injector) GEModelLoss(p *netem.Port, class string, gp, r, h, k float64, at sim.Time, dur sim.Duration) {
 	scope := "gemodel:" + p.Name()
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, gp, r)
+		in.emit(obs.EvFaultStart, p, scope, gp, r)
 		var credit, data netem.LossModel
 		if class != "data" {
 			credit = NewGEModel(gp, r, h, k, in.eng.Rand().Fork())
@@ -108,7 +112,7 @@ func (in *Injector) GEModelLoss(p *netem.Port, class string, gp, r, h, k float64
 	})
 	in.eng.At(at+dur, func() {
 		p.SetLossModel(nil, nil)
-		in.emit(obs.EvFaultEnd, scope, gp, r)
+		in.emit(obs.EvFaultEnd, p, scope, gp, r)
 	})
 }
 
@@ -118,7 +122,7 @@ func (in *Injector) GEModelLoss(p *netem.Port, class string, gp, r, h, k float64
 func (in *Injector) StateLoss(p *netem.Port, class string, p13, p31, p23, p32, p14 float64, at sim.Time, dur sim.Duration) {
 	scope := "state:" + p.Name()
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, p13, p31)
+		in.emit(obs.EvFaultStart, p, scope, p13, p31)
 		var credit, data netem.LossModel
 		if class != "data" {
 			credit = NewFourState(p13, p31, p23, p32, p14, in.eng.Rand().Fork())
@@ -130,7 +134,7 @@ func (in *Injector) StateLoss(p *netem.Port, class string, p13, p31, p23, p32, p
 	})
 	in.eng.At(at+dur, func() {
 		p.SetLossModel(nil, nil)
-		in.emit(obs.EvFaultEnd, scope, p13, p31)
+		in.emit(obs.EvFaultEnd, p, scope, p13, p31)
 	})
 }
 
@@ -141,7 +145,7 @@ func (in *Injector) StateLoss(p *netem.Port, class string, p13, p31, p23, p32, p
 func (in *Injector) CorrelatedLoss(p *netem.Port, class string, rate, corr float64, at sim.Time, dur sim.Duration) {
 	scope := "corrloss:" + p.Name()
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, rate, corr)
+		in.emit(obs.EvFaultStart, p, scope, rate, corr)
 		var credit, data netem.LossModel
 		if class != "data" {
 			credit = NewCorrelatedBernoulli(rate, corr, in.eng.Rand().Fork())
@@ -153,7 +157,7 @@ func (in *Injector) CorrelatedLoss(p *netem.Port, class string, rate, corr float
 	})
 	in.eng.At(at+dur, func() {
 		p.SetLossModel(nil, nil)
-		in.emit(obs.EvFaultEnd, scope, rate, corr)
+		in.emit(obs.EvFaultEnd, p, scope, rate, corr)
 	})
 }
 
@@ -174,12 +178,12 @@ func (in *Injector) Duplicate(p *netem.Port, class string, rate float64, at sim.
 		dr = rate
 	}
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, cr, dr)
+		in.emit(obs.EvFaultStart, p, scope, cr, dr)
 		p.SetDuplication(cr, dr, in.eng.Rand().Fork())
 	})
 	in.eng.At(at+dur, func() {
 		p.SetDuplication(0, 0, nil)
-		in.emit(obs.EvFaultEnd, scope, cr, dr)
+		in.emit(obs.EvFaultEnd, p, scope, cr, dr)
 	})
 }
 
@@ -199,12 +203,12 @@ func (in *Injector) Corrupt(p *netem.Port, class string, rate float64, at sim.Ti
 		dr = rate
 	}
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, cr, dr)
+		in.emit(obs.EvFaultStart, p, scope, cr, dr)
 		p.SetCorruption(cr, dr, in.eng.Rand().Fork())
 	})
 	in.eng.At(at+dur, func() {
 		p.SetCorruption(0, 0, nil)
-		in.emit(obs.EvFaultEnd, scope, cr, dr)
+		in.emit(obs.EvFaultEnd, p, scope, cr, dr)
 	})
 }
 
@@ -218,12 +222,12 @@ func (in *Injector) Reorder(p *netem.Port, rate float64, maxExtra sim.Duration, 
 	scope := "reorder:" + p.Name()
 	ms := float64(maxExtra) / float64(sim.Millisecond)
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, rate, ms)
+		in.emit(obs.EvFaultStart, p, scope, rate, ms)
 		p.SetReorder(rate, maxExtra, in.eng.Rand().Fork())
 	})
 	in.eng.At(at+dur, func() {
 		p.SetReorder(0, 0, nil)
-		in.emit(obs.EvFaultEnd, scope, rate, ms)
+		in.emit(obs.EvFaultEnd, p, scope, rate, ms)
 	})
 }
 
@@ -234,12 +238,12 @@ func (in *Injector) DelayJitter(p *netem.Port, dist string, mean sim.Duration, a
 	scope := "jitter-delay:" + p.Name()
 	ms := float64(mean) / float64(sim.Millisecond)
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, ms, 0)
+		in.emit(obs.EvFaultStart, p, scope, ms, 0)
 		p.SetDelayJitter(DelaySampler(dist, mean, in.eng.Rand().Fork()))
 	})
 	in.eng.At(at+dur, func() {
 		p.SetDelayJitter(nil)
-		in.emit(obs.EvFaultEnd, scope, ms, 0)
+		in.emit(obs.EvFaultEnd, p, scope, ms, 0)
 	})
 }
 
@@ -249,12 +253,12 @@ func (in *Injector) DelayJitter(p *netem.Port, dist string, mean sim.Duration, a
 func (in *Injector) RateJitter(p *netem.Port, dist string, mean float64, at sim.Time, dur sim.Duration) {
 	scope := "jitter-rate:" + p.Name()
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, mean, 0)
+		in.emit(obs.EvFaultStart, p, scope, mean, 0)
 		p.SetRateJitter(RateSampler(dist, mean, in.eng.Rand().Fork()))
 	})
 	in.eng.At(at+dur, func() {
 		p.SetRateJitter(nil)
-		in.emit(obs.EvFaultEnd, scope, mean, 0)
+		in.emit(obs.EvFaultEnd, p, scope, mean, 0)
 	})
 }
 
@@ -267,10 +271,10 @@ func (in *Injector) StallHost(h *netem.Host, at sim.Time, dur sim.Duration) {
 	scope := "stall:" + h.Name()
 	ms := float64(dur) / float64(sim.Millisecond)
 	in.eng.At(at, func() {
-		in.emit(obs.EvFaultStart, scope, ms, 0)
+		in.emit(obs.EvFaultStart, h.NIC(), scope, ms, 0)
 		h.StallCreditsUntil(in.eng.Now() + dur)
 	})
 	in.eng.At(at+dur, func() {
-		in.emit(obs.EvFaultEnd, scope, ms, 0)
+		in.emit(obs.EvFaultEnd, h.NIC(), scope, ms, 0)
 	})
 }

@@ -23,15 +23,22 @@ type Checker struct {
 	opt   Options
 	net   *netem.Network
 	prior *obs.Tracer // the tracer displaced by Attach; nil if none
+	self  *obs.Tracer // the tracer Attach installed; Finish looks for it
 
-	flows map[int64]*flowState
-	ports map[string]*portState
+	// flows[id] is flow id's credit ledger and ports[n] the tracker of
+	// the port whose Number is n (obs.Event.Port): flow IDs are dense and
+	// recycled (Network.NextFlowID) and port numbers are positions in
+	// Network.AllPorts, so both are plain tables. ports fills in lazily —
+	// Attach runs before the topology exists — and entry 0 stays nil.
+	flows []flowState
+	ports []*portState
 	// voided: a host-stall fault ran or routes were rebuilt mid-run;
 	// either breaks the stable-routing/bounded-Δd_host premises the §3.1
 	// positional (queue/delay) bounds are derived from, so Finish
 	// discards them. Conservation and token-bucket checks stay armed.
 	voided bool
 	done   bool
+	stats  Stats
 
 	// flight retains the last-N events when Options.FlightOut is set;
 	// flightDumped latches after the first violation's dump.
@@ -40,9 +47,35 @@ type Checker struct {
 }
 
 // flowState is the credit-conservation ledger of one ExpressPass flow:
-// credit sequences received by the sender and not yet spent on data.
+// credit sequences received by the sender and not yet spent on data, as
+// an unordered set. A sender answers a credit within its processing
+// delay, so the set holds a handful of entries (a host stall parks a few
+// hundred for its duration) and a scan beats hashing each credit in and
+// out of a map. The zero value is an empty ledger.
 type flowState struct {
-	outstanding map[int64]struct{}
+	outstanding []int64
+}
+
+// find returns the position of seq in the set, or -1.
+func (fs *flowState) find(seq int64) int {
+	for i, s := range fs.outstanding {
+		if s == seq {
+			return i
+		}
+	}
+	return -1
+}
+
+// spend removes seq from the set and reports whether it was there.
+func (fs *flowState) spend(seq int64) bool {
+	i := fs.find(seq)
+	if i < 0 {
+		return false
+	}
+	last := len(fs.outstanding) - 1
+	fs.outstanding[i] = fs.outstanding[last]
+	fs.outstanding = fs.outstanding[:last]
+	return true
 }
 
 // portState is the per-port shadow meter and queue/delay tracker.
@@ -84,22 +117,55 @@ const pendingCap = 8
 // and the port's bucket (they refill at different instants).
 const shadowEps = 0.01 // bytes
 
+// subscription lists the event types the checker reads: one entry per
+// case of check's switch, which sits right below Record. Attach builds
+// the spliced tracer's filter from it, so emission sites skip building
+// what no case would look at. The two are kept from drifting by
+// TestSubscriptionIsExactlyWhatIsChecked, not by construction — a table
+// of handler func values would be, but a pointer handed to an indirect
+// call escapes, so dispatching through one costs either a heap
+// allocation per event or a second 80-byte copy of it (measured at 3.4%
+// of an armed fig17 run), and that copy is what this design removes.
+var subscription = [...]obs.EventType{
+	obs.EvCreditRecv,
+	obs.EvDataSend,
+	obs.EvCreditWaste,
+	obs.EvCreditTx,
+	obs.EvDataEnq,
+	obs.EvDataDeq,
+	obs.EvDataDrop,
+	obs.EvFaultDrop,
+	obs.EvFaultStart,
+	obs.EvRouteBuild,
+	obs.EvFlowRetire,
+}
+
 // Attach splices a Checker into net's trace path and returns it. Call
 // it before traffic flows (ideally right after the network is built —
 // Arm does it from the network-creation hook) and after any SetTracer
 // the caller performs, or the checker will be displaced.
+//
+// The spliced tracer passes the subscription, plus whatever the
+// displaced tracer passes (it filters again on its own, so it records
+// exactly what it did unarmed), plus everything when a flight recorder
+// is armed — the ring exists to show the lead-up, queue depths included.
 func Attach(net *netem.Network, opt Options) *Checker {
 	c := &Checker{
 		opt:   opt.withDefaults(),
 		net:   net,
 		prior: net.Tracer(),
-		flows: make(map[int64]*flowState),
-		ports: make(map[string]*portState),
 	}
 	if c.opt.FlightOut != nil {
 		c.flight = obs.NewFlightRecorder(c.opt.FlightEvents, nil)
 	}
-	net.SetTracer(obs.NewTracer(c))
+	types := append([]obs.EventType(nil), subscription[:]...)
+	for ty := obs.EventType(0); ty < obs.NumEventTypes; ty++ {
+		if c.flight != nil || (c.prior != nil && c.prior.Enabled(ty)) {
+			types = append(types, ty)
+		}
+	}
+	c.self = obs.NewTracer(c, types...)
+	net.SetTracer(c.self)
 	return c
 }
 
@@ -131,39 +197,58 @@ func (c *Checker) Record(ev obs.Event) {
 		if c.flight != nil {
 			c.flight.Record(ev)
 		}
-		switch ev.Type {
-		case obs.EvCreditRecv:
-			c.onCreditRecv(ev)
-		case obs.EvDataSend:
-			c.onDataSend(ev)
-		case obs.EvCreditWaste:
-			c.onCreditWaste(ev)
-		case obs.EvCreditTx:
-			c.onCreditTx(ev)
-		case obs.EvDataEnq:
-			c.onDataEnq(ev)
-		case obs.EvDataDeq:
-			c.onDataDeq(ev)
-		case obs.EvDataDrop:
-			c.onDataDrop(ev)
-		case obs.EvFaultDrop:
-			c.onFaultDrop(ev)
-		case obs.EvFaultStart:
-			c.onFaultStart(ev)
-		case obs.EvRouteBuild:
-			c.voided = true
-		case obs.EvFlowRetire:
-			// The network returned this flow ID to its free pool; a
-			// later dial may reuse it. Drop the retired flow's credit
-			// ledger so the successor starts clean — otherwise a reused
-			// (id, seq) pair would false-trip the dup-delivery check.
-			delete(c.flows, ev.Flow)
+		if c.check(&ev) {
+			c.stats.Events++
 		}
 	}
 	if c.prior != nil {
 		c.prior.Emit(ev)
 	}
 }
+
+// check runs the check behind ev's type and reports whether there is
+// one. Its cases are the subscription. The calls are static so that ev —
+// a pointer to Record's own parameter — stays on the stack.
+func (c *Checker) check(ev *obs.Event) bool {
+	switch ev.Type {
+	case obs.EvCreditRecv:
+		c.onCreditRecv(ev)
+	case obs.EvDataSend:
+		c.onDataSend(ev)
+	case obs.EvCreditWaste:
+		c.onCreditWaste(ev)
+	case obs.EvCreditTx:
+		c.onCreditTx(ev)
+	case obs.EvDataEnq:
+		c.onDataEnq(ev)
+	case obs.EvDataDeq:
+		c.onDataDeq(ev)
+	case obs.EvDataDrop:
+		c.onDataDrop(ev)
+	case obs.EvFaultDrop:
+		c.onFaultDrop(ev)
+	case obs.EvFaultStart:
+		c.onFaultStart(ev)
+	case obs.EvRouteBuild:
+		// Credits granted under the old routing release data onto paths
+		// whose limiters never admitted them: see onFaultStart.
+		c.voided = true
+	case obs.EvFlowRetire:
+		// The network returned this flow ID to its free pool; a later
+		// dial may reuse it. Drop the retired flow's credit ledger so the
+		// successor starts clean — otherwise a reused (id, seq) pair
+		// would false-trip the dup-delivery check.
+		fs := c.ledger(ev.Flow)
+		fs.outstanding = fs.outstanding[:0]
+	default:
+		return false
+	}
+	return true
+}
+
+// Stats returns what the checker has looked at so far; the port,
+// voided and displaced figures are filled in by Finish.
+func (c *Checker) Stats() Stats { return c.stats }
 
 // Close implements obs.Sink by finishing the checker. The displaced
 // tracer is NOT closed — its owner (the obs runtime or the test that
@@ -175,15 +260,32 @@ func (c *Checker) Close() error {
 
 // Finish flushes the positional (queue/delay) findings of every port
 // that never proved exempt, reports them, releases the checker's hold
-// on the network, and returns the flushed violations. Idempotent; the
-// checker keeps forwarding events afterwards but checks nothing more.
+// on the network, and returns the flushed violations — in port order
+// (Network.AllPorts), each port's suppression summary right after its
+// findings, so the same run always lists them the same way. Idempotent;
+// the checker keeps forwarding events afterwards but checks nothing
+// more.
 func (c *Checker) Finish() []Violation {
 	if c.done {
 		return nil
 	}
 	c.done = true
+	c.stats.Networks = 1
+	if c.voided {
+		c.stats.Voided = 1
+	}
+	if c.net.Tracer() != c.self {
+		c.stats.Displaced = 1
+	}
 	var out []Violation
 	for _, ps := range c.ports {
+		if ps == nil {
+			continue
+		}
+		c.stats.Ports++
+		if ps.exempt {
+			c.stats.Exempt++
+		}
 		if ps.exempt || c.voided {
 			continue
 		}
@@ -202,41 +304,40 @@ func (c *Checker) Finish() []Violation {
 
 // ---- credit conservation ----
 
-func (c *Checker) flowState(id int64) *flowState {
-	fs := c.flows[id]
-	if fs == nil {
-		fs = &flowState{outstanding: make(map[int64]struct{})}
-		c.flows[id] = fs
+// ledger returns flow id's credit ledger, growing the table to reach it
+// (geometrically, as netem.Host.Register grows its demux table over the
+// same IDs).
+func (c *Checker) ledger(id int64) *flowState {
+	if id >= int64(len(c.flows)) {
+		c.flows = append(c.flows, make([]flowState, id+1-int64(len(c.flows)))...)
 	}
-	return fs
+	return &c.flows[id]
 }
 
-func (c *Checker) onCreditRecv(ev obs.Event) {
+func (c *Checker) onCreditRecv(ev *obs.Event) {
 	if c.opt.NoCreditConservation {
 		return
 	}
-	fs := c.flowState(ev.Flow)
-	if _, dup := fs.outstanding[ev.Seq]; dup {
+	fs := c.ledger(ev.Flow)
+	if fs.find(ev.Seq) >= 0 {
 		c.report(Violation{Time: ev.T, Invariant: "credit-conservation",
 			Scope: ev.Scope, Flow: ev.Flow,
 			Detail: fmt.Sprintf("credit %d delivered twice", ev.Seq)})
 		return
 	}
-	fs.outstanding[ev.Seq] = struct{}{}
+	fs.outstanding = append(fs.outstanding, ev.Seq)
 }
 
-func (c *Checker) onDataSend(ev obs.Event) {
+func (c *Checker) onDataSend(ev *obs.Event) {
 	if c.opt.NoCreditConservation {
 		return
 	}
-	fs := c.flowState(ev.Flow)
-	if _, ok := fs.outstanding[ev.Seq]; !ok {
+	if !c.ledger(ev.Flow).spend(ev.Seq) {
 		c.report(Violation{Time: ev.T, Invariant: "credit-conservation",
 			Scope: ev.Scope, Flow: ev.Flow,
 			Detail: fmt.Sprintf("data packet spends credit %d which is not outstanding (uncredited send or double-spend)", ev.Seq)})
 		return
 	}
-	delete(fs.outstanding, ev.Seq)
 	if ev.Bytes > unit.MTUPayload {
 		c.report(Violation{Time: ev.T, Invariant: "credit-conservation",
 			Scope: ev.Scope, Flow: ev.Flow,
@@ -244,58 +345,61 @@ func (c *Checker) onDataSend(ev obs.Event) {
 	}
 }
 
-func (c *Checker) onCreditWaste(ev obs.Event) {
+func (c *Checker) onCreditWaste(ev *obs.Event) {
 	if c.opt.NoCreditConservation {
 		return
 	}
 	// A wasted credit was received but authorizes no data: retire it so
 	// it can never be spent later.
-	delete(c.flowState(ev.Flow).outstanding, ev.Seq)
+	c.ledger(ev.Flow).spend(ev.Seq)
 }
 
 // Outstanding returns the number of credits received but not yet spent
 // by flow — in-flight authorizations. Test helper.
 func (c *Checker) Outstanding(flow int64) int {
-	if c.flows == nil {
+	if flow < 0 || flow >= int64(len(c.flows)) {
 		return 0
 	}
-	if fs := c.flows[flow]; fs != nil {
-		return len(fs.outstanding)
-	}
-	return 0
+	return len(c.flows[flow].outstanding)
 }
 
 // ---- per-port state ----
 
-// portState resolves (lazily creating) the tracker for the port named
-// scope, or nil if no such port exists in this network.
-func (c *Checker) portState(scope string) *portState {
-	if ps, ok := c.ports[scope]; ok {
-		return ps
-	}
-	var port *netem.Port
-	for _, p := range c.net.AllPorts() {
-		if p.Name() == scope {
-			port = p
-			break
+// port returns the tracker of port number n (obs.Event.Port), creating
+// it the first time the port is heard from, or nil when n names no port
+// of this network (0: the event did not come from one).
+func (c *Checker) port(n int32) *portState {
+	if uint(n) < uint(len(c.ports)) {
+		if ps := c.ports[n]; ps != nil {
+			return ps
 		}
 	}
-	if port == nil {
+	return c.trackPort(n)
+}
+
+// trackPort is port's miss path: it builds the tracker from the port's
+// configuration.
+func (c *Checker) trackPort(n int32) *portState {
+	all := c.net.AllPorts()
+	if n <= 0 || int(n) > len(all) {
 		return nil
 	}
+	if len(c.ports) <= len(all) {
+		c.ports = append(c.ports, make([]*portState, len(all)+1-len(c.ports))...)
+	}
+	port := all[n-1]
 	cfg := port.Config()
 	ps := &portState{
-		name:    scope,
+		name:    port.Name(),
 		metered: cfg.CreditQueueCap > 0 || len(cfg.CreditClasses) > 0,
-		rate:    cfg.Rate,
+		rate:    cfg.Rate.Scale(cfg.CreditRatio),
 		tol:     float64(c.opt.BurstTolerance),
 		noDelay: cfg.PFC != nil,
 	}
 	ps.tokens = ps.tol
-	ps.rate = cfg.Rate.Scale(cfg.CreditRatio)
 	ps.bound = float64(c.queueBound(cfg))
 	ps.delayCap = c.delayCap(cfg)
-	c.ports[scope] = ps
+	c.ports[n] = ps
 	return ps
 }
 
@@ -360,11 +464,11 @@ func (ps *portState) hold(v Violation) {
 
 // ---- token-bucket conformance ----
 
-func (c *Checker) onCreditTx(ev obs.Event) {
+func (c *Checker) onCreditTx(ev *obs.Event) {
 	if c.opt.NoTokenBucket {
 		return
 	}
-	ps := c.portState(ev.Scope)
+	ps := c.port(ev.Port)
 	if ps == nil || !ps.metered {
 		return
 	}
@@ -390,11 +494,11 @@ func (c *Checker) onCreditTx(ev obs.Event) {
 
 // ---- queue / delay bound ----
 
-func (c *Checker) onDataEnq(ev obs.Event) {
+func (c *Checker) onDataEnq(ev *obs.Event) {
 	if c.opt.NoQueueBound && c.opt.NoDelayBound {
 		return
 	}
-	ps := c.portState(ev.Scope)
+	ps := c.port(ev.Port)
 	if ps == nil || ps.exempt {
 		return
 	}
@@ -417,8 +521,8 @@ func (c *Checker) onDataEnq(ev obs.Event) {
 	}
 }
 
-func (c *Checker) onDataDeq(ev obs.Event) {
-	ps := c.portState(ev.Scope)
+func (c *Checker) onDataDeq(ev *obs.Event) {
+	ps := c.port(ev.Port)
 	if ps == nil || ps.exempt || c.opt.NoDelayBound {
 		return
 	}
@@ -442,11 +546,11 @@ func (c *Checker) onDataDeq(ev obs.Event) {
 	}
 }
 
-func (c *Checker) onDataDrop(ev obs.Event) {
+func (c *Checker) onDataDrop(ev *obs.Event) {
 	if c.opt.NoQueueBound {
 		return
 	}
-	ps := c.portState(ev.Scope)
+	ps := c.port(ev.Port)
 	if ps == nil || ps.exempt {
 		return
 	}
@@ -461,8 +565,8 @@ func (c *Checker) onDataDrop(ev obs.Event) {
 
 // onFaultDrop clears a port's delay FIFO: a hard link-down flushes the
 // queue without Deq events, so enqueue timestamps no longer pair.
-func (c *Checker) onFaultDrop(ev obs.Event) {
-	if ps, ok := c.ports[ev.Scope]; ok {
+func (c *Checker) onFaultDrop(ev *obs.Event) {
+	if ps := c.port(ev.Port); ps != nil {
 		ps.fifo, ps.fifoHead = nil, 0
 	}
 }
@@ -502,23 +606,15 @@ func faultKind(scope string) string {
 // (gemodel/state/corrloss), and corruption — only remove packets, which
 // can never grow a queue past its healthy-run bound, so every check
 // stays armed through them.
-func (c *Checker) onFaultStart(ev obs.Event) {
+func (c *Checker) onFaultStart(ev *obs.Event) {
 	switch faultKind(ev.Scope) {
 	case "dup", "reorder", "jitter-delay", "jitter-rate":
 		c.voided = true
 	case "stall":
 		c.voided = true
-		if len(ev.Scope) <= len("stall:") {
-			return
-		}
-		name := ev.Scope[len("stall:"):]
-		for _, h := range c.net.Hosts() {
-			if h.Name() == name {
-				if ps := c.portState(h.NIC().Name()); ps != nil {
-					ps.exemptNow()
-				}
-				return
-			}
+		// The event carries the stalled host's NIC as its port.
+		if ps := c.port(ev.Port); ps != nil {
+			ps.exemptNow()
 		}
 	}
 }
@@ -526,9 +622,10 @@ func (c *Checker) onFaultStart(ev obs.Event) {
 // ---- process-wide arming ----
 
 var (
-	armMu  sync.Mutex
-	armed  []*Checker
-	arming bool
+	armMu      sync.Mutex
+	armed      []*Checker
+	arming     bool
+	armedStats Stats // summed over every checker FinishArmed finished since Reset
 )
 
 // Arm installs a network-creation hook so every subsequently built
@@ -567,8 +664,21 @@ func FinishArmed() []Violation {
 	armed = nil
 	armMu.Unlock()
 	var out []Violation
+	var sum Stats
 	for _, c := range cs {
 		out = append(out, c.Finish()...)
+		sum.add(c.stats)
 	}
+	armMu.Lock()
+	armedStats.add(sum)
+	armMu.Unlock()
 	return out
+}
+
+// ArmedStats returns what the checkers finished by FinishArmed since the
+// last Reset looked at, summed.
+func ArmedStats() Stats {
+	armMu.Lock()
+	defer armMu.Unlock()
+	return armedStats
 }

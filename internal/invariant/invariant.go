@@ -29,6 +29,19 @@
 // pays. Arm installs a netem network hook so every subsequently created
 // network is checked, which is how the experiment determinism gate and
 // the xpsim -invariants flag arm the whole process.
+//
+// Armed, the tee costs what the checker uses of it. The spliced tracer
+// is filtered to the eleven event types the checks read (subscription,
+// in checker.go) — widened by the displaced tracer's own filter, or to
+// everything when a flight recorder is armed — so emission sites build
+// nothing else; per-port state is found by the port number every port
+// event carries (obs.Event.Port, netem.Port.Number) and the credit
+// ledger by flow ID, both in plain slices: no name is hashed or compared
+// per event. There is deliberately no second, direct path from a port to
+// the checker: the tee is what -trace, -flight, the per-trial buffers
+// and the per-shard merge hang off, and it delivers events to the
+// checker on one goroutine in serial order whichever mode the run is in.
+// Stats counts what a verdict rests on.
 package invariant
 
 import (
@@ -162,11 +175,44 @@ func Count() uint64 {
 	return regCount
 }
 
-// Reset clears the process-wide registry.
+// Reset clears the process-wide registry and the armed-checker totals.
 func Reset() {
 	regMu.Lock()
 	regViols, regCount = nil, 0
 	regMu.Unlock()
+	armMu.Lock()
+	armedStats = Stats{}
+	armMu.Unlock()
+}
+
+// Stats says what a verdict rests on: how much one finished checker —
+// or, from ArmedStats, every checker FinishArmed has finished — actually
+// looked at. "No violations" from a run that checked nothing, exempted
+// every port, voided its positional findings or lost its place on the
+// trace path is a weaker statement than the same words from a run that
+// did none of those, and only these numbers tell the two apart.
+type Stats struct {
+	Events    uint64 // events that reached a check
+	Ports     int    // ports a tracker was built for
+	Exempt    int    // of those, proven to carry uncredited traffic: queue/delay checks off
+	Networks  int    // checkers finished
+	Voided    int    // of those, positional findings discarded (voiding fault or mid-run route rebuild)
+	Displaced int    // of those, no longer the network's tracer at Finish: a later SetTracer (or Attach) took their place
+}
+
+func (s *Stats) add(o Stats) {
+	s.Events += o.Events
+	s.Ports += o.Ports
+	s.Exempt += o.Exempt
+	s.Networks += o.Networks
+	s.Voided += o.Voided
+	s.Displaced += o.Displaced
+}
+
+// String renders the one-line summary xpsim prints above its verdict.
+func (s Stats) String() string {
+	return fmt.Sprintf("%d events checked on %d ports (%d exempt) in %d networks (%d voided)",
+		s.Events, s.Ports, s.Exempt, s.Networks, s.Voided)
 }
 
 // CheckDrained validates packet/pool conservation after a simulation has

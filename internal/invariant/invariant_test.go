@@ -131,6 +131,19 @@ func tinyNet(t *testing.T) (*netem.Network, string) {
 	return net, "sw->h0"
 }
 
+// onPort stamps a hand-built event the way a port's emission sites stamp
+// a real one: Scope is the port's name and Port its number. Every test
+// that injects port events builds them here.
+func onPort(net *netem.Network, name string, ev obs.Event) obs.Event {
+	for _, p := range net.AllPorts() {
+		if p.Name() == name {
+			ev.Scope, ev.Port = name, p.Number()
+			return ev
+		}
+	}
+	panic("no port " + name)
+}
+
 func TestCreditConservationDetectsUncreditedSend(t *testing.T) {
 	net, _ := tinyNet(t)
 	vs, opt := collect()
@@ -195,8 +208,8 @@ func TestQueueBoundPositional(t *testing.T) {
 	c := Attach(net, opt)
 	tr := net.Tracer()
 	// Credited enqueue far over the derived bound: held until Finish.
-	tr.Emit(obs.Event{Type: obs.EvDataEnq, Scope: port, Flow: 1, Bytes: 1538,
-		Val: 300000, Aux: 7, Aux2: float64(packet.Data)})
+	tr.Emit(onPort(net, port, obs.Event{Type: obs.EvDataEnq, Flow: 1, Bytes: 1538,
+		Val: 300000, Aux: 7, Aux2: float64(packet.Data)}))
 	if len(*vs) != 0 {
 		t.Fatalf("positional finding reported before Finish: %v", *vs)
 	}
@@ -213,10 +226,10 @@ func TestQueueBoundPositional(t *testing.T) {
 	vs2, opt2 := collect()
 	c2 := Attach(net2, opt2)
 	tr2 := net2.Tracer()
-	tr2.Emit(obs.Event{Type: obs.EvDataEnq, Scope: port2, Flow: 1, Bytes: 1538,
-		Val: 300000, Aux: 7, Aux2: float64(packet.Data)})
-	tr2.Emit(obs.Event{Type: obs.EvDataEnq, Scope: port2, Flow: 2, Bytes: 1538,
-		Val: 301538, Aux: 0, Aux2: float64(packet.Data)})
+	tr2.Emit(onPort(net2, port2, obs.Event{Type: obs.EvDataEnq, Flow: 1, Bytes: 1538,
+		Val: 300000, Aux: 7, Aux2: float64(packet.Data)}))
+	tr2.Emit(onPort(net2, port2, obs.Event{Type: obs.EvDataEnq, Flow: 2, Bytes: 1538,
+		Val: 301538, Aux: 0, Aux2: float64(packet.Data)}))
 	if got := c2.Finish(); len(got) != 0 || len(*vs2) != 0 {
 		t.Fatalf("exempt (baseline-transport) port still flagged: %v %v", got, *vs2)
 	}
@@ -232,8 +245,8 @@ func TestRouteRebuildVoidsPositional(t *testing.T) {
 	vs, opt := collect()
 	c := Attach(net, opt)
 	tr := net.Tracer()
-	tr.Emit(obs.Event{Type: obs.EvDataEnq, Scope: port, Flow: 1, Bytes: 1538,
-		Val: 300000, Aux: 7, Aux2: float64(packet.Data)})
+	tr.Emit(onPort(net, port, obs.Event{Type: obs.EvDataEnq, Flow: 1, Bytes: 1538,
+		Val: 300000, Aux: 7, Aux2: float64(packet.Data)}))
 	tr.Emit(obs.Event{T: sim.Millisecond, Type: obs.EvRouteBuild, Scope: "net"})
 	// Conservation still fires after the rebuild.
 	tr.Emit(obs.Event{T: sim.Millisecond, Type: obs.EvDataSend, Scope: "h0", Flow: 1, Seq: 99, Bytes: 1460})
@@ -287,12 +300,12 @@ func TestDelayBoundPairsFIFO(t *testing.T) {
 	c := Attach(net, opt)
 	tr := net.Tracer()
 	enq := func(at sim.Time, flow int64) {
-		tr.Emit(obs.Event{T: at, Type: obs.EvDataEnq, Scope: port, Flow: flow,
-			Bytes: 1538, Val: 1538, Aux: 3, Aux2: float64(packet.Data)})
+		tr.Emit(onPort(net, port, obs.Event{T: at, Type: obs.EvDataEnq, Flow: flow,
+			Bytes: 1538, Val: 1538, Aux: 3, Aux2: float64(packet.Data)}))
 	}
 	deq := func(at sim.Time, flow int64) {
-		tr.Emit(obs.Event{T: at, Type: obs.EvDataDeq, Scope: port, Flow: flow,
-			Bytes: 1538, Val: 0})
+		tr.Emit(onPort(net, port, obs.Event{T: at, Type: obs.EvDataDeq, Flow: flow,
+			Bytes: 1538, Val: 0}))
 	}
 	// Fast turnaround: fine.
 	enq(0, 1)
@@ -311,9 +324,9 @@ func TestDataDropOnCreditedPortFlagged(t *testing.T) {
 	_, opt := collect()
 	c := Attach(net, opt)
 	tr := net.Tracer()
-	tr.Emit(obs.Event{Type: obs.EvDataEnq, Scope: port, Flow: 1, Bytes: 1538,
-		Val: 1538, Aux: 3, Aux2: float64(packet.Data)})
-	tr.Emit(obs.Event{Type: obs.EvDataDrop, Scope: port, Flow: 1, Bytes: 1538, Val: 384500})
+	tr.Emit(onPort(net, port, obs.Event{Type: obs.EvDataEnq, Flow: 1, Bytes: 1538,
+		Val: 1538, Aux: 3, Aux2: float64(packet.Data)}))
+	tr.Emit(onPort(net, port, obs.Event{Type: obs.EvDataDrop, Flow: 1, Bytes: 1538, Val: 384500}))
 	got := c.Finish()
 	if len(got) == 0 {
 		t.Fatal("drop-tail loss on a credited port not flagged")
@@ -322,13 +335,21 @@ func TestDataDropOnCreditedPortFlagged(t *testing.T) {
 
 // TestCheckerForwardsToPriorTracer pins the tee contract: with a tracer
 // already installed, attaching a checker must not change what that
-// tracer records.
+// tracer records — whether it records everything or is filtered to a
+// type the checker itself never reads (xpsim -trace-types qdepth): the
+// spliced tracer then passes the union of both filters and the displaced
+// one filters again on its own.
 func TestCheckerForwardsToPriorTracer(t *testing.T) {
+	t.Run("all", func(t *testing.T) { checkerForwardsToPriorTracer(t) })
+	t.Run("qdepth", func(t *testing.T) { checkerForwardsToPriorTracer(t, obs.EvQueueDepth) })
+}
+
+func checkerForwardsToPriorTracer(t *testing.T, types ...obs.EventType) {
 	mk := func(check bool) []obs.Event {
 		eng := sim.New(3)
 		d := topology.NewDumbbell(eng, 2, topology.Config{})
 		ring := obs.NewRingSink(1 << 16)
-		d.Net.SetTracer(obs.NewTracer(ring))
+		d.Net.SetTracer(obs.NewTracer(ring, types...))
 		if check {
 			_, opt := collect()
 			Attach(d.Net, opt)

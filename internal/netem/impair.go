@@ -202,7 +202,7 @@ func (p *Port) impairAdmit(im *impairment, pkt *packet.Packet, now sim.Time) (cl
 		clone.PFCIngress = 0
 		p.faultDups++
 		if tr := p.trace; tr != nil {
-			tr.Emit(obs.Event{T: now, Type: obs.EvFaultDup, Scope: p.name,
+			tr.Emit(obs.Event{T: now, Type: obs.EvFaultDup, Port: p.Number(), Scope: p.name,
 				Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire})
 		}
 	}

@@ -56,12 +56,12 @@ func (in *Port) pfcOnArrival(pkt *packet.Packet) {
 		return
 	}
 	st.ingressBytes += pkt.Wire
-	pkt.PFCIngress = int32(in.global) + 1
+	pkt.PFCIngress = in.Number()
 	if !st.pauseSent && st.ingressBytes > st.cfg.XOff {
 		st.pauseSent = true
 		st.Pauses++
 		if tr := in.trace; tr != nil {
-			tr.Emit(obs.Event{T: in.eng.Now(), Type: obs.EvPFCPause,
+			tr.Emit(obs.Event{T: in.eng.Now(), Type: obs.EvPFCPause, Port: in.Number(),
 				Scope: in.name, Val: float64(st.ingressBytes)})
 		}
 		// PAUSE frames are tiny and bypass queues; model as a control
@@ -93,7 +93,7 @@ func (p *Port) pfcOnDepart(pkt *packet.Packet) {
 	if st.pauseSent && st.ingressBytes < st.cfg.XOn {
 		st.pauseSent = false
 		if tr := in.trace; tr != nil {
-			tr.Emit(obs.Event{T: in.eng.Now(), Type: obs.EvPFCResume,
+			tr.Emit(obs.Event{T: in.eng.Now(), Type: obs.EvPFCResume, Port: in.Number(),
 				Scope: in.name, Val: float64(st.ingressBytes)})
 		}
 		in.eng.Post(in.peer.eng, in.linkDom, in.eng.Now()+in.cfg.Delay,

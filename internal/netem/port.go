@@ -247,6 +247,12 @@ func newPort(eng *sim.Engine, owner Node, cfg PortConfig, name string) *Port {
 // Name returns the port's diagnostic name ("src->dst").
 func (p *Port) Name() string { return p.name }
 
+// Number returns 1 + the port's position in Network.AllPorts: the
+// non-zero handle that names a port where a pointer or a name would be
+// too heavy — obs.Event.Port on every trace event the port emits,
+// packet.PFCIngress on a frame it buffered. Zero means "no port".
+func (p *Port) Number() int32 { return int32(p.global) + 1 }
+
 // Peer returns the port on the far side of the link.
 func (p *Port) Peer() *Port { return p.peer }
 
@@ -372,7 +378,13 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 		if !p.cfg.CreditTailDrop {
 			rng = p.rng
 		}
+		// Both events of this branch report the credit queue around the
+		// push; a tracer subscribed to neither (the invariant checker
+		// alone) skips the before-and-after reads.
 		tr := p.trace
+		if tr != nil && !tr.Enabled(obs.EvCreditDrop) && !tr.Enabled(obs.EvCreditQDepth) {
+			tr = nil
+		}
 		var dropsBefore uint64
 		var trFlow, trSeq int64
 		var trWire unit.Bytes
@@ -392,10 +404,10 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 		if tr != nil {
 			qlen := float64(p.CreditQueueLen())
 			if p.CreditDrops() > dropsBefore {
-				tr.Emit(obs.Event{T: now, Type: obs.EvCreditDrop, Scope: p.name,
+				tr.Emit(obs.Event{T: now, Type: obs.EvCreditDrop, Port: p.Number(), Scope: p.name,
 					Flow: trFlow, Seq: trSeq, Bytes: trWire, Val: qlen})
 			}
-			tr.Emit(obs.Event{T: now, Type: obs.EvCreditQDepth, Scope: p.name, Val: qlen})
+			tr.Emit(obs.Event{T: now, Type: obs.EvCreditQDepth, Port: p.Number(), Scope: p.name, Val: qlen})
 		}
 		p.kick()
 		return
@@ -415,7 +427,7 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 	}
 	if !p.data.push(now, pkt) {
 		if tr := p.trace; tr != nil {
-			tr.Emit(obs.Event{T: now, Type: obs.EvDataDrop, Scope: p.name,
+			tr.Emit(obs.Event{T: now, Type: obs.EvDataDrop, Port: p.Number(), Scope: p.name,
 				Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire,
 				Val: float64(p.data.curBytes())})
 		}
@@ -423,11 +435,13 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 		packet.Put(pkt)
 	} else if tr := p.trace; tr != nil {
 		qb := float64(p.data.curBytes())
-		tr.Emit(obs.Event{T: now, Type: obs.EvDataEnq, Scope: p.name,
+		tr.Emit(obs.Event{T: now, Type: obs.EvDataEnq, Port: p.Number(), Scope: p.name,
 			Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire, Val: qb,
 			Aux: float64(pkt.CreditSeq), Aux2: float64(pkt.Kind)})
-		tr.Emit(obs.Event{T: now, Type: obs.EvQueueDepth, Scope: p.name,
-			Val: qb, Aux: float64(p.data.len())})
+		if tr.Enabled(obs.EvQueueDepth) {
+			tr.Emit(obs.Event{T: now, Type: obs.EvQueueDepth, Port: p.Number(), Scope: p.name,
+				Val: qb, Aux: float64(p.data.len())})
+		}
 	}
 	p.kick()
 }
@@ -559,16 +573,20 @@ func (p *Port) transmit(pkt *packet.Packet) {
 	}
 	if tr := p.trace; tr != nil {
 		if pkt.Kind == packet.Credit {
-			tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvCreditTx, Scope: p.name,
+			tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvCreditTx, Port: p.Number(), Scope: p.name,
 				Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire})
-			tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvCreditQDepth,
-				Scope: p.name, Val: float64(p.CreditQueueLen())})
+			if tr.Enabled(obs.EvCreditQDepth) {
+				tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvCreditQDepth, Port: p.Number(),
+					Scope: p.name, Val: float64(p.CreditQueueLen())})
+			}
 		} else {
 			qb := float64(p.data.curBytes())
-			tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvDataDeq, Scope: p.name,
+			tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvDataDeq, Port: p.Number(), Scope: p.name,
 				Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire, Val: qb})
-			tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvQueueDepth, Scope: p.name,
-				Val: qb, Aux: float64(p.data.len())})
+			if tr.Enabled(obs.EvQueueDepth) {
+				tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvQueueDepth, Port: p.Number(), Scope: p.name,
+					Val: qb, Aux: float64(p.data.len())})
+			}
 		}
 	}
 	p.pfcOnDepart(pkt)
@@ -641,7 +659,7 @@ func (p *Port) faultDrop(pkt *packet.Packet, now sim.Time) {
 	p.faultDrops++
 	p.faultDropBytes += pkt.Wire
 	if tr := p.trace; tr != nil {
-		tr.Emit(obs.Event{T: now, Type: obs.EvFaultDrop, Scope: p.name,
+		tr.Emit(obs.Event{T: now, Type: obs.EvFaultDrop, Port: p.Number(), Scope: p.name,
 			Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire})
 	}
 	p.pfcOnDepart(pkt) // release ingress accounting if buffered here

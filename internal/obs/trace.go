@@ -122,6 +122,11 @@ const (
 	numEventTypes
 )
 
+// NumEventTypes is the number of defined event types: valid types are
+// [0, NumEventTypes). A subscriber that builds its filter from a table
+// (the invariant checker) sizes and walks the table with it.
+const NumEventTypes = numEventTypes
+
 // Tracer.mask holds one filter bit per type in a uint64; a 65th type
 // would alias bit 0, so it fails to compile here instead.
 var _ [64 - numEventTypes]struct{}
@@ -173,9 +178,19 @@ func EventTypeByName(name string) (EventType, bool) {
 // name for endpoint events). Flow/Seq/Bytes are zero when the type has
 // no use for them; Val/Aux/Aux2 carry the per-type payload documented
 // on the EventType constants.
+//
+// Port names the same source by number for in-process consumers: a
+// port's netem.Port.Number (1 + its position in Network.AllPorts) on
+// every event a port emits or a fault aims at one — for "stall:<host>"
+// the host's NIC — and 0 on everything else. The invariant checker
+// indexes its per-port state with it instead of hashing Scope. It sits
+// in the padding between Type and Scope, so the struct is still 80 bytes
+// (Trial charges unsafe.Sizeof(Event) per buffered event), and it is not
+// part of the trace schema: no encoder prints it.
 type Event struct {
 	T     sim.Time
 	Type  EventType
+	Port  int32
 	Scope string
 	Flow  int64
 	Seq   int64

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"expresspass/internal/sim"
 )
@@ -169,5 +170,15 @@ func TestEventTypeNames(t *testing.T) {
 	}
 	if _, ok := EventTypeByName("bogus"); ok {
 		t.Error("bogus name resolved")
+	}
+}
+
+// TestEventStays80Bytes pins the struct size: Port must keep living in
+// the padding after Type. Every buffered event (Trial, ShardBuf, the
+// rings) is a copy of this struct and the -progress buffer figure is
+// computed from its size.
+func TestEventStays80Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 80 {
+		t.Fatalf("obs.Event is %d bytes, want 80", n)
 	}
 }

@@ -23,6 +23,7 @@ type Config struct {
 	// Switch buffering.
 	DataCapacity   unit.Bytes // per-port data budget (default 384.5 KB)
 	CreditQueueCap int        // per-port credit budget in packets (default 8)
+	CreditBurst    unit.Bytes // credit token bucket size (default: netem's two max-size credits)
 
 	// CreditTailDrop disables random-victim credit dropping (Fig 6's
 	// jitter ablation runs on plain drop-tail queues).
@@ -64,6 +65,7 @@ func (c Config) port(rate unit.Rate) netem.PortConfig {
 		Delay:          c.LinkDelay,
 		DataCapacity:   c.DataCapacity,
 		CreditQueueCap: c.CreditQueueCap,
+		CreditBurst:    c.CreditBurst,
 		CreditTailDrop: c.CreditTailDrop,
 		ECNThreshold:   c.ECNThreshold,
 		RCP:            c.RCP,
