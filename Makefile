@@ -16,7 +16,7 @@ GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 ## behavioural test can see. The timing guard TestBurstDrainScales
 ## skips itself under -race; plain `go test ./...` runs it.
 ## Run `make bench-gate` alongside check before committing hot-path
-## changes: it fails if the steady-state allocation budget regresses.
+## changes: it holds the packet path to its packets-per-second floor.
 check: vet
 	@unformatted=$$(gofmt -l $(GOFILES)); \
 	if [ -n "$$unformatted" ]; then \
@@ -111,11 +111,16 @@ bench:
 bench-quick:
 	go test -run '^$$' -bench 'BenchmarkSweep(Fig18|Table3)' -benchtime 1x
 
-## bench-gate: allocation regression gate for the steady-state packet
-## path. BenchmarkHotPath drives a single credited flow across a 5-hop
-## chain; after warm-up its event loop must stay allocation-free (the
-## typed event API keeps every per-packet schedule on the engine free
-## list). Fails if allocs/op exceeds HOTPATH_ALLOC_BUDGET. The second
+## bench-gate: the budgets that need a known host or minutes of run
+## time. First TestHotPathBudget — BenchmarkHotPath, a single credited
+## flow across a 5-hop chain, at 0 allocs/op, as in every plain `go test
+## ./...` — with the speed floor only this target sets: at least
+## HOTPATH_PKTRATE_FLOOR data packets per wall second (80% of the median
+## measured when transmitter-done events stopped being queued for idle
+## ports — EXPERIMENTS.md "Where the events go"; override for slower CI
+## hosts). Packets, not events: a change that removes events lowers
+## sim-events/sec, which the run still prints, while doing the same work
+## faster. The second
 ## half is the observability budget gate: a fully-traced fig18 sweep
 ## must average at most OBS_BYTES_BUDGET trace bytes per event and
 ## peak below OBS_RSS_BUDGET_MB of RSS (see TestObsBudgetGate).
@@ -125,15 +130,6 @@ bench-quick:
 ## dialing plus retirement keeps the footprint proportional to the
 ## concurrently-active flow population (see TestLifecycleRSSGate and
 ## BENCH_8.json for the 1155→44 MB before/after at scale=1.0).
-## HOTPATH_PKTRATE_FLOOR guards throughput the same way the alloc budget
-## guards the Go heap: the same BenchmarkHotPath run must deliver at
-## least this many data packets per wall second across the 5-hop chain
-## (80% of the median measured when transmitter-done events stopped
-## being queued for idle ports — EXPERIMENTS.md "Where the events go";
-## override for slower CI hosts). Packets, not events: a change that
-## removes events lowers sim-events/sec, which the run still prints,
-## while doing the same work faster.
-HOTPATH_ALLOC_BUDGET ?= 0
 HOTPATH_PKTRATE_FLOOR ?= 415800
 
 OBS_BYTES_BUDGET ?= 160
@@ -141,20 +137,8 @@ OBS_RSS_BUDGET_MB ?= 256
 LIFECYCLE_RSS_BUDGET_MB ?= 256
 LIFECYCLE_SCALE ?= 0.5
 bench-gate:
-	@out=$$(go test -run '^$$' -bench '^BenchmarkHotPath$$' -benchmem -benchtime 200x .) || { echo "$$out"; exit 1; }; \
-	echo "$$out"; \
-	allocs=$$(echo "$$out" | awk '/^BenchmarkHotPath/ { for (i=1; i<NF; i++) if ($$(i+1) == "allocs/op") print $$i }'); \
-	if [ -z "$$allocs" ]; then echo "bench-gate: could not parse allocs/op"; exit 1; fi; \
-	if [ "$$allocs" -gt "$(HOTPATH_ALLOC_BUDGET)" ]; then \
-		echo "bench-gate: FAIL — $$allocs allocs/op exceeds budget $(HOTPATH_ALLOC_BUDGET)"; exit 1; \
-	fi; \
-	echo "bench-gate: OK ($$allocs allocs/op, budget $(HOTPATH_ALLOC_BUDGET))"; \
-	pktrate=$$(echo "$$out" | awk '/^BenchmarkHotPath/ { for (i=1; i<NF; i++) if ($$(i+1) == "pkts/sec") print $$i }'); \
-	if [ -z "$$pktrate" ]; then echo "bench-gate: could not parse pkts/sec"; exit 1; fi; \
-	if echo "$$pktrate $(HOTPATH_PKTRATE_FLOOR)" | awk '{ exit !($$1 < $$2) }'; then \
-		echo "bench-gate: FAIL — $$pktrate pkts/sec below floor $(HOTPATH_PKTRATE_FLOOR)"; exit 1; \
-	fi; \
-	echo "bench-gate: OK ($$pktrate pkts/sec, floor $(HOTPATH_PKTRATE_FLOOR))"
+	go test -run '^TestHotPathBudget$$' -count=1 -v . -args -pktrate-floor $(HOTPATH_PKTRATE_FLOOR)
+	@echo "bench-gate: hot path OK (0 allocs/op, floor $(HOTPATH_PKTRATE_FLOOR) pkts/sec)"
 	XPSIM_OBS_GATE=1 XPSIM_OBS_BYTES_BUDGET=$(OBS_BYTES_BUDGET) \
 		XPSIM_OBS_RSS_BUDGET_MB=$(OBS_RSS_BUDGET_MB) \
 		go test -run '^TestObsBudgetGate$$' -count=1 -v -timeout 30m .

@@ -11,10 +11,11 @@ package expresspass_test
 //
 // The typed event API (sim.Engine.At2) plus the packet pool make this
 // loop allocation-free: the benchmark's budget, enforced by
-// `make bench-gate`, is 0 allocs/op.
+// TestHotPathBudget on every `go test`, is 0 allocs/op.
 //
 // Speed is reported per delivered data packet (pkts/sec, the figure
-// `make bench-gate` holds to a floor) because that is the work: the
+// `make bench-gate` holds to a floor through TestHotPathBudget's
+// -pktrate-floor) because that is the work: the
 // events spent on a packet are a property of the simulator, not of the
 // load. The chain is saturated but never queues, so almost no
 // transmitter-done event is ever queued here (events/pkt says how many
@@ -22,10 +23,41 @@ package expresspass_test
 // printed for reference and falls when a change removes events.
 
 import (
+	"flag"
+	"runtime/debug"
 	"testing"
 
 	"expresspass"
 )
+
+// pktrateFloor is a speed floor for hosts whose speed is known: `make
+// bench-gate` passes it (go test . -args -pktrate-floor N). Unset, only
+// the allocation budget — which no host changes — is held.
+var pktrateFloor = flag.Float64("pktrate-floor", 0,
+	"TestHotPathBudget fails if BenchmarkHotPath delivers fewer data packets per wall second than this")
+
+// TestHotPathBudget runs BenchmarkHotPath and holds it to its budgets:
+// 0 allocs/op always, and -pktrate-floor when given.
+func TestHotPathBudget(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("under -race sync.Pool drops Puts at random, so the packet pool allocates")
+			}
+		}
+	}
+	r := testing.Benchmark(BenchmarkHotPath)
+	if r.N == 0 {
+		t.Fatal("BenchmarkHotPath failed")
+	}
+	t.Logf("BenchmarkHotPath %s %s", r, r.MemString())
+	if got := r.AllocsPerOp(); got != 0 {
+		t.Errorf("%d allocs/op on the steady-state packet path, budget 0", got)
+	}
+	if got := r.Extra["pkts/sec"]; got < *pktrateFloor {
+		t.Errorf("%.0f pkts/sec below floor %.0f", got, *pktrateFloor)
+	}
+}
 
 // hotPathSlice is the simulated time one benchmark iteration covers.
 // At 10 Gbps a slice carries ~80 data packets plus their credits, each

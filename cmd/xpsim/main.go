@@ -13,53 +13,55 @@
 //	xpsim -faults 'gemodel:credit:0.02:0.3@10ms+40ms' ext-chaos-matrix
 //	xpsim -faults 'every:20ms:roll{ stall@0ms+2ms }@10ms+80ms' ext-chaos-storm
 //
-// Scale 1.0 reproduces the paper-scale configuration (hours of CPU);
-// the default scale runs laptop-fast shape checks.
+// Every flag (-h prints the defaults). One that only adjusts another
+// ("with -x") is a usage error, exit 2, without it. Output — tables,
+// traces and metrics — is byte-identical for a seed at any -procs and
+// -shards.
 //
-// Sweep trials fan out across -procs worker goroutines (default
-// GOMAXPROCS; -procs 1 forces serial). Output — tables, traces, and
-// metrics alike — is byte-identical at any worker count for the same
-// seed; see internal/runner.
+//	-list             list experiments and exit
+//	-all              run every experiment
+//	-scale S          experiment scale in (0,1]: 1.0 is the paper's
+//	                  configuration (hours of CPU), the default 0.1 a
+//	                  laptop-fast shape check
+//	-seed N           deterministic random seed
+//	-procs N          worker goroutines sweep trials fan out across
+//	                  (1 = serial); see internal/runner
+//	-shards N         cut each trial's topology into up to N regions on
+//	                  their own event queues and goroutines, with
+//	                  conservative epoch barriers (0/1 = serial); see
+//	                  internal/sim (ShardGroup), internal/netem (SetShards)
+//	-faults SPEC      fault timeline replacing the built-in one of the
+//	                  ext-faults-* and ext-chaos-* experiments; grammar
+//	                  in internal/faults (ParseSpec)
 //
-// Independently of -procs, -shards N cuts each trial's topology into up
-// to N regions that run on their own event heaps and goroutines with
-// conservative epoch barriers, parallelizing a single large simulation.
-// Output stays byte-identical to a serial run; see internal/sim
-// (ShardGroup) and internal/netem (SetShards).
-//
-// Observability flags (see internal/obs):
+// Observability (see internal/obs):
 //
 //	-trace FILE       record packet/credit/queue events (.csv → CSV,
 //	                  anything else → JSONL)
-//	-trace-types LIST comma-separated event types to record (default all;
-//	                  e.g. credit_drop,qdepth,feedback)
-//	-trace-rotate SZ  rotate the trace into segments of at most SZ bytes
-//	                  (suffixes k/m/g accepted; segments split only at
-//	                  line boundaries, named FILE-00000.ext, …)
-//	-trace-gzip       gzip-compress the trace (per segment when rotating)
+//	-trace-types LIST with -trace: event types to record, comma-separated
+//	                  (e.g. credit_drop,qdepth,feedback)
+//	-trace-rotate SZ  with -trace: segments of at most SZ bytes (k/m/g),
+//	                  split at line boundaries, named FILE-00000.ext, …
+//	-trace-gzip       with -trace: gzip the trace (each segment when
+//	                  rotating)
 //	-metrics FILE     long-format metrics CSV (t_us,scope,metric,value)
-//	-metrics-interval sampling period in simulated time (default 1ms)
-//	-progress         per-trial heartbeat lines on stderr plus an
-//	                  end-of-run resource summary (peak RSS, events/sec,
-//	                  GC pauses) and the scheduler's crowded-bucket
-//	                  counters (share of pops that were same-instant
-//	                  timer bursts)
-//	-sketch           collect FCT/gap distributions in streaming quantile
-//	                  sketches (O(1) memory, ≤0.5% percentile error)
-//	                  instead of retaining every sample
+//	-metrics-interval with -metrics: sampling period in simulated time
+//	-progress         per-trial heartbeats on stderr, then a resource
+//	                  summary (peak RSS, events/sec, GC pauses) and the
+//	                  scheduler's crowded-bucket and tx-done counters
 //	-cpuprofile FILE  Go CPU profile of the run
 //	-memprofile FILE  heap profile written at exit
 //	-pprof ADDR       serve net/http/pprof (e.g. localhost:6060)
 //
-// Verification flags (see internal/invariant and internal/scenario):
+// Verification (see internal/invariant and internal/scenario):
 //
-//	-invariants       arm the runtime invariant checkers for the run;
-//	                  any violation prints and exits nonzero
-//	-flight FILE      with -invariants: dump the last -flight-events
-//	                  trace events leading up to the first violation
-//	-flight-events N  flight-recorder ring capacity (default 4096)
-//	-scenario-seed N  replay fuzz scenario N (seed ≥ 1) with all
-//	                  invariants armed, instead of running experiments
+//	-invariants       arm the runtime invariant checkers; any violation
+//	                  prints and exits nonzero
+//	-flight FILE      with -invariants: dump the trace events leading up
+//	                  to the first violation
+//	-flight-events N  with -flight: how many events that dump holds
+//	-scenario-seed N  replay fuzz scenario N (≥ 1), invariants armed,
+//	                  instead of running experiments
 package main
 
 import (
@@ -78,65 +80,117 @@ import (
 	"expresspass/internal/sim"
 )
 
-func main() {
-	scale := flag.Float64("scale", 0.1, "experiment scale in (0,1]; 1.0 = paper scale")
-	seed := flag.Uint64("seed", 42, "deterministic random seed")
-	list := flag.Bool("list", false, "list experiments and exit")
-	all := flag.Bool("all", false, "run every experiment")
-	tracePath := flag.String("trace", "", "write event trace to file (.csv or JSONL)")
-	traceTypes := flag.String("trace-types", "", "comma-separated event types to trace (default all)")
-	traceRotate := flag.String("trace-rotate", "", "rotate trace segments at this size (e.g. 64m; 0/empty = no rotation)")
-	traceGzip := flag.Bool("trace-gzip", false, "gzip-compress the trace (per segment when rotating)")
-	metricsPath := flag.String("metrics", "", "write metrics time-series CSV to file")
-	metricsIval := flag.Duration("metrics-interval", time.Millisecond, "metrics sampling period (simulated time)")
-	progress := flag.Bool("progress", false, "heartbeat progress lines and a resource summary on stderr")
-	sketch := flag.Bool("sketch", false, "collect FCT/gap distributions in O(1)-memory quantile sketches")
-	cpuProfile := flag.String("cpuprofile", "", "write CPU profile to file")
-	memProfile := flag.String("memprofile", "", "write heap profile to file")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address")
-	faultSpec := flag.String("faults", "",
+// options holds the value of every flag.
+type options struct {
+	scale                                                    float64
+	seed, scenarioSeed                                       uint64
+	list, all, traceGzip, progress, invariants               bool
+	tracePath, traceTypes, traceRotate, metricsPath          string
+	cpuProfile, memProfile, pprofAddr, faultSpec, flightPath string
+	metricsIval                                              time.Duration
+	procs, shards, flightEvents                              int
+}
+
+// newFlags defines xpsim's flags on fs. It is the whole command-line
+// surface: TestFlagSurface holds the doc comment above and README's flag
+// table to exactly this set.
+func newFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.Float64Var(&o.scale, "scale", 0.1, "experiment scale in (0,1]; 1.0 = paper scale")
+	fs.Uint64Var(&o.seed, "seed", 42, "deterministic random seed")
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	fs.BoolVar(&o.all, "all", false, "run every experiment")
+	fs.StringVar(&o.tracePath, "trace", "", "write event trace to file (.csv or JSONL)")
+	fs.StringVar(&o.traceTypes, "trace-types", "", "with -trace: comma-separated event types to trace (default all)")
+	fs.StringVar(&o.traceRotate, "trace-rotate", "", "with -trace: rotate trace segments at this size (e.g. 64m; 0/empty = no rotation)")
+	fs.BoolVar(&o.traceGzip, "trace-gzip", false, "with -trace: gzip-compress the trace (per segment when rotating)")
+	fs.StringVar(&o.metricsPath, "metrics", "", "write metrics time-series CSV to file")
+	fs.DurationVar(&o.metricsIval, "metrics-interval", time.Millisecond, "with -metrics: sampling period (simulated time)")
+	fs.BoolVar(&o.progress, "progress", false, "heartbeat progress lines and a resource summary on stderr")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write CPU profile to file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write heap profile to file")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address")
+	fs.StringVar(&o.faultSpec, "faults", "",
 		"fault timeline for ext-faults-*/ext-chaos-* experiments: flap, stall, loss, "+
 			"gemodel, state (4-state Markov), dup, corrupt, reorder, jitter clauses plus "+
 			"recurring every{...} chaos schedules, e.g. "+
 			"'gemodel:credit:0.02:0.3@10ms+40ms; every:20ms:roll{ stall@0ms+2ms }@10ms+80ms'")
-	procs := flag.Int("procs", runtime.GOMAXPROCS(0),
+	fs.IntVar(&o.procs, "procs", runtime.GOMAXPROCS(0),
 		"worker goroutines for sweep trials (1 = serial; output is identical either way)")
-	shards := flag.Int("shards", 0,
+	fs.IntVar(&o.shards, "shards", 0,
 		"intra-run topology shards per trial (0/1 = serial; output is identical at any count)")
-	invariants := flag.Bool("invariants", false,
+	fs.BoolVar(&o.invariants, "invariants", false,
 		"arm the runtime invariant checkers; violations are printed and exit nonzero")
-	flightPath := flag.String("flight", "",
+	fs.StringVar(&o.flightPath, "flight", "",
 		"with -invariants: dump the last -flight-events trace events to this file on the first violation")
-	flightEvents := flag.Int("flight-events", 4096, "flight-recorder ring capacity")
-	scenarioSeed := flag.Uint64("scenario-seed", 0,
+	fs.IntVar(&o.flightEvents, "flight-events", 4096, "with -flight: flight-recorder ring capacity")
+	fs.Uint64Var(&o.scenarioSeed, "scenario-seed", 0,
 		"run the fuzz scenario for this seed (with invariants armed) instead of experiments")
+	return o
+}
+
+// flagNeeds maps each flag that only adjusts what another flag turns on
+// to that flag.
+var flagNeeds = map[string]string{
+	"trace-types":      "trace",
+	"trace-rotate":     "trace",
+	"trace-gzip":       "trace",
+	"metrics-interval": "metrics",
+	"flight":           "invariants",
+	"flight-events":    "flight",
+}
+
+// checkFlagNeeds rejects a command line that sets a flag (to any value)
+// while the flag it adjusts is off, instead of running without what was
+// asked for. Every flag in flagNeeds' values is off at its default.
+func checkFlagNeeds(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		need, ok := flagNeeds[f.Name]
+		if !ok || err != nil {
+			return
+		}
+		if n := fs.Lookup(need); n.Value.String() == n.DefValue {
+			err = fmt.Errorf("-%s needs -%s", f.Name, need)
+		}
+	})
+	return err
+}
+
+func main() {
+	o := newFlags(flag.CommandLine)
 	flag.Parse()
 
-	if err := checkScale(*scale); err != nil {
+	if err := checkFlagNeeds(flag.CommandLine); err != nil {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(2)
 	}
-	expresspass.SetSweepProcs(*procs)
-	expresspass.SetShards(*shards)
+	if err := checkScale(o.scale); err != nil {
+		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
+		os.Exit(2)
+	}
+	expresspass.SetSweepProcs(o.procs)
+	expresspass.SetShards(o.shards)
 
-	if *faultSpec != "" {
-		plan, err := expresspass.ParseFaultSpec(*faultSpec)
+	params := expresspass.ExperimentParams{Scale: o.scale, Seed: o.seed}
+	if o.faultSpec != "" {
+		plan, err := expresspass.ParseFaultSpec(o.faultSpec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 			os.Exit(2)
 		}
-		expresspass.SetDefaultFaultPlan(plan)
+		params.Faults = plan
 	}
 
-	if *list {
+	if o.list {
 		for _, e := range expresspass.Experiments() {
 			fmt.Printf("%-8s %s\n         paper: %s\n", e.ID, e.Title, e.Paper)
 		}
 		return
 	}
 
-	if *scenarioSeed != 0 {
-		rep := expresspass.RunScenario(*scenarioSeed, expresspass.ScenarioOptions{})
+	if o.scenarioSeed != 0 {
+		rep := expresspass.RunScenario(o.scenarioSeed, expresspass.ScenarioOptions{})
 		fmt.Println(rep)
 		for i, v := range rep.Violations {
 			if i == 16 {
@@ -152,7 +206,7 @@ func main() {
 	}
 
 	ids := flag.Args()
-	if *all {
+	if o.all {
 		ids = nil
 		for _, e := range expresspass.Experiments() {
 			ids = append(ids, e.ID)
@@ -163,18 +217,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	prof, err := obs.StartProfiles(*cpuProfile, *memProfile, *pprofAddr)
+	prof, err := obs.StartProfiles(o.cpuProfile, o.memProfile, o.pprofAddr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(1)
 	}
-	rotateBytes, err := parseSize(*traceRotate)
+	rotateBytes, err := parseSize(o.traceRotate)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xpsim: -trace-rotate: %v\n", err)
 		os.Exit(2)
 	}
-	rt, err := buildRuntime(*tracePath, *traceTypes, *metricsPath, *metricsIval,
-		rotateBytes, *traceGzip, *progress)
+	rt, err := buildRuntime(o.tracePath, o.traceTypes, o.metricsPath, o.metricsIval,
+		rotateBytes, o.traceGzip, o.progress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(1)
@@ -183,26 +237,21 @@ func main() {
 		obs.SetActive(rt)
 	}
 
-	if *sketch {
-		expresspass.SetFCTSketchMode(true)
-	}
-
 	var flightFile *os.File
-	if *invariants {
+	if o.invariants {
 		opt := expresspass.InvariantOptions{}
-		if *flightPath != "" {
-			flightFile, err = os.Create(*flightPath)
+		if o.flightPath != "" {
+			flightFile, err = os.Create(o.flightPath)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 				os.Exit(1)
 			}
 			opt.FlightOut = flightFile
-			opt.FlightEvents = *flightEvents
+			opt.FlightEvents = o.flightEvents
 		}
 		expresspass.ArmInvariants(opt)
 	}
 
-	params := expresspass.ExperimentParams{Scale: *scale, Seed: *seed}
 	code := 0
 	for _, id := range ids {
 		start := time.Now()
@@ -217,7 +266,7 @@ func main() {
 		fmt.Printf("   (%s wall)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
-	if *invariants {
+	if o.invariants {
 		expresspass.FinishArmedInvariants()
 		if reportInvariants(os.Stderr, expresspass.ArmedInvariantStats(),
 			expresspass.InvariantCount(), expresspass.InvariantViolations()) {
@@ -238,7 +287,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "xpsim: traced %d events (%d sim events, peak heap %d)\n",
 				tr.Count(), events, peak)
 		}
-		if *progress {
+		if o.progress {
 			res, rate := rt.Resources()
 			fmt.Fprintf(os.Stderr,
 				"xpsim: %s wall, %s sim events/s, peak RSS %s, heap %s, %d GCs (%s paused)\n",

@@ -1,7 +1,13 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"math"
+	"os"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -136,6 +142,117 @@ func TestReportInvariants(t *testing.T) {
 		}
 		if got, want := b.String(), strings.Join(tc.want, "\n")+"\n"; got != want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, want)
+		}
+	}
+}
+
+func parseFlags(t *testing.T, args ...string) *flag.FlagSet {
+	t.Helper()
+	fs := flag.NewFlagSet("xpsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	newFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %q: %v", args, err)
+	}
+	return fs
+}
+
+// TestCheckFlagNeeds: a flag that only adjusts another flag is a usage
+// error without it — whatever value it was given, and also when the
+// flag it needs was spelled out but left off — and the combinations the
+// benchmark harness runs still pass.
+func TestCheckFlagNeeds(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want string // "" = accepted
+	}{
+		{"-flight f.jsonl", "-flight needs -invariants"},
+		{"-flight-events 64", "-flight-events needs -flight"},
+		{"-invariants -flight-events 64", "-flight-events needs -flight"},
+		{"-flight f.jsonl -flight-events 64", "-flight needs -invariants"},
+		{"-trace-types route_build", "-trace-types needs -trace"},
+		{"-trace-types no_such_type", "-trace-types needs -trace"},
+		{"-trace-rotate 16m", "-trace-rotate needs -trace"},
+		{"-trace-gzip", "-trace-gzip needs -trace"},
+		{"-trace-gzip=false", "-trace-gzip needs -trace"},
+		{"-metrics-interval 1ms", "-metrics-interval needs -metrics"}, // set, though to the default
+		{"-invariants=false -flight f.jsonl", "-flight needs -invariants"},
+		{"-trace= -trace-gzip", "-trace-gzip needs -trace"},
+
+		{"", ""},
+		{"-progress", ""},
+		{"-invariants", ""},
+		{"-trace /dev/null -trace-types route_build", ""},
+		{"-trace t.jsonl -trace-rotate 16m -trace-gzip", ""},
+		{"-metrics m.csv -metrics-interval 100us", ""},
+		{"-invariants -flight f.jsonl -flight-events 64", ""},
+	} {
+		err := checkFlagNeeds(parseFlags(t, strings.Fields(tc.args)...))
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("xpsim %s: error %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+// TestFlagSurface holds the three places that enumerate xpsim's flags to
+// one set: what newFlags defines (so what -h prints), the flag lists in
+// this command's doc comment, and README's flag table — whose default
+// and "needs" columns must also say what the code does. Removing or
+// adding a flag fails here until all three agree.
+func TestFlagSurface(t *testing.T) {
+	fs := parseFlags(t)
+	var defined []string
+	fs.VisitAll(func(f *flag.Flag) { defined = append(defined, f.Name) }) // sorted by name
+
+	listed := func(file string, re *regexp.Regexp, text string) {
+		var out []string
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			out = append(out, m[1])
+		}
+		sort.Strings(out)
+		if !reflect.DeepEqual(out, defined) {
+			t.Errorf("%s lists flags\n %v\nbut xpsim defines\n %v", file, out, defined)
+		}
+	}
+
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	listed("main.go's doc comment", regexp.MustCompile(`(?m)^//\t-([a-z-]+)`), doc)
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\|.*$")
+	listed("README's flag table", row, string(readme))
+	for _, m := range row.FindAllStringSubmatch(string(readme), -1) {
+		cells := strings.Split(m[0], "|") // "", flag, default, needs, what it does, ""
+		if len(cells) != 6 {
+			t.Errorf("README: flag table row %q has %d cells, want 4", m[0], len(cells)-2)
+			continue
+		}
+		cell := func(i int) string { return strings.Trim(cells[i], " `") }
+		name, def, needs := m[1], cell(2), strings.TrimPrefix(cell(3), "-")
+		f := fs.Lookup(name)
+		if f == nil {
+			continue // reported above
+		}
+		want := f.DefValue
+		if name == "procs" {
+			want = "GOMAXPROCS"
+		}
+		if def != want {
+			t.Errorf("README: -%s default %q, want %q", name, def, want)
+		}
+		if needs != flagNeeds[name] {
+			t.Errorf("README: -%s needs %q, want %q", name, needs, flagNeeds[name])
 		}
 	}
 }

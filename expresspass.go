@@ -90,11 +90,8 @@ type (
 	// Series records named time series (throughput, queue depth) at a
 	// fixed sampling interval and renders CSV for plotting.
 	Series = stats.Series
-	// QuantileSketch is a mergeable streaming quantile sketch with
-	// bounded relative error — O(1) memory in sample count.
-	QuantileSketch = stats.Sketch
-	// Dist collects a sample distribution in exact or sketch mode (see
-	// SetFCTSketchMode) and answers Mean/Percentile/Summary/CDF.
+	// Dist collects a sample distribution and answers
+	// Mean/Percentile/Summary/CDF with exact order statistics.
 	Dist = stats.Dist
 
 	// Tracer records typed simulation events (credit drops, queue
@@ -202,23 +199,8 @@ func NewRotatingTraceWriter(path string, cfg TraceRotateConfig) (*obs.RotatingWr
 	return obs.NewRotatingWriter(path, cfg)
 }
 
-// NewQuantileSketch returns an empty sketch with relative accuracy
-// alpha (0 selects the 0.5% default).
-func NewQuantileSketch(alpha float64) *QuantileSketch { return stats.NewSketch(alpha) }
-
-// NewDist returns an empty distribution collector in the current
-// process-wide mode (see SetFCTSketchMode).
+// NewDist returns an empty distribution collector.
 func NewDist() *Dist { return stats.NewDist() }
-
-// SetFCTSketchMode selects how experiments collect FCT and gap
-// distributions: false (default) retains every sample and reproduces
-// the historical byte-exact percentiles; true streams samples into
-// quantile sketches, bounding memory at O(1) per distribution with a
-// ≤0.5% relative error on interior percentiles (xpsim's -sketch flag).
-func SetFCTSketchMode(on bool) { stats.SetSketchMode(on) }
-
-// FCTSketchMode reports the current collector mode.
-func FCTSketchMode() bool { return stats.SketchMode() }
 
 // NewRingSink returns an in-memory ring-buffer sink holding the last
 // capacity events (handy in tests).
@@ -293,15 +275,6 @@ func NewFaultInjector(net *Network) *FaultInjector { return faults.NewInjector(n
 // (xpsim's -faults flag grammar; see faults.ParseSpec for the full
 // clause list). Malformed specs return a *FaultConfigError.
 func ParseFaultSpec(spec string) (FaultPlan, error) { return faults.ParseSpec(spec) }
-
-// SetDefaultFaultPlan installs plan as the process-wide fault timeline
-// (the zero FaultPlan clears it). When set, the ext-faults-* and
-// ext-chaos-* experiments apply it in place of their built-in timelines.
-func SetDefaultFaultPlan(plan FaultPlan) { faults.SetDefault(plan) }
-
-// DefaultFaultPlan returns the process-wide fault timeline; check
-// Empty() before using it.
-func DefaultFaultPlan() FaultPlan { return faults.Default() }
 
 // Experiment identifies one reproduced table or figure.
 type Experiment = experiments.Experiment

@@ -21,8 +21,8 @@ import (
 // plus recurring chaos schedules composed with the every{} grammar.
 // Every arm is expressed as a -faults spec string and parsed through
 // ParseSpec, so the experiments double as end-to-end coverage of the
-// grammar; a process-wide -faults plan (faults.SetDefault) replaces the
-// built-in arm, as in the ext-faults-* family.
+// grammar; a Params.Faults plan (-faults) replaces the built-in arm, as
+// in the ext-faults-* family.
 
 // chaosDumbbell builds an n-pair 10G dumbbell with the protocol's
 // switch features installed and one flow per pair dialed through the
@@ -50,10 +50,9 @@ func chaosDumbbell(eng *sim.Engine, pr Proto, n int, size unit.Bytes,
 	return d, flows
 }
 
-// applyChaos installs the spec (or the process-wide -faults override)
-// onto the trial's network.
-func applyChaos(d *topology.Dumbbell, spec string) {
-	plan := faults.Default()
+// applyChaos installs the spec (or the run's -faults override) onto the
+// trial's network.
+func applyChaos(d *topology.Dumbbell, plan faults.Plan, spec string) {
 	if plan.Empty() {
 		if spec == "" {
 			return
@@ -120,7 +119,7 @@ func runExtChaosMatrix(p Params, w io.Writer) error {
 		if arm.head != "" {
 			spec = armSpec(arm.head, 0, deadline)
 		}
-		applyChaos(d, spec)
+		applyChaos(d, p.Faults, spec)
 		eng.RunUntil(sim.Time(deadline))
 
 		done := 0
@@ -208,7 +207,7 @@ func runExtChaosStorm(p Params, w io.Writer) error {
 		storm, pr := storms[cell/len(protos)], protos[cell%len(protos)]
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, 0, 0)
-		applyChaos(d, storm.spec)
+		applyChaos(d, p.Faults, storm.spec)
 
 		eng.RunUntil(warm)
 		sumDelivered(flows)

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"expresspass/internal/faults"
 	"expresspass/internal/sim"
 )
 
@@ -22,6 +23,10 @@ type Params struct {
 	Scale float64
 	// Seed drives every random choice.
 	Seed uint64
+	// Faults, when not empty, replaces the built-in fault timeline of
+	// the ext-faults-* and ext-chaos-* experiments (xpsim's -faults
+	// flag); the other experiments ignore it.
+	Faults faults.Plan
 }
 
 // ScaleError reports a Params.Scale that is not a number to scale by:

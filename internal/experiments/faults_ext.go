@@ -21,9 +21,9 @@ import (
 // reconverge), credit loss is self-healing (§3.1 — a destroyed credit
 // merely suppresses one data packet), data loss is recovered through
 // the credit-request/stop state machine (Fig 7a), and a stalled host
-// defers credited data without destroying anything. When a process-wide
-// plan is installed (the -faults CLI flag via faults.SetDefault), it
-// replaces each experiment's built-in timeline.
+// defers credited data without destroying anything. A plan in
+// Params.Faults (the -faults CLI flag) replaces each experiment's
+// built-in timeline.
 
 const faultRTT = 50 * sim.Microsecond
 
@@ -120,7 +120,7 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 		d, flows, sessions := faultDumbbell(eng, 4)
 		registerFaultMetrics(d.Net, sessions)
 		faultAt := warm + sim.Time(preD)
-		if plan := faults.Default(); !plan.Empty() {
+		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
 				panic(err)
 			}
@@ -221,7 +221,7 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 			flows = append(flows, f)
 		}
 		registerFaultMetrics(d.Net, sessions)
-		if plan := faults.Default(); !plan.Empty() {
+		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
 				panic(err)
 			}
@@ -301,7 +301,7 @@ func runExtFaultsStall(p Params, w io.Writer) error {
 		d, flows, sessions := faultDumbbell(eng, 2)
 		registerFaultMetrics(d.Net, sessions)
 		faultAt := warm + sim.Time(preD)
-		if plan := faults.Default(); !plan.Empty() {
+		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
 				panic(err)
 			}

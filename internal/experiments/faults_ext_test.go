@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"expresspass/internal/faults"
 	"expresspass/internal/obs"
 )
 
@@ -98,6 +99,41 @@ func TestExtFaultsLossAcceptance(t *testing.T) {
 			if retx == "0" {
 				t.Errorf("arm %s: no retransmissions — data loss cannot have been recovered", row[0])
 			}
+		}
+	}
+}
+
+// TestParamsFaultsReplacesTimeline: a plan in Params.Faults replaces the
+// built-in timeline of both experiment families that read it, for that
+// run and no other — the plan is a value in the run's Params, so a later
+// run without one is back on the built-in timeline with nothing to
+// restore.
+func TestParamsFaultsReplacesTimeline(t *testing.T) {
+	plan, err := faults.ParseSpec("stall@3ms+500us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"ext-faults-stall", "ext-chaos-matrix"} {
+		run := func(p Params) string {
+			var out bytes.Buffer
+			if err := Run(id, p, &out); err != nil {
+				t.Fatal(err)
+			}
+			return out.String()
+		}
+		builtIn := Params{Scale: 0.06, Seed: 42}
+		override := builtIn
+		override.Faults = plan
+		want := run(builtIn)
+		got := run(override)
+		if got == want {
+			t.Errorf("%s: output with Params.Faults set equals the built-in timeline's:\n%s", id, got)
+		}
+		if again := run(override); again != got {
+			t.Errorf("%s: two runs of one plan differ:\n%s\n%s", id, got, again)
+		}
+		if after := run(builtIn); after != want {
+			t.Errorf("%s: a run without a plan changed after one with a plan:\n%s\n%s", id, want, after)
 		}
 	}
 }

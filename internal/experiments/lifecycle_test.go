@@ -15,7 +15,6 @@ import (
 	"expresspass/internal/packet"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
-	"expresspass/internal/stats"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
 	"expresspass/internal/unit"
@@ -112,8 +111,8 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 //
 // XPSIM_LIFECYCLE_SCALE overrides the scale (e.g. 10 for the 10× smoke
 // mode — combine with XPSIM_REALISTIC_FLOW_CAP to lift the per-run flow
-// cap). Sketch mode keeps the per-class FCT collectors O(1) in flow
-// count, matching how a million-flow run would be scored.
+// cap). The FCT collectors retain 8 bytes per finished flow: under
+// 1 MB of the ~45 MB this cell peaks at, 8 MB for a million flows.
 func TestLifecycleRSSGate(t *testing.T) {
 	budgetMB := os.Getenv("XPSIM_LIFECYCLE_RSS_BUDGET")
 	if budgetMB == "" {
@@ -129,9 +128,6 @@ func TestLifecycleRSSGate(t *testing.T) {
 			t.Fatalf("XPSIM_LIFECYCLE_SCALE: %v", err)
 		}
 	}
-	stats.SetSketchMode(true)
-	defer stats.SetSketchMode(false)
-
 	start := time.Now()
 	res := runner.Map(1, func(rt *runner.T, _ int) realisticResult {
 		// Calling runRealistic directly (rather than Run("fig18", …))

@@ -28,10 +28,8 @@ type realisticCfg struct {
 }
 
 // realisticResult aggregates what the §6.3 figures report. FCTs
-// accumulate into per-class stats.Dist collectors: exact mode (the
-// default) keeps the historical byte-identical percentile path, sketch
-// mode (stats.SetSketchMode) bounds memory at O(1) per class for the
-// 100k-flow paper-scale runs.
+// accumulate into per-class stats.Dist collectors: 8 bytes a finished
+// flow, so at most 0.8 MB for a run at the 100k-flow cap.
 type realisticResult struct {
 	fctByClass map[string]*stats.Dist // size class → FCT seconds
 	finished   int

@@ -670,17 +670,3 @@ func hostByName(net *netem.Network, name string) *netem.Host {
 	}
 	return nil
 }
-
-// defaultPlan is the process-wide plan installed by the -faults CLI
-// flag; the ext-faults-* experiments use it in place of their built-in
-// timelines when set. It is written once at startup and only read
-// during runs, so parallel sweep trials share it safely.
-var defaultPlan Plan
-
-// SetDefault installs plan as the process-wide default fault timeline
-// (the zero Plan clears it).
-func SetDefault(plan Plan) { defaultPlan = plan }
-
-// Default returns the process-wide fault timeline; check Empty() before
-// using it.
-func Default() Plan { return defaultPlan }

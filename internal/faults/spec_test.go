@@ -269,18 +269,3 @@ func TestScheduleExpansion(t *testing.T) {
 		t.Fatal("schedule missing")
 	}
 }
-
-func TestDefaultPlan(t *testing.T) {
-	if !Default().Empty() {
-		t.Fatal("default plan not empty at start")
-	}
-	plan, _ := ParseSpec("flap@1ms+1ms")
-	SetDefault(plan)
-	if len(Default().Directives) != 1 {
-		t.Error("SetDefault did not install the plan")
-	}
-	SetDefault(Plan{})
-	if !Default().Empty() {
-		t.Error("SetDefault(Plan{}) did not clear the plan")
-	}
-}

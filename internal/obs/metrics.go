@@ -26,7 +26,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindSketch
 )
 
 type entry struct {
@@ -35,7 +34,6 @@ type entry struct {
 	counter *Counter
 	gauge   func() float64
 	hist    *Histogram
-	sketch  *stats.Sketch
 }
 
 // NewRegistry returns an empty registry.
@@ -142,22 +140,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Sketch returns the streaming quantile sketch registered under name,
-// creating it with the default relative accuracy on first use. Unlike a
-// Histogram, a sketch needs no a-priori bucket bounds and its quantiles
-// carry a guaranteed relative-error bound — use it for open-ended
-// distributions (FCTs, queue delays) where memory must stay O(1) in
-// sample count. Snapshot/StartSeries expand it to the same four derived
-// columns as a histogram (count, sum, p50, p99) plus p999.
-func (r *Registry) Sketch(name string) *stats.Sketch {
-	if i, ok := r.byName[name]; ok {
-		return r.entries[i].sketch
-	}
-	s := stats.NewSketch(0)
-	r.add(entry{name: name, kind: kindSketch, sketch: s})
-	return s
-}
-
 func (r *Registry) add(e entry) {
 	r.byName[e.name] = len(r.entries)
 	r.entries = append(r.entries, e)
@@ -211,14 +193,6 @@ func (r *Registry) Snapshot() []Sample {
 				Sample{e.name + "/sum", e.hist.Sum()},
 				Sample{e.name + "/p50", e.hist.Quantile(0.50)},
 				Sample{e.name + "/p99", e.hist.Quantile(0.99)})
-		case kindSketch:
-			sk := e.sketch
-			out = append(out,
-				Sample{e.name + "/count", float64(sk.Count())},
-				Sample{e.name + "/sum", sk.Sum()},
-				Sample{e.name + "/p50", sk.Quantile(0.50)},
-				Sample{e.name + "/p99", sk.Quantile(0.99)},
-				Sample{e.name + "/p999", sk.Quantile(0.999)})
 		}
 	}
 	return out
@@ -246,12 +220,6 @@ func (r *Registry) StartSeries(eng *sim.Engine, interval sim.Duration) *stats.Se
 			s.Track(e.name+"/sum", func() float64 { return h.Sum() })
 			s.Track(e.name+"/p50", func() float64 { return h.Quantile(0.50) })
 			s.Track(e.name+"/p99", func() float64 { return h.Quantile(0.99) })
-		case kindSketch:
-			sk := e.sketch
-			s.Track(e.name+"/count", func() float64 { return float64(sk.Count()) })
-			s.Track(e.name+"/sum", func() float64 { return sk.Sum() })
-			s.Track(e.name+"/p50", func() float64 { return sk.Quantile(0.50) })
-			s.Track(e.name+"/p99", func() float64 { return sk.Quantile(0.99) })
 		}
 	}
 	s.Start(eng)

@@ -316,28 +316,3 @@ func TestParseVmHWM(t *testing.T) {
 		t.Fatalf("missing field should parse to 0, got %d", got)
 	}
 }
-
-func TestRegistrySketch(t *testing.T) {
-	r := NewRegistry()
-	sk := r.Sketch("fct_ms")
-	if r.Sketch("fct_ms") != sk {
-		t.Fatal("Sketch must be idempotent by name")
-	}
-	for i := 1; i <= 1000; i++ {
-		sk.Observe(float64(i))
-	}
-	snap := r.Snapshot()
-	byName := map[string]float64{}
-	for _, s := range snap {
-		byName[s.Name] = s.Value
-	}
-	if byName["fct_ms/count"] != 1000 {
-		t.Fatalf("count sample = %v", byName["fct_ms/count"])
-	}
-	if p50 := byName["fct_ms/p50"]; p50 < 495 || p50 > 506 {
-		t.Fatalf("p50 sample = %v, want ~500.5", p50)
-	}
-	if _, ok := byName["fct_ms/p999"]; !ok {
-		t.Fatal("sketch snapshot missing p999 column")
-	}
-}

@@ -12,10 +12,15 @@ type Handler func()
 // at the call site, invoked with the (obj, aux, arg) triple that was
 // stored inline in the event struct by At2/After2. Because the function
 // value is static and both any slots hold pointers, scheduling a typed
-// event performs no heap allocation — the alternative closure API (At)
-// allocates one closure per schedule and is kept for cold-path setup
-// and tests.
+// event performs no heap allocation — the closure API (At) is built on
+// it, allocates one closure per schedule and is kept for cold-path
+// setup and tests.
 type Handler2 func(obj, aux any, arg uint64)
+
+// runClosure is the Handler2 every closure-API event is queued with: the
+// Handler rides in obj (a func value is pointer-shaped, so boxing it
+// does not allocate).
+func runClosure(obj, _ any, _ uint64) { obj.(Handler)() }
 
 // event is a scheduled callback. Events are ordered by (at, dom, seq):
 // dom is a scheduling domain — a small integer naming the component that
@@ -26,9 +31,8 @@ type Handler2 func(obj, aux any, arg uint64)
 // sharded runs, so splitting the queue by domain ownership (see
 // ShardGroup) preserves execution order exactly.
 //
-// Exactly one of fn (closure API) and h (typed API) is non-nil. The
-// typed triple lives inline so steady-state packet events never touch
-// the allocator: obj is the receiver (a *Port, *sender, …), aux an
+// The typed triple lives inline so steady-state packet events never
+// touch the allocator: obj is the receiver (a *Port, *sender, …), aux an
 // optional second pointer (usually a *packet.Packet), arg an opaque
 // word for small scalars.
 //
@@ -42,7 +46,6 @@ type Handler2 func(obj, aux any, arg uint64)
 type event struct {
 	at       Time
 	seq      uint64
-	fn       Handler
 	h        Handler2
 	obj      any
 	aux      any
@@ -476,9 +479,7 @@ func (e *Engine) enqueue(at Time, dom int32, seq uint64) *event {
 }
 
 // alloc queues an event struct at (at, dom) under the next sequence
-// number. Shared by the closure and typed scheduling APIs so
-// tie-breaking seq order is identical no matter which API scheduled an
-// event.
+// number.
 func (e *Engine) alloc(at Time, dom int32) *event {
 	seq := e.nextSeq
 	e.nextSeq++
@@ -571,9 +572,7 @@ func (e *Engine) At(at Time, fn Handler) EventID { return e.AtD(0, at, fn) }
 // Component code whose closures run on a shard engine must pass the
 // owning component's domain so the event keys stay shard-independent.
 func (e *Engine) AtD(dom int32, at Time, fn Handler) EventID {
-	ev := e.alloc(at, dom)
-	ev.fn = fn
-	return EventID{ev, ev.seq}
+	return e.At2D(dom, at, runClosure, fn, nil, 0)
 }
 
 // After schedules fn to run d from now (global domain).
@@ -649,15 +648,10 @@ func (e *Engine) Step() bool {
 		e.now = ev.at
 		e.curDom = ev.dom
 		e.curSeq = ev.seq
-		fn, h := ev.fn, ev.h
-		obj, aux, arg := ev.obj, ev.aux, ev.arg
+		h, obj, aux, arg := ev.h, ev.obj, ev.aux, ev.arg
 		e.recycle(ev)
 		e.nEvents++
-		if h != nil {
-			h(obj, aux, arg)
-		} else {
-			fn()
-		}
+		h(obj, aux, arg)
 		if e.hook != nil {
 			e.hook(e.now, e.live)
 		}
@@ -674,7 +668,6 @@ func (e *Engine) Step() bool {
 // 4096 it replaces silently re-allocated under Table 3-scale queues
 // (~64k pending events).
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
 	ev.h = nil
 	ev.obj = nil
 	ev.aux = nil

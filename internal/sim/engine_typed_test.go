@@ -145,7 +145,7 @@ func TestRecycleClearsTypedReferences(t *testing.T) {
 	id := e.At2(Nanosecond, sinkRecord, s, s, 1)
 	e.Run()
 	ev := id.ev
-	if ev.h != nil || ev.obj != nil || ev.aux != nil || ev.fn != nil {
+	if ev.h != nil || ev.obj != nil || ev.aux != nil {
 		t.Fatal("recycled event still references handler/obj/aux")
 	}
 }

@@ -3,165 +3,88 @@ package stats
 import (
 	"math"
 	"sort"
-	"sync/atomic"
 )
-
-// sketchMode selects how Dist collectors store their samples
-// process-wide: false (the default) keeps every sample in memory and
-// answers quantiles exactly — byte-identical to the historical
-// []float64 + Percentile/Summarize path, which is what the experiment
-// determinism gate pins. True streams samples into a Sketch, making a
-// fully-instrumented run O(1) memory in sample count at the cost of a
-// bounded (≤ DefaultSketchAlpha) relative error on interior quantiles.
-var sketchMode atomic.Bool
-
-// SetSketchMode selects sketch-backed (true) or exact (false) storage
-// for Dist collectors created afterwards. Safe to call from any
-// goroutine; collectors already created keep their mode.
-func SetSketchMode(on bool) { sketchMode.Store(on) }
-
-// SketchMode reports the current process-wide collector mode.
-func SketchMode() bool { return sketchMode.Load() }
 
 // Dist accumulates a sample distribution (FCTs, inter-credit gaps,
 // queue delays) and answers the distribution questions the evaluation
-// asks — mean, percentiles, Summary, CDF — in one of two modes fixed at
-// construction:
-//
-//   - exact (default): samples are retained and sorted once, lazily, on
-//     the first quantile query (re-sorting only after new samples
-//     arrive), so a Summary followed by a Percentile pays for one sort,
-//     not two. Results are bit-identical to Summarize/Percentile on the
-//     raw slice.
-//   - sketch (SetSketchMode(true)): samples stream into a Sketch and
-//     memory stays O(1) in sample count. N, Mean, Min, Max stay exact;
-//     interior quantiles carry the sketch's relative-error bound.
+// asks — mean, percentiles, Summary, CDF. Samples are retained and
+// sorted once, lazily, on the first quantile query (re-sorting only
+// after new samples arrive), so a Summary followed by a Percentile pays
+// for one sort, not two. Results are bit-identical to
+// Summarize/Percentile on the raw slice.
 //
 // A Dist is single-goroutine like the trial that owns it.
 type Dist struct {
-	exact  []float64
-	sorted bool
-	sum    float64 // running sum in arrival order (matches Mean(xs))
-	sk     *Sketch
+	samples []float64
+	sorted  bool
+	sum     float64 // running sum in arrival order (matches Mean(xs))
 }
 
-// NewDist returns an empty collector in the current process-wide mode.
-func NewDist() *Dist {
-	if SketchMode() {
-		return &Dist{sk: NewSketch(0)}
-	}
-	return &Dist{}
-}
+// NewDist returns an empty collector.
+func NewDist() *Dist { return &Dist{} }
 
-// NewExactDist returns an exact-mode collector regardless of the
-// process-wide mode (for callers that go on to need the raw samples).
-func NewExactDist() *Dist { return &Dist{} }
+// NewExactDist is NewDist under the name it had while a Dist could also
+// be approximate; the benchmark harness (bench/layers) is compiled
+// against it.
+func NewExactDist() *Dist { return NewDist() }
 
 // Observe records one sample.
 func (d *Dist) Observe(v float64) {
-	if d.sk != nil {
-		d.sk.Observe(v)
-		return
-	}
-	d.exact = append(d.exact, v)
+	d.samples = append(d.samples, v)
 	d.sorted = false
 	d.sum += v
 }
 
 // N returns the number of samples.
-func (d *Dist) N() int {
-	if d.sk != nil {
-		return int(d.sk.Count())
-	}
-	return len(d.exact)
-}
+func (d *Dist) N() int { return len(d.samples) }
 
 // Mean returns the arithmetic mean in arrival-order summation — the
 // same floating-point result as Mean() over the raw sample slice. NaN
 // when empty.
 func (d *Dist) Mean() float64 {
-	if d.sk != nil {
-		return d.sk.Mean()
-	}
-	if len(d.exact) == 0 {
+	if len(d.samples) == 0 {
 		return math.NaN()
 	}
-	return d.sum / float64(len(d.exact))
+	return d.sum / float64(len(d.samples))
 }
 
-// sort ensures the exact slice is sorted (no-op in sketch mode).
 func (d *Dist) ensureSorted() {
 	if !d.sorted {
-		sort.Float64s(d.exact)
+		sort.Float64s(d.samples)
 		d.sorted = true
 	}
 }
 
-// Percentile returns the p-th percentile (0..100). Exact mode matches
-// Percentile() on the raw slice bit-for-bit; sketch mode is within the
-// sketch's relative-error bound. NaN when empty.
+// Percentile returns the p-th percentile (0..100), matching
+// Percentile() on the raw slice bit-for-bit. NaN when empty.
 func (d *Dist) Percentile(p float64) float64 {
-	if d.sk != nil {
-		return d.sk.Percentile(p)
-	}
-	if len(d.exact) == 0 {
+	if len(d.samples) == 0 {
 		return math.NaN()
 	}
 	d.ensureSorted()
-	return percentileSorted(d.exact, p)
+	return percentileSorted(d.samples, p)
 }
 
-// Summary returns the distribution summary. Exact mode matches
-// Summarize() on the raw slice bit-for-bit (including its sorted-order
-// mean); sketch mode keeps N/Mean/Min/Max exact.
+// Summary returns the distribution summary: Summarize() of the samples
+// (sorted-order mean included), sorted once here rather than per call.
 func (d *Dist) Summary() Summary {
-	if d.sk != nil {
-		return d.sk.Summary()
-	}
-	if len(d.exact) == 0 {
-		return Summary{}
-	}
 	d.ensureSorted()
-	s := d.exact
-	return Summary{
-		N:    len(s),
-		Mean: Mean(s),
-		P50:  percentileSorted(s, 50),
-		P99:  percentileSorted(s, 99),
-		P999: percentileSorted(s, 99.9),
-		Max:  s[len(s)-1],
-		Min:  s[0],
-	}
+	return Summarize(d.samples)
 }
 
-// CDF returns (sorted values, cumulative fractions) for plotting: the
-// per-sample CDF in exact mode, the per-bucket CDF in sketch mode.
+// CDF returns (sorted values, cumulative fractions) for plotting, one
+// point per sample.
 func (d *Dist) CDF() (vals, fracs []float64) {
-	if d.sk != nil {
-		return d.sk.CDF()
-	}
 	d.ensureSorted()
-	return CDF(d.exact)
+	return CDF(d.samples)
 }
 
-// Merge folds o into d. Both collectors must be in the same mode (a
-// mixed merge panics — it would silently change the memory contract).
+// Merge folds o's samples into d.
 func (d *Dist) Merge(o *Dist) {
 	if o == nil {
 		return
 	}
-	if (d.sk != nil) != (o.sk != nil) {
-		panic("stats: merging Dists of different modes")
-	}
-	if d.sk != nil {
-		d.sk.Merge(o.sk)
-		return
-	}
-	d.exact = append(d.exact, o.exact...)
+	d.samples = append(d.samples, o.samples...)
 	d.sorted = false
 	d.sum += o.sum
 }
-
-// Sketch returns the underlying sketch in sketch mode, nil in exact
-// mode (memory introspection for the obs budget gate).
-func (d *Dist) Sketch() *Sketch { return d.sk }

@@ -11,12 +11,12 @@ package expresspass_test
 //     grew or the hand-rolled encoder got wasteful.
 //   - peak RSS: the whole traced run must stay under
 //     XPSIM_OBS_RSS_BUDGET_MB (default 256; ~22 MB measured, see
-//     BENCH_6.json). The sweep runs serial
-//     (SetSweepProcs(1)) so the gate measures the streaming path — the
-//     trace goes straight through a 64 KiB buffer into the counting
-//     writer with no per-trial replay buffers, and the collectors are
-//     O(1)-capable in flow count, so the footprint must not scale with
-//     trace length. (Parallel sweeps additionally buffer each
+//     EXPERIMENTS.md "What streaming trials bought"). The sweep runs
+//     serial (SetSweepProcs(1)) so the gate measures the streaming path
+//     — the trace goes straight through a 64 KiB buffer into the
+//     counting writer with no per-trial replay buffers, and each cell's
+//     FCT samples are reduced to table cells inside its trial, so the
+//     footprint must not scale with trace length. (Parallel sweeps additionally buffer each
 //     in-flight trial's events for the submission-order merge; that
 //     cost is proportional to per-trial event volume times worker
 //     count and is deliberately outside this budget.)
