@@ -192,62 +192,66 @@ func init() {
 }
 
 func runFig15(p Params, w io.Writer) error {
-	rtt := 100 * sim.Microsecond
 	counts := dedupe([]int{4, 16, 64, 256, p.scaleInt(1024, 256)})
 	tbl := NewTable("flows", "proto", "util Gbps", "jain", "maxQ KB", "data drops", "timeouts")
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP, ProtoRCP}
 	rows := runner.Map(len(counts)*len(protos), func(t *runner.T, cell int) []any {
-		n, proto := counts[cell/len(protos)], protos[cell%len(protos)]
-		eng := t.Engine(p.Seed)
-		tcfg := topology.Config{}
-		proto.Features(&tcfg, rtt)
-		d := rttDumbbell(eng, n, 10*unit.Gbps, rtt, tcfg)
-		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
-			XP: core.Config{}, Conn: transport.ConnConfig{}}
-		var flows []*transport.Flow
-		var timeouts func() uint64
-		var conns []*transport.Conn
-		for i := 0; i < n; i++ {
-			// Unsynchronized long-running flows.
-			f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0,
-				sim.Duration(i)*73*sim.Microsecond)
-			flows = append(flows, f)
-			h := env.Dial(proto, f)
-			if ch, ok := h.(connHandle); ok {
-				conns = append(conns, ch.c)
-			}
-		}
-		timeouts = func() uint64 {
-			var t uint64
-			for _, c := range conns {
-				t += c.Timeouts
-			}
-			return t
-		}
-		warm := p.scaleDur(60*sim.Millisecond, 20*sim.Millisecond)
-		eng.RunUntil(warm)
-		d.Net.ResetStats()
-		for _, f := range flows {
-			f.TakeDeliveredDelta()
-		}
-		meas := p.scaleDur(100*sim.Millisecond, 50*sim.Millisecond)
-		eng.RunFor(meas)
-		var rates []float64
-		for _, f := range flows {
-			rates = append(rates, gbps(f.TakeDeliveredDelta(), meas))
-		}
-		// Utilization measured at the bottleneck egress (wire bytes
-		// of data actually transmitted during the window).
-		util := float64(d.Bottleneck.Stats().TxDataBytes) * 8 / meas.Seconds() / 1e9
-		return []any{n, string(proto), util, stats.JainIndex(rates),
-			float64(d.Bottleneck.DataStats().MaxBytes) / 1e3,
-			d.Net.TotalDataDrops(), timeouts()}
+		return fig15Cell(t.Engine(p.Seed), p, counts[cell/len(protos)], protos[cell%len(protos)])
 	})
 	for _, row := range rows {
 		tbl.Add(row...)
 	}
 	tbl.Write(w)
 	return nil
+}
+
+// fig15Cell runs n unsynchronized long flows of proto across the
+// dumbbell on eng and returns the cell's table row.
+func fig15Cell(eng *sim.Engine, p Params, n int, proto Proto) []any {
+	rtt := 100 * sim.Microsecond
+	tcfg := topology.Config{}
+	proto.Features(&tcfg, rtt)
+	d := rttDumbbell(eng, n, 10*unit.Gbps, rtt, tcfg)
+	env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
+		XP: core.Config{}, Conn: transport.ConnConfig{}}
+	var flows []*transport.Flow
+	var timeouts func() uint64
+	var conns []*transport.Conn
+	for i := 0; i < n; i++ {
+		// Unsynchronized long-running flows.
+		f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0,
+			sim.Duration(i)*73*sim.Microsecond)
+		flows = append(flows, f)
+		h := env.Dial(proto, f)
+		if ch, ok := h.(connHandle); ok {
+			conns = append(conns, ch.c)
+		}
+	}
+	timeouts = func() uint64 {
+		var t uint64
+		for _, c := range conns {
+			t += c.Timeouts
+		}
+		return t
+	}
+	warm := p.scaleDur(60*sim.Millisecond, 20*sim.Millisecond)
+	eng.RunUntil(warm)
+	d.Net.ResetStats()
+	for _, f := range flows {
+		f.TakeDeliveredDelta()
+	}
+	meas := p.scaleDur(100*sim.Millisecond, 50*sim.Millisecond)
+	eng.RunFor(meas)
+	var rates []float64
+	for _, f := range flows {
+		rates = append(rates, gbps(f.TakeDeliveredDelta(), meas))
+	}
+	// Utilization measured at the bottleneck egress (wire bytes
+	// of data actually transmitted during the window).
+	util := float64(d.Bottleneck.Stats().TxDataBytes) * 8 / meas.Seconds() / 1e9
+	return []any{n, string(proto), util, stats.JainIndex(rates),
+		float64(d.Bottleneck.DataStats().MaxBytes) / 1e3,
+		d.Net.TotalDataDrops(), timeouts()}
 }
 
 // ---- Fig 16: convergence time at 10 and 100 Gbps ----

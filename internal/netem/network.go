@@ -42,6 +42,8 @@ type Network struct {
 	switches []*Switch
 	ports    []*Port
 
+	rcpClocks []*rcpClock // one per (phase, interval) among the RCP ports
+
 	nextFlow packet.FlowID
 	freeFlow []packet.FlowID // retired IDs awaiting reuse (LIFO)
 
@@ -162,6 +164,10 @@ func (n *Network) Connect(a, b Node, cfg PortConfig) (ab, ba *Port) {
 	b.addPort(ba)
 	n.ports = append(n.ports, ab, ba)
 	ab.trace, ba.trace = n.tracer, n.tracer
+	if cfg.RCP != nil {
+		n.startRCP(ab.rcp)
+		n.startRCP(ba.rcp)
+	}
 	if n.metrics != nil {
 		n.registerPortMetrics(ab)
 		n.registerPortMetrics(ba)
@@ -331,22 +337,33 @@ func (n *Network) BuildRoutes() {
 	for _, nd := range n.nodes {
 		adj[nd.ID()] = nd.Ports()
 	}
+	for _, sw := range n.switches {
+		sw.growRoutes(packet.NodeID(len(n.nodes) - 1)) // once, not once per destination
+	}
+	sc := routeScratch{dist: make([]int, len(n.nodes)), queue: make([]packet.NodeID, 0, len(n.nodes))}
 	for _, dst := range n.hosts {
-		n.buildRoutesTo(dst.ID(), adj)
+		n.buildRoutesTo(dst.ID(), adj, &sc)
 	}
 }
 
-func (n *Network) buildRoutesTo(dst packet.NodeID, adj [][]*Port) {
+// routeScratch is the working memory of buildRoutesTo, reused across
+// the destinations of one BuildRoutes.
+type routeScratch struct {
+	dist  []int
+	queue []packet.NodeID
+	cand  []int
+}
+
+func (n *Network) buildRoutesTo(dst packet.NodeID, adj [][]*Port, sc *routeScratch) {
 	const inf = int(1e9)
-	dist := make([]int, len(n.nodes))
+	dist := sc.dist
 	for i := range dist {
 		dist[i] = inf
 	}
 	dist[dst] = 0
-	queue := []packet.NodeID{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue := append(sc.queue[:0], dst) // each node enters once: never outgrows its capacity
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
 		for _, p := range adj[v] {
 			// linkUp, not a per-direction check: a unidirectionally
 			// failed link must be excluded from BOTH directions so the
@@ -367,14 +384,15 @@ func (n *Network) buildRoutesTo(dst packet.NodeID, adj [][]*Port) {
 			sw.ClearRoutes(dst) // disconnected: drop any stale entry
 			continue
 		}
-		var cand []int
+		cand := sc.cand[:0]
 		for i, p := range sw.Ports() {
 			if linkUp(p) && dist[p.peer.owner.ID()] == dist[sw.ID()]-1 {
 				cand = append(cand, i)
 			}
 		}
+		sc.cand = cand
 		if len(cand) > 0 {
-			sw.SetRoutes(dst, cand)
+			sw.SetRoutes(dst, cand) // copies cand
 		} else {
 			sw.ClearRoutes(dst)
 		}

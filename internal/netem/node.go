@@ -1,8 +1,9 @@
 package netem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"expresspass/internal/packet"
 	"expresspass/internal/sim"
@@ -100,8 +101,8 @@ func (s *Switch) addPort(p *Port) {
 // re-sorted by peer node ID to guarantee deterministic ECMP ordering.
 func (s *Switch) SetRoutes(dst packet.NodeID, portIdx []int) {
 	sorted := append([]int(nil), portIdx...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return s.ports[sorted[i]].peer.owner.ID() < s.ports[sorted[j]].peer.owner.ID()
+	slices.SortFunc(sorted, func(a, b int) int {
+		return cmp.Compare(s.ports[a].peer.owner.ID(), s.ports[b].peer.owner.ID())
 	})
 	s.growRoutes(dst)
 	s.routes[dst] = sorted

@@ -233,7 +233,7 @@ func newPort(eng *sim.Engine, owner Node, cfg PortConfig, name string) *Port {
 	}
 	p.bucket = newTokenBucket(cfg.Rate.Scale(cfg.CreditRatio), cfg.CreditBurst)
 	if cfg.RCP != nil {
-		p.rcp = newRCPMeter(eng, cfg.Rate, *cfg.RCP)
+		p.rcp = newRCPMeter(cfg.Rate, *cfg.RCP)
 	}
 	if cfg.Phantom != nil {
 		p.phantom = newPhantomQueue(cfg.Rate, *cfg.Phantom)

@@ -45,32 +45,63 @@ type rcpMeter struct {
 	// read transient bursts as standing backlog and crater the rate.
 	minQueue   unit.Bytes
 	sawArrival bool
-	interval   sim.Duration
+	rttSec     float64 // cfg.RTT in seconds: d̄, and the interval T
 }
 
-func newRCPMeter(eng *sim.Engine, capacity unit.Rate, cfg RCPConfig) *rcpMeter {
+func newRCPMeter(capacity unit.Rate, cfg RCPConfig) *rcpMeter {
 	cfg = cfg.withDefaults()
-	m := &rcpMeter{cfg: cfg, capacity: capacity, rate: capacity, interval: cfg.RTT}
-	var tick func()
-	tick = func() {
-		m.update()
-		eng.After(m.interval, tick)
+	return &rcpMeter{cfg: cfg, capacity: capacity, rate: capacity, rttSec: cfg.RTT.Seconds()}
+}
+
+// rcpClock is the one timer behind every meter of a network that shares
+// a phase: a single dom-0 event per interval that updates the meters in
+// registration order — port-creation order — and re-arms itself once.
+// next is the deadline of the queued tick.
+type rcpClock struct {
+	eng      *sim.Engine
+	next     sim.Time
+	interval sim.Duration
+	meters   []*rcpMeter
+}
+
+// startRCP puts m on the clock whose next tick is one interval from now,
+// starting that clock if there is none. A port connected at another
+// instant, or with another RTT, matches no existing clock and so keeps
+// its own phase.
+func (n *Network) startRCP(m *rcpMeter) {
+	interval := m.cfg.RTT
+	next := n.Eng.Now() + interval
+	for _, c := range n.rcpClocks {
+		if c.next == next && c.interval == interval {
+			c.meters = append(c.meters, m)
+			return
+		}
 	}
-	eng.After(m.interval, tick)
-	return m
+	c := &rcpClock{eng: n.Eng, next: next, interval: interval, meters: []*rcpMeter{m}}
+	n.rcpClocks = append(n.rcpClocks, c)
+	c.eng.At2D(0, next, rcpClockTick, c, nil, 0)
+}
+
+func rcpClockTick(obj, _ any, _ uint64) {
+	c := obj.(*rcpClock)
+	for _, m := range c.meters {
+		m.update()
+	}
+	c.next += c.interval
+	c.eng.At2D(0, c.next, rcpClockTick, c, nil, 0)
 }
 
 func (m *rcpMeter) update() {
 	c := float64(m.capacity)
-	y := float64(m.arrived) * 8 / m.interval.Seconds()
+	d := m.rttSec
+	t := d // one update per RTT estimate
+	y := float64(m.arrived) * 8 / t
 	m.arrived = 0
 	var q float64
 	if m.sawArrival {
 		q = float64(m.minQueue) * 8 // bits of standing queue
 	}
 	m.sawArrival = false
-	d := m.cfg.RTT.Seconds()
-	t := m.interval.Seconds()
 	// Damping for the discrete sampled controller: the fluid-model
 	// stability of RCP assumes q on the order of a BDP and smooth rate
 	// evolution. A drop-tail queue capped at several BDPs would

@@ -7,14 +7,15 @@ import (
 	"time"
 )
 
-// Same-instant bursts: the shape RCP's per-port rate timers, the metrics
-// sampler and synchronised RTOs give the queue, and the one the
+// Same-instant bursts: the shape per-port or per-flow timers armed
+// together (DCQCN, synchronised RTOs, RCP's rate meters before they
+// shared a clock) give the queue, and the one the
 // crowded-bucket heap in calendar.go exists for. The differential suite
 // proves the order is right; the benchmark and the guard below are what
 // see its cost.
 
-// syncTimer re-arms itself one period ahead, like rcpMeter's tick: n of
-// them armed together stay on one picosecond forever.
+// syncTimer re-arms itself one period ahead: n of them armed together
+// stay on one picosecond forever.
 func syncTimer(obj, _ any, period uint64) {
 	e := obj.(*Engine)
 	e.After2(Duration(period), syncTimer, e, nil, period)

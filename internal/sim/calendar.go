@@ -40,18 +40,21 @@ import (
 //     wheel's candidate before either is returned.
 //
 // The crowded-bucket invariant exists because width adaptation cannot
-// separate equal timestamps: a model that arms one timer per port per
-// RTT (RCP's rate recomputation, the metrics sampler, DCQCN timers,
-// synchronised RTOs) puts hundreds to thousands of events on the same
-// picosecond, hence in the same bucket at any width. Every pop
-// invalidates the memoized minimum, so draining k such events by
-// rescanning costs k²/2 compares; as a heap it costs k·log k. Length is
-// the only flag: the append that takes a bucket to calCrowded+1 events
-// heapifies it, later appends sift up, removal from a crowded bucket is
-// a heap remove-at, and a heap that has shrunk to calCrowded is already
-// a valid unordered bucket (the scan reads every slot). rebuild,
-// overflow migration and ShardGroup.Activate re-place through the same
-// insert, so they re-establish the invariant without knowing of it.
+// separate equal timestamps: a model that arms one timer per port or
+// per flow on a shared instant (the metrics sampler, DCQCN timers,
+// synchronised RTOs; RCP's rate recomputation did, until netem put
+// every meter of a network on one clock) puts hundreds to thousands of
+// events on the same picosecond, hence in the same bucket at any
+// width. Every pop invalidates the memoized minimum, so draining k such
+// events by rescanning costs k²/2 compares; as a heap it costs k·log k.
+// Length is the only flag: the append that takes a bucket to
+// calCrowded+1 events heapifies it, later appends sift up, removal from
+// a crowded bucket is a heap remove-at, and a heap that has shrunk to
+// calCrowded is already a valid unordered bucket (the scan reads every
+// slot). rebuild, overflow migration and ShardGroup.Activate re-place
+// through the same insert, so they re-establish the invariant without
+// knowing of it. A bucket keeps the capacity its largest burst grew it
+// to; nothing shrinks it.
 //
 // The adaptive geometry is resized at most once per calResizeEvery
 // pops, with hysteresis, by rebuilding: bucket count tracks the queue
