@@ -49,13 +49,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write heap profile to file")
 	flag.Parse()
 
-	prof, err := obs.StartProfiles(*cpuProfile, *memProfile, "")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xpcalc:", err)
-		os.Exit(1)
-	}
-	defer prof.Stop()
-
 	hr, err := parseRate(*host)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xpcalc:", err)
@@ -66,6 +59,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xpcalc:", err)
 		os.Exit(2)
 	}
+
+	// Started after the last usage exit, so none leaves a dead profile.
+	prof, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xpcalc:", err)
+		os.Exit(1)
+	}
+	defer prof.Stop()
+
 	spec := netcalc.Spec{
 		HostRate:     hr,
 		FabricRate:   fr,

@@ -51,7 +51,6 @@
 //	                  scheduler's crowded-bucket and tx-done counters
 //	-cpuprofile FILE  Go CPU profile of the run
 //	-memprofile FILE  heap profile written at exit
-//	-pprof ADDR       serve net/http/pprof (e.g. localhost:6060)
 //
 // Verification (see internal/invariant and internal/scenario):
 //
@@ -82,13 +81,13 @@ import (
 
 // options holds the value of every flag.
 type options struct {
-	scale                                                    float64
-	seed, scenarioSeed                                       uint64
-	list, all, traceGzip, progress, invariants               bool
-	tracePath, traceTypes, traceRotate, metricsPath          string
-	cpuProfile, memProfile, pprofAddr, faultSpec, flightPath string
-	metricsIval                                              time.Duration
-	procs, shards, flightEvents                              int
+	scale                                           float64
+	seed, scenarioSeed                              uint64
+	list, all, traceGzip, progress, invariants      bool
+	tracePath, traceTypes, traceRotate, metricsPath string
+	cpuProfile, memProfile, faultSpec, flightPath   string
+	metricsIval                                     time.Duration
+	procs, shards, flightEvents                     int
 }
 
 // newFlags defines xpsim's flags on fs. It is the whole command-line
@@ -109,7 +108,6 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.progress, "progress", false, "heartbeat progress lines and a resource summary on stderr")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write CPU profile to file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write heap profile to file")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address")
 	fs.StringVar(&o.faultSpec, "faults", "",
 		"fault timeline for ext-faults-*/ext-chaos-* experiments: flap, stall, loss, "+
 			"gemodel, state (4-state Markov), dup, corrupt, reorder, jitter clauses plus "+
@@ -217,11 +215,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	prof, err := obs.StartProfiles(o.cpuProfile, o.memProfile, o.pprofAddr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
-		os.Exit(1)
-	}
 	rotateBytes, err := parseSize(o.traceRotate)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xpsim: -trace-rotate: %v\n", err)
@@ -250,6 +243,14 @@ func main() {
 			opt.FlightEvents = o.flightEvents
 		}
 		expresspass.ArmInvariants(opt)
+	}
+
+	// Profiles start last: every exit above leaves no half-written
+	// profile behind, and the profile covers the experiments alone.
+	prof, err := obs.StartProfiles(o.cpuProfile, o.memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
+		os.Exit(1)
 	}
 
 	code := 0

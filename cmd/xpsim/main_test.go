@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"math"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"sort"
@@ -253,6 +257,143 @@ func TestFlagSurface(t *testing.T) {
 		}
 		if needs != flagNeeds[name] {
 			t.Errorf("README: -%s needs %q, want %q", name, needs, flagNeeds[name])
+		}
+	}
+}
+
+// TestDeletedFlagIsUnknown: -pprof is gone without a trace in the code,
+// so what a command line that still carries it gets is package flag's
+// own unknown-flag error followed by the usage listing — which names the
+// two profiling flags that remain.
+func TestDeletedFlagIsUnknown(t *testing.T) {
+	fs := flag.NewFlagSet("xpsim", flag.ContinueOnError)
+	var usage strings.Builder
+	fs.SetOutput(&usage)
+	newFlags(fs)
+	err := fs.Parse([]string{"-pprof", "localhost:6060", "fig17"})
+	if err == nil || !strings.Contains(err.Error(), "not defined: -pprof") {
+		t.Fatalf("xpsim -pprof: error %v, want flag's unknown-flag error", err)
+	}
+	for _, want := range []string{"-cpuprofile", "-memprofile"} {
+		if !strings.Contains(usage.String(), want) {
+			t.Errorf("usage after -pprof does not list %s:\n%s", want, usage.String())
+		}
+	}
+}
+
+// goTool skips a test that shells out to the go tool where it cannot
+// (internal/sim's TestHotPathInlining is the precedent).
+func goTool(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("runs the go tool: skipped under -short")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool on PATH")
+	}
+}
+
+// heavyImport reports whether no library, command or example of this
+// module may link pkg: the network stack, TLS and what they drag in
+// (≈ 4 MiB of resident data and ≈ 1 ms of start-up on every run when
+// internal/obs served net/http/pprof — EXPERIMENTS.md "What a run pays
+// before its first event"), and process spawning. vendor/ is the
+// standard library's copy of x/net, x/crypto and x/sys/cpu, which only
+// those import.
+func heavyImport(pkg string) bool {
+	if pkg == "net" || pkg == "os/exec" {
+		return true
+	}
+	for _, prefix := range []string{"net/", "crypto", "mime", "html", "vendor/"} {
+		if strings.HasPrefix(pkg, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLinkSurface holds the module's link surface: nothing the root
+// package, the two commands or the examples import — however many hops
+// away — is a heavyImport. internal/obs is imported by every layer, so
+// one convenient import there is paid by every binary, test binary and
+// library user; this names the import and a chain that reaches it.
+func TestLinkSurface(t *testing.T) {
+	goTool(t)
+	cmd := exec.Command("go", "list", "-deps", "-f", `{{.ImportPath}} {{join .Imports " "}}`,
+		".", "./cmd/xpsim", "./cmd/xpcalc", "./examples/...")
+	cmd.Dir = filepath.Join("..", "..")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v\n%s", err, stderr.String())
+	}
+	// importedBy holds, for each package, the first allowed package that
+	// imports it (go list prints dependencies before their importers, so
+	// "first" is stable). A heavy package with no entry is reached only
+	// through another heavy one, which is reported in its place.
+	importedBy := map[string]string{}
+	var pkgs []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		pkgs = append(pkgs, f[0])
+		for _, imp := range f[1:] {
+			if _, seen := importedBy[imp]; !seen && !heavyImport(f[0]) {
+				importedBy[imp] = f[0]
+			}
+		}
+	}
+	if len(pkgs) < 20 {
+		t.Fatalf("go list -deps printed %d packages: not the module's import graph\n%s", len(pkgs), out)
+	}
+	for _, pkg := range pkgs {
+		by, imported := importedBy[pkg]
+		if !heavyImport(pkg) || !imported {
+			continue
+		}
+		chain := pkg
+		for ; imported; by, imported = importedBy[by] {
+			chain += " ← " + by
+		}
+		t.Errorf("heavy package linked into every run: %s", chain)
+	}
+}
+
+// TestNoDeadProfile: a command line that is rejected after flag parsing
+// — a bad -trace-rotate size (exit 2), a trace file that cannot be
+// created (exit 1), xpcalc's bad rate — must not leave a profile behind.
+// Profiles used to start before those checks, which then exited without
+// stopping them: a 0-byte cpu profile go tool pprof cannot read, and no
+// heap profile at all.
+func TestNoDeadProfile(t *testing.T) {
+	goTool(t)
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, ".", "../xpcalc").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		name string
+		exit int
+		args string
+	}{
+		{"xpsim", 2, "-trace /dev/null -trace-rotate bogus fig17"},
+		{"xpsim", 1, "-trace /nonexistent/t.jsonl fig17"},
+		{"xpsim", 1, "-invariants -flight /nonexistent/f.jsonl fig17"},
+		{"xpcalc", 2, "-host bogus"},
+		{"xpcalc", 2, "-fabric bogus"},
+	} {
+		dir := t.TempDir()
+		cpu, mem := filepath.Join(dir, "p.prof"), filepath.Join(dir, "m.prof")
+		args := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, strings.Fields(tc.args)...)
+		err := exec.Command(filepath.Join(bin, tc.name), args...).Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.exit {
+			t.Errorf("%s %s: %v, want exit status %d", tc.name, tc.args, err, tc.exit)
+		}
+		for _, f := range []string{cpu, mem} {
+			if st, err := os.Stat(f); err == nil {
+				t.Errorf("%s %s: left %s behind (%d bytes)", tc.name, tc.args, filepath.Base(f), st.Size())
+			}
 		}
 	}
 }

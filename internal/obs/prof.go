@@ -2,26 +2,25 @@ package obs
 
 import (
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof handlers
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
 // Profiles holds the state of the Go runtime profiling hooks the CLIs
-// expose (-cpuprofile, -memprofile, -pprof). Start what was requested,
-// run the workload, then Stop.
+// expose (-cpuprofile, -memprofile). Start what was requested, run the
+// workload, then Stop. Profiling is file-based on purpose: this package
+// is imported by every layer, and serving net/http/pprof from it linked
+// a web server into every binary (DESIGN.md, "Why profiling is
+// file-based"; cmd/xpsim's TestLinkSurface holds the line).
 type Profiles struct {
 	cpu     *os.File
 	memPath string
 }
 
 // StartProfiles starts the requested profiling outputs. cpuPath and
-// memPath name profile files (empty = off); pprofAddr, when non-empty,
-// serves net/http/pprof on that address (e.g. "localhost:6060") for
-// live inspection of long runs.
-func StartProfiles(cpuPath, memPath, pprofAddr string) (*Profiles, error) {
+// memPath name profile files (empty = off).
+func StartProfiles(cpuPath, memPath string) (*Profiles, error) {
 	p := &Profiles{memPath: memPath}
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
@@ -33,15 +32,6 @@ func StartProfiles(cpuPath, memPath, pprofAddr string) (*Profiles, error) {
 			return nil, fmt.Errorf("cpuprofile: %w", err)
 		}
 		p.cpu = f
-	}
-	if pprofAddr != "" {
-		go func() {
-			// The default mux carries the pprof handlers; errors here
-			// (port in use) must not kill the simulation.
-			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "obs: pprof server: %v\n", err)
-			}
-		}()
 	}
 	return p, nil
 }
