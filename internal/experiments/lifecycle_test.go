@@ -112,7 +112,8 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 // XPSIM_LIFECYCLE_SCALE overrides the scale (e.g. 10 for the 10× smoke
 // mode — combine with XPSIM_REALISTIC_FLOW_CAP to lift the per-run flow
 // cap). The FCT collectors retain 8 bytes per finished flow: under
-// 1 MB of the ~45 MB this cell peaks at, 8 MB for a million flows.
+// 1 MB of the ~40 MB the scale=1.0 cell peaks at (35 MB at `make
+// bench-gate`'s default 0.5, budget 70), 8 MB for a million flows.
 func TestLifecycleRSSGate(t *testing.T) {
 	budgetMB := os.Getenv("XPSIM_LIFECYCLE_RSS_BUDGET")
 	if budgetMB == "" {

@@ -1,0 +1,33 @@
+package netem
+
+// Test-only views of per-port and per-host storage for the footprint
+// guards in package netem_test, which build real topologies and
+// transports (both import this package, so they cannot be used from
+// in-package tests).
+
+// RingUse is one queue's allocated slots beside the peak occupancy it
+// reported.
+type RingUse struct {
+	Class   string
+	Slots   int
+	MaxPkts int
+}
+
+// RingUses lists p's data ring, its credit ring and every class ring of
+// its credit scheduler.
+func RingUses(p *Port) []RingUse {
+	uses := []RingUse{
+		{"data", len(p.data.ring.buf), p.data.stats.MaxPkts},
+		{"credit", len(p.credit.ring.buf), p.credit.stats.MaxPkts},
+	}
+	if p.sched != nil {
+		for i := range p.sched.queues {
+			q := &p.sched.queues[i]
+			uses = append(uses, RingUse{"credit class", len(q.ring.buf), q.stats.MaxPkts})
+		}
+	}
+	return uses
+}
+
+// DemuxSlots returns the length of h's endpoint window.
+func DemuxSlots(h *Host) int { return len(h.eps) }

@@ -73,13 +73,19 @@ type Host struct {
 	shardTr  *obs.Tracer
 	shardBuf *obs.ShardBuf
 
-	// eps demultiplexes arriving packets to endpoints. Flow IDs are
-	// small contiguous integers (Network.NextFlowID), so the table is a
-	// dense slice indexed by FlowID: the per-packet delivery lookup is
-	// one bounds check and one load instead of a map probe. nil entries
-	// (never-registered or unregistered flows) count as unclaimed.
 	ports []*Port // hosts have exactly one in all our topologies
-	eps   []Endpoint
+
+	// eps demultiplexes arriving packets to endpoints: eps[i] serves flow
+	// epsBase+i, so the table is a window over the IDs of the flows this
+	// host is party to, not over every ID the network has handed out
+	// (Network.NextFlowID). The per-packet lookup is one subtraction, one
+	// unsigned bounds check and one load. nil entries (never-registered
+	// or unregistered flows) count as unclaimed. epsLive counts the
+	// non-nil ones; when it falls to zero the window is released, so the
+	// next Register re-bases it.
+	eps     []Endpoint
+	epsBase packet.FlowID
+	epsLive int
 
 	Delay HostDelayConfig
 
@@ -174,46 +180,57 @@ func (h *Host) Register(flow packet.FlowID, ep Endpoint) {
 	if flow < 0 {
 		panic(fmt.Sprintf("netem: negative flow ID %d registered at %s", flow, h.name))
 	}
-	if n := int(flow) + 1; n > len(h.eps) {
-		if n <= cap(h.eps) {
-			h.eps = h.eps[:n]
-		} else {
-			// Grow geometrically: flow IDs arrive in near-monotonic
-			// order when the pool isn't recycling, and exact-size
-			// reallocation would copy the whole table on every new
-			// high-water ID.
-			c := 2 * cap(h.eps)
-			if c < n {
-				c = n
-			}
-			grown := make([]Endpoint, n, c)
-			copy(grown, h.eps)
-			h.eps = grown
-		}
+	if ep == nil {
+		panic(fmt.Sprintf("netem: nil endpoint registered for flow %d at %s", flow, h.name))
 	}
-	h.eps[flow] = ep
+	i := uint64(flow - h.epsBase)
+	if i >= uint64(len(h.eps)) {
+		h.growWindow(flow)
+		i = uint64(flow - h.epsBase)
+	}
+	if h.eps[i] == nil {
+		h.epsLive++
+	}
+	h.eps[i] = ep
+}
+
+// growWindow widens the demux window to cover flow. An empty window
+// re-bases to exactly that ID. Otherwise it grows toward the new ID to
+// at least twice its length — IDs arrive in near-monotonic order when
+// the pool is not recycling, and exact-size growth would copy the table
+// on every new extreme — but never below ID 0.
+func (h *Host) growWindow(flow packet.FlowID) {
+	n := packet.FlowID(len(h.eps))
+	if n == 0 {
+		h.eps, h.epsBase = make([]Endpoint, 1), flow
+		return
+	}
+	lo, hi := h.epsBase, h.epsBase+n // current window [lo, hi)
+	if flow >= hi {
+		hi = max(flow+1, lo+2*n)
+	} else {
+		lo = max(0, min(flow, hi-2*n))
+	}
+	grown := make([]Endpoint, hi-lo)
+	copy(grown[h.epsBase-lo:], h.eps)
+	h.eps, h.epsBase = grown, lo
 }
 
 // Unregister removes the handler for flow.
 func (h *Host) Unregister(flow packet.FlowID) {
-	if uint64(flow) < uint64(len(h.eps)) {
-		h.eps[flow] = nil
+	i := uint64(flow - h.epsBase)
+	if i >= uint64(len(h.eps)) || h.eps[i] == nil {
+		return
+	}
+	h.eps[i] = nil
+	if h.epsLive--; h.epsLive == 0 {
+		h.eps = nil // growWindow re-bases an empty window
 	}
 }
 
 // ActiveEndpoints counts flows currently registered at this host. Flow
-// retirement tests use it to assert the demux table drained; the slice
-// itself keeps its high-water length (entries are nil, not freed), so
-// the count — not len — is the leak signal.
-func (h *Host) ActiveEndpoints() int {
-	n := 0
-	for _, ep := range h.eps {
-		if ep != nil {
-			n++
-		}
-	}
-	return n
-}
+// retirement tests use it to assert the demux table drained.
+func (h *Host) ActiveEndpoints() int { return h.epsLive }
 
 // Send transmits pkt out the host NIC, stamping the send time.
 func (h *Host) Send(pkt *packet.Packet) {
@@ -256,13 +273,15 @@ func (h *Host) Deliver(pkt *packet.Packet, in *Port) {
 		packet.Put(pkt)
 		return
 	}
-	fl := pkt.Flow
-	if uint64(fl) >= uint64(len(h.eps)) || h.eps[fl] == nil { // unsigned compare also rejects fl < 0
+	// One unsigned compare rejects IDs on either side of the window (and
+	// negative ones: epsBase is never negative).
+	i := uint64(pkt.Flow - h.epsBase)
+	if i >= uint64(len(h.eps)) || h.eps[i] == nil {
 		h.Unclaimed++
 		packet.Put(pkt)
 		return
 	}
-	h.eps[fl].OnPacket(pkt)
+	h.eps[i].OnPacket(pkt)
 }
 
 func (h *Host) String() string { return fmt.Sprintf("host(%s)", h.name) }

@@ -191,11 +191,11 @@ func (n *Network) Node(id packet.NodeID) Node { return n.nodes[id] }
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // NextFlowID allocates a flow ID, preferring one retired by FreeFlowID
-// over growing the ID space. Reuse keeps the dense per-host endpoint
-// demux tables (Host.eps, indexed by flow ID) sized to the *concurrent*
-// flow population instead of the total dialed over a run's lifetime —
-// the difference between O(active) and O(total) resident memory on
-// 100k-flow runs. Frees happen in the lifecycle reaper's deterministic
+// over growing the ID space. Reuse keeps the per-host endpoint demux
+// windows (Host.eps spans the IDs registered since the host last had no
+// flow at all) sized to the *concurrent* flow population instead of the
+// total dialed over a run's lifetime — the difference between O(active)
+// and O(total) resident memory on 100k-flow runs. Frees happen in the lifecycle reaper's deterministic
 // dom-0 scan order, so the LIFO pop sequence — and therefore every
 // ID-derived quantity (ECMP hashes, trace records) — is identical in
 // serial, parallel, and sharded runs.

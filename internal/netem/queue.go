@@ -48,17 +48,85 @@ func (s *QueueStats) ResetWindow(now sim.Time) {
 	s.openedAt = now
 }
 
+// pktRing is the FIFO both queue classes store their packets in: a
+// circular buffer whose length is zero or a power of two. It starts
+// empty, doubles when full (first to ringMinSlots) and never shrinks or
+// compacts, so a ring's size is the peak occupancy its queue reports
+// anyway (QueueStats.MaxPkts, rounded up), not what has passed through.
+// The zero value is ready to use: ports embed their queues by value.
+//
+// head and n are uint32 on purpose: with two rings in it, Port must not
+// outgrow its allocator size class (TestPortStays696Bytes).
+type pktRing struct {
+	buf  []*packet.Packet
+	head uint32 // physical index of the oldest packet
+	n    uint32 // packets held
+}
+
+const ringMinSlots = 4
+
+func (r *pktRing) len() int { return int(r.n) }
+
+// slot maps the i-th oldest packet to its physical index. Only valid on
+// a ring that has grown (len(buf) > 0), which any ring holding a packet
+// has.
+func (r *pktRing) slot(i uint32) uint32 { return (r.head + i) & uint32(len(r.buf)-1) }
+
+// at returns the i-th oldest packet, 0 ≤ i < len.
+func (r *pktRing) at(i int) *packet.Packet { return r.buf[r.slot(uint32(i))] }
+
+// set replaces the i-th oldest packet, 0 ≤ i < len.
+func (r *pktRing) set(i int, p *packet.Packet) { r.buf[r.slot(uint32(i))] = p }
+
+func (r *pktRing) push(p *packet.Packet) {
+	if int(r.n) == len(r.buf) {
+		r.grow()
+	}
+	r.buf[r.slot(r.n)] = p
+	r.n++
+}
+
+// pop removes and returns the oldest packet, clearing its slot so the
+// ring never pins a packet the pool has recycled. The ring must not be
+// empty.
+func (r *pktRing) pop() *packet.Packet {
+	p := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = r.slot(1)
+	r.n--
+	return p
+}
+
+// grow doubles a full ring, unwrapping it so the oldest packet lands in
+// slot 0. It runs a handful of times per port per run. go:noinline, not
+// a split fast path: left to the compiler, grow (cost 39) is inlined
+// into push (74 of the budget's 80) and the pair into both queues'
+// push, so whether an enqueue carries the make and the two copies in
+// its body hangs on six units of budget — one more statement here and
+// push silently becomes a call that still contains them. Pinned out,
+// push is always a short call around the store (under 1 ns per enqueue
+// dearer than the all-inlined form in a push/pop micro, nothing any run
+// shows) and netem's TestHotPathInlining can hold the shape: grow never
+// inlined, pop, at and the emptiness tests always.
+//
+//go:noinline
+func (r *pktRing) grow() {
+	grown := make([]*packet.Packet, max(ringMinSlots, 2*len(r.buf)))
+	k := copy(grown, r.buf[r.head:])
+	copy(grown[k:], r.buf[:r.head])
+	r.buf, r.head = grown, 0
+}
+
 // dataQueue is a byte-capacity drop-tail FIFO for the data class.
 type dataQueue struct {
-	pkts  []*packet.Packet
-	head  int
+	ring  pktRing
 	bytes unit.Bytes
 	cap   unit.Bytes
 	stats QueueStats
 }
 
-func (q *dataQueue) len() int             { return len(q.pkts) - q.head }
-func (q *dataQueue) empty() bool          { return q.len() == 0 }
+func (q *dataQueue) len() int             { return q.ring.len() }
+func (q *dataQueue) empty() bool          { return q.ring.n == 0 }
 func (q *dataQueue) curBytes() unit.Bytes { return q.bytes }
 
 // push appends p if it fits; returns false (drop) otherwise.
@@ -69,7 +137,7 @@ func (q *dataQueue) push(now sim.Time, p *packet.Packet) bool {
 		return false
 	}
 	q.stats.account(now, q.bytes)
-	q.pkts = append(q.pkts, p)
+	q.ring.push(p)
 	q.bytes += p.Wire
 	q.stats.Enqueued++
 	if q.bytes > q.stats.MaxBytes {
@@ -86,16 +154,8 @@ func (q *dataQueue) pop(now sim.Time) *packet.Packet {
 		return nil
 	}
 	q.stats.account(now, q.bytes)
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
+	p := q.ring.pop()
 	q.bytes -= p.Wire
-	// Compact once the dead prefix dominates, amortized O(1).
-	if q.head > 64 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
 	return p
 }
 
@@ -112,15 +172,14 @@ func (q *dataQueue) pop(now sim.Time) *packet.Packet {
 // that drops land uniformly across interleaved credit streams (§3.1
 // "Ensuring fair credit drop").
 type creditQueue struct {
-	pkts  []*packet.Packet
-	head  int
+	ring  pktRing
 	cap   int
 	bytes unit.Bytes
 	stats QueueStats
 }
 
-func (q *creditQueue) len() int    { return len(q.pkts) - q.head }
-func (q *creditQueue) empty() bool { return q.len() == 0 }
+func (q *creditQueue) len() int    { return q.ring.len() }
+func (q *creditQueue) empty() bool { return q.ring.n == 0 }
 
 // push enqueues p, applying random-victim drop when full (or plain
 // drop-tail when rng is nil): when the queue displaces a queued credit,
@@ -136,16 +195,22 @@ func (q *creditQueue) push(now sim.Time, p *packet.Packet, rng *sim.Rand) bool {
 			q.stats.DropBytes += p.Wire
 			return false
 		}
-		old := q.pkts[q.head+victim]
+		// Credit sizes differ (84–92 B), so the swap moves the byte
+		// count: close the interval at the old count first.
+		q.stats.account(now, q.bytes)
+		old := q.ring.at(victim)
 		q.stats.DropBytes += old.Wire
 		q.bytes += p.Wire - old.Wire
-		q.pkts[q.head+victim] = p
+		q.ring.set(victim, p)
 		packet.Put(old)
 		q.stats.Enqueued++
+		if q.bytes > q.stats.MaxBytes {
+			q.stats.MaxBytes = q.bytes
+		}
 		return true
 	}
 	q.stats.account(now, q.bytes)
-	q.pkts = append(q.pkts, p)
+	q.ring.push(p)
 	q.bytes += p.Wire
 	q.stats.Enqueued++
 	if q.bytes > q.stats.MaxBytes {
@@ -157,27 +222,13 @@ func (q *creditQueue) push(now sim.Time, p *packet.Packet, rng *sim.Rand) bool {
 	return true
 }
 
-func (q *creditQueue) peek() *packet.Packet {
-	if q.empty() {
-		return nil
-	}
-	return q.pkts[q.head]
-}
-
 func (q *creditQueue) pop(now sim.Time) *packet.Packet {
 	if q.empty() {
 		return nil
 	}
 	q.stats.account(now, q.bytes)
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
+	p := q.ring.pop()
 	q.bytes -= p.Wire
-	if q.head > 16 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
-	}
 	return p
 }
 

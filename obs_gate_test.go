@@ -10,7 +10,8 @@ package expresspass_test
 //     (default 160). A regression here means the flat nine-key schema
 //     grew or the hand-rolled encoder got wasteful.
 //   - peak RSS: the whole traced run must stay under
-//     XPSIM_OBS_RSS_BUDGET_MB (default 256; ~22 MB measured, see
+//     XPSIM_OBS_RSS_BUDGET_MB (256 when unset; `make bench-gate` sets
+//     20, twice the 10–11 MB read at PR 23 — PR 6 read ~22 MB, see
 //     EXPERIMENTS.md "What streaming trials bought"). The sweep runs
 //     serial (SetSweepProcs(1)) so the gate measures the streaming path
 //     — the trace goes straight through a 64 KiB buffer into the
