@@ -48,7 +48,7 @@
 //	-metrics-interval with -metrics: sampling period in simulated time
 //	-progress         per-trial heartbeats on stderr, then a resource
 //	                  summary (peak RSS, events/sec, GC pauses) and the
-//	                  scheduler's crowded-bucket and tx-done counters
+//	                  scheduler's heap, walk-spill and tx-done counters
 //	-cpuprofile FILE  Go CPU profile of the run
 //	-memprofile FILE  heap profile written at exit
 //
@@ -376,17 +376,16 @@ func parseSize(s string) (int64, error) {
 }
 
 // schedSummary renders the scheduler's counters: what share of the
-// run's pops were same-instant timers served from a heap-ordered
-// calendar bucket and how long the longest such bucket got, then how
-// many transmitter-done events were reserved but never queued because no
-// packet waited for them (events counts queued events only, so the run
-// an eager scheduler would have executed is events plus that figure).
+// run's pops came off the calendar's heap rather than a wheel bucket's
+// head, how many events a capped bucket walk sent there (same-instant
+// timers armed against key order; ≈ 0 otherwise), the heap's high-water
+// mark and the wheel rebuilds, then how many transmitter-done events
+// were reserved but never queued because no packet waited for them
+// (events counts queued events only, so the run an eager scheduler would
+// have executed is events plus that figure).
 func schedSummary(events uint64, s obs.SchedTotals) string {
-	out := "no crowded bucket"
-	if s.PeakBucket > 0 {
-		out = fmt.Sprintf("%d pops from crowded buckets (%.1f%% of %d sim events), peak bucket %d events",
-			s.CrowdedPops, 100*float64(s.CrowdedPops)/float64(max(events, 1)), events, s.PeakBucket)
-	}
+	out := fmt.Sprintf("%d heap pops (%.1f%% of %d sim events), %d walk spills, peak heap %d events, %d rebuilds",
+		s.HeapPops, 100*float64(s.HeapPops)/float64(max(events, 1)), events, s.WalkSpills, s.PeakHeap, s.Rebuilds)
 	if s.Reserved > 0 {
 		never := s.Reserved - s.Armed
 		out += fmt.Sprintf("; %d of %d tx-done events never queued (%.1f%%)",

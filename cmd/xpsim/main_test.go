@@ -78,19 +78,22 @@ func TestParseSize(t *testing.T) {
 }
 
 func TestSchedSummary(t *testing.T) {
-	if got := schedSummary(1000, obs.SchedTotals{}); got != "no crowded bucket" {
-		t.Errorf("uncrowded run: %q", got)
+	want := "0 heap pops (0.0% of 1000 sim events), 0 walk spills, peak heap 0 events, 0 rebuilds"
+	if got := schedSummary(1000, obs.SchedTotals{}); got != want {
+		t.Errorf("wheel-only run: %q, want %q", got, want)
 	}
-	want := "250 pops from crowded buckets (25.0% of 1000 sim events), peak bucket 258 events"
-	if got := schedSummary(1000, obs.SchedTotals{PeakBucket: 258, CrowdedPops: 250}); got != want {
-		t.Errorf("crowded run: %q, want %q", got, want)
+	st := obs.SchedTotals{HeapPops: 250, WalkSpills: 246, PeakHeap: 258, Rebuilds: 7}
+	want = "250 heap pops (25.0% of 1000 sim events), 246 walk spills, peak heap 258 events, 7 rebuilds"
+	if got := schedSummary(1000, st); got != want {
+		t.Errorf("spilling run: %q, want %q", got, want)
 	}
+	st.Reserved, st.Armed = 400, 100
 	want += "; 300 of 400 tx-done events never queued (75.0%)"
-	if got := schedSummary(1000, obs.SchedTotals{PeakBucket: 258, CrowdedPops: 250, Reserved: 400, Armed: 100}); got != want {
-		t.Errorf("crowded run with elided tx-dones: %q, want %q", got, want)
+	if got := schedSummary(1000, st); got != want {
+		t.Errorf("spilling run with elided tx-dones: %q, want %q", got, want)
 	}
-	want = "no crowded bucket; 0 of 8 tx-done events never queued (0.0%)"
-	if got := schedSummary(1000, obs.SchedTotals{Reserved: 8, Armed: 8}); got != want {
+	want = "0 heap pops (0.0% of 0 sim events), 0 walk spills, peak heap 0 events, 0 rebuilds; 0 of 8 tx-done events never queued (0.0%)"
+	if got := schedSummary(0, obs.SchedTotals{Reserved: 8, Armed: 8}); got != want {
 		t.Errorf("saturated run: %q, want %q", got, want)
 	}
 }

@@ -60,12 +60,14 @@ type Runtime struct {
 	// engines never enter the engines list — they are read once, after
 	// their trial finishes, and accumulated here atomically so
 	// EngineTotals stays race-free while other trials are still running.
-	trialEvents      atomic.Uint64
-	trialPeak        atomic.Int64
-	trialPeakBucket  atomic.Int64
-	trialCrowdedPops atomic.Uint64
-	trialReserved    atomic.Uint64
-	trialArmed       atomic.Uint64
+	trialEvents     atomic.Uint64
+	trialPeak       atomic.Int64
+	trialHeapPops   atomic.Uint64
+	trialWalkSpills atomic.Uint64
+	trialPeakHeap   atomic.Int64
+	trialRebuilds   atomic.Int64
+	trialReserved   atomic.Uint64
+	trialArmed      atomic.Uint64
 
 	// Sweep progress: phase label plus trial counters, driven by the
 	// runner. All atomic so heartbeats never contend with workers.
@@ -166,36 +168,49 @@ func (rt *Runtime) EngineTotals() (events uint64, peakHeap int) {
 }
 
 // SchedTotals is what the event scheduler did across the engines
-// EngineTotals covers: the longest calendar bucket built (0 when none
-// passed the crowding threshold), the pops served from crowded buckets
-// (sim.Engine.PeakBucket, CrowdedPops), and the keys reserved for
-// transmitter-done events against how many of them were ever queued
-// (sim.Engine.Reserved) — Reserved-Armed events never existed, so
-// EngineTotals' event count does not include them.
+// EngineTotals covers: the pops it served from the calendar's heap, the
+// events a capped bucket walk sent there, the heap's high-water mark and
+// the wheel rebuilds (sim.Engine.HeapPops, WalkSpills, PeakHeap,
+// Rebuilds), and the keys reserved for transmitter-done events against
+// how many of them were ever queued (sim.Engine.Reserved) —
+// Reserved-Armed events never existed, so EngineTotals' event count does
+// not include them.
 type SchedTotals struct {
-	PeakBucket  int
-	CrowdedPops uint64
-	Reserved    uint64
-	Armed       uint64
+	HeapPops   uint64
+	WalkSpills uint64
+	PeakHeap   int
+	Rebuilds   int
+	Reserved   uint64
+	Armed      uint64
+}
+
+// add folds one engine's counters in (counts add; the peak is a max).
+func (t *SchedTotals) add(e *sim.Engine) {
+	t.HeapPops += e.HeapPops()
+	t.WalkSpills += e.WalkSpills()
+	t.PeakHeap = max(t.PeakHeap, e.PeakHeap())
+	t.Rebuilds += e.Rebuilds()
+	r, a := e.Reserved()
+	t.Reserved += r
+	t.Armed += a
 }
 
 // SchedTotals sums the scheduler counters over every engine attached so
 // far plus every flushed runner trial.
 func (rt *Runtime) SchedTotals() SchedTotals {
-	var t SchedTotals
+	t := SchedTotals{
+		HeapPops:   rt.trialHeapPops.Load(),
+		WalkSpills: rt.trialWalkSpills.Load(),
+		PeakHeap:   int(rt.trialPeakHeap.Load()),
+		Rebuilds:   int(rt.trialRebuilds.Load()),
+		Reserved:   rt.trialReserved.Load(),
+		Armed:      rt.trialArmed.Load(),
+	}
 	rt.mu.Lock()
 	for _, e := range rt.engines {
-		t.PeakBucket = max(t.PeakBucket, e.PeakBucket())
-		t.CrowdedPops += e.CrowdedPops()
-		r, a := e.Reserved()
-		t.Reserved += r
-		t.Armed += a
+		t.add(e)
 	}
 	rt.mu.Unlock()
-	t.PeakBucket = max(t.PeakBucket, int(rt.trialPeakBucket.Load()))
-	t.CrowdedPops += rt.trialCrowdedPops.Load()
-	t.Reserved += rt.trialReserved.Load()
-	t.Armed += rt.trialArmed.Load()
 	return t
 }
 
@@ -203,12 +218,15 @@ func (rt *Runtime) SchedTotals() SchedTotals {
 // runtime's accumulators (counts add; peaks are a CAS max).
 func (rt *Runtime) addTrialTotals(e *sim.Engine) {
 	rt.trialEvents.Add(e.Executed())
-	rt.trialCrowdedPops.Add(e.CrowdedPops())
-	r, a := e.Reserved()
-	rt.trialReserved.Add(r)
-	rt.trialArmed.Add(a)
 	atomicMax(&rt.trialPeak, int64(e.MaxPending()))
-	atomicMax(&rt.trialPeakBucket, int64(e.PeakBucket()))
+	var t SchedTotals
+	t.add(e)
+	rt.trialHeapPops.Add(t.HeapPops)
+	rt.trialWalkSpills.Add(t.WalkSpills)
+	atomicMax(&rt.trialPeakHeap, int64(t.PeakHeap))
+	rt.trialRebuilds.Add(int64(t.Rebuilds))
+	rt.trialReserved.Add(t.Reserved)
+	rt.trialArmed.Add(t.Armed)
 }
 
 func atomicMax(a *atomic.Int64, v int64) {

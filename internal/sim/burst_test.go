@@ -9,10 +9,9 @@ import (
 
 // Same-instant bursts: the shape per-port or per-flow timers armed
 // together (DCQCN, synchronised RTOs, RCP's rate meters before they
-// shared a clock) give the queue, and the one the
-// crowded-bucket heap in calendar.go exists for. The differential suite
-// proves the order is right; the benchmark and the guard below are what
-// see its cost.
+// shared a clock) give the queue, and the one the walk cap in
+// calendar.go exists for. The differential suite proves the order is
+// right; the benchmark and the guard below are what see its cost.
 
 // syncTimer re-arms itself one period ahead: n of them armed together
 // stay on one picosecond forever.
@@ -32,8 +31,9 @@ func holdEvent(obj, _ any, state uint64) {
 
 // BenchmarkSyncTimers measures ns per executed event (one op is one
 // Engine.Step) with n periodic timers re-armed at the same instant over
-// a light background of 64 hold-model streams. n=0 is the control: no
-// bucket crowds, so it prices the path the other workloads take.
+// a light background of 64 hold-model streams. The timers fire and
+// re-arm in key order, so their ring takes each at its tail; n=0 is the
+// control that prices the path the other workloads take.
 func BenchmarkSyncTimers(b *testing.B) {
 	for _, n := range []int{0, 16, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -45,8 +45,8 @@ func BenchmarkSyncTimers(b *testing.B) {
 			for i := 0; i < 64; i++ {
 				holdEvent(e, nil, uint64(i))
 			}
-			// Warm up past the first bursts so bucket slices, the free
-			// list and the wheel geometry have reached steady state.
+			// Warm up past the first bursts so the free list and the
+			// wheel geometry have reached steady state.
 			for i := 0; i < 8*(n+64); i++ {
 				e.Step()
 			}
@@ -74,7 +74,8 @@ func raceEnabled() bool {
 }
 
 // burstDrainNs returns the best-of-3 cost per event, in ns, of
-// scheduling k events across 5 domains on one instant and draining them.
+// scheduling k events across 5 domains on one instant — cycling, so
+// four in five arrive against key order — and draining them.
 func burstDrainNs(k int) float64 {
 	nop := func(any, any, uint64) {}
 	best := time.Duration(1<<63 - 1)
@@ -90,10 +91,11 @@ func burstDrainNs(k int) float64 {
 	return float64(best.Nanoseconds()) / float64(k)
 }
 
-// TestBurstDrainScales is the scaling guard: draining a same-instant
-// burst must cost O(log k) per event, not O(k). A 32× larger burst may
-// cost at most 4× more per event (cache misses and the deeper heap
-// account for ~2×); the rescanning bucket this replaced measured ~32×.
+// TestBurstDrainScales is the scaling guard: a same-instant burst must
+// cost O(log k) per event, not O(k). A 32× larger burst may cost at most
+// 4× more per event (cache misses and the deeper heap account for ~2×);
+// a sorted insert without the walk cap measured 225×.
+// TestWalkCapBoundsBurstCost is the same guard in compares, not time.
 func TestBurstDrainScales(t *testing.T) {
 	if testing.Short() || raceEnabled() {
 		t.Skip("timing guard: skipped under -short and -race")
@@ -101,7 +103,7 @@ func TestBurstDrainScales(t *testing.T) {
 	small, large := burstDrainNs(1<<10), burstDrainNs(1<<15)
 	t.Logf("per-event drain cost: %.0f ns at 1024, %.0f ns at 32768 (%.1fx)", small, large, large/small)
 	if large > 4*small {
-		t.Fatalf("draining a 32768-event same-instant burst costs %.0f ns/event, %.1fx the %.0f ns/event of a 1024-event burst (limit 4x): bucket drain is no longer O(log k)",
+		t.Fatalf("draining a 32768-event same-instant burst costs %.0f ns/event, %.1fx the %.0f ns/event of a 1024-event burst (limit 4x): a burst is no longer O(log k) per event",
 			large, large/small, small)
 	}
 }

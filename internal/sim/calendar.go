@@ -7,70 +7,67 @@ import (
 
 // Calendar-queue event scheduler (Brown 1988, as used by ns-3's
 // calendar scheduler and kernel timer wheels): the engine's one
-// pending-event queue. The structure splits pending events by horizon:
+// pending-event queue. An event is in exactly one of two containers:
 //
 //   - a power-of-two wheel of "day" buckets covers the near future.
 //     A day is ev.at >> logW (logW = log2 of the bucket width in
-//     picoseconds); the day's bucket is day & mask. Push appends to a
-//     bucket slice and pop scans forward from the current day — both
-//     O(1) amortized for the short-horizon events (link propagation,
-//     pacing ticks, credit slots) that dominate the simulator.
-//   - a 4-ary min-heap holds overflow: events whose day lies beyond
-//     the wheel's span (RTOs, idle watchdogs, end-of-run timers).
-//     They migrate into the wheel in amortized O(log n) batches once
-//     the clock brings their day within the horizon.
+//     picoseconds); the day's bucket is day & mask. A bucket is eight
+//     bytes: the head of a circular doubly-linked list threaded through
+//     the events themselves (event.next/prev) and kept in less() order.
+//     Nothing is allocated per bucket or per push, and the bucket's
+//     minimum is its head — found by arithmetic on the occupancy bitmap,
+//     not by comparing.
+//   - one index-tracked 4-ary min-heap holds every event the wheel
+//     declines: those whose day lies beyond the wheel's span (RTOs, idle
+//     watchdogs, end-of-run timers) and those whose sorted insertion
+//     would walk more than calWalk links (see place).
+//
+// The queue minimum is the less()-er of the first occupied bucket's head
+// and the heap root. That one full-key compare makes either container a
+// correct home for any event, so nothing ever moves from the heap into
+// the wheel as the clock approaches it: a far timer costs one heap push
+// and one heap pop, and there is no migration loop to keep ordered.
 //
 // Determinism: pop order must be exactly (time, dom, seq) by the less()
 // comparator — what a sort of the pending set would give, and what the
-// ordered-slice reference model in sched_prop_test.go checks. Two
-// properties make that cheap to guarantee:
+// ordered-slice reference model in sched_prop_test.go checks. Every
+// queued event satisfies ev.at >= engine.now (alloc and Reschedule
+// reject the past), and curDay only ever advances to day(now), so wheel
+// days always lie in [curDay, curDay+N). Within that window day ->
+// bucket is injective, meaning the first occupied bucket at or after
+// curDay holds exactly the events of the earliest day the wheel knows —
+// no per-event day check needed — and its sorted head is their minimum.
 //
-//   - every queued event satisfies ev.at >= engine.now (alloc and
-//     Reschedule reject the past), and curDay only ever advances to
-//     day(now), so wheel days always lie in [curDay, curDay+N). Within
-//     that window day -> bucket is injective, meaning the first
-//     non-empty bucket at or after curDay holds exactly the events of
-//     the earliest pending day — no per-event day check needed.
-//   - the full-key minimum of that one bucket is found by its length.
-//     A bucket of at most calCrowded events is unordered and scanned:
-//     width adapts to the observed inter-event spacing, so this is the
-//     common case and the scan is a few compares. A bucket LONGER than
-//     calCrowded is an index-tracked 4-ary min-heap in less() order and
-//     its minimum is slot 0. Overflow's heap root is compared with the
-//     wheel's candidate before either is returned.
-//
-// The crowded-bucket invariant exists because width adaptation cannot
-// separate equal timestamps: a model that arms one timer per port or
-// per flow on a shared instant (the metrics sampler, DCQCN timers,
-// synchronised RTOs; RCP's rate recomputation did, until netem put
-// every meter of a network on one clock) puts hundreds to thousands of
-// events on the same picosecond, hence in the same bucket at any
-// width. Every pop invalidates the memoized minimum, so draining k such
-// events by rescanning costs k²/2 compares; as a heap it costs k·log k.
-// Length is the only flag: the append that takes a bucket to
-// calCrowded+1 events heapifies it, later appends sift up, removal from
-// a crowded bucket is a heap remove-at, and a heap that has shrunk to
-// calCrowded is already a valid unordered bucket (the scan reads every
-// slot). rebuild, overflow migration and ShardGroup.Activate re-place
-// through the same insert, so they re-establish the invariant without
-// knowing of it. A bucket keeps the capacity its largest burst grew it
-// to; nothing shrinks it.
+// Sorted insertion walks back from the tail, because events of one day
+// mostly arrive in key order: time order within the day, and FIFO (seq)
+// among equals. At the resolution below a bucket holds ≈ 0.3 events, so
+// the walk is zero or one link. What it cannot absorb is a same-instant
+// burst arriving against key order — a model that arms one timer per
+// port or per flow on a shared picosecond, in descending dom — which no
+// bucket width separates. The walk is therefore capped: past calWalk
+// links the event goes to the heap instead, and a burst of k such events
+// costs k·(calWalk + log k) by construction, where an uncapped walk
+// costs k²/2. WalkSpills counts them; a run without synchronised timers
+// reads ≈ 0 (see experiments.TestNoSynchronisedTimerBurst).
 //
 // The adaptive geometry is resized at most once per calResizeEvery
-// pops, with hysteresis, by rebuilding: bucket count tracks the queue
-// population and bucket width tracks an EWMA of inter-pop gaps, so a
+// pops, with hysteresis, by rebuilding: bucket count tracks 8x the queue
+// population and bucket width half an EWMA of inter-pop gaps, so a
 // Table 3-scale run (~64k pending, sub-ns gaps) and a sparse teardown
-// tail pick different geometries without tuning flags.
+// tail pick different geometries without tuning flags. Eight buckets an
+// event is what an 8-byte bucket buys: the horizon (count x width ≈ 2n
+// gaps) is what a coarser wheel of the same population would span, but a
+// bucket almost never holds two events, so almost no push compares.
 type calQ struct {
-	buckets [][]*event
-	occ     []uint64 // occupancy bitmap, one bit per bucket
-	mask    int64    // len(buckets)-1; bucket count is a power of two
-	logW    uint     // log2(bucket width in Time units)
-	curDay  int64    // scan origin; advanced monotonically to day(now)
-	wheelN  int      // events resident in the wheel
-	over    []*event // overflow 4-ary min-heap, full-key order
-	cached  *event   // memoized queue minimum, nil when unknown
-	spare   []*event // rebuild's extraction buffer, kept between rebuilds
+	heads  []*event // per bucket: least event of a less()-ordered ring, nil when empty
+	occ    []uint64 // occupancy bitmap, one bit per bucket
+	mask   int64    // len(heads)-1; bucket count is a power of two
+	logW   uint     // log2(bucket width in Time units)
+	curDay int64    // scan origin; advanced monotonically to day(now)
+	wheelN int      // events resident in the wheel
+	heap   []*event // 4-ary min-heap, full-key order: beyond the horizon, or spilled
+	cached *event   // memoized queue minimum, nil when unknown
+	spare  []*event // rebuild's extraction buffer, kept between rebuilds
 
 	// Adaptive-width state: EWMA of nonzero inter-pop gaps (the
 	// zero-gap bursts of same-time events carry no width information)
@@ -80,25 +77,34 @@ type calQ struct {
 	havePop  bool
 	sincePop int
 
-	// Crowded-path instrumentation, written only inside the crowded
-	// branches: the longest bucket ever built past calCrowded (0 when
-	// none was) and the pops served from a crowded bucket's root.
-	peakBucket  int
-	crowdedPops uint64
+	// What the structure can waste, each written off the common path:
+	// pops served from the heap root, events the walk cap (not the
+	// horizon) sent to the heap, the heap's high-water mark, and geometry
+	// rebuilds.
+	heapPops   uint64
+	walkSpills uint64
+	peakHeap   int
+	rebuilds   int
+
+	// cmps counts the full-key compares made where their number depends
+	// on the input — one per link place walks, one per less() in a heap
+	// sift. Nothing reads it but the complexity guard in
+	// sched_prop_test.go.
+	cmps uint64
 }
 
 const (
-	// calInOverflow in event.bucket marks residence in the overflow
-	// heap rather than a wheel bucket.
-	calInOverflow int32 = -2
+	// calInHeap in event.bucket marks residence in the heap rather than
+	// a wheel bucket.
+	calInHeap int32 = -2
 
 	calMinBuckets = 64
-	calMaxBuckets = 1 << 17
+	calMaxBuckets = 1 << 20 // 8 MiB of heads
 
-	// Bucket width clamps: 2^6 ps keeps the horizon meaningful under
+	// Bucket width clamps: 2^4 ps keeps the horizon meaningful under
 	// pathological all-same-time workloads; 2^40 ps (~1.1 s) keeps
 	// day arithmetic far from overflow while covering any sane timer.
-	calMinLogW  = 6
+	calMinLogW  = 4
 	calMaxLogW  = 40
 	calInitLogW = 13 // ~8 ns buckets until the gap EWMA has data
 
@@ -106,15 +112,14 @@ const (
 	// are O(n), so this bounds resize overhead to O(1) amortized.
 	calResizeEvery = 1024
 
-	// calCrowded is the longest bucket kept unordered; a longer one is
-	// a heap (see the header). At or below it a linear scan of one or
-	// two cache lines of pointers beats the sifts.
-	calCrowded = 12
+	// calWalk is the most links place walks before it gives the event to
+	// the heap: about the cost of the heap push it avoids.
+	calWalk = 12
 )
 
 func newCalQ() *calQ {
 	return &calQ{
-		buckets: make([][]*event, calMinBuckets),
+		heads:   make([]*event, calMinBuckets),
 		occ:     make([]uint64, calMinBuckets/64),
 		mask:    calMinBuckets - 1,
 		logW:    calInitLogW,
@@ -122,7 +127,7 @@ func newCalQ() *calQ {
 	}
 }
 
-func (c *calQ) len() int { return c.wheelN + len(c.over) }
+func (c *calQ) len() int { return c.wheelN + len(c.heap) }
 
 // advance moves the scan origin up to the current day. It never moves
 // backward, and because every queued event's time is >= now, advancing
@@ -133,49 +138,70 @@ func (c *calQ) advance(now Time) {
 	}
 }
 
-// place routes an event to its container by horizon. Callers maintain
-// the cache and accounting. wheelInsert leaves ev.index at the bucket's
-// previous length, so index >= calCrowded says the bucket is now
-// crowded without reloading it.
+// place puts an event into its day's ring at its less() position,
+// walking back from the tail, or into the heap when the day is beyond
+// the horizon or the walk would pass calWalk links. Callers maintain the
+// cache and accounting. push, rebuild and ShardGroup.Activate all come
+// through here, so none of them knows how a bucket is ordered.
 func (c *calQ) place(ev *event) {
 	d := int64(ev.at) >> c.logW
-	if d-c.curDay >= int64(len(c.buckets)) {
-		c.overPush(ev)
+	if d-c.curDay >= int64(len(c.heads)) {
+		c.heapPush(ev)
 		return
 	}
-	c.wheelInsert(ev, d)
-	if ev.index >= calCrowded {
-		c.crowd(ev.bucket)
+	b := d & c.mask
+	// Emptiness is read off the bitmap, which stays cache-resident where
+	// the heads (8 bytes a bucket, 64 buckets an event at most) do not:
+	// the common push then only stores to its head, and never waits on it.
+	if w, bit := b>>6, uint64(1)<<uint(b&63); c.occ[w]&bit == 0 {
+		ev.next, ev.prev = ev, ev
+		c.heads[b] = ev
+		c.occ[w] |= bit
+	} else {
+		head := c.heads[b]
+		after := head.prev // the tail
+		for links := 0; less(ev, after); links++ {
+			if after == head {
+				// Before every event of the day: in a ring that is the
+				// slot after the tail, under a new head.
+				c.heads[b] = ev
+				after = head.prev
+				break
+			}
+			if links == calWalk {
+				c.walkSpills++
+				c.heapPush(ev)
+				return
+			}
+			after = after.prev
+			c.cmps++
+		}
+		ev.prev, ev.next = after, after.next
+		after.next.prev = ev
+		after.next = ev
 	}
-}
-
-func (c *calQ) wheelInsert(ev *event, d int64) {
-	b := int32(d & c.mask)
-	ev.bucket = b
-	ev.index = len(c.buckets[b])
-	c.buckets[b] = append(c.buckets[b], ev)
-	c.occ[b>>6] |= 1 << uint(b&63)
+	ev.bucket = int32(b)
+	ev.index = 0
 	c.wheelN++
 }
 
-// crowd restores the crowded-bucket invariant after wheelInsert took
-// bucket b past calCrowded: the append that crosses the threshold finds
-// an unordered bucket and heapifies it, every later one finds a heap
-// and sifts the new tail up. It is kept out of wheelInsert so the
-// common path stays inlinable (see TestHotPathInlining).
-func (c *calQ) crowd(b int32) {
-	h := c.buckets[b]
-	n := len(h)
-	if n == calCrowded+1 {
-		for i := (n - 2) >> 2; i >= 0; i-- {
-			heapDown(h, i)
-		}
+// unlink takes a wheel event out of its ring in O(1) and leaves its
+// links nil, so a recycled struct pins no neighbour for the GC.
+func (c *calQ) unlink(ev *event) {
+	b := ev.bucket
+	if ev.next == ev {
+		c.heads[b] = nil
+		c.occ[b>>6] &^= 1 << uint(b&63)
 	} else {
-		heapUp(h, n-1)
+		ev.prev.next = ev.next
+		ev.next.prev = ev.prev
+		if c.heads[b] == ev {
+			c.heads[b] = ev.next
+		}
 	}
-	if n > c.peakBucket {
-		c.peakBucket = n
-	}
+	ev.next, ev.prev = nil, nil
+	ev.index = -1
+	c.wheelN--
 }
 
 func (c *calQ) push(ev *event, now Time) {
@@ -197,46 +223,26 @@ func (c *calQ) peek(now Time) *event {
 }
 
 // findMin is peek's miss path: it locates the minimum and memoizes it.
+// A minimum in the heap is served from there — curDay must NOT jump to
+// it, because the engine may merely inspect this event (RunUntil
+// past-deadline check) and then push nearer events, which would land
+// behind a jumped origin.
 func (c *calQ) findMin(now Time) *event {
 	c.advance(now)
-	// Migrate overflow events whose day has come inside the horizon.
-	// The overflow heap is full-key ordered, so the first out-of-range
-	// root proves the rest are out of range too; each event migrates
-	// at most once (its day is fixed, curDay only grows).
-	n := int64(len(c.buckets))
-	for len(c.over) > 0 {
-		d := int64(c.over[0].at) >> c.logW
-		if d-c.curDay >= n {
-			break
-		}
-		ev := c.over[0]
-		c.over = heapRemoveAt(c.over, 0)
-		c.wheelInsert(ev, d)
-		if ev.index >= calCrowded {
-			c.crowd(ev.bucket)
-		}
-	}
 	best := c.wheelMin()
-	if len(c.over) > 0 && (best == nil || less(c.over[0], best)) {
-		// A far-future minimum is served straight from the overflow
-		// heap — curDay must NOT jump to it, because the engine may
-		// merely inspect this event (RunUntil past-deadline check) and
-		// then push nearer events, which would land behind a jumped
-		// origin.
-		best = c.over[0]
+	if len(c.heap) > 0 && (best == nil || less(c.heap[0], best)) {
+		best = c.heap[0]
 	}
 	c.cached = best
 	return best
 }
 
-// wheelMin scans forward from curDay for the first non-empty bucket
-// and returns its full-key minimum — by the injectivity invariant,
-// that bucket holds exactly the earliest pending day's events. The
-// scan walks the occupancy bitmap, not the bucket slices, skipping 64
-// empty buckets per word: the peek cache is invalidated on every pop
-// of the minimum, so this re-scan is the steady-state path and was the
-// top CPU consumer in fig18 profiles before the bitmap (see
-// EXPERIMENTS.md).
+// wheelMin scans forward from curDay for the first occupied bucket and
+// returns its head — by the injectivity invariant, that bucket holds
+// exactly the wheel's earliest day, and its ring is sorted. The scan
+// walks the occupancy bitmap, not the heads, skipping 64 empty buckets
+// per word: the peek cache is invalidated on every pop of the minimum,
+// so this re-scan is the steady-state path.
 func (c *calQ) wheelMin() *event {
 	if c.wheelN == 0 {
 		return nil
@@ -247,7 +253,7 @@ func (c *calQ) wheelMin() *event {
 	nw := len(c.occ)
 	// Slots at or after the origin in the origin's own word…
 	if word := c.occ[w0] & (^uint64(0) << off); word != 0 {
-		return c.bucketMin(w0<<6 + bits.TrailingZeros64(word))
+		return c.heads[w0<<6+bits.TrailingZeros64(word)]
 	}
 	// …then whole words, wrapping once around the wheel…
 	for i := 1; i < nw; i++ {
@@ -256,31 +262,15 @@ func (c *calQ) wheelMin() *event {
 			w -= nw
 		}
 		if word := c.occ[w]; word != 0 {
-			return c.bucketMin(w<<6 + bits.TrailingZeros64(word))
+			return c.heads[w<<6+bits.TrailingZeros64(word)]
 		}
 	}
 	// …and finally the origin word's slots below the origin (the far
 	// edge of the [curDay, curDay+N) window).
 	if word := c.occ[w0] & (1<<off - 1); word != 0 {
-		return c.bucketMin(w0<<6 + bits.TrailingZeros64(word))
+		return c.heads[w0<<6+bits.TrailingZeros64(word)]
 	}
 	panic("sim: calendar wheel population desynchronized")
-}
-
-// bucketMin returns the full-key minimum of a non-empty bucket: the
-// root when the bucket is crowded (a heap), else the result of a scan.
-func (c *calQ) bucketMin(slot int) *event {
-	b := c.buckets[slot]
-	best := b[0]
-	if len(b) > calCrowded {
-		return best
-	}
-	for _, ev := range b[1:] {
-		if less(ev, best) {
-			best = ev
-		}
-	}
-	return best
 }
 
 // pop removes and returns the minimum event, or nil when empty, and
@@ -290,9 +280,10 @@ func (c *calQ) pop(now Time) *event {
 	if ev == nil {
 		return nil
 	}
-	if c.remove(ev) {
-		c.crowdedPops++
+	if ev.bucket == calInHeap {
+		c.heapPops++
 	}
+	c.remove(ev)
 	if c.havePop {
 		if gap := int64(ev.at - c.lastPop); gap > 0 {
 			c.gapEWMA += (gap - c.gapEWMA) >> 3
@@ -307,100 +298,79 @@ func (c *calQ) pop(now Time) *event {
 }
 
 // remove deletes a resident event from whichever container holds it —
-// indexed heap-remove from overflow or from a crowded wheel bucket,
-// swap-remove from an uncrowded one — and reports whether it came out
-// of a crowded bucket. O(1) or O(log n), never a search: this is what
-// lets EventID.Reschedule relocate any pending event in place, so its
-// success depends only on whether the event is still pending, never on
-// where the queue happens to hold it (a fallback to a fresh schedule
-// would consume a seq and shift every later tie-break).
-func (c *calQ) remove(ev *event) (crowded bool) {
+// an unlink from its ring or an indexed heap remove, never a search:
+// this is what lets EventID.Reschedule relocate any pending event in
+// place, so its success depends only on whether the event is still
+// pending, never on where the queue happens to hold it (a fallback to a
+// fresh schedule would consume a seq and shift every later tie-break).
+func (c *calQ) remove(ev *event) {
 	if c.cached == ev {
 		c.cached = nil
 	}
-	if ev.bucket == calInOverflow {
-		c.over = heapRemoveAt(c.over, ev.index)
-		return false
+	if ev.bucket == calInHeap {
+		c.heapRemoveAt(ev.index)
+		return
 	}
-	b := ev.bucket
-	s := c.buckets[b]
-	c.wheelN--
-	if len(s) > calCrowded {
-		c.buckets[b] = heapRemoveAt(s, ev.index)
-		return true
-	}
-	i := ev.index
-	last := len(s) - 1
-	if i != last {
-		s[i] = s[last]
-		s[i].index = i
-	}
-	s[last] = nil
-	c.buckets[b] = s[:last]
-	if last == 0 {
-		c.occ[b>>6] &^= 1 << uint(b&63)
-	}
-	ev.index = -1
-	return false
+	c.unlink(ev)
 }
 
-// extractAll empties the queue and returns every resident event in
-// unspecified order (used by ShardGroup.Activate and rebuild). The
-// slice is the caller's: rebuild hands it back as spare, so a geometry
-// that flips between two widths on every check — an inter-pop gap EWMA
-// sitting on a power of two does — allocates nothing per flip.
+// extractAll empties the queue and returns every resident event,
+// unlinked, in unspecified order (used by ShardGroup.Activate and
+// rebuild). The slice is the caller's: rebuild hands it back as spare,
+// so a geometry that flips between two widths on every check — an
+// inter-pop gap EWMA sitting on a power of two does — allocates nothing
+// per flip.
 func (c *calQ) extractAll() []*event {
 	evs := slices.Grow(c.spare[:0], c.len())
 	c.spare = nil
-	for i, b := range c.buckets {
-		evs = append(evs, b...)
-		for j := range b {
-			b[j] = nil
+	for w, word := range c.occ {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			ev := c.heads[b]
+			c.heads[b] = nil
+			ev.prev.next = nil // open the ring: the walk ends at its tail
+			for ev != nil {
+				next := ev.next
+				ev.next, ev.prev = nil, nil
+				evs = append(evs, ev)
+				ev = next
+			}
 		}
-		c.buckets[i] = b[:0]
+		c.occ[w] = 0
 	}
-	evs = append(evs, c.over...)
-	for i := range c.over {
-		c.over[i] = nil
-	}
-	c.over = c.over[:0]
-	for i := range c.occ {
-		c.occ[i] = 0
-	}
+	evs = append(evs, c.heap...)
+	clear(c.heap)
+	c.heap = c.heap[:0]
 	c.wheelN = 0
 	c.cached = nil
 	return evs
 }
 
 // resize re-evaluates the wheel geometry; pop calls it every
-// calResizeEvery pops. Bucket count tracks the total population (wheel
-// + overflow) and bucket width targets ~4x the inter-pop gap EWMA, so a
-// handful of events share each active bucket. Both adjustments carry
-// hysteresis (4x slack on count, 2 steps on width) so steady-state
+// calResizeEvery pops. Bucket count tracks 8x the total population
+// (wheel + heap) and bucket width targets half the inter-pop gap EWMA,
+// so most occupied buckets hold one event. Both adjustments carry
+// hysteresis (8x slack on count, 2 steps on width) so steady-state
 // workloads never rebuild.
 func (c *calQ) resize(now Time) {
 	c.sincePop = 0
 	n := c.len()
-	newN := len(c.buckets)
-	for newN < n && newN < calMaxBuckets {
+	newN := len(c.heads)
+	for newN < 8*n && newN < calMaxBuckets {
 		newN <<= 1
 	}
-	for newN > 8*n && newN > calMinBuckets {
+	for newN > 64*n && newN > calMinBuckets {
 		newN >>= 1
 	}
-	g := c.gapEWMA * 4
+	g := c.gapEWMA / 2
 	newLogW := uint(calMinLogW)
 	for g>>(newLogW+1) != 0 && newLogW < calMaxLogW {
 		newLogW++
 	}
-	dl := int(newLogW) - int(c.logW)
-	if dl < 0 {
-		dl = -dl
-	}
-	if dl < 2 {
+	if d := int(newLogW) - int(c.logW); -2 < d && d < 2 {
 		newLogW = c.logW
 	}
-	if newN == len(c.buckets) && newLogW == c.logW {
+	if newN == len(c.heads) && newLogW == c.logW {
 		return
 	}
 	c.rebuild(newN, newLogW, now)
@@ -411,9 +381,10 @@ func (c *calQ) resize(now Time) {
 // or after now, so all of them land at or ahead of the origin and the
 // injectivity invariant is re-established from scratch.
 func (c *calQ) rebuild(newN int, newLogW uint, now Time) {
+	c.rebuilds++
 	evs := c.extractAll()
-	if newN != len(c.buckets) {
-		c.buckets = make([][]*event, newN)
+	if newN != len(c.heads) {
+		c.heads = make([]*event, newN)
 		c.occ = make([]uint64, newN/64)
 		c.mask = int64(newN - 1)
 	}
@@ -428,14 +399,24 @@ func (c *calQ) rebuild(newN int, newLogW uint, now Time) {
 
 // ---- 4-ary min-heap (full-key order, index-tracked) ----
 //
-// One implementation over a bare slice, shared by the overflow heap and
-// every crowded wheel bucket. Each event's index field tracks its slot.
+// Each event's index field tracks its slot in c.heap.
 
-func heapUp(h []*event, i int) {
+func (c *calQ) heapPush(ev *event) {
+	ev.bucket = calInHeap
+	c.heap = append(c.heap, ev)
+	c.heapUp(len(c.heap) - 1)
+	if n := len(c.heap); n > c.peakHeap {
+		c.peakHeap = n
+	}
+}
+
+func (c *calQ) heapUp(i int) {
+	h := c.heap
 	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
 		p := h[parent]
+		c.cmps++
 		if !less(ev, p) {
 			break
 		}
@@ -447,7 +428,8 @@ func heapUp(h []*event, i int) {
 	ev.index = i
 }
 
-func heapDown(h []*event, i int) {
+func (c *calQ) heapDown(i int) {
+	h := c.heap
 	ev := h[i]
 	n := len(h)
 	for {
@@ -465,6 +447,7 @@ func heapDown(h []*event, i int) {
 				best = j
 			}
 		}
+		c.cmps += uint64(last - first)
 		if !less(h[best], ev) {
 			break
 		}
@@ -476,15 +459,10 @@ func heapDown(h []*event, i int) {
 	ev.index = i
 }
 
-func (c *calQ) overPush(ev *event) {
-	ev.bucket = calInOverflow
-	c.over = append(c.over, ev)
-	heapUp(c.over, len(c.over)-1)
-}
-
-// heapRemoveAt deletes the event at heap slot i, marks it unqueued
-// (index -1) and returns the shortened heap.
-func heapRemoveAt(h []*event, i int) []*event {
+// heapRemoveAt deletes the event at heap slot i and marks it unqueued
+// (index -1).
+func (c *calQ) heapRemoveAt(i int) {
+	h := c.heap
 	h[i].index = -1
 	n := len(h) - 1
 	if i != n {
@@ -492,13 +470,12 @@ func heapRemoveAt(h []*event, i int) []*event {
 		h[i].index = i
 	}
 	h[n] = nil
-	h = h[:n]
+	c.heap = h[:n]
 	if i < n {
 		moved := h[i]
-		heapDown(h, i)
+		c.heapDown(i)
 		if moved.index == i {
-			heapUp(h, i)
+			c.heapUp(i)
 		}
 	}
-	return h
 }

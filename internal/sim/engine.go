@@ -39,10 +39,10 @@ func runClosure(obj, _ any, _ uint64) { obj.(Handler)() }
 // eng is the engine whose queue currently holds the event (updated if
 // ShardGroup.Activate migrates it); EventID.Cancel and Reschedule go
 // through it to keep live-event accounting and queue position correct.
-// index is the event's slot in its container — calendar bucket slot or
-// overflow-heap index — and is -1 once popped. bucket is the wheel
-// bucket holding the event, or calInOverflow when it is parked in the
-// overflow heap.
+// bucket is the wheel bucket holding the event, or calInHeap when the
+// calendar's heap does; next and prev thread it into that bucket's ring
+// and are nil outside one. index is the heap slot (0 in a ring) and is
+// -1 once the event has left the queue.
 type event struct {
 	at       Time
 	seq      uint64
@@ -55,6 +55,8 @@ type event struct {
 	bucket   int32
 	canceled bool
 	index    int
+	next     *event
+	prev     *event
 }
 
 // EventID identifies a scheduled event so it can be canceled or
@@ -287,27 +289,46 @@ func (e *Engine) Rescheduled() uint64 {
 	return n
 }
 
-// PeakBucket returns the longest calendar bucket the scheduler has built
-// past its crowding threshold (max over shards on a sharded root), or 0
-// when no bucket ever crossed it. A value in the hundreds means that
-// many events shared one bucket width — in practice, timers the model
-// arms for the same picosecond.
-func (e *Engine) PeakBucket() int {
-	m := e.cal.peakBucket
+// HeapPops returns how many pops the calendar served from its heap root
+// rather than from a wheel bucket's head (summed over shards on a
+// sharded root): far timers, and whatever the walk cap spilled.
+func (e *Engine) HeapPops() uint64 {
+	n := e.cal.heapPops
 	for _, s := range e.shardEngines() {
-		m = max(m, s.cal.peakBucket)
+		n += s.cal.heapPops
+	}
+	return n
+}
+
+// WalkSpills returns how many events went to the calendar's heap because
+// sorting them into their bucket would have walked past the cap, not
+// because they lay beyond the horizon (summed over shards). Only a
+// same-instant burst arriving against key order produces them — in
+// practice, timers the model arms per port or flow for one picosecond.
+func (e *Engine) WalkSpills() uint64 {
+	n := e.cal.walkSpills
+	for _, s := range e.shardEngines() {
+		n += s.cal.walkSpills
+	}
+	return n
+}
+
+// PeakHeap returns the high-water mark of the calendar's heap (max over
+// shards on a sharded root).
+func (e *Engine) PeakHeap() int {
+	m := e.cal.peakHeap
+	for _, s := range e.shardEngines() {
+		m = max(m, s.cal.peakHeap)
 	}
 	return m
 }
 
-// CrowdedPops returns how many pops were served from the heap root of a
-// crowded calendar bucket rather than by a short scan (summed over
-// shards on a sharded root). Set against Executed it says what share of
-// a run is synchronised same-instant timers.
-func (e *Engine) CrowdedPops() uint64 {
-	n := e.cal.crowdedPops
+// Rebuilds returns how many times the calendar re-created its wheel for
+// a new geometry, re-placing every pending event (summed over shards).
+func (e *Engine) Rebuilds() int {
+	n := e.cal.rebuilds
 	for _, s := range e.shardEngines() {
-		n += s.cal.crowdedPops
+		n += s.cal.rebuilds
 	}
 	return n
 }

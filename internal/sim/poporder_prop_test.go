@@ -25,8 +25,8 @@ func keyLess(a, b popKey) bool {
 
 // TestPopOrderProperty drives the scheduler with a seeded random mix
 // of pushes through both scheduling APIs, cancels, reschedules, and
-// partial drains — bursty enough to exercise bucket scans, overflow
-// migration, and canceled-head recycling together — and asserts the
+// partial drains — bursty enough to exercise sorted insertion, the
+// heap, and canceled-head recycling together — and asserts the
 // executed order is the reference model's (see replayOps): a sort on
 // the event keys (time, dom, seq).
 func TestPopOrderProperty(t *testing.T) {

@@ -25,12 +25,26 @@ import (
 // reserved key only if Arm is called, must dispatch exactly the model's
 // other events and answer Reached(k) with "the model has fired k" at
 // every dispatch and after every run.
+//
+// The crowded mode also calls checkWheel — the calendar's structural
+// invariants — after every step, so a broken link is caught on the
+// operation that broke it rather than when a wrong event surfaces.
+// Mutations of calendar.go this file was checked to fail under:
+//
+//   - place links at the tail without the less() walk;
+//   - the new-head case of place does not update heads[b];
+//   - unlink of a ring's sole element leaves the occupancy bit set;
+//   - the walk-cap spill skips heapPush's ev.bucket = calInHeap;
+//   - extractAll leaves next/prev set on the events it returns;
+//   - the walk cap removed (order and shape stay right, only the cost
+//     goes quadratic: TestWalkCapBoundsBurstCost sees that, and the
+//     spill count TestCrowdedBucketRelocation expects).
 
 // refModel is the reference the engine is checked against: the live
 // pending set as one slice kept sorted by (time, dom, seq). Every
 // operation is the naive one — binary-search insert, linear find by
 // seq, delete, pop the front — so it shares no logic with calendar.go
-// (no wheel, no overflow heap, no lazy cancellation, no resize). It is
+// (no wheel, no heap, no lazy cancellation, no resize). It is
 // valid for the streams these tests generate: events are scheduled
 // between steps or from the handler of the event being dispatched, at
 // times not before now.
@@ -162,33 +176,58 @@ type opsMode int
 const (
 	opsRandom      opsMode = iota // short-horizon traffic only
 	opsAdversarial                // + small same-instant bursts, far-future outliers
-	opsCrowded                    // + bursts that build, drain, refill and move crowded buckets
+	opsCrowded                    // + same-instant bursts past calWalk, in and against key order
 )
 
-// checkBuckets is the white-box half of the crowded-bucket property:
-// every wheel bucket tracks its events' slots, and one longer than
-// calCrowded is a 4-ary min-heap in less() order. Pop order alone would
-// catch a broken heap only when the wrong event surfaced; this catches
-// it on the operation that broke it.
-func checkBuckets(t *testing.T, c *calQ) {
+// checkWheel is the white-box half of the differential: the calendar's
+// structural invariants, which pop order alone would catch only once the
+// wrong event surfaced. Every bucket's occupancy bit says whether it has
+// a head; a head starts a ring whose next and prev links agree, whose
+// events are in less() order, belong to that bucket's one day inside the
+// window, and record the bucket; the rings hold wheelN events between
+// them; every heap slot tracks its index and orders after its parent.
+func checkWheel(t *testing.T, c *calQ) {
 	t.Helper()
 	n := 0
-	for b, h := range c.buckets {
-		n += len(h)
-		if occ := c.occ[b>>6]&(1<<uint(b&63)) != 0; occ != (len(h) > 0) {
-			t.Fatalf("bucket %d: occupancy bit %v with %d events", b, occ, len(h))
+	for b, head := range c.heads {
+		if occ := c.occ[b>>6]&(1<<uint(b&63)) != 0; occ != (head != nil) {
+			t.Fatalf("bucket %d: occupancy bit %v, head %v", b, occ, head != nil)
 		}
-		for i, ev := range h {
-			if ev.index != i || int(ev.bucket) != b {
-				t.Fatalf("bucket %d slot %d: event records bucket %d slot %d", b, i, ev.bucket, ev.index)
+		if head == nil {
+			continue
+		}
+		day := int64(head.at) >> c.logW
+		if day < c.curDay || day-c.curDay >= int64(len(c.heads)) || int(day&c.mask) != b {
+			t.Fatalf("bucket %d: head's day %d is not the bucket's inside [%d, %d)", b, day, c.curDay, c.curDay+int64(len(c.heads)))
+		}
+		for ev := head; ; ev = ev.next {
+			if n++; n > c.wheelN {
+				t.Fatalf("bucket %d: ring does not close within wheelN = %d events", b, c.wheelN)
 			}
-			if len(h) > calCrowded && i > 0 && less(ev, h[(i-1)>>2]) {
-				t.Fatalf("crowded bucket %d (%d events): slot %d orders before its parent %d", b, len(h), i, (i-1)>>2)
+			if ev.next == nil || ev.next.prev != ev || ev.prev == nil || ev.prev.next != ev {
+				t.Fatalf("bucket %d: links of event seq %d disagree with its neighbours'", b, ev.seq)
+			}
+			if int(ev.bucket) != b || ev.index < 0 || int64(ev.at)>>c.logW != day {
+				t.Fatalf("bucket %d (day %d): event seq %d at %v records bucket %d index %d", b, day, ev.seq, ev.at, ev.bucket, ev.index)
+			}
+			if ev.next == head {
+				break
+			}
+			if !less(ev, ev.next) {
+				t.Fatalf("bucket %d: event seq %d does not order before its successor seq %d", b, ev.seq, ev.next.seq)
 			}
 		}
 	}
 	if n != c.wheelN {
-		t.Fatalf("wheel holds %d events, wheelN = %d", n, c.wheelN)
+		t.Fatalf("rings hold %d events, wheelN = %d", n, c.wheelN)
+	}
+	for i, ev := range c.heap {
+		if ev.index != i || ev.bucket != calInHeap || ev.next != nil || ev.prev != nil {
+			t.Fatalf("heap slot %d: event records bucket %d slot %d, linked %v", i, ev.bucket, ev.index, ev.next != nil || ev.prev != nil)
+		}
+		if i > 0 && less(ev, c.heap[(i-1)>>2]) {
+			t.Fatalf("heap slot %d orders before its parent %d", i, (i-1)>>2)
+		}
 	}
 }
 
@@ -203,9 +242,10 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 	var ids []EventID
 	var keys []Key // every key reserved ahead of the dispatch position
 	reserved := 0  // Reserve calls, the ones born behind it included
-	// burstAt is the instant of the latest crowded burst: the target of
-	// refills and of reschedules into, within and (by the generic
-	// reschedule loop) out of a crowded bucket.
+	// burstAt is the instant of the latest crowded burst, whose events are
+	// split between one ring and the heap: the target of refills and of
+	// reschedules into, within and (by the generic reschedule loop) out of
+	// both.
 	burstAt := Time(-1)
 	var fired []popKey
 	// checkReached holds the engine to the model on every key reserved
@@ -306,27 +346,34 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 		}
 		switch pick := rng.Intn(picks); {
 		case pick == 4 && burstAt >= e.Now():
-			// Refill: the bucket a partial drain just took down through
-			// calCrowded goes back up, possibly while the clock stands on
-			// its instant; +1 ps lands in the same bucket under another key.
-			for i, n := 0, 1+rng.Intn(2*calCrowded); i < n; i++ {
+			// Refill: the instant a partial drain just thinned out fills up
+			// again, possibly while the clock stands on it; +1 ps lands in
+			// the same bucket under another key.
+			for i, n := 0, 1+rng.Intn(2*calWalk); i < n; i++ {
 				schedule(burstAt+Time(rng.Intn(2)), int32(rng.Intn(7)))
 			}
 		case pick >= 4:
-			// Crowded burst: 1x-4x calCrowded events on one instant (one in
-			// eight ~50x), seven doms, both APIs. Half land in the wheel;
-			// half go milliseconds out so they cross the overflow heap and
-			// migrate into one bucket together.
-			n := calCrowded*(1+rng.Intn(4)) + rng.Intn(calCrowded)
+			// Crowded burst: 1x-4x calWalk events on one instant (one in
+			// eight ~50x), seven doms, both APIs. Half arrive in descending
+			// dom — every event sorts ahead of all that came before it, the
+			// order that defeats tail insertion and meets the walk cap —
+			// and half in random dom. Half aim inside the horizon; half go
+			// milliseconds out, into the heap whatever their order.
+			n := calWalk*(1+rng.Intn(4)) + rng.Intn(calWalk)
 			if rng.Intn(8) == 0 {
-				n = 50 * calCrowded
+				n = 50 * calWalk
 			}
 			burstAt = e.Now() + Duration(1+rng.Intn(16))
 			if rng.Intn(2) == 0 {
 				burstAt = e.Now() + Duration(1+rng.Intn(10))*Millisecond
 			}
+			descending := rng.Intn(2) == 0
 			for i := 0; i < n; i++ {
-				schedule(burstAt, int32(rng.Intn(7)))
+				dom := int32(rng.Intn(7))
+				if descending {
+					dom = int32(6 - 7*i/n)
+				}
+				schedule(burstAt, dom)
 			}
 		case mode >= opsAdversarial && pick == 0:
 			// Same-timestamp burst: one instant, many domains, both
@@ -338,8 +385,8 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 			}
 		case mode >= opsAdversarial && pick == 1:
 			// Far-future outliers: milliseconds-to-seconds out, far past
-			// any initial wheel horizon, so they land in overflow and
-			// must migrate (or be served from overflow) in exact order.
+			// any initial wheel horizon, so they land in the heap and
+			// must be served from it in exact order.
 			for i, n := 0, 1+rng.Intn(4); i < n; i++ {
 				at := e.Now() + Duration(1+rng.Intn(10))*Millisecond +
 					Duration(rng.Intn(int(Second)))
@@ -377,7 +424,7 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 			}
 		}
 		// Reschedule a random subset — nearer, further, across the
-		// wheel/overflow boundary in both directions — plus attempts on
+		// wheel/heap boundary in both directions — plus attempts on
 		// dead IDs, which must fail exactly where the model's do.
 		for i := range ids {
 			if rng.Intn(6) != 0 {
@@ -394,7 +441,8 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 					round, ids[i].seq, got, want)
 			}
 		}
-		// Move live events into the crowded bucket and around inside it.
+		// Move live events onto the burst's instant and around on it: out
+		// of and into its ring and the heap, whichever holds or takes them.
 		if mode == opsCrowded && burstAt >= e.Now() {
 			for i := range ids {
 				if rng.Intn(12) != 0 {
@@ -405,18 +453,18 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 					t.Fatalf("round %d: Reschedule(seq %d) into the burst = %v, model %v", round, ids[i].seq, got, want)
 				}
 			}
-			checkBuckets(t, e.cal)
+			checkWheel(t, e.cal)
 		}
 		// Partial drain, occasionally a full one — event by event, or
 		// up to a deadline, which leaves the engine holding a peeked
 		// minimum that the next round's pushes must still order against.
 		if mode == opsCrowded && burstAt >= e.Now() && rng.Intn(3) == 0 {
-			// Run up to the burst and part of the way through it, so its
-			// bucket ends the round on either side of calCrowded.
+			// Run up to the burst and part of the way through it, so the
+			// round ends with its ring, the heap or both part-drained.
 			for e.Now() < burstAt && step() {
 			}
-			for i, n := 0, rng.Intn(5*calCrowded); i < n && step(); i++ {
-				checkBuckets(t, e.cal)
+			for i, n := 0, rng.Intn(5*calWalk); i < n && step(); i++ {
+				checkWheel(t, e.cal)
 			}
 		} else if rng.Intn(4) == 0 {
 			deadline := e.Now() + Duration(rng.Intn(3000))
@@ -449,7 +497,7 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 			t.Fatalf("round %d: engine clock %v, model %v", round, e.Now(), m.now)
 		}
 		checkReached(fmt.Sprintf("round %d", round))
-		checkBuckets(t, e.cal)
+		checkWheel(t, e.cal)
 	}
 	for step() {
 	}
@@ -478,8 +526,8 @@ func TestSchedDifferentialRandom(t *testing.T) {
 
 // TestSchedDifferentialAdversarial turns on the shapes that target the
 // calendar queue's weak spots: all-same-timestamp bursts (intra-bucket
-// full-key ordering), far-future outliers (overflow spill, refill
-// order, serving the minimum straight from overflow), and population
+// full-key ordering), far-future outliers (the heap, and serving the
+// minimum straight from it among nearer wheel events), and population
 // swings across resize boundaries (rebuild must re-place every event
 // without disturbing order).
 func TestSchedDifferentialAdversarial(t *testing.T) {
@@ -492,7 +540,7 @@ func TestSchedDifferentialAdversarial(t *testing.T) {
 
 // TestSchedForeverSentinel pins the far edge of the time axis: events
 // at Forever and Forever-1 must order correctly against each other and
-// near events (they live permanently in the calendar's overflow heap —
+// near events (they live permanently in the calendar's heap —
 // day arithmetic must not wrap), and canceling them must keep them out
 // of the executed stream.
 func TestSchedForeverSentinel(t *testing.T) {
@@ -601,12 +649,13 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	}
 }
 
-// TestSchedDifferentialCrowded aims at the crowded-bucket heap: bursts
-// of 1x-4x and ~50x calCrowded on one instant, Cancel and Reschedule of
-// events inside such a bucket (out of it, into it, within it), drains
-// that stop part-way through a burst followed by refills back over the
-// threshold, and bursts that reach their bucket through the overflow
-// heap or a rebuild — with checkBuckets asserting the heap shape after
+// TestSchedDifferentialCrowded aims at what a same-instant burst does to
+// the sorted rings: bursts of 1x-4x and ~50x calWalk on one instant, in
+// descending dom (every insertion a walk to the cap and a spill) and in
+// random dom, Cancel and Reschedule of events on such an instant (out of
+// its ring or the heap, into either, from one to the other), drains that
+// stop part-way through a burst followed by refills, and bursts a
+// rebuild re-places — with checkWheel asserting the structure after
 // every step of those drains.
 func TestSchedDifferentialCrowded(t *testing.T) {
 	for _, seed := range []uint64{3, 12, 27, 48, 75, 108, 4242} {
@@ -616,13 +665,15 @@ func TestSchedDifferentialCrowded(t *testing.T) {
 	}
 }
 
-// TestCrowdedBucketRelocation pins the three bulk paths that put events
-// into a crowded bucket without going through push: a geometry rebuild,
-// ShardGroup.Activate moving a same-instant burst from the root queue to
-// a shard, and overflow migration into a bucket that already holds
-// events. Each must leave a heap behind and drain in key order.
+// TestCrowdedBucketRelocation pins the three bulk paths that put a
+// same-instant burst into the calendar other than by one push per event
+// on a settled geometry: a rebuild, ShardGroup.Activate moving the burst
+// from the root queue to a shard, and a burst the horizon cuts in two —
+// half scheduled while its instant was out of reach, so in the heap, half
+// after the clock came within a horizon of it, so in a ring. Each must
+// leave the structure checkWheel describes and drain in key order.
 func TestCrowdedBucketRelocation(t *testing.T) {
-	const n = 5 * calCrowded
+	const n = 5 * calWalk
 	var got, want []popKey
 	// burst schedules k events at one instant on e, doms cycling downward
 	// from hi so they arrive out of key order; on is the engine they run on.
@@ -635,20 +686,17 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 			want = append(want, popKey{at, dom, id.seq})
 		}
 	}
-	// drain runs e dry and requires key order and the expected counters:
-	// the last calCrowded pops leave a bucket that is a heap no more.
-	drain := func(t *testing.T, e *Engine) {
+	// drain runs on dry a step at a time — on is the engine whose queue
+	// holds the burst — and requires the structure to hold after every pop
+	// and the pops to come in key order.
+	drain := func(t *testing.T, on *Engine) {
 		t.Helper()
-		if e.PeakBucket() != n {
-			t.Fatalf("PeakBucket() = %d, want the %d-event burst", e.PeakBucket(), n)
-		}
 		sort.Slice(want, func(i, j int) bool { return keyLess(want[i], want[j]) })
-		e.Run()
+		for on.Step() {
+			checkWheel(t, on.cal)
+		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("drain order diverged from key order:\n got %+v\nwant %+v", got, want)
-		}
-		if e.CrowdedPops() != n-calCrowded {
-			t.Fatalf("CrowdedPops() = %d, want %d", e.CrowdedPops(), n-calCrowded)
 		}
 	}
 	const near = 100 * Nanosecond // inside a fresh wheel's 512 ns horizon
@@ -656,8 +704,11 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 		got, want = nil, nil
 		e := New(1)
 		burst(e, e, near, n, 5)
-		e.cal.rebuild(4*len(e.cal.buckets), e.cal.logW-3, e.now)
-		checkBuckets(t, e.cal)
+		e.cal.rebuild(4*len(e.cal.heads), e.cal.logW-3, e.now)
+		if e.Rebuilds() != 1 || e.cal.len() != n {
+			t.Fatalf("after rebuild: Rebuilds() = %d, %d events queued, want 1 and %d", e.Rebuilds(), e.cal.len(), n)
+		}
+		checkWheel(t, e.cal)
 		drain(t, e)
 	})
 	t.Run("activate", func(t *testing.T) {
@@ -669,30 +720,94 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 		}
 		burst(root, g.Shard(1), near, n, 5)
 		g.Activate()
-		if root.cal.len() != 0 {
-			t.Fatalf("root still holds %d events after Activate", root.cal.len())
+		if root.cal.len() != 0 || g.Shard(1).cal.len() != n {
+			t.Fatalf("after Activate: root holds %d events, the shard %d of %d", root.cal.len(), g.Shard(1).cal.len(), n)
 		}
-		checkBuckets(t, g.Shard(1).cal)
-		drain(t, root) // the root folds shard counters in, as for Rescheduled
+		checkWheel(t, root.cal)
+		checkWheel(t, g.Shard(1).cal)
+		drain(t, g.Shard(1))
+		// The root folds shard counters in, as for Rescheduled: the burst's
+		// doms cycle downward, so some of it met the walk cap on the shard.
+		sh := g.Shard(1).cal
+		if sh.walkSpills == 0 || root.WalkSpills() != root.cal.walkSpills+sh.walkSpills || root.HeapPops() != sh.walkSpills {
+			t.Fatalf("root reads %d walk spills and %d heap pops; it spilled %d itself and the shard %d",
+				root.WalkSpills(), root.HeapPops(), root.cal.walkSpills, sh.walkSpills)
+		}
 	})
-	t.Run("migrate", func(t *testing.T) {
+	t.Run("horizon", func(t *testing.T) {
 		got, want = nil, nil
 		e := New(1)
-		const far = 10 * Microsecond // beyond the horizon: parked in overflow
-		burst(e, e, far, n-calCrowded, 3)
+		const far = 10 * Microsecond // beyond the horizon: into the heap
+		burst(e, e, far, n/2, 3)
 		e.At2D(1, far-near, func(any, any, uint64) {}, nil, nil, 0)
-		e.Step() // served from overflow: the clock is now within a horizon of far
-		// These land in the wheel directly, unordered and under higher
-		// doms, so every migrant that follows must sift up past them.
-		burst(e, e, far, calCrowded, 6)
-		if e.cal.wheelN != calCrowded || len(e.cal.over) != n-calCrowded {
-			t.Fatalf("setup: %d events in the wheel, %d in overflow", e.cal.wheelN, len(e.cal.over))
+		e.Step() // served from the heap: the clock is now within a horizon of far
+		// Doms above, among and below the heap's, so the drain has to take
+		// the minimum from each container in turn.
+		burst(e, e, far, calWalk, 6)
+		burst(e, e, far, calWalk, 2)
+		if e.cal.wheelN == 0 || len(e.cal.heap) < n/2 || e.PeakHeap() != max(len(e.cal.heap), n/2+1) {
+			t.Fatalf("setup: %d events in the wheel, %d in the heap (peak %d)", e.cal.wheelN, len(e.cal.heap), e.PeakHeap())
 		}
-		e.cal.peek(e.now)
-		if len(e.cal.over) != 0 {
-			t.Fatalf("%d events still in overflow after peek", len(e.cal.over))
-		}
-		checkBuckets(t, e.cal)
+		checkWheel(t, e.cal)
 		drain(t, e)
+		if e.cal.wheelN != 0 || len(e.cal.heap) != 0 {
+			t.Fatalf("after the drain: %d events in the wheel, %d in the heap", e.cal.wheelN, len(e.cal.heap))
+		}
 	})
+}
+
+// TestWalkCapBoundsBurstCost is the complexity guard: k events on one
+// instant arriving in strictly descending key order — each sorts ahead of
+// every one before it, so a sorted insert from the tail walks the whole
+// ring — must cost what the cap promises. calQ.cmps is the hook: it
+// counts each link place walks and each less() a heap sift makes. No
+// push may walk more than calWalk links (one that stays in the wheel
+// counts nothing else; one that spills adds a sift-up of at most the
+// heap's depth), so building the burst costs at most k·(calWalk + log₄k);
+// draining it costs a sift-down of 4 compares a level for each pop, plus
+// a second placement for every event a geometry rebuild on the way
+// re-places. An uncapped walk makes k²/2 = 12.5 M compares where this
+// allows 0.5 M.
+func TestWalkCapBoundsBurstCost(t *testing.T) {
+	const k = 5000
+	e := New(1)
+	c := e.cal
+	nop := func(any, any, uint64) {}
+	depth := func(n int) uint64 { // levels above the last slot of an n-slot 4-ary heap
+		d := uint64(0)
+		for i := n - 1; i > 0; i = (i - 1) >> 2 {
+			d++
+		}
+		return d
+	}
+	for i := 0; i < k; i++ {
+		before := c.cmps
+		id := e.At2D(int32(k-i), 100*Nanosecond, nop, nil, nil, 0)
+		limit := uint64(calWalk)
+		if id.ev.bucket == calInHeap {
+			limit += depth(len(c.heap))
+		}
+		if cost := c.cmps - before; cost > limit {
+			t.Fatalf("push %d (%d in the wheel, %d in the heap) cost %d compares, want at most %d", i, c.wheelN, len(c.heap), cost, limit)
+		}
+	}
+	// calWalk links reach the head of a ring of calWalk+1, so the ring
+	// takes one more before the first spill.
+	if c.wheelN != calWalk+2 || e.WalkSpills() != k-calWalk-2 {
+		t.Fatalf("%d events in the wheel after %d spills, want %d and %d", c.wheelN, e.WalkSpills(), calWalk+2, k-calWalk-2)
+	}
+	checkWheel(t, c)
+	place := k * (calWalk + depth(k))
+	built := c.cmps
+	e.Run()
+	if e.Executed() != k {
+		t.Fatalf("executed %d of %d events", e.Executed(), k)
+	}
+	drained := c.cmps - built
+	t.Logf("%d-event worst-order burst: %d compares to build, %d to drain over %d rebuilds (%.1f an event)",
+		k, built, drained, e.Rebuilds(), float64(c.cmps)/k)
+	if bound := k*4*depth(k) + uint64(e.Rebuilds())*place; built > place || drained > bound {
+		t.Fatalf("a %d-event worst-order burst cost %d compares to build (bound %d) and %d to drain (bound %d): the walk cap no longer holds",
+			k, built, place, drained, bound)
+	}
 }
