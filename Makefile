@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check check-sharded test bench bench-quick bench-gate bench-test gate fmt vet race fuzz-smoke cover
+.PHONY: check test bench bench-quick bench-gate bench-test gate fmt vet race fuzz-smoke cover
 
 ## check: the pre-commit gate — vet, formatting, and the race-enabled
 ## tests of the engine, instrumentation, and parallel-runner layers
@@ -75,22 +75,11 @@ cover:
 
 ## gate: the full determinism gate — every registered experiment,
 ## including the heavy realistic workloads, run serially and then at
-## -procs 4 and at -shards 4, each byte-compared to the serial run with
-## the invariant checkers armed; plus the obs variant (stdout, trace,
-## metrics).
+## -procs 4, the two byte-compared with the invariant checkers armed and
+## the serial run held to testdata/gate.sha256; plus the obs variant
+## (stdout, trace, metrics).
 gate:
 	XPSIM_GATE_ALL=1 go test -run TestModeMatrix -timeout 30m -v ./internal/experiments/
-
-## check-sharded: the sharded-engine checks — the race-enabled shard
-## unit tests (epoch barriers, dom ordering, byte-identity on a
-## dumbbell), then the sharded row of the determinism gate: every
-## registered experiment byte-compared between one event queue and
-## -shards 4 with the invariant checkers armed. Set XPSIM_GATE_ALL=1 to
-## include the five heavy realistic workloads, as in `make gate`.
-check-sharded:
-	go test -race -run 'TestShard|TestDefaultShards|TestPopOrder' ./internal/sim/ ./internal/core/
-	go test -run 'TestModeMatrixByteIdentical/.*/shards4|TestModeMatrixObsByteIdentical/shards4' -timeout 30m -v ./internal/experiments/
-	@echo "check-sharded: OK"
 
 # `make check` already runs `go vet ./...` through this target (check's
 # first prerequisite), so vet needs no separate invocation pre-commit.

@@ -172,68 +172,6 @@ func BenchmarkSweepFig18(b *testing.B) { benchSweep(b, "fig18", 0.004) }
 // the repo's widest sweep.
 func BenchmarkSweepTable3(b *testing.B) { benchSweep(b, "table3", 0.002) }
 
-// ---- intra-run sharded benches ----
-
-// benchSharded measures the intra-run sharded engine: one untimed
-// serial pass establishes the baseline (and the reference output), then
-// the timed iterations run with each trial's topology cut into up to
-// four shards (sweep trials pinned to one worker so the comparison
-// isolates intra-run parallelism). The sharded output is byte-compared
-// against the serial pass every run — the bench doubles as a
-// determinism check. speedup-vs-serial is ~1.0 or slightly below on a
-// single-core runner (barrier overhead with no parallelism to buy it
-// back) and grows toward the shard count on multi-core machines.
-func benchSharded(b *testing.B, id string, scale float64) {
-	b.Helper()
-	b.ReportAllocs()
-	rt := expresspass.NewObsRuntime(expresspass.ObsConfig{})
-	expresspass.SetObsRuntime(rt)
-	defer expresspass.SetObsRuntime(nil)
-	expresspass.SetSweepProcs(1)
-	defer expresspass.SetSweepProcs(0)
-	p := expresspass.ExperimentParams{Scale: scale, Seed: 42}
-	var out bytes.Buffer
-
-	start := time.Now()
-	if err := expresspass.RunExperiment(id, p, &out); err != nil {
-		b.Fatal(err)
-	}
-	serialWall := time.Since(start)
-	serialOut := append([]byte(nil), out.Bytes()...)
-
-	expresspass.SetShards(4)
-	defer expresspass.SetShards(0)
-	events0, _ := rt.EngineTotals()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out.Reset()
-		if err := expresspass.RunExperiment(id, p, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if !bytes.Equal(out.Bytes(), serialOut) {
-		b.Fatal("sharded output differs from serial baseline")
-	}
-	events, _ := rt.EngineTotals()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(events-events0)/sec, "sim-events/sec")
-		b.ReportMetric(serialWall.Seconds()/(sec/float64(b.N)), "speedup-vs-serial")
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-}
-
-// BenchmarkShardedFig17 shards the shuffle topology (10 hosts + ToR).
-func BenchmarkShardedFig17(b *testing.B) { benchSharded(b, "fig17", 0.08) }
-
-// BenchmarkShardedFig18 shards each parameter-sensitivity trial's
-// fat-tree.
-func BenchmarkShardedFig18(b *testing.B) { benchSharded(b, "fig18", 0.008) }
-
-// BenchmarkShardedTable3 shards each queue-occupancy trial's fat-tree —
-// the largest topologies in the registry.
-func BenchmarkShardedTable3(b *testing.B) { benchSharded(b, "table3", 0.004) }
-
 // ---- ablation benches (design-choice call-outs from DESIGN.md) ----
 
 // BenchmarkAblationFeedback contrasts the credit feedback loop against

@@ -7,7 +7,6 @@
 //	xpsim [-scale 0.1] [-seed 42] fig15 fig16 table3
 //	xpsim -all
 //	xpsim -procs 8 table3
-//	xpsim -shards 4 fig17
 //	xpsim -trace out.jsonl -metrics metrics.csv fig17
 //	xpsim -faults 'flap@10ms+2ms; stall:s0@30ms+1ms' ext-faults-flap
 //	xpsim -faults 'gemodel:credit:0.02:0.3@10ms+40ms' ext-chaos-matrix
@@ -15,8 +14,7 @@
 //
 // Every flag (-h prints the defaults). One that only adjusts another
 // ("with -x") is a usage error, exit 2, without it. Output — tables,
-// traces and metrics — is byte-identical for a seed at any -procs and
-// -shards.
+// traces and metrics — is byte-identical for a seed at any -procs.
 //
 //	-list             list experiments and exit
 //	-all              run every experiment
@@ -26,10 +24,8 @@
 //	-seed N           deterministic random seed
 //	-procs N          worker goroutines sweep trials fan out across
 //	                  (1 = serial); see internal/runner
-//	-shards N         cut each trial's topology into up to N regions on
-//	                  their own event queues and goroutines, with
-//	                  conservative epoch barriers (0/1 = serial); see
-//	                  internal/sim (ShardGroup), internal/netem (SetShards)
+//	-shards N         ignored, kept so existing command lines parse:
+//	                  intra-run sharding was removed (N > 1 prints a note)
 //	-faults SPEC      fault timeline replacing the built-in one of the
 //	                  ext-faults-* and ext-chaos-* experiments; grammar
 //	                  in internal/faults (ParseSpec)
@@ -116,7 +112,7 @@ func newFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.procs, "procs", runtime.GOMAXPROCS(0),
 		"worker goroutines for sweep trials (1 = serial; output is identical either way)")
 	fs.IntVar(&o.shards, "shards", 0,
-		"intra-run topology shards per trial (0/1 = serial; output is identical at any count)")
+		"ignored: intra-run sharding was removed; kept so existing command lines parse")
 	fs.BoolVar(&o.invariants, "invariants", false,
 		"arm the runtime invariant checkers; violations are printed and exit nonzero")
 	fs.StringVar(&o.flightPath, "flight", "",
@@ -167,8 +163,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(2)
 	}
+	if o.shards > 1 {
+		fmt.Fprintf(os.Stderr, "xpsim: -shards %d ignored: intra-run sharding was removed (DESIGN.md \"One event queue per trial\")\n", o.shards)
+	}
 	expresspass.SetSweepProcs(o.procs)
-	expresspass.SetShards(o.shards)
 
 	params := expresspass.ExperimentParams{Scale: o.scale, Seed: o.seed}
 	if o.faultSpec != "" {

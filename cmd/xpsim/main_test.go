@@ -261,6 +261,10 @@ func TestFlagSurface(t *testing.T) {
 		if needs != flagNeeds[name] {
 			t.Errorf("README: -%s needs %q, want %q", name, needs, flagNeeds[name])
 		}
+		// A flag kept only so old command lines parse says so in both.
+		if ignored := strings.HasPrefix(f.Usage, "ignored"); ignored != strings.HasPrefix(cell(4), "ignored") {
+			t.Errorf("README: -%s is described as %q; its help text says %q", name, cell(4), f.Usage)
+		}
 	}
 }
 
@@ -280,6 +284,51 @@ func TestDeletedFlagIsUnknown(t *testing.T) {
 	for _, want := range []string{"-cpuprofile", "-memprofile"} {
 		if !strings.Contains(usage.String(), want) {
 			t.Errorf("usage after -pprof does not list %s:\n%s", want, usage.String())
+		}
+	}
+}
+
+// TestShardsFlagIsIgnored: intra-run sharding is gone but -shards still
+// parses, because existing command lines carry it (the benchmark harness
+// passes -shards 0 to every run and probes -shards 2). 0 and 1 say
+// nothing; a larger count says once on stderr that it was ignored; and
+// stdout is the serial run's either way.
+func TestShardsFlagIsIgnored(t *testing.T) {
+	goTool(t)
+	bin := filepath.Join(t.TempDir(), "xpsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	run := func(shards string) (stdout, stderr string) {
+		t.Helper()
+		var o, e strings.Builder
+		cmd := exec.Command(bin, "-procs", "1", "-shards", shards, "-seed", "7", "-scale", "0.05", "ext-classes")
+		cmd.Stdout, cmd.Stderr = &o, &e
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("xpsim -shards %s: %v\n%s", shards, err, e.String())
+		}
+		var kept []string
+		for _, line := range strings.Split(o.String(), "\n") {
+			if !strings.HasSuffix(line, " wall)") {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n"), e.String()
+	}
+	serial, note := run("0")
+	if note != "" {
+		t.Errorf("-shards 0 wrote to stderr: %q", note)
+	}
+	for shards, want := range map[string]string{
+		"1": "",
+		"2": "xpsim: -shards 2 ignored: intra-run sharding was removed (DESIGN.md \"One event queue per trial\")\n",
+	} {
+		out, note := run(shards)
+		if note != want {
+			t.Errorf("-shards %s stderr %q, want %q", shards, note, want)
+		}
+		if out != serial {
+			t.Errorf("-shards %s stdout differs from -shards 0:\n%s\n---\n%s", shards, out, serial)
 		}
 	}
 }

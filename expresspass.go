@@ -231,19 +231,6 @@ func SetSweepProcs(n int) { runner.SetProcs(n) }
 // SweepProcs returns the effective sweep worker count.
 func SweepProcs() int { return runner.Procs() }
 
-// SetShards sets the intra-run shard count for networks created after
-// this call: each topology is cut into up to k regions that execute on
-// their own event heaps and goroutines, synchronized by conservative
-// epoch barriers sized to the minimum cut-link propagation delay.
-// Output is byte-identical to a serial run at any shard count (xpsim
-// exposes this as -shards). 0 or 1 restores serial execution.
-// Individual networks can override with Network.SetShards or pin
-// themselves serial with Network.RequireSerial.
-func SetShards(k int) { netem.SetDefaultShards(k) }
-
-// Shards returns the process-wide default intra-run shard count.
-func Shards() int { return netem.DefaultShards() }
-
 // Fault injection (see internal/faults): deterministic, event-scheduled
 // link flaps, host credit stalls, and the seeded impairment suite —
 // uniform and correlated loss (Gilbert-Elliott, 4-state Markov,

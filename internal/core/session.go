@@ -38,8 +38,6 @@ func Dial(f *transport.Flow, cfg Config) *Session {
 	s.initObs()
 	f.Sender.Register(f.ID, s.snd)
 	f.Receiver.Register(f.ID, s.rcv)
-	// Scheduled in the sender's domain so the start event migrates to
-	// the sender's shard if the network partitions at first run.
 	f.Sender.Engine().At2D(f.Sender.Dom(), f.StartAt, senderStart, s.snd, nil, 0)
 	return s
 }
@@ -72,9 +70,7 @@ const (
 
 // initObs wires the feedback-trace hook and registers per-flow metrics
 // when a registry is active. Endpoints do not cache the tracer: they
-// re-fetch it from their host per emission, because the network may
-// partition into shards at first run (after dialing), replacing the
-// tracer each endpoint must emit through.
+// re-fetch it from their host per emission (see netem.Host.Tracer).
 func (s *Session) initObs() {
 	f := s.Flow
 	if tr := f.Sender.Tracer(); tr != nil {
@@ -130,8 +126,8 @@ func (s *Session) Stop() {
 // timer on either endpoint is pending. Tearing down a quiesced session
 // cancels nothing that would have fired, so retirement cannot change
 // the simulation's future — the property the lifecycle reaper relies on
-// for serial/parallel/sharded byte-identity. Callers should still allow
-// a grace period past FinishTime before retiring so stray in-flight
+// for byte-identity with a run that never retires. Callers should still
+// allow a grace period past FinishTime before retiring so stray in-flight
 // credits land while the sender is registered and the Fig 20 waste
 // accounting matches a run that never retires.
 func (s *Session) Quiesced() bool {
@@ -667,10 +663,7 @@ func (rc *receiver) onData(p *packet.Packet) {
 	if !wasFinished && f.Finished {
 		rc.nackTimer.Cancel()
 		if h := rc.fctHist; h != nil {
-			// Routed through the host so a sharded run defers the
-			// observation into the shard's buffer: histogram accumulation
-			// order is part of serial/sharded byte-identity.
-			rc.host.ObserveHist(h, f.FCT().Seconds()*1e3)
+			h.Observe(f.FCT().Seconds() * 1e3)
 		}
 	}
 	seq := p.CreditSeq

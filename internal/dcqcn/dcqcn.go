@@ -89,9 +89,8 @@ func (d *CC) Init(c *transport.Conn) {
 	}
 	d.target = c.PaceRate
 	eng := c.Engine()
-	// Timers run in the sender host's scheduling domain: they mutate
-	// per-connection state, so a sharded run must execute them on the
-	// sender's shard alongside the rest of the connection.
+	// Timers run in the sender host's scheduling domain, with the rest of
+	// the connection's sender-side events.
 	dom := c.Flow.Sender.Dom()
 	// α decay: without CNPs, confidence in congestion fades.
 	var alphaTick func()

@@ -32,11 +32,6 @@ func chaosDumbbell(eng *sim.Engine, pr Proto, n int, size unit.Bytes,
 	tcfg := topology.Config{LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond}
 	pr.Features(&tcfg, faultRTT)
 	d := topology.NewDumbbell(eng, n, tcfg)
-	if pr != ProtoExpressPass {
-		// Conn-based baselines pin serial execution; pre-declare the
-		// requirement before any -shards partitioning.
-		d.Net.RequireSerial()
-	}
 	env := &Env{Eng: eng, Net: d.Net, BaseRTT: faultRTT,
 		XP:   core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
 		Conn: transport.ConnConfig{MinRTO: sim.Millisecond}}

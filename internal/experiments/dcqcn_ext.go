@@ -38,11 +38,6 @@ func runExtDCQCN(p Params, w io.Writer) error {
 		env := &Env{Eng: eng, Net: st.Net, BaseRTT: 30 * sim.Microsecond,
 			XP:   core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
 			Conn: transport.ConnConfig{}}
-		if proto != ProtoExpressPass {
-			// DCQCN dials transport.Conns lazily; pre-declare the
-			// serial-only machinery before any -shards partitioning.
-			st.Net.RequireSerial()
-		}
 		specs := make([]workload.FlowSpec, fanout)
 		for i := range specs {
 			specs[i] = workload.FlowSpec{Src: 1 + i%16, Dst: 0,

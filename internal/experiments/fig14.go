@@ -94,9 +94,7 @@ func runFig14b(t *runner.T, p Params, w io.Writer) error {
 	return nil
 }
 
-// gapRecorder measures inter-arrival gaps of credits at a host. It
-// reads the clock through the host so arrivals are stamped with the
-// host's shard time when the network is partitioned.
+// gapRecorder measures inter-arrival gaps of credits at a host.
 type gapRecorder struct {
 	host *netem.Host
 	last sim.Time

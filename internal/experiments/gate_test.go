@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"expresspass/internal/invariant"
-	"expresspass/internal/netem"
 	"expresspass/internal/obs"
 	"expresspass/internal/runner"
 )
@@ -82,30 +81,18 @@ func gateWorkers() int {
 }
 
 // gateModes is the execution-mode matrix: every way xpsim can run an
-// experiment other than the serial reference (-procs 1, no shards).
-// Each row must reproduce the reference byte for byte.
+// experiment other than the serial reference (-procs 1). Each row must
+// reproduce the reference byte for byte.
 var gateModes = []struct {
-	name   string
-	procs  int // sweep-trial worker pool width
-	shards int // intra-run topology shards per trial
+	name  string
+	procs int // sweep-trial worker pool width
 }{
 	// Trials fan out across the worker pool (wider than 4 on hosts with
 	// more cores) and merge in submission order.
-	{"procs4", gateWorkers(), 0},
-	// Trials stay serial so the row isolates the sharded engine: each
-	// topology cut into (up to) four regions on their own event queues
-	// with epoch-barrier synchronization.
-	{"shards4", 1, 4},
+	{"procs4", gateWorkers()},
 }
 
-// runMode runs one experiment at the given pool width and shard count.
-func runMode(t *testing.T, procs, shards int, id string, p Params) []byte {
-	t.Helper()
-	netem.SetDefaultShards(shards)
-	defer netem.SetDefaultShards(0)
-	return runAt(t, procs, id, p)
-}
-
+// runAt runs one experiment at the given pool width.
 func runAt(t *testing.T, procs int, id string, p Params) []byte {
 	t.Helper()
 	runner.SetProcs(procs)
@@ -175,7 +162,7 @@ func writeGateSums(t *testing.T, sums map[string]string) {
 // any output byte nor surface a single violation.
 func TestModeMatrixByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("determinism gate runs every experiment three times")
+		t.Skip("determinism gate runs every experiment twice")
 	}
 	all := os.Getenv("XPSIM_GATE_ALL") != ""
 	sums := readGateSums(t)
@@ -195,7 +182,7 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 				scale = 0.01 // new experiments are gated by default
 			}
 			p := Params{Scale: scale, Seed: 42}
-			serial := runMode(t, 1, 0, e.ID, p)
+			serial := runAt(t, 1, e.ID, p)
 			digest := sha256.Sum256(serial)
 			if got := hex.EncodeToString(digest[:]); *updateGateSums {
 				sums[e.ID] = got
@@ -207,10 +194,10 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 			}
 			for _, m := range gateModes {
 				t.Run(m.name, func(t *testing.T) {
-					got := runMode(t, m.procs, m.shards, e.ID, p)
+					got := runAt(t, m.procs, e.ID, p)
 					if !bytes.Equal(serial, got) {
-						t.Errorf("output differs between serial and -procs %d -shards %d\nserial:\n%s\n%s:\n%s",
-							m.procs, m.shards, serial, m.name, got)
+						t.Errorf("output differs between serial and -procs %d\nserial:\n%s\n%s:\n%s",
+							m.procs, serial, m.name, got)
 					}
 				})
 			}
@@ -231,58 +218,21 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 	}
 }
 
-// shardShapeGauges are engine-shape metrics whose values legitimately
-// depend on how the event population is split across queues: pending
-// counts and queue peaks are per-queue quantities sampled mid-run, and
-// the event freelist is per-engine. Every other metric — and the trace
-// — must still match byte for byte.
-//
-// These four, with engine/events and engine/events_per_sec, describe
-// *queued* events: a transmitter-done event no packet waited for is
-// reserved, never queued (sim.Engine.Reserve), so they are also the only
-// rows that may differ from an engine that queues every one. The two
-// event counts are NOT in this map: which tx-dones get queued is decided
-// by dispatch order alone, so serial and sharded runs execute the same
-// number of events and the gate below compares them.
-var shardShapeGauges = map[string]bool{
-	"engine/pending":     true,
-	"engine/peak_heap":   true,
-	"sim/freelist_size":  true,
-	"sim/freelist_drops": true,
-}
-
-// stripShapeGauges removes metric CSV rows for the shard-shape gauges.
-func stripShapeGauges(csv string) string {
-	var b strings.Builder
-	for _, line := range strings.Split(csv, "\n") {
-		// t_us,scope,metric,value
-		f := strings.Split(line, ",")
-		if len(f) == 4 && shardShapeGauges[f[2]] {
-			continue
-		}
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // TestModeMatrixObsByteIdentical is the obs variant of the gate: a
 // traced, metered experiment runs serially and once per row of
-// gateModes, and stdout, the trace — produced through the per-trial and
-// per-shard buffering paths netem actually uses — and the metrics CSV
-// must match the serial run byte for byte. Only the sharded row's
-// metrics are compared after dropping the shard-shape gauges.
+// gateModes, and stdout, the trace — produced through the per-trial
+// buffering path netem actually uses — and the metrics CSV must match
+// the serial run byte for byte.
 //
-// The serial reference runs unarmed and every other row runs with the
-// invariant checkers armed, so the rows also prove that arming changes
-// no trace byte: the checker sits on the tee in front of the trial's or
-// the shards' tracer, subscribed to the union of its own types and the
-// trace's. The last row does the same, sharded, under a -trace-types
-// filter of three types the checker does not read, where that union is
-// narrower than "everything" and the displaced tracer has to filter
-// again.
+// The serial reference runs unarmed and every other run is armed, so the
+// rows also prove that arming changes no trace byte: the checker sits on
+// the tee in front of the run's or the trial's tracer, subscribed to the
+// union of its own types and the trace's. The filtered row does the same
+// serially and at the pool width under a -trace-types filter of three
+// types the checker does not read, where that union is narrower than
+// "everything" and the displaced tracer has to filter again.
 func TestModeMatrixObsByteIdentical(t *testing.T) {
-	run := func(t *testing.T, procs, shards int, armed bool, types ...obs.EventType) (out, trace, metrics string) {
+	run := func(t *testing.T, procs int, armed bool, types ...obs.EventType) (out, trace, metrics string) {
 		var tb, mb bytes.Buffer
 		rt := obs.NewRuntime(obs.Config{
 			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb), types...),
@@ -295,7 +245,7 @@ func TestModeMatrixObsByteIdentical(t *testing.T) {
 			invariant.Arm(invariant.Options{})
 			defer invariant.Disarm()
 		}
-		ob := runMode(t, procs, shards, "ext-classes", Params{Scale: 0.05, Seed: 42})
+		ob := runAt(t, procs, "ext-classes", Params{Scale: 0.05, Seed: 42})
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -311,42 +261,39 @@ func TestModeMatrixObsByteIdentical(t *testing.T) {
 		}
 		return string(ob), tb.String(), mb.String()
 	}
-	compare := func(t *testing.T, shards int, so, st, sm, mo, mt, mm string) {
+	compare := func(t *testing.T, procs int, so, st, sm, mo, mt, mm string) {
+		t.Helper()
 		if mo != so {
-			t.Errorf("stdout differs from the serial run under tracing")
+			t.Errorf("-procs %d: stdout differs from the unarmed serial run under tracing", procs)
 		}
 		if mt != st {
-			t.Errorf("trace bytes differ from the serial run")
+			t.Errorf("-procs %d: trace bytes differ from the unarmed serial run", procs)
 		}
-		if shards > 1 {
-			if stripShapeGauges(mm) != stripShapeGauges(sm) {
-				t.Errorf("metrics rows differ from the serial run beyond the engine-shape gauges")
-			}
-		} else if mm != sm {
-			t.Errorf("metrics bytes differ from the serial run")
+		if mm != sm {
+			t.Errorf("-procs %d: metrics bytes differ from the unarmed serial run", procs)
 		}
 	}
-	so, st, sm := run(t, 1, 0, false)
+	so, st, sm := run(t, 1, false)
 	if st == "" {
 		t.Error("trace is empty — experiment emitted no events through the trial scope")
 	}
 	for _, m := range gateModes {
 		t.Run(m.name, func(t *testing.T) {
-			mo, mt, mm := run(t, m.procs, m.shards, true)
-			compare(t, m.shards, so, st, sm, mo, mt, mm)
+			mo, mt, mm := run(t, m.procs, true)
+			compare(t, m.procs, so, st, sm, mo, mt, mm)
 		})
 	}
 	t.Run("filtered", func(t *testing.T) {
 		filter := []obs.EventType{obs.EvQueueDepth, obs.EvFeedback, obs.EvCreditDrop}
-		fo, ft, fm := run(t, 1, 0, false, filter...)
+		fo, ft, fm := run(t, 1, false, filter...)
 		if ft == "" || len(ft) >= len(st) {
 			t.Fatalf("filtered trace is %d bytes, unfiltered %d", len(ft), len(st))
 		}
-		// Sharded, because that is where the union is visible: every
-		// shard tracer carries it (Tracer.WithSink), the shard buffers
-		// hold the checker's types beside the trace's, and the merge
-		// feeds both through the tee in serial order.
-		mo, mt, mm := run(t, 1, 4, true, filter...)
-		compare(t, 4, fo, ft, fm, mo, mt, mm)
+		// Armed, serially — the checker's tee in front of the run's own
+		// tracer — and at the pool width, in front of each trial's buffer.
+		for _, procs := range []int{1, gateWorkers()} {
+			mo, mt, mm := run(t, procs, true, filter...)
+			compare(t, procs, fo, ft, fm, mo, mt, mm)
+		}
 	})
 }

@@ -122,12 +122,6 @@ func runFig17(p Params, w io.Writer) error {
 		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
 			XP:   core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
 			Conn: transport.ConnConfig{}}
-		if proto != ProtoExpressPass {
-			// Conn-based transports register serial-only machinery at
-			// dial time; declare it before the run so lazy dials don't
-			// trip the post-partition check under -shards.
-			st.Net.RequireSerial()
-		}
 		mgr := lifecycle.NewManager(lifecycle.Config{
 			Engine: eng,
 			Specs:  specs,

@@ -126,15 +126,6 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 		XP:   core.Config{Alpha: alpha, WInit: winit, BaseRTT: baseRTT},
 		Conn: transport.ConnConfig{}}
 
-	if rc.proto != ProtoExpressPass {
-		// Conn-based baselines dial mid-run under the lifecycle manager,
-		// after the topology would have partitioned — transport.NewConn's
-		// RequireSerial would panic then. Pre-declare serial before the
-		// first run instead (the same execution shape those transports
-		// forced when they were all dialed up front).
-		ot.Net.RequireSerial()
-	}
-
 	res := realisticResult{total: len(specs), requested: requested}
 	mgr := lifecycle.NewManager(lifecycle.Config{
 		Engine: eng,

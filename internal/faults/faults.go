@@ -215,8 +215,8 @@ func (in *Injector) Corrupt(p *netem.Port, class string, rate float64, at sim.Ti
 // Reorder opens a bounded-reordering window on p's egress: each
 // departing packet is, with the given probability, held on the wire for
 // an extra uniform delay in [1, maxExtra], letting later packets
-// overtake it. The extra delay is strictly additive, so sharded-run
-// lookahead stays sound; positional queue/delay findings are voided
+// overtake it. The extra delay is strictly additive (never below the
+// link's propagation delay); positional queue/delay findings are voided
 // (held-back packets arrive in clusters).
 func (in *Injector) Reorder(p *netem.Port, rate float64, maxExtra sim.Duration, at sim.Time, dur sim.Duration) {
 	scope := "reorder:" + p.Name()

@@ -10,7 +10,7 @@ import (
 // SetDelayJitter/SetRateJitter callbacks). Each instance owns a private
 // forked RNG stream and advances exactly once per packet of its class,
 // so the loss/jitter pattern is a pure function of the run seed — the
-// property the serial-vs-parallel-vs-sharded byte-compare gate pins.
+// property the serial-vs-parallel byte-compare gate pins.
 
 // GEModel is the classic two-state Gilbert-Elliott loss chain (tc netem
 // loss gemodel): a Good state delivering with probability k and a Bad
@@ -166,7 +166,7 @@ func (m *CorrelatedBernoulli) Drop() bool {
 
 // Jitter distributions, by spec-grammar name. Each sampler is built
 // around a mean and returns non-negative values only (netem impairment
-// delay must be additive for sharded-lookahead soundness).
+// delay is additive: never below the link's propagation delay).
 const (
 	DistUniform = "uniform" // U(0, 2·mean)
 	DistNormal  = "normal"  // |N(mean, mean/3)| clamped at 0

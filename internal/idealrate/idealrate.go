@@ -41,10 +41,8 @@ type Oracle struct {
 }
 
 // NewOracle returns an oracle over net. The oracle reads and writes
-// every connection's rate from whatever context invokes it, so the
-// network is pinned to serial execution.
+// every connection's rate from whatever context invokes it.
 func NewOracle(net *netem.Network) *Oracle {
-	net.RequireSerial()
 	return &Oracle{net: net, paths: make(map[*transport.Conn][]*netem.Port)}
 }
 

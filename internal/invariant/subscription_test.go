@@ -25,9 +25,8 @@ package invariant
 // sender: core's sender cannot be made to spend a credit twice from
 // outside the package — its dedup window and its one-credit-one-packet
 // emit path are private, and opening them would put a test hook on the
-// hot path. The run is real (live dumbbell, sharded or not, the host's
-// own tracer and the shard buffer merge); only the misbehaving endpoint
-// is the test's. core's own credit_recv/data_send sites are covered the
+// hot path. The run is real (live dumbbell, the host's own tracer); only
+// the misbehaving endpoint is the test's. core's own credit_recv/data_send sites are covered the
 // other way round: every clean armed run (TestCleanRunNoViolations, the
 // mode-matrix gate) reports an uncredited send per data packet if
 // credit_recv stops arriving.
@@ -120,16 +119,13 @@ func TestFlightRecorderWidensSubscription(t *testing.T) {
 }
 
 // dumbbellRun drives four ExpressPass flows across a dumbbell with a
-// checker attached, serially or cut into shards, and returns every
-// violation: those reported as they happened, then those Finish flushed.
-// before runs after the flows are dialed and before the clock starts.
-func dumbbellRun(t *testing.T, shards int, opt Options, before func(*topology.Dumbbell)) []Violation {
+// checker attached and returns every violation: those reported as they
+// happened, then those Finish flushed. before runs after the flows are
+// dialed and before the clock starts.
+func dumbbellRun(t *testing.T, opt Options, before func(*topology.Dumbbell)) []Violation {
 	t.Helper()
 	eng := sim.New(7)
 	d := topology.NewDumbbell(eng, 4, topology.Config{})
-	if shards > 1 {
-		d.Net.SetShards(shards)
-	}
 	var vs []Violation
 	opt.OnViolation = func(v Violation) { vs = append(vs, v) }
 	c := Attach(d.Net, opt)
@@ -148,9 +144,6 @@ func dumbbellRun(t *testing.T, shards int, opt Options, before func(*topology.Du
 			t.Fatalf("flow %d did not finish", i)
 		}
 	}
-	if sharded := d.Net.Sharded(); sharded != (shards > 1) {
-		t.Fatalf("network sharded = %v with %d shards requested", sharded, shards)
-	}
 	c.Finish() // flushed findings reach OnViolation too
 	return vs
 }
@@ -167,71 +160,60 @@ func count(vs []Violation, invariant string) int {
 
 // TestEveryInvariantFiresThroughRealEmissionSites: under the narrow
 // filter each of the four invariants still trips on events produced by a
-// live run — not hand-fed to the tracer — on one event queue and on two
-// shards, where they cross the per-shard buffers first.
+// live run — not hand-fed to the tracer.
 func TestEveryInvariantFiresThroughRealEmissionSites(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			if vs := dumbbellRun(t, shards, Options{}, nil); len(vs) != 0 {
-				t.Fatalf("clean dumbbell raised %v", vs)
-			}
+	if vs := dumbbellRun(t, Options{}, nil); len(vs) != 0 {
+		t.Fatalf("clean dumbbell raised %v", vs)
+	}
 
-			t.Run("token-bucket", func(t *testing.T) {
-				eng := sim.New(11)
-				vs, opt := collect()
-				net, _ := star(eng, brokenBurst)
-				if shards > 1 {
-					net.SetShards(shards)
-				}
-				c := Attach(net, opt)
-				eng.Run()
-				c.Finish()
-				if net.Sharded() != (shards > 1) {
-					t.Fatalf("network sharded = %v", net.Sharded())
-				}
-				if count(*vs, "token-bucket") == 0 {
-					t.Fatalf("64-credit limiter not caught: %v", *vs)
-				}
-			})
+	t.Run("token-bucket", func(t *testing.T) {
+		eng := sim.New(11)
+		vs, opt := collect()
+		net, _ := star(eng, brokenBurst)
+		c := Attach(net, opt)
+		eng.Run()
+		c.Finish()
+		if count(*vs, "token-bucket") == 0 {
+			t.Fatalf("64-credit limiter not caught: %v", *vs)
+		}
+	})
 
-			t.Run("queue-bound", func(t *testing.T) {
-				vs := dumbbellRun(t, shards, Options{QueueBound: unit.MaxFrame, NoDelayBound: true}, nil)
-				if count(vs, "queue-bound") == 0 || count(vs, "delay-bound") != 0 {
-					t.Fatalf("a one-frame queue bound on a shared bottleneck: %v", vs)
-				}
-			})
+	t.Run("queue-bound", func(t *testing.T) {
+		vs := dumbbellRun(t, Options{QueueBound: unit.MaxFrame, NoDelayBound: true}, nil)
+		if count(vs, "queue-bound") == 0 || count(vs, "delay-bound") != 0 {
+			t.Fatalf("a one-frame queue bound on a shared bottleneck: %v", vs)
+		}
+	})
 
-			t.Run("delay-bound", func(t *testing.T) {
-				vs := dumbbellRun(t, shards, Options{DelayCap: 1, NoQueueBound: true}, nil)
-				// (The "N further suppressed" summary is filed under
-				// queue-bound whichever of the two it counts.)
-				if count(vs, "delay-bound") == 0 || count(vs, "token-bucket")+count(vs, "credit-conservation") != 0 {
-					t.Fatalf("a 1 ps delay cap on a shared bottleneck: %v", vs)
-				}
-			})
+	t.Run("delay-bound", func(t *testing.T) {
+		vs := dumbbellRun(t, Options{DelayCap: 1, NoQueueBound: true}, nil)
+		// (The "N further suppressed" summary is filed under
+		// queue-bound whichever of the two it counts.)
+		if count(vs, "delay-bound") == 0 || count(vs, "token-bucket")+count(vs, "credit-conservation") != 0 {
+			t.Fatalf("a 1 ps delay cap on a shared bottleneck: %v", vs)
+		}
+	})
 
-			t.Run("credit-conservation", func(t *testing.T) {
-				var flow int64
-				vs := dumbbellRun(t, shards, Options{}, func(d *topology.Dumbbell) {
-					// The test-only sender: at 50 µs, in its host's
-					// scheduling domain, it takes one credit and answers
-					// it with two data packets.
-					h := d.Senders[1]
-					flow = int64(d.Net.NextFlowID())
-					d.Net.Eng.AtD(h.Dom(), 50*sim.Microsecond, func() {
-						now := h.Engine().Now()
-						h.Tracer().Emit(obs.Event{T: now, Type: obs.EvCreditRecv, Scope: h.Name(), Flow: flow, Seq: 1, Bytes: 84})
-						h.Tracer().Emit(obs.Event{T: now, Type: obs.EvDataSend, Scope: h.Name(), Flow: flow, Seq: 1, Bytes: 1460})
-						h.Tracer().Emit(obs.Event{T: now, Type: obs.EvDataSend, Scope: h.Name(), Flow: flow, Seq: 1, Bytes: 1460})
-					})
-				})
-				if len(vs) != 1 || vs[0].Invariant != "credit-conservation" || vs[0].Flow != flow ||
-					!strings.Contains(vs[0].Detail, "double-spend") {
-					t.Fatalf("one credit spent twice: %v", vs)
-				}
+	t.Run("credit-conservation", func(t *testing.T) {
+		var flow int64
+		vs := dumbbellRun(t, Options{}, func(d *topology.Dumbbell) {
+			// The test-only sender: at 50 µs, in its host's scheduling
+			// domain, it takes one credit and answers it with two data
+			// packets.
+			h := d.Senders[1]
+			flow = int64(d.Net.NextFlowID())
+			d.Net.Eng.AtD(h.Dom(), 50*sim.Microsecond, func() {
+				now := h.Engine().Now()
+				h.Tracer().Emit(obs.Event{T: now, Type: obs.EvCreditRecv, Scope: h.Name(), Flow: flow, Seq: 1, Bytes: 84})
+				h.Tracer().Emit(obs.Event{T: now, Type: obs.EvDataSend, Scope: h.Name(), Flow: flow, Seq: 1, Bytes: 1460})
+				h.Tracer().Emit(obs.Event{T: now, Type: obs.EvDataSend, Scope: h.Name(), Flow: flow, Seq: 1, Bytes: 1460})
 			})
 		})
-	}
+		if len(vs) != 1 || vs[0].Invariant != "credit-conservation" || vs[0].Flow != flow ||
+			!strings.Contains(vs[0].Detail, "double-spend") {
+			t.Fatalf("one credit spent twice: %v", vs)
+		}
+	})
 }
 
 // TestEveryPortEventCarriesItsPortNumber traces runs that between them
@@ -430,17 +412,14 @@ func TestFinishReportsInPortOrder(t *testing.T) {
 	}
 }
 
-// TestViolationListSameSerialAndSharded: a fat-tree whose every limiter
-// is broken (64-credit bursts) produces a long mixed list — token-bucket
+// TestViolationListReproducible: a fat-tree whose every limiter is
+// broken (64-credit bursts) produces a long mixed list — token-bucket
 // findings as they happen, queue and delay findings at Finish — and the
-// list is the same, in the same order, on one queue and on four shards.
-func TestViolationListSameSerialAndSharded(t *testing.T) {
-	run := func(shards int) []Violation {
+// list is the same, in the same order, on a second run of the same seed.
+func TestViolationListReproducible(t *testing.T) {
+	run := func() []Violation {
 		eng := sim.New(11)
 		ft := topology.NewFatTree(eng, 4, topology.Config{CreditBurst: brokenBurst})
-		if shards > 1 {
-			ft.Net.SetShards(shards)
-		}
 		vs, opt := collect()
 		c := Attach(ft.Net, opt)
 		// One sender in pod 0 feeding a receiver in every other pod, and
@@ -454,17 +433,14 @@ func TestViolationListSameSerialAndSharded(t *testing.T) {
 		}
 		eng.Run()
 		c.Finish()
-		if ft.Net.Sharded() != (shards > 1) {
-			t.Fatalf("network sharded = %v with %d shards requested", ft.Net.Sharded(), shards)
-		}
 		return *vs
 	}
-	serial, sharded := run(1), run(4)
-	if count(serial, "token-bucket") == 0 {
-		t.Fatalf("broken limiters not caught: %v", serial)
+	first, second := run(), run()
+	if count(first, "token-bucket") == 0 {
+		t.Fatalf("broken limiters not caught: %v", first)
 	}
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("violation lists differ: %d serial, %d sharded\n%v\n%v", len(serial), len(sharded), serial, sharded)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("violation lists differ between two runs: %d, then %d\n%v\n%v", len(first), len(second), first, second)
 	}
 }
 

@@ -9,33 +9,25 @@
 // mode fit in bounded RSS on one machine.
 //
 // Determinism. Both manager activities run as dom-0 (global) events on
-// the trial's root engine:
+// the trial's engine:
 //
 //   - Arrival dialing is a chain: each dial event dials exactly one
 //     flow and schedules the next at its (sorted, non-decreasing) start
-//     time. Under the sharded engine, dom-0 events execute serially on
-//     the coordinator with every shard parked at the exact instant the
-//     serial comparator would run them, so the dial's RNG forks,
-//     endpoint registrations, and start-event scheduling observe
-//     identical state in serial and sharded runs.
+//     time.
 //   - Retirement is a periodic reaper that scans only live flows and
 //     retires those that are Quiesced: the transport wound down on its
 //     own and holds no pending timers, so tearing it down cancels
 //     nothing that would have fired and cannot change the simulation's
-//     future. Accumulator folds happen here — in deterministic scan
-//     order on one goroutine — rather than in Flow.OnFinish, which
-//     fires on the receiving flow's shard in the middle of a parallel
-//     window where mutating shared state would race.
+//     future. Accumulator folds happen here, once per flow at its
+//     teardown, in the reaper's scan order.
 //
-// The one manager action that does run in OnFinish is an atomic
-// finished counter, so drivers can stop on a counter instead of
-// rescanning every flow: counting commutes, so shard-window timing
-// cannot perturb the value a driver reads between runs.
+// The one manager action that does run in OnFinish is a finished
+// counter, so drivers can stop on a counter instead of rescanning every
+// flow.
 package lifecycle
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"expresspass/internal/sim"
 	"expresspass/internal/stats"
@@ -57,7 +49,7 @@ type Handle interface {
 
 // Config parameterizes a Manager.
 type Config struct {
-	// Engine is the trial's root engine (required). Dial and reap
+	// Engine is the trial's engine (required). Dial and reap
 	// events are scheduled on it in domain 0.
 	Engine *sim.Engine
 
@@ -83,7 +75,7 @@ type Config struct {
 	// OnRetire, if set, runs in the reaper for every retired flow just
 	// before its references drop — the hook experiments use to fold
 	// transport counters (credits received/wasted) into streaming sums.
-	// It runs on the coordinator in deterministic scan order.
+	// It runs in the reaper's deterministic scan order.
 	OnRetire func(f *transport.Flow, h Handle)
 
 	// ReapInterval is the reaper period (default 1ms). Retirement
@@ -107,8 +99,8 @@ type liveFlow struct {
 }
 
 // Manager runs the arrival/retirement lifecycle for one set of specs.
-// All methods except the Flow.OnFinish counter hook must be called from
-// the engine's goroutine (or between runs).
+// All methods must be called from the engine's goroutine (or between
+// runs).
 type Manager struct {
 	cfg   Config
 	specs []workload.FlowSpec
@@ -116,7 +108,7 @@ type Manager struct {
 	next     int        // next spec to dial
 	live     []liveFlow // dialed, not yet retired, in dial order
 	retired  int
-	finished atomic.Int64 // OnFinish hook; includes not-yet-retired flows
+	finished int // OnFinish hook; includes not-yet-retired flows
 
 	fcts      map[string]*stats.Dist
 	reapArmed bool
@@ -143,9 +135,7 @@ func NewManager(cfg Config) *Manager {
 	return &Manager{cfg: cfg, specs: specs, fcts: map[string]*stats.Dist{}}
 }
 
-// Start schedules the first arrival. Call once, before the engine runs
-// (the first dial event must predate any topology partitioning so it
-// lands in the root heap).
+// Start schedules the first arrival. Call once, before the engine runs.
 func (m *Manager) Start() {
 	if m.started {
 		panic("lifecycle: Start called twice")
@@ -183,7 +173,7 @@ func (m *Manager) dialNext() {
 		if prev != nil {
 			prev(fl)
 		}
-		m.finished.Add(1)
+		m.finished++
 	}
 	m.live = append(m.live, liveFlow{f: f, h: h})
 	if !m.reapArmed {
@@ -270,7 +260,7 @@ func (m *Manager) Retired() int { return m.retired }
 // Finished returns how many flows have delivered every byte, including
 // flows not yet retired. Maintained by an OnFinish counter, so reading
 // it is O(1) — drivers stop on this instead of rescanning every flow.
-func (m *Manager) Finished() int { return int(m.finished.Load()) }
+func (m *Manager) Finished() int { return m.finished }
 
 // Drained reports that every spec was dialed and every dialed flow
 // retired — the reaper has stopped re-arming and the engine can drain.

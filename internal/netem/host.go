@@ -65,13 +65,7 @@ type Host struct {
 	eng  *sim.Engine
 	rng  *sim.Rand
 
-	// dom is the host's scheduling domain. shardTr/shardBuf are set
-	// when the network partitions: the per-shard tracer wrapper and
-	// instrumentation buffer endpoints on this host must use instead of
-	// the network-wide ones (see shard.go).
-	dom      int32
-	shardTr  *obs.Tracer
-	shardBuf *obs.ShardBuf
+	dom int32 // the host's scheduling domain
 
 	ports []*Port // hosts have exactly one in all our topologies
 
@@ -130,33 +124,14 @@ func (h *Host) NIC() *Port {
 // Rand returns the host's private random stream.
 func (h *Host) Rand() *sim.Rand { return h.rng }
 
-// Tracer returns the tracer endpoint code at this host must emit
-// through — the host's shard tracer when the network is partitioned,
-// else the network tracer — or nil when tracing is off. Transport
-// endpoints must re-fetch it per emission (not cache it at dial time):
-// the network may partition into shards at first run, after dialing.
-func (h *Host) Tracer() *obs.Tracer {
-	if h.shardTr != nil {
-		return h.shardTr
-	}
-	return h.net.tracer
-}
+// Tracer returns the network's tracer, or nil when tracing is off.
+// Endpoints at this host fetch it per emission rather than caching it
+// at dial time, so a later Network.SetTracer reaches them too.
+func (h *Host) Tracer() *obs.Tracer { return h.net.tracer }
 
 // Dom returns the host's scheduling domain. Transport endpoint timers
-// and closures must be scheduled in this domain (Engine.At2D/AfterD)
-// so event keys are identical in serial and sharded runs.
+// and closures are scheduled in this domain (Engine.At2D/AfterD).
 func (h *Host) Dom() int32 { return h.dom }
-
-// ObserveHist records one observation into hist, deferring through the
-// host's shard buffer during parallel windows so that replay order —
-// and therefore the float accumulation order — matches a serial run.
-func (h *Host) ObserveHist(hist *obs.Histogram, v float64) {
-	if h.shardBuf != nil {
-		h.shardBuf.Observe(hist, v)
-		return
-	}
-	hist.Observe(v)
-}
 
 // Metrics returns the network's metrics registry, or nil.
 func (h *Host) Metrics() *obs.Registry { return h.net.metrics }
@@ -164,9 +139,7 @@ func (h *Host) Metrics() *obs.Registry { return h.net.metrics }
 // ClaimFlowMetrics forwards to Network.ClaimFlowMetrics.
 func (h *Host) ClaimFlowMetrics() *obs.Registry { return h.net.ClaimFlowMetrics() }
 
-// Engine returns the simulation engine executing this host's events —
-// the host's shard engine once the network partitions, so callers must
-// not cache it across the first run.
+// Engine returns the simulation engine executing this host's events.
 func (h *Host) Engine() *sim.Engine { return h.eng }
 
 // Network returns the network this host belongs to.

@@ -11,8 +11,7 @@ import (
 // 4-state Markov, correlated Bernoulli) are stateful chains owning their
 // own forked RNG stream; a port advances the model once per packet of
 // the class it is installed on, in the port's scheduling domain, so the
-// drop pattern is a pure function of the run seed in serial, parallel,
-// and sharded runs alike.
+// drop pattern is a pure function of the run seed.
 type LossModel interface {
 	Drop() bool
 }
@@ -135,9 +134,9 @@ func (p *Port) SetCorruption(creditRate, dataRate float64, rng *sim.Rand) {
 // SetReorder installs bounded reordering on this egress: each departing
 // packet is, with probability rate, held on the wire for an extra
 // uniform delay in [1, maxExtra], letting up to maxExtra's worth of
-// later traffic overtake it. The extra delay is strictly additive, so
-// sharded-run lookahead (sized to the configured propagation delay)
-// stays sound. nil rng, rate ≤ 0, or maxExtra ≤ 0 clears the hook.
+// later traffic overtake it. The extra delay is strictly additive: no
+// packet arrives sooner than the configured propagation delay. nil rng,
+// rate ≤ 0, or maxExtra ≤ 0 clears the hook.
 func (p *Port) SetReorder(rate float64, maxExtra sim.Duration, rng *sim.Rand) {
 	if rng == nil || rate <= 0 || maxExtra <= 0 {
 		if p.impair != nil {
@@ -152,7 +151,7 @@ func (p *Port) SetReorder(rate float64, maxExtra sim.Duration, rng *sim.Rand) {
 
 // SetDelayJitter installs a per-packet extra propagation delay sampler
 // (nil clears). Negative samples are clamped to zero: impairment delay
-// must be additive for sharded lookahead soundness.
+// is additive, so a link never delivers faster than its cable.
 func (p *Port) SetDelayJitter(sample func() sim.Duration) {
 	if sample == nil {
 		if p.impair != nil {

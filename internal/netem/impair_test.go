@@ -188,8 +188,7 @@ func TestImpairDupRateConverges(t *testing.T) {
 }
 
 // TestImpairDelayJitterAdditive pins that delay jitter adds exactly the
-// sampled extra on top of serialization + propagation — never less
-// (sharded lookahead relies on impairment delay being additive).
+// sampled extra on top of serialization + propagation — never less.
 func TestImpairDelayJitterAdditive(t *testing.T) {
 	run := func(extra sim.Duration) sim.Time {
 		eng, _, _, _, ab := pair(t, PortConfig{

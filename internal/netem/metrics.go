@@ -36,12 +36,6 @@ func (n *Network) initObs(rt obs.Scope) {
 // tracing.
 func (n *Network) SetTracer(tr *obs.Tracer) {
 	n.tracer = tr
-	if n.sharded {
-		// Ports and hosts must emit through per-shard buffer tracers;
-		// rebuild them around the new destination.
-		n.rebindShardObs()
-		return
-	}
 	for _, p := range n.ports {
 		p.trace = tr
 	}

@@ -47,16 +47,9 @@ type Network struct {
 	nextFlow packet.FlowID
 	freeFlow []packet.FlowID // retired IDs awaiting reuse (LIFO)
 
-	// Sharded-execution state (see shard.go). nextDom allocates the
-	// scheduling domains stamped on every event in serial and sharded
-	// runs alike; the rest is populated by shardize when a run actually
-	// partitions.
-	nextDom    int32
-	wantShards int
-	noShard    bool
-	sharded    bool
-	group      *sim.ShardGroup
-	coloc      [][2]*Host
+	// nextDom allocates the scheduling domains stamped on every event
+	// (see allocDom).
+	nextDom int32
 
 	// Instrumentation (all nil/zero when observation is off, in which
 	// case the simulation pays nothing beyond one nil check per hook).
@@ -65,8 +58,6 @@ type Network struct {
 	rt              obs.Scope
 	scope           string
 	flowMetricsLeft int
-	shardBufs       []*obs.ShardBuf
-	shardTracers    []*obs.Tracer
 }
 
 // NewNetwork returns an empty network bound to eng. If a process-wide
@@ -74,11 +65,7 @@ type Network struct {
 // tracer handed to every port, per-port metrics registered, and a
 // metrics sampler scheduled on eng.
 func NewNetwork(eng *sim.Engine) *Network {
-	n := &Network{Eng: eng, wantShards: DefaultShards()}
-	// Partitioning is deferred to the first Run/RunUntil so the whole
-	// topology (and every colocation constraint) is known; until then
-	// the network only allocates scheduling domains.
-	eng.SetPreRun(n.maybeShard)
+	n := &Network{Eng: eng}
 	if rt := obs.Active(); rt != nil {
 		// ScopeFor routes to a per-trial scope when eng belongs to a
 		// runner sweep trial, so concurrent trials never share the
@@ -145,9 +132,6 @@ func (n *Network) Connect(a, b Node, cfg PortConfig) (ab, ba *Port) {
 		name := fmt.Sprintf("%s->%s", owner.Name(), peer.Name())
 		return newPort(n.Eng, owner, c, name)
 	}
-	if n.sharded {
-		panic("netem: Connect after the topology was partitioned into shards")
-	}
 	ab = mk(a, b)
 	ba = mk(b, a)
 	ab.peer, ba.peer = ba, ab
@@ -155,7 +139,7 @@ func (n *Network) Connect(a, b Node, cfg PortConfig) (ab, ba *Port) {
 	// Owner-side events (wake, tx-done) run in the owner node's domain;
 	// each link direction gets its own domain for the events it delivers
 	// to the far node (arrivals, PFC signals), so every domain has a
-	// single scheduling source and keys are shard-independent.
+	// single scheduling source.
 	ab.dom, ba.dom = domOf(a), domOf(b)
 	ab.linkDom, ba.linkDom = n.allocDom(), n.allocDom()
 	ab.rng, ba.rng = n.Eng.Rand().Fork(), n.Eng.Rand().Fork()
@@ -173,6 +157,26 @@ func (n *Network) Connect(a, b Node, cfg PortConfig) (ab, ba *Port) {
 		n.registerPortMetrics(ba)
 	}
 	return ab, ba
+}
+
+// allocDom hands out scheduling domains in topology-build order: one per
+// node, one per link direction. Domain 0 is reserved for global events
+// (experiment closures, faults, the metrics sampler).
+func (n *Network) allocDom() int32 {
+	n.nextDom++
+	return n.nextDom
+}
+
+// domOf returns a node's scheduling domain. Foreign Node implementations
+// (test stubs) get domain 0.
+func domOf(nd Node) int32 {
+	switch v := nd.(type) {
+	case *Host:
+		return v.dom
+	case *Switch:
+		return v.dom
+	}
+	return 0
 }
 
 // Hosts returns all hosts in creation order.
@@ -195,10 +199,10 @@ func (n *Network) NumNodes() int { return len(n.nodes) }
 // windows (Host.eps spans the IDs registered since the host last had no
 // flow at all) sized to the *concurrent* flow population instead of the
 // total dialed over a run's lifetime — the difference between O(active)
-// and O(total) resident memory on 100k-flow runs. Frees happen in the lifecycle reaper's deterministic
-// dom-0 scan order, so the LIFO pop sequence — and therefore every
-// ID-derived quantity (ECMP hashes, trace records) — is identical in
-// serial, parallel, and sharded runs.
+// and O(total) resident memory on 100k-flow runs. Frees happen in the
+// lifecycle reaper's deterministic dom-0 scan order, so the LIFO pop
+// sequence — and therefore every ID-derived quantity (ECMP hashes, trace
+// records) — is a function of the seed alone.
 func (n *Network) NextFlowID() packet.FlowID {
 	if k := len(n.freeFlow); k > 0 {
 		id := n.freeFlow[k-1]

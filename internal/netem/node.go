@@ -48,8 +48,8 @@ type Switch struct {
 	ports []*Port
 
 	// dom is the switch's scheduling domain; rng its private stream
-	// (packet spraying), forked from the root RNG at creation so draws
-	// are identical in serial and sharded runs.
+	// (packet spraying), forked from the root RNG at creation so its
+	// draws depend on no other component's.
 	dom int32
 	rng *sim.Rand
 

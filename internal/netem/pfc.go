@@ -67,9 +67,8 @@ func (in *Port) pfcOnArrival(pkt *packet.Packet) {
 		// PAUSE frames are tiny and bypass queues; model as a control
 		// signal delivered after one propagation delay. It executes at
 		// the upstream node, so it rides this link direction's delivery
-		// domain (crossing shards through the outbox like any arrival).
-		in.eng.Post(in.peer.eng, in.linkDom, in.eng.Now()+in.cfg.Delay,
-			portSetDataPaused, in.peer, nil, 1)
+		// domain like any arrival.
+		in.eng.At2D(in.linkDom, in.eng.Now()+in.cfg.Delay, portSetDataPaused, in.peer, nil, 1)
 	}
 }
 
@@ -96,8 +95,7 @@ func (p *Port) pfcOnDepart(pkt *packet.Packet) {
 			tr.Emit(obs.Event{T: in.eng.Now(), Type: obs.EvPFCResume, Port: in.Number(),
 				Scope: in.name, Val: float64(st.ingressBytes)})
 		}
-		in.eng.Post(in.peer.eng, in.linkDom, in.eng.Now()+in.cfg.Delay,
-			portSetDataPaused, in.peer, nil, 0)
+		in.eng.At2D(in.linkDom, in.eng.Now()+in.cfg.Delay, portSetDataPaused, in.peer, nil, 0)
 	}
 }
 

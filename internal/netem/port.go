@@ -91,10 +91,9 @@ type Port struct {
 	// dom is the owner node's scheduling domain: wake and tx-done
 	// events execute at the owner. linkDom is this link direction's own
 	// domain for the events it delivers to the far node — arrivals and
-	// PFC signals — which execute on the peer owner's shard. rng is the
-	// port's private stream (credit random-victim, RED), forked from
-	// the root RNG at Connect so draws are identical in serial and
-	// sharded runs.
+	// PFC signals. rng is the port's private stream (credit
+	// random-victim, RED), forked from the root RNG at Connect so its
+	// draws depend on no other component's.
 	dom     int32
 	linkDom int32
 	rng     *sim.Rand
@@ -522,8 +521,7 @@ func portArrive(obj, aux any, _ uint64) {
 	if p.down || peer.down {
 		// The link flapped while the packet was in flight: it is lost
 		// on the wire, never reaching the peer. Accounted at the
-		// receiving side, whose shard executes arrival events for this
-		// link direction.
+		// receiving side.
 		peer.faultDrop(pkt, peer.eng.Now())
 		return
 	}
@@ -543,8 +541,7 @@ func (p *Port) transmit(pkt *packet.Packet) {
 	// (the transmitter stays busy longer — real head-of-line impact);
 	// delay jitter and reordering only add wire time, so they delay this
 	// packet without touching the transmitter. All extras are ≥ 0:
-	// arrivals never land earlier than the configured propagation delay,
-	// which sharded-run lookahead is sized to.
+	// arrivals never land earlier than the configured propagation delay.
 	var wireExtra sim.Duration
 	if im := p.impair; im != nil {
 		if f := im.rateJitter; f != nil {
@@ -603,10 +600,9 @@ func (p *Port) transmit(pkt *packet.Packet) {
 	}
 	pkt.Hops++
 	// The arrival executes at the far node: schedule it in this link
-	// direction's delivery domain, crossing shards through the outbox
-	// when the peer lives elsewhere.
+	// direction's delivery domain.
 	arrive := done + p.cfg.Delay + wireExtra
-	p.eng.Post(p.peer.eng, p.linkDom, arrive, portArrive, p, pkt, 0)
+	p.eng.At2D(p.linkDom, arrive, portArrive, p, pkt, 0)
 }
 
 func (p *Port) String() string {

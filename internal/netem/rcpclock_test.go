@@ -76,7 +76,6 @@ func newRCPWorld(ref bool) *rcpWorld {
 
 func (w *rcpWorld) network() *Network {
 	n := NewNetwork(w.eng)
-	n.RequireSerial()
 	w.nets = append(w.nets, n)
 	return n
 }

@@ -22,10 +22,8 @@ import (
 // tx-done re-queue itself at its own key for ever). The cases marked [q]
 // have a packet waiting at the instant, hence the event queued:
 // Port.txQueued decides them whatever Reached says, and they fail when
-// kick skips that test under "k.At <= now". The sharded [≤] case also
-// fails when ShardGroup.advanceClocks leaves the shard's position stale,
-// and the slice-boundary [<] cases when RunUntil (serial) or
-// ShardGroup.run (sharded) advance the clock without settling it.
+// kick skips that test under "k.At <= now". The slice-boundary [<] case
+// fails when RunUntil advances the clock without settling it.
 
 const (
 	tieRate  = 10 * unit.Gbps
@@ -43,9 +41,7 @@ type tieArrival struct {
 	ce  bool
 }
 
-// tieRecorder is the endpoint at the destination host. It asks the host
-// for its engine on every packet: that is a shard engine once the
-// network has partitioned.
+// tieRecorder is the endpoint at the destination host.
 type tieRecorder struct {
 	at  *Host
 	got []tieArrival
@@ -306,39 +302,4 @@ func TestTxDoneTieSetupCode(t *testing.T) {
 		tieArrival{3*tieTx + 2*tieDelay, 2, false},
 		tieArrival{4*tieTx + 2*tieDelay, 3, false},
 		tieArrival{5*tieTx + 2*tieDelay, 4, false})
-}
-
-// TestTxDoneTieSharded repeats the dom-0 send on a partitioned network:
-// the NIC's engine is a shard whose clock the coordinator advanced to the
-// instant for the root event — it dispatched nothing there — and the
-// slice boundary is one the group settled.
-func TestTxDoneTieSharded(t *testing.T) {
-	f := newTieNet(t, false)
-	f.net.SetShards(2)
-	nic := f.a.NIC()
-	f.send(f.a, 1)
-	// The shard's last dispatch before the instant is above the NIC's key
-	// in dom and seq (b shares a's shard).
-	f.eng.AtD(f.b.Dom(), tieTx/2, func() {})
-	f.eng.At(tieTx, func() {
-		f.send(f.a, 2)
-		wantPort(t, "dom-0 send at the tx-done's instant, sharded [≤]", nic, 1, tieWire)
-	})
-	f.eng.RunUntil(3 * tieTx) // #2 finishes at 2tx with nothing behind it
-	if !f.net.Sharded() {
-		t.Fatal("network declined to shard")
-	}
-	f.eng.At(3*tieTx, func() {
-		f.send(f.a, 3) // free since 2tx
-		wantPort(t, "dom-0 send on an idle NIC, sharded", nic, 3, 0)
-	})
-	f.eng.RunUntil(4 * tieTx) // #3 finishes exactly here, unqueued
-	f.send(f.a, 4)
-	wantPort(t, "send between slices at the boundary, sharded [<]", nic, 4, 0)
-	f.eng.Run()
-	f.wantArrivals(t,
-		tieArrival{2*tieTx + 2*tieDelay, 1, false},
-		tieArrival{3*tieTx + 2*tieDelay, 2, false},
-		tieArrival{5*tieTx + 2*tieDelay, 3, false},
-		tieArrival{6*tieTx + 2*tieDelay, 4, false})
 }

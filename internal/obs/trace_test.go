@@ -174,8 +174,7 @@ func TestEventTypeNames(t *testing.T) {
 }
 
 // TestEventStays80Bytes pins the struct size: Port must keep living in
-// the padding after Type. Every buffered event (Trial, ShardBuf, the
-// rings) is a copy of this struct and the -progress buffer figure is
+// the padding after Type. Every buffered event (Trial, the rings) is a copy of this struct and the -progress buffer figure is
 // computed from its size.
 func TestEventStays80Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(Event{}); n != 80 {

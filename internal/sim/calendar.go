@@ -141,8 +141,8 @@ func (c *calQ) advance(now Time) {
 // place puts an event into its day's ring at its less() position,
 // walking back from the tail, or into the heap when the day is beyond
 // the horizon or the walk would pass calWalk links. Callers maintain the
-// cache and accounting. push, rebuild and ShardGroup.Activate all come
-// through here, so none of them knows how a bucket is ordered.
+// cache and accounting. push and rebuild both come through here, so
+// neither knows how a bucket is ordered.
 func (c *calQ) place(ev *event) {
 	d := int64(ev.at) >> c.logW
 	if d-c.curDay >= int64(len(c.heads)) {
@@ -315,8 +315,8 @@ func (c *calQ) remove(ev *event) {
 }
 
 // extractAll empties the queue and returns every resident event,
-// unlinked, in unspecified order (used by ShardGroup.Activate and
-// rebuild). The slice is the caller's: rebuild hands it back as spare,
+// unlinked, in unspecified order, for rebuild to re-place. The slice is
+// the caller's: rebuild hands it back as spare,
 // so a geometry that flips between two widths on every check — an
 // inter-pop gap EWMA sitting on a power of two does — allocates nothing
 // per flip.

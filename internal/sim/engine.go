@@ -25,20 +25,18 @@ func runClosure(obj, _ any, _ uint64) { obj.(Handler)() }
 // event is a scheduled callback. Events are ordered by (at, dom, seq):
 // dom is a scheduling domain — a small integer naming the component that
 // deterministically produces the event stream (a host, one direction of
-// a link, …; 0 is the global/root domain) — and seq breaks remaining
+// a link, …; 0 is the global domain) — and seq breaks remaining
 // ties so execution order is FIFO among equal-key events, regardless of
-// which API scheduled them. Serial runs use the same comparator as
-// sharded runs, so splitting the queue by domain ownership (see
-// ShardGroup) preserves execution order exactly.
+// which API scheduled them.
 //
 // The typed triple lives inline so steady-state packet events never
 // touch the allocator: obj is the receiver (a *Port, *sender, …), aux an
 // optional second pointer (usually a *packet.Packet), arg an opaque
 // word for small scalars.
 //
-// eng is the engine whose queue currently holds the event (updated if
-// ShardGroup.Activate migrates it); EventID.Cancel and Reschedule go
-// through it to keep live-event accounting and queue position correct.
+// eng is the engine whose queue holds the event; EventID.Cancel and
+// Reschedule go through it to keep live-event accounting and queue
+// position correct.
 // bucket is the wheel bucket holding the event, or calInHeap when the
 // calendar's heap does; next and prev thread it into that bucket's ring
 // and are nil outside one. index is the heap slot (0 in a ring) and is
@@ -170,57 +168,25 @@ type Engine struct {
 	// The disabled path costs exactly one predictable branch in Step.
 	hook func(now Time, pending int)
 
-	// Key of the event currently being dispatched (see CurrentKey);
-	// instrumentation uses it to attribute emissions to their causing
-	// event so per-shard buffers can be merged in execution order.
-	//
 	// The dispatch position (see Reached) is the largest key dispatch
 	// order has passed, as (now, posDom, posSeq). Step raises it to each
-	// dispatched event's key; the places that move the clock without a
-	// dispatch set it through advanceTo ("before every key at t") or
-	// settleAt ("after every key at t"). It differs from the current key
-	// only when a handler schedules a same-instant event in a lower
-	// domain: that event runs next, but nothing already passed is
-	// un-passed by it.
-	curDom, posDom int32
-	curSeq, posSeq uint64
+	// dispatched event's key; Run and RunUntil, which move the clock
+	// without a dispatch, set it through settleAt ("after every key at
+	// t"). It lags the dispatching event's key only when a handler
+	// schedules a same-instant event in a lower domain: that event runs
+	// next, but nothing already passed is un-passed by it.
+	posDom int32
+	posSeq uint64
 
 	// Reserve calls and how many of the reserved keys were later queued
 	// through Arm; the difference is events that never existed.
 	reserved uint64
 	armed    uint64
-
-	// Sharded execution (see shard.go). group is set on the root engine
-	// when a ShardGroup partitions it, and on every shard engine (with
-	// shardIdx >= 0). outbox accumulates cross-shard posts made during a
-	// window; the coordinator drains it at the barrier.
-	group    *ShardGroup
-	shardIdx int // -1 on unsharded/root engines
-	outbox   []post
-
-	// preRun hooks fire once, in registration order, at the top of the
-	// first Run/RunUntil — the point where every component has been
-	// built and wired, which is when a network decides whether (and how)
-	// to partition itself into shards.
-	preRun      []func()
-	preRunTotal int
-}
-
-// post is one deferred cross-shard schedule: an event destined for
-// another shard's queue, held in the scheduling shard's outbox until the
-// epoch barrier so shard queues stay single-writer during windows.
-type post struct {
-	dst      *Engine
-	at       Time
-	h        Handler2
-	obj, aux any
-	arg      uint64
-	dom      int32
 }
 
 // New returns an engine at time zero whose RNG is seeded with seed.
 func New(seed uint64) *Engine {
-	return &Engine{rng: NewRand(seed), shardIdx: -1, cal: newCalQ()}
+	return &Engine{rng: NewRand(seed), cal: newCalQ()}
 }
 
 // Now returns the current simulation time.
@@ -229,179 +195,58 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
 
-// shardEngines returns the shard engines when e is the root of a
-// sharded group, else nil. The instrumentation getters below fold
-// shards into the root's totals so code holding the root engine (obs
-// gauges, trial accounting, the metrics sampler's rearm test) sees the
-// same aggregate numbers it would see from one serial engine.
-func (e *Engine) shardEngines() []*Engine {
-	if g := e.group; g != nil && g.root == e {
-		return g.shards
-	}
-	return nil
-}
-
-// Executed returns the number of events executed so far (including, on
-// a sharded root, events executed by every shard).
-func (e *Engine) Executed() uint64 {
-	n := e.nEvents
-	for _, s := range e.shardEngines() {
-		n += s.nEvents
-	}
-	return n
-}
+// Executed returns the number of events executed so far.
+func (e *Engine) Executed() uint64 { return e.nEvents }
 
 // Pending returns the number of live (non-canceled) events currently
-// queued (on a sharded root, summed over shards). Lazily-canceled
-// structs still occupying the queue are not counted; see DESIGN.md
-// "Event scheduler" for the accounting change.
-func (e *Engine) Pending() int {
-	n := e.live
-	for _, s := range e.shardEngines() {
-		n += s.live
-	}
-	return n
-}
+// queued. Lazily-canceled structs still occupying the queue are not
+// counted; see DESIGN.md "Event scheduler" for the accounting change.
+func (e *Engine) Pending() int { return e.live }
 
 // MaxPending returns the peak live-event population observed so far —
-// a proxy for model fan-out. On a sharded root it is the max over the
-// root and shard queues (shard queues are disjoint slices of the serial
-// queue, so this is a lower bound on the equivalent serial peak).
-func (e *Engine) MaxPending() int {
-	m := e.maxLive
-	for _, s := range e.shardEngines() {
-		if s.maxLive > m {
-			m = s.maxLive
-		}
-	}
-	return m
-}
+// a proxy for model fan-out.
+func (e *Engine) MaxPending() int { return e.maxLive }
 
 // Rescheduled returns how many timer re-arms took the in-place
 // EventID.Reschedule fast path instead of a cancel+push pair — each one
 // is a dead event struct that never entered the queue (obs exports it
-// as sim/resched; summed over shards on a sharded root).
-func (e *Engine) Rescheduled() uint64 {
-	n := e.resched
-	for _, s := range e.shardEngines() {
-		n += s.resched
-	}
-	return n
-}
+// as sim/resched).
+func (e *Engine) Rescheduled() uint64 { return e.resched }
 
 // HeapPops returns how many pops the calendar served from its heap root
-// rather than from a wheel bucket's head (summed over shards on a
-// sharded root): far timers, and whatever the walk cap spilled.
-func (e *Engine) HeapPops() uint64 {
-	n := e.cal.heapPops
-	for _, s := range e.shardEngines() {
-		n += s.cal.heapPops
-	}
-	return n
-}
+// rather than from a wheel bucket's head: far timers, and whatever the
+// walk cap spilled.
+func (e *Engine) HeapPops() uint64 { return e.cal.heapPops }
 
 // WalkSpills returns how many events went to the calendar's heap because
 // sorting them into their bucket would have walked past the cap, not
-// because they lay beyond the horizon (summed over shards). Only a
-// same-instant burst arriving against key order produces them — in
-// practice, timers the model arms per port or flow for one picosecond.
-func (e *Engine) WalkSpills() uint64 {
-	n := e.cal.walkSpills
-	for _, s := range e.shardEngines() {
-		n += s.cal.walkSpills
-	}
-	return n
-}
+// because they lay beyond the horizon. Only a same-instant burst
+// arriving against key order produces them — in practice, timers the
+// model arms per port or flow for one picosecond.
+func (e *Engine) WalkSpills() uint64 { return e.cal.walkSpills }
 
-// PeakHeap returns the high-water mark of the calendar's heap (max over
-// shards on a sharded root).
-func (e *Engine) PeakHeap() int {
-	m := e.cal.peakHeap
-	for _, s := range e.shardEngines() {
-		m = max(m, s.cal.peakHeap)
-	}
-	return m
-}
+// PeakHeap returns the high-water mark of the calendar's heap.
+func (e *Engine) PeakHeap() int { return e.cal.peakHeap }
 
 // Rebuilds returns how many times the calendar re-created its wheel for
-// a new geometry, re-placing every pending event (summed over shards).
-func (e *Engine) Rebuilds() int {
-	n := e.cal.rebuilds
-	for _, s := range e.shardEngines() {
-		n += s.cal.rebuilds
-	}
-	return n
-}
+// a new geometry, re-placing every pending event.
+func (e *Engine) Rebuilds() int { return e.cal.rebuilds }
 
 // Reserved returns how many keys Reserve has handed out and how many of
-// them Arm went on to queue (summed over shards on a sharded root). The
-// difference is events a run with eager scheduling would have executed
-// to no effect.
-func (e *Engine) Reserved() (reserved, armed uint64) {
-	reserved, armed = e.reserved, e.armed
-	for _, s := range e.shardEngines() {
-		reserved += s.reserved
-		armed += s.armed
-	}
-	return reserved, armed
-}
+// them Arm went on to queue. The difference is events a run with eager
+// scheduling would have executed to no effect.
+func (e *Engine) Reserved() (reserved, armed uint64) { return e.reserved, e.armed }
 
 // FreeListSize returns the number of event structs currently parked on
 // the recycling free list (instrumentation: obs exports it as
-// sim/freelist_size; summed over shards on a sharded root).
-func (e *Engine) FreeListSize() int {
-	n := len(e.free)
-	for _, s := range e.shardEngines() {
-		n += len(s.free)
-	}
-	return n
-}
+// sim/freelist_size).
+func (e *Engine) FreeListSize() int { return len(e.free) }
 
 // FreeListDrops returns how many event structs were abandoned to the
 // garbage collector because the free list was at capacity. A non-zero
 // steady-state rate means the cap heuristic is losing recycling wins
-// (obs exports it as sim/freelist_drops; summed over shards on a
-// sharded root).
-func (e *Engine) FreeListDrops() uint64 {
-	n := e.freeDrops
-	for _, s := range e.shardEngines() {
-		n += s.freeDrops
-	}
-	return n
-}
-
-// CurrentKey returns the ordering key (time, dom, seq) of the event
-// being dispatched right now. Queue pop order within one engine is
-// exactly key order, so instrumentation that stamps each emission with
-// this key can merge per-shard buffers back into serial emission order
-// with a k-way merge (see obs.ShardBuf).
-func (e *Engine) CurrentKey() (Time, int32, uint64) { return e.now, e.curDom, e.curSeq }
-
-// SetPreRun registers fn to run once at the top of the first
-// Run/RunUntil, after which it is dropped. Networks use it to defer
-// topology partitioning (sharding) until every component has been
-// built on the engine. Multiple hooks run in registration order.
-func (e *Engine) SetPreRun(fn func()) {
-	e.preRun = append(e.preRun, fn)
-	e.preRunTotal++
-}
-
-// PreRunCount returns how many pre-run hooks were ever registered.
-// One hook per network, so a count above one tells a network it shares
-// the engine — in which case scheduling domains from the different
-// networks collide and partitioning must be declined.
-func (e *Engine) PreRunCount() int { return e.preRunTotal }
-
-func (e *Engine) firePreRun() {
-	if e.preRun == nil {
-		return
-	}
-	hooks := e.preRun
-	e.preRun = nil
-	for _, fn := range hooks {
-		fn()
-	}
-}
+// (obs exports it as sim/freelist_drops).
+func (e *Engine) FreeListDrops() uint64 { return e.freeDrops }
 
 // SetHook installs a profiling hook invoked after every executed event
 // with the current time and remaining live-event count (nil
@@ -410,11 +255,10 @@ func (e *Engine) firePreRun() {
 func (e *Engine) SetHook(fn func(now Time, pending int)) { e.hook = fn }
 
 // less orders events by (time, domain, insertion sequence). The domain
-// tie-break at equal times is what makes the order shard-independent:
-// every domain's events live in exactly one shard, so each shard pops
-// its own events in globally consistent key order and equal-time events
-// from different domains never race — the serial engine resolves them
-// by dom just as the barrier does.
+// tie-break makes a same-instant tie between two components a function
+// of which components they are, not of which one happened to schedule
+// first; every recorded output byte and the transmitter-done tie cases
+// of Reserve/Reached are defined by this order.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -455,32 +299,17 @@ func (e *Engine) qPop() *event {
 // canceled one), or nil when the queue is empty.
 func (e *Engine) qPeek() *event { return e.cal.peek(e.now) }
 
-// qExtractAll empties the queue and returns every resident event in
-// unspecified order (ShardGroup.Activate redistributes them through
-// qPush, which rebuilds the live accounting).
-func (e *Engine) qExtractAll() []*event {
-	e.live = 0
-	return e.cal.extractAll()
-}
-
-// badSchedule panics for the two schedules every scheduling call
-// refuses. Scheduling in the past always indicates a logic bug in a
-// model. A
-// shard engine refuses dom-0 (global-domain) events: global events must
-// stay on the root engine, where the coordinator runs them serially at
-// barriers — the same relative order a serial run gives them — so any
-// dom-0 schedule on a shard is a wiring bug.
+// badSchedule panics for a schedule into the past, which every
+// scheduling call refuses: it always indicates a logic bug in a model.
+// It is out of line so the callers' common path stays small.
 func (e *Engine) badSchedule(at Time) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", at, e.now))
-	}
-	panic("sim: dom-0 (global) event scheduled on a shard engine; global timers must run on the root engine")
+	panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", at, e.now))
 }
 
 // enqueue claims a recycled event struct (or allocates a fresh one),
 // stamps it with the key (at, dom, seq) and pushes it on the queue.
 func (e *Engine) enqueue(at Time, dom int32, seq uint64) *event {
-	if at < e.now || (dom == 0 && e.shardIdx >= 0) {
+	if at < e.now {
 		e.badSchedule(at)
 	}
 	var ev *event
@@ -521,7 +350,7 @@ func (e *Engine) alloc(at Time, dom int32) *event {
 // instant may come back already Reached; an owner that schedules with
 // zero delay must Arm such a key at once.
 func (e *Engine) Reserve(dom int32, at Time) Key {
-	if at < e.now || (dom == 0 && e.shardIdx >= 0) {
+	if at < e.now {
 		e.badSchedule(at)
 	}
 	k := Key{At: at, Seq: e.nextSeq, Dom: dom}
@@ -533,8 +362,6 @@ func (e *Engine) Reserve(dom int32, at Time) Key {
 // Arm queues the typed event h(obj, aux, arg) at a key obtained from
 // Reserve, at most once per key. Dispatch order is the comparator's, so
 // the event runs exactly where one queued at Reserve time would have.
-// On a sharded network the key may have been reserved on the root engine
-// before the partition and armed on the shard that now owns its domain.
 func (e *Engine) Arm(k Key, h Handler2, obj, aux any, arg uint64) {
 	e.armed++
 	ev := e.enqueue(k.At, k.Dom, k.Seq)
@@ -547,10 +374,9 @@ func (e *Engine) Arm(k Key, h Handler2, obj, aux any, arg uint64) {
 // Reached reports whether dispatch order has reached k: an event queued
 // at k would have been dispatched by now (or is the one dispatching).
 // The engine's position is the largest key it has passed — the keys of
-// the events it dispatched and, where the clock moved without a
-// dispatch, "before every key at t" or "after every key at t" as
-// advanceTo and settleAt define them — so the answer is the same whether
-// or not the event at k was ever queued, in serial and sharded runs.
+// the events it dispatched and, where Run or RunUntil moved the clock
+// without a dispatch, "after every key at t" as settleAt defines it — so
+// the answer is the same whether or not the event at k was ever queued.
 // Comparing times alone would get every same-picosecond case wrong.
 func (e *Engine) Reached(k Key) bool {
 	if k.At != e.now {
@@ -560,16 +386,6 @@ func (e *Engine) Reached(k Key) bool {
 		return k.Dom < e.posDom
 	}
 	return k.Seq <= e.posSeq
-}
-
-// advanceTo moves the clock forward to t without a dispatch, at a point
-// where every queued event earlier than t has run and none at t has:
-// the dispatch position becomes "before every key at t".
-func (e *Engine) advanceTo(t Time) {
-	if e.now < t {
-		e.now = t
-		e.posDom, e.posSeq = math.MinInt32, 0
-	}
 }
 
 // settleAt moves the clock forward to t without a dispatch, at a point
@@ -590,8 +406,8 @@ func (e *Engine) settleAt(t Time) {
 func (e *Engine) At(at Time, fn Handler) EventID { return e.AtD(0, at, fn) }
 
 // AtD schedules fn at absolute time at in scheduling domain dom.
-// Component code whose closures run on a shard engine must pass the
-// owning component's domain so the event keys stay shard-independent.
+// Component code passes the owning component's domain, so same-instant
+// ties resolve by component rather than by global call order.
 func (e *Engine) AtD(dom int32, at Time, fn Handler) EventID {
 	return e.At2D(dom, at, runClosure, fn, nil, 0)
 }
@@ -635,23 +451,6 @@ func (e *Engine) After2D(dom int32, d Duration, h Handler2, obj, aux any, arg ui
 	return e.At2D(dom, e.now+d, h, obj, aux, arg)
 }
 
-// Post schedules the typed event h(obj, aux, arg) at absolute time at
-// in domain dom on engine dst, which may belong to another shard. On
-// the same engine it is a plain At2D; across engines the event is held
-// in e's outbox and injected into dst's queue at the next epoch barrier,
-// in deterministic (shard, emission) order, with a seq assigned by dst.
-// Cross-shard events are not cancelable, so Post returns nothing —
-// callers needing an EventID must be same-engine by construction.
-// Conservative-window lookahead guarantees at >= dst's window end, so
-// barrier injection never schedules into dst's past.
-func (e *Engine) Post(dst *Engine, dom int32, at Time, h Handler2, obj, aux any, arg uint64) {
-	if dst == e {
-		e.At2D(dom, at, h, obj, aux, arg)
-		return
-	}
-	e.outbox = append(e.outbox, post{dst: dst, at: at, h: h, obj: obj, aux: aux, arg: arg, dom: dom})
-}
-
 // Step executes the next event. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
 	for {
@@ -667,8 +466,6 @@ func (e *Engine) Step() bool {
 			e.posDom, e.posSeq = ev.dom, ev.seq
 		}
 		e.now = ev.at
-		e.curDom = ev.dom
-		e.curSeq = ev.seq
 		h, obj, aux, arg := ev.h, ev.obj, ev.aux, ev.arg
 		e.recycle(ev)
 		e.nEvents++
@@ -703,66 +500,9 @@ func (e *Engine) recycle(ev *event) {
 	}
 }
 
-// peekNext returns the timestamp of the next live event, recycling any
-// canceled events that have bubbled to the queue front, or Forever when
-// the queue is empty.
-func (e *Engine) peekNext() Time {
-	for {
-		ev := e.qPeek()
-		if ev == nil {
-			return Forever
-		}
-		if ev.canceled {
-			e.recycle(e.qPop())
-			continue
-		}
-		return ev.at
-	}
-}
-
-// runWindow executes every event with timestamp < end, then advances
-// the clock to clockTo if it is still behind. Normally clockTo is end,
-// whose own events are still to run. When the run's deadline cut the
-// window to deadline+1, clockTo is the deadline and its events are done
-// too; ShardGroup.run then settles every engine there before it
-// returns, which is the first point anything can ask. The shard
-// coordinator calls runWindow concurrently on disjoint shard engines;
-// each call touches only e's own state.
-func (e *Engine) runWindow(end, clockTo Time) {
-	for {
-		ev := e.qPeek()
-		if ev == nil {
-			break
-		}
-		if ev.canceled {
-			e.recycle(e.qPop())
-			continue
-		}
-		if ev.at >= end {
-			break
-		}
-		e.Step()
-	}
-	e.advanceTo(clockTo)
-}
-
-// runInstant executes every event with timestamp exactly t (there must
-// be at least one), including events those events schedule back at t.
-func (e *Engine) runInstant(t Time) {
-	e.advanceTo(t)
-	for e.peekNext() == t {
-		e.Step()
-	}
-}
-
 // Run executes events until the queue is exhausted. The clock stays at
 // the last executed event, with everything at that instant done.
 func (e *Engine) Run() {
-	e.firePreRun()
-	if g := e.group; g != nil && g.root == e {
-		g.run(Forever)
-		return
-	}
 	for e.Step() {
 	}
 	e.settleAt(e.now)
@@ -771,11 +511,6 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline (if the simulation hasn't already passed it).
 func (e *Engine) RunUntil(deadline Time) {
-	e.firePreRun()
-	if g := e.group; g != nil && g.root == e {
-		g.run(deadline)
-		return
-	}
 	for {
 		ev := e.qPeek()
 		if ev == nil {

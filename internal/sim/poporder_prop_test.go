@@ -13,6 +13,26 @@ type popKey struct {
 	seq uint64
 }
 
+// keyed schedules the typed event h at (at, dom) with obj a *popKey that
+// carries the event's own key, its sequence number filled in once At2D
+// has assigned it: a handler learns what is dispatching from its
+// argument, not from the engine.
+func keyed(e *Engine, dom int32, at Time, h Handler2) EventID {
+	k := &popKey{at: at, dom: dom}
+	id := e.At2D(dom, at, h, k, nil, 0)
+	k.seq = id.seq
+	return id
+}
+
+// dispatched is a handler for keyed events that appends the dispatching
+// event's key — the clock, and the dom and seq it carries — to *got.
+func dispatched(e *Engine, got *[]popKey) Handler2 {
+	return func(obj, _ any, _ uint64) {
+		k := obj.(*popKey)
+		*got = append(*got, popKey{e.Now(), k.dom, k.seq})
+	}
+}
+
 func keyLess(a, b popKey) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -37,7 +57,7 @@ func TestPopOrderProperty(t *testing.T) {
 	}
 }
 
-// TestPopOrderSingleDomain pins the pre-sharding contract: with every
+// TestPopOrderSingleDomain pins the single-domain contract: with every
 // event in one domain, pop order is exactly (time, seq) — FIFO among
 // equal-time events regardless of scheduling API.
 func TestPopOrderSingleDomain(t *testing.T) {
@@ -49,9 +69,11 @@ func TestPopOrderSingleDomain(t *testing.T) {
 		at := Time(rng.Intn(40))
 		var id EventID
 		if i%2 == 0 {
-			id = e.At(at, func() { got = append(got, e.curSeq) })
+			k := &popKey{at: at}
+			id = e.At(at, func() { got = append(got, k.seq) })
+			k.seq = id.seq
 		} else {
-			id = e.At2(at, func(obj, aux any, arg uint64) { got = append(got, e.curSeq) }, nil, nil, 0)
+			id = keyed(e, 0, at, func(obj, _ any, _ uint64) { got = append(got, obj.(*popKey).seq) })
 		}
 		want = append(want, popKey{at: at, seq: id.seq})
 	}

@@ -22,7 +22,7 @@ func TestReachedWithinAnInstant(t *testing.T) {
 		return func() {
 			got = append(got, name)
 			if r := e.Reached(k); r != want {
-				t.Errorf("%s (dom %d seq %d): Reached(%+v) = %v, want %v", name, e.curDom, e.curSeq, k, r, want)
+				t.Errorf("%s (position dom %d seq %d): Reached(%+v) = %v, want %v", name, e.posDom, e.posSeq, k, r, want)
 			}
 		}
 	}
@@ -37,12 +37,7 @@ func TestReachedWithinAnInstant(t *testing.T) {
 		see("higher dom", true)()
 		// A same-instant schedule into a lower domain runs next, below
 		// the key; what dispatch order has passed stays passed.
-		e.AtD(2, resT, func() {
-			see("lower dom, scheduled from the higher one", true)()
-			if _, dom, _ := e.CurrentKey(); dom != 2 {
-				t.Errorf("CurrentKey dom = %d inside the dom-2 event", dom)
-			}
-		})
+		e.AtD(2, resT, see("lower dom, scheduled from the higher one", true))
 	})
 	e.AtD(9, resT-1, see("a picosecond earlier", false))
 	e.AtD(0, resT+1, see("a picosecond later", true))
@@ -88,8 +83,8 @@ func TestArmRunsAtTheReservedKey(t *testing.T) {
 			if !e.Reached(k) {
 				t.Error("a dispatching key has not reached itself")
 			}
-			if at, dom, seq := e.CurrentKey(); at != k.At || dom != k.Dom || seq != k.Seq {
-				t.Errorf("armed event runs under key (%v, %d, %d), reserved %+v", at, dom, seq, k)
+			if e.Now() != k.At {
+				t.Errorf("armed event runs at %v, reserved %+v", e.Now(), k)
 			}
 		}, nil, nil, 0)
 		if e.Pending() != 4 {
@@ -109,8 +104,8 @@ func TestArmRunsAtTheReservedKey(t *testing.T) {
 	}
 }
 
-// TestReachedWhereTheClockMovesWithoutDispatch covers the serial
-// engine's two clock-only moves: the tail of RunUntil and the end of Run.
+// TestReachedWhereTheClockMovesWithoutDispatch covers the engine's two
+// clock-only moves: the tail of RunUntil and the end of Run.
 func TestReachedWhereTheClockMovesWithoutDispatch(t *testing.T) {
 	nop := func() {}
 	t.Run("RunUntil stops short of the key", func(t *testing.T) {
@@ -180,107 +175,8 @@ func TestReachedWhereTheClockMovesWithoutDispatch(t *testing.T) {
 	})
 }
 
-// TestReachedOnShardEngines covers the sharded moves: a shard whose
-// clock the coordinator advanced for a root (dom-0) instant stands
-// before every key of that instant, a window cut by the run's deadline
-// leaves it after, and so does the end of the run.
-func TestReachedOnShardEngines(t *testing.T) {
-	build := func() (*Engine, *ShardGroup) {
-		root := New(1)
-		g := NewShardGroup(root, 2, Microsecond)
-		g.AssignDom(1, 0)
-		g.AssignDom(2, 1)
-		return root, g
-	}
-	t.Run("root instant", func(t *testing.T) {
-		root, g := build()
-		// Reserved on the root before the partition, as a port that
-		// transmits from set-up code does.
-		before, at, after := root.Reserve(2, resT-1), root.Reserve(2, resT), root.Reserve(2, resT+1)
-		// The shard's last dispatch before the instant is in the keys'
-		// own domain under a later seq: a position left stale by the
-		// clock advance would put all three behind it.
-		root.AtD(2, resT-5, func() {})
-		ran := false
-		root.At(resT, func() {
-			ran = true
-			s := g.Shard(1)
-			if s.Now() != resT {
-				t.Errorf("shard clock %v during the root instant, want %v", s.Now(), resT)
-			}
-			if !s.Reached(before) || s.Reached(at) || s.Reached(after) {
-				t.Errorf("Reached = %v, %v, %v; want true, false, false — dom 0 sorts first within the instant",
-					s.Reached(before), s.Reached(at), s.Reached(after))
-			}
-		})
-		g.Activate()
-		root.RunUntil(resT)
-		if !ran {
-			t.Fatal("root event never ran")
-		}
-		if s := g.Shard(1); !s.Reached(at) || s.Reached(after) {
-			t.Errorf("after RunUntil: Reached = %v, %v; want true, false", s.Reached(at), s.Reached(after))
-		}
-	})
-	t.Run("partition after the root has run", func(t *testing.T) {
-		root := New(1)
-		k, later := root.Reserve(2, resT), root.Reserve(2, resT+1)
-		root.RunUntil(resT)
-		g := NewShardGroup(root, 2, Microsecond)
-		g.AssignDom(2, 1)
-		g.Activate()
-		if s := g.Shard(1); s.Now() != resT || !s.Reached(k) || s.Reached(later) {
-			t.Errorf("shard starts at %v with Reached = %v, %v; want the root's position: %v, true, false",
-				s.Now(), s.Reached(k), s.Reached(later), resT)
-		}
-	})
-	t.Run("window cut by the deadline", func(t *testing.T) {
-		root, g := build()
-		g.Activate()
-		s := g.Shard(0)
-		k := s.Reserve(1, resT)
-		s.AtD(1, resT-1, func() {})
-		// The only event sits a picosecond before the deadline, so the
-		// window is [resT-1, resT+1) and its clockTo is the deadline.
-		root.RunUntil(resT)
-		if s.Now() != resT || !s.Reached(k) {
-			t.Errorf("shard clock %v, Reached = %v; want %v, true", s.Now(), s.Reached(k), resT)
-		}
-		if idle := g.Shard(1); idle.Now() != resT || !idle.Reached(Key{At: resT, Dom: 2}) {
-			t.Errorf("undispatched shard: clock %v, not settled at the deadline", idle.Now())
-		}
-	})
-	t.Run("run to exhaustion", func(t *testing.T) {
-		root, g := build()
-		g.Activate()
-		k := g.Shard(1).Reserve(2, resT)
-		g.Shard(0).AtD(1, resT, func() {})
-		root.Run()
-		if s := g.Shard(1); s.Now() != root.Now() || !s.Reached(k) {
-			t.Errorf("shard that ran nothing: clock %v (root %v), Reached = %v; want it settled with the root",
-				s.Now(), root.Now(), s.Reached(k))
-		}
-	})
-	t.Run("armed on the owning shard", func(t *testing.T) {
-		root, g := build()
-		k := root.Reserve(2, resT)
-		var got []string
-		g.Activate()
-		s := g.Shard(1)
-		s.AtD(2, resT, func() { got = append(got, "scheduled after the reservation") })
-		s.Arm(k, func(_, _ any, _ uint64) { got = append(got, "reserved") }, nil, nil, 0)
-		root.Run()
-		if want := []string{"reserved", "scheduled after the reservation"}; !slices.Equal(got, want) {
-			t.Errorf("dispatch order %q, want %q", got, want)
-		}
-		if r, a := root.Reserved(); r != 1 || a != 1 {
-			t.Errorf("root Reserved() = %d, %d; want the shard's arm folded in: 1, 1", r, a)
-		}
-	})
-}
-
-// TestReserveRejectsWhatSchedulingRejects keeps the two wiring panics of
-// the scheduling calls on the call that replaces one of them.
+// TestReserveRejectsWhatSchedulingRejects keeps the scheduling calls'
+// refusal of the past on the two calls that replace one of them.
 func TestReserveRejectsWhatSchedulingRejects(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -295,6 +191,4 @@ func TestReserveRejectsWhatSchedulingRejects(t *testing.T) {
 	e.RunUntil(resT)
 	mustPanic("reserve in the past", func() { e.Reserve(1, resT-1) })
 	mustPanic("arm in the past", func() { e.Arm(Key{At: resT - 1, Dom: 1}, func(_, _ any, _ uint64) {}, nil, nil, 0) })
-	g := NewShardGroup(New(1), 2, Microsecond)
-	mustPanic("dom 0 on a shard", func() { g.Shard(0).Reserve(0, resT) })
 }

@@ -37,8 +37,8 @@ import (
 //   - the walk-cap spill skips heapPush's ev.bucket = calInHeap;
 //   - extractAll leaves next/prev set on the events it returns;
 //   - the walk cap removed (order and shape stay right, only the cost
-//     goes quadratic: TestWalkCapBoundsBurstCost sees that, and the
-//     spill count TestCrowdedBucketRelocation expects).
+//     goes quadratic: TestWalkCapBoundsBurstCost sees that, in its
+//     compare count and in its spill count).
 
 // refModel is the reference the engine is checked against: the live
 // pending set as one slice kept sorted by (time, dom, seq). Every
@@ -265,7 +265,7 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 	armSome := func(oneIn int) {
 		for _, k := range keys {
 			if m.idle[k.Seq] && !m.passed[k.Seq] && rng.Intn(oneIn) == 0 {
-				e.Arm(k, record, nil, nil, 0)
+				e.Arm(k, record, &popKey{k.At, k.Dom, k.Seq}, nil, 0)
 				m.arm(k.Seq)
 			}
 		}
@@ -278,7 +278,8 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 	lockstep := false
 	var schedule func(at Time, dom int32)
 	record = func(obj, aux any, arg uint64) {
-		fired = append(fired, popKey{e.Now(), e.curDom, e.curSeq})
+		k := obj.(*popKey)
+		fired = append(fired, popKey{e.Now(), k.dom, k.seq})
 		if !lockstep {
 			return
 		}
@@ -298,7 +299,7 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 			// Reserved for the instant the clock stands on, under a key
 			// dispatch order is already past: only a queued event can
 			// stand for it, so it is armed at once and never asked about.
-			e.Arm(k, record, nil, nil, 0)
+			e.Arm(k, record, &popKey{k.At, k.Dom, k.Seq}, nil, 0)
 			m.arm(k.Seq)
 			return
 		}
@@ -309,9 +310,11 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 		// Either API: seq is assigned by call order across both.
 		var id EventID
 		if rng.Intn(2) == 0 {
-			id = e.AtD(dom, at, func() { record(nil, nil, 0) })
+			k := &popKey{at: at, dom: dom}
+			id = e.AtD(dom, at, func() { record(k, nil, 0) })
+			k.seq = id.seq
 		} else {
-			id = e.At2D(dom, at, record, nil, nil, 0)
+			id = keyed(e, dom, at, record)
 		}
 		if seq := m.schedule(at, dom); id.seq != seq {
 			t.Fatalf("schedule %d: engine assigned seq %d, model %d", len(ids), id.seq, seq)
@@ -546,14 +549,12 @@ func TestSchedDifferentialAdversarial(t *testing.T) {
 func TestSchedForeverSentinel(t *testing.T) {
 	e := New(7)
 	var got []popKey
-	record := func(obj, aux any, arg uint64) {
-		got = append(got, popKey{e.Now(), e.curDom, e.curSeq})
-	}
-	idF := e.At2D(1, Forever, record, nil, nil, 0) // seq 0
-	e.At2D(2, Forever, record, nil, nil, 0)        // seq 1
-	e.At2D(1, Forever-1, record, nil, nil, 0)      // seq 2
-	e.At2D(1, 10*Microsecond, record, nil, nil, 0) // seq 3
-	idC := e.At2D(3, Forever, record, nil, nil, 0) // seq 4
+	record := dispatched(e, &got)
+	idF := keyed(e, 1, Forever, record) // seq 0
+	keyed(e, 2, Forever, record)        // seq 1
+	keyed(e, 1, Forever-1, record)      // seq 2
+	keyed(e, 1, 10*Microsecond, record) // seq 3
+	idC := keyed(e, 3, Forever, record) // seq 4
 	idC.Cancel()
 	want := []popKey{
 		{10 * Microsecond, 1, 3},
@@ -583,9 +584,9 @@ func TestSchedForeverSentinel(t *testing.T) {
 func TestRescheduleSemantics(t *testing.T) {
 	e := New(11)
 	var got []uint64
-	record := func(obj, aux any, arg uint64) { got = append(got, e.curSeq) }
-	early := e.At2D(1, 5*Microsecond, record, nil, nil, 0) // seq 0
-	e.At2D(1, 20*Microsecond, record, nil, nil, 0)         // seq 1
+	record := func(obj, _ any, _ uint64) { got = append(got, obj.(*popKey).seq) }
+	early := keyed(e, 1, 5*Microsecond, record) // seq 0
+	keyed(e, 1, 20*Microsecond, record)         // seq 1
 	if !early.Reschedule(20 * Microsecond) {
 		t.Fatal("Reschedule refused a pending event")
 	}
@@ -601,7 +602,7 @@ func TestRescheduleSemantics(t *testing.T) {
 	if early.Reschedule(e.Now() + Microsecond) {
 		t.Fatal("Reschedule succeeded on a fired event")
 	}
-	id := e.At2D(1, e.Now()+Microsecond, record, nil, nil, 0)
+	id := keyed(e, 1, e.Now()+Microsecond, record)
 	id.Cancel()
 	if id.Reschedule(e.Now() + 2*Microsecond) {
 		t.Fatal("Reschedule succeeded on a canceled event")
@@ -665,10 +666,9 @@ func TestSchedDifferentialCrowded(t *testing.T) {
 	}
 }
 
-// TestCrowdedBucketRelocation pins the three bulk paths that put a
+// TestCrowdedBucketRelocation pins the two bulk paths that put a
 // same-instant burst into the calendar other than by one push per event
-// on a settled geometry: a rebuild, ShardGroup.Activate moving the burst
-// from the root queue to a shard, and a burst the horizon cuts in two —
+// on a settled geometry: a rebuild, and a burst the horizon cuts in two —
 // half scheduled while its instant was out of reach, so in the heap, half
 // after the clock came within a horizon of it, so in a ring. Each must
 // leave the structure checkWheel describes and drain in key order.
@@ -676,24 +676,21 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 	const n = 5 * calWalk
 	var got, want []popKey
 	// burst schedules k events at one instant on e, doms cycling downward
-	// from hi so they arrive out of key order; on is the engine they run on.
-	burst := func(e, on *Engine, at Time, k int, hi int32) {
+	// from hi so they arrive out of key order.
+	burst := func(e *Engine, at Time, k int, hi int32) {
 		for i := 0; i < k; i++ {
 			dom := hi - int32(i%3)
-			id := e.At2D(dom, at, func(any, any, uint64) {
-				got = append(got, popKey{on.Now(), on.curDom, on.curSeq})
-			}, nil, nil, 0)
+			id := keyed(e, dom, at, dispatched(e, &got))
 			want = append(want, popKey{at, dom, id.seq})
 		}
 	}
-	// drain runs on dry a step at a time — on is the engine whose queue
-	// holds the burst — and requires the structure to hold after every pop
-	// and the pops to come in key order.
-	drain := func(t *testing.T, on *Engine) {
+	// drain runs e dry a step at a time, requiring the structure to hold
+	// after every pop and the pops to come in key order.
+	drain := func(t *testing.T, e *Engine) {
 		t.Helper()
 		sort.Slice(want, func(i, j int) bool { return keyLess(want[i], want[j]) })
-		for on.Step() {
-			checkWheel(t, on.cal)
+		for e.Step() {
+			checkWheel(t, e.cal)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("drain order diverged from key order:\n got %+v\nwant %+v", got, want)
@@ -703,7 +700,7 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 	t.Run("rebuild", func(t *testing.T) {
 		got, want = nil, nil
 		e := New(1)
-		burst(e, e, near, n, 5)
+		burst(e, near, n, 5)
 		e.cal.rebuild(4*len(e.cal.heads), e.cal.logW-3, e.now)
 		if e.Rebuilds() != 1 || e.cal.len() != n {
 			t.Fatalf("after rebuild: Rebuilds() = %d, %d events queued, want 1 and %d", e.Rebuilds(), e.cal.len(), n)
@@ -711,40 +708,17 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 		checkWheel(t, e.cal)
 		drain(t, e)
 	})
-	t.Run("activate", func(t *testing.T) {
-		got, want = nil, nil
-		root := New(1)
-		g := NewShardGroup(root, 2, Microsecond)
-		for d := int32(1); d <= 5; d++ {
-			g.AssignDom(d, 1)
-		}
-		burst(root, g.Shard(1), near, n, 5)
-		g.Activate()
-		if root.cal.len() != 0 || g.Shard(1).cal.len() != n {
-			t.Fatalf("after Activate: root holds %d events, the shard %d of %d", root.cal.len(), g.Shard(1).cal.len(), n)
-		}
-		checkWheel(t, root.cal)
-		checkWheel(t, g.Shard(1).cal)
-		drain(t, g.Shard(1))
-		// The root folds shard counters in, as for Rescheduled: the burst's
-		// doms cycle downward, so some of it met the walk cap on the shard.
-		sh := g.Shard(1).cal
-		if sh.walkSpills == 0 || root.WalkSpills() != root.cal.walkSpills+sh.walkSpills || root.HeapPops() != sh.walkSpills {
-			t.Fatalf("root reads %d walk spills and %d heap pops; it spilled %d itself and the shard %d",
-				root.WalkSpills(), root.HeapPops(), root.cal.walkSpills, sh.walkSpills)
-		}
-	})
 	t.Run("horizon", func(t *testing.T) {
 		got, want = nil, nil
 		e := New(1)
 		const far = 10 * Microsecond // beyond the horizon: into the heap
-		burst(e, e, far, n/2, 3)
+		burst(e, far, n/2, 3)
 		e.At2D(1, far-near, func(any, any, uint64) {}, nil, nil, 0)
 		e.Step() // served from the heap: the clock is now within a horizon of far
 		// Doms above, among and below the heap's, so the drain has to take
 		// the minimum from each container in turn.
-		burst(e, e, far, calWalk, 6)
-		burst(e, e, far, calWalk, 2)
+		burst(e, far, calWalk, 6)
+		burst(e, far, calWalk, 2)
 		if e.cal.wheelN == 0 || len(e.cal.heap) < n/2 || e.PeakHeap() != max(len(e.cal.heap), n/2+1) {
 			t.Fatalf("setup: %d events in the wheel, %d in the heap (peak %d)", e.cal.wheelN, len(e.cal.heap), e.PeakHeap())
 		}

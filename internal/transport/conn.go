@@ -158,13 +158,6 @@ func NewConn(f *Flow, cc CC, cfg ConnConfig) *Conn {
 	} else {
 		c.PaceRate = cfg.InitRate
 	}
-	// Both connection halves mutate shared Conn state (the ooo map, the
-	// ack counters), and experiments dial connections mid-run — after a
-	// sharded topology is already cut, too late to colocate the
-	// endpoints. Networks carrying Conn transports therefore run
-	// serial; the sharded mode targets ExpressPass sessions, whose
-	// endpoint halves are independent.
-	f.Sender.Network().RequireSerial()
 	f.Sender.Register(f.ID, connSender{c})
 	f.Receiver.Register(f.ID, connReceiver{c})
 	f.Sender.Engine().At2D(f.Sender.Dom(), f.StartAt, connStart, c, nil, 0)
@@ -213,8 +206,7 @@ func (c *Conn) Quiesced() bool {
 func (c *Conn) Retire() { c.Stop() }
 
 // Engine returns the simulation engine executing this connection's
-// events (for CC implementations). Fetched through the sender host so
-// it stays correct after the network partitions into shards.
+// events (for CC implementations).
 func (c *Conn) Engine() *sim.Engine { return c.Flow.Sender.Engine() }
 
 // Stopped reports whether Stop was called (CC timers use this to end
