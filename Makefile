@@ -14,7 +14,10 @@ GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 ## guard (TestHotPathInlining: `go build -gcflags=-m` must still report
 ## the scheduler's per-event helpers inlinable) — a regression no
 ## behavioural test can see. The timing guard TestBurstDrainScales
-## skips itself under -race; plain `go test ./...` runs it.
+## skips itself under -race; plain `go test ./...` runs it. The race
+## build also holds the steady-state packet path to 0 allocs/op
+## (TestHotPathBudget): a network's packet pool is a plain free list,
+## which drops nothing under the race detector.
 ## Run `make bench-gate` alongside check before committing hot-path
 ## changes: it holds the packet path to its packets-per-second floor.
 check: vet
@@ -24,6 +27,7 @@ check: vet
 	fi
 	go test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/netem/... ./internal/faults/... ./internal/invariant/... ./internal/scenario/...
 	go test -race -short ./internal/experiments/...
+	go test -race -run '^TestHotPathBudget$$' .
 	@$(MAKE) --no-print-directory fuzz-smoke
 	@$(MAKE) --no-print-directory bench-test
 	@echo "check: OK"
@@ -119,16 +123,16 @@ bench-quick:
 ## dialing plus retirement keeps the footprint proportional to the
 ## concurrently-active flow population (see TestLifecycleRSSGate and
 ## BENCH_8.json for the 1155→44 MB before/after at scale=1.0).
-## Both RSS budgets are twice the reading they guard (PR 23: the obs
-## gate reads 10–11 MB, the lifecycle cell 35 MB at scale 0.5 and 40 MB
-## at 1.0 — EXPERIMENTS.md "Where the RSS went, part two"), so a
-## doubling fails; re-measure and move them together with any change
-## that means to move the reading.
+## Both RSS budgets are twice the reading they guard (the obs gate reads
+## 10–11 MB; the lifecycle cell 18 MB at scale 0.5 and 22 MB at 1.0 since
+## one flow table replaced the per-host demux windows — EXPERIMENTS.md
+## "A trial owns its memory"), so a doubling fails; re-measure and move
+## them together with any change that means to move the reading.
 HOTPATH_PKTRATE_FLOOR ?= 415800
 
 OBS_BYTES_BUDGET ?= 160
 OBS_RSS_BUDGET_MB ?= 20
-LIFECYCLE_RSS_BUDGET_MB ?= 70
+LIFECYCLE_RSS_BUDGET_MB ?= 36
 LIFECYCLE_SCALE ?= 0.5
 bench-gate:
 	go test -run '^TestHotPathBudget$$' -count=1 -v . -args -pktrate-floor $(HOTPATH_PKTRATE_FLOOR)

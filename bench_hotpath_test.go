@@ -24,7 +24,6 @@ package expresspass_test
 
 import (
 	"flag"
-	"runtime/debug"
 	"testing"
 
 	"expresspass"
@@ -37,15 +36,9 @@ var pktrateFloor = flag.Float64("pktrate-floor", 0,
 	"TestHotPathBudget fails if BenchmarkHotPath delivers fewer data packets per wall second than this")
 
 // TestHotPathBudget runs BenchmarkHotPath and holds it to its budgets:
-// 0 allocs/op always, and -pktrate-floor when given.
+// 0 allocs/op always, race detector on or off, and -pktrate-floor when
+// given.
 func TestHotPathBudget(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("under -race sync.Pool drops Puts at random, so the packet pool allocates")
-			}
-		}
-	}
 	r := testing.Benchmark(BenchmarkHotPath)
 	if r.N == 0 {
 		t.Fatal("BenchmarkHotPath failed")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"expresspass/internal/core"
-	"expresspass/internal/packet"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -16,7 +15,6 @@ import (
 // packet ever allocated has been recycled — none were dropped without
 // Put, none are stranded in queues.
 func TestPacketConservation(t *testing.T) {
-	before := packet.Live()
 	eng := sim.New(31)
 	st := topology.NewStar(eng, 9, topology.Config{LinkRate: 10 * unit.Gbps})
 	cfg := core.Config{BaseRTT: 30 * sim.Microsecond}
@@ -34,7 +32,7 @@ func TestPacketConservation(t *testing.T) {
 			t.Fatalf("flow %d unfinished; drain incomplete", i)
 		}
 	}
-	if leaked := packet.Live() - before; leaked != 0 {
+	if leaked := st.Net.Pool().Live(); leaked != 0 {
 		t.Errorf("leaked %d packets (allocated but never recycled)", leaked)
 	}
 }

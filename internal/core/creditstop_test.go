@@ -7,7 +7,6 @@ import (
 	"expresspass/internal/faults"
 	"expresspass/internal/invariant"
 	"expresspass/internal/obs"
-	"expresspass/internal/packet"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -23,13 +22,12 @@ import (
 // recovery must stay credit-conserving: every resent packet spends a
 // fresh credit, no credit is spent twice, stop/retry timers are
 // canceled on completion so the engine drains, and the packet pool
-// returns to baseline.
+// drains to zero.
 //
 // This pins the session-timer fixes from the fault-injection PR — the
 // dangling stop-retry timer that double-resent after late credits would
 // surface here as a credit-conservation violation or a pool leak.
 func TestCreditStopShortfallRecovery(t *testing.T) {
-	baseline := packet.Live()
 	eng := sim.New(7)
 	d := topology.NewDumbbell(eng, 1, topology.Config{LinkRate: 10 * unit.Gbps})
 
@@ -63,7 +61,7 @@ func TestCreditStopShortfallRecovery(t *testing.T) {
 	for _, v := range viols {
 		t.Errorf("invariant violation during shortfall recovery: %v", v)
 	}
-	if vs := invariant.CheckDrained(d.Net, baseline); len(vs) != 0 {
+	if vs := invariant.CheckDrained(d.Net); len(vs) != 0 {
 		for _, v := range vs {
 			t.Errorf("post-drain: %v", v)
 		}
@@ -77,7 +75,6 @@ func TestCreditStopShortfallRecovery(t *testing.T) {
 // full retry window — once, not per credit — so the receiver's pacer
 // shuts down and the engine drains.
 func TestCreditStopLostStopResend(t *testing.T) {
-	baseline := packet.Live()
 	eng := sim.New(11)
 	d := topology.NewDumbbell(eng, 1, topology.Config{LinkRate: 10 * unit.Gbps})
 
@@ -115,7 +112,7 @@ func TestCreditStopLostStopResend(t *testing.T) {
 	for _, v := range viols {
 		t.Errorf("invariant violation during stop-resend recovery: %v", v)
 	}
-	if vs := invariant.CheckDrained(d.Net, baseline); len(vs) != 0 {
+	if vs := invariant.CheckDrained(d.Net); len(vs) != 0 {
 		for _, v := range vs {
 			t.Errorf("post-drain: %v", v)
 		}

@@ -250,7 +250,7 @@ func (sn *sender) sendRequest() {
 	}
 	sn.reqRetries++
 	f := sn.sess.Flow
-	req := packet.Get()
+	req := sn.host.Pool().Get()
 	req.Kind = packet.Ctrl
 	req.Ctrl = packet.CtrlCreditRequest
 	req.Flow = f.ID
@@ -273,7 +273,7 @@ func (sn *sender) OnPacket(p *packet.Packet) {
 		return
 	}
 	if p.Kind != packet.Credit {
-		packet.Put(p)
+		sn.host.Pool().Put(p)
 		return
 	}
 	if sn.seen.dup(p.Seq) {
@@ -282,7 +282,7 @@ func (sn *sender) OnPacket(p *packet.Packet) {
 		// no window credit, no data emission — the clone is invisible to
 		// the credit-conservation ledger.
 		sn.creditsDup++
-		packet.Put(p)
+		sn.host.Pool().Put(p)
 		return
 	}
 	eng := sn.host.Engine()
@@ -301,7 +301,7 @@ func (sn *sender) OnPacket(p *packet.Packet) {
 	}
 	sn.winCount++
 	creditSeq := p.Seq
-	packet.Put(p)
+	sn.host.Pool().Put(p)
 
 	if !sn.unbounded && sn.remaining <= 0 {
 		sn.creditsWasted++
@@ -389,7 +389,7 @@ func (sn *sender) onIdleTimeout() {
 
 func (sn *sender) emitData(payload unit.Bytes, creditSeq int64) {
 	f := sn.sess.Flow
-	d := packet.Get()
+	d := sn.host.Pool().Get()
 	d.Kind = packet.Data
 	d.Flow = f.ID
 	d.Src = f.Sender.ID()
@@ -449,7 +449,7 @@ func (sn *sender) sendStop() {
 	sn.stopSent = true
 	sn.lastStop = eng.Now()
 	f := sn.sess.Flow
-	st := packet.Get()
+	st := sn.host.Pool().Get()
 	st.Kind = packet.Ctrl
 	st.Ctrl = packet.CtrlCreditStop
 	st.Flow = f.ID
@@ -465,7 +465,7 @@ func (sn *sender) sendStop() {
 // again — re-request credits, resend the shortfall, stop again.
 func (sn *sender) onNack(p *packet.Packet) {
 	acked := unit.Bytes(p.Ack)
-	packet.Put(p)
+	sn.host.Pool().Put(p)
 	f := sn.sess.Flow
 	if sn.unbounded || acked >= f.Size {
 		return
@@ -533,10 +533,10 @@ type receiver struct {
 func (rc *receiver) OnPacket(p *packet.Packet) {
 	switch {
 	case p.Kind == packet.Ctrl && p.Ctrl == packet.CtrlCreditRequest:
-		packet.Put(p)
+		rc.host.Pool().Put(p)
 		rc.startCredits()
 	case p.Kind == packet.Ctrl && p.Ctrl == packet.CtrlCreditStop:
-		packet.Put(p)
+		rc.host.Pool().Put(p)
 		rc.stopCredits()
 		// A shortfall against Flow.Size at this point is usually loss —
 		// but not always: with StopMargin the stop deliberately precedes
@@ -552,12 +552,12 @@ func (rc *receiver) OnPacket(p *packet.Packet) {
 				eng.Now()+4*rc.sess.Cfg.BaseRTT, receiverReqMissing, rc, nil, 0)
 		}
 	case p.Kind == packet.Ctrl && p.Ctrl == packet.CtrlFin:
-		packet.Put(p)
+		rc.host.Pool().Put(p)
 		rc.stopCredits()
 	case p.Kind == packet.Data:
 		rc.onData(p)
 	default:
-		packet.Put(p)
+		rc.host.Pool().Put(p)
 	}
 }
 
@@ -591,7 +591,7 @@ func (rc *receiver) requestMissing() {
 		return
 	}
 	rc.nackRetries++
-	nk := packet.Get()
+	nk := rc.host.Pool().Get()
 	nk.Kind = packet.Ctrl
 	nk.Ctrl = packet.CtrlNack
 	nk.Flow = f.ID
@@ -612,7 +612,7 @@ func (rc *receiver) sendCredit() {
 		return
 	}
 	f := rc.sess.Flow
-	c := packet.Get()
+	c := rc.host.Pool().Get()
 	c.Kind = packet.Credit
 	c.Class = rc.sess.Cfg.Class
 	c.Flow = f.ID
@@ -653,7 +653,7 @@ func (rc *receiver) onData(p *packet.Packet) {
 		// would finish the flow early, and re-seeing a counted echo
 		// would wrongly decrement the gap-inferred loss count.
 		rc.dataDup++
-		packet.Put(p)
+		rc.host.Pool().Put(p)
 		return
 	}
 	now := rc.host.Engine().Now()
@@ -667,7 +667,7 @@ func (rc *receiver) onData(p *packet.Packet) {
 		}
 	}
 	seq := p.CreditSeq
-	packet.Put(p)
+	rc.host.Pool().Put(p)
 
 	if seq > rc.gateSeq {
 		rc.delivered++

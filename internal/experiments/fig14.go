@@ -67,7 +67,7 @@ func runFig14b(t *runner.T, p Params, w io.Writer) error {
 	var emit func()
 	n := 0
 	emit = func() {
-		c := packet.Get()
+		c := st.Net.Pool().Get()
 		c.Kind = packet.Credit
 		c.Flow = 99
 		c.Src = st.Hosts[0].ID()
@@ -107,5 +107,5 @@ func (g *gapRecorder) OnPacket(p *packet.Packet) {
 		g.gaps.Observe((now - g.last).Micros())
 	}
 	g.last = now
-	packet.Put(p)
+	g.host.Pool().Put(p)
 }

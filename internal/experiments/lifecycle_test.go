@@ -12,7 +12,6 @@ import (
 	"expresspass/internal/invariant"
 	"expresspass/internal/lifecycle"
 	"expresspass/internal/obs"
-	"expresspass/internal/packet"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
@@ -24,9 +23,9 @@ import (
 // TestLifecycleRetirementClearsLiveState drives a small Poisson workload
 // through the lifecycle manager with metrics active and checks that
 // retirement actually releases every piece of per-flow live state: the
-// metrics registry holds no flow/* gauges, every host's endpoint demux
-// is empty, and the network passes the standard post-drain invariant
-// audit against the pre-run packet baseline.
+// metrics registry holds no flow/* gauges, the network's flow table
+// holds no endpoint, and the network passes the standard post-drain
+// invariant audit, its packet pool back to zero.
 func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 	rt := obs.NewRuntime(obs.Config{MetricsOut: io.Discard})
 	obs.SetActive(rt)
@@ -34,7 +33,6 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 
 	eng := sim.New(42)
 	st := topology.NewStar(eng, 8, topology.Config{LinkRate: 10 * unit.Gbps})
-	baseline := packet.Live()
 	rtt := 30 * sim.Microsecond
 	env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
 		XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
@@ -92,12 +90,10 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 			t.Errorf("gauge %q survived retirement", m.Name)
 		}
 	}
-	for i, h := range st.Hosts {
-		if n := h.ActiveEndpoints(); n != 0 {
-			t.Errorf("host %d demux still holds %d endpoints", i, n)
-		}
+	if n := st.Net.ActiveEndpoints(); n != 0 {
+		t.Errorf("flow table still holds %d endpoints", n)
 	}
-	for _, v := range invariant.CheckDrained(st.Net, baseline) {
+	for _, v := range invariant.CheckDrained(st.Net) {
 		t.Errorf("post-drain: %v", v)
 	}
 }
@@ -112,8 +108,8 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 // XPSIM_LIFECYCLE_SCALE overrides the scale (e.g. 10 for the 10× smoke
 // mode — combine with XPSIM_REALISTIC_FLOW_CAP to lift the per-run flow
 // cap). The FCT collectors retain 8 bytes per finished flow: under
-// 1 MB of the ~40 MB the scale=1.0 cell peaks at (35 MB at `make
-// bench-gate`'s default 0.5, budget 70), 8 MB for a million flows.
+// 1 MB of the ~22 MB the scale=1.0 cell peaks at (18 MB at `make
+// bench-gate`'s default 0.5, budget 36), 8 MB for a million flows.
 func TestLifecycleRSSGate(t *testing.T) {
 	budgetMB := os.Getenv("XPSIM_LIFECYCLE_RSS_BUDGET")
 	if budgetMB == "" {

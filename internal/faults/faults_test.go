@@ -125,7 +125,6 @@ func TestFlapRecovery(t *testing.T) {
 // recycled exactly once (satellite: mid-run route rebuilds and queue
 // flushes must not unbalance the pool).
 func TestFlapPoolBalance(t *testing.T) {
-	live0 := packet.Live()
 	eng := sim.New(11)
 	d := topology.NewDumbbell(eng, 2, topology.Config{
 		LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond,
@@ -146,7 +145,7 @@ func TestFlapPoolBalance(t *testing.T) {
 		s.Stop()
 	}
 	eng.Run() // drain every remaining event
-	if live := packet.Live() - live0; live != 0 {
+	if live := d.Net.Pool().Live(); live != 0 {
 		t.Errorf("packet pool unbalanced after flapped run: %d live", live)
 	}
 	if d.Net.TotalFaultDrops() == 0 {

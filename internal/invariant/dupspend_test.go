@@ -5,7 +5,6 @@ import (
 
 	"expresspass/internal/core"
 	"expresspass/internal/faults"
-	"expresspass/internal/packet"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -19,7 +18,6 @@ import (
 // conservation and the token-bucket shadow meter stay armed — exactly
 // the checks a double-spend would trip.
 func TestDuplicatedCreditsCannotDoubleSpend(t *testing.T) {
-	baseline := packet.Live()
 	eng := sim.New(11)
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
 	vs, opt := collect()
@@ -56,7 +54,7 @@ func TestDuplicatedCreditsCannotDoubleSpend(t *testing.T) {
 		t.Fatalf("violations under credit duplication: %v", *vs)
 	}
 	c.Finish() // positional findings are voided by the dup fault
-	if dv := CheckDrained(d.Net, baseline); len(dv) != 0 {
+	if dv := CheckDrained(d.Net); len(dv) != 0 {
 		t.Fatalf("pool conservation violated: %v", dv)
 	}
 	Reset()
@@ -66,7 +64,6 @@ func TestDuplicatedCreditsCannotDoubleSpend(t *testing.T) {
 // window: cloned data frames must not double-count delivered bytes or
 // re-trigger the loss fill-in path.
 func TestDuplicatedDataCannotInflateDelivery(t *testing.T) {
-	baseline := packet.Live()
 	eng := sim.New(13)
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
 	vs, opt := collect()
@@ -101,7 +98,7 @@ func TestDuplicatedDataCannotInflateDelivery(t *testing.T) {
 		t.Fatalf("violations under data duplication: %v", *vs)
 	}
 	c.Finish()
-	if dv := CheckDrained(d.Net, baseline); len(dv) != 0 {
+	if dv := CheckDrained(d.Net); len(dv) != 0 {
 		t.Fatalf("pool conservation violated: %v", dv)
 	}
 	Reset()

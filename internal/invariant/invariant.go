@@ -50,7 +50,6 @@ import (
 	"sync"
 
 	"expresspass/internal/netem"
-	"expresspass/internal/packet"
 	"expresspass/internal/sim"
 	"expresspass/internal/unit"
 )
@@ -216,13 +215,11 @@ func (s Stats) String() string {
 }
 
 // CheckDrained validates packet/pool conservation after a simulation has
-// drained: every port queue must be empty and the packet pool must be
-// back at its pre-run baseline (allocated == delivered + dropped, i.e.
-// nothing leaked and nothing double-freed). baseline is packet.Live()
-// sampled before the run built its first packet. The check is only
-// meaningful on a serial run — the pool counters are process-global, so
-// concurrent trials would see each other's packets.
-func CheckDrained(net *netem.Network, baseline int64) []Violation {
+// drained: every port queue must be empty and the network's packet pool
+// must hold no packet (allocated == delivered + dropped: nothing
+// leaked). The pool belongs to net alone, so the count is exact whatever
+// else the process runs; a double free panics at the Put instead.
+func CheckDrained(net *netem.Network) []Violation {
 	var out []Violation
 	now := net.Eng.Now()
 	for _, p := range net.AllPorts() {
@@ -235,10 +232,9 @@ func CheckDrained(net *netem.Network, baseline int64) []Violation {
 				Scope: p.Name(), Detail: fmt.Sprintf("credit queue holds %d packets after drain", n)})
 		}
 	}
-	if live := packet.Live(); live != baseline {
+	if live := net.Pool().Live(); live != 0 {
 		out = append(out, Violation{Time: now, Invariant: "pool-conservation",
-			Detail: fmt.Sprintf("packet pool live count %d != baseline %d at drain (leak or double-free)",
-				live, baseline)})
+			Detail: fmt.Sprintf("network holds %d packets at drain (leak)", live)})
 	}
 	for _, v := range out {
 		record(v)

@@ -24,7 +24,6 @@ func collect() (*[]Violation, Options) {
 // dumbbell to drain with every invariant armed: nothing may fire, and
 // the packet pool must conserve.
 func TestCleanRunNoViolations(t *testing.T) {
-	baseline := packet.Live()
 	eng := sim.New(7)
 	d := topology.NewDumbbell(eng, 4, topology.Config{})
 	vs, opt := collect()
@@ -47,7 +46,7 @@ func TestCleanRunNoViolations(t *testing.T) {
 	if len(*vs) != 0 {
 		t.Fatalf("violations on a clean run: %v", *vs)
 	}
-	if dv := CheckDrained(d.Net, baseline); len(dv) != 0 {
+	if dv := CheckDrained(d.Net); len(dv) != 0 {
 		t.Fatalf("pool conservation violated: %v", dv)
 	}
 	Reset() // CheckDrained reports into the global registry

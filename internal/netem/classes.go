@@ -3,7 +3,6 @@ package netem
 import (
 	"expresspass/internal/packet"
 	"expresspass/internal/sim"
-	"expresspass/internal/unit"
 )
 
 // CreditClassConfig defines one credit traffic class at a port (§7
@@ -59,7 +58,7 @@ func (cs *creditScheduler) classIndex(p *packet.Packet) int {
 	return i
 }
 
-func (cs *creditScheduler) push(now sim.Time, p *packet.Packet, rng *sim.Rand) bool {
+func (cs *creditScheduler) push(now sim.Time, p *packet.Packet, rng *sim.Rand) (dropped *packet.Packet) {
 	return cs.queues[cs.classIndex(p)].push(now, p, rng)
 }
 
@@ -152,5 +151,3 @@ func (p *Port) ClassStats(class int) *QueueStats {
 func (p *Port) TxCreditByClass() []uint64 {
 	return append([]uint64(nil), p.txCreditClass...)
 }
-
-var _ = unit.MinFrame // (package cohesion anchor)

@@ -13,7 +13,7 @@ func classPair(t *testing.T, classes []CreditClassConfig) (*sim.Engine, *sink, *
 	t.Helper()
 	eng := sim.New(1)
 	net := NewNetwork(eng)
-	a, b := &sink{id: 0}, &sink{id: 1}
+	a, b := &sink{id: 0, pool: net.Pool()}, &sink{id: 1, pool: net.Pool()}
 	net.nodes = []Node{a, b}
 	ab, _ := net.Connect(a, b, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0,
@@ -25,7 +25,7 @@ func classPair(t *testing.T, classes []CreditClassConfig) (*sim.Engine, *sink, *
 func offerCredits(eng *sim.Engine, ab *Port, class uint8, gap sim.Duration, until sim.Time) {
 	var emit func()
 	emit = func() {
-		c := packet.Get()
+		c := ab.net.Pool().Get()
 		c.Kind = packet.Credit
 		c.Class = class
 		c.Wire = unit.MinFrame
@@ -94,7 +94,7 @@ func TestCreditClassUnderloadedClassUnaffected(t *testing.T) {
 
 func TestCreditClassOutOfRangeClamps(t *testing.T) {
 	eng, b, ab := classPair(t, []CreditClassConfig{{Priority: 0}})
-	c := packet.Get()
+	c := ab.net.Pool().Get()
 	c.Kind = packet.Credit
 	c.Class = 7 // beyond configured classes
 	c.Wire = unit.MinFrame
@@ -235,7 +235,7 @@ func TestSprayingSpreadsPackets(t *testing.T) {
 	s1.SetSpraying(true)
 
 	for i := 0; i < 500; i++ {
-		p := packet.Get()
+		p := net.Pool().Get()
 		p.Kind = packet.Data
 		p.Flow = 1 // single flow: hashing would pin one link
 		p.Src = a.ID()

@@ -1,6 +1,6 @@
 package netem
 
-// Test-only views of per-port and per-host storage for the footprint
+// Test-only views of per-port and per-network storage for the footprint
 // guards in package netem_test, which build real topologies and
 // transports (both import this package, so they cannot be used from
 // in-package tests).
@@ -29,5 +29,5 @@ func RingUses(p *Port) []RingUse {
 	return uses
 }
 
-// DemuxSlots returns the length of h's endpoint window.
-func DemuxSlots(h *Host) int { return len(h.eps) }
+// DemuxSlots returns the number of entries in n's flow table.
+func DemuxSlots(n *Network) int { return len(n.flows) }

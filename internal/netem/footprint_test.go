@@ -9,10 +9,10 @@ import (
 	"expresspass/internal/unit"
 )
 
-// Footprint guards: what a port and a host keep must follow what is
-// queued and which flows are live, not what has passed through. No
+// Footprint guards: what a port and the flow table keep must follow what
+// is queued and which flows are live, not what has passed through. No
 // timing, no RSS reading — slot counts only. The topology-level halves
-// (a DCTCP dumbbell, the 256-pair demux sum) are in footprint_ext_test.go.
+// (a DCTCP dumbbell, the 256-pair flow table) are in footprint_ext_test.go.
 
 // TestPortStays696Bytes: Port is allocated once per link direction and
 // buildRoutesTo's linkUp walks all of them with a stride of one Port. At
@@ -33,12 +33,13 @@ func TestPortStays696Bytes(t *testing.T) {
 // never holds more than two leave a four-slot ring (the slice queue
 // ended with a 128-slot array it cycled through end to end).
 func TestRingTracksOccupancyNotTraffic(t *testing.T) {
-	eng, _, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond})
+	t.Parallel()
+	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond})
 	for i := 0; i < 5000; i++ {
-		ab.Enqueue(mkData(1538)) // straight to the transmitter
-		ab.Enqueue(mkData(1538)) // waits one serialisation
-		ab.Enqueue(mkData(1538)) // waits two
-		ab.Enqueue(mkCredit())   // no credit class on this port: data too
+		ab.Enqueue(mkData(net.Pool(), 1538)) // straight to the transmitter
+		ab.Enqueue(mkData(net.Pool(), 1538)) // waits one serialisation
+		ab.Enqueue(mkData(net.Pool(), 1538)) // waits two
+		ab.Enqueue(mkCredit(net.Pool()))     // no credit class on this port: data too
 		eng.RunFor(10 * sim.Microsecond)
 	}
 	if b.got != 20000 {
@@ -57,20 +58,21 @@ func TestRingTracksOccupancyNotTraffic(t *testing.T) {
 }
 
 // countEP is an endpoint that counts and recycles what it is handed.
-type countEP struct{ got int }
+type countEP struct {
+	pool *packet.Pool
+	got  int
+}
 
-func (e *countEP) OnPacket(p *packet.Packet) { e.got++; packet.Put(p) }
+func (e *countEP) OnPacket(p *packet.Packet) { e.got++; e.pool.Put(p) }
 
-// TestDemuxWindow: the endpoint table covers the span of IDs the host is
-// party to, whatever order they arrive in; everything outside it, the
-// holes inside it and negative IDs are unclaimed; the last Unregister
-// releases it and the next Register re-bases it.
-func TestDemuxWindow(t *testing.T) {
-	deliver := func(h *Host, id packet.FlowID) {
-		p := packet.Get()
-		p.Flow = id
-		h.Deliver(p, nil)
-	}
+// TestFlowTable: the network's flow table serves both ends of a flow at
+// their two hosts, in whatever order the IDs are registered; registering
+// again replaces; a second Unregister changes nothing and leaves the
+// other end in place; a packet for an ID never registered, above the
+// table or negative, or at a host that is neither end of its flow, is
+// unclaimed; and the table is never longer than the highest ID
+// registered so far, plus one.
+func TestFlowTable(t *testing.T) {
 	orders := map[string][]packet.FlowID{
 		"ascending":   {1000, 1010, 1020, 1030, 1040},
 		"descending":  {1040, 1030, 1020, 1010, 1000},
@@ -78,69 +80,94 @@ func TestDemuxWindow(t *testing.T) {
 	}
 	for name, ids := range orders {
 		t.Run(name, func(t *testing.T) {
-			before := packet.Live()
-			h := NewNetwork(sim.New(1)).NewHost("h", HardwareNICDelay())
-			eps := map[packet.FlowID]*countEP{}
+			t.Parallel()
+			net := NewNetwork(sim.New(1))
+			snd := net.NewHost("snd", HardwareNICDelay())
+			rcv := net.NewHost("rcv", HardwareNICDelay())
+			other := net.NewHost("other", HardwareNICDelay())
+			deliver := func(h *Host, id packet.FlowID) {
+				p := net.Pool().Get()
+				p.Flow = id
+				h.Deliver(p, nil)
+			}
+			unclaimed := func() uint64 { return snd.Unclaimed + rcv.Unclaimed + other.Unclaimed }
+			ends := map[packet.FlowID][2]*countEP{}
+			var highest packet.FlowID
 			for i, id := range ids {
-				eps[id] = &countEP{}
-				h.Register(id, eps[id])
-				if h.ActiveEndpoints() != i+1 {
-					t.Fatalf("after %d registrations ActiveEndpoints = %d", i+1, h.ActiveEndpoints())
+				e := [2]*countEP{{pool: net.Pool()}, {pool: net.Pool()}}
+				ends[id] = e
+				snd.Register(id, e[0])
+				rcv.Register(id, e[1])
+				highest = max(highest, id)
+				if got := net.ActiveEndpoints(); got != 2*(i+1) {
+					t.Fatalf("after %d flows ActiveEndpoints = %d, want %d", i+1, got, 2*(i+1))
+				}
+				if got := DemuxSlots(net); got != int(highest)+1 {
+					t.Fatalf("table of %d entries with IDs up to %d registered", got, highest)
 				}
 			}
-			h.Register(1020, eps[1020]) // again: replaces, does not count twice
-			if h.ActiveEndpoints() != len(ids) {
-				t.Fatalf("ActiveEndpoints = %d, want %d", h.ActiveEndpoints(), len(ids))
-			}
-			// Never larger than a table indexed by absolute ID would be,
-			// and geometric growth at most doubles the 41-ID span.
-			if n := len(h.eps); n < 41 || n > 82 {
-				t.Errorf("window of %d slots for IDs 1000–1040", n)
+			snd.Register(1020, ends[1020][0]) // again: replaces, does not count twice
+			if got := net.ActiveEndpoints(); got != 2*len(ids) {
+				t.Fatalf("ActiveEndpoints = %d, want %d", got, 2*len(ids))
 			}
 			for _, id := range ids {
-				deliver(h, id)
-				deliver(h, id)
+				deliver(snd, id)
+				deliver(rcv, id)
+				deliver(rcv, id)
 			}
-			for id, ep := range eps {
-				if ep.got != 2 {
-					t.Errorf("flow %d got %d packets, want 2", id, ep.got)
+			for id, e := range ends {
+				if e[0].got != 1 || e[1].got != 2 {
+					t.Errorf("flow %d: sender got %d, receiver %d, want 1 and 2", id, e[0].got, e[1].got)
 				}
 			}
-			for i, id := range []packet.FlowID{999, 0, 1015, 1041, 1 << 40, -1, -1 << 62} {
-				deliver(h, id)
-				if h.Unclaimed != uint64(i+1) {
-					t.Fatalf("flow %d was not counted unclaimed (Unclaimed = %d)", id, h.Unclaimed)
+			misses := []struct {
+				at *Host
+				id packet.FlowID
+			}{
+				{rcv, 999}, {snd, 0}, {rcv, 1015}, // never registered
+				{snd, 1041}, {rcv, 1 << 40}, // above the table
+				{snd, -1}, {rcv, -1 << 62}, // negative
+				{other, 1020}, // a third host
+			}
+			for i, m := range misses {
+				deliver(m.at, m.id)
+				if unclaimed() != uint64(i+1) {
+					t.Fatalf("flow %d at %s was not counted unclaimed", m.id, m.at.Name())
 				}
 			}
-			h.Unregister(1015) // a hole
-			h.Unregister(5)    // outside
-			h.Unregister(-3)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("registering a flow at a third host did not panic")
+					}
+				}()
+				other.Register(1020, &countEP{pool: net.Pool()})
+			}()
+			snd.Unregister(1015) // an empty entry
+			snd.Unregister(5000) // above the table
+			snd.Unregister(-3)
+			other.Unregister(1020) // not an end of the flow
 			for i, id := range ids {
-				h.Unregister(id)
-				h.Unregister(id) // twice: the count must not move twice
-				if want := len(ids) - i - 1; h.ActiveEndpoints() != want {
-					t.Fatalf("after unregistering %d flows ActiveEndpoints = %d, want %d", i+1, h.ActiveEndpoints(), want)
+				snd.Unregister(id)
+				snd.Unregister(id) // twice: must not touch the receiving end
+				if want := 2*(len(ids)-i) - 1; net.ActiveEndpoints() != want {
+					t.Fatalf("ActiveEndpoints = %d after the sender of flow %d left, want %d", net.ActiveEndpoints(), id, want)
 				}
+				deliver(rcv, id)
+				if ends[id][1].got != 3 {
+					t.Fatalf("flow %d: the receiving end lost its endpoint with the sender's", id)
+				}
+				rcv.Unregister(id)
 			}
-			if len(h.eps) != 0 {
-				t.Errorf("window keeps %d slots with no endpoint registered", len(h.eps))
+			deliver(rcv, 1020)
+			if unclaimed() != uint64(len(misses)+1) {
+				t.Errorf("delivery to an unregistered flow: Unclaimed = %d, want %d", unclaimed(), len(misses)+1)
 			}
-			deliver(h, 1020)
-			if h.Unclaimed != 8 {
-				t.Errorf("delivery to a released window: Unclaimed = %d, want 8", h.Unclaimed)
+			snd.Register(7, &countEP{pool: net.Pool()}) // a low ID reuses the table
+			if got := DemuxSlots(net); got != int(highest)+1 {
+				t.Errorf("table of %d entries after registering ID 7, want %d", got, highest+1)
 			}
-			far := &countEP{}
-			h.Register(50_000, far)
-			deliver(h, 50_000)
-			if len(h.eps) != 1 || far.got != 1 {
-				t.Errorf("re-based window: %d slots, %d delivered, want 1 and 1", len(h.eps), far.got)
-			}
-			// Down to ID 0 and no further.
-			h.Register(0, &countEP{})
-			if len(h.eps) != 50_001 || h.epsBase != 0 {
-				t.Errorf("window [%d, +%d) after registering ID 0", h.epsBase, len(h.eps))
-			}
-			if live := packet.Live() - before; live != 0 {
+			if live := net.Pool().Live(); live != 0 {
 				t.Errorf("%d packets leaked", live)
 			}
 		})

@@ -57,7 +57,7 @@ func (c HostDelayConfig) Sample(rng *sim.Rand) sim.Duration {
 }
 
 // Host is an end system: a NIC egress port toward its ToR switch, a
-// demux table of flow endpoints, and a credit-processing delay model.
+// credit-processing delay model, and endpoints in its network's flow table.
 type Host struct {
 	id   packet.NodeID
 	name string
@@ -68,18 +68,6 @@ type Host struct {
 	dom int32 // the host's scheduling domain
 
 	ports []*Port // hosts have exactly one in all our topologies
-
-	// eps demultiplexes arriving packets to endpoints: eps[i] serves flow
-	// epsBase+i, so the table is a window over the IDs of the flows this
-	// host is party to, not over every ID the network has handed out
-	// (Network.NextFlowID). The per-packet lookup is one subtraction, one
-	// unsigned bounds check and one load. nil entries (never-registered
-	// or unregistered flows) count as unclaimed. epsLive counts the
-	// non-nil ones; when it falls to zero the window is released, so the
-	// next Register re-bases it.
-	eps     []Endpoint
-	epsBase packet.FlowID
-	epsLive int
 
 	Delay HostDelayConfig
 
@@ -148,7 +136,11 @@ func (h *Host) Network() *Network { return h.net }
 // LineRate returns the NIC line rate.
 func (h *Host) LineRate() unit.Rate { return h.NIC().Rate() }
 
-// Register attaches ep as the handler for flow at this host.
+// Pool returns the packet pool of the host's network (Network.Pool).
+func (h *Host) Pool() *packet.Pool { return &h.net.pool }
+
+// Register attaches ep as the handler for flow at this host, replacing
+// the endpoint the flow had here. A flow has at most two hosts.
 func (h *Host) Register(flow packet.FlowID, ep Endpoint) {
 	if flow < 0 {
 		panic(fmt.Sprintf("netem: negative flow ID %d registered at %s", flow, h.name))
@@ -156,54 +148,26 @@ func (h *Host) Register(flow packet.FlowID, ep Endpoint) {
 	if ep == nil {
 		panic(fmt.Sprintf("netem: nil endpoint registered for flow %d at %s", flow, h.name))
 	}
-	i := uint64(flow - h.epsBase)
-	if i >= uint64(len(h.eps)) {
-		h.growWindow(flow)
-		i = uint64(flow - h.epsBase)
+	if k := int(flow) + 1 - len(h.net.flows); k > 0 {
+		h.net.flows = append(h.net.flows, make([][2]flowEnd, k)...)
 	}
-	if h.eps[i] == nil {
-		h.epsLive++
+	end := h.net.end(flow, h)
+	if end == nil {
+		if end = h.net.end(flow, nil); end == nil {
+			panic(fmt.Sprintf("netem: flow %d registered at a third host %s", flow, h.name))
+		}
+		h.net.endpoints++
 	}
-	h.eps[i] = ep
+	*end = flowEnd{h, ep}
 }
 
-// growWindow widens the demux window to cover flow. An empty window
-// re-bases to exactly that ID. Otherwise it grows toward the new ID to
-// at least twice its length — IDs arrive in near-monotonic order when
-// the pool is not recycling, and exact-size growth would copy the table
-// on every new extreme — but never below ID 0.
-func (h *Host) growWindow(flow packet.FlowID) {
-	n := packet.FlowID(len(h.eps))
-	if n == 0 {
-		h.eps, h.epsBase = make([]Endpoint, 1), flow
-		return
-	}
-	lo, hi := h.epsBase, h.epsBase+n // current window [lo, hi)
-	if flow >= hi {
-		hi = max(flow+1, lo+2*n)
-	} else {
-		lo = max(0, min(flow, hi-2*n))
-	}
-	grown := make([]Endpoint, hi-lo)
-	copy(grown[h.epsBase-lo:], h.eps)
-	h.eps, h.epsBase = grown, lo
-}
-
-// Unregister removes the handler for flow.
+// Unregister removes the handler for flow at this host.
 func (h *Host) Unregister(flow packet.FlowID) {
-	i := uint64(flow - h.epsBase)
-	if i >= uint64(len(h.eps)) || h.eps[i] == nil {
-		return
-	}
-	h.eps[i] = nil
-	if h.epsLive--; h.epsLive == 0 {
-		h.eps = nil // growWindow re-bases an empty window
+	if end := h.net.end(flow, h); end != nil {
+		*end = flowEnd{}
+		h.net.endpoints--
 	}
 }
-
-// ActiveEndpoints counts flows currently registered at this host. Flow
-// retirement tests use it to assert the demux table drained.
-func (h *Host) ActiveEndpoints() int { return h.epsLive }
 
 // Send transmits pkt out the host NIC, stamping the send time.
 func (h *Host) Send(pkt *packet.Packet) {
@@ -243,18 +207,15 @@ func (h *Host) Deliver(pkt *packet.Packet, in *Port) {
 			tr.Emit(obs.Event{T: h.eng.Now(), Type: obs.EvCorruptDrop, Scope: h.name,
 				Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire})
 		}
-		packet.Put(pkt)
+		h.net.pool.Put(pkt)
 		return
 	}
-	// One unsigned compare rejects IDs on either side of the window (and
-	// negative ones: epsBase is never negative).
-	i := uint64(pkt.Flow - h.epsBase)
-	if i >= uint64(len(h.eps)) || h.eps[i] == nil {
-		h.Unclaimed++
-		packet.Put(pkt)
+	if end := h.net.end(pkt.Flow, h); end != nil {
+		end.ep.OnPacket(pkt)
 		return
 	}
-	h.eps[i].OnPacket(pkt)
+	h.Unclaimed++
+	h.net.pool.Put(pkt)
 }
 
 func (h *Host) String() string { return fmt.Sprintf("host(%s)", h.name) }

@@ -193,7 +193,7 @@ func (p *Port) impairAdmit(im *impairment, pkt *packet.Packet, now sim.Time) (cl
 		return nil, false
 	}
 	if r := im.dup[cl]; r > 0 && im.dupRng.Float64() < r {
-		clone = packet.Get()
+		clone = p.net.pool.Get()
 		*clone = *pkt
 		// The clone is a fresh frame on this link: it carries no PFC
 		// ingress attribution (the original keeps its own), so ingress

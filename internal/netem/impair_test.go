@@ -3,7 +3,6 @@ package netem
 import (
 	"testing"
 
-	"expresspass/internal/packet"
 	"expresspass/internal/sim"
 	"expresspass/internal/unit"
 )
@@ -17,12 +16,12 @@ func (m *dropEveryN) Drop() bool {
 }
 
 func TestPoolBalanceLossModelDrop(t *testing.T) {
-	before := packet.Live()
-	eng, _, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
+	t.Parallel()
+	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
 	ab.SetLossModel(&dropEveryN{n: 2}, &dropEveryN{n: 2})
 	for i := 0; i < 40; i++ {
-		ab.Enqueue(mkData(1538))
-		ab.Enqueue(mkCredit())
+		ab.Enqueue(mkData(net.Pool(), 1538))
+		ab.Enqueue(mkCredit(net.Pool()))
 	}
 	eng.Run()
 	if got := ab.Stats().FaultDrops; got != 40 {
@@ -31,19 +30,19 @@ func TestPoolBalanceLossModelDrop(t *testing.T) {
 	if b.got != 40 {
 		t.Fatalf("delivered %d, want 40 survivors", b.got)
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := net.Pool().Live(); live != 0 {
 		t.Fatalf("model loss: %d packets leaked", live)
 	}
 }
 
 func TestPoolBalanceDuplication(t *testing.T) {
-	before := packet.Live()
-	eng, _, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
+	t.Parallel()
+	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
 	// Duplicate every data packet; credits untouched.
 	ab.SetDuplication(0, 1.0, sim.NewRand(3))
 	for i := 0; i < 25; i++ {
-		ab.Enqueue(mkData(1538))
-		ab.Enqueue(mkCredit())
+		ab.Enqueue(mkData(net.Pool(), 1538))
+		ab.Enqueue(mkCredit(net.Pool()))
 	}
 	eng.Run()
 	if got := ab.Stats().FaultDups; got != 25 {
@@ -52,7 +51,7 @@ func TestPoolBalanceDuplication(t *testing.T) {
 	if b.data != 50 || b.credits != 25 {
 		t.Fatalf("delivered data=%d credits=%d, want 50/25", b.data, b.credits)
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := net.Pool().Live(); live != 0 {
 		t.Fatalf("duplication: %d packets leaked (clone not recycled?)", live)
 	}
 }
@@ -61,25 +60,25 @@ func TestPoolBalanceDuplication(t *testing.T) {
 // clone admitted into a full queue must die through the normal drop-tail
 // accounting, not leak or double-free.
 func TestPoolBalanceDuplicationOverflow(t *testing.T) {
-	before := packet.Live()
-	eng, _, _, _, ab := pair(t, PortConfig{
+	t.Parallel()
+	eng, net, _, _, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0, DataCapacity: 3 * 1538,
 	})
 	ab.SetDuplication(0, 1.0, sim.NewRand(3))
 	for i := 0; i < 40; i++ {
-		ab.Enqueue(mkData(1538))
+		ab.Enqueue(mkData(net.Pool(), 1538))
 	}
 	eng.Run()
 	if ab.DataStats().Drops == 0 {
 		t.Fatal("scenario failed to overflow the data queue")
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := net.Pool().Live(); live != 0 {
 		t.Fatalf("duplication overflow: %d packets leaked", live)
 	}
 }
 
 func TestPoolBalanceCorruptionAtHost(t *testing.T) {
-	before := packet.Live()
+	t.Parallel()
 	eng := sim.New(1)
 	net := NewNetwork(eng)
 	h := net.NewHost("h", HardwareNICDelay())
@@ -89,7 +88,7 @@ func TestPoolBalanceCorruptionAtHost(t *testing.T) {
 
 	// A corrupted frame still reaches the destination NIC; the CRC check
 	// drops it there, before demux can touch flow state.
-	p := mkData(1538)
+	p := mkData(net.Pool(), 1538)
 	p.Dst = h.ID()
 	p.Corrupt = true
 	h.Deliver(p, nil)
@@ -100,7 +99,7 @@ func TestPoolBalanceCorruptionAtHost(t *testing.T) {
 		t.Fatal("corrupt frame leaked into demux (Unclaimed != 0)")
 	}
 	eng.Run()
-	if live := packet.Live() - before; live != 0 {
+	if live := net.Pool().Live(); live != 0 {
 		t.Fatalf("corrupt drop: %d packets leaked", live)
 	}
 }
@@ -109,12 +108,12 @@ func TestPoolBalanceCorruptionAtHost(t *testing.T) {
 // happens at the impaired egress with the class rate, the frame still
 // transits (queues, wire, delivery), and the port counter converges.
 func TestImpairCorruptMarksInFlight(t *testing.T) {
-	before := packet.Live()
-	eng, _, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
+	t.Parallel()
+	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
 	ab.SetCorruption(0, 0.25, sim.NewRand(5))
 	const n = 4000
 	for i := 0; i < n; i++ {
-		ab.Enqueue(mkData(1538))
+		ab.Enqueue(mkData(net.Pool(), 1538))
 	}
 	eng.Run()
 	got := ab.Stats().FaultCorrupts
@@ -124,7 +123,7 @@ func TestImpairCorruptMarksInFlight(t *testing.T) {
 	if b.data != n {
 		t.Fatalf("delivered %d, want all %d (corruption must not drop in fabric)", b.data, n)
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := net.Pool().Live(); live != 0 {
 		t.Fatalf("corrupt mark: %d packets leaked", live)
 	}
 }
@@ -133,6 +132,7 @@ func TestImpairCorruptMarksInFlight(t *testing.T) {
 // the extra wire delay is 0 (not selected) or in [1, maxExtra] always,
 // and the selection frequency converges to the configured rate.
 func TestImpairReorderBoundedAndConverges(t *testing.T) {
+	t.Parallel()
 	_, _, _, _, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
 	const rate, max = 0.3, 20 * sim.Microsecond
 	ab.SetReorder(rate, max, sim.NewRand(9))
@@ -159,12 +159,12 @@ func TestImpairReorderBoundedAndConverges(t *testing.T) {
 // TestImpairDupRateConverges checks the admit-time duplication draw
 // against its configured probability over a long run.
 func TestImpairDupRateConverges(t *testing.T) {
-	before := packet.Live()
-	_, _, _, _, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
+	t.Parallel()
+	_, net, _, _, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
 	const rate = 0.2
 	ab.SetDuplication(0, rate, sim.NewRand(11))
 	const n = 20000
-	pkt := mkData(1538)
+	pkt := mkData(net.Pool(), 1538)
 	clones := 0
 	for i := 0; i < n; i++ {
 		clone, ok := ab.impairAdmit(ab.impair, pkt, 0)
@@ -173,16 +173,16 @@ func TestImpairDupRateConverges(t *testing.T) {
 		}
 		if clone != nil {
 			clones++
-			packet.Put(clone)
+			net.Pool().Put(clone)
 		}
 		pkt.Corrupt = false
 	}
-	packet.Put(pkt)
+	net.Pool().Put(pkt)
 	f := float64(clones) / n
 	if f < rate*0.9 || f > rate*1.1 {
 		t.Fatalf("dup frequency %.3f, want ≈%.2f (±10%%)", f, rate)
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := net.Pool().Live(); live != 0 {
 		t.Fatalf("dup convergence: %d packets leaked", live)
 	}
 }
@@ -190,14 +190,15 @@ func TestImpairDupRateConverges(t *testing.T) {
 // TestImpairDelayJitterAdditive pins that delay jitter adds exactly the
 // sampled extra on top of serialization + propagation — never less.
 func TestImpairDelayJitterAdditive(t *testing.T) {
+	t.Parallel()
 	run := func(extra sim.Duration) sim.Time {
-		eng, _, _, _, ab := pair(t, PortConfig{
+		eng, net, _, _, ab := pair(t, PortConfig{
 			Rate: 10 * unit.Gbps, Delay: 2 * sim.Microsecond,
 		})
 		if extra > 0 {
 			ab.SetDelayJitter(func() sim.Duration { return extra })
 		}
-		ab.Enqueue(mkData(1538))
+		ab.Enqueue(mkData(net.Pool(), 1538))
 		eng.Run()
 		return eng.Now() // the delivery event is the last thing scheduled
 	}
@@ -211,14 +212,15 @@ func TestImpairDelayJitterAdditive(t *testing.T) {
 // stretch fraction f makes the serialization take tx·(1+f), keeping the
 // transmitter busy longer (it degrades throughput, not just latency).
 func TestImpairRateJitterStretchesTx(t *testing.T) {
+	t.Parallel()
 	run := func(f float64) sim.Time {
-		eng, _, _, _, ab := pair(t, PortConfig{
+		eng, net, _, _, ab := pair(t, PortConfig{
 			Rate: 10 * unit.Gbps, Delay: 0,
 		})
 		if f > 0 {
 			ab.SetRateJitter(func() float64 { return f })
 		}
-		ab.Enqueue(mkData(1538))
+		ab.Enqueue(mkData(net.Pool(), 1538))
 		eng.Run()
 		return eng.Now()
 	}
@@ -232,6 +234,7 @@ func TestImpairRateJitterStretchesTx(t *testing.T) {
 // frees the impairment block (the clean fast path is a single nil
 // check), and that ClearImpairments drops it wholesale.
 func TestImpairSettleRestoresCleanPath(t *testing.T) {
+	t.Parallel()
 	_, _, _, _, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
 	rng := sim.NewRand(1)
 	ab.SetLossModel(&dropEveryN{n: 2}, nil)

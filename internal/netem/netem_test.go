@@ -12,6 +12,7 @@ import (
 // sink is a minimal node that counts and recycles everything delivered.
 type sink struct {
 	id      packet.NodeID
+	pool    *packet.Pool
 	ports   []*Port
 	got     int
 	credits int
@@ -35,7 +36,7 @@ func (s *sink) Deliver(p *packet.Packet, _ *Port) {
 			s.marked++
 		}
 	}
-	packet.Put(p)
+	s.pool.Put(p)
 }
 
 // pair builds a one-link network a→b for port-level tests.
@@ -43,30 +44,30 @@ func pair(t *testing.T, cfg PortConfig) (*sim.Engine, *Network, *sink, *sink, *P
 	t.Helper()
 	eng := sim.New(1)
 	net := NewNetwork(eng)
-	a, b := &sink{id: 0}, &sink{id: 1}
+	a, b := &sink{id: 0, pool: net.Pool()}, &sink{id: 1, pool: net.Pool()}
 	net.nodes = []Node{a, b}
 	ab, _ := net.Connect(a, b, cfg)
 	return eng, net, a, b, ab
 }
 
-func mkData(n unit.Bytes) *packet.Packet {
-	p := packet.Get()
+func mkData(pl *packet.Pool, n unit.Bytes) *packet.Packet {
+	p := pl.Get()
 	p.Kind = packet.Data
 	p.Wire = n
 	p.Payload = n - 78
 	return p
 }
 
-func mkCredit() *packet.Packet {
-	p := packet.Get()
+func mkCredit(pl *packet.Pool) *packet.Packet {
+	p := pl.Get()
 	p.Kind = packet.Credit
 	p.Wire = unit.MinFrame
 	return p
 }
 
 func TestPortSerializationAndPropagation(t *testing.T) {
-	eng, _, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 5 * sim.Microsecond})
-	ab.Enqueue(mkData(1538))
+	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 5 * sim.Microsecond})
+	ab.Enqueue(mkData(net.Pool(), 1538))
 	// Serialization 1.2304 µs + propagation 5 µs.
 	eng.RunUntil(6 * sim.Microsecond)
 	if b.got != 0 {
@@ -79,9 +80,9 @@ func TestPortSerializationAndPropagation(t *testing.T) {
 }
 
 func TestPortFIFOAndBackToBack(t *testing.T) {
-	eng, _, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
+	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
 	for i := 0; i < 10; i++ {
-		ab.Enqueue(mkData(1538))
+		ab.Enqueue(mkData(net.Pool(), 1538))
 	}
 	eng.Run()
 	if b.data != 10 {
@@ -95,11 +96,11 @@ func TestPortFIFOAndBackToBack(t *testing.T) {
 }
 
 func TestDataQueueDropTail(t *testing.T) {
-	eng, _, _, b, ab := pair(t, PortConfig{
+	eng, net, _, b, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0, DataCapacity: 5 * 1538,
 	})
 	for i := 0; i < 20; i++ {
-		ab.Enqueue(mkData(1538))
+		ab.Enqueue(mkData(net.Pool(), 1538))
 	}
 	eng.Run()
 	// One in flight + 5 queued survive the burst.
@@ -112,7 +113,7 @@ func TestDataQueueDropTail(t *testing.T) {
 }
 
 func TestCreditRateLimiting(t *testing.T) {
-	eng, _, _, b, ab := pair(t, PortConfig{
+	eng, net, _, b, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0, CreditQueueCap: 8,
 	})
 	// Offer credits at 4× the credit rate for 10 ms.
@@ -120,7 +121,7 @@ func TestCreditRateLimiting(t *testing.T) {
 	var emit func()
 	n := 0
 	emit = func() {
-		ab.Enqueue(mkCredit())
+		ab.Enqueue(mkCredit(net.Pool()))
 		n++
 		if n < 200000 {
 			eng.After(offer, emit)
@@ -138,14 +139,14 @@ func TestCreditRateLimiting(t *testing.T) {
 }
 
 func TestCreditsDoNotStarveData(t *testing.T) {
-	eng, _, _, b, ab := pair(t, PortConfig{
+	eng, net, _, b, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0, CreditQueueCap: 8, DataCapacity: 16 * unit.MB,
 	})
 	// Saturate with both credits and data.
 	var emit func()
 	emit = func() {
-		ab.Enqueue(mkCredit())
-		ab.Enqueue(mkData(1538))
+		ab.Enqueue(mkCredit(net.Pool()))
+		ab.Enqueue(mkData(net.Pool(), 1538))
 		if eng.Now() < 10*sim.Millisecond {
 			eng.After(1300*sim.Nanosecond, emit)
 		}
@@ -163,12 +164,12 @@ func TestCreditsDoNotStarveData(t *testing.T) {
 }
 
 func TestECNMarkingThreshold(t *testing.T) {
-	eng, _, _, b, ab := pair(t, PortConfig{
+	eng, net, _, b, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0,
 		DataCapacity: 16 * unit.MB, ECNThreshold: 10 * 1538,
 	})
 	for i := 0; i < 30; i++ {
-		p := mkData(1538)
+		p := mkData(net.Pool(), 1538)
 		p.ECNCapable = true
 		ab.Enqueue(p)
 	}
@@ -180,12 +181,12 @@ func TestECNMarkingThreshold(t *testing.T) {
 }
 
 func TestECNIgnoresNonCapable(t *testing.T) {
-	eng, _, _, b, ab := pair(t, PortConfig{
+	eng, net, _, b, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0,
 		DataCapacity: 16 * unit.MB, ECNThreshold: 1538,
 	})
 	for i := 0; i < 10; i++ {
-		ab.Enqueue(mkData(1538)) // ECNCapable false
+		ab.Enqueue(mkData(net.Pool(), 1538)) // ECNCapable false
 	}
 	eng.Run()
 	if b.marked != 0 {
@@ -197,7 +198,7 @@ func TestRandomVictimCreditDropIsFair(t *testing.T) {
 	// Two interleaved credit streams, one at exactly the drain rate and
 	// one slower: with random-victim dropping, both must get through in
 	// rough proportion to their offered rates (no phase-lock capture).
-	eng, _, _, b, ab := pair(t, PortConfig{
+	eng, net, _, b, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0, CreditQueueCap: 8,
 	})
 	drain := unit.TxTime(unit.MinFrame+unit.MaxFrame, 10*unit.Gbps)
@@ -207,14 +208,14 @@ func TestRandomVictimCreditDropIsFair(t *testing.T) {
 	var emitFast, emitSlow func()
 	fastSeq, slowSeq := int64(0), int64(0)
 	emitFast = func() {
-		c := mkCredit()
+		c := mkCredit(net.Pool())
 		c.Flow = 1
 		fastSeq++
 		ab.Enqueue(c)
 		eng.After(drain, emitFast) // exactly the drain rate
 	}
 	emitSlow = func() {
-		c := mkCredit()
+		c := mkCredit(net.Pool())
 		c.Flow = 2
 		slowSeq++
 		ab.Enqueue(c)
@@ -245,19 +246,20 @@ func TestRandomVictimCreditDropIsFair(t *testing.T) {
 }
 
 func TestPhantomQueueMarks(t *testing.T) {
+	var pl packet.Pool
 	pq := newPhantomQueue(10*unit.Gbps, PhantomConfig{})
 	// Feed at full line rate: phantom (draining at 95%) must build and mark.
 	now := sim.Time(0)
 	step := unit.TxTime(1538, 10*unit.Gbps)
 	marked := 0
 	for i := 0; i < 2000; i++ {
-		p := mkData(1538)
+		p := mkData(&pl, 1538)
 		p.ECNCapable = true
 		pq.onArrival(now, p)
 		if p.CE {
 			marked++
 		}
-		packet.Put(p)
+		pl.Put(p)
 		now += step
 	}
 	if marked == 0 {
@@ -268,13 +270,13 @@ func TestPhantomQueueMarks(t *testing.T) {
 	now = 0
 	marked = 0
 	for i := 0; i < 2000; i++ {
-		p := mkData(1538)
+		p := mkData(&pl, 1538)
 		p.ECNCapable = true
 		pq2.onArrival(now, p)
 		if p.CE {
 			marked++
 		}
-		packet.Put(p)
+		pl.Put(p)
 		now += step * 10 / 9
 	}
 	if marked > 20 {
@@ -359,9 +361,9 @@ func TestHostDemux(t *testing.T) {
 	got := 0
 	h2.Register(7, endpointFunc(func(p *packet.Packet) {
 		got++
-		packet.Put(p)
+		net.Pool().Put(p)
 	}))
-	p := packet.Get()
+	p := net.Pool().Get()
 	p.Kind = packet.Data
 	p.Flow = 7
 	p.Src = h1.ID()
@@ -369,7 +371,7 @@ func TestHostDemux(t *testing.T) {
 	p.Wire = 1538
 	h1.Send(p)
 
-	q := packet.Get()
+	q := net.Pool().Get()
 	q.Kind = packet.Data
 	q.Flow = 8 // unregistered
 	q.Src = h1.ID()
@@ -419,12 +421,12 @@ func TestHostDelaySampling(t *testing.T) {
 }
 
 func TestQueueStatsTimeWeightedAverage(t *testing.T) {
+	var pl packet.Pool
 	var q dataQueue
 	q.cap = 1 << 40
 	q.stats.ResetWindow(0)
-	p1 := mkData(1000)
-	q.push(0, p1)
-	q.push(sim.Time(1000), mkData(1000)) // occupancy 1000 for t∈[0,1000)
+	q.push(0, mkData(&pl, 1000))
+	q.push(sim.Time(1000), mkData(&pl, 1000)) // occupancy 1000 for t∈[0,1000)
 	// occupancy 2000 for t∈[1000,2000)
 	avg := q.stats.AvgBytes(2000, q.curBytes())
 	if avg < 1499 || avg > 1501 {

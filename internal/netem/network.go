@@ -44,6 +44,16 @@ type Network struct {
 
 	rcpClocks []*rcpClock // one per (phase, interval) among the RCP ports
 
+	// pool supplies and recycles every packet of this network, so packet
+	// conservation is an exact per-network count (pool.Live).
+	pool packet.Pool
+
+	// flows demultiplexes arriving packets: flows[id] holds both ends of
+	// flow id, up to the highest ID registered, which FreeFlowID recycling
+	// holds at the concurrent-flow peak. endpoints counts the ends in use.
+	flows     [][2]flowEnd
+	endpoints int
+
 	nextFlow packet.FlowID
 	freeFlow []packet.FlowID // retired IDs awaiting reuse (LIFO)
 
@@ -195,14 +205,13 @@ func (n *Network) Node(id packet.NodeID) Node { return n.nodes[id] }
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // NextFlowID allocates a flow ID, preferring one retired by FreeFlowID
-// over growing the ID space. Reuse keeps the per-host endpoint demux
-// windows (Host.eps spans the IDs registered since the host last had no
-// flow at all) sized to the *concurrent* flow population instead of the
-// total dialed over a run's lifetime — the difference between O(active)
-// and O(total) resident memory on 100k-flow runs. Frees happen in the
-// lifecycle reaper's deterministic dom-0 scan order, so the LIFO pop
-// sequence — and therefore every ID-derived quantity (ECMP hashes, trace
-// records) — is a function of the seed alone.
+// over growing the ID space. Reuse keeps the flow table (indexed by ID)
+// sized to the *concurrent* flow population instead of the total dialed
+// over a run's lifetime — the difference between O(active) and O(total)
+// resident memory on 100k-flow runs. Frees happen in the lifecycle
+// reaper's deterministic dom-0 scan order, so the LIFO pop sequence —
+// and therefore every ID-derived quantity (ECMP hashes, trace records)
+// — is a function of the seed alone.
 func (n *Network) NextFlowID() packet.FlowID {
 	if k := len(n.freeFlow); k > 0 {
 		id := n.freeFlow[k-1]
@@ -225,6 +234,34 @@ func (n *Network) FreeFlowID(id packet.FlowID) {
 	}
 	n.freeFlow = append(n.freeFlow, id)
 }
+
+// Pool returns the pool every packet of this network comes from.
+func (n *Network) Pool() *packet.Pool { return &n.pool }
+
+// flowEnd is one end of a flow: the host it is at and the endpoint
+// registered there. A nil host marks a free end.
+type flowEnd struct {
+	host *Host
+	ep   Endpoint
+}
+
+// end returns h's end of flow, nil if it has none (h == nil: a free
+// end). The unsigned compare rejects IDs above the table and negative.
+func (n *Network) end(flow packet.FlowID, h *Host) *flowEnd {
+	if uint64(flow) < uint64(len(n.flows)) {
+		e := &n.flows[flow]
+		for i := range e {
+			if e[i].host == h {
+				return &e[i]
+			}
+		}
+	}
+	return nil
+}
+
+// ActiveEndpoints counts the endpoints currently registered at any host.
+// Flow retirement tests use it to assert the flow table drained.
+func (n *Network) ActiveEndpoints() int { return n.endpoints }
 
 // ResetStats restarts statistics on every port (used after warm-up).
 func (n *Network) ResetStats() {

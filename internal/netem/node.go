@@ -175,7 +175,7 @@ func (s *Switch) Deliver(pkt *packet.Packet, _ *Port) {
 		if len(out0) > 0 {
 			out0[0].pfcOnDepart(pkt) // any port reaches the network table
 		}
-		packet.Put(pkt)
+		s.net.pool.Put(pkt)
 		return
 	}
 	out.Enqueue(pkt)

@@ -28,18 +28,18 @@ func pfcChain(t *testing.T, xoff unit.Bytes) (*sim.Engine, *Network, *Host, *Hos
 }
 
 func TestPFCPausesUpstreamAndResumes(t *testing.T) {
-	eng, _, src, dst, _ := pfcChain(t, 32*unit.KB)
+	eng, net, src, dst, _ := pfcChain(t, 32*unit.KB)
 	got := 0
 	dst.Register(1, endpointFunc(func(p *packet.Packet) {
 		got++
-		packet.Put(p)
+		net.Pool().Put(p)
 	}))
 	// Blast 10G into a 1G egress: the switch's ingress accounting for
 	// the src link must cross XOff and pause the src NIC.
 	var emit func()
 	n := 0
 	emit = func() {
-		p := packet.Get()
+		p := net.Pool().Get()
 		p.Kind = packet.Data
 		p.Flow = 1
 		p.Src = src.ID()
@@ -62,7 +62,7 @@ func TestPFCPausesUpstreamAndResumes(t *testing.T) {
 		t.Errorf("delivered %d/2000 — PFC should be lossless", got)
 	}
 	// After drain the pause must have been lifted: send one more.
-	p := packet.Get()
+	p := net.Pool().Get()
 	p.Kind = packet.Data
 	p.Flow = 1
 	p.Src = src.ID()
@@ -76,16 +76,16 @@ func TestPFCPausesUpstreamAndResumes(t *testing.T) {
 }
 
 func TestPFCDoesNotPauseCredits(t *testing.T) {
-	eng, _, src, dst, _ := pfcChain(t, 16*unit.KB)
+	eng, net, src, dst, _ := pfcChain(t, 16*unit.KB)
 	credits := 0
 	src.Register(2, endpointFunc(func(p *packet.Packet) {
 		credits++
-		packet.Put(p)
+		net.Pool().Put(p)
 	}))
 	// Saturate data toward dst to trigger pause on the src link, then
 	// verify credits still flow in the same (paused) direction.
 	for i := 0; i < 200; i++ {
-		p := packet.Get()
+		p := net.Pool().Get()
 		p.Kind = packet.Data
 		p.Flow = 1
 		p.Src = src.ID()
@@ -95,7 +95,7 @@ func TestPFCDoesNotPauseCredits(t *testing.T) {
 	}
 	eng.RunFor(100 * sim.Microsecond) // pause engages
 	for i := 0; i < 10; i++ {
-		c := packet.Get()
+		c := net.Pool().Get()
 		c.Kind = packet.Credit
 		c.Flow = 2
 		c.Src = dst.ID()
@@ -110,10 +110,10 @@ func TestPFCDoesNotPauseCredits(t *testing.T) {
 }
 
 func TestPFCAccountingBalancedAfterDrain(t *testing.T) {
-	eng, _, src, dst, _ := pfcChain(t, 32*unit.KB)
-	dst.Register(1, endpointFunc(func(p *packet.Packet) { packet.Put(p) }))
+	eng, net, src, dst, _ := pfcChain(t, 32*unit.KB)
+	dst.Register(1, endpointFunc(func(p *packet.Packet) { net.Pool().Put(p) }))
 	for i := 0; i < 500; i++ {
-		p := packet.Get()
+		p := net.Pool().Get()
 		p.Kind = packet.Data
 		p.Flow = 1
 		p.Src = src.ID()

@@ -12,43 +12,80 @@ import (
 // path in the network model. Every packet a scenario injects must be
 // recycled exactly once by the end of the run — whether it was
 // delivered, tail-dropped, displaced by random-victim, misrouted,
-// unclaimed, or discarded under PFC pressure — so packet.Live() must
-// return to its baseline. An imbalance means a leak (drop path missing
-// its Put) or a double-free (sync.Pool corruption under reuse).
+// unclaimed, or discarded under PFC pressure — so the network's
+// Pool().Live() must read zero. A positive count is a leak (a drop path
+// missing its Put); a second Put of one packet panics where it happens.
+// Each test owns its network and its pool, so they run in parallel.
 
-// drainBalanced runs the engine dry and checks the pool balance.
-func drainBalanced(t *testing.T, eng *sim.Engine, before int64, what string) {
+// drainBalanced runs the network's engine dry and checks its pool.
+func drainBalanced(t *testing.T, net *Network, what string) {
 	t.Helper()
+	net.Eng.Run()
+	if live := net.Pool().Live(); live != 0 {
+		t.Fatalf("%s: %d packets leaked", what, live)
+	}
+}
+
+// TestPoolBalanceLeakAndDoubleFreeDoNotCancel: an endpoint keeps the
+// first packet it is handed and frees the second twice. A Get−Put
+// balance alone reads zero for that run, the leak and the double free
+// cancelling; the second Put must panic instead, and the leak must show.
+func TestPoolBalanceLeakAndDoubleFreeDoNotCancel(t *testing.T) {
+	t.Parallel()
+	eng := sim.New(1)
+	net := NewNetwork(eng)
+	src := net.NewHost("src", HardwareNICDelay())
+	dst := net.NewHost("dst", HardwareNICDelay())
+	net.Connect(src, dst, PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond})
+	var kept *packet.Packet
+	panicked := false
+	dst.Register(1, endpointFunc(func(p *packet.Packet) {
+		if kept == nil {
+			kept = p // the leak
+			return
+		}
+		net.Pool().Put(p)
+		defer func() { panicked = recover() != nil }()
+		net.Pool().Put(p) // the double free
+	}))
+	for i := 0; i < 2; i++ {
+		p := mkData(net.Pool(), 1538)
+		p.Flow, p.Src, p.Dst = 1, src.ID(), dst.ID()
+		src.Send(p)
+	}
 	eng.Run()
-	if live := packet.Live() - before; live != 0 {
-		t.Fatalf("%s: %d packets leaked (negative = double-free)", what, live)
+	if !panicked {
+		t.Fatalf("a second Put of one packet did not panic (Live = %d)", net.Pool().Live())
+	}
+	if live := net.Pool().Live(); live != 1 {
+		t.Errorf("Live = %d with one packet kept, want 1", live)
 	}
 }
 
 func TestPoolBalanceDataDropTail(t *testing.T) {
-	before := packet.Live()
-	eng, _, _, _, ab := pair(t, PortConfig{
+	t.Parallel()
+	_, net, _, _, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0, DataCapacity: 3 * 1538,
 	})
 	for i := 0; i < 50; i++ {
-		ab.Enqueue(mkData(1538))
+		ab.Enqueue(mkData(net.Pool(), 1538))
 	}
 	if ab.DataStats().Drops == 0 {
 		t.Fatal("scenario failed to force data drop-tail")
 	}
-	drainBalanced(t, eng, before, "data drop-tail")
+	drainBalanced(t, net, "data drop-tail")
 }
 
 func TestPoolBalanceCreditOverflow(t *testing.T) {
-	before := packet.Live()
-	eng, _, _, b, ab := pair(t, PortConfig{
+	t.Parallel()
+	eng, net, _, b, ab := pair(t, PortConfig{
 		Rate: 10 * unit.Gbps, Delay: 0, CreditQueueCap: 4,
 	})
 	// Burst far more credits than the 4-slot queue plus the shaped
 	// drain rate can hold: the overflow path in Port.Enqueue must
 	// recycle every rejected credit.
 	for i := 0; i < 200; i++ {
-		ab.Enqueue(mkCredit())
+		ab.Enqueue(mkCredit(net.Pool()))
 	}
 	eng.Run()
 	if ab.CreditDrops() == 0 {
@@ -57,7 +94,7 @@ func TestPoolBalanceCreditOverflow(t *testing.T) {
 	if b.credits == 0 {
 		t.Fatal("no credits survived — limiter never drained")
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := net.Pool().Live(); live != 0 {
 		t.Fatalf("credit overflow: %d packets leaked", live)
 	}
 }
@@ -66,42 +103,44 @@ func TestPoolBalanceCreditOverflow(t *testing.T) {
 // pin both victim-selection branches: drop-tail (the arrival dies) and
 // random-victim (a queued credit is displaced and must be recycled).
 func TestPoolBalanceCreditQueueVictims(t *testing.T) {
-	before := packet.Live()
+	t.Parallel()
+	var pl packet.Pool
 	q := &creditQueue{cap: 2}
-	// nil rng → drop-tail: arrivals beyond cap are rejected; push
-	// returns false and the caller (us, like Port.Enqueue) recycles.
+	// nil rng → drop-tail: arrivals beyond cap are refused; push returns
+	// the arrival and the caller (us, like Port.Enqueue) recycles it.
 	for i := 0; i < 6; i++ {
-		p := mkCredit()
-		if !q.push(0, p, nil) {
-			packet.Put(p)
+		p := mkCredit(&pl)
+		if d := q.push(0, p, nil); d != nil {
+			if d != p {
+				t.Fatal("drop-tail displaced a queued credit")
+			}
+			pl.Put(d)
 		}
 	}
 	// Seeded rng → eventually random-victim: a queued credit is
-	// displaced in place and recycled by push itself.
+	// displaced in place and push returns it for recycling.
 	rng := sim.NewRand(7)
 	displaced := false
 	for i := 0; i < 64 && !displaced; i++ {
-		enqBefore := q.stats.Enqueued
-		p := mkCredit()
-		if !q.push(0, p, rng) {
-			packet.Put(p)
-		} else if q.stats.Drops > 0 && q.stats.Enqueued > enqBefore && q.len() == 2 {
-			displaced = true // full queue accepted the arrival → a victim died
+		p := mkCredit(&pl)
+		if d := q.push(0, p, rng); d != nil {
+			displaced = d != p
+			pl.Put(d)
 		}
 	}
 	if !displaced {
 		t.Fatal("random-victim branch never taken in 64 seeded pushes")
 	}
 	for !q.empty() {
-		packet.Put(q.pop(0))
+		pl.Put(q.pop(0))
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := pl.Live(); live != 0 {
 		t.Fatalf("credit-queue victims: %d packets leaked", live)
 	}
 }
 
 func TestPoolBalanceMisroutedAndUnclaimed(t *testing.T) {
-	before := packet.Live()
+	t.Parallel()
 	eng := sim.New(1)
 	net := NewNetwork(eng)
 	sw := net.NewSwitch("sw")
@@ -110,7 +149,7 @@ func TestPoolBalanceMisroutedAndUnclaimed(t *testing.T) {
 	net.BuildRoutes()
 
 	// Misroute: a destination no routing table knows about.
-	p := mkData(1538)
+	p := mkData(net.Pool(), 1538)
 	p.Src = h.ID()
 	p.Dst = 9999
 	sw.Deliver(p, nil)
@@ -119,14 +158,14 @@ func TestPoolBalanceMisroutedAndUnclaimed(t *testing.T) {
 	}
 
 	// Unclaimed: a flow no endpoint registered for.
-	q := mkData(1538)
+	q := mkData(net.Pool(), 1538)
 	q.Flow = 4242
 	q.Dst = h.ID()
 	h.Deliver(q, nil)
 	if h.Unclaimed != 1 {
 		t.Fatalf("Unclaimed = %d, want 1", h.Unclaimed)
 	}
-	drainBalanced(t, eng, before, "misroute/unclaimed")
+	drainBalanced(t, net, "misroute/unclaimed")
 }
 
 // TestPoolBalanceMidRunReroute pins the mid-run reconvergence contract:
@@ -134,7 +173,7 @@ func TestPoolBalanceMisroutedAndUnclaimed(t *testing.T) {
 // queues and wires must land every orphaned packet in the
 // misroute/unclaimed accounting — nothing may silently leak.
 func TestPoolBalanceMidRunReroute(t *testing.T) {
-	before := packet.Live()
+	t.Parallel()
 	eng := sim.New(1)
 	net := NewNetwork(eng)
 	swA := net.NewSwitch("swA")
@@ -151,10 +190,10 @@ func TestPoolBalanceMidRunReroute(t *testing.T) {
 	got := 0
 	dst.Register(1, endpointFunc(func(p *packet.Packet) {
 		got++
-		packet.Put(p)
+		net.Pool().Put(p)
 	}))
 	for i := 0; i < 40; i++ {
-		p := mkData(1538)
+		p := mkData(net.Pool(), 1538)
 		p.Flow = 1
 		p.Src = src.ID()
 		p.Dst = dst.ID()
@@ -175,14 +214,14 @@ func TestPoolBalanceMidRunReroute(t *testing.T) {
 	if mis := swA.Misrouted + swB.Misrouted; mis == 0 {
 		t.Fatal("mid-run reroute orphaned no packets into Misrouted")
 	}
-	drainBalanced(t, eng, before, "mid-run reroute")
+	drainBalanced(t, net, "mid-run reroute")
 }
 
 // TestPoolBalanceLinkDownFlush pins the hard-down fault path: taking a
 // link down mid-burst flushes both egress classes and loses in-flight
 // packets, all of it into fault-drop accounting with the pool balanced.
 func TestPoolBalanceLinkDownFlush(t *testing.T) {
-	before := packet.Live()
+	t.Parallel()
 	eng := sim.New(1)
 	net := NewNetwork(eng)
 	swA := net.NewSwitch("swA")
@@ -199,10 +238,10 @@ func TestPoolBalanceLinkDownFlush(t *testing.T) {
 	got := 0
 	dst.Register(1, endpointFunc(func(p *packet.Packet) {
 		got++
-		packet.Put(p)
+		net.Pool().Put(p)
 	}))
 	for i := 0; i < 40; i++ {
-		p := mkData(1538)
+		p := mkData(net.Pool(), 1538)
 		p.Flow = 1
 		p.Src = src.ID()
 		p.Dst = dst.ID()
@@ -211,7 +250,7 @@ func TestPoolBalanceLinkDownFlush(t *testing.T) {
 	// Park some credits on the mid link too, so the flush covers both
 	// egress classes.
 	for i := 0; i < 4; i++ {
-		mid.Enqueue(mkCredit())
+		mid.Enqueue(mkCredit(net.Pool()))
 	}
 	eng.After(50*sim.Microsecond, func() {
 		net.SetLinkDown(mid, true)
@@ -224,7 +263,7 @@ func TestPoolBalanceLinkDownFlush(t *testing.T) {
 	if net.TotalFaultDrops() == 0 {
 		t.Fatal("link-down flush destroyed nothing")
 	}
-	drainBalanced(t, eng, before, "link-down flush")
+	drainBalanced(t, net, "link-down flush")
 }
 
 // TestPoolBalanceTypedTxPathInFlightLoss pins the typed tx event chain
@@ -235,7 +274,7 @@ func TestPoolBalanceLinkDownFlush(t *testing.T) {
 // with drop-tail pressure on the same port so both typed-path exits
 // (deliver and drop) run in one scenario.
 func TestPoolBalanceTypedTxPathInFlightLoss(t *testing.T) {
-	before := packet.Live()
+	t.Parallel()
 	eng := sim.New(1)
 	net := NewNetwork(eng)
 	src := net.NewHost("src", HardwareNICDelay())
@@ -251,10 +290,10 @@ func TestPoolBalanceTypedTxPathInFlightLoss(t *testing.T) {
 	got := 0
 	dst.Register(1, endpointFunc(func(p *packet.Packet) {
 		got++
-		packet.Put(p)
+		net.Pool().Put(p)
 	}))
 	for i := 0; i < 40; i++ {
-		p := mkData(1538)
+		p := mkData(net.Pool(), 1538)
 		p.Flow = 1
 		p.Src = src.ID()
 		p.Dst = dst.ID()
@@ -275,11 +314,11 @@ func TestPoolBalanceTypedTxPathInFlightLoss(t *testing.T) {
 	if net.TotalFaultDrops() == 0 {
 		t.Fatal("no in-flight packet was lost at its typed arrival event")
 	}
-	drainBalanced(t, eng, before, "typed tx path in-flight loss")
+	drainBalanced(t, net, "typed tx path in-flight loss")
 }
 
 func TestPoolBalancePFCWithDrops(t *testing.T) {
-	before := packet.Live()
+	t.Parallel()
 	// PFC chain with an XOff so high it never pauses, plus a shallow
 	// egress queue: packets are dropped while PFC ingress accounting is
 	// active, exercising the pfcOnDepart-then-Put drop path.
@@ -298,12 +337,12 @@ func TestPoolBalancePFCWithDrops(t *testing.T) {
 	got := 0
 	dst.Register(1, endpointFunc(func(p *packet.Packet) {
 		got++
-		packet.Put(p)
+		net.Pool().Put(p)
 	}))
 	var emit func()
 	n := 0
 	emit = func() {
-		p := packet.Get()
+		p := net.Pool().Get()
 		p.Kind = packet.Data
 		p.Flow = 1
 		p.Src = src.ID()
@@ -324,7 +363,7 @@ func TestPoolBalancePFCWithDrops(t *testing.T) {
 	if got == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := net.Pool().Live(); live != 0 {
 		t.Fatalf("PFC-with-drops: %d packets leaked", live)
 	}
 }

@@ -391,14 +391,14 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 			dropsBefore = p.CreditDrops()
 			trFlow, trSeq, trWire = int64(pkt.Flow), pkt.Seq, pkt.Wire
 		}
-		var ok bool
+		var dropped *packet.Packet
 		if p.sched != nil {
-			ok = p.sched.push(now, pkt, rng)
+			dropped = p.sched.push(now, pkt, rng)
 		} else {
-			ok = p.credit.push(now, pkt, rng)
+			dropped = p.credit.push(now, pkt, rng)
 		}
-		if !ok {
-			packet.Put(pkt) // credit overflow: dropped by the rate limiter class
+		if dropped != nil {
+			p.net.pool.Put(dropped) // credit overflow: the arrival or a displaced victim
 		}
 		if tr != nil {
 			qlen := float64(p.CreditQueueLen())
@@ -431,7 +431,7 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 				Val: float64(p.data.curBytes())})
 		}
 		p.pfcOnDepart(pkt) // dropped: release ingress accounting
-		packet.Put(pkt)
+		p.net.pool.Put(pkt)
 	} else if tr := p.trace; tr != nil {
 		qb := float64(p.data.curBytes())
 		tr.Emit(obs.Event{T: now, Type: obs.EvDataEnq, Port: p.Number(), Scope: p.name,
@@ -659,7 +659,7 @@ func (p *Port) faultDrop(pkt *packet.Packet, now sim.Time) {
 			Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire})
 	}
 	p.pfcOnDepart(pkt) // release ingress accounting if buffered here
-	packet.Put(pkt)
+	p.net.pool.Put(pkt)
 }
 
 // dropQueued flushes both egress classes, destroying every queued

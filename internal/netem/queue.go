@@ -182,9 +182,9 @@ func (q *creditQueue) len() int    { return q.ring.len() }
 func (q *creditQueue) empty() bool { return q.ring.n == 0 }
 
 // push enqueues p, applying random-victim drop when full (or plain
-// drop-tail when rng is nil): when the queue displaces a queued credit,
-// that victim is recycled and p takes its slot.
-func (q *creditQueue) push(now sim.Time, p *packet.Packet, rng *sim.Rand) bool {
+// drop-tail when rng is nil). It returns the credit dropped, for the
+// caller to recycle: p, or the queued credit p displaced; nil if none.
+func (q *creditQueue) push(now sim.Time, p *packet.Packet, rng *sim.Rand) (dropped *packet.Packet) {
 	if q.cap > 0 && q.len() >= q.cap {
 		q.stats.Drops++
 		victim := q.len() // drop-tail default: the arrival is the victim
@@ -193,7 +193,7 @@ func (q *creditQueue) push(now sim.Time, p *packet.Packet, rng *sim.Rand) bool {
 		}
 		if victim == q.len() {
 			q.stats.DropBytes += p.Wire
-			return false
+			return p
 		}
 		// Credit sizes differ (84–92 B), so the swap moves the byte
 		// count: close the interval at the old count first.
@@ -202,12 +202,11 @@ func (q *creditQueue) push(now sim.Time, p *packet.Packet, rng *sim.Rand) bool {
 		q.stats.DropBytes += old.Wire
 		q.bytes += p.Wire - old.Wire
 		q.ring.set(victim, p)
-		packet.Put(old)
 		q.stats.Enqueued++
 		if q.bytes > q.stats.MaxBytes {
 			q.stats.MaxBytes = q.bytes
 		}
-		return true
+		return old
 	}
 	q.stats.account(now, q.bytes)
 	q.ring.push(p)
@@ -219,7 +218,7 @@ func (q *creditQueue) push(now sim.Time, p *packet.Packet, rng *sim.Rand) bool {
 	if n := q.len(); n > q.stats.MaxPkts {
 		q.stats.MaxPkts = n
 	}
-	return true
+	return nil
 }
 
 func (q *creditQueue) pop(now sim.Time) *packet.Packet {

@@ -118,7 +118,7 @@ func (w *rcpWorld) flow(src, dst *Host) {
 }
 
 func (f *rcpFlow) send() {
-	p := mkData(1538)
+	p := mkData(f.src.Pool(), 1538)
 	p.Src, p.Dst, p.Flow = f.src.ID(), f.dst.ID(), f.id
 	f.src.Send(p)
 	f.src.Engine().AfterD(f.src.Dom(), unit.TxTime(1538, f.rate), f.send)
@@ -128,7 +128,7 @@ func (f *rcpFlow) OnPacket(p *packet.Packet) {
 	f.rate = p.RCPRate
 	f.got++
 	f.lastAt = f.dst.Engine().Now()
-	packet.Put(p)
+	f.dst.Pool().Put(p)
 }
 
 func rcpPortConfig(rtt sim.Duration) PortConfig {

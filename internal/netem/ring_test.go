@@ -53,6 +53,7 @@ type refQueue struct {
 	pktCap    int        // credit class
 	bytes     unit.Bytes
 	stats     QueueStats
+	pool      *packet.Pool // where a displaced credit goes
 }
 
 func (q *refQueue) len() int { return len(q.pkts) - q.head }
@@ -83,7 +84,7 @@ func (q *refQueue) pushCredit(now sim.Time, p *packet.Packet, rng *sim.Rand) boo
 		q.stats.DropBytes += old.Wire
 		q.bytes += p.Wire - old.Wire
 		q.pkts[q.head+victim] = p
-		packet.Put(old)
+		q.pool.Put(old)
 		q.stats.Enqueued++
 		if q.bytes > q.stats.MaxBytes { // the fix
 			q.stats.MaxBytes = q.bytes
@@ -131,11 +132,17 @@ type ringSide struct {
 	credit *creditQueue
 }
 
-func (s ringSide) push(now sim.Time, p *packet.Packet, rng *sim.Rand) bool {
+// push reports whether p was queued, recycling into pl any queued
+// credit p displaced.
+func (s ringSide) push(now sim.Time, p *packet.Packet, rng *sim.Rand, pl *packet.Pool) bool {
 	if s.data != nil {
 		return s.data.push(now, p)
 	}
-	return s.credit.push(now, p, rng)
+	d := s.credit.push(now, p, rng)
+	if d != nil && d != p {
+		pl.Put(d)
+	}
+	return d != p
 }
 
 func (s ringSide) pop(now sim.Time) *packet.Packet {
@@ -165,13 +172,15 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := packet.Live()
+			t.Parallel()
+			var pl packet.Pool
 			side, ref := tc.side, tc.ref
+			ref.pool = &pl
 			isData := side.data != nil
 			sched := sim.NewRand(23)                     // the schedule
 			vicA, vicB := sim.NewRand(5), sim.NewRand(5) // victim draws, one stream a side
 			mk := func(seq int64, wire unit.Bytes) *packet.Packet {
-				p := packet.Get()
+				p := pl.Get()
 				p.Seq, p.Wire = seq, wire
 				if !isData {
 					p.Kind = packet.Credit
@@ -189,8 +198,8 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 						step, what, a.Seq, a.Wire, b.Seq, b.Wire)
 				}
 				if a != nil {
-					packet.Put(a)
-					packet.Put(b)
+					pl.Put(a)
+					pl.Put(b)
 				}
 			}
 			var now sim.Time
@@ -216,7 +225,7 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 					}
 					a, b := mk(seq, wire), mk(seq, wire)
 					dropsBefore := ref.stats.Drops
-					okA := side.push(now, a, vicA)
+					okA := side.push(now, a, vicA, &pl)
 					var okB bool
 					if isData {
 						okB = ref.pushData(now, b)
@@ -227,8 +236,8 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 						t.Fatalf("step %d: ring push accepted=%v, reference %v", step, okA, okB)
 					}
 					if !okA {
-						packet.Put(a)
-						packet.Put(b)
+						pl.Put(a)
+						pl.Put(b)
 					} else if ref.stats.Drops > dropsBefore {
 						victims++
 					}
@@ -290,7 +299,7 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 			for ref.len() > 0 {
 				same(steps, "drain", side.pop(now), ref.pop(now))
 			}
-			if live := packet.Live() - before; live != 0 {
+			if live := pl.Live(); live != 0 {
 				t.Errorf("%d packets leaked", live)
 			}
 		})
@@ -302,20 +311,22 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 // (pkts[n:len] of the backing array), pinning pooled packets the
 // simulation had already recycled.
 func TestRingDropsReferences(t *testing.T) {
+	t.Parallel()
+	var pl packet.Pool
 	var q dataQueue
 	rng := sim.NewRand(3)
 	held := 0
 	for i := 0; i < 5000; i++ {
 		if held == 0 || (held < 200 && rng.Intn(100) < 55) {
-			q.push(sim.Time(i), mkData(1538))
+			q.push(sim.Time(i), mkData(&pl, 1538))
 			held++
 		} else {
-			packet.Put(q.pop(sim.Time(i)))
+			pl.Put(q.pop(sim.Time(i)))
 			held--
 		}
 	}
 	for !q.empty() {
-		packet.Put(q.pop(5000))
+		pl.Put(q.pop(5000))
 	}
 	if len(q.ring.buf) < 16 {
 		t.Fatalf("ring never grew (%d slots): the test exercised nothing", len(q.ring.buf))
@@ -336,11 +347,12 @@ func TestRingDropsReferences(t *testing.T) {
 // the fix the swap did neither: the average below read 680 (the new
 // count integrated over the whole 2 µs) and the peak 672.
 func TestCreditVictimSwapAccountsBytes(t *testing.T) {
-	before := packet.Live()
+	t.Parallel()
+	var pl packet.Pool
 	q := &creditQueue{cap: 8}
 	q.stats.ResetWindow(0)
 	for i := 0; i < 8; i++ {
-		q.push(0, mkCredit(), nil) // 8 × 84 B = 672 B at t = 0
+		q.push(0, mkCredit(&pl), nil) // 8 × 84 B = 672 B at t = 0
 	}
 	// A seed whose first draw picks a queued credit, not the arrival.
 	var rng *sim.Rand
@@ -350,11 +362,13 @@ func TestCreditVictimSwapAccountsBytes(t *testing.T) {
 			break
 		}
 	}
-	big := mkCredit()
+	big := mkCredit(&pl)
 	big.Wire = unit.MinFrame + 8
-	if !q.push(sim.Microsecond, big, rng) {
+	victim := q.push(sim.Microsecond, big, rng)
+	if victim == nil || victim == big {
 		t.Fatal("the arrival was the victim: the seed search is broken")
 	}
+	pl.Put(victim)
 	if q.bytes != 680 || q.len() != 8 {
 		t.Fatalf("after the swap: %d credits, %v bytes, want 8 / 680", q.len(), q.bytes)
 	}
@@ -366,9 +380,9 @@ func TestCreditVictimSwapAccountsBytes(t *testing.T) {
 		t.Errorf("MaxBytes = %v, want 680", q.stats.MaxBytes)
 	}
 	for !q.empty() {
-		packet.Put(q.pop(2 * sim.Microsecond))
+		pl.Put(q.pop(2 * sim.Microsecond))
 	}
-	if live := packet.Live() - before; live != 0 {
+	if live := pl.Live(); live != 0 {
 		t.Errorf("%d packets leaked", live)
 	}
 }

@@ -49,7 +49,7 @@ type tieRecorder struct {
 
 func (r *tieRecorder) OnPacket(p *packet.Packet) {
 	r.got = append(r.got, tieArrival{r.at.Engine().Now(), p.Seq, p.CE})
-	packet.Put(p)
+	r.at.Pool().Put(p)
 }
 
 // tieNet is three source hosts and one destination around one switch:
@@ -102,7 +102,7 @@ func newTieNet(t *testing.T, lowLinks bool) *tieNet {
 
 // send offers one 1538 B ECN-capable data packet from h to c.
 func (f *tieNet) send(h *Host, seq int64) {
-	p := mkData(tieWire)
+	p := mkData(f.net.Pool(), tieWire)
 	p.Src, p.Dst, p.Flow, p.Seq, p.ECNCapable = h.ID(), f.c.ID(), 1, seq, true
 	h.Send(p)
 }

@@ -5,8 +5,6 @@ package packet
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"expresspass/internal/sim"
 	"expresspass/internal/unit"
@@ -118,6 +116,8 @@ type Packet struct {
 	// drops it at delivery (see netem.Host.Deliver).
 	Corrupt bool
 
+	free bool // on a Pool's free list; in the flags' padding (120 B total)
+
 	// RCPRate is the minimum of the per-link explicit rates along the
 	// path, stamped by switches and echoed to the sender (RCP baseline).
 	RCPRate unit.Rate
@@ -136,29 +136,40 @@ type Packet struct {
 	PFCIngress int32
 }
 
-var pool = sync.Pool{New: func() any { return new(Packet) }}
-
-var gets, puts atomic.Int64
-
-// Get returns a zeroed Packet from the pool.
-func Get() *Packet {
-	gets.Add(1)
-	p := pool.Get().(*Packet)
-	*p = Packet{}
-	return p
+// Pool recycles the packets of one network: a LIFO free list and exact
+// Get and Put counts. The zero value is ready to use. It is not safe for
+// concurrent use; one goroutine drives a network for its whole life.
+type Pool struct {
+	free       []*Packet
+	gets, puts int64
 }
 
-// Put recycles p. The caller must not touch p afterwards.
-func Put(p *Packet) {
-	puts.Add(1)
-	pool.Put(p)
+// Get returns a zeroed packet, the most recently freed one if any.
+func (pl *Pool) Get() *Packet {
+	pl.gets++
+	if k := len(pl.free) - 1; k >= 0 {
+		p := pl.free[k]
+		pl.free = pl.free[:k]
+		*p = Packet{}
+		return p
+	}
+	return new(Packet)
 }
 
-// Live returns Get−Put: the number of packets currently held by the
-// simulation. Conservation tests assert it returns to (near) zero after
-// a drained run — every transmitted, delivered, or dropped packet must
-// be recycled exactly once.
-func Live() int64 { return gets.Load() - puts.Load() }
+// Put recycles p. The caller must not touch p afterwards. A second Put
+// of a free packet panics: it would hand one packet to two owners.
+func (pl *Pool) Put(p *Packet) {
+	if p.free {
+		panic("packet: double free of " + p.String())
+	}
+	p.free = true
+	pl.puts++
+	pl.free = append(pl.free, p)
+}
+
+// Live returns Get−Put: the packets the network holds. After a drained
+// run it is zero — every packet built was recycled exactly once.
+func (pl *Pool) Live() int64 { return pl.gets - pl.puts }
 
 // IsCredit reports whether p rides in the credit queue class.
 func (p *Packet) IsCredit() bool { return p.Kind == Credit }

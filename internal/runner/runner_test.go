@@ -8,9 +8,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"expresspass/internal/netem"
 	"expresspass/internal/obs"
 	"expresspass/internal/packet"
 	"expresspass/internal/sim"
+	"expresspass/internal/unit"
 )
 
 // withProcs runs f at the given worker count, restoring the default.
@@ -220,37 +222,63 @@ func TestObsMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPacketPoolSafeUnderParallelTrials hammers the shared sync.Pool
-// from many concurrent trials (run under -race via `make check`) and
-// checks the gets/puts balance afterwards.
+// TestPacketPoolSafeUnderParallelTrials runs 64 trials on 8 workers
+// (under -race via `make check`). Each builds its own network and churns
+// packets through its pool: some straight back, the rest across a link
+// into an endpoint that recycles them. Every trial must end with its own
+// pool at zero — no count reaches across trials.
 func TestPacketPoolSafeUnderParallelTrials(t *testing.T) {
-	before := packet.Live()
+	type result struct {
+		live      int64
+		delivered int
+	}
+	var res []result
 	withProcs(t, 8, func() {
-		Map(64, func(tr *T, i int) int {
+		res = Map(64, func(tr *T, i int) result {
 			eng := tr.Engine(uint64(i))
+			net := netem.NewNetwork(eng)
+			a := net.NewHost("a", netem.HardwareNICDelay())
+			b := net.NewHost("b", netem.HardwareNICDelay())
+			net.Connect(a, b, netem.PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond})
+			pool := net.Pool()
+			var r result
+			b.Register(1, endpointFunc(func(p *packet.Packet) {
+				r.delivered++
+				pool.Put(p)
+			}))
 			var churn func()
 			n := 0
 			churn = func() {
 				held := make([]*packet.Packet, 16)
 				for k := range held {
-					p := packet.Get()
-					p.Flow = packet.FlowID(i)
-					p.Seq = int64(k)
+					p := pool.Get()
+					p.Flow, p.Seq = 1, int64(k)
+					p.Src, p.Dst, p.Wire = a.ID(), b.ID(), 1538
 					held[k] = p
 				}
-				for _, p := range held {
-					packet.Put(p)
+				for _, p := range held[:8] {
+					pool.Put(p)
+				}
+				for _, p := range held[8:] {
+					a.Send(p)
 				}
 				if n++; n < 20 {
-					eng.After(sim.Microsecond, churn)
+					eng.After(20*sim.Microsecond, churn)
 				}
 			}
 			eng.At(0, churn)
 			eng.Run()
-			return n
+			r.live = pool.Live()
+			return r
 		})
 	})
-	if live := packet.Live() - before; live != 0 {
-		t.Fatalf("pool imbalance after parallel trials: %d packets live", live)
+	for i, r := range res {
+		if r.live != 0 || r.delivered != 160 {
+			t.Errorf("trial %d: %d packets live, %d of 160 delivered", i, r.live, r.delivered)
+		}
 	}
 }
+
+type endpointFunc func(*packet.Packet)
+
+func (f endpointFunc) OnPacket(p *packet.Packet) { f(p) }

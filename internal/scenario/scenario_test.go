@@ -52,8 +52,7 @@ func TestScenarioSeed(t *testing.T) {
 
 // TestFuzzSmoke runs XPSIM_FUZZ_SEEDS consecutive seeds (default 8,
 // the make fuzz-smoke gate) starting at XPSIM_FUZZ_BASE (default 1)
-// with every invariant armed. Seeds run sequentially: the pool
-// conservation check needs the process-global packet counters quiet.
+// with every invariant armed, the seeds in parallel.
 func TestFuzzSmoke(t *testing.T) {
 	n, base := 8, uint64(1)
 	if s := os.Getenv("XPSIM_FUZZ_SEEDS"); s != "" {
@@ -73,6 +72,7 @@ func TestFuzzSmoke(t *testing.T) {
 	for i := 0; i < n; i++ {
 		seed := base + uint64(i)
 		t.Run(strconv.FormatUint(seed, 10), func(t *testing.T) {
+			t.Parallel()
 			ScenarioTest(t, seed, Options{})
 		})
 	}

@@ -303,7 +303,7 @@ func (c *Conn) sendSegmentAt(seq int64) unit.Bytes {
 	if rem := c.totalBytes() - seq; int64(seg) > rem {
 		seg = unit.Bytes(rem)
 	}
-	p := packet.Get()
+	p := c.Flow.Sender.Pool().Get()
 	p.Kind = packet.Data
 	p.Flow = c.Flow.ID
 	p.Src = c.Flow.Sender.ID()
@@ -341,7 +341,7 @@ func (c *Conn) onDataPacket(p *packet.Packet) {
 	ce := p.CE
 	rcpStamp := p.RCPRate
 	seq, n := p.Seq, p.Payload
-	packet.Put(p)
+	c.Flow.Receiver.Pool().Put(p)
 
 	before := c.expected
 	switch {
@@ -365,7 +365,7 @@ func (c *Conn) onDataPacket(p *packet.Packet) {
 		c.Flow.deliver(now, unit.Bytes(c.expected-before))
 	}
 
-	ack := packet.Get()
+	ack := c.Flow.Receiver.Pool().Get()
 	ack.Kind = packet.Ack
 	ack.Flow = c.Flow.ID
 	ack.Src = c.Flow.Receiver.ID()
@@ -382,7 +382,7 @@ func (c *Conn) onDataPacket(p *packet.Packet) {
 
 func (c *Conn) onAckPacket(p *packet.Packet) {
 	if c.stopped {
-		packet.Put(p)
+		c.Flow.Sender.Pool().Put(p)
 		return
 	}
 	ackNo := p.Ack
@@ -425,7 +425,7 @@ func (c *Conn) onAckPacket(p *packet.Packet) {
 			c.CC.OnFastRetransmit(c)
 		}
 	}
-	packet.Put(p)
+	c.Flow.Sender.Pool().Put(p)
 
 	if c.allAcked() {
 		c.rtoTimer.Cancel()
