@@ -28,20 +28,19 @@ import (
 // benchExperiment runs one registered experiment per iteration and
 // reports engine throughput (sim-events/sec) and the peak event-heap
 // depth via custom metrics. An ObsRuntime with neither tracing nor
-// metrics output is installed purely for engine accounting, so the
+// metrics output is the run's purely for engine accounting, so the
 // per-packet hot paths still run their nil-tracer fast path.
 func benchExperiment(b *testing.B, id string, scale float64) {
 	b.Helper()
 	b.ReportAllocs()
 	rt := expresspass.NewObsRuntime(expresspass.ObsConfig{})
-	expresspass.SetObsRuntime(rt)
-	defer expresspass.SetObsRuntime(nil)
 	var out bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		out.Reset()
 		err := expresspass.RunExperiment(id, expresspass.ExperimentParams{
 			Scale: scale,
 			Seed:  uint64(i) + 42,
+			Obs:   rt,
 		}, &out)
 		if err != nil {
 			b.Fatal(err)
@@ -129,20 +128,16 @@ func benchSweep(b *testing.B, id string, scale float64) {
 	b.Helper()
 	b.ReportAllocs()
 	rt := expresspass.NewObsRuntime(expresspass.ObsConfig{})
-	expresspass.SetObsRuntime(rt)
-	defer expresspass.SetObsRuntime(nil)
-	p := expresspass.ExperimentParams{Scale: scale, Seed: 42}
+	p := expresspass.ExperimentParams{Scale: scale, Seed: 42, Procs: 1, Obs: rt}
 	var out bytes.Buffer
 
-	expresspass.SetSweepProcs(1)
 	start := time.Now()
 	if err := expresspass.RunExperiment(id, p, &out); err != nil {
 		b.Fatal(err)
 	}
 	serialWall := time.Since(start)
 
-	expresspass.SetSweepProcs(0) // default: GOMAXPROCS workers
-	defer expresspass.SetSweepProcs(0)
+	p.Procs = 0 // default: GOMAXPROCS workers
 	trials0 := runner.TrialsRun()
 	events0, _ := rt.EngineTotals()
 	b.ResetTimer()

@@ -166,9 +166,7 @@ func main() {
 	if o.shards > 1 {
 		fmt.Fprintf(os.Stderr, "xpsim: -shards %d ignored: intra-run sharding was removed (DESIGN.md \"One event queue per trial\")\n", o.shards)
 	}
-	expresspass.SetSweepProcs(o.procs)
-
-	params := expresspass.ExperimentParams{Scale: o.scale, Seed: o.seed}
+	params := expresspass.ExperimentParams{Scale: o.scale, Seed: o.seed, Procs: o.procs}
 	if o.faultSpec != "" {
 		plan, err := expresspass.ParseFaultSpec(o.faultSpec)
 		if err != nil {
@@ -224,9 +222,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(1)
 	}
-	if rt != nil {
-		obs.SetActive(rt)
-	}
+	params.Obs = rt
 
 	var flightFile *os.File
 	if o.invariants {
@@ -240,7 +236,7 @@ func main() {
 			opt.FlightOut = flightFile
 			opt.FlightEvents = o.flightEvents
 		}
-		expresspass.ArmInvariants(opt)
+		params.Invariants = expresspass.NewInvariantSet(opt)
 	}
 
 	// Profiles start last: every exit above leaves no half-written
@@ -265,10 +261,9 @@ func main() {
 		fmt.Printf("   (%s wall)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
-	if o.invariants {
-		expresspass.FinishArmedInvariants()
-		if reportInvariants(os.Stderr, expresspass.ArmedInvariantStats(),
-			expresspass.InvariantCount(), expresspass.InvariantViolations()) {
+	if set := params.Invariants; set != nil {
+		set.Finish()
+		if reportInvariants(os.Stderr, set.Stats(), set.Count(), set.Violations()) {
 			code = 1
 		}
 	}
@@ -280,7 +275,6 @@ func main() {
 		}
 	}
 	if rt != nil {
-		obs.SetActive(nil)
 		if tr := rt.Tracer(); tr != nil {
 			events, peak := rt.EngineTotals()
 			fmt.Fprintf(os.Stderr, "xpsim: traced %d events (%d sim events, peak heap %d)\n",

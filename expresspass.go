@@ -38,7 +38,6 @@ import (
 	"expresspass/internal/invariant"
 	"expresspass/internal/netem"
 	"expresspass/internal/obs"
-	"expresspass/internal/runner"
 	"expresspass/internal/scenario"
 	"expresspass/internal/sim"
 	"expresspass/internal/stats"
@@ -96,7 +95,7 @@ type (
 
 	// Tracer records typed simulation events (credit drops, queue
 	// depth, feedback updates) to a sink; attach with Network.SetTracer
-	// or process-wide via ObsRuntime.
+	// or to a whole run via an ObsRuntime.
 	Tracer = obs.Tracer
 	// TraceEvent is one trace record.
 	TraceEvent = obs.Event
@@ -105,8 +104,8 @@ type (
 	// Metrics is an ordered registry of counters, gauges, and
 	// histograms snapshotable mid-run.
 	Metrics = obs.Registry
-	// ObsRuntime is the process-wide instrumentation configuration
-	// (tracing + metrics CSV) networks pick up at construction.
+	// ObsRuntime is one run's instrumentation (tracing + metrics CSV),
+	// which the run's networks pick up at construction.
 	ObsRuntime = obs.Runtime
 	// ObsConfig configures an ObsRuntime.
 	ObsConfig = obs.Config
@@ -215,21 +214,9 @@ func EventTypeByName(name string) (TraceEventType, bool) {
 	return obs.EventTypeByName(name)
 }
 
-// SetObsRuntime installs rt as the process-wide instrumentation runtime
-// (nil uninstalls); networks created afterwards wire themselves to it.
-func SetObsRuntime(rt *ObsRuntime) { obs.SetActive(rt) }
-
-// NewObsRuntime returns an instrumentation runtime for cfg.
+// NewObsRuntime returns an instrumentation runtime for cfg. A run
+// records into it when it is the run's ExperimentParams.Obs.
 func NewObsRuntime(cfg ObsConfig) *ObsRuntime { return obs.NewRuntime(cfg) }
-
-// SetSweepProcs sets how many worker goroutines experiment sweeps fan
-// their independent trials across: 1 forces the serial path, 0 restores
-// the default of runtime.GOMAXPROCS(0). Output is byte-identical at any
-// worker count (xpsim exposes this as -procs).
-func SetSweepProcs(n int) { runner.SetProcs(n) }
-
-// SweepProcs returns the effective sweep worker count.
-func SweepProcs() int { return runner.Procs() }
 
 // Fault injection (see internal/faults): deterministic, event-scheduled
 // link flaps, host credit stalls, and the seeded impairment suite —
@@ -266,7 +253,11 @@ func ParseFaultSpec(spec string) (FaultPlan, error) { return faults.ParseSpec(sp
 // Experiment identifies one reproduced table or figure.
 type Experiment = experiments.Experiment
 
-// ExperimentParams control experiment scale and seeding.
+// ExperimentParams are one experiment run, whole: scale, seed and fault
+// plan, and how it runs — Procs sweep workers (0 = GOMAXPROCS; output is
+// byte-identical at any count), the Obs runtime its networks record
+// into and the Invariants set that checks them. Runs with different
+// params may share a process.
 type ExperimentParams = experiments.Params
 
 // Experiments returns the registered paper reproductions, ordered.
@@ -291,33 +282,20 @@ type InvariantOptions = invariant.Options
 // InvariantViolation is one detected breach of a paper property.
 type InvariantViolation = invariant.Violation
 
-// ArmInvariants attaches a runtime invariant checker to every network
-// created after this call (xpsim's -invariants flag). Violations land
-// in the process-wide registry unless opt routes them elsewhere.
-func ArmInvariants(opt InvariantOptions) { invariant.Arm(opt) }
+// InvariantSet checks every network of the runs it is given to as
+// ExperimentParams.Invariants (xpsim's -invariants flag). After the run,
+// Finish flushes the checkers' deferred findings; Stats, Violations and
+// Count are the verdict.
+type InvariantSet = invariant.Set
 
-// DisarmInvariants stops checking networks created after this call.
-func DisarmInvariants() { invariant.Disarm() }
+// NewInvariantSet returns an empty set whose checkers use opt.
+func NewInvariantSet(opt InvariantOptions) *InvariantSet { return invariant.NewSet(opt) }
 
-// FinishArmedInvariants flushes every armed checker's deferred findings
-// and releases the networks they reference, returning what was flushed.
-func FinishArmedInvariants() []InvariantViolation { return invariant.FinishArmed() }
-
-// InvariantViolations snapshots the process-wide violation registry.
-func InvariantViolations() []InvariantViolation { return invariant.Violations() }
-
-// InvariantCount returns the total number of violations recorded.
-func InvariantCount() uint64 { return invariant.Count() }
-
-// InvariantStats says what the armed checkers looked at: events that
+// InvariantStats says what a set's checkers looked at: events that
 // reached a check, ports tracked and exempted, networks checked, and how
 // many of those had their positional findings voided or their checker
 // displaced. A clean verdict is only as strong as these numbers.
 type InvariantStats = invariant.Stats
-
-// ArmedInvariantStats returns the totals over every checker finished by
-// FinishArmedInvariants so far.
-func ArmedInvariantStats() InvariantStats { return invariant.ArmedStats() }
 
 // ScenarioOptions tunes the deterministic scenario fuzzer.
 type ScenarioOptions = scenario.Options

@@ -2,11 +2,69 @@ package expresspass_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
 	"strings"
 	"testing"
 
 	"expresspass"
 )
+
+// TestAPISurface pins the facade's exported names — the twin of
+// cmd/xpsim's TestFlagSurface — so the public API changes only on
+// purpose: adding or removing a name in expresspass.go fails here until
+// this list says the same. A run's settings are ExperimentParams fields,
+// not setters.
+func TestAPISurface(t *testing.T) {
+	t.Parallel()
+	want := []string{
+		"Bytes", "Config", "CreditClassConfig", "Dial", "Dist", "Duration", "Engine",
+		"EventTypeByName", "Experiment", "ExperimentParams", "ExperimentScaleError",
+		"Experiments", "FaultConfigError", "FaultDirective", "FaultInjector", "FaultPlan",
+		"FaultSchedule", "Feedback", "Flow", "GB", "Gbps", "HardwareNIC", "Host",
+		"HostDelayConfig", "InvariantOptions", "InvariantSet", "InvariantStats",
+		"InvariantViolation", "JainIndex", "KB", "Kbps", "Link", "MB", "Mbps", "Metrics",
+		"Microsecond", "Millisecond", "Nanosecond", "Network", "NewCSVTraceSink", "NewDist",
+		"NewEngine", "NewFaultInjector", "NewFlow", "NewInvariantSet", "NewJSONLTraceSink",
+		"NewMetrics", "NewNetwork", "NewObsRuntime", "NewRingSink", "NewRotatingTraceWriter",
+		"NewSeries", "NewTracer", "Node", "ObsConfig", "ObsResources", "ObsRuntime",
+		"ParseFaultSpec", "Port", "PortConfig", "PortStats", "Rate", "RateProbe",
+		"RunExperiment", "RunScenario", "ScenarioOptions", "ScenarioReport", "Second",
+		"Series", "Session", "SoftNIC", "Switch", "Time", "TraceEvent", "TraceEventType",
+		"TraceRotateConfig", "Tracer",
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "expresspass.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				got = append(got, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					got = append(got, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						got = append(got, n.Name)
+					}
+				}
+			}
+		}
+	}
+	got = slices.DeleteFunc(got, func(n string) bool { return !ast.IsExported(n) })
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("expresspass.go exports\n %v\nbut TestAPISurface lists\n %v", got, want)
+	}
+}
 
 // TestQuickstartAPI runs the README quick-start end to end through the
 // public facade.

@@ -66,7 +66,6 @@ func TestCreditStopShortfallRecovery(t *testing.T) {
 			t.Errorf("post-drain: %v", v)
 		}
 	}
-	invariant.Reset() // CheckDrained records into the process registry
 }
 
 // TestCreditStopLostStopResend covers the other half of the Fig 7a
@@ -117,7 +116,6 @@ func TestCreditStopLostStopResend(t *testing.T) {
 			t.Errorf("post-drain: %v", v)
 		}
 	}
-	invariant.Reset()
 }
 
 // dropCounter counts MinFrame-sized fault drops (control packets — the

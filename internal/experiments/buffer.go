@@ -21,7 +21,7 @@ func init() {
 	})
 }
 
-func runTable1(_ Params, w io.Writer) error {
+func runTable1(p Params, w io.Writer) error {
 	rows := []struct {
 		name         string
 		host, fabric unit.Rate
@@ -31,7 +31,7 @@ func runTable1(_ Params, w io.Writer) error {
 		{"3-tier Clos (10/40G)", 10 * unit.Gbps, 40 * unit.Gbps},
 		{"3-tier Clos (40/100G)", 40 * unit.Gbps, 100 * unit.Gbps},
 	}
-	cells := runner.Map(len(rows), func(_ *runner.T, i int) []any {
+	cells := runner.Map(p.sweep(), len(rows), func(_ *runner.T, i int) []any {
 		// The bound depends only on rates/delays/queue budgets, so the
 		// fat-tree and Clos rows coincide — as in the paper's Table 1.
 		r := rows[i]

@@ -106,7 +106,7 @@ func runExtChaosMatrix(p Params, w io.Writer) error {
 		corrupt    uint64
 		reorder    uint64
 	}
-	rows := runner.Map(len(arms)*len(protos), func(t *runner.T, cell int) row {
+	rows := runner.Map(p.sweep(), len(arms)*len(protos), func(t *runner.T, cell int) row {
 		arm, pr := arms[cell/len(protos)], protos[cell%len(protos)]
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, size, 50*sim.Microsecond)
@@ -198,7 +198,7 @@ func runExtChaosStorm(p Params, w io.Writer) error {
 		pre, dip, post  float64
 		drops, reorders uint64
 	}
-	rows := runner.Map(len(storms)*len(protos), func(t *runner.T, cell int) row {
+	rows := runner.Map(p.sweep(), len(storms)*len(protos), func(t *runner.T, cell int) row {
 		storm, pr := storms[cell/len(protos)], protos[cell%len(protos)]
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, 0, 0)

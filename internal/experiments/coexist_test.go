@@ -59,9 +59,10 @@ func TestCoexistenceWithUncreditedTraffic(t *testing.T) {
 // harness integration check: all flows finish, ExpressPass keeps zero
 // loss, and the run is deterministic.
 func TestMixedFabricWorkload(t *testing.T) {
+	t.Parallel()
 	run := func() (finished int, drops uint64, events uint64) {
 		p := Params{Scale: 0.02, Seed: 7}.withDefaults()
-		res := runner.Map(1, func(t *runner.T, _ int) realisticResult {
+		res := runner.Map(p.sweep(), 1, func(t *runner.T, _ int) realisticResult {
 			return runRealistic(t, p, realisticCfg{
 				proto: ProtoExpressPass,
 				dist:  workload.WebServer(),

@@ -29,7 +29,7 @@ func init() {
 func runExtDCQCN(p Params, w io.Writer) error {
 	fanouts := dedupe([]int{16, 64, p.scaleInt(256, 64)})
 	protos := []Proto{ProtoExpressPass, ProtoDCQCN}
-	rows := runner.Map(len(fanouts)*len(protos), func(t *runner.T, cell int) []any {
+	rows := runner.Map(p.sweep(), len(fanouts)*len(protos), func(t *runner.T, cell int) []any {
 		fanout, proto := fanouts[cell/len(protos)], protos[cell%len(protos)]
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{LinkRate: 10 * unit.Gbps, DataCapacity: 2 * unit.MB}

@@ -13,10 +13,17 @@ import (
 	"strings"
 
 	"expresspass/internal/faults"
+	"expresspass/internal/invariant"
+	"expresspass/internal/obs"
+	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 )
 
-// Params control a run.
+// Params are a run, whole: what it computes and how it runs. Every
+// engine the run creates is wired from this value (runner.T.Engine
+// inside a sweep, runner.Run.Engine outside one); nothing is read from
+// process-wide state, so two runs with different Params may share a
+// process, concurrently.
 type Params struct {
 	// Scale in (0, 1] shrinks flow counts / durations / sweep densities
 	// proportionally. 1.0 reproduces the paper-scale configuration.
@@ -27,6 +34,26 @@ type Params struct {
 	// the ext-faults-* and ext-chaos-* experiments (xpsim's -faults
 	// flag); the other experiments ignore it.
 	Faults faults.Plan
+	// Procs is how many worker goroutines a sweep fans its trials
+	// across (xpsim's -procs): 1 is serial, 0 means GOMAXPROCS. Output
+	// is byte-identical at any count.
+	Procs int
+	// Obs, when non-nil, receives the trace events and metrics rows of
+	// every network the run builds (xpsim's -trace, -metrics, -progress).
+	Obs *obs.Runtime
+	// Invariants, when non-nil, checks every network the run builds
+	// (xpsim's -invariants); read the verdict from it after the run.
+	Invariants *invariant.Set
+}
+
+// sweep is the run as package runner sees it: what a sweep, or an engine
+// outside one (runner.Run.Engine), needs of it.
+func (p Params) sweep() runner.Run {
+	r := runner.Run{Procs: p.Procs, Obs: p.Obs}
+	if p.Invariants != nil {
+		r.Check = p.Invariants.Attach
+	}
+	return r
 }
 
 // ScaleError reports a Params.Scale that is not a number to scale by:

@@ -127,6 +127,7 @@ func TestLightExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	t.Parallel()
 	for _, id := range []string{"table1", "fig5", "fig8", "fig9", "fig10"} {
 		var buf bytes.Buffer
 		if err := Run(id, Params{Scale: 0.02, Seed: 1}, &buf); err != nil {

@@ -72,7 +72,7 @@ func runExtClasses(p Params, w io.Writer) error {
 		{"strict priority 0 > 1", []netem.CreditClassConfig{{Priority: 0}, {Priority: 1}}},
 		{"weighted 3:1", []netem.CreditClassConfig{{Priority: 0, Weight: 3}, {Priority: 0, Weight: 1}}},
 	}
-	rows := runner.Map(len(policies), func(t *runner.T, i int) []any {
+	rows := runner.Map(p.sweep(), len(policies), func(t *runner.T, i int) []any {
 		c := policies[i]
 		hi, lo := run(t, c.classes)
 		ratio := "-"
@@ -102,7 +102,7 @@ func init() {
 
 func runExtSpray(p Params, w io.Writer) error {
 	arms := []bool{false, true}
-	rows := runner.Map(len(arms), func(t *runner.T, i int) []any {
+	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) []any {
 		spray := arms[i]
 		eng := t.Engine(p.Seed)
 		ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
@@ -169,7 +169,7 @@ func init() {
 }
 
 func runExtFailover(p Params, w io.Writer) error {
-	eng := sim.New(p.Seed)
+	eng := p.sweep().Engine(p.Seed)
 	ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
 	hosts := ft.Hosts
 	var flows []*transport.Flow
@@ -243,7 +243,7 @@ func runExtStopMargin(p Params, w io.Writer) error {
 		fct   sim.Duration
 		ok    bool
 	}
-	results := runner.Map(len(sizes)*len(margins), func(t *runner.T, cell int) trial {
+	results := runner.Map(p.sweep(), len(sizes)*len(margins), func(t *runner.T, cell int) trial {
 		size, margin := sizes[cell/len(margins)], margins[cell%len(margins)]
 		waste, fct, ok := run(t, margin, size)
 		return trial{waste, fct, ok}

@@ -114,7 +114,7 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 		drops     uint64
 		wasted    float64
 	}
-	rows := runner.Map(len(flaps), func(t *runner.T, i int) row {
+	rows := runner.Map(p.sweep(), len(flaps), func(t *runner.T, i int) row {
 		flapD := flaps[i]
 		eng := t.Engine(p.Seed)
 		d, flows, sessions := faultDumbbell(eng, 4)
@@ -206,7 +206,7 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 		retx  uint64
 		drops uint64
 	}
-	rows := runner.Map(len(arms), func(t *runner.T, i int) row {
+	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) row {
 		arm := arms[i]
 		eng := t.Engine(p.Seed)
 		d := topology.NewDumbbell(eng, n, topology.Config{
@@ -295,7 +295,7 @@ func runExtFaultsStall(p Params, w io.Writer) error {
 		pre, dip, post float64
 		drops          uint64
 	}
-	rows := runner.Map(len(stalls), func(t *runner.T, i int) row {
+	rows := runner.Map(p.sweep(), len(stalls), func(t *runner.T, i int) row {
 		stallD := stalls[i]
 		eng := t.Engine(p.Seed)
 		d, flows, sessions := faultDumbbell(eng, 2)

@@ -17,14 +17,13 @@ import (
 // fault_start/fault_end trace events plus the credit-wasted-ratio
 // metric through the obs runtime.
 func TestExtFaultsFlapAcceptance(t *testing.T) {
+	t.Parallel()
 	var out, trace, metrics bytes.Buffer
 	rt := obs.NewRuntime(obs.Config{
 		Tracer:     obs.NewTracer(obs.NewJSONLSink(&trace)),
 		MetricsOut: &metrics,
 	})
-	obs.SetActive(rt)
-	defer obs.SetActive(nil)
-	if err := Run("ext-faults-flap", Params{Scale: 0.06, Seed: 42}, &out); err != nil {
+	if err := Run("ext-faults-flap", Params{Scale: 0.06, Seed: 42, Obs: rt}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Close(); err != nil {
@@ -72,6 +71,7 @@ func TestExtFaultsFlapAcceptance(t *testing.T) {
 // is recovered), credit-loss arms recover without retransmitting, and
 // data-loss arms show the retransmissions that recovered them.
 func TestExtFaultsLossAcceptance(t *testing.T) {
+	t.Parallel()
 	var out bytes.Buffer
 	if err := Run("ext-faults-loss", Params{Scale: 0.06, Seed: 42}, &out); err != nil {
 		t.Fatal(err)
@@ -109,6 +109,7 @@ func TestExtFaultsLossAcceptance(t *testing.T) {
 // run without one is back on the built-in timeline with nothing to
 // restore.
 func TestParamsFaultsReplacesTimeline(t *testing.T) {
+	t.Parallel()
 	plan, err := faults.ParseSpec("stall@3ms+500us")
 	if err != nil {
 		t.Fatal(err)

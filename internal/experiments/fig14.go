@@ -31,7 +31,7 @@ func runFig14(p Params, w io.Writer) error {
 	// injects raw credit packets — so the lifecycle manager the FCT
 	// experiments use does not apply here.
 	parts := []func(t *runner.T, p Params, w io.Writer) error{runFig14a, runFig14b}
-	return runner.Sweep(len(parts), w, func(t *runner.T, i int, w io.Writer) error {
+	return runner.Sweep(p.sweep(), len(parts), w, func(t *runner.T, i int, w io.Writer) error {
 		return parts[i](t, p, w)
 	})
 }

@@ -7,12 +7,14 @@ import (
 	"flag"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"expresspass/internal/invariant"
 	"expresspass/internal/obs"
-	"expresspass/internal/runner"
+	"expresspass/internal/unit"
 )
 
 // gateScale holds the per-experiment scale used by the determinism
@@ -69,6 +71,10 @@ var gateHeavy = map[string]bool{
 	"table3": true,
 }
 
+// gateAnalytic marks the experiments that compute from the network
+// calculus alone: they build no network, so their armed runs check none.
+var gateAnalytic = map[string]bool{"table1": true, "fig5": true}
+
 // gateWorkers returns the parallel arm's worker count: at least 4 so
 // the worker pool, trial buffering, and submission-order merge are
 // genuinely exercised even on single-core CI runners (where
@@ -92,14 +98,12 @@ var gateModes = []struct {
 	{"procs4", gateWorkers()},
 }
 
-// runAt runs one experiment at the given pool width.
-func runAt(t *testing.T, procs int, id string, p Params) []byte {
+// runAt runs one experiment as the run p describes.
+func runAt(t *testing.T, id string, p Params) []byte {
 	t.Helper()
-	runner.SetProcs(procs)
-	defer runner.SetProcs(0)
 	var out bytes.Buffer
 	if err := Run(id, p, &out); err != nil {
-		t.Fatalf("procs=%d: %v", procs, err)
+		t.Fatalf("procs=%d: %v", p.Procs, err)
 	}
 	return out.Bytes()
 }
@@ -156,37 +160,44 @@ func writeGateSums(t *testing.T, sums map[string]string) {
 // experiment runs once serially as the reference, then once per row of
 // gateModes, and each row's output must match the reference byte for
 // byte at the same seed; the reference itself must match the digest
-// committed in gateSumsFile. The whole gate runs with the runtime
-// invariant checkers armed, so it doubles as a paper-property audit of
+// committed in gateSumsFile. Every run is armed with its experiment's
+// own invariant set, so the gate doubles as a paper-property audit of
 // every registered experiment in every mode: arming must neither change
-// any output byte nor surface a single violation.
+// any output byte nor surface a single violation. Each experiment is a
+// run of its own, so the experiments run concurrently.
 func TestModeMatrixByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism gate runs every experiment twice")
 	}
+	t.Parallel()
 	all := os.Getenv("XPSIM_GATE_ALL") != ""
 	sums := readGateSums(t)
+	var sumsMu sync.Mutex // -update writes sums from concurrent rows
 	if *updateGateSums {
-		defer writeGateSums(t, sums)
+		t.Cleanup(func() { writeGateSums(t, sums) })
 	}
-	invariant.Reset()
-	invariant.Arm(invariant.Options{})
-	defer invariant.Disarm()
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
 			if gateHeavy[e.ID] && !all {
 				t.Skip("heavy realistic workload; run via `make gate` (XPSIM_GATE_ALL=1)")
 			}
+			t.Parallel()
 			scale, ok := gateScale[e.ID]
 			if !ok {
 				scale = 0.01 // new experiments are gated by default
 			}
-			p := Params{Scale: scale, Seed: 42}
-			serial := runAt(t, 1, e.ID, p)
+			set := invariant.NewSet(invariant.Options{})
+			p := Params{Scale: scale, Seed: 42, Procs: 1, Invariants: set}
+			serial := runAt(t, e.ID, p)
 			digest := sha256.Sum256(serial)
-			if got := hex.EncodeToString(digest[:]); *updateGateSums {
-				sums[e.ID] = got
-			} else if want, ok := sums[e.ID]; !ok {
+			got := hex.EncodeToString(digest[:])
+			sumsMu.Lock()
+			want, ok := sums[e.ID]
+			if *updateGateSums {
+				sums[e.ID], want, ok = got, got, true
+			}
+			sumsMu.Unlock()
+			if !ok {
 				t.Errorf("no digest for %s in %s; add one with -update", e.ID, gateSumsFile)
 			} else if got != want {
 				t.Errorf("serial stdout sha256 %s, %s has %s: output differs from the commit that wrote the file (rerun with -update if that is intended)\n%s",
@@ -194,7 +205,9 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 			}
 			for _, m := range gateModes {
 				t.Run(m.name, func(t *testing.T) {
-					got := runAt(t, m.procs, e.ID, p)
+					q := p
+					q.Procs = m.procs
+					got := runAt(t, e.ID, q)
 					if !bytes.Equal(serial, got) {
 						t.Errorf("output differs between serial and -procs %d\nserial:\n%s\n%s:\n%s",
 							m.procs, serial, m.name, got)
@@ -202,17 +215,19 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 				})
 			}
 			// Flush positional (queue/delay) findings and release the
-			// experiment's networks before the next one runs.
-			invariant.FinishArmed()
-			if n := invariant.Count(); n != 0 {
-				for i, v := range invariant.Violations() {
+			// experiment's networks.
+			set.Finish()
+			if st := set.Stats(); (st.Networks == 0) != gateAnalytic[e.ID] || st.Displaced != 0 {
+				t.Errorf("armed runs: %s, %d displaced; every network a run builds must reach its set", st, st.Displaced)
+			}
+			if n := set.Count(); n != 0 {
+				for i, v := range set.Violations() {
 					if i == 8 {
 						break
 					}
 					t.Errorf("invariant violation: %s", v)
 				}
 				t.Errorf("%d invariant violations with checkers armed", n)
-				invariant.Reset()
 			}
 		})
 	}
@@ -222,7 +237,8 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 // traced, metered experiment runs serially and once per row of
 // gateModes, and stdout, the trace — produced through the per-trial
 // buffering path netem actually uses — and the metrics CSV must match
-// the serial run byte for byte.
+// the serial run byte for byte. Every run has its own runtime and set,
+// so the rows run concurrently.
 //
 // The serial reference runs unarmed and every other run is armed, so the
 // rows also prove that arming changes no trace byte: the checker sits on
@@ -232,32 +248,29 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 // types the checker does not read, where that union is narrower than
 // "everything" and the displaced tracer has to filter again.
 func TestModeMatrixObsByteIdentical(t *testing.T) {
+	t.Parallel()
 	run := func(t *testing.T, procs int, armed bool, types ...obs.EventType) (out, trace, metrics string) {
 		var tb, mb bytes.Buffer
 		rt := obs.NewRuntime(obs.Config{
 			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb), types...),
 			MetricsOut: &mb,
 		})
-		obs.SetActive(rt)
-		defer obs.SetActive(nil)
+		p := Params{Scale: 0.05, Seed: 42, Procs: procs, Obs: rt}
 		if armed {
-			invariant.Reset()
-			invariant.Arm(invariant.Options{})
-			defer invariant.Disarm()
+			p.Invariants = invariant.NewSet(invariant.Options{})
 		}
-		ob := runAt(t, procs, "ext-classes", Params{Scale: 0.05, Seed: 42})
+		ob := runAt(t, "ext-classes", p)
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if armed {
-			invariant.FinishArmed()
-			for _, v := range invariant.Violations() {
+		if set := p.Invariants; set != nil {
+			set.Finish()
+			for _, v := range set.Violations() {
 				t.Errorf("invariant violation: %s", v)
 			}
-			if st := invariant.ArmedStats(); st.Events == 0 || st.Displaced != 0 {
+			if st := set.Stats(); st.Events == 0 || st.Displaced != 0 {
 				t.Errorf("armed row checked too little: %s, %d displaced", st, st.Displaced)
 			}
-			invariant.Reset()
 		}
 		return string(ob), tb.String(), mb.String()
 	}
@@ -279,11 +292,13 @@ func TestModeMatrixObsByteIdentical(t *testing.T) {
 	}
 	for _, m := range gateModes {
 		t.Run(m.name, func(t *testing.T) {
+			t.Parallel()
 			mo, mt, mm := run(t, m.procs, true)
 			compare(t, m.procs, so, st, sm, mo, mt, mm)
 		})
 	}
 	t.Run("filtered", func(t *testing.T) {
+		t.Parallel()
 		filter := []obs.EventType{obs.EvQueueDepth, obs.EvFeedback, obs.EvCreditDrop}
 		fo, ft, fm := run(t, 1, false, filter...)
 		if ft == "" || len(ft) >= len(st) {
@@ -296,4 +311,82 @@ func TestModeMatrixObsByteIdentical(t *testing.T) {
 			compare(t, procs, fo, ft, fm, mo, mt, mm)
 		}
 	})
+}
+
+// TestConcurrentRunsStayApart runs two different runs in one process at
+// the same time: a traced, armed ext-classes at the pool width and a
+// plain serial fig9. Each must print what it prints alone, the trace
+// must hold ext-classes' events and no others, and the armed run's set
+// must hold exactly what it holds when that run is alone — a one-frame
+// queue bound makes it find something — so nothing of fig9's networks
+// reached it.
+func TestConcurrentRunsStayApart(t *testing.T) {
+	t.Parallel()
+	type result struct {
+		out, trace string
+		set        *invariant.Set
+		err        error
+	}
+	classes := func(procs int, armed bool) (r result) {
+		var tb, out bytes.Buffer
+		rt := obs.NewRuntime(obs.Config{Tracer: obs.NewTracer(obs.NewJSONLSink(&tb))})
+		p := Params{Scale: 0.05, Seed: 42, Procs: procs, Obs: rt}
+		if armed {
+			r.set = invariant.NewSet(invariant.Options{QueueBound: unit.MaxFrame})
+			p.Invariants = r.set
+		}
+		if r.err = Run("ext-classes", p, &out); r.err == nil {
+			r.err = rt.Close()
+		}
+		if r.set != nil {
+			r.set.Finish()
+		}
+		r.out, r.trace = out.String(), tb.String()
+		return r
+	}
+	fig9 := func() (r result) {
+		var out bytes.Buffer
+		r.err = Run("fig9", Params{Scale: 0.1, Seed: 42, Procs: 1}, &out)
+		r.out = out.String()
+		return r
+	}
+	ref, solo, refFig9 := classes(1, false), classes(1, true), fig9()
+
+	var armed, plain result
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); armed = classes(gateWorkers(), true) }()
+	go func() { defer wg.Done(); plain = fig9() }()
+	wg.Wait()
+
+	for _, r := range []result{ref, solo, refFig9, armed, plain} {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+	if armed.out != ref.out || armed.trace != ref.trace {
+		t.Error("the armed run's stdout or trace differs from its serial reference")
+	}
+	if plain.out != refFig9.out {
+		t.Error("the plain fig9 run's stdout differs from its serial reference")
+	}
+	if solo.set.Count() == 0 {
+		t.Fatal("a one-frame queue bound found nothing on ext-classes: the test proves nothing")
+	}
+	if got, want := armed.set.Stats(), solo.set.Stats(); got != want {
+		t.Errorf("armed set checked %+v, alone %+v", got, want)
+	}
+	if got, want := sortedViolations(armed.set), sortedViolations(solo.set); !slices.Equal(got, want) {
+		t.Errorf("armed set holds %d violations, alone %d", len(got), len(want))
+	}
+}
+
+// sortedViolations lists a set's violations in a worker-count-free order.
+func sortedViolations(set *invariant.Set) []string {
+	var out []string
+	for _, v := range set.Violations() {
+		out = append(out, v.String())
+	}
+	slices.Sort(out)
+	return out
 }

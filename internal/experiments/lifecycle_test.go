@@ -27,11 +27,8 @@ import (
 // holds no endpoint, and the network passes the standard post-drain
 // invariant audit, its packet pool back to zero.
 func TestLifecycleRetirementClearsLiveState(t *testing.T) {
-	rt := obs.NewRuntime(obs.Config{MetricsOut: io.Discard})
-	obs.SetActive(rt)
-	defer obs.SetActive(nil)
-
-	eng := sim.New(42)
+	t.Parallel()
+	eng := Params{Obs: obs.NewRuntime(obs.Config{MetricsOut: io.Discard})}.sweep().Engine(42)
 	st := topology.NewStar(eng, 8, topology.Config{LinkRate: 10 * unit.Gbps})
 	rtt := 30 * sim.Microsecond
 	env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
@@ -106,10 +103,11 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 // run total, so peak RSS must stay under the budget.
 //
 // XPSIM_LIFECYCLE_SCALE overrides the scale (e.g. 10 for the 10× smoke
-// mode — combine with XPSIM_REALISTIC_FLOW_CAP to lift the per-run flow
-// cap). The FCT collectors retain 8 bytes per finished flow: under
-// 1 MB of the ~22 MB the scale=1.0 cell peaks at (18 MB at `make
-// bench-gate`'s default 0.5, budget 36), 8 MB for a million flows.
+// mode — combine with XPSIM_REALISTIC_FLOW_CAP, which this test reads
+// into realisticCfg.flowCap, to lift the per-run flow cap). The FCT
+// collectors retain 8 bytes per finished flow: under 1 MB of the ~22 MB
+// the scale=1.0 cell peaks at (18 MB at `make bench-gate`'s default 0.5,
+// budget 36), 8 MB for a million flows.
 func TestLifecycleRSSGate(t *testing.T) {
 	budgetMB := os.Getenv("XPSIM_LIFECYCLE_RSS_BUDGET")
 	if budgetMB == "" {
@@ -119,26 +117,32 @@ func TestLifecycleRSSGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("XPSIM_LIFECYCLE_RSS_BUDGET: %v", err)
 	}
-	scale := 1.0
+	p := Params{Scale: 1.0, Seed: 42}
 	if s := os.Getenv("XPSIM_LIFECYCLE_SCALE"); s != "" {
-		if scale, err = strconv.ParseFloat(s, 64); err != nil {
+		if p.Scale, err = strconv.ParseFloat(s, 64); err != nil {
 			t.Fatalf("XPSIM_LIFECYCLE_SCALE: %v", err)
 		}
 	}
+	rc := realisticCfg{
+		proto: ProtoExpressPass, dist: workload.WebServer(), load: 0.6,
+		linkRate: 10 * unit.Gbps,
+	}
+	if s := os.Getenv("XPSIM_REALISTIC_FLOW_CAP"); s != "" {
+		if rc.flowCap, err = strconv.Atoi(s); err != nil {
+			t.Fatalf("XPSIM_REALISTIC_FLOW_CAP: %v", err)
+		}
+	}
 	start := time.Now()
-	res := runner.Map(1, func(rt *runner.T, _ int) realisticResult {
+	res := runner.Map(p.sweep(), 1, func(rt *runner.T, _ int) realisticResult {
 		// Calling runRealistic directly (rather than Run("fig18", …))
 		// isolates one cell and, for the smoke mode, bypasses the
-		// public-params clamp of Scale to [0.1, 1].
-		return runRealistic(rt, Params{Scale: scale, Seed: 42}, realisticCfg{
-			proto: ProtoExpressPass, dist: workload.WebServer(), load: 0.6,
-			linkRate: 10 * unit.Gbps,
-		})
+		// public-params clamp of Scale to [0.1, 1] and the flow cap.
+		return runRealistic(rt, p, rc)
 	})[0]
 	r := obs.ReadResources()
 	rssMB := float64(r.PeakRSSBytes) / (1 << 20)
 	t.Logf("scale=%g webserver fin=%d/%d (requested %d) wall=%s peakRSS=%.0f MB",
-		scale, res.finished, res.total, res.requested, time.Since(start).Round(time.Second), rssMB)
+		p.Scale, res.finished, res.total, res.requested, time.Since(start).Round(time.Second), rssMB)
 	if res.finished != res.total {
 		t.Errorf("only %d of %d flows finished", res.finished, res.total)
 	}

@@ -138,7 +138,7 @@ func runFig2(p Params, w io.Writer) error {
 		{ProtoCubic, false, 500 * sim.Microsecond, p.scaleDur(250*sim.Millisecond, 150*sim.Millisecond), 4},
 		{ProtoDCTCP, false, 500 * sim.Microsecond, p.scaleDur(300*sim.Millisecond, 80*sim.Millisecond), 4},
 	}
-	rows := runner.Map(len(arms), func(t *runner.T, i int) []any {
+	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) []any {
 		a := arms[i]
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{}
@@ -219,7 +219,7 @@ func runFig6(p Params, w io.Writer) error {
 	counts := dedupe([]int{16, 64, p.scaleInt(1024, 128)})
 	// One trial per (flow count, jitter arm) grid cell; rows are
 	// reassembled from the flat result slice below.
-	fairness := runner.Map(len(counts)*len(arms), func(t *runner.T, cell int) float64 {
+	fairness := runner.Map(p.sweep(), len(counts)*len(arms), func(t *runner.T, cell int) float64 {
 		n, a := counts[cell/len(arms)], arms[cell%len(arms)]
 		eng := t.Engine(p.Seed)
 		d := rttDumbbell(eng, n, 10*unit.Gbps, 25*sim.Microsecond,
@@ -291,7 +291,7 @@ func runFig8(p Params, w io.Writer) error {
 	rtt := 100 * sim.Microsecond
 	tbl := NewTable("alpha", "conv RTTs", "wasted credits (1-pkt flow)")
 	alphas := []float64{1, 0.5, 0.25, 0.125, 1.0 / 16, 1.0 / 32}
-	rows := runner.Map(len(alphas), func(t *runner.T, i int) []any {
+	rows := runner.Map(p.sweep(), len(alphas), func(t *runner.T, i int) []any {
 		alpha := alphas[i]
 		// (a) convergence of a new flow against one established flow.
 		eng := t.Engine(p.Seed)
@@ -352,7 +352,7 @@ func runFig9(p Params, w io.Writer) error {
 	// One trial per (flows, cap) cell; "best" is a cross-trial maximum,
 	// so it is computed after the whole grid has run (a barrier the
 	// serial code had implicitly).
-	utils := runner.Map(len(flows)*len(caps), func(t *runner.T, cell int) float64 {
+	utils := runner.Map(p.sweep(), len(flows)*len(caps), func(t *runner.T, cell int) float64 {
 		n, cq := flows[cell/len(caps)], caps[cell%len(caps)]
 		eng := t.Engine(p.Seed)
 		st := topology.NewStar(eng, n+1, topology.Config{

@@ -29,7 +29,7 @@ func runFig10(p Params, w io.Writer) error {
 	tbl := NewTable("bottlenecks", "naive util", "feedback util")
 	const maxN = 6
 	schemes := []bool{true, false} // naive, feedback
-	utils := runner.Map(maxN*len(schemes), func(t *runner.T, cell int) string {
+	utils := runner.Map(p.sweep(), maxN*len(schemes), func(t *runner.T, cell int) string {
 		n, naive := cell/len(schemes)+1, schemes[cell%len(schemes)]
 		eng := t.Engine(p.Seed)
 		pl := topology.NewParkingLot(eng, n, topology.Config{LinkRate: 10 * unit.Gbps})
@@ -78,7 +78,7 @@ func runFig11(p Params, w io.Writer) error {
 	tbl := NewTable("N", "max-min ideal Gbps", "naive Gbps", "feedback Gbps")
 	counts := dedupe([]int{1, 4, 16, 64, p.scaleInt(256, 64)})
 	schemes := []bool{true, false} // naive, feedback
-	rates := runner.Map(len(counts)*len(schemes), func(t *runner.T, cell int) float64 {
+	rates := runner.Map(p.sweep(), len(counts)*len(schemes), func(t *runner.T, cell int) float64 {
 		n, naive := counts[cell/len(schemes)], schemes[cell%len(schemes)]
 		eng := t.Engine(p.Seed)
 		mb := topology.NewMultiBottleneck(eng, n, topology.Config{LinkRate: 10 * unit.Gbps})
@@ -122,7 +122,7 @@ func runFig13(p Params, w io.Writer) error {
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP}
 	// Each protocol prints a free-form section (header + table), so the
 	// sweep buffers whole sections and stitches them in order.
-	return runner.Sweep(len(protos), w, func(t *runner.T, i int, w io.Writer) error {
+	return runner.Sweep(p.sweep(), len(protos), w, func(t *runner.T, i int, w io.Writer) error {
 		proto := protos[i]
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{}
@@ -195,7 +195,7 @@ func runFig15(p Params, w io.Writer) error {
 	counts := dedupe([]int{4, 16, 64, 256, p.scaleInt(1024, 256)})
 	tbl := NewTable("flows", "proto", "util Gbps", "jain", "maxQ KB", "data drops", "timeouts")
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP, ProtoRCP}
-	rows := runner.Map(len(counts)*len(protos), func(t *runner.T, cell int) []any {
+	rows := runner.Map(p.sweep(), len(counts)*len(protos), func(t *runner.T, cell int) []any {
 		return fig15Cell(t.Engine(p.Seed), p, counts[cell/len(protos)], protos[cell%len(protos)])
 	})
 	for _, row := range rows {
@@ -285,7 +285,7 @@ func runFig16(p Params, w io.Writer) error {
 	}
 	tbl := NewTable("scheme", "link", "conv RTTs", "fair Gbps")
 	speeds := []unit.Rate{10 * unit.Gbps, 100 * unit.Gbps}
-	rows := runner.Map(len(speeds)*len(arms), func(t *runner.T, cell int) []any {
+	rows := runner.Map(p.sweep(), len(speeds)*len(arms), func(t *runner.T, cell int) []any {
 		rate, a := speeds[cell/len(arms)], arms[cell%len(arms)]
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{}

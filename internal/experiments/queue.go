@@ -40,7 +40,7 @@ func runFig1(p Params, w io.Writer) error {
 			arms = append(arms, arm{fanout, proto})
 		}
 	}
-	rows := runner.Map(len(arms), func(t *runner.T, i int) []any {
+	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) []any {
 		fanout, proto := arms[i].fanout, arms[i].proto
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{
@@ -109,7 +109,7 @@ func runFig17(p Params, w io.Writer) error {
 	fmt.Fprintf(w, "hosts=%d tasksPerHost=%d bytesPerPair=%v flows=%d\n",
 		hosts, tasks, bytes, hosts*(hosts-1)*tasks*tasks)
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP}
-	rows := runner.Map(len(protos), func(t *runner.T, i int) []any {
+	rows := runner.Map(p.sweep(), len(protos), func(t *runner.T, i int) []any {
 		proto := protos[i]
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{LinkRate: 10 * unit.Gbps}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"expresspass/internal/core"
 	"expresspass/internal/lifecycle"
@@ -25,6 +24,7 @@ type realisticCfg struct {
 	linkRate unit.Rate
 	alpha    float64 // ExpressPass α (0 → default 1/16 per §6.3)
 	winit    float64
+	flowCap  int // per-run flow-count cap (0 → paperFlowCap)
 }
 
 // realisticResult aggregates what the §6.3 figures report. FCTs
@@ -91,15 +91,18 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 	if requested < 150 {
 		requested = 150
 	}
-	flows := requested
-	if flows > realisticFlowCap() {
-		flows = realisticFlowCap()
+	flowCap := rc.flowCap
+	if flowCap <= 0 {
+		flowCap = paperFlowCap
+	}
+	flows := min(requested, flowCap)
+	if flows < requested {
 		// The clamp used to be silent, so "fin N/N" could hide that the
 		// budget asked for far more flows than ran. Report to stderr —
 		// never stdout, which the determinism gates byte-compare.
 		fmt.Fprintf(os.Stderr,
-			"realistic: %s load=%.2g rate=%v: volume budget implies %d flows; clamped to cap %d (override: %s)\n",
-			rc.dist.Name, rc.load, rc.linkRate, requested, flows, realisticFlowCapEnv)
+			"realistic: %s load=%.2g rate=%v: volume budget implies %d flows; clamped to cap %d\n",
+			rc.dist.Name, rc.load, rc.linkRate, requested, flows)
 	}
 
 	specs, err := workload.Poisson(eng.Rand().Fork(), workload.PoissonConfig{
@@ -200,19 +203,10 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 // events order deterministically.
 const time0 = 10 * sim.Microsecond
 
-// realisticFlowCapEnv overrides the per-run flow-count cap (default
-// 100000, the paper's run size). The 10× smoke mode raises it to run
+// paperFlowCap is the per-run flow-count cap: the paper's run size. The
+// lifecycle gate's 10× smoke mode raises it (realisticCfg.flowCap) to run
 // millions of flows through the lifecycle manager.
-const realisticFlowCapEnv = "XPSIM_REALISTIC_FLOW_CAP"
-
-func realisticFlowCap() int {
-	if s := os.Getenv(realisticFlowCapEnv); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 100000
-}
+const paperFlowCap = 100000
 
 // ---- Fig 18: FCT sensitivity to α and w_init ----
 
@@ -232,7 +226,7 @@ func runFig18(p Params, w io.Writer) error {
 	}
 	dists := []*workload.SizeDist{workload.DataMining(), workload.CacheFollower(), workload.WebServer()}
 	tbl := NewTable("alpha/winit", "workload", "99% FCT S", "99% FCT L")
-	rows := runner.Map(len(combos)*len(dists), func(t *runner.T, cell int) []any {
+	rows := runner.Map(p.sweep(), len(combos)*len(dists), func(t *runner.T, cell int) []any {
 		c, d := combos[cell/len(dists)], dists[cell%len(dists)]
 		res := runRealistic(t, p, realisticCfg{
 			proto: ProtoExpressPass, dist: d, load: 0.6,
@@ -265,7 +259,7 @@ func runFig19(p Params, w io.Writer) error {
 	dists := []*workload.SizeDist{workload.WebServer(), workload.CacheFollower(), workload.DataMining()}
 	tbl := NewTable("workload", "proto", "S avg/99 ms", "M avg/99 ms", "L avg/99 ms", "XL avg/99 ms", "fin")
 	protos := EvalProtos()
-	rows := runner.Map(len(dists)*len(protos), func(t *runner.T, i int) []any {
+	rows := runner.Map(p.sweep(), len(dists)*len(protos), func(t *runner.T, i int) []any {
 		d, proto := dists[i/len(protos)], protos[i%len(protos)]
 		res := runRealistic(t, p, realisticCfg{
 			proto: proto, dist: d, load: 0.6, linkRate: 10 * unit.Gbps,
@@ -309,7 +303,7 @@ func runFig20(p Params, w io.Writer) error {
 		{10 * unit.Gbps, 1.0 / 16}, {10 * unit.Gbps, 0.5},
 		{40 * unit.Gbps, 1.0 / 16}, {40 * unit.Gbps, 0.5},
 	}
-	wastes := runner.Map(len(dists)*len(arms), func(t *runner.T, cell int) string {
+	wastes := runner.Map(p.sweep(), len(dists)*len(arms), func(t *runner.T, cell int) string {
 		d, a := dists[cell/len(arms)], arms[cell%len(arms)]
 		res := runRealistic(t, p, realisticCfg{
 			proto: ProtoExpressPass, dist: d, load: 0.6,
@@ -346,7 +340,7 @@ func runFig21(p Params, w io.Writer) error {
 	speeds := []unit.Rate{10 * unit.Gbps, 40 * unit.Gbps}
 	// One trial per (workload, proto, link speed); the 10G/40G pair for a
 	// row is recombined from adjacent cells below.
-	results := runner.Map(len(dists)*len(protos)*len(speeds), func(t *runner.T, cell int) realisticResult {
+	results := runner.Map(p.sweep(), len(dists)*len(protos)*len(speeds), func(t *runner.T, cell int) realisticResult {
 		d := dists[cell/(len(protos)*len(speeds))]
 		proto := protos[cell/len(speeds)%len(protos)]
 		rate := speeds[cell%len(speeds)]
@@ -388,7 +382,7 @@ func runTable3(p Params, w io.Writer) error {
 	tbl := NewTable("workload", "load", "proto", "avgQ KB", "maxQ KB", "drops")
 	dists := workload.AllDists()
 	protos := EvalProtos()
-	rows := runner.Map(len(dists)*len(loads)*len(protos), func(t *runner.T, cell int) []any {
+	rows := runner.Map(p.sweep(), len(dists)*len(loads)*len(protos), func(t *runner.T, cell int) []any {
 		d := dists[cell/(len(loads)*len(protos))]
 		load := loads[cell/len(protos)%len(loads)]
 		proto := protos[cell%len(protos)]

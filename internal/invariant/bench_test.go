@@ -18,7 +18,6 @@ import (
 	"expresspass/internal/experiments"
 	"expresspass/internal/invariant"
 	"expresspass/internal/obs"
-	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -31,31 +30,27 @@ import (
 // no tracer at all and with the invariant checkers armed. armed ÷ plain
 // is the price of leaving the checkers on.
 func BenchmarkArmed(b *testing.B) {
-	run := func(b *testing.B) {
-		if err := experiments.Run("fig17", experiments.Params{Scale: 0.2, Seed: 7}, io.Discard); err != nil {
+	run := func(b *testing.B, set *invariant.Set) {
+		p := experiments.Params{Scale: 0.2, Seed: 7, Procs: 1, Invariants: set}
+		if err := experiments.Run("fig17", p, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
-	runner.SetProcs(1)
-	defer runner.SetProcs(0)
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			run(b)
+			run(b, nil)
 		}
 	})
 	b.Run("armed", func(b *testing.B) {
-		invariant.Reset()
-		defer invariant.Reset()
-		invariant.Arm(invariant.Options{})
-		defer invariant.Disarm()
+		set := invariant.NewSet(invariant.Options{})
 		for i := 0; i < b.N; i++ {
-			run(b)
-			invariant.FinishArmed()
+			run(b, set)
+			set.Finish()
 		}
-		if n := invariant.Count(); n != 0 {
+		if n := set.Count(); n != 0 {
 			b.Fatalf("%d invariant violations", n)
 		}
-		b.ReportMetric(float64(invariant.ArmedStats().Events)/float64(b.N), "checked/op")
+		b.ReportMetric(float64(set.Stats().Events)/float64(b.N), "checked/op")
 	})
 }
 

@@ -18,7 +18,7 @@ import (
 //
 // A Checker is single-goroutine like the simulation itself (under the
 // parallel sweep runner it lives entirely on its trial's worker
-// goroutine); only the violation registry it reports into is shared.
+// goroutine); only the Set it may report into is shared.
 type Checker struct {
 	opt   Options
 	net   *netem.Network
@@ -39,11 +39,16 @@ type Checker struct {
 	voided bool
 	done   bool
 	stats  Stats
+	kept   []Violation // reported findings, when Options routes them nowhere
 
 	// flight retains the last-N events when Options.FlightOut is set;
-	// flightDumped latches after the first violation's dump.
+	// flightDumped latches after the first violation's dump. held lists
+	// the ports whose findings froze a lead-up (portState.leadUp), in the
+	// order they first held one: a held finding is reported at Finish,
+	// when the live ring holds the end of the run instead.
 	flight       *obs.FlightRecorder
 	flightDumped bool
+	held         []*portState
 }
 
 // flowState is the credit-conservation ledger of one ExpressPass flow:
@@ -109,6 +114,9 @@ type portState struct {
 	// time. Capped; overflow is summarized.
 	pending        []Violation
 	pendingDropped int
+	// leadUp is a copy of the flight ring frozen when pending[0] was
+	// held, while the dump is still owed; an exemption drops it.
+	leadUp *obs.FlightRecorder
 }
 
 const pendingCap = 8
@@ -142,8 +150,8 @@ var subscription = [...]obs.EventType{
 
 // Attach splices a Checker into net's trace path and returns it. Call
 // it before traffic flows (ideally right after the network is built —
-// Arm does it from the network-creation hook) and after any SetTracer
-// the caller performs, or the checker will be displaced.
+// a Set does it from the network's netem.Wiring) and after any
+// SetTracer the caller performs, or the checker will be displaced.
 //
 // The spliced tracer passes the subscription, plus whatever the
 // displaced tracer passes (it filters again on its own, so it records
@@ -175,17 +183,32 @@ var flightMu sync.Mutex
 
 // report dumps the flight ring (once per checker) before handing v to
 // the configured reporting path — so even a Panic-mode violation
-// leaves the lead-up events behind.
+// leaves the lead-up events behind. At Finish the dump is the ring as it
+// stood at the first held finding of a port that never proved exempt,
+// headed by that finding.
 func (c *Checker) report(v Violation) {
 	if c.flight != nil && !c.flightDumped {
 		c.flightDumped = true
+		head, ring := v, c.flight
+		for _, ps := range c.held {
+			if c.done && ps.leadUp != nil {
+				head, ring = ps.pending[0], ps.leadUp
+				break
+			}
+		}
 		flightMu.Lock()
-		evs := c.flight.Events()
-		fmt.Fprintf(c.opt.FlightOut, "# invariant violation: %s\n# last %d trace events before the violation:\n", v, len(evs))
-		c.flight.Dump(c.opt.FlightOut)
+		fmt.Fprintf(c.opt.FlightOut, "# invariant violation: %s\n# last %d trace events before the violation:\n", head, len(ring.Events()))
+		ring.Dump(c.opt.FlightOut)
 		flightMu.Unlock()
 	}
-	c.opt.report(v)
+	switch {
+	case c.opt.OnViolation != nil:
+		c.opt.OnViolation(v)
+	case c.opt.Panic:
+		panic("invariant: " + v.String())
+	default:
+		c.kept = append(c.kept, v)
+	}
 }
 
 // Record checks ev and forwards it to the displaced tracer. It is the
@@ -262,9 +285,11 @@ func (c *Checker) Close() error {
 // that never proved exempt, reports them, releases the checker's hold
 // on the network, and returns the flushed violations — in port order
 // (Network.AllPorts), each port's suppression summary right after its
-// findings, so the same run always lists them the same way. Idempotent;
-// the checker keeps forwarding events afterwards but checks nothing
-// more.
+// findings, so the same run always lists them the same way. A checker
+// that keeps its findings (neither OnViolation nor Panic) returns every
+// one instead, in the order reported: those raised as the run went, then
+// the flushed ones. Idempotent; the checker keeps forwarding events
+// afterwards but checks nothing more.
 func (c *Checker) Finish() []Violation {
 	if c.done {
 		return nil
@@ -298,7 +323,10 @@ func (c *Checker) Finish() []Violation {
 	for _, v := range out {
 		c.report(v)
 	}
-	c.net, c.flows, c.ports = nil, nil, nil
+	if c.opt.OnViolation == nil && !c.opt.Panic {
+		out = c.kept
+	}
+	c.net, c.flows, c.ports, c.kept, c.held = nil, nil, nil, nil, nil
 	return out
 }
 
@@ -411,16 +439,17 @@ func (c *Checker) trackPort(n int32) *portState {
 // clusters the data arrivals. The longest reverse path in the
 // supported fabrics is six credit-class queues deep (fat tree:
 // host NIC + ToR + agg + core + agg + ToR); add headroom for
-// host-delay spread and credits in flight on the wire. Empirically the
-// evaluation experiments peak at 20-85 MaxFrames depending on the RNG
-// seed (fat-tree aggregation/ToR uplinks under spraying; fig18's
-// aggressive feedback-parameter corners drive the tail — measured 85 at
-// seed 43, 63 at seed 42, 30 at seed 45), so the bound allows
-// 12·cap+16 = 112 at the default carving, ~30% above the worst
-// observed draw and still well below the 250-frame buffer a
-// congestion-collapsed queue would fill, which is the §3.1 claim this
-// tripwire defends. Mid-run route rebuilds (EvRouteBuild) void the
-// check entirely rather than stretching it.
+// host-delay spread and credits in flight on the wire. The bound allows
+// 12·cap+16 = 112 at the default carving, well below the 250-frame
+// buffer a congestion-collapsed queue would fill, which is the §3.1
+// claim this tripwire defends. It is not above every draw: at seed 11,
+// scale 0.05, a ToR downlink (tor5->h5.2, in 2 of fig18's 15 networks
+// and 2 of fig20's 16) reaches 113–114 frames — a standing last-hop
+// queue that creeps up while two flows converge on one receiver
+// (EXPERIMENTS.md, Known deviations). Other draws peak at 20–85
+// (fig18's aggressive feedback corners: 85 at seed 43, 63 at 42, 30 at
+// 45). Mid-run route rebuilds (EvRouteBuild) void the check entirely
+// rather than stretching it.
 func (c *Checker) queueBound(cfg netem.PortConfig) unit.Bytes {
 	if c.opt.QueueBound > 0 {
 		return c.opt.QueueBound
@@ -448,13 +477,27 @@ func (c *Checker) delayCap(cfg netem.PortConfig) sim.Duration {
 	return 2 * unit.TxTime(bound+unit.MaxFrame, cfg.Rate.Scale(1-ratio))
 }
 
-func (ps *portState) exemptNow() {
+// exempt turns the queue/delay checks of ps off and discards its held
+// findings with their lead-up.
+func (c *Checker) exempt(ps *portState) {
 	ps.exempt = true
 	ps.fifo, ps.fifoHead = nil, 0
-	ps.pending, ps.pendingDropped = nil, 0
+	ps.pending, ps.pendingDropped, ps.leadUp = nil, 0, nil
 }
 
-func (ps *portState) hold(v Violation) {
+// hold keeps a positional finding of ps for Finish. A port's first one
+// freezes a copy of the flight ring while no dump has been written, so
+// the finding that heads the dump at Finish is the earliest of a port
+// that never proved exempt, whichever ports the run exempts later. Only
+// ports that hold findings pay for a copy.
+func (c *Checker) hold(ps *portState, v Violation) {
+	if c.flight != nil && !c.flightDumped && len(ps.pending) == 0 {
+		ps.leadUp = obs.NewFlightRecorder(c.opt.FlightEvents, nil)
+		for _, ev := range c.flight.Events() {
+			ps.leadUp.Record(ev)
+		}
+		c.held = append(c.held, ps)
+	}
 	if len(ps.pending) >= pendingCap {
 		ps.pendingDropped++
 		return
@@ -507,11 +550,11 @@ func (c *Checker) onDataEnq(ev *obs.Event) {
 	// port serves a non-ExpressPass transport (or a credit-class-less
 	// configuration): the §3.1 bound does not apply to it.
 	if (kind == packet.Data && ev.Aux == 0) || kind == packet.Ack || kind == packet.Credit {
-		ps.exemptNow()
+		c.exempt(ps)
 		return
 	}
 	if !c.opt.NoQueueBound && ev.Val > ps.bound {
-		ps.hold(Violation{Time: ev.T, Invariant: "queue-bound",
+		c.hold(ps, Violation{Time: ev.T, Invariant: "queue-bound",
 			Scope: ev.Scope, Flow: ev.Flow,
 			Detail: fmt.Sprintf("data queue %v exceeds derived §3.1 bound %v",
 				unit.Bytes(ev.Val), unit.Bytes(ps.bound))})
@@ -540,7 +583,7 @@ func (c *Checker) onDataDeq(ev *obs.Event) {
 		return
 	}
 	if d := ev.T - enq; d > ps.delayCap {
-		ps.hold(Violation{Time: ev.T, Invariant: "delay-bound",
+		c.hold(ps, Violation{Time: ev.T, Invariant: "delay-bound",
 			Scope: ev.Scope, Flow: ev.Flow,
 			Detail: fmt.Sprintf("per-packet queuing delay %v exceeds derived cap %v", d, ps.delayCap)})
 	}
@@ -556,7 +599,7 @@ func (c *Checker) onDataDrop(ev *obs.Event) {
 	}
 	// A drop-tail loss on a credited-only port means occupancy reached
 	// the full buffer — far past the §3.1 bound.
-	ps.hold(Violation{Time: ev.T, Invariant: "queue-bound",
+	c.hold(ps, Violation{Time: ev.T, Invariant: "queue-bound",
 		Scope: ev.Scope, Flow: ev.Flow,
 		Detail: fmt.Sprintf("data-class drop on a credited port (queue at %v)", unit.Bytes(ev.Val))})
 }
@@ -614,71 +657,7 @@ func (c *Checker) onFaultStart(ev *obs.Event) {
 		c.voided = true
 		// The event carries the stalled host's NIC as its port.
 		if ps := c.port(ev.Port); ps != nil {
-			ps.exemptNow()
+			c.exempt(ps)
 		}
 	}
-}
-
-// ---- process-wide arming ----
-
-var (
-	armMu      sync.Mutex
-	armed      []*Checker
-	arming     bool
-	armedStats Stats // summed over every checker FinishArmed finished since Reset
-)
-
-// Arm installs a network-creation hook so every subsequently built
-// network gets a Checker attached with opt. The experiment determinism
-// gate and xpsim -invariants use this; call FinishArmed afterwards to
-// flush positional findings and release the checked networks.
-func Arm(opt Options) {
-	armMu.Lock()
-	arming = true
-	armMu.Unlock()
-	netem.SetNetworkHook(func(n *netem.Network) {
-		c := Attach(n, opt)
-		armMu.Lock()
-		if arming {
-			armed = append(armed, c)
-		}
-		armMu.Unlock()
-	})
-}
-
-// Disarm removes the network-creation hook. Checkers already attached
-// keep running until FinishArmed.
-func Disarm() {
-	netem.SetNetworkHook(nil)
-	armMu.Lock()
-	arming = false
-	armMu.Unlock()
-}
-
-// FinishArmed finishes every checker created since Arm (or the previous
-// FinishArmed), returning the violations they flushed. Call it only
-// when no armed simulation is still running.
-func FinishArmed() []Violation {
-	armMu.Lock()
-	cs := armed
-	armed = nil
-	armMu.Unlock()
-	var out []Violation
-	var sum Stats
-	for _, c := range cs {
-		out = append(out, c.Finish()...)
-		sum.add(c.stats)
-	}
-	armMu.Lock()
-	armedStats.add(sum)
-	armMu.Unlock()
-	return out
-}
-
-// ArmedStats returns what the checkers finished by FinishArmed since the
-// last Reset looked at, summed.
-func ArmedStats() Stats {
-	armMu.Lock()
-	defer armMu.Unlock()
-	return armedStats
 }

@@ -57,7 +57,6 @@ func TestDuplicatedCreditsCannotDoubleSpend(t *testing.T) {
 	if dv := CheckDrained(d.Net); len(dv) != 0 {
 		t.Fatalf("pool conservation violated: %v", dv)
 	}
-	Reset()
 }
 
 // TestDuplicatedDataCannotInflateDelivery covers the receiver-side
@@ -101,5 +100,4 @@ func TestDuplicatedDataCannotInflateDelivery(t *testing.T) {
 	if dv := CheckDrained(d.Net); len(dv) != 0 {
 		t.Fatalf("pool conservation violated: %v", dv)
 	}
-	Reset()
 }

@@ -26,9 +26,10 @@
 // — events are checked, then forwarded to whatever tracer (if any) was
 // installed before — so byte-identical trace output is preserved and
 // disabled checking costs exactly the one nil check the tracer already
-// pays. Arm installs a netem network hook so every subsequently created
-// network is checked, which is how the experiment determinism gate and
-// the xpsim -invariants flag arm the whole process.
+// pays. A Set attaches a checker to every network one run builds (the
+// run's engines carry Set.Attach as their netem.Wiring.Check), which is
+// how the experiment determinism gate and the xpsim -invariants flag arm
+// a whole run.
 //
 // Armed, the tee costs what the checker uses of it. The spliced tracer
 // is filtered to the eleven event types the checks read (subscription,
@@ -94,8 +95,9 @@ type Options struct {
 	NoQueueBound         bool
 	NoDelayBound         bool
 
-	// OnViolation, when set, receives each violation instead of the
-	// process-wide registry.
+	// OnViolation, when set, receives each violation as it is reported.
+	// A checker with neither OnViolation nor Panic keeps its findings and
+	// returns them all from Finish.
 	OnViolation func(Violation)
 
 	// Panic makes immediate checks (conservation, token bucket) panic at
@@ -128,64 +130,97 @@ func (o Options) withDefaults() Options {
 // (92 B) credit packets, matching netem's default credit burst.
 const DefaultBurstTolerance = 2 * (unit.MinFrame + 8)
 
-// ---- process-wide violation registry ----
+// ---- one run's checking ----
 
-const registryCap = 1024 // retain at most this many; Count keeps the true total
+// keepCap bounds the violations a Set retains; Count keeps the true total.
+const keepCap = 1024
 
-var (
-	regMu    sync.Mutex
-	regViols []Violation
-	regCount uint64
-)
+// Set is one run's invariant checking. Attach puts a checker with the
+// set's options on a network — a run hands it to every network it builds
+// (netem.Wiring.Check), which is how the determinism gate and xpsim
+// -invariants arm a whole run — and Finish finishes every checker
+// attached since the previous Finish. The violations land in the set,
+// unless its options route them elsewhere (OnViolation, Panic). Attach
+// and the readers are safe from concurrent trials.
+type Set struct {
+	opt Options
 
-func (o *Options) report(v Violation) {
-	if o.OnViolation != nil {
-		o.OnViolation(v)
-		return
-	}
-	if o.Panic {
-		panic("invariant: " + v.String())
-	}
-	record(v)
+	mu       sync.Mutex
+	checkers []*Checker
+	stats    Stats
+	viols    []Violation // the first keepCap
+	count    uint64
 }
 
-func record(v Violation) {
-	regMu.Lock()
-	regCount++
-	if len(regViols) < registryCap {
-		regViols = append(regViols, v)
+// NewSet returns an empty set whose checkers use opt.
+func NewSet(opt Options) *Set {
+	s := &Set{opt: opt}
+	if opt.OnViolation == nil && !opt.Panic {
+		s.opt.OnViolation = s.record
 	}
-	regMu.Unlock()
+	return s
 }
 
-// Violations returns a snapshot of the retained violations (at most
-// registryCap; Count reports the true total).
-func Violations() []Violation {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return append([]Violation(nil), regViols...)
+func (s *Set) record(v Violation) {
+	s.mu.Lock()
+	s.count++
+	if len(s.viols) < keepCap {
+		s.viols = append(s.viols, v)
+	}
+	s.mu.Unlock()
+}
+
+// Attach attaches a checker with the set's options to net.
+func (s *Set) Attach(net *netem.Network) {
+	c := Attach(net, s.opt)
+	s.mu.Lock()
+	s.checkers = append(s.checkers, c)
+	s.mu.Unlock()
+}
+
+// Finish finishes every checker attached since the previous Finish,
+// flushing their positional findings into the set and releasing their
+// networks. Call it only when none of the set's simulations is running.
+func (s *Set) Finish() {
+	s.mu.Lock()
+	cs := s.checkers
+	s.checkers = nil
+	s.mu.Unlock()
+	var sum Stats
+	for _, c := range cs {
+		c.Finish()
+		sum.add(c.Stats())
+	}
+	s.mu.Lock()
+	s.stats.add(sum)
+	s.mu.Unlock()
+}
+
+// Stats returns what the checkers Finish has finished looked at, summed.
+func (s *Set) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
+// Violations returns the violations recorded so far (at most keepCap;
+// Count reports the true total).
+func (s *Set) Violations() []Violation {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Violation(nil), s.viols...)
 }
 
 // Count returns the total number of violations recorded, including any
 // beyond the retention cap.
-func Count() uint64 {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return regCount
-}
-
-// Reset clears the process-wide registry and the armed-checker totals.
-func Reset() {
-	regMu.Lock()
-	regViols, regCount = nil, 0
-	regMu.Unlock()
-	armMu.Lock()
-	armedStats = Stats{}
-	armMu.Unlock()
+func (s *Set) Count() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count
 }
 
 // Stats says what a verdict rests on: how much one finished checker —
-// or, from ArmedStats, every checker FinishArmed has finished — actually
+// or, from Set.Stats, every checker a set has finished — actually
 // looked at. "No violations" from a run that checked nothing, exempted
 // every port, voided its positional findings or lost its place on the
 // trace path is a weaker statement than the same words from a run that
@@ -218,7 +253,8 @@ func (s Stats) String() string {
 // drained: every port queue must be empty and the network's packet pool
 // must hold no packet (allocated == delivered + dropped: nothing
 // leaked). The pool belongs to net alone, so the count is exact whatever
-// else the process runs; a double free panics at the Put instead.
+// else the process runs; a double free panics at the Put instead. The
+// findings are returned, not recorded anywhere.
 func CheckDrained(net *netem.Network) []Violation {
 	var out []Violation
 	now := net.Eng.Now()
@@ -235,9 +271,6 @@ func CheckDrained(net *netem.Network) []Violation {
 	if live := net.Pool().Live(); live != 0 {
 		out = append(out, Violation{Time: now, Invariant: "pool-conservation",
 			Detail: fmt.Sprintf("network holds %d packets at drain (leak)", live)})
-	}
-	for _, v := range out {
-		record(v)
 	}
 	return out
 }

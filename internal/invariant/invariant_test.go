@@ -49,7 +49,6 @@ func TestCleanRunNoViolations(t *testing.T) {
 	if dv := CheckDrained(d.Net); len(dv) != 0 {
 		t.Fatalf("pool conservation violated: %v", dv)
 	}
-	Reset() // CheckDrained reports into the global registry
 }
 
 // brokenBurst is a deliberately broken credit limiter: a 64-credit
@@ -374,48 +373,76 @@ func checkerForwardsToPriorTracer(t *testing.T, types ...obs.EventType) {
 	}
 }
 
-// TestArmHooksNewNetworks checks Arm/Disarm/FinishArmed end to end via
-// the netem network hook.
-func TestArmHooksNewNetworks(t *testing.T) {
-	var vs []Violation
-	Arm(Options{OnViolation: func(v Violation) { vs = append(vs, v) }})
-	defer Disarm()
+// TestSetChecksEveryWiredNetwork: a Set handed to an engine as its
+// wiring's check attaches a checker to every network built on it, keeps
+// their findings and sums their stats at Finish — and a network on an
+// engine without that wiring is not checked.
+func TestSetChecksEveryWiredNetwork(t *testing.T) {
+	t.Parallel()
+	set := NewSet(Options{})
+	run := func(eng *sim.Engine) *topology.Dumbbell {
+		d := topology.NewDumbbell(eng, 2, topology.Config{})
+		f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 100*unit.KB, 0)
+		core.Dial(f, core.Config{})
+		eng.Run()
+		if !f.Finished {
+			t.Fatal("flow did not finish")
+		}
+		return d
+	}
 	eng := sim.New(5)
-	d := topology.NewDumbbell(eng, 2, topology.Config{})
-	if d.Net.Tracer() == nil {
-		t.Fatal("Arm hook did not install a checker tracer on the new network")
+	eng.Wiring = &netem.Wiring{Check: set.Attach}
+	if d := run(eng); d.Net.Tracer() == nil {
+		t.Fatal("the set did not install a checker tracer on the wired network")
 	}
-	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 100*unit.KB, 0)
-	core.Dial(f, core.Config{})
-	eng.Run()
-	if !f.Finished {
-		t.Fatal("flow did not finish")
+	if d := run(sim.New(5)); d.Net.Tracer() != nil {
+		t.Fatal("a network on an unwired engine was checked")
 	}
-	Disarm()
-	if got := FinishArmed(); len(got) != 0 || len(vs) != 0 {
-		t.Fatalf("violations on clean armed run: %v %v", got, vs)
+	set.Finish()
+	if st := set.Stats(); st.Networks != 1 || st.Events == 0 || set.Count() != 0 {
+		t.Fatalf("one clean checked network: %s, %d violations", st, set.Count())
 	}
-	// After FinishArmed the list is drained.
-	if got := FinishArmed(); got != nil {
-		t.Fatalf("second FinishArmed returned %v", got)
+	set.Finish() // nothing attached since: a no-op
+	if st := set.Stats(); st.Networks != 1 {
+		t.Fatalf("second Finish counted again: %s", st)
 	}
 }
 
-// TestRegistryCapAndCount checks the process-wide registry retains at
-// most registryCap entries while counting everything.
-func TestRegistryCapAndCount(t *testing.T) {
-	Reset()
-	for i := 0; i < registryCap+10; i++ {
-		record(Violation{Invariant: "token-bucket"})
+// TestCheckerKeepsItsFindings: a checker with neither OnViolation nor
+// Panic returns from Finish everything it found — what it raised as the
+// run went, then what it held for Finish — and a second Finish nothing.
+func TestCheckerKeepsItsFindings(t *testing.T) {
+	t.Parallel()
+	net, port := tinyNet(t)
+	c := Attach(net, Options{})
+	tr := net.Tracer()
+	tr.Emit(onPort(net, port, obs.Event{Type: obs.EvDataEnq, Flow: 1, Bytes: 1538,
+		Val: 300000, Aux: 7, Aux2: float64(packet.Data)}))
+	tr.Emit(obs.Event{Type: obs.EvDataSend, Scope: "h0", Flow: 1, Seq: 5, Bytes: 1460})
+	got := c.Finish()
+	if len(got) != 2 || got[0].Invariant != "credit-conservation" || got[1].Invariant != "queue-bound" {
+		t.Fatalf("kept findings: %v", got)
 	}
-	if n := Count(); n != registryCap+10 {
+	if again := c.Finish(); again != nil {
+		t.Fatalf("second Finish returned %v", again)
+	}
+}
+
+// TestRegistryCapAndCount checks a set retains at most keepCap
+// violations while counting everything, and that two sets share none.
+func TestRegistryCapAndCount(t *testing.T) {
+	t.Parallel()
+	set, other := NewSet(Options{}), NewSet(Options{})
+	for i := 0; i < keepCap+10; i++ {
+		set.opt.OnViolation(Violation{Invariant: "token-bucket"})
+	}
+	if n := set.Count(); n != keepCap+10 {
 		t.Fatalf("Count = %d", n)
 	}
-	if n := len(Violations()); n != registryCap {
+	if n := len(set.Violations()); n != keepCap {
 		t.Fatalf("retained = %d", n)
 	}
-	Reset()
-	if Count() != 0 || len(Violations()) != 0 {
-		t.Fatal("Reset did not clear")
+	if other.Count() != 0 || len(other.Violations()) != 0 {
+		t.Fatal("a second set saw the first one's violations")
 	}
 }

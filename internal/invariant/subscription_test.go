@@ -510,22 +510,20 @@ func TestStatsSayWhatAVerdictRestsOn(t *testing.T) {
 	})
 
 	t.Run("armed totals", func(t *testing.T) {
-		Reset()
-		defer Reset()
-		Arm(Options{OnViolation: func(Violation) {}})
-		defer Disarm()
-		FinishArmed() // no network was built
-		if s := ArmedStats(); s != (Stats{}) {
+		set := NewSet(Options{})
+		set.Finish() // no network was built
+		if s := set.Stats(); s != (Stats{}) {
 			t.Errorf("totals with no network built: %+v", s)
 		}
 		for i := 0; i < 2; i++ {
 			eng := sim.New(uint64(3 + i))
+			eng.Wiring = &netem.Wiring{Check: set.Attach}
 			d := topology.NewDumbbell(eng, 2, topology.Config{})
 			xp(d)
 			eng.Run()
 		}
-		FinishArmed()
-		s := ArmedStats()
+		set.Finish()
+		s := set.Stats()
 		want := Stats{Events: s.Events, Ports: 2 * 10, Networks: 2}
 		if s != want || s.Events == 0 {
 			t.Errorf("totals over two armed networks: %+v, want %+v", s, want)

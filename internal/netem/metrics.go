@@ -1,20 +1,21 @@
 package netem
 
-// Observability wiring. A Network built while a process-wide
-// obs.Runtime is active (obs.SetActive) hands the runtime's tracer to
-// every port and, when a metrics CSV is requested, registers engine and
-// per-port gauges in a private registry sampled on the simulation
-// clock. None of this runs when no runtime is installed: NewNetwork
-// sees obs.Active() == nil and every port carries a nil tracer.
+// Observability wiring. A Network built on an engine whose Wiring names
+// a scope (the run's obs.Runtime, or a sweep trial's obs.Trial) hands
+// the scope's tracer to every port and, when a metrics CSV is requested,
+// registers engine and per-port gauges in a private registry sampled on
+// the simulation clock. None of this runs for an engine without one:
+// every port carries a nil tracer. Network.SetTracer traces a hand-built
+// network without any run around it.
 
 import (
 	"expresspass/internal/obs"
 	"expresspass/internal/unit"
 )
 
-// initObs attaches the network to an instrumentation scope — the
-// process-wide runtime on the serial path, or one sweep trial's
-// buffering scope under the parallel runner: engine accounting always,
+// initObs attaches the network to an instrumentation scope — the run's
+// runtime for an engine outside a sweep, or one sweep trial's scope
+// inside one: engine accounting always,
 // tracing if the scope has a tracer, and a metrics registry plus
 // sampler if a metrics CSV was requested.
 func (n *Network) initObs(rt obs.Scope) {
@@ -31,8 +32,8 @@ func (n *Network) initObs(rt obs.Scope) {
 }
 
 // SetTracer installs tr on the network and every existing port (future
-// ports pick it up in Connect). Tests use this to trace a hand-built
-// topology without installing a process-wide runtime; pass nil to stop
+// ports pick it up in Connect). Tests and library users trace a
+// hand-built topology this way, with no obs.Runtime; pass nil to stop
 // tracing.
 func (n *Network) SetTracer(tr *obs.Tracer) {
 	n.tracer = tr

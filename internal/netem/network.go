@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"expresspass/internal/obs"
 	"expresspass/internal/packet"
@@ -10,23 +9,14 @@ import (
 	"expresspass/internal/unit"
 )
 
-// networkHook, when installed, runs on every newly created Network. It
-// is how layers above netem (internal/invariant) attach themselves to
-// each network without netem importing them: the hook holder is atomic
-// so arming/disarming is safe even while parallel sweep trials are
-// constructing networks on worker goroutines.
-var networkHook atomic.Pointer[func(*Network)]
-
-// SetNetworkHook installs fn to run at the end of every subsequent
-// NewNetwork call (after observability wiring, before any nodes exist).
-// Pass nil to remove the hook. Only one hook is held; callers that need
-// several must compose them.
-func SetNetworkHook(fn func(*Network)) {
-	if fn == nil {
-		networkHook.Store(nil)
-		return
-	}
-	networkHook.Store(&fn)
+// Wiring is what a run attaches to every network built on its engines
+// (sim.Engine.Wiring): the instrumentation scope — the run's obs.Runtime,
+// or one sweep trial's obs.Trial — and the per-network check the run
+// arms (invariant.Set.Attach), which is how layers above netem attach
+// themselves without netem importing them. Either may be nil.
+type Wiring struct {
+	Scope obs.Scope
+	Check func(*Network)
 }
 
 // DefaultHostQueue is the NIC egress data budget. It is generous so host
@@ -70,20 +60,20 @@ type Network struct {
 	flowMetricsLeft int
 }
 
-// NewNetwork returns an empty network bound to eng. If a process-wide
-// obs.Runtime is active (SetActive), the network wires itself to it:
-// tracer handed to every port, per-port metrics registered, and a
-// metrics sampler scheduled on eng.
+// NewNetwork returns an empty network bound to eng, wired as eng's
+// Wiring says: with a scope, the network hands its tracer to every port,
+// registers per-port metrics and schedules a metrics sampler on eng;
+// with a check, the check runs last, before any node exists. An engine
+// without a Wiring builds an unobserved, unchecked network.
 func NewNetwork(eng *sim.Engine) *Network {
 	n := &Network{Eng: eng}
-	if rt := obs.Active(); rt != nil {
-		// ScopeFor routes to a per-trial scope when eng belongs to a
-		// runner sweep trial, so concurrent trials never share the
-		// runtime's tracer sink or metrics writer.
-		n.initObs(rt.ScopeFor(eng))
-	}
-	if fn := networkHook.Load(); fn != nil {
-		(*fn)(n)
+	if w, _ := eng.Wiring.(*Wiring); w != nil {
+		if w.Scope != nil {
+			n.initObs(w.Scope)
+		}
+		if w.Check != nil {
+			w.Check(n)
+		}
 	}
 	return n
 }

@@ -204,21 +204,6 @@ func TestRuntimeEngineTotals(t *testing.T) {
 	}
 }
 
-func TestActiveRuntimeInstallUninstall(t *testing.T) {
-	if Active() != nil {
-		t.Fatal("runtime unexpectedly active at test start")
-	}
-	rt := NewRuntime(Config{})
-	SetActive(rt)
-	if Active() != rt {
-		t.Error("Active() did not return the installed runtime")
-	}
-	SetActive(nil)
-	if Active() != nil {
-		t.Error("uninstall failed")
-	}
-}
-
 func TestQuantileMonotone(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", []float64{1, 10, 100})

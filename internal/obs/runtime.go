@@ -14,8 +14,8 @@ import (
 // Config configures a Runtime. Zero-value fields disable the
 // corresponding subsystem.
 type Config struct {
-	// Tracer, when non-nil, is handed to every network created while
-	// the runtime is active; its sink receives the event stream.
+	// Tracer, when non-nil, is handed to every network the run builds;
+	// its sink receives the event stream.
 	Tracer *Tracer
 
 	// MetricsOut, when non-nil, receives the metrics time series as
@@ -41,11 +41,13 @@ type Config struct {
 	Progress io.Writer
 }
 
-// Runtime is the process-wide instrumentation state the CLIs install
-// with SetActive. Components that build simulations (netem.NewNetwork)
-// consult Active() at construction time and wire themselves up; when no
-// runtime is active they carry nil hooks and the simulation runs at
-// full speed.
+// Runtime is one run's instrumentation state: the trace sink, the
+// metrics CSV, engine accounting and progress heartbeats. A run carries
+// it as a value (experiments.Params.Obs); the runner hands each sweep
+// trial a Trial scope of it, and a network built on an engine wired to
+// either (netem.Wiring) wires itself up at construction. A network
+// outside any run carries nil hooks and the simulation runs at full
+// speed.
 type Runtime struct {
 	cfg Config
 
@@ -104,14 +106,6 @@ func NewRuntime(cfg Config) *Runtime {
 	}
 	return rt
 }
-
-var active atomic.Pointer[Runtime]
-
-// SetActive installs rt as the process-wide runtime (nil uninstalls).
-func SetActive(rt *Runtime) { active.Store(rt) }
-
-// Active returns the installed runtime, or nil.
-func Active() *Runtime { return active.Load() }
 
 // Tracer returns the runtime's tracer (nil when tracing is off).
 func (rt *Runtime) Tracer() *Tracer { return rt.cfg.Tracer }

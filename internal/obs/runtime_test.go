@@ -10,9 +10,9 @@ import (
 )
 
 // TestTrialLifecycle walks a trial scope through the full sweep
-// protocol — BeginTrial, BindEngine, buffered trace + metrics, Complete,
-// Flush — and checks the buffers replay into the shared runtime while
-// the engine totals land in the atomic accumulators.
+// protocol — BeginTrial, AttachEngine, buffered trace + metrics,
+// Complete, Flush — and checks the buffers replay into the shared
+// runtime while the engine totals land in the atomic accumulators.
 func TestTrialLifecycle(t *testing.T) {
 	var trace, metrics bytes.Buffer
 	rt := NewRuntime(Config{
@@ -32,11 +32,8 @@ func TestTrialLifecycle(t *testing.T) {
 	}
 
 	eng := sim.New(1)
-	BindEngine(eng, tr)
-	BindEngine(eng, nil) // nil trial must be a no-op
-	if got := rt.ScopeFor(eng); got != Scope(tr) {
-		t.Fatalf("ScopeFor(bound engine) = %T, want the trial", got)
-	}
+	tr.AttachEngine(eng)
+	tr.AttachEngine(eng) // idempotent
 	done := false
 	eng.At(5*sim.Microsecond, func() { done = true })
 	eng.Run()
@@ -51,11 +48,8 @@ func TestTrialLifecycle(t *testing.T) {
 	}
 
 	tr.Complete()
-	if _, ok := trialBindings.Load(eng); ok {
-		t.Error("Complete left the engine bound")
-	}
-	if ev, _ := rt.EngineTotals(); ev == 0 {
-		t.Error("Complete did not fold engine totals")
+	if ev, _ := rt.EngineTotals(); ev != 1 {
+		t.Errorf("Complete folded %d engine events, want the one event once", ev)
 	}
 	tr.Complete() // idempotent
 	tr.Flush()
@@ -68,11 +62,6 @@ func TestTrialLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(metrics.String(), "t3.0,port/x/util,0.5") {
 		t.Errorf("flushed metrics missing buffered row:\n%s", metrics.String())
-	}
-
-	// An unbound engine resolves to the runtime itself.
-	if got := rt.ScopeFor(sim.New(2)); got != Scope(rt) {
-		t.Errorf("ScopeFor(unbound) = %T, want the runtime", got)
 	}
 }
 
@@ -101,7 +90,7 @@ func TestStreamingTrialWritesThrough(t *testing.T) {
 		t.Error("streaming trial buffered its metrics row")
 	}
 	eng := sim.New(1)
-	BindEngine(eng, tr)
+	tr.AttachEngine(eng)
 	eng.At(sim.Microsecond, func() {})
 	eng.Run()
 	tr.Flush()

@@ -10,12 +10,12 @@
 // atomic loads, no allocation happens unless a trace is actually being
 // recorded. The same holds for metrics: gauges are pull-based closures
 // that are only evaluated when a sampler ticks, and nothing is sampled
-// unless a Runtime with metrics output is active.
+// unless the run has a Runtime with metrics output.
 //
 // Wiring is equally simple: either attach a Tracer to one network with
-// netem.Network.SetTracer (tests, library users), or install a
-// process-wide Runtime with SetActive (the CLIs do this) which every
-// subsequently-created network picks up automatically.
+// netem.Network.SetTracer (tests, library users), or give a run a
+// Runtime (experiments.Params.Obs; the CLIs do this), which every
+// network the run builds picks up through its engine (netem.Wiring).
 package obs
 
 import (

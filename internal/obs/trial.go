@@ -13,17 +13,16 @@ package obs
 
 import (
 	"strconv"
-	"sync"
 	"unsafe"
 
 	"expresspass/internal/sim"
 )
 
 // Scope is the instrumentation surface a network binds to at
-// construction time: the process-wide *Runtime itself on the serial
-// path, or a per-trial *Trial while a runner sweep is in flight. The
-// methods mirror what netem needs to wire tracing, engine accounting,
-// and the metrics sampler.
+// construction time (netem.Wiring): the run's *Runtime itself for an
+// engine built outside a sweep, or a per-trial *Trial for one built by
+// a runner sweep trial. The methods mirror what netem needs to wire
+// tracing, engine accounting, and the metrics sampler.
 type Scope interface {
 	// Tracer returns the scope's tracer, or nil when tracing is off.
 	Tracer() *Tracer
@@ -45,12 +44,6 @@ var (
 	_ Scope = (*Runtime)(nil)
 	_ Scope = (*Trial)(nil)
 )
-
-// trialBindings maps engines to the trial that owns them while a sweep
-// is in flight. netem.NewNetwork only knows its engine, so this is how
-// Runtime.ScopeFor routes a network built inside a worker goroutine to
-// that worker's trial scope instead of the shared runtime.
-var trialBindings sync.Map // *sim.Engine → *Trial
 
 // Trial is the Scope for one sweep trial. Parallel sweeps buffer: the
 // trial is owned by a single worker goroutine until Flush, which the
@@ -125,25 +118,6 @@ func (rt *Runtime) BeginStreamingTrial(idx int) *Trial {
 	return &Trial{rt: rt, idx: idx, direct: true, tracer: rt.cfg.Tracer}
 }
 
-// BindEngine associates e with tr so networks built on e pick up the
-// trial scope. The runner calls this from T.Engine; nil tr is a no-op.
-func BindEngine(e *sim.Engine, tr *Trial) {
-	if tr != nil {
-		tr.AttachEngine(e)
-	}
-}
-
-// ScopeFor returns the scope a network built on e should bind to: e's
-// trial while a sweep owns it, otherwise the runtime itself.
-func (rt *Runtime) ScopeFor(e *sim.Engine) Scope {
-	if v, ok := trialBindings.Load(e); ok {
-		if tr := v.(*Trial); tr.rt == rt {
-			return tr
-		}
-	}
-	return rt
-}
-
 // Tracer returns the trial's buffering tracer (nil when the runtime
 // has no tracer).
 func (tr *Trial) Tracer() *Tracer { return tr.tracer }
@@ -164,8 +138,9 @@ func (tr *Trial) NextScope() string {
 	return s
 }
 
-// AttachEngine registers e with the trial (idempotent) and binds it in
-// the global engine→trial table so ScopeFor can find the trial.
+// AttachEngine registers e with the trial for its engine totals
+// (idempotent). The runner attaches every engine a trial creates, so
+// engines that carry no network are counted too.
 func (tr *Trial) AttachEngine(e *sim.Engine) {
 	for _, have := range tr.engines {
 		if have == e {
@@ -173,7 +148,6 @@ func (tr *Trial) AttachEngine(e *sim.Engine) {
 		}
 	}
 	tr.engines = append(tr.engines, e)
-	trialBindings.Store(e, tr)
 }
 
 // WriteRow buffers one metrics sample for replay at Flush (streaming
@@ -192,7 +166,7 @@ func (tr *Trial) WriteRow(t sim.Time, scope, metric string, v float64) {
 }
 
 // Complete folds the trial's engine totals into the runtime's atomic
-// accumulators, unbinds the engines, and bumps the sweep progress
+// accumulators, lets go of the engines, and bumps the sweep progress
 // counters. The owning worker calls it right after the trial body
 // returns — the engines are quiescent at that point, so the reads are
 // race-free, and progress heartbeats see events as trials finish
@@ -204,7 +178,6 @@ func (tr *Trial) Complete() {
 	}
 	tr.completed = true
 	for _, e := range tr.engines {
-		trialBindings.Delete(e)
 		tr.rt.addTrialTotals(e)
 	}
 	tr.engines = nil

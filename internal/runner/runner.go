@@ -6,8 +6,8 @@
 // jitter grid, a flow-count series, a load×workload matrix — and each
 // trial builds its own sim.Engine, topology, and seed. Nothing couples
 // the trials except the order their results are printed in, so the
-// runner fans the bodies out across GOMAXPROCS goroutines and
-// reassembles the outputs in submission order.
+// runner fans the bodies out across worker goroutines and reassembles
+// the outputs in submission order.
 //
 // The determinism contract is simple and strict:
 //
@@ -18,10 +18,13 @@
 //   - Results (Map) and free-form output (Sweep) are emitted in
 //     submission order, never completion order.
 //   - Instrumentation is buffered per trial (obs.Trial) and replayed
-//     into the process-wide obs.Runtime in submission order, so trace
-//     and metrics files are byte-identical at any worker count too.
+//     into the run's obs.Runtime in submission order, so trace and
+//     metrics files are byte-identical at any worker count too.
 //
-// SetProcs(1) forces the serial path; cmd/xpsim exposes it as -procs.
+// What a sweep needs of its run — the worker count, the obs runtime and
+// the per-network check — arrives as a Run value with every call; the
+// package holds no setting of its own. Run.Procs 1 forces the serial
+// path; cmd/xpsim exposes it as -procs.
 package runner
 
 import (
@@ -32,25 +35,29 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"expresspass/internal/netem"
 	"expresspass/internal/obs"
 	"expresspass/internal/sim"
 )
 
-var procs atomic.Int32
-
-// SetProcs sets the worker-pool width for subsequent sweeps: 1 forces
-// the serial path, 0 restores the default of runtime.GOMAXPROCS(0).
-func SetProcs(n int) {
-	if n < 0 {
-		n = 0
-	}
-	procs.Store(int32(n))
+// Run is what a sweep needs of the run it belongs to. The zero value is
+// an unobserved, unchecked run on runtime.GOMAXPROCS(0) workers.
+type Run struct {
+	// Procs is the worker-pool width: 1 forces the serial path, 0 (or
+	// less) means runtime.GOMAXPROCS(0).
+	Procs int
+	// Obs, when non-nil, is the run's instrumentation runtime: each
+	// trial records into a scope of it (obs.Trial).
+	Obs *obs.Runtime
+	// Check, when non-nil, runs on every network built on a trial's
+	// engines (invariant.Set.Attach). Trials call it concurrently.
+	Check func(*netem.Network)
 }
 
-// Procs returns the effective worker count for a sweep.
-func Procs() int {
-	if p := procs.Load(); p > 0 {
-		return int(p)
+// workers returns the effective worker count.
+func (r Run) workers() int {
+	if r.Procs > 0 {
+		return r.Procs
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -66,57 +73,92 @@ type T struct {
 	// Idx is the trial's submission index, 0-based.
 	Idx int
 
-	trial *obs.Trial
+	trial  *obs.Trial
+	wiring netem.Wiring
 }
 
-// Engine returns a fresh deterministic engine for seed, bound to the
-// trial's instrumentation scope so networks built on it route their
-// tracer and metrics through the trial's buffers. Trial bodies must
-// use this instead of sim.New — with the seeds the serial code used —
-// or their networks would attach to the shared runtime from a worker
-// goroutine.
+// wiring is what the run attaches to networks on an engine of trial tr,
+// or of no trial when tr is nil: they record into the trial inside a
+// sweep, into the runtime itself outside one, nowhere when the run is
+// unobserved, and are checked as the run asks. A trial exists only for an
+// observed run, so the scope is never a nil pointer in an interface.
+func (r Run) wiring(tr *obs.Trial) netem.Wiring {
+	w := netem.Wiring{Check: r.Check}
+	switch {
+	case tr != nil:
+		w.Scope = tr
+	case r.Obs != nil:
+		w.Scope = r.Obs
+	}
+	return w
+}
+
+// newT returns trial i's context, recording into tr.
+func (r Run) newT(i int, tr *obs.Trial) *T {
+	return &T{Idx: i, trial: tr, wiring: r.wiring(tr)}
+}
+
+// Engine returns a fresh engine for seed wired to the run outside any
+// sweep: networks built on it record straight into r.Obs (metrics scopes
+// "rN", not a trial's "tN.M") and are checked like a sweep's.
+func (r Run) Engine(seed uint64) *sim.Engine {
+	eng := sim.New(seed)
+	w := r.wiring(nil)
+	eng.Wiring = &w
+	return eng
+}
+
+// Engine returns a fresh deterministic engine for seed, wired to the
+// trial: networks built on it route their tracer and metrics through the
+// trial's scope and are checked as the run asks, and the engine counts
+// in the run's engine totals whether or not it carries a network. Trial
+// bodies must use this instead of sim.New — with the seeds the serial
+// code used — or their networks would be neither observed nor checked.
 func (t *T) Engine(seed uint64) *sim.Engine {
 	eng := sim.New(seed)
-	obs.BindEngine(eng, t.trial)
+	eng.Wiring = &t.wiring
+	if t.trial != nil {
+		t.trial.AttachEngine(eng)
+	}
 	return eng
 }
 
 // Map runs fn for every i in [0, n) and returns the results in
-// submission order. Bodies run concurrently on Procs() workers (serial
-// when Procs() is 1); fn must confine itself to trial-local state plus
+// submission order. Bodies run concurrently on run's workers (serially
+// when there is one); fn must confine itself to trial-local state plus
 // read-only captures. A panicking trial is re-panicked — lowest index
 // first — on the calling goroutine after the pool drains.
-func Map[R any](n int, fn func(t *T, i int) R) []R {
+func Map[R any](run Run, n int, fn func(t *T, i int) R) []R {
 	if n <= 0 {
 		return nil // before make: a negative n must not panic the sweep
 	}
 	out := make([]R, n)
-	rt := obs.Active()
+	rt := run.Obs
 	if rt != nil {
 		rt.StartSweep(n)
 	}
-	if w := min(Procs(), n); w > 1 {
-		mapParallel(out, w, rt, fn)
+	if w := min(run.workers(), n); w > 1 {
+		mapParallel(out, w, run, fn)
 		return out
 	}
 	for i := 0; i < n; i++ {
-		t := &T{Idx: i}
+		var tr *obs.Trial
 		if rt != nil {
 			// Serial trials already run in submission order, so they
 			// stream into the shared runtime instead of buffering an
 			// entire trial's event volume (obs.BeginStreamingTrial).
-			t.trial = rt.BeginStreamingTrial(i)
+			tr = rt.BeginStreamingTrial(i)
 		}
-		out[i] = fn(t, i)
-		if t.trial != nil {
-			t.trial.Flush()
+		out[i] = fn(run.newT(i, tr), i)
+		if tr != nil {
+			tr.Flush()
 		}
 		trialCount.Add(1)
 	}
 	return out
 }
 
-func mapParallel[R any](out []R, w int, rt *obs.Runtime, fn func(t *T, i int) R) {
+func mapParallel[R any](out []R, w int, run Run, fn func(t *T, i int) R) {
 	n := len(out)
 	trials := make([]*obs.Trial, n)
 	panics := make([]any, n)
@@ -132,7 +174,7 @@ func mapParallel[R any](out []R, w int, rt *obs.Runtime, fn func(t *T, i int) R)
 				if i >= n {
 					return
 				}
-				runTrial(out, trials, panics, &panicked, rt, fn, i)
+				runTrial(out, trials, panics, &panicked, run, fn, i)
 			}
 		}()
 	}
@@ -154,24 +196,22 @@ func mapParallel[R any](out []R, w int, rt *obs.Runtime, fn func(t *T, i int) R)
 	}
 }
 
-func runTrial[R any](out []R, trials []*obs.Trial, panics []any, panicked *atomic.Bool, rt *obs.Runtime, fn func(t *T, i int) R, i int) {
+func runTrial[R any](out []R, trials []*obs.Trial, panics []any, panicked *atomic.Bool, run Run, fn func(t *T, i int) R, i int) {
 	defer func() {
 		if r := recover(); r != nil {
 			panics[i] = r
 			panicked.Store(true)
 		}
 	}()
-	t := &T{Idx: i}
-	if rt != nil {
-		trials[i] = rt.BeginTrial(i)
-		t.trial = trials[i]
+	if run.Obs != nil {
+		trials[i] = run.Obs.BeginTrial(i)
 	}
-	out[i] = fn(t, i)
-	if t.trial != nil {
+	out[i] = fn(run.newT(i, trials[i]), i)
+	if trials[i] != nil {
 		// Fold engine totals in from the owning worker while the trial's
 		// engines are quiescent, so progress heartbeats track completion
 		// live; the submission-order Flush only replays buffered output.
-		t.trial.Complete()
+		trials[i].Complete()
 	}
 	trialCount.Add(1)
 }
@@ -182,12 +222,12 @@ func runTrial[R any](out []R, trials []*obs.Trial, panics []any, panicked *atomi
 // (matching Map's semantics at every worker count); the first error in
 // submission order is returned after the buffers preceding — and
 // including — the failing trial have been written.
-func Sweep(n int, w io.Writer, fn func(t *T, i int, out io.Writer) error) error {
+func Sweep(run Run, n int, w io.Writer, fn func(t *T, i int, out io.Writer) error) error {
 	type result struct {
 		buf bytes.Buffer
 		err error
 	}
-	results := Map(n, func(t *T, i int) *result {
+	results := Map(run, n, func(t *T, i int) *result {
 		r := new(result)
 		r.err = fn(t, i, &r.buf)
 		return r

@@ -15,34 +15,24 @@ import (
 	"expresspass/internal/unit"
 )
 
-// withProcs runs f at the given worker count, restoring the default.
-func withProcs(t *testing.T, n int, f func()) {
-	t.Helper()
-	SetProcs(n)
-	defer SetProcs(0)
-	f()
-}
-
 func TestMapPreservesSubmissionOrder(t *testing.T) {
+	t.Parallel()
 	for _, procs := range []int{1, 4} {
-		withProcs(t, procs, func() {
-			got := Map(100, func(_ *T, i int) int { return i * i })
-			for i, v := range got {
-				if v != i*i {
-					t.Fatalf("procs=%d: out[%d] = %d, want %d", procs, i, v, i*i)
-				}
+		got := Map(Run{Procs: procs}, 100, func(_ *T, i int) int { return i * i })
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("procs=%d: out[%d] = %d, want %d", procs, i, v, i*i)
 			}
-		})
+		}
 	}
 }
 
 func TestMapRunsEveryIndexOnce(t *testing.T) {
+	t.Parallel()
 	var ran [64]atomic.Int32
-	withProcs(t, 8, func() {
-		Map(len(ran), func(_ *T, i int) struct{} {
-			ran[i].Add(1)
-			return struct{}{}
-		})
+	Map(Run{Procs: 8}, len(ran), func(_ *T, i int) struct{} {
+		ran[i].Add(1)
+		return struct{}{}
 	})
 	for i := range ran {
 		if n := ran[i].Load(); n != 1 {
@@ -52,7 +42,8 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestMapZeroAndNegative(t *testing.T) {
-	if got := Map(0, func(_ *T, i int) int { return i }); len(got) != 0 {
+	t.Parallel()
+	if got := Map(Run{}, 0, func(_ *T, i int) int { return i }); len(got) != 0 {
 		t.Fatalf("Map(0) returned %d results", len(got))
 	}
 }
@@ -61,27 +52,24 @@ func TestMapZeroAndNegative(t *testing.T) {
 // simulation workload at 1 and GOMAXPROCS workers and requires
 // identical per-trial results: the byte-identity guarantee in miniature.
 func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
+	t.Parallel()
 	run := func(procs int) []uint64 {
-		var out []uint64
-		withProcs(t, procs, func() {
-			out = Map(16, func(tr *T, i int) uint64 {
-				eng := tr.Engine(uint64(i) + 7)
-				rng := eng.Rand()
-				var sum uint64
-				var tick func()
-				n := 0
-				tick = func() {
-					sum = sum*31 + rng.Uint64()
-					if n++; n < 50 {
-						eng.After(sim.Microsecond, tick)
-					}
+		return Map(Run{Procs: procs}, 16, func(tr *T, i int) uint64 {
+			eng := tr.Engine(uint64(i) + 7)
+			rng := eng.Rand()
+			var sum uint64
+			var tick func()
+			n := 0
+			tick = func() {
+				sum = sum*31 + rng.Uint64()
+				if n++; n < 50 {
+					eng.After(sim.Microsecond, tick)
 				}
-				eng.At(0, tick)
-				eng.Run()
-				return sum + eng.Executed()
-			})
+			}
+			eng.At(0, tick)
+			eng.Run()
+			return sum + eng.Executed()
 		})
-		return out
 	}
 	serial := run(1)
 	parallel := run(0) // default = GOMAXPROCS
@@ -93,86 +81,84 @@ func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestSweepEmitsBuffersInSubmissionOrder(t *testing.T) {
+	t.Parallel()
 	for _, procs := range []int{1, 4} {
-		withProcs(t, procs, func() {
-			var buf bytes.Buffer
-			err := Sweep(10, &buf, func(_ *T, i int, out io.Writer) error {
-				fmt.Fprintf(out, "trial %d\n", i)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want strings.Builder
-			for i := 0; i < 10; i++ {
-				fmt.Fprintf(&want, "trial %d\n", i)
-			}
-			if buf.String() != want.String() {
-				t.Fatalf("procs=%d: got:\n%s\nwant:\n%s", procs, buf.String(), want.String())
-			}
+		var buf bytes.Buffer
+		err := Sweep(Run{Procs: procs}, 10, &buf, func(_ *T, i int, out io.Writer) error {
+			fmt.Fprintf(out, "trial %d\n", i)
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		for i := 0; i < 10; i++ {
+			fmt.Fprintf(&want, "trial %d\n", i)
+		}
+		if buf.String() != want.String() {
+			t.Fatalf("procs=%d: got:\n%s\nwant:\n%s", procs, buf.String(), want.String())
+		}
 	}
 }
 
 func TestSweepReturnsFirstErrorInSubmissionOrder(t *testing.T) {
-	withProcs(t, 4, func() {
-		var buf bytes.Buffer
-		err := Sweep(8, &buf, func(_ *T, i int, out io.Writer) error {
-			fmt.Fprintf(out, "%d;", i)
-			if i == 3 || i == 6 {
-				return fmt.Errorf("boom %d", i)
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "boom 3" {
-			t.Fatalf("err = %v, want boom 3", err)
+	t.Parallel()
+	var buf bytes.Buffer
+	err := Sweep(Run{Procs: 4}, 8, &buf, func(_ *T, i int, out io.Writer) error {
+		fmt.Fprintf(out, "%d;", i)
+		if i == 3 || i == 6 {
+			return fmt.Errorf("boom %d", i)
 		}
-		if got, want := buf.String(), "0;1;2;3;"; got != want {
-			t.Fatalf("output %q, want %q", got, want)
-		}
+		return nil
 	})
+	if err == nil || err.Error() != "boom 3" {
+		t.Fatalf("err = %v, want boom 3", err)
+	}
+	if got, want := buf.String(), "0;1;2;3;"; got != want {
+		t.Fatalf("output %q, want %q", got, want)
+	}
 }
 
 func TestMapPropagatesLowestIndexPanic(t *testing.T) {
-	withProcs(t, 4, func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("no panic propagated")
-			}
-			if s, ok := r.(string); !ok || !strings.Contains(s, "trial 2") {
-				t.Fatalf("panic %v, want mention of trial 2", r)
-			}
-		}()
-		Map(16, func(_ *T, i int) int {
-			if i == 2 || i == 9 {
-				panic(fmt.Sprintf("bad trial %d", i))
-			}
-			return i
-		})
+	t.Parallel()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic propagated")
+		}
+		if s, ok := r.(string); !ok || !strings.Contains(s, "trial 2") {
+			t.Fatalf("panic %v, want mention of trial 2", r)
+		}
+	}()
+	Map(Run{Procs: 4}, 16, func(_ *T, i int) int {
+		if i == 2 || i == 9 {
+			panic(fmt.Sprintf("bad trial %d", i))
+		}
+		return i
 	})
 }
 
+// TestTrialsRunCounter reads a process-wide count, so it does not run
+// in parallel with the other sweeps of this package.
 func TestTrialsRunCounter(t *testing.T) {
 	before := TrialsRun()
-	withProcs(t, 4, func() {
-		Map(12, func(_ *T, i int) int { return i })
-	})
+	Map(Run{Procs: 4}, 12, func(_ *T, i int) int { return i })
 	if got := TrialsRun() - before; got != 12 {
 		t.Fatalf("TrialsRun advanced by %d, want 12", got)
 	}
 }
 
-// TestObsMergeByteIdentical installs a runtime with a trace sink and a
-// metrics writer, runs a traced workload under Map at several worker
+// TestObsMergeByteIdentical gives a run a runtime with a trace sink and
+// a metrics writer, runs a traced workload under Map at several worker
 // counts, and requires the merged trace and metrics bytes — plus the
 // EngineTotals accounting — to be identical to the serial run.
 func TestObsMergeByteIdentical(t *testing.T) {
+	t.Parallel()
 	workload := func(tr *T, i int) uint64 {
 		eng := tr.Engine(uint64(i) + 1)
-		// Emit trace events through the scope the engine is bound to,
-		// exactly as netem does after NewNetwork → ScopeFor.
-		sc := obs.Active().ScopeFor(eng)
+		// Emit trace events through the scope the engine is wired to,
+		// exactly as netem.NewNetwork does.
+		sc := eng.Wiring.(*netem.Wiring).Scope
 		tc := sc.Tracer()
 		var tick func()
 		n := 0
@@ -193,11 +179,7 @@ func TestObsMergeByteIdentical(t *testing.T) {
 			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb)),
 			MetricsOut: &mb,
 		})
-		obs.SetActive(rt)
-		defer obs.SetActive(nil)
-		withProcs(t, procs, func() {
-			Map(9, workload)
-		})
+		Map(Run{Procs: procs, Obs: rt}, 9, workload)
 		events, peak = rt.EngineTotals()
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
@@ -222,55 +204,94 @@ func TestObsMergeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineWiring: an engine records into its trial inside an observed
+// sweep, into the runtime itself outside one, and into nothing — a nil
+// interface, not a nil pointer in one — when the run is unobserved; every
+// engine carries the run's check.
+func TestEngineWiring(t *testing.T) {
+	t.Parallel()
+	var checked atomic.Int32
+	check := func(*netem.Network) { checked.Add(1) }
+	wiring := func(eng *sim.Engine) netem.Wiring { return *eng.Wiring.(*netem.Wiring) }
+	rt := obs.NewRuntime(obs.Config{MetricsOut: io.Discard})
+	for _, procs := range []int{1, 2} {
+		for _, run := range []Run{{Procs: procs, Check: check}, {Procs: procs, Obs: rt, Check: check}} {
+			scopes := Map(run, 2, func(tr *T, _ int) obs.Scope {
+				w := wiring(tr.Engine(1))
+				w.Check(nil)
+				return w.Scope
+			})
+			for i, sc := range scopes {
+				tr, _ := sc.(*obs.Trial)
+				if observed := run.Obs != nil; (sc != nil) != observed || (tr != nil) != observed {
+					t.Errorf("procs=%d obs=%v: trial %d's engine records into %#v", procs, run.Obs != nil, i, sc)
+				}
+			}
+		}
+	}
+	if sc := wiring(Run{Check: check}.Engine(1)).Scope; sc != nil {
+		t.Errorf("an unobserved run's engine outside a sweep records into %#v", sc)
+	}
+	w := wiring(Run{Obs: rt, Check: check}.Engine(1))
+	if w.Scope != obs.Scope(rt) {
+		t.Errorf("an observed run's engine outside a sweep records into %#v, not the runtime", w.Scope)
+	}
+	w.Check(nil)
+	if n := checked.Load(); n != 9 {
+		t.Errorf("the run's check ran %d times, want 9", n)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPacketPoolSafeUnderParallelTrials runs 64 trials on 8 workers
 // (under -race via `make check`). Each builds its own network and churns
 // packets through its pool: some straight back, the rest across a link
 // into an endpoint that recycles them. Every trial must end with its own
 // pool at zero — no count reaches across trials.
 func TestPacketPoolSafeUnderParallelTrials(t *testing.T) {
+	t.Parallel()
 	type result struct {
 		live      int64
 		delivered int
 	}
-	var res []result
-	withProcs(t, 8, func() {
-		res = Map(64, func(tr *T, i int) result {
-			eng := tr.Engine(uint64(i))
-			net := netem.NewNetwork(eng)
-			a := net.NewHost("a", netem.HardwareNICDelay())
-			b := net.NewHost("b", netem.HardwareNICDelay())
-			net.Connect(a, b, netem.PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond})
-			pool := net.Pool()
-			var r result
-			b.Register(1, endpointFunc(func(p *packet.Packet) {
-				r.delivered++
-				pool.Put(p)
-			}))
-			var churn func()
-			n := 0
-			churn = func() {
-				held := make([]*packet.Packet, 16)
-				for k := range held {
-					p := pool.Get()
-					p.Flow, p.Seq = 1, int64(k)
-					p.Src, p.Dst, p.Wire = a.ID(), b.ID(), 1538
-					held[k] = p
-				}
-				for _, p := range held[:8] {
-					pool.Put(p)
-				}
-				for _, p := range held[8:] {
-					a.Send(p)
-				}
-				if n++; n < 20 {
-					eng.After(20*sim.Microsecond, churn)
-				}
+	res := Map(Run{Procs: 8}, 64, func(tr *T, i int) result {
+		eng := tr.Engine(uint64(i))
+		net := netem.NewNetwork(eng)
+		a := net.NewHost("a", netem.HardwareNICDelay())
+		b := net.NewHost("b", netem.HardwareNICDelay())
+		net.Connect(a, b, netem.PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond})
+		pool := net.Pool()
+		var r result
+		b.Register(1, endpointFunc(func(p *packet.Packet) {
+			r.delivered++
+			pool.Put(p)
+		}))
+		var churn func()
+		n := 0
+		churn = func() {
+			held := make([]*packet.Packet, 16)
+			for k := range held {
+				p := pool.Get()
+				p.Flow, p.Seq = 1, int64(k)
+				p.Src, p.Dst, p.Wire = a.ID(), b.ID(), 1538
+				held[k] = p
 			}
-			eng.At(0, churn)
-			eng.Run()
-			r.live = pool.Live()
-			return r
-		})
+			for _, p := range held[:8] {
+				pool.Put(p)
+			}
+			for _, p := range held[8:] {
+				a.Send(p)
+			}
+			if n++; n < 20 {
+				eng.After(20*sim.Microsecond, churn)
+			}
+		}
+		eng.At(0, churn)
+		eng.Run()
+		r.live = pool.Live()
+		return r
 	})
 	for i, r := range res {
 		if r.live != 0 || r.delivered != 160 {

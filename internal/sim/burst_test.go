@@ -75,32 +75,44 @@ func raceEnabled() bool {
 
 // burstDrainNs returns the best-of-3 cost per event, in ns, of
 // scheduling k events across 5 domains on one instant — cycling, so
-// four in five arrive against key order — and draining them.
-func burstDrainNs(k int) float64 {
+// four in five arrive against key order — and draining them, once on
+// each of reps fresh engines inside one timed window.
+func burstDrainNs(k, reps int) float64 {
 	nop := func(any, any, uint64) {}
 	best := time.Duration(1<<63 - 1)
 	for try := 0; try < 3; try++ {
-		e := New(1)
-		start := time.Now()
-		for i := 0; i < k; i++ {
-			e.At2D(int32(i%5), Microsecond, nop, nil, nil, 0)
+		engs := make([]*Engine, reps)
+		for r := range engs {
+			engs[r] = New(1)
 		}
-		e.Run()
+		start := time.Now()
+		for _, e := range engs {
+			for i := 0; i < k; i++ {
+				e.At2D(int32(i%5), Microsecond, nop, nil, nil, 0)
+			}
+			e.Run()
+		}
 		best = min(best, time.Since(start))
 	}
-	return float64(best.Nanoseconds()) / float64(k)
+	return float64(best.Nanoseconds()) / float64(k*reps)
 }
 
 // TestBurstDrainScales is the scaling guard: a same-instant burst must
 // cost O(log k) per event, not O(k). A 32× larger burst may cost at most
 // 4× more per event (cache misses and the deeper heap account for ~2×);
-// a sorted insert without the walk cap measured 225×.
+// a sorted insert without the walk cap measures 169×.
 // TestWalkCapBoundsBurstCost is the same guard in compares, not time.
+// The small burst is timed 32 times over in one window, so both windows
+// drain 32768 events and last about as long: on a host whose cores other
+// test binaries keep busy, the scheduler preempts the two alike, where a
+// lone 1024-event burst fits in one time slice and a 32768-event one
+// does not. Each small burst still has a fresh engine, so it stays
+// cache-resident, as it was when it was timed alone.
 func TestBurstDrainScales(t *testing.T) {
 	if testing.Short() || raceEnabled() {
 		t.Skip("timing guard: skipped under -short and -race")
 	}
-	small, large := burstDrainNs(1<<10), burstDrainNs(1<<15)
+	small, large := burstDrainNs(1<<10, 32), burstDrainNs(1<<15, 1)
 	t.Logf("per-event drain cost: %.0f ns at 1024, %.0f ns at 32768 (%.1fx)", small, large, large/small)
 	if large > 4*small {
 		t.Fatalf("draining a 32768-event same-instant burst costs %.0f ns/event, %.1fx the %.0f ns/event of a 1024-event burst (limit 4x): a burst is no longer O(log k) per event",

@@ -182,6 +182,13 @@ type Engine struct {
 	// through Arm; the difference is events that never existed.
 	reserved uint64
 	armed    uint64
+
+	// Wiring is what a network built on this engine attaches to (a
+	// *netem.Wiring: the run's observation scope and invariant check). It
+	// is set by whoever creates the engine for a run; sim never reads it,
+	// and an engine without one builds unobserved, unchecked networks.
+	// Last, so the fields above keep the offsets the hot path reads.
+	Wiring any
 }
 
 // New returns an engine at time zero whose RNG is seeded with seed.

@@ -13,7 +13,7 @@ package expresspass_test
 //     XPSIM_OBS_RSS_BUDGET_MB (256 when unset; `make bench-gate` sets
 //     20, twice the 10–11 MB read at PR 23 — PR 6 read ~22 MB, see
 //     EXPERIMENTS.md "What streaming trials bought"). The sweep runs
-//     serial (SetSweepProcs(1)) so the gate measures the streaming path
+//     serial (Procs: 1) so the gate measures the streaming path
 //     — the trace goes straight through a 64 KiB buffer into the
 //     counting writer with no per-trial replay buffers, and each cell's
 //     FCT samples are reduced to table cells inside its trial, so the
@@ -58,18 +58,13 @@ func TestObsBudgetGate(t *testing.T) {
 		}
 		scale = v
 	}
-	expresspass.SetSweepProcs(1)
-	defer expresspass.SetSweepProcs(0)
-
 	var cw countingWriter
 	tracer := expresspass.NewTracer(expresspass.NewJSONLTraceSink(&cw))
 	rt := expresspass.NewObsRuntime(expresspass.ObsConfig{Tracer: tracer})
-	expresspass.SetObsRuntime(rt)
-	defer expresspass.SetObsRuntime(nil)
 
 	var out bytes.Buffer
 	if err := expresspass.RunExperiment("fig18",
-		expresspass.ExperimentParams{Scale: scale, Seed: 42}, &out); err != nil {
+		expresspass.ExperimentParams{Scale: scale, Seed: 42, Procs: 1, Obs: rt}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Close(); err != nil {

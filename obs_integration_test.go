@@ -1,8 +1,8 @@
 package expresspass_test
 
-// End-to-end observability test: install a process-wide instrumentation
-// runtime exactly like `xpsim -trace out.jsonl -metrics metrics.csv
-// fig17` does, run the fig17 shuffle at tiny scale, and check both
+// End-to-end observability test: give a run an instrumentation runtime
+// exactly like `xpsim -trace out.jsonl -metrics metrics.csv fig17`
+// does, run the fig17 shuffle at tiny scale, and check both
 // outputs carry what the acceptance criteria require — a non-empty
 // JSONL trace with credit-drop, data-enqueue, and queue-depth events,
 // and a metrics CSV with per-port utilization time series.
@@ -19,6 +19,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full experiment")
 	}
+	t.Parallel()
 	var trace, metrics bytes.Buffer
 	cdrop, denq, qd, fb := mustType(t, "credit_drop"), mustType(t, "data_enq"),
 		mustType(t, "qdepth"), mustType(t, "feedback")
@@ -26,12 +27,10 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		Tracer:     expresspass.NewTracer(expresspass.NewJSONLTraceSink(&trace), cdrop, denq, qd, fb),
 		MetricsOut: &metrics,
 	})
-	expresspass.SetObsRuntime(rt)
-	defer expresspass.SetObsRuntime(nil)
 
 	var out bytes.Buffer
 	err := expresspass.RunExperiment("fig17",
-		expresspass.ExperimentParams{Scale: 0.02, Seed: 42}, &out)
+		expresspass.ExperimentParams{Scale: 0.02, Seed: 42, Obs: rt}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +78,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 }
 
 // TestObservabilityOffByDefault pins the zero-overhead contract's wiring
-// half: with no runtime installed, networks carry no tracer or metrics.
+// half: a network built outside any run carries no tracer or metrics.
 func TestObservabilityOffByDefault(t *testing.T) {
 	eng := expresspass.NewEngine(1)
 	net := expresspass.NewNetwork(eng)
 	if net.Tracer() != nil || net.Metrics() != nil {
-		t.Error("network picked up instrumentation with no runtime active")
+		t.Error("network picked up instrumentation outside any run")
 	}
 }
 
