@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check test bench bench-quick bench-gate bench-test gate fmt vet race fuzz-smoke cover
+.PHONY: check test bench-gate bench-test gate fmt vet race fuzz-smoke cover
 
 ## check: the pre-commit gate — vet, formatting, and the race-enabled
 ## tests of the engine, instrumentation, and parallel-runner layers
@@ -96,55 +96,26 @@ test:
 race:
 	go test -race ./...
 
-bench:
-	go test -bench=. -benchmem
-
-## bench-quick: one pass of the two parallel sweep benches; reports
-## trials/sec, aggregate sim-events/sec, and speedup-vs-serial.
-bench-quick:
-	go test -run '^$$' -bench 'BenchmarkSweep(Fig18|Table3)' -benchtime 1x
-
 ## bench-gate: the budgets that need a known host or minutes of run
-## time. First TestHotPathBudget — BenchmarkHotPath, a single credited
-## flow across a 5-hop chain, at 0 allocs/op, as in every plain `go test
-## ./...` — with the speed floor only this target sets: at least
-## HOTPATH_PKTRATE_FLOOR data packets per wall second (80% of the median
-## measured when transmitter-done events stopped being queued for idle
-## ports — EXPERIMENTS.md "Where the events go"; override for slower CI
+## time, in two stages. First TestHotPathBudget — BenchmarkHotPath, a
+## single credited flow across a 5-hop chain, at 0 allocs/op, as in every
+## plain `go test ./...` — with the speed floor only this target sets: at
+## least HOTPATH_PKTRATE_FLOOR data packets per wall second (80% of the
+## median measured when transmitter-done events stopped being queued for
+## idle ports — EXPERIMENTS.md "Where the events go"; override for slower
 ## hosts). Packets, not events: a change that removes events lowers
 ## sim-events/sec, which the run still prints, while doing the same work
-## faster. The second
-## half is the observability budget gate: a fully-traced fig18 sweep
-## must average at most OBS_BYTES_BUDGET trace bytes per event and
-## peak below OBS_RSS_BUDGET_MB of RSS (see TestObsBudgetGate).
-## The final stage is the lifecycle RSS gate: one lifecycle-managed
-## scale=LIFECYCLE_SCALE realistic cell (≈47k WebServer flows at the
-## default 0.5) must peak below LIFECYCLE_RSS_BUDGET_MB of RSS — lazy
-## dialing plus retirement keeps the footprint proportional to the
-## concurrently-active flow population (see TestLifecycleRSSGate and
-## BENCH_8.json for the 1155→44 MB before/after at scale=1.0).
-## Both RSS budgets are twice the reading they guard (the obs gate reads
-## 10–11 MB; the lifecycle cell 18 MB at scale 0.5 and 22 MB at 1.0 since
-## one flow table replaced the per-host demux windows — EXPERIMENTS.md
-## "A trial owns its memory"), so a doubling fails; re-measure and move
-## them together with any change that means to move the reading.
+## faster. Then the lifecycle RSS gate: one lifecycle-managed scale-0.5
+## realistic cell (≈47k WebServer flows) must peak below 36 MB of RSS,
+## twice its 18 MB reading (see TestLifecycleRSSGate, which holds both
+## numbers). It runs alone, in a process of its own, because VmHWM counts
+## the whole process.
 HOTPATH_PKTRATE_FLOOR ?= 415800
 
-OBS_BYTES_BUDGET ?= 160
-OBS_RSS_BUDGET_MB ?= 20
-LIFECYCLE_RSS_BUDGET_MB ?= 36
-LIFECYCLE_SCALE ?= 0.5
 bench-gate:
 	go test -run '^TestHotPathBudget$$' -count=1 -v . -args -pktrate-floor $(HOTPATH_PKTRATE_FLOOR)
 	@echo "bench-gate: hot path OK (0 allocs/op, floor $(HOTPATH_PKTRATE_FLOOR) pkts/sec)"
-	XPSIM_OBS_GATE=1 XPSIM_OBS_BYTES_BUDGET=$(OBS_BYTES_BUDGET) \
-		XPSIM_OBS_RSS_BUDGET_MB=$(OBS_RSS_BUDGET_MB) \
-		go test -run '^TestObsBudgetGate$$' -count=1 -v -timeout 30m .
-	@echo "bench-gate: obs budget OK"
-	XPSIM_LIFECYCLE_RSS_BUDGET=$(LIFECYCLE_RSS_BUDGET_MB) \
-		XPSIM_LIFECYCLE_SCALE=$(LIFECYCLE_SCALE) \
-		go test -run '^TestLifecycleRSSGate$$' -count=1 -v -timeout 30m \
-		./internal/experiments
+	XPSIM_GATE_ALL=1 go test -run '^TestLifecycleRSSGate$$' -count=1 -v -timeout 30m ./internal/experiments
 	@echo "bench-gate: lifecycle RSS budget OK"
 
 fmt:

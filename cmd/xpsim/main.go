@@ -159,7 +159,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(2)
 	}
-	if err := checkScale(o.scale); err != nil {
+	if err := checkValues(o); err != nil {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(2)
 	}
@@ -341,6 +341,26 @@ func reportInvariants(w io.Writer, st expresspass.InvariantStats, n uint64, vs [
 func checkScale(s float64) error {
 	if !(s > 0 && s <= 1) {
 		return fmt.Errorf("-scale must be in (0,1], got %v", s)
+	}
+	return nil
+}
+
+// checkValues rejects every numeric flag outside its range: -scale (see
+// checkScale), a negative -procs, and a -flight-events or
+// -metrics-interval that is not positive. The library would replace each
+// of the last three with its default without a word. -procs 0 is in
+// range: it means GOMAXPROCS, as Params.Procs documents.
+func checkValues(o *options) error {
+	if err := checkScale(o.scale); err != nil {
+		return err
+	}
+	switch {
+	case o.procs < 0:
+		return fmt.Errorf("-procs must be >= 0, got %d", o.procs)
+	case o.flightEvents <= 0:
+		return fmt.Errorf("-flight-events must be > 0, got %d", o.flightEvents)
+	case o.metricsIval <= 0:
+		return fmt.Errorf("-metrics-interval must be > 0, got %v", o.metricsIval)
 	}
 	return nil
 }

@@ -153,15 +153,44 @@ func TestReportInvariants(t *testing.T) {
 	}
 }
 
-func parseFlags(t *testing.T, args ...string) *flag.FlagSet {
+func parseFlags(t *testing.T, args ...string) (*flag.FlagSet, *options) {
 	t.Helper()
 	fs := flag.NewFlagSet("xpsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	newFlags(fs)
+	o := newFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %q: %v", args, err)
 	}
-	return fs
+	return fs, o
+}
+
+// TestCheckValues: a numeric flag outside its range is a usage error,
+// never quietly replaced by a default; -procs 0 means GOMAXPROCS.
+func TestCheckValues(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want string // "" = accepted
+	}{
+		{"-scale 0", "-scale must be in (0,1], got 0"},
+		{"-procs -1", "-procs must be >= 0, got -1"},
+		{"-flight-events 0", "-flight-events must be > 0, got 0"},
+		{"-flight-events -8", "-flight-events must be > 0, got -8"},
+		{"-metrics-interval 0s", "-metrics-interval must be > 0, got 0s"},
+		{"-metrics-interval -1ms", "-metrics-interval must be > 0, got -1ms"},
+
+		{"", ""},
+		{"-procs 0", ""},
+		{"-procs 1 -flight-events 1 -metrics-interval 1ns", ""},
+	} {
+		_, o := parseFlags(t, strings.Fields(tc.args)...)
+		got := ""
+		if err := checkValues(o); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("xpsim %s: error %q, want %q", tc.args, got, tc.want)
+		}
+	}
 }
 
 // TestCheckFlagNeeds: a flag that only adjusts another flag is a usage
@@ -194,7 +223,8 @@ func TestCheckFlagNeeds(t *testing.T) {
 		{"-metrics m.csv -metrics-interval 100us", ""},
 		{"-invariants -flight f.jsonl -flight-events 64", ""},
 	} {
-		err := checkFlagNeeds(parseFlags(t, strings.Fields(tc.args)...))
+		fs, _ := parseFlags(t, strings.Fields(tc.args)...)
+		err := checkFlagNeeds(fs)
 		got := ""
 		if err != nil {
 			got = err.Error()
@@ -211,7 +241,7 @@ func TestCheckFlagNeeds(t *testing.T) {
 // and "needs" columns must also say what the code does. Removing or
 // adding a flag fails here until all three agree.
 func TestFlagSurface(t *testing.T) {
-	fs := parseFlags(t)
+	fs, _ := parseFlags(t)
 	var defined []string
 	fs.VisitAll(func(f *flag.Flag) { defined = append(defined, f.Name) }) // sorted by name
 

@@ -7,7 +7,6 @@ import (
 	"expresspass/internal/core"
 	"expresspass/internal/faults"
 	"expresspass/internal/netem"
-	"expresspass/internal/obs"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
@@ -331,5 +330,3 @@ func runExtFaultsStall(p Params, w io.Writer) error {
 	tbl.Write(w)
 	return nil
 }
-
-var _ = obs.EvFaultStart // the injector emits these through the trial scope

@@ -95,48 +95,32 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 	}
 }
 
-// TestLifecycleRSSGate is the memory-regression gate run by
-// `make bench-gate` (set XPSIM_LIFECYCLE_RSS_BUDGET, in MB; skipped
-// otherwise — one scale=1.0 realistic cell simulates ~94k WebServer
-// flows and takes a few minutes). With lazy dialing and retirement the
-// footprint tracks the few hundred concurrently-active flows, not the
-// run total, so peak RSS must stay under the budget.
+// TestLifecycleRSSGate is the memory-regression gate: one scale-0.5
+// realistic cell (~47k WebServer flows, 10–20 s) must peak under
+// 36 MB of RSS. With lazy dialing and retirement the footprint tracks the
+// few hundred concurrently-active flows, not the run total: it reads
+// 18 MB, so the budget fails a doubling. The FCT collectors retain 8
+// bytes per finished flow, under 0.4 MB of it.
 //
-// XPSIM_LIFECYCLE_SCALE overrides the scale (e.g. 10 for the 10× smoke
-// mode — combine with XPSIM_REALISTIC_FLOW_CAP, which this test reads
-// into realisticCfg.flowCap, to lift the per-run flow cap). The FCT
-// collectors retain 8 bytes per finished flow: under 1 MB of the ~22 MB
-// the scale=1.0 cell peaks at (18 MB at `make bench-gate`'s default 0.5,
-// budget 36), 8 MB for a million flows.
+// It runs under XPSIM_GATE_ALL, and alone — `make bench-gate` gives it a
+// process of its own — because VmHWM counts the whole process: any test
+// that ran before it in the same binary raises the reading.
 func TestLifecycleRSSGate(t *testing.T) {
-	budgetMB := os.Getenv("XPSIM_LIFECYCLE_RSS_BUDGET")
-	if budgetMB == "" {
-		t.Skip("set XPSIM_LIFECYCLE_RSS_BUDGET (MB) to run the lifecycle RSS gate")
+	const (
+		scale    = 0.5
+		budgetMB = 36
+	)
+	if os.Getenv("XPSIM_GATE_ALL") == "" {
+		t.Skip("lifecycle RSS gate: set XPSIM_GATE_ALL=1 and run it alone (make bench-gate)")
 	}
-	budget, err := strconv.Atoi(budgetMB)
-	if err != nil {
-		t.Fatalf("XPSIM_LIFECYCLE_RSS_BUDGET: %v", err)
-	}
-	p := Params{Scale: 1.0, Seed: 42}
-	if s := os.Getenv("XPSIM_LIFECYCLE_SCALE"); s != "" {
-		if p.Scale, err = strconv.ParseFloat(s, 64); err != nil {
-			t.Fatalf("XPSIM_LIFECYCLE_SCALE: %v", err)
-		}
-	}
+	p := Params{Scale: scale, Seed: 42}
 	rc := realisticCfg{
 		proto: ProtoExpressPass, dist: workload.WebServer(), load: 0.6,
 		linkRate: 10 * unit.Gbps,
 	}
-	if s := os.Getenv("XPSIM_REALISTIC_FLOW_CAP"); s != "" {
-		if rc.flowCap, err = strconv.Atoi(s); err != nil {
-			t.Fatalf("XPSIM_REALISTIC_FLOW_CAP: %v", err)
-		}
-	}
 	start := time.Now()
 	res := runner.Map(p.sweep(), 1, func(rt *runner.T, _ int) realisticResult {
-		// Calling runRealistic directly (rather than Run("fig18", …))
-		// isolates one cell and, for the smoke mode, bypasses the
-		// public-params clamp of Scale to [0.1, 1] and the flow cap.
+		// One cell of fig18's shape, not the whole experiment.
 		return runRealistic(rt, p, rc)
 	})[0]
 	r := obs.ReadResources()
@@ -148,7 +132,7 @@ func TestLifecycleRSSGate(t *testing.T) {
 	}
 	if r.PeakRSSBytes == 0 {
 		t.Log("VmHWM unavailable; skipping RSS budget check")
-	} else if rssMB > float64(budget) {
-		t.Errorf("peak RSS %.0f MB exceeds budget %d MB", rssMB, budget)
+	} else if rssMB > budgetMB {
+		t.Errorf("peak RSS %.0f MB exceeds budget %d MB", rssMB, budgetMB)
 	}
 }

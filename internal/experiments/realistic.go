@@ -24,7 +24,6 @@ type realisticCfg struct {
 	linkRate unit.Rate
 	alpha    float64 // ExpressPass α (0 → default 1/16 per §6.3)
 	winit    float64
-	flowCap  int // per-run flow-count cap (0 → paperFlowCap)
 }
 
 // realisticResult aggregates what the §6.3 figures report. FCTs
@@ -91,11 +90,7 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 	if requested < 150 {
 		requested = 150
 	}
-	flowCap := rc.flowCap
-	if flowCap <= 0 {
-		flowCap = paperFlowCap
-	}
-	flows := min(requested, flowCap)
+	flows := min(requested, paperFlowCap)
 	if flows < requested {
 		// The clamp used to be silent, so "fin N/N" could hide that the
 		// budget asked for far more flows than ran. Report to stderr —
@@ -203,9 +198,7 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 // events order deterministically.
 const time0 = 10 * sim.Microsecond
 
-// paperFlowCap is the per-run flow-count cap: the paper's run size. The
-// lifecycle gate's 10× smoke mode raises it (realisticCfg.flowCap) to run
-// millions of flows through the lifecycle manager.
+// paperFlowCap is the per-run flow-count cap: the paper's run size.
 const paperFlowCap = 100000
 
 // ---- Fig 18: FCT sensitivity to α and w_init ----

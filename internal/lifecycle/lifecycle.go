@@ -5,8 +5,8 @@
 // streaming per-class accumulators, and released to the garbage
 // collector — while the run is still in flight. Per-flow state is then
 // O(concurrently-active flows) rather than O(total flows), which is
-// what makes scale=1.0 (the paper's 100k-flow runs) and the 10× smoke
-// mode fit in bounded RSS on one machine.
+// what makes scale=1.0 (the paper's 100k-flow runs) fit in bounded RSS
+// on one machine.
 //
 // Determinism. Both manager activities run as dom-0 (global) events on
 // the trial's engine:

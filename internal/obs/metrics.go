@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"sort"
-
-	"expresspass/internal/sim"
-	"expresspass/internal/stats"
-)
+import "sort"
 
 // Registry is an ordered set of named metrics: monotone counters,
 // pull-based gauges, and fixed-bucket histograms. Like the simulator it
@@ -149,9 +144,6 @@ func (r *Registry) add(e entry) {
 // whether it existed. Later entries keep their relative registration
 // order (snapshots stay ordered); the splice is O(n) in registry size,
 // which is bounded by the per-network gauge budget, not by flow count.
-// A stats.Series started before the removal keeps sampling its own
-// closure — use the long-format metrics CSV when the metric set is
-// dynamic.
 func (r *Registry) Unregister(name string) bool {
 	i, ok := r.byName[name]
 	if !ok {
@@ -196,34 +188,6 @@ func (r *Registry) Snapshot() []Sample {
 		}
 	}
 	return out
-}
-
-// StartSeries snapshots the registry into a stats.Series sampled every
-// interval on eng: one column per metric registered *at call time*
-// (histograms contribute their four derived columns). This is the
-// mid-run time-series view — run the simulation, then render with
-// Series.WriteCSV or read columns directly. Metrics registered after
-// StartSeries are not added to the series (columns are fixed); use a
-// Runtime metrics CSV (long format) when the metric set is dynamic.
-func (r *Registry) StartSeries(eng *sim.Engine, interval sim.Duration) *stats.Series {
-	s := stats.NewSeries(interval)
-	for _, e := range r.entries {
-		switch e.kind {
-		case kindCounter:
-			c := e.counter
-			s.Track(e.name, func() float64 { return c.Value() })
-		case kindGauge:
-			s.Track(e.name, e.gauge)
-		case kindHistogram:
-			h := e.hist
-			s.Track(e.name+"/count", func() float64 { return float64(h.Count()) })
-			s.Track(e.name+"/sum", func() float64 { return h.Sum() })
-			s.Track(e.name+"/p50", func() float64 { return h.Quantile(0.50) })
-			s.Track(e.name+"/p99", func() float64 { return h.Quantile(0.99) })
-		}
-	}
-	s.Start(eng)
-	return s
 }
 
 // FCTBoundsMS are the default flow-completion-time histogram buckets in

@@ -114,53 +114,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestStartSeries verifies the stats.Series bridge: metrics sampled
-// mid-run at a fixed interval, rendered as CSV.
-func TestStartSeries(t *testing.T) {
-	eng := sim.New(1)
-	r := NewRegistry()
-	c := r.Counter("events")
-	r.Gauge("now_us", func() float64 { return eng.Now().Micros() })
-
-	// Bump the counter every 100 µs for 1 ms of simulated time.
-	var work func()
-	work = func() {
-		c.Inc()
-		if eng.Now() < sim.Millisecond {
-			eng.After(100*sim.Microsecond, work)
-		}
-	}
-	eng.After(100*sim.Microsecond, work)
-
-	s := r.StartSeries(eng, 250*sim.Microsecond)
-	eng.RunUntil(sim.Millisecond)
-	s.Stop()
-
-	if s.Len() < 3 {
-		t.Fatalf("series samples = %d, want >= 3", s.Len())
-	}
-	col := s.Column("events")
-	if col == nil {
-		t.Fatal("events column missing")
-	}
-	// The counter is cumulative and must be non-decreasing.
-	for i := 1; i < len(col); i++ {
-		if col[i] < col[i-1] {
-			t.Errorf("counter series decreased: %v", col)
-		}
-	}
-	if last := col[len(col)-1]; last < 7 {
-		t.Errorf("final counter sample = %g, want >= 7", last)
-	}
-	var csv bytes.Buffer
-	if err := s.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(csv.String(), "time_us,events,now_us") {
-		t.Errorf("csv header = %q", strings.SplitN(csv.String(), "\n", 2)[0])
-	}
-}
-
 func TestRuntimeMetricsCSV(t *testing.T) {
 	var buf bytes.Buffer
 	rt := NewRuntime(Config{MetricsOut: &buf})

@@ -158,6 +158,21 @@ func TestSinksMatchReferenceOnRealStream(t *testing.T) {
 			len(events), fractional)
 	}
 	diffSinks(t, events)
+
+	// The JSONL footprint: this stream reads 109.4 bytes per event (a
+	// fig18 trace read 116.8). More than 160 means the flat nine-key
+	// schema grew or the encoder pads what it prints.
+	var w countingWriter
+	sink := obs.NewJSONLSink(&w)
+	for _, ev := range events {
+		sink.Record(ev)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(w.n) / float64(len(events)); per > 160 {
+		t.Errorf("jsonl: %.1f bytes per event, budget 160", per)
+	}
 }
 
 // edgeEvents crosses the timestamp and payload edge tables (every

@@ -62,12 +62,6 @@ func (r Run) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-var trialCount atomic.Uint64
-
-// TrialsRun returns the number of sweep trials completed process-wide
-// (benchmarks use deltas of this for trials/sec).
-func TrialsRun() uint64 { return trialCount.Load() }
-
 // T is the per-trial context handed to sweep bodies.
 type T struct {
 	// Idx is the trial's submission index, 0-based.
@@ -153,7 +147,6 @@ func Map[R any](run Run, n int, fn func(t *T, i int) R) []R {
 		if tr != nil {
 			tr.Flush()
 		}
-		trialCount.Add(1)
 	}
 	return out
 }
@@ -213,7 +206,6 @@ func runTrial[R any](out []R, trials []*obs.Trial, panics []any, panicked *atomi
 		// live; the submission-order Flush only replays buffered output.
 		trials[i].Complete()
 	}
-	trialCount.Add(1)
 }
 
 // Sweep runs n trials whose output is free-form text rather than table

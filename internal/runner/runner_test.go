@@ -138,20 +138,12 @@ func TestMapPropagatesLowestIndexPanic(t *testing.T) {
 	})
 }
 
-// TestTrialsRunCounter reads a process-wide count, so it does not run
-// in parallel with the other sweeps of this package.
-func TestTrialsRunCounter(t *testing.T) {
-	before := TrialsRun()
-	Map(Run{Procs: 4}, 12, func(_ *T, i int) int { return i })
-	if got := TrialsRun() - before; got != 12 {
-		t.Fatalf("TrialsRun advanced by %d, want 12", got)
-	}
-}
-
 // TestObsMergeByteIdentical gives a run a runtime with a trace sink and
 // a metrics writer, runs a traced workload under Map at several worker
 // counts, and requires the merged trace and metrics bytes — plus the
-// EngineTotals accounting — to be identical to the serial run.
+// EngineTotals accounting — to be identical to the serial run. A serial
+// sweep streams each trial straight into the runtime, so it buffers
+// nothing; parallel trials buffer until their submission-order flush.
 func TestObsMergeByteIdentical(t *testing.T) {
 	t.Parallel()
 	workload := func(tr *T, i int) uint64 {
@@ -180,6 +172,12 @@ func TestObsMergeByteIdentical(t *testing.T) {
 			MetricsOut: &mb,
 		})
 		Map(Run{Procs: procs, Obs: rt}, 9, workload)
+		switch buffered := rt.PeakBufferedBytes(); {
+		case procs == 1 && buffered != 0:
+			t.Errorf("procs=1: a serial sweep buffered %d bytes, want 0 (it streams)", buffered)
+		case procs > 1 && buffered == 0:
+			t.Errorf("procs=%d: parallel trials buffered nothing before their merge", procs)
+		}
 		events, peak = rt.EngineTotals()
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)

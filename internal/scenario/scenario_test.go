@@ -29,25 +29,9 @@ func ScenarioTest(t *testing.T, seed uint64, opt Options) Report {
 		t.Errorf("seed %d: %s", seed, v)
 	}
 	if fail {
-		t.Logf("replay: XPSIM_SCENARIO_SEED=%d go test ./internal/scenario -run TestScenarioSeed -v", seed)
-		t.Logf("   or: xpsim -scenario-seed %d", seed)
+		t.Logf("replay: xpsim -scenario-seed %d", seed)
 	}
 	return rep
-}
-
-// TestScenarioSeed replays a single seed from XPSIM_SCENARIO_SEED, the
-// hook printed by a fuzz-smoke failure. Without the variable it runs
-// seed 1 as a plain regression.
-func TestScenarioSeed(t *testing.T) {
-	seed := uint64(1)
-	if s := os.Getenv("XPSIM_SCENARIO_SEED"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			t.Fatalf("bad XPSIM_SCENARIO_SEED %q: %v", s, err)
-		}
-		seed = v
-	}
-	ScenarioTest(t, seed, Options{})
 }
 
 // TestFuzzSmoke runs XPSIM_FUZZ_SEEDS consecutive seeds (default 8,

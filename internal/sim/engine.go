@@ -164,10 +164,6 @@ type Engine struct {
 	free      []*event
 	freeDrops uint64 // recycles rejected by the free-list cap
 
-	// hook, when non-nil, observes every executed event (see SetHook).
-	// The disabled path costs exactly one predictable branch in Step.
-	hook func(now Time, pending int)
-
 	// The dispatch position (see Reached) is the largest key dispatch
 	// order has passed, as (now, posDom, posSeq). Step raises it to each
 	// dispatched event's key; Run and RunUntil, which move the clock
@@ -254,12 +250,6 @@ func (e *Engine) FreeListSize() int { return len(e.free) }
 // steady-state rate means the cap heuristic is losing recycling wins
 // (obs exports it as sim/freelist_drops).
 func (e *Engine) FreeListDrops() uint64 { return e.freeDrops }
-
-// SetHook installs a profiling hook invoked after every executed event
-// with the current time and remaining live-event count (nil
-// uninstalls). Intended for instrumentation (event-rate meters,
-// queue-depth probes); the hook must not schedule or cancel events.
-func (e *Engine) SetHook(fn func(now Time, pending int)) { e.hook = fn }
 
 // less orders events by (time, domain, insertion sequence). The domain
 // tie-break makes a same-instant tie between two components a function
@@ -477,9 +467,6 @@ func (e *Engine) Step() bool {
 		e.recycle(ev)
 		e.nEvents++
 		h(obj, aux, arg)
-		if e.hook != nil {
-			e.hook(e.now, e.live)
-		}
 		return true
 	}
 }

@@ -185,36 +185,3 @@ func TestMaxPendingHighWaterMark(t *testing.T) {
 		t.Errorf("MaxPending = %d after run, want 37 (high-water mark)", got)
 	}
 }
-
-// TestHookObservesEveryEvent pins the SetHook profiling contract: the
-// hook fires once per executed event (canceled events excluded), after
-// the handler, with the post-execution heap depth.
-func TestHookObservesEveryEvent(t *testing.T) {
-	eng := New(11)
-	var calls int
-	var lastPending int
-	eng.SetHook(func(now Time, pending int) {
-		calls++
-		lastPending = pending
-	})
-	// The canceled event sorts first so it is popped (and skipped)
-	// before any hook-observed event runs.
-	id := eng.After(100*Picosecond, func() { t.Error("canceled event ran") })
-	id.Cancel()
-	for i := 0; i < 10; i++ {
-		eng.After(Duration(i+1)*Nanosecond, func() {})
-	}
-	eng.Run()
-	if calls != 10 {
-		t.Errorf("hook calls = %d, want 10 (canceled event must not count)", calls)
-	}
-	if lastPending != 0 {
-		t.Errorf("final pending = %d, want 0", lastPending)
-	}
-	eng.SetHook(nil)
-	eng.After(Nanosecond, func() {})
-	eng.Run()
-	if calls != 10 {
-		t.Error("hook fired after uninstall")
-	}
-}
