@@ -163,6 +163,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(2)
 	}
+	rotateBytes, err := parseSize(o.traceRotate)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xpsim: -trace-rotate: %v\n", err)
+		os.Exit(2)
+	}
+	traceTypes, err := parseEventTypes(o.traceTypes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "xpsim: -trace-types: %v\n", err)
+		os.Exit(2)
+	}
 	if o.shards > 1 {
 		fmt.Fprintf(os.Stderr, "xpsim: -shards %d ignored: intra-run sharding was removed (DESIGN.md \"One event queue per trial\")\n", o.shards)
 	}
@@ -211,12 +221,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rotateBytes, err := parseSize(o.traceRotate)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xpsim: -trace-rotate: %v\n", err)
-		os.Exit(2)
-	}
-	rt, err := buildRuntime(o.tracePath, o.traceTypes, o.metricsPath, o.metricsIval,
+	rt, err := buildRuntime(o.tracePath, traceTypes, o.metricsPath, o.metricsIval,
 		rotateBytes, o.traceGzip, o.progress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
@@ -436,8 +441,10 @@ func humanSI(v float64) string {
 
 // buildRuntime assembles the obs.Runtime for the requested outputs, or
 // returns nil when no output was asked for. A bare -progress still gets
-// a Runtime so heartbeats and the resource summary have a home.
-func buildRuntime(tracePath, traceTypes, metricsPath string, ival time.Duration,
+// a Runtime so heartbeats and the resource summary have a home. Every
+// flag value reaching it is already validated: the only errors left are
+// files that cannot be created.
+func buildRuntime(tracePath string, traceTypes []obs.EventType, metricsPath string, ival time.Duration,
 	rotateBytes int64, gz, progress bool) (*obs.Runtime, error) {
 	var cfg obs.Config
 	if tracePath != "" {
@@ -470,12 +477,7 @@ func buildRuntime(tracePath, traceTypes, metricsPath string, ival time.Duration,
 		} else {
 			sink = obs.NewJSONLSink(tw)
 		}
-		types, err := parseEventTypes(traceTypes)
-		if err != nil {
-			sink.Close()
-			return nil, err
-		}
-		cfg.Tracer = obs.NewTracer(sink, types...)
+		cfg.Tracer = obs.NewTracer(sink, traceTypes...)
 		tw.tracer = cfg.Tracer
 	}
 	if metricsPath != "" {
@@ -514,6 +516,8 @@ func (w *traceWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// parseEventTypes parses -trace-types: "" means every type (nil), and a
+// list must name at least one known type.
 func parseEventTypes(list string) ([]obs.EventType, error) {
 	if list == "" {
 		return nil, nil // nil = all types
@@ -529,6 +533,9 @@ func parseEventTypes(list string) ([]obs.EventType, error) {
 			return nil, fmt.Errorf("unknown trace event type %q", name)
 		}
 		types = append(types, ty)
+	}
+	if len(types) == 0 {
+		return nil, fmt.Errorf("%q names no event type", list)
 	}
 	return types, nil
 }

@@ -442,11 +442,13 @@ func TestLinkSurface(t *testing.T) {
 }
 
 // TestNoDeadProfile: a command line that is rejected after flag parsing
-// — a bad -trace-rotate size (exit 2), a trace file that cannot be
-// created (exit 1), xpcalc's bad rate — must not leave a profile behind.
-// Profiles used to start before those checks, which then exited without
-// stopping them: a 0-byte cpu profile go tool pprof cannot read, and no
-// heap profile at all.
+// — a bad -trace-rotate size or -trace-types list (exit 2), a trace file
+// that cannot be created (exit 1), xpcalc's bad rate — must not leave a
+// profile or a trace file behind (DIR in a row's arguments is the row's
+// own directory, which must stay empty). Profiles used to start before
+// those checks, which then exited without stopping them: a 0-byte cpu
+// profile go tool pprof cannot read, and no heap profile at all. A bad
+// -trace-types list used to be parsed after the trace file was created.
 func TestNoDeadProfile(t *testing.T) {
 	goTool(t)
 	bin := t.TempDir()
@@ -459,6 +461,9 @@ func TestNoDeadProfile(t *testing.T) {
 		args string
 	}{
 		{"xpsim", 2, "-trace /dev/null -trace-rotate bogus fig17"},
+		{"xpsim", 2, "-trace DIR/t.jsonl -trace-types bogus fig17"},
+		{"xpsim", 2, "-trace DIR/t.jsonl -trace-gzip -trace-types bogus fig17"},
+		{"xpsim", 2, "-trace DIR/t.csv -trace-types , fig17"},
 		{"xpsim", 1, "-trace /nonexistent/t.jsonl fig17"},
 		{"xpsim", 1, "-invariants -flight /nonexistent/f.jsonl fig17"},
 		{"xpcalc", 2, "-host bogus"},
@@ -466,16 +471,19 @@ func TestNoDeadProfile(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		cpu, mem := filepath.Join(dir, "p.prof"), filepath.Join(dir, "m.prof")
-		args := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, strings.Fields(tc.args)...)
+		args := append([]string{"-cpuprofile", cpu, "-memprofile", mem},
+			strings.Fields(strings.ReplaceAll(tc.args, "DIR", dir))...)
 		err := exec.Command(filepath.Join(bin, tc.name), args...).Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != tc.exit {
 			t.Errorf("%s %s: %v, want exit status %d", tc.name, tc.args, err, tc.exit)
 		}
-		for _, f := range []string{cpu, mem} {
-			if st, err := os.Stat(f); err == nil {
-				t.Errorf("%s %s: left %s behind (%d bytes)", tc.name, tc.args, filepath.Base(f), st.Size())
-			}
+		left, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range left {
+			t.Errorf("%s %s: left %s behind", tc.name, tc.args, e.Name())
 		}
 	}
 }

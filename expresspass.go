@@ -79,7 +79,7 @@ type (
 
 	// Flow is one transfer and its measured outcome.
 	Flow = transport.Flow
-	// Config tunes an ExpressPass flow (α, w bounds, target loss, …).
+	// Config tunes an ExpressPass flow (α, initial w, base RTT, …).
 	Config = core.Config
 	// Session is a dialed ExpressPass flow (sender + receiver side).
 	Session = core.Session

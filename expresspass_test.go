@@ -5,11 +5,27 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"expresspass"
+	"expresspass/internal/core"
+	"expresspass/internal/dctcp"
+	"expresspass/internal/experiments"
+	"expresspass/internal/hull"
+	"expresspass/internal/invariant"
+	"expresspass/internal/lifecycle"
+	"expresspass/internal/netem"
+	"expresspass/internal/obs"
+	"expresspass/internal/scenario"
+	"expresspass/internal/topology"
+	"expresspass/internal/transport"
+	"expresspass/internal/workload"
 )
 
 // TestAPISurface pins the facade's exported names — the twin of
@@ -63,6 +79,91 @@ func TestAPISurface(t *testing.T) {
 	slices.Sort(got)
 	if !slices.Equal(got, want) {
 		t.Errorf("expresspass.go exports\n %v\nbut TestAPISurface lists\n %v", got, want)
+	}
+}
+
+// TestConfigSurface pins the exported fields of every config struct in
+// the module — each struct type named *Config, *Options or *Params — the
+// way TestAPISurface pins the facade's names: a new knob, or a new
+// config type, fails here until this table says the same, so it arrives
+// as a reviewed diff.
+func TestConfigSurface(t *testing.T) {
+	t.Parallel()
+	want := []struct {
+		typ    reflect.Type
+		fields string
+	}{
+		{reflect.TypeFor[core.Config](), "Alpha WInit BaseRTT JitterFrac DisableCreditSizeRandomization Naive StopMargin MaxRequestRetries Class"},
+		{reflect.TypeFor[dctcp.Config](), "G InitAlpha"},
+		{reflect.TypeFor[experiments.Params](), "Scale Seed Faults Procs Obs Invariants"},
+		{reflect.TypeFor[hull.Config](), "DrainFactor MarkThreshold G"},
+		{reflect.TypeFor[invariant.Options](), "QueueBound DelayCap NoQueueBound NoDelayBound OnViolation FlightOut FlightEvents"},
+		{reflect.TypeFor[lifecycle.Config](), "Engine Specs Dial Class FCTValue OnRetire Grace"},
+		{reflect.TypeFor[netem.CreditClassConfig](), "Priority Weight"},
+		{reflect.TypeFor[netem.HostDelayConfig](), "Min Spread"},
+		{reflect.TypeFor[netem.PFCConfig](), "XOff XOn"},
+		{reflect.TypeFor[netem.PhantomConfig](), "DrainFactor MarkThreshold"},
+		{reflect.TypeFor[netem.PortConfig](), "Rate Delay DataCapacity CreditQueueCap CreditBurst CreditRatio ECNThreshold CreditTailDrop RED CreditClasses RCP Phantom PFC"},
+		{reflect.TypeFor[netem.RCPConfig](), "RTT"},
+		{reflect.TypeFor[obs.Config](), "Tracer MetricsOut Interval Progress"},
+		{reflect.TypeFor[obs.RotateConfig](), "MaxBytes Gzip Header"},
+		{reflect.TypeFor[scenario.Options](), "NoFaults"},
+		{reflect.TypeFor[topology.Config](), "LinkRate CoreRate LinkDelay DataCapacity CreditQueueCap CreditBurst CreditTailDrop ECNThreshold RED RCP Phantom PFC"},
+		{reflect.TypeFor[topology.OversubParams](), "Cores Aggs ToRs HostsPerToR UplinksPerToR CoreLinksPerAgg"},
+		{reflect.TypeFor[transport.ConnConfig](), "Mode InitCwnd MinCwnd InitRate MinRTO ECN Segment"},
+		{reflect.TypeFor[workload.PoissonConfig](), "Hosts Dist Load RefRate Flows Start"},
+		{reflect.TypeFor[workload.ShuffleConfig](), "Hosts TasksPerHost Bytes StartJitter"},
+	}
+	const rule = "a config field needs two callers that set it to different values; " +
+		"a value only its default ever takes is a constant (DESIGN.md \"One value, no knob\")"
+	var pinned []string
+	for _, w := range want {
+		var got []string
+		for i := 0; i < w.typ.NumField(); i++ {
+			if f := w.typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if g := strings.Join(got, " "); g != w.fields {
+			t.Errorf("%s has fields\n %s\nbut TestConfigSurface pins\n %s\n(%s)", w.typ, g, w.fields, rule)
+		}
+		pinned = append(pinned, w.typ.String())
+	}
+
+	// The table covers every config struct the module declares.
+	name := regexp.MustCompile(`(Config|Options|Params)$`)
+	var declared []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "bench" || strings.HasPrefix(d.Name(), ".")) && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.IsExported() && name.MatchString(ts.Name.Name) && ts.Assign == 0 {
+				if _, isStruct := ts.Type.(*ast.StructType); isStruct {
+					declared = append(declared, f.Name.Name+"."+ts.Name.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(declared)
+	slices.Sort(pinned)
+	if !slices.Equal(declared, pinned) {
+		t.Errorf("the module declares config structs\n %v\nbut TestConfigSurface pins\n %v\n(%s)", declared, pinned, rule)
 	}
 }
 

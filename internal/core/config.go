@@ -12,29 +12,28 @@ import (
 	"expresspass/internal/unit"
 )
 
+// Algorithm 1's constants: the bounds on the aggressiveness factor w
+// (§3.2) and the credit loss rate the feedback loop aims for (§3.3).
+const (
+	wMin       = 0.01
+	wMax       = 0.5
+	targetLoss = 0.1
+)
+
 // Config tunes one ExpressPass flow. Zero values select the paper's
 // defaults.
 type Config struct {
-	// Alpha is the initial credit rate as a fraction of MaxRate
-	// (α in §3.3 / Fig 18). Default 0.5.
+	// Alpha is the initial credit rate as a fraction of the maximum
+	// credit rate (α in §3.3 / Fig 18). Default 0.5.
 	Alpha float64
 
 	// WInit is the initial aggressiveness factor w. Default 0.5.
 	WInit float64
-	// WMin is the lower bound on w (§3.2). Default 0.01.
-	WMin float64
-	// WMax is the upper bound on w. Default 0.5.
-	WMax float64
-
-	// TargetLoss is the credit loss rate the feedback loop aims for
-	// (§3.3). Default 0.1.
-	TargetLoss float64
 
 	// BaseRTT is the network round-trip estimate used to mature credit
-	// loss samples; the update period defaults to it. Default 100 µs.
+	// loss samples; it is also the feedback update period. Default
+	// 100 µs.
 	BaseRTT sim.Duration
-	// Period is the feedback update interval. Default BaseRTT.
-	Period sim.Duration
 
 	// JitterFrac is the random jitter applied to inter-credit gaps,
 	// relative to the gap (j in Fig 6a). Default 0.02.
@@ -45,25 +44,10 @@ type Config struct {
 	// set DisableCreditSizeRandomization to turn it off.
 	DisableCreditSizeRandomization bool
 
-	// MaxRate caps the per-flow credit sending rate in credit-wire
-	// bits/s. Default: NIC line rate × unit.CreditRatio.
-	MaxRate unit.Rate
-	// MinRate floors the credit sending rate. Default MaxRate/256,
-	// roughly one credit per few update periods — low enough for
-	// thousands of flows to share a link, high enough that a flow never
-	// burrows so deep into the sub-credit-per-RTT regime that it takes
-	// tens of periods to surface again.
-	MinRate unit.Rate
-
-	// Naive disables the feedback loop entirely: credits flow at
-	// MaxRate, relying on switch rate-limiting alone (§2's naïve
-	// scheme, the no-feedback arm of Figs 10/11).
+	// Naive disables the feedback loop entirely: credits flow at the
+	// maximum credit rate, relying on switch rate-limiting alone (§2's
+	// naïve scheme, the no-feedback arm of Figs 10/11).
 	Naive bool
-
-	// StopTimeout is how long the sender waits with nothing left to
-	// send before emitting CREDIT_STOP. Default: immediately after the
-	// last data packet is credited (0).
-	StopTimeout sim.Duration
 
 	// StopMargin enables the §7 preemptive credit stop: the sender
 	// emits CREDIT_STOP once the bytes still awaiting credits drop to
@@ -87,7 +71,7 @@ type Config struct {
 	Class uint8
 }
 
-func (c Config) withDefaults(lineRate unit.Rate) Config {
+func (c Config) withDefaults() Config {
 	if c.Alpha == 0 {
 		c.Alpha = 0.5
 		if c.Naive {
@@ -98,32 +82,11 @@ func (c Config) withDefaults(lineRate unit.Rate) Config {
 	if c.WInit == 0 {
 		c.WInit = 0.5
 	}
-	if c.WMin == 0 {
-		c.WMin = 0.01
-	}
-	if c.WMax == 0 {
-		c.WMax = 0.5
-	}
-	if c.TargetLoss == 0 {
-		c.TargetLoss = 0.1
-	}
 	if c.BaseRTT == 0 {
 		c.BaseRTT = 100 * sim.Microsecond
 	}
-	if c.Period == 0 {
-		c.Period = c.BaseRTT
-	}
 	if c.JitterFrac == 0 {
 		c.JitterFrac = 0.02
-	}
-	if c.MaxRate == 0 {
-		c.MaxRate = lineRate.Scale(unit.CreditRatio)
-	}
-	if c.MinRate == 0 {
-		c.MinRate = c.MaxRate / 256
-		if c.MinRate < 1 {
-			c.MinRate = 1
-		}
 	}
 	if c.MaxRequestRetries == 0 {
 		c.MaxRequestRetries = 64

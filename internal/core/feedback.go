@@ -29,17 +29,23 @@ type Feedback struct {
 // post-decrease credits — at most one rate cut per congestion event).
 func (f *Feedback) LastDecreased() bool { return !f.prevIncreasing }
 
-// NewFeedback returns a controller initialized per cfg for the given
-// line-derived max credit rate.
-func NewFeedback(cfg Config) *Feedback {
+// NewFeedback returns a controller initialized per cfg for a receiver
+// whose NIC runs at lineRate, with Algorithm 1's constants. The maximum
+// credit rate is the line rate's credit share (unit.CreditRatio); the
+// floor is 1/256 of it, roughly one credit per few update periods — low
+// enough for thousands of flows to share a link, high enough that a flow
+// never burrows so deep into the sub-credit-per-RTT regime that it takes
+// tens of periods to surface again.
+func NewFeedback(cfg Config, lineRate unit.Rate) *Feedback {
+	maxRate := lineRate.Scale(unit.CreditRatio)
 	f := &Feedback{
-		MaxRate:    cfg.MaxRate,
-		MinRate:    cfg.MinRate,
-		TargetLoss: cfg.TargetLoss,
-		WMin:       cfg.WMin,
-		WMax:       cfg.WMax,
+		MaxRate:    maxRate,
+		MinRate:    max(maxRate/256, 1),
+		TargetLoss: targetLoss,
+		WMin:       wMin,
+		WMax:       wMax,
 		W:          cfg.WInit,
-		Rate:       unit.Rate(float64(cfg.MaxRate) * cfg.Alpha),
+		Rate:       unit.Rate(float64(maxRate) * cfg.Alpha),
 	}
 	f.clamp()
 	return f

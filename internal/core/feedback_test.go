@@ -10,8 +10,7 @@ import (
 )
 
 func testFeedback(alpha float64) *Feedback {
-	cfg := Config{Alpha: alpha}.withDefaults(10 * unit.Gbps)
-	return NewFeedback(cfg)
+	return NewFeedback(Config{Alpha: alpha}.withDefaults(), 10*unit.Gbps)
 }
 
 func TestFeedbackInitialRate(t *testing.T) {
@@ -24,7 +23,7 @@ func TestFeedbackInitialRate(t *testing.T) {
 }
 
 func TestFeedbackIncreasePhase(t *testing.T) {
-	fb := NewFeedback(Config{Alpha: 0.25, WInit: 0.1}.withDefaults(10 * unit.Gbps))
+	fb := NewFeedback(Config{Alpha: 0.25, WInit: 0.1}.withDefaults(), 10*unit.Gbps)
 	r0 := fb.Rate
 	fb.Update(0, true) // no loss → increase
 	if fb.Rate <= r0 {
@@ -113,14 +112,13 @@ func TestFeedbackRateClamps(t *testing.T) {
 // oscillation must match D* = C·w_min·(1−1/N) (§4).
 func TestFeedbackConvergesToFairShare(t *testing.T) {
 	for _, n := range []int{2, 4, 10, 32} {
-		cfg := Config{}.withDefaults(10 * unit.Gbps)
-		capacity := float64(cfg.MaxRate) * (1 + cfg.TargetLoss) // C in §4
+		fb := NewFeedback(Config{}.withDefaults(), 10*unit.Gbps)
+		capacity := float64(fb.MaxRate) * (1 + fb.TargetLoss) // C in §4
 
 		fbs := make([]*Feedback, n)
 		rng := sim.NewRand(uint64(n))
 		for i := range fbs {
-			fbs[i] = NewFeedback(Config{Alpha: rng.Float64()*0.9 + 0.05}.
-				withDefaults(10 * unit.Gbps))
+			fbs[i] = NewFeedback(Config{Alpha: rng.Float64()*0.9 + 0.05}.withDefaults(), 10*unit.Gbps)
 		}
 		step := func() {
 			var sum float64
@@ -212,21 +210,28 @@ func TestFeedbackBoundsProperty(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults(10 * unit.Gbps)
-	if c.Alpha != 0.5 || c.WInit != 0.5 || c.WMin != 0.01 || c.TargetLoss != 0.1 {
+	c := Config{}.withDefaults()
+	if c.Alpha != 0.5 || c.WInit != 0.5 || c.JitterFrac != 0.02 || c.MaxRequestRetries != 64 {
 		t.Errorf("defaults: %+v", c)
 	}
-	if c.BaseRTT != 100*sim.Microsecond || c.Period != c.BaseRTT {
+	if c.BaseRTT != 100*sim.Microsecond {
 		t.Errorf("timing defaults: %+v", c)
 	}
+	fb := NewFeedback(c, 10*unit.Gbps)
+	if fb.WMin != 0.01 || fb.WMax != 0.5 || fb.TargetLoss != 0.1 {
+		t.Errorf("Algorithm 1 constants: %+v", fb)
+	}
 	want := (10 * unit.Gbps).Scale(unit.CreditRatio)
-	if c.MaxRate != want {
-		t.Errorf("MaxRate = %v, want %v", c.MaxRate, want)
+	if fb.MaxRate != want {
+		t.Errorf("MaxRate = %v, want %v", fb.MaxRate, want)
 	}
-	if c.MinRate != want/256 {
-		t.Errorf("MinRate = %v", c.MinRate)
+	if fb.MinRate != want/256 {
+		t.Errorf("MinRate = %v", fb.MinRate)
 	}
-	naive := Config{Naive: true}.withDefaults(10 * unit.Gbps)
+	if slow := NewFeedback(c, 1); slow.MinRate != 1 {
+		t.Errorf("MinRate on a 1 bps line = %v, want the 1 bps floor", slow.MinRate)
+	}
+	naive := Config{Naive: true}.withDefaults()
 	if naive.Alpha != 1 {
 		t.Errorf("naive default alpha = %v, want 1 (max rate)", naive.Alpha)
 	}

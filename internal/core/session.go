@@ -30,11 +30,11 @@ type Session struct {
 // credit request is piggybacked on connection setup (§3.1), so credits
 // begin flowing one half-RTT after the flow arrives.
 func Dial(f *transport.Flow, cfg Config) *Session {
-	cfg = cfg.withDefaults(f.Receiver.LineRate())
+	cfg = cfg.withDefaults()
 	s := &Session{Flow: f, Cfg: cfg}
 	s.snd = &sender{sess: s, host: f.Sender}
 	s.rcv = &receiver{sess: s, host: f.Receiver, rng: f.Receiver.Rand().Fork()}
-	s.rcv.fb = NewFeedback(cfg)
+	s.rcv.fb = NewFeedback(cfg, f.Receiver.LineRate())
 	s.initObs()
 	f.Sender.Register(f.ID, s.snd)
 	f.Receiver.Register(f.ID, s.rcv)
@@ -409,7 +409,7 @@ func (sn *sender) emitData(payload unit.Bytes, creditSeq int64) {
 	sn.host.Send(d)
 }
 
-// maybeStop schedules/sends CREDIT_STOP once nothing is left to send.
+// maybeStop sends CREDIT_STOP once nothing is left to send.
 //
 // Fig 7a CSTOP_SENT retry arc: if credits keep arriving, the stop was
 // lost and must be resent — but at most once per retry window. The
@@ -426,11 +426,6 @@ func (sn *sender) maybeStop() {
 			return
 		}
 		sn.stopSent = false // a full window of stray credits: stop was lost
-	}
-	if sn.sess.Cfg.StopTimeout > 0 {
-		sn.stopTimer = sn.host.Engine().After2D(sn.host.Dom(),
-			sn.sess.Cfg.StopTimeout, senderSendStop, sn, nil, 0)
-		return
 	}
 	sn.sendStop()
 }
@@ -569,7 +564,7 @@ func (rc *receiver) startCredits() {
 	rc.lastEcho = rc.nextSeq
 	rc.sendCredit()
 	rc.tickTimer = rc.host.Engine().After2D(rc.host.Dom(),
-		rc.sess.Cfg.Period, receiverTick, rc, nil, 0)
+		rc.sess.Cfg.BaseRTT, receiverTick, rc, nil, 0)
 }
 
 func (rc *receiver) stopCredits() {
@@ -707,5 +702,5 @@ func (rc *receiver) tick() {
 	}
 	rc.delivered, rc.lost = 0, 0
 	rc.tickTimer = rc.host.Engine().After2D(rc.host.Dom(),
-		cfg.Period, receiverTick, rc, nil, 0)
+		cfg.BaseRTT, receiverTick, rc, nil, 0)
 }

@@ -15,7 +15,7 @@ func stepConn(t *testing.T) (*cubic.CC, *transport.Conn) {
 	t.Helper()
 	eng := sim.New(99)
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
-	cc := cubic.New(cubic.Config{}) // C = 0.4, β = 0.7
+	cc := cubic.New() // C = 0.4, β = 0.7
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 	c := transport.NewConn(f, cc, transport.ConnConfig{Segment: 1000})
 	return cc, c
@@ -63,6 +63,27 @@ func TestCubicHandComputedSteps(t *testing.T) {
 	want := 7.7 + (20.8796-7.7)/7.7
 	if math.Abs(c2.Cwnd-want) > 1e-2 {
 		t.Fatalf("convex-region cwnd = %v, want ≈%v", c2.Cwnd, want)
+	}
+}
+
+// TestCubicEpochStartsAtTheLargerWindow: a slow start that overshoots
+// the window of the last loss opens its epoch at the window it reached,
+// not at the stale Wmax.
+func TestCubicEpochStartsAtTheLargerWindow(t *testing.T) {
+	cc, c := stepConn(t)
+	c.Cwnd = 10
+	cc.OnTimeout(c) // Wmax = 10, ssthresh = 7, cwnd = MinCwnd = 1
+	cc.OnAck(c, 20*c.Cfg.Segment, &packet.Packet{}, 0)
+	if c.Cwnd != 21 {
+		t.Fatalf("slow-start cwnd = %v, want 1 + 20 acked packets", c.Cwnd)
+	}
+	// Congestion avoidance with Wmax = 21: K = ∛(21·0.3/0.4) ≈ 2.5066 s,
+	// so an ack 5 s of rtt later grows by (0.4·(5−K)³ + 21 − 21)/21 ≈
+	// 0.295, well above Reno's 1/21 (a stale Wmax of 10 would give less).
+	cc.OnAck(c, c.Cfg.Segment, &packet.Packet{}, 5*sim.Second)
+	k := math.Cbrt(21 * 0.3 / 0.4)
+	if want := 21 + 0.4*math.Pow(5-k, 3)/21; math.Abs(c.Cwnd-want) > 1e-9 {
+		t.Fatalf("convex-region cwnd = %v, want %v", c.Cwnd, want)
 	}
 }
 

@@ -13,26 +13,15 @@ import (
 	"expresspass/internal/unit"
 )
 
-// Config tunes CUBIC.
-type Config struct {
-	C    float64 // cubic scaling constant, default 0.4
-	Beta float64 // multiplicative decrease, default 0.7 (new = old·Beta)
-}
-
-func (c Config) withDefaults() Config {
-	if c.C == 0 {
-		c.C = 0.4
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.7
-	}
-	return c
-}
+// CUBIC's constants. They are typed so that 1−beta rounds as float64
+// arithmetic does.
+const (
+	cubicC float64 = 0.4 // cubic scaling constant
+	beta   float64 = 0.7 // multiplicative decrease (new = old·beta)
+)
 
 // CC is the CUBIC policy for transport.Conn.
 type CC struct {
-	cfg Config
-
 	wMax     float64  // window before last reduction (packets)
 	epoch    sim.Time // start of current growth epoch
 	k        float64  // time offset to reach wMax (seconds)
@@ -41,8 +30,8 @@ type CC struct {
 }
 
 // New returns a CUBIC controller.
-func New(cfg Config) *CC {
-	return &CC{cfg: cfg.withDefaults(), ssthresh: 1 << 30, inSS: true}
+func New() *CC {
+	return &CC{ssthresh: 1 << 30, inSS: true}
 }
 
 // Init implements transport.CC.
@@ -65,10 +54,10 @@ func (cc *CC) OnAck(c *transport.Conn, acked unit.Bytes, _ *packet.Packet, rtt s
 		if cc.wMax < c.Cwnd {
 			cc.wMax = c.Cwnd
 		}
-		cc.k = math.Cbrt(cc.wMax * (1 - cc.cfg.Beta) / cc.cfg.C)
+		cc.k = math.Cbrt(cc.wMax * (1 - beta) / cubicC)
 	}
 	t := (now - cc.epoch).Seconds() + rtt.Seconds()
-	target := cc.cfg.C*math.Pow(t-cc.k, 3) + cc.wMax
+	target := cubicC*math.Pow(t-cc.k, 3) + cc.wMax
 	grow := (target - c.Cwnd) / c.Cwnd * pkts
 	// TCP-friendly region: in low-RTT networks the cubic function is
 	// glacial (K is seconds), so CUBIC must grow at least at Reno's
@@ -83,7 +72,7 @@ func (cc *CC) OnAck(c *transport.Conn, acked unit.Bytes, _ *packet.Packet, rtt s
 // OnFastRetransmit implements transport.CC.
 func (cc *CC) OnFastRetransmit(c *transport.Conn) {
 	cc.wMax = c.Cwnd
-	c.Cwnd *= cc.cfg.Beta
+	c.Cwnd *= beta
 	c.ClampCwnd()
 	cc.ssthresh = c.Cwnd
 	cc.epoch = 0
@@ -93,7 +82,7 @@ func (cc *CC) OnFastRetransmit(c *transport.Conn) {
 // OnTimeout implements transport.CC.
 func (cc *CC) OnTimeout(c *transport.Conn) {
 	cc.wMax = c.Cwnd
-	cc.ssthresh = math.Max(c.Cwnd*cc.cfg.Beta, c.Cfg.MinCwnd)
+	cc.ssthresh = math.Max(c.Cwnd*beta, c.Cfg.MinCwnd)
 	c.Cwnd = c.Cfg.MinCwnd
 	cc.epoch = 0
 	cc.inSS = true

@@ -21,7 +21,7 @@ func cubicNet(seed uint64, n int, queue unit.Bytes) (*sim.Engine, *topology.Dumb
 
 func dial(d *topology.Dumbbell, i int) (*transport.Flow, *transport.Conn) {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0, 0)
-	c := transport.NewConn(f, cubic.New(cubic.Config{}), transport.ConnConfig{MinRTO: 2 * sim.Millisecond})
+	c := transport.NewConn(f, cubic.New(), transport.ConnConfig{MinRTO: 2 * sim.Millisecond})
 	return f, c
 }
 

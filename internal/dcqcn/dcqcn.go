@@ -1,7 +1,7 @@
 // Package dcqcn implements DCQCN (Zhu et al., SIGCOMM 2015), the
 // ECN-based rate control deployed for large-scale RDMA — the §1/§8
 // comparison point whose reliance on PFC motivates ExpressPass's
-// proactive design. Switches RED-mark packets (netem.REDConfig); the
+// proactive design. Switches RED-mark packets (netem.PortConfig.RED); the
 // receiver signals congestion back at most once per CNP interval (here
 // via the marked-ACK echo); the sender reacts with a QCN-like
 // multiplicative cut and recovers through fast-recovery / additive /
@@ -16,54 +16,22 @@ import (
 	"expresspass/internal/unit"
 )
 
-// Config follows the DCQCN paper's parameter names and defaults.
-type Config struct {
-	G           float64      // α gain, default 1/256
-	CNPInterval sim.Duration // min gap between rate cuts, default 50 µs
-	AlphaTimer  sim.Duration // α decay period, default 55 µs
-	IncTimer    sim.Duration // rate-increase period, default 300 µs
-	ByteCounter unit.Bytes   // rate-increase byte stage, default 10 MB
-	F           int          // fast-recovery stages, default 5
-	RateAI      unit.Rate    // additive increment, default 40 Mbps
-	RateHAI     unit.Rate    // hyper increment, default 400 Mbps
-	MinRate     unit.Rate    // floor, default 10 Mbps
-}
-
-func (c Config) withDefaults() Config {
-	if c.G == 0 {
-		c.G = 1.0 / 256
-	}
-	if c.CNPInterval == 0 {
-		c.CNPInterval = 50 * sim.Microsecond
-	}
-	if c.AlphaTimer == 0 {
-		c.AlphaTimer = 55 * sim.Microsecond
-	}
-	if c.IncTimer == 0 {
-		c.IncTimer = 300 * sim.Microsecond
-	}
-	if c.ByteCounter == 0 {
-		c.ByteCounter = 10 * unit.MB
-	}
-	if c.F == 0 {
-		c.F = 5
-	}
-	if c.RateAI == 0 {
-		c.RateAI = 40 * unit.Mbps
-	}
-	if c.RateHAI == 0 {
-		c.RateHAI = 400 * unit.Mbps
-	}
-	if c.MinRate == 0 {
-		c.MinRate = 10 * unit.Mbps
-	}
-	return c
-}
+// DCQCN's parameters, under the DCQCN paper's names and at its
+// defaults.
+const (
+	g           float64 = 1.0 / 256             // α gain
+	cnpInterval         = 50 * sim.Microsecond  // min gap between rate cuts
+	alphaTimer          = 55 * sim.Microsecond  // α decay period
+	incTimer            = 300 * sim.Microsecond // rate-increase period
+	byteCounter         = 10 * unit.MB          // rate-increase byte stage
+	stagesF             = 5                     // fast-recovery stages
+	rateAI              = 40 * unit.Mbps        // additive increment
+	rateHAI             = 400 * unit.Mbps       // hyper increment
+	minRate             = 10 * unit.Mbps        // rate floor
+)
 
 // CC is the DCQCN reaction-point policy for transport.Conn (ModePaced).
 type CC struct {
-	cfg Config
-
 	alpha      float64
 	target     unit.Rate
 	lastCNP    sim.Time
@@ -75,8 +43,8 @@ type CC struct {
 }
 
 // New returns a DCQCN controller.
-func New(cfg Config) *CC {
-	return &CC{cfg: cfg.withDefaults(), alpha: 1}
+func New() *CC {
+	return &CC{alpha: 1}
 }
 
 // Alpha returns the current congestion estimate.
@@ -99,12 +67,12 @@ func (d *CC) Init(c *transport.Conn) {
 			return
 		}
 		if !d.cnpSinceAT {
-			d.alpha *= 1 - d.cfg.G
+			d.alpha *= 1 - g
 		}
 		d.cnpSinceAT = false
-		eng.AfterD(dom, d.cfg.AlphaTimer, alphaTick)
+		eng.AfterD(dom, alphaTimer, alphaTick)
 	}
-	eng.AfterD(dom, d.cfg.AlphaTimer, alphaTick)
+	eng.AfterD(dom, alphaTimer, alphaTick)
 
 	var incTick func()
 	incTick = func() {
@@ -113,16 +81,16 @@ func (d *CC) Init(c *transport.Conn) {
 		}
 		d.timerIter++
 		d.increase(c)
-		eng.AfterD(dom, d.cfg.IncTimer, incTick)
+		eng.AfterD(dom, incTimer, incTick)
 	}
-	eng.AfterD(dom, d.cfg.IncTimer, incTick)
+	eng.AfterD(dom, incTimer, incTick)
 }
 
 // OnAck implements transport.CC: a marked echo is treated as a CNP,
-// rate-limited to one reaction per CNPInterval.
+// rate-limited to one reaction per CNP interval (50 µs).
 func (d *CC) OnAck(c *transport.Conn, acked unit.Bytes, ack *packet.Packet, _ sim.Duration) {
 	d.ackedB += acked
-	if d.ackedB >= d.cfg.ByteCounter {
+	if d.ackedB >= byteCounter {
 		d.ackedB = 0
 		d.byteIter++
 		d.increase(c)
@@ -131,17 +99,17 @@ func (d *CC) OnAck(c *transport.Conn, acked unit.Bytes, ack *packet.Packet, _ si
 		return
 	}
 	now := c.Engine().Now()
-	if now-d.lastCNP < d.cfg.CNPInterval {
+	if now-d.lastCNP < cnpInterval {
 		return
 	}
 	d.lastCNP = now
 	d.cnpSinceAT = true
 	// Reaction point: cut and remember the pre-cut rate as the target.
-	d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G
+	d.alpha = (1-g)*d.alpha + g
 	d.target = c.PaceRate
 	c.PaceRate = unit.Rate(float64(c.PaceRate) * (1 - d.alpha/2))
-	if c.PaceRate < d.cfg.MinRate {
-		c.PaceRate = d.cfg.MinRate
+	if c.PaceRate < minRate {
+		c.PaceRate = minRate
 	}
 	d.timerIter, d.byteIter = 0, 0
 	d.ackedB = 0
@@ -153,10 +121,10 @@ func (d *CC) OnAck(c *transport.Conn, acked unit.Bytes, ack *packet.Packet, _ si
 func (d *CC) increase(c *transport.Conn) {
 	ti, bi := d.timerIter, d.byteIter
 	switch {
-	case ti > d.cfg.F && bi > d.cfg.F:
-		d.target += d.cfg.RateHAI // hyper increase: both stages mature
-	case ti > d.cfg.F || bi > d.cfg.F:
-		d.target += d.cfg.RateAI // additive increase
+	case ti > stagesF && bi > stagesF:
+		d.target += rateHAI // hyper increase: both stages mature
+	case ti > stagesF || bi > stagesF:
+		d.target += rateAI // additive increase
 	default:
 		// Fast recovery: converge toward the remembered target.
 	}
@@ -176,7 +144,7 @@ func (d *CC) OnTimeout(c *transport.Conn) {
 	// A timeout under DCQCN means the lossless assumption was violated;
 	// fall back to a deep cut.
 	c.PaceRate /= 2
-	if c.PaceRate < d.cfg.MinRate {
-		c.PaceRate = d.cfg.MinRate
+	if c.PaceRate < minRate {
+		c.PaceRate = minRate
 	}
 }

@@ -16,7 +16,7 @@ func dcqcnNet(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 	d := topology.NewDumbbell(eng, n, topology.Config{
 		LinkRate:  10 * unit.Gbps,
 		LinkDelay: 4 * sim.Microsecond,
-		RED:       &netem.REDConfig{},
+		RED:       true,
 		PFC:       &netem.PFCConfig{},
 	})
 	return eng, d
@@ -24,7 +24,7 @@ func dcqcnNet(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 
 func dial(d *topology.Dumbbell, i int) (*transport.Flow, *transport.Conn) {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0, 0)
-	c := transport.NewConn(f, dcqcn.New(dcqcn.Config{}), transport.ConnConfig{
+	c := transport.NewConn(f, dcqcn.New(), transport.ConnConfig{
 		Mode: transport.ModePaced, ECN: true,
 	})
 	return f, c
@@ -75,7 +75,7 @@ func TestDCQCNWithPFCIsLossless(t *testing.T) {
 	eng := sim.New(3)
 	st := topology.NewStar(eng, 17, topology.Config{
 		LinkRate: 10 * unit.Gbps,
-		RED:      &netem.REDConfig{},
+		RED:      true,
 		// Per-ingress pause threshold small enough that 16 ingresses'
 		// guarantees plus one RTT of in-flight headroom each fit the
 		// shared 2 MB buffer: PFC, not buffering, provides losslessness
@@ -86,7 +86,7 @@ func TestDCQCNWithPFCIsLossless(t *testing.T) {
 	var flows []*transport.Flow
 	for i := 1; i <= 16; i++ {
 		f := transport.NewFlow(st.Net, st.Hosts[i], st.Hosts[0], 1*unit.MB, 0)
-		transport.NewConn(f, dcqcn.New(dcqcn.Config{}), transport.ConnConfig{
+		transport.NewConn(f, dcqcn.New(), transport.ConnConfig{
 			Mode: transport.ModePaced, ECN: true,
 		})
 		flows = append(flows, f)
@@ -115,12 +115,12 @@ func TestDCQCNWithoutPFCDrops(t *testing.T) {
 	eng := sim.New(3)
 	st := topology.NewStar(eng, 17, topology.Config{
 		LinkRate:     10 * unit.Gbps,
-		RED:          &netem.REDConfig{},
+		RED:          true,
 		DataCapacity: 2 * unit.MB,
 	})
 	for i := 1; i <= 16; i++ {
 		f := transport.NewFlow(st.Net, st.Hosts[i], st.Hosts[0], 1*unit.MB, 0)
-		transport.NewConn(f, dcqcn.New(dcqcn.Config{}), transport.ConnConfig{
+		transport.NewConn(f, dcqcn.New(), transport.ConnConfig{
 			Mode: transport.ModePaced, ECN: true,
 		})
 	}
@@ -133,7 +133,7 @@ func TestDCQCNWithoutPFCDrops(t *testing.T) {
 func TestDCQCNAlphaDynamics(t *testing.T) {
 	eng, d := dcqcnNet(4, 2)
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	cc := dcqcn.New(dcqcn.Config{})
+	cc := dcqcn.New()
 	transport.NewConn(f, cc, transport.ConnConfig{Mode: transport.ModePaced, ECN: true})
 	eng.RunUntil(30 * sim.Millisecond)
 	// A lone flow sees few marks: alpha must have decayed well below 1.

@@ -15,7 +15,7 @@ func stepConn(t *testing.T) (*dx.CC, *transport.Conn) {
 	t.Helper()
 	eng := sim.New(99)
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
-	cc := dx.New(dx.Config{}) // V defaults to 4 µs
+	cc := dx.New() // V defaults to 4 µs
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 	c := transport.NewConn(f, cc, transport.ConnConfig{Segment: 1000})
 	return cc, c

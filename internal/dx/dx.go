@@ -17,25 +17,12 @@ import (
 	"expresspass/internal/unit"
 )
 
-// Config tunes DX.
-type Config struct {
-	// V is the headroom delay: queuing below roughly V is tolerated as
-	// measurement noise / self-queuing. Default 4 µs (a few MTU times
-	// at 10 Gbps).
-	V sim.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.V == 0 {
-		c.V = 4 * sim.Microsecond
-	}
-	return c
-}
+// headroom is V: queuing below roughly V is tolerated as measurement
+// noise / self-queuing (a few MTU times at 10 Gbps).
+const headroom = 4 * sim.Microsecond
 
 // CC is the DX policy for transport.Conn.
 type CC struct {
-	cfg Config
-
 	baseDelay sim.Duration // min one-way delay observed
 	windowEnd int64
 	sumQ      sim.Duration
@@ -43,8 +30,8 @@ type CC struct {
 }
 
 // New returns a DX controller.
-func New(cfg Config) *CC {
-	return &CC{cfg: cfg.withDefaults(), baseDelay: sim.Forever}
+func New() *CC {
+	return &CC{baseDelay: sim.Forever}
 }
 
 // Init implements transport.CC.
@@ -67,8 +54,7 @@ func (d *CC) OnAck(c *transport.Conn, acked unit.Bytes, ack *packet.Packet, _ si
 			avgQ = d.sumQ / sim.Duration(d.samples)
 		}
 		if avgQ > 0 {
-			v := float64(d.cfg.V)
-			c.Cwnd = c.Cwnd*(1-float64(avgQ)/(float64(avgQ)+v)) + 1
+			c.Cwnd = c.Cwnd*(1-float64(avgQ)/(float64(avgQ)+float64(headroom))) + 1
 		} else {
 			c.Cwnd += 1
 		}

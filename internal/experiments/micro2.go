@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"expresspass/internal/core"
-	"expresspass/internal/netem"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/stats"
@@ -325,8 +324,3 @@ func runFig16(p Params, w io.Writer) error {
 	tbl.Write(w)
 	return nil
 }
-
-// featuresFor exposes protocol feature installation for tests.
-func featuresFor(pr Proto, cfg *topology.Config, rtt sim.Duration) { pr.Features(cfg, rtt) }
-
-var _ = netem.PortConfig{} // keep netem import for future use

@@ -56,7 +56,7 @@ func (pr Proto) Features(cfg *topology.Config, baseRTT sim.Duration) {
 	case ProtoDCQCN:
 		// DCQCN's deployment environment: RED marking plus a PFC
 		// lossless fabric.
-		cfg.RED = &netem.REDConfig{}
+		cfg.RED = true
 		cfg.PFC = &netem.PFCConfig{XOff: 8 * unit.KB}
 	}
 }
@@ -118,14 +118,14 @@ func (e *Env) Dial(pr Proto, f *transport.Flow) Handle {
 		}
 		return connHandle{transport.NewConn(f, hull.New(hull.Config{}), cfg)}
 	case ProtoCubic:
-		return connHandle{transport.NewConn(f, cubic.New(cubic.Config{}), e.Conn)}
+		return connHandle{transport.NewConn(f, cubic.New(), e.Conn)}
 	case ProtoDX:
-		return connHandle{transport.NewConn(f, dx.New(dx.Config{}), e.Conn)}
+		return connHandle{transport.NewConn(f, dx.New(), e.Conn)}
 	case ProtoDCQCN:
 		cfg := e.Conn
 		cfg.Mode = transport.ModePaced
 		cfg.ECN = true
-		return connHandle{transport.NewConn(f, dcqcn.New(dcqcn.Config{}), cfg)}
+		return connHandle{transport.NewConn(f, dcqcn.New(), cfg)}
 	case ProtoRCP:
 		cfg := e.Conn
 		cfg.Mode = transport.ModePaced

@@ -2,15 +2,23 @@ package faults
 
 import (
 	"errors"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 // FuzzParseFaultSpec feeds arbitrary strings to the -faults grammar:
 // whatever arrives on the command line, ParseSpec returns either a
 // non-empty plan or a *ConfigError pointing inside the input — never a
-// panic, never an untyped error. Seeded with the specs spec_test.go
-// already pins, valid and invalid. Runs its seed corpus as a plain test
-// in tier-1; `make fuzz-smoke` mutates it for a few seconds.
+// panic, never an untyped error. An error that names a clause names a
+// whole one, where it stands: spec[Pos:] starts with Clause, and past
+// any whitespace the clause is followed by the end of the spec, a ';' or
+// the '}' closing its every{} body. Seeded with the specs spec_test.go
+// already pins, valid and invalid, and with two that once pointed
+// elsewhere: a bare inner clause reported at an earlier inner clause it
+// prefixes, and an unterminated brace reported at the whitespace before
+// its clause. Runs its seed corpus as a plain test in tier-1; `make
+// fuzz-smoke` mutates it for a few seconds.
 func FuzzParseFaultSpec(f *testing.F) {
 	for _, s := range []string{
 		"flap@10ms+2ms; loss:credit:0.05@20ms+5ms; loss:both:0.01:swL->swR@1s+100us; stall:s0@30ms+1ms",
@@ -19,6 +27,8 @@ func FuzzParseFaultSpec(f *testing.F) {
 		"reorder:0.1:20us@6ms+6ms;jitter:delay:pareto:5us@7ms+7ms;jitter:rate:normal:0.25@8ms+8ms",
 		"every:20ms:jitter=1ms:count=3:duty=0.1:roll{ stall@0ms+2ms; flap@5ms+1ms }@10ms+80ms",
 		"flap@1ms+1ms; every:10ms{ loss:credit:0.1@0ms+1ms; stall@2ms+1ms }@5ms+50ms; dup:data:0.01@2ms+2ms",
+		"every:20ms{ flap@0ms+1ms; flap }@0ms+40ms",
+		"flap@1ms+1ms;   every:10ms{ flap@0ms+1ms",
 	} {
 		f.Add(s)
 	}
@@ -39,6 +49,17 @@ func FuzzParseFaultSpec(f *testing.F) {
 		}
 		if ce.Pos < 0 || ce.Pos > len(spec) {
 			t.Fatalf("ParseSpec(%q) error offset %d is outside the input", spec, ce.Pos)
+		}
+		if ce.Clause != "" {
+			if !strings.HasPrefix(spec[ce.Pos:], ce.Clause) {
+				t.Fatalf("ParseSpec(%q) names clause %q at offset %d, where the spec reads %q",
+					spec, ce.Clause, ce.Pos, spec[ce.Pos:])
+			}
+			after := strings.TrimLeftFunc(spec[ce.Pos+len(ce.Clause):], unicode.IsSpace)
+			if after != "" && after[0] != ';' && after[0] != '}' {
+				t.Fatalf("ParseSpec(%q) names clause %q at offset %d, but it runs on into %q",
+					spec, ce.Clause, ce.Pos, after)
+			}
 		}
 		if len(plan.Directives)+len(plan.Schedules) != 0 {
 			t.Fatalf("ParseSpec(%q) returned both a plan and an error", spec)

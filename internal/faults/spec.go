@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"expresspass/internal/netem"
 	"expresspass/internal/sim"
@@ -131,7 +132,7 @@ func (pl Plan) Empty() bool { return len(pl.Directives) == 0 && len(pl.Schedules
 // its byte offset.
 func ParseSpec(spec string) (Plan, error) {
 	var plan Plan
-	clauses, err := splitClauses(spec)
+	clauses, err := splitClauses(spec, 0, len(spec))
 	if err != nil {
 		return Plan{}, err
 	}
@@ -167,41 +168,49 @@ func (c clause) errorf(spec, format string, args ...any) *ConfigError {
 		Msg: fmt.Sprintf(format, args...)}
 }
 
-// splitClauses splits spec on top-level ';' — a ';' inside an every{…}
-// body stays with its clause — and records each clause's byte offset.
-func splitClauses(spec string) ([]clause, error) {
+// splitClauses splits spec[from:to] on ';' at brace depth zero — a ';'
+// inside an every{…} body stays with its clause — and records each
+// clause's byte offset within spec. A brace error names the whole clause
+// it occurs in.
+func splitClauses(spec string, from, to int) ([]clause, error) {
 	var out []clause
-	depth, start := 0, 0
-	flush := func(end int) {
-		raw := spec[start:end]
-		trimmed := strings.TrimSpace(raw)
-		if trimmed != "" {
-			out = append(out, clause{text: trimmed, pos: start + strings.Index(raw, trimmed[:1])})
-		}
-		start = end + 1
-	}
-	for i := 0; i < len(spec); i++ {
+	depth, start := 0, from
+	for i := from; i < to; i++ {
 		switch spec[i] {
 		case '{':
 			depth++
 		case '}':
-			depth--
-			if depth < 0 {
-				return nil, &ConfigError{Spec: spec, Clause: spec[start : i+1], Pos: start,
-					Msg: "unbalanced '}'"}
+			if depth--; depth < 0 {
+				end := to
+				if j := strings.IndexByte(spec[i:to], ';'); j >= 0 {
+					end = i + j
+				}
+				return nil, trimClause(spec, start, end).errorf(spec, "unbalanced '}'")
 			}
 		case ';':
 			if depth == 0 {
-				flush(i)
+				if cl := trimClause(spec, start, i); cl.text != "" {
+					out = append(out, cl)
+				}
+				start = i + 1
 			}
 		}
 	}
 	if depth != 0 {
-		return nil, &ConfigError{Spec: spec, Clause: strings.TrimSpace(spec[start:]), Pos: start,
-			Msg: "unterminated '{' in every{...} clause"}
+		return nil, trimClause(spec, start, to).errorf(spec, "unterminated '{' in every{...} clause")
 	}
-	flush(len(spec))
+	if cl := trimClause(spec, start, to); cl.text != "" {
+		out = append(out, cl)
+	}
 	return out, nil
+}
+
+// trimClause is spec[from:to] without its surrounding whitespace, at
+// the offset where its text starts.
+func trimClause(spec string, from, to int) clause {
+	raw := spec[from:to]
+	text := strings.TrimLeftFunc(raw, unicode.IsSpace)
+	return clause{text: strings.TrimRightFunc(text, unicode.IsSpace), pos: to - len(text)}
 }
 
 // splitTiming cuts "<head>@<start>+<dur>" and parses the times.
@@ -443,7 +452,6 @@ func parseSchedule(spec string, cl clause) (Schedule, error) {
 	}
 	sc.At, sc.Dur = at, dur
 
-	body := strings.TrimSpace(cl.text[open+1 : closing])
 	params := strings.Split(strings.TrimSpace(cl.text[:open]), ":")
 	if len(params) < 2 || params[0] != "every" {
 		return sc, cl.errorf(spec, "every needs ':<period>' before the body")
@@ -487,13 +495,12 @@ func parseSchedule(spec string, cl clause) (Schedule, error) {
 		}
 	}
 
-	for _, inner := range strings.Split(body, ";") {
-		inner = strings.TrimSpace(inner)
-		if inner == "" {
-			continue
-		}
-		icl := clause{text: inner, pos: cl.pos + strings.Index(cl.text, inner)}
-		if strings.HasPrefix(inner, "every") {
+	inner, err := splitClauses(spec, cl.pos+open+1, cl.pos+closing)
+	if err != nil {
+		return sc, err
+	}
+	for _, icl := range inner {
+		if strings.HasPrefix(icl.text, "every") {
 			return sc, icl.errorf(spec, "every{} bodies cannot nest")
 		}
 		d, err := parseDirective(spec, icl)

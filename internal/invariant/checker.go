@@ -159,7 +159,7 @@ var subscription = [...]obs.EventType{
 // is armed — the ring exists to show the lead-up, queue depths included.
 func Attach(net *netem.Network, opt Options) *Checker {
 	c := &Checker{
-		opt:   opt.withDefaults(),
+		opt:   opt,
 		net:   net,
 		prior: net.Tracer(),
 	}
@@ -182,8 +182,7 @@ func Attach(net *netem.Network, opt Options) *Checker {
 var flightMu sync.Mutex
 
 // report dumps the flight ring (once per checker) before handing v to
-// the configured reporting path — so even a Panic-mode violation
-// leaves the lead-up events behind. At Finish the dump is the ring as it
+// the configured reporting path. At Finish the dump is the ring as it
 // stood at the first held finding of a port that never proved exempt,
 // headed by that finding.
 func (c *Checker) report(v Violation) {
@@ -201,12 +200,9 @@ func (c *Checker) report(v Violation) {
 		ring.Dump(c.opt.FlightOut)
 		flightMu.Unlock()
 	}
-	switch {
-	case c.opt.OnViolation != nil:
+	if c.opt.OnViolation != nil {
 		c.opt.OnViolation(v)
-	case c.opt.Panic:
-		panic("invariant: " + v.String())
-	default:
+	} else {
 		c.kept = append(c.kept, v)
 	}
 }
@@ -286,7 +282,7 @@ func (c *Checker) Close() error {
 // on the network, and returns the flushed violations — in port order
 // (Network.AllPorts), each port's suppression summary right after its
 // findings, so the same run always lists them the same way. A checker
-// that keeps its findings (neither OnViolation nor Panic) returns every
+// that keeps its findings (no OnViolation) returns every
 // one instead, in the order reported: those raised as the run went, then
 // the flushed ones. Idempotent; the checker keeps forwarding events
 // afterwards but checks nothing more.
@@ -323,7 +319,7 @@ func (c *Checker) Finish() []Violation {
 	for _, v := range out {
 		c.report(v)
 	}
-	if c.opt.OnViolation == nil && !c.opt.Panic {
+	if c.opt.OnViolation == nil {
 		out = c.kept
 	}
 	c.net, c.flows, c.ports, c.kept, c.held = nil, nil, nil, nil, nil
@@ -343,9 +339,6 @@ func (c *Checker) ledger(id int64) *flowState {
 }
 
 func (c *Checker) onCreditRecv(ev *obs.Event) {
-	if c.opt.NoCreditConservation {
-		return
-	}
 	fs := c.ledger(ev.Flow)
 	if fs.find(ev.Seq) >= 0 {
 		c.report(Violation{Time: ev.T, Invariant: "credit-conservation",
@@ -357,9 +350,6 @@ func (c *Checker) onCreditRecv(ev *obs.Event) {
 }
 
 func (c *Checker) onDataSend(ev *obs.Event) {
-	if c.opt.NoCreditConservation {
-		return
-	}
 	if !c.ledger(ev.Flow).spend(ev.Seq) {
 		c.report(Violation{Time: ev.T, Invariant: "credit-conservation",
 			Scope: ev.Scope, Flow: ev.Flow,
@@ -374,9 +364,6 @@ func (c *Checker) onDataSend(ev *obs.Event) {
 }
 
 func (c *Checker) onCreditWaste(ev *obs.Event) {
-	if c.opt.NoCreditConservation {
-		return
-	}
 	// A wasted credit was received but authorizes no data: retire it so
 	// it can never be spent later.
 	c.ledger(ev.Flow).spend(ev.Seq)
@@ -421,7 +408,7 @@ func (c *Checker) trackPort(n int32) *portState {
 		name:    port.Name(),
 		metered: cfg.CreditQueueCap > 0 || len(cfg.CreditClasses) > 0,
 		rate:    cfg.Rate.Scale(cfg.CreditRatio),
-		tol:     float64(c.opt.BurstTolerance),
+		tol:     float64(DefaultBurstTolerance),
 		noDelay: cfg.PFC != nil,
 	}
 	ps.tokens = ps.tol
@@ -508,9 +495,6 @@ func (c *Checker) hold(ps *portState, v Violation) {
 // ---- token-bucket conformance ----
 
 func (c *Checker) onCreditTx(ev *obs.Event) {
-	if c.opt.NoTokenBucket {
-		return
-	}
 	ps := c.port(ev.Port)
 	if ps == nil || !ps.metered {
 		return

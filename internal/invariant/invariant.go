@@ -70,16 +70,9 @@ func (v Violation) String() string {
 }
 
 // Options configures a Checker. The zero value enables every check with
-// spec-derived defaults.
+// spec-derived defaults. Credit conservation and token-bucket
+// conformance are always on.
 type Options struct {
-	// BurstTolerance is the byte allowance of the shadow credit meter:
-	// how far a port's credit transmissions may run ahead of
-	// ratio × rate × elapsed. The default is the §3.1 bucket size (two
-	// maximum-size credits). Deliberately NOT the port's configured
-	// burst: the checker validates the spec bound, so a port whose
-	// limiter was misconfigured with a huge burst is caught.
-	BurstTolerance unit.Bytes
-
 	// QueueBound caps data-queue occupancy (bytes) on ports that carry
 	// only credited traffic. Zero derives a per-port default from the
 	// credit buffer carving (see queueBound).
@@ -89,23 +82,14 @@ type Options struct {
 	// derives the time to drain QueueBound at the port's data share.
 	DelayCap sim.Duration
 
-	// Disable flags for individual checkers (all enabled by default).
-	NoCreditConservation bool
-	NoTokenBucket        bool
-	NoQueueBound         bool
-	NoDelayBound         bool
+	// Disable flags for the positional checkers (enabled by default).
+	NoQueueBound bool
+	NoDelayBound bool
 
 	// OnViolation, when set, receives each violation as it is reported.
-	// A checker with neither OnViolation nor Panic keeps its findings and
-	// returns them all from Finish.
+	// A checker without one keeps its findings and returns them all from
+	// Finish.
 	OnViolation func(Violation)
-
-	// Panic makes immediate checks (conservation, token bucket) panic at
-	// the offending event — the stack then points at the exact emission
-	// site, which is what you want when replaying a fuzz seed. Queue and
-	// delay findings are positional (a port may later prove to carry
-	// uncredited traffic and be exempted) and are reported at Finish.
-	Panic bool
 
 	// FlightOut, when set, arms a flight recorder: the checker keeps the
 	// last FlightEvents trace events in a fixed-size ring and dumps them
@@ -119,15 +103,13 @@ type Options struct {
 	FlightEvents int
 }
 
-func (o Options) withDefaults() Options {
-	if o.BurstTolerance == 0 {
-		o.BurstTolerance = DefaultBurstTolerance
-	}
-	return o
-}
-
-// DefaultBurstTolerance is the spec token-bucket size: two maximum-size
-// (92 B) credit packets, matching netem's default credit burst.
+// DefaultBurstTolerance is the byte allowance of the shadow credit
+// meter: how far a port's credit transmissions may run ahead of
+// ratio × rate × elapsed. It is the §3.1 bucket size, two maximum-size
+// (92 B) credit packets, matching netem's default credit burst —
+// deliberately NOT the port's configured burst: the checker validates
+// the spec bound, so a port whose limiter was misconfigured with a huge
+// burst is caught.
 const DefaultBurstTolerance = 2 * (unit.MinFrame + 8)
 
 // ---- one run's checking ----
@@ -140,7 +122,7 @@ const keepCap = 1024
 // (netem.Wiring.Check), which is how the determinism gate and xpsim
 // -invariants arm a whole run — and Finish finishes every checker
 // attached since the previous Finish. The violations land in the set,
-// unless its options route them elsewhere (OnViolation, Panic). Attach
+// unless its options route them elsewhere (OnViolation). Attach
 // and the readers are safe from concurrent trials.
 type Set struct {
 	opt Options
@@ -155,7 +137,7 @@ type Set struct {
 // NewSet returns an empty set whose checkers use opt.
 func NewSet(opt Options) *Set {
 	s := &Set{opt: opt}
-	if opt.OnViolation == nil && !opt.Panic {
+	if opt.OnViolation == nil {
 		s.opt.OnViolation = s.record
 	}
 	return s

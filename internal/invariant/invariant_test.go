@@ -408,8 +408,8 @@ func TestSetChecksEveryWiredNetwork(t *testing.T) {
 	}
 }
 
-// TestCheckerKeepsItsFindings: a checker with neither OnViolation nor
-// Panic returns from Finish everything it found — what it raised as the
+// TestCheckerKeepsItsFindings: a checker without OnViolation returns
+// from Finish everything it found — what it raised as the
 // run went, then what it held for Finish — and a second Finish nothing.
 func TestCheckerKeepsItsFindings(t *testing.T) {
 	t.Parallel()

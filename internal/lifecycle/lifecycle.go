@@ -78,11 +78,6 @@ type Config struct {
 	// It runs in the reaper's deterministic scan order.
 	OnRetire func(f *transport.Flow, h Handle)
 
-	// ReapInterval is the reaper period (default 1ms). Retirement
-	// latency — how long a completed flow's state survives — is about
-	// Grace + ReapInterval.
-	ReapInterval sim.Duration
-
 	// Grace is how long past Flow.FinishTime a quiesced flow is kept
 	// registered (default 500µs). It covers packets still in flight at
 	// quiescence — stray credits that must reach a registered sender
@@ -92,6 +87,10 @@ type Config struct {
 	// one-way residue drains within an RTT of the credit flow stopping.
 	Grace sim.Duration
 }
+
+// reapInterval is the reaper period. Retirement latency — how long a
+// completed flow's state survives — is about Grace + reapInterval.
+const reapInterval = sim.Millisecond
 
 type liveFlow struct {
 	f *transport.Flow
@@ -123,9 +122,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.Dial == nil {
 		panic("lifecycle: Config.Dial is nil")
-	}
-	if cfg.ReapInterval <= 0 {
-		cfg.ReapInterval = sim.Millisecond
 	}
 	if cfg.Grace <= 0 {
 		cfg.Grace = 500 * sim.Microsecond
@@ -178,7 +174,7 @@ func (m *Manager) dialNext() {
 	m.live = append(m.live, liveFlow{f: f, h: h})
 	if !m.reapArmed {
 		m.reapArmed = true
-		m.cfg.Engine.At2D(0, m.cfg.Engine.Now()+m.cfg.ReapInterval, managerReap, m, nil, 0)
+		m.cfg.Engine.At2D(0, m.cfg.Engine.Now()+reapInterval, managerReap, m, nil, 0)
 	}
 	if m.next < len(m.specs) {
 		at := m.specs[m.next].Start
@@ -208,7 +204,7 @@ func (m *Manager) reap() {
 	}
 	m.live = kept
 	if m.next < len(m.specs) || len(m.live) > 0 {
-		m.cfg.Engine.At2D(0, now+m.cfg.ReapInterval, managerReap, m, nil, 0)
+		m.cfg.Engine.At2D(0, now+reapInterval, managerReap, m, nil, 0)
 	} else {
 		m.reapArmed = false
 	}

@@ -17,14 +17,12 @@ type CreditClassConfig struct {
 	// Weight shares the credit budget among classes of equal priority
 	// via deficit round robin. Default 1.
 	Weight int
-	// QueueCap is this class's credit budget in packets; defaults to
-	// the port's CreditQueueCap.
-	QueueCap int
 }
 
 // creditScheduler multiplexes several credit classes over one port's
 // credit token bucket: strict priority across priority levels, deficit
-// round robin (in credits) within a level.
+// round robin (in credits) within a level. Each class queues up to the
+// port's CreditQueueCap.
 type creditScheduler struct {
 	classes []CreditClassConfig
 	queues  []creditQueue
@@ -32,16 +30,12 @@ type creditScheduler struct {
 	rr      int // round-robin cursor within the eligible set
 }
 
-func newCreditScheduler(classes []CreditClassConfig, defaultCap int) *creditScheduler {
+func newCreditScheduler(classes []CreditClassConfig, queueCap int) *creditScheduler {
 	cs := &creditScheduler{classes: append([]CreditClassConfig(nil), classes...)}
 	cs.queues = make([]creditQueue, len(classes))
 	cs.deficit = make([]int, len(classes))
-	for i, c := range classes {
-		cap := c.QueueCap
-		if cap == 0 {
-			cap = defaultCap
-		}
-		cs.queues[i].cap = cap
+	for i := range classes {
+		cs.queues[i].cap = queueCap
 		if cs.classes[i].Weight <= 0 {
 			cs.classes[i].Weight = 1
 		}

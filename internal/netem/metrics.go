@@ -13,6 +13,11 @@ import (
 	"expresspass/internal/unit"
 )
 
+// flowMetricsCap bounds how many flows per network register per-flow
+// gauges (rate, w, delivered bytes, credit waste) at once, keeping the
+// metrics CSV volume sane on many-thousand-flow workloads.
+const flowMetricsCap = 64
+
 // initObs attaches the network to an instrumentation scope — the run's
 // runtime for an engine outside a sweep, or one sweep trial's scope
 // inside one: engine accounting always,
@@ -25,7 +30,7 @@ func (n *Network) initObs(rt obs.Scope) {
 	if rt.MetricsEnabled() {
 		n.scope = rt.NextScope()
 		n.metrics = obs.NewRegistry()
-		n.flowMetricsLeft = rt.FlowMetricsCap()
+		n.flowMetricsLeft = flowMetricsCap
 		n.registerEngineMetrics()
 		n.startSampler()
 	}
@@ -51,11 +56,11 @@ func (n *Network) Metrics() *obs.Registry { return n.metrics }
 
 // ClaimFlowMetrics returns the registry a flow may register per-flow
 // gauges in, or nil when metrics are off or the per-network flow
-// budget (Runtime.FlowMetricsCap) is exhausted. The budget keeps CSV
+// budget (flowMetricsCap) is exhausted. The budget keeps CSV
 // volume sane on many-thousand-flow workloads; paired with
 // ReleaseFlowMetrics on retirement it caps *concurrent* instrumented
 // flows, so a lifecycle-managed million-flow run still gets per-flow
-// gauges for the first FlowMetricsCap flows alive at any instant.
+// gauges for the first flowMetricsCap flows alive at any instant.
 func (n *Network) ClaimFlowMetrics() *obs.Registry {
 	if n.metrics == nil || n.flowMetricsLeft <= 0 {
 		return nil

@@ -42,15 +42,16 @@ type PortConfig struct {
 	// drops on such queues. Used by the Fig 6 jitter ablation.
 	CreditTailDrop bool
 
+	// RED enables probabilistic ECN marking between two thresholds
+	// (DCQCN-style, see redMark), instead of the step marking of
+	// ECNThreshold.
+	RED bool
+
 	// CreditClasses, when non-empty, splits the credit class into QoS
 	// classes (§7): strict priority across Priority levels, weighted
 	// deficit-round-robin within a level, all sharing the one credit
 	// token bucket. Packets select a class via packet.Class.
 	CreditClasses []CreditClassConfig
-
-	// RED enables probabilistic ECN marking between two thresholds
-	// (DCQCN-style), instead of the step marking of ECNThreshold.
-	RED *REDConfig
 
 	// RCP enables per-port explicit rate computation.
 	RCP *RCPConfig
@@ -418,8 +419,8 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 		p.data.curBytes()+pkt.Wire > p.cfg.ECNThreshold {
 		pkt.CE = true
 	}
-	if p.cfg.RED != nil && pkt.ECNCapable && pkt.Kind == packet.Data {
-		p.cfg.RED.mark(p.data.curBytes(), pkt, p.rng)
+	if p.cfg.RED && pkt.ECNCapable && pkt.Kind == packet.Data {
+		redMark(p.data.curBytes(), pkt, p.rng)
 	}
 	if p.rcp != nil && pkt.Kind == packet.Data {
 		p.rcp.onArrival(now, pkt, p.data.curBytes())

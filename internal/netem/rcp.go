@@ -6,27 +6,19 @@ import (
 	"expresspass/internal/unit"
 )
 
-// RCPConfig parameterizes the per-port RCP rate computation (Dukkipati,
-// "Rate Control Protocol"). Alpha weights the spare-capacity term and Beta
-// the queue-drain term of the explicit rate update.
+// RCPConfig enables the per-port RCP rate computation (Dukkipati, "Rate
+// Control Protocol"). RTT is the d̄ estimate used by the controller
+// (default 100 µs).
 type RCPConfig struct {
-	Alpha float64      // default 0.4
-	Beta  float64      // default 0.226
-	RTT   sim.Duration // the d̄ estimate used by the controller
+	RTT sim.Duration
 }
 
-func (c RCPConfig) withDefaults() RCPConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.4
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.226
-	}
-	if c.RTT == 0 {
-		c.RTT = 100 * sim.Microsecond
-	}
-	return c
-}
+// The gains of the explicit rate update: rcpAlpha weights the
+// spare-capacity term and rcpBeta the queue-drain term.
+const (
+	rcpAlpha float64 = 0.4
+	rcpBeta  float64 = 0.226
+)
 
 // rcpMeter computes one explicit fair rate per egress port:
 //
@@ -36,7 +28,7 @@ func (c RCPConfig) withDefaults() RCPConfig {
 // instantaneous queue. Every data packet is stamped with the minimum R
 // along its path; receivers echo it back to the sender.
 type rcpMeter struct {
-	cfg      RCPConfig
+	interval sim.Duration // the RTT estimate: d̄, and the update period T
 	capacity unit.Rate
 	rate     unit.Rate
 	arrived  unit.Bytes // bytes arrived this interval
@@ -45,12 +37,15 @@ type rcpMeter struct {
 	// read transient bursts as standing backlog and crater the rate.
 	minQueue   unit.Bytes
 	sawArrival bool
-	rttSec     float64 // cfg.RTT in seconds: d̄, and the interval T
+	rttSec     float64 // interval in seconds
 }
 
 func newRCPMeter(capacity unit.Rate, cfg RCPConfig) *rcpMeter {
-	cfg = cfg.withDefaults()
-	return &rcpMeter{cfg: cfg, capacity: capacity, rate: capacity, rttSec: cfg.RTT.Seconds()}
+	rtt := cfg.RTT
+	if rtt == 0 {
+		rtt = 100 * sim.Microsecond
+	}
+	return &rcpMeter{interval: rtt, capacity: capacity, rate: capacity, rttSec: rtt.Seconds()}
 }
 
 // rcpClock is the one timer behind every meter of a network that shares
@@ -69,7 +64,7 @@ type rcpClock struct {
 // instant, or with another RTT, matches no existing clock and so keeps
 // its own phase.
 func (n *Network) startRCP(m *rcpMeter) {
-	interval := m.cfg.RTT
+	interval := m.interval
 	next := n.Eng.Now() + interval
 	for _, c := range n.rcpClocks {
 		if c.next == next && c.interval == interval {
@@ -112,7 +107,7 @@ func (m *rcpMeter) update() {
 	if bdp := c * d; q > bdp {
 		q = bdp
 	}
-	factor := 1 + (t/d)*(m.cfg.Alpha*(c-y)-m.cfg.Beta*q/d)/c
+	factor := 1 + (t/d)*(rcpAlpha*(c-y)-rcpBeta*q/d)/c
 	if factor < 0.5 {
 		factor = 0.5
 	}

@@ -55,9 +55,9 @@ func refMeter(eng *sim.Engine, m *rcpMeter, ticks *uint64) {
 	tick = func() {
 		m.update()
 		*ticks++
-		eng.After(m.cfg.RTT, tick)
+		eng.After(m.interval, tick)
 	}
-	eng.After(m.cfg.RTT, tick)
+	eng.After(m.interval, tick)
 }
 
 // rcpWorld is one build of a scenario.

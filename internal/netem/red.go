@@ -6,38 +6,24 @@ import (
 	"expresspass/internal/unit"
 )
 
-// REDConfig is RED-style probabilistic ECN marking (the marking scheme
-// DCQCN assumes at switches): below KMin no marks, above KMax every
-// packet is marked, linear probability PMax·(q−KMin)/(KMax−KMin) in
-// between. Probabilistic marking is what keeps DCQCN's control loop
+// RED-style probabilistic ECN marking (PortConfig.RED; the marking scheme
+// DCQCN assumes at switches): below redKMin no marks, above redKMax every
+// packet is marked, linear probability redPMax·(q−redKMin)/(redKMax−redKMin)
+// in between. Probabilistic marking is what keeps DCQCN's control loop
 // stable; step marking makes it oscillate.
-type REDConfig struct {
-	KMin unit.Bytes // default 5 MTUs
-	KMax unit.Bytes // default 200 MTUs
-	PMax float64    // default 0.01
-}
+const (
+	redKMin         = 5 * unit.MaxFrame
+	redKMax         = 200 * unit.MaxFrame
+	redPMax float64 = 0.01
+)
 
-func (c REDConfig) withDefaults() REDConfig {
-	if c.KMin == 0 {
-		c.KMin = 5 * unit.MaxFrame
-	}
-	if c.KMax == 0 {
-		c.KMax = 200 * unit.MaxFrame
-	}
-	if c.PMax == 0 {
-		c.PMax = 0.01
-	}
-	return c
-}
-
-func (c *REDConfig) mark(q unit.Bytes, pkt *packet.Packet, rng *sim.Rand) {
-	d := c.withDefaults()
+func redMark(q unit.Bytes, pkt *packet.Packet, rng *sim.Rand) {
 	switch {
-	case q <= d.KMin:
-	case q >= d.KMax:
+	case q <= redKMin:
+	case q >= redKMax:
 		pkt.CE = true
 	default:
-		p := d.PMax * float64(q-d.KMin) / float64(d.KMax-d.KMin)
+		p := redPMax * float64(q-redKMin) / float64(redKMax-redKMin)
 		if rng.Float64() < p {
 			pkt.CE = true
 		}

@@ -29,11 +29,6 @@ type Config struct {
 	// simulated time).
 	Interval sim.Duration
 
-	// FlowMetricsCap bounds how many flows per network register
-	// per-flow gauges (rate, w, delivered bytes, credit waste), keeping
-	// the CSV volume sane on many-thousand-flow workloads. Default 64.
-	FlowMetricsCap int
-
 	// Progress, when non-nil, receives per-trial heartbeat lines
 	// ("[phase] 12/40 trials, 3.1M events, 1.2M ev/s") rate-limited to
 	// about one per second of wall clock. The CLIs pass stderr so
@@ -93,9 +88,6 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Interval <= 0 {
 		cfg.Interval = sim.Millisecond
 	}
-	if cfg.FlowMetricsCap <= 0 {
-		cfg.FlowMetricsCap = 64
-	}
 	rt := &Runtime{
 		cfg:     cfg,
 		seen:    make(map[*sim.Engine]struct{}),
@@ -115,9 +107,6 @@ func (rt *Runtime) MetricsEnabled() bool { return rt.mw != nil }
 
 // Interval returns the metrics sampling period.
 func (rt *Runtime) Interval() sim.Duration { return rt.cfg.Interval }
-
-// FlowMetricsCap returns the per-network flow-gauge budget.
-func (rt *Runtime) FlowMetricsCap() int { return rt.cfg.FlowMetricsCap }
 
 // NextScope allocates a distinct scope label ("r0", "r1", …) for one
 // network's metrics, so several networks built in one process (e.g. the

@@ -24,7 +24,7 @@ func TestTrialLifecycle(t *testing.T) {
 	if tr.Tracer() == nil {
 		t.Fatal("trial of a tracing runtime has no tracer")
 	}
-	if !tr.MetricsEnabled() || tr.Interval() != rt.Interval() || tr.FlowMetricsCap() != rt.FlowMetricsCap() {
+	if !tr.MetricsEnabled() || tr.Interval() != rt.Interval() {
 		t.Error("trial scope does not mirror runtime config")
 	}
 	if s := tr.NextScope(); s != "t3.0" {

@@ -30,8 +30,6 @@ type Scope interface {
 	MetricsEnabled() bool
 	// Interval returns the metrics sampling period.
 	Interval() sim.Duration
-	// FlowMetricsCap returns the per-network flow-gauge budget.
-	FlowMetricsCap() int
 	// NextScope allocates a distinct metrics scope label.
 	NextScope() string
 	// AttachEngine registers an engine for aggregate accounting.
@@ -127,9 +125,6 @@ func (tr *Trial) MetricsEnabled() bool { return tr.rt.MetricsEnabled() }
 
 // Interval returns the runtime's metrics sampling period.
 func (tr *Trial) Interval() sim.Duration { return tr.rt.Interval() }
-
-// FlowMetricsCap returns the runtime's per-network flow-gauge budget.
-func (tr *Trial) FlowMetricsCap() int { return tr.rt.FlowMetricsCap() }
 
 // NextScope allocates a metrics scope label local to the trial.
 func (tr *Trial) NextScope() string {

@@ -24,18 +24,14 @@ import (
 
 // Options tunes generation. The zero value is the fuzz-smoke default.
 type Options struct {
-	// MaxFlowSize caps sampled flow sizes so a heavy-tail draw cannot
-	// turn one seed into a minutes-long run. Default 1 MB.
-	MaxFlowSize unit.Bytes
-
 	// NoFaults disables fault injection regardless of what the seed
 	// would roll (used when a run must leave every flow finished).
 	NoFaults bool
-
-	// Invariant overrides the checker options. OnViolation is always
-	// replaced: Run collects violations into the Report.
-	Invariant invariant.Options
 }
+
+// maxFlowSize caps sampled flow sizes so a heavy-tail draw cannot turn
+// one seed into a minutes-long run.
+const maxFlowSize = 1 * unit.MB
 
 // Report summarizes one generated run.
 type Report struct {
@@ -66,9 +62,6 @@ func (r Report) String() string {
 // report. It is fully deterministic in seed and opt, and it checks
 // conservation on its own network only, so runs may be concurrent.
 func Run(seed uint64, opt Options) Report {
-	if opt.MaxFlowSize == 0 {
-		opt.MaxFlowSize = 1 * unit.MB
-	}
 	eng := sim.New(seed)
 	// The generator gets its own stream so scenario shape and simulation
 	// randomness never alias: the engine stream stays exactly what any
@@ -78,13 +71,11 @@ func Run(seed uint64, opt Options) Report {
 	rep := Report{Seed: seed}
 	net := buildTopology(eng, gen, &rep)
 
-	iopt := opt.Invariant
-	iopt.OnViolation = func(v invariant.Violation) {
+	checker := invariant.Attach(net, invariant.Options{OnViolation: func(v invariant.Violation) {
 		rep.Violations = append(rep.Violations, v)
-	}
-	checker := invariant.Attach(net, iopt)
+	}})
 
-	flows := buildFlows(net, gen, opt, &rep)
+	flows := buildFlows(net, gen, &rep)
 	if !opt.NoFaults && gen.Intn(2) == 0 {
 		buildFaults(net, gen, &rep)
 	}
@@ -137,7 +128,7 @@ func buildTopology(eng *sim.Engine, gen *sim.Rand, rep *Report) *netem.Network {
 
 // buildFlows draws 10–40 Poisson arrivals from a random Table 2 size
 // distribution and dials an ExpressPass session for each.
-func buildFlows(net *netem.Network, gen *sim.Rand, opt Options, rep *Report) []*transport.Flow {
+func buildFlows(net *netem.Network, gen *sim.Rand, rep *Report) []*transport.Flow {
 	dists := workload.AllDists()
 	dist := dists[gen.Intn(len(dists))]
 	rep.Dist = dist.Name
@@ -158,11 +149,7 @@ func buildFlows(net *netem.Network, gen *sim.Rand, opt Options, rep *Report) []*
 	}
 	flows := make([]*transport.Flow, 0, len(specs))
 	for _, s := range specs {
-		size := s.Size
-		if size > opt.MaxFlowSize {
-			size = opt.MaxFlowSize
-		}
-		f := transport.NewFlow(net, hosts[s.Src], hosts[s.Dst], size, s.Start)
+		f := transport.NewFlow(net, hosts[s.Src], hosts[s.Dst], min(s.Size, maxFlowSize), s.Start)
 		core.Dial(f, core.Config{})
 		flows = append(flows, f)
 	}

@@ -152,24 +152,3 @@ func CDF(xs []float64) (vals, fracs []float64) {
 	}
 	return vals, fracs
 }
-
-// ConvergenceTime returns the index of the first sample from which the
-// series stays within tol (relative) of target for the rest of the
-// window, or -1 if it never converges. Used to measure "time to reach
-// fair share" in Figs 8/16.
-func ConvergenceTime(series []float64, target, tol float64) int {
-	if target == 0 {
-		return -1
-	}
-	conv := -1
-	for i, v := range series {
-		if math.Abs(v-target)/target <= tol {
-			if conv < 0 {
-				conv = i
-			}
-		} else {
-			conv = -1
-		}
-	}
-	return conv
-}

@@ -109,24 +109,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestConvergenceTime(t *testing.T) {
-	series := []float64{0, 1, 3, 4.9, 5.1, 5.0, 4.95}
-	if c := ConvergenceTime(series, 5, 0.05); c != 3 {
-		t.Errorf("conv = %d, want 3", c)
-	}
-	// A late excursion resets convergence.
-	series = append(series, 2, 5.0)
-	if c := ConvergenceTime(series, 5, 0.05); c != 8 {
-		t.Errorf("conv after excursion = %d, want 8", c)
-	}
-	if c := ConvergenceTime([]float64{1, 1}, 5, 0.05); c != -1 {
-		t.Errorf("never-converged = %d", c)
-	}
-	if c := ConvergenceTime(series, 0, 0.05); c != -1 {
-		t.Errorf("zero target = %d", c)
-	}
-}
-
 func TestMeanMaxMin(t *testing.T) {
 	xs := []float64{4, -1, 7}
 	if Mean(xs) != 10.0/3 || Max(xs) != 7 || Min(xs) != -1 {

@@ -60,7 +60,7 @@ func NewFatTree(eng *sim.Engine, k int, cfg Config) *FatTree {
 			ft.ToRs = append(ft.ToRs, tor)
 		}
 		for h := 0; h < half*half; h++ {
-			ft.Hosts = append(ft.Hosts, net.NewHost(fmt.Sprintf("h%d.%d", p, h), cfg.HostDelay))
+			ft.Hosts = append(ft.Hosts, newHost(net, fmt.Sprintf("h%d.%d", p, h)))
 		}
 	}
 
@@ -191,7 +191,7 @@ func NewOversubTree(eng *sim.Engine, p OversubParams, cfg Config) *OversubTree {
 			ot.ToRUplinks[t] = append(ot.ToRUplinks[t], up)
 		}
 		for h := 0; h < p.HostsPerToR; h++ {
-			host := net.NewHost(fmt.Sprintf("h%d.%d", t, h), cfg.HostDelay)
+			host := newHost(net, fmt.Sprintf("h%d.%d", t, h))
 			net.Connect(host, tor, edgePort)
 			ot.Hosts = append(ot.Hosts, host)
 		}

@@ -13,12 +13,12 @@ import (
 	"expresspass/internal/unit"
 )
 
-// Config carries the knobs shared by every builder.
+// Config carries the knobs shared by every builder. Every host gets the
+// NIC-hardware credit-processing delay model (netem.HardwareNICDelay).
 type Config struct {
 	LinkRate  unit.Rate    // edge link speed (host–ToR and default fabric)
 	CoreRate  unit.Rate    // fabric link speed; defaults to LinkRate
 	LinkDelay sim.Duration // per-link propagation delay (default 4 µs)
-	HostDelay netem.HostDelayConfig
 
 	// Switch buffering.
 	DataCapacity   unit.Bytes // per-port data budget (default 384.5 KB)
@@ -31,9 +31,9 @@ type Config struct {
 
 	// Optional per-port features, applied to every switch port.
 	ECNThreshold unit.Bytes
+	RED          bool
 	RCP          *netem.RCPConfig
 	Phantom      *netem.PhantomConfig
-	RED          *netem.REDConfig
 	PFC          *netem.PFCConfig
 }
 
@@ -53,10 +53,13 @@ func (c Config) withDefaults() Config {
 	if c.CreditQueueCap == 0 {
 		c.CreditQueueCap = 8
 	}
-	if c.HostDelay == (netem.HostDelayConfig{}) {
-		c.HostDelay = netem.HardwareNICDelay()
-	}
 	return c
+}
+
+// newHost adds a host with the NIC-hardware credit-processing delay
+// model, the one every builder uses.
+func newHost(net *netem.Network, name string) *netem.Host {
+	return net.NewHost(name, netem.HardwareNICDelay())
 }
 
 func (c Config) port(rate unit.Rate) netem.PortConfig {
@@ -68,9 +71,9 @@ func (c Config) port(rate unit.Rate) netem.PortConfig {
 		CreditBurst:    c.CreditBurst,
 		CreditTailDrop: c.CreditTailDrop,
 		ECNThreshold:   c.ECNThreshold,
+		RED:            c.RED,
 		RCP:            c.RCP,
 		Phantom:        c.Phantom,
-		RED:            c.RED,
 		PFC:            c.PFC,
 	}
 }
@@ -91,7 +94,7 @@ func NewStar(eng *sim.Engine, n int, cfg Config) *Star {
 	sw := net.NewSwitch("sw0")
 	s := &Star{Net: net, Switch: sw}
 	for i := 0; i < n; i++ {
-		h := net.NewHost(fmt.Sprintf("h%d", i), cfg.HostDelay)
+		h := newHost(net, fmt.Sprintf("h%d", i))
 		net.Connect(h, sw, cfg.port(cfg.LinkRate))
 		s.Hosts = append(s.Hosts, h)
 	}
@@ -119,9 +122,9 @@ type Dumbbell struct {
 }
 
 // NewDumbbell builds a dumbbell with n host pairs. Edge links run at
-// EdgeSpeedup × LinkRate... edge links are provisioned at LinkRate; the
-// middle link also runs at LinkRate so it is the single bottleneck when
-// more than one pair is active.
+// LinkRate and the middle link at CoreRate (LinkRate by default), so the
+// middle link is the single bottleneck when more than one pair is
+// active.
 func NewDumbbell(eng *sim.Engine, n int, cfg Config) *Dumbbell {
 	cfg = cfg.withDefaults()
 	net := netem.NewNetwork(eng)
@@ -130,9 +133,9 @@ func NewDumbbell(eng *sim.Engine, n int, cfg Config) *Dumbbell {
 	d := &Dumbbell{Net: net, Left: left, Right: right}
 	d.Bottleneck, d.Reverse = net.Connect(left, right, cfg.port(cfg.CoreRate))
 	for i := 0; i < n; i++ {
-		s := net.NewHost(fmt.Sprintf("s%d", i), cfg.HostDelay)
+		s := newHost(net, fmt.Sprintf("s%d", i))
 		net.Connect(s, left, cfg.port(cfg.LinkRate))
-		r := net.NewHost(fmt.Sprintf("r%d", i), cfg.HostDelay)
+		r := newHost(net, fmt.Sprintf("r%d", i))
 		net.Connect(r, right, cfg.port(cfg.LinkRate))
 		d.Senders = append(d.Senders, s)
 		d.Receivers = append(d.Receivers, r)
@@ -167,14 +170,14 @@ func NewParkingLot(eng *sim.Engine, n int, cfg Config) *ParkingLot {
 		fwd, _ := net.Connect(pl.Switches[i], pl.Switches[i+1], cfg.port(cfg.CoreRate))
 		pl.Links = append(pl.Links, fwd)
 	}
-	pl.LongSrc = net.NewHost("src", cfg.HostDelay)
+	pl.LongSrc = newHost(net, "src")
 	net.Connect(pl.LongSrc, pl.Switches[0], cfg.port(cfg.LinkRate))
-	pl.LongDst = net.NewHost("dst", cfg.HostDelay)
+	pl.LongDst = newHost(net, "dst")
 	net.Connect(pl.LongDst, pl.Switches[n], cfg.port(cfg.LinkRate))
 	for i := 0; i < n; i++ {
-		s := net.NewHost(fmt.Sprintf("xs%d", i), cfg.HostDelay)
+		s := newHost(net, fmt.Sprintf("xs%d", i))
 		net.Connect(s, pl.Switches[i], cfg.port(cfg.LinkRate))
-		r := net.NewHost(fmt.Sprintf("xr%d", i), cfg.HostDelay)
+		r := newHost(net, fmt.Sprintf("xr%d", i))
 		net.Connect(r, pl.Switches[i+1], cfg.port(cfg.LinkRate))
 		pl.CrossSrc = append(pl.CrossSrc, s)
 		pl.CrossDst = append(pl.CrossDst, r)
@@ -209,14 +212,14 @@ func NewMultiBottleneck(eng *sim.Engine, n int, cfg Config) *MultiBottleneck {
 	m.C = net.NewSwitch("C")
 	m.Link1, _ = net.Connect(m.A, m.B, cfg.port(cfg.CoreRate))
 	m.Link3, _ = net.Connect(m.B, m.C, cfg.port(cfg.CoreRate))
-	m.Flow0Src = net.NewHost("f0src", cfg.HostDelay)
+	m.Flow0Src = newHost(net, "f0src")
 	net.Connect(m.Flow0Src, m.B, cfg.port(cfg.LinkRate))
-	m.Flow0Dst = net.NewHost("f0dst", cfg.HostDelay)
+	m.Flow0Dst = newHost(net, "f0dst")
 	net.Connect(m.Flow0Dst, m.C, cfg.port(cfg.LinkRate))
 	for i := 0; i < n; i++ {
-		s := net.NewHost(fmt.Sprintf("ms%d", i), cfg.HostDelay)
+		s := newHost(net, fmt.Sprintf("ms%d", i))
 		net.Connect(s, m.A, cfg.port(cfg.LinkRate))
-		r := net.NewHost(fmt.Sprintf("mr%d", i), cfg.HostDelay)
+		r := newHost(net, fmt.Sprintf("mr%d", i))
 		net.Connect(r, m.C, cfg.port(cfg.LinkRate))
 		m.Srcs = append(m.Srcs, s)
 		m.Dsts = append(m.Dsts, r)

@@ -233,7 +233,7 @@ func TestConfigDefaults(t *testing.T) {
 	if c.DataCapacity != unit.Bytes(384500) {
 		t.Errorf("data capacity default %v, want 384.5KB (250 MTUs)", c.DataCapacity)
 	}
-	if c.HostDelay == (netem.HostDelayConfig{}) {
-		t.Error("host delay default missing")
+	if h := NewStar(sim.New(1), 2, c).Hosts[0]; h.Delay != netem.HardwareNICDelay() {
+		t.Errorf("host delay model %+v, want the NIC-hardware one", h.Delay)
 	}
 }

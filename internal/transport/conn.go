@@ -32,27 +32,29 @@ type CC interface {
 	OnTimeout(c *Conn)
 }
 
+// The reliability machinery's constants: the fast-retransmit trigger,
+// the window and RTO ceilings, and the host transmit jitter. txJitter
+// models host transmit-timing variance (kernel scheduling, NIC DMA):
+// each data segment is delayed uniformly in [0, txJitter] before hitting
+// the NIC, FIFO order preserved. Without it, two ACK-clocked flows
+// phase-lock on a full drop-tail queue and one starves — a determinism
+// artifact no real host exhibits.
+const (
+	dupAckThreshold = 3 // dupacks before fast retransmit
+	maxCwnd         = 10000
+	maxRTO          = 100 * sim.Millisecond
+	txJitter        = sim.Microsecond
+)
+
 // ConnConfig tunes the reliability machinery.
 type ConnConfig struct {
-	Mode        SendMode
-	InitCwnd    float64      // packets, default 10 (ns-2 style IW)
-	MinCwnd     float64      // packets, default 1
-	MaxCwnd     float64      // packets, default 10_000
-	InitRate    unit.Rate    // ModePaced initial rate (default line rate)
-	MinRTO      sim.Duration // default 1 ms
-	MaxRTO      sim.Duration // default 100 ms
-	ECN         bool         // set ECT on data packets
-	DupAcks     int          // dupacks before fast retransmit, default 3
-	Segment     unit.Bytes   // payload per segment, default unit.MTUPayload
-	RecordRates bool         // keep per-ACK RCP rate stamps (debugging)
-
-	// TxJitter models host transmit-timing variance (kernel scheduling,
-	// NIC DMA): each data segment is delayed uniformly in [0, TxJitter]
-	// before hitting the NIC, FIFO order preserved. Without it, two
-	// ACK-clocked flows phase-lock on a full drop-tail queue and one
-	// starves — a determinism artifact no real host exhibits. Default
-	// 1 µs; negative disables.
-	TxJitter sim.Duration
+	Mode     SendMode
+	InitCwnd float64      // packets, default 10 (ns-2 style IW)
+	MinCwnd  float64      // packets, default 1
+	InitRate unit.Rate    // ModePaced initial rate (default line rate)
+	MinRTO   sim.Duration // default 10 ms
+	ECN      bool         // set ECT on data packets
+	Segment  unit.Bytes   // payload per segment, default unit.MTUPayload
 }
 
 func (c ConnConfig) withDefaults() ConnConfig {
@@ -62,23 +64,11 @@ func (c ConnConfig) withDefaults() ConnConfig {
 	if c.MinCwnd == 0 {
 		c.MinCwnd = 1
 	}
-	if c.MaxCwnd == 0 {
-		c.MaxCwnd = 10000
-	}
 	if c.MinRTO == 0 {
 		c.MinRTO = 10 * sim.Millisecond // common datacenter TCP setting
 	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 100 * sim.Millisecond
-	}
-	if c.DupAcks == 0 {
-		c.DupAcks = 3
-	}
 	if c.Segment == 0 {
 		c.Segment = unit.MTUPayload
-	}
-	if c.TxJitter == 0 {
-		c.TxJitter = sim.Microsecond
 	}
 	return c
 }
@@ -219,13 +209,13 @@ func (c *Conn) NextSeqNum() int64 { return c.nextSeq }
 // AckSeqNum returns the highest cumulative ack received.
 func (c *Conn) AckSeqNum() int64 { return c.ackSeq }
 
-// ClampCwnd bounds Cwnd to [MinCwnd, MaxCwnd].
+// ClampCwnd bounds Cwnd to [MinCwnd, 10,000 packets].
 func (c *Conn) ClampCwnd() {
 	if c.Cwnd < c.Cfg.MinCwnd {
 		c.Cwnd = c.Cfg.MinCwnd
 	}
-	if c.Cwnd > c.Cfg.MaxCwnd {
-		c.Cwnd = c.Cfg.MaxCwnd
+	if c.Cwnd > maxCwnd {
+		c.Cwnd = maxCwnd
 	}
 }
 
@@ -319,17 +309,13 @@ func (c *Conn) sendSegmentAt(seq int64) unit.Bytes {
 		c.Retransmits++
 	}
 	c.SentSegments++
-	if c.Cfg.TxJitter > 0 {
-		eng := c.Engine()
-		at := eng.Now() + c.rng.Range(0, c.Cfg.TxJitter)
-		if at <= c.lastTx {
-			at = c.lastTx + 1
-		}
-		c.lastTx = at
-		eng.At2D(c.Flow.Sender.Dom(), at, connSend, c, p, 0)
-	} else {
-		c.Flow.Sender.Send(p)
+	eng := c.Engine()
+	at := eng.Now() + c.rng.Range(0, txJitter)
+	if at <= c.lastTx {
+		at = c.lastTx + 1
 	}
+	c.lastTx = at
+	eng.At2D(c.Flow.Sender.Dom(), at, connSend, c, p, 0)
 	return seg
 }
 
@@ -416,7 +402,7 @@ func (c *Conn) onAckPacket(p *packet.Packet) {
 		c.armRTO()
 	} else {
 		c.dupAcks++
-		if c.dupAcks == c.Cfg.DupAcks && !c.inRecovery {
+		if c.dupAcks == dupAckThreshold && !c.inRecovery {
 			c.inRecovery = true
 			c.recoveryEnd = c.nextSeq
 			// Retransmit only the missing segment (NewReno); the
@@ -464,8 +450,8 @@ func (c *Conn) rto() sim.Duration {
 	if r < c.Cfg.MinRTO {
 		r = c.Cfg.MinRTO
 	}
-	if r > c.Cfg.MaxRTO {
-		r = c.Cfg.MaxRTO
+	if r > maxRTO {
+		r = maxRTO
 	}
 	return r
 }

@@ -184,7 +184,7 @@ func TestLongRunningFlowNeverFinishes(t *testing.T) {
 
 func TestConnConfigDefaults(t *testing.T) {
 	c := ConnConfig{}.withDefaults()
-	if c.InitCwnd != 10 || c.MinCwnd != 1 || c.DupAcks != 3 {
+	if c.InitCwnd != 10 || c.MinCwnd != 1 {
 		t.Errorf("defaults: %+v", c)
 	}
 	if c.Segment != unit.MTUPayload {

@@ -30,8 +30,6 @@ const (
 	KB         = 1000 * Byte
 	MB         = 1000 * KB
 	GB         = 1000 * MB
-	KiB        = 1024 * Byte
-	MiB        = 1024 * KiB
 )
 
 // Ethernet frame accounting. ExpressPass sizes credits as minimum Ethernet
@@ -39,8 +37,6 @@ const (
 // lets each credit authorize one maximum-size frame (1538 B on the wire):
 // credits are therefore rate-limited to 84/(84+1538) ≈ 5.18% of capacity.
 const (
-	// WireOverhead is preamble (8 B) + inter-packet gap (12 B).
-	WireOverhead Bytes = 20
 	// MinFrame is the minimum Ethernet frame on the wire (64 + 20).
 	MinFrame Bytes = 84
 	// MaxFrame is a full MTU Ethernet frame on the wire (1518 + 20).

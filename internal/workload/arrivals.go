@@ -92,49 +92,14 @@ func (cfg PoissonConfig) validate() error {
 	return nil
 }
 
-// IncastConfig drives the partition/aggregate generator of Fig 1: one
-// aggregator receives Fanout simultaneous worker responses per round.
-type IncastConfig struct {
-	Aggregator int        // host index receiving responses
-	Workers    []int      // host indexes of workers (excluding aggregator)
-	Fanout     int        // responses per round (workers reused if needed)
-	Response   unit.Bytes // bytes per response (paper: 1000 B)
-	Rounds     int
-	RoundGap   sim.Duration // time between request rounds
-	Start      sim.Time
-	// SpreadJitter staggers response starts within a round to model
-	// request fan-out serialization (default 0: perfectly synchronized).
-	SpreadJitter sim.Duration
-}
-
-// Incast expands the config into per-response flow specs. When Fanout
-// exceeds len(Workers), multiple responses share a worker host, matching
-// the paper's note that workers can share hosts.
-func Incast(rng *sim.Rand, cfg IncastConfig) []FlowSpec {
-	var specs []FlowSpec
-	t := cfg.Start
-	for r := 0; r < cfg.Rounds; r++ {
-		for i := 0; i < cfg.Fanout; i++ {
-			w := cfg.Workers[i%len(cfg.Workers)]
-			st := t
-			if cfg.SpreadJitter > 0 {
-				st += rng.Range(0, cfg.SpreadJitter)
-			}
-			specs = append(specs, FlowSpec{Src: w, Dst: cfg.Aggregator, Size: cfg.Response, Start: st})
-		}
-		t += cfg.RoundGap
-	}
-	return specs
-}
-
 // ShuffleConfig drives the MapReduce shuffle generator of Fig 17:
 // TasksPerHost tasks on each of Hosts hosts, every task sending Bytes to
-// every other task (including tasks co-located on other hosts).
+// every other task (including tasks co-located on other hosts). Flows
+// start at time zero, plus their jitter.
 type ShuffleConfig struct {
 	Hosts        int
 	TasksPerHost int
 	Bytes        unit.Bytes // per task-pair transfer (paper: 1 MB)
-	Start        sim.Time
 	// StartJitter staggers flow starts slightly so the all-to-all burst
 	// isn't a single synchronized instant.
 	StartJitter sim.Duration
@@ -150,31 +115,13 @@ func Shuffle(rng *sim.Rand, cfg ShuffleConfig) []FlowSpec {
 				continue
 			}
 			for i := 0; i < cfg.TasksPerHost*cfg.TasksPerHost; i++ {
-				st := cfg.Start
+				var st sim.Time
 				if cfg.StartJitter > 0 {
-					st += rng.Range(0, cfg.StartJitter)
+					st = rng.Range(0, cfg.StartJitter)
 				}
 				specs = append(specs, FlowSpec{Src: src, Dst: dst, Size: cfg.Bytes, Start: st})
 			}
 		}
-	}
-	return specs
-}
-
-// Permutation returns one long-running flow per host pair under a random
-// permutation (each host sends to exactly one other host).
-func Permutation(rng *sim.Rand, hosts int, size unit.Bytes, start sim.Time) []FlowSpec {
-	p := rng.Perm(hosts)
-	// Fix any self-mappings by swapping with a neighbor.
-	for i := 0; i < hosts; i++ {
-		if p[i] == i {
-			j := (i + 1) % hosts
-			p[i], p[j] = p[j], p[i]
-		}
-	}
-	specs := make([]FlowSpec, 0, hosts)
-	for i := 0; i < hosts; i++ {
-		specs = append(specs, FlowSpec{Src: i, Dst: p[i], Size: size, Start: start})
 	}
 	return specs
 }

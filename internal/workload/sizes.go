@@ -126,21 +126,6 @@ func WebServer() *SizeDist {
 	})
 }
 
-// ByName returns the named Table 2 distribution.
-func ByName(name string) (*SizeDist, error) {
-	switch name {
-	case "datamining":
-		return DataMining(), nil
-	case "websearch":
-		return WebSearch(), nil
-	case "cachefollower":
-		return CacheFollower(), nil
-	case "webserver":
-		return WebServer(), nil
-	}
-	return nil, fmt.Errorf("workload: unknown distribution %q", name)
-}
-
 // AllDists returns the four Table 2 distributions in paper order.
 func AllDists() []*SizeDist {
 	return []*SizeDist{DataMining(), WebSearch(), CacheFollower(), WebServer()}

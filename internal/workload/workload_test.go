@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"expresspass/internal/sim"
 	"expresspass/internal/unit"
@@ -79,17 +78,6 @@ func TestSampleMeanMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"datamining", "websearch", "cachefollower", "webserver"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name did not error")
-	}
-}
-
 func TestSizeClassBoundaries(t *testing.T) {
 	cases := map[unit.Bytes]string{
 		100:             "S",
@@ -141,32 +129,6 @@ func TestPoissonOfferedLoad(t *testing.T) {
 	}
 }
 
-func TestIncastSpecs(t *testing.T) {
-	rng := sim.NewRand(4)
-	specs := Incast(rng, IncastConfig{
-		Aggregator: 0, Workers: []int{1, 2, 3}, Fanout: 7,
-		Response: 1000, Rounds: 3, RoundGap: sim.Millisecond,
-	})
-	if len(specs) != 21 {
-		t.Fatalf("specs = %d, want 21", len(specs))
-	}
-	for _, s := range specs {
-		if s.Dst != 0 {
-			t.Error("incast response not to aggregator")
-		}
-		if s.Src == 0 {
-			t.Error("aggregator responding to itself")
-		}
-		if s.Size != 1000 {
-			t.Error("wrong response size")
-		}
-	}
-	// Workers reused when fanout > len(workers).
-	if specs[3].Src != specs[0].Src {
-		t.Error("worker reuse pattern broken")
-	}
-}
-
 func TestShuffleSpecs(t *testing.T) {
 	rng := sim.NewRand(5)
 	specs := Shuffle(rng, ShuffleConfig{Hosts: 4, TasksPerHost: 2, Bytes: unit.MB})
@@ -185,30 +147,6 @@ func TestShuffleSpecs(t *testing.T) {
 		if c != 4 {
 			t.Errorf("pair %v has %d flows, want tasks² = 4", pair, c)
 		}
-	}
-}
-
-// Property: Permutation is a derangement-ish assignment — never maps a
-// host to itself and every host sends exactly once.
-func TestPermutationProperty(t *testing.T) {
-	rng := sim.NewRand(6)
-	f := func(n uint8) bool {
-		h := int(n%30) + 2
-		specs := Permutation(rng, h, unit.MB, 0)
-		if len(specs) != h {
-			return false
-		}
-		seen := make([]bool, h)
-		for _, s := range specs {
-			if s.Src == s.Dst || seen[s.Src] {
-				return false
-			}
-			seen[s.Src] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
