@@ -101,11 +101,12 @@ type (
 	TraceEvent = obs.Event
 	// TraceEventType classifies a trace event.
 	TraceEventType = obs.EventType
-	// Metrics is an ordered registry of counters, gauges, and
-	// histograms snapshotable mid-run.
+	// Metrics is an ordered registry of gauges and histograms
+	// snapshotable mid-run.
 	Metrics = obs.Registry
 	// ObsRuntime is one run's instrumentation (tracing + metrics CSV),
-	// which the run's networks pick up at construction.
+	// which every network the run builds picks up at construction,
+	// through the scope of the sweep trial that built it.
 	ObsRuntime = obs.Runtime
 	// ObsConfig configures an ObsRuntime.
 	ObsConfig = obs.Config

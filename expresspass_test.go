@@ -167,6 +167,67 @@ func TestConfigSurface(t *testing.T) {
 	}
 }
 
+// TestNoAmbientState pins the package-level variables of the program —
+// the root package, cmd/ and internal/, test files aside — to the tables
+// built once at start-up and only read after. Anything else at package
+// level is state one run could leave for, or share with, another.
+func TestNoAmbientState(t *testing.T) {
+	t.Parallel()
+	allowed := []string{
+		"cmd/xpsim.flagNeeds",
+		"internal/core.flowGaugeSuffixes",
+		"internal/experiments.byID",
+		"internal/experiments.dataShare",
+		"internal/experiments.protoSpecs",
+		"internal/experiments.registry",
+		"internal/invariant.subscription",
+		"internal/obs.FCTBoundsMS",
+		"internal/obs.csvTypeFrag",
+		"internal/obs.eventNames",
+		"internal/obs.jsonTypeFrag",
+	}
+	var got []string
+	for _, root := range []string{".", "cmd", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path != root && root == "." {
+				return filepath.SkipDir // the root package only; cmd and internal walk on their own
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				return err
+			}
+			for _, decl := range f.Decls {
+				if g, ok := decl.(*ast.GenDecl); ok && g.Tok == token.VAR {
+					for _, s := range g.Specs {
+						for _, n := range s.(*ast.ValueSpec).Names {
+							if n.Name != "_" {
+								got = append(got, filepath.ToSlash(filepath.Dir(path))+"."+n.Name)
+							}
+						}
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, allowed) {
+		t.Errorf("package-level variables\n %v\nbut TestNoAmbientState allows\n %v\n"+
+			"(a setting a run needs travels in its Params — experiments.Params, runner.Run, "+
+			"netem.Wiring — not in a package variable; only a table built at start-up and "+
+			"never written after belongs on this list)", got, allowed)
+	}
+}
+
 // TestQuickstartAPI runs the README quick-start end to end through the
 // public facade.
 func TestQuickstartAPI(t *testing.T) {

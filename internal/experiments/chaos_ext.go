@@ -46,11 +46,12 @@ func chaosDumbbell(eng *sim.Engine, pr Proto, n int, size unit.Bytes,
 }
 
 // applyChaos installs the spec (or the run's -faults override) onto the
-// trial's network.
-func applyChaos(d *topology.Dumbbell, plan faults.Plan, spec string) {
+// trial's network. A built-in spec that does not parse is a bug; a plan
+// naming a port or host the network lacks is the caller's error.
+func applyChaos(d *topology.Dumbbell, plan faults.Plan, spec string) error {
 	if plan.Empty() {
 		if spec == "" {
-			return
+			return nil
 		}
 		var err error
 		plan, err = faults.ParseSpec(spec)
@@ -58,9 +59,7 @@ func applyChaos(d *topology.Dumbbell, plan faults.Plan, spec string) {
 			panic(err)
 		}
 	}
-	if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-		panic(err)
-	}
+	return plan.Apply(d.Net, d.Bottleneck)
 }
 
 // usec renders a duration as integer microseconds for spec strings.
@@ -106,7 +105,7 @@ func runExtChaosMatrix(p Params, w io.Writer) error {
 		corrupt    uint64
 		reorder    uint64
 	}
-	rows := runner.Map(p.sweep(), len(arms)*len(protos), func(t *runner.T, cell int) row {
+	rows, err := mapErr(p, len(arms)*len(protos), func(t *runner.T, cell int) (row, error) {
 		arm, pr := arms[cell/len(protos)], protos[cell%len(protos)]
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, size, 50*sim.Microsecond)
@@ -114,7 +113,9 @@ func runExtChaosMatrix(p Params, w io.Writer) error {
 		if arm.head != "" {
 			spec = armSpec(arm.head, 0, deadline)
 		}
-		applyChaos(d, p.Faults, spec)
+		if err := applyChaos(d, p.Faults, spec); err != nil {
+			return row{}, err
+		}
 		eng.RunUntil(sim.Time(deadline))
 
 		done := 0
@@ -137,8 +138,11 @@ func runExtChaosMatrix(p Params, w io.Writer) error {
 			dups:    d.Net.TotalDuplicates(),
 			corrupt: d.Net.TotalCorruptDrops(),
 			reorder: d.Net.TotalReorders(),
-		}
+		}, nil
 	})
+	if err != nil {
+		return err
+	}
 
 	tbl := NewTable("chaos", "proto", "completed", "mean FCT", "drops", "dups", "corrupt", "reorder")
 	for _, r := range rows {
@@ -198,11 +202,13 @@ func runExtChaosStorm(p Params, w io.Writer) error {
 		pre, dip, post  float64
 		drops, reorders uint64
 	}
-	rows := runner.Map(p.sweep(), len(storms)*len(protos), func(t *runner.T, cell int) row {
+	rows, err := mapErr(p, len(storms)*len(protos), func(t *runner.T, cell int) (row, error) {
 		storm, pr := storms[cell/len(protos)], protos[cell%len(protos)]
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, 0, 0)
-		applyChaos(d, p.Faults, storm.spec)
+		if err := applyChaos(d, p.Faults, storm.spec); err != nil {
+			return row{}, err
+		}
 
 		eng.RunUntil(warm)
 		sumDelivered(flows)
@@ -216,8 +222,11 @@ func runExtChaosStorm(p Params, w io.Writer) error {
 			storm: storm.name, proto: string(pr),
 			pre: pre, dip: dip, post: post,
 			drops: d.Net.TotalFaultDrops(), reorders: d.Net.TotalReorders(),
-		}
+		}, nil
 	})
+	if err != nil {
+		return err
+	}
 
 	tbl := NewTable("storm", "proto", "pre Gbps", "storm Gbps", "post Gbps", "drops")
 	for _, r := range rows {

@@ -20,10 +20,9 @@ import (
 )
 
 // Params are a run, whole: what it computes and how it runs. Every
-// engine the run creates is wired from this value (runner.T.Engine
-// inside a sweep, runner.Run.Engine outside one); nothing is read from
-// process-wide state, so two runs with different Params may share a
-// process, concurrently.
+// engine the run creates is a sweep trial's (runner.T.Engine) and is
+// wired from this value; nothing is read from process-wide state, so two
+// runs with different Params may share a process, concurrently.
 type Params struct {
 	// Scale in (0, 1] shrinks flow counts / durations / sweep densities
 	// proportionally. 1.0 reproduces the paper-scale configuration.
@@ -46,14 +45,35 @@ type Params struct {
 	Invariants *invariant.Set
 }
 
-// sweep is the run as package runner sees it: what a sweep, or an engine
-// outside one (runner.Run.Engine), needs of it.
+// sweep is the run as package runner sees it: what a sweep needs of it.
 func (p Params) sweep() runner.Run {
 	r := runner.Run{Procs: p.Procs, Obs: p.Obs}
 	if p.Invariants != nil {
 		r.Check = p.Invariants.Attach
 	}
 	return r
+}
+
+// mapErr is runner.Map over trials that can fail — a -faults plan may
+// name a port or host the trial's network lacks. Every trial runs, and
+// the first error in submission order is returned.
+func mapErr[R any](p Params, n int, fn func(t *runner.T, i int) (R, error)) ([]R, error) {
+	type result struct {
+		r   R
+		err error
+	}
+	rs := runner.Map(p.sweep(), n, func(t *runner.T, i int) result {
+		r, err := fn(t, i)
+		return result{r, err}
+	})
+	out := make([]R, len(rs))
+	for i, x := range rs {
+		if x.err != nil {
+			return nil, x.err
+		}
+		out[i] = x.r
+	}
+	return out, nil
 }
 
 // ScaleError reports a Params.Scale that is not a number to scale by:

@@ -158,4 +158,15 @@ func TestProtoFeatures(t *testing.T) {
 			}
 		}
 	}
+	// The protocol table has an entry, with a transport, for every
+	// protocol and for nothing else.
+	all := []Proto{ProtoExpressPass, ProtoDCTCP, ProtoRCP, ProtoDX, ProtoHULL, ProtoCubic, ProtoIdeal, ProtoDCQCN}
+	for _, pr := range all {
+		if protoSpecs[pr].dial == nil {
+			t.Errorf("protocol %q has no entry in protoSpecs", pr)
+		}
+	}
+	if len(protoSpecs) != len(all) {
+		t.Errorf("protoSpecs has %d entries, want the %d protocols", len(protoSpecs), len(all))
+	}
 }

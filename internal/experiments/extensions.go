@@ -12,7 +12,6 @@ import (
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
 	"expresspass/internal/unit"
-	"expresspass/internal/workload"
 )
 
 // The ext-* experiments implement and evaluate the §7 discussion items —
@@ -169,43 +168,45 @@ func init() {
 }
 
 func runExtFailover(p Params, w io.Writer) error {
-	eng := p.sweep().Engine(p.Seed)
-	ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
-	hosts := ft.Hosts
-	var flows []*transport.Flow
-	for i := range hosts {
-		j := (i + len(hosts)/2) % len(hosts)
-		f := transport.NewFlow(ft.Net, hosts[i], hosts[j], 0, 0)
-		core.Dial(f, core.Config{BaseRTT: 60 * sim.Microsecond})
-		flows = append(flows, f)
-	}
-	phase := p.scaleDur(30*sim.Millisecond, 10*sim.Millisecond)
-	measure := func(label string) {
-		for _, f := range flows {
-			f.TakeDeliveredDelta()
+	return runner.Sweep(p.sweep(), 1, w, func(t *runner.T, _ int, out io.Writer) error {
+		eng := t.Engine(p.Seed)
+		ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
+		hosts := ft.Hosts
+		var flows []*transport.Flow
+		for i := range hosts {
+			j := (i + len(hosts)/2) % len(hosts)
+			f := transport.NewFlow(ft.Net, hosts[i], hosts[j], 0, 0)
+			core.Dial(f, core.Config{BaseRTT: 60 * sim.Microsecond})
+			flows = append(flows, f)
 		}
-		preDrops := ft.Net.TotalDataDrops()
-		eng.RunFor(phase)
-		var total float64
-		for _, f := range flows {
-			total += gbps(f.TakeDeliveredDelta(), phase)
+		phase := p.scaleDur(30*sim.Millisecond, 10*sim.Millisecond)
+		measure := func(label string) {
+			for _, f := range flows {
+				f.TakeDeliveredDelta()
+			}
+			preDrops := ft.Net.TotalDataDrops()
+			eng.RunFor(phase)
+			var total float64
+			for _, f := range flows {
+				total += gbps(f.TakeDeliveredDelta(), phase)
+			}
+			fmt.Fprintf(out, "%-28s aggregate %.2f Gbps, new data drops %d\n",
+				label, total, ft.Net.TotalDataDrops()-preDrops)
 		}
-		fmt.Fprintf(w, "%-28s aggregate %.2f Gbps, new data drops %d\n",
-			label, total, ft.Net.TotalDataDrops()-preDrops)
-	}
-	eng.RunUntil(phase) // warm up
-	measure("healthy fabric:")
+		eng.RunUntil(phase) // warm up
+		measure("healthy fabric:")
 
-	// Fail one direction of a ToR uplink; routing excludes both sides.
-	failed := ft.ToRUp[0][0]
-	failed.Fail()
-	ft.Net.BuildRoutes()
-	measure("after uplink failure:")
+		// Fail one direction of a ToR uplink; routing excludes both sides.
+		failed := ft.ToRUp[0][0]
+		failed.Fail()
+		ft.Net.BuildRoutes()
+		measure("after uplink failure:")
 
-	failed.Restore()
-	ft.Net.BuildRoutes()
-	measure("after repair:")
-	return nil
+		failed.Restore()
+		ft.Net.BuildRoutes()
+		measure("after repair:")
+		return nil
+	})
 }
 
 // ---- ext-stopmargin: preemptive CREDIT_STOP ----
@@ -260,5 +261,3 @@ func runExtStopMargin(p Params, w io.Writer) error {
 	tbl.Write(w)
 	return nil
 }
-
-var _ = workload.SizeClass // cohesion anchor

@@ -113,7 +113,7 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 		drops     uint64
 		wasted    float64
 	}
-	rows := runner.Map(p.sweep(), len(flaps), func(t *runner.T, i int) row {
+	rows, err := mapErr(p, len(flaps), func(t *runner.T, i int) (row, error) {
 		flapD := flaps[i]
 		eng := t.Engine(p.Seed)
 		d, flows, sessions := faultDumbbell(eng, 4)
@@ -121,7 +121,7 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 		faultAt := warm + sim.Time(preD)
 		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				panic(err)
+				return row{}, err
 			}
 		} else {
 			faults.NewInjector(d.Net).FlapLink(d.Bottleneck, faultAt, flapD)
@@ -161,8 +161,11 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 			recovery: recovery,
 			drops:    d.Net.TotalFaultDrops(),
 			wasted:   100 * wastedRatio(sessions, baseSent, baseData),
-		}
+		}, nil
 	})
+	if err != nil {
+		return err
+	}
 
 	tbl := NewTable("flap", "pre Gbps", "recovery", "post Gbps", "fault drops", "wasted %")
 	for _, r := range rows {
@@ -205,7 +208,7 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 		retx  uint64
 		drops uint64
 	}
-	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) row {
+	rows, err := mapErr(p, len(arms), func(t *runner.T, i int) (row, error) {
 		arm := arms[i]
 		eng := t.Engine(p.Seed)
 		d := topology.NewDumbbell(eng, n, topology.Config{
@@ -222,7 +225,7 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 		registerFaultMetrics(d.Net, sessions)
 		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				panic(err)
+				return row{}, err
 			}
 		} else {
 			in := faults.NewInjector(d.Net)
@@ -261,8 +264,11 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 		if sent > minPkts {
 			retx = sent - minPkts
 		}
-		return row{arm.name, done, fct, retx, d.Net.TotalFaultDrops()}
+		return row{arm.name, done, fct, retx, d.Net.TotalFaultDrops()}, nil
 	})
+	if err != nil {
+		return err
+	}
 
 	tbl := NewTable("loss", "completed", "mean FCT", "retx pkts", "fault drops")
 	for _, r := range rows {
@@ -294,7 +300,7 @@ func runExtFaultsStall(p Params, w io.Writer) error {
 		pre, dip, post float64
 		drops          uint64
 	}
-	rows := runner.Map(p.sweep(), len(stalls), func(t *runner.T, i int) row {
+	rows, err := mapErr(p, len(stalls), func(t *runner.T, i int) (row, error) {
 		stallD := stalls[i]
 		eng := t.Engine(p.Seed)
 		d, flows, sessions := faultDumbbell(eng, 2)
@@ -302,7 +308,7 @@ func runExtFaultsStall(p Params, w io.Writer) error {
 		faultAt := warm + sim.Time(preD)
 		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				panic(err)
+				return row{}, err
 			}
 		} else {
 			faults.NewInjector(d.Net).StallHost(d.Senders[0], faultAt, stallD)
@@ -320,8 +326,11 @@ func runExtFaultsStall(p Params, w io.Writer) error {
 			stall: fmt.Sprintf("%gms", float64(stallD)/float64(sim.Millisecond)),
 			pre:   pre, dip: dip, post: post,
 			drops: d.Net.TotalFaultDrops(),
-		}
+		}, nil
 	})
+	if err != nil {
+		return err
+	}
 
 	tbl := NewTable("stall", "pre Gbps", "during Gbps", "post Gbps", "fault drops")
 	for _, r := range rows {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -135,6 +136,32 @@ func TestParamsFaultsReplacesTimeline(t *testing.T) {
 		}
 		if after := run(builtIn); after != want {
 			t.Errorf("%s: a run without a plan changed after one with a plan:\n%s\n%s", id, want, after)
+		}
+	}
+}
+
+// TestFaultsMissingTargetIsAnError: a Params.Faults plan naming a port
+// or host the experiment's network lacks makes Run return an error that
+// names the target, serial or parallel, in every experiment that reads
+// the plan — it is the caller's mistake, not a panic.
+func TestFaultsMissingTargetIsAnError(t *testing.T) {
+	t.Parallel()
+	ids := []string{"ext-faults-flap", "ext-faults-loss", "ext-faults-stall", "ext-chaos-matrix", "ext-chaos-storm"}
+	for _, tc := range []struct{ spec, target string }{
+		{"flap:nosuch@1ms+1ms", `no port matches "nosuch"`},
+		{"stall:nohost@1ms+1ms", `no host matches "nohost"`},
+	} {
+		plan, err := faults.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			for _, procs := range []int{1, 2} {
+				err := Run(id, Params{Scale: 0.05, Seed: 42, Faults: plan, Procs: procs}, io.Discard)
+				if err == nil || !strings.Contains(err.Error(), tc.target) {
+					t.Errorf("%s -procs %d -faults %q: err = %v, want one saying %s", id, procs, tc.spec, err, tc.target)
+				}
+			}
 		}
 	}
 }

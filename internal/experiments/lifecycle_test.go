@@ -28,71 +28,75 @@ import (
 // invariant audit, its packet pool back to zero.
 func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 	t.Parallel()
-	eng := Params{Obs: obs.NewRuntime(obs.Config{MetricsOut: io.Discard})}.sweep().Engine(42)
-	st := topology.NewStar(eng, 8, topology.Config{LinkRate: 10 * unit.Gbps})
-	rtt := 30 * sim.Microsecond
-	env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
-		XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
-	specs, err := workload.Poisson(eng.Rand().Fork(), workload.PoissonConfig{
-		Hosts: 8, Dist: workload.WebServer(), Load: 0.4,
-		RefRate: 80 * unit.Gbps, Flows: 200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-flow gauges are named flow/<id>/…; the shared flow/fct_ms
-	// histogram is network-wide and legitimately outlives every flow.
-	perFlowGauge := func(name string) bool {
-		rest, ok := strings.CutPrefix(name, "flow/")
-		if !ok {
-			return false
+	p := Params{Obs: obs.NewRuntime(obs.Config{MetricsOut: io.Discard})}
+	runner.Map(p.sweep(), 1, func(tr *runner.T, _ int) struct{} {
+		eng := tr.Engine(42)
+		st := topology.NewStar(eng, 8, topology.Config{LinkRate: 10 * unit.Gbps})
+		rtt := 30 * sim.Microsecond
+		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
+			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
+		specs, err := workload.Poisson(eng.Rand().Fork(), workload.PoissonConfig{
+			Hosts: 8, Dist: workload.WebServer(), Load: 0.4,
+			RefRate: 80 * unit.Gbps, Flows: 200,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		id, _, ok := strings.Cut(rest, "/")
-		if !ok {
-			return false
+		// Per-flow gauges are named flow/<id>/…; the shared flow/fct_ms
+		// histogram is network-wide and legitimately outlives every flow.
+		perFlowGauge := func(name string) bool {
+			rest, ok := strings.CutPrefix(name, "flow/")
+			if !ok {
+				return false
+			}
+			id, _, ok := strings.Cut(rest, "/")
+			if !ok {
+				return false
+			}
+			_, err := strconv.Atoi(id)
+			return err == nil
 		}
-		_, err := strconv.Atoi(id)
-		return err == nil
-	}
-	sawGauges := false
-	mgr := lifecycle.NewManager(lifecycle.Config{
-		Engine: eng,
-		Specs:  specs,
-		Dial: func(s workload.FlowSpec, _ int) (*transport.Flow, lifecycle.Handle) {
-			f := transport.NewFlow(st.Net, st.Hosts[s.Src], st.Hosts[s.Dst], s.Size, s.Start)
-			h := env.Dial(ProtoExpressPass, f)
-			if !sawGauges {
-				for _, m := range st.Net.Metrics().Snapshot() {
-					if perFlowGauge(m.Name) {
-						sawGauges = true
-						break
+		sawGauges := false
+		mgr := lifecycle.NewManager(lifecycle.Config{
+			Engine: eng,
+			Specs:  specs,
+			Dial: func(s workload.FlowSpec, _ int) (*transport.Flow, lifecycle.Handle) {
+				f := transport.NewFlow(st.Net, st.Hosts[s.Src], st.Hosts[s.Dst], s.Size, s.Start)
+				h := env.Dial(ProtoExpressPass, f)
+				if !sawGauges {
+					for _, m := range st.Net.Metrics().Snapshot() {
+						if perFlowGauge(m.Name) {
+							sawGauges = true
+							break
+						}
 					}
 				}
-			}
-			return f, h
-		},
-		Grace: 10 * rtt,
-	})
-	mgr.Start()
-	eng.RunUntil(specs[len(specs)-1].Start + 4*sim.Second)
+				return f, h
+			},
+			Grace: 10 * rtt,
+		})
+		mgr.Start()
+		eng.RunUntil(specs[len(specs)-1].Start + 4*sim.Second)
 
-	if !mgr.Drained() || mgr.Finished() != len(specs) {
-		t.Fatalf("drained=%v finished=%d/%d", mgr.Drained(), mgr.Finished(), len(specs))
-	}
-	if !sawGauges {
-		t.Error("no per-flow gauges ever registered — the leak check below is vacuous")
-	}
-	for _, m := range st.Net.Metrics().Snapshot() {
-		if perFlowGauge(m.Name) {
-			t.Errorf("gauge %q survived retirement", m.Name)
+		if !mgr.Drained() || mgr.Finished() != len(specs) {
+			t.Fatalf("drained=%v finished=%d/%d", mgr.Drained(), mgr.Finished(), len(specs))
 		}
-	}
-	if n := st.Net.ActiveEndpoints(); n != 0 {
-		t.Errorf("flow table still holds %d endpoints", n)
-	}
-	for _, v := range invariant.CheckDrained(st.Net) {
-		t.Errorf("post-drain: %v", v)
-	}
+		if !sawGauges {
+			t.Error("no per-flow gauges ever registered — the leak check below is vacuous")
+		}
+		for _, m := range st.Net.Metrics().Snapshot() {
+			if perFlowGauge(m.Name) {
+				t.Errorf("gauge %q survived retirement", m.Name)
+			}
+		}
+		if n := st.Net.ActiveEndpoints(); n != 0 {
+			t.Errorf("flow table still holds %d endpoints", n)
+		}
+		for _, v := range invariant.CheckDrained(st.Net) {
+			t.Errorf("post-drain: %v", v)
+		}
+		return struct{}{}
+	})
 }
 
 // TestLifecycleRSSGate is the memory-regression gate: one scale-0.5

@@ -222,8 +222,8 @@ func fig15Cell(eng *sim.Engine, p Params, n int, proto Proto) []any {
 			sim.Duration(i)*73*sim.Microsecond)
 		flows = append(flows, f)
 		h := env.Dial(proto, f)
-		if ch, ok := h.(connHandle); ok {
-			conns = append(conns, ch.c)
+		if c, ok := h.(*transport.Conn); ok {
+			conns = append(conns, c)
 		}
 	}
 	timeouts = func() uint64 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"expresspass/internal/core"
@@ -38,26 +39,79 @@ func EvalProtos() []Proto {
 	return []Proto{ProtoExpressPass, ProtoRCP, ProtoDCTCP, ProtoDX, ProtoHULL}
 }
 
+// protoSpec is one protocol: the switch-side features it installs into a
+// topology config (none: credit queues suffice) and its flow transport.
+type protoSpec struct {
+	features func(cfg *topology.Config, baseRTT sim.Duration)
+	dial     func(e *Env, f *transport.Flow) Handle
+}
+
+// protoSpecs is the one protocol table: a protocol is its entry here.
+var protoSpecs = map[Proto]protoSpec{
+	ProtoExpressPass: {dial: func(e *Env, f *transport.Flow) Handle {
+		cfg := e.XP
+		cfg.BaseRTT = cmp.Or(cfg.BaseRTT, e.BaseRTT)
+		return core.Dial(f, cfg)
+	}},
+	ProtoDCTCP: {
+		features: func(cfg *topology.Config, _ sim.Duration) {
+			cfg.ECNThreshold = dctcp.RecommendedK(cmp.Or(cfg.LinkRate, 10*unit.Gbps))
+		},
+		dial: func(e *Env, f *transport.Flow) Handle { return e.ecnWindow(f, dctcp.New(dctcp.Config{InitAlpha: 1})) },
+	},
+	ProtoHULL: {
+		features: func(cfg *topology.Config, _ sim.Duration) { cfg.Phantom = hull.PortFeature(hull.Config{}) },
+		dial:     func(e *Env, f *transport.Flow) Handle { return e.ecnWindow(f, hull.New(hull.Config{})) },
+	},
+	ProtoCubic: {dial: func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, cubic.New(), e.Conn) }},
+	ProtoDX:    {dial: func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, dx.New(), e.Conn) }},
+	ProtoDCQCN: {
+		// DCQCN's deployment environment: RED marking on a PFC lossless fabric.
+		features: func(cfg *topology.Config, _ sim.Duration) {
+			cfg.RED, cfg.PFC = true, &netem.PFCConfig{XOff: 8 * unit.KB}
+		},
+		dial: func(e *Env, f *transport.Flow) Handle {
+			cfg := e.Conn
+			cfg.Mode, cfg.ECN = transport.ModePaced, true
+			return transport.NewConn(f, dcqcn.New(), cfg)
+		},
+	},
+	ProtoRCP: {
+		features: func(cfg *topology.Config, baseRTT sim.Duration) { cfg.RCP = &netem.RCPConfig{RTT: baseRTT} },
+		dial: func(e *Env, f *transport.Flow) Handle {
+			// RCP senders learn the router rate during the handshake: a
+			// low-rate first RTT, then the first echoed rate.
+			cfg := e.Conn
+			cfg.Mode = transport.ModePaced
+			cfg.InitRate = cmp.Or(cfg.InitRate, f.Sender.LineRate()/100)
+			return transport.NewConn(f, rcp.New(), cfg)
+		},
+	},
+	ProtoIdeal: {dial: func(e *Env, f *transport.Flow) Handle {
+		cfg := e.Conn
+		cfg.Mode = transport.ModePaced
+		c := transport.NewConn(f, idealrate.CC{}, cfg)
+		if e.oracle == nil {
+			e.oracle = idealrate.NewOracle(e.Net)
+		}
+		e.Eng.At(f.StartAt, func() { e.oracle.Attach(c) })
+		prev := f.OnFinish
+		f.OnFinish = func(fl *transport.Flow) {
+			e.oracle.Detach(c)
+			if prev != nil {
+				prev(fl)
+			}
+		}
+		return c
+	}},
+}
+
 // Features installs the protocol's switch-side features into a topology
 // config: ECN marking for DCTCP, explicit-rate meters for RCP, phantom
 // queues for HULL. ExpressPass needs only the (default) credit queues.
 func (pr Proto) Features(cfg *topology.Config, baseRTT sim.Duration) {
-	rate := cfg.LinkRate
-	if rate == 0 {
-		rate = 10 * unit.Gbps
-	}
-	switch pr {
-	case ProtoDCTCP:
-		cfg.ECNThreshold = dctcp.RecommendedK(rate)
-	case ProtoRCP:
-		cfg.RCP = &netem.RCPConfig{RTT: baseRTT}
-	case ProtoHULL:
-		cfg.Phantom = hull.PortFeature(hull.Config{})
-	case ProtoDCQCN:
-		// DCQCN's deployment environment: RED marking plus a PFC
-		// lossless fabric.
-		cfg.RED = true
-		cfg.PFC = &netem.PFCConfig{XOff: 8 * unit.KB}
+	if set := protoSpecs[pr].features; set != nil {
+		set(cfg, baseRTT)
 	}
 }
 
@@ -88,73 +142,20 @@ type Handle interface {
 	Retire()
 }
 
-type connHandle struct{ c *transport.Conn }
-
-func (h connHandle) Stop()          { h.c.Stop() }
-func (h connHandle) Quiesced() bool { return h.c.Quiesced() }
-func (h connHandle) Retire()        { h.c.Retire() }
-
 // Dial attaches the protocol's transport to flow f.
 func (e *Env) Dial(pr Proto, f *transport.Flow) Handle {
-	switch pr {
-	case ProtoExpressPass:
-		cfg := e.XP
-		if cfg.BaseRTT == 0 {
-			cfg.BaseRTT = e.BaseRTT
-		}
-		return core.Dial(f, cfg)
-	case ProtoDCTCP:
-		cfg := e.Conn
-		cfg.ECN = true
-		if cfg.MinCwnd == 0 {
-			cfg.MinCwnd = 2
-		}
-		return connHandle{transport.NewConn(f, dctcp.New(dctcp.Config{InitAlpha: 1}), cfg)}
-	case ProtoHULL:
-		cfg := e.Conn
-		cfg.ECN = true
-		if cfg.MinCwnd == 0 {
-			cfg.MinCwnd = 2
-		}
-		return connHandle{transport.NewConn(f, hull.New(hull.Config{}), cfg)}
-	case ProtoCubic:
-		return connHandle{transport.NewConn(f, cubic.New(), e.Conn)}
-	case ProtoDX:
-		return connHandle{transport.NewConn(f, dx.New(), e.Conn)}
-	case ProtoDCQCN:
-		cfg := e.Conn
-		cfg.Mode = transport.ModePaced
-		cfg.ECN = true
-		return connHandle{transport.NewConn(f, dcqcn.New(), cfg)}
-	case ProtoRCP:
-		cfg := e.Conn
-		cfg.Mode = transport.ModePaced
-		if cfg.InitRate == 0 {
-			// RCP senders learn the router rate during the handshake;
-			// emulate with a low-rate first RTT before adopting the
-			// first echoed rate.
-			cfg.InitRate = f.Sender.LineRate() / 100
-		}
-		return connHandle{transport.NewConn(f, rcp.New(), cfg)}
-	case ProtoIdeal:
-		cfg := e.Conn
-		cfg.Mode = transport.ModePaced
-		c := transport.NewConn(f, idealrate.CC{}, cfg)
-		if e.oracle == nil {
-			e.oracle = idealrate.NewOracle(e.Net)
-		}
-		o := e.oracle
-		e.Eng.At(f.StartAt, func() { o.Attach(c) })
-		prev := f.OnFinish
-		f.OnFinish = func(fl *transport.Flow) {
-			o.Detach(c)
-			if prev != nil {
-				prev(fl)
-			}
-		}
-		return connHandle{c}
+	if spec, ok := protoSpecs[pr]; ok {
+		return spec.dial(e, f)
 	}
 	panic(fmt.Sprintf("experiments: unknown protocol %q", pr))
+}
+
+// ecnWindow dials an ECN window protocol (DCTCP, HULL): cwnd ≥ 2 packets.
+func (e *Env) ecnWindow(f *transport.Flow, cc transport.CC) Handle {
+	cfg := e.Conn
+	cfg.ECN = true
+	cfg.MinCwnd = cmp.Or(cfg.MinCwnd, 2)
+	return transport.NewConn(f, cc, cfg)
 }
 
 // gbps converts delivered payload bytes over a duration to Gbps.

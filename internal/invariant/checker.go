@@ -49,6 +49,10 @@ type Checker struct {
 	flight       *obs.FlightRecorder
 	flightDumped bool
 	held         []*portState
+	// flightMu serializes dumps onto a FlightOut that other checkers
+	// share: the Set's, for a checker it attached; nil for a bare Attach,
+	// which is single-goroutine.
+	flightMu *sync.Mutex
 }
 
 // flowState is the credit-conservation ledger of one ExpressPass flow:
@@ -177,10 +181,6 @@ func Attach(net *netem.Network, opt Options) *Checker {
 	return c
 }
 
-// flightMu serializes flight-recorder dumps from concurrent trials
-// onto the shared FlightOut writer.
-var flightMu sync.Mutex
-
 // report dumps the flight ring (once per checker) before handing v to
 // the configured reporting path. At Finish the dump is the ring as it
 // stood at the first held finding of a port that never proved exempt,
@@ -195,10 +195,14 @@ func (c *Checker) report(v Violation) {
 				break
 			}
 		}
-		flightMu.Lock()
+		if c.flightMu != nil {
+			c.flightMu.Lock()
+		}
 		fmt.Fprintf(c.opt.FlightOut, "# invariant violation: %s\n# last %d trace events before the violation:\n", head, len(ring.Events()))
 		ring.Dump(c.opt.FlightOut)
-		flightMu.Unlock()
+		if c.flightMu != nil {
+			c.flightMu.Unlock()
+		}
 	}
 	if c.opt.OnViolation != nil {
 		c.opt.OnViolation(v)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"expresspass/internal/core"
+	"expresspass/internal/netem"
 	"expresspass/internal/obs"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
@@ -64,6 +66,45 @@ func TestFlightRecorderDumpsOnFirstViolation(t *testing.T) {
 	}
 	if dump.Len() != before {
 		t.Fatal("flight recorder dumped more than once per checker")
+	}
+}
+
+// TestSetSerializesFlightDumps: the checkers of one Set, run from
+// concurrent trials, share its FlightOut, and each dump lands whole.
+func TestSetSerializesFlightDumps(t *testing.T) {
+	t.Parallel()
+	var dump bytes.Buffer
+	set := NewSet(Options{FlightOut: &dump, FlightEvents: 2})
+	const n = 8
+	nets := make([]*netem.Network, n)
+	for i := range nets {
+		nets[i], _ = tinyNet(t)
+		set.Attach(nets[i])
+	}
+	var wg sync.WaitGroup
+	for _, net := range nets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr := net.Tracer()
+			tr.Emit(obs.Event{Type: obs.EvCreditRecv, Scope: "h0", Flow: 1, Seq: 1, Bytes: 84})
+			tr.Emit(obs.Event{Type: obs.EvDataSend, Scope: "h0", Flow: 9, Seq: 99, Bytes: 1460})
+		}()
+	}
+	wg.Wait()
+	if set.Count() != n {
+		t.Fatalf("%d violations, want one per checker (%d)", set.Count(), n)
+	}
+	// Each dump is two '#' context lines, then the ring's two events.
+	lines := strings.Split(strings.TrimSuffix(dump.String(), "\n"), "\n")
+	if len(lines) != 4*n {
+		t.Fatalf("%d dump lines, want %d:\n%s", len(lines), 4*n, dump.String())
+	}
+	for i := 0; i < len(lines); i += 4 {
+		if !strings.HasPrefix(lines[i], "# invariant violation:") || !strings.HasPrefix(lines[i+1], "# last 2 ") ||
+			!strings.Contains(lines[i+2], `"flow":1`) || !strings.Contains(lines[i+3], `"flow":9`) {
+			t.Fatalf("dump %d is not whole:\n%s", i/4, dump.String())
+		}
 	}
 }
 

@@ -95,8 +95,8 @@ type Options struct {
 	// last FlightEvents trace events in a fixed-size ring and dumps them
 	// here (as JSONL, preceded by '#' context lines) the first time it
 	// reports a violation — the lead-up to the failure without the cost
-	// of a full on-disk trace. One dump per checker; dumps from
-	// concurrent trials are serialized on the shared writer.
+	// of a full on-disk trace. One dump per checker; the checkers of one
+	// Set, which concurrent trials share, serialize their dumps on it.
 	FlightOut io.Writer
 
 	// FlightEvents is the flight-recorder ring capacity (default 4096).
@@ -132,6 +132,7 @@ type Set struct {
 	stats    Stats
 	viols    []Violation // the first keepCap
 	count    uint64
+	flightMu sync.Mutex // serializes the checkers' dumps onto opt.FlightOut
 }
 
 // NewSet returns an empty set whose checkers use opt.
@@ -155,6 +156,7 @@ func (s *Set) record(v Violation) {
 // Attach attaches a checker with the set's options to net.
 func (s *Set) Attach(net *netem.Network) {
 	c := Attach(net, s.opt)
+	c.flightMu = &s.flightMu
 	s.mu.Lock()
 	s.checkers = append(s.checkers, c)
 	s.mu.Unlock()

@@ -1,11 +1,12 @@
 package netem
 
 // Observability wiring. A Network built on an engine whose Wiring names
-// a scope (the run's obs.Runtime, or a sweep trial's obs.Trial) hands
-// the scope's tracer to every port and, when a metrics CSV is requested,
-// registers engine and per-port gauges in a private registry sampled on
-// the simulation clock. None of this runs for an engine without one:
-// every port carries a nil tracer. Network.SetTracer traces a hand-built
+// a scope — the obs.Trial of the sweep trial that created the engine —
+// hands the trial's tracer to every port and, when a metrics CSV is
+// requested, registers engine and per-port gauges in a private registry
+// sampled on the simulation clock; the rows carry the trial's scope
+// labels ("t3.0"). None of this runs for an engine without one: every
+// port carries a nil tracer. Network.SetTracer traces a hand-built
 // network without any run around it.
 
 import (
@@ -18,15 +19,13 @@ import (
 // metrics CSV volume sane on many-thousand-flow workloads.
 const flowMetricsCap = 64
 
-// initObs attaches the network to an instrumentation scope — the run's
-// runtime for an engine outside a sweep, or one sweep trial's scope
-// inside one: engine accounting always,
-// tracing if the scope has a tracer, and a metrics registry plus
-// sampler if a metrics CSV was requested.
-func (n *Network) initObs(rt obs.Scope) {
+// initObs attaches the network to its trial's scope: tracing if the
+// trial has a tracer, and a metrics registry plus sampler if a metrics
+// CSV was requested. The trial counts the engine itself (runner.T.Engine
+// attached it).
+func (n *Network) initObs(rt *obs.Trial) {
 	n.rt = rt
 	n.tracer = rt.Tracer()
-	rt.AttachEngine(n.Eng)
 	if rt.MetricsEnabled() {
 		n.scope = rt.NextScope()
 		n.metrics = obs.NewRegistry()

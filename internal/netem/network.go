@@ -10,12 +10,12 @@ import (
 )
 
 // Wiring is what a run attaches to every network built on its engines
-// (sim.Engine.Wiring): the instrumentation scope — the run's obs.Runtime,
-// or one sweep trial's obs.Trial — and the per-network check the run
-// arms (invariant.Set.Attach), which is how layers above netem attach
+// (sim.Engine.Wiring): the instrumentation scope — the obs.Trial of the
+// sweep trial that created the engine — and the per-network check the
+// run arms (invariant.Set.Attach), which is how layers above netem attach
 // themselves without netem importing them. Either may be nil.
 type Wiring struct {
-	Scope obs.Scope
+	Scope *obs.Trial
 	Check func(*Network)
 }
 
@@ -55,7 +55,7 @@ type Network struct {
 	// case the simulation pays nothing beyond one nil check per hook).
 	tracer          *obs.Tracer
 	metrics         *obs.Registry
-	rt              obs.Scope
+	rt              *obs.Trial
 	scope           string
 	flowMetricsLeft int
 }

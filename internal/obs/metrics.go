@@ -2,14 +2,13 @@ package obs
 
 import "sort"
 
-// Registry is an ordered set of named metrics: monotone counters,
-// pull-based gauges, and fixed-bucket histograms. Like the simulator it
-// observes, it is single-goroutine and lock-free; metrics cost nothing
-// until a snapshot or sampler actually reads them (counters are a bare
-// float64 add, gauges are closures evaluated lazily).
+// Registry is an ordered set of named metrics: pull-based gauges and
+// fixed-bucket histograms. Like the simulator it observes, it is
+// single-goroutine and lock-free; metrics cost nothing until a snapshot
+// or sampler actually reads them (gauges are closures evaluated lazily).
 //
 // Registration is idempotent by name so independent components can
-// share a metric (Counter/Histogram return the existing instrument).
+// share a metric (Histogram returns the existing instrument).
 type Registry struct {
 	byName  map[string]int
 	entries []entry
@@ -18,35 +17,21 @@ type Registry struct {
 type metricKind uint8
 
 const (
-	kindCounter metricKind = iota
-	kindGauge
+	kindGauge metricKind = iota
 	kindHistogram
 )
 
 type entry struct {
-	name    string
-	kind    metricKind
-	counter *Counter
-	gauge   func() float64
-	hist    *Histogram
+	name  string
+	kind  metricKind
+	gauge func() float64
+	hist  *Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]int)}
 }
-
-// Counter is a monotonically-increasing value.
-type Counter struct{ v float64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds d (d must be non-negative).
-func (c *Counter) Add(d float64) { c.v += d }
-
-// Value returns the current total.
-func (c *Counter) Value() float64 { return c.v }
 
 // Histogram counts observations into fixed buckets with the given
 // upper bounds (ascending; an implicit +Inf bucket is appended).
@@ -99,17 +84,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum = next
 	}
 	return h.bounds[len(h.bounds)-1]
-}
-
-// Counter returns the counter registered under name, creating it on
-// first use.
-func (r *Registry) Counter(name string) *Counter {
-	if i, ok := r.byName[name]; ok {
-		return r.entries[i].counter
-	}
-	c := &Counter{}
-	r.add(entry{name: name, kind: kindCounter, counter: c})
-	return c
 }
 
 // Gauge registers a pull-based gauge; fn is evaluated at each snapshot.
@@ -175,8 +149,6 @@ func (r *Registry) Snapshot() []Sample {
 	out := make([]Sample, 0, len(r.entries))
 	for _, e := range r.entries {
 		switch e.kind {
-		case kindCounter:
-			out = append(out, Sample{e.name, e.counter.Value()})
 		case kindGauge:
 			out = append(out, Sample{e.name, e.gauge()})
 		case kindHistogram:

@@ -9,17 +9,10 @@ import (
 	"expresspass/internal/sim"
 )
 
-func TestRegistryCounterGauge(t *testing.T) {
+func TestRegistryGauges(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("drops")
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Errorf("counter = %g, want 3", c.Value())
-	}
-	if again := r.Counter("drops"); again != c {
-		t.Error("Counter not idempotent by name")
-	}
+	drops := 3.0
+	r.Gauge("drops", func() float64 { return drops })
 	x := 7.5
 	r.Gauge("depth", func() float64 { return x })
 	snap := r.Snapshot()
@@ -36,11 +29,15 @@ func TestRegistryCounterGauge(t *testing.T) {
 	if got := r.Snapshot()[1].Value; got != 9 {
 		t.Errorf("gauge not re-evaluated: %g", got)
 	}
+	r.Gauge("drops", func() float64 { return 4 })
+	if snap := r.Snapshot(); len(snap) != 2 || snap[0].Value != 4 {
+		t.Errorf("re-registering a name did not replace its gauge in place: %+v", snap)
+	}
 }
 
 func TestRegistryUnregister(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("keep/a")
+	r.Gauge("keep/a", func() float64 { return 0 })
 	r.Gauge("flow/1/rate", func() float64 { return 1 })
 	r.Gauge("flow/1/w", func() float64 { return 2 })
 	r.Gauge("keep/b", func() float64 { return 3 })
@@ -65,11 +62,11 @@ func TestRegistryUnregister(t *testing.T) {
 		t.Errorf("post-unregister names = %q, want %q (registration order kept)", got, want)
 	}
 
-	// Surviving metrics stay addressable by name: Counter must return
-	// the original cell, not a fresh one, after the index reshuffle.
-	c.Add(5)
-	if again := r.Counter("keep/a"); again != c || again.Value() != 5 {
-		t.Error("Counter identity lost after Unregister compaction")
+	// Surviving metrics stay addressable by name after the index
+	// reshuffle: re-registering one replaces it where it stands.
+	r.Gauge("keep/b", func() float64 { return 5 })
+	if snap := r.Snapshot(); len(snap) != 3 || snap[2].Name != "keep/b" || snap[2].Value != 5 {
+		t.Errorf("gauge identity lost after Unregister compaction: %+v", snap)
 	}
 
 	// Re-registering a removed name starts fresh at the tail.
@@ -123,19 +120,18 @@ func TestRuntimeMetricsCSV(t *testing.T) {
 	if rt.Interval() != sim.Millisecond {
 		t.Errorf("default interval = %v", rt.Interval())
 	}
-	if rt.NextScope() != "r0" || rt.NextScope() != "r1" {
-		t.Error("scope allocation not sequential")
-	}
-	rt.WriteRow(1500*sim.Nanosecond, "r0", "port/a->b/util", 0.875)
+	rt.WriteRow(1500*sim.Nanosecond, "t0.0", "port/a->b/util", 0.875)
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := "t_us,scope,metric,value\n1.5,r0,port/a->b/util,0.875\n"
+	want := "t_us,scope,metric,value\n1.5,t0.0,port/a->b/util,0.875\n"
 	if buf.String() != want {
 		t.Errorf("csv = %q, want %q", buf.String(), want)
 	}
 }
 
+// TestRuntimeEngineTotals: the runtime's totals are those of its
+// finished trials — events add up across trials, the peak is a max.
 func TestRuntimeEngineTotals(t *testing.T) {
 	rt := NewRuntime(Config{})
 	e1, e2 := sim.New(1), sim.New(2)
@@ -143,11 +139,17 @@ func TestRuntimeEngineTotals(t *testing.T) {
 		e1.After(sim.Duration(i)*sim.Nanosecond, func() {})
 	}
 	e2.After(sim.Nanosecond, func() {})
-	rt.AttachEngine(e1)
-	rt.AttachEngine(e1) // idempotent
-	rt.AttachEngine(e2)
+	t0, t1 := rt.BeginTrial(0, false), rt.BeginTrial(1, false)
+	t0.AttachEngine(e1)
+	t1.AttachEngine(e2)
 	e1.Run()
 	e2.Run()
+	if events, _ := rt.EngineTotals(); events != 0 {
+		t.Errorf("events = %d before any trial finished, want 0", events)
+	}
+	t0.Complete()
+	t1.Complete()
+	t1.Complete() // idempotent
 	events, peak := rt.EngineTotals()
 	if events != 11 {
 		t.Errorf("events = %d, want 11", events)

@@ -40,31 +40,22 @@ type Config struct {
 // metrics CSV, engine accounting and progress heartbeats. A run carries
 // it as a value (experiments.Params.Obs); the runner hands each sweep
 // trial a Trial scope of it, and a network built on an engine wired to
-// either (netem.Wiring) wires itself up at construction. A network
-// outside any run carries nil hooks and the simulation runs at full
-// speed.
+// one (netem.Wiring) wires itself up at construction. The runtime itself
+// is no scope: every network records through a trial, and the engine
+// totals are those of finished trials. A network outside any run carries
+// nil hooks and the simulation runs at full speed.
 type Runtime struct {
 	cfg Config
 
-	mu      sync.Mutex
-	engines []*sim.Engine
-	seen    map[*sim.Engine]struct{}
-	scopes  int
-	mw      *lineWriter // metrics CSV; nil when metrics are off
-	header  bool
+	mu     sync.Mutex
+	mw     *lineWriter // metrics CSV; nil when metrics are off
+	header bool
 
-	// Totals folded in from flushed runner trials (Trial.Flush). Trial
-	// engines never enter the engines list — they are read once, after
-	// their trial finishes, and accumulated here atomically so
-	// EngineTotals stays race-free while other trials are still running.
-	trialEvents     atomic.Uint64
-	trialPeak       atomic.Int64
-	trialHeapPops   atomic.Uint64
-	trialWalkSpills atomic.Uint64
-	trialPeakHeap   atomic.Int64
-	trialRebuilds   atomic.Int64
-	trialReserved   atomic.Uint64
-	trialArmed      atomic.Uint64
+	// Totals of every finished trial (Trial.Complete), folded in once per
+	// trial under mu: counts add, peaks are a max.
+	events uint64
+	peak   int
+	sched  SchedTotals
 
 	// Sweep progress: phase label plus trial counters, driven by the
 	// runner. All atomic so heartbeats never contend with workers.
@@ -88,11 +79,7 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Interval <= 0 {
 		cfg.Interval = sim.Millisecond
 	}
-	rt := &Runtime{
-		cfg:     cfg,
-		seen:    make(map[*sim.Engine]struct{}),
-		started: time.Now(),
-	}
+	rt := &Runtime{cfg: cfg, started: time.Now()}
 	if cfg.MetricsOut != nil {
 		rt.mw = newLineWriter(cfg.MetricsOut)
 	}
@@ -108,46 +95,12 @@ func (rt *Runtime) MetricsEnabled() bool { return rt.mw != nil }
 // Interval returns the metrics sampling period.
 func (rt *Runtime) Interval() sim.Duration { return rt.cfg.Interval }
 
-// NextScope allocates a distinct scope label ("r0", "r1", …) for one
-// network's metrics, so several networks built in one process (e.g. the
-// per-protocol arms of an experiment) stay distinguishable in the CSV.
-func (rt *Runtime) NextScope() string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	s := "r" + strconv.Itoa(rt.scopes)
-	rt.scopes++
-	return s
-}
-
-// AttachEngine registers an engine for aggregate accounting (events
-// executed, peak heap depth). Idempotent per engine.
-func (rt *Runtime) AttachEngine(e *sim.Engine) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if _, ok := rt.seen[e]; ok {
-		return
-	}
-	rt.seen[e] = struct{}{}
-	rt.engines = append(rt.engines, e)
-}
-
-// EngineTotals sums executed events and the maximum event-heap depth
-// across every engine attached so far, plus the totals of every
-// flushed runner trial.
+// EngineTotals sums executed events and takes the maximum event-heap
+// depth across the engines of every finished trial.
 func (rt *Runtime) EngineTotals() (events uint64, peakHeap int) {
 	rt.mu.Lock()
-	for _, e := range rt.engines {
-		events += e.Executed()
-		if p := e.MaxPending(); p > peakHeap {
-			peakHeap = p
-		}
-	}
-	rt.mu.Unlock()
-	events += rt.trialEvents.Load()
-	if p := int(rt.trialPeak.Load()); p > peakHeap {
-		peakHeap = p
-	}
-	return events, peakHeap
+	defer rt.mu.Unlock()
+	return rt.events, rt.peak
 }
 
 // SchedTotals is what the event scheduler did across the engines
@@ -178,38 +131,23 @@ func (t *SchedTotals) add(e *sim.Engine) {
 	t.Armed += a
 }
 
-// SchedTotals sums the scheduler counters over every engine attached so
-// far plus every flushed runner trial.
+// SchedTotals sums the scheduler counters over the engines of every
+// finished trial.
 func (rt *Runtime) SchedTotals() SchedTotals {
-	t := SchedTotals{
-		HeapPops:   rt.trialHeapPops.Load(),
-		WalkSpills: rt.trialWalkSpills.Load(),
-		PeakHeap:   int(rt.trialPeakHeap.Load()),
-		Rebuilds:   int(rt.trialRebuilds.Load()),
-		Reserved:   rt.trialReserved.Load(),
-		Armed:      rt.trialArmed.Load(),
-	}
 	rt.mu.Lock()
-	for _, e := range rt.engines {
-		t.add(e)
-	}
-	rt.mu.Unlock()
-	return t
+	defer rt.mu.Unlock()
+	return rt.sched
 }
 
-// addTrialTotals folds one finished trial engine's totals into the
-// runtime's accumulators (counts add; peaks are a CAS max).
-func (rt *Runtime) addTrialTotals(e *sim.Engine) {
-	rt.trialEvents.Add(e.Executed())
-	atomicMax(&rt.trialPeak, int64(e.MaxPending()))
-	var t SchedTotals
-	t.add(e)
-	rt.trialHeapPops.Add(t.HeapPops)
-	rt.trialWalkSpills.Add(t.WalkSpills)
-	atomicMax(&rt.trialPeakHeap, int64(t.PeakHeap))
-	rt.trialRebuilds.Add(int64(t.Rebuilds))
-	rt.trialReserved.Add(t.Reserved)
-	rt.trialArmed.Add(t.Armed)
+// addTrial folds one finished trial's engines into the totals.
+func (rt *Runtime) addTrial(engines []*sim.Engine) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	for _, e := range engines {
+		rt.events += e.Executed()
+		rt.peak = max(rt.peak, e.MaxPending())
+		rt.sched.add(e)
+	}
 }
 
 func atomicMax(a *atomic.Int64, v int64) {

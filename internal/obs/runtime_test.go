@@ -9,10 +9,10 @@ import (
 	"expresspass/internal/sim"
 )
 
-// TestTrialLifecycle walks a trial scope through the full sweep
-// protocol — BeginTrial, AttachEngine, buffered trace + metrics,
+// TestTrialLifecycle walks a buffering trial scope through the full
+// sweep protocol — BeginTrial, AttachEngine, buffered trace + metrics,
 // Complete, Flush — and checks the buffers replay into the shared
-// runtime while the engine totals land in the atomic accumulators.
+// runtime while the engine totals land in the runtime's.
 func TestTrialLifecycle(t *testing.T) {
 	var trace, metrics bytes.Buffer
 	rt := NewRuntime(Config{
@@ -20,7 +20,7 @@ func TestTrialLifecycle(t *testing.T) {
 		MetricsOut: &metrics,
 	})
 
-	tr := rt.BeginTrial(3)
+	tr := rt.BeginTrial(3, false)
 	if tr.Tracer() == nil {
 		t.Fatal("trial of a tracing runtime has no tracer")
 	}
@@ -33,7 +33,6 @@ func TestTrialLifecycle(t *testing.T) {
 
 	eng := sim.New(1)
 	tr.AttachEngine(eng)
-	tr.AttachEngine(eng) // idempotent
 	done := false
 	eng.At(5*sim.Microsecond, func() { done = true })
 	eng.Run()
@@ -74,7 +73,7 @@ func TestStreamingTrialWritesThrough(t *testing.T) {
 		Tracer:     NewTracer(NewJSONLSink(&trace)),
 		MetricsOut: &metrics,
 	})
-	tr := rt.BeginStreamingTrial(0)
+	tr := rt.BeginTrial(0, true)
 	if tr.Tracer() != rt.Tracer() {
 		t.Fatal("streaming trial does not share the runtime tracer")
 	}
@@ -163,9 +162,11 @@ func TestHumanCount(t *testing.T) {
 func TestResources(t *testing.T) {
 	rt := NewRuntime(Config{})
 	eng := sim.New(1)
-	rt.AttachEngine(eng)
+	tr := rt.BeginTrial(0, true)
+	tr.AttachEngine(eng)
 	eng.At(sim.Microsecond, func() {})
 	eng.Run()
+	tr.Flush()
 	time.Sleep(time.Millisecond) // Elapsed() must be > 0
 	res, rate := rt.Resources()
 	if res.PeakRSSBytes == 0 {
@@ -195,7 +196,7 @@ func TestBufferedBytesGauge(t *testing.T) {
 	if rt.BufferedBytes() != 0 || rt.PeakBufferedBytes() != 0 {
 		t.Fatal("fresh runtime reports buffered bytes")
 	}
-	tr := rt.BeginTrial(0)
+	tr := rt.BeginTrial(0, false)
 	tr.Tracer().Emit(Event{T: sim.Microsecond, Type: EvCreditSent, Scope: "a->b"})
 	tr.WriteRow(sim.Microsecond, "t0.0", "port/x/util", 0.5)
 	live := rt.BufferedBytes()

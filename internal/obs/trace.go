@@ -1,5 +1,5 @@
 // Package obs is the instrumentation layer of the simulator: a typed
-// event tracer, a metrics registry of counters/gauges/histograms, and
+// event tracer, a metrics registry of gauges and histograms, and
 // runtime profiling hooks, all designed to cost nothing when disabled.
 //
 // The contract with the hot paths (sim.Engine, netem.Port, the core
@@ -14,8 +14,10 @@
 //
 // Wiring is equally simple: either attach a Tracer to one network with
 // netem.Network.SetTracer (tests, library users), or give a run a
-// Runtime (experiments.Params.Obs; the CLIs do this), which every
-// network the run builds picks up through its engine (netem.Wiring).
+// Runtime (experiments.Params.Obs; the CLIs do this). Every network the
+// run builds is built in a sweep trial and records into that trial's
+// Trial scope, which it picks up through its engine (netem.Wiring); the
+// Trial streams or buffers into the Runtime, which is no scope itself.
 package obs
 
 import (

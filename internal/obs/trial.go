@@ -1,15 +1,16 @@
 package obs
 
-// Per-trial instrumentation scopes for the parallel sweep runner
-// (internal/runner). The Runtime's tracer sink and metrics writer are
-// single-writer by contract, so concurrent trials must not touch them
-// directly. Instead each trial records into a private Trial scope —
-// buffered trace events, buffered metrics rows, and its own engine
-// list — and the runner replays the buffers into the shared runtime in
-// submission order once the trial's result is being emitted. The merge
-// order therefore depends only on trial indices, never on goroutine
-// scheduling, which is what keeps trace and metrics files byte-identical
-// between serial and parallel runs.
+// Per-trial instrumentation scopes for the sweep runner
+// (internal/runner). Every network a run builds records into the Trial
+// of the sweep trial that built it; the Runtime's tracer sink and
+// metrics writer are single-writer by contract, so a trial either
+// streams into them — when trials run in submission order on one
+// goroutine — or buffers its trace events and metrics rows, which the
+// runner replays into the shared runtime in submission order once the
+// trial's result is being emitted. The merge order therefore depends
+// only on trial indices, never on goroutine scheduling, which is what
+// keeps trace and metrics files byte-identical between serial and
+// parallel runs.
 
 import (
 	"strconv"
@@ -18,43 +19,15 @@ import (
 	"expresspass/internal/sim"
 )
 
-// Scope is the instrumentation surface a network binds to at
-// construction time (netem.Wiring): the run's *Runtime itself for an
-// engine built outside a sweep, or a per-trial *Trial for one built by
-// a runner sweep trial. The methods mirror what netem needs to wire
-// tracing, engine accounting, and the metrics sampler.
-type Scope interface {
-	// Tracer returns the scope's tracer, or nil when tracing is off.
-	Tracer() *Tracer
-	// MetricsEnabled reports whether metrics rows are being collected.
-	MetricsEnabled() bool
-	// Interval returns the metrics sampling period.
-	Interval() sim.Duration
-	// NextScope allocates a distinct metrics scope label.
-	NextScope() string
-	// AttachEngine registers an engine for aggregate accounting.
-	AttachEngine(e *sim.Engine)
-	// WriteRow appends one metrics sample.
-	WriteRow(t sim.Time, scope, metric string, v float64)
-}
-
-var (
-	_ Scope = (*Runtime)(nil)
-	_ Scope = (*Trial)(nil)
-)
-
-// Trial is the Scope for one sweep trial. Parallel sweeps buffer: the
-// trial is owned by a single worker goroutine until Flush, which the
-// runner calls from the sweep's coordinating goroutine in submission
-// order. Serial sweeps stream (BeginStreamingTrial): trials already
-// run in submission order on one goroutine, so events and rows write
-// straight through to the shared runtime — O(1) memory instead of an
-// events-per-trial buffer — while keeping the same per-trial scope
-// labels, so serial and parallel output stay byte-identical.
+// Trial is the instrumentation scope of one sweep trial: its metrics
+// scope labels, its engines and, unless it streams, its buffered output.
+// A buffering trial is owned by a single worker goroutine until Flush,
+// which the runner calls from the sweep's coordinating goroutine in
+// submission order.
 type Trial struct {
 	rt        *Runtime
 	idx       int
-	direct    bool
+	stream    bool
 	tracer    *Tracer
 	events    *sliceSink
 	rows      []trialRow
@@ -92,13 +65,18 @@ func (tr *Trial) addBuf(n int64) {
 	tr.rt.addBufBytes(n)
 }
 
-// BeginTrial returns a fresh per-trial scope. idx is the trial's
-// submission index; it prefixes the trial's metrics scope labels
-// ("t3.0", "t3.1", …) so rows from different trials stay
-// distinguishable — and deterministically named — after the merge.
-func (rt *Runtime) BeginTrial(idx int) *Trial {
-	tr := &Trial{rt: rt, idx: idx}
-	if g := rt.cfg.Tracer; g != nil {
+// BeginTrial returns the scope of the trial with submission index idx;
+// the index prefixes the trial's metrics scope labels ("t3.0", "t3.1",
+// …) so rows from different trials stay distinguishable — and
+// deterministically named — after the merge. A streaming trial writes
+// trace events and metrics rows straight to the runtime: only valid when
+// trials execute in submission order on one goroutine (the runner's
+// serial path), which holds the single-writer contract on the sink and
+// the metrics CSV by construction, in O(1) memory instead of an
+// events-per-trial buffer. Any other trial buffers until Flush.
+func (rt *Runtime) BeginTrial(idx int, stream bool) *Trial {
+	tr := &Trial{rt: rt, idx: idx, stream: stream, tracer: rt.cfg.Tracer}
+	if g := rt.cfg.Tracer; g != nil && !stream {
 		tr.events = &sliceSink{tr: tr}
 		// Same type filter as the global tracer so the buffer only
 		// holds events that will survive the replay.
@@ -107,17 +85,8 @@ func (rt *Runtime) BeginTrial(idx int) *Trial {
 	return tr
 }
 
-// BeginStreamingTrial returns a trial scope that writes trace events
-// and metrics rows directly to the shared runtime instead of
-// buffering them. Only valid when trials execute in submission order
-// on one goroutine (the runner's serial path) — the single-writer
-// contract on the sink and metrics CSV is then held by construction.
-func (rt *Runtime) BeginStreamingTrial(idx int) *Trial {
-	return &Trial{rt: rt, idx: idx, direct: true, tracer: rt.cfg.Tracer}
-}
-
-// Tracer returns the trial's buffering tracer (nil when the runtime
-// has no tracer).
+// Tracer returns the trial's tracer (nil when the runtime has no
+// tracer).
 func (tr *Trial) Tracer() *Tracer { return tr.tracer }
 
 // MetricsEnabled reports whether the runtime is writing a metrics CSV.
@@ -133,22 +102,17 @@ func (tr *Trial) NextScope() string {
 	return s
 }
 
-// AttachEngine registers e with the trial for its engine totals
-// (idempotent). The runner attaches every engine a trial creates, so
-// engines that carry no network are counted too.
+// AttachEngine registers e with the trial for its engine totals. The
+// runner attaches every engine a trial creates, once, so engines that
+// carry no network are counted too.
 func (tr *Trial) AttachEngine(e *sim.Engine) {
-	for _, have := range tr.engines {
-		if have == e {
-			return
-		}
-	}
 	tr.engines = append(tr.engines, e)
 }
 
 // WriteRow buffers one metrics sample for replay at Flush (streaming
 // trials write through immediately).
 func (tr *Trial) WriteRow(t sim.Time, scope, metric string, v float64) {
-	if tr.direct {
+	if tr.stream {
 		tr.rt.WriteRow(t, scope, metric, v)
 		return
 	}
@@ -160,21 +124,19 @@ func (tr *Trial) WriteRow(t sim.Time, scope, metric string, v float64) {
 	tr.addBuf(int64(unsafe.Sizeof(r)) + int64(len(scope)+len(metric)))
 }
 
-// Complete folds the trial's engine totals into the runtime's atomic
-// accumulators, lets go of the engines, and bumps the sweep progress
-// counters. The owning worker calls it right after the trial body
-// returns — the engines are quiescent at that point, so the reads are
-// race-free, and progress heartbeats see events as trials finish
-// rather than only at the submission-order flush. Idempotent; Flush
-// calls it as a fallback for callers that skip it.
+// Complete folds the trial's engine totals into the runtime's, lets go
+// of the engines, and bumps the sweep progress counters. The owning
+// worker calls it right after the trial body returns — the engines are
+// quiescent at that point, so the reads are race-free, and progress
+// heartbeats see events as trials finish rather than only at the
+// submission-order flush. Idempotent; Flush calls it as a fallback for
+// callers that skip it.
 func (tr *Trial) Complete() {
 	if tr.completed {
 		return
 	}
 	tr.completed = true
-	for _, e := range tr.engines {
-		tr.rt.addTrialTotals(e)
-	}
+	tr.rt.addTrial(tr.engines)
 	tr.engines = nil
 	tr.rt.TrialDone()
 }

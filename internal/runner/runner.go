@@ -17,14 +17,17 @@
 //     worker.
 //   - Results (Map) and free-form output (Sweep) are emitted in
 //     submission order, never completion order.
-//   - Instrumentation is buffered per trial (obs.Trial) and replayed
-//     into the run's obs.Runtime in submission order, so trace and
-//     metrics files are byte-identical at any worker count too.
+//   - Every network records into its trial's scope (obs.Trial), the one
+//     instrumentation scope there is. A serial sweep streams each trial
+//     into the run's obs.Runtime; a parallel one buffers each trial and
+//     replays it in submission order, so trace and metrics files are
+//     byte-identical at any worker count too.
 //
 // What a sweep needs of its run — the worker count, the obs runtime and
 // the per-network check — arrives as a Run value with every call; the
 // package holds no setting of its own. Run.Procs 1 forces the serial
-// path; cmd/xpsim exposes it as -procs.
+// path; cmd/xpsim exposes it as -procs. A run that builds one network
+// is a one-trial sweep like any other.
 package runner
 
 import (
@@ -67,39 +70,14 @@ type T struct {
 	// Idx is the trial's submission index, 0-based.
 	Idx int
 
-	trial  *obs.Trial
 	wiring netem.Wiring
 }
 
-// wiring is what the run attaches to networks on an engine of trial tr,
-// or of no trial when tr is nil: they record into the trial inside a
-// sweep, into the runtime itself outside one, nowhere when the run is
-// unobserved, and are checked as the run asks. A trial exists only for an
-// observed run, so the scope is never a nil pointer in an interface.
-func (r Run) wiring(tr *obs.Trial) netem.Wiring {
-	w := netem.Wiring{Check: r.Check}
-	switch {
-	case tr != nil:
-		w.Scope = tr
-	case r.Obs != nil:
-		w.Scope = r.Obs
-	}
-	return w
-}
-
-// newT returns trial i's context, recording into tr.
+// newT returns trial i's context: networks built on its engines record
+// into tr (nil when the run is unobserved) and are checked as the run
+// asks.
 func (r Run) newT(i int, tr *obs.Trial) *T {
-	return &T{Idx: i, trial: tr, wiring: r.wiring(tr)}
-}
-
-// Engine returns a fresh engine for seed wired to the run outside any
-// sweep: networks built on it record straight into r.Obs (metrics scopes
-// "rN", not a trial's "tN.M") and are checked like a sweep's.
-func (r Run) Engine(seed uint64) *sim.Engine {
-	eng := sim.New(seed)
-	w := r.wiring(nil)
-	eng.Wiring = &w
-	return eng
+	return &T{Idx: i, wiring: netem.Wiring{Scope: tr, Check: r.Check}}
 }
 
 // Engine returns a fresh deterministic engine for seed, wired to the
@@ -108,11 +86,12 @@ func (r Run) Engine(seed uint64) *sim.Engine {
 // in the run's engine totals whether or not it carries a network. Trial
 // bodies must use this instead of sim.New — with the seeds the serial
 // code used — or their networks would be neither observed nor checked.
+// It is the only place a run wires an engine.
 func (t *T) Engine(seed uint64) *sim.Engine {
 	eng := sim.New(seed)
 	eng.Wiring = &t.wiring
-	if t.trial != nil {
-		t.trial.AttachEngine(eng)
+	if tr := t.wiring.Scope; tr != nil {
+		tr.AttachEngine(eng)
 	}
 	return eng
 }
@@ -140,8 +119,8 @@ func Map[R any](run Run, n int, fn func(t *T, i int) R) []R {
 		if rt != nil {
 			// Serial trials already run in submission order, so they
 			// stream into the shared runtime instead of buffering an
-			// entire trial's event volume (obs.BeginStreamingTrial).
-			tr = rt.BeginStreamingTrial(i)
+			// entire trial's event volume.
+			tr = rt.BeginTrial(i, true)
 		}
 		out[i] = fn(run.newT(i, tr), i)
 		if tr != nil {
@@ -197,7 +176,7 @@ func runTrial[R any](out []R, trials []*obs.Trial, panics []any, panicked *atomi
 		}
 	}()
 	if run.Obs != nil {
-		trials[i] = run.Obs.BeginTrial(i)
+		trials[i] = run.Obs.BeginTrial(i, false)
 	}
 	out[i] = fn(run.newT(i, trials[i]), i)
 	if trials[i] != nil {

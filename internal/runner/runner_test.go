@@ -202,41 +202,31 @@ func TestObsMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineWiring: an engine records into its trial inside an observed
-// sweep, into the runtime itself outside one, and into nothing — a nil
-// interface, not a nil pointer in one — when the run is unobserved; every
-// engine carries the run's check.
+// TestEngineWiring: an engine records into its own trial's scope inside
+// an observed sweep and into nothing when the run is unobserved, at any
+// worker count; every engine carries the run's check.
 func TestEngineWiring(t *testing.T) {
 	t.Parallel()
 	var checked atomic.Int32
 	check := func(*netem.Network) { checked.Add(1) }
-	wiring := func(eng *sim.Engine) netem.Wiring { return *eng.Wiring.(*netem.Wiring) }
 	rt := obs.NewRuntime(obs.Config{MetricsOut: io.Discard})
 	for _, procs := range []int{1, 2} {
 		for _, run := range []Run{{Procs: procs, Check: check}, {Procs: procs, Obs: rt, Check: check}} {
-			scopes := Map(run, 2, func(tr *T, _ int) obs.Scope {
-				w := wiring(tr.Engine(1))
+			scopes := Map(run, 2, func(tr *T, _ int) *obs.Trial {
+				w := tr.Engine(1).Wiring.(*netem.Wiring)
 				w.Check(nil)
 				return w.Scope
 			})
+			observed := run.Obs != nil
 			for i, sc := range scopes {
-				tr, _ := sc.(*obs.Trial)
-				if observed := run.Obs != nil; (sc != nil) != observed || (tr != nil) != observed {
-					t.Errorf("procs=%d obs=%v: trial %d's engine records into %#v", procs, run.Obs != nil, i, sc)
+				if (sc != nil) != observed || (observed && sc == scopes[1-i]) {
+					t.Errorf("procs=%d obs=%v: trial %d's engine records into %p", procs, observed, i, sc)
 				}
 			}
 		}
 	}
-	if sc := wiring(Run{Check: check}.Engine(1)).Scope; sc != nil {
-		t.Errorf("an unobserved run's engine outside a sweep records into %#v", sc)
-	}
-	w := wiring(Run{Obs: rt, Check: check}.Engine(1))
-	if w.Scope != obs.Scope(rt) {
-		t.Errorf("an observed run's engine outside a sweep records into %#v, not the runtime", w.Scope)
-	}
-	w.Check(nil)
-	if n := checked.Load(); n != 9 {
-		t.Errorf("the run's check ran %d times, want 9", n)
+	if n := checked.Load(); n != 8 {
+		t.Errorf("the run's check ran %d times, want 8", n)
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)

@@ -110,21 +110,3 @@ func (r *Rand) Jitter(d Duration, frac float64) Duration {
 	span := float64(d) * frac
 	return d + Duration((r.Float64()*2-1)*span)
 }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -115,26 +114,6 @@ func TestRangeInclusive(t *testing.T) {
 	}
 	if r.Range(9, 2) != 9 {
 		t.Error("degenerate Range should return lo")
-	}
-}
-
-// Property: Perm always returns a permutation of [0, n).
-func TestPermProperty(t *testing.T) {
-	r := NewRand(6)
-	f := func(n uint8) bool {
-		m := int(n%64) + 1
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == m
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
