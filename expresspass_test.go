@@ -177,7 +177,6 @@ func TestNoAmbientState(t *testing.T) {
 		"cmd/xpsim.flagNeeds",
 		"internal/core.flowGaugeSuffixes",
 		"internal/experiments.byID",
-		"internal/experiments.dataShare",
 		"internal/experiments.protoSpecs",
 		"internal/experiments.registry",
 		"internal/invariant.subscription",

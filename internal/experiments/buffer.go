@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"expresspass/internal/netcalc"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
@@ -21,7 +18,7 @@ func init() {
 	})
 }
 
-func runTable1(p Params, w io.Writer) error {
+func runTable1(p Params) (Result, error) {
 	rows := []struct {
 		name         string
 		host, fabric unit.Rate
@@ -36,15 +33,11 @@ func runTable1(p Params, w io.Writer) error {
 		// fat-tree and Clos rows coincide — as in the paper's Table 1.
 		r := rows[i]
 		b := netcalc.PaperSpec(r.host, r.fabric).Compute()
-		return []any{r.name, b.ToRDown.String(), b.ToRUp.String(), b.Core.String()}
+		return []any{r.name, b.ToRDown, b.ToRUp, b.Core}
 	})
-	tbl := NewTable("topology", "ToR down", "ToR up", "Core")
-	for _, row := range cells {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	fmt.Fprintln(w, "(paper: 577.3KB / 19.0KB / 131.1KB at 10/40G; 1.06MB / 37.2KB / 221.8KB at 40/100G)")
-	return nil
+	return Result{&Table{Header: []string{"topology", "ToR down", "ToR up", "Core"}, Rows: cells},
+		text("(paper: 577.3KB / 19.0KB / 131.1KB at 10/40G; 1.06MB / 37.2KB / 221.8KB at 40/100G)"),
+	}, nil
 }
 
 // ---- Fig 5: maximum ToR switch buffer breakdown ----
@@ -58,7 +51,7 @@ func init() {
 	})
 }
 
-func runFig5(_ Params, w io.Writer) error {
+func runFig5(Params) (Result, error) {
 	speeds := []struct {
 		name         string
 		host, fabric unit.Rate
@@ -78,8 +71,8 @@ func runFig5(_ Params, w io.Writer) error {
 	}
 	// A 32-ary fat tree ToR has 16 host ports and 16 uplink ports.
 	const downPorts, upPorts = 16, 16
+	var res Result
 	for _, v := range variants {
-		fmt.Fprintf(w, "\n%s:\n", v.name)
 		tbl := NewTable("link/core speed", "data buffer", "static credit buffer", "total")
 		for _, s := range speeds {
 			spec := netcalc.PaperSpec(s.host, s.fabric)
@@ -87,9 +80,9 @@ func runFig5(_ Params, w io.Writer) error {
 			spec.HostDelayMin = sim.Micros(0.2)
 			spec.HostDelayMax = sim.Micros(0.2) + v.spread
 			data, credit := spec.ToRSwitchTotal(downPorts, upPorts)
-			tbl.Add(s.name, data.String(), credit.String(), (data + credit).String())
+			tbl.Add(s.name, data, credit, data+credit)
 		}
-		tbl.Write(w)
+		res = append(res, text("\n%s:", v.name), tbl)
 	}
-	return nil
+	return res, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"expresspass/internal/core"
@@ -76,7 +75,7 @@ func init() {
 	})
 }
 
-func runExtChaosMatrix(p Params, w io.Writer) error {
+func runExtChaosMatrix(p Params) (Result, error) {
 	deadline := p.scaleDur(100*sim.Millisecond, 30*sim.Millisecond)
 	n := p.scaleInt(8, 4)
 	size := 128 * unit.KB
@@ -96,16 +95,7 @@ func runExtChaosMatrix(p Params, w io.Writer) error {
 	}
 	protos := EvalProtos()
 
-	type row struct {
-		arm, proto string
-		done       int
-		fct        string
-		drops      uint64
-		dups       uint64
-		corrupt    uint64
-		reorder    uint64
-	}
-	rows, err := mapErr(p, len(arms)*len(protos), func(t *runner.T, cell int) (row, error) {
+	rows, err := mapErr(p, len(arms)*len(protos), func(t *runner.T, cell int) ([]any, error) {
 		arm, pr := arms[cell/len(protos)], protos[cell%len(protos)]
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, size, 50*sim.Microsecond)
@@ -114,43 +104,15 @@ func runExtChaosMatrix(p Params, w io.Writer) error {
 			spec = armSpec(arm.head, 0, deadline)
 		}
 		if err := applyChaos(d, p.Faults, spec); err != nil {
-			return row{}, err
+			return nil, err
 		}
 		eng.RunUntil(sim.Time(deadline))
-
-		done := 0
-		var fctSum sim.Duration
-		for _, f := range flows {
-			if f.Finished {
-				done++
-				fctSum += f.FCT()
-			}
-		}
-		fct := "-"
-		if done > 0 {
-			fct = fmt.Sprintf("%.2fms",
-				float64(fctSum)/float64(done)/float64(sim.Millisecond))
-		}
-		return row{
-			arm: arm.name, proto: string(pr),
-			done: done, fct: fct,
-			drops:   d.Net.TotalFaultDrops(),
-			dups:    d.Net.TotalDuplicates(),
-			corrupt: d.Net.TotalCorruptDrops(),
-			reorder: d.Net.TotalReorders(),
-		}, nil
+		done, fct := completion(flows)
+		return []any{arm.name, string(pr), text("%d/%d", done, n), fct,
+			d.Net.TotalFaultDrops(), d.Net.TotalDuplicates(),
+			d.Net.TotalCorruptDrops(), d.Net.TotalReorders()}, nil
 	})
-	if err != nil {
-		return err
-	}
-
-	tbl := NewTable("chaos", "proto", "completed", "mean FCT", "drops", "dups", "corrupt", "reorder")
-	for _, r := range rows {
-		tbl.Add(r.arm, r.proto, fmt.Sprintf("%d/%d", r.done, n), r.fct,
-			r.drops, r.dups, r.corrupt, r.reorder)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"chaos", "proto", "completed", "mean FCT", "drops", "dups", "corrupt", "reorder"}, Rows: rows}}, err
 }
 
 // armSpec appends the '@start+dur' timing to every ';'-separated clause
@@ -175,7 +137,7 @@ func init() {
 	})
 }
 
-func runExtChaosStorm(p Params, w io.Writer) error {
+func runExtChaosStorm(p Params) (Result, error) {
 	warm := p.scaleDur(10*sim.Millisecond, 3*sim.Millisecond)
 	preD := p.scaleDur(10*sim.Millisecond, 3*sim.Millisecond)
 	stormD := p.scaleDur(60*sim.Millisecond, 16*sim.Millisecond)
@@ -197,17 +159,12 @@ func runExtChaosStorm(p Params, w io.Writer) error {
 	}
 	protos := EvalProtos()
 
-	type row struct {
-		storm, proto    string
-		pre, dip, post  float64
-		drops, reorders uint64
-	}
-	rows, err := mapErr(p, len(storms)*len(protos), func(t *runner.T, cell int) (row, error) {
+	rows, err := mapErr(p, len(storms)*len(protos), func(t *runner.T, cell int) ([]any, error) {
 		storm, pr := storms[cell/len(protos)], protos[cell%len(protos)]
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, 0, 0)
 		if err := applyChaos(d, p.Faults, storm.spec); err != nil {
-			return row{}, err
+			return nil, err
 		}
 
 		eng.RunUntil(warm)
@@ -218,20 +175,7 @@ func runExtChaosStorm(p Params, w io.Writer) error {
 		dip := gbps(sumDelivered(flows), stormD)
 		eng.RunFor(postD)
 		post := gbps(sumDelivered(flows), postD)
-		return row{
-			storm: storm.name, proto: string(pr),
-			pre: pre, dip: dip, post: post,
-			drops: d.Net.TotalFaultDrops(), reorders: d.Net.TotalReorders(),
-		}, nil
+		return []any{storm.name, string(pr), pre, dip, post, d.Net.TotalFaultDrops()}, nil
 	})
-	if err != nil {
-		return err
-	}
-
-	tbl := NewTable("storm", "proto", "pre Gbps", "storm Gbps", "post Gbps", "drops")
-	for _, r := range rows {
-		tbl.Add(r.storm, r.proto, r.pre, r.dip, r.post, r.drops)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"storm", "proto", "pre Gbps", "storm Gbps", "post Gbps", "drops"}, Rows: rows}}, err
 }

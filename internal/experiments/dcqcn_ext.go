@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"expresspass/internal/core"
 	"expresspass/internal/lifecycle"
 	"expresspass/internal/runner"
@@ -26,7 +23,7 @@ func init() {
 	})
 }
 
-func runExtDCQCN(p Params, w io.Writer) error {
+func runExtDCQCN(p Params) (Result, error) {
 	fanouts := dedupe([]int{16, 64, p.scaleInt(256, 64)})
 	protos := []Proto{ProtoExpressPass, ProtoDCQCN}
 	rows := runner.Map(p.sweep(), len(fanouts)*len(protos), func(t *runner.T, cell int) []any {
@@ -70,14 +67,9 @@ func runExtDCQCN(p Params, w io.Writer) error {
 		}
 		bn := st.DownPort(0)
 		return []any{fanout, string(proto),
-			fmt.Sprintf("%.3g", fcts.Percentile(99)),
+			text("%.3g", fcts.Percentile(99)),
 			float64(bn.DataStats().MaxBytes) / 1e3,
 			st.Net.TotalDataDrops(), pauses}
 	})
-	tbl := NewTable("fanout", "proto", "p99 FCT ms", "maxQ KB", "drops", "PFC pauses")
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"fanout", "proto", "p99 FCT ms", "maxQ KB", "drops", "PFC pauses"}, Rows: rows}}, nil
 }

@@ -1,8 +1,9 @@
 // Package experiments contains one registered, runnable reproduction per
 // table and figure of the paper's evaluation. Each experiment builds its
-// topology, drives its workload, and prints the same rows/series the
-// paper reports. Experiments accept a Scale knob so they can run as
-// laptop-fast smoke benches (small scale) or at paper scale (1.0).
+// topology, drives its workload, and returns the same rows/series the
+// paper reports as a Result of typed tables, which Run prints.
+// Experiments accept a Scale knob so they can run as laptop-fast smoke
+// benches (small scale) or at paper scale (1.0).
 package experiments
 
 import (
@@ -134,7 +135,9 @@ type Experiment struct {
 	ID    string // "fig1" .. "table3"
 	Title string // what the artifact shows
 	Paper string // one-line summary of the paper's reported outcome
-	Run   func(p Params, w io.Writer) error
+	// Run computes the artifact; its Result is printed only when the
+	// error is nil.
+	Run func(p Params) (Result, error)
 }
 
 var (
@@ -206,7 +209,9 @@ func Get(id string) (Experiment, bool) {
 	return registry[i], true
 }
 
-// Run executes the experiment with the given ID.
+// Run executes the experiment with the given ID and writes its Result
+// to w. The header line goes out before the experiment runs, so a reader
+// of w sees the run start at once.
 func Run(id string, p Params, w io.Writer) error {
 	e, ok := Get(id)
 	if !ok {
@@ -217,45 +222,80 @@ func Run(id string, p Params, w io.Writer) error {
 	}
 	p = p.withDefaults()
 	fmt.Fprintf(w, "== %s: %s (scale=%.2g seed=%d)\n", e.ID, e.Title, p.Scale, p.Seed)
-	return e.Run(p, w)
+	res, err := e.Run(p)
+	if err != nil {
+		return err
+	}
+	res.Write(w)
+	return nil
 }
 
-// Table is a simple aligned text table.
+// Result is what a run prints, in print order: its tables, and the Text
+// lines around them (titles, notes, free-form sections). Every value in it
+// stays a value until Write, the package's one renderer, prints it.
+type Result []Block
+
+// Block is one piece of a Result: a *Table or a Text.
+type Block interface{ Write(w io.Writer) }
+
+// Write renders every block of r to w, in order.
+func (r Result) Write(w io.Writer) {
+	for _, b := range r {
+		b.Write(w)
+	}
+}
+
+// Text is a format and the values it prints, fmt.Sprintf(Format, V...).
+// In a Result it is a line of its own; in a Table it is a cell whose
+// numbers print with a unit or marker: text("%.1f%%", 81.0) prints 81.0%
+// and its V[0] is still 81.0.
+type Text struct {
+	Format string
+	V      []any
+}
+
+func text(format string, v ...any) Text { return Text{format, v} }
+
+func (x Text) String() string { return fmt.Sprintf(x.Format, x.V...) }
+
+// Write prints x as a line of its own.
+func (x Text) Write(w io.Writer) { fmt.Fprintln(w, x) }
+
+// Table is an aligned text table of values. A cell is addressed by its
+// row and its column's header name.
 type Table struct {
 	Header []string
-	Rows   [][]string
+	Rows   [][]any
 }
 
 // NewTable returns a table with the given column headers.
 func NewTable(cols ...string) *Table { return &Table{Header: cols} }
 
-// Add appends a row; values are formatted with %v.
-func (t *Table) Add(vals ...any) {
-	row := make([]string, len(vals))
-	for i, v := range vals {
-		switch x := v.(type) {
-		case float64:
-			row[i] = trimFloat(x)
-		default:
-			row[i] = fmt.Sprintf("%v", v)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
+// Add appends a row of values as they are; Write formats them.
+func (t *Table) Add(vals ...any) { t.Rows = append(t.Rows, vals) }
 
-func trimFloat(x float64) string {
-	s := fmt.Sprintf("%.4g", x)
-	return s
+// cell formats one value: a float64 with %.4g, anything else — an int, a
+// string, a Text, a fmt.Stringer such as unit.Bytes or sim.Duration — with
+// %v.
+func cell(v any) string {
+	if x, ok := v.(float64); ok {
+		return fmt.Sprintf("%.4g", x)
+	}
+	return fmt.Sprint(v)
 }
 
 // Write renders the table to w.
 func (t *Table) Write(w io.Writer) {
+	rows := make([][]string, len(t.Rows))
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)
 	}
-	for _, r := range t.Rows {
-		for i, c := range r {
+	for r, vals := range t.Rows {
+		rows[r] = make([]string, len(vals))
+		for i, v := range vals {
+			c := cell(v)
+			rows[r][i] = c
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
 			}
@@ -280,7 +320,7 @@ func (t *Table) Write(w io.Writer) {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, r := range t.Rows {
+	for _, r := range rows {
 		line(r)
 	}
 }

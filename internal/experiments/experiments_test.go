@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"expresspass/internal/sim"
 	"expresspass/internal/topology"
+	"expresspass/internal/unit"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -105,19 +107,39 @@ func TestDedupe(t *testing.T) {
 	}
 }
 
+// TestTableRendering holds the one renderer to exact bytes: a title, a
+// table whose cells are a string, a Text with a unit, a default float
+// (%.4g), an int and two fmt.Stringers (unit.Bytes, sim.Duration), a
+// note, and a free-form section. Every experiment prints through it, so
+// a change to any format fails here before it reaches gate.sha256.
 func TestTableRendering(t *testing.T) {
-	tbl := NewTable("name", "value")
-	tbl.Add("x", 1.23456)
-	tbl.Add("longer-name", "v")
-	var buf bytes.Buffer
-	tbl.Write(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "name") || !strings.Contains(out, "1.235") {
-		t.Errorf("table output:\n%s", out)
+	res := Result{
+		text("under-utilization relative to the best:"),
+		&Table{Header: []string{"name", "util", "gbps", "n", "size", "rtt"}, Rows: [][]any{
+			{"x", text("%.1f%%", 81.04), 1.23456, 7, unit.Bytes(577300), 25 * sim.Microsecond},
+			{"longer-name", text("%d/%d", 3, 4), 0.5, 12345, 1500 * unit.Byte, sim.Millisecond},
+		}},
+		text("(paper: %.3g%%)", 98.0),
+		text("\n(b) gap (ideal %v):", 1298*sim.Nanosecond),
+		text("    p50=%.3gus max=%.3gus", 1.2971, 1.32449),
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 { // header, separator, 2 rows
-		t.Errorf("lines = %d:\n%s", len(lines), out)
+	const want = `under-utilization relative to the best:
+name         util   gbps   n      size     rtt
+-----------  -----  -----  -----  -------  ----
+x            81.0%  1.235  7      577.3KB  25us
+longer-name  3/4    0.5    12345  1.5KB    1ms
+(paper: 98%)
+
+(b) gap (ideal 1.298us):
+    p50=1.3us max=1.32us
+`
+	var buf bytes.Buffer
+	res.Write(&buf)
+	if got := buf.String(); got != want {
+		t.Errorf("rendered\n%s\nwant\n%s", got, want)
+	}
+	if v := res[1].(*Table).Rows[0][1].(Text).V[0]; v != 81.04 {
+		t.Errorf("the util cell holds %v, want the value 81.04 it prints as 81.0%%", v)
 	}
 }
 
@@ -129,12 +151,9 @@ func TestLightExperimentsSmoke(t *testing.T) {
 	}
 	t.Parallel()
 	for _, id := range []string{"table1", "fig5", "fig8", "fig9", "fig10"} {
-		var buf bytes.Buffer
-		if err := Run(id, Params{Scale: 0.02, Seed: 1}, &buf); err != nil {
-			t.Errorf("%s: %v", id, err)
-		}
-		if buf.Len() < 50 {
-			t.Errorf("%s produced no output", id)
+		tbls := result(t, id, Params{Scale: 0.02, Seed: 1}).tables()
+		if len(tbls) == 0 || len(tbls[0].Rows) == 0 {
+			t.Errorf("%s returned no table with a row", id)
 		}
 	}
 }

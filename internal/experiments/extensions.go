@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"expresspass/internal/core"
 	"expresspass/internal/netem"
@@ -28,7 +27,7 @@ func init() {
 	})
 }
 
-func runExtClasses(p Params, w io.Writer) error {
+func runExtClasses(p Params) (Result, error) {
 	run := func(t *runner.T, classes []netem.CreditClassConfig) (hi, lo float64) {
 		eng := t.Engine(p.Seed)
 		net := netem.NewNetwork(eng)
@@ -74,18 +73,13 @@ func runExtClasses(p Params, w io.Writer) error {
 	rows := runner.Map(p.sweep(), len(policies), func(t *runner.T, i int) []any {
 		c := policies[i]
 		hi, lo := run(t, c.classes)
-		ratio := "-"
+		var ratio any = "-"
 		if lo > 0.01 {
-			ratio = fmt.Sprintf("%.2f", hi/lo)
+			ratio = text("%.2f", hi/lo)
 		}
 		return []any{c.name, hi, lo, ratio}
 	})
-	tbl := NewTable("policy", "class-0 Gbps", "class-1 Gbps", "ratio")
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"policy", "class-0 Gbps", "class-1 Gbps", "ratio"}, Rows: rows}}, nil
 }
 
 // ---- ext-spray: packet spraying instead of symmetric hashing ----
@@ -99,7 +93,7 @@ func init() {
 	})
 }
 
-func runExtSpray(p Params, w io.Writer) error {
+func runExtSpray(p Params) (Result, error) {
 	arms := []bool{false, true}
 	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) []any {
 		spray := arms[i]
@@ -148,12 +142,7 @@ func runExtSpray(p Params, w io.Writer) error {
 		return []any{name, total, stats.JainIndex(rates),
 			float64(maxQ) / 1e3, ft.Net.TotalDataDrops()}
 	})
-	tbl := NewTable("routing", "aggregate Gbps", "jain", "maxQ KB", "data drops")
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"routing", "aggregate Gbps", "jain", "maxQ KB", "data drops"}, Rows: rows}}, nil
 }
 
 // ---- ext-failover: unidirectional link failure ----
@@ -167,8 +156,9 @@ func init() {
 	})
 }
 
-func runExtFailover(p Params, w io.Writer) error {
-	return runner.Sweep(p.sweep(), 1, w, func(t *runner.T, _ int, out io.Writer) error {
+func runExtFailover(p Params) (Result, error) {
+	// A run that builds one network is a one-trial sweep like any other.
+	res := runner.Map(p.sweep(), 1, func(t *runner.T, _ int) (lines Result) {
 		eng := t.Engine(p.Seed)
 		ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
 		hosts := ft.Hosts
@@ -190,8 +180,8 @@ func runExtFailover(p Params, w io.Writer) error {
 			for _, f := range flows {
 				total += gbps(f.TakeDeliveredDelta(), phase)
 			}
-			fmt.Fprintf(out, "%-28s aggregate %.2f Gbps, new data drops %d\n",
-				label, total, ft.Net.TotalDataDrops()-preDrops)
+			lines = append(lines, text("%-28s aggregate %.2f Gbps, new data drops %d",
+				label, total, ft.Net.TotalDataDrops()-preDrops))
 		}
 		eng.RunUntil(phase) // warm up
 		measure("healthy fabric:")
@@ -205,8 +195,9 @@ func runExtFailover(p Params, w io.Writer) error {
 		failed.Restore()
 		ft.Net.BuildRoutes()
 		measure("after repair:")
-		return nil
+		return lines
 	})
+	return res[0], nil
 }
 
 // ---- ext-stopmargin: preemptive CREDIT_STOP ----
@@ -220,7 +211,7 @@ func init() {
 	})
 }
 
-func runExtStopMargin(p Params, w io.Writer) error {
+func runExtStopMargin(p Params) (Result, error) {
 	run := func(t *runner.T, margin unit.Bytes, size unit.Bytes) (waste float64, fct sim.Duration, ok bool) {
 		eng := t.Engine(p.Seed)
 		d := topology.NewDumbbell(eng, 2, topology.Config{
@@ -253,11 +244,10 @@ func runExtStopMargin(p Params, w io.Writer) error {
 	for si, size := range sizes {
 		t0, t1 := results[si*len(margins)], results[si*len(margins)+1]
 		if !t0.ok || !t1.ok {
-			tbl.Add(size.String(), "did not finish", "-", "-")
+			tbl.Add(size, "did not finish", "-", "-")
 			continue
 		}
-		tbl.Add(size.String(), t0.waste, t1.waste, (t1.fct - t0.fct).String())
+		tbl.Add(size, t0.waste, t1.waste, t1.fct-t0.fct)
 	}
-	tbl.Write(w)
-	return nil
+	return Result{tbl}, nil
 }

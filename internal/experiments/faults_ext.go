@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"expresspass/internal/core"
 	"expresspass/internal/faults"
 	"expresspass/internal/netem"
@@ -87,6 +84,22 @@ func sumDelivered(flows []*transport.Flow) unit.Bytes {
 	return b
 }
 
+// completion counts the finished flows and returns their mean FCT cell,
+// "-" when none finished.
+func completion(flows []*transport.Flow) (done int, meanFCT any) {
+	var sum sim.Duration
+	for _, f := range flows {
+		if f.Finished {
+			done++
+			sum += f.FCT()
+		}
+	}
+	if done == 0 {
+		return 0, "-"
+	}
+	return done, text("%.2fms", float64(sum)/float64(done)/float64(sim.Millisecond))
+}
+
 // ---- ext-faults-flap: hard link flap with reconvergence ----
 
 func init() {
@@ -98,7 +111,7 @@ func init() {
 	})
 }
 
-func runExtFaultsFlap(p Params, w io.Writer) error {
+func runExtFaultsFlap(p Params) (Result, error) {
 	flaps := []sim.Duration{1 * sim.Millisecond, 2 * sim.Millisecond, 5 * sim.Millisecond}
 	warm := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
 	preD := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
@@ -106,14 +119,7 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 	postD := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
 	const win = 250 * sim.Microsecond
 
-	type row struct {
-		flap      string
-		pre, post float64
-		recovery  string
-		drops     uint64
-		wasted    float64
-	}
-	rows, err := mapErr(p, len(flaps), func(t *runner.T, i int) (row, error) {
+	rows, err := mapErr(p, len(flaps), func(t *runner.T, i int) ([]any, error) {
 		flapD := flaps[i]
 		eng := t.Engine(p.Seed)
 		d, flows, sessions := faultDumbbell(eng, 4)
@@ -121,7 +127,7 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 		faultAt := warm + sim.Time(preD)
 		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				return row{}, err
+				return nil, err
 			}
 		} else {
 			faults.NewInjector(d.Net).FlapLink(d.Bottleneck, faultAt, flapD)
@@ -138,7 +144,7 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 		// window back at ≥99% of the pre-fault rate.
 		eng.RunUntil(faultAt + flapD)
 		sumDelivered(flows)
-		recovery := "-"
+		var recovery any = "-"
 		var postSum float64
 		postN := 0
 		nWin := int((settle + postD) / win)
@@ -146,33 +152,18 @@ func runExtFaultsFlap(p Params, w io.Writer) error {
 			eng.RunFor(win)
 			g := gbps(sumDelivered(flows), win)
 			if recovery == "-" && g >= 0.99*pre {
-				recovery = fmt.Sprintf("%.2fms",
-					float64(k+1)*float64(win)/float64(sim.Millisecond))
+				recovery = text("%.2fms", float64(k+1)*float64(win)/float64(sim.Millisecond))
 			}
 			if sim.Duration(k+1)*win > settle {
 				postSum += g
 				postN++
 			}
 		}
-		return row{
-			flap:     fmt.Sprintf("%gms", float64(flapD)/float64(sim.Millisecond)),
-			pre:      pre,
-			post:     postSum / float64(postN),
-			recovery: recovery,
-			drops:    d.Net.TotalFaultDrops(),
-			wasted:   100 * wastedRatio(sessions, baseSent, baseData),
-		}, nil
+		return []any{text("%gms", float64(flapD)/float64(sim.Millisecond)), pre, recovery,
+			postSum / float64(postN), d.Net.TotalFaultDrops(),
+			100 * wastedRatio(sessions, baseSent, baseData)}, nil
 	})
-	if err != nil {
-		return err
-	}
-
-	tbl := NewTable("flap", "pre Gbps", "recovery", "post Gbps", "fault drops", "wasted %")
-	for _, r := range rows {
-		tbl.Add(r.flap, r.pre, r.recovery, r.post, r.drops, r.wasted)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"flap", "pre Gbps", "recovery", "post Gbps", "fault drops", "wasted %"}, Rows: rows}}, err
 }
 
 // ---- ext-faults-loss: seeded credit vs data loss ----
@@ -186,7 +177,7 @@ func init() {
 	})
 }
 
-func runExtFaultsLoss(p Params, w io.Writer) error {
+func runExtFaultsLoss(p Params) (Result, error) {
 	arms := []struct {
 		name         string
 		credit, data float64
@@ -201,14 +192,7 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 	size := 256 * unit.KB
 	deadline := p.scaleDur(300*sim.Millisecond, 60*sim.Millisecond)
 
-	type row struct {
-		name  string
-		done  int
-		fct   string
-		retx  uint64
-		drops uint64
-	}
-	rows, err := mapErr(p, len(arms), func(t *runner.T, i int) (row, error) {
+	rows, err := mapErr(p, len(arms), func(t *runner.T, i int) ([]any, error) {
 		arm := arms[i]
 		eng := t.Engine(p.Seed)
 		d := topology.NewDumbbell(eng, n, topology.Config{
@@ -225,7 +209,7 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 		registerFaultMetrics(d.Net, sessions)
 		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				return row{}, err
+				return nil, err
 			}
 		} else {
 			in := faults.NewInjector(d.Net)
@@ -239,20 +223,7 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 			}
 		}
 		eng.RunUntil(sim.Time(deadline))
-
-		done := 0
-		var fctSum sim.Duration
-		for _, f := range flows {
-			if f.Finished {
-				done++
-				fctSum += f.FCT()
-			}
-		}
-		fct := "-"
-		if done > 0 {
-			fct = fmt.Sprintf("%.2fms",
-				float64(fctSum)/float64(done)/float64(sim.Millisecond))
-		}
+		done, fct := completion(flows)
 		// Retransmissions: data packets beyond the minimum needed to
 		// carry every flow's payload once.
 		minPkts := uint64(n) * uint64((size+unit.MTUPayload-1)/unit.MTUPayload)
@@ -264,18 +235,9 @@ func runExtFaultsLoss(p Params, w io.Writer) error {
 		if sent > minPkts {
 			retx = sent - minPkts
 		}
-		return row{arm.name, done, fct, retx, d.Net.TotalFaultDrops()}, nil
+		return []any{arm.name, text("%d/%d", done, n), fct, retx, d.Net.TotalFaultDrops()}, nil
 	})
-	if err != nil {
-		return err
-	}
-
-	tbl := NewTable("loss", "completed", "mean FCT", "retx pkts", "fault drops")
-	for _, r := range rows {
-		tbl.Add(r.name, fmt.Sprintf("%d/%d", r.done, n), r.fct, r.retx, r.drops)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"loss", "completed", "mean FCT", "retx pkts", "fault drops"}, Rows: rows}}, err
 }
 
 // ---- ext-faults-stall: host credit-processing stall ----
@@ -289,18 +251,13 @@ func init() {
 	})
 }
 
-func runExtFaultsStall(p Params, w io.Writer) error {
+func runExtFaultsStall(p Params) (Result, error) {
 	stalls := []sim.Duration{1 * sim.Millisecond, 4 * sim.Millisecond}
 	warm := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
 	preD := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
 	postD := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
 
-	type row struct {
-		stall          string
-		pre, dip, post float64
-		drops          uint64
-	}
-	rows, err := mapErr(p, len(stalls), func(t *runner.T, i int) (row, error) {
+	rows, err := mapErr(p, len(stalls), func(t *runner.T, i int) ([]any, error) {
 		stallD := stalls[i]
 		eng := t.Engine(p.Seed)
 		d, flows, sessions := faultDumbbell(eng, 2)
@@ -308,7 +265,7 @@ func runExtFaultsStall(p Params, w io.Writer) error {
 		faultAt := warm + sim.Time(preD)
 		if plan := p.Faults; !plan.Empty() {
 			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				return row{}, err
+				return nil, err
 			}
 		} else {
 			faults.NewInjector(d.Net).StallHost(d.Senders[0], faultAt, stallD)
@@ -322,20 +279,8 @@ func runExtFaultsStall(p Params, w io.Writer) error {
 		dip := gbps(sumDelivered(flows), stallD)
 		eng.RunFor(postD)
 		post := gbps(sumDelivered(flows), postD)
-		return row{
-			stall: fmt.Sprintf("%gms", float64(stallD)/float64(sim.Millisecond)),
-			pre:   pre, dip: dip, post: post,
-			drops: d.Net.TotalFaultDrops(),
-		}, nil
+		return []any{text("%gms", float64(stallD)/float64(sim.Millisecond)), pre, dip, post,
+			d.Net.TotalFaultDrops()}, nil
 	})
-	if err != nil {
-		return err
-	}
-
-	tbl := NewTable("stall", "pre Gbps", "during Gbps", "post Gbps", "fault drops")
-	for _, r := range rows {
-		tbl.Add(r.stall, r.pre, r.dip, r.post, r.drops)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"stall", "pre Gbps", "during Gbps", "post Gbps", "fault drops"}, Rows: rows}}, err
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"io"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -19,41 +18,30 @@ import (
 // metric through the obs runtime.
 func TestExtFaultsFlapAcceptance(t *testing.T) {
 	t.Parallel()
-	var out, trace, metrics bytes.Buffer
+	var trace, metrics bytes.Buffer
 	rt := obs.NewRuntime(obs.Config{
 		Tracer:     obs.NewTracer(obs.NewJSONLSink(&trace)),
 		MetricsOut: &metrics,
 	})
-	if err := Run("ext-faults-flap", Params{Scale: 0.06, Seed: 42, Obs: rt}, &out); err != nil {
-		t.Fatal(err)
-	}
+	res := result(t, "ext-faults-flap", Params{Scale: 0.06, Seed: 42, Obs: rt})
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	rows := tableRows(t, out.String())
+	rows := res.tables()[0].records()
 	if len(rows) == 0 {
-		t.Fatalf("no table rows in output:\n%s", out.String())
+		t.Fatal("no table rows")
 	}
 	for _, row := range rows {
-		// Columns: flap, pre Gbps, recovery, post Gbps, fault drops, wasted %.
-		if len(row) != 6 {
-			t.Fatalf("row %v has %d columns, want 6", row, len(row))
+		flap := row["flap"]
+		if pre, post := value(t, row["pre Gbps"]), value(t, row["post Gbps"]); post < 0.99*pre {
+			t.Errorf("flap %v: post-fault goodput %.3f < 99%% of pre-fault %.3f", flap, post, pre)
 		}
-		pre, err1 := strconv.ParseFloat(row[1], 64)
-		post, err2 := strconv.ParseFloat(row[3], 64)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("row %v: unparsable goodput columns", row)
+		if row["recovery"] == "-" {
+			t.Errorf("flap %v: goodput never recovered within the measurement window", flap)
 		}
-		if post < 0.99*pre {
-			t.Errorf("flap %s: post-fault goodput %.3f < 99%% of pre-fault %.3f",
-				row[0], post, pre)
-		}
-		if row[2] == "-" {
-			t.Errorf("flap %s: goodput never recovered within the measurement window", row[0])
-		}
-		if row[4] == "0" {
-			t.Errorf("flap %s: fault destroyed no packets — flap did not bite", row[0])
+		if value(t, row["fault drops"]) == 0 {
+			t.Errorf("flap %v: fault destroyed no packets — flap did not bite", flap)
 		}
 	}
 
@@ -73,32 +61,27 @@ func TestExtFaultsFlapAcceptance(t *testing.T) {
 // data-loss arms show the retransmissions that recovered them.
 func TestExtFaultsLossAcceptance(t *testing.T) {
 	t.Parallel()
-	var out bytes.Buffer
-	if err := Run("ext-faults-loss", Params{Scale: 0.06, Seed: 42}, &out); err != nil {
-		t.Fatal(err)
-	}
-	rows := tableRows(t, out.String())
+	rows := result(t, "ext-faults-loss", Params{Scale: 0.06, Seed: 42}).tables()[0].records()
 	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 5:\n%s", len(rows), out.String())
+		t.Fatalf("got %d rows, want 5", len(rows))
 	}
 	for _, row := range rows {
-		// Columns: loss, completed, mean FCT, retx pkts, fault drops.
-		done, total, ok := strings.Cut(row[1], "/")
-		if !ok || done != total {
-			t.Errorf("arm %s: completed %s, want all flows finished", row[0], row[1])
+		arm := row["loss"].(string)
+		if done := row["completed"].(Text).V; done[0] != done[1] {
+			t.Errorf("arm %s: completed %v, want all flows finished", arm, row["completed"])
 		}
-		retx := row[3]
+		retx := value(t, row["retx pkts"])
 		switch {
-		case strings.HasPrefix(row[0], "credit"):
-			if retx != "0" {
-				t.Errorf("arm %s: %s retransmissions — credit loss must heal without them", row[0], retx)
+		case strings.HasPrefix(arm, "credit"):
+			if retx != 0 {
+				t.Errorf("arm %s: %v retransmissions — credit loss must heal without them", arm, retx)
 			}
-			if row[4] == "0" {
-				t.Errorf("arm %s: no fault drops — loss window did not bite", row[0])
+			if value(t, row["fault drops"]) == 0 {
+				t.Errorf("arm %s: no fault drops — loss window did not bite", arm)
 			}
-		case strings.HasPrefix(row[0], "data"):
-			if retx == "0" {
-				t.Errorf("arm %s: no retransmissions — data loss cannot have been recovered", row[0])
+		case strings.HasPrefix(arm, "data"):
+			if retx == 0 {
+				t.Errorf("arm %s: no retransmissions — data loss cannot have been recovered", arm)
 			}
 		}
 	}
@@ -164,23 +147,4 @@ func TestFaultsMissingTargetIsAnError(t *testing.T) {
 			}
 		}
 	}
-}
-
-// tableRows parses the data rows of a Table written to out (everything
-// after the dashed separator), split into whitespace-delimited cells.
-func tableRows(t *testing.T, out string) [][]string {
-	t.Helper()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	var rows [][]string
-	seen := false
-	for _, ln := range lines {
-		if strings.HasPrefix(ln, "--") {
-			seen = true
-			continue
-		}
-		if seen && strings.TrimSpace(ln) != "" {
-			rows = append(rows, strings.Fields(ln))
-		}
-	}
-	return rows
 }

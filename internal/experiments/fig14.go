@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
+	"slices"
 
 	"expresspass/internal/netem"
 	"expresspass/internal/packet"
@@ -24,21 +23,21 @@ func init() {
 	})
 }
 
-func runFig14(p Params, w io.Writer) error {
+func runFig14(p Params) (Result, error) {
 	// Parts (a) and (b) are independent measurements, so they run as two
 	// sweep trials whose sections are stitched in order. Neither dials
 	// flows — (a) is pure compute against the SoftNIC delay model, (b)
 	// injects raw credit packets — so the lifecycle manager the FCT
 	// experiments use does not apply here.
-	parts := []func(t *runner.T, p Params, w io.Writer) error{runFig14a, runFig14b}
-	return runner.Sweep(p.sweep(), len(parts), w, func(t *runner.T, i int, w io.Writer) error {
-		return parts[i](t, p, w)
+	parts := []func(t *runner.T, p Params) Result{runFig14a, runFig14b}
+	secs := runner.Map(p.sweep(), len(parts), func(t *runner.T, i int) Result {
+		return parts[i](t, p)
 	})
+	return slices.Concat(secs...), nil
 }
 
 // runFig14a measures the SoftNIC credit-processing delay model.
-func runFig14a(t *runner.T, p Params, w io.Writer) error {
-	_ = t // pure-compute part: no engine needed
+func runFig14a(_ *runner.T, p Params) Result {
 	rng := sim.NewRand(p.Seed)
 	model := netem.SoftNICDelay()
 	us := stats.NewDist()
@@ -46,15 +45,16 @@ func runFig14a(t *runner.T, p Params, w io.Writer) error {
 		us.Observe(model.Sample(rng).Micros())
 	}
 	s := us.Summary()
-	fmt.Fprintf(w, "(a) host credit-processing delay model (SoftNIC):\n")
-	fmt.Fprintf(w, "    p50=%.3gus p99=%.3gus p99.9=%.3gus max=%.3gus (paper: median 0.38us, 99.99%%=6.2us)\n",
-		s.P50, s.P99, s.P999, s.Max)
-	return nil
+	return Result{
+		text("(a) host credit-processing delay model (SoftNIC):"),
+		text("    p50=%.3gus p99=%.3gus p99.9=%.3gus max=%.3gus (paper: median 0.38us, 99.99%%=6.2us)",
+			s.P50, s.P99, s.P999, s.Max),
+	}
 }
 
 // runFig14b measures the inter-credit gap at transmission vs after
 // crossing a switch.
-func runFig14b(t *runner.T, p Params, w io.Writer) error {
+func runFig14b(t *runner.T, p Params) Result {
 	eng := t.Engine(p.Seed)
 	st := topology.NewStar(eng, 2, topology.Config{LinkRate: 10 * unit.Gbps})
 	rx := &gapRecorder{host: st.Hosts[1], gaps: stats.NewDist()}
@@ -87,11 +87,12 @@ func runFig14b(t *runner.T, p Params, w io.Writer) error {
 	eng.Run()
 	tx := txGaps.Summary()
 	rxs := rx.gaps.Summary()
-	fmt.Fprintf(w, "(b) inter-credit gap at max credit rate (ideal %.3gus):\n", gap.Micros())
-	fmt.Fprintf(w, "    TX: p50=%.3gus p99=%.3gus sd-ish spread=%.3gus\n", tx.P50, tx.P99, tx.Max-tx.Min)
-	fmt.Fprintf(w, "    RX: p50=%.3gus p99=%.3gus sd-ish spread=%.3gus (switch adds < ~0.7us)\n",
-		rxs.P50, rxs.P99, rxs.Max-rxs.Min)
-	return nil
+	return Result{
+		text("(b) inter-credit gap at max credit rate (ideal %.3gus):", gap.Micros()),
+		text("    TX: p50=%.3gus p99=%.3gus sd-ish spread=%.3gus", tx.P50, tx.P99, tx.Max-tx.Min),
+		text("    RX: p50=%.3gus p99=%.3gus sd-ish spread=%.3gus (switch adds < ~0.7us)",
+			rxs.P50, rxs.P99, rxs.Max-rxs.Min),
+	}
 }
 
 // gapRecorder measures inter-arrival gaps of credits at a host.

@@ -94,3 +94,61 @@ func TestGbpsHelper(t *testing.T) {
 		t.Error("zero duration must be 0")
 	}
 }
+
+// result runs experiment id as Run does, without printing, and returns
+// its Result.
+func result(t *testing.T, id string, p Params) Result {
+	t.Helper()
+	e, ok := Get(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	res, err := e.Run(p.withDefaults())
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return res
+}
+
+// tables returns the tables of r, in print order.
+func (r Result) tables() []*Table {
+	var out []*Table
+	for _, b := range r {
+		if tbl, ok := b.(*Table); ok {
+			out = append(out, tbl)
+		}
+	}
+	return out
+}
+
+// records returns the table's rows as header name → cell value.
+func (tbl *Table) records() []map[string]any {
+	out := make([]map[string]any, len(tbl.Rows))
+	for i, row := range tbl.Rows {
+		out[i] = map[string]any{}
+		for j, v := range row {
+			out[i][tbl.Header[j]] = v
+		}
+	}
+	return out
+}
+
+// value reads the number a cell holds: a float64, an integer, or the
+// first value of a Text (81.0 where the table prints 81.0%).
+func value(t *testing.T, cell any) float64 {
+	t.Helper()
+	switch x := cell.(type) {
+	case float64:
+		return x
+	case int:
+		return float64(x)
+	case uint64:
+		return float64(x)
+	case Text:
+		if len(x.V) > 0 {
+			return value(t, x.V[0])
+		}
+	}
+	t.Fatalf("cell %v (%T) holds no number", cell, cell)
+	return 0
+}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"expresspass/internal/core"
 	"expresspass/internal/runner"
@@ -15,7 +14,7 @@ import (
 
 // dataShare is the fraction of link capacity available to data when
 // credits are metered (the "max data rate" figures normalize by).
-var dataShare = 1 - unit.CreditRatio
+const dataShare = 1 - unit.CreditRatio
 
 // maxGoodputGbps returns the payload-level ceiling of a link: wire
 // capacity × data share × payload/frame efficiency.
@@ -120,9 +119,8 @@ func init() {
 	})
 }
 
-func runFig2(p Params, w io.Writer) error {
+func runFig2(p Params) (Result, error) {
 	rtt := 25 * sim.Microsecond
-	tbl := NewTable("scheme", "convergence", "RTTs", "fair Gbps")
 	type arm struct {
 		name  Proto
 		naive bool
@@ -174,16 +172,12 @@ func runFig2(p Params, w io.Writer) error {
 		}
 		cb := equalized(series, 2*fair, ratio, a.hold)
 		if cb < 0 {
-			return []any{string(a.name), fmt.Sprintf(">%v", a.span), "-", fair}
+			return []any{string(a.name), text(">%v", a.span), "-", fair}
 		}
 		ct := sim.Duration(cb) * a.bin
-		return []any{string(a.name), ct.String(), float64(ct) / float64(rtt), fair}
+		return []any{string(a.name), ct, float64(ct) / float64(rtt), fair}
 	})
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"scheme", "convergence", "RTTs", "fair Gbps"}, Rows: rows}}, nil
 }
 
 // ---- Fig 6: jitter vs fairness; inter-credit gap distribution ----
@@ -197,7 +191,7 @@ func init() {
 	})
 }
 
-func runFig6(p Params, w io.Writer) error {
+func runFig6(p Params) (Result, error) {
 	// The paper's Fig 6a isolates *credit-drop fairness*: flows send
 	// credits at a fixed common rate (the naïve scheme) through one
 	// drop-tail credit queue, and only the pacing jitter j varies.
@@ -260,10 +254,8 @@ func runFig6(p Params, w io.Writer) error {
 		}
 		tbl.Add(row...)
 	}
-	tbl.Write(w)
 
 	// (b) inter-credit gap distribution of the pacing model at max rate.
-	fmt.Fprintln(w, "\ninter-credit gap at max credit rate (model, j=0.02):")
 	rng := sim.NewRand(p.Seed)
 	ideal := unit.TxTime(unit.MinFrame, (10 * unit.Gbps).Scale(unit.CreditRatio))
 	gaps := stats.NewDist()
@@ -271,9 +263,10 @@ func runFig6(p Params, w io.Writer) error {
 		gaps.Observe(rng.Jitter(ideal, 0.02).Micros())
 	}
 	s := gaps.Summary()
-	fmt.Fprintf(w, "  ideal=%v  p50=%.3fus p99=%.3fus max=%.3fus\n",
-		ideal, s.P50, s.P99, s.Max)
-	return nil
+	return Result{tbl,
+		text("\ninter-credit gap at max credit rate (model, j=0.02):"),
+		text("  ideal=%v  p50=%.3fus p99=%.3fus max=%.3fus", ideal, s.P50, s.P99, s.Max),
+	}, nil
 }
 
 // ---- Fig 8: initial rate vs convergence time and credit waste ----
@@ -287,9 +280,8 @@ func init() {
 	})
 }
 
-func runFig8(p Params, w io.Writer) error {
+func runFig8(p Params) (Result, error) {
 	rtt := 100 * sim.Microsecond
-	tbl := NewTable("alpha", "conv RTTs", "wasted credits (1-pkt flow)")
 	alphas := []float64{1, 0.5, 0.25, 0.125, 1.0 / 16, 1.0 / 32}
 	rows := runner.Map(p.sweep(), len(alphas), func(t *runner.T, i int) []any {
 		alpha := alphas[i]
@@ -315,17 +307,13 @@ func runFig8(p Params, w io.Writer) error {
 		sess := core.Dial(fp, cfg)
 		eng2.RunUntil(50 * sim.Millisecond)
 
-		conv := "-"
+		var conv any = "-"
 		if cb >= 0 {
-			conv = fmt.Sprintf("%d", cb+1)
+			conv = cb + 1
 		}
-		return []any{fmt.Sprintf("1/%g", 1/alpha), conv, sess.CreditsWasted()}
+		return []any{text("1/%g", 1/alpha), conv, sess.CreditsWasted()}
 	})
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"alpha", "conv RTTs", "wasted credits (1-pkt flow)"}, Rows: rows}}, nil
 }
 
 // ---- Fig 9: credit queue capacity vs under-utilization ----
@@ -339,7 +327,7 @@ func init() {
 	})
 }
 
-func runFig9(p Params, w io.Writer) error {
+func runFig9(p Params) (Result, error) {
 	caps := []int{1, 2, 4, 8, 16, 32}
 	flows := []int{2, 4, 8, 16, 32}
 	tbl := NewTable(append([]string{"flows"}, func() []string {
@@ -380,11 +368,9 @@ func runFig9(p Params, w io.Writer) error {
 		row := []any{n}
 		for ci := range caps {
 			u := utils[fi*len(caps)+ci]
-			row = append(row, fmt.Sprintf("%.2f%%", (best-u)/best*100))
+			row = append(row, text("%.2f%%", (best-u)/best*100))
 		}
 		tbl.Add(row...)
 	}
-	fmt.Fprintln(w, "under-utilization relative to the best achievable data rate:")
-	tbl.Write(w)
-	return nil
+	return Result{text("under-utilization relative to the best achievable data rate:"), tbl}, nil
 }

@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
+	"slices"
 
 	"expresspass/internal/core"
 	"expresspass/internal/runner"
@@ -24,11 +23,11 @@ func init() {
 	})
 }
 
-func runFig10(p Params, w io.Writer) error {
+func runFig10(p Params) (Result, error) {
 	tbl := NewTable("bottlenecks", "naive util", "feedback util")
 	const maxN = 6
 	schemes := []bool{true, false} // naive, feedback
-	utils := runner.Map(p.sweep(), maxN*len(schemes), func(t *runner.T, cell int) string {
+	utils := runner.Map(p.sweep(), maxN*len(schemes), func(t *runner.T, cell int) Text {
 		n, naive := cell/len(schemes)+1, schemes[cell%len(schemes)]
 		eng := t.Engine(p.Seed)
 		pl := topology.NewParkingLot(eng, n, topology.Config{LinkRate: 10 * unit.Gbps})
@@ -51,15 +50,13 @@ func runFig10(p Params, w io.Writer) error {
 				lowest = u
 			}
 		}
-		return fmt.Sprintf("%.1f%%", lowest*100)
+		return text("%.1f%%", lowest*100)
 	})
 	for n := 1; n <= maxN; n++ {
 		base := (n - 1) * len(schemes)
 		tbl.Add(n, utils[base], utils[base+1])
 	}
-	fmt.Fprintln(w, "lowest link utilization (normalized by max data rate):")
-	tbl.Write(w)
-	return nil
+	return Result{text("lowest link utilization (normalized by max data rate):"), tbl}, nil
 }
 
 // ---- Fig 11: multi-bottleneck fairness ----
@@ -73,7 +70,7 @@ func init() {
 	})
 }
 
-func runFig11(p Params, w io.Writer) error {
+func runFig11(p Params) (Result, error) {
 	tbl := NewTable("N", "max-min ideal Gbps", "naive Gbps", "feedback Gbps")
 	counts := dedupe([]int{1, 4, 16, 64, p.scaleInt(256, 64)})
 	schemes := []bool{true, false} // naive, feedback
@@ -100,8 +97,7 @@ func runFig11(p Params, w io.Writer) error {
 		base := ci * len(schemes)
 		tbl.Add(n, ideal, rates[base], rates[base+1])
 	}
-	tbl.Write(w)
-	return nil
+	return Result{tbl}, nil
 }
 
 // ---- Fig 13: convergence behaviour with staggered arrivals ----
@@ -115,13 +111,12 @@ func init() {
 	})
 }
 
-func runFig13(p Params, w io.Writer) error {
+func runFig13(p Params) (Result, error) {
 	rtt := 25 * sim.Microsecond
 	phase := p.scaleDur(1*sim.Second, 25*sim.Millisecond)
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP}
-	// Each protocol prints a free-form section (header + table), so the
-	// sweep buffers whole sections and stitches them in order.
-	return runner.Sweep(p.sweep(), len(protos), w, func(t *runner.T, i int, w io.Writer) error {
+	// Each protocol is a section of its own: a title, then its table.
+	secs := runner.Map(p.sweep(), len(protos), func(t *runner.T, i int) Result {
 		proto := protos[i]
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{}
@@ -144,7 +139,6 @@ func runFig13(p Params, w io.Writer) error {
 			eng.At(sim.Duration(10-i)*phase, h.Stop)
 		}
 
-		fmt.Fprintf(w, "\n%s (phase=%v):\n", proto, phase)
 		tbl := NewTable("phase", "active", "per-flow Gbps", "jain", "maxQ KB")
 		bn := d.Bottleneck
 		for ph := 0; ph < 10; ph++ {
@@ -162,21 +156,22 @@ func runFig13(p Params, w io.Writer) error {
 			if lo > hi {
 				lo = hi
 			}
-			var desc string
+			desc := text("")
 			for i, f := range flows {
 				r := gbps(f.TakeDeliveredDelta(), phase)
 				if r > 0.01 {
 					active++
 					rates = append(rates, r)
-					desc += fmt.Sprintf("f%d=%.2f ", i, r)
+					desc.Format += "f%d=%.2f "
+					desc.V = append(desc.V, i, r)
 				}
 			}
 			tbl.Add(ph, active, desc, stats.JainIndex(rates),
 				float64(bn.DataStats().MaxBytes)/1e3)
 		}
-		tbl.Write(w)
-		return nil
+		return Result{text("\n%s (phase=%v):", proto, phase), tbl}
 	})
+	return slices.Concat(secs...), nil
 }
 
 // ---- Fig 15: flow scalability ----
@@ -190,18 +185,13 @@ func init() {
 	})
 }
 
-func runFig15(p Params, w io.Writer) error {
+func runFig15(p Params) (Result, error) {
 	counts := dedupe([]int{4, 16, 64, 256, p.scaleInt(1024, 256)})
-	tbl := NewTable("flows", "proto", "util Gbps", "jain", "maxQ KB", "data drops", "timeouts")
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP, ProtoRCP}
 	rows := runner.Map(p.sweep(), len(counts)*len(protos), func(t *runner.T, cell int) []any {
 		return fig15Cell(t.Engine(p.Seed), p, counts[cell/len(protos)], protos[cell%len(protos)])
 	})
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"flows", "proto", "util Gbps", "jain", "maxQ KB", "data drops", "timeouts"}, Rows: rows}}, nil
 }
 
 // fig15Cell runs n unsynchronized long flows of proto across the
@@ -264,7 +254,7 @@ func init() {
 	})
 }
 
-func runFig16(p Params, w io.Writer) error {
+func runFig16(p Params) (Result, error) {
 	rtt := 100 * sim.Microsecond
 	type arm struct {
 		label   string
@@ -282,7 +272,6 @@ func runFig16(p Params, w io.Writer) error {
 		{"rcp", ProtoRCP, 0, 60, 1, 0.6},
 		{"dctcp", ProtoDCTCP, 0, p.scaleInt(6000, 1200), 10, 0.8},
 	}
-	tbl := NewTable("scheme", "link", "conv RTTs", "fair Gbps")
 	speeds := []unit.Rate{10 * unit.Gbps, 100 * unit.Gbps}
 	rows := runner.Map(p.sweep(), len(speeds)*len(arms), func(t *runner.T, cell int) []any {
 		rate, a := speeds[cell/len(arms)], arms[cell%len(arms)]
@@ -312,15 +301,11 @@ func runFig16(p Params, w io.Writer) error {
 			fair = rate.Gbits() * float64(unit.MTUPayload) / float64(unit.MaxFrame) / 2
 		}
 		cb := equalized(series, 2*fair, a.ratio, 3)
-		conv := fmt.Sprintf(">%d", a.maxRTTs)
+		var conv any = text(">%d", a.maxRTTs)
 		if cb >= 0 {
-			conv = fmt.Sprintf("%d", (cb+1)*a.binRTTs)
+			conv = (cb + 1) * a.binRTTs
 		}
-		return []any{a.label, rate.String(), conv, fair}
+		return []any{a.label, rate, conv, fair}
 	})
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"scheme", "link", "conv RTTs", "fair Gbps"}, Rows: rows}}, nil
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"expresspass/internal/core"
 	"expresspass/internal/lifecycle"
 	"expresspass/internal/runner"
@@ -26,7 +23,7 @@ func init() {
 	})
 }
 
-func runFig1(p Params, w io.Writer) error {
+func runFig1(p Params) (Result, error) {
 	rtt := 50 * sim.Microsecond
 	fanouts := dedupe([]int{32, 64, 128, p.scaleInt(512, 128), p.scaleInt(2048, 128)})
 	protos := []Proto{ProtoIdeal, ProtoDCTCP, ProtoExpressPass}
@@ -78,13 +75,9 @@ func runFig1(p Params, w io.Writer) error {
 			st.AvgBytes(eng.Now(), bn.DataQueueBytes()) / 1e3,
 			st.Drops}
 	})
-	tbl := NewTable("fanout", "proto", "maxQ pkts", "avgQ KB", "drops")
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	fmt.Fprintln(w, "(paper's max-bound line grows with fan-out; credit-based stays flat)")
-	return nil
+	return Result{&Table{Header: []string{"fanout", "proto", "maxQ pkts", "avgQ KB", "drops"}, Rows: rows},
+		text("(paper's max-bound line grows with fan-out; credit-based stays flat)"),
+	}, nil
 }
 
 // ---- Fig 17: MapReduce shuffle FCT distribution ----
@@ -98,7 +91,7 @@ func init() {
 	})
 }
 
-func runFig17(p Params, w io.Writer) error {
+func runFig17(p Params) (Result, error) {
 	rtt := 50 * sim.Microsecond
 	hosts := p.scaleInt(40, 10)
 	tasks := p.scaleInt(8, 2)
@@ -106,8 +99,6 @@ func runFig17(p Params, w io.Writer) error {
 	if bytes < 100*unit.KB {
 		bytes = 100 * unit.KB
 	}
-	fmt.Fprintf(w, "hosts=%d tasksPerHost=%d bytesPerPair=%v flows=%d\n",
-		hosts, tasks, bytes, hosts*(hosts-1)*tasks*tasks)
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP}
 	rows := runner.Map(p.sweep(), len(protos), func(t *runner.T, i int) []any {
 		proto := protos[i]
@@ -148,14 +139,12 @@ func runFig17(p Params, w io.Writer) error {
 		})
 		s := fcts.Summary()
 		return []any{string(proto),
-			fmt.Sprintf("%.4gs", s.P50), fmt.Sprintf("%.4gs", s.P99),
-			fmt.Sprintf("%.4gs", s.Max), st.Net.TotalDataDrops(),
-			fmt.Sprintf("%d/%d", mgr.Finished(), mgr.Total())}
+			text("%.4gs", s.P50), text("%.4gs", s.P99),
+			text("%.4gs", s.Max), st.Net.TotalDataDrops(),
+			text("%d/%d", mgr.Finished(), mgr.Total())}
 	})
-	tbl := NewTable("proto", "median FCT", "99% FCT", "max FCT", "drops", "finished")
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{
+		text("hosts=%d tasksPerHost=%d bytesPerPair=%v flows=%d", hosts, tasks, bytes, hosts*(hosts-1)*tasks*tasks),
+		&Table{Header: []string{"proto", "median FCT", "99% FCT", "max FCT", "drops", "finished"}, Rows: rows},
+	}, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"expresspass/internal/core"
@@ -212,13 +211,12 @@ func init() {
 	})
 }
 
-func runFig18(p Params, w io.Writer) error {
+func runFig18(p Params) (Result, error) {
 	combos := []struct{ a, wi float64 }{
 		{0.5, 0.5}, {1.0 / 16, 0.5}, {1.0 / 16, 1.0 / 16},
 		{1.0 / 32, 1.0 / 16}, {1.0 / 32, 1.0 / 32},
 	}
 	dists := []*workload.SizeDist{workload.DataMining(), workload.CacheFollower(), workload.WebServer()}
-	tbl := NewTable("alpha/winit", "workload", "99% FCT S", "99% FCT L")
 	rows := runner.Map(p.sweep(), len(combos)*len(dists), func(t *runner.T, cell int) []any {
 		c, d := combos[cell/len(dists)], dists[cell%len(dists)]
 		res := runRealistic(t, p, realisticCfg{
@@ -227,14 +225,10 @@ func runFig18(p Params, w io.Writer) error {
 		})
 		s := res.fct("S").Percentile(99)
 		l := res.fct("L").Percentile(99)
-		return []any{fmt.Sprintf("1/%g / 1/%g", 1/c.a, 1/c.wi), d.Name,
-			fmt.Sprintf("%.3gms", s*1e3), fmt.Sprintf("%.3gms", l*1e3)}
+		return []any{text("1/%g / 1/%g", 1/c.a, 1/c.wi), d.Name,
+			text("%.3gms", s*1e3), text("%.3gms", l*1e3)}
 	})
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"alpha/winit", "workload", "99% FCT S", "99% FCT L"}, Rows: rows}}, nil
 }
 
 // ---- Fig 19: FCT by flow-size class across protocols ----
@@ -248,30 +242,25 @@ func init() {
 	})
 }
 
-func runFig19(p Params, w io.Writer) error {
+func runFig19(p Params) (Result, error) {
 	dists := []*workload.SizeDist{workload.WebServer(), workload.CacheFollower(), workload.DataMining()}
-	tbl := NewTable("workload", "proto", "S avg/99 ms", "M avg/99 ms", "L avg/99 ms", "XL avg/99 ms", "fin")
 	protos := EvalProtos()
 	rows := runner.Map(p.sweep(), len(dists)*len(protos), func(t *runner.T, i int) []any {
 		d, proto := dists[i/len(protos)], protos[i%len(protos)]
 		res := runRealistic(t, p, realisticCfg{
 			proto: proto, dist: d, load: 0.6, linkRate: 10 * unit.Gbps,
 		})
-		cell := func(cls string) string {
+		cell := func(cls string) any {
 			d := res.fct(cls)
 			if d.N() == 0 {
 				return "-"
 			}
-			return fmt.Sprintf("%.3g/%.3g", d.Mean()*1e3, d.Percentile(99)*1e3)
+			return text("%.3g/%.3g", d.Mean()*1e3, d.Percentile(99)*1e3)
 		}
 		return []any{d.Name, string(proto), cell("S"), cell("M"), cell("L"), cell("XL"),
-			fmt.Sprintf("%d/%d", res.finished, res.total)}
+			text("%d/%d", res.finished, res.total)}
 	})
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"workload", "proto", "S avg/99 ms", "M avg/99 ms", "L avg/99 ms", "XL avg/99 ms", "fin"}, Rows: rows}}, nil
 }
 
 // ---- Fig 20: credit waste ratio ----
@@ -285,7 +274,7 @@ func init() {
 	})
 }
 
-func runFig20(p Params, w io.Writer) error {
+func runFig20(p Params) (Result, error) {
 	tbl := NewTable("workload", "10G a=1/16", "10G a=1/2", "40G a=1/16", "40G a=1/2")
 	dists := workload.AllDists()
 	type arm struct {
@@ -296,13 +285,13 @@ func runFig20(p Params, w io.Writer) error {
 		{10 * unit.Gbps, 1.0 / 16}, {10 * unit.Gbps, 0.5},
 		{40 * unit.Gbps, 1.0 / 16}, {40 * unit.Gbps, 0.5},
 	}
-	wastes := runner.Map(p.sweep(), len(dists)*len(arms), func(t *runner.T, cell int) string {
+	wastes := runner.Map(p.sweep(), len(dists)*len(arms), func(t *runner.T, cell int) Text {
 		d, a := dists[cell/len(arms)], arms[cell%len(arms)]
 		res := runRealistic(t, p, realisticCfg{
 			proto: ProtoExpressPass, dist: d, load: 0.6,
 			linkRate: a.rate, alpha: a.alpha, winit: a.alpha,
 		})
-		return fmt.Sprintf("%.1f%%", res.wasteRatio()*100)
+		return text("%.1f%%", res.wasteRatio()*100)
 	})
 	for di, d := range dists {
 		row := []any{d.Name}
@@ -311,8 +300,7 @@ func runFig20(p Params, w io.Writer) error {
 		}
 		tbl.Add(row...)
 	}
-	tbl.Write(w)
-	return nil
+	return Result{tbl}, nil
 }
 
 // ---- Fig 21: FCT speed-up of 40G over 10G ----
@@ -326,7 +314,7 @@ func init() {
 	})
 }
 
-func runFig21(p Params, w io.Writer) error {
+func runFig21(p Params) (Result, error) {
 	dists := []*workload.SizeDist{workload.WebServer(), workload.WebSearch()}
 	tbl := NewTable("workload", "proto", "S speedup", "M speedup", "L speedup", "XL speedup")
 	protos := EvalProtos()
@@ -345,18 +333,17 @@ func runFig21(p Params, w io.Writer) error {
 		for pi, proto := range protos {
 			base := (di*len(protos) + pi) * len(speeds)
 			byRate := results[base : base+2]
-			cell := func(cls string) string {
+			cell := func(cls string) any {
 				a, b := byRate[0].fct(cls), byRate[1].fct(cls)
 				if a.N() == 0 || b.N() == 0 {
 					return "-"
 				}
-				return fmt.Sprintf("%.2fx", a.Mean()/b.Mean())
+				return text("%.2fx", a.Mean()/b.Mean())
 			}
 			tbl.Add(d.Name, string(proto), cell("S"), cell("M"), cell("L"), cell("XL"))
 		}
 	}
-	tbl.Write(w)
-	return nil
+	return Result{tbl}, nil
 }
 
 // ---- Table 3: queue occupancy ----
@@ -370,9 +357,8 @@ func init() {
 	})
 }
 
-func runTable3(p Params, w io.Writer) error {
+func runTable3(p Params) (Result, error) {
 	loads := []float64{0.2, 0.4, 0.6}
-	tbl := NewTable("workload", "load", "proto", "avgQ KB", "maxQ KB", "drops")
 	dists := workload.AllDists()
 	protos := EvalProtos()
 	rows := runner.Map(p.sweep(), len(dists)*len(loads)*len(protos), func(t *runner.T, cell int) []any {
@@ -383,13 +369,7 @@ func runTable3(p Params, w io.Writer) error {
 			proto: proto, dist: d, load: load, linkRate: 10 * unit.Gbps,
 		})
 		return []any{d.Name, load, string(proto),
-			fmt.Sprintf("%.2f", res.avgQueueKB),
-			fmt.Sprintf("%.1f", res.maxQueueKB),
-			res.dataDrops}
+			text("%.2f", res.avgQueueKB), text("%.1f", res.maxQueueKB), res.dataDrops}
 	})
-	for _, row := range rows {
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-	return nil
+	return Result{&Table{Header: []string{"workload", "load", "proto", "avgQ KB", "maxQ KB", "drops"}, Rows: rows}}, nil
 }

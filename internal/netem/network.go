@@ -122,7 +122,7 @@ func (n *Network) Connect(a, b Node, cfg PortConfig) (ab, ba *Port) {
 			if c.CreditRatio == 0 {
 				// The host-side credit limiter is a safety valve, not
 				// the precise enforcer (that is the switch meter, as in
-				// the paper's testbed). Giving it ~5% headroom keeps it
+				// the paper's testbed). Giving it 2% headroom keeps it
 				// from re-pacing the flow pacers' output, which would
 				// erase the pacing jitter the fair-credit-drop
 				// mechanism depends on (§3.1, Fig 6).

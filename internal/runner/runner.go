@@ -15,8 +15,8 @@
 //     would use serially). Engines are seeded, single-goroutine, and
 //     share no state, so a trial computes the same result on any
 //     worker.
-//   - Results (Map) and free-form output (Sweep) are emitted in
-//     submission order, never completion order.
+//   - Results (Map) come back in submission order, never completion
+//     order; a trial that prints returns what it prints as its result.
 //   - Every network records into its trial's scope (obs.Trial), the one
 //     instrumentation scope there is. A serial sweep streams each trial
 //     into the run's obs.Runtime; a parallel one buffers each trial and
@@ -31,9 +31,7 @@
 package runner
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -185,31 +183,4 @@ func runTrial[R any](out []R, trials []*obs.Trial, panics []any, panicked *atomi
 		// live; the submission-order Flush only replays buffered output.
 		trials[i].Complete()
 	}
-}
-
-// Sweep runs n trials whose output is free-form text rather than table
-// cells: each body writes to a private buffer, and the buffers are
-// copied to w in submission order. All trials run even if one errors
-// (matching Map's semantics at every worker count); the first error in
-// submission order is returned after the buffers preceding — and
-// including — the failing trial have been written.
-func Sweep(run Run, n int, w io.Writer, fn func(t *T, i int, out io.Writer) error) error {
-	type result struct {
-		buf bytes.Buffer
-		err error
-	}
-	results := Map(run, n, func(t *T, i int) *result {
-		r := new(result)
-		r.err = fn(t, i, &r.buf)
-		return r
-	})
-	for _, r := range results {
-		if _, err := w.Write(r.buf.Bytes()); err != nil {
-			return err
-		}
-		if r.err != nil {
-			return r.err
-		}
-	}
-	return nil
 }

@@ -80,45 +80,6 @@ func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestSweepEmitsBuffersInSubmissionOrder(t *testing.T) {
-	t.Parallel()
-	for _, procs := range []int{1, 4} {
-		var buf bytes.Buffer
-		err := Sweep(Run{Procs: procs}, 10, &buf, func(_ *T, i int, out io.Writer) error {
-			fmt.Fprintf(out, "trial %d\n", i)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want strings.Builder
-		for i := 0; i < 10; i++ {
-			fmt.Fprintf(&want, "trial %d\n", i)
-		}
-		if buf.String() != want.String() {
-			t.Fatalf("procs=%d: got:\n%s\nwant:\n%s", procs, buf.String(), want.String())
-		}
-	}
-}
-
-func TestSweepReturnsFirstErrorInSubmissionOrder(t *testing.T) {
-	t.Parallel()
-	var buf bytes.Buffer
-	err := Sweep(Run{Procs: 4}, 8, &buf, func(_ *T, i int, out io.Writer) error {
-		fmt.Fprintf(out, "%d;", i)
-		if i == 3 || i == 6 {
-			return fmt.Errorf("boom %d", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "boom 3" {
-		t.Fatalf("err = %v, want boom 3", err)
-	}
-	if got, want := buf.String(), "0;1;2;3;"; got != want {
-		t.Fatalf("output %q, want %q", got, want)
-	}
-}
-
 func TestMapPropagatesLowestIndexPanic(t *testing.T) {
 	t.Parallel()
 	defer func() {
