@@ -45,12 +45,18 @@ bench-test:
 ## fuzz-smoke: an 8-seed scenario-fuzz sweep (~30s) with every runtime
 ## invariant checker armed, under the race detector. Set
 ## XPSIM_FUZZ_SEEDS=64 XPSIM_FUZZ_BASE=1000 for a longer shifted soak;
-## a failing seed prints its exact replay command. Then a few seconds
-## of native fuzzing of the -faults grammar: any input must yield a
-## plan or a typed error, never a panic.
+## a failing seed prints its exact replay command. Then five seconds
+## each of native fuzzing: the -faults grammar (a plan or a typed error,
+## never a panic), -trace-types, and the trace encoder's number paths
+## (every timestamp, payload and integer byte for byte what strconv
+## prints).
 fuzz-smoke:
 	XPSIM_FUZZ_SEEDS=$${XPSIM_FUZZ_SEEDS:-8} go test -race -count=1 -run TestFuzzSmoke ./internal/scenario/
 	go test -run '^$$' -fuzz '^FuzzParseFaultSpec$$' -fuzztime 5s ./internal/faults/
+	go test -run '^$$' -fuzz '^FuzzParseEventTypes$$' -fuzztime 5s ./cmd/xpsim/
+	go test -run '^$$' -fuzz '^FuzzAppendMicros$$' -fuzztime 5s ./internal/obs/
+	go test -run '^$$' -fuzz '^FuzzAppendValue$$' -fuzztime 5s ./internal/obs/
+	go test -run '^$$' -fuzz '^FuzzAppendUint$$' -fuzztime 5s ./internal/obs/
 	@echo "fuzz-smoke: OK"
 
 ## cover: per-package statement coverage, with per-package enforced

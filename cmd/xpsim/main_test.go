@@ -487,3 +487,35 @@ func TestNoDeadProfile(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseEventTypes feeds arbitrary -trace-types lists to
+// parseEventTypes: it returns a non-empty list or an error, never both
+// and never a panic; nil without an error only for "", which means every
+// type; and every type it returns is named by one of the list's trimmed
+// comma-separated fields. Runs its seeds as a plain test; `make
+// fuzz-smoke` mutates them for a few seconds.
+func FuzzParseEventTypes(f *testing.F) {
+	for _, s := range []string{"", ",", "qdepth", " qdepth , credit_tx", "qdepth,,credit_tx", "nosuch"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, list string) {
+		types, err := parseEventTypes(list)
+		switch {
+		case err != nil && types != nil:
+			t.Fatalf("parseEventTypes(%q) = %v and error %v", list, types, err)
+		case err == nil && len(types) == 0 && list != "":
+			t.Fatalf("parseEventTypes(%q) names no type and reports no error", list)
+		case list == "" && (types != nil || err != nil):
+			t.Fatalf(`parseEventTypes("") = %v, %v; want nil, nil`, types, err)
+		}
+		fields := map[string]bool{}
+		for _, name := range strings.Split(list, ",") {
+			fields[strings.TrimSpace(name)] = true
+		}
+		for _, ty := range types {
+			if !fields[ty.String()] {
+				t.Fatalf("parseEventTypes(%q) returned %v, which no field names", list, ty)
+			}
+		}
+	})
+}

@@ -7,6 +7,8 @@
 package idealrate
 
 import (
+	"slices"
+
 	"expresspass/internal/netem"
 	"expresspass/internal/packet"
 	"expresspass/internal/sim"
@@ -34,9 +36,14 @@ func (CC) OnFastRetransmit(*transport.Conn) {}
 func (CC) OnTimeout(*transport.Conn) {}
 
 // Oracle tracks active connections and assigns each its max-min fair
-// share of wire capacity via progressive water-filling.
+// share of wire capacity via progressive water-filling. Everything it
+// walks is in a fixed order — connections in Attach order, links in the
+// order those connections' paths first reach them — so two exactly tied
+// bottlenecks are always resolved the same way and the rates come out
+// bit for bit the same on every run.
 type Oracle struct {
 	net   *netem.Network
+	conns []*transport.Conn // attached, in Attach order
 	paths map[*transport.Conn][]*netem.Port
 }
 
@@ -49,33 +56,41 @@ func NewOracle(net *netem.Network) *Oracle {
 // Attach registers c and recomputes all rates.
 func (o *Oracle) Attach(c *transport.Conn) {
 	f := c.Flow
+	if _, ok := o.paths[c]; !ok {
+		o.conns = append(o.conns, c)
+	}
 	o.paths[c] = o.net.TracePorts(f.Sender.ID(), f.Receiver.ID(), f.ID)
 	o.Recompute()
 }
 
 // Detach removes c and recomputes all rates.
 func (o *Oracle) Detach(c *transport.Conn) {
+	if i := slices.Index(o.conns, c); i >= 0 {
+		o.conns = slices.Delete(o.conns, i, i+1)
+	}
 	delete(o.paths, c)
 	o.Recompute()
 }
 
 // Recompute runs water-filling: repeatedly find the link whose equal
-// split among its unfrozen flows is smallest, freeze those flows at that
-// rate, subtract, and continue.
+// split among its unfrozen flows is smallest (the first such link on a
+// tie), freeze those flows at that rate, subtract, and continue.
 func (o *Oracle) Recompute() {
 	type linkState struct {
 		cap   float64
 		flows []*transport.Conn
 	}
 	links := make(map[*netem.Port]*linkState)
-	unfrozen := make(map[*transport.Conn]bool, len(o.paths))
-	for c, path := range o.paths {
+	var order []*linkState // links, first seen first
+	unfrozen := make(map[*transport.Conn]bool, len(o.conns))
+	for _, c := range o.conns {
 		unfrozen[c] = true
-		for _, p := range path {
+		for _, p := range o.paths[c] {
 			ls := links[p]
 			if ls == nil {
 				ls = &linkState{cap: float64(p.Rate())}
 				links[p] = ls
+				order = append(order, ls)
 			}
 			ls.flows = append(ls.flows, c)
 		}
@@ -85,7 +100,7 @@ func (o *Oracle) Recompute() {
 		// Find the tightest link.
 		var bottleneck *linkState
 		best := 0.0
-		for _, ls := range links {
+		for _, ls := range order {
 			n := 0
 			for _, c := range ls.flows {
 				if unfrozen[c] {

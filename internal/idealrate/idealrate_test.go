@@ -1,9 +1,11 @@
 package idealrate_test
 
 import (
+	"slices"
 	"testing"
 
 	"expresspass/internal/idealrate"
+	"expresspass/internal/netem"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -91,6 +93,47 @@ func TestOracleMultiBottleneck(t *testing.T) {
 	// each (8G < 10G, not binding); flow 0 also gets 2G.
 	if got := float64(c0.PaceRate); got < 1.9e9 || got > 2.1e9 {
 		t.Errorf("flow0 rate %v, want 2G (max-min)", c0.PaceRate)
+	}
+}
+
+// Two exactly tied bottlenecks: the long flow and two cross flows on
+// each of a two-link parking lot, C/3 per flow on both links. Whichever
+// link freezes first, the other link's cross flows get (C - C/3)/2,
+// which need not be C/3 to the last bit of a float64, so the tie must be
+// broken the same way every time: 100 recomputations give bit-identical
+// rates.
+func TestOracleTiedBottlenecksAreDeterministic(t *testing.T) {
+	eng := sim.New(6)
+	pl := topology.NewParkingLot(eng, 2, topology.Config{LinkRate: 10 * unit.Gbps})
+	o := idealrate.NewOracle(pl.Net)
+	conn := func(src, dst *netem.Host) *transport.Conn {
+		f := transport.NewFlow(pl.Net, src, dst, 0, 0)
+		c := transport.NewConn(f, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced})
+		o.Attach(c)
+		return c
+	}
+	conns := []*transport.Conn{conn(pl.LongSrc, pl.LongDst)}
+	for i := range pl.CrossSrc {
+		conns = append(conns, conn(pl.CrossSrc[i], pl.CrossDst[i]), conn(pl.CrossSrc[i], pl.CrossDst[i]))
+	}
+	rates := func() []unit.Rate {
+		var r []unit.Rate
+		for _, c := range conns {
+			r = append(r, c.PaceRate)
+		}
+		return r
+	}
+	want := rates()
+	for _, r := range want {
+		if got := float64(r); got < 3.3e9 || got > 3.4e9 {
+			t.Fatalf("rates %v, want C/3 each", want)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		o.Recompute()
+		if got := rates(); !slices.Equal(got, want) {
+			t.Fatalf("recompute %d: rates %v, first computed %v", i, got, want)
+		}
 	}
 }
 

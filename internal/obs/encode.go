@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"encoding/binary"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"expresspass/internal/sim"
@@ -29,13 +32,79 @@ import (
 // Everything else — negative or ≥ 10^15 ps clocks, fractions (rates in
 // Gbps, w), -0, NaN, ±Inf, values ≥ 10^6 (where 'g' switches to
 // d.ddde+XX) — goes through strconv unchanged.
+//
+// Every integer digit string below 10^8 comes from one generator,
+// appendUint, which converts all eight digits at once in a uint64 (SWAR:
+// lanes of a register split and carried in parallel) and stores them
+// with a single 8-byte write; DESIGN.md "the trace encoder contract"
+// derives it. That store, like the fixed-width frag copies below, writes
+// scratch bytes past the digits' end, so the sinks reserve room for a
+// whole line before they start one (lineWriter.line).
 
 const (
 	microsExactBelow = sim.Time(1e15) // ≤ 15 significant digits
 	microsFixedFrom  = sim.Time(100)  // below: exponent < -4, 'g' prints d.dde-05
 	microsFixedBelow = sim.Time(1e12) // from: exponent ≥ 6, 'g' prints d.ddde+06
 	valueIntBelow    = 1e6            // from: 'g' prints 1e+06
+	swarBelow        = 1e8            // appendUint's eight-digit register
+
+	asciiZeros = 0x30303030_30303030 // '0' in every byte
 )
+
+// swarDigits returns the eight decimal digits of u < 10^8, zero-padded,
+// one per byte, the most significant in the lowest byte. Each step
+// splits every lane of the register into a quotient lane (low half) and
+// a remainder lane (high half):
+//
+//   - u → ⌊u/10^4⌋ | (u mod 10^4)<<32: two 4-digit lanes;
+//   - x·10486>>20 = ⌊x/100⌋ for every x < 10^4: four 2-digit lanes;
+//   - y·103>>10 = ⌊y/10⌋ for every y < 100: eight 1-digit lanes.
+//
+// Both identities are exact on their whole domains
+// (TestSWARLaneIdentities checks every x and y), and neither product
+// outgrows its lane, so no lane borrows from or carries into another.
+func swarDigits(u uint64) uint64 {
+	x := u/10000 | u%10000<<32
+	q := x * 10486 >> 20 & 0x0000007f_0000007f
+	x = q | (x-q*100)<<16
+	q = x * 103 >> 10 & 0x000f000f_000f000f
+	return q | (x-q*10)<<8
+}
+
+// appendUint appends u as strconv.AppendUint(dst, u, 10) does. A single
+// digit — most of a trace's fields — is one byte and needs no register.
+// Below 10^8 the leading zero digits are shifted out of swarDigits'
+// register (their count is its trailing zero bytes) and the eight bytes
+// are stored at once, in memory order on any platform.
+func appendUint(dst []byte, u uint64) []byte {
+	if u >= swarBelow {
+		return strconv.AppendUint(dst, u, 10)
+	}
+	if u < 10 {
+		return append(dst, byte(u)+'0')
+	}
+	d := swarDigits(u)
+	z := bits.TrailingZeros64(d) &^ 7
+	return put8(dst, d>>z|asciiZeros, 8-z/8)
+}
+
+// appendInt appends v as strconv.AppendInt(dst, v, 10) does.
+func appendInt(dst []byte, v int64) []byte {
+	if v < 0 {
+		return strconv.AppendInt(dst, v, 10)
+	}
+	return appendUint(dst, uint64(v))
+}
+
+// put8 stores the eight bytes of v after dst's last element, least
+// significant first, and extends dst by the first n of them. The bytes
+// past n are scratch: the next append overwrites them.
+func put8(dst []byte, v uint64, n int) []byte {
+	l := len(dst)
+	dst = slices.Grow(dst, 8)
+	binary.LittleEndian.PutUint64(dst[l:l+8], v)
+	return dst[:l+n]
+}
 
 // appendMicros appends t.Micros() formatted as
 // strconv.AppendFloat(_, 'g', -1, 64) would, without leaving integer
@@ -44,31 +113,27 @@ func appendMicros(dst []byte, t sim.Time) []byte {
 	switch {
 	case t >= microsFixedFrom && t < microsFixedBelow:
 		// Fixed notation: whole microseconds, then the sub-microsecond
-		// picoseconds as a zero-padded, zero-trimmed fraction.
+		// picoseconds as a zero-padded, zero-trimmed fraction. The
+		// fraction's six digits are the first six of ps·100's eight (the
+		// last two are zero), so with trailing zeros dropped it is the
+		// register's bytes up to its highest non-zero one; the point
+		// rides in the store's first byte and the always-zero last digit
+		// is shifted out.
 		us, ps := uint64(t)/1e6, uint64(t)%1e6
-		dst = strconv.AppendUint(dst, us, 10)
+		dst = appendUint(dst, us)
 		if ps == 0 {
 			return dst
 		}
-		var frac [6]byte
-		n := 0 // length once trailing zeros are dropped
-		for i := 5; i >= 0; i-- {
-			d := byte(ps % 10)
-			ps /= 10
-			frac[i] = '0' + d
-			if n == 0 && d != 0 {
-				n = i + 1
-			}
-		}
-		dst = append(dst, '.')
-		return append(dst, frac[:n]...)
+		d := swarDigits(ps * 100)
+		n := 8 - bits.LeadingZeros64(d)/8
+		return put8(dst, (d|asciiZeros)<<8|'.', 1+n)
 	case t == 0:
 		return append(dst, '0')
 	case t > 0 && t < microsExactBelow:
 		// Exponent notation d[.ddd]e±XX: the digits of t with trailing
 		// zeros dropped; t has n digits, so t/10^6 = d.ddd × 10^(n-7).
 		var digs [15]byte
-		ds := strconv.AppendUint(digs[:0], uint64(t), 10)
+		ds := appendUint(digs[:0], uint64(t))
 		exp := len(ds) - 7
 		for ds[len(ds)-1] == '0' {
 			ds = ds[:len(ds)-1]
@@ -87,12 +152,13 @@ func appendMicros(dst []byte, t sim.Time) []byte {
 }
 
 // appendValue appends v formatted as strconv.AppendFloat(_, 'g', -1, 64)
-// would; whole numbers in [0, 10^6) take the integer path.
+// would; whole numbers in [0, 10^6) take the integer path. The test is
+// one truncation, one unsigned range check (which every negative fails)
+// and one bit comparison: for a fraction, -0, NaN, ±Inf or anything out
+// of int64's range, whatever int64(v) yields converts back to other bits.
 func appendValue(dst []byte, v float64) []byte {
-	if v >= 0 && v < valueIntBelow {
-		if u := uint64(v); float64(u) == v && (u != 0 || !math.Signbit(v)) {
-			return strconv.AppendUint(dst, u, 10)
-		}
+	if i := int64(v); uint64(i) < valueIntBelow && math.Float64bits(float64(i)) == math.Float64bits(v) {
+		return appendUint(dst, uint64(i))
 	}
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
@@ -117,14 +183,14 @@ type lineWriter struct {
 	// data_* + qdepth pairs at one instant, and a metrics tick writes
 	// every gauge's row at one instant.
 	memoT sim.Time
-	memo  []byte
+	memo  frag
 }
 
 func newLineWriter(w io.Writer) *lineWriter {
 	lw := &lineWriter{
 		w:    w,
 		buf:  make([]byte, 0, lineChunk+512),
-		memo: append(make([]byte, 0, 24), '0'), // memoT's zero value, formatted
+		memo: frag{b: [fragWidth]byte{'0'}, n: 1}, // memoT's zero value, formatted
 	}
 	if c, ok := w.(io.Closer); ok {
 		lw.c = c
@@ -134,14 +200,24 @@ func newLineWriter(w io.Writer) *lineWriter {
 
 func (lw *lineWriter) failed() bool { return lw.err != nil }
 
+// maxLine bounds what one line appends besides its scope and metric
+// names — the CSV header, every number at strconv's widest (24 bytes for
+// a float, 20 for an int64), the keys — plus the scratch bytes a put8 or
+// frag store writes past the end. TestMaxLineBoundsWidestLine holds it.
+const maxLine = 320
+
+// line returns the buffer with room reserved for one more line whose
+// names take n bytes, so no fixed-width store grows it mid-line.
+func (lw *lineWriter) line(n int) []byte { return slices.Grow(lw.buf, maxLine+n) }
+
 // micros appends t.Micros() to dst (normally lw.buf, held in a local by
 // the caller), reusing the previous call's digits when t has not moved.
 func (lw *lineWriter) micros(dst []byte, t sim.Time) []byte {
 	if t != lw.memoT {
-		lw.memo = appendMicros(lw.memo[:0], t)
+		lw.memo.n = len(appendMicros(lw.memo.b[:0], t))
 		lw.memoT = t
 	}
-	return append(dst, lw.memo...)
+	return lw.memo.appendTo(dst)
 }
 
 // commit stores the buffer back after a line was appended to it and
@@ -187,21 +263,40 @@ func (lw *lineWriter) Close() error {
 // fixed text either side of it, so a line appends all three at once.
 // The last slot serves every out-of-range type ("unknown").
 var (
-	jsonTypeFrag [numEventTypes + 1]string // ,"ev":"<name>","scope":"
-	csvTypeFrag  [numEventTypes + 1]string // ,<name>,
+	jsonTypeFrag [numEventTypes + 1]frag // ,"ev":"<name>","scope":"
+	csvTypeFrag  [numEventTypes + 1]frag // ,<name>,
 )
 
 func init() {
 	for ty := range jsonTypeFrag {
 		name := EventType(ty).String()
-		jsonTypeFrag[ty] = `,"ev":"` + name + `","scope":"`
-		csvTypeFrag[ty] = "," + name + ","
+		jsonTypeFrag[ty].n = copy(jsonTypeFrag[ty].b[:], `,"ev":"`+name+`","scope":"`)
+		csvTypeFrag[ty].n = copy(csvTypeFrag[ty].b[:], ","+name+",")
 	}
 }
 
-func typeFrag(tab *[numEventTypes + 1]string, ty EventType) string {
+func typeFrag(tab *[numEventTypes + 1]frag, ty EventType) *frag {
 	if ty > numEventTypes {
 		ty = numEventTypes
 	}
-	return tab[ty]
+	return &tab[ty]
+}
+
+// fragWidth holds the longest type fragment (31 bytes) and the longest
+// formatted timestamp (22).
+const fragWidth = 32
+
+// frag is a short string kept at a fixed width, so appending it is one
+// fixed-size copy — register moves instead of a memmove call — whose
+// bytes past n are scratch the rest of the line overwrites.
+type frag struct {
+	b [fragWidth]byte
+	n int
+}
+
+func (f *frag) appendTo(dst []byte) []byte {
+	l := len(dst)
+	dst = slices.Grow(dst, fragWidth)
+	*(*[fragWidth]byte)(dst[l : l+fragWidth]) = f.b
+	return dst[:l+f.n]
 }

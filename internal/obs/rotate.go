@@ -135,35 +135,55 @@ func (w *RotatingWriter) rotate() error {
 
 // Write implements io.Writer. Chunks are scanned for newlines so that
 // rotation happens only between lines, never inside one: a partial
-// line always stays with its segment until its '\n' arrives.
+// line always stays with its segment until its '\n' arrives. Each run
+// of lines that stays in one segment reaches the file in one call; with
+// rotation off, all of p does.
 func (w *RotatingWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
+	if w.cfg.MaxBytes <= 0 {
+		n, err := w.w.Write(p)
+		w.err = err
+		return n, err
+	}
 	total := 0
 	for len(p) > 0 {
-		chunk := p
-		if i := bytes.IndexByte(p, '\n'); i >= 0 {
-			chunk = p[:i+1]
-		}
-		if w.cfg.MaxBytes > 0 && w.atBoundary && w.size > 0 &&
-			w.size+int64(len(chunk)) > w.cfg.MaxBytes {
+		run := lineLen(p)
+		if w.atBoundary && w.size > 0 && w.size+int64(run) > w.cfg.MaxBytes {
 			if err := w.rotate(); err != nil {
 				w.err = err
 				return total, err
 			}
 		}
-		n, err := w.w.Write(chunk)
+		// Take whole lines while the segment would not rotate before them.
+		for run < len(p) && p[run-1] == '\n' {
+			next := lineLen(p[run:])
+			if w.size+int64(run+next) > w.cfg.MaxBytes {
+				break
+			}
+			run += next
+		}
+		n, err := w.w.Write(p[:run])
 		w.size += int64(n)
 		total += n
-		w.atBoundary = n > 0 && chunk[n-1] == '\n'
+		w.atBoundary = n > 0 && p[n-1] == '\n'
 		if err != nil {
 			w.err = err
 			return total, err
 		}
-		p = p[len(chunk):]
+		p = p[run:]
 	}
 	return total, nil
+}
+
+// lineLen is the length of p's first line, its '\n' included, or all of
+// p when it holds no '\n'.
+func lineLen(p []byte) int {
+	if i := bytes.IndexByte(p, '\n'); i >= 0 {
+		return i + 1
+	}
+	return len(p)
 }
 
 // Close finishes the current segment, returning the first error seen

@@ -188,6 +188,68 @@ func TestRotatingWriterHeaderPerSegment(t *testing.T) {
 	}
 }
 
+// callWriter records each Write call it forwards.
+type callWriter struct {
+	w     io.Writer
+	calls []string
+}
+
+func (c *callWriter) Write(p []byte) (int, error) {
+	c.calls = append(c.calls, string(p))
+	return c.w.Write(p)
+}
+
+// TestRotatingWriterWritesRunsWhole: lines that stay in one segment
+// reach its file in one call, not one call per line. A Write that
+// straddles a rotation point reaches the old segment in one call holding
+// every line before the point, and leaves the rest to the new segment.
+func TestRotatingWriterWritesRunsWhole(t *testing.T) {
+	const line = "0123456789abcdef\n" // 17 bytes
+	p := strings.Repeat(line, 5) + "tail"
+	for _, tc := range []struct {
+		name          string
+		cfg           RotateConfig
+		first, second string // the segments' contents
+	}{
+		{"one segment", RotateConfig{MaxBytes: 100}, p, ""},
+		{"straddles", RotateConfig{MaxBytes: 60}, p[:3*len(line)], p[3*len(line):]}, // 60 bytes hold three lines
+		{"no rotation", RotateConfig{}, p, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rw, err := NewRotatingWriter(filepath.Join(t.TempDir(), "out.jsonl"), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := &callWriter{w: rw.w}
+			rw.w = first
+			if n, err := rw.Write([]byte(p)); n != len(p) || err != nil {
+				t.Fatalf("Write = %d, %v; want %d, nil", n, err, len(p))
+			}
+			if err := rw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(first.calls) != 1 || first.calls[0] != tc.first {
+				t.Fatalf("first segment reached its file in calls %q, want one: %q", first.calls, tc.first)
+			}
+			var got []string
+			for _, seg := range rw.Segments() {
+				b, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, string(b))
+			}
+			want := []string{tc.first}
+			if tc.second != "" {
+				want = append(want, tc.second)
+			}
+			if strings.Join(got, "|") != strings.Join(want, "|") {
+				t.Fatalf("segments hold %q, want %q", got, want)
+			}
+		})
+	}
+}
+
 // failAfterWriter fails every write once n bytes have been accepted,
 // counting the calls it receives.
 type failAfterWriter struct {

@@ -268,7 +268,7 @@ func (rt *Runtime) WriteRow(t sim.Time, scope, metric string, v float64) {
 	if lw.failed() {
 		return
 	}
-	b := lw.buf
+	b := lw.line(len(scope) + len(metric))
 	if !rt.header {
 		rt.header = true
 		b = append(b, "t_us,scope,metric,value\n"...)

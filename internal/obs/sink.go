@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"io"
-	"strconv"
-)
+import "io"
 
 // JSONLSink encodes each event as one JSON object per line. The schema
 // is flat and fixed — every line carries the same nine keys in the same
@@ -35,16 +32,16 @@ func (s *JSONLSink) Record(ev Event) {
 	if lw.failed() {
 		return
 	}
-	b := append(lw.buf, `{"t_us":`...)
+	b := append(lw.line(len(ev.Scope)), `{"t_us":`...)
 	b = lw.micros(b, ev.T)
-	b = append(b, typeFrag(&jsonTypeFrag, ev.Type)...)
+	b = typeFrag(&jsonTypeFrag, ev.Type).appendTo(b)
 	b = append(b, ev.Scope...)
 	b = append(b, `","flow":`...)
-	b = strconv.AppendInt(b, ev.Flow, 10)
+	b = appendInt(b, ev.Flow)
 	b = append(b, `,"seq":`...)
-	b = strconv.AppendInt(b, ev.Seq, 10)
+	b = appendInt(b, ev.Seq)
 	b = append(b, `,"bytes":`...)
-	b = strconv.AppendInt(b, int64(ev.Bytes), 10)
+	b = appendInt(b, int64(ev.Bytes))
 	b = append(b, `,"val":`...)
 	b = appendValue(b, ev.Val)
 	b = append(b, `,"aux":`...)
@@ -86,20 +83,20 @@ func (s *CSVSink) Record(ev Event) {
 	if lw.failed() {
 		return
 	}
-	b := lw.buf
+	b := lw.line(len(ev.Scope))
 	if !s.header {
 		s.header = true
 		b = append(b, CSVHeader...)
 	}
 	b = lw.micros(b, ev.T)
-	b = append(b, typeFrag(&csvTypeFrag, ev.Type)...)
+	b = typeFrag(&csvTypeFrag, ev.Type).appendTo(b)
 	b = append(b, ev.Scope...)
 	b = append(b, ',')
-	b = strconv.AppendInt(b, ev.Flow, 10)
+	b = appendInt(b, ev.Flow)
 	b = append(b, ',')
-	b = strconv.AppendInt(b, ev.Seq, 10)
+	b = appendInt(b, ev.Seq)
 	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(ev.Bytes), 10)
+	b = appendInt(b, int64(ev.Bytes))
 	b = append(b, ',')
 	b = appendValue(b, ev.Val)
 	b = append(b, ',')
