@@ -47,13 +47,15 @@ bench-test:
 ## XPSIM_FUZZ_SEEDS=64 XPSIM_FUZZ_BASE=1000 for a longer shifted soak;
 ## a failing seed prints its exact replay command. Then five seconds
 ## each of native fuzzing: the -faults grammar (a plan or a typed error,
-## never a panic), -trace-types, and the trace encoder's number paths
+## never a panic), -trace-types, -trace-rotate's sizes, and the trace
+## encoder's number paths
 ## (every timestamp, payload and integer byte for byte what strconv
 ## prints).
 fuzz-smoke:
 	XPSIM_FUZZ_SEEDS=$${XPSIM_FUZZ_SEEDS:-8} go test -race -count=1 -run TestFuzzSmoke ./internal/scenario/
 	go test -run '^$$' -fuzz '^FuzzParseFaultSpec$$' -fuzztime 5s ./internal/faults/
 	go test -run '^$$' -fuzz '^FuzzParseEventTypes$$' -fuzztime 5s ./cmd/xpsim/
+	go test -run '^$$' -fuzz '^FuzzParseSize$$' -fuzztime 5s ./cmd/xpsim/
 	go test -run '^$$' -fuzz '^FuzzAppendMicros$$' -fuzztime 5s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzAppendValue$$' -fuzztime 5s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzAppendUint$$' -fuzztime 5s ./internal/obs/

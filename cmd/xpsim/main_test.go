@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -486,6 +487,42 @@ func TestNoDeadProfile(t *testing.T) {
 			t.Errorf("%s %s: left %s behind", tc.name, tc.args, e.Name())
 		}
 	}
+}
+
+// FuzzParseSize feeds arbitrary -trace-rotate sizes to parseSize: it
+// never panics, an error always comes with 0 and a success is never
+// negative; and for every n it accepts, n's decimal form with a k, m or g
+// suffix is n<<10, n<<20 or n<<30, or an error where that overflows.
+// Runs its seeds as a plain test; `make fuzz-smoke` mutates them for a
+// few seconds.
+func FuzzParseSize(f *testing.F) {
+	for _, s := range []string{"", "0", "64m", "k", "-1", "+5", "9223372036854775807", "8589934592g"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := parseSize(s)
+		switch {
+		case err != nil && n != 0:
+			t.Fatalf("parseSize(%q) = %d with error %v; want 0", s, n, err)
+		case err != nil:
+			return
+		case n < 0:
+			t.Fatalf("parseSize(%q) = %d, a negative size", s, n)
+		}
+		for suffix, shift := range map[string]uint{"k": 10, "m": 20, "g": 30} {
+			in := strconv.FormatInt(n, 10) + suffix
+			got, err := parseSize(in)
+			if n > math.MaxInt64>>shift {
+				if err == nil {
+					t.Fatalf("parseSize(%q) = %d; want an overflow error", in, got)
+				}
+				continue
+			}
+			if err != nil || got != n<<shift {
+				t.Fatalf("parseSize(%q) = %d, %v; want %d", in, got, err, n<<shift)
+			}
+		}
+	})
 }
 
 // FuzzParseEventTypes feeds arbitrary -trace-types lists to

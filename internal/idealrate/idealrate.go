@@ -7,6 +7,7 @@
 package idealrate
 
 import (
+	"math"
 	"slices"
 
 	"expresspass/internal/netem"
@@ -35,12 +36,9 @@ func (CC) OnFastRetransmit(*transport.Conn) {}
 // OnTimeout implements transport.CC.
 func (CC) OnTimeout(*transport.Conn) {}
 
-// Oracle tracks active connections and assigns each its max-min fair
-// share of wire capacity via progressive water-filling. Everything it
-// walks is in a fixed order — connections in Attach order, links in the
-// order those connections' paths first reach them — so two exactly tied
-// bottlenecks are always resolved the same way and the rates come out
-// bit for bit the same on every run.
+// Oracle tracks active connections and paces each at its max-min fair
+// share of wire capacity (MaxMin over their paths, in Attach order), so
+// the rates come out bit for bit the same on every run.
 type Oracle struct {
 	net   *netem.Network
 	conns []*transport.Conn // attached, in Attach order
@@ -72,38 +70,63 @@ func (o *Oracle) Detach(c *transport.Conn) {
 	o.Recompute()
 }
 
-// Recompute runs water-filling: repeatedly find the link whose equal
-// split among its unfrozen flows is smallest (the first such link on a
-// tie), freeze those flows at that rate, subtract, and continue.
+// Recompute paces every attached connection at its MaxMin share over
+// its path, in Attach order; a connection whose path bears no capacity
+// is paced at its sender's line rate.
 func (o *Oracle) Recompute() {
+	paths := make([][]*netem.Port, len(o.conns))
+	for i, c := range o.conns {
+		paths[i] = o.paths[c]
+	}
+	for i, r := range MaxMin(paths) {
+		c := o.conns[i]
+		if math.IsInf(r, 1) {
+			r = float64(c.Flow.Sender.LineRate())
+		}
+		if r < 1 {
+			r = 1
+		}
+		c.PaceRate = unit.Rate(r)
+	}
+}
+
+// MaxMin returns the max-min fair rate of every path, in bits per
+// second, by progressive water-filling over its ports' line rates:
+// repeatedly find the link whose equal split among its unfrozen paths is
+// smallest (the first such link on a tie), freeze those paths at that
+// rate, subtract, and continue. Paths are walked in order and links in
+// the order the paths first reach them, so two exactly tied bottlenecks
+// are always resolved the same way and the rates come out bit for bit
+// the same on every call. A path with no port is bounded by nothing: its
+// rate is +Inf.
+func MaxMin(paths [][]*netem.Port) []float64 {
 	type linkState struct {
 		cap   float64
-		flows []*transport.Conn
+		paths []int
 	}
 	links := make(map[*netem.Port]*linkState)
 	var order []*linkState // links, first seen first
-	unfrozen := make(map[*transport.Conn]bool, len(o.conns))
-	for _, c := range o.conns {
-		unfrozen[c] = true
-		for _, p := range o.paths[c] {
+	for i, path := range paths {
+		for _, p := range path {
 			ls := links[p]
 			if ls == nil {
 				ls = &linkState{cap: float64(p.Rate())}
 				links[p] = ls
 				order = append(order, ls)
 			}
-			ls.flows = append(ls.flows, c)
+			ls.paths = append(ls.paths, i)
 		}
 	}
-	rate := make(map[*transport.Conn]float64)
-	for len(unfrozen) > 0 {
+	rate := make([]float64, len(paths))
+	frozen := make([]bool, len(paths))
+	for {
 		// Find the tightest link.
 		var bottleneck *linkState
 		best := 0.0
 		for _, ls := range order {
 			n := 0
-			for _, c := range ls.flows {
-				if unfrozen[c] {
+			for _, i := range ls.paths {
+				if !frozen[i] {
 					n++
 				}
 			}
@@ -116,28 +139,22 @@ func (o *Oracle) Recompute() {
 			}
 		}
 		if bottleneck == nil {
-			// Flows with no capacity-bearing links: give line rate.
-			for c := range unfrozen {
-				rate[c] = float64(c.Flow.Sender.LineRate())
-				delete(unfrozen, c)
-			}
 			break
 		}
-		for _, c := range bottleneck.flows {
-			if !unfrozen[c] {
+		for _, i := range bottleneck.paths {
+			if frozen[i] {
 				continue
 			}
-			rate[c] = best
-			delete(unfrozen, c)
-			for _, p := range o.paths[c] {
+			rate[i], frozen[i] = best, true
+			for _, p := range paths[i] {
 				links[p].cap -= best
 			}
 		}
 	}
-	for c, r := range rate {
-		if r < 1 {
-			r = 1
+	for i := range rate {
+		if !frozen[i] {
+			rate[i] = math.Inf(1)
 		}
-		c.PaceRate = unit.Rate(r)
 	}
+	return rate
 }

@@ -1,11 +1,13 @@
 package idealrate_test
 
 import (
+	"math"
 	"slices"
 	"testing"
 
 	"expresspass/internal/idealrate"
 	"expresspass/internal/netem"
+	"expresspass/internal/packet"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -51,25 +53,28 @@ func TestOracleDetachRedistributes(t *testing.T) {
 	}
 }
 
+// tracePaths returns the ports each (src, dst) pair's packets cross,
+// the paths MaxMin takes.
+func tracePaths(net *netem.Network, pairs ...[2]*netem.Host) [][]*netem.Port {
+	var paths [][]*netem.Port
+	for i, pr := range pairs {
+		paths = append(paths, net.TracePorts(pr[0].ID(), pr[1].ID(), packet.FlowID(i)))
+	}
+	return paths
+}
+
 // Parking lot: the long flow and each one-hop cross flow share every
 // link; max-min gives everyone C/2.
 func TestOracleParkingLotMaxMin(t *testing.T) {
 	eng := sim.New(3)
 	pl := topology.NewParkingLot(eng, 3, topology.Config{LinkRate: 10 * unit.Gbps})
-	o := idealrate.NewOracle(pl.Net)
-	long := transport.NewFlow(pl.Net, pl.LongSrc, pl.LongDst, 0, 0)
-	lc := transport.NewConn(long, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced})
-	o.Attach(lc)
-	var cross []*transport.Conn
-	for i := 0; i < 3; i++ {
-		f := transport.NewFlow(pl.Net, pl.CrossSrc[i], pl.CrossDst[i], 0, 0)
-		c := transport.NewConn(f, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced})
-		o.Attach(c)
-		cross = append(cross, c)
+	pairs := [][2]*netem.Host{{pl.LongSrc, pl.LongDst}}
+	for i := range pl.CrossSrc {
+		pairs = append(pairs, [2]*netem.Host{pl.CrossSrc[i], pl.CrossDst[i]})
 	}
-	for _, c := range append(cross, lc) {
-		if got := float64(c.PaceRate); got < 4.9e9 || got > 5.1e9 {
-			t.Errorf("max-min rate %v, want 5G", c.PaceRate)
+	for i, r := range idealrate.MaxMin(tracePaths(pl.Net, pairs...)) {
+		if r < 4.9e9 || r > 5.1e9 {
+			t.Errorf("path %d: max-min rate %g, want 5G", i, r)
 		}
 	}
 }
@@ -100,40 +105,38 @@ func TestOracleMultiBottleneck(t *testing.T) {
 // each of a two-link parking lot, C/3 per flow on both links. Whichever
 // link freezes first, the other link's cross flows get (C - C/3)/2,
 // which need not be C/3 to the last bit of a float64, so the tie must be
-// broken the same way every time: 100 recomputations give bit-identical
-// rates.
+// broken the same way every time: 100 calls give bit-identical rates.
 func TestOracleTiedBottlenecksAreDeterministic(t *testing.T) {
 	eng := sim.New(6)
 	pl := topology.NewParkingLot(eng, 2, topology.Config{LinkRate: 10 * unit.Gbps})
-	o := idealrate.NewOracle(pl.Net)
-	conn := func(src, dst *netem.Host) *transport.Conn {
-		f := transport.NewFlow(pl.Net, src, dst, 0, 0)
-		c := transport.NewConn(f, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced})
-		o.Attach(c)
-		return c
-	}
-	conns := []*transport.Conn{conn(pl.LongSrc, pl.LongDst)}
+	pairs := [][2]*netem.Host{{pl.LongSrc, pl.LongDst}}
 	for i := range pl.CrossSrc {
-		conns = append(conns, conn(pl.CrossSrc[i], pl.CrossDst[i]), conn(pl.CrossSrc[i], pl.CrossDst[i]))
+		cross := [2]*netem.Host{pl.CrossSrc[i], pl.CrossDst[i]}
+		pairs = append(pairs, cross, cross)
 	}
-	rates := func() []unit.Rate {
-		var r []unit.Rate
-		for _, c := range conns {
-			r = append(r, c.PaceRate)
-		}
-		return r
-	}
-	want := rates()
+	paths := tracePaths(pl.Net, pairs...)
+	want := idealrate.MaxMin(paths)
 	for _, r := range want {
-		if got := float64(r); got < 3.3e9 || got > 3.4e9 {
+		if r < 3.3e9 || r > 3.4e9 {
 			t.Fatalf("rates %v, want C/3 each", want)
 		}
 	}
 	for i := 0; i < 100; i++ {
-		o.Recompute()
-		if got := rates(); !slices.Equal(got, want) {
-			t.Fatalf("recompute %d: rates %v, first computed %v", i, got, want)
+		if got := idealrate.MaxMin(paths); !slices.Equal(got, want) {
+			t.Fatalf("call %d: rates %v, first computed %v", i, got, want)
 		}
+	}
+}
+
+// A path with no port is bounded by nothing, and a flow alone on a link
+// gets all of it.
+func TestMaxMinUnboundedPath(t *testing.T) {
+	eng := sim.New(7)
+	d := topology.NewDumbbell(eng, 1, topology.Config{LinkRate: 10 * unit.Gbps})
+	paths := append(tracePaths(d.Net, [2]*netem.Host{d.Senders[0], d.Receivers[0]}), nil)
+	got := idealrate.MaxMin(paths)
+	if got[0] != 10e9 || !math.IsInf(got[1], 1) {
+		t.Fatalf("rates %v, want [1e10 +Inf]", got)
 	}
 }
 

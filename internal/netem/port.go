@@ -640,8 +640,7 @@ func (p *Port) FaultDrops() uint64 { return p.faultDrops }
 // SetFaultLoss installs seeded stochastic loss on this egress:
 // creditRate and dataRate are per-packet destruction probabilities for
 // the credit and data classes. rng must be a deterministic stream (fork
-// the engine's); pass nil rates≤0 semantics: a nil rng or both rates
-// zero clears the hook entirely.
+// the engine's). A nil rng, or both rates ≤ 0, clears the hook entirely.
 func (p *Port) SetFaultLoss(creditRate, dataRate float64, rng *sim.Rand) {
 	if rng == nil || (creditRate <= 0 && dataRate <= 0) {
 		p.lossCredit, p.lossData, p.lossRng = 0, 0, nil

@@ -131,7 +131,8 @@ func TestRuntimeMetricsCSV(t *testing.T) {
 }
 
 // TestRuntimeEngineTotals: the runtime's totals are those of its
-// finished trials — events add up across trials, the peak is a max.
+// finished trials — events add up across trials, the peak is a max, and
+// a trial counts when it finishes, not when the head reaches it.
 func TestRuntimeEngineTotals(t *testing.T) {
 	rt := NewRuntime(Config{})
 	e1, e2 := sim.New(1), sim.New(2)
@@ -139,7 +140,7 @@ func TestRuntimeEngineTotals(t *testing.T) {
 		e1.After(sim.Duration(i)*sim.Nanosecond, func() {})
 	}
 	e2.After(sim.Nanosecond, func() {})
-	t0, t1 := rt.BeginTrial(0, false), rt.BeginTrial(1, false)
+	t0, t1 := rt.BeginTrial(0), rt.BeginTrial(1)
 	t0.AttachEngine(e1)
 	t1.AttachEngine(e2)
 	e1.Run()
@@ -147,9 +148,11 @@ func TestRuntimeEngineTotals(t *testing.T) {
 	if events, _ := rt.EngineTotals(); events != 0 {
 		t.Errorf("events = %d before any trial finished, want 0", events)
 	}
-	t0.Complete()
-	t1.Complete()
-	t1.Complete() // idempotent
+	t1.Finish()
+	if events, _ := rt.EngineTotals(); events != 1 {
+		t.Errorf("events = %d after trial 1 finished behind the head, want 1", events)
+	}
+	t0.Finish()
 	events, peak := rt.EngineTotals()
 	if events != 11 {
 		t.Errorf("events = %d, want 11", events)

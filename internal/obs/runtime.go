@@ -51,7 +51,7 @@ type Runtime struct {
 	mw     *lineWriter // metrics CSV; nil when metrics are off
 	header bool
 
-	// Totals of every finished trial (Trial.Complete), folded in once per
+	// Totals of every finished trial (Trial.Finish), folded in once per
 	// trial under mu: counts add, peaks are a max.
 	events uint64
 	peak   int
@@ -66,12 +66,18 @@ type Runtime struct {
 	lastBeat   atomic.Int64 // unix nanos of the last heartbeat line
 
 	// Worker-buffer gauge: bytes of trace events and metrics rows
-	// currently held in unflushed parallel-trial buffers, plus the
+	// currently held by trials that began behind the head, plus the
 	// high-water mark. Heartbeats report the live value so a sweep
 	// whose trials buffer faster than the merge drains them is visible
 	// before it becomes an RSS problem.
 	bufBytes atomic.Int64
 	bufPeak  atomic.Int64
+
+	// The sweep's head — its lowest trial not yet replayed — and the
+	// finished trials waiting behind it, keyed by index (Trial.Finish).
+	headMu   sync.Mutex
+	head     int
+	finished map[int]*Trial
 }
 
 // NewRuntime returns a runtime for cfg.
@@ -79,7 +85,7 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Interval <= 0 {
 		cfg.Interval = sim.Millisecond
 	}
-	rt := &Runtime{cfg: cfg, started: time.Now()}
+	rt := &Runtime{cfg: cfg, started: time.Now(), finished: map[int]*Trial{}}
 	if cfg.MetricsOut != nil {
 		rt.mw = newLineWriter(cfg.MetricsOut)
 	}
@@ -165,8 +171,8 @@ func (rt *Runtime) addBufBytes(n int64) {
 	atomicMax(&rt.bufPeak, rt.bufBytes.Add(n))
 }
 
-// BufferedBytes returns the bytes currently held in unflushed
-// parallel-trial trace/metrics buffers across all workers.
+// BufferedBytes returns the bytes currently held in the trace/metrics
+// buffers of trials not yet replayed, across all workers.
 func (rt *Runtime) BufferedBytes() int64 { return rt.bufBytes.Load() }
 
 // PeakBufferedBytes returns the high-water mark of BufferedBytes.
@@ -179,14 +185,19 @@ func (rt *Runtime) SetPhase(name string) {
 }
 
 // StartSweep announces a sweep of the given expected trial count for
-// heartbeat reporting. The runner calls it at the top of every Map.
+// heartbeat reporting and makes its trial 0 the head. The runner calls
+// it at the top of every Map.
 func (rt *Runtime) StartSweep(trials int) {
 	rt.sweepTotal.Store(int64(trials))
 	rt.sweepDone.Store(0)
+	rt.headMu.Lock()
+	rt.head = 0
+	clear(rt.finished)
+	rt.headMu.Unlock()
 }
 
-// TrialDone records one finished trial for heartbeat reporting.
-func (rt *Runtime) TrialDone() {
+// trialDone records one finished trial for heartbeat reporting.
+func (rt *Runtime) trialDone() {
 	rt.sweepDone.Add(1)
 	rt.heartbeat(false)
 }

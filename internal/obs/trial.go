@@ -2,15 +2,15 @@ package obs
 
 // Per-trial instrumentation scopes for the sweep runner
 // (internal/runner). Every network a run builds records into the Trial
-// of the sweep trial that built it; the Runtime's tracer sink and
-// metrics writer are single-writer by contract, so a trial either
-// streams into them — when trials run in submission order on one
-// goroutine — or buffers its trace events and metrics rows, which the
-// runner replays into the shared runtime in submission order once the
-// trial's result is being emitted. The merge order therefore depends
-// only on trial indices, never on goroutine scheduling, which is what
-// keeps trace and metrics files byte-identical between serial and
-// parallel runs.
+// of the sweep trial that built it. The Runtime's tracer sink and
+// metrics writer are single-writer by contract, so only the head — the
+// lowest trial of the sweep not yet replayed — writes to them. A trial
+// that begins as the head streams; any other buffers its trace events
+// and metrics rows. Finish replays every finished trial from the head
+// onward and advances the head, so the merge order depends only on
+// trial indices, never on goroutine scheduling: trace and metrics files
+// are byte-identical between serial and parallel runs, and a serial
+// sweep, whose every trial begins as the head, buffers nothing.
 
 import (
 	"strconv"
@@ -21,21 +21,17 @@ import (
 
 // Trial is the instrumentation scope of one sweep trial: its metrics
 // scope labels, its engines and, unless it streams, its buffered output.
-// A buffering trial is owned by a single worker goroutine until Flush,
-// which the runner calls from the sweep's coordinating goroutine in
-// submission order.
+// One worker goroutine owns it from BeginTrial to Finish.
 type Trial struct {
-	rt        *Runtime
-	idx       int
-	stream    bool
-	tracer    *Tracer
-	events    *sliceSink
-	rows      []trialRow
-	engines   []*sim.Engine
-	scopes    int
-	buffered  int64 // bytes accounted to the runtime's worker-buffer gauge
-	completed bool
-	done      bool
+	rt       *Runtime
+	idx      int
+	stream   bool
+	tracer   *Tracer
+	events   *sliceSink
+	rows     []trialRow
+	engines  []*sim.Engine
+	scopes   int
+	buffered int64 // bytes accounted to the runtime's worker-buffer gauge
 }
 
 type trialRow struct {
@@ -45,7 +41,7 @@ type trialRow struct {
 	v      float64
 }
 
-// sliceSink buffers events in emission order for replay at Flush,
+// sliceSink buffers events in emission order for replay,
 // charging each event to the owning trial's buffer gauge.
 type sliceSink struct {
 	tr     *Trial
@@ -59,7 +55,7 @@ func (s *sliceSink) Record(ev Event) {
 func (s *sliceSink) Close() error { return nil }
 
 // addBuf charges n bytes of buffered instrumentation to the runtime's
-// worker-buffer gauge; Flush refunds the total.
+// worker-buffer gauge; the replay refunds the total.
 func (tr *Trial) addBuf(n int64) {
 	tr.buffered += n
 	tr.rt.addBufBytes(n)
@@ -68,13 +64,15 @@ func (tr *Trial) addBuf(n int64) {
 // BeginTrial returns the scope of the trial with submission index idx;
 // the index prefixes the trial's metrics scope labels ("t3.0", "t3.1",
 // …) so rows from different trials stay distinguishable — and
-// deterministically named — after the merge. A streaming trial writes
-// trace events and metrics rows straight to the runtime: only valid when
-// trials execute in submission order on one goroutine (the runner's
-// serial path), which holds the single-writer contract on the sink and
-// the metrics CSV by construction, in O(1) memory instead of an
-// events-per-trial buffer. Any other trial buffers until Flush.
-func (rt *Runtime) BeginTrial(idx int, stream bool) *Trial {
+// deterministically named — after the merge. A trial that begins as the
+// head writes trace events and metrics rows straight to the runtime, in
+// O(1) memory: the head moves only when it finishes, and replays run only
+// from Finish under the same mutex, so nothing else writes until then.
+// Any other trial buffers until Finish replays it.
+func (rt *Runtime) BeginTrial(idx int) *Trial {
+	rt.headMu.Lock()
+	stream := idx == rt.head
+	rt.headMu.Unlock()
 	tr := &Trial{rt: rt, idx: idx, stream: stream, tracer: rt.cfg.Tracer}
 	if g := rt.cfg.Tracer; g != nil && !stream {
 		tr.events = &sliceSink{tr: tr}
@@ -109,8 +107,8 @@ func (tr *Trial) AttachEngine(e *sim.Engine) {
 	tr.engines = append(tr.engines, e)
 }
 
-// WriteRow buffers one metrics sample for replay at Flush (streaming
-// trials write through immediately).
+// WriteRow buffers one metrics sample for replay (streaming trials
+// write through immediately).
 func (tr *Trial) WriteRow(t sim.Time, scope, metric string, v float64) {
 	if tr.stream {
 		tr.rt.WriteRow(t, scope, metric, v)
@@ -124,46 +122,41 @@ func (tr *Trial) WriteRow(t sim.Time, scope, metric string, v float64) {
 	tr.addBuf(int64(unsafe.Sizeof(r)) + int64(len(scope)+len(metric)))
 }
 
-// Complete folds the trial's engine totals into the runtime's, lets go
-// of the engines, and bumps the sweep progress counters. The owning
-// worker calls it right after the trial body returns — the engines are
-// quiescent at that point, so the reads are race-free, and progress
-// heartbeats see events as trials finish rather than only at the
-// submission-order flush. Idempotent; Flush calls it as a fallback for
-// callers that skip it.
-func (tr *Trial) Complete() {
-	if tr.completed {
-		return
-	}
-	tr.completed = true
-	tr.rt.addTrial(tr.engines)
+// Finish ends the trial; its worker calls it once, after the body
+// returns or panics. It folds the trial's engine totals into the
+// runtime's — the engines are quiescent, so the reads are race-free and
+// progress heartbeats see events as trials finish — and lets go of them.
+// Then, under the runtime's head mutex, it replays every finished trial
+// from the head onward, in submission order, and advances the head past
+// them: that ordering, not worker scheduling, is the determinism
+// guarantee.
+func (tr *Trial) Finish() {
+	rt := tr.rt
+	rt.addTrial(tr.engines)
 	tr.engines = nil
-	tr.rt.TrialDone()
+	rt.trialDone()
+	rt.headMu.Lock()
+	defer rt.headMu.Unlock()
+	rt.finished[tr.idx] = tr
+	for next := rt.finished[rt.head]; next != nil; next = rt.finished[rt.head] {
+		delete(rt.finished, rt.head)
+		next.replay()
+		rt.head++
+	}
 }
 
-// Flush replays the trial's buffered trace events and metrics rows into
-// the shared runtime. The runner calls Flush once per trial, in
-// submission order, from a single goroutine — that ordering is the
-// determinism guarantee.
-func (tr *Trial) Flush() {
-	if tr.done {
-		return
-	}
-	tr.done = true
-	tr.Complete()
+// replay writes the trial's buffered trace events and metrics rows into
+// the shared runtime and refunds the buffer gauge.
+func (tr *Trial) replay() {
 	if tr.events != nil {
 		g := tr.rt.cfg.Tracer
 		for _, ev := range tr.events.events {
 			g.Emit(ev)
 		}
-		tr.events = nil
 	}
 	for _, r := range tr.rows {
 		tr.rt.WriteRow(r.t, r.scope, r.metric, r.v)
 	}
-	tr.rows = nil
-	if tr.buffered > 0 {
-		tr.rt.addBufBytes(-tr.buffered)
-		tr.buffered = 0
-	}
+	tr.rt.addBufBytes(-tr.buffered)
+	tr.events, tr.rows, tr.buffered = nil, nil, 0
 }

@@ -18,21 +18,24 @@
 //   - Results (Map) come back in submission order, never completion
 //     order; a trial that prints returns what it prints as its result.
 //   - Every network records into its trial's scope (obs.Trial), the one
-//     instrumentation scope there is. A serial sweep streams each trial
-//     into the run's obs.Runtime; a parallel one buffers each trial and
-//     replays it in submission order, so trace and metrics files are
-//     byte-identical at any worker count too.
+//     instrumentation scope there is. The lowest trial not yet replayed
+//     streams into the run's obs.Runtime; a trial that begins behind it
+//     buffers and is replayed as soon as every trial before it has
+//     finished, so trace and metrics files are byte-identical at any
+//     worker count too, and a serial sweep buffers nothing.
 //
 // What a sweep needs of its run — the worker count, the obs runtime and
 // the per-network check — arrives as a Run value with every call; the
-// package holds no setting of its own. Run.Procs 1 forces the serial
-// path; cmd/xpsim exposes it as -procs. A run that builds one network
-// is a one-trial sweep like any other.
+// package holds no setting of its own. There is one code path for any
+// worker count: Run.Procs 1 runs every trial on the caller, in order;
+// cmd/xpsim exposes it as -procs. A run that builds one network is a
+// one-trial sweep like any other.
 package runner
 
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -44,8 +47,8 @@ import (
 // Run is what a sweep needs of the run it belongs to. The zero value is
 // an unobserved, unchecked run on runtime.GOMAXPROCS(0) workers.
 type Run struct {
-	// Procs is the worker-pool width: 1 forces the serial path, 0 (or
-	// less) means runtime.GOMAXPROCS(0).
+	// Procs is the worker-pool width, the caller included: 1 runs the
+	// sweep inline, 0 (or less) means runtime.GOMAXPROCS(0).
 	Procs int
 	// Obs, when non-nil, is the run's instrumentation runtime: each
 	// trial records into a scope of it (obs.Trial).
@@ -95,92 +98,65 @@ func (t *T) Engine(seed uint64) *sim.Engine {
 }
 
 // Map runs fn for every i in [0, n) and returns the results in
-// submission order. Bodies run concurrently on run's workers (serially
-// when there is one); fn must confine itself to trial-local state plus
-// read-only captures. A panicking trial is re-panicked — lowest index
-// first — on the calling goroutine after the pool drains.
+// submission order. Bodies run concurrently on run's workers, the calling
+// goroutine being the last of them, so one worker runs every trial
+// inline and in order; fn must confine itself to trial-local state plus
+// read-only captures. A panicking trial stops the pool from starting
+// another and is re-panicked — lowest index first, with its stack — on
+// the calling goroutine after the pool drains.
 func Map[R any](run Run, n int, fn func(t *T, i int) R) []R {
 	if n <= 0 {
 		return nil // before make: a negative n must not panic the sweep
 	}
 	out := make([]R, n)
-	rt := run.Obs
-	if rt != nil {
-		rt.StartSweep(n)
+	if run.Obs != nil {
+		run.Obs.StartSweep(n)
 	}
-	if w := min(run.workers(), n); w > 1 {
-		mapParallel(out, w, run, fn)
-		return out
-	}
-	for i := 0; i < n; i++ {
-		var tr *obs.Trial
-		if rt != nil {
-			// Serial trials already run in submission order, so they
-			// stream into the shared runtime instead of buffering an
-			// entire trial's event volume.
-			tr = rt.BeginTrial(i, true)
+	panics := make([]string, n)
+	var stop atomic.Bool
+	var next atomic.Int64
+	work := func() {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			runTrial(out, panics, &stop, run, fn, i)
 		}
-		out[i] = fn(run.newT(i, tr), i)
-		if tr != nil {
-			tr.Flush()
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < min(run.workers(), n); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for i, p := range panics {
+		if p != "" {
+			panic(fmt.Sprintf("runner: trial %d panicked: %s", i, p))
 		}
 	}
 	return out
 }
 
-func mapParallel[R any](out []R, w int, run Run, fn func(t *T, i int) R) {
-	n := len(out)
-	trials := make([]*obs.Trial, n)
-	panics := make([]any, n)
-	var panicked atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				runTrial(out, trials, panics, &panicked, run, fn, i)
-			}
-		}()
-	}
-	wg.Wait()
-	// Flush instrumentation in submission order — this, not worker
-	// scheduling, fixes the order trace events and metrics rows reach
-	// the shared runtime.
-	for _, tr := range trials {
-		if tr != nil {
-			tr.Flush()
-		}
-	}
-	if panicked.Load() {
-		for i, p := range panics {
-			if p != nil {
-				panic(fmt.Sprintf("runner: trial %d panicked: %v", i, p))
-			}
-		}
-	}
-}
-
-func runTrial[R any](out []R, trials []*obs.Trial, panics []any, panicked *atomic.Bool, run Run, fn func(t *T, i int) R, i int) {
+// runTrial runs trial i and finishes its scope, whether or not the body
+// panics; Finish is what replays it into the run in submission order.
+func runTrial[R any](out []R, panics []string, stop *atomic.Bool, run Run, fn func(t *T, i int) R, i int) {
+	var tr *obs.Trial
 	defer func() {
 		if r := recover(); r != nil {
-			panics[i] = r
-			panicked.Store(true)
+			panics[i] = fmt.Sprintf("%v\n%s", r, debug.Stack())
+			stop.Store(true)
+		}
+		if tr != nil {
+			tr.Finish()
 		}
 	}()
 	if run.Obs != nil {
-		trials[i] = run.Obs.BeginTrial(i, false)
+		tr = run.Obs.BeginTrial(i)
 	}
-	out[i] = fn(run.newT(i, trials[i]), i)
-	if trials[i] != nil {
-		// Fold engine totals in from the owning worker while the trial's
-		// engines are quiescent, so progress heartbeats track completion
-		// live; the submission-order Flush only replays buffered output.
-		trials[i].Complete()
-	}
+	out[i] = fn(run.newT(i, tr), i)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -80,64 +81,60 @@ func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestMapPropagatesLowestIndexPanic: trials 2 and 9 panic; the sweep
+// re-panics trial 2's value with the stack of the closure that panicked,
+// on one worker and on four. A panic stops the pool from starting
+// another trial, so on one worker trial 9 never starts.
 func TestMapPropagatesLowestIndexPanic(t *testing.T) {
 	t.Parallel()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic propagated")
+	for _, procs := range []int{1, 4} {
+		var started [16]atomic.Bool
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("procs=%d: no panic propagated", procs)
+				}
+				s, _ := r.(string)
+				if !strings.Contains(s, "trial 2 panicked: bad trial 2") {
+					t.Fatalf("procs=%d: panic %v, want trial 2's", procs, r)
+				}
+				if !strings.Contains(s, "TestMapPropagatesLowestIndexPanic.func") {
+					t.Fatalf("procs=%d: panic message lacks the panicking closure's frame:\n%s", procs, s)
+				}
+			}()
+			Map(Run{Procs: procs}, len(started), func(_ *T, i int) int {
+				started[i].Store(true)
+				if i == 2 || i == 9 {
+					panic(fmt.Sprintf("bad trial %d", i))
+				}
+				return i
+			})
+		}()
+		if procs == 1 && started[9].Load() {
+			t.Fatal("procs=1: trial 9 started after trial 2 panicked")
 		}
-		if s, ok := r.(string); !ok || !strings.Contains(s, "trial 2") {
-			t.Fatalf("panic %v, want mention of trial 2", r)
-		}
-	}()
-	Map(Run{Procs: 4}, 16, func(_ *T, i int) int {
-		if i == 2 || i == 9 {
-			panic(fmt.Sprintf("bad trial %d", i))
-		}
-		return i
-	})
+	}
 }
 
 // TestObsMergeByteIdentical gives a run a runtime with a trace sink and
 // a metrics writer, runs a traced workload under Map at several worker
 // counts, and requires the merged trace and metrics bytes — plus the
-// EngineTotals accounting — to be identical to the serial run. A serial
-// sweep streams each trial straight into the runtime, so it buffers
-// nothing; parallel trials buffer until their submission-order flush.
+// EngineTotals accounting — to be identical to the serial run. Every
+// trial of a serial sweep begins as the head and streams straight into
+// the runtime, so it buffers nothing. Whether a parallel trial buffers
+// depends on scheduling; TestMapHeadOfLine makes that deterministic.
 func TestObsMergeByteIdentical(t *testing.T) {
 	t.Parallel()
-	workload := func(tr *T, i int) uint64 {
-		eng := tr.Engine(uint64(i) + 1)
-		// Emit trace events through the scope the engine is wired to,
-		// exactly as netem.NewNetwork does.
-		sc := eng.Wiring.(*netem.Wiring).Scope
-		tc := sc.Tracer()
-		var tick func()
-		n := 0
-		tick = func() {
-			tc.Emit(obs.Event{T: eng.Now(), Type: obs.EvFeedback, Scope: "f", Flow: int64(i), Seq: int64(n), Val: float64(n)})
-			sc.WriteRow(eng.Now(), sc.NextScope(), "m", float64(i*100+n))
-			if n++; n < 5 {
-				eng.After(sim.Microsecond, tick)
-			}
-		}
-		eng.At(0, tick)
-		eng.Run()
-		return eng.Executed()
-	}
 	run := func(procs int) (trace, metrics string, events uint64, peak int) {
 		var tb, mb bytes.Buffer
 		rt := obs.NewRuntime(obs.Config{
 			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb)),
 			MetricsOut: &mb,
 		})
-		Map(Run{Procs: procs, Obs: rt}, 9, workload)
-		switch buffered := rt.PeakBufferedBytes(); {
-		case procs == 1 && buffered != 0:
+		Map(Run{Procs: procs, Obs: rt}, 9, mergeWorkload)
+		if buffered := rt.PeakBufferedBytes(); procs == 1 && buffered != 0 {
 			t.Errorf("procs=1: a serial sweep buffered %d bytes, want 0 (it streams)", buffered)
-		case procs > 1 && buffered == 0:
-			t.Errorf("procs=%d: parallel trials buffered nothing before their merge", procs)
 		}
 		events, peak = rt.EngineTotals()
 		if err := rt.Close(); err != nil {
@@ -160,6 +157,90 @@ func TestObsMergeByteIdentical(t *testing.T) {
 	}
 	if se == 0 {
 		t.Fatal("EngineTotals reported zero events — trial totals not merged")
+	}
+}
+
+// mergeWorkload is a traced trial: five ticks, each emitting one trace
+// event and one metrics row through the scope its engine is wired to,
+// exactly as netem.NewNetwork does.
+func mergeWorkload(tr *T, i int) uint64 {
+	eng := tr.Engine(uint64(i) + 1)
+	sc := eng.Wiring.(*netem.Wiring).Scope
+	tc := sc.Tracer()
+	var tick func()
+	n := 0
+	tick = func() {
+		tc.Emit(obs.Event{T: eng.Now(), Type: obs.EvFeedback, Scope: "f", Flow: int64(i), Seq: int64(n), Val: float64(n)})
+		sc.WriteRow(eng.Now(), sc.NextScope(), "m", float64(i*100+n))
+		if n++; n < 5 {
+			eng.After(sim.Microsecond, tick)
+		}
+	}
+	eng.At(0, tick)
+	eng.Run()
+	return eng.Executed()
+}
+
+// countingSink counts what reaches the run's sink before handing it on.
+type countingSink struct {
+	obs.Sink
+	n atomic.Int64
+}
+
+func (s *countingSink) Record(ev obs.Event) {
+	s.n.Add(1)
+	s.Sink.Record(ev)
+}
+
+// TestMapHeadOfLine makes the head-of-line rule deterministic: trial 0
+// holds the head until trials 1–3 have run to completion on the other
+// workers. Trial 0's events reach the sink while it runs (it streams);
+// 1–3 begin behind it, so they buffer, and reach the sink only once
+// trial 0 finishes; the bytes are the serial run's and the live buffer
+// gauge returns to 0.
+func TestMapHeadOfLine(t *testing.T) {
+	t.Parallel()
+	run := func(procs int) (trace, metrics string) {
+		var tb, mb bytes.Buffer
+		sink := &countingSink{Sink: obs.NewJSONLSink(&tb)}
+		rt := obs.NewRuntime(obs.Config{Tracer: obs.NewTracer(sink), MetricsOut: &mb})
+		var rest sync.WaitGroup
+		rest.Add(3)
+		Map(Run{Procs: procs, Obs: rt}, 4, func(tr *T, i int) uint64 {
+			ex := mergeWorkload(tr, i)
+			if procs == 1 {
+				return ex
+			}
+			if i > 0 {
+				rest.Done()
+				return ex
+			}
+			if n := sink.n.Load(); n != 5 {
+				t.Errorf("trial 0 sent %d events to the sink while running, want its own 5", n)
+			}
+			rest.Wait()
+			if n := sink.n.Load(); n != 5 {
+				t.Errorf("sink holds %d events once trials 1–3 ran, want trial 0's 5 (they buffer)", n)
+			}
+			if rt.BufferedBytes() == 0 {
+				t.Error("trials 1–3 ran behind the head and buffered nothing")
+			}
+			return ex
+		})
+		if n := sink.n.Load(); n != 20 {
+			t.Errorf("procs=%d: sink received %d events, want 20", procs, n)
+		}
+		if b := rt.BufferedBytes(); b != 0 {
+			t.Errorf("procs=%d: %d bytes still buffered after the sweep", procs, b)
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return tb.String(), mb.String()
+	}
+	st, sm := run(1)
+	if pt, pm := run(4); pt != st || pm != sm {
+		t.Fatalf("head-of-line run differs from serial\ntrace:\n%s\nserial:\n%s\nmetrics:\n%s\nserial:\n%s", pt, st, pm, sm)
 	}
 }
 
