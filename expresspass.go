@@ -225,9 +225,8 @@ func NewObsRuntime(cfg ObsConfig) *ObsRuntime { return obs.NewRuntime(cfg) }
 // correlated Bernoulli), duplication, corruption, bounded reordering,
 // and delay/rate jitter — composable into recurring chaos schedules.
 type (
-	// FaultInjector schedules faults onto one network's engine clock.
-	FaultInjector = faults.Injector
-	// FaultDirective is one parsed fault from a -faults spec string.
+	// FaultDirective is one fault: parsed from a -faults spec string, or
+	// built as a literal and scheduled through a FaultPlan.
 	FaultDirective = faults.Directive
 	// FaultSchedule is one recurring chaos schedule (an every{} clause).
 	FaultSchedule = faults.Schedule
@@ -238,9 +237,6 @@ type (
 	// offending clause and its byte offset (retrieve with errors.As).
 	FaultConfigError = faults.ConfigError
 )
-
-// NewFaultInjector returns a fault injector bound to net.
-func NewFaultInjector(net *Network) *FaultInjector { return faults.NewInjector(net) }
 
 // ParseFaultSpec parses a fault timeline spec such as
 //

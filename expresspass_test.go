@@ -38,12 +38,12 @@ func TestAPISurface(t *testing.T) {
 	want := []string{
 		"Bytes", "Config", "CreditClassConfig", "Dial", "Dist", "Duration", "Engine",
 		"EventTypeByName", "Experiment", "ExperimentParams", "ExperimentScaleError",
-		"Experiments", "FaultConfigError", "FaultDirective", "FaultInjector", "FaultPlan",
+		"Experiments", "FaultConfigError", "FaultDirective", "FaultPlan",
 		"FaultSchedule", "Feedback", "Flow", "GB", "Gbps", "HardwareNIC", "Host",
 		"HostDelayConfig", "InvariantOptions", "InvariantSet", "InvariantStats",
 		"InvariantViolation", "JainIndex", "KB", "Kbps", "Link", "MB", "Mbps", "Metrics",
 		"Microsecond", "Millisecond", "Nanosecond", "Network", "NewCSVTraceSink", "NewDist",
-		"NewEngine", "NewFaultInjector", "NewFlow", "NewInvariantSet", "NewJSONLTraceSink",
+		"NewEngine", "NewFlow", "NewInvariantSet", "NewJSONLTraceSink",
 		"NewMetrics", "NewNetwork", "NewObsRuntime", "NewRingSink", "NewRotatingTraceWriter",
 		"NewSeries", "NewTracer", "Node", "ObsConfig", "ObsResources", "ObsRuntime",
 		"ParseFaultSpec", "Port", "PortConfig", "PortStats", "Rate", "RateProbe",

@@ -44,8 +44,10 @@ func TestCreditStopShortfallRecovery(t *testing.T) {
 	// window placed over the tail of the ~105 µs transfer. The credits
 	// keep flowing (credit rate 0), so the sender spends them on data
 	// that then dies in flight — a guaranteed shortfall at CREDIT_STOP.
-	inj := faults.NewInjector(d.Net)
-	inj.Loss(d.Bottleneck, 0, 1.0, 80*sim.Microsecond, 40*sim.Microsecond)
+	loss := faults.Directive{Kind: "loss", Class: "data", Rate: 1, At: 80 * sim.Microsecond, Dur: 40 * sim.Microsecond}
+	if err := (faults.Plan{Directives: []faults.Directive{loss}}).Apply(d.Net, d.Bottleneck); err != nil {
+		t.Fatal(err)
+	}
 
 	eng.Run()
 
@@ -94,8 +96,10 @@ func TestCreditStopLostStopResend(t *testing.T) {
 	// Ctrl packets ride the data class, so a total data-class loss
 	// window timed after the last data leaves the sender swallows the
 	// CREDIT_STOP (and any NACK) without touching the flow's payload.
-	inj := faults.NewInjector(d.Net)
-	inj.Loss(d.Bottleneck, 0, 1.0, 108*sim.Microsecond, 60*sim.Microsecond)
+	loss := faults.Directive{Kind: "loss", Class: "data", Rate: 1, At: 108 * sim.Microsecond, Dur: 60 * sim.Microsecond}
+	if err := (faults.Plan{Directives: []faults.Directive{loss}}).Apply(d.Net, d.Bottleneck); err != nil {
+		t.Fatal(err)
+	}
 
 	eng.Run()
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"expresspass/internal/core"
+	"expresspass/internal/faults"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -250,7 +251,10 @@ func TestNackRecoversLostData(t *testing.T) {
 	sess := core.Dial(f, core.Config{BaseRTT: 50 * sim.Microsecond})
 	// Destroy 5% of data-class packets on the bottleneck for the whole
 	// transfer window (seeded: deterministic for the engine seed).
-	d.Bottleneck.SetFaultLoss(0, 0.05, eng.Rand().Fork())
+	loss := faults.Directive{Kind: "loss", Class: "data", Rate: 0.05, Dur: 100 * sim.Millisecond}
+	if err := (faults.Plan{Directives: []faults.Directive{loss}}).Apply(d.Net, d.Bottleneck); err != nil {
+		t.Fatal(err)
+	}
 	eng.RunUntil(100 * sim.Millisecond)
 	if !f.Finished {
 		t.Fatalf("flow did not recover from data loss: %v of %v delivered",

@@ -44,21 +44,17 @@ func chaosDumbbell(eng *sim.Engine, pr Proto, n int, size unit.Bytes,
 	return d, flows
 }
 
-// applyChaos installs the spec (or the run's -faults override) onto the
-// trial's network. A built-in spec that does not parse is a bug; a plan
-// naming a port or host the network lacks is the caller's error.
+// applyChaos is applyFaults with the built-in timeline given as a spec
+// string; a built-in spec that does not parse is a bug.
 func applyChaos(d *topology.Dumbbell, plan faults.Plan, spec string) error {
-	if plan.Empty() {
-		if spec == "" {
-			return nil
-		}
+	var builtin faults.Plan
+	if plan.Empty() && spec != "" {
 		var err error
-		plan, err = faults.ParseSpec(spec)
-		if err != nil {
+		if builtin, err = faults.ParseSpec(spec); err != nil {
 			panic(err)
 		}
 	}
-	return plan.Apply(d.Net, d.Bottleneck)
+	return applyFaults(d, plan, builtin)
 }
 
 // usec renders a duration as integer microseconds for spec strings.

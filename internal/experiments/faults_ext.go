@@ -11,7 +11,7 @@ import (
 	"expresspass/internal/unit"
 )
 
-// The ext-faults-* experiments drive the internal/faults injector over
+// The ext-faults-* experiments drive internal/faults plans over
 // the paper's robustness claims: the credit feedback loop rides out hard
 // link flaps (goodput recovers to the pre-fault level once routes
 // reconverge), credit loss is self-healing (§3.1 — a destroyed credit
@@ -22,6 +22,17 @@ import (
 // built-in timeline.
 
 const faultRTT = 50 * sim.Microsecond
+
+// applyFaults schedules the run's -faults plan onto the trial's
+// dumbbell or, when the run gave none, the experiment's built-in
+// timeline. A plan naming a port or host the network lacks is the
+// caller's error.
+func applyFaults(d *topology.Dumbbell, run, builtin faults.Plan) error {
+	if run.Empty() {
+		run = builtin
+	}
+	return run.Apply(d.Net, d.Bottleneck)
+}
 
 // faultDumbbell builds the shared scenario: an n-pair 10G dumbbell with
 // one long-running dialed flow per pair.
@@ -125,12 +136,9 @@ func runExtFaultsFlap(p Params) (Result, error) {
 		d, flows, sessions := faultDumbbell(eng, 4)
 		registerFaultMetrics(d.Net, sessions)
 		faultAt := warm + sim.Time(preD)
-		if plan := p.Faults; !plan.Empty() {
-			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				return nil, err
-			}
-		} else {
-			faults.NewInjector(d.Net).FlapLink(d.Bottleneck, faultAt, flapD)
+		flap := []faults.Directive{{Kind: "flap", At: faultAt, Dur: flapD}}
+		if err := applyFaults(d, p.Faults, faults.Plan{Directives: flap}); err != nil {
+			return nil, err
 		}
 
 		eng.RunUntil(warm)
@@ -207,20 +215,19 @@ func runExtFaultsLoss(p Params) (Result, error) {
 			flows = append(flows, f)
 		}
 		registerFaultMetrics(d.Net, sessions)
-		if plan := p.Faults; !plan.Empty() {
-			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				return nil, err
-			}
-		} else {
-			in := faults.NewInjector(d.Net)
-			if arm.credit > 0 {
-				// Credits traverse the reverse path: lose them on the
-				// reverse bottleneck's egress.
-				in.Loss(d.Reverse, arm.credit, 0, 0, deadline)
-			}
-			if arm.data > 0 {
-				in.Loss(d.Bottleneck, 0, arm.data, 0, deadline)
-			}
+		var builtin []faults.Directive
+		if arm.credit > 0 {
+			// Credits traverse the reverse path: lose them on the
+			// reverse bottleneck's egress.
+			builtin = append(builtin, faults.Directive{Kind: "loss", Class: "credit",
+				Rate: arm.credit, Target: d.Reverse.Name(), Dur: deadline})
+		}
+		if arm.data > 0 {
+			builtin = append(builtin, faults.Directive{Kind: "loss", Class: "data",
+				Rate: arm.data, Dur: deadline})
+		}
+		if err := applyFaults(d, p.Faults, faults.Plan{Directives: builtin}); err != nil {
+			return nil, err
 		}
 		eng.RunUntil(sim.Time(deadline))
 		done, fct := completion(flows)
@@ -263,12 +270,9 @@ func runExtFaultsStall(p Params) (Result, error) {
 		d, flows, sessions := faultDumbbell(eng, 2)
 		registerFaultMetrics(d.Net, sessions)
 		faultAt := warm + sim.Time(preD)
-		if plan := p.Faults; !plan.Empty() {
-			if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
-				return nil, err
-			}
-		} else {
-			faults.NewInjector(d.Net).StallHost(d.Senders[0], faultAt, stallD)
+		stall := []faults.Directive{{Kind: "stall", Target: d.Senders[0].Name(), At: faultAt, Dur: stallD}}
+		if err := applyFaults(d, p.Faults, faults.Plan{Directives: stall}); err != nil {
+			return nil, err
 		}
 
 		eng.RunUntil(warm)

@@ -30,6 +30,14 @@ func dumbbellFlows(eng *sim.Engine, n int) (*topology.Dumbbell, []*transport.Flo
 	return d, flows
 }
 
+// schedule applies the directives to d's network as one plan.
+func schedule(t *testing.T, d *topology.Dumbbell, ds ...Directive) {
+	t.Helper()
+	if err := (Plan{Directives: ds}).Apply(d.Net, d.Bottleneck); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // goodput sums the delivered-byte deltas across flows over one window.
 func goodput(flows []*transport.Flow) unit.Bytes {
 	var b unit.Bytes
@@ -54,7 +62,7 @@ func TestFlapRecovery(t *testing.T) {
 		faultD  = 5 * sim.Millisecond
 		window  = sim.Millisecond
 	)
-	NewInjector(d.Net).FlapLink(d.Bottleneck, faultAt, faultD)
+	schedule(t, d, Directive{Kind: "flap", At: faultAt, Dur: faultD})
 
 	// Warm up past slow start, then measure windowed goodput.
 	eng.RunUntil(10 * sim.Millisecond)
@@ -134,9 +142,9 @@ func TestFlapPoolBalance(t *testing.T) {
 		f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 2*unit.MB, 0)
 		sessions = append(sessions, core.Dial(f, core.Config{BaseRTT: rtt}))
 	}
-	in := NewInjector(d.Net)
-	in.FlapLink(d.Bottleneck, 2*sim.Millisecond, 1*sim.Millisecond)
-	in.FlapLink(d.Senders[0].NIC(), 6*sim.Millisecond, 500*sim.Microsecond)
+	schedule(t, d,
+		Directive{Kind: "flap", At: 2 * sim.Millisecond, Dur: 1 * sim.Millisecond},
+		Directive{Kind: "flap", Target: d.Senders[0].NIC().Name(), At: 6 * sim.Millisecond, Dur: 500 * sim.Microsecond})
 	eng.RunUntil(60 * sim.Millisecond)
 	for _, s := range sessions {
 		if !s.Flow.Finished {
@@ -168,7 +176,8 @@ func TestCreditLossProportional(t *testing.T) {
 		core.Dial(f, core.Config{BaseRTT: rtt, Naive: naive})
 		flows := []*transport.Flow{f}
 		if rate > 0 {
-			NewInjector(d.Net).Loss(d.Bottleneck.Peer(), rate, 0, 10*sim.Millisecond, 40*sim.Millisecond)
+			schedule(t, d, Directive{Kind: "loss", Class: "credit", Rate: rate,
+				Target: d.Bottleneck.Peer().Name(), At: 10 * sim.Millisecond, Dur: 40 * sim.Millisecond})
 		}
 		eng.RunUntil(10 * sim.Millisecond)
 		goodput(flows)
@@ -226,7 +235,7 @@ func TestDataLossTriggersRetry(t *testing.T) {
 	}
 	// 2% data loss across the whole transfer: some credited packets die,
 	// so the sender's first CREDIT_STOP arrives with the flow short.
-	NewInjector(d.Net).Loss(d.Bottleneck, 0, 0.02, 0, sim.Time(sim.Second))
+	schedule(t, d, Directive{Kind: "loss", Class: "data", Rate: 0.02, Dur: sim.Second})
 	eng.RunUntil(200 * sim.Millisecond)
 	wantPkts := uint64(size / unit.MTUPayload)
 	for i, s := range sessions {
@@ -251,7 +260,7 @@ func TestDataLossTriggersRetry(t *testing.T) {
 func TestStallDefersWithoutLoss(t *testing.T) {
 	eng := sim.New(5)
 	d, flows := dumbbellFlows(eng, 1)
-	NewInjector(d.Net).StallHost(d.Senders[0], 20*sim.Millisecond, 4*sim.Millisecond)
+	schedule(t, d, Directive{Kind: "stall", Target: d.Senders[0].Name(), At: 20 * sim.Millisecond, Dur: 4 * sim.Millisecond})
 	eng.RunUntil(10 * sim.Millisecond)
 	goodput(flows)
 	var pre, post unit.Bytes
@@ -290,10 +299,11 @@ func TestFaultTimelineDeterministic(t *testing.T) {
 	run := func() (delivered unit.Bytes, drops, events uint64) {
 		eng := sim.New(21)
 		d, flows := dumbbellFlows(eng, 2)
-		in := NewInjector(d.Net)
-		in.FlapLink(d.Bottleneck, 5*sim.Millisecond, 2*sim.Millisecond)
-		in.Loss(d.Bottleneck.Peer(), 0.05, 0.01, 10*sim.Millisecond, 10*sim.Millisecond)
-		in.StallHost(d.Senders[1], 22*sim.Millisecond, 3*sim.Millisecond)
+		schedule(t, d,
+			Directive{Kind: "flap", At: 5 * sim.Millisecond, Dur: 2 * sim.Millisecond},
+			Directive{Kind: "loss", Class: "both", Rate: 0.05, Target: d.Bottleneck.Peer().Name(),
+				At: 10 * sim.Millisecond, Dur: 10 * sim.Millisecond},
+			Directive{Kind: "stall", Target: d.Senders[1].Name(), At: 22 * sim.Millisecond, Dur: 3 * sim.Millisecond})
 		eng.RunUntil(40 * sim.Millisecond)
 		for _, f := range flows {
 			delivered += f.BytesDelivered

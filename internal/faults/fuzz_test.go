@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+
+	"expresspass/internal/sim"
 )
 
 // FuzzParseFaultSpec feeds arbitrary strings to the -faults grammar:
@@ -17,8 +19,13 @@ import (
 // already pins, valid and invalid, and with two that once pointed
 // elsewhere: a bare inner clause reported at an earlier inner clause it
 // prefixes, and an unterminated brace reported at the whitespace before
-// its clause. Runs its seed corpus as a plain test in tier-1; `make
-// fuzz-smoke` mutates it for a few seconds.
+// its clause. An accepted plan is one Apply can expand: every window,
+// one-shot or inside an every{} clause at its latest occurrence, starts
+// at or after 0 and ends after it starts without leaving sim.Time, and
+// no every{} clause replays more than maxOccurrences times (seeded with
+// a start that once wrapped to a negative time and an every:10ns clause
+// that once expanded a million occurrences). Runs its seed corpus as a
+// plain test in tier-1; `make fuzz-smoke` mutates it for a few seconds.
 func FuzzParseFaultSpec(f *testing.F) {
 	for _, s := range []string{
 		"flap@10ms+2ms; loss:credit:0.05@20ms+5ms; loss:both:0.01:swL->swR@1s+100us; stall:s0@30ms+1ms",
@@ -29,6 +36,8 @@ func FuzzParseFaultSpec(f *testing.F) {
 		"flap@1ms+1ms; every:10ms{ loss:credit:0.1@0ms+1ms; stall@2ms+1ms }@5ms+50ms; dup:data:0.01@2ms+2ms",
 		"every:20ms{ flap@0ms+1ms; flap }@0ms+40ms",
 		"flap@1ms+1ms;   every:10ms{ flap@0ms+1ms",
+		"flap@10000000s+1ms",
+		"every:10ns{ stall@0ns+1ns }@0ms+10ms",
 	} {
 		f.Add(s)
 	}
@@ -40,6 +49,25 @@ func FuzzParseFaultSpec(f *testing.F) {
 		if err == nil {
 			if len(plan.Directives)+len(plan.Schedules) == 0 {
 				t.Fatalf("ParseSpec(%q) accepted the spec but returned an empty plan", spec)
+			}
+			for _, d := range plan.Directives {
+				onClock(t, spec, d.At, d.Dur)
+			}
+			for _, sc := range plan.Schedules {
+				onClock(t, spec, sc.At, sc.Dur)
+				if n := sc.occurrences(); n > maxOccurrences {
+					t.Fatalf("ParseSpec(%q) accepted an every{} clause of %d occurrences", spec, n)
+				}
+				for _, d := range sc.Inner {
+					onClock(t, spec, d.At, d.Dur)
+					dur := d.Dur
+					if sc.Duty > 0 {
+						dur = sim.Duration(float64(sc.Period) * sc.Duty)
+					}
+					// The last occurrence starts before At+Dur, up to
+					// Jitter late.
+					onClock(t, spec, sc.At, sc.Dur, sc.Jitter, d.At, dur)
+				}
 			}
 			return
 		}
@@ -65,4 +93,23 @@ func FuzzParseFaultSpec(f *testing.F) {
 			t.Fatalf("ParseSpec(%q) returned both a plan and an error", spec)
 		}
 	})
+}
+
+// onClock fails unless the window at+spans… starts at or after 0, ends
+// after it starts, and no partial sum wraps past the end of sim.Time.
+func onClock(t *testing.T, spec string, at sim.Time, spans ...sim.Duration) {
+	t.Helper()
+	if at < 0 {
+		t.Fatalf("ParseSpec(%q) accepted a window starting at %v", spec, at)
+	}
+	end := at
+	for _, d := range spans {
+		if d < 0 || end+d < end {
+			t.Fatalf("ParseSpec(%q) accepted a window from %v that runs off the clock (%v more)", spec, at, d)
+		}
+		end += d
+	}
+	if end <= at {
+		t.Fatalf("ParseSpec(%q) accepted a window from %v that does not end after it starts", spec, at)
+	}
 }

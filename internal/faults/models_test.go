@@ -182,6 +182,19 @@ func TestCorrelatedBernoulli(t *testing.T) {
 			q := cs.p + cs.c*(1-cs.p)
 			relClose(t, "correlated burst mean",
 				float64(sum)/float64(len(bs)), 1/(1-q), 0.10)
+			if cs.c != 0 {
+				continue
+			}
+			// At c = 0 the chain is plain Bernoulli draw for draw: one
+			// Float64 per packet, compared with p. A loss window without
+			// corr= rests on this to drop exactly the packets a bare
+			// Bernoulli stream with the same seed would.
+			m, twin := NewCorrelatedBernoulli(cs.p, 0, sim.NewRand(seed)), sim.NewRand(seed)
+			for i := 0; i < n; i++ {
+				if got, want := m.Drop(), twin.Float64() < cs.p; got != want {
+					t.Fatalf("seed %d packet %d: Drop() = %v, Bernoulli(%g) draw says %v", seed, i, got, cs.p, want)
+				}
+			}
 		}
 	}
 }

@@ -40,14 +40,11 @@ type Directive struct {
 	// (loss/gemodel/state/dup/corrupt): credit|data|both.
 	Class string
 
-	// Loss rates (Kind == "loss"): the legacy per-class split.
-	CreditRate float64
-	DataRate   float64
-
-	// Rate is the generic probability parameter: loss rate (loss with
-	// corr, dup, corrupt) or the per-packet reorder probability.
+	// Rate is the generic probability parameter: the loss, dup or
+	// corrupt rate of the governed class, or the per-packet reorder
+	// probability.
 	Rate float64
-	// Corr is the correlation of a correlated-Bernoulli loss window.
+	// Corr is the correlation of a loss window (0: independent loss).
 	Corr float64
 
 	// Gilbert-Elliott parameters (Kind == "gemodel").
@@ -240,7 +237,23 @@ func parseTiming(spec string, cl clause, timing string) (at sim.Time, dur sim.Du
 	if dur <= 0 {
 		return 0, 0, cl.errorf(spec, "duration must be positive")
 	}
+	if !fits(atd, dur) {
+		return 0, 0, cl.errorf(spec, "window end %s+%s is past the simulated clock's range", start, durStr)
+	}
 	return sim.Time(atd), dur, nil
+}
+
+// fits reports whether the sum of the non-negative spans ts is a
+// representable sim.Time.
+func fits(ts ...sim.Duration) bool {
+	var sum sim.Duration
+	for _, t := range ts {
+		if t > sim.Forever-sum {
+			return false
+		}
+		sum += t
+	}
+	return true
 }
 
 func parseDirective(spec string, cl clause) (Directive, error) {
@@ -311,12 +324,6 @@ func parseDirective(spec string, cl clause) (Directive, error) {
 		}
 		if d.Rate, err = prob(args[1], "loss rate"); err != nil {
 			return d, err
-		}
-		if d.Class != "data" {
-			d.CreditRate = d.Rate
-		}
-		if d.Class != "credit" {
-			d.DataRate = d.Rate
 		}
 		if err := tail(args[2:], map[string]func(string) error{
 			"corr": func(v string) (e error) { d.Corr, e = prob(v, "corr"); return },
@@ -512,10 +519,33 @@ func parseSchedule(spec string, cl clause) (Schedule, error) {
 	if len(sc.Inner) == 0 {
 		return sc, cl.errorf(spec, "every{} body is empty")
 	}
+	if n := sc.occurrences(); n > maxOccurrences {
+		return sc, cl.errorf(spec, "every expands to %d occurrences, more than %d", n, maxOccurrences)
+	}
+	// An occurrence starts before At+Dur, late by up to Jitter, and its
+	// inner windows run from there; all of it must stay on the clock.
+	for _, d := range sc.Inner {
+		dur := d.Dur
+		if sc.Duty > 0 {
+			dur = sim.Duration(float64(sc.Period) * sc.Duty)
+		}
+		if !fits(sc.At, sc.Dur, sc.Jitter, d.At, dur) {
+			return sc, cl.errorf(spec, "every's last occurrence ends past the simulated clock's range")
+		}
+	}
 	return sc, nil
 }
 
-// parseDur parses "<number><unit>" with unit ns|us|µs|ms|s.
+// maxOccurrences caps how many times one every{} clause may replay its
+// body. Apply expands every occurrence into engine events up front, so
+// an unbounded clause (every:1ns over a second) would exhaust memory
+// before the run starts; the built-in storms use 4 occurrences and the
+// scenario fuzzer at most 4, so the cap leaves four orders of magnitude
+// of headroom.
+const maxOccurrences = 65536
+
+// parseDur parses "<number><unit>" with unit ns|us|µs|ms|s into a
+// non-negative span that fits in sim.Time.
 func parseDur(s string) (sim.Duration, error) {
 	s = strings.TrimSpace(s)
 	units := []struct {
@@ -534,7 +564,13 @@ func parseDur(s string) (sim.Duration, error) {
 			if err != nil || f < 0 {
 				return 0, fmt.Errorf("bad number %q", num)
 			}
-			return sim.Duration(f * float64(u.mul)), nil
+			// The float comparison also refuses NaN and +Inf; a
+			// float-to-int conversion past the range would wrap.
+			v := f * float64(u.mul)
+			if !(v < float64(sim.Forever)) {
+				return 0, fmt.Errorf("time %q is past the simulated clock's range", s)
+			}
+			return sim.Duration(v), nil
 		}
 	}
 	return 0, fmt.Errorf("time %q needs a unit (ns|us|ms|s)", s)
@@ -548,27 +584,26 @@ func parseDur(s string) (sim.Duration, error) {
 // are fixed at Apply, so the expansion — like everything downstream of
 // it — is a pure function of the run seed.
 func (pl Plan) Apply(net *netem.Network, bottleneck *netem.Port) error {
-	in := NewInjector(net)
 	for _, d := range pl.Directives {
-		if err := applyDirective(in, net, bottleneck, d, d.At, d.Dur, d.Target); err != nil {
+		if err := applyDirective(net, bottleneck, d, d.At, d.Dur, d.Target); err != nil {
 			return err
 		}
 	}
 	for _, sc := range pl.Schedules {
-		if err := sc.apply(in, net, bottleneck); err != nil {
+		if err := sc.apply(net, bottleneck); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (sc Schedule) apply(in *Injector, net *netem.Network, bottleneck *netem.Port) error {
+func (sc Schedule) apply(net *netem.Network, bottleneck *netem.Port) error {
 	var rng *sim.Rand
 	if sc.Jitter > 0 {
-		rng = in.eng.Rand().Fork()
+		rng = net.Eng.Rand().Fork()
 	}
 	end := sc.At + sim.Time(sc.Dur)
-	for i := 0; sc.Count == 0 || i < sc.Count; i++ {
+	for i, n := 0, sc.occurrences(); i < n; i++ {
 		occ := sc.At + sim.Time(i)*sim.Time(sc.Period)
 		if rng != nil {
 			occ += sim.Time(rng.Range(0, sc.Jitter))
@@ -595,7 +630,7 @@ func (sc Schedule) apply(in *Injector, net *netem.Network, bottleneck *netem.Por
 					}
 				}
 			}
-			if err := applyDirective(in, net, bottleneck, d, occ+sim.Time(d.At), dur, target); err != nil {
+			if err := applyDirective(net, bottleneck, d, occ+sim.Time(d.At), dur, target); err != nil {
 				return err
 			}
 		}
@@ -603,54 +638,17 @@ func (sc Schedule) apply(in *Injector, net *netem.Network, bottleneck *netem.Por
 	return nil
 }
 
-// applyDirective schedules one directive at an explicit time/duration/
-// target (chaos-schedule expansion overrides all three).
-func applyDirective(in *Injector, net *netem.Network, bottleneck *netem.Port,
-	d Directive, at sim.Time, dur sim.Duration, target string) error {
-	if d.Kind == "stall" {
-		h := hostByName(net, target)
-		if h == nil {
-			return fmt.Errorf("faults: no host matches %q", target)
-		}
-		in.StallHost(h, at, dur)
-		return nil
+// occurrences is how many times the schedule's body may start: Count,
+// capped by the periods that begin inside its window.
+func (sc Schedule) occurrences() int {
+	n := sc.Dur / sc.Period
+	if sc.Dur%sc.Period != 0 {
+		n++
 	}
-	p := bottleneck
-	if target != "" && target != "bottleneck" {
-		p = portByName(net, target)
+	if sc.Count > 0 && sim.Duration(sc.Count) < n {
+		return sc.Count
 	}
-	if p == nil {
-		return fmt.Errorf("faults: no port matches %q", target)
-	}
-	switch d.Kind {
-	case "flap":
-		in.FlapLink(p, at, dur)
-	case "loss":
-		if d.Corr > 0 {
-			in.CorrelatedLoss(p, d.Class, d.Rate, d.Corr, at, dur)
-		} else {
-			in.Loss(p, d.CreditRate, d.DataRate, at, dur)
-		}
-	case "gemodel":
-		in.GEModelLoss(p, d.Class, d.P, d.R, d.H, d.K, at, dur)
-	case "state":
-		in.StateLoss(p, d.Class, d.P13, d.P31, d.P23, d.P32, d.P14, at, dur)
-	case "dup":
-		in.Duplicate(p, d.Class, d.Rate, at, dur)
-	case "corrupt":
-		in.Corrupt(p, d.Class, d.Rate, at, dur)
-	case "reorder":
-		in.Reorder(p, d.Rate, d.MaxExtra, at, dur)
-	case "jitter":
-		if d.Axis == "delay" {
-			in.DelayJitter(p, d.Dist, sim.Duration(d.Mean), at, dur)
-		} else {
-			in.RateJitter(p, d.Dist, d.Mean, at, dur)
-		}
-	default:
-		return fmt.Errorf("faults: unknown fault kind %q", d.Kind)
-	}
-	return nil
+	return int(n)
 }
 
 func portByName(net *netem.Network, name string) *netem.Port {

@@ -20,9 +20,9 @@ func TestParseSpec(t *testing.T) {
 	}
 	want := []Directive{
 		{Kind: "flap", At: 10 * sim.Millisecond, Dur: 2 * sim.Millisecond},
-		{Kind: "loss", Class: "credit", Rate: 0.05, CreditRate: 0.05,
+		{Kind: "loss", Class: "credit", Rate: 0.05,
 			At: 20 * sim.Millisecond, Dur: 5 * sim.Millisecond},
-		{Kind: "loss", Class: "both", Rate: 0.01, CreditRate: 0.01, DataRate: 0.01,
+		{Kind: "loss", Class: "both", Rate: 0.01,
 			Target: "swL->swR", At: sim.Time(sim.Second), Dur: 100 * sim.Microsecond},
 		{Kind: "stall", Target: "s0", At: 30 * sim.Millisecond, Dur: sim.Millisecond},
 	}
@@ -54,7 +54,7 @@ func TestParseSpecImpairments(t *testing.T) {
 			Target: "swL->swR", At: sim.Millisecond, Dur: sim.Millisecond},
 		{Kind: "state", Class: "both", P13: 0.05, P31: 0.4, P23: 0.8, P32: 0.1, P14: 0.01,
 			At: 2 * sim.Millisecond, Dur: 2 * sim.Millisecond},
-		{Kind: "loss", Class: "data", Rate: 0.02, DataRate: 0.02, Corr: 0.5,
+		{Kind: "loss", Class: "data", Rate: 0.02, Corr: 0.5,
 			At: 3 * sim.Millisecond, Dur: 3 * sim.Millisecond},
 		{Kind: "dup", Class: "credit", Rate: 0.01,
 			At: 4 * sim.Millisecond, Dur: 4 * sim.Millisecond},
@@ -160,6 +160,13 @@ var invalidSpecs = []string{
 	"every:10ms:duty=2{ flap@0+1ms }@1+1s", // duty out of range
 	"every:10ms{ flap@0ms+1ms @1ms+10ms",   // unterminated brace
 	"every:10ms{ every:1ms{ flap@0ms+1ms }@0ms+5ms }@1ms+10ms", // nesting
+	"flap@10000000s+1ms",                      // start past the clock's range
+	"flap@5000000s+5000000s",                  // window end past the clock's range
+	"flap@1ms+infs",                           // infinite duration
+	"flap@NaNms+1ms",                          // NaN start
+	"every:1s{ flap@0s+300000s }@9000000s+1s", // last inner window past the clock
+	"every:10ns{ stall@0ns+1ns }@0ms+10ms",    // 1,000,000 occurrences
+	"every:1ns{ stall@0ns+1ns }@0ms+1s",       // 10^9 occurrences
 }
 
 func TestParseSpecErrors(t *testing.T) {

@@ -633,10 +633,10 @@ func faultKind(scope string) string {
 //   - jitter-rate: the bound assumes a fixed service rate; a stretched
 //     transmitter serves slower than the credits were metered for.
 //
-// Non-voiding faults — flap, seeded loss, the correlated loss models
-// (gemodel/state/corrloss), and corruption — only remove packets, which
-// can never grow a queue past its healthy-run bound, so every check
-// stays armed through them.
+// Non-voiding faults — flap, the loss chains (loss/gemodel/state), and
+// corruption — only remove packets, which can never grow a queue past
+// its healthy-run bound, so every check stays armed through them
+// (TestFaultKindsVoidOrStayArmed holds each kind to its column).
 func (c *Checker) onFaultStart(ev *obs.Event) {
 	switch faultKind(ev.Scope) {
 	case "dup", "reorder", "jitter-delay", "jitter-rate":

@@ -30,7 +30,7 @@ func TestDuplicatedCreditsCannotDoubleSpend(t *testing.T) {
 		flows = append(flows, f)
 	}
 	// Credits traverse the reverse path; clone almost a third of them.
-	faults.NewInjector(d.Net).Duplicate(d.Reverse, "credit", 0.3, 0, 100*sim.Millisecond)
+	apply(t, d, faults.Directive{Kind: "dup", Class: "credit", Rate: 0.3, Target: d.Reverse.Name(), Dur: 100 * sim.Millisecond})
 	eng.Run()
 
 	for i, f := range flows {
@@ -75,7 +75,7 @@ func TestDuplicatedDataCannotInflateDelivery(t *testing.T) {
 		sess = append(sess, core.Dial(f, core.Config{}))
 		flows = append(flows, f)
 	}
-	faults.NewInjector(d.Net).Duplicate(d.Bottleneck, "data", 0.3, 0, 100*sim.Millisecond)
+	apply(t, d, faults.Directive{Kind: "dup", Class: "data", Rate: 0.3, Dur: 100 * sim.Millisecond})
 	eng.Run()
 
 	for i, f := range flows {

@@ -257,11 +257,12 @@ func TestEveryPortEventCarriesItsPortNumber(t *testing.T) {
 		for i := range d.Senders {
 			core.Dial(transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 200*unit.KB, 0), core.Config{})
 		}
-		in := faults.NewInjector(d.Net)
-		in.Duplicate(d.Bottleneck, "data", 0.2, 100*sim.Microsecond, 200*sim.Microsecond)
-		in.Loss(d.Reverse, 0.1, 0, 100*sim.Microsecond, 200*sim.Microsecond)
-		in.StallHost(d.Senders[2], 150*sim.Microsecond, 50*sim.Microsecond)
-		in.FlapLink(d.Senders[3].NIC(), 400*sim.Microsecond, 50*sim.Microsecond)
+		apply(t, d,
+			faults.Directive{Kind: "dup", Class: "data", Rate: 0.2, At: 100 * sim.Microsecond, Dur: 200 * sim.Microsecond},
+			faults.Directive{Kind: "loss", Class: "credit", Rate: 0.1, Target: d.Reverse.Name(),
+				At: 100 * sim.Microsecond, Dur: 200 * sim.Microsecond},
+			faults.Directive{Kind: "stall", Target: d.Senders[2].Name(), At: 150 * sim.Microsecond, Dur: 50 * sim.Microsecond},
+			faults.Directive{Kind: "flap", Target: d.Senders[3].NIC().Name(), At: 400 * sim.Microsecond, Dur: 50 * sim.Microsecond})
 		eng.Run()
 		if ring.Total() > 1<<18 {
 			t.Fatalf("ring too small for %d events", ring.Total())
@@ -346,7 +347,10 @@ func TestStallExemptsTheStalledHostsNIC(t *testing.T) {
 		core.Dial(transport.NewFlow(st.Net, st.Hosts[i], st.Hosts[0], 100*unit.KB, 0), core.Config{})
 	}
 	stalled := st.Hosts[2]
-	faults.NewInjector(st.Net).StallHost(stalled, 100*sim.Microsecond, 100*sim.Microsecond)
+	stall := faults.Directive{Kind: "stall", Target: stalled.Name(), At: 100 * sim.Microsecond, Dur: 100 * sim.Microsecond}
+	if err := (faults.Plan{Directives: []faults.Directive{stall}}).Apply(st.Net, nil); err != nil {
+		t.Fatal(err)
+	}
 	eng.Run()
 	if !c.voided {
 		t.Fatal("stall did not void the positional findings")

@@ -19,8 +19,7 @@ type LossModel interface {
 // impairment is the optional per-port impairment block (internal/faults
 // installs it). A healthy port holds a nil pointer, so the entire cost
 // of the subsystem on the clean path is one nil check in Enqueue and one
-// in transmit — the same contract the legacy lossRng hook and the
-// disabled tracer follow. Class-split fields index by [2]: 0 = data
+// in transmit — the same contract the disabled tracer follows. Class-split fields index by [2]: 0 = data
 // class (everything that is not a credit), 1 = credit class.
 type impairment struct {
 	// loss: stateful per-class drop models, checked at admit time.
@@ -177,10 +176,6 @@ func (p *Port) SetRateJitter(sample func() float64) {
 	}
 	p.ensureImpair().rateJitter = sample
 }
-
-// ClearImpairments removes every installed impairment at once (chaos
-// schedules use it between occurrences).
-func (p *Port) ClearImpairments() { p.impair = nil }
 
 // impairAdmit runs the admit-time impairments on pkt: model loss,
 // duplication, corruption. It returns the clone to enqueue behind the

@@ -129,13 +129,6 @@ type Port struct {
 	dataPaused bool
 	wake       sim.EventID
 
-	// Seeded fault loss (internal/faults): probability of destroying an
-	// admitted packet, split by queue class. lossRng is nil when no loss
-	// window is active, so the healthy path pays one nil check.
-	lossCredit float64
-	lossData   float64
-	lossRng    *sim.Rand
-
 	faultDrops     uint64
 	faultDropBytes unit.Bytes
 
@@ -336,23 +329,13 @@ func (p *Port) ResetStats() {
 // ownership of pkt (dropped packets are recycled).
 func (p *Port) Enqueue(pkt *packet.Packet) {
 	now := p.eng.Now()
-	// Fault admit hook: a downed link destroys everything offered to it,
-	// and an active seeded-loss window destroys a per-class fraction.
-	// Both are checked before any queueing state changes so the drop
-	// accounting (and the packet pool) stays balanced.
+	// Fault admit hooks: a downed link destroys everything offered to
+	// it, and an installed loss model a per-class share (impairAdmit).
+	// Both run before any queueing state changes so the drop accounting
+	// (and the packet pool) stays balanced.
 	if p.down {
 		p.faultDrop(pkt, now)
 		return
-	}
-	if rng := p.lossRng; rng != nil {
-		rate := p.lossData
-		if pkt.IsCredit() {
-			rate = p.lossCredit
-		}
-		if rate > 0 && rng.Float64() < rate {
-			p.faultDrop(pkt, now)
-			return
-		}
 	}
 	if im := p.impair; im != nil {
 		clone, ok := p.impairAdmit(im, pkt, now)
@@ -634,20 +617,8 @@ func (p *Port) Usable() bool { return linkUp(p) }
 func (p *Port) Down() bool { return p.down }
 
 // FaultDrops returns packets destroyed at this port by injected faults
-// (downed-link admits, wire losses mid-flap, queue flushes, seeded loss).
+// (downed-link admits, wire losses mid-flap, queue flushes, loss models).
 func (p *Port) FaultDrops() uint64 { return p.faultDrops }
-
-// SetFaultLoss installs seeded stochastic loss on this egress:
-// creditRate and dataRate are per-packet destruction probabilities for
-// the credit and data classes. rng must be a deterministic stream (fork
-// the engine's). A nil rng, or both rates ≤ 0, clears the hook entirely.
-func (p *Port) SetFaultLoss(creditRate, dataRate float64, rng *sim.Rand) {
-	if rng == nil || (creditRate <= 0 && dataRate <= 0) {
-		p.lossCredit, p.lossData, p.lossRng = 0, 0, nil
-		return
-	}
-	p.lossCredit, p.lossData, p.lossRng = creditRate, dataRate, rng
-}
 
 // faultDrop destroys pkt at this port on behalf of an injected fault,
 // keeping drop accounting and the packet pool balanced.

@@ -177,6 +177,10 @@ func TestTimeString(t *testing.T) {
 		5 * Millisecond: "5ms",
 		3 * Second:      "3s",
 		Forever:         "forever",
+		-3 * Second:     "-3s",
+		// Negating the most negative Time gives it back: rendering it
+		// must not recurse.
+		-Forever - 1: "-9223372036854775808ps",
 	}
 	for in, want := range cases {
 		if got := in.String(); got != want {

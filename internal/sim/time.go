@@ -57,7 +57,7 @@ func (t Time) String() string {
 	switch {
 	case t == Forever:
 		return "forever"
-	case t < 0:
+	case t < 0 && t != -t: // -t of the most negative Time is itself
 		return fmt.Sprintf("-%v", -t)
 	case t < Nanosecond:
 		return fmt.Sprintf("%dps", int64(t))
