@@ -47,7 +47,8 @@ bench-test:
 ## XPSIM_FUZZ_SEEDS=64 XPSIM_FUZZ_BASE=1000 for a longer shifted soak;
 ## a failing seed prints its exact replay command. Then five seconds
 ## each of native fuzzing: the -faults grammar (a plan or a typed error,
-## never a panic), -trace-types, -trace-rotate's sizes, and the trace
+## never a panic), -trace-types, -trace-rotate's sizes, xpsim's whole
+## command line (every accepted value in range), and the trace
 ## encoder's number paths
 ## (every timestamp, payload and integer byte for byte what strconv
 ## prints).
@@ -56,6 +57,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParseFaultSpec$$' -fuzztime 5s ./internal/faults/
 	go test -run '^$$' -fuzz '^FuzzParseEventTypes$$' -fuzztime 5s ./cmd/xpsim/
 	go test -run '^$$' -fuzz '^FuzzParseSize$$' -fuzztime 5s ./cmd/xpsim/
+	go test -run '^$$' -fuzz '^FuzzCommandLine$$' -fuzztime 5s ./cmd/xpsim/
 	go test -run '^$$' -fuzz '^FuzzAppendMicros$$' -fuzztime 5s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzAppendValue$$' -fuzztime 5s ./internal/obs/
 	go test -run '^$$' -fuzz '^FuzzAppendUint$$' -fuzztime 5s ./internal/obs/

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"expresspass/internal/netcalc"
-	"expresspass/internal/obs"
 	"expresspass/internal/sim"
 	"expresspass/internal/unit"
 )
@@ -45,8 +44,6 @@ func main() {
 	edgeUS := flag.Float64("edge", 1, "edge propagation delay (µs)")
 	coreUS := flag.Float64("core", 5, "core propagation delay (µs)")
 	ports := flag.Int("ports", 16, "ToR host/uplink ports (each)")
-	cpuProfile := flag.String("cpuprofile", "", "write CPU profile to file")
-	memProfile := flag.String("memprofile", "", "write heap profile to file")
 	flag.Parse()
 
 	hr, err := parseRate(*host)
@@ -59,14 +56,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xpcalc:", err)
 		os.Exit(2)
 	}
-
-	// Started after the last usage exit, so none leaves a dead profile.
-	prof, err := obs.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xpcalc:", err)
-		os.Exit(1)
-	}
-	defer prof.Stop()
 
 	spec := netcalc.Spec{
 		HostRate:     hr,

@@ -60,6 +60,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -151,41 +152,66 @@ func checkFlagNeeds(fs *flag.FlagSet) error {
 	return err
 }
 
-func main() {
-	o := newFlags(flag.CommandLine)
-	flag.Parse()
+// command is a validated command line: the flags, the experiment ids
+// and what main derives from the flags before it opens any file.
+type command struct {
+	*options
+	ids         []string
+	params      expresspass.ExperimentParams
+	rotateBytes int64
+	traceTypes  []obs.EventType
+}
 
-	if err := checkFlagNeeds(flag.CommandLine); err != nil {
-		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
-		os.Exit(2)
+// parseCommandLine is xpsim's front end: argv (program name first) in, a
+// validated command or a usage error (exit 2) out, before any file is
+// opened. It says why on stderr: package flag prints its own errors with
+// the usage listing (and returns flag.ErrHelp for -h, which is no
+// error), every other rejection is one "xpsim: " line.
+func parseCommandLine(argv []string, stderr io.Writer) (c *command, err error) {
+	fs := flag.NewFlagSet(argv[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := newFlags(fs)
+	if err := fs.Parse(argv[1:]); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			fmt.Fprintf(stderr, "xpsim: %v\n", err)
+		}
+	}()
+	if err := checkFlagNeeds(fs); err != nil {
+		return nil, err
 	}
 	if err := checkValues(o); err != nil {
-		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
-		os.Exit(2)
+		return nil, err
 	}
-	rotateBytes, err := parseSize(o.traceRotate)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xpsim: -trace-rotate: %v\n", err)
-		os.Exit(2)
+	c = &command{options: o, ids: fs.Args(),
+		params: expresspass.ExperimentParams{Scale: o.scale, Seed: o.seed, Procs: o.procs}}
+	if c.rotateBytes, err = parseSize(o.traceRotate); err != nil {
+		return nil, fmt.Errorf("-trace-rotate: %w", err)
 	}
-	traceTypes, err := parseEventTypes(o.traceTypes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xpsim: -trace-types: %v\n", err)
-		os.Exit(2)
+	if c.traceTypes, err = parseEventTypes(o.traceTypes); err != nil {
+		return nil, fmt.Errorf("-trace-types: %w", err)
 	}
 	if o.shards > 1 {
-		fmt.Fprintf(os.Stderr, "xpsim: -shards %d ignored: intra-run sharding was removed (DESIGN.md \"One event queue per trial\")\n", o.shards)
+		fmt.Fprintf(stderr, "xpsim: -shards %d ignored: intra-run sharding was removed (DESIGN.md \"One event queue per trial\")\n", o.shards)
 	}
-	params := expresspass.ExperimentParams{Scale: o.scale, Seed: o.seed, Procs: o.procs}
 	if o.faultSpec != "" {
-		plan, err := expresspass.ParseFaultSpec(o.faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
-			os.Exit(2)
+		if c.params.Faults, err = expresspass.ParseFaultSpec(o.faultSpec); err != nil {
+			return nil, err
 		}
-		params.Faults = plan
 	}
+	return c, nil
+}
 
+func main() {
+	o, err := parseCommandLine(os.Args, os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
+		os.Exit(2)
+	}
 	if o.list {
 		for _, e := range expresspass.Experiments() {
 			fmt.Printf("%-8s %s\n         paper: %s\n", e.ID, e.Title, e.Paper)
@@ -209,7 +235,7 @@ func main() {
 		return
 	}
 
-	ids := flag.Args()
+	ids := o.ids
 	if o.all {
 		ids = nil
 		for _, e := range expresspass.Experiments() {
@@ -221,13 +247,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	rt, err := buildRuntime(o.tracePath, traceTypes, o.metricsPath, o.metricsIval,
-		rotateBytes, o.traceGzip, o.progress)
+	rt, err := buildRuntime(o.tracePath, o.traceTypes, o.metricsPath, o.metricsIval,
+		o.rotateBytes, o.traceGzip, o.progress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 		os.Exit(1)
 	}
-	params.Obs = rt
+	o.params.Obs = rt
 
 	var flightFile *os.File
 	if o.invariants {
@@ -241,7 +267,7 @@ func main() {
 			opt.FlightOut = flightFile
 			opt.FlightEvents = o.flightEvents
 		}
-		params.Invariants = expresspass.NewInvariantSet(opt)
+		o.params.Invariants = expresspass.NewInvariantSet(opt)
 	}
 
 	// Profiles start last: every exit above leaves no half-written
@@ -258,7 +284,7 @@ func main() {
 		if rt != nil {
 			rt.SetPhase(id)
 		}
-		if err := expresspass.RunExperiment(id, params, os.Stdout); err != nil {
+		if err := expresspass.RunExperiment(id, o.params, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
 			code = 1
 			break
@@ -266,7 +292,7 @@ func main() {
 		fmt.Printf("   (%s wall)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 
-	if set := params.Invariants; set != nil {
+	if set := o.params.Invariants; set != nil {
 		set.Finish()
 		if reportInvariants(os.Stderr, set.Stats(), set.Count(), set.Violations()) {
 			code = 1
@@ -350,11 +376,19 @@ func checkScale(s float64) error {
 	return nil
 }
 
+// maxFlightEvents bounds -flight-events. Every network an armed run
+// builds allocates its flight ring up front, 80 bytes an event (5 MiB
+// at this bound), and the checker copies that ring once more for every
+// port that holds a finding; an unbounded count asks for gigabytes
+// before the first event, or panics in make.
+const maxFlightEvents = 1 << 16
+
 // checkValues rejects every numeric flag outside its range: -scale (see
-// checkScale), a negative -procs, and a -flight-events or
-// -metrics-interval that is not positive. The library would replace each
-// of the last three with its default without a word. -procs 0 is in
-// range: it means GOMAXPROCS, as Params.Procs documents.
+// checkScale), a negative -procs, a -flight-events that is not positive
+// or above maxFlightEvents, and a -metrics-interval that is not
+// positive. The library would replace a value that is not positive with
+// its default without a word. -procs 0 is in range: it means GOMAXPROCS,
+// as Params.Procs documents.
 func checkValues(o *options) error {
 	if err := checkScale(o.scale); err != nil {
 		return err
@@ -364,6 +398,8 @@ func checkValues(o *options) error {
 		return fmt.Errorf("-procs must be >= 0, got %d", o.procs)
 	case o.flightEvents <= 0:
 		return fmt.Errorf("-flight-events must be > 0, got %d", o.flightEvents)
+	case o.flightEvents > maxFlightEvents:
+		return fmt.Errorf("-flight-events must be in (0, %d], got %d", maxFlightEvents, o.flightEvents)
 	case o.metricsIval <= 0:
 		return fmt.Errorf("-metrics-interval must be > 0, got %v", o.metricsIval)
 	}

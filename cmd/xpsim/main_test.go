@@ -176,12 +176,15 @@ func TestCheckValues(t *testing.T) {
 		{"-procs -1", "-procs must be >= 0, got -1"},
 		{"-flight-events 0", "-flight-events must be > 0, got 0"},
 		{"-flight-events -8", "-flight-events must be > 0, got -8"},
+		{"-flight-events 65537", "-flight-events must be in (0, 65536], got 65537"},
+		{"-flight-events 9223372036854775807", "-flight-events must be in (0, 65536], got 9223372036854775807"},
 		{"-metrics-interval 0s", "-metrics-interval must be > 0, got 0s"},
 		{"-metrics-interval -1ms", "-metrics-interval must be > 0, got -1ms"},
 
 		{"", ""},
 		{"-procs 0", ""},
 		{"-procs 1 -flight-events 1 -metrics-interval 1ns", ""},
+		{"-flight-events 65536", ""},
 	} {
 		_, o := parseFlags(t, strings.Fields(tc.args)...)
 		got := ""
@@ -444,9 +447,10 @@ func TestLinkSurface(t *testing.T) {
 
 // TestNoDeadProfile: a command line that is rejected after flag parsing
 // — a bad -trace-rotate size or -trace-types list (exit 2), a trace file
-// that cannot be created (exit 1), xpcalc's bad rate — must not leave a
-// profile or a trace file behind (DIR in a row's arguments is the row's
-// own directory, which must stay empty). Profiles used to start before
+// that cannot be created (exit 1) — must not leave a profile or a trace
+// file behind (DIR in a row's arguments is the row's own directory,
+// which must stay empty); xpcalc, which has no profile flags, exits 2
+// on a bad rate. Profiles used to start before
 // those checks, which then exited without stopping them: a 0-byte cpu
 // profile go tool pprof cannot read, and no heap profile at all. A bad
 // -trace-types list used to be parsed after the trace file was created.
@@ -471,9 +475,11 @@ func TestNoDeadProfile(t *testing.T) {
 		{"xpcalc", 2, "-fabric bogus"},
 	} {
 		dir := t.TempDir()
-		cpu, mem := filepath.Join(dir, "p.prof"), filepath.Join(dir, "m.prof")
-		args := append([]string{"-cpuprofile", cpu, "-memprofile", mem},
-			strings.Fields(strings.ReplaceAll(tc.args, "DIR", dir))...)
+		args := strings.Fields(strings.ReplaceAll(tc.args, "DIR", dir))
+		if tc.name == "xpsim" {
+			cpu, mem := filepath.Join(dir, "p.prof"), filepath.Join(dir, "m.prof")
+			args = append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...)
+		}
 		err := exec.Command(filepath.Join(bin, tc.name), args...).Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != tc.exit {
@@ -553,6 +559,49 @@ func FuzzParseEventTypes(f *testing.F) {
 			if !fields[ty.String()] {
 				t.Fatalf("parseEventTypes(%q) returned %v, which no field names", list, ty)
 			}
+		}
+	})
+}
+
+// FuzzCommandLine feeds arbitrary command lines (arguments separated by
+// NUL bytes) to parseCommandLine, with its messages discarded: it never
+// panics, and a command line it accepts has every numeric flag in range
+// — -scale in (0,1], -procs ≥ 0, a positive -metrics-interval and
+// -flight-events in (0, maxFlightEvents]. Runs its seeds as a plain
+// test; `make fuzz-smoke` mutates them for a few seconds.
+func FuzzCommandLine(f *testing.F) {
+	for _, args := range [][]string{
+		{},
+		{"-scale", "0.05", "-seed", "7", "fig9"},
+		{"-procs", "-1"},
+		{"-scale", "NaN"},
+		{"-invariants", "-flight", "f.txt", "-flight-events", "9223372036854775807", "fig10"},
+		{"-trace", "t.jsonl", "-trace-rotate", "8589934592g", "-trace-types", ",", "fig17"},
+		{"-metrics", "m.csv", "-metrics-interval", "-1ms"},
+		{"-faults", "every:20ms:roll{ stall@0ms+2ms }@10ms+80ms", "ext-chaos-storm"},
+		{"-shards", "2", "-h"},
+	} {
+		f.Add(strings.Join(args, "\x00"))
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		var args []string
+		if line != "" {
+			args = strings.Split(line, "\x00")
+		}
+		c, err := parseCommandLine(append([]string{"xpsim"}, args...), io.Discard)
+		switch {
+		case err != nil && c != nil:
+			t.Fatalf("%q: a command and error %v", args, err)
+		case err != nil:
+			return
+		case !(c.scale > 0 && c.scale <= 1):
+			t.Fatalf("%q: accepted -scale %v", args, c.scale)
+		case c.procs < 0:
+			t.Fatalf("%q: accepted -procs %d", args, c.procs)
+		case c.metricsIval <= 0:
+			t.Fatalf("%q: accepted -metrics-interval %v", args, c.metricsIval)
+		case c.flightEvents <= 0 || c.flightEvents > maxFlightEvents:
+			t.Fatalf("%q: accepted -flight-events %d", args, c.flightEvents)
 		}
 	})
 }

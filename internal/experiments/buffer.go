@@ -19,23 +19,23 @@ func init() {
 }
 
 func runTable1(p Params) (Result, error) {
-	rows := []struct {
+	type topo struct {
 		name         string
 		host, fabric unit.Rate
-	}{
+	}
+	topos := []topo{
 		{"32-ary fat tree (10/40G)", 10 * unit.Gbps, 40 * unit.Gbps},
 		{"32-ary fat tree (40/100G)", 40 * unit.Gbps, 100 * unit.Gbps},
 		{"3-tier Clos (10/40G)", 10 * unit.Gbps, 40 * unit.Gbps},
 		{"3-tier Clos (40/100G)", 40 * unit.Gbps, 100 * unit.Gbps},
 	}
-	cells := runner.Map(p.sweep(), len(rows), func(_ *runner.T, i int) []any {
+	rows := runner.Map(p.sweep(), topos, func(_ *runner.T, r topo) []any {
 		// The bound depends only on rates/delays/queue budgets, so the
 		// fat-tree and Clos rows coincide — as in the paper's Table 1.
-		r := rows[i]
 		b := netcalc.PaperSpec(r.host, r.fabric).Compute()
 		return []any{r.name, b.ToRDown, b.ToRUp, b.Core}
 	})
-	return Result{&Table{Header: []string{"topology", "ToR down", "ToR up", "Core"}, Rows: cells},
+	return Result{&Table{Header: []string{"topology", "ToR down", "ToR up", "Core"}, Rows: rows},
 		text("(paper: 577.3KB / 19.0KB / 131.1KB at 10/40G; 1.06MB / 37.2KB / 221.8KB at 40/100G)"),
 	}, nil
 }

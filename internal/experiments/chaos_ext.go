@@ -79,7 +79,8 @@ func runExtChaosMatrix(p Params) (Result, error) {
 	// Each arm is a spec head; the timing suffix arms it for the whole
 	// run. Credit-class arms target the reverse bottleneck (swR->swL),
 	// the path credits actually traverse.
-	arms := []struct{ name, head string }{
+	type arm struct{ name, head string }
+	arms := []arm{
 		{"clean", ""},
 		{"ge-loss-data", "gemodel:data:0.015:0.25"},
 		{"corr-loss-credit", "loss:credit:0.05:corr=0.6:swR->swL"},
@@ -91,20 +92,20 @@ func runExtChaosMatrix(p Params) (Result, error) {
 	}
 	protos := EvalProtos()
 
-	rows, err := mapErr(p, len(arms)*len(protos), func(t *runner.T, cell int) ([]any, error) {
-		arm, pr := arms[cell/len(protos)], protos[cell%len(protos)]
+	rows, err := mapErr(p, cross(arms, protos), func(t *runner.T, c pair[arm, Proto]) ([]any, error) {
+		a, pr := c.a, c.b
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, size, 50*sim.Microsecond)
 		spec := ""
-		if arm.head != "" {
-			spec = armSpec(arm.head, 0, deadline)
+		if a.head != "" {
+			spec = armSpec(a.head, 0, deadline)
 		}
 		if err := applyChaos(d, p.Faults, spec); err != nil {
 			return nil, err
 		}
 		eng.RunUntil(sim.Time(deadline))
 		done, fct := completion(flows)
-		return []any{arm.name, string(pr), text("%d/%d", done, n), fct,
+		return []any{a.name, string(pr), text("%d/%d", done, n), fct,
 			d.Net.TotalFaultDrops(), d.Net.TotalDuplicates(),
 			d.Net.TotalCorruptDrops(), d.Net.TotalReorders()}, nil
 	})
@@ -142,7 +143,8 @@ func runExtChaosStorm(p Params) (Result, error) {
 	period := stormD / 4
 	n := 4
 
-	storms := []struct{ name, spec string }{
+	type storm struct{ name, spec string }
+	storms := []storm{
 		{"flap-train", fmt.Sprintf(
 			"every:%dus:count=4{ flap@0us+%dus }@%dus+%dus",
 			usec(period), usec(period/8), usec(sim.Duration(stormAt)), usec(stormD))},
@@ -155,11 +157,11 @@ func runExtChaosStorm(p Params) (Result, error) {
 	}
 	protos := EvalProtos()
 
-	rows, err := mapErr(p, len(storms)*len(protos), func(t *runner.T, cell int) ([]any, error) {
-		storm, pr := storms[cell/len(protos)], protos[cell%len(protos)]
+	rows, err := mapErr(p, cross(storms, protos), func(t *runner.T, c pair[storm, Proto]) ([]any, error) {
+		s, pr := c.a, c.b
 		eng := t.Engine(p.Seed)
 		d, flows := chaosDumbbell(eng, pr, n, 0, 0)
-		if err := applyChaos(d, p.Faults, storm.spec); err != nil {
+		if err := applyChaos(d, p.Faults, s.spec); err != nil {
 			return nil, err
 		}
 
@@ -171,7 +173,7 @@ func runExtChaosStorm(p Params) (Result, error) {
 		dip := gbps(sumDelivered(flows), stormD)
 		eng.RunFor(postD)
 		post := gbps(sumDelivered(flows), postD)
-		return []any{storm.name, string(pr), pre, dip, post, d.Net.TotalFaultDrops()}, nil
+		return []any{s.name, string(pr), pre, dip, post, d.Net.TotalFaultDrops()}, nil
 	})
 	return Result{&Table{Header: []string{"storm", "proto", "pre Gbps", "storm Gbps", "post Gbps", "drops"}, Rows: rows}}, err
 }

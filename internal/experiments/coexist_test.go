@@ -62,12 +62,13 @@ func TestMixedFabricWorkload(t *testing.T) {
 	t.Parallel()
 	run := func() (finished int, drops uint64, events uint64) {
 		p := Params{Scale: 0.02, Seed: 7}.withDefaults()
-		res := runner.Map(p.sweep(), 1, func(t *runner.T, _ int) realisticResult {
-			return runRealistic(t, p, realisticCfg{
-				proto: ProtoExpressPass,
-				dist:  workload.WebServer(),
-				load:  0.6, linkRate: 10 * unit.Gbps,
-			})
+		rc := realisticCfg{
+			proto: ProtoExpressPass,
+			dist:  workload.WebServer(),
+			load:  0.6, linkRate: 10 * unit.Gbps,
+		}
+		res := runner.Map(p.sweep(), []realisticCfg{rc}, func(t *runner.T, rc realisticCfg) realisticResult {
+			return runRealistic(t, p, rc)
 		})[0]
 		return res.finished, res.dataDrops, 0
 	}

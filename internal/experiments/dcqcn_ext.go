@@ -26,8 +26,8 @@ func init() {
 func runExtDCQCN(p Params) (Result, error) {
 	fanouts := dedupe([]int{16, 64, p.scaleInt(256, 64)})
 	protos := []Proto{ProtoExpressPass, ProtoDCQCN}
-	rows := runner.Map(p.sweep(), len(fanouts)*len(protos), func(t *runner.T, cell int) []any {
-		fanout, proto := fanouts[cell/len(protos)], protos[cell%len(protos)]
+	rows := runner.Map(p.sweep(), cross(fanouts, protos), func(t *runner.T, c pair[int, Proto]) []any {
+		fanout, proto := c.a, c.b
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{LinkRate: 10 * unit.Gbps, DataCapacity: 2 * unit.MB}
 		proto.Features(&tcfg, 30*sim.Microsecond)

@@ -57,14 +57,14 @@ func (p Params) sweep() runner.Run {
 
 // mapErr is runner.Map over trials that can fail — a -faults plan may
 // name a port or host the trial's network lacks. Every trial runs, and
-// the first error in submission order is returned.
-func mapErr[R any](p Params, n int, fn func(t *runner.T, i int) (R, error)) ([]R, error) {
+// the first error in cell order is returned.
+func mapErr[C, R any](p Params, cells []C, fn func(t *runner.T, c C) (R, error)) ([]R, error) {
 	type result struct {
 		r   R
 		err error
 	}
-	rs := runner.Map(p.sweep(), n, func(t *runner.T, i int) result {
-		r, err := fn(t, i)
+	rs := runner.Map(p.sweep(), cells, func(t *runner.T, c C) result {
+		r, err := fn(t, c)
 		return result{r, err}
 	})
 	out := make([]R, len(rs))
@@ -75,6 +75,49 @@ func mapErr[R any](p Params, n int, fn func(t *runner.T, i int) (R, error)) ([]R
 		out[i] = x.r
 	}
 	return out, nil
+}
+
+// pair is one cell of a two-axis sweep.
+type pair[A, B any] struct {
+	a A
+	b B
+}
+
+// cross returns the cells of the sweep over as × bs in row-major order,
+// bs fastest: every (a, b) for as[0], then for as[1], and so on. It is
+// the one place a sweep's order is written down; a third axis is
+// cross(cross(as, bs), cs).
+func cross[A, B any](as []A, bs []B) []pair[A, B] {
+	cells := make([]pair[A, B], 0, len(as)*len(bs))
+	for _, a := range as {
+		for _, b := range bs {
+			cells = append(cells, pair[A, B]{a, b})
+		}
+	}
+	return cells
+}
+
+// pivot cuts the results of a sweep over cross(keys, cols) into one
+// slice per key: that key's results, in column order.
+func pivot[K, V any](keys []K, vals []V) [][]V {
+	rows := make([][]V, len(keys))
+	w := len(vals) / len(keys)
+	for i := range rows {
+		rows[i], vals = vals[:w:w], vals[w:]
+	}
+	return rows
+}
+
+// addPivot adds one row per key to tbl: the key, then its results
+// (pivot), one column each.
+func addPivot[K, V any](tbl *Table, keys []K, vals []V) {
+	for i, vs := range pivot(keys, vals) {
+		row := []any{keys[i]}
+		for _, v := range vs {
+			row = append(row, v)
+		}
+		tbl.Add(row...)
+	}
 }
 
 // ScaleError reports a Params.Scale that is not a number to scale by:

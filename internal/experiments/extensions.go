@@ -62,16 +62,16 @@ func runExtClasses(p Params) (Result, error) {
 		return gbps(fHi.TakeDeliveredDelta(), meas), gbps(fLo.TakeDeliveredDelta(), meas)
 	}
 
-	policies := []struct {
+	type policy struct {
 		name    string
 		classes []netem.CreditClassConfig
-	}{
+	}
+	policies := []policy{
 		{"single class (baseline)", nil},
 		{"strict priority 0 > 1", []netem.CreditClassConfig{{Priority: 0}, {Priority: 1}}},
 		{"weighted 3:1", []netem.CreditClassConfig{{Priority: 0, Weight: 3}, {Priority: 0, Weight: 1}}},
 	}
-	rows := runner.Map(p.sweep(), len(policies), func(t *runner.T, i int) []any {
-		c := policies[i]
+	rows := runner.Map(p.sweep(), policies, func(t *runner.T, c policy) []any {
 		hi, lo := run(t, c.classes)
 		var ratio any = "-"
 		if lo > 0.01 {
@@ -95,8 +95,7 @@ func init() {
 
 func runExtSpray(p Params) (Result, error) {
 	arms := []bool{false, true}
-	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) []any {
-		spray := arms[i]
+	rows := runner.Map(p.sweep(), arms, func(t *runner.T, spray bool) []any {
 		eng := t.Engine(p.Seed)
 		ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
 		if spray {
@@ -157,8 +156,8 @@ func init() {
 }
 
 func runExtFailover(p Params) (Result, error) {
-	// A run that builds one network is a one-trial sweep like any other.
-	res := runner.Map(p.sweep(), 1, func(t *runner.T, _ int) (lines Result) {
+	// A run that builds one network is a one-cell sweep like any other.
+	res := runner.Map(p.sweep(), []Params{p}, func(t *runner.T, p Params) (lines Result) {
 		eng := t.Engine(p.Seed)
 		ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
 		hosts := ft.Hosts
@@ -212,7 +211,16 @@ func init() {
 }
 
 func runExtStopMargin(p Params) (Result, error) {
-	run := func(t *runner.T, margin unit.Bytes, size unit.Bytes) (waste float64, fct sim.Duration, ok bool) {
+	// ~1 BDP of data at 10G / 100 µs RTT ≈ 125 KB ≈ 81 MTUs.
+	sizes := []unit.Bytes{64 * unit.KB, 256 * unit.KB, 1 * unit.MB}
+	margins := []unit.Bytes{0, 120 * unit.KB}
+	type trial struct {
+		waste float64
+		fct   sim.Duration
+		ok    bool
+	}
+	results := runner.Map(p.sweep(), cross(sizes, margins), func(t *runner.T, c pair[unit.Bytes, unit.Bytes]) trial {
+		size, margin := c.a, c.b
 		eng := t.Engine(p.Seed)
 		d := topology.NewDumbbell(eng, 2, topology.Config{
 			LinkRate: 10 * unit.Gbps, LinkDelay: 16 * sim.Microsecond,
@@ -223,26 +231,13 @@ func runExtStopMargin(p Params) (Result, error) {
 		})
 		eng.RunUntil(200 * sim.Millisecond)
 		if !f.Finished {
-			return 0, 0, false
+			return trial{}
 		}
-		return float64(sess.CreditsWasted()), f.FCT(), true
-	}
-	// ~1 BDP of data at 10G / 100 µs RTT ≈ 125 KB ≈ 81 MTUs.
-	sizes := []unit.Bytes{64 * unit.KB, 256 * unit.KB, 1 * unit.MB}
-	margins := []unit.Bytes{0, 120 * unit.KB}
-	type trial struct {
-		waste float64
-		fct   sim.Duration
-		ok    bool
-	}
-	results := runner.Map(p.sweep(), len(sizes)*len(margins), func(t *runner.T, cell int) trial {
-		size, margin := sizes[cell/len(margins)], margins[cell%len(margins)]
-		waste, fct, ok := run(t, margin, size)
-		return trial{waste, fct, ok}
+		return trial{float64(sess.CreditsWasted()), f.FCT(), true}
 	})
 	tbl := NewTable("flow size", "waste (no margin)", "waste (margin=BDP)", "FCT delta")
-	for si, size := range sizes {
-		t0, t1 := results[si*len(margins)], results[si*len(margins)+1]
+	for i, r := range pivot(sizes, results) {
+		size, t0, t1 := sizes[i], r[0], r[1]
 		if !t0.ok || !t1.ok {
 			tbl.Add(size, "did not finish", "-", "-")
 			continue

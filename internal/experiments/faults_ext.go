@@ -130,8 +130,7 @@ func runExtFaultsFlap(p Params) (Result, error) {
 	postD := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
 	const win = 250 * sim.Microsecond
 
-	rows, err := mapErr(p, len(flaps), func(t *runner.T, i int) ([]any, error) {
-		flapD := flaps[i]
+	rows, err := mapErr(p, flaps, func(t *runner.T, flapD sim.Duration) ([]any, error) {
 		eng := t.Engine(p.Seed)
 		d, flows, sessions := faultDumbbell(eng, 4)
 		registerFaultMetrics(d.Net, sessions)
@@ -186,10 +185,11 @@ func init() {
 }
 
 func runExtFaultsLoss(p Params) (Result, error) {
-	arms := []struct {
+	type arm struct {
 		name         string
 		credit, data float64
-	}{
+	}
+	arms := []arm{
 		{"baseline", 0, 0},
 		{"credit-5%", 0.05, 0},
 		{"credit-20%", 0.20, 0},
@@ -200,8 +200,7 @@ func runExtFaultsLoss(p Params) (Result, error) {
 	size := 256 * unit.KB
 	deadline := p.scaleDur(300*sim.Millisecond, 60*sim.Millisecond)
 
-	rows, err := mapErr(p, len(arms), func(t *runner.T, i int) ([]any, error) {
-		arm := arms[i]
+	rows, err := mapErr(p, arms, func(t *runner.T, a arm) ([]any, error) {
 		eng := t.Engine(p.Seed)
 		d := topology.NewDumbbell(eng, n, topology.Config{
 			LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond,
@@ -216,15 +215,15 @@ func runExtFaultsLoss(p Params) (Result, error) {
 		}
 		registerFaultMetrics(d.Net, sessions)
 		var builtin []faults.Directive
-		if arm.credit > 0 {
+		if a.credit > 0 {
 			// Credits traverse the reverse path: lose them on the
 			// reverse bottleneck's egress.
 			builtin = append(builtin, faults.Directive{Kind: "loss", Class: "credit",
-				Rate: arm.credit, Target: d.Reverse.Name(), Dur: deadline})
+				Rate: a.credit, Target: d.Reverse.Name(), Dur: deadline})
 		}
-		if arm.data > 0 {
+		if a.data > 0 {
 			builtin = append(builtin, faults.Directive{Kind: "loss", Class: "data",
-				Rate: arm.data, Dur: deadline})
+				Rate: a.data, Dur: deadline})
 		}
 		if err := applyFaults(d, p.Faults, faults.Plan{Directives: builtin}); err != nil {
 			return nil, err
@@ -242,7 +241,7 @@ func runExtFaultsLoss(p Params) (Result, error) {
 		if sent > minPkts {
 			retx = sent - minPkts
 		}
-		return []any{arm.name, text("%d/%d", done, n), fct, retx, d.Net.TotalFaultDrops()}, nil
+		return []any{a.name, text("%d/%d", done, n), fct, retx, d.Net.TotalFaultDrops()}, nil
 	})
 	return Result{&Table{Header: []string{"loss", "completed", "mean FCT", "retx pkts", "fault drops"}, Rows: rows}}, err
 }
@@ -264,8 +263,7 @@ func runExtFaultsStall(p Params) (Result, error) {
 	preD := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
 	postD := p.scaleDur(10*sim.Millisecond, 4*sim.Millisecond)
 
-	rows, err := mapErr(p, len(stalls), func(t *runner.T, i int) ([]any, error) {
-		stallD := stalls[i]
+	rows, err := mapErr(p, stalls, func(t *runner.T, stallD sim.Duration) ([]any, error) {
 		eng := t.Engine(p.Seed)
 		d, flows, sessions := faultDumbbell(eng, 2)
 		registerFaultMetrics(d.Net, sessions)

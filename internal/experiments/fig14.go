@@ -30,8 +30,8 @@ func runFig14(p Params) (Result, error) {
 	// injects raw credit packets — so the lifecycle manager the FCT
 	// experiments use does not apply here.
 	parts := []func(t *runner.T, p Params) Result{runFig14a, runFig14b}
-	secs := runner.Map(p.sweep(), len(parts), func(t *runner.T, i int) Result {
-		return parts[i](t, p)
+	secs := runner.Map(p.sweep(), parts, func(t *runner.T, part func(*runner.T, Params) Result) Result {
+		return part(t, p)
 	})
 	return slices.Concat(secs...), nil
 }

@@ -29,8 +29,8 @@ import (
 func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 	t.Parallel()
 	p := Params{Obs: obs.NewRuntime(obs.Config{MetricsOut: io.Discard})}
-	runner.Map(p.sweep(), 1, func(tr *runner.T, _ int) struct{} {
-		eng := tr.Engine(42)
+	runner.Map(p.sweep(), []uint64{42}, func(tr *runner.T, seed uint64) struct{} {
+		eng := tr.Engine(seed)
 		st := topology.NewStar(eng, 8, topology.Config{LinkRate: 10 * unit.Gbps})
 		rtt := 30 * sim.Microsecond
 		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
@@ -123,8 +123,8 @@ func TestLifecycleRSSGate(t *testing.T) {
 		linkRate: 10 * unit.Gbps,
 	}
 	start := time.Now()
-	res := runner.Map(p.sweep(), 1, func(rt *runner.T, _ int) realisticResult {
-		// One cell of fig18's shape, not the whole experiment.
+	// One cell of fig18's shape, not the whole experiment.
+	res := runner.Map(p.sweep(), []realisticCfg{rc}, func(rt *runner.T, rc realisticCfg) realisticResult {
 		return runRealistic(rt, p, rc)
 	})[0]
 	r := obs.ReadResources()

@@ -136,8 +136,7 @@ func runFig2(p Params) (Result, error) {
 		{ProtoCubic, false, 500 * sim.Microsecond, p.scaleDur(250*sim.Millisecond, 150*sim.Millisecond), 4},
 		{ProtoDCTCP, false, 500 * sim.Microsecond, p.scaleDur(300*sim.Millisecond, 80*sim.Millisecond), 4},
 	}
-	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) []any {
-		a := arms[i]
+	rows := runner.Map(p.sweep(), arms, func(t *runner.T, a arm) []any {
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{}
 		a.name.Features(&tcfg, rtt)
@@ -211,10 +210,9 @@ func runFig6(p Params) (Result, error) {
 		{-1, false},
 	}
 	counts := dedupe([]int{16, 64, p.scaleInt(1024, 128)})
-	// One trial per (flow count, jitter arm) grid cell; rows are
-	// reassembled from the flat result slice below.
-	fairness := runner.Map(p.sweep(), len(counts)*len(arms), func(t *runner.T, cell int) float64 {
-		n, a := counts[cell/len(arms)], arms[cell%len(arms)]
+	// One trial per (flow count, jitter arm) cell; each count is a row.
+	fairness := runner.Map(p.sweep(), cross(counts, arms), func(t *runner.T, c pair[int, arm]) float64 {
+		n, a := c.a, c.b
 		eng := t.Engine(p.Seed)
 		d := rttDumbbell(eng, n, 10*unit.Gbps, 25*sim.Microsecond,
 			topology.Config{CreditTailDrop: a.tailDrop})
@@ -247,13 +245,7 @@ func runFig6(p Params) (Result, error) {
 		}
 		return stats.JainIndex(rates)
 	})
-	for ci, n := range counts {
-		row := []any{n}
-		for ai := range arms {
-			row = append(row, fairness[ci*len(arms)+ai])
-		}
-		tbl.Add(row...)
-	}
+	addPivot(tbl, counts, fairness)
 
 	// (b) inter-credit gap distribution of the pacing model at max rate.
 	rng := sim.NewRand(p.Seed)
@@ -283,8 +275,7 @@ func init() {
 func runFig8(p Params) (Result, error) {
 	rtt := 100 * sim.Microsecond
 	alphas := []float64{1, 0.5, 0.25, 0.125, 1.0 / 16, 1.0 / 32}
-	rows := runner.Map(p.sweep(), len(alphas), func(t *runner.T, i int) []any {
-		alpha := alphas[i]
+	rows := runner.Map(p.sweep(), alphas, func(t *runner.T, alpha float64) []any {
 		// (a) convergence of a new flow against one established flow.
 		eng := t.Engine(p.Seed)
 		d := rttDumbbell(eng, 2, 10*unit.Gbps, rtt, topology.Config{})
@@ -340,8 +331,8 @@ func runFig9(p Params) (Result, error) {
 	// One trial per (flows, cap) cell; "best" is a cross-trial maximum,
 	// so it is computed after the whole grid has run (a barrier the
 	// serial code had implicitly).
-	utils := runner.Map(p.sweep(), len(flows)*len(caps), func(t *runner.T, cell int) float64 {
-		n, cq := flows[cell/len(caps)], caps[cell%len(caps)]
+	utils := runner.Map(p.sweep(), cross(flows, caps), func(t *runner.T, c pair[int, int]) float64 {
+		n, cq := c.a, c.b
 		eng := t.Engine(p.Seed)
 		st := topology.NewStar(eng, n+1, topology.Config{
 			LinkRate: 10 * unit.Gbps, CreditQueueCap: cq})
@@ -364,13 +355,10 @@ func runFig9(p Params) (Result, error) {
 			best = u
 		}
 	}
-	for fi, n := range flows {
-		row := []any{n}
-		for ci := range caps {
-			u := utils[fi*len(caps)+ci]
-			row = append(row, text("%.2f%%", (best-u)/best*100))
-		}
-		tbl.Add(row...)
+	under := make([]Text, len(utils))
+	for i, u := range utils {
+		under[i] = text("%.2f%%", (best-u)/best*100)
 	}
+	addPivot(tbl, flows, under)
 	return Result{text("under-utilization relative to the best achievable data rate:"), tbl}, nil
 }

@@ -25,10 +25,10 @@ func init() {
 
 func runFig10(p Params) (Result, error) {
 	tbl := NewTable("bottlenecks", "naive util", "feedback util")
-	const maxN = 6
+	bottlenecks := []int{1, 2, 3, 4, 5, 6}
 	schemes := []bool{true, false} // naive, feedback
-	utils := runner.Map(p.sweep(), maxN*len(schemes), func(t *runner.T, cell int) Text {
-		n, naive := cell/len(schemes)+1, schemes[cell%len(schemes)]
+	utils := runner.Map(p.sweep(), cross(bottlenecks, schemes), func(t *runner.T, c pair[int, bool]) Text {
+		n, naive := c.a, c.b
 		eng := t.Engine(p.Seed)
 		pl := topology.NewParkingLot(eng, n, topology.Config{LinkRate: 10 * unit.Gbps})
 		cfg := core.Config{BaseRTT: 100 * sim.Microsecond, Naive: naive}
@@ -52,10 +52,7 @@ func runFig10(p Params) (Result, error) {
 		}
 		return text("%.1f%%", lowest*100)
 	})
-	for n := 1; n <= maxN; n++ {
-		base := (n - 1) * len(schemes)
-		tbl.Add(n, utils[base], utils[base+1])
-	}
+	addPivot(tbl, bottlenecks, utils)
 	return Result{text("lowest link utilization (normalized by max data rate):"), tbl}, nil
 }
 
@@ -74,8 +71,8 @@ func runFig11(p Params) (Result, error) {
 	tbl := NewTable("N", "max-min ideal Gbps", "naive Gbps", "feedback Gbps")
 	counts := dedupe([]int{1, 4, 16, 64, p.scaleInt(256, 64)})
 	schemes := []bool{true, false} // naive, feedback
-	rates := runner.Map(p.sweep(), len(counts)*len(schemes), func(t *runner.T, cell int) float64 {
-		n, naive := counts[cell/len(schemes)], schemes[cell%len(schemes)]
+	rates := runner.Map(p.sweep(), cross(counts, schemes), func(t *runner.T, c pair[int, bool]) float64 {
+		n, naive := c.a, c.b
 		eng := t.Engine(p.Seed)
 		mb := topology.NewMultiBottleneck(eng, n, topology.Config{LinkRate: 10 * unit.Gbps})
 		cfg := core.Config{BaseRTT: 100 * sim.Microsecond, Naive: naive}
@@ -92,10 +89,10 @@ func runFig11(p Params) (Result, error) {
 		eng.RunFor(meas)
 		return gbps(f0.TakeDeliveredDelta(), meas)
 	})
-	for ci, n := range counts {
+	for i, r := range pivot(counts, rates) {
+		n := counts[i]
 		ideal := maxGoodputGbps(10*unit.Gbps) / float64(n+1)
-		base := ci * len(schemes)
-		tbl.Add(n, ideal, rates[base], rates[base+1])
+		tbl.Add(n, ideal, r[0], r[1])
 	}
 	return Result{tbl}, nil
 }
@@ -116,8 +113,7 @@ func runFig13(p Params) (Result, error) {
 	phase := p.scaleDur(1*sim.Second, 25*sim.Millisecond)
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP}
 	// Each protocol is a section of its own: a title, then its table.
-	secs := runner.Map(p.sweep(), len(protos), func(t *runner.T, i int) Result {
-		proto := protos[i]
+	secs := runner.Map(p.sweep(), protos, func(t *runner.T, proto Proto) Result {
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{}
 		proto.Features(&tcfg, rtt)
@@ -188,8 +184,8 @@ func init() {
 func runFig15(p Params) (Result, error) {
 	counts := dedupe([]int{4, 16, 64, 256, p.scaleInt(1024, 256)})
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP, ProtoRCP}
-	rows := runner.Map(p.sweep(), len(counts)*len(protos), func(t *runner.T, cell int) []any {
-		return fig15Cell(t.Engine(p.Seed), p, counts[cell/len(protos)], protos[cell%len(protos)])
+	rows := runner.Map(p.sweep(), cross(counts, protos), func(t *runner.T, c pair[int, Proto]) []any {
+		return fig15Cell(t.Engine(p.Seed), p, c.a, c.b)
 	})
 	return Result{&Table{Header: []string{"flows", "proto", "util Gbps", "jain", "maxQ KB", "data drops", "timeouts"}, Rows: rows}}, nil
 }
@@ -273,8 +269,8 @@ func runFig16(p Params) (Result, error) {
 		{"dctcp", ProtoDCTCP, 0, p.scaleInt(6000, 1200), 10, 0.8},
 	}
 	speeds := []unit.Rate{10 * unit.Gbps, 100 * unit.Gbps}
-	rows := runner.Map(p.sweep(), len(speeds)*len(arms), func(t *runner.T, cell int) []any {
-		rate, a := speeds[cell/len(arms)], arms[cell%len(arms)]
+	rows := runner.Map(p.sweep(), cross(speeds, arms), func(t *runner.T, c pair[unit.Rate, arm]) []any {
+		rate, a := c.a, c.b
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{}
 		a.proto.Features(&tcfg, rtt)

@@ -27,18 +27,8 @@ func runFig1(p Params) (Result, error) {
 	rtt := 50 * sim.Microsecond
 	fanouts := dedupe([]int{32, 64, 128, p.scaleInt(512, 128), p.scaleInt(2048, 128)})
 	protos := []Proto{ProtoIdeal, ProtoDCTCP, ProtoExpressPass}
-	type arm struct {
-		fanout int
-		proto  Proto
-	}
-	var arms []arm
-	for _, fanout := range fanouts {
-		for _, proto := range protos {
-			arms = append(arms, arm{fanout, proto})
-		}
-	}
-	rows := runner.Map(p.sweep(), len(arms), func(t *runner.T, i int) []any {
-		fanout, proto := arms[i].fanout, arms[i].proto
+	rows := runner.Map(p.sweep(), cross(fanouts, protos), func(t *runner.T, c pair[int, Proto]) []any {
+		fanout, proto := c.a, c.b
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{
 			LinkRate: 10 * unit.Gbps,
@@ -100,8 +90,7 @@ func runFig17(p Params) (Result, error) {
 		bytes = 100 * unit.KB
 	}
 	protos := []Proto{ProtoExpressPass, ProtoDCTCP}
-	rows := runner.Map(p.sweep(), len(protos), func(t *runner.T, i int) []any {
-		proto := protos[i]
+	rows := runner.Map(p.sweep(), protos, func(t *runner.T, proto Proto) []any {
 		eng := t.Engine(p.Seed)
 		tcfg := topology.Config{LinkRate: 10 * unit.Gbps}
 		proto.Features(&tcfg, rtt)

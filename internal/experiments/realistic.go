@@ -212,13 +212,14 @@ func init() {
 }
 
 func runFig18(p Params) (Result, error) {
-	combos := []struct{ a, wi float64 }{
+	type combo struct{ a, wi float64 }
+	combos := []combo{
 		{0.5, 0.5}, {1.0 / 16, 0.5}, {1.0 / 16, 1.0 / 16},
 		{1.0 / 32, 1.0 / 16}, {1.0 / 32, 1.0 / 32},
 	}
 	dists := []*workload.SizeDist{workload.DataMining(), workload.CacheFollower(), workload.WebServer()}
-	rows := runner.Map(p.sweep(), len(combos)*len(dists), func(t *runner.T, cell int) []any {
-		c, d := combos[cell/len(dists)], dists[cell%len(dists)]
+	rows := runner.Map(p.sweep(), cross(combos, dists), func(t *runner.T, cell pair[combo, *workload.SizeDist]) []any {
+		c, d := cell.a, cell.b
 		res := runRealistic(t, p, realisticCfg{
 			proto: ProtoExpressPass, dist: d, load: 0.6,
 			linkRate: 10 * unit.Gbps, alpha: c.a, winit: c.wi,
@@ -245,8 +246,8 @@ func init() {
 func runFig19(p Params) (Result, error) {
 	dists := []*workload.SizeDist{workload.WebServer(), workload.CacheFollower(), workload.DataMining()}
 	protos := EvalProtos()
-	rows := runner.Map(p.sweep(), len(dists)*len(protos), func(t *runner.T, i int) []any {
-		d, proto := dists[i/len(protos)], protos[i%len(protos)]
+	rows := runner.Map(p.sweep(), cross(dists, protos), func(t *runner.T, c pair[*workload.SizeDist, Proto]) []any {
+		d, proto := c.a, c.b
 		res := runRealistic(t, p, realisticCfg{
 			proto: proto, dist: d, load: 0.6, linkRate: 10 * unit.Gbps,
 		})
@@ -285,20 +286,16 @@ func runFig20(p Params) (Result, error) {
 		{10 * unit.Gbps, 1.0 / 16}, {10 * unit.Gbps, 0.5},
 		{40 * unit.Gbps, 1.0 / 16}, {40 * unit.Gbps, 0.5},
 	}
-	wastes := runner.Map(p.sweep(), len(dists)*len(arms), func(t *runner.T, cell int) Text {
-		d, a := dists[cell/len(arms)], arms[cell%len(arms)]
+	wastes := runner.Map(p.sweep(), cross(dists, arms), func(t *runner.T, c pair[*workload.SizeDist, arm]) Text {
+		d, a := c.a, c.b
 		res := runRealistic(t, p, realisticCfg{
 			proto: ProtoExpressPass, dist: d, load: 0.6,
 			linkRate: a.rate, alpha: a.alpha, winit: a.alpha,
 		})
 		return text("%.1f%%", res.wasteRatio()*100)
 	})
-	for di, d := range dists {
-		row := []any{d.Name}
-		for ai := range arms {
-			row = append(row, wastes[di*len(arms)+ai])
-		}
-		tbl.Add(row...)
+	for i, w := range pivot(dists, wastes) {
+		tbl.Add(dists[i].Name, w[0], w[1], w[2], w[3])
 	}
 	return Result{tbl}, nil
 }
@@ -319,29 +316,25 @@ func runFig21(p Params) (Result, error) {
 	tbl := NewTable("workload", "proto", "S speedup", "M speedup", "L speedup", "XL speedup")
 	protos := EvalProtos()
 	speeds := []unit.Rate{10 * unit.Gbps, 40 * unit.Gbps}
-	// One trial per (workload, proto, link speed); the 10G/40G pair for a
-	// row is recombined from adjacent cells below.
-	results := runner.Map(p.sweep(), len(dists)*len(protos)*len(speeds), func(t *runner.T, cell int) realisticResult {
-		d := dists[cell/(len(protos)*len(speeds))]
-		proto := protos[cell/len(speeds)%len(protos)]
-		rate := speeds[cell%len(speeds)]
+	// One trial per (workload, proto, link speed); a row is one
+	// (workload, proto) and its 10G/40G pair of results.
+	rowKeys := cross(dists, protos)
+	results := runner.Map(p.sweep(), cross(rowKeys, speeds), func(t *runner.T, c pair[pair[*workload.SizeDist, Proto], unit.Rate]) realisticResult {
+		d, proto, rate := c.a.a, c.a.b, c.b
 		return runRealistic(t, p, realisticCfg{
 			proto: proto, dist: d, load: 0.6, linkRate: rate,
 		})
 	})
-	for di, d := range dists {
-		for pi, proto := range protos {
-			base := (di*len(protos) + pi) * len(speeds)
-			byRate := results[base : base+2]
-			cell := func(cls string) any {
-				a, b := byRate[0].fct(cls), byRate[1].fct(cls)
-				if a.N() == 0 || b.N() == 0 {
-					return "-"
-				}
-				return text("%.2fx", a.Mean()/b.Mean())
+	for i, byRate := range pivot(rowKeys, results) {
+		d, proto := rowKeys[i].a, rowKeys[i].b
+		cell := func(cls string) any {
+			a, b := byRate[0].fct(cls), byRate[1].fct(cls)
+			if a.N() == 0 || b.N() == 0 {
+				return "-"
 			}
-			tbl.Add(d.Name, string(proto), cell("S"), cell("M"), cell("L"), cell("XL"))
+			return text("%.2fx", a.Mean()/b.Mean())
 		}
+		tbl.Add(d.Name, string(proto), cell("S"), cell("M"), cell("L"), cell("XL"))
 	}
 	return Result{tbl}, nil
 }
@@ -361,10 +354,8 @@ func runTable3(p Params) (Result, error) {
 	loads := []float64{0.2, 0.4, 0.6}
 	dists := workload.AllDists()
 	protos := EvalProtos()
-	rows := runner.Map(p.sweep(), len(dists)*len(loads)*len(protos), func(t *runner.T, cell int) []any {
-		d := dists[cell/(len(loads)*len(protos))]
-		load := loads[cell/len(protos)%len(loads)]
-		proto := protos[cell%len(protos)]
+	rows := runner.Map(p.sweep(), cross(cross(dists, loads), protos), func(t *runner.T, c pair[pair[*workload.SizeDist, float64], Proto]) []any {
+		d, load, proto := c.a.a, c.a.b, c.b
 		res := runRealistic(t, p, realisticCfg{
 			proto: proto, dist: d, load: load, linkRate: 10 * unit.Gbps,
 		})

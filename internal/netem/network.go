@@ -191,9 +191,6 @@ func (n *Network) AllPorts() []*Port { return n.ports }
 // Node returns the node with the given ID.
 func (n *Network) Node(id packet.NodeID) Node { return n.nodes[id] }
 
-// NumNodes returns the number of nodes.
-func (n *Network) NumNodes() int { return len(n.nodes) }
-
 // NextFlowID allocates a flow ID, preferring one retired by FreeFlowID
 // over growing the ID space. Reuse keeps the flow table (indexed by ID)
 // sized to the *concurrent* flow population instead of the total dialed

@@ -608,11 +608,6 @@ func (p *Port) Restore() { p.failed = false }
 // Failed reports whether this direction is marked failed.
 func (p *Port) Failed() bool { return p.failed }
 
-// Usable reports whether the link is healthy in both directions: a
-// unidirectional failure or hard down state on either side excludes the
-// whole link.
-func (p *Port) Usable() bool { return linkUp(p) }
-
 // Down reports whether this direction is hard-down (Network.SetLinkDown).
 func (p *Port) Down() bool { return p.down }
 

@@ -6,15 +6,6 @@ import (
 	"testing"
 )
 
-// TestMapNegativeDoesNotPanic pins the degenerate-input contract: a
-// negative trial count is an empty sweep, not a makeslice panic.
-func TestMapNegativeDoesNotPanic(t *testing.T) {
-	t.Parallel()
-	if got := Map(Run{}, -3, func(_ *T, i int) int { return i }); len(got) != 0 {
-		t.Fatalf("Map(-3) returned %d results", len(got))
-	}
-}
-
 // TestProcsBoundaries drives Run.Procs through its edge values and
 // proves a sweep still runs every trial exactly once.
 func TestProcsBoundaries(t *testing.T) {
@@ -36,7 +27,7 @@ func TestProcsBoundaries(t *testing.T) {
 		}
 		n := 2*gomax + 3 // more trials than any worker count in play
 		counts := make([]atomic.Int32, n)
-		got := Map(run, n, func(_ *T, i int) int {
+		got := Map(run, seq(n), func(_ *T, i int) int {
 			counts[i].Add(1)
 			return i
 		})

@@ -4,10 +4,12 @@
 //
 // Every experiment in the repo is a sweep of independent trials — a
 // jitter grid, a flow-count series, a load×workload matrix — and each
-// trial builds its own sim.Engine, topology, and seed. Nothing couples
-// the trials except the order their results are printed in, so the
-// runner fans the bodies out across worker goroutines and reassembles
-// the outputs in submission order.
+// trial builds its own sim.Engine, topology, and seed. A sweep is a
+// slice of cells, one per trial, each the value its trial reads
+// (a flow count, a protocol, a pair of them). Nothing couples the
+// trials except the order their results are printed in, so the runner
+// fans the bodies out across worker goroutines and reassembles the
+// outputs in cell order.
 //
 // The determinism contract is simple and strict:
 //
@@ -15,8 +17,8 @@
 //     would use serially). Engines are seeded, single-goroutine, and
 //     share no state, so a trial computes the same result on any
 //     worker.
-//   - Results (Map) come back in submission order, never completion
-//     order; a trial that prints returns what it prints as its result.
+//   - Results (Map) come back in cell order, never completion order; a
+//     trial that prints returns what it prints as its result.
 //   - Every network records into its trial's scope (obs.Trial), the one
 //     instrumentation scope there is. The lowest trial not yet replayed
 //     streams into the run's obs.Runtime; a trial that begins behind it
@@ -68,17 +70,14 @@ func (r Run) workers() int {
 
 // T is the per-trial context handed to sweep bodies.
 type T struct {
-	// Idx is the trial's submission index, 0-based.
-	Idx int
-
 	wiring netem.Wiring
 }
 
-// newT returns trial i's context: networks built on its engines record
+// newT returns a trial's context: networks built on its engines record
 // into tr (nil when the run is unobserved) and are checked as the run
 // asks.
-func (r Run) newT(i int, tr *obs.Trial) *T {
-	return &T{Idx: i, wiring: netem.Wiring{Scope: tr, Check: r.Check}}
+func (r Run) newT(tr *obs.Trial) *T {
+	return &T{wiring: netem.Wiring{Scope: tr, Check: r.Check}}
 }
 
 // Engine returns a fresh deterministic engine for seed, wired to the
@@ -97,18 +96,23 @@ func (t *T) Engine(seed uint64) *sim.Engine {
 	return eng
 }
 
-// Map runs fn for every i in [0, n) and returns the results in
-// submission order. Bodies run concurrently on run's workers, the calling
-// goroutine being the last of them, so one worker runs every trial
-// inline and in order; fn must confine itself to trial-local state plus
-// read-only captures. A panicking trial stops the pool from starting
-// another and is re-panicked — lowest index first, with its stack — on
-// the calling goroutine after the pool drains.
-func Map[R any](run Run, n int, fn func(t *T, i int) R) []R {
-	if n <= 0 {
-		return nil // before make: a negative n must not panic the sweep
-	}
-	out := make([]R, n)
+// Map runs fn for every cell and returns the results in cell order.
+// Bodies run concurrently on run's workers, the calling goroutine being
+// the last of them, so one worker runs every trial inline and in order;
+// fn must confine itself to trial-local state plus read-only captures. A
+// panicking trial stops the pool from starting another and is
+// re-panicked — lowest index first, with its stack — on the calling
+// goroutine after the pool drains.
+func Map[C, R any](run Run, cells []C, fn func(t *T, c C) R) []R {
+	out := make([]R, len(cells))
+	trials(run, len(cells), func(t *T, i int) { out[i] = fn(t, cells[i]) })
+	return out
+}
+
+// trials is Map's worker pool, kept apart from its types so that the
+// binary holds one copy of it, not one per kind of cell and result: it
+// runs body for trials 0 … n-1.
+func trials(run Run, n int, body func(t *T, i int)) {
 	if run.Obs != nil {
 		run.Obs.StartSweep(n)
 	}
@@ -121,7 +125,7 @@ func Map[R any](run Run, n int, fn func(t *T, i int) R) []R {
 			if i >= n {
 				return
 			}
-			runTrial(out, panics, &stop, run, fn, i)
+			runTrial(panics, &stop, run, body, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -139,12 +143,11 @@ func Map[R any](run Run, n int, fn func(t *T, i int) R) []R {
 			panic(fmt.Sprintf("runner: trial %d panicked: %s", i, p))
 		}
 	}
-	return out
 }
 
 // runTrial runs trial i and finishes its scope, whether or not the body
-// panics; Finish is what replays it into the run in submission order.
-func runTrial[R any](out []R, panics []string, stop *atomic.Bool, run Run, fn func(t *T, i int) R, i int) {
+// panics; Finish is what replays it into the run in cell order.
+func runTrial(panics []string, stop *atomic.Bool, run Run, body func(t *T, i int), i int) {
 	var tr *obs.Trial
 	defer func() {
 		if r := recover(); r != nil {
@@ -158,5 +161,5 @@ func runTrial[R any](out []R, panics []string, stop *atomic.Bool, run Run, fn fu
 	if run.Obs != nil {
 		tr = run.Obs.BeginTrial(i)
 	}
-	out[i] = fn(run.newT(i, tr), i)
+	body(run.newT(tr), i)
 }

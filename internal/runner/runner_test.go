@@ -16,10 +16,20 @@ import (
 	"expresspass/internal/unit"
 )
 
+// seq returns the cells 0, 1, …, n-1: a sweep whose bodies read their
+// trial's index.
+func seq(n int) []int {
+	cells := make([]int, n)
+	for i := range cells {
+		cells[i] = i
+	}
+	return cells
+}
+
 func TestMapPreservesSubmissionOrder(t *testing.T) {
 	t.Parallel()
 	for _, procs := range []int{1, 4} {
-		got := Map(Run{Procs: procs}, 100, func(_ *T, i int) int { return i * i })
+		got := Map(Run{Procs: procs}, seq(100), func(_ *T, i int) int { return i * i })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("procs=%d: out[%d] = %d, want %d", procs, i, v, i*i)
@@ -31,7 +41,7 @@ func TestMapPreservesSubmissionOrder(t *testing.T) {
 func TestMapRunsEveryIndexOnce(t *testing.T) {
 	t.Parallel()
 	var ran [64]atomic.Int32
-	Map(Run{Procs: 8}, len(ran), func(_ *T, i int) struct{} {
+	Map(Run{Procs: 8}, seq(len(ran)), func(_ *T, i int) struct{} {
 		ran[i].Add(1)
 		return struct{}{}
 	})
@@ -44,7 +54,7 @@ func TestMapRunsEveryIndexOnce(t *testing.T) {
 
 func TestMapZeroAndNegative(t *testing.T) {
 	t.Parallel()
-	if got := Map(Run{}, 0, func(_ *T, i int) int { return i }); len(got) != 0 {
+	if got := Map(Run{}, seq(0), func(_ *T, i int) int { return i }); len(got) != 0 {
 		t.Fatalf("Map(0) returned %d results", len(got))
 	}
 }
@@ -55,7 +65,7 @@ func TestMapZeroAndNegative(t *testing.T) {
 func TestEngineDeterminismAcrossWorkerCounts(t *testing.T) {
 	t.Parallel()
 	run := func(procs int) []uint64 {
-		return Map(Run{Procs: procs}, 16, func(tr *T, i int) uint64 {
+		return Map(Run{Procs: procs}, seq(16), func(tr *T, i int) uint64 {
 			eng := tr.Engine(uint64(i) + 7)
 			rng := eng.Rand()
 			var sum uint64
@@ -103,7 +113,7 @@ func TestMapPropagatesLowestIndexPanic(t *testing.T) {
 					t.Fatalf("procs=%d: panic message lacks the panicking closure's frame:\n%s", procs, s)
 				}
 			}()
-			Map(Run{Procs: procs}, len(started), func(_ *T, i int) int {
+			Map(Run{Procs: procs}, seq(len(started)), func(_ *T, i int) int {
 				started[i].Store(true)
 				if i == 2 || i == 9 {
 					panic(fmt.Sprintf("bad trial %d", i))
@@ -132,7 +142,7 @@ func TestObsMergeByteIdentical(t *testing.T) {
 			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb)),
 			MetricsOut: &mb,
 		})
-		Map(Run{Procs: procs, Obs: rt}, 9, mergeWorkload)
+		Map(Run{Procs: procs, Obs: rt}, seq(9), mergeWorkload)
 		if buffered := rt.PeakBufferedBytes(); procs == 1 && buffered != 0 {
 			t.Errorf("procs=1: a serial sweep buffered %d bytes, want 0 (it streams)", buffered)
 		}
@@ -206,7 +216,7 @@ func TestMapHeadOfLine(t *testing.T) {
 		rt := obs.NewRuntime(obs.Config{Tracer: obs.NewTracer(sink), MetricsOut: &mb})
 		var rest sync.WaitGroup
 		rest.Add(3)
-		Map(Run{Procs: procs, Obs: rt}, 4, func(tr *T, i int) uint64 {
+		Map(Run{Procs: procs, Obs: rt}, seq(4), func(tr *T, i int) uint64 {
 			ex := mergeWorkload(tr, i)
 			if procs == 1 {
 				return ex
@@ -254,7 +264,7 @@ func TestEngineWiring(t *testing.T) {
 	rt := obs.NewRuntime(obs.Config{MetricsOut: io.Discard})
 	for _, procs := range []int{1, 2} {
 		for _, run := range []Run{{Procs: procs, Check: check}, {Procs: procs, Obs: rt, Check: check}} {
-			scopes := Map(run, 2, func(tr *T, _ int) *obs.Trial {
+			scopes := Map(run, seq(2), func(tr *T, _ int) *obs.Trial {
 				w := tr.Engine(1).Wiring.(*netem.Wiring)
 				w.Check(nil)
 				return w.Scope
@@ -286,7 +296,7 @@ func TestPacketPoolSafeUnderParallelTrials(t *testing.T) {
 		live      int64
 		delivered int
 	}
-	res := Map(Run{Procs: 8}, 64, func(tr *T, i int) result {
+	res := Map(Run{Procs: 8}, seq(64), func(tr *T, i int) result {
 		eng := tr.Engine(uint64(i))
 		net := netem.NewNetwork(eng)
 		a := net.NewHost("a", netem.HardwareNICDelay())

@@ -40,9 +40,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns t as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Std converts t to a time.Duration (nanosecond resolution, truncating).
-func (t Time) Std() time.Duration { return time.Duration(int64(t) / 1000) }
-
 // FromStd converts a time.Duration to a simulation Duration.
 func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
 

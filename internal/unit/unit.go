@@ -94,9 +94,6 @@ func (r Rate) String() string {
 	}
 }
 
-// KBytes returns the size in (decimal) kilobytes.
-func (b Bytes) KBytes() float64 { return float64(b) / float64(KB) }
-
 // String renders the size with an adaptive unit.
 func (b Bytes) String() string {
 	switch {
