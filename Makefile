@@ -12,8 +12,9 @@ GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 ## stays out of the race budget; the gate's obs variant still runs.
 ## The internal/sim run is not -short, so it includes the inlining
 ## guard (TestHotPathInlining: `go build -gcflags=-m` must still report
-## the scheduler's per-event helpers inlinable) — a regression no
-## behavioural test can see. The timing guard TestBurstDrainScales
+## inlinable the helpers that keep a push at two calls and a pop at one
+## loop, and not the slow halves place, findMin and heapPush) — a
+## regression no behavioural test can see. The timing guard TestBurstDrainScales
 ## skips itself under -race; plain `go test ./...` runs it. The race
 ## build also holds the steady-state packet path to 0 allocs/op
 ## (TestHotPathBudget): a network's packet pool is a plain free list,

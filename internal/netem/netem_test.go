@@ -470,3 +470,28 @@ func TestNetworkRoutesAllPairs(t *testing.T) {
 		}
 	}
 }
+
+// TestTxTimeMatchesUnit: the per-byte multiplication transmit uses where
+// the rate allows gives unit.TxTime's exact picoseconds for every wire
+// size up to a jumbo frame, and a rate it cannot serve (8·10¹² does not
+// divide 3 Gb/s) falls back to unit.TxTime itself.
+func TestTxTimeMatchesUnit(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		rate  unit.Rate
+		exact bool
+	}{
+		{1 * unit.Gbps, true}, {10 * unit.Gbps, true}, {25 * unit.Gbps, true},
+		{40 * unit.Gbps, true}, {100 * unit.Gbps, true}, {3 * unit.Gbps, false},
+	} {
+		p := newPort(sim.New(1), nil, PortConfig{Rate: tc.rate}, "p")
+		if got := p.psPerByte != 0; got != tc.exact {
+			t.Fatalf("%v: per-byte time set %v (%d ps), want %v", tc.rate, got, p.psPerByte, tc.exact)
+		}
+		for n := unit.Bytes(0); n <= 9216; n++ {
+			if got, want := p.txTime(n), unit.TxTime(n, tc.rate); got != want {
+				t.Fatalf("%v: txTime(%d) = %v, unit.TxTime = %v", tc.rate, n, got, want)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 
 	"expresspass/internal/obs"
 	"expresspass/internal/packet"
@@ -127,7 +128,14 @@ type Port struct {
 	failed     bool
 	down       bool // hard link-down (faults): queues flushed, arrivals lost
 	dataPaused bool
-	wake       sim.EventID
+
+	// psPerByte is the serialisation time of one byte at the line rate
+	// when that is a whole number of picoseconds (8·10¹² divides the
+	// rate: 1, 10, 25, 40 and 100 Gb/s do), else 0. It sits in the
+	// padding after the flags above.
+	psPerByte int32
+
+	wake sim.EventID
 
 	faultDrops     uint64
 	faultDropBytes unit.Bytes
@@ -218,6 +226,9 @@ func (p *Port) DataUtilization(window sim.Duration) float64 {
 func newPort(eng *sim.Engine, owner Node, cfg PortConfig, name string) *Port {
 	cfg = cfg.withDefaults()
 	p := &Port{eng: eng, owner: owner, cfg: cfg, name: name}
+	if bitPs := 8 * int64(sim.Second); cfg.Rate > 0 && bitPs%int64(cfg.Rate) == 0 && bitPs/int64(cfg.Rate) <= math.MaxInt32 {
+		p.psPerByte = int32(bitPs / int64(cfg.Rate))
+	}
 	p.data.cap = cfg.DataCapacity
 	p.credit.cap = cfg.CreditQueueCap
 	if len(cfg.CreditClasses) > 0 {
@@ -519,8 +530,17 @@ func portSetDataPaused(obj, _ any, arg uint64) {
 	obj.(*Port).setDataPaused(arg != 0)
 }
 
+// txTime is unit.TxTime(n, p.Rate()) without its two divisions where
+// the rate allows: a multiplication when psPerByte is set.
+func (p *Port) txTime(n unit.Bytes) sim.Duration {
+	if p.psPerByte != 0 {
+		return sim.Duration(n) * sim.Duration(p.psPerByte)
+	}
+	return unit.TxTime(n, p.cfg.Rate)
+}
+
 func (p *Port) transmit(pkt *packet.Packet) {
-	tx := unit.TxTime(pkt.Wire, p.cfg.Rate)
+	tx := p.txTime(pkt.Wire)
 	// Departure-side impairments. Rate jitter stretches serialization
 	// (the transmitter stays busy longer — real head-of-line impact);
 	// delay jitter and reordering only add wire time, so they delay this

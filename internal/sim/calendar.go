@@ -31,8 +31,8 @@ import (
 // Determinism: pop order must be exactly (time, dom, seq) by the less()
 // comparator — what a sort of the pending set would give, and what the
 // ordered-slice reference model in sched_prop_test.go checks. Every
-// queued event satisfies ev.at >= engine.now (alloc and Reschedule
-// reject the past), and curDay only ever advances to day(now), so wheel
+// queued event satisfies ev.at >= engine.now (Engine.schedule rejects
+// the past), and curDay only ever advances to day(now), so wheel
 // days always lie in [curDay, curDay+N). Within that window day ->
 // bucket is injective, meaning the first occupied bucket at or after
 // curDay holds exactly the events of the earliest day the wheel knows —
@@ -64,9 +64,9 @@ type calQ struct {
 	mask   int64    // len(heads)-1; bucket count is a power of two
 	logW   uint     // log2(bucket width in Time units)
 	curDay int64    // scan origin; advanced monotonically to day(now)
-	wheelN int      // events resident in the wheel
+	n      int      // events queued, wheel and heap: schedule counts in, dispatch and remove out
 	heap   []*event // 4-ary min-heap, full-key order: beyond the horizon, or spilled
-	cached *event   // memoized queue minimum, nil when unknown
+	cached *event   // memoized queue minimum where a run stopped short of it, else nil
 	spare  []*event // rebuild's extraction buffer, kept between rebuilds
 
 	// Adaptive-width state: EWMA of nonzero inter-pop gaps (the
@@ -127,7 +127,10 @@ func newCalQ() *calQ {
 	}
 }
 
-func (c *calQ) len() int { return c.wheelN + len(c.heap) }
+func (c *calQ) len() int { return c.n }
+
+// wheelLen is how many of the queued events the wheel's rings hold.
+func (c *calQ) wheelLen() int { return c.n - len(c.heap) }
 
 // advance moves the scan origin up to the current day. It never moves
 // backward, and because every queued event's time is >= now, advancing
@@ -138,51 +141,65 @@ func (c *calQ) advance(now Time) {
 	}
 }
 
-// place puts an event into its day's ring at its less() position,
-// walking back from the tail, or into the heap when the day is beyond
-// the horizon or the walk would pass calWalk links. Callers maintain the
-// cache and accounting. push and rebuild both come through here, so
-// neither knows how a bucket is ordered.
-func (c *calQ) place(ev *event) {
+// placeEmpty is the common push: an event whose day lies inside the
+// horizon and whose bucket is empty becomes that bucket's one-event
+// ring. It reports false, having touched nothing, for every other event.
+// Emptiness is read off the bitmap, which stays cache-resident where the
+// heads (8 bytes a bucket, 64 buckets an event at most) do not: the
+// common push only stores to its head, and never waits on it.
+func (c *calQ) placeEmpty(ev *event) bool {
 	d := int64(ev.at) >> c.logW
-	if d-c.curDay >= int64(len(c.heads)) {
+	b := d & c.mask
+	o, bit := &c.occ[b>>6], uint64(1)<<uint(b&63)
+	if d-c.curDay > c.mask || *o&bit != 0 {
+		return false
+	}
+	*o |= bit
+	c.heads[b] = ev
+	ev.next, ev.prev = ev, ev
+	ev.bucket = int32(b)
+	return true
+}
+
+// place puts an event anywhere: into an empty bucket through placeEmpty;
+// beyond the horizon into the heap; for an occupied bucket into its
+// day's ring at its less() position, walking back from the tail — or to
+// the heap when the walk would pass calWalk links. Callers maintain the
+// memo and the accounting. Engine.schedule calls placeEmpty in line
+// first and place only when that declines; rebuild calls place. Neither
+// knows how a bucket is ordered.
+func (c *calQ) place(ev *event) {
+	if c.placeEmpty(ev) {
+		return
+	}
+	d := int64(ev.at) >> c.logW
+	if d-c.curDay > c.mask {
 		c.heapPush(ev)
 		return
 	}
 	b := d & c.mask
-	// Emptiness is read off the bitmap, which stays cache-resident where
-	// the heads (8 bytes a bucket, 64 buckets an event at most) do not:
-	// the common push then only stores to its head, and never waits on it.
-	if w, bit := b>>6, uint64(1)<<uint(b&63); c.occ[w]&bit == 0 {
-		ev.next, ev.prev = ev, ev
-		c.heads[b] = ev
-		c.occ[w] |= bit
-	} else {
-		head := c.heads[b]
-		after := head.prev // the tail
-		for links := 0; less(ev, after); links++ {
-			if after == head {
-				// Before every event of the day: in a ring that is the
-				// slot after the tail, under a new head.
-				c.heads[b] = ev
-				after = head.prev
-				break
-			}
-			if links == calWalk {
-				c.walkSpills++
-				c.heapPush(ev)
-				return
-			}
-			after = after.prev
-			c.cmps++
+	head := c.heads[b]
+	after := head.prev // the tail
+	for links := 0; less(ev, after); links++ {
+		if after == head {
+			// Before every event of the day: in a ring that is the slot
+			// after the tail, under a new head.
+			c.heads[b] = ev
+			after = head.prev
+			break
 		}
-		ev.prev, ev.next = after, after.next
-		after.next.prev = ev
-		after.next = ev
+		if links == calWalk {
+			c.walkSpills++
+			c.heapPush(ev)
+			return
+		}
+		after = after.prev
+		c.cmps++
 	}
+	ev.prev, ev.next = after, after.next
+	after.next.prev = ev
+	after.next = ev
 	ev.bucket = int32(b)
-	ev.index = 0
-	c.wheelN++
 }
 
 // unlink takes a wheel event out of its ring in O(1) and leaves its
@@ -200,62 +217,37 @@ func (c *calQ) unlink(ev *event) {
 		}
 	}
 	ev.next, ev.prev = nil, nil
-	ev.index = -1
-	c.wheelN--
 }
 
-func (c *calQ) push(ev *event, now Time) {
-	c.advance(now)
-	c.place(ev)
-	if c.cached != nil && less(ev, c.cached) {
-		c.cached = ev
+// originMin is the common half of the wheel's minimum: the head of the
+// first occupied bucket at or after the origin within the origin's own
+// bitmap word, or nil when that stretch is empty. By the injectivity
+// invariant that bucket holds exactly the wheel's earliest day, and its
+// ring is sorted, so its head is found by arithmetic, not by comparing.
+func (c *calQ) originMin() *event {
+	start := c.curDay & c.mask
+	if word := c.occ[start>>6] & (^uint64(0) << uint(start&63)); word != 0 {
+		return c.heads[start&^63+int64(bits.TrailingZeros64(word))]
 	}
+	return nil
 }
 
-// peek returns the (time, dom, seq)-minimum event without removing it,
-// or nil when the queue is empty. The result is memoized until that
-// event is removed, so the wheel scan runs once per distinct minimum.
-func (c *calQ) peek(now Time) *event {
-	if c.cached != nil {
-		return c.cached
-	}
-	return c.findMin(now)
-}
-
-// findMin is peek's miss path: it locates the minimum and memoizes it.
-// A minimum in the heap is served from there — curDay must NOT jump to
-// it, because the engine may merely inspect this event (RunUntil
-// past-deadline check) and then push nearer events, which would land
-// behind a jumped origin.
-func (c *calQ) findMin(now Time) *event {
-	c.advance(now)
-	best := c.wheelMin()
-	if len(c.heap) > 0 && (best == nil || less(c.heap[0], best)) {
-		best = c.heap[0]
-	}
-	c.cached = best
-	return best
-}
-
-// wheelMin scans forward from curDay for the first occupied bucket and
-// returns its head — by the injectivity invariant, that bucket holds
-// exactly the wheel's earliest day, and its ring is sorted. The scan
-// walks the occupancy bitmap, not the heads, skipping 64 empty buckets
-// per word: the peek cache is invalidated on every pop of the minimum,
-// so this re-scan is the steady-state path.
-func (c *calQ) wheelMin() *event {
-	if c.wheelN == 0 {
+// findMin returns the wheel's minimum, or nil for an empty wheel: the
+// head of the first occupied bucket at or after the origin. Past
+// originMin's stretch of the origin's word the scan goes on over the
+// bitmap, skipping 64 empty buckets per word. The dispatch loop calls
+// originMin in line first and findMin only when that finds nothing.
+func (c *calQ) findMin() *event {
+	if c.wheelLen() == 0 {
 		return nil
+	}
+	if ev := c.originMin(); ev != nil {
+		return ev
 	}
 	start := int(c.curDay) & int(c.mask)
 	w0 := start >> 6
-	off := uint(start & 63)
 	nw := len(c.occ)
-	// Slots at or after the origin in the origin's own word…
-	if word := c.occ[w0] & (^uint64(0) << off); word != 0 {
-		return c.heads[w0<<6+bits.TrailingZeros64(word)]
-	}
-	// …then whole words, wrapping once around the wheel…
+	// Whole words after the origin's, wrapping once around the wheel…
 	for i := 1; i < nw; i++ {
 		w := w0 + i
 		if w >= nw {
@@ -267,34 +259,10 @@ func (c *calQ) wheelMin() *event {
 	}
 	// …and finally the origin word's slots below the origin (the far
 	// edge of the [curDay, curDay+N) window).
-	if word := c.occ[w0] & (1<<off - 1); word != 0 {
+	if word := c.occ[w0] & (1<<uint(start&63) - 1); word != 0 {
 		return c.heads[w0<<6+bits.TrailingZeros64(word)]
 	}
 	panic("sim: calendar wheel population desynchronized")
-}
-
-// pop removes and returns the minimum event, or nil when empty, and
-// feeds the adaptive-geometry statistics.
-func (c *calQ) pop(now Time) *event {
-	ev := c.peek(now)
-	if ev == nil {
-		return nil
-	}
-	if ev.bucket == calInHeap {
-		c.heapPops++
-	}
-	c.remove(ev)
-	if c.havePop {
-		if gap := int64(ev.at - c.lastPop); gap > 0 {
-			c.gapEWMA += (gap - c.gapEWMA) >> 3
-		}
-	}
-	c.lastPop = ev.at
-	c.havePop = true
-	if c.sincePop++; c.sincePop >= calResizeEvery {
-		c.resize(now)
-	}
-	return ev
 }
 
 // remove deletes a resident event from whichever container holds it —
@@ -307,6 +275,7 @@ func (c *calQ) remove(ev *event) {
 	if c.cached == ev {
 		c.cached = nil
 	}
+	c.n--
 	if ev.bucket == calInHeap {
 		c.heapRemoveAt(ev.index)
 		return
@@ -338,16 +307,18 @@ func (c *calQ) extractAll() []*event {
 		}
 		c.occ[w] = 0
 	}
-	evs = append(evs, c.heap...)
+	for _, ev := range c.heap {
+		ev.index = 0
+		evs = append(evs, ev)
+	}
 	clear(c.heap)
 	c.heap = c.heap[:0]
-	c.wheelN = 0
 	c.cached = nil
 	return evs
 }
 
-// resize re-evaluates the wheel geometry; pop calls it every
-// calResizeEvery pops. Bucket count tracks 8x the total population
+// resize re-evaluates the wheel geometry; the dispatch loop calls it
+// every calResizeEvery pops. Bucket count tracks 8x the total population
 // (wheel + heap) and bucket width targets half the inter-pop gap EWMA,
 // so most occupied buckets hold one event. Both adjustments carry
 // hysteresis (8x slack on count, 2 steps on width) so steady-state
@@ -379,13 +350,22 @@ func (c *calQ) resize(now Time) {
 // rebuild re-creates the wheel with the given geometry and re-places
 // every event. The new origin is day(now): every queued event is at
 // or after now, so all of them land at or ahead of the origin and the
-// injectivity invariant is re-established from scratch.
+// injectivity invariant is re-established from scratch. A bucket count
+// the queue has had before reslices the largest heads and occ arrays it
+// has had (they are made together, so they fit together): extractAll
+// cleared every bucket and word in use, and nothing past them has been
+// written since, so a wheel that shrinks and regrows allocates nothing.
 func (c *calQ) rebuild(newN int, newLogW uint, now Time) {
 	c.rebuilds++
 	evs := c.extractAll()
 	if newN != len(c.heads) {
-		c.heads = make([]*event, newN)
-		c.occ = make([]uint64, newN/64)
+		if newN <= cap(c.heads) {
+			c.heads = c.heads[:newN]
+			c.occ = c.occ[:newN/64]
+		} else {
+			c.heads = make([]*event, newN)
+			c.occ = make([]uint64, newN/64)
+		}
 		c.mask = int64(newN - 1)
 	}
 	c.logW = newLogW
@@ -459,11 +439,11 @@ func (c *calQ) heapDown(i int) {
 	ev.index = i
 }
 
-// heapRemoveAt deletes the event at heap slot i and marks it unqueued
-// (index -1).
+// heapRemoveAt deletes the event at heap slot i and leaves its index 0,
+// as in a ring, for wherever it goes next.
 func (c *calQ) heapRemoveAt(i int) {
 	h := c.heap
-	h[i].index = -1
+	h[i].index = 0
 	n := len(h) - 1
 	if i != n {
 		h[i] = h[n]

@@ -39,8 +39,8 @@ func runClosure(obj, _ any, _ uint64) { obj.(Handler)() }
 // position correct.
 // bucket is the wheel bucket holding the event, or calInHeap when the
 // calendar's heap does; next and prev thread it into that bucket's ring
-// and are nil outside one. index is the heap slot (0 in a ring) and is
-// -1 once the event has left the queue.
+// and are nil outside one. index is the heap slot (0 anywhere else) and
+// is -1 once recycle has taken the event out of the queue for good.
 type event struct {
 	at       Time
 	seq      uint64
@@ -106,8 +106,9 @@ func (id EventID) Reschedule(at Time) bool {
 	}
 	e.resched++
 	e.cal.remove(ev)
+	e.live-- // schedule counts it back in
 	ev.at = at
-	e.cal.push(ev, e.now)
+	e.schedule(ev)
 	return true
 }
 
@@ -266,71 +267,58 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// qPush inserts a prepared event (at/dom/seq set) and maintains the
-// live/peak accounting.
-func (e *Engine) qPush(ev *event) {
-	e.cal.push(ev, e.now)
-	if n := e.cal.len(); n > e.maxQueue {
-		e.maxQueue = n
-	}
-	if !ev.canceled {
-		e.live++
-		if e.live > e.maxLive {
-			e.maxLive = e.live
-		}
-	}
-}
-
-// qPop removes and returns the (time, dom, seq)-minimum event, or nil
-// when the queue is empty. Canceled events are returned too (their
-// structs must still be recycled); they left the live count at Cancel.
-func (e *Engine) qPop() *event {
-	ev := e.cal.pop(e.now)
-	if ev != nil && !ev.canceled {
-		e.live--
-	}
-	return ev
-}
-
-// qPeek returns the minimum event without removing it (possibly a
-// canceled one), or nil when the queue is empty.
-func (e *Engine) qPeek() *event { return e.cal.peek(e.now) }
-
 // badSchedule panics for a schedule into the past, which every
 // scheduling call refuses: it always indicates a logic bug in a model.
 // It is out of line so the callers' common path stays small.
+//
+//go:noinline
 func (e *Engine) badSchedule(at Time) {
 	panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", at, e.now))
 }
 
-// enqueue claims a recycled event struct (or allocates a fresh one),
-// stamps it with the key (at, dom, seq) and pushes it on the queue.
-func (e *Engine) enqueue(at Time, dom int32, seq uint64) *event {
-	if at < e.now {
-		e.badSchedule(at)
-	}
+// claim takes an event struct off the free list (or allocates a fresh
+// one) and stamps it with its key (at, dom, seq) and its typed callback,
+// ready for schedule.
+func (e *Engine) claim(at Time, dom int32, seq uint64, h Handler2, obj, aux any, arg uint64) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		ev = new(event)
 	}
-	ev.at = at
-	ev.dom = dom
-	ev.seq = seq
+	ev.at, ev.dom, ev.seq = at, dom, seq
+	ev.h, ev.obj, ev.aux, ev.arg = h, obj, aux, arg
 	ev.eng = e
 	ev.canceled = false
-	e.qPush(ev)
+	ev.index = 0
 	return ev
 }
 
-// alloc queues an event struct at (at, dom) under the next sequence
-// number.
-func (e *Engine) alloc(at Time, dom int32) *event {
-	seq := e.nextSeq
-	e.nextSeq++
-	return e.enqueue(at, dom, seq)
+// schedule queues a stamped event — a fresh one, or one Reschedule has
+// just removed — and counts it live. It is the one placement every
+// event goes through: the origin advances to today, an event for an
+// empty bucket inside the horizon becomes that bucket's ring in line,
+// and only a ring walk or a heap push costs place's call.
+func (e *Engine) schedule(ev *event) {
+	if ev.at < e.now {
+		e.badSchedule(ev.at)
+	}
+	c := e.cal
+	c.advance(e.now)
+	if !c.placeEmpty(ev) {
+		c.place(ev)
+	}
+	c.n++
+	if c.cached != nil && less(ev, c.cached) {
+		c.cached = ev
+	}
+	if n := c.len(); n > e.maxQueue {
+		e.maxQueue = n
+	}
+	if e.live++; e.live > e.maxLive {
+		e.maxLive = e.live
+	}
 }
 
 // Reserve claims the key an event scheduled right now at (at, dom)
@@ -361,11 +349,7 @@ func (e *Engine) Reserve(dom int32, at Time) Key {
 // the event runs exactly where one queued at Reserve time would have.
 func (e *Engine) Arm(k Key, h Handler2, obj, aux any, arg uint64) {
 	e.armed++
-	ev := e.enqueue(k.At, k.Dom, k.Seq)
-	ev.h = h
-	ev.obj = obj
-	ev.aux = aux
-	ev.arg = arg
+	e.schedule(e.claim(k.At, k.Dom, k.Seq, h, obj, aux, arg))
 }
 
 // Reached reports whether dispatch order has reached k: an event queued
@@ -429,12 +413,11 @@ func (e *Engine) At2(at Time, h Handler2, obj, aux any, arg uint64) EventID {
 
 // At2D is At2 with an explicit scheduling domain.
 func (e *Engine) At2D(dom int32, at Time, h Handler2, obj, aux any, arg uint64) EventID {
-	ev := e.alloc(at, dom)
-	ev.h = h
-	ev.obj = obj
-	ev.aux = aux
-	ev.arg = arg
-	return EventID{ev, ev.seq}
+	seq := e.nextSeq
+	e.nextSeq++
+	ev := e.claim(at, dom, seq, h, obj, aux, arg)
+	e.schedule(ev)
+	return EventID{ev, seq}
 }
 
 // After2 schedules the typed event h(obj, aux, arg) to run d from now
@@ -449,16 +432,63 @@ func (e *Engine) After2D(dom int32, d Duration, h Handler2, obj, aux any, arg ui
 }
 
 // Step executes the next event. It returns false when the queue is empty.
-func (e *Engine) Step() bool {
+func (e *Engine) Step() bool { return e.dispatch(Forever, true) }
+
+// dispatch is the one pop loop: Step, Run and RunUntil all come through
+// it. It takes the queue's minimum — the memo, or else the origin word's
+// first occupied bucket, or failing that findMin's scan, against the
+// heap root — and stops, leaving it memoized, when that is a live event
+// past until. Otherwise it removes the event, feeds the geometry
+// statistics and, unless it was canceled, dispatches it; with once set
+// it returns after that one dispatch. It reports whether it dispatched.
+func (e *Engine) dispatch(until Time, once bool) bool {
+	c := e.cal
 	for {
-		ev := e.qPop()
+		ev := c.cached
 		if ev == nil {
+			c.advance(e.now)
+			if ev = c.originMin(); ev == nil {
+				ev = c.findMin()
+			}
+			// A minimum in the heap is served from there without moving
+			// the origin: a run that stops at its deadline leaves it
+			// memoized, and nearer events pushed after it must not land
+			// behind a jumped origin.
+			if len(c.heap) > 0 && (ev == nil || less(c.heap[0], ev)) {
+				ev = c.heap[0]
+			}
+			if ev == nil {
+				return false
+			}
+		}
+		if ev.at > until && !ev.canceled {
+			c.cached = ev
 			return false
 		}
+		c.cached = nil
+		c.n--
+		if ev.bucket == calInHeap {
+			c.heapPops++
+			c.heapRemoveAt(ev.index)
+		} else {
+			c.unlink(ev)
+		}
+		if c.havePop {
+			if gap := int64(ev.at - c.lastPop); gap > 0 {
+				c.gapEWMA += (gap - c.gapEWMA) >> 3
+			}
+		}
+		c.lastPop = ev.at
+		c.havePop = true
+		if c.sincePop++; c.sincePop >= calResizeEvery {
+			c.resize(e.now)
+		}
 		if ev.canceled {
+			// It left the live count at Cancel; the struct is recycled.
 			e.recycle(ev)
 			continue
 		}
+		e.live--
 		if ev.at != e.now || ev.dom > e.posDom || (ev.dom == e.posDom && ev.seq > e.posSeq) {
 			e.posDom, e.posSeq = ev.dom, ev.seq
 		}
@@ -467,7 +497,9 @@ func (e *Engine) Step() bool {
 		e.recycle(ev)
 		e.nEvents++
 		h(obj, aux, arg)
-		return true
+		if once {
+			return true
+		}
 	}
 }
 
@@ -480,6 +512,7 @@ func (e *Engine) Step() bool {
 // 4096 it replaces silently re-allocated under Table 3-scale queues
 // (~64k pending events).
 func (e *Engine) recycle(ev *event) {
+	ev.index = -1
 	ev.h = nil
 	ev.obj = nil
 	ev.aux = nil
@@ -497,28 +530,14 @@ func (e *Engine) recycle(ev *event) {
 // Run executes events until the queue is exhausted. The clock stays at
 // the last executed event, with everything at that instant done.
 func (e *Engine) Run() {
-	for e.Step() {
-	}
+	e.dispatch(Forever, false)
 	e.settleAt(e.now)
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to deadline (if the simulation hasn't already passed it).
 func (e *Engine) RunUntil(deadline Time) {
-	for {
-		ev := e.qPeek()
-		if ev == nil {
-			break
-		}
-		if ev.canceled {
-			e.recycle(e.qPop())
-			continue
-		}
-		if ev.at > deadline {
-			break
-		}
-		e.Step()
-	}
+	e.dispatch(deadline, false)
 	e.settleAt(deadline)
 }
 

@@ -8,20 +8,23 @@ import (
 )
 
 // TestHotPathInlining guards the one property of the scheduler's common
-// path that no behavioural test can see: the per-event helpers must
-// stay within the compiler's inlining budget (80). unlink (cost 71) is
-// the whole of a wheel remove, advance (17) and peek's memo hit (69) run
-// on every push and pop; Engine.Reached is the test every port kick
-// makes where it used to read a flag. With unlink, advance and peek
-// marked go:noinline fabric-ecmp read +4% at the fastest of 15
-// alternating runs and +3% at the 10th percentile (medians −1%: a
-// difference this host does not resolve, so the guard is the cheap side
-// of the bet). The slow halves stay out of line on purpose: findMin
-// (143: the bitmap scan, once per distinct minimum) folded into peek
-// would take peek past the budget and turn the load and branch at its
-// five call sites into a call each, and heapPush (91: far timers and
-// walk spills, 0.2–2% of pushes) keeps append's growth path out of
-// place, which every push runs.
+// path that no behavioural test can see: a push is two calls (At2D or
+// Arm, then schedule) and a pop is one loop (dispatch), only because the
+// per-event helpers stay within the compiler's inlining budget (80).
+// claim (cost 72) takes and stamps the struct, advance (17) moves the
+// origin, placeEmpty (78) is the whole of a push into an empty bucket,
+// originMin (43) the whole of finding a minimum in the origin's bitmap
+// word, unlink (63) the whole of a wheel remove; Engine.Reached is the
+// test every port kick makes where it used to read a flag. placeEmpty
+// has two points to spare: a field it writes costs about four. Three
+// per-event helpers marked go:noinline (unlink, advance and the memo
+// check of an earlier shape) read fabric-ecmp +4% at the fastest of 15
+// alternating runs. The slow halves stay out of line on purpose:
+// place (the ring walk and the heap push, for an occupied bucket or a
+// far day), findMin (the bitmap scan past the origin's word) and
+// heapPush (far timers and walk spills, 0.2–2% of pushes; it keeps
+// append's growth path out of place) would each take its caller past
+// the budget.
 func TestHotPathInlining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the compiler: skipped under -short")
@@ -35,14 +38,14 @@ func TestHotPathInlining(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
 	}
-	for _, fn := range []string{"less", "(*calQ).unlink", "(*calQ).advance", "(*calQ).peek", "(*Engine).Reached"} {
+	for _, fn := range []string{"less", "(*calQ).unlink", "(*calQ).advance", "(*calQ).placeEmpty", "(*calQ).originMin", "(*Engine).claim", "(*Engine).Reached"} {
 		if !strings.Contains(string(out), ": can inline "+fn+"\n") {
 			t.Errorf("%s is no longer inlinable: every wheel push/pop pays a call for it", fn)
 		}
 	}
-	for _, fn := range []string{"(*calQ).findMin", "(*calQ).heapPush"} {
+	for _, fn := range []string{"(*calQ).place", "(*calQ).findMin", "(*calQ).heapPush"} {
 		if strings.Contains(string(out), ": can inline "+fn+"\n") {
-			t.Errorf("%s became inlinable: check that peek and place did not grow by it", fn)
+			t.Errorf("%s became inlinable: check that schedule and dispatch did not grow by it", fn)
 		}
 	}
 }

@@ -29,8 +29,20 @@ import (
 // The crowded mode also calls checkWheel — the calendar's structural
 // invariants — after every step, so a broken link is caught on the
 // operation that broke it rather than when a wrong event surfaces.
-// Mutations of calendar.go this file was checked to fail under:
+// Mutations of calendar.go and of engine.go's schedule and dispatch this
+// file was checked to fail under:
 //
+//   - originMin's origin mask off by one either way (start&63+1, or
+//     (start-1)&63);
+//   - placeEmpty without its horizon check;
+//   - dispatch compares the heap root with the wheel's head the wrong
+//     way round;
+//   - schedule does not lower the memo a stopped RunUntil left;
+//   - heapRemoveAt marks its event -1, or claim leaves a recycled
+//     struct's -1: the rescheduled or reused event reads as fired; or
+//     recycle leaves a fired event's index: its stale ID still cancels;
+//   - Reschedule skips its live-- (schedule counts it in a second time);
+//   - extractAll leaves heads[b] set (a regrown wheel reslices them);
 //   - place links at the tail without the less() walk;
 //   - the new-head case of place does not update heads[b];
 //   - unlink of a ring's sole element leaves the occupancy bit set;
@@ -184,7 +196,7 @@ const (
 // wrong event surfaced. Every bucket's occupancy bit says whether it has
 // a head; a head starts a ring whose next and prev links agree, whose
 // events are in less() order, belong to that bucket's one day inside the
-// window, and record the bucket; the rings hold wheelN events between
+// window, and record the bucket; the rings hold wheelLen() events between
 // them; every heap slot tracks its index and orders after its parent.
 func checkWheel(t *testing.T, c *calQ) {
 	t.Helper()
@@ -201,8 +213,8 @@ func checkWheel(t *testing.T, c *calQ) {
 			t.Fatalf("bucket %d: head's day %d is not the bucket's inside [%d, %d)", b, day, c.curDay, c.curDay+int64(len(c.heads)))
 		}
 		for ev := head; ; ev = ev.next {
-			if n++; n > c.wheelN {
-				t.Fatalf("bucket %d: ring does not close within wheelN = %d events", b, c.wheelN)
+			if n++; n > c.wheelLen() {
+				t.Fatalf("bucket %d: ring does not close within wheelLen() = %d events", b, c.wheelLen())
 			}
 			if ev.next == nil || ev.next.prev != ev || ev.prev == nil || ev.prev.next != ev {
 				t.Fatalf("bucket %d: links of event seq %d disagree with its neighbours'", b, ev.seq)
@@ -218,8 +230,8 @@ func checkWheel(t *testing.T, c *calQ) {
 			}
 		}
 	}
-	if n != c.wheelN {
-		t.Fatalf("rings hold %d events, wheelN = %d", n, c.wheelN)
+	if n != c.wheelLen() {
+		t.Fatalf("rings hold %d events, wheelLen() = %d", n, c.wheelLen())
 	}
 	for i, ev := range c.heap {
 		if ev.index != i || ev.bucket != calInHeap || ev.next != nil || ev.prev != nil {
@@ -459,7 +471,7 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 			checkWheel(t, e.cal)
 		}
 		// Partial drain, occasionally a full one — event by event, or
-		// up to a deadline, which leaves the engine holding a peeked
+		// up to a deadline, which leaves the engine holding a memoized
 		// minimum that the next round's pushes must still order against.
 		if mode == opsCrowded && burstAt >= e.Now() && rng.Intn(3) == 0 {
 			// Run up to the burst and part of the way through it, so the
@@ -719,15 +731,44 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 		// the minimum from each container in turn.
 		burst(e, far, calWalk, 6)
 		burst(e, far, calWalk, 2)
-		if e.cal.wheelN == 0 || len(e.cal.heap) < n/2 || e.PeakHeap() != max(len(e.cal.heap), n/2+1) {
-			t.Fatalf("setup: %d events in the wheel, %d in the heap (peak %d)", e.cal.wheelN, len(e.cal.heap), e.PeakHeap())
+		if e.cal.wheelLen() == 0 || len(e.cal.heap) < n/2 || e.PeakHeap() != max(len(e.cal.heap), n/2+1) {
+			t.Fatalf("setup: %d events in the wheel, %d in the heap (peak %d)", e.cal.wheelLen(), len(e.cal.heap), e.PeakHeap())
 		}
 		checkWheel(t, e.cal)
 		drain(t, e)
-		if e.cal.wheelN != 0 || len(e.cal.heap) != 0 {
-			t.Fatalf("after the drain: %d events in the wheel, %d in the heap", e.cal.wheelN, len(e.cal.heap))
+		if e.cal.wheelLen() != 0 || len(e.cal.heap) != 0 {
+			t.Fatalf("after the drain: %d events in the wheel, %d in the heap", e.cal.wheelLen(), len(e.cal.heap))
 		}
 	})
+}
+
+// TestRebuildReusesHeads: a wheel that shrinks and then regrows to a
+// bucket count it has had before reslices the heads and occupancy arrays
+// it kept, so a geometry flipping between two sizes allocates nothing,
+// and the events it re-places still drain in key order.
+func TestRebuildReusesHeads(t *testing.T) {
+	var got, want []popKey
+	e := New(1)
+	for i := 0; i < 200; i++ {
+		at, dom := Time(i%50)*Nanosecond, int32(i%3)
+		id := keyed(e, dom, at, dispatched(e, &got))
+		want = append(want, popKey{at, dom, id.seq})
+	}
+	c := e.cal
+	small, big := len(c.heads), 64*len(c.heads)
+	c.rebuild(big, c.logW, e.now) // the first regrowth allocates
+	if allocs := testing.AllocsPerRun(10, func() {
+		c.rebuild(small, c.logW, e.now)
+		c.rebuild(big, c.logW, e.now)
+	}); allocs != 0 {
+		t.Fatalf("a shrink and a regrow to %d buckets allocated %.0f times, want none", big, allocs)
+	}
+	checkWheel(t, c)
+	sort.Slice(want, func(i, j int) bool { return keyLess(want[i], want[j]) })
+	e.Run()
+	if !slices.Equal(got, want) {
+		t.Fatalf("drain order diverged from key order:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 // TestWalkCapBoundsBurstCost is the complexity guard: k events on one
@@ -762,13 +803,13 @@ func TestWalkCapBoundsBurstCost(t *testing.T) {
 			limit += depth(len(c.heap))
 		}
 		if cost := c.cmps - before; cost > limit {
-			t.Fatalf("push %d (%d in the wheel, %d in the heap) cost %d compares, want at most %d", i, c.wheelN, len(c.heap), cost, limit)
+			t.Fatalf("push %d (%d in the wheel, %d in the heap) cost %d compares, want at most %d", i, c.wheelLen(), len(c.heap), cost, limit)
 		}
 	}
 	// calWalk links reach the head of a ring of calWalk+1, so the ring
 	// takes one more before the first spill.
-	if c.wheelN != calWalk+2 || e.WalkSpills() != k-calWalk-2 {
-		t.Fatalf("%d events in the wheel after %d spills, want %d and %d", c.wheelN, e.WalkSpills(), calWalk+2, k-calWalk-2)
+	if c.wheelLen() != calWalk+2 || e.WalkSpills() != k-calWalk-2 {
+		t.Fatalf("%d events in the wheel after %d spills, want %d and %d", c.wheelLen(), e.WalkSpills(), calWalk+2, k-calWalk-2)
 	}
 	checkWheel(t, c)
 	place := k * (calWalk + depth(k))
