@@ -72,7 +72,7 @@ fuzz-smoke:
 ## statistical property suite and the error-path tests. obs/stats back
 ## every reported number; untested branches there are silent data
 ## corruption.
-COVER_FLOORS ?= faults:90 dctcp:97 rcp:97 dx:97 hull:97 cubic:97 obs:80 stats:80
+COVER_FLOORS ?= faults:90 dctcp:97 rcp:97 dx:97 cubic:97 obs:80 stats:80
 cover:
 	@go test -cover ./internal/... . | awk '{ print }' ; \
 	fail=0; \

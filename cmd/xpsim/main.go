@@ -56,7 +56,8 @@
 //	                  to the first violation
 //	-flight-events N  with -flight: how many events that dump holds
 //	-scenario-seed N  replay fuzz scenario N (≥ 1), invariants armed,
-//	                  instead of running experiments
+//	                  instead of running experiments; takes no other
+//	                  flag and no experiment id
 package main
 
 import (
@@ -67,6 +68,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -152,6 +154,27 @@ func checkFlagNeeds(fs *flag.FlagSet) error {
 	return err
 }
 
+// checkScenarioAlone rejects a command line that sets -scenario-seed
+// next to any other flag or an experiment id. The scenario replay runs
+// alone, with its own invariants and no outputs, so anything else asked
+// for would be dropped without a word.
+func checkScenarioAlone(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if !slices.Contains(set, "scenario-seed") {
+		return nil
+	}
+	for _, name := range set {
+		if name != "scenario-seed" {
+			return fmt.Errorf("-%s does not combine with -scenario-seed", name)
+		}
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("-scenario-seed takes no experiment id, got %q", fs.Arg(0))
+	}
+	return nil
+}
+
 // command is a validated command line: the flags, the experiment ids
 // and what main derives from the flags before it opens any file.
 type command struct {
@@ -180,6 +203,9 @@ func parseCommandLine(argv []string, stderr io.Writer) (c *command, err error) {
 		}
 	}()
 	if err := checkFlagNeeds(fs); err != nil {
+		return nil, err
+	}
+	if err := checkScenarioAlone(fs); err != nil {
 		return nil, err
 	}
 	if err := checkValues(o); err != nil {
@@ -220,7 +246,7 @@ func main() {
 	}
 
 	if o.scenarioSeed != 0 {
-		rep := expresspass.RunScenario(o.scenarioSeed, expresspass.ScenarioOptions{})
+		rep := expresspass.RunScenario(o.scenarioSeed)
 		fmt.Println(rep)
 		for i, v := range rep.Violations {
 			if i == 16 {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -446,9 +447,10 @@ func TestLinkSurface(t *testing.T) {
 }
 
 // TestNoDeadProfile: a command line that is rejected after flag parsing
-// — a bad -trace-rotate size or -trace-types list (exit 2), a trace file
-// that cannot be created (exit 1) — must not leave a profile or a trace
-// file behind (DIR in a row's arguments is the row's own directory,
+// — a bad -trace-rotate size or -trace-types list, or -scenario-seed
+// next to another flag or an id (exit 2), a trace file that cannot be
+// created (exit 1) — must not leave a profile or a trace file behind
+// (DIR in a row's arguments is the row's own directory,
 // which must stay empty); xpcalc, which has no profile flags, exits 2
 // on a bad rate. Profiles used to start before
 // those checks, which then exited without stopping them: a 0-byte cpu
@@ -471,6 +473,8 @@ func TestNoDeadProfile(t *testing.T) {
 		{"xpsim", 2, "-trace DIR/t.csv -trace-types , fig17"},
 		{"xpsim", 1, "-trace /nonexistent/t.jsonl fig17"},
 		{"xpsim", 1, "-invariants -flight /nonexistent/f.jsonl fig17"},
+		{"xpsim", 2, "-scenario-seed 3 -trace DIR/t.jsonl"},
+		{"xpsim", 2, "-scenario-seed 3 fig15"},
 		{"xpcalc", 2, "-host bogus"},
 		{"xpcalc", 2, "-fabric bogus"},
 	} {
@@ -567,8 +571,9 @@ func FuzzParseEventTypes(f *testing.F) {
 // NUL bytes) to parseCommandLine, with its messages discarded: it never
 // panics, and a command line it accepts has every numeric flag in range
 // — -scale in (0,1], -procs ≥ 0, a positive -metrics-interval and
-// -flight-events in (0, maxFlightEvents]. Runs its seeds as a plain
-// test; `make fuzz-smoke` mutates them for a few seconds.
+// -flight-events in (0, maxFlightEvents] — and, if it sets
+// -scenario-seed, no other flag and no experiment id. Runs its seeds as
+// a plain test; `make fuzz-smoke` mutates them for a few seconds.
 func FuzzCommandLine(f *testing.F) {
 	for _, args := range [][]string{
 		{},
@@ -580,6 +585,8 @@ func FuzzCommandLine(f *testing.F) {
 		{"-metrics", "m.csv", "-metrics-interval", "-1ms"},
 		{"-faults", "every:20ms:roll{ stall@0ms+2ms }@10ms+80ms", "ext-chaos-storm"},
 		{"-shards", "2", "-h"},
+		{"-scenario-seed", "3"},
+		{"-scenario-seed", "3", "-trace", "t.jsonl", "fig15"},
 	} {
 		f.Add(strings.Join(args, "\x00"))
 	}
@@ -602,6 +609,12 @@ func FuzzCommandLine(f *testing.F) {
 			t.Fatalf("%q: accepted -metrics-interval %v", args, c.metricsIval)
 		case c.flightEvents <= 0 || c.flightEvents > maxFlightEvents:
 			t.Fatalf("%q: accepted -flight-events %d", args, c.flightEvents)
+		}
+		fs, _ := parseFlags(t, args...)
+		var set []string
+		fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+		if slices.Contains(set, "scenario-seed") && (len(set) > 1 || len(c.ids) > 0) {
+			t.Fatalf("%q: accepted -scenario-seed with flags %v and ids %q", args, set, c.ids)
 		}
 	})
 }

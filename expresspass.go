@@ -294,14 +294,11 @@ func NewInvariantSet(opt InvariantOptions) *InvariantSet { return invariant.NewS
 // displaced. A clean verdict is only as strong as these numbers.
 type InvariantStats = invariant.Stats
 
-// ScenarioOptions tunes the deterministic scenario fuzzer.
-type ScenarioOptions = scenario.Options
-
 // ScenarioReport summarizes one generated fuzz run.
 type ScenarioReport = scenario.Report
 
 // RunScenario generates and runs the fuzz scenario for seed with every
 // invariant armed (xpsim's -scenario-seed flag; see internal/scenario).
-func RunScenario(seed uint64, opt ScenarioOptions) ScenarioReport {
-	return scenario.Run(seed, opt)
+func RunScenario(seed uint64) ScenarioReport {
+	return scenario.Run(seed)
 }

@@ -15,14 +15,11 @@ import (
 
 	"expresspass"
 	"expresspass/internal/core"
-	"expresspass/internal/dctcp"
 	"expresspass/internal/experiments"
-	"expresspass/internal/hull"
 	"expresspass/internal/invariant"
 	"expresspass/internal/lifecycle"
 	"expresspass/internal/netem"
 	"expresspass/internal/obs"
-	"expresspass/internal/scenario"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
 	"expresspass/internal/workload"
@@ -47,7 +44,7 @@ func TestAPISurface(t *testing.T) {
 		"NewMetrics", "NewNetwork", "NewObsRuntime", "NewRingSink", "NewRotatingTraceWriter",
 		"NewSeries", "NewTracer", "Node", "ObsConfig", "ObsResources", "ObsRuntime",
 		"ParseFaultSpec", "Port", "PortConfig", "PortStats", "Rate", "RateProbe",
-		"RunExperiment", "RunScenario", "ScenarioOptions", "ScenarioReport", "Second",
+		"RunExperiment", "RunScenario", "ScenarioReport", "Second",
 		"Series", "Session", "SoftNIC", "Switch", "Time", "TraceEvent", "TraceEventType",
 		"TraceRotateConfig", "Tracer",
 	}
@@ -93,29 +90,24 @@ func TestConfigSurface(t *testing.T) {
 		typ    reflect.Type
 		fields string
 	}{
-		{reflect.TypeFor[core.Config](), "Alpha WInit BaseRTT JitterFrac DisableCreditSizeRandomization Naive StopMargin MaxRequestRetries Class"},
-		{reflect.TypeFor[dctcp.Config](), "G InitAlpha"},
+		{reflect.TypeFor[core.Config](), "Alpha WInit BaseRTT JitterFrac DisableCreditSizeRandomization Naive StopMargin Class"},
 		{reflect.TypeFor[experiments.Params](), "Scale Seed Faults Procs Obs Invariants"},
-		{reflect.TypeFor[hull.Config](), "DrainFactor MarkThreshold G"},
 		{reflect.TypeFor[invariant.Options](), "QueueBound DelayCap NoQueueBound NoDelayBound OnViolation FlightOut FlightEvents"},
 		{reflect.TypeFor[lifecycle.Config](), "Engine Specs Dial Class FCTValue OnRetire Grace"},
 		{reflect.TypeFor[netem.CreditClassConfig](), "Priority Weight"},
 		{reflect.TypeFor[netem.HostDelayConfig](), "Min Spread"},
-		{reflect.TypeFor[netem.PFCConfig](), "XOff XOn"},
-		{reflect.TypeFor[netem.PhantomConfig](), "DrainFactor MarkThreshold"},
 		{reflect.TypeFor[netem.PortConfig](), "Rate Delay DataCapacity CreditQueueCap CreditBurst CreditRatio ECNThreshold CreditTailDrop RED CreditClasses RCP Phantom PFC"},
-		{reflect.TypeFor[netem.RCPConfig](), "RTT"},
 		{reflect.TypeFor[obs.Config](), "Tracer MetricsOut Interval Progress"},
 		{reflect.TypeFor[obs.RotateConfig](), "MaxBytes Gzip Header"},
-		{reflect.TypeFor[scenario.Options](), "NoFaults"},
 		{reflect.TypeFor[topology.Config](), "LinkRate CoreRate LinkDelay DataCapacity CreditQueueCap CreditBurst CreditTailDrop ECNThreshold RED RCP Phantom PFC"},
 		{reflect.TypeFor[topology.OversubParams](), "Cores Aggs ToRs HostsPerToR UplinksPerToR CoreLinksPerAgg"},
-		{reflect.TypeFor[transport.ConnConfig](), "Mode InitCwnd MinCwnd InitRate MinRTO ECN Segment"},
+		{reflect.TypeFor[transport.ConnConfig](), "Mode MinCwnd InitRate MinRTO ECN"},
 		{reflect.TypeFor[workload.PoissonConfig](), "Hosts Dist Load RefRate Flows Start"},
 		{reflect.TypeFor[workload.ShuffleConfig](), "Hosts TasksPerHost Bytes StartJitter"},
 	}
-	const rule = "a config field needs two callers that set it to different values; " +
-		"a value only its default ever takes is a constant (DESIGN.md \"One value, no knob\")"
+	const rule = "a config field needs two production callers that set it to different values " +
+		"(a test or an example is no such caller); a field with one production value is a constant " +
+		"(DESIGN.md \"One value, no knob\")"
 	var pinned []string
 	for _, w := range want {
 		var got []string

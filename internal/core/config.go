@@ -20,6 +20,14 @@ const (
 	targetLoss = 0.1
 )
 
+// maxRequestRetries bounds CREDIT_REQUEST retransmissions (and the
+// receiver's NACK retransmissions) on an unresponsive path. Fig 7a
+// retries forever, but a simulation needs its event loop to drain when a
+// path is truly dead: each retry waits 4·BaseRTT, so 64 retries probe a
+// dead path for ~25 ms of simulated time (at 100 µs) before giving up
+// and leaving no events pending.
+const maxRequestRetries = 64
+
 // Config tunes one ExpressPass flow. Zero values select the paper's
 // defaults.
 type Config struct {
@@ -56,15 +64,6 @@ type Config struct {
 	// credit waste per flow. Zero disables.
 	StopMargin unit.Bytes
 
-	// MaxRequestRetries bounds CREDIT_REQUEST retransmissions (and the
-	// receiver's NACK retransmissions) on an unresponsive path. Fig 7a
-	// retries forever, but a simulation needs its event loop to drain
-	// when a path is truly dead: each retry waits 4·BaseRTT, so the
-	// default (64) probes a dead path for ~25 ms of simulated time
-	// before giving up and leaving no events pending. -1 retries
-	// forever (the literal paper behavior).
-	MaxRequestRetries int
-
 	// Class tags this flow's credit packets with a switch credit class
 	// (§7 "Multiple traffic classes"); meaningful only on ports
 	// configured with netem.CreditClassConfig.
@@ -87,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JitterFrac == 0 {
 		c.JitterFrac = 0.02
-	}
-	if c.MaxRequestRetries == 0 {
-		c.MaxRequestRetries = 64
 	}
 	return c
 }

@@ -211,7 +211,7 @@ func TestFeedbackBoundsProperty(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Alpha != 0.5 || c.WInit != 0.5 || c.JitterFrac != 0.02 || c.MaxRequestRetries != 64 {
+	if c.Alpha != 0.5 || c.WInit != 0.5 || c.JitterFrac != 0.02 {
 		t.Errorf("defaults: %+v", c)
 	}
 	if c.BaseRTT != 100*sim.Microsecond {

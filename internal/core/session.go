@@ -196,7 +196,7 @@ type sender struct {
 	lastEmit  sim.Time   // data responses stay in credit order (FIFO NIC)
 
 	// Fig 7a retry arcs: CREDIT_REQUEST is retransmitted until credits
-	// arrive (bounded by Cfg.MaxRequestRetries so a dead path cannot
+	// arrive (bounded by maxRequestRetries so a dead path cannot
 	// keep the engine from draining), and CREDIT_STOP until the credit
 	// flow actually stops — both control packets ride the data class
 	// and can be dropped.
@@ -238,14 +238,14 @@ func (sn *sender) start() {
 
 // sendRequest emits CREDIT_REQUEST and arms the Fig 7a retry timeout
 // (CREQ_SENT --no credit for timeout--> resend CREDIT_REQUEST). Retries
-// are bounded: past MaxRequestRetries the sender gives up without
+// are bounded: past maxRequestRetries the sender gives up without
 // re-arming, so a dead path leaves no pending events and the engine
 // drains. A credit arrival resets the budget.
 func (sn *sender) sendRequest() {
 	if sn.gotCredit {
 		return
 	}
-	if lim := sn.sess.Cfg.MaxRequestRetries; lim > 0 && sn.reqRetries >= lim {
+	if sn.reqRetries >= maxRequestRetries {
 		return
 	}
 	sn.reqRetries++
@@ -574,7 +574,7 @@ func (rc *receiver) stopCredits() {
 }
 
 // requestMissing sends (and retries) a NACK while the flow is short of
-// its size. Retries share the MaxRequestRetries budget semantics; the
+// its size. Retries share the maxRequestRetries budget; the
 // timer is canceled the moment the flow finishes so nothing dangles.
 func (rc *receiver) requestMissing() {
 	f := rc.sess.Flow
@@ -582,7 +582,7 @@ func (rc *receiver) requestMissing() {
 		rc.nackTimer.Cancel()
 		return
 	}
-	if lim := rc.sess.Cfg.MaxRequestRetries; lim > 0 && rc.nackRetries >= lim {
+	if rc.nackRetries >= maxRequestRetries {
 		return
 	}
 	rc.nackRetries++

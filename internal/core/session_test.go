@@ -221,8 +221,8 @@ func TestEngineDrainsAfterCompletion(t *testing.T) {
 }
 
 // TestDeadPathDrains pins the bounded CREDIT_REQUEST retry: a sender
-// whose path is hard-down from the start must give up after
-// MaxRequestRetries and leave the engine drainable, not re-arm forever.
+// whose path is hard-down from the start must give up after its 64
+// requests and leave the engine drainable, not re-arm forever.
 func TestDeadPathDrains(t *testing.T) {
 	eng, d := dumbbell(8, 1)
 	// Take the middle link down before the flow starts and reconverge:
@@ -230,15 +230,15 @@ func TestDeadPathDrains(t *testing.T) {
 	d.Net.SetLinkDown(d.Bottleneck, true)
 	d.Net.BuildRoutes()
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 64*unit.KB, 0)
-	rtt := 50 * sim.Microsecond
-	core.Dial(f, core.Config{BaseRTT: rtt, MaxRequestRetries: 8})
+	core.Dial(f, core.Config{BaseRTT: 50 * sim.Microsecond})
 	eng.Run() // must return: bounded retries leave no pending events
 	if f.Finished {
 		t.Fatal("flow finished across a dead path")
 	}
-	// 8 retries spaced 4·BaseRTT apart ≈ 1.6 ms, plus packet flight.
-	if eng.Now() > sim.Time(4*rtt)*10 {
-		t.Errorf("dead path drained only at %v — retries not bounded", eng.Now())
+	// Every request the sender made died unrouted at the left switch,
+	// and it made all 64 the budget allows.
+	if got := d.Left.Misrouted; got != 64 {
+		t.Errorf("left switch misrouted %d requests, want the budget of 64", got)
 	}
 }
 

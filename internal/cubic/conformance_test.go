@@ -9,6 +9,7 @@ import (
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
+	"expresspass/internal/unit"
 )
 
 func stepConn(t *testing.T) (*cubic.CC, *transport.Conn) {
@@ -17,7 +18,7 @@ func stepConn(t *testing.T) (*cubic.CC, *transport.Conn) {
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
 	cc := cubic.New() // C = 0.4, β = 0.7
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := transport.NewConn(f, cc, transport.ConnConfig{Segment: 1000})
+	c := transport.NewConn(f, cc, transport.ConnConfig{})
 	return cc, c
 }
 
@@ -27,7 +28,7 @@ func stepConn(t *testing.T) (*cubic.CC, *transport.Conn) {
 // argument).
 func TestCubicHandComputedSteps(t *testing.T) {
 	cc, c := stepConn(t)
-	seg := c.Cfg.Segment
+	seg := unit.MTUPayload // one segment per ack
 
 	// Slow start: each acked segment adds one packet.
 	cc.OnAck(c, seg, &packet.Packet{}, 10*sim.Microsecond)
@@ -73,14 +74,14 @@ func TestCubicEpochStartsAtTheLargerWindow(t *testing.T) {
 	cc, c := stepConn(t)
 	c.Cwnd = 10
 	cc.OnTimeout(c) // Wmax = 10, ssthresh = 7, cwnd = MinCwnd = 1
-	cc.OnAck(c, 20*c.Cfg.Segment, &packet.Packet{}, 0)
+	cc.OnAck(c, 20*unit.MTUPayload, &packet.Packet{}, 0)
 	if c.Cwnd != 21 {
 		t.Fatalf("slow-start cwnd = %v, want 1 + 20 acked packets", c.Cwnd)
 	}
 	// Congestion avoidance with Wmax = 21: K = ∛(21·0.3/0.4) ≈ 2.5066 s,
 	// so an ack 5 s of rtt later grows by (0.4·(5−K)³ + 21 − 21)/21 ≈
 	// 0.295, well above Reno's 1/21 (a stale Wmax of 10 would give less).
-	cc.OnAck(c, c.Cfg.Segment, &packet.Packet{}, 5*sim.Second)
+	cc.OnAck(c, unit.MTUPayload, &packet.Packet{}, 5*sim.Second)
 	k := math.Cbrt(21 * 0.3 / 0.4)
 	if want := 21 + 0.4*math.Pow(5-k, 3)/21; math.Abs(c.Cwnd-want) > 1e-9 {
 		t.Fatalf("convex-region cwnd = %v, want %v", c.Cwnd, want)
@@ -97,7 +98,7 @@ func TestCubicTimeoutRestartsSlowStart(t *testing.T) {
 		t.Fatalf("after timeout cwnd = %v, want MinCwnd %v", c.Cwnd, c.Cfg.MinCwnd)
 	}
 	// ssthresh = 7: the next acks climb exponentially (one per segment).
-	cc.OnAck(c, c.Cfg.Segment, &packet.Packet{}, 0)
+	cc.OnAck(c, unit.MTUPayload, &packet.Packet{}, 0)
 	if c.Cwnd != 2 {
 		t.Fatalf("slow-start restart cwnd = %v, want 2", c.Cwnd)
 	}

@@ -41,7 +41,7 @@ func (cc *CC) Init(c *transport.Conn) {
 
 // OnAck implements transport.CC.
 func (cc *CC) OnAck(c *transport.Conn, acked unit.Bytes, _ *packet.Packet, rtt sim.Duration) {
-	pkts := float64(acked) / float64(c.Cfg.Segment)
+	pkts := float64(acked) / float64(unit.MTUPayload)
 	if cc.inSS && c.Cwnd < cc.ssthresh {
 		c.Cwnd += pkts
 		c.ClampCwnd()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"expresspass/internal/dcqcn"
-	"expresspass/internal/netem"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -17,7 +16,7 @@ func dcqcnNet(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 		LinkRate:  10 * unit.Gbps,
 		LinkDelay: 4 * sim.Microsecond,
 		RED:       true,
-		PFC:       &netem.PFCConfig{},
+		PFC:       64 * unit.KB,
 	})
 	return eng, d
 }
@@ -80,7 +79,7 @@ func TestDCQCNWithPFCIsLossless(t *testing.T) {
 		// guarantees plus one RTT of in-flight headroom each fit the
 		// shared 2 MB buffer: PFC, not buffering, provides losslessness
 		// (without PFC this same incast overflows — see the next test).
-		PFC:          &netem.PFCConfig{XOff: 8 * unit.KB},
+		PFC:          8 * unit.KB,
 		DataCapacity: 2 * unit.MB,
 	})
 	var flows []*transport.Flow

@@ -7,6 +7,7 @@ import (
 	"expresspass/internal/dctcp"
 	"expresspass/internal/packet"
 	"expresspass/internal/transport"
+	"expresspass/internal/unit"
 )
 
 // stepConn builds a connection the steps drive by hand: the engine
@@ -15,20 +16,30 @@ import (
 func stepConn(t *testing.T) (*dctcp.CC, *transport.Conn) {
 	t.Helper()
 	_, d := net10G(99, 2)
-	cc := dctcp.New(dctcp.Config{InitAlpha: 1}) // G defaults to 1/16
+	cc := dctcp.New() // g = 1/16, α₀ = 1
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := transport.NewConn(f, cc, transport.ConnConfig{ECN: true, Segment: 1000})
+	c := transport.NewConn(f, cc, transport.ConnConfig{ECN: true})
 	return cc, c
+}
+
+// TestDCTCPStartsAtAlphaOne pins the conservative start both the DCTCP
+// and the HULL baseline run with: α₀ = 1, so the first marked window
+// cuts the window in half.
+func TestDCTCPStartsAtAlphaOne(t *testing.T) {
+	if a := dctcp.New().Alpha(); a != 1 {
+		t.Fatalf("initial alpha = %v, want 1", a)
+	}
 }
 
 // TestDCTCPHandComputedSteps walks the Alizadeh et al. update rule
 // α ← (1−g)α + g·F, W ← W(1−α/2) through exactly computed steps.
 // With the conn never pumped, NextSeqNum stays 0 and every ACK closes
-// an observation window, so each step applies one full update.
+// an observation window, so each step, one segment acked, applies one
+// full update.
 func TestDCTCPHandComputedSteps(t *testing.T) {
 	cc, c := stepConn(t)
 	ack := func(ecn bool) {
-		cc.OnAck(c, 1000, &packet.Packet{Ack: 0, ECNEcho: ecn}, 0)
+		cc.OnAck(c, unit.MTUPayload, &packet.Packet{Ack: 0, ECNEcho: ecn}, 0)
 	}
 
 	// Step 1: clean window. F = 0, so α decays by (1−g) = 15/16 and the
@@ -85,11 +96,11 @@ func TestDCTCPLossEvents(t *testing.T) {
 	// ssthresh is now 2, so the next acked packet slow-starts and the one
 	// after grows additively: 1 → 2 → 2 + 1/2… with a window update in
 	// between (clean window, no cut).
-	cc.OnAck(c, 1000, &packet.Packet{Ack: 0}, 0)
+	cc.OnAck(c, unit.MTUPayload, &packet.Packet{Ack: 0}, 0)
 	if c.Cwnd != 2 {
 		t.Fatalf("slow-start step cwnd = %v, want 2", c.Cwnd)
 	}
-	cc.OnAck(c, 1000, &packet.Packet{Ack: 0}, 0)
+	cc.OnAck(c, unit.MTUPayload, &packet.Packet{Ack: 0}, 0)
 	if c.Cwnd != 2.5 {
 		t.Fatalf("avoidance step cwnd = %v, want 2.5", c.Cwnd)
 	}

@@ -11,23 +11,17 @@ import (
 	"expresspass/internal/unit"
 )
 
-// Config tunes DCTCP.
-type Config struct {
-	G         float64 // EWMA gain, paper default 1/16
-	InitAlpha float64 // initial α, default 1 (conservative start)
-}
-
-func (c Config) withDefaults() Config {
-	if c.G == 0 {
-		c.G = 1.0 / 16
-	}
-	return c
-}
+// The controller's constants, the Alizadeh et al. settings the paper's
+// §6.3 baseline runs with: the EWMA gain g, and the initial α of 1 (the
+// conservative start: the first marked window halves W). g is typed so
+// 1−g rounds like the float64 arithmetic of the update rule.
+const (
+	g         float64 = 1.0 / 16
+	initAlpha float64 = 1
+)
 
 // CC is the DCTCP congestion-control policy for transport.Conn.
 type CC struct {
-	cfg Config
-
 	alpha     float64
 	ssthresh  float64
 	windowEnd int64 // alpha observation window boundary (seq)
@@ -36,9 +30,8 @@ type CC struct {
 }
 
 // New returns a DCTCP controller.
-func New(cfg Config) *CC {
-	cfg = cfg.withDefaults()
-	return &CC{cfg: cfg, alpha: cfg.InitAlpha, ssthresh: 1 << 30}
+func New() *CC {
+	return &CC{alpha: initAlpha, ssthresh: 1 << 30}
 }
 
 // Init implements transport.CC.
@@ -59,7 +52,7 @@ func (d *CC) OnAck(c *transport.Conn, acked unit.Bytes, ack *packet.Packet, _ si
 		// One observation window (≈ one RTT of data) completed.
 		if d.ackedB > 0 {
 			f := float64(d.markedB) / float64(d.ackedB)
-			d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G*f
+			d.alpha = (1-g)*d.alpha + g*f
 			if f > 0 {
 				c.Cwnd *= 1 - d.alpha/2
 				c.ClampCwnd()
@@ -70,7 +63,7 @@ func (d *CC) OnAck(c *transport.Conn, acked unit.Bytes, ack *packet.Packet, _ si
 		d.windowEnd = c.NextSeqNum()
 	}
 	// Window growth: slow start below ssthresh, else 1 pkt per RTT.
-	pkts := float64(acked) / float64(c.Cfg.Segment)
+	pkts := float64(acked) / float64(unit.MTUPayload)
 	if c.Cwnd < d.ssthresh {
 		c.Cwnd += pkts
 	} else {

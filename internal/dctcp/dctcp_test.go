@@ -22,7 +22,7 @@ func net10G(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 
 func dial(d *topology.Dumbbell, i int, size unit.Bytes, at sim.Time) (*transport.Flow, *transport.Conn) {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], size, at)
-	c := transport.NewConn(f, dctcp.New(dctcp.Config{InitAlpha: 1}),
+	c := transport.NewConn(f, dctcp.New(),
 		transport.ConnConfig{ECN: true, MinCwnd: 2})
 	return f, c
 }
@@ -81,7 +81,7 @@ func TestDCTCPFairTwoFlows(t *testing.T) {
 
 func TestDCTCPAlphaDecaysWhenUncongested(t *testing.T) {
 	eng, d := net10G(4, 2)
-	cc := dctcp.New(dctcp.Config{InitAlpha: 1})
+	cc := dctcp.New()
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 	transport.NewConn(f, cc, transport.ConnConfig{ECN: true, MinCwnd: 2})
 	eng.RunUntil(3 * sim.Millisecond) // slow start, little marking yet

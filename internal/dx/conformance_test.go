@@ -9,6 +9,7 @@ import (
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
+	"expresspass/internal/unit"
 )
 
 func stepConn(t *testing.T) (*dx.CC, *transport.Conn) {
@@ -17,7 +18,7 @@ func stepConn(t *testing.T) (*dx.CC, *transport.Conn) {
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
 	cc := dx.New() // V defaults to 4 µs
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := transport.NewConn(f, cc, transport.ConnConfig{Segment: 1000})
+	c := transport.NewConn(f, cc, transport.ConnConfig{})
 	return cc, c
 }
 
@@ -27,7 +28,7 @@ func stepConn(t *testing.T) (*dx.CC, *transport.Conn) {
 func TestDXHandComputedSteps(t *testing.T) {
 	cc, c := stepConn(t)
 	ack := func(delay sim.Duration) {
-		cc.OnAck(c, 1000, &packet.Packet{Ack: 0, Delay: delay}, 0)
+		cc.OnAck(c, unit.MTUPayload, &packet.Packet{Ack: 0, Delay: delay}, 0)
 	}
 
 	// Step 1: first sample sets the zero-queue baseline (10 µs); with no

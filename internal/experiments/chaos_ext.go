@@ -32,8 +32,8 @@ func chaosDumbbell(eng *sim.Engine, pr Proto, n int, size unit.Bytes,
 	pr.Features(&tcfg, faultRTT)
 	d := topology.NewDumbbell(eng, n, tcfg)
 	env := &Env{Eng: eng, Net: d.Net, BaseRTT: faultRTT,
-		XP:   core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
-		Conn: transport.ConnConfig{MinRTO: sim.Millisecond}}
+		XP:     core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
+		MinRTO: sim.Millisecond}
 	var flows []*transport.Flow
 	for i := 0; i < n; i++ {
 		f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i],

@@ -30,7 +30,7 @@ func TestCoexistenceWithUncreditedTraffic(t *testing.T) {
 	xp := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 	core.Dial(xp, core.Config{BaseRTT: 100 * sim.Microsecond})
 	tcp := transport.NewFlow(d.Net, d.Senders[1], d.Receivers[1], 0, 0)
-	transport.NewConn(tcp, dctcp.New(dctcp.Config{InitAlpha: 1}),
+	transport.NewConn(tcp, dctcp.New(),
 		transport.ConnConfig{ECN: true, MinCwnd: 2})
 
 	eng.RunUntil(30 * sim.Millisecond)

@@ -33,8 +33,7 @@ func runExtDCQCN(p Params) (Result, error) {
 		proto.Features(&tcfg, 30*sim.Microsecond)
 		st := topology.NewStar(eng, 17, tcfg)
 		env := &Env{Eng: eng, Net: st.Net, BaseRTT: 30 * sim.Microsecond,
-			XP:   core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
-			Conn: transport.ConnConfig{}}
+			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
 		specs := make([]workload.FlowSpec, fanout)
 		for i := range specs {
 			specs[i] = workload.FlowSpec{Src: 1 + i%16, Dst: 0,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"expresspass/internal/dctcp"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/unit"
@@ -158,29 +159,26 @@ func TestLightExperimentsSmoke(t *testing.T) {
 	}
 }
 
+// TestProtoFeatures: each protocol installs exactly its own switch
+// features and leaves every other field of the topology config at zero.
 func TestProtoFeatures(t *testing.T) {
-	for _, pr := range EvalProtos() {
-		cfg := topology.Config{}
-		pr.Features(&cfg, 0)
-		switch pr {
-		case ProtoDCTCP:
-			if cfg.ECNThreshold == 0 {
-				t.Error("DCTCP without ECN threshold")
-			}
-		case ProtoRCP:
-			if cfg.RCP == nil {
-				t.Error("RCP without meter config")
-			}
-		case ProtoHULL:
-			if cfg.Phantom == nil {
-				t.Error("HULL without phantom queue")
-			}
-		}
+	const baseRTT = 52 * sim.Microsecond
+	want := map[Proto]topology.Config{
+		ProtoDCTCP: {ECNThreshold: dctcp.RecommendedK(10 * unit.Gbps)},
+		ProtoRCP:   {RCP: baseRTT},
+		ProtoHULL:  {Phantom: true},
+		ProtoDCQCN: {RED: true, PFC: 8 * unit.KB},
 	}
-	// The protocol table has an entry, with a transport, for every
-	// protocol and for nothing else.
+	// ExpressPass, DX, CUBIC and ideal install none. The protocol table
+	// has an entry, with a transport, for every protocol and for nothing
+	// else.
 	all := []Proto{ProtoExpressPass, ProtoDCTCP, ProtoRCP, ProtoDX, ProtoHULL, ProtoCubic, ProtoIdeal, ProtoDCQCN}
 	for _, pr := range all {
+		var cfg topology.Config
+		pr.Features(&cfg, baseRTT)
+		if cfg != want[pr] {
+			t.Errorf("%s installs %+v, want %+v", pr, cfg, want[pr])
+		}
 		if protoSpecs[pr].dial == nil {
 			t.Errorf("protocol %q has no entry in protoSpecs", pr)
 		}

@@ -146,7 +146,7 @@ func runFig2(p Params) (Result, error) {
 			// A short min-RTO stands in for SACK-grade loss recovery:
 			// without it the displaced flow (cwnd 1, no dupacks) sits
 			// out 10 ms per loss and never re-converges.
-			Conn: transport.ConnConfig{MinRTO: sim.Millisecond}}
+			MinRTO: sim.Millisecond}
 		f0 := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 		env.Dial(a.name, f0)
 		// Let flow 0 reach steady state, then start flow 1.

@@ -119,7 +119,7 @@ func runFig13(p Params) (Result, error) {
 		proto.Features(&tcfg, rtt)
 		d := rttDumbbell(eng, 5, 10*unit.Gbps, rtt, tcfg)
 		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
-			XP: core.Config{}, Conn: transport.ConnConfig{}}
+			XP: core.Config{}}
 
 		var flows []*transport.Flow
 		var handles []Handle
@@ -198,7 +198,7 @@ func fig15Cell(eng *sim.Engine, p Params, n int, proto Proto) []any {
 	proto.Features(&tcfg, rtt)
 	d := rttDumbbell(eng, n, 10*unit.Gbps, rtt, tcfg)
 	env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
-		XP: core.Config{}, Conn: transport.ConnConfig{}}
+		XP: core.Config{}}
 	var flows []*transport.Flow
 	var timeouts func() uint64
 	var conns []*transport.Conn
@@ -280,8 +280,7 @@ func runFig16(p Params) (Result, error) {
 		}
 		d := rttDumbbell(eng, 2, rate, rtt, tcfg)
 		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
-			XP:   core.Config{Alpha: a.alpha, WInit: a.alpha},
-			Conn: transport.ConnConfig{}}
+			XP: core.Config{Alpha: a.alpha, WInit: a.alpha}}
 		f0 := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 		env.Dial(a.proto, f0)
 		warm := p.scaleDur(100*sim.Millisecond, 30*sim.Millisecond)

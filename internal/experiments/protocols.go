@@ -9,7 +9,6 @@ import (
 	"expresspass/internal/dcqcn"
 	"expresspass/internal/dctcp"
 	"expresspass/internal/dx"
-	"expresspass/internal/hull"
 	"expresspass/internal/idealrate"
 	"expresspass/internal/netem"
 	"expresspass/internal/rcp"
@@ -57,40 +56,39 @@ var protoSpecs = map[Proto]protoSpec{
 		features: func(cfg *topology.Config, _ sim.Duration) {
 			cfg.ECNThreshold = dctcp.RecommendedK(cmp.Or(cfg.LinkRate, 10*unit.Gbps))
 		},
-		dial: func(e *Env, f *transport.Flow) Handle { return e.ecnWindow(f, dctcp.New(dctcp.Config{InitAlpha: 1})) },
+		dial: func(e *Env, f *transport.Flow) Handle { return e.ecnWindow(f) },
 	},
+	// HULL (Alizadeh et al., NSDI 2012): phantom queues mark ahead of any
+	// real queue, and the hosts run DCTCP against those marks.
 	ProtoHULL: {
-		features: func(cfg *topology.Config, _ sim.Duration) { cfg.Phantom = hull.PortFeature(hull.Config{}) },
-		dial:     func(e *Env, f *transport.Flow) Handle { return e.ecnWindow(f, hull.New(hull.Config{})) },
+		features: func(cfg *topology.Config, _ sim.Duration) { cfg.Phantom = true },
+		dial:     func(e *Env, f *transport.Flow) Handle { return e.ecnWindow(f) },
 	},
-	ProtoCubic: {dial: func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, cubic.New(), e.Conn) }},
-	ProtoDX:    {dial: func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, dx.New(), e.Conn) }},
+	ProtoCubic: {dial: func(e *Env, f *transport.Flow) Handle {
+		return transport.NewConn(f, cubic.New(), transport.ConnConfig{MinRTO: e.MinRTO})
+	}},
+	ProtoDX: {dial: func(e *Env, f *transport.Flow) Handle {
+		return transport.NewConn(f, dx.New(), transport.ConnConfig{MinRTO: e.MinRTO})
+	}},
 	ProtoDCQCN: {
 		// DCQCN's deployment environment: RED marking on a PFC lossless fabric.
-		features: func(cfg *topology.Config, _ sim.Duration) {
-			cfg.RED, cfg.PFC = true, &netem.PFCConfig{XOff: 8 * unit.KB}
-		},
+		features: func(cfg *topology.Config, _ sim.Duration) { cfg.RED, cfg.PFC = true, 8*unit.KB },
 		dial: func(e *Env, f *transport.Flow) Handle {
-			cfg := e.Conn
-			cfg.Mode, cfg.ECN = transport.ModePaced, true
-			return transport.NewConn(f, dcqcn.New(), cfg)
+			return transport.NewConn(f, dcqcn.New(),
+				transport.ConnConfig{Mode: transport.ModePaced, ECN: true, MinRTO: e.MinRTO})
 		},
 	},
 	ProtoRCP: {
-		features: func(cfg *topology.Config, baseRTT sim.Duration) { cfg.RCP = &netem.RCPConfig{RTT: baseRTT} },
+		features: func(cfg *topology.Config, baseRTT sim.Duration) { cfg.RCP = baseRTT },
 		dial: func(e *Env, f *transport.Flow) Handle {
 			// RCP senders learn the router rate during the handshake: a
 			// low-rate first RTT, then the first echoed rate.
-			cfg := e.Conn
-			cfg.Mode = transport.ModePaced
-			cfg.InitRate = cmp.Or(cfg.InitRate, f.Sender.LineRate()/100)
-			return transport.NewConn(f, rcp.New(), cfg)
+			return transport.NewConn(f, rcp.New(), transport.ConnConfig{Mode: transport.ModePaced,
+				InitRate: f.Sender.LineRate() / 100, MinRTO: e.MinRTO})
 		},
 	},
 	ProtoIdeal: {dial: func(e *Env, f *transport.Flow) Handle {
-		cfg := e.Conn
-		cfg.Mode = transport.ModePaced
-		c := transport.NewConn(f, idealrate.CC{}, cfg)
+		c := transport.NewConn(f, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced, MinRTO: e.MinRTO})
 		if e.oracle == nil {
 			e.oracle = idealrate.NewOracle(e.Net)
 		}
@@ -123,8 +121,9 @@ type Env struct {
 
 	// XP carries ExpressPass per-flow parameters (α, w_init, …).
 	XP core.Config
-	// Conn carries reliability knobs for the window/rate baselines.
-	Conn transport.ConnConfig
+	// MinRTO is the window/rate baselines' minimum retransmission
+	// timeout (zero: transport's 10 ms).
+	MinRTO sim.Duration
 
 	oracle *idealrate.Oracle
 }
@@ -150,12 +149,10 @@ func (e *Env) Dial(pr Proto, f *transport.Flow) Handle {
 	panic(fmt.Sprintf("experiments: unknown protocol %q", pr))
 }
 
-// ecnWindow dials an ECN window protocol (DCTCP, HULL): cwnd ≥ 2 packets.
-func (e *Env) ecnWindow(f *transport.Flow, cc transport.CC) Handle {
-	cfg := e.Conn
-	cfg.ECN = true
-	cfg.MinCwnd = cmp.Or(cfg.MinCwnd, 2)
-	return transport.NewConn(f, cc, cfg)
+// ecnWindow dials DCTCP, the host side of DCTCP and HULL: an ECN window
+// of at least 2 packets.
+func (e *Env) ecnWindow(f *transport.Flow) Handle {
+	return transport.NewConn(f, dctcp.New(), transport.ConnConfig{ECN: true, MinCwnd: 2, MinRTO: e.MinRTO})
 }
 
 // gbps converts delivered payload bytes over a duration to Gbps.

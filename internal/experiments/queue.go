@@ -42,8 +42,7 @@ func runFig1(p Params) (Result, error) {
 		hosts := ft.Hosts
 		master := hosts[0]
 		env := &Env{Eng: eng, Net: ft.Net, BaseRTT: rtt,
-			XP:   core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
-			Conn: transport.ConnConfig{}}
+			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
 		// The master continuously requests from `fanout` workers
 		// over persistent connections (§2); model the responses as
 		// backlogged worker→master streams whose starts are
@@ -100,8 +99,7 @@ func runFig17(p Params) (Result, error) {
 			StartJitter: 1 * sim.Millisecond,
 		})
 		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
-			XP:   core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
-			Conn: transport.ConnConfig{}}
+			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
 		mgr := lifecycle.NewManager(lifecycle.Config{
 			Engine: eng,
 			Specs:  specs,

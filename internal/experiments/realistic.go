@@ -120,8 +120,7 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 		winit = 1.0 / 16
 	}
 	env := &Env{Eng: eng, Net: ot.Net, BaseRTT: baseRTT,
-		XP:   core.Config{Alpha: alpha, WInit: winit, BaseRTT: baseRTT},
-		Conn: transport.ConnConfig{}}
+		XP: core.Config{Alpha: alpha, WInit: winit, BaseRTT: baseRTT}}
 
 	res := realisticResult{total: len(specs), requested: requested}
 	mgr := lifecycle.NewManager(lifecycle.Config{

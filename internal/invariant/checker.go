@@ -413,7 +413,7 @@ func (c *Checker) trackPort(n int32) *portState {
 		metered: cfg.CreditQueueCap > 0 || len(cfg.CreditClasses) > 0,
 		rate:    cfg.Rate.Scale(cfg.CreditRatio),
 		tol:     float64(DefaultBurstTolerance),
-		noDelay: cfg.PFC != nil,
+		noDelay: cfg.PFC > 0,
 	}
 	ps.tokens = ps.tol
 	ps.bound = float64(c.queueBound(cfg))

@@ -273,14 +273,14 @@ func TestEveryPortEventCarriesItsPortNumber(t *testing.T) {
 	t.Run("dctcp+pfc", func(t *testing.T) {
 		// A 20-frame buffer under window-based senders overflows (data
 		// drops); a second run with PFC pauses instead.
-		for _, pfc := range []*netem.PFCConfig{nil, {XOff: 8 * unit.MaxFrame, XOn: 4 * unit.MaxFrame}} {
+		for _, pfc := range []unit.Bytes{0, 8 * unit.MaxFrame} {
 			eng := sim.New(5)
 			d := topology.NewDumbbell(eng, 4, topology.Config{DataCapacity: 20 * unit.MaxFrame, PFC: pfc})
 			ring := obs.NewRingSink(1 << 18)
 			d.Net.SetTracer(obs.NewTracer(ring))
 			for i := range d.Senders {
 				f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 300*unit.KB, 0)
-				transport.NewConn(f, dctcp.New(dctcp.Config{}), transport.ConnConfig{})
+				transport.NewConn(f, dctcp.New(), transport.ConnConfig{})
 			}
 			eng.RunUntil(20 * sim.Millisecond)
 			if ring.Total() > 1<<18 {
@@ -480,7 +480,7 @@ func TestStatsSayWhatAVerdictRestsOn(t *testing.T) {
 		eng, d, c := dumbbell()
 		for i := range d.Senders {
 			f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 50*unit.KB, 0)
-			transport.NewConn(f, dctcp.New(dctcp.Config{}), transport.ConnConfig{})
+			transport.NewConn(f, dctcp.New(), transport.ConnConfig{})
 		}
 		eng.Run()
 		c.Finish()

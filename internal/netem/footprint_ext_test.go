@@ -30,7 +30,7 @@ func dial(d *topology.Dumbbell, i int, credits bool) {
 		core.Dial(f, core.Config{})
 		return
 	}
-	transport.NewConn(f, dctcp.New(dctcp.Config{InitAlpha: 1}), transport.ConnConfig{ECN: true, MinCwnd: 2})
+	transport.NewConn(f, dctcp.New(), transport.ConnConfig{ECN: true, MinCwnd: 2})
 }
 
 // TestRingsFollowPeakOccupancy: after 64 long flows have run across the

@@ -247,7 +247,7 @@ func TestRandomVictimCreditDropIsFair(t *testing.T) {
 
 func TestPhantomQueueMarks(t *testing.T) {
 	var pl packet.Pool
-	pq := newPhantomQueue(10*unit.Gbps, PhantomConfig{})
+	pq := newPhantomQueue(10 * unit.Gbps)
 	// Feed at full line rate: phantom (draining at 95%) must build and mark.
 	now := sim.Time(0)
 	step := unit.TxTime(1538, 10*unit.Gbps)
@@ -266,7 +266,7 @@ func TestPhantomQueueMarks(t *testing.T) {
 		t.Error("phantom queue never marked at line rate")
 	}
 	// At 90% of line rate the phantom queue drains: no sustained marks.
-	pq2 := newPhantomQueue(10*unit.Gbps, PhantomConfig{})
+	pq2 := newPhantomQueue(10 * unit.Gbps)
 	now = 0
 	marked = 0
 	for i := 0; i < 2000; i++ {

@@ -148,7 +148,7 @@ func (n *Network) Connect(a, b Node, cfg PortConfig) (ab, ba *Port) {
 	b.addPort(ba)
 	n.ports = append(n.ports, ab, ba)
 	ab.trace, ba.trace = n.tracer, n.tracer
-	if cfg.RCP != nil {
+	if cfg.RCP > 0 {
 		n.startRCP(ab.rcp)
 		n.startRCP(ba.rcp)
 	}

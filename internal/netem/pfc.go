@@ -6,38 +6,21 @@ import (
 	"expresspass/internal/unit"
 )
 
-// PFCConfig enables IEEE 802.1Qbb priority flow control on a port's
-// ingress: when the data buffered *from* an upstream link (counted from
-// arrival until it departs some egress of this node) exceeds XOff, a
-// PAUSE is signalled to the upstream transmitter; once it drains below
-// XOn, a RESUME follows. PFC gives losslessness to reactive protocols
-// (DCQCN's deployment requirement) at the price of head-of-line
-// blocking and congestion spreading — the comparison point §1 draws
-// against ExpressPass, which needs no PFC.
+// pfcState is IEEE 802.1Qbb priority flow control on one port's
+// ingress (the receiving node's port for that link), with its egress
+// pause state. When the data buffered *from* the upstream link (counted
+// from arrival until it departs some egress of this node) exceeds the
+// XOff threshold PortConfig.PFC, a PAUSE is signalled to the upstream
+// transmitter; once it drains below XOn = XOff/2, a RESUME follows. PFC
+// gives losslessness to reactive protocols (DCQCN's deployment
+// requirement) at the price of head-of-line blocking and congestion
+// spreading — the comparison point §1 draws against ExpressPass, which
+// needs no PFC.
 //
 // Only the data class is paused; ExpressPass credits (and control
 // frames) ride the credit class and keep flowing, mirroring PFC's
 // per-priority semantics.
-type PFCConfig struct {
-	XOff unit.Bytes // pause threshold (default 64 KB)
-	XOn  unit.Bytes // resume threshold (default XOff/2)
-}
-
-func (c PFCConfig) withDefaults() PFCConfig {
-	if c.XOff == 0 {
-		c.XOff = 64 * unit.KB
-	}
-	if c.XOn == 0 {
-		c.XOn = c.XOff / 2
-	}
-	return c
-}
-
-// pfcState tracks one port's ingress accounting (on the receiving
-// node's port for that link) and its egress pause state.
 type pfcState struct {
-	cfg PFCConfig
-
 	// ingressBytes counts data that arrived over this port's link and
 	// has not yet departed an egress of this node.
 	ingressBytes unit.Bytes
@@ -57,7 +40,7 @@ func (in *Port) pfcOnArrival(pkt *packet.Packet) {
 	}
 	st.ingressBytes += pkt.Wire
 	pkt.PFCIngress = in.Number()
-	if !st.pauseSent && st.ingressBytes > st.cfg.XOff {
+	if !st.pauseSent && st.ingressBytes > in.cfg.PFC {
 		st.pauseSent = true
 		st.Pauses++
 		if tr := in.trace; tr != nil {
@@ -89,7 +72,7 @@ func (p *Port) pfcOnDepart(pkt *packet.Packet) {
 		return
 	}
 	st.ingressBytes -= pkt.Wire
-	if st.pauseSent && st.ingressBytes < st.cfg.XOn {
+	if st.pauseSent && st.ingressBytes < in.cfg.PFC/2 {
 		st.pauseSent = false
 		if tr := in.trace; tr != nil {
 			tr.Emit(obs.Event{T: in.eng.Now(), Type: obs.EvPFCResume, Port: in.Number(),

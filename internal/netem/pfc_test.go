@@ -16,7 +16,7 @@ func pfcChain(t *testing.T, xoff unit.Bytes) (*sim.Engine, *Network, *Host, *Hos
 	net := NewNetwork(eng)
 	sw := net.NewSwitch("sw")
 	fast := PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond,
-		DataCapacity: 16 * unit.MB, PFC: &PFCConfig{XOff: xoff}}
+		DataCapacity: 16 * unit.MB, PFC: xoff}
 	slow := fast
 	slow.Rate = 1 * unit.Gbps
 	src := net.NewHost("src", HardwareNICDelay())

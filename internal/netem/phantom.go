@@ -6,41 +6,26 @@ import (
 	"expresspass/internal/unit"
 )
 
-// PhantomConfig parameterizes a HULL phantom queue (Alizadeh et al.,
-// "Less is More"). The phantom queue simulates a virtual link running at
-// DrainFactor of line rate and ECN-marks when its simulated backlog
-// exceeds MarkThreshold, signalling congestion before any real queue
-// forms.
-type PhantomConfig struct {
-	DrainFactor   float64    // virtual link speed as a fraction of C, default 0.95
-	MarkThreshold unit.Bytes // default 1 KB (HULL paper recommendation)
-}
-
-func (c PhantomConfig) withDefaults() PhantomConfig {
-	if c.DrainFactor == 0 {
-		c.DrainFactor = 0.95
-	}
-	if c.MarkThreshold == 0 {
-		// ≈2 MTUs: the HULL paper uses 1–15 KB depending on speed.
-		c.MarkThreshold = 2 * unit.MaxFrame
-	}
-	return c
-}
+// A HULL phantom queue (Alizadeh et al., "Less is More") simulates a
+// virtual link running at phantomDrain of line rate and ECN-marks when
+// its simulated backlog exceeds phantomMarkThreshold, signalling
+// congestion before any real queue forms. The drain is the HULL paper's
+// γ = 0.95. The threshold is 2·MaxFrame = 3,076 B, about two MTUs: the
+// HULL paper uses 1–15 KB depending on link speed.
+const (
+	phantomDrain         = 0.95
+	phantomMarkThreshold = 2 * unit.MaxFrame
+)
 
 type phantomQueue struct {
-	cfg     PhantomConfig
 	drain   float64 // bytes per picosecond
 	backlog float64 // virtual bytes
 	last    sim.Time
 	Marks   uint64
 }
 
-func newPhantomQueue(rate unit.Rate, cfg PhantomConfig) *phantomQueue {
-	cfg = cfg.withDefaults()
-	return &phantomQueue{
-		cfg:   cfg,
-		drain: cfg.DrainFactor * float64(rate) / 8 / float64(sim.Second),
-	}
+func newPhantomQueue(rate unit.Rate) *phantomQueue {
+	return &phantomQueue{drain: phantomDrain * float64(rate) / 8 / float64(sim.Second)}
 }
 
 func (pq *phantomQueue) onArrival(now sim.Time, pkt *packet.Packet) {
@@ -53,7 +38,7 @@ func (pq *phantomQueue) onArrival(now sim.Time, pkt *packet.Packet) {
 	}
 	// Mark on the standing backlog before this arrival, so a single
 	// packet can never mark itself on an otherwise-empty virtual queue.
-	if pq.backlog > float64(pq.cfg.MarkThreshold) && pkt.ECNCapable {
+	if pq.backlog > float64(phantomMarkThreshold) && pkt.ECNCapable {
 		pkt.CE = true
 		pq.Marks++
 	}

@@ -326,7 +326,7 @@ func TestPoolBalancePFCWithDrops(t *testing.T) {
 	net := NewNetwork(eng)
 	sw := net.NewSwitch("sw")
 	fast := PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond,
-		DataCapacity: 4 * 1538, PFC: &PFCConfig{XOff: 16 * unit.MB}}
+		DataCapacity: 4 * 1538, PFC: 16 * unit.MB}
 	slow := fast
 	slow.Rate = 1 * unit.Gbps
 	src := net.NewHost("src", HardwareNICDelay())

@@ -54,14 +54,16 @@ type PortConfig struct {
 	// token bucket. Packets select a class via packet.Class.
 	CreditClasses []CreditClassConfig
 
-	// RCP enables per-port explicit rate computation.
-	RCP *RCPConfig
+	// RCP enables per-port explicit rate computation (rcp.go) with this
+	// RTT estimate d̄, which is also the update period. Zero disables it.
+	RCP sim.Duration
 
-	// Phantom enables a HULL phantom queue on this port.
-	Phantom *PhantomConfig
+	// Phantom enables a HULL phantom queue on this port (phantom.go).
+	Phantom bool
 
-	// PFC enables priority flow control on this link's ingress.
-	PFC *PFCConfig
+	// PFC enables priority flow control on this link's ingress (pfc.go)
+	// with this XOff threshold; XOn is half of it. Zero disables it.
+	PFC unit.Bytes
 }
 
 func (c PortConfig) withDefaults() PortConfig {
@@ -236,14 +238,14 @@ func newPort(eng *sim.Engine, owner Node, cfg PortConfig, name string) *Port {
 		p.txCreditClass = make([]uint64, len(cfg.CreditClasses))
 	}
 	p.bucket = newTokenBucket(cfg.Rate.Scale(cfg.CreditRatio), cfg.CreditBurst)
-	if cfg.RCP != nil {
-		p.rcp = newRCPMeter(cfg.Rate, *cfg.RCP)
+	if cfg.RCP > 0 {
+		p.rcp = newRCPMeter(cfg.Rate, cfg.RCP)
 	}
-	if cfg.Phantom != nil {
-		p.phantom = newPhantomQueue(cfg.Rate, *cfg.Phantom)
+	if cfg.Phantom {
+		p.phantom = newPhantomQueue(cfg.Rate)
 	}
-	if cfg.PFC != nil {
-		p.pfc = &pfcState{cfg: cfg.PFC.withDefaults()}
+	if cfg.PFC > 0 {
+		p.pfc = &pfcState{}
 	}
 	return p
 }

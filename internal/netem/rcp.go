@@ -6,13 +6,6 @@ import (
 	"expresspass/internal/unit"
 )
 
-// RCPConfig enables the per-port RCP rate computation (Dukkipati, "Rate
-// Control Protocol"). RTT is the d̄ estimate used by the controller
-// (default 100 µs).
-type RCPConfig struct {
-	RTT sim.Duration
-}
-
 // The gains of the explicit rate update: rcpAlpha weights the
 // spare-capacity term and rcpBeta the queue-drain term.
 const (
@@ -20,7 +13,9 @@ const (
 	rcpBeta  float64 = 0.226
 )
 
-// rcpMeter computes one explicit fair rate per egress port:
+// rcpMeter computes one explicit fair rate per egress port (Dukkipati,
+// "Rate Control Protocol"), for every port whose PortConfig.RCP, the d̄
+// estimate, is set:
 //
 //	R ← R·(1 + (T/d̄)·(α·(C − y) − β·q/d̄)/C)
 //
@@ -40,11 +35,7 @@ type rcpMeter struct {
 	rttSec     float64 // interval in seconds
 }
 
-func newRCPMeter(capacity unit.Rate, cfg RCPConfig) *rcpMeter {
-	rtt := cfg.RTT
-	if rtt == 0 {
-		rtt = 100 * sim.Microsecond
-	}
+func newRCPMeter(capacity unit.Rate, rtt sim.Duration) *rcpMeter {
 	return &rcpMeter{interval: rtt, capacity: capacity, rate: capacity, rttSec: rtt.Seconds()}
 }
 

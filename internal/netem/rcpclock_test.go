@@ -86,12 +86,12 @@ func (w *rcpWorld) network() *Network {
 func (w *rcpWorld) connect(n *Network, a, b Node, cfg PortConfig) {
 	rcp := cfg.RCP
 	if w.ref {
-		cfg.RCP = nil
+		cfg.RCP = 0
 	}
 	ab, ba := n.Connect(a, b, cfg)
 	for _, p := range []*Port{ab, ba} {
 		if w.ref {
-			p.rcp = newRCPMeter(cfg.Rate, *rcp)
+			p.rcp = newRCPMeter(cfg.Rate, rcp)
 			ticks := new(uint64)
 			w.ticks = append(w.ticks, ticks)
 			refMeter(w.eng, p.rcp, ticks)
@@ -134,7 +134,7 @@ func (f *rcpFlow) OnPacket(p *packet.Packet) {
 func rcpPortConfig(rtt sim.Duration) PortConfig {
 	return PortConfig{
 		Rate: 10 * unit.Gbps, Delay: sim.Microsecond, DataCapacity: 256 * unit.KB,
-		RCP: &RCPConfig{RTT: rtt},
+		RCP: rtt,
 	}
 }
 
@@ -164,13 +164,13 @@ var rcpScenarios = []struct {
 	build  func(w *rcpWorld)
 }{
 	{"dumbbell16", 1, func(w *rcpWorld) {
-		cfg := rcpPortConfig(0)
+		cfg := rcpPortConfig(100 * sim.Microsecond)
 		w.dumbbell(w.network(), 16, cfg, cfg)
 	}},
 	// One more receiver is cabled in 12.345678 ms into the run: its
 	// link's two meters tick 45.678 µs after everyone else's, for ever.
 	{"midrun", 2, func(w *rcpWorld) {
-		cfg := rcpPortConfig(0)
+		cfg := rcpPortConfig(100 * sim.Microsecond)
 		n := w.network()
 		r, s0 := w.dumbbell(n, 16, cfg, cfg)
 		w.eng.At(12345678*sim.Nanosecond, func() {
@@ -184,7 +184,7 @@ var rcpScenarios = []struct {
 		w.dumbbell(w.network(), 4, rcpPortConfig(100*sim.Microsecond), rcpPortConfig(70*sim.Microsecond))
 	}},
 	{"two-networks", 2, func(w *rcpWorld) {
-		cfg := rcpPortConfig(0)
+		cfg := rcpPortConfig(100 * sim.Microsecond)
 		w.dumbbell(w.network(), 4, cfg, cfg)
 		w.dumbbell(w.network(), 4, cfg, cfg)
 	}},
@@ -193,7 +193,7 @@ var rcpScenarios = []struct {
 func TestRCPClockMatchesPerPortTimers(t *testing.T) {
 	const (
 		step  = 10 * sim.Microsecond
-		steps = 500 * 10 // 500 intervals of the default 100 µs
+		steps = 500 * 10 // 500 intervals of 100 µs
 	)
 	for _, sc := range rcpScenarios {
 		t.Run(sc.name, func(t *testing.T) {

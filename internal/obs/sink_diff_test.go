@@ -125,7 +125,7 @@ func captureShuffle(t testing.TB) []obs.Event {
 			if xp {
 				core.Dial(f, core.Config{BaseRTT: rtt})
 			} else {
-				transport.NewConn(f, dctcp.New(dctcp.Config{InitAlpha: 1}),
+				transport.NewConn(f, dctcp.New(),
 					transport.ConnConfig{ECN: true, MinCwnd: 2})
 			}
 		}

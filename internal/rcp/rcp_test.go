@@ -3,7 +3,6 @@ package rcp_test
 import (
 	"testing"
 
-	"expresspass/internal/netem"
 	"expresspass/internal/rcp"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
@@ -16,7 +15,7 @@ func rcpNet(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 	d := topology.NewDumbbell(eng, n, topology.Config{
 		LinkRate:  10 * unit.Gbps,
 		LinkDelay: 4 * sim.Microsecond,
-		RCP:       &netem.RCPConfig{RTT: 50 * sim.Microsecond},
+		RCP:       50 * sim.Microsecond,
 	})
 	return eng, d
 }

@@ -22,13 +22,6 @@ import (
 	"expresspass/internal/workload"
 )
 
-// Options tunes generation. The zero value is the fuzz-smoke default.
-type Options struct {
-	// NoFaults disables fault injection regardless of what the seed
-	// would roll (used when a run must leave every flow finished).
-	NoFaults bool
-}
-
 // maxFlowSize caps sampled flow sizes so a heavy-tail draw cannot turn
 // one seed into a minutes-long run.
 const maxFlowSize = 1 * unit.MB
@@ -59,9 +52,9 @@ func (r Report) String() string {
 }
 
 // Run generates and executes the scenario for seed, returning its
-// report. It is fully deterministic in seed and opt, and it checks
-// conservation on its own network only, so runs may be concurrent.
-func Run(seed uint64, opt Options) Report {
+// report. It is fully deterministic in seed, and it checks conservation
+// on its own network only, so runs may be concurrent.
+func Run(seed uint64) Report {
 	eng := sim.New(seed)
 	// The generator gets its own stream so scenario shape and simulation
 	// randomness never alias: the engine stream stays exactly what any
@@ -76,7 +69,7 @@ func Run(seed uint64, opt Options) Report {
 	}})
 
 	flows := buildFlows(net, gen, &rep)
-	if !opt.NoFaults && gen.Intn(2) == 0 {
+	if gen.Intn(2) == 0 {
 		buildFaults(net, gen, &rep)
 	}
 

@@ -8,9 +8,9 @@ import (
 
 // ScenarioTest runs one seed with all invariants armed and fails the
 // test on any violation, printing everything needed to replay.
-func ScenarioTest(t *testing.T, seed uint64, opt Options) Report {
+func ScenarioTest(t *testing.T, seed uint64) Report {
 	t.Helper()
-	rep := Run(seed, opt)
+	rep := Run(seed)
 	t.Logf("%s", rep)
 	fail := len(rep.Violations) > 0
 	// Without faults every flow must complete; with faults injected a
@@ -57,7 +57,7 @@ func TestFuzzSmoke(t *testing.T) {
 		seed := base + uint64(i)
 		t.Run(strconv.FormatUint(seed, 10), func(t *testing.T) {
 			t.Parallel()
-			ScenarioTest(t, seed, Options{})
+			ScenarioTest(t, seed)
 		})
 	}
 }
@@ -66,35 +66,12 @@ func TestFuzzSmoke(t *testing.T) {
 // must produce the identical report, including end time and violation
 // list, across runs.
 func TestScenarioDeterministic(t *testing.T) {
-	a := Run(42, Options{})
-	b := Run(42, Options{})
+	a := Run(42)
+	b := Run(42)
 	if a.String() != b.String() {
 		t.Fatalf("seed 42 not deterministic:\n  %s\n  %s", a, b)
 	}
 	if a.Topology == "" || a.Flows == 0 {
 		t.Fatalf("degenerate scenario: %s", a)
 	}
-}
-
-// TestScenarioNoFaultsFinishes checks the NoFaults override: a seed
-// whose roll would inject faults must still drain every flow when
-// faults are suppressed.
-func TestScenarioNoFaultsFinishes(t *testing.T) {
-	// Scan a few seeds for one that rolls faults, then suppress them.
-	for seed := uint64(1); seed < 32; seed++ {
-		rep := Run(seed, Options{})
-		if len(rep.Faults) == 0 {
-			continue
-		}
-		clean := Run(seed, Options{NoFaults: true})
-		if len(clean.Faults) != 0 {
-			t.Fatalf("NoFaults leaked faults: %s", clean)
-		}
-		if clean.Finished != clean.Flows {
-			t.Fatalf("fault-free replay of seed %d left %d/%d flows unfinished",
-				seed, clean.Finished, clean.Flows)
-		}
-		return
-	}
-	t.Fatal("no seed in 1..31 rolled a fault plan")
 }

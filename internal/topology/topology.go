@@ -29,12 +29,13 @@ type Config struct {
 	// jitter ablation runs on plain drop-tail queues).
 	CreditTailDrop bool
 
-	// Optional per-port features, applied to every switch port.
+	// Optional per-port features, applied to every switch port; zero is
+	// off (see netem.PortConfig).
 	ECNThreshold unit.Bytes
 	RED          bool
-	RCP          *netem.RCPConfig
-	Phantom      *netem.PhantomConfig
-	PFC          *netem.PFCConfig
+	RCP          sim.Duration
+	Phantom      bool
+	PFC          unit.Bytes
 }
 
 func (c Config) withDefaults() Config {

@@ -33,14 +33,16 @@ type CC interface {
 }
 
 // The reliability machinery's constants: the fast-retransmit trigger,
-// the window and RTO ceilings, and the host transmit jitter. txJitter
+// the initial window, the window and RTO ceilings, and the host transmit
+// jitter. Every segment carries unit.MTUPayload bytes. txJitter
 // models host transmit-timing variance (kernel scheduling, NIC DMA):
 // each data segment is delayed uniformly in [0, txJitter] before hitting
 // the NIC, FIFO order preserved. Without it, two ACK-clocked flows
 // phase-lock on a full drop-tail queue and one starves — a determinism
 // artifact no real host exhibits.
 const (
-	dupAckThreshold = 3 // dupacks before fast retransmit
+	dupAckThreshold = 3  // dupacks before fast retransmit
+	initCwnd        = 10 // packets (ns-2 style IW)
 	maxCwnd         = 10000
 	maxRTO          = 100 * sim.Millisecond
 	txJitter        = sim.Microsecond
@@ -49,26 +51,18 @@ const (
 // ConnConfig tunes the reliability machinery.
 type ConnConfig struct {
 	Mode     SendMode
-	InitCwnd float64      // packets, default 10 (ns-2 style IW)
 	MinCwnd  float64      // packets, default 1
 	InitRate unit.Rate    // ModePaced initial rate (default line rate)
 	MinRTO   sim.Duration // default 10 ms
 	ECN      bool         // set ECT on data packets
-	Segment  unit.Bytes   // payload per segment, default unit.MTUPayload
 }
 
 func (c ConnConfig) withDefaults() ConnConfig {
-	if c.InitCwnd == 0 {
-		c.InitCwnd = 10
-	}
 	if c.MinCwnd == 0 {
 		c.MinCwnd = 1
 	}
 	if c.MinRTO == 0 {
 		c.MinRTO = 10 * sim.Millisecond // common datacenter TCP setting
-	}
-	if c.Segment == 0 {
-		c.Segment = unit.MTUPayload
 	}
 	return c
 }
@@ -138,7 +132,7 @@ func NewConn(f *Flow, cc CC, cfg ConnConfig) *Conn {
 	c := &Conn{
 		Flow: f,
 		Cfg:  cfg,
-		Cwnd: cfg.InitCwnd,
+		Cwnd: initCwnd,
 		CC:   cc,
 		ooo:  make(map[int64]unit.Bytes),
 		rng:  f.Sender.Rand().Fork(),
@@ -224,7 +218,7 @@ func (c *Conn) BytesInFlight() unit.Bytes { return unit.Bytes(c.nextSeq - c.ackS
 
 // CwndBytes returns the window in bytes.
 func (c *Conn) CwndBytes() unit.Bytes {
-	return unit.Bytes(c.Cwnd * float64(c.Cfg.Segment))
+	return unit.Bytes(c.Cwnd * float64(unit.MTUPayload))
 }
 
 // totalBytes returns the flow size (or the long-running sentinel).
@@ -243,7 +237,7 @@ func (c *Conn) pump() {
 	for c.sendPoint < c.totalBytes() {
 		// Retransmissions (sendPoint < nextSeq) are always allowed —
 		// they do not add to flight size.
-		if c.sendPoint >= c.nextSeq && c.BytesInFlight()+c.Cfg.Segment > c.CwndBytes() {
+		if c.sendPoint >= c.nextSeq && c.BytesInFlight()+unit.MTUPayload > c.CwndBytes() {
 			return
 		}
 		c.emitSegment()
@@ -289,7 +283,7 @@ func (c *Conn) emitSegment() {
 // sendSegmentAt transmits one segment starting at seq (clipped to the
 // flow size) without moving the send pointers; returns the payload sent.
 func (c *Conn) sendSegmentAt(seq int64) unit.Bytes {
-	seg := c.Cfg.Segment
+	seg := unit.MTUPayload
 	if rem := c.totalBytes() - seq; int64(seg) > rem {
 		seg = unit.Bytes(rem)
 	}

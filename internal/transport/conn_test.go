@@ -19,7 +19,7 @@ type aimd struct {
 func (a *aimd) Init(*Conn) {}
 func (a *aimd) OnAck(c *Conn, acked unit.Bytes, _ *packet.Packet, _ sim.Duration) {
 	a.acks++
-	c.Cwnd += float64(acked) / float64(c.Cfg.Segment) / c.Cwnd
+	c.Cwnd += float64(acked) / float64(unit.MTUPayload) / c.Cwnd
 	c.ClampCwnd()
 }
 func (a *aimd) OnFastRetransmit(c *Conn) {
@@ -64,7 +64,8 @@ func TestConnRecoversFromDrops(t *testing.T) {
 	eng, d := testNet(t, 10*1538)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 2*unit.MB, 0)
 	cc := &aimd{}
-	c := NewConn(f, cc, ConnConfig{InitCwnd: 64})
+	c := NewConn(f, cc, ConnConfig{})
+	c.Cwnd = 64 // aimd.Init leaves the window alone: the flow starts at 64
 	eng.RunUntil(2 * sim.Second)
 	if !f.Finished {
 		t.Fatalf("flow did not finish (acked %v)", c.AckSeqNum())
@@ -84,7 +85,8 @@ func TestConnFastRetransmitBeforeRTO(t *testing.T) {
 	eng, d := testNet(t, 30*1538)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 4*unit.MB, 0)
 	cc := &aimd{}
-	NewConn(f, cc, ConnConfig{InitCwnd: 128, MinRTO: 50 * sim.Millisecond})
+	c := NewConn(f, cc, ConnConfig{MinRTO: 50 * sim.Millisecond})
+	c.Cwnd = 128 // aimd.Init leaves the window alone: the flow starts at 128
 	eng.RunUntil(3 * sim.Second)
 	if !f.Finished {
 		t.Fatal("not finished")
@@ -184,14 +186,18 @@ func TestLongRunningFlowNeverFinishes(t *testing.T) {
 
 func TestConnConfigDefaults(t *testing.T) {
 	c := ConnConfig{}.withDefaults()
-	if c.InitCwnd != 10 || c.MinCwnd != 1 {
+	if c.MinCwnd != 1 {
 		t.Errorf("defaults: %+v", c)
-	}
-	if c.Segment != unit.MTUPayload {
-		t.Errorf("segment default %v", c.Segment)
 	}
 	if c.MinRTO != 10*sim.Millisecond {
 		t.Errorf("minRTO default %v", c.MinRTO)
+	}
+	// A new connection opens at the ns-2 initial window of 10 full
+	// segments.
+	_, d := testNet(t, 16*unit.MB)
+	conn := NewConn(NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0), &aimd{}, c)
+	if conn.Cwnd != 10 || conn.CwndBytes() != 10*unit.MTUPayload {
+		t.Errorf("initial window %v packets, %v", conn.Cwnd, conn.CwndBytes())
 	}
 }
 
