@@ -67,8 +67,6 @@ type (
 	Switch = netem.Switch
 	// Node is anything a port can belong to: a switch or a host.
 	Node = netem.Node
-	// Port is one egress side of a link.
-	Port = netem.Port
 	// PortConfig configures one link direction.
 	PortConfig = netem.PortConfig
 	// HostDelayConfig models host credit-processing delay.
@@ -89,51 +87,32 @@ type (
 	// Series records named time series (throughput, queue depth) at a
 	// fixed sampling interval and renders CSV for plotting.
 	Series = stats.Series
-	// Dist collects a sample distribution and answers
-	// Mean/Percentile/Summary/CDF with exact order statistics.
-	Dist = stats.Dist
 
 	// Tracer records typed simulation events (credit drops, queue
 	// depth, feedback updates) to a sink; attach with Network.SetTracer
 	// or to a whole run via an ObsRuntime.
 	Tracer = obs.Tracer
-	// TraceEvent is one trace record.
-	TraceEvent = obs.Event
 	// TraceEventType classifies a trace event.
 	TraceEventType = obs.EventType
-	// Metrics is an ordered registry of gauges and histograms
-	// snapshotable mid-run.
-	Metrics = obs.Registry
 	// ObsRuntime is one run's instrumentation (tracing + metrics CSV),
 	// which every network the run builds picks up at construction,
 	// through the scope of the sweep trial that built it.
 	ObsRuntime = obs.Runtime
 	// ObsConfig configures an ObsRuntime.
 	ObsConfig = obs.Config
-	// TraceRotateConfig configures a size-rotating (optionally gzipped)
-	// trace output file; see NewRotatingTraceWriter.
-	TraceRotateConfig = obs.RotateConfig
-	// ObsResources is a point-in-time process resource snapshot (peak
-	// RSS, heap, GC pauses) as reported by an ObsRuntime.
-	ObsResources = obs.Resources
-	// PortStats is a snapshot of one port's transmit/queue counters.
-	PortStats = netem.PortStats
 )
 
 // Common units, re-exported for convenience.
 const (
-	Nanosecond  = sim.Nanosecond
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 
-	Kbps = unit.Kbps
 	Mbps = unit.Mbps
 	Gbps = unit.Gbps
 
 	KB = unit.KB
 	MB = unit.MB
-	GB = unit.GB
 )
 
 // NewEngine returns a simulator seeded deterministically.
@@ -151,18 +130,11 @@ func NewFlow(n *Network, a, b *Host, size Bytes, at Time) *Flow {
 func Dial(f *Flow, cfg Config) *Session { return core.Dial(f, cfg) }
 
 // Link returns a PortConfig for a link of the given rate and propagation
-// delay with ExpressPass defaults (8-credit queue, 250-MTU data buffer).
+// delay with a 250-MTU data buffer. Its credit queue is PortConfig's
+// default: one class of 8 credits.
 func Link(rate Rate, delay Duration) PortConfig {
-	return PortConfig{
-		Rate:           rate,
-		Delay:          delay,
-		DataCapacity:   Bytes(384.5 * 1000),
-		CreditQueueCap: 8,
-	}
+	return PortConfig{Rate: rate, Delay: delay, DataCapacity: Bytes(384.5 * 1000)}
 }
-
-// SoftNIC returns the software-prototype host delay model (∆d≈5.1 µs).
-func SoftNIC() HostDelayConfig { return netem.SoftNICDelay() }
 
 // HardwareNIC returns the NIC-hardware host delay model (∆d≈1 µs).
 func HardwareNIC() HostDelayConfig { return netem.HardwareNICDelay() }
@@ -176,38 +148,14 @@ func RateProbe(interval Duration, counter func() float64) func() float64 {
 	return stats.RateProbe(interval, counter)
 }
 
-// JainIndex returns Jain's fairness index of the given allocations.
-func JainIndex(xs []float64) float64 { return stats.JainIndex(xs) }
-
 // NewTracer returns a tracer recording the given event types to sink
-// (no types = all). Build sinks with NewJSONLTraceSink / NewRingSink.
+// (no types = all). Build a sink with NewJSONLTraceSink.
 func NewTracer(sink obs.Sink, types ...TraceEventType) *Tracer {
 	return obs.NewTracer(sink, types...)
 }
 
 // NewJSONLTraceSink returns a sink encoding events as JSON lines to w.
 func NewJSONLTraceSink(w io.Writer) obs.Sink { return obs.NewJSONLSink(w) }
-
-// NewCSVTraceSink returns a sink encoding events as CSV rows to w.
-func NewCSVTraceSink(w io.Writer) obs.Sink { return obs.NewCSVSink(w) }
-
-// NewRotatingTraceWriter opens a size-rotating, optionally gzipped
-// trace output under path (xpsim's -trace-rotate / -trace-gzip flags).
-// Wrap it in a JSONL or CSV sink; segments split only at line
-// boundaries so each rotated file parses on its own.
-func NewRotatingTraceWriter(path string, cfg TraceRotateConfig) (*obs.RotatingWriter, error) {
-	return obs.NewRotatingWriter(path, cfg)
-}
-
-// NewDist returns an empty distribution collector.
-func NewDist() *Dist { return stats.NewDist() }
-
-// NewRingSink returns an in-memory ring-buffer sink holding the last
-// capacity events (handy in tests).
-func NewRingSink(capacity int) *obs.RingSink { return obs.NewRingSink(capacity) }
-
-// NewMetrics returns an empty metrics registry.
-func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // EventTypeByName resolves a trace event type from its wire name
 // (e.g. "credit_drop"), as used by xpsim's -trace-types flag.

@@ -33,20 +33,20 @@ import (
 func TestAPISurface(t *testing.T) {
 	t.Parallel()
 	want := []string{
-		"Bytes", "Config", "CreditClassConfig", "Dial", "Dist", "Duration", "Engine",
+		"Bytes", "Config", "CreditClassConfig", "Dial", "Duration", "Engine",
 		"EventTypeByName", "Experiment", "ExperimentParams", "ExperimentScaleError",
 		"Experiments", "FaultConfigError", "FaultDirective", "FaultPlan",
-		"FaultSchedule", "Feedback", "Flow", "GB", "Gbps", "HardwareNIC", "Host",
+		"FaultSchedule", "Feedback", "Flow", "Gbps", "HardwareNIC", "Host",
 		"HostDelayConfig", "InvariantOptions", "InvariantSet", "InvariantStats",
-		"InvariantViolation", "JainIndex", "KB", "Kbps", "Link", "MB", "Mbps", "Metrics",
-		"Microsecond", "Millisecond", "Nanosecond", "Network", "NewCSVTraceSink", "NewDist",
+		"InvariantViolation", "KB", "Link", "MB", "Mbps",
+		"Microsecond", "Millisecond", "Network",
 		"NewEngine", "NewFlow", "NewInvariantSet", "NewJSONLTraceSink",
-		"NewMetrics", "NewNetwork", "NewObsRuntime", "NewRingSink", "NewRotatingTraceWriter",
-		"NewSeries", "NewTracer", "Node", "ObsConfig", "ObsResources", "ObsRuntime",
-		"ParseFaultSpec", "Port", "PortConfig", "PortStats", "Rate", "RateProbe",
+		"NewNetwork", "NewObsRuntime",
+		"NewSeries", "NewTracer", "Node", "ObsConfig", "ObsRuntime",
+		"ParseFaultSpec", "PortConfig", "Rate", "RateProbe",
 		"RunExperiment", "RunScenario", "ScenarioReport", "Second",
-		"Series", "Session", "SoftNIC", "Switch", "Time", "TraceEvent", "TraceEventType",
-		"TraceRotateConfig", "Tracer",
+		"Series", "Session", "Switch", "Time", "TraceEventType",
+		"Tracer",
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "expresspass.go", nil, 0)
 	if err != nil {

@@ -89,9 +89,8 @@ func (fs *flowState) spend(seq int64) bool {
 
 // portState is the per-port shadow meter and queue/delay tracker.
 type portState struct {
-	name    string
-	metered bool // has a credit class: shadow-meter its credit tx
-	exempt  bool // carries uncredited traffic: queue/delay checks off
+	name   string
+	exempt bool // carries uncredited traffic: queue/delay checks off
 
 	// Shadow token bucket, same arithmetic as netem's: tokens are bytes,
 	// refilled at the port's configured credit ratio of line rate, capped
@@ -410,7 +409,6 @@ func (c *Checker) trackPort(n int32) *portState {
 	cfg := port.Config()
 	ps := &portState{
 		name:    port.Name(),
-		metered: cfg.CreditQueueCap > 0 || len(cfg.CreditClasses) > 0,
 		rate:    cfg.Rate.Scale(cfg.CreditRatio),
 		tol:     float64(DefaultBurstTolerance),
 		noDelay: cfg.PFC > 0,
@@ -445,11 +443,7 @@ func (c *Checker) queueBound(cfg netem.PortConfig) unit.Bytes {
 	if c.opt.QueueBound > 0 {
 		return c.opt.QueueBound
 	}
-	cap := cfg.CreditQueueCap
-	if cap <= 0 {
-		cap = 8
-	}
-	return unit.Bytes(12*cap+16) * unit.MaxFrame
+	return unit.Bytes(12*cfg.CreditQueueCap+16) * unit.MaxFrame
 }
 
 // delayCap derives the queuing-delay cap: the time to drain a full
@@ -500,7 +494,7 @@ func (c *Checker) hold(ps *portState, v Violation) {
 
 func (c *Checker) onCreditTx(ev *obs.Event) {
 	ps := c.port(ev.Port)
-	if ps == nil || !ps.metered {
+	if ps == nil {
 		return
 	}
 	// Same refill arithmetic as netem's tokenBucket, charged the nominal
@@ -534,10 +528,9 @@ func (c *Checker) onDataEnq(ev *obs.Event) {
 		return
 	}
 	kind := packet.Kind(ev.Aux2)
-	// Uncredited data, acks, or credits riding the data queue mean this
-	// port serves a non-ExpressPass transport (or a credit-class-less
-	// configuration): the §3.1 bound does not apply to it.
-	if (kind == packet.Data && ev.Aux == 0) || kind == packet.Ack || kind == packet.Credit {
+	// Uncredited data or acks mean this port serves a non-ExpressPass
+	// transport: the §3.1 bound does not apply to it.
+	if (kind == packet.Data && ev.Aux == 0) || kind == packet.Ack {
 		c.exempt(ps)
 		return
 	}

@@ -19,46 +19,46 @@ type CreditClassConfig struct {
 	Weight int
 }
 
-// creditScheduler multiplexes several credit classes over one port's
-// credit token bucket: strict priority across priority levels, deficit
-// round robin (in credits) within a level. Each class queues up to the
-// port's CreditQueueCap.
+// creditScheduler is a port's credit queue: one or more classes behind
+// the port's one credit token bucket, served by strict priority across
+// priority levels and deficit round robin (in credits) within a level.
+// A port without CreditClasses has one class, {Priority: 0, Weight: 1}.
+// Each class queues up to the port's CreditQueueCap.
 type creditScheduler struct {
-	classes []CreditClassConfig
-	queues  []creditQueue
-	deficit []int
+	classes []creditClass
 	rr      int // round-robin cursor within the eligible set
 }
 
-func newCreditScheduler(classes []CreditClassConfig, queueCap int) *creditScheduler {
-	cs := &creditScheduler{classes: append([]CreditClassConfig(nil), classes...)}
-	cs.queues = make([]creditQueue, len(classes))
-	cs.deficit = make([]int, len(classes))
-	for i := range classes {
-		cs.queues[i].cap = queueCap
-		if cs.classes[i].Weight <= 0 {
-			cs.classes[i].Weight = 1
-		}
+// creditClass is one class's queue, its policy and its transmit count.
+type creditClass struct {
+	creditQueue
+	prio, weight, deficit int
+	tx                    uint64 // credits transmitted
+}
+
+func newCreditScheduler(classes []CreditClassConfig, queueCap int) creditScheduler {
+	if len(classes) == 0 {
+		classes = []CreditClassConfig{{}}
+	}
+	cs := creditScheduler{classes: make([]creditClass, len(classes))}
+	for i, c := range classes {
+		cs.classes[i] = creditClass{creditQueue: creditQueue{cap: queueCap}, prio: c.Priority, weight: max(c.Weight, 1)}
 	}
 	return cs
 }
 
 // classIndex clamps a packet's class to the configured range.
 func (cs *creditScheduler) classIndex(p *packet.Packet) int {
-	i := int(p.Class)
-	if i >= len(cs.queues) {
-		i = len(cs.queues) - 1
-	}
-	return i
+	return min(int(p.Class), len(cs.classes)-1)
 }
 
 func (cs *creditScheduler) push(now sim.Time, p *packet.Packet, rng *sim.Rand) (dropped *packet.Packet) {
-	return cs.queues[cs.classIndex(p)].push(now, p, rng)
+	return cs.classes[cs.classIndex(p)].push(now, p, rng)
 }
 
 func (cs *creditScheduler) empty() bool {
-	for i := range cs.queues {
-		if !cs.queues[i].empty() {
+	for i := range cs.classes {
+		if !cs.classes[i].empty() {
 			return false
 		}
 	}
@@ -67,47 +67,53 @@ func (cs *creditScheduler) empty() bool {
 
 func (cs *creditScheduler) len() int {
 	n := 0
-	for i := range cs.queues {
-		n += cs.queues[i].len()
+	for i := range cs.classes {
+		n += cs.classes[i].len()
 	}
 	return n
 }
 
 // pick selects the next class to serve, or -1 if all queues are empty.
 // Strict priority first; deficit round robin among equal-priority
-// non-empty classes, one credit per deficit unit.
+// non-empty classes, one credit per deficit unit. A one-class scheduler
+// returns its class without the scan, empty or not: popping an empty
+// queue returns nil.
 func (cs *creditScheduler) pick() int {
+	if len(cs.classes) == 1 {
+		return 0
+	}
 	best := -1
-	for i := range cs.queues {
-		if cs.queues[i].empty() {
+	for i := range cs.classes {
+		if cs.classes[i].empty() {
 			continue
 		}
-		if best < 0 || cs.classes[i].Priority < cs.classes[best].Priority {
+		if best < 0 || cs.classes[i].prio < cs.classes[best].prio {
 			best = i
 		}
 	}
 	if best < 0 {
 		return -1
 	}
-	prio := cs.classes[best].Priority
+	prio := cs.classes[best].prio
 	// DRR among same-priority non-empty classes.
-	n := len(cs.queues)
+	n := len(cs.classes)
 	for pass := 0; pass < 2; pass++ {
 		for k := 0; k < n; k++ {
 			i := (cs.rr + k) % n
-			if cs.classes[i].Priority != prio || cs.queues[i].empty() {
+			c := &cs.classes[i]
+			if c.prio != prio || c.empty() {
 				continue
 			}
-			if cs.deficit[i] > 0 {
-				cs.deficit[i]--
+			if c.deficit > 0 {
+				c.deficit--
 				cs.rr = (i + 1) % n
 				return i
 			}
 		}
 		// No deficit left at this priority: refill by weights.
-		for i := range cs.queues {
-			if cs.classes[i].Priority == prio {
-				cs.deficit[i] += cs.classes[i].Weight
+		for i := range cs.classes {
+			if c := &cs.classes[i]; c.prio == prio {
+				c.deficit += c.weight
 			}
 		}
 	}
@@ -119,29 +125,29 @@ func (cs *creditScheduler) pop(now sim.Time) *packet.Packet {
 	if i < 0 {
 		return nil
 	}
-	return cs.queues[i].pop(now)
+	return cs.classes[i].pop(now)
 }
-
-// stats aggregation over classes.
 
 func (cs *creditScheduler) drops() uint64 {
 	var d uint64
-	for i := range cs.queues {
-		d += cs.queues[i].stats.Drops
+	for i := range cs.classes {
+		d += cs.classes[i].stats.Drops
 	}
 	return d
 }
 
-// ClassStats exposes one class's queue statistics.
+// ClassStats exposes one class's queue statistics; a class beyond the
+// configured ones reads the last, where its packets are queued.
 func (p *Port) ClassStats(class int) *QueueStats {
-	if p.sched == nil || class >= len(p.sched.queues) {
-		return p.CreditStats()
-	}
-	return &p.sched.queues[class].stats
+	return &p.credits.classes[min(class, len(p.credits.classes)-1)].stats
 }
 
-// TxCreditByClass returns credits transmitted per class (nil when the
-// port has a single implicit class).
+// TxCreditByClass returns credits transmitted per class: one entry on a
+// port without CreditClasses.
 func (p *Port) TxCreditByClass() []uint64 {
-	return append([]uint64(nil), p.txCreditClass...)
+	tx := make([]uint64, len(p.credits.classes))
+	for i := range p.credits.classes {
+		tx[i] = p.credits.classes[i].tx
+	}
+	return tx
 }

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"slices"
 	"testing"
 
 	"expresspass/internal/packet"
@@ -8,7 +9,7 @@ import (
 	"expresspass/internal/unit"
 )
 
-// classPair builds a one-link network with two credit classes.
+// classPair builds a one-link network with the given credit classes.
 func classPair(t *testing.T, classes []CreditClassConfig) (*sim.Engine, *sink, *Port) {
 	t.Helper()
 	eng := sim.New(1)
@@ -113,48 +114,54 @@ func TestClassStatsAccessors(t *testing.T) {
 	if ab.ClassStats(0) == ab.ClassStats(1) {
 		t.Error("classes share stats")
 	}
-	// Out-of-range falls back to the aggregate accessor.
-	if ab.ClassStats(9) == nil {
-		t.Error("out-of-range stats nil")
+	// Out-of-range reads the last class, where such credits queue.
+	if ab.ClassStats(9) != ab.ClassStats(1) {
+		t.Error("out-of-range class does not read the last class's stats")
 	}
 }
 
 // TestResetStatsCoversCreditClasses overloads a two-class port through a
 // warm-up, resets, and requires every per-class figure to count from the
 // reset on: ResetStats used to zero only the aggregate credit counters,
-// which a port with CreditClasses never touches.
+// which a port with CreditClasses never touches. A port without
+// CreditClasses is one more input: its one implicit class (which class-1
+// credits clamp to) must count the same way.
 func TestResetStatsCoversCreditClasses(t *testing.T) {
-	eng, _, ab := classPair(t, []CreditClassConfig{{Priority: 0, Weight: 2}, {Priority: 0, Weight: 1}})
-	gap := unit.TxTime(unit.MinFrame+unit.MaxFrame, 10*unit.Gbps)
-	offerCredits(eng, ab, 0, gap, 10*sim.Millisecond)
-	offerCredits(eng, ab, 1, gap, 10*sim.Millisecond)
-	eng.RunUntil(5 * sim.Millisecond)
-	warm := ab.TxCreditByClass()
-	if warm[0] == 0 || warm[1] == 0 || ab.CreditDrops() == 0 || ab.ClassStats(1).Enqueued == 0 {
-		t.Fatalf("warm-up left nothing to reset: tx %v, drops %d", warm, ab.CreditDrops())
-	}
-	ab.ResetStats()
-	if tx := ab.TxCreditByClass(); tx[0] != 0 || tx[1] != 0 {
-		t.Errorf("TxCreditByClass() = %v right after ResetStats", tx)
-	}
-	if d := ab.CreditDrops(); d != 0 {
-		t.Errorf("CreditDrops() = %d right after ResetStats", d)
-	}
-	for c := 0; c < 2; c++ {
-		if st := ab.ClassStats(c); st.Drops != 0 || st.Enqueued != 0 || st.MaxPkts != 0 {
-			t.Errorf("class %d stats after ResetStats: %+v", c, *st)
+	for _, classes := range [][]CreditClassConfig{{{Priority: 0, Weight: 2}, {Priority: 0, Weight: 1}}, nil} {
+		eng, _, ab := classPair(t, classes)
+		gap := unit.TxTime(unit.MinFrame+unit.MaxFrame, 10*unit.Gbps)
+		offerCredits(eng, ab, 0, gap, 10*sim.Millisecond)
+		offerCredits(eng, ab, 1, gap, 10*sim.Millisecond)
+		eng.RunUntil(5 * sim.Millisecond)
+		warm := ab.TxCreditByClass()
+		if slices.Contains(warm, 0) || ab.CreditDrops() == 0 || ab.ClassStats(1).Enqueued == 0 {
+			t.Fatalf("%d classes: warm-up left nothing to reset: tx %v, drops %d", len(classes), warm, ab.CreditDrops())
 		}
-	}
-	eng.RunUntil(10 * sim.Millisecond)
-	// The second half repeats the first: per-class counts must come out
-	// about equal to the warm-up's, not twice it.
-	for c, tx := range ab.TxCreditByClass() {
-		if tx == 0 || tx > warm[c]+warm[c]/10+2 {
-			t.Errorf("class %d sent %d credits after the reset, %d in the equal warm-up", c, tx, warm[c])
+		ab.ResetStats()
+		if tx := ab.TxCreditByClass(); slices.ContainsFunc(tx, func(n uint64) bool { return n != 0 }) {
+			t.Errorf("%d classes: TxCreditByClass() = %v right after ResetStats", len(classes), tx)
 		}
-	}
-	if st := ab.Stats(); st.TxCreditPkts != ab.TxCreditByClass()[0]+ab.TxCreditByClass()[1] {
-		t.Errorf("per-class counts %v do not add up to TxCreditPkts %d", ab.TxCreditByClass(), st.TxCreditPkts)
+		if d := ab.CreditDrops(); d != 0 {
+			t.Errorf("%d classes: CreditDrops() = %d right after ResetStats", len(classes), d)
+		}
+		for c := range warm {
+			if st := ab.ClassStats(c); st.Drops != 0 || st.Enqueued != 0 || st.MaxPkts != 0 {
+				t.Errorf("%d classes: class %d stats after ResetStats: %+v", len(classes), c, *st)
+			}
+		}
+		eng.RunUntil(10 * sim.Millisecond)
+		// The second half repeats the first: per-class counts must come
+		// out about equal to the warm-up's, not twice it.
+		var sum uint64
+		for c, tx := range ab.TxCreditByClass() {
+			if tx == 0 || tx > warm[c]+warm[c]/10+2 {
+				t.Errorf("%d classes: class %d sent %d credits after the reset, %d in the equal warm-up", len(classes), c, tx, warm[c])
+			}
+			sum += tx
+		}
+		if st := ab.Stats(); sum == 0 || st.TxCreditPkts != sum {
+			t.Errorf("%d classes: per-class counts %v do not add up to TxCreditPkts %d", len(classes), ab.TxCreditByClass(), st.TxCreditPkts)
+		}
 	}
 }
 

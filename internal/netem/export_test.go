@@ -13,18 +13,13 @@ type RingUse struct {
 	MaxPkts int
 }
 
-// RingUses lists p's data ring, its credit ring and every class ring of
-// its credit scheduler.
+// RingUses lists p's data ring and the ring of every class of its
+// credit scheduler.
 func RingUses(p *Port) []RingUse {
-	uses := []RingUse{
-		{"data", len(p.data.ring.buf), p.data.stats.MaxPkts},
-		{"credit", len(p.credit.ring.buf), p.credit.stats.MaxPkts},
-	}
-	if p.sched != nil {
-		for i := range p.sched.queues {
-			q := &p.sched.queues[i]
-			uses = append(uses, RingUse{"credit class", len(q.ring.buf), q.stats.MaxPkts})
-		}
+	uses := []RingUse{{"data", len(p.data.ring.buf), p.data.stats.MaxPkts}}
+	for i := range p.credits.classes {
+		q := &p.credits.classes[i]
+		uses = append(uses, RingUse{"credit class", len(q.ring.buf), q.stats.MaxPkts})
 	}
 	return uses
 }

@@ -39,7 +39,7 @@ func TestRingTracksOccupancyNotTraffic(t *testing.T) {
 		ab.Enqueue(mkData(net.Pool(), 1538)) // straight to the transmitter
 		ab.Enqueue(mkData(net.Pool(), 1538)) // waits one serialisation
 		ab.Enqueue(mkData(net.Pool(), 1538)) // waits two
-		ab.Enqueue(mkCredit(net.Pool()))     // no credit class on this port: data too
+		ab.Enqueue(mkCredit(net.Pool()))     // the port's one implicit credit class
 		eng.RunFor(10 * sim.Microsecond)
 	}
 	if b.got != 20000 {
@@ -52,8 +52,8 @@ func TestRingTracksOccupancyNotTraffic(t *testing.T) {
 		t.Errorf("data ring has %d slots after 20000 packets at a peak of %d, want %d",
 			got, ab.data.stats.MaxPkts, ringMinSlots)
 	}
-	if got := len(ab.credit.ring.buf); got != 0 {
-		t.Errorf("unused credit ring has %d slots, want 0", got)
+	if got := len(ab.credits.classes[0].ring.buf); got != ringMinSlots {
+		t.Errorf("credit ring has %d slots after 5000 credits, want %d", got, ringMinSlots)
 	}
 }
 

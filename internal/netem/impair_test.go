@@ -17,7 +17,8 @@ func (m *dropEveryN) Drop() bool {
 
 func TestPoolBalanceLossModelDrop(t *testing.T) {
 	t.Parallel()
-	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
+	// Room for all 40 credits: none may die of credit-queue overflow.
+	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0, CreditQueueCap: 64})
 	ab.SetLossModel(&dropEveryN{n: 2}, &dropEveryN{n: 2})
 	for i := 0; i < 40; i++ {
 		ab.Enqueue(mkData(net.Pool(), 1538))
@@ -37,8 +38,8 @@ func TestPoolBalanceLossModelDrop(t *testing.T) {
 
 func TestPoolBalanceDuplication(t *testing.T) {
 	t.Parallel()
-	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0})
-	// Duplicate every data packet; credits untouched.
+	eng, net, _, b, ab := pair(t, PortConfig{Rate: 10 * unit.Gbps, Delay: 0, CreditQueueCap: 64})
+	// Duplicate every data packet; credits untouched (and all 25 fit).
 	ab.SetDuplication(0, 1.0, sim.NewRand(3))
 	for i := 0; i < 25; i++ {
 		ab.Enqueue(mkData(net.Pool(), 1538))

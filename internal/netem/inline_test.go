@@ -26,8 +26,9 @@ func TestHotPathInlining(t *testing.T) {
 		t.Fatalf("go build -gcflags=-m: %v\n%s", err, raw)
 	}
 	out := string(raw)
-	for _, fn := range []string{"(*pktRing).pop", "(*pktRing).at", "(*dataQueue).empty", "(*dataQueue).len",
-		"(*creditQueue).empty", "(*Port).waiting", "(*Port).creditEmpty"} {
+	for _, fn := range []string{"(*pktRing).pop", "(*pktRing).at", "(*fifo).empty", "(*fifo).len",
+		"(*creditScheduler).empty", "(*creditScheduler).classIndex", "(*Port).waiting",
+		"(*Port).creditEmpty", "(*Port).creditPop"} {
 		if !strings.Contains(out, ": can inline "+fn+"\n") {
 			t.Errorf("%s is no longer inlinable: every packet pays a call for it", fn)
 		}

@@ -133,7 +133,7 @@ func TestCreditRateLimiting(t *testing.T) {
 	if b.credits < 7500 || b.credits > 7800 {
 		t.Errorf("credits passed = %d, want ≈7700", b.credits)
 	}
-	if ab.CreditStats().Drops == 0 {
+	if ab.CreditDrops() == 0 {
 		t.Error("no credit drops under 4x overload")
 	}
 }
@@ -236,7 +236,7 @@ func TestRandomVictimCreditDropIsFair(t *testing.T) {
 	eng.RunUntil(20 * sim.Millisecond)
 	_ = got
 	total := float64(fastSeq + slowSeq)
-	dropFrac := float64(ab.CreditStats().Drops) / total
+	dropFrac := float64(ab.CreditDrops()) / total
 	// Offered = 4/3 of drain → ~25% must drop overall.
 	if dropFrac < 0.15 || dropFrac > 0.35 {
 		t.Errorf("overall credit drop fraction %.2f, want ≈0.25", dropFrac)

@@ -15,8 +15,10 @@ func pfcChain(t *testing.T, xoff unit.Bytes) (*sim.Engine, *Network, *Host, *Hos
 	eng := sim.New(1)
 	net := NewNetwork(eng)
 	sw := net.NewSwitch("sw")
+	// CreditQueueCap 16 holds the 10 credits TestPFCDoesNotPauseCredits
+	// sends at once.
 	fast := PortConfig{Rate: 10 * unit.Gbps, Delay: sim.Microsecond,
-		DataCapacity: 16 * unit.MB, PFC: xoff}
+		DataCapacity: 16 * unit.MB, CreditQueueCap: 16, PFC: xoff}
 	slow := fast
 	slow.Rate = 1 * unit.Gbps
 	src := net.NewHost("src", HardwareNICDelay())

@@ -19,9 +19,8 @@ type PortConfig struct {
 	// Zero means unbounded (hosts use a large default).
 	DataCapacity unit.Bytes
 
-	// CreditQueueCap is the credit-class budget in packets (§3.1 buffer
-	// carving, 4–8). Zero disables the credit class entirely: credits are
-	// then treated as data (used by non-ExpressPass experiments).
+	// CreditQueueCap is each credit class's budget in packets (§3.1
+	// buffer carving, 4–8). Zero means the default of 8.
 	CreditQueueCap int
 
 	// CreditBurst is the credit token bucket size in bytes; defaults to
@@ -73,6 +72,9 @@ func (c PortConfig) withDefaults() PortConfig {
 	if c.CreditBurst == 0 {
 		c.CreditBurst = 2 * (unit.MinFrame + 8) // two max-size (92 B) credits
 	}
+	if c.CreditQueueCap <= 0 {
+		c.CreditQueueCap = 8
+	}
 	return c
 }
 
@@ -102,10 +104,9 @@ type Port struct {
 	linkDom int32
 	rng     *sim.Rand
 
-	data   dataQueue
-	credit creditQueue
-	sched  *creditScheduler // non-nil when CreditClasses configured
-	bucket tokenBucket
+	data    dataQueue
+	credits creditScheduler
+	bucket  tokenBucket
 
 	rcp     *rcpMeter
 	phantom *phantomQueue
@@ -161,7 +162,6 @@ type Port struct {
 	txPayload     unit.Bytes // application payload bytes transmitted
 	txCreditBytes unit.Bytes
 	txCreditPkts  uint64
-	txCreditClass []uint64
 }
 
 // PortStats is a point-in-time snapshot of a port's transmit and queue
@@ -232,11 +232,7 @@ func newPort(eng *sim.Engine, owner Node, cfg PortConfig, name string) *Port {
 		p.psPerByte = int32(bitPs / int64(cfg.Rate))
 	}
 	p.data.cap = cfg.DataCapacity
-	p.credit.cap = cfg.CreditQueueCap
-	if len(cfg.CreditClasses) > 0 {
-		p.sched = newCreditScheduler(cfg.CreditClasses, cfg.CreditQueueCap)
-		p.txCreditClass = make([]uint64, len(cfg.CreditClasses))
-	}
+	p.credits = newCreditScheduler(cfg.CreditClasses, cfg.CreditQueueCap)
 	p.bucket = newTokenBucket(cfg.Rate.Scale(cfg.CreditRatio), cfg.CreditBurst)
 	if cfg.RCP > 0 {
 		p.rcp = newRCPMeter(cfg.Rate, cfg.RCP)
@@ -277,44 +273,21 @@ func (p *Port) Config() PortConfig { return p.cfg }
 // DataQueueBytes returns the instantaneous data-class occupancy.
 func (p *Port) DataQueueBytes() unit.Bytes { return p.data.curBytes() }
 
-// CreditQueueLen returns the instantaneous credit-class occupancy
-// (summed over classes when multiple are configured).
-func (p *Port) CreditQueueLen() int {
-	if p.sched != nil {
-		return p.sched.len()
-	}
-	return p.credit.len()
-}
+// CreditQueueLen returns the instantaneous credit occupancy, summed
+// over classes.
+func (p *Port) CreditQueueLen() int { return p.credits.len() }
 
 // CreditDrops returns total credit drops across all classes.
-func (p *Port) CreditDrops() uint64 {
-	if p.sched != nil {
-		return p.sched.drops()
-	}
-	return p.credit.stats.Drops
-}
+func (p *Port) CreditDrops() uint64 { return p.credits.drops() }
 
 // creditEmpty reports whether any credit is queued.
-func (p *Port) creditEmpty() bool {
-	if p.sched != nil {
-		return p.sched.empty()
-	}
-	return p.credit.empty()
-}
+func (p *Port) creditEmpty() bool { return p.credits.empty() }
 
 // creditPop dequeues the next credit per the class policy.
-func (p *Port) creditPop(now sim.Time) *packet.Packet {
-	if p.sched != nil {
-		return p.sched.pop(now)
-	}
-	return p.credit.pop(now)
-}
+func (p *Port) creditPop(now sim.Time) *packet.Packet { return p.credits.pop(now) }
 
 // DataStats returns a pointer to the data-queue statistics.
 func (p *Port) DataStats() *QueueStats { return &p.data.stats }
-
-// CreditStats returns a pointer to the credit-queue statistics.
-func (p *Port) CreditStats() *QueueStats { return &p.credit.stats }
 
 // ResetStats restarts occupancy averaging and zeroes counters, so an
 // experiment can ignore its warm-up phase.
@@ -322,16 +295,11 @@ func (p *Port) ResetStats() {
 	now := p.eng.Now()
 	p.data.stats = QueueStats{}
 	p.data.stats.ResetWindow(now)
-	p.credit.stats = QueueStats{}
-	p.credit.stats.ResetWindow(now)
-	if p.sched != nil {
-		// The per-class credit queues and counters are the ones a port
-		// with CreditClasses actually uses.
-		for i := range p.sched.queues {
-			p.sched.queues[i].stats = QueueStats{}
-			p.sched.queues[i].stats.ResetWindow(now)
-		}
-		clear(p.txCreditClass)
+	for i := range p.credits.classes {
+		c := &p.credits.classes[i]
+		c.stats = QueueStats{}
+		c.stats.ResetWindow(now)
+		c.tx = 0
 	}
 	p.txPackets, p.txBytes, p.txDataBytes, p.txPayload = 0, 0, 0, 0
 	p.txCreditBytes, p.txCreditPkts = 0, 0
@@ -369,7 +337,7 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 // enqueueAdmitted is the back half of Enqueue: classing, marking, and
 // queueing for a packet that survived the fault/impairment admit hooks.
 func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
-	if pkt.IsCredit() && (p.sched != nil || p.credit.cap > 0) {
+	if pkt.IsCredit() {
 		var rng *sim.Rand
 		if !p.cfg.CreditTailDrop {
 			rng = p.rng
@@ -388,13 +356,7 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 			dropsBefore = p.CreditDrops()
 			trFlow, trSeq, trWire = int64(pkt.Flow), pkt.Seq, pkt.Wire
 		}
-		var dropped *packet.Packet
-		if p.sched != nil {
-			dropped = p.sched.push(now, pkt, rng)
-		} else {
-			dropped = p.credit.push(now, pkt, rng)
-		}
-		if dropped != nil {
+		if dropped := p.credits.push(now, pkt, rng); dropped != nil {
 			p.net.pool.Put(dropped) // credit overflow: the arrival or a displaced victim
 		}
 		if tr != nil {
@@ -566,13 +528,7 @@ func (p *Port) transmit(pkt *packet.Packet) {
 	case packet.Credit:
 		p.txCreditBytes += pkt.Wire
 		p.txCreditPkts++
-		if p.txCreditClass != nil {
-			ci := int(pkt.Class)
-			if ci >= len(p.txCreditClass) {
-				ci = len(p.txCreditClass) - 1
-			}
-			p.txCreditClass[ci]++
-		}
+		p.credits.classes[p.credits.classIndex(pkt)].tx++
 	}
 	if tr := p.trace; tr != nil {
 		if pkt.Kind == packet.Credit {

@@ -117,25 +117,23 @@ func (r *pktRing) grow() {
 	r.buf, r.head = grown, 0
 }
 
-// dataQueue is a byte-capacity drop-tail FIFO for the data class.
-type dataQueue struct {
+// fifo is what both queue classes share: the ring, its byte count and
+// the queue's statistics, with the accounting of a plain enqueue and
+// dequeue. Admission — the byte or packet budget, the credit victim —
+// is each class's own.
+type fifo struct {
 	ring  pktRing
 	bytes unit.Bytes
-	cap   unit.Bytes
 	stats QueueStats
 }
 
-func (q *dataQueue) len() int             { return q.ring.len() }
-func (q *dataQueue) empty() bool          { return q.ring.n == 0 }
-func (q *dataQueue) curBytes() unit.Bytes { return q.bytes }
+func (q *fifo) len() int             { return q.ring.len() }
+func (q *fifo) empty() bool          { return q.ring.n == 0 }
+func (q *fifo) curBytes() unit.Bytes { return q.bytes }
 
-// push appends p if it fits; returns false (drop) otherwise.
-func (q *dataQueue) push(now sim.Time, p *packet.Packet) bool {
-	if q.cap > 0 && q.bytes+p.Wire > q.cap {
-		q.stats.Drops++
-		q.stats.DropBytes += p.Wire
-		return false
-	}
+// add appends p, closing the occupancy interval at the old byte count
+// and raising the peaks.
+func (q *fifo) add(now sim.Time, p *packet.Packet) {
 	q.stats.account(now, q.bytes)
 	q.ring.push(p)
 	q.bytes += p.Wire
@@ -146,10 +144,9 @@ func (q *dataQueue) push(now sim.Time, p *packet.Packet) bool {
 	if n := q.len(); n > q.stats.MaxPkts {
 		q.stats.MaxPkts = n
 	}
-	return true
 }
 
-func (q *dataQueue) pop(now sim.Time) *packet.Packet {
+func (q *fifo) pop(now sim.Time) *packet.Packet {
 	if q.empty() {
 		return nil
 	}
@@ -159,7 +156,24 @@ func (q *dataQueue) pop(now sim.Time) *packet.Packet {
 	return p
 }
 
-// creditQueue is a tiny packet-count-capacity FIFO for the credit class
+// dataQueue is a byte-capacity drop-tail FIFO for the data class.
+type dataQueue struct {
+	fifo
+	cap unit.Bytes
+}
+
+// push appends p if it fits; returns false (drop) otherwise.
+func (q *dataQueue) push(now sim.Time, p *packet.Packet) bool {
+	if q.cap > 0 && q.bytes+p.Wire > q.cap {
+		q.stats.Drops++
+		q.stats.DropBytes += p.Wire
+		return false
+	}
+	q.add(now, p)
+	return true
+}
+
+// creditQueue is a tiny packet-count-capacity FIFO for one credit class
 // (buffer carving per §3.1: a fixed budget of 4–8 credit packets).
 //
 // On overflow the victim is chosen uniformly at random among the queued
@@ -172,63 +186,39 @@ func (q *dataQueue) pop(now sim.Time) *packet.Packet {
 // that drops land uniformly across interleaved credit streams (§3.1
 // "Ensuring fair credit drop").
 type creditQueue struct {
-	ring  pktRing
-	cap   int
-	bytes unit.Bytes
-	stats QueueStats
+	fifo
+	cap int
 }
-
-func (q *creditQueue) len() int    { return q.ring.len() }
-func (q *creditQueue) empty() bool { return q.ring.n == 0 }
 
 // push enqueues p, applying random-victim drop when full (or plain
 // drop-tail when rng is nil). It returns the credit dropped, for the
 // caller to recycle: p, or the queued credit p displaced; nil if none.
 func (q *creditQueue) push(now sim.Time, p *packet.Packet, rng *sim.Rand) (dropped *packet.Packet) {
-	if q.cap > 0 && q.len() >= q.cap {
-		q.stats.Drops++
-		victim := q.len() // drop-tail default: the arrival is the victim
-		if rng != nil {
-			victim = rng.Intn(q.len() + 1)
-		}
-		if victim == q.len() {
-			q.stats.DropBytes += p.Wire
-			return p
-		}
-		// Credit sizes differ (84–92 B), so the swap moves the byte
-		// count: close the interval at the old count first.
-		q.stats.account(now, q.bytes)
-		old := q.ring.at(victim)
-		q.stats.DropBytes += old.Wire
-		q.bytes += p.Wire - old.Wire
-		q.ring.set(victim, p)
-		q.stats.Enqueued++
-		if q.bytes > q.stats.MaxBytes {
-			q.stats.MaxBytes = q.bytes
-		}
-		return old
+	if q.len() < q.cap {
+		q.add(now, p)
+		return nil
 	}
+	q.stats.Drops++
+	victim := q.len() // drop-tail default: the arrival is the victim
+	if rng != nil {
+		victim = rng.Intn(q.len() + 1)
+	}
+	if victim == q.len() {
+		q.stats.DropBytes += p.Wire
+		return p
+	}
+	// Credit sizes differ (84–92 B), so the swap moves the byte
+	// count: close the interval at the old count first.
 	q.stats.account(now, q.bytes)
-	q.ring.push(p)
-	q.bytes += p.Wire
+	old := q.ring.at(victim)
+	q.stats.DropBytes += old.Wire
+	q.bytes += p.Wire - old.Wire
+	q.ring.set(victim, p)
 	q.stats.Enqueued++
 	if q.bytes > q.stats.MaxBytes {
 		q.stats.MaxBytes = q.bytes
 	}
-	if n := q.len(); n > q.stats.MaxPkts {
-		q.stats.MaxPkts = n
-	}
-	return nil
-}
-
-func (q *creditQueue) pop(now sim.Time) *packet.Packet {
-	if q.empty() {
-		return nil
-	}
-	q.stats.account(now, q.bytes)
-	p := q.ring.pop()
-	q.bytes -= p.Wire
-	return p
+	return old
 }
 
 // tokenBucket meters the credit class to a fixed fraction of link

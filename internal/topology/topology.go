@@ -22,7 +22,7 @@ type Config struct {
 
 	// Switch buffering.
 	DataCapacity   unit.Bytes // per-port data budget (default 384.5 KB)
-	CreditQueueCap int        // per-port credit budget in packets (default 8)
+	CreditQueueCap int        // per-port credit budget in packets (default: netem's 8)
 	CreditBurst    unit.Bytes // credit token bucket size (default: netem's two max-size credits)
 
 	// CreditTailDrop disables random-victim credit dropping (Fig 6's
@@ -50,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DataCapacity == 0 {
 		c.DataCapacity = unit.Bytes(384.5 * 1000) // 250 MTUs, paper §6.3
-	}
-	if c.CreditQueueCap == 0 {
-		c.CreditQueueCap = 8
 	}
 	return c
 }

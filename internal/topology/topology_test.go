@@ -227,13 +227,14 @@ func TestOversubTreeSymmetry(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.LinkRate != 10*unit.Gbps || c.CreditQueueCap != 8 {
-		t.Errorf("defaults: %+v", c)
+	star := NewStar(sim.New(1), 2, c)
+	if c.LinkRate != 10*unit.Gbps || star.DownPort(0).Config().CreditQueueCap != 8 {
+		t.Errorf("defaults: %+v, port %+v", c, star.DownPort(0).Config())
 	}
 	if c.DataCapacity != unit.Bytes(384500) {
 		t.Errorf("data capacity default %v, want 384.5KB (250 MTUs)", c.DataCapacity)
 	}
-	if h := NewStar(sim.New(1), 2, c).Hosts[0]; h.Delay != netem.HardwareNICDelay() {
+	if h := star.Hosts[0]; h.Delay != netem.HardwareNICDelay() {
 		t.Errorf("host delay model %+v, want the NIC-hardware one", h.Delay)
 	}
 }
