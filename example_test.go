@@ -24,7 +24,7 @@ func ExampleDial() {
 	eng.Run()
 
 	fmt.Println("delivered:", flow.BytesDelivered)
-	fmt.Println("data drops:", net.TotalDataDrops())
+	fmt.Println("data drops:", net.Stats().DataDrops)
 	// Output:
 	// delivered: 1MB
 	// data drops: 0

@@ -55,9 +55,9 @@ func main() {
 			line += fmt.Sprintf(" %5.2f", gbps)
 		}
 		line += fmt.Sprintf("   max %5.1f KB",
-			float64(bottleneck.DataStats().MaxBytes)/1e3)
+			float64(bottleneck.Stats().DataQueueMaxBytes)/1e3)
 		bottleneck.ResetStats()
 		fmt.Println(line)
 	}
-	fmt.Printf("total data drops: %d\n", net.TotalDataDrops())
+	fmt.Printf("total data drops: %d\n", net.Stats().DataDrops)
 }

@@ -51,10 +51,11 @@ func main() {
 		}
 		// The aggregator's ToR downlink is the incast bottleneck.
 		down := aggregator.NIC().Peer()
+		st := net.Stats()
 		fmt.Printf("%6d  %14.1f  %11d  %9d  %d/%d\n",
 			fanout,
-			float64(down.DataStats().MaxBytes)/1538,
-			net.TotalCreditDrops(), net.TotalDataDrops(),
+			float64(down.Stats().DataQueueMaxBytes)/1538,
+			st.CreditDrops, st.DataDrops,
 			done, fanout)
 	}
 }

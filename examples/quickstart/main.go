@@ -37,5 +37,5 @@ func main() {
 	fmt.Printf("credits: sent=%d received=%d wasted=%d; data packets=%d\n",
 		sess.CreditsSent(), sess.CreditsReceived(), sess.CreditsWasted(), sess.DataSent())
 	fmt.Printf("data drops anywhere: %d (ExpressPass guarantees zero)\n",
-		net.TotalDataDrops())
+		net.Stats().DataDrops)
 }

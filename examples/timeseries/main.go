@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"expresspass"
 )
@@ -37,21 +36,16 @@ func main() {
 		expresspass.Dial(f, expresspass.Config{BaseRTT: 30 * expresspass.Microsecond})
 	}
 
+	// Sample by running the engine one interval at a time, as the
+	// experiments' own samplers do.
 	interval := 100 * expresspass.Microsecond
-	series := expresspass.NewSeries(interval)
-	for i, f := range flows {
-		f := f
-		series.Track(fmt.Sprintf("flow%d_gbps", i),
-			expresspass.RateProbe(interval, func() float64 { return float64(f.BytesDelivered) }))
-	}
-	series.Track("queue_kb", func() float64 {
-		return float64(bottleneck.DataQueueBytes()) / 1e3
-	})
-	series.Start(eng)
-
-	eng.RunUntil(6 * expresspass.Millisecond)
-	if err := series.WriteCSV(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	fmt.Println("time_us,flow0_gbps,flow1_gbps,queue_kb")
+	for eng.Now() < 6*expresspass.Millisecond {
+		eng.RunFor(interval)
+		fmt.Printf("%.3f", eng.Now().Micros())
+		for _, f := range flows {
+			fmt.Printf(",%g", float64(f.TakeDeliveredDelta())*8/interval.Seconds()/1e9)
+		}
+		fmt.Printf(",%g\n", float64(bottleneck.Stats().DataQueueBytes)/1e3)
 	}
 }

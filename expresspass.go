@@ -40,7 +40,6 @@ import (
 	"expresspass/internal/obs"
 	"expresspass/internal/scenario"
 	"expresspass/internal/sim"
-	"expresspass/internal/stats"
 	"expresspass/internal/transport"
 	"expresspass/internal/unit"
 )
@@ -83,10 +82,6 @@ type (
 	Session = core.Session
 	// Feedback is the standalone Algorithm 1 rate controller.
 	Feedback = core.Feedback
-
-	// Series records named time series (throughput, queue depth) at a
-	// fixed sampling interval and renders CSV for plotting.
-	Series = stats.Series
 
 	// Tracer records typed simulation events (credit drops, queue
 	// depth, feedback updates) to a sink; attach with Network.SetTracer
@@ -138,15 +133,6 @@ func Link(rate Rate, delay Duration) PortConfig {
 
 // HardwareNIC returns the NIC-hardware host delay model (∆d≈1 µs).
 func HardwareNIC() HostDelayConfig { return netem.HardwareNICDelay() }
-
-// NewSeries returns a time-series recorder sampling every interval.
-func NewSeries(interval Duration) *Series { return stats.NewSeries(interval) }
-
-// RateProbe adapts a cumulative byte counter into a Gbps probe for
-// Series: each sample reports the delta since the previous one.
-func RateProbe(interval Duration, counter func() float64) func() float64 {
-	return stats.RateProbe(interval, counter)
-}
 
 // NewTracer returns a tracer recording the given event types to sink
 // (no types = all). Build a sink with NewJSONLTraceSink.

@@ -42,10 +42,10 @@ func TestAPISurface(t *testing.T) {
 		"Microsecond", "Millisecond", "Network",
 		"NewEngine", "NewFlow", "NewInvariantSet", "NewJSONLTraceSink",
 		"NewNetwork", "NewObsRuntime",
-		"NewSeries", "NewTracer", "Node", "ObsConfig", "ObsRuntime",
-		"ParseFaultSpec", "PortConfig", "Rate", "RateProbe",
+		"NewTracer", "Node", "ObsConfig", "ObsRuntime",
+		"ParseFaultSpec", "PortConfig", "Rate",
 		"RunExperiment", "RunScenario", "ScenarioReport", "Second",
-		"Series", "Session", "Switch", "Time", "TraceEventType",
+		"Session", "Switch", "Time", "TraceEventType",
 		"Tracer",
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "expresspass.go", nil, 0)
@@ -248,7 +248,7 @@ func TestQuickstartAPI(t *testing.T) {
 	if fct := flow.FCT(); fct < 8*expresspass.Millisecond || fct > 15*expresspass.Millisecond {
 		t.Errorf("FCT = %v", fct)
 	}
-	if net.TotalDataDrops() != 0 {
+	if net.Stats().DataDrops != 0 {
 		t.Error("data drops")
 	}
 	if sess.CreditsSent() == 0 || sess.DataSent() == 0 {

@@ -54,7 +54,7 @@ func TestCreditStopShortfallRecovery(t *testing.T) {
 	if !f.Finished {
 		t.Fatal("flow did not finish: NACK/shortfall recovery never completed")
 	}
-	if d.Bottleneck.FaultDrops() == 0 {
+	if d.Bottleneck.Stats().FaultDrops == 0 {
 		t.Fatal("loss window destroyed no data: the shortfall arc was not exercised")
 	}
 	for _, v := range c.Finish() {

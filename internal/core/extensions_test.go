@@ -73,7 +73,7 @@ func TestSprayedFabricZeroLoss(t *testing.T) {
 		flows = append(flows, f)
 	}
 	eng.RunUntil(30 * sim.Millisecond)
-	if drops := ft.Net.TotalDataDrops(); drops != 0 {
+	if drops := ft.Net.Stats().DataDrops; drops != 0 {
 		t.Errorf("data drops under spraying: %d", drops)
 	}
 	var total float64
@@ -108,7 +108,7 @@ func TestFailoverKeepsZeroLoss(t *testing.T) {
 		before[i] = f.BytesDelivered
 	}
 	eng.RunUntil(30 * sim.Millisecond)
-	if drops := ft.Net.TotalDataDrops(); drops != 0 {
+	if drops := ft.Net.Stats().DataDrops; drops != 0 {
 		t.Errorf("data drops after failover: %d", drops)
 	}
 	for i, f := range flows {

@@ -32,7 +32,7 @@ func TestSessionSingleFlowFCT(t *testing.T) {
 	if sess.DataSent() == 0 || sess.CreditsSent() < sess.DataSent() {
 		t.Errorf("credits sent %d < data %d", sess.CreditsSent(), sess.DataSent())
 	}
-	if d.Net.TotalDataDrops() != 0 {
+	if d.Net.Stats().DataDrops != 0 {
 		t.Error("data drops with a single flow")
 	}
 }
@@ -54,7 +54,7 @@ func TestZeroDataLossInvariant(t *testing.T) {
 		}
 	}
 	eng.RunUntil(1 * sim.Second)
-	if drops := st.Net.TotalDataDrops(); drops != 0 {
+	if drops := st.Net.Stats().DataDrops; drops != 0 {
 		t.Errorf("data drops = %d, want 0", drops)
 	}
 	for i, f := range flows {
@@ -62,7 +62,7 @@ func TestZeroDataLossInvariant(t *testing.T) {
 			t.Errorf("flow %d unfinished", i)
 		}
 	}
-	if st.Net.TotalCreditDrops() == 0 {
+	if st.Net.Stats().CreditDrops == 0 {
 		t.Error("no credit drops — incast was not contended")
 	}
 }
@@ -162,7 +162,7 @@ func TestTwoFlowsFairAndEfficient(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("unfair split: %.2f vs %.2f Gbps", r0, r1)
 	}
-	if d.Net.TotalDataDrops() != 0 {
+	if d.Net.Stats().DataDrops != 0 {
 		t.Error("data drops")
 	}
 }
@@ -176,7 +176,7 @@ func TestBoundedQueueUnderIncast(t *testing.T) {
 		core.Dial(f, cfg)
 	}
 	eng.RunUntil(50 * sim.Millisecond)
-	maxQ := st.DownPort(0).DataStats().MaxBytes
+	maxQ := st.DownPort(0).Stats().DataQueueMaxBytes
 	// The paper's ns-2 max is ~1.3 KB; allow a loose 20 KB bound (the
 	// delay-spread bound for this tiny topology).
 	if maxQ > 20*unit.KB {

@@ -39,7 +39,7 @@ func TestSmokeTwoFlows(t *testing.T) {
 		t.Logf("flow %d: %.3f Gbps", i, gbps)
 		rates = append(rates, gbps)
 	}
-	if drops := d.Net.TotalDataDrops(); drops != 0 {
+	if drops := d.Net.Stats().DataDrops; drops != 0 {
 		t.Errorf("data drops = %d, want 0", drops)
 	}
 	total := rates[0] + rates[1]
@@ -49,5 +49,5 @@ func TestSmokeTwoFlows(t *testing.T) {
 	if j := stats.JainIndex(rates); j < 0.95 {
 		t.Errorf("Jain index %.3f, want >= 0.95", j)
 	}
-	t.Logf("credit drops=%d events=%d", d.Net.TotalCreditDrops(), eng.Executed())
+	t.Logf("credit drops=%d events=%d", d.Net.Stats().CreditDrops, eng.Executed())
 }

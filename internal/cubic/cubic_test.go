@@ -43,7 +43,7 @@ func TestCubicReactsToLoss(t *testing.T) {
 	eng, d := cubicNet(2, 2, 20*1538)
 	f, c := dial(d, 0)
 	eng.RunUntil(50 * sim.Millisecond)
-	if d.Net.TotalDataDrops() == 0 {
+	if d.Net.Stats().DataDrops == 0 {
 		t.Fatal("expected drops")
 	}
 	if c.Retransmits == 0 {

@@ -62,7 +62,7 @@ func TestDCQCNSharesAndKeepsQueueModerate(t *testing.T) {
 		t.Errorf("aggregate %.2f Gbps", total)
 	}
 	// RED keeps the standing queue between KMin and KMax.
-	maxQ := d.Bottleneck.DataStats().MaxBytes
+	maxQ := d.Bottleneck.Stats().DataQueueMaxBytes
 	if maxQ > 384*unit.KB {
 		t.Errorf("queue %v reached capacity — marking not controlling", maxQ)
 	}
@@ -96,12 +96,12 @@ func TestDCQCNWithPFCIsLossless(t *testing.T) {
 			t.Fatalf("flow %d unfinished", i)
 		}
 	}
-	if drops := st.Net.TotalDataDrops(); drops != 0 {
+	if drops := st.Net.Stats().DataDrops; drops != 0 {
 		t.Errorf("drops with PFC: %d", drops)
 	}
 	var pauses uint64
 	for _, p := range st.Net.AllPorts() {
-		pauses += p.PFCPauses()
+		pauses += p.Stats().PFCPauses
 	}
 	if pauses == 0 {
 		t.Error("incast never triggered PFC — test not exercising pause path")
@@ -124,7 +124,7 @@ func TestDCQCNWithoutPFCDrops(t *testing.T) {
 		})
 	}
 	eng.RunUntil(200 * sim.Millisecond)
-	if st.Net.TotalDataDrops() == 0 {
+	if st.Net.Stats().DataDrops == 0 {
 		t.Error("expected incast drops without PFC")
 	}
 }

@@ -34,14 +34,14 @@ func TestDCTCPSingleFlowSaturates(t *testing.T) {
 	// marked window lands (real DCTCP behaves the same); judge steady
 	// state only.
 	eng.RunUntil(10 * sim.Millisecond)
-	preDrops := d.Net.TotalDataDrops()
+	preDrops := d.Net.Stats().DataDrops
 	f.TakeDeliveredDelta()
 	eng.RunFor(20 * sim.Millisecond)
 	goodput := float64(f.TakeDeliveredDelta()) * 8 / 0.02
 	if goodput < 8.5e9 {
 		t.Errorf("steady goodput %.3g, want near line rate", goodput)
 	}
-	if drops := d.Net.TotalDataDrops(); drops != preDrops {
+	if drops := d.Net.Stats().DataDrops; drops != preDrops {
 		t.Errorf("steady-state drops: %d new", drops-preDrops)
 	}
 }
@@ -53,7 +53,7 @@ func TestDCTCPKeepsQueueNearThreshold(t *testing.T) {
 	}
 	eng.RunUntil(50 * sim.Millisecond)
 	k := dctcp.RecommendedK(10 * unit.Gbps)
-	maxQ := d.Bottleneck.DataStats().MaxBytes
+	maxQ := d.Bottleneck.Stats().DataQueueMaxBytes
 	// Steady queue oscillates around K; transients (slow-start overshoot)
 	// may spike higher but not by an order of magnitude.
 	if maxQ < k/4 {

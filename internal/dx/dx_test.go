@@ -44,11 +44,11 @@ func TestDXKeepsQueueLow(t *testing.T) {
 	eng.RunUntil(20 * sim.Millisecond)
 	d.Bottleneck.ResetStats()
 	eng.RunFor(30 * sim.Millisecond)
-	maxQ := d.Bottleneck.DataStats().MaxBytes
+	maxQ := d.Bottleneck.Stats().DataQueueMaxBytes
 	if maxQ > 60*unit.KB {
 		t.Errorf("steady max queue %v, want low (delay-based)", maxQ)
 	}
-	if d.Net.TotalDataDrops() != 0 {
+	if d.Net.Stats().DataDrops != 0 {
 		t.Error("DX dropped data in steady state")
 	}
 }

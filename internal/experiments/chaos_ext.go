@@ -105,9 +105,9 @@ func runExtChaosMatrix(p Params) (Result, error) {
 		}
 		eng.RunUntil(sim.Time(deadline))
 		done, fct := completion(flows)
+		st := d.Net.Stats()
 		return []any{a.name, string(pr), text("%d/%d", done, n), fct,
-			d.Net.TotalFaultDrops(), d.Net.TotalDuplicates(),
-			d.Net.TotalCorruptDrops(), d.Net.TotalReorders()}, nil
+			st.FaultDrops, st.FaultDups, st.CorruptDrops, st.FaultReorders}, nil
 	})
 	return Result{&Table{Header: []string{"chaos", "proto", "completed", "mean FCT", "drops", "dups", "corrupt", "reorder"}, Rows: rows}}, err
 }
@@ -173,7 +173,7 @@ func runExtChaosStorm(p Params) (Result, error) {
 		dip := gbps(sumDelivered(flows), stormD)
 		eng.RunFor(postD)
 		post := gbps(sumDelivered(flows), postD)
-		return []any{s.name, string(pr), pre, dip, post, d.Net.TotalFaultDrops()}, nil
+		return []any{s.name, string(pr), pre, dip, post, d.Net.Stats().FaultDrops}, nil
 	})
 	return Result{&Table{Header: []string{"storm", "proto", "pre Gbps", "storm Gbps", "post Gbps", "drops"}, Rows: rows}}, err
 }

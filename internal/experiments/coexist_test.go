@@ -42,7 +42,7 @@ func TestCoexistenceWithUncreditedTraffic(t *testing.T) {
 	xpG := float64(xp.TakeDeliveredDelta()) * 8 / meas.Seconds() / 1e9
 	tcpG := float64(tcp.TakeDeliveredDelta()) * 8 / meas.Seconds() / 1e9
 	t.Logf("coexistence: expresspass %.2f Gbps, dctcp %.2f Gbps, data drops %d",
-		xpG, tcpG, d.Net.TotalDataDrops())
+		xpG, tcpG, d.Net.Stats().DataDrops)
 
 	if xpG < 7 {
 		t.Errorf("expresspass lost its credit-clocked share: %.2f Gbps", xpG)

@@ -60,15 +60,11 @@ func runExtDCQCN(p Params) (Result, error) {
 				fcts.Observe(f.FCT().Seconds() * 1e3)
 			}
 		})
-		var pauses uint64
-		for _, port := range st.Net.AllPorts() {
-			pauses += port.PFCPauses()
-		}
-		bn := st.DownPort(0)
+		net := st.Net.Stats()
 		return []any{fanout, string(proto),
 			text("%.3g", fcts.Percentile(99)),
-			float64(bn.DataStats().MaxBytes) / 1e3,
-			st.Net.TotalDataDrops(), pauses}
+			float64(st.DownPort(0).Stats().DataQueueMaxBytes) / 1e3,
+			net.DataDrops, net.PFCPauses}
 	})
 	return Result{&Table{Header: []string{"fanout", "proto", "p99 FCT ms", "maxQ KB", "drops", "PFC pauses"}, Rows: rows}}, nil
 }

@@ -128,18 +128,13 @@ func runExtSpray(p Params) (Result, error) {
 			rates = append(rates, r)
 			total += r
 		}
-		var maxQ unit.Bytes
-		for _, port := range ft.Net.AllPorts() {
-			if q := port.DataStats().MaxBytes; q > maxQ {
-				maxQ = q
-			}
-		}
 		name := "symmetric ECMP"
 		if spray {
 			name = "packet spraying"
 		}
+		st := ft.Net.Stats()
 		return []any{name, total, stats.JainIndex(rates),
-			float64(maxQ) / 1e3, ft.Net.TotalDataDrops()}
+			float64(st.DataQueueMaxBytes) / 1e3, st.DataDrops}
 	})
 	return Result{&Table{Header: []string{"routing", "aggregate Gbps", "jain", "maxQ KB", "data drops"}, Rows: rows}}, nil
 }
@@ -173,14 +168,14 @@ func runExtFailover(p Params) (Result, error) {
 			for _, f := range flows {
 				f.TakeDeliveredDelta()
 			}
-			preDrops := ft.Net.TotalDataDrops()
+			preDrops := ft.Net.Stats().DataDrops
 			eng.RunFor(phase)
 			var total float64
 			for _, f := range flows {
 				total += gbps(f.TakeDeliveredDelta(), phase)
 			}
 			lines = append(lines, text("%-28s aggregate %.2f Gbps, new data drops %d",
-				label, total, ft.Net.TotalDataDrops()-preDrops))
+				label, total, ft.Net.Stats().DataDrops-preDrops))
 		}
 		eng.RunUntil(phase) // warm up
 		measure("healthy fabric:")

@@ -84,7 +84,7 @@ func registerFaultMetrics(net *netem.Network, sessions []*core.Session) {
 		return
 	}
 	r.Gauge("faults/credit_wasted_ratio", func() float64 { return wastedRatio(sessions, 0, 0) })
-	r.Gauge("faults/drops", func() float64 { return float64(net.TotalFaultDrops()) })
+	r.Gauge("faults/drops", func() float64 { return float64(net.Stats().FaultDrops) })
 }
 
 func sumDelivered(flows []*transport.Flow) unit.Bytes {
@@ -167,7 +167,7 @@ func runExtFaultsFlap(p Params) (Result, error) {
 			}
 		}
 		return []any{text("%gms", float64(flapD)/float64(sim.Millisecond)), pre, recovery,
-			postSum / float64(postN), d.Net.TotalFaultDrops(),
+			postSum / float64(postN), d.Net.Stats().FaultDrops,
 			100 * wastedRatio(sessions, baseSent, baseData)}, nil
 	})
 	return Result{&Table{Header: []string{"flap", "pre Gbps", "recovery", "post Gbps", "fault drops", "wasted %"}, Rows: rows}}, err
@@ -241,7 +241,7 @@ func runExtFaultsLoss(p Params) (Result, error) {
 		if sent > minPkts {
 			retx = sent - minPkts
 		}
-		return []any{a.name, text("%d/%d", done, n), fct, retx, d.Net.TotalFaultDrops()}, nil
+		return []any{a.name, text("%d/%d", done, n), fct, retx, d.Net.Stats().FaultDrops}, nil
 	})
 	return Result{&Table{Header: []string{"loss", "completed", "mean FCT", "retx pkts", "fault drops"}, Rows: rows}}, err
 }
@@ -282,7 +282,7 @@ func runExtFaultsStall(p Params) (Result, error) {
 		eng.RunFor(postD)
 		post := gbps(sumDelivered(flows), postD)
 		return []any{text("%gms", float64(stallD)/float64(sim.Millisecond)), pre, dip, post,
-			d.Net.TotalFaultDrops()}, nil
+			d.Net.Stats().FaultDrops}, nil
 	})
 	return Result{&Table{Header: []string{"stall", "pre Gbps", "during Gbps", "post Gbps", "fault drops"}, Rows: rows}}, err
 }

@@ -40,10 +40,10 @@ func TestHULLSacrificesBandwidthForLatency(t *testing.T) {
 	if util < 0.70 {
 		t.Errorf("utilization %.3f — far below the phantom drain rate", util)
 	}
-	if maxQ := d.Bottleneck.DataStats().MaxBytes; maxQ > 120*unit.KB {
+	if maxQ := d.Bottleneck.Stats().DataQueueMaxBytes; maxQ > 120*unit.KB {
 		t.Errorf("real queue %v too large for HULL", maxQ)
 	}
-	if d.Net.TotalDataDrops() != 0 {
+	if d.Net.Stats().DataDrops != 0 {
 		t.Error("HULL dropped data")
 	}
 }
@@ -55,8 +55,8 @@ func TestHULLQueueBelowDCTCP(t *testing.T) {
 	engH.RunUntil(40 * sim.Millisecond)
 	engD, dD := longFlows(2, ProtoDCTCP, 4)
 	engD.RunUntil(40 * sim.Millisecond)
-	qH := dH.Bottleneck.DataStats().MaxBytes
-	qD := dD.Bottleneck.DataStats().MaxBytes
+	qH := dH.Bottleneck.Stats().DataQueueMaxBytes
+	qD := dD.Bottleneck.Stats().DataQueueMaxBytes
 	if qH >= qD {
 		t.Errorf("HULL queue %v not below DCTCP's %v", qH, qD)
 	}

@@ -346,8 +346,7 @@ func runFig9(p Params) (Result, error) {
 		st.Net.ResetStats()
 		meas := p.scaleDur(20*sim.Millisecond, 8*sim.Millisecond)
 		eng.RunFor(meas)
-		bn := st.DownPort(0)
-		return bn.DataUtilization(meas)
+		return dataUtil(st.DownPort(0), meas)
 	})
 	best := 0.0
 	for _, u := range utils {

@@ -45,7 +45,7 @@ func runFig10(p Params) (Result, error) {
 		eng.RunFor(meas)
 		lowest := 1.0
 		for _, link := range pl.Links {
-			u := link.DataUtilization(meas) / dataShare
+			u := dataUtil(link, meas) / dataShare
 			if u < lowest {
 				lowest = u
 			}
@@ -163,7 +163,7 @@ func runFig13(p Params) (Result, error) {
 				}
 			}
 			tbl.Add(ph, active, desc, stats.JainIndex(rates),
-				float64(bn.DataStats().MaxBytes)/1e3)
+				float64(bn.Stats().DataQueueMaxBytes)/1e3)
 		}
 		return Result{text("\n%s (phase=%v):", proto, phase), tbl}
 	})
@@ -233,10 +233,11 @@ func fig15Cell(eng *sim.Engine, p Params, n int, proto Proto) []any {
 	}
 	// Utilization measured at the bottleneck egress (wire bytes
 	// of data actually transmitted during the window).
-	util := float64(d.Bottleneck.Stats().TxDataBytes) * 8 / meas.Seconds() / 1e9
+	bn := d.Bottleneck.Stats()
+	util := float64(bn.TxDataBytes) * 8 / meas.Seconds() / 1e9
 	return []any{n, string(proto), util, stats.JainIndex(rates),
-		float64(d.Bottleneck.DataStats().MaxBytes) / 1e3,
-		d.Net.TotalDataDrops(), timeouts()}
+		float64(bn.DataQueueMaxBytes) / 1e3,
+		d.Net.Stats().DataDrops, timeouts()}
 }
 
 // ---- Fig 16: convergence time at 10 and 100 Gbps ----

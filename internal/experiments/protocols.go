@@ -162,3 +162,9 @@ func gbps(b unit.Bytes, d sim.Duration) float64 {
 	}
 	return float64(b) * 8 / d.Seconds() / 1e9
 }
+
+// dataUtil is the fraction of p's line rate its data-class wire bytes
+// filled over window, the span since its last ResetStats.
+func dataUtil(p *netem.Port, window sim.Duration) float64 {
+	return float64(p.Stats().TxDataBytes) * 8 / window.Seconds() / float64(p.Rate())
+}

@@ -58,11 +58,11 @@ func runFig1(p Params) (Result, error) {
 		// The master's ToR downlink is the incast bottleneck.
 		bn := master.NIC().Peer()
 		eng.RunUntil(p.scaleDur(60*sim.Millisecond, 20*sim.Millisecond))
-		st := bn.DataStats()
+		st := bn.Stats()
 		return []any{fanout, string(proto),
-			float64(st.MaxBytes) / float64(unit.MaxFrame),
-			st.AvgBytes(eng.Now(), bn.DataQueueBytes()) / 1e3,
-			st.Drops}
+			float64(st.DataQueueMaxBytes) / float64(unit.MaxFrame),
+			st.DataQueueAvgBytes / 1e3,
+			st.DataDrops}
 	})
 	return Result{&Table{Header: []string{"fanout", "proto", "maxQ pkts", "avgQ KB", "drops"}, Rows: rows},
 		text("(paper's max-bound line grows with fan-out; credit-based stays flat)"),
@@ -127,7 +127,7 @@ func runFig17(p Params) (Result, error) {
 		s := fcts.Summary()
 		return []any{string(proto),
 			text("%.4gs", s.P50), text("%.4gs", s.P99),
-			text("%.4gs", s.Max), st.Net.TotalDataDrops(),
+			text("%.4gs", s.Max), st.Net.Stats().DataDrops,
 			text("%d/%d", mgr.Finished(), mgr.Total())}
 	})
 	return Result{

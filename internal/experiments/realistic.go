@@ -169,20 +169,17 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 			res.creditWaste += s.CreditsWasted()
 		}
 	})
-	res.dataDrops = ot.Net.TotalDataDrops()
+	res.dataDrops = ot.Net.Stats().DataDrops
 
-	now := eng.Now()
 	var sumAvg float64
 	var nPorts int
 	var maxQ unit.Bytes
 	for _, sw := range ot.Net.Switches() {
 		for _, port := range sw.Ports() {
-			st := port.DataStats()
-			sumAvg += st.AvgBytes(now, port.DataQueueBytes())
+			st := port.Stats()
+			sumAvg += st.DataQueueAvgBytes
 			nPorts++
-			if st.MaxBytes > maxQ {
-				maxQ = st.MaxBytes
-			}
+			maxQ = max(maxQ, st.DataQueueMaxBytes)
 		}
 	}
 	if nPorts > 0 {

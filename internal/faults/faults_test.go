@@ -120,11 +120,11 @@ func TestFlapRecovery(t *testing.T) {
 	if n := ring.CountType(obs.EvFaultEnd); n != 1 {
 		t.Errorf("FaultEnd events = %d, want 1", n)
 	}
-	if d.Net.TotalFaultDrops() == 0 {
+	if d.Net.Stats().FaultDrops == 0 {
 		t.Error("no fault drops accounted for a 5ms outage")
 	}
-	if got := ring.CountType(obs.EvFaultDrop); uint64(got) != d.Net.TotalFaultDrops() {
-		t.Errorf("traced fault drops %d != accounted %d", got, d.Net.TotalFaultDrops())
+	if got := ring.CountType(obs.EvFaultDrop); uint64(got) != d.Net.Stats().FaultDrops {
+		t.Errorf("traced fault drops %d != accounted %d", got, d.Net.Stats().FaultDrops)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestFlapPoolBalance(t *testing.T) {
 	if live := d.Net.Pool().Live(); live != 0 {
 		t.Errorf("packet pool unbalanced after flapped run: %d live", live)
 	}
-	if d.Net.TotalFaultDrops() == 0 {
+	if d.Net.Stats().FaultDrops == 0 {
 		t.Error("flaps destroyed nothing — fault path not exercised")
 	}
 }
@@ -249,7 +249,7 @@ func TestDataLossTriggersRetry(t *testing.T) {
 				i, s.DataSent(), wantPkts)
 		}
 	}
-	if d.Net.TotalFaultDrops() == 0 {
+	if d.Net.Stats().FaultDrops == 0 {
 		t.Error("seeded data loss destroyed nothing")
 	}
 }
@@ -286,8 +286,8 @@ func TestStallDefersWithoutLoss(t *testing.T) {
 	if post == 0 {
 		t.Error("goodput did not resume after the stall")
 	}
-	if d.Net.TotalFaultDrops() != 0 {
-		t.Errorf("a stall destroyed %d packets — it must only defer", d.Net.TotalFaultDrops())
+	if d.Net.Stats().FaultDrops != 0 {
+		t.Errorf("a stall destroyed %d packets — it must only defer", d.Net.Stats().FaultDrops)
 	}
 	_ = pre
 }
@@ -308,7 +308,7 @@ func TestFaultTimelineDeterministic(t *testing.T) {
 		for _, f := range flows {
 			delivered += f.BytesDelivered
 		}
-		return delivered, d.Net.TotalFaultDrops(), eng.Executed()
+		return delivered, d.Net.Stats().FaultDrops, eng.Executed()
 	}
 	d1, f1, e1 := run()
 	d2, f2, e2 := run()

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,17 +82,77 @@ func TestPlanFullImpairmentTimeline(t *testing.T) {
 	if len(rolled) < 4 { // the one-shot flap plus 3 distinct rolled ports
 		t.Fatalf("roll rotation hit only %d distinct flap scopes: %v", len(rolled), rolled)
 	}
-	if d.Net.TotalFaultDrops() == 0 {
+	st := d.Net.Stats()
+	if st.FaultDrops == 0 {
 		t.Fatal("loss chains destroyed nothing")
 	}
-	if d.Net.TotalDuplicates() == 0 {
+	if st.FaultDups == 0 {
 		t.Fatal("duplication cloned nothing")
 	}
-	if d.Net.TotalCorruptDrops() == 0 {
+	if st.CorruptDrops == 0 {
 		t.Fatal("corruption was never CRC-dropped at the destination")
 	}
-	if d.Net.TotalReorders() == 0 {
+	if st.FaultReorders == 0 {
 		t.Fatal("reordering held nothing back")
+	}
+}
+
+// TestNetworkStatsSumsPorts runs a dumbbell under loss, duplication,
+// corruption and reordering and reads the network once: every counter
+// of Network.Stats is the sum of Port.Stats over AllPorts, except
+// DataQueueMaxBytes, the largest port peak; and the CRC drops it counts
+// on ingress ports are exactly the corrupt_drop events traced.
+func TestNetworkStatsSumsPorts(t *testing.T) {
+	eng := sim.New(5)
+	d := topology.NewDumbbell(eng, 2, topology.Config{LinkRate: 10 * unit.Gbps})
+	ring := obs.NewRingSink(1 << 16)
+	d.Net.SetTracer(obs.NewTracer(ring, obs.EvCorruptDrop))
+	for i := 0; i < 2; i++ {
+		core.Dial(transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 2*unit.MB, 0), core.Config{})
+	}
+	plan, err := ParseSpec("loss:data:0.1:corr=0.5:s0->swL@50us+2ms; dup:both:0.3:s1->swL@50us+2ms; " +
+		"corrupt:data:0.2:swR->r0@50us+2ms; reorder:0.3:10us:swR->r1@50us+2ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Apply(d.Net, d.Bottleneck); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(3 * sim.Millisecond))
+
+	got := d.Net.Stats()
+	if got.FaultDups == 0 || got.CorruptDrops == 0 || got.FaultReorders == 0 || got.FaultDrops == 0 {
+		t.Fatalf("a fault left no mark: %+v", got)
+	}
+	if n := ring.CountType(obs.EvCorruptDrop); uint64(n) != got.CorruptDrops || ring.Total() != uint64(n) {
+		t.Errorf("CorruptDrops = %d, traced corrupt_drop events = %d", got.CorruptDrops, n)
+	}
+	// Every field is a count, a byte total or a byte mean: sums of the
+	// few thousand each port holds are exact in a float64.
+	number := func(v reflect.Value) float64 {
+		switch {
+		case v.CanUint():
+			return float64(v.Uint())
+		case v.CanInt():
+			return float64(v.Int())
+		}
+		return v.Float()
+	}
+	gv := reflect.ValueOf(got)
+	for i := 0; i < gv.NumField(); i++ {
+		var sum, peak float64
+		for _, p := range d.Net.AllPorts() {
+			v := number(reflect.ValueOf(p.Stats()).Field(i))
+			sum += v
+			peak = max(peak, v)
+		}
+		name, want := gv.Type().Field(i).Name, sum
+		if name == "DataQueueMaxBytes" {
+			want = peak
+		}
+		if g := number(gv.Field(i)); g != want {
+			t.Errorf("Network.Stats().%s = %v, want %v", name, g, want)
+		}
 	}
 }
 

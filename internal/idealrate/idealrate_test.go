@@ -153,7 +153,7 @@ func TestOraclePacedFlowsDeliverAtFairShare(t *testing.T) {
 			t.Errorf("delivered %.2f Gbps, want ≈4.75", gbps)
 		}
 	}
-	if d.Net.TotalDataDrops() != 0 {
+	if d.Net.Stats().DataDrops != 0 {
 		t.Error("ideal pacing dropped packets on an uncontended split")
 	}
 }

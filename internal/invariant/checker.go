@@ -46,7 +46,7 @@ type Checker struct {
 	// the ports whose findings froze a lead-up (portState.leadUp), in the
 	// order they first held one: a held finding is reported at Finish,
 	// when the live ring holds the end of the run instead.
-	flight       *obs.FlightRecorder
+	flight       *obs.RingSink
 	flightDumped bool
 	held         []*portState
 	// flightMu serializes dumps onto a FlightOut that other checkers
@@ -117,9 +117,9 @@ type portState struct {
 	// time. Capped; overflow is summarized.
 	pending        []Violation
 	pendingDropped int
-	// leadUp is a copy of the flight ring frozen when pending[0] was
-	// held, while the dump is still owed; an exemption drops it.
-	leadUp *obs.FlightRecorder
+	// leadUp is the flight ring's events frozen when pending[0] was
+	// held, while the dump is still owed; an exemption drops them.
+	leadUp []obs.Event
 }
 
 const pendingCap = 8
@@ -167,7 +167,11 @@ func Attach(net *netem.Network, opt Options) *Checker {
 		prior: net.Tracer(),
 	}
 	if c.opt.FlightOut != nil {
-		c.flight = obs.NewFlightRecorder(c.opt.FlightEvents, nil)
+		n := c.opt.FlightEvents
+		if n <= 0 {
+			n = defaultFlightEvents
+		}
+		c.flight = obs.NewRingSink(n)
 	}
 	types := append([]obs.EventType(nil), subscription[:]...)
 	for ty := obs.EventType(0); ty < obs.NumEventTypes; ty++ {
@@ -187,18 +191,18 @@ func Attach(net *netem.Network, opt Options) *Checker {
 func (c *Checker) report(v Violation) {
 	if c.flight != nil && !c.flightDumped {
 		c.flightDumped = true
-		head, ring := v, c.flight
+		head, evs := v, c.flight.Events()
 		for _, ps := range c.held {
 			if c.done && ps.leadUp != nil {
-				head, ring = ps.pending[0], ps.leadUp
+				head, evs = ps.pending[0], ps.leadUp
 				break
 			}
 		}
 		if c.flightMu != nil {
 			c.flightMu.Lock()
 		}
-		fmt.Fprintf(c.opt.FlightOut, "# invariant violation: %s\n# last %d trace events before the violation:\n", head, len(ring.Events()))
-		ring.Dump(c.opt.FlightOut)
+		fmt.Fprintf(c.opt.FlightOut, "# invariant violation: %s\n# last %d trace events before the violation:\n", head, len(evs))
+		obs.WriteJSONL(c.opt.FlightOut, evs)
 		if c.flightMu != nil {
 			c.flightMu.Unlock()
 		}
@@ -477,10 +481,7 @@ func (c *Checker) exempt(ps *portState) {
 // ports that hold findings pay for a copy.
 func (c *Checker) hold(ps *portState, v Violation) {
 	if c.flight != nil && !c.flightDumped && len(ps.pending) == 0 {
-		ps.leadUp = obs.NewFlightRecorder(c.opt.FlightEvents, nil)
-		for _, ev := range c.flight.Events() {
-			ps.leadUp.Record(ev)
-		}
+		ps.leadUp = c.flight.Events()
 		c.held = append(c.held, ps)
 	}
 	if len(ps.pending) >= pendingCap {

@@ -38,7 +38,7 @@ func TestDuplicatedCreditsCannotDoubleSpend(t *testing.T) {
 			t.Fatalf("flow %d did not finish under credit duplication", i)
 		}
 	}
-	if d.Net.TotalDuplicates() == 0 {
+	if d.Net.Stats().FaultDups == 0 {
 		t.Fatal("scenario failed to duplicate any credits")
 	}
 	var rejected uint64

@@ -103,6 +103,8 @@ type Options struct {
 	FlightEvents int
 }
 
+const defaultFlightEvents = 4096
+
 // DefaultBurstTolerance is the byte allowance of the shadow credit
 // meter: how far a port's credit transmissions may run ahead of
 // ratio × rate × elapsed. It is the §3.1 bucket size, two maximum-size
@@ -243,11 +245,12 @@ func CheckDrained(net *netem.Network) []Violation {
 	var out []Violation
 	now := net.Eng.Now()
 	for _, p := range net.AllPorts() {
-		if n := p.DataQueueBytes(); n != 0 {
+		st := p.Stats()
+		if n := st.DataQueueBytes; n != 0 {
 			out = append(out, Violation{Time: now, Invariant: "pool-conservation",
 				Scope: p.Name(), Detail: fmt.Sprintf("data queue holds %v after drain", n)})
 		}
-		if n := p.CreditQueueLen(); n != 0 {
+		if n := st.CreditQueueLen; n != 0 {
 			out = append(out, Violation{Time: now, Invariant: "pool-conservation",
 				Scope: p.Name(), Detail: fmt.Sprintf("credit queue holds %d packets after drain", n)})
 		}

@@ -135,19 +135,3 @@ func (cs *creditScheduler) drops() uint64 {
 	}
 	return d
 }
-
-// ClassStats exposes one class's queue statistics; a class beyond the
-// configured ones reads the last, where its packets are queued.
-func (p *Port) ClassStats(class int) *QueueStats {
-	return &p.credits.classes[min(class, len(p.credits.classes)-1)].stats
-}
-
-// TxCreditByClass returns credits transmitted per class: one entry on a
-// port without CreditClasses.
-func (p *Port) TxCreditByClass() []uint64 {
-	tx := make([]uint64, len(p.credits.classes))
-	for i := range p.credits.classes {
-		tx[i] = p.credits.classes[i].tx
-	}
-	return tx
-}

@@ -23,6 +23,15 @@ func classPair(t *testing.T, classes []CreditClassConfig) (*sim.Engine, *sink, *
 	return eng, b, ab
 }
 
+// txByClass returns the credits each class of p transmitted.
+func txByClass(p *Port) []uint64 {
+	tx := make([]uint64, len(p.credits.classes))
+	for i := range p.credits.classes {
+		tx[i] = p.credits.classes[i].tx
+	}
+	return tx
+}
+
 func offerCredits(eng *sim.Engine, ab *Port, class uint8, gap sim.Duration, until sim.Time) {
 	var emit func()
 	emit = func() {
@@ -48,7 +57,7 @@ func TestCreditClassStrictPriority(t *testing.T) {
 	offerCredits(eng, ab, 0, gap, 10*sim.Millisecond)
 	offerCredits(eng, ab, 1, gap, 10*sim.Millisecond)
 	eng.RunUntil(10 * sim.Millisecond)
-	tx := ab.TxCreditByClass()
+	tx := txByClass(ab)
 	if tx[0] == 0 || tx[1] == 0 {
 		t.Fatalf("classes starved: %v", tx)
 	}
@@ -68,7 +77,7 @@ func TestCreditClassWeightedShare(t *testing.T) {
 	offerCredits(eng, ab, 0, gap, 10*sim.Millisecond)
 	offerCredits(eng, ab, 1, gap, 10*sim.Millisecond)
 	eng.RunUntil(10 * sim.Millisecond)
-	tx := ab.TxCreditByClass()
+	tx := txByClass(ab)
 	ratio := float64(tx[0]) / float64(tx[1])
 	if ratio < 1.7 || ratio > 2.4 {
 		t.Errorf("weighted 2:1 share came out %.2f (%v)", ratio, tx)
@@ -85,7 +94,7 @@ func TestCreditClassUnderloadedClassUnaffected(t *testing.T) {
 	offerCredits(eng, ab, 0, gap/4, 10*sim.Millisecond)
 	offerCredits(eng, ab, 1, gap*10, 10*sim.Millisecond)
 	eng.RunUntil(10 * sim.Millisecond)
-	tx := ab.TxCreditByClass()
+	tx := txByClass(ab)
 	// Class 1's modest offering passes in full (work-conserving DRR).
 	offered1 := uint64(10 * sim.Millisecond / (gap * 10))
 	if tx[1] < offered1-2 {
@@ -106,17 +115,27 @@ func TestCreditClassOutOfRangeClamps(t *testing.T) {
 	}
 }
 
+// TestClassStatsAccessors: each class keeps its own statistics, and a
+// credit of a class beyond the configured ones is counted in the last
+// class, where it queues.
 func TestClassStatsAccessors(t *testing.T) {
-	_, _, ab := classPair(t, []CreditClassConfig{{Priority: 0}, {Priority: 1}})
-	if ab.ClassStats(0) == nil || ab.ClassStats(1) == nil {
-		t.Fatal("nil class stats")
+	eng, _, ab := classPair(t, []CreditClassConfig{{Priority: 0}, {Priority: 1}})
+	for _, class := range []uint8{0, 1, 9} {
+		c := ab.net.Pool().Get()
+		c.Kind = packet.Credit
+		c.Class = class
+		c.Wire = unit.MinFrame
+		ab.Enqueue(c)
 	}
-	if ab.ClassStats(0) == ab.ClassStats(1) {
-		t.Error("classes share stats")
+	if e0, e1 := ab.credits.classes[0].stats.Enqueued, ab.credits.classes[1].stats.Enqueued; e0 != 1 || e1 != 2 {
+		t.Errorf("enqueued per class = [%d %d], want [1 2]", e0, e1)
 	}
-	// Out-of-range reads the last class, where such credits queue.
-	if ab.ClassStats(9) != ab.ClassStats(1) {
-		t.Error("out-of-range class does not read the last class's stats")
+	eng.Run()
+	if tx := txByClass(ab); !slices.Equal(tx, []uint64{1, 2}) {
+		t.Errorf("transmitted per class = %v, want [1 2]", tx)
+	}
+	if st := ab.Stats(); st.TxCreditPkts != 3 || st.CreditQueueLen != 0 {
+		t.Errorf("Stats() = %+v, want 3 credits sent and none queued", st)
 	}
 }
 
@@ -125,7 +144,10 @@ func TestClassStatsAccessors(t *testing.T) {
 // reset on: ResetStats used to zero only the aggregate credit counters,
 // which a port with CreditClasses never touches. A port without
 // CreditClasses is one more input: its one implicit class (which class-1
-// credits clamp to) must count the same way.
+// credits clamp to) must count the same way. The last case runs a PFC
+// chain whose ports take duplicates, model losses, corruption, reorders
+// and PAUSEs: after the reset, every counter of every port's Stats()
+// reads 0 — ResetStats used to leave the fault and PFC counters alone.
 func TestResetStatsCoversCreditClasses(t *testing.T) {
 	for _, classes := range [][]CreditClassConfig{{{Priority: 0, Weight: 2}, {Priority: 0, Weight: 1}}, nil} {
 		eng, _, ab := classPair(t, classes)
@@ -133,34 +155,58 @@ func TestResetStatsCoversCreditClasses(t *testing.T) {
 		offerCredits(eng, ab, 0, gap, 10*sim.Millisecond)
 		offerCredits(eng, ab, 1, gap, 10*sim.Millisecond)
 		eng.RunUntil(5 * sim.Millisecond)
-		warm := ab.TxCreditByClass()
-		if slices.Contains(warm, 0) || ab.CreditDrops() == 0 || ab.ClassStats(1).Enqueued == 0 {
-			t.Fatalf("%d classes: warm-up left nothing to reset: tx %v, drops %d", len(classes), warm, ab.CreditDrops())
+		warm := txByClass(ab)
+		if slices.Contains(warm, 0) || ab.Stats().CreditDrops == 0 || ab.credits.classes[len(warm)-1].stats.Enqueued == 0 {
+			t.Fatalf("%d classes: warm-up left nothing to reset: tx %v, drops %d", len(classes), warm, ab.Stats().CreditDrops)
 		}
 		ab.ResetStats()
-		if tx := ab.TxCreditByClass(); slices.ContainsFunc(tx, func(n uint64) bool { return n != 0 }) {
-			t.Errorf("%d classes: TxCreditByClass() = %v right after ResetStats", len(classes), tx)
+		if tx := txByClass(ab); slices.ContainsFunc(tx, func(n uint64) bool { return n != 0 }) {
+			t.Errorf("%d classes: per-class credits sent = %v right after ResetStats", len(classes), tx)
 		}
-		if d := ab.CreditDrops(); d != 0 {
-			t.Errorf("%d classes: CreditDrops() = %d right after ResetStats", len(classes), d)
+		if d := ab.Stats().CreditDrops; d != 0 {
+			t.Errorf("%d classes: CreditDrops = %d right after ResetStats", len(classes), d)
 		}
 		for c := range warm {
-			if st := ab.ClassStats(c); st.Drops != 0 || st.Enqueued != 0 || st.MaxPkts != 0 {
-				t.Errorf("%d classes: class %d stats after ResetStats: %+v", len(classes), c, *st)
+			if st := ab.credits.classes[c].stats; st.Drops != 0 || st.Enqueued != 0 || st.MaxPkts != 0 {
+				t.Errorf("%d classes: class %d stats after ResetStats: %+v", len(classes), c, st)
 			}
 		}
 		eng.RunUntil(10 * sim.Millisecond)
 		// The second half repeats the first: per-class counts must come
 		// out about equal to the warm-up's, not twice it.
 		var sum uint64
-		for c, tx := range ab.TxCreditByClass() {
+		for c, tx := range txByClass(ab) {
 			if tx == 0 || tx > warm[c]+warm[c]/10+2 {
 				t.Errorf("%d classes: class %d sent %d credits after the reset, %d in the equal warm-up", len(classes), c, tx, warm[c])
 			}
 			sum += tx
 		}
 		if st := ab.Stats(); sum == 0 || st.TxCreditPkts != sum {
-			t.Errorf("%d classes: per-class counts %v do not add up to TxCreditPkts %d", len(classes), ab.TxCreditByClass(), st.TxCreditPkts)
+			t.Errorf("%d classes: per-class counts %v do not add up to TxCreditPkts %d", len(classes), txByClass(ab), st.TxCreditPkts)
+		}
+	}
+
+	eng, net, src, dst, _ := pfcChain(t, 32*unit.KB)
+	dst.Register(1, endpointFunc(func(p *packet.Packet) { net.Pool().Put(p) }))
+	nic := src.NIC()
+	nic.SetDuplication(0, 0.1, eng.Rand().Fork())
+	nic.SetLossModel(nil, &dropEveryN{n: 10})
+	nic.SetCorruption(0, 0.1, eng.Rand().Fork())
+	nic.SetReorder(0.1, sim.Microsecond, eng.Rand().Fork())
+	for i := 0; i < 1000; i++ {
+		p := net.Pool().Get()
+		p.Kind, p.Flow, p.Src, p.Dst, p.Wire = packet.Data, 1, src.ID(), dst.ID(), 1538
+		src.Send(p)
+	}
+	eng.Run()
+	if st := net.Stats(); st.FaultDups == 0 || st.FaultDrops == 0 || st.FaultCorrupts == 0 ||
+		st.CorruptDrops == 0 || st.FaultReorders == 0 || st.PFCPauses == 0 {
+		t.Fatalf("fault warm-up left a counter at 0: %+v", st)
+	}
+	net.ResetStats()
+	for _, p := range net.AllPorts() {
+		if st := p.Stats(); st != (PortStats{}) {
+			t.Errorf("%s: Stats() right after ResetStats = %+v, want all 0", p.Name(), st)
 		}
 	}
 }

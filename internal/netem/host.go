@@ -79,12 +79,6 @@ type Host struct {
 
 	// Unclaimed counts packets that arrived for unregistered flows.
 	Unclaimed uint64
-
-	// CorruptDrops counts frames that failed the NIC CRC check on
-	// delivery — marked Corrupt in flight by a corruption impairment and
-	// destroyed here, before demux, exactly like real NIC receive-path
-	// CRC filtering.
-	CorruptDrops uint64
 }
 
 // ID returns the host's node ID.
@@ -201,8 +195,10 @@ func (h *Host) Deliver(pkt *packet.Packet, in *Port) {
 	}
 	if pkt.Corrupt {
 		// NIC CRC check: the damaged frame spent queue space and wire
-		// time all the way here, but the transport never sees it.
-		h.CorruptDrops++
+		// time all the way here, but the transport never sees it. It is
+		// destroyed before demux, like real receive-path CRC filtering,
+		// and counted on the port it arrived at.
+		in.corruptDrops++
 		if tr := h.Tracer(); tr != nil {
 			tr.Emit(obs.Event{T: h.eng.Now(), Type: obs.EvCorruptDrop, Scope: h.name,
 				Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire})

@@ -70,7 +70,7 @@ func TestPoolBalanceDuplicationOverflow(t *testing.T) {
 		ab.Enqueue(mkData(net.Pool(), 1538))
 	}
 	eng.Run()
-	if ab.DataStats().Drops == 0 {
+	if ab.Stats().DataDrops == 0 {
 		t.Fatal("scenario failed to overflow the data queue")
 	}
 	if live := net.Pool().Live(); live != 0 {
@@ -92,9 +92,9 @@ func TestPoolBalanceCorruptionAtHost(t *testing.T) {
 	p := mkData(net.Pool(), 1538)
 	p.Dst = h.ID()
 	p.Corrupt = true
-	h.Deliver(p, nil)
-	if h.CorruptDrops != 1 {
-		t.Fatalf("CorruptDrops = %d, want 1", h.CorruptDrops)
+	h.Deliver(p, h.NIC())
+	if got := h.NIC().Stats().CorruptDrops; got != 1 {
+		t.Fatalf("CorruptDrops = %d, want 1", got)
 	}
 	if h.Unclaimed != 0 {
 		t.Fatal("corrupt frame leaked into demux (Unclaimed != 0)")

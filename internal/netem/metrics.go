@@ -114,8 +114,8 @@ func (n *Network) registerPortMetrics(p *Port) {
 		return float64(d) * 8 / ivalSec / rateBits
 	})
 	r.Gauge(pre+"data_qbytes", func() float64 { return float64(p.data.curBytes()) })
-	r.Gauge(pre+"credit_qpkts", func() float64 { return float64(p.CreditQueueLen()) })
-	r.Gauge(pre+"credit_drops", func() float64 { return float64(p.CreditDrops()) })
+	r.Gauge(pre+"credit_qpkts", func() float64 { return float64(p.credits.len()) })
+	r.Gauge(pre+"credit_drops", func() float64 { return float64(p.credits.drops()) })
 	r.Gauge(pre+"data_drops", func() float64 { return float64(p.data.stats.Drops) })
 }
 

@@ -107,8 +107,8 @@ func TestDataQueueDropTail(t *testing.T) {
 	if b.data != 6 {
 		t.Errorf("delivered %d, want 6", b.data)
 	}
-	if ab.DataStats().Drops != 14 {
-		t.Errorf("drops = %d, want 14", ab.DataStats().Drops)
+	if ab.Stats().DataDrops != 14 {
+		t.Errorf("drops = %d, want 14", ab.Stats().DataDrops)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestCreditRateLimiting(t *testing.T) {
 	if b.credits < 7500 || b.credits > 7800 {
 		t.Errorf("credits passed = %d, want ≈7700", b.credits)
 	}
-	if ab.CreditDrops() == 0 {
+	if ab.Stats().CreditDrops == 0 {
 		t.Error("no credit drops under 4x overload")
 	}
 }
@@ -236,7 +236,7 @@ func TestRandomVictimCreditDropIsFair(t *testing.T) {
 	eng.RunUntil(20 * sim.Millisecond)
 	_ = got
 	total := float64(fastSeq + slowSeq)
-	dropFrac := float64(ab.CreditDrops()) / total
+	dropFrac := float64(ab.Stats().CreditDrops) / total
 	// Offered = 4/3 of drain → ~25% must drop overall.
 	if dropFrac < 0.15 || dropFrac > 0.35 {
 		t.Errorf("overall credit drop fraction %.2f, want ≈0.25", dropFrac)
@@ -424,13 +424,17 @@ func TestQueueStatsTimeWeightedAverage(t *testing.T) {
 	var pl packet.Pool
 	var q dataQueue
 	q.cap = 1 << 40
-	q.stats.ResetWindow(0)
+	q.stats.resetWindow(0)
 	q.push(0, mkData(&pl, 1000))
 	q.push(sim.Time(1000), mkData(&pl, 1000)) // occupancy 1000 for t∈[0,1000)
 	// occupancy 2000 for t∈[1000,2000)
-	avg := q.stats.AvgBytes(2000, q.curBytes())
+	before := q.stats
+	avg := q.stats.avgBytes(2000, q.curBytes())
 	if avg < 1499 || avg > 1501 {
 		t.Errorf("avg = %v, want 1500", avg)
+	}
+	if q.stats != before {
+		t.Errorf("reading the average wrote the statistics: %+v, was %+v", q.stats, before)
 	}
 	if q.stats.MaxBytes != 2000 {
 		t.Errorf("max = %v, want 2000", q.stats.MaxBytes)

@@ -257,63 +257,35 @@ func (n *Network) ResetStats() {
 	}
 }
 
-// TotalDataDrops sums data-class drops across all ports.
-func (n *Network) TotalDataDrops() uint64 {
-	var d uint64
+// Stats returns the network's counters: the field-wise sum of
+// Port.Stats over AllPorts, except DataQueueMaxBytes, which is the
+// largest port peak.
+func (n *Network) Stats() PortStats {
+	var t PortStats
 	for _, p := range n.ports {
-		d += p.data.stats.Drops
+		s := p.Stats()
+		t.TxPackets += s.TxPackets
+		t.TxBytes += s.TxBytes
+		t.TxDataBytes += s.TxDataBytes
+		t.TxPayload += s.TxPayload
+		t.TxCreditBytes += s.TxCreditBytes
+		t.TxCreditPkts += s.TxCreditPkts
+		t.DataDrops += s.DataDrops
+		t.DataDropBytes += s.DataDropBytes
+		t.CreditDrops += s.CreditDrops
+		t.DataQueueBytes += s.DataQueueBytes
+		t.DataQueueMaxBytes = max(t.DataQueueMaxBytes, s.DataQueueMaxBytes)
+		t.DataQueueAvgBytes += s.DataQueueAvgBytes
+		t.CreditQueueLen += s.CreditQueueLen
+		t.PFCPauses += s.PFCPauses
+		t.CorruptDrops += s.CorruptDrops
+		t.FaultDrops += s.FaultDrops
+		t.FaultDropBytes += s.FaultDropBytes
+		t.FaultDups += s.FaultDups
+		t.FaultCorrupts += s.FaultCorrupts
+		t.FaultReorders += s.FaultReorders
 	}
-	return d
-}
-
-// TotalCreditDrops sums credit-class drops across all ports.
-func (n *Network) TotalCreditDrops() uint64 {
-	var d uint64
-	for _, p := range n.ports {
-		d += p.CreditDrops()
-	}
-	return d
-}
-
-// TotalFaultDrops sums fault-injected drops (downed-link admits, wire
-// losses mid-flap, queue flushes, seeded loss) across all ports.
-func (n *Network) TotalFaultDrops() uint64 {
-	var d uint64
-	for _, p := range n.ports {
-		d += p.faultDrops
-	}
-	return d
-}
-
-// TotalDuplicates sums packets cloned by duplication impairments across
-// all ports.
-func (n *Network) TotalDuplicates() uint64 {
-	var d uint64
-	for _, p := range n.ports {
-		d += p.faultDups
-	}
-	return d
-}
-
-// TotalCorruptDrops sums frames dropped by host NIC CRC checks — the
-// delivery-side account of corruption impairments. Frames corrupted but
-// still in flight (or destroyed by another fault first) are not counted.
-func (n *Network) TotalCorruptDrops() uint64 {
-	var d uint64
-	for _, h := range n.hosts {
-		d += h.CorruptDrops
-	}
-	return d
-}
-
-// TotalReorders sums packets held back by reorder impairments across all
-// ports.
-func (n *Network) TotalReorders() uint64 {
-	var d uint64
-	for _, p := range n.ports {
-		d += p.faultReorders
-	}
-	return d
+	return t
 }
 
 // linkUp reports whether the full-duplex link through p is healthy in

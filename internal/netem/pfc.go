@@ -25,9 +25,7 @@ type pfcState struct {
 	// has not yet departed an egress of this node.
 	ingressBytes unit.Bytes
 	pauseSent    bool
-
-	// Pauses counts PAUSE frames signalled upstream (diagnostics).
-	Pauses uint64
+	pauses       uint64 // PAUSE frames signalled upstream
 }
 
 // pfcOnArrival accounts an arriving data packet against the ingress
@@ -42,7 +40,7 @@ func (in *Port) pfcOnArrival(pkt *packet.Packet) {
 	pkt.PFCIngress = in.Number()
 	if !st.pauseSent && st.ingressBytes > in.cfg.PFC {
 		st.pauseSent = true
-		st.Pauses++
+		st.pauses++
 		if tr := in.trace; tr != nil {
 			tr.Emit(obs.Event{T: in.eng.Now(), Type: obs.EvPFCPause, Port: in.Number(),
 				Scope: in.name, Val: float64(st.ingressBytes)})
@@ -88,12 +86,4 @@ func (p *Port) setDataPaused(paused bool) {
 	if !paused {
 		p.kick()
 	}
-}
-
-// PFCPauses returns the number of PAUSE events this ingress generated.
-func (p *Port) PFCPauses() uint64 {
-	if p.pfc == nil {
-		return 0
-	}
-	return p.pfc.Pauses
 }

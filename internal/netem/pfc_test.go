@@ -57,7 +57,7 @@ func TestPFCPausesUpstreamAndResumes(t *testing.T) {
 	eng.RunUntil(50 * sim.Millisecond)
 
 	swIngress := src.NIC().Peer()
-	if swIngress.PFCPauses() == 0 {
+	if swIngress.Stats().PFCPauses == 0 {
 		t.Fatal("no PAUSE generated under 10:1 overload")
 	}
 	if got != 2000 {

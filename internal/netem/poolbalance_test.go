@@ -70,7 +70,7 @@ func TestPoolBalanceDataDropTail(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ab.Enqueue(mkData(net.Pool(), 1538))
 	}
-	if ab.DataStats().Drops == 0 {
+	if ab.Stats().DataDrops == 0 {
 		t.Fatal("scenario failed to force data drop-tail")
 	}
 	drainBalanced(t, net, "data drop-tail")
@@ -88,7 +88,7 @@ func TestPoolBalanceCreditOverflow(t *testing.T) {
 		ab.Enqueue(mkCredit(net.Pool()))
 	}
 	eng.Run()
-	if ab.CreditDrops() == 0 {
+	if ab.Stats().CreditDrops == 0 {
 		t.Fatal("scenario failed to force credit overflow")
 	}
 	if b.credits == 0 {
@@ -260,7 +260,7 @@ func TestPoolBalanceLinkDownFlush(t *testing.T) {
 	if got == 0 {
 		t.Fatal("nothing delivered before the link went down")
 	}
-	if net.TotalFaultDrops() == 0 {
+	if net.Stats().FaultDrops == 0 {
 		t.Fatal("link-down flush destroyed nothing")
 	}
 	drainBalanced(t, net, "link-down flush")
@@ -299,7 +299,7 @@ func TestPoolBalanceTypedTxPathInFlightLoss(t *testing.T) {
 		p.Dst = dst.ID()
 		src.Send(p)
 	}
-	if link.DataStats().Drops == 0 {
+	if link.Stats().DataDrops == 0 {
 		t.Fatal("scenario failed to force drop-tail through the typed tx path")
 	}
 	// At 150µs several packets have been delivered, several are mid-air
@@ -311,7 +311,7 @@ func TestPoolBalanceTypedTxPathInFlightLoss(t *testing.T) {
 	if got == 0 {
 		t.Fatal("nothing delivered before the link went down")
 	}
-	if net.TotalFaultDrops() == 0 {
+	if net.Stats().FaultDrops == 0 {
 		t.Fatal("no in-flight packet was lost at its typed arrival event")
 	}
 	drainBalanced(t, net, "typed tx path in-flight loss")
@@ -356,7 +356,7 @@ func TestPoolBalancePFCWithDrops(t *testing.T) {
 	}
 	emit()
 	eng.Run()
-	drops := dst.NIC().Peer().DataStats().Drops
+	drops := dst.NIC().Peer().Stats().DataDrops
 	if drops == 0 {
 		t.Fatal("scenario failed to force drops on the PFC-accounted egress")
 	}

@@ -162,11 +162,17 @@ type Port struct {
 	txPayload     unit.Bytes // application payload bytes transmitted
 	txCreditBytes unit.Bytes
 	txCreditPkts  uint64
+
+	// corruptDrops counts arrivals a host NIC's CRC check destroyed. It
+	// is last so that no field the packet path touches moves.
+	corruptDrops uint64
 }
 
-// PortStats is a point-in-time snapshot of a port's transmit and queue
-// counters — the one sanctioned way to read them (the fields themselves
-// are private so experiments cannot bake in ad-hoc access patterns).
+// PortStats is a point-in-time snapshot of a port's transmit, queue and
+// fault counters — the only way to read them: the counters are private,
+// Stats copies them and nothing else hands them out. Network.Stats sums
+// it over every port of a network. ResetStats zeroes every field except
+// the instantaneous occupancies.
 type PortStats struct {
 	TxPackets     uint64     // frames transmitted (all classes)
 	TxBytes       unit.Bytes // wire bytes transmitted (all classes)
@@ -181,8 +187,10 @@ type PortStats struct {
 
 	DataQueueBytes    unit.Bytes // instantaneous data occupancy
 	DataQueueMaxBytes unit.Bytes // peak data occupancy since reset
+	DataQueueAvgBytes float64    // time-weighted mean data occupancy since reset
 	CreditQueueLen    int        // instantaneous credit occupancy
 	PFCPauses         uint64     // PAUSE frames this ingress signalled
+	CorruptDrops      uint64     // frames arriving here that failed the host NIC's CRC check
 
 	FaultDrops     uint64     // packets destroyed by injected faults
 	FaultDropBytes unit.Bytes // wire bytes destroyed by injected faults
@@ -191,8 +199,13 @@ type PortStats struct {
 	FaultReorders  uint64     // packets held back by reorder impairments
 }
 
-// Stats returns a snapshot of the port's counters.
+// Stats returns a snapshot of the port's counters. It changes nothing:
+// a port read mid-run runs on exactly as if it had not been.
 func (p *Port) Stats() PortStats {
+	var pauses uint64
+	if p.pfc != nil {
+		pauses = p.pfc.pauses
+	}
 	return PortStats{
 		TxPackets:         p.txPackets,
 		TxBytes:           p.txBytes,
@@ -202,27 +215,19 @@ func (p *Port) Stats() PortStats {
 		TxCreditPkts:      p.txCreditPkts,
 		DataDrops:         p.data.stats.Drops,
 		DataDropBytes:     p.data.stats.DropBytes,
-		CreditDrops:       p.CreditDrops(),
+		CreditDrops:       p.credits.drops(),
 		DataQueueBytes:    p.data.curBytes(),
 		DataQueueMaxBytes: p.data.stats.MaxBytes,
-		CreditQueueLen:    p.CreditQueueLen(),
-		PFCPauses:         p.PFCPauses(),
+		DataQueueAvgBytes: p.data.stats.avgBytes(p.eng.Now(), p.data.curBytes()),
+		CreditQueueLen:    p.credits.len(),
+		PFCPauses:         pauses,
+		CorruptDrops:      p.corruptDrops,
 		FaultDrops:        p.faultDrops,
 		FaultDropBytes:    p.faultDropBytes,
 		FaultDups:         p.faultDups,
 		FaultCorrupts:     p.faultCorrupts,
 		FaultReorders:     p.faultReorders,
 	}
-}
-
-// DataUtilization returns the fraction of line rate consumed by
-// data-class wire bytes over the trailing window (counted since the
-// last ResetStats).
-func (p *Port) DataUtilization(window sim.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(p.txDataBytes) * 8 / window.Seconds() / float64(p.cfg.Rate)
 }
 
 func newPort(eng *sim.Engine, owner Node, cfg PortConfig, name string) *Port {
@@ -270,39 +275,31 @@ func (p *Port) PropDelay() sim.Duration { return p.cfg.Delay }
 // Config returns the port configuration.
 func (p *Port) Config() PortConfig { return p.cfg }
 
-// DataQueueBytes returns the instantaneous data-class occupancy.
-func (p *Port) DataQueueBytes() unit.Bytes { return p.data.curBytes() }
-
-// CreditQueueLen returns the instantaneous credit occupancy, summed
-// over classes.
-func (p *Port) CreditQueueLen() int { return p.credits.len() }
-
-// CreditDrops returns total credit drops across all classes.
-func (p *Port) CreditDrops() uint64 { return p.credits.drops() }
-
 // creditEmpty reports whether any credit is queued.
 func (p *Port) creditEmpty() bool { return p.credits.empty() }
 
 // creditPop dequeues the next credit per the class policy.
 func (p *Port) creditPop(now sim.Time) *packet.Packet { return p.credits.pop(now) }
 
-// DataStats returns a pointer to the data-queue statistics.
-func (p *Port) DataStats() *QueueStats { return &p.data.stats }
-
-// ResetStats restarts occupancy averaging and zeroes counters, so an
-// experiment can ignore its warm-up phase.
+// ResetStats restarts occupancy averaging and zeroes every counter
+// Stats reports, so an experiment can ignore its warm-up phase.
 func (p *Port) ResetStats() {
 	now := p.eng.Now()
-	p.data.stats = QueueStats{}
-	p.data.stats.ResetWindow(now)
+	p.data.stats = queueStats{}
+	p.data.stats.resetWindow(now)
 	for i := range p.credits.classes {
 		c := &p.credits.classes[i]
-		c.stats = QueueStats{}
-		c.stats.ResetWindow(now)
+		c.stats = queueStats{}
+		c.stats.resetWindow(now)
 		c.tx = 0
 	}
 	p.txPackets, p.txBytes, p.txDataBytes, p.txPayload = 0, 0, 0, 0
 	p.txCreditBytes, p.txCreditPkts = 0, 0
+	p.faultDrops, p.faultDropBytes = 0, 0
+	p.faultDups, p.faultCorrupts, p.faultReorders, p.corruptDrops = 0, 0, 0, 0
+	if p.pfc != nil {
+		p.pfc.pauses = 0
+	}
 }
 
 // Enqueue places pkt on the appropriate egress class, applying drop-tail,
@@ -353,15 +350,15 @@ func (p *Port) enqueueAdmitted(pkt *packet.Packet, now sim.Time) {
 		var trFlow, trSeq int64
 		var trWire unit.Bytes
 		if tr != nil {
-			dropsBefore = p.CreditDrops()
+			dropsBefore = p.credits.drops()
 			trFlow, trSeq, trWire = int64(pkt.Flow), pkt.Seq, pkt.Wire
 		}
 		if dropped := p.credits.push(now, pkt, rng); dropped != nil {
 			p.net.pool.Put(dropped) // credit overflow: the arrival or a displaced victim
 		}
 		if tr != nil {
-			qlen := float64(p.CreditQueueLen())
-			if p.CreditDrops() > dropsBefore {
+			qlen := float64(p.credits.len())
+			if p.credits.drops() > dropsBefore {
 				tr.Emit(obs.Event{T: now, Type: obs.EvCreditDrop, Port: p.Number(), Scope: p.name,
 					Flow: trFlow, Seq: trSeq, Bytes: trWire, Val: qlen})
 			}
@@ -536,7 +533,7 @@ func (p *Port) transmit(pkt *packet.Packet) {
 				Flow: int64(pkt.Flow), Seq: pkt.Seq, Bytes: pkt.Wire})
 			if tr.Enabled(obs.EvCreditQDepth) {
 				tr.Emit(obs.Event{T: p.eng.Now(), Type: obs.EvCreditQDepth, Port: p.Number(),
-					Scope: p.name, Val: float64(p.CreditQueueLen())})
+					Scope: p.name, Val: float64(p.credits.len())})
 			}
 		} else {
 			qb := float64(p.data.curBytes())
@@ -588,10 +585,6 @@ func (p *Port) Failed() bool { return p.failed }
 
 // Down reports whether this direction is hard-down (Network.SetLinkDown).
 func (p *Port) Down() bool { return p.down }
-
-// FaultDrops returns packets destroyed at this port by injected faults
-// (downed-link admits, wire losses mid-flap, queue flushes, loss models).
-func (p *Port) FaultDrops() uint64 { return p.faultDrops }
 
 // faultDrop destroys pkt at this port on behalf of an injected fault,
 // keeping drop accounting and the packet pool balanced.

@@ -11,9 +11,9 @@ import (
 	"expresspass/internal/unit"
 )
 
-// QueueStats tracks occupancy and drop statistics for one queue. Average
+// queueStats tracks occupancy and drop statistics for one queue. Average
 // occupancy is time-weighted (integral of bytes over time / elapsed).
-type QueueStats struct {
+type queueStats struct {
 	Drops     uint64
 	DropBytes unit.Bytes
 	Enqueued  uint64
@@ -25,24 +25,29 @@ type QueueStats struct {
 	openedAt   sim.Time
 }
 
-func (s *QueueStats) account(now sim.Time, curBytes unit.Bytes) {
+func (s *queueStats) account(now sim.Time, curBytes unit.Bytes) {
 	if now > s.lastChange {
 		s.integral += float64(curBytes) * float64(now-s.lastChange)
 		s.lastChange = now
 	}
 }
 
-// AvgBytes returns the time-weighted average occupancy up to now.
-func (s *QueueStats) AvgBytes(now sim.Time, curBytes unit.Bytes) float64 {
-	s.account(now, curBytes)
+// avgBytes returns the time-weighted average occupancy up to now. It
+// reads the open interval without closing it: reading a port's
+// statistics changes nothing a later read or the run depends on.
+func (s *queueStats) avgBytes(now sim.Time, curBytes unit.Bytes) float64 {
 	if now <= s.openedAt {
 		return 0
 	}
-	return s.integral / float64(now-s.openedAt)
+	integral := s.integral
+	if now > s.lastChange {
+		integral += float64(curBytes) * float64(now-s.lastChange)
+	}
+	return integral / float64(now-s.openedAt)
 }
 
-// ResetWindow restarts the averaging window at now (max is kept).
-func (s *QueueStats) ResetWindow(now sim.Time) {
+// resetWindow restarts the averaging window at now.
+func (s *queueStats) resetWindow(now sim.Time) {
 	s.integral = 0
 	s.lastChange = now
 	s.openedAt = now
@@ -52,7 +57,7 @@ func (s *QueueStats) ResetWindow(now sim.Time) {
 // circular buffer whose length is zero or a power of two. It starts
 // empty, doubles when full (first to ringMinSlots) and never shrinks or
 // compacts, so a ring's size is the peak occupancy its queue reports
-// anyway (QueueStats.MaxPkts, rounded up), not what has passed through.
+// anyway (queueStats.MaxPkts, rounded up), not what has passed through.
 // The zero value is ready to use: ports embed their queues by value.
 //
 // head and n are uint32 on purpose: with two rings in it, Port must not
@@ -124,7 +129,7 @@ func (r *pktRing) grow() {
 type fifo struct {
 	ring  pktRing
 	bytes unit.Bytes
-	stats QueueStats
+	stats queueStats
 }
 
 func (q *fifo) len() int             { return q.ring.len() }

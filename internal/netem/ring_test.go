@@ -19,7 +19,7 @@ import (
 // between bursts and drains so the ring fills, grows, empties and wraps
 // many times. After every step the popped packet (by sequence number
 // and size — each side owns its packets), len, bytes and the whole
-// QueueStats, float integral included, must be equal; at the end the
+// queueStats, float integral included, must be equal; at the end the
 // two victim RNGs must be at the same draw.
 //
 // refQueue carries the same two-line accounting fix as creditQueue.push
@@ -52,7 +52,7 @@ type refQueue struct {
 	byteCap   unit.Bytes // data class
 	pktCap    int        // credit class
 	bytes     unit.Bytes
-	stats     QueueStats
+	stats     queueStats
 	pool      *packet.Pool // where a displaced credit goes
 }
 
@@ -152,7 +152,7 @@ func (s ringSide) pop(now sim.Time) *packet.Packet {
 	return s.credit.pop(now)
 }
 
-func (s ringSide) state() (int, unit.Bytes, *QueueStats, *pktRing) {
+func (s ringSide) state() (int, unit.Bytes, *queueStats, *pktRing) {
 	if s.data != nil {
 		return s.data.len(), s.data.bytes, &s.data.stats, &s.data.ring
 	}
@@ -253,10 +253,10 @@ func TestRingMatchesSliceQueue(t *testing.T) {
 				default:
 					// Port.ResetStats.
 					_, _, st, _ := side.state()
-					*st = QueueStats{}
-					st.ResetWindow(now)
-					ref.stats = QueueStats{}
-					ref.stats.ResetWindow(now)
+					*st = queueStats{}
+					st.resetWindow(now)
+					ref.stats = queueStats{}
+					ref.stats.resetWindow(now)
 				}
 				n, bytes, st, ring := side.state()
 				if n != ref.len() || bytes != ref.bytes {
@@ -350,7 +350,7 @@ func TestCreditVictimSwapAccountsBytes(t *testing.T) {
 	t.Parallel()
 	var pl packet.Pool
 	q := &creditQueue{cap: 8}
-	q.stats.ResetWindow(0)
+	q.stats.resetWindow(0)
 	for i := 0; i < 8; i++ {
 		q.push(0, mkCredit(&pl), nil) // 8 × 84 B = 672 B at t = 0
 	}
@@ -373,8 +373,8 @@ func TestCreditVictimSwapAccountsBytes(t *testing.T) {
 		t.Fatalf("after the swap: %d credits, %v bytes, want 8 / 680", q.len(), q.bytes)
 	}
 	// 672 B over [0, 1 µs), 680 B over [1 µs, 2 µs).
-	if avg := q.stats.AvgBytes(2*sim.Microsecond, q.bytes); avg != 676 {
-		t.Errorf("AvgBytes = %v, want 676", avg)
+	if avg := q.stats.avgBytes(2*sim.Microsecond, q.bytes); avg != 676 {
+		t.Errorf("avgBytes = %v, want 676", avg)
 	}
 	if q.stats.MaxBytes != 680 {
 		t.Errorf("MaxBytes = %v, want 680", q.stats.MaxBytes)

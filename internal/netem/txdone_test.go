@@ -155,7 +155,7 @@ func TestTxDoneTieTwoArrivals(t *testing.T) {
 			tieArrival{done + tieDelay, 1, false},
 			tieArrival{done + tieTx + tieDelay, 2, false},
 			tieArrival{done + 2*tieTx + tieDelay, 3, true})
-		if got := f.out.DataStats().MaxBytes; got != 2*tieWire {
+		if got := f.out.Stats().DataQueueMaxBytes; got != 2*tieWire {
 			t.Errorf("s→c peak occupancy %d B, want %d", got, 2*tieWire)
 		}
 	})
@@ -169,7 +169,7 @@ func TestTxDoneTieTwoArrivals(t *testing.T) {
 			tieArrival{done + tieDelay, 1, false},
 			tieArrival{done + tieTx + tieDelay, 2, false},
 			tieArrival{done + 2*tieTx + tieDelay, 3, false})
-		if got := f.out.DataStats().MaxBytes; got != tieWire {
+		if got := f.out.Stats().DataQueueMaxBytes; got != tieWire {
 			t.Errorf("s→c peak occupancy %d B, want %d", got, tieWire)
 		}
 	})
@@ -267,7 +267,7 @@ func TestTxDoneTieGlobalEvents(t *testing.T) {
 			wantPort(t, "send at the tx-done's instant, after the flush", nic, 1, tieWire)
 		})
 		f.eng.Run()
-		if d := nic.FaultDrops(); d != 1 {
+		if d := nic.Stats().FaultDrops; d != 1 {
 			t.Errorf("flush destroyed %d packets, want 1", d)
 		}
 		f.wantArrivals(t,

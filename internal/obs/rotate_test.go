@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"compress/gzip"
 	"errors"
 	"io"
@@ -337,35 +336,6 @@ func TestRotatingWriterPropagatesOpenError(t *testing.T) {
 		RotateConfig{})
 	if err == nil {
 		t.Fatal("want error creating segment in missing directory")
-	}
-}
-
-func TestFlightRecorderDumpAndTee(t *testing.T) {
-	teeSink := NewRingSink(64)
-	fr := NewFlightRecorder(8, teeSink)
-	for i := 0; i < 20; i++ {
-		fr.Record(testEvent(i))
-	}
-	if fr.Total() != 20 {
-		t.Fatalf("Total = %d, want 20", fr.Total())
-	}
-	evs := fr.Events()
-	if len(evs) != 8 || evs[0].Flow != 12 || evs[7].Flow != 19 {
-		t.Fatalf("ring retained wrong window: %+v", evs)
-	}
-	if teeSink.Total() != 20 {
-		t.Fatalf("tee received %d events, want 20", teeSink.Total())
-	}
-	var buf bytes.Buffer
-	if err := fr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
-	if lines != 8 {
-		t.Fatalf("dump has %d lines, want 8", lines)
-	}
-	if !strings.Contains(buf.String(), `"flow":12`) {
-		t.Fatal("dump missing oldest retained event")
 	}
 }
 

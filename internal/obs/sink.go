@@ -62,6 +62,17 @@ func (s *JSONLSink) Err() error { return s.lw.err }
 // any), returning the first error seen across the sink's lifetime.
 func (s *JSONLSink) Close() error { return s.lw.Close() }
 
+// WriteJSONL writes evs to w as lines of a JSONLSink trace, oldest
+// first, and leaves w open even if it is an io.Closer: the invariant
+// checker's flight dump goes to a writer that other dumps share.
+func WriteJSONL(w io.Writer, evs []Event) error {
+	s := NewJSONLSink(struct{ io.Writer }{w})
+	for _, ev := range evs {
+		s.Record(ev)
+	}
+	return s.Close()
+}
+
 // CSVHeader is the column row a CSVSink emits before its first record
 // — exported so a RotatingWriter can re-emit it at each segment start.
 const CSVHeader = "t_us,ev,scope,flow,seq,bytes,val,aux,aux2\n"

@@ -198,20 +198,21 @@ func edgeEvents() []obs.Event {
 
 func TestSinksMatchReferenceOnEdges(t *testing.T) { diffSinks(t, edgeEvents()) }
 
-// TestFlightDumpMatchesReference: the flight recorder's post-mortem dump
-// is the same JSONL, line for line, as a trace of its retained events.
+// TestFlightDumpMatchesReference: a flight dump — WriteJSONL of what a
+// RingSink retained — is the same JSONL, line for line, as a trace of
+// the retained events.
 func TestFlightDumpMatchesReference(t *testing.T) {
-	fr := obs.NewFlightRecorder(64, nil)
+	ring := obs.NewRingSink(64)
 	var want []byte
 	events := edgeEvents()
 	for i, ev := range events {
-		fr.Record(ev)
+		ring.Record(ev)
 		if i >= len(events)-64 {
 			want = refJSONL(want, ev)
 		}
 	}
 	var got bytes.Buffer
-	if err := fr.Dump(&got); err != nil {
+	if err := obs.WriteJSONL(&got, ring.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {

@@ -73,7 +73,7 @@ func TestConnRecoversFromDrops(t *testing.T) {
 	if f.BytesDelivered != 2*unit.MB {
 		t.Errorf("delivered %v", f.BytesDelivered)
 	}
-	if d.Net.TotalDataDrops() == 0 {
+	if d.Net.Stats().DataDrops == 0 {
 		t.Error("test expected drops to exercise recovery")
 	}
 	if cc.frx == 0 && cc.rto == 0 {
