@@ -112,9 +112,9 @@ race:
 ## single credited flow across a 5-hop chain, at 0 allocs/op, as in every
 ## plain `go test ./...` — with the speed floor only this target sets: at
 ## least HOTPATH_PKTRATE_FLOOR data packets per wall second (80% of the
-## median measured when transmitter-done events stopped being queued for
-## idle ports — EXPERIMENTS.md "Where the events go"; override for slower
-## hosts). Packets, not events: a change that removes events lowers
+## 520 k median measured when transmitter-done events stopped being
+## queued for idle ports — EXPERIMENTS.md "Performance"; override for
+## slower hosts). Packets, not events: a change that removes events lowers
 ## sim-events/sec, which the run still prints, while doing the same work
 ## faster. Then the lifecycle RSS gate: one lifecycle-managed scale-0.5
 ## realistic cell (≈47k WebServer flows) must peak below 36 MB of RSS,

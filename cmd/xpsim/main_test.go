@@ -383,8 +383,8 @@ func goTool(t *testing.T) {
 // heavyImport reports whether no library, command or example of this
 // module may link pkg: the network stack, TLS and what they drag in
 // (≈ 4 MiB of resident data and ≈ 1 ms of start-up on every run when
-// internal/obs served net/http/pprof — EXPERIMENTS.md "What a run pays
-// before its first event"), and process spawning. vendor/ is the
+// internal/obs served net/http/pprof — DESIGN.md "Why profiling is
+// file-based"), and process spawning. vendor/ is the
 // standard library's copy of x/net, x/crypto and x/sys/cpu, which only
 // those import.
 func heavyImport(pkg string) bool {

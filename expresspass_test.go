@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -79,6 +80,79 @@ func TestAPISurface(t *testing.T) {
 	}
 }
 
+// TestDocReferencesResolve holds every cross-reference into the two
+// design documents to a title that exists. A quoted title right after
+// the name DESIGN.md or EXPERIMENTS.md (a comma between them allowed),
+// in any Go, Markdown, shell or Makefile text of the tree, must occur in
+// a # heading or a "- **…**" bullet of the document it names. A title
+// may wrap across lines, inside // or # comments. CHANGES.md quotes
+// titles as they were when each change landed, and the root Markdown
+// files other than the project's four documents quote outside text, so
+// neither is read.
+func TestDocReferencesResolve(t *testing.T) {
+	t.Parallel()
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"}
+	titles := map[string][]string{}
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(b), "\n")
+		for i, line := range lines {
+			if strings.HasPrefix(line, "#") {
+				titles[doc] = append(titles[doc], line)
+			}
+			if !strings.HasPrefix(line, "- **") {
+				continue
+			}
+			// A bullet's bold lead may wrap; take it to its closing **.
+			lead := line
+			for j := i + 1; strings.Count(lead, "**") < 2 && j < len(lines); j++ {
+				lead += " " + strings.TrimSpace(lines[j])
+			}
+			titles[doc] = append(titles[doc], lead)
+		}
+	}
+	ref := regexp.MustCompile(`(DESIGN|EXPERIMENTS)\.md,? "([^"]+)"`)
+	wrap := regexp.MustCompile(`\s*\n\s*(?://+|#+)?\s*`)
+	n := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." && d.Name() != ".claude" {
+				return filepath.SkipDir // .git and build output
+			}
+			return nil
+		}
+		ext := filepath.Ext(path)
+		if (ext != ".go" && ext != ".md" && ext != ".sh" && path != "Makefile") || path == "CHANGES.md" ||
+			(ext == ".md" && filepath.Dir(path) == "." && !slices.Contains(docs, path)) {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range ref.FindAllStringSubmatch(wrap.ReplaceAllString(string(b), " "), -1) {
+			doc, title := m[1]+".md", m[2]
+			n++
+			if !slices.ContainsFunc(titles[doc], func(l string) bool { return strings.Contains(l, title) }) {
+				t.Errorf("%s cites %s %q, which no heading or bold bullet of %s holds", path, doc, title, doc)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("no cross-reference found: the pattern no longer matches how the documents cite each other")
+	}
+}
+
 // TestConfigSurface pins the exported fields of every config struct in
 // the module — each struct type named *Config, *Options or *Params — the
 // way TestAPISurface pins the facade's names: a new knob, or a new
@@ -93,7 +167,7 @@ func TestConfigSurface(t *testing.T) {
 		{reflect.TypeFor[core.Config](), "Alpha WInit BaseRTT JitterFrac DisableCreditSizeRandomization Naive StopMargin Class"},
 		{reflect.TypeFor[experiments.Params](), "Scale Seed Faults Procs Obs Invariants"},
 		{reflect.TypeFor[invariant.Options](), "QueueBound DelayCap NoQueueBound NoDelayBound OnViolation FlightOut FlightEvents"},
-		{reflect.TypeFor[lifecycle.Config](), "Engine Specs Dial Class FCTValue OnRetire Grace"},
+		{reflect.TypeFor[lifecycle.Config](), "Engine Specs Dial Class OnRetire Grace"},
 		{reflect.TypeFor[netem.CreditClassConfig](), "Priority Weight"},
 		{reflect.TypeFor[netem.HostDelayConfig](), "Min Spread"},
 		{reflect.TypeFor[netem.PortConfig](), "Rate Delay DataCapacity CreditQueueCap CreditBurst CreditRatio ECNThreshold CreditTailDrop RED CreditClasses RCP Phantom PFC"},

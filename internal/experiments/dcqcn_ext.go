@@ -39,6 +39,12 @@ func runExtDCQCN(p Params) (Result, error) {
 			specs[i] = workload.FlowSpec{Src: 1 + i%16, Dst: 0,
 				Size: 256 * unit.KB, Start: sim.Time(i) * 200 * sim.Nanosecond}
 		}
+		fcts := stats.NewDist() // ms
+		fold := func(f *transport.Flow, _ lifecycle.Handle) {
+			if f.Finished {
+				fcts.Observe(f.FCT().Seconds() * 1e3)
+			}
+		}
 		mgr := lifecycle.NewManager(lifecycle.Config{
 			Engine: eng,
 			Specs:  specs,
@@ -46,20 +52,12 @@ func runExtDCQCN(p Params) (Result, error) {
 				f := transport.NewFlow(st.Net, st.Hosts[s.Src], st.Hosts[s.Dst], s.Size, s.Start)
 				return f, env.Dial(proto, f)
 			},
-			FCTValue: func(f *transport.Flow) float64 { return f.FCT().Seconds() * 1e3 },
+			OnRetire: fold,
 			Grace:    10 * 30 * sim.Microsecond,
 		})
 		mgr.Start()
 		eng.RunUntil(2 * sim.Second)
-		fcts := mgr.FCTs()[""]
-		if fcts == nil {
-			fcts = stats.NewDist()
-		}
-		mgr.ForEachLive(func(f *transport.Flow, _ lifecycle.Handle) {
-			if f.Finished {
-				fcts.Observe(f.FCT().Seconds() * 1e3)
-			}
-		})
+		mgr.ForEachLive(fold)
 		net := st.Net.Stats()
 		return []any{fanout, string(proto),
 			text("%.3g", fcts.Percentile(99)),

@@ -10,6 +10,7 @@ import (
 	"expresspass/internal/dctcp"
 	"expresspass/internal/dx"
 	"expresspass/internal/idealrate"
+	"expresspass/internal/lifecycle"
 	"expresspass/internal/netem"
 	"expresspass/internal/rcp"
 	"expresspass/internal/sim"
@@ -128,17 +129,12 @@ type Env struct {
 	oracle *idealrate.Oracle
 }
 
-// Handle lets experiments stop long-running transports. Its method set
-// is a superset of lifecycle.Handle, so anything Env.Dial returns can
-// be handed to a lifecycle.Manager for arrival/retirement management.
+// Handle lets experiments stop long-running transports. It embeds
+// lifecycle.Handle, so anything Env.Dial returns can be handed to a
+// lifecycle.Manager for arrival/retirement management.
 type Handle interface {
+	lifecycle.Handle
 	Stop()
-	// Quiesced reports the transport wound down on its own with no
-	// pending timers (see core.Session.Quiesced / transport.Conn.Quiesced).
-	Quiesced() bool
-	// Retire tears the transport down and releases its observability
-	// registrations.
-	Retire()
 }
 
 // Dial attaches the protocol's transport to flow f.

@@ -100,6 +100,12 @@ func runFig17(p Params) (Result, error) {
 		})
 		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
 			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
+		fcts := stats.NewDist()
+		fold := func(f *transport.Flow, _ lifecycle.Handle) {
+			if f.Finished {
+				fcts.Observe(f.FCT().Seconds())
+			}
+		}
 		mgr := lifecycle.NewManager(lifecycle.Config{
 			Engine: eng,
 			Specs:  specs,
@@ -107,7 +113,8 @@ func runFig17(p Params) (Result, error) {
 				f := transport.NewFlow(st.Net, st.Hosts[s.Src], st.Hosts[s.Dst], s.Size, s.Start)
 				return f, env.Dial(proto, f)
 			},
-			Grace: 10 * rtt,
+			OnRetire: fold,
+			Grace:    10 * rtt,
 		})
 		mgr.Start()
 		// Run to completion (with a generous cap).
@@ -115,15 +122,7 @@ func runFig17(p Params) (Result, error) {
 			(float64(hosts) * 10e9 * 0.9)
 		cap := sim.Seconds(ideal*20) + 2*sim.Second
 		eng.RunUntil(cap)
-		fcts := mgr.FCTs()[""]
-		if fcts == nil {
-			fcts = stats.NewDist()
-		}
-		mgr.ForEachLive(func(f *transport.Flow, _ lifecycle.Handle) {
-			if f.Finished {
-				fcts.Observe(f.FCT().Seconds())
-			}
-		})
+		mgr.ForEachLive(fold)
 		s := fcts.Summary()
 		return []any{string(proto),
 			text("%.4gs", s.P50), text("%.4gs", s.P99),

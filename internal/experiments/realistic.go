@@ -122,39 +122,11 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 	env := &Env{Eng: eng, Net: ot.Net, BaseRTT: baseRTT,
 		XP: core.Config{Alpha: alpha, WInit: winit, BaseRTT: baseRTT}}
 
-	res := realisticResult{total: len(specs), requested: requested}
-	mgr := lifecycle.NewManager(lifecycle.Config{
-		Engine: eng,
-		Specs:  specs,
-		Dial: func(s workload.FlowSpec, _ int) (*transport.Flow, lifecycle.Handle) {
-			f := transport.NewFlow(ot.Net, hosts[s.Src], hosts[s.Dst], s.Size, s.Start)
-			return f, env.Dial(rc.proto, f)
-		},
-		Class: func(f *transport.Flow) string { return workload.SizeClass(f.Size) },
-		OnRetire: func(_ *transport.Flow, h lifecycle.Handle) {
-			if s, ok := h.(*core.Session); ok {
-				res.creditRecv += s.CreditsReceived()
-				res.creditWaste += s.CreditsWasted()
-			}
-		},
-		Grace: 10 * baseRTT,
-	})
-	mgr.Start()
-
-	// Run until every flow retires (the reaper stops re-arming and the
-	// engine drains), bounded by a generous deadline for runs where some
-	// flows never complete. No per-20ms rescan: completion is the
-	// manager's O(1) counter, termination is the engine draining.
-	deadline := specs[len(specs)-1].Start + 4*sim.Second
-	eng.RunUntil(deadline)
-
-	res.finished = mgr.Finished()
-	res.fctByClass = mgr.FCTs()
-	// Stragglers the reaper had not retired when the run ended: flows
-	// that never finished, plus any that finished inside the final
-	// grace window. Fold their FCTs and credit counters the same way
-	// retirement would have.
-	mgr.ForEachLive(func(f *transport.Flow, h lifecycle.Handle) {
+	res := realisticResult{fctByClass: map[string]*stats.Dist{}, total: len(specs), requested: requested}
+	// fold observes a finished flow's FCT into its size class and sums
+	// the credit counters: in the reaper at each retirement, and after
+	// the run for the stragglers the reaper had not retired.
+	fold := func(f *transport.Flow, h lifecycle.Handle) {
 		if f.Finished {
 			cls := workload.SizeClass(f.Size)
 			d := res.fctByClass[cls]
@@ -168,7 +140,28 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 			res.creditRecv += s.CreditsReceived()
 			res.creditWaste += s.CreditsWasted()
 		}
+	}
+	mgr := lifecycle.NewManager(lifecycle.Config{
+		Engine: eng,
+		Specs:  specs,
+		Dial: func(s workload.FlowSpec, _ int) (*transport.Flow, lifecycle.Handle) {
+			f := transport.NewFlow(ot.Net, hosts[s.Src], hosts[s.Dst], s.Size, s.Start)
+			return f, env.Dial(rc.proto, f)
+		},
+		OnRetire: fold,
+		Grace:    10 * baseRTT,
 	})
+	mgr.Start()
+
+	// Run until every flow retires (the reaper stops re-arming and the
+	// engine drains), bounded by a generous deadline for runs where some
+	// flows never complete. No per-20ms rescan: completion is the
+	// manager's O(1) counter, termination is the engine draining.
+	deadline := specs[len(specs)-1].Start + 4*sim.Second
+	eng.RunUntil(deadline)
+
+	res.finished = mgr.Finished()
+	mgr.ForEachLive(fold)
 	res.dataDrops = ot.Net.Stats().DataDrops
 
 	var sumAvg float64

@@ -1,9 +1,9 @@
 // Package lifecycle manages the flow population of sweep-shaped FCT
 // experiments: flows are dialed lazily at their arrival times instead
 // of being pre-dialed at t=0, and completed flows are retired — torn
-// down, stripped of their observability registrations, folded into
-// streaming per-class accumulators, and released to the garbage
-// collector — while the run is still in flight. Per-flow state is then
+// down, stripped of their observability registrations, folded by the
+// caller's OnRetire, and released to the garbage collector — while the
+// run is still in flight. Per-flow state is then
 // O(concurrently-active flows) rather than O(total flows), which is
 // what makes scale=1.0 (the paper's 100k-flow runs) fit in bounded RSS
 // on one machine.
@@ -18,8 +18,9 @@
 //     retires those that are Quiesced: the transport wound down on its
 //     own and holds no pending timers, so tearing it down cancels
 //     nothing that would have fired and cannot change the simulation's
-//     future. Accumulator folds happen here, once per flow at its
-//     teardown, in the reaper's scan order.
+//     future. OnRetire folds each flow here, once at its teardown, in
+//     the reaper's scan order; after the run the caller folds the
+//     stragglers with the same function through ForEachLive.
 //
 // The one manager action that does run in OnFinish is a finished
 // counter, so drivers can stop on a counter instead of rescanning every
@@ -64,18 +65,17 @@ type Config struct {
 	// (required). idx is the index into the sorted Specs.
 	Dial func(spec workload.FlowSpec, idx int) (*transport.Flow, Handle)
 
-	// Class buckets a finished flow for the per-class FCT accumulators.
-	// nil buckets everything under "".
+	// Class, if set, buckets each retired flow's FCT in seconds into the
+	// per-class accumulators FCTs returns. The experiments fold through
+	// OnRetire instead and leave it nil; the benchmark harness's churn
+	// cell reads FCTs.
 	Class func(f *transport.Flow) string
 
-	// FCTValue maps a finished flow to the value observed into its
-	// class accumulator. nil observes FCT in seconds.
-	FCTValue func(f *transport.Flow) float64
-
 	// OnRetire, if set, runs in the reaper for every retired flow just
-	// before its references drop — the hook experiments use to fold
-	// transport counters (credits received/wasted) into streaming sums.
-	// It runs in the reaper's deterministic scan order.
+	// before its references drop — the hook experiments fold FCTs and
+	// transport counters (credits received/wasted) through. It runs in
+	// the reaper's deterministic scan order. Pass the same function to
+	// ForEachLive after the run to fold the flows never retired.
 	OnRetire func(f *transport.Flow, h Handle)
 
 	// Grace is how long past Flow.FinishTime a quiesced flow is kept
@@ -211,18 +211,13 @@ func (m *Manager) reap() {
 }
 
 func (m *Manager) retire(lf liveFlow) {
-	cls := ""
 	if m.cfg.Class != nil {
-		cls = m.cfg.Class(lf.f)
-	}
-	d := m.fcts[cls]
-	if d == nil {
-		d = stats.NewDist()
-		m.fcts[cls] = d
-	}
-	if m.cfg.FCTValue != nil {
-		d.Observe(m.cfg.FCTValue(lf.f))
-	} else {
+		cls := m.cfg.Class(lf.f)
+		d := m.fcts[cls]
+		if d == nil {
+			d = stats.NewDist()
+			m.fcts[cls] = d
+		}
 		d.Observe(lf.f.FCT().Seconds())
 	}
 	if m.cfg.OnRetire != nil {
@@ -262,14 +257,15 @@ func (m *Manager) Finished() int { return m.finished }
 // retired — the reaper has stopped re-arming and the engine can drain.
 func (m *Manager) Drained() bool { return m.next >= len(m.specs) && len(m.live) == 0 }
 
-// FCTs returns the per-class accumulators of retired flows. Flows still
-// live at read time (unfinished, or finished inside the final
-// grace/reap window) are not included — fold them via ForEachLive.
+// FCTs returns the per-class FCT accumulators of retired flows when
+// Config.Class is set (empty otherwise). Flows never retired are not in
+// them.
 func (m *Manager) FCTs() map[string]*stats.Dist { return m.fcts }
 
 // ForEachLive visits every not-yet-retired flow in dial order, letting
-// a driver fold stragglers that the reaper had not retired when the run
-// ended.
+// a driver fold, with its OnRetire, the stragglers the reaper had not
+// retired when the run ended: flows that never finished, and flows that
+// finished inside the final grace/reap window.
 func (m *Manager) ForEachLive(fn func(f *transport.Flow, h Handle)) {
 	for _, lf := range m.live {
 		fn(lf.f, lf.h)

@@ -22,7 +22,7 @@ import (
 // in linkUp (130 → 500 ms): the strided walk then maps onto a quarter of
 // the cache sets. A field added to Port, dataQueue, creditQueue or
 // QueueStats has to fit in the existing padding or pay for a
-// measurement (EXPERIMENTS.md "Where the RSS went, part two").
+// measurement (DESIGN.md "What a port and the flow table hold").
 func TestPortStays696Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(Port{}); got > 696 {
 		t.Fatalf("netem.Port is %d bytes, want at most 696 (the 704-byte size class)", got)

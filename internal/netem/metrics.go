@@ -83,7 +83,6 @@ func (n *Network) registerEngineMetrics() {
 	r.Gauge("engine/pending", func() float64 { return float64(e.Pending()) })
 	r.Gauge("engine/peak_heap", func() float64 { return float64(e.MaxPending()) })
 	r.Gauge("sim/freelist_size", func() float64 { return float64(e.FreeListSize()) })
-	r.Gauge("sim/freelist_drops", func() float64 { return float64(e.FreeListDrops()) })
 	r.Gauge("sim/resched", func() float64 { return float64(e.Rescheduled()) })
 	ivalSec := n.rt.Interval().Seconds()
 	var last float64

@@ -154,16 +154,12 @@ type Engine struct {
 	// live is the number of queued events that have not been canceled;
 	// maxLive is its high-water mark. Pending/MaxPending report these,
 	// so lazily-canceled structs awaiting their pop never inflate the
-	// obs gauges. maxQueue is the raw structure peak (canceled structs
-	// included) — the true memory high-water mark, which scales the
-	// free-list cap.
-	live     int
-	maxLive  int
-	maxQueue int
+	// obs gauges.
+	live    int
+	maxLive int
 
-	resched   uint64 // successful EventID.Reschedule calls
-	free      []*event
-	freeDrops uint64 // recycles rejected by the free-list cap
+	resched uint64 // successful EventID.Reschedule calls
+	free    []*event
 
 	// The dispatch position (see Reached) is the largest key dispatch
 	// order has passed, as (now, posDom, posSeq). Step raises it to each
@@ -246,12 +242,6 @@ func (e *Engine) Reserved() (reserved, armed uint64) { return e.reserved, e.arme
 // sim/freelist_size).
 func (e *Engine) FreeListSize() int { return len(e.free) }
 
-// FreeListDrops returns how many event structs were abandoned to the
-// garbage collector because the free list was at capacity. A non-zero
-// steady-state rate means the cap heuristic is losing recycling wins
-// (obs exports it as sim/freelist_drops).
-func (e *Engine) FreeListDrops() uint64 { return e.freeDrops }
-
 // less orders events by (time, domain, insertion sequence). The domain
 // tie-break makes a same-instant tie between two components a function
 // of which components they are, not of which one happened to schedule
@@ -312,9 +302,6 @@ func (e *Engine) schedule(ev *event) {
 	c.n++
 	if c.cached != nil && less(ev, c.cached) {
 		c.cached = ev
-	}
-	if n := c.len(); n > e.maxQueue {
-		e.maxQueue = n
 	}
 	if e.live++; e.live > e.maxLive {
 		e.maxLive = e.live
@@ -505,26 +492,15 @@ func (e *Engine) dispatch(until Time, once bool) bool {
 
 // recycle parks a popped event struct for reuse, dropping its payload
 // references so recycled structs never pin handlers, receivers, or
-// packets for the GC. The free-list cap scales with the observed peak
-// queue population (floor 4096): the live struct population is bounded
-// by maxQueue, so this cap retains essentially every struct ever
-// allocated while still bounding a pathological burst. The hard-coded
-// 4096 it replaces silently re-allocated under Table 3-scale queues
-// (~64k pending events).
+// packets for the GC. The free list needs no cap: a struct is allocated
+// only when the list is empty, so the list never holds more structs
+// than the queue's own peak population — which was queued at once.
 func (e *Engine) recycle(ev *event) {
 	ev.index = -1
 	ev.h = nil
 	ev.obj = nil
 	ev.aux = nil
-	limit := e.maxQueue
-	if limit < 4096 {
-		limit = 4096
-	}
-	if len(e.free) < limit {
-		e.free = append(e.free, ev)
-	} else {
-		e.freeDrops++
-	}
+	e.free = append(e.free, ev)
 }
 
 // Run executes events until the queue is exhausted. The clock stays at
