@@ -22,7 +22,6 @@ import (
 	"expresspass/internal/netem"
 	"expresspass/internal/obs"
 	"expresspass/internal/topology"
-	"expresspass/internal/transport"
 	"expresspass/internal/workload"
 )
 
@@ -173,11 +172,10 @@ func TestConfigSurface(t *testing.T) {
 		{reflect.TypeFor[netem.PortConfig](), "Rate Delay DataCapacity CreditQueueCap CreditBurst CreditRatio ECNThreshold CreditTailDrop RED CreditClasses RCP Phantom PFC"},
 		{reflect.TypeFor[obs.Config](), "Tracer MetricsOut Interval Progress"},
 		{reflect.TypeFor[obs.RotateConfig](), "MaxBytes Gzip Header"},
-		{reflect.TypeFor[topology.Config](), "LinkRate CoreRate LinkDelay DataCapacity CreditQueueCap CreditBurst CreditTailDrop ECNThreshold RED RCP Phantom PFC"},
-		{reflect.TypeFor[topology.OversubParams](), "Cores Aggs ToRs HostsPerToR UplinksPerToR CoreLinksPerAgg"},
-		{reflect.TypeFor[transport.ConnConfig](), "Mode MinCwnd InitRate MinRTO ECN"},
+		{reflect.TypeFor[topology.Config](), "LinkRate CoreRate LinkDelay Port"},
+		{reflect.TypeFor[topology.OversubParams](), "Cores Aggs ToRs HostsPerToR"},
 		{reflect.TypeFor[workload.PoissonConfig](), "Hosts Dist Load RefRate Flows Start"},
-		{reflect.TypeFor[workload.ShuffleConfig](), "Hosts TasksPerHost Bytes StartJitter"},
+		{reflect.TypeFor[workload.ShuffleConfig](), "Hosts TasksPerHost Bytes"},
 	}
 	const rule = "a config field needs two production callers that set it to different values " +
 		"(a test or an example is no such caller); a field with one production value is a constant " +

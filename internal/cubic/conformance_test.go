@@ -18,7 +18,7 @@ func stepConn(t *testing.T) (*cubic.CC, *transport.Conn) {
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
 	cc := cubic.New() // C = 0.4, β = 0.7
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := transport.NewConn(f, cc, transport.ConnConfig{})
+	c := transport.NewConn(f, cc, 0)
 	return cc, c
 }
 
@@ -94,8 +94,8 @@ func TestCubicTimeoutRestartsSlowStart(t *testing.T) {
 	cc, c := stepConn(t)
 	c.Cwnd = 10
 	cc.OnTimeout(c)
-	if c.Cwnd != c.Cfg.MinCwnd {
-		t.Fatalf("after timeout cwnd = %v, want MinCwnd %v", c.Cwnd, c.Cfg.MinCwnd)
+	if c.Cwnd != c.MinCwnd {
+		t.Fatalf("after timeout cwnd = %v, want MinCwnd %v", c.Cwnd, c.MinCwnd)
 	}
 	// ssthresh = 7: the next acks climb exponentially (one per segment).
 	cc.OnAck(c, unit.MTUPayload, &packet.Packet{}, 0)

@@ -82,8 +82,8 @@ func (cc *CC) OnFastRetransmit(c *transport.Conn) {
 // OnTimeout implements transport.CC.
 func (cc *CC) OnTimeout(c *transport.Conn) {
 	cc.wMax = c.Cwnd
-	cc.ssthresh = math.Max(c.Cwnd*beta, c.Cfg.MinCwnd)
-	c.Cwnd = c.Cfg.MinCwnd
+	cc.ssthresh = math.Max(c.Cwnd*beta, c.MinCwnd)
+	c.Cwnd = c.MinCwnd
 	cc.epoch = 0
 	cc.inSS = true
 }

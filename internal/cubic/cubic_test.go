@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"expresspass/internal/cubic"
+	"expresspass/internal/netem"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -14,14 +15,14 @@ func cubicNet(seed uint64, n int, queue unit.Bytes) (*sim.Engine, *topology.Dumb
 	eng := sim.New(seed)
 	d := topology.NewDumbbell(eng, n, topology.Config{
 		LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond,
-		DataCapacity: queue,
+		Port: netem.PortConfig{DataCapacity: queue},
 	})
 	return eng, d
 }
 
 func dial(d *topology.Dumbbell, i int) (*transport.Flow, *transport.Conn) {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0, 0)
-	c := transport.NewConn(f, cubic.New(), transport.ConnConfig{MinRTO: 2 * sim.Millisecond})
+	c := transport.NewConn(f, cubic.New(), 2*sim.Millisecond)
 	return f, c
 }
 

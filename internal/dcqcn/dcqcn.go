@@ -30,7 +30,8 @@ const (
 	minRate             = 10 * unit.Mbps        // rate floor
 )
 
-// CC is the DCQCN reaction-point policy for transport.Conn (ModePaced).
+// CC is the DCQCN reaction-point policy for transport.Conn: a paced,
+// ECN-capable sender.
 type CC struct {
 	alpha      float64
 	target     unit.Rate
@@ -52,9 +53,7 @@ func (d *CC) Alpha() float64 { return d.alpha }
 
 // Init implements transport.CC.
 func (d *CC) Init(c *transport.Conn) {
-	if c.Cfg.Mode != transport.ModePaced {
-		panic("dcqcn: requires transport.ModePaced")
-	}
+	c.Paced, c.ECN = true, true
 	d.target = c.PaceRate
 	eng := c.Engine()
 	// Timers run in the sender host's scheduling domain, with the rest of

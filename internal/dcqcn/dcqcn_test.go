@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"expresspass/internal/dcqcn"
+	"expresspass/internal/netem"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -15,17 +16,14 @@ func dcqcnNet(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 	d := topology.NewDumbbell(eng, n, topology.Config{
 		LinkRate:  10 * unit.Gbps,
 		LinkDelay: 4 * sim.Microsecond,
-		RED:       true,
-		PFC:       64 * unit.KB,
+		Port:      netem.PortConfig{RED: true, PFC: 64 * unit.KB},
 	})
 	return eng, d
 }
 
 func dial(d *topology.Dumbbell, i int) (*transport.Flow, *transport.Conn) {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0, 0)
-	c := transport.NewConn(f, dcqcn.New(), transport.ConnConfig{
-		Mode: transport.ModePaced, ECN: true,
-	})
+	c := transport.NewConn(f, dcqcn.New(), 0)
 	return f, c
 }
 
@@ -74,20 +72,20 @@ func TestDCQCNWithPFCIsLossless(t *testing.T) {
 	eng := sim.New(3)
 	st := topology.NewStar(eng, 17, topology.Config{
 		LinkRate: 10 * unit.Gbps,
-		RED:      true,
-		// Per-ingress pause threshold small enough that 16 ingresses'
-		// guarantees plus one RTT of in-flight headroom each fit the
-		// shared 2 MB buffer: PFC, not buffering, provides losslessness
-		// (without PFC this same incast overflows — see the next test).
-		PFC:          8 * unit.KB,
-		DataCapacity: 2 * unit.MB,
+		Port: netem.PortConfig{
+			RED: true,
+			// Per-ingress pause threshold small enough that 16 ingresses'
+			// guarantees plus one RTT of in-flight headroom each fit the
+			// shared 2 MB buffer: PFC, not buffering, provides losslessness
+			// (without PFC this same incast overflows — see the next test).
+			PFC:          8 * unit.KB,
+			DataCapacity: 2 * unit.MB,
+		},
 	})
 	var flows []*transport.Flow
 	for i := 1; i <= 16; i++ {
 		f := transport.NewFlow(st.Net, st.Hosts[i], st.Hosts[0], 1*unit.MB, 0)
-		transport.NewConn(f, dcqcn.New(), transport.ConnConfig{
-			Mode: transport.ModePaced, ECN: true,
-		})
+		transport.NewConn(f, dcqcn.New(), 0)
 		flows = append(flows, f)
 	}
 	eng.RunUntil(1 * sim.Second)
@@ -113,15 +111,12 @@ func TestDCQCNWithPFCIsLossless(t *testing.T) {
 func TestDCQCNWithoutPFCDrops(t *testing.T) {
 	eng := sim.New(3)
 	st := topology.NewStar(eng, 17, topology.Config{
-		LinkRate:     10 * unit.Gbps,
-		RED:          true,
-		DataCapacity: 2 * unit.MB,
+		LinkRate: 10 * unit.Gbps,
+		Port:     netem.PortConfig{RED: true, DataCapacity: 2 * unit.MB},
 	})
 	for i := 1; i <= 16; i++ {
 		f := transport.NewFlow(st.Net, st.Hosts[i], st.Hosts[0], 1*unit.MB, 0)
-		transport.NewConn(f, dcqcn.New(), transport.ConnConfig{
-			Mode: transport.ModePaced, ECN: true,
-		})
+		transport.NewConn(f, dcqcn.New(), 0)
 	}
 	eng.RunUntil(200 * sim.Millisecond)
 	if st.Net.Stats().DataDrops == 0 {
@@ -133,7 +128,7 @@ func TestDCQCNAlphaDynamics(t *testing.T) {
 	eng, d := dcqcnNet(4, 2)
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 	cc := dcqcn.New()
-	transport.NewConn(f, cc, transport.ConnConfig{Mode: transport.ModePaced, ECN: true})
+	transport.NewConn(f, cc, 0)
 	eng.RunUntil(30 * sim.Millisecond)
 	// A lone flow sees few marks: alpha must have decayed well below 1.
 	if cc.Alpha() > 0.5 {

@@ -18,7 +18,7 @@ func stepConn(t *testing.T) (*dctcp.CC, *transport.Conn) {
 	_, d := net10G(99, 2)
 	cc := dctcp.New() // g = 1/16, α₀ = 1
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := transport.NewConn(f, cc, transport.ConnConfig{ECN: true})
+	c := transport.NewConn(f, cc, 0)
 	return cc, c
 }
 
@@ -90,8 +90,8 @@ func TestDCTCPLossEvents(t *testing.T) {
 
 	// Timeout: window collapses to MinCwnd, ssthresh = W/2.
 	cc.OnTimeout(c)
-	if c.Cwnd != c.Cfg.MinCwnd {
-		t.Fatalf("after timeout cwnd = %v, want MinCwnd %v", c.Cwnd, c.Cfg.MinCwnd)
+	if c.Cwnd != c.MinCwnd {
+		t.Fatalf("after timeout cwnd = %v, want MinCwnd %v", c.Cwnd, c.MinCwnd)
 	}
 	// ssthresh is now 2, so the next acked packet slow-starts and the one
 	// after grows additively: 1 → 2 → 2 + 1/2… with a window update in
@@ -108,7 +108,7 @@ func TestDCTCPLossEvents(t *testing.T) {
 	// Timeout at a tiny window: ssthresh floors at MinCwnd.
 	c.Cwnd = 1.5
 	cc.OnTimeout(c)
-	if c.Cwnd != c.Cfg.MinCwnd {
+	if c.Cwnd != c.MinCwnd {
 		t.Fatalf("after low-window timeout cwnd = %v, want MinCwnd", c.Cwnd)
 	}
 }

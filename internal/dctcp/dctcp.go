@@ -34,8 +34,10 @@ func New() *CC {
 	return &CC{alpha: initAlpha, ssthresh: 1 << 30}
 }
 
-// Init implements transport.CC.
+// Init implements transport.CC: DCTCP sets ECT on its data and keeps a
+// window of at least 2 packets.
 func (d *CC) Init(c *transport.Conn) {
+	c.ECN, c.MinCwnd = true, 2
 	d.windowEnd = 0
 }
 
@@ -82,10 +84,10 @@ func (d *CC) OnFastRetransmit(c *transport.Conn) {
 // OnTimeout implements transport.CC.
 func (d *CC) OnTimeout(c *transport.Conn) {
 	d.ssthresh = c.Cwnd / 2
-	if d.ssthresh < c.Cfg.MinCwnd {
-		d.ssthresh = c.Cfg.MinCwnd
+	if d.ssthresh < c.MinCwnd {
+		d.ssthresh = c.MinCwnd
 	}
-	c.Cwnd = c.Cfg.MinCwnd
+	c.Cwnd = c.MinCwnd
 }
 
 // RecommendedK returns the paper-recommended marking threshold for a

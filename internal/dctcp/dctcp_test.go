@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"expresspass/internal/dctcp"
+	"expresspass/internal/netem"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -13,9 +14,9 @@ import (
 func net10G(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 	eng := sim.New(seed)
 	d := topology.NewDumbbell(eng, n, topology.Config{
-		LinkRate:     10 * unit.Gbps,
-		LinkDelay:    4 * sim.Microsecond,
-		ECNThreshold: dctcp.RecommendedK(10 * unit.Gbps),
+		LinkRate:  10 * unit.Gbps,
+		LinkDelay: 4 * sim.Microsecond,
+		Port:      netem.PortConfig{ECNThreshold: dctcp.RecommendedK(10 * unit.Gbps)},
 	})
 	return eng, d
 }
@@ -23,7 +24,7 @@ func net10G(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 func dial(d *topology.Dumbbell, i int, size unit.Bytes, at sim.Time) (*transport.Flow, *transport.Conn) {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], size, at)
 	c := transport.NewConn(f, dctcp.New(),
-		transport.ConnConfig{ECN: true, MinCwnd: 2})
+		0)
 	return f, c
 }
 
@@ -83,7 +84,7 @@ func TestDCTCPAlphaDecaysWhenUncongested(t *testing.T) {
 	eng, d := net10G(4, 2)
 	cc := dctcp.New()
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	transport.NewConn(f, cc, transport.ConnConfig{ECN: true, MinCwnd: 2})
+	transport.NewConn(f, cc, 0)
 	eng.RunUntil(3 * sim.Millisecond) // slow start, little marking yet
 	if cc.Alpha() > 0.9 {
 		t.Errorf("alpha did not decay from 1: %v", cc.Alpha())

@@ -18,7 +18,7 @@ func stepConn(t *testing.T) (*dx.CC, *transport.Conn) {
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
 	cc := dx.New() // V defaults to 4 µs
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := transport.NewConn(f, cc, transport.ConnConfig{})
+	c := transport.NewConn(f, cc, 0)
 	return cc, c
 }
 
@@ -67,13 +67,13 @@ func TestDXLossEvents(t *testing.T) {
 		t.Fatalf("after fast retransmit cwnd = %v, want 4.5", c.Cwnd)
 	}
 	cc.OnTimeout(c)
-	if c.Cwnd != c.Cfg.MinCwnd {
-		t.Fatalf("after timeout cwnd = %v, want MinCwnd %v", c.Cwnd, c.Cfg.MinCwnd)
+	if c.Cwnd != c.MinCwnd {
+		t.Fatalf("after timeout cwnd = %v, want MinCwnd %v", c.Cwnd, c.MinCwnd)
 	}
 	// The halving respects the floor.
 	c.Cwnd = 1.2
 	cc.OnFastRetransmit(c)
-	if c.Cwnd != c.Cfg.MinCwnd {
+	if c.Cwnd != c.MinCwnd {
 		t.Fatalf("fast retransmit went below MinCwnd: %v", c.Cwnd)
 	}
 }

@@ -72,5 +72,5 @@ func (d *CC) OnFastRetransmit(c *transport.Conn) {
 
 // OnTimeout implements transport.CC.
 func (d *CC) OnTimeout(c *transport.Conn) {
-	c.Cwnd = c.Cfg.MinCwnd
+	c.Cwnd = c.MinCwnd
 }

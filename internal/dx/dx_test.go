@@ -20,7 +20,7 @@ func dxNet(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 
 func dial(d *topology.Dumbbell, i int) *transport.Flow {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0, 0)
-	transport.NewConn(f, dx.New(), transport.ConnConfig{})
+	transport.NewConn(f, dx.New(), 0)
 	return f
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"expresspass/internal/core"
 	"expresspass/internal/dctcp"
+	"expresspass/internal/netem"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
@@ -24,14 +25,14 @@ import (
 func TestCoexistenceWithUncreditedTraffic(t *testing.T) {
 	eng := sim.New(99)
 	tcfg := topology.Config{LinkRate: 10 * unit.Gbps,
-		ECNThreshold: dctcp.RecommendedK(10 * unit.Gbps)}
+		Port: netem.PortConfig{ECNThreshold: dctcp.RecommendedK(10 * unit.Gbps)}}
 	d := topology.NewDumbbell(eng, 2, tcfg)
 
 	xp := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 	core.Dial(xp, core.Config{BaseRTT: 100 * sim.Microsecond})
 	tcp := transport.NewFlow(d.Net, d.Senders[1], d.Receivers[1], 0, 0)
 	transport.NewConn(tcp, dctcp.New(),
-		transport.ConnConfig{ECN: true, MinCwnd: 2})
+		0)
 
 	eng.RunUntil(30 * sim.Millisecond)
 	xp.TakeDeliveredDelta()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"expresspass/internal/core"
 	"expresspass/internal/lifecycle"
+	"expresspass/internal/netem"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/stats"
@@ -29,7 +30,7 @@ func runExtDCQCN(p Params) (Result, error) {
 	rows := runner.Map(p.sweep(), cross(fanouts, protos), func(t *runner.T, c pair[int, Proto]) []any {
 		fanout, proto := c.a, c.b
 		eng := t.Engine(p.Seed)
-		tcfg := topology.Config{LinkRate: 10 * unit.Gbps, DataCapacity: 2 * unit.MB}
+		tcfg := topology.Config{LinkRate: 10 * unit.Gbps, Port: netem.PortConfig{DataCapacity: 2 * unit.MB}}
 		proto.Features(&tcfg, 30*sim.Microsecond)
 		st := topology.NewStar(eng, 17, tcfg)
 		env := &Env{Eng: eng, Net: st.Net, BaseRTT: 30 * sim.Microsecond,

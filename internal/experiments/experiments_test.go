@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"expresspass/internal/dctcp"
+	"expresspass/internal/netem"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
+	"expresspass/internal/transport"
 	"expresspass/internal/unit"
 )
 
@@ -164,10 +167,10 @@ func TestLightExperimentsSmoke(t *testing.T) {
 func TestProtoFeatures(t *testing.T) {
 	const baseRTT = 52 * sim.Microsecond
 	want := map[Proto]topology.Config{
-		ProtoDCTCP: {ECNThreshold: dctcp.RecommendedK(10 * unit.Gbps)},
-		ProtoRCP:   {RCP: baseRTT},
-		ProtoHULL:  {Phantom: true},
-		ProtoDCQCN: {RED: true, PFC: 8 * unit.KB},
+		ProtoDCTCP: {Port: netem.PortConfig{ECNThreshold: dctcp.RecommendedK(10 * unit.Gbps)}},
+		ProtoRCP:   {Port: netem.PortConfig{RCP: baseRTT}},
+		ProtoHULL:  {Port: netem.PortConfig{Phantom: true}},
+		ProtoDCQCN: {Port: netem.PortConfig{RED: true, PFC: 8 * unit.KB}},
 	}
 	// ExpressPass, DX, CUBIC and ideal install none. The protocol table
 	// has an entry, with a transport, for every protocol and for nothing
@@ -176,7 +179,7 @@ func TestProtoFeatures(t *testing.T) {
 	for _, pr := range all {
 		var cfg topology.Config
 		pr.Features(&cfg, baseRTT)
-		if cfg != want[pr] {
+		if !reflect.DeepEqual(cfg, want[pr]) {
 			t.Errorf("%s installs %+v, want %+v", pr, cfg, want[pr])
 		}
 		if protoSpecs[pr].dial == nil {
@@ -185,5 +188,53 @@ func TestProtoFeatures(t *testing.T) {
 	}
 	if len(protoSpecs) != len(all) {
 		t.Errorf("protoSpecs has %d entries, want the %d protocols", len(protoSpecs), len(all))
+	}
+}
+
+// TestProtoTransports: each Conn-based protocol's CC declares how its
+// Conn sends in Init, before the first segment. Dialed on a 10G star
+// and run past StartAt but short of the first ACK, every Conn sends the
+// way the published algorithm does: DCTCP (and HULL's hosts) ECN with a
+// 2-packet floor, DCQCN paced and ECN, RCP paced from 1% of line rate,
+// the ideal oracle paced at whatever rate it set.
+func TestProtoTransports(t *testing.T) {
+	const line = 10 * unit.Gbps
+	for _, c := range []struct {
+		pr         Proto
+		paced, ecn bool
+		minCwnd    float64
+		paceRate   unit.Rate // 0: the oracle's, only checked positive
+	}{
+		{ProtoDCTCP, false, true, 2, line},
+		{ProtoHULL, false, true, 2, line},
+		{ProtoCubic, false, false, 1, line},
+		{ProtoDX, false, false, 1, line},
+		{ProtoDCQCN, true, true, 1, line},
+		{ProtoRCP, true, false, 1, line / 100},
+		{ProtoIdeal, true, false, 1, 0},
+	} {
+		eng := sim.New(1)
+		tcfg := topology.Config{LinkRate: line}
+		c.pr.Features(&tcfg, 52*sim.Microsecond)
+		st := topology.NewStar(eng, 2, tcfg)
+		env := &Env{Eng: eng, Net: st.Net, BaseRTT: 52 * sim.Microsecond}
+		const start = 10 * sim.Microsecond
+		f := transport.NewFlow(st.Net, st.Hosts[0], st.Hosts[1], 0, start)
+		h := env.Dial(c.pr, f)
+		conn, ok := h.(*transport.Conn)
+		if !ok {
+			t.Fatalf("%s: Dial returned a %T, want a *transport.Conn", c.pr, h)
+		}
+		eng.RunUntil(start + sim.Microsecond)
+		if !f.Started || conn.AckedPkts != 0 {
+			t.Fatalf("%s: started %v, %d ACKs: not between StartAt and the first ACK", c.pr, f.Started, conn.AckedPkts)
+		}
+		if conn.Paced != c.paced || conn.ECN != c.ecn || conn.MinCwnd != c.minCwnd {
+			t.Errorf("%s: Paced %v ECN %v MinCwnd %v, want %v %v %v",
+				c.pr, conn.Paced, conn.ECN, conn.MinCwnd, c.paced, c.ecn, c.minCwnd)
+		}
+		if c.paceRate != 0 && conn.PaceRate != c.paceRate || conn.PaceRate <= 0 {
+			t.Errorf("%s: PaceRate %v, want %v", c.pr, conn.PaceRate, c.paceRate)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"expresspass/internal/core"
+	"expresspass/internal/netem"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/stats"
@@ -215,7 +216,7 @@ func runFig6(p Params) (Result, error) {
 		n, a := c.a, c.b
 		eng := t.Engine(p.Seed)
 		d := rttDumbbell(eng, n, 10*unit.Gbps, 25*sim.Microsecond,
-			topology.Config{CreditTailDrop: a.tailDrop})
+			topology.Config{Port: netem.PortConfig{CreditTailDrop: a.tailDrop}})
 		cfg := core.Config{BaseRTT: 100 * sim.Microsecond,
 			Naive:                          true,
 			DisableCreditSizeRandomization: true,
@@ -335,7 +336,7 @@ func runFig9(p Params) (Result, error) {
 		n, cq := c.a, c.b
 		eng := t.Engine(p.Seed)
 		st := topology.NewStar(eng, n+1, topology.Config{
-			LinkRate: 10 * unit.Gbps, CreditQueueCap: cq})
+			LinkRate: 10 * unit.Gbps, Port: netem.PortConfig{CreditQueueCap: cq}})
 		cfg := core.Config{BaseRTT: 30 * sim.Microsecond}
 		for i := 1; i <= n; i++ {
 			f := transport.NewFlow(st.Net, st.Hosts[i], st.Hosts[0], 0, 0)

@@ -277,7 +277,7 @@ func runFig16(p Params) (Result, error) {
 		a.proto.Features(&tcfg, rtt)
 		if rate >= 100*unit.Gbps {
 			// Scale switch buffering and marking with BDP.
-			tcfg.DataCapacity = 4 * unit.MB
+			tcfg.Port.DataCapacity = 4 * unit.MB
 		}
 		d := rttDumbbell(eng, 2, rate, rtt, tcfg)
 		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,

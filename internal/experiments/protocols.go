@@ -55,41 +55,29 @@ var protoSpecs = map[Proto]protoSpec{
 	}},
 	ProtoDCTCP: {
 		features: func(cfg *topology.Config, _ sim.Duration) {
-			cfg.ECNThreshold = dctcp.RecommendedK(cmp.Or(cfg.LinkRate, 10*unit.Gbps))
+			cfg.Port.ECNThreshold = dctcp.RecommendedK(cmp.Or(cfg.LinkRate, 10*unit.Gbps))
 		},
-		dial: func(e *Env, f *transport.Flow) Handle { return e.ecnWindow(f) },
+		dial: func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, dctcp.New(), e.MinRTO) },
 	},
 	// HULL (Alizadeh et al., NSDI 2012): phantom queues mark ahead of any
 	// real queue, and the hosts run DCTCP against those marks.
 	ProtoHULL: {
-		features: func(cfg *topology.Config, _ sim.Duration) { cfg.Phantom = true },
-		dial:     func(e *Env, f *transport.Flow) Handle { return e.ecnWindow(f) },
+		features: func(cfg *topology.Config, _ sim.Duration) { cfg.Port.Phantom = true },
+		dial:     func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, dctcp.New(), e.MinRTO) },
 	},
-	ProtoCubic: {dial: func(e *Env, f *transport.Flow) Handle {
-		return transport.NewConn(f, cubic.New(), transport.ConnConfig{MinRTO: e.MinRTO})
-	}},
-	ProtoDX: {dial: func(e *Env, f *transport.Flow) Handle {
-		return transport.NewConn(f, dx.New(), transport.ConnConfig{MinRTO: e.MinRTO})
-	}},
+	ProtoCubic: {dial: func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, cubic.New(), e.MinRTO) }},
+	ProtoDX:    {dial: func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, dx.New(), e.MinRTO) }},
 	ProtoDCQCN: {
 		// DCQCN's deployment environment: RED marking on a PFC lossless fabric.
-		features: func(cfg *topology.Config, _ sim.Duration) { cfg.RED, cfg.PFC = true, 8*unit.KB },
-		dial: func(e *Env, f *transport.Flow) Handle {
-			return transport.NewConn(f, dcqcn.New(),
-				transport.ConnConfig{Mode: transport.ModePaced, ECN: true, MinRTO: e.MinRTO})
-		},
+		features: func(cfg *topology.Config, _ sim.Duration) { cfg.Port.RED, cfg.Port.PFC = true, 8*unit.KB },
+		dial:     func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, dcqcn.New(), e.MinRTO) },
 	},
 	ProtoRCP: {
-		features: func(cfg *topology.Config, baseRTT sim.Duration) { cfg.RCP = baseRTT },
-		dial: func(e *Env, f *transport.Flow) Handle {
-			// RCP senders learn the router rate during the handshake: a
-			// low-rate first RTT, then the first echoed rate.
-			return transport.NewConn(f, rcp.New(), transport.ConnConfig{Mode: transport.ModePaced,
-				InitRate: f.Sender.LineRate() / 100, MinRTO: e.MinRTO})
-		},
+		features: func(cfg *topology.Config, baseRTT sim.Duration) { cfg.Port.RCP = baseRTT },
+		dial:     func(e *Env, f *transport.Flow) Handle { return transport.NewConn(f, rcp.New(), e.MinRTO) },
 	},
 	ProtoIdeal: {dial: func(e *Env, f *transport.Flow) Handle {
-		c := transport.NewConn(f, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced, MinRTO: e.MinRTO})
+		c := transport.NewConn(f, idealrate.CC{}, e.MinRTO)
 		if e.oracle == nil {
 			e.oracle = idealrate.NewOracle(e.Net)
 		}
@@ -143,12 +131,6 @@ func (e *Env) Dial(pr Proto, f *transport.Flow) Handle {
 		return spec.dial(e, f)
 	}
 	panic(fmt.Sprintf("experiments: unknown protocol %q", pr))
-}
-
-// ecnWindow dials DCTCP, the host side of DCTCP and HULL: an ECN window
-// of at least 2 packets.
-func (e *Env) ecnWindow(f *transport.Flow) Handle {
-	return transport.NewConn(f, dctcp.New(), transport.ConnConfig{ECN: true, MinCwnd: 2, MinRTO: e.MinRTO})
 }
 
 // gbps converts delivered payload bytes over a duration to Gbps.

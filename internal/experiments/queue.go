@@ -3,6 +3,7 @@ package experiments
 import (
 	"expresspass/internal/core"
 	"expresspass/internal/lifecycle"
+	"expresspass/internal/netem"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/stats"
@@ -35,7 +36,7 @@ func runFig1(p Params) (Result, error) {
 			// Deep buffer so the queue growth itself is visible
 			// rather than truncated by drops (the paper's red
 			// "max bound" line).
-			DataCapacity: 16 * unit.MB,
+			Port: netem.PortConfig{DataCapacity: 16 * unit.MB},
 		}
 		proto.Features(&tcfg, rtt)
 		ft := topology.NewFatTree(eng, 4, tcfg)
@@ -95,9 +96,7 @@ func runFig17(p Params) (Result, error) {
 		proto.Features(&tcfg, rtt)
 		st := topology.NewStar(eng, hosts, tcfg)
 		specs := workload.Shuffle(eng.Rand().Fork(), workload.ShuffleConfig{
-			Hosts: hosts, TasksPerHost: tasks, Bytes: bytes,
-			StartJitter: 1 * sim.Millisecond,
-		})
+			Hosts: hosts, TasksPerHost: tasks, Bytes: bytes})
 		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
 			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
 		fcts := stats.NewDist()

@@ -17,15 +17,12 @@ import (
 	"expresspass/internal/unit"
 )
 
-// CC is a no-op policy: the Oracle drives PaceRate directly.
+// CC is a paced policy that reacts to nothing: the Oracle drives
+// PaceRate directly.
 type CC struct{}
 
 // Init implements transport.CC.
-func (CC) Init(c *transport.Conn) {
-	if c.Cfg.Mode != transport.ModePaced {
-		panic("idealrate: requires transport.ModePaced")
-	}
-}
+func (CC) Init(c *transport.Conn) { c.Paced = true }
 
 // OnAck implements transport.CC.
 func (CC) OnAck(*transport.Conn, unit.Bytes, *packet.Packet, sim.Duration) {}

@@ -16,7 +16,7 @@ import (
 
 func dial(d *topology.Dumbbell, o *idealrate.Oracle, i int) (*transport.Flow, *transport.Conn) {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0, 0)
-	c := transport.NewConn(f, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced})
+	c := transport.NewConn(f, idealrate.CC{}, 0)
 	o.Attach(c)
 	return f, c
 }
@@ -87,11 +87,11 @@ func TestOracleMultiBottleneck(t *testing.T) {
 	mb := topology.NewMultiBottleneck(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
 	o := idealrate.NewOracle(mb.Net)
 	f0 := transport.NewFlow(mb.Net, mb.Flow0Src, mb.Flow0Dst, 0, 0)
-	c0 := transport.NewConn(f0, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced})
+	c0 := transport.NewConn(f0, idealrate.CC{}, 0)
 	o.Attach(c0)
 	for i := 0; i < 4; i++ {
 		f := transport.NewFlow(mb.Net, mb.Srcs[i], mb.Dsts[i], 0, 0)
-		c := transport.NewConn(f, idealrate.CC{}, transport.ConnConfig{Mode: transport.ModePaced})
+		c := transport.NewConn(f, idealrate.CC{}, 0)
 		o.Attach(c)
 	}
 	// Max-min on link 3 among 5 flows: 2G each; link 1's 4 flows use 2G

@@ -275,12 +275,12 @@ func TestEveryPortEventCarriesItsPortNumber(t *testing.T) {
 		// drops); a second run with PFC pauses instead.
 		for _, pfc := range []unit.Bytes{0, 8 * unit.MaxFrame} {
 			eng := sim.New(5)
-			d := topology.NewDumbbell(eng, 4, topology.Config{DataCapacity: 20 * unit.MaxFrame, PFC: pfc})
+			d := topology.NewDumbbell(eng, 4, topology.Config{Port: netem.PortConfig{DataCapacity: 20 * unit.MaxFrame, PFC: pfc}})
 			ring := obs.NewRingSink(1 << 18)
 			d.Net.SetTracer(obs.NewTracer(ring))
 			for i := range d.Senders {
 				f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 300*unit.KB, 0)
-				transport.NewConn(f, dctcp.New(), transport.ConnConfig{})
+				transport.NewConn(f, dctcp.New(), 0)
 			}
 			eng.RunUntil(20 * sim.Millisecond)
 			if ring.Total() > 1<<18 {
@@ -423,7 +423,7 @@ func TestFinishReportsInPortOrder(t *testing.T) {
 func TestViolationListReproducible(t *testing.T) {
 	run := func() []Violation {
 		eng := sim.New(11)
-		ft := topology.NewFatTree(eng, 4, topology.Config{CreditBurst: brokenBurst})
+		ft := topology.NewFatTree(eng, 4, topology.Config{Port: netem.PortConfig{CreditBurst: brokenBurst}})
 		vs, opt := collect()
 		c := Attach(ft.Net, opt)
 		// One sender in pod 0 feeding a receiver in every other pod, and
@@ -480,7 +480,7 @@ func TestStatsSayWhatAVerdictRestsOn(t *testing.T) {
 		eng, d, c := dumbbell()
 		for i := range d.Senders {
 			f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 50*unit.KB, 0)
-			transport.NewConn(f, dctcp.New(), transport.ConnConfig{})
+			transport.NewConn(f, dctcp.New(), 0)
 		}
 		eng.Run()
 		c.Finish()

@@ -19,7 +19,7 @@ func dumbbell(n int, credits bool) (*sim.Engine, *topology.Dumbbell) {
 	eng := sim.New(1)
 	cfg := topology.Config{LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond}
 	if !credits {
-		cfg.ECNThreshold = dctcp.RecommendedK(10 * unit.Gbps)
+		cfg.Port.ECNThreshold = dctcp.RecommendedK(10 * unit.Gbps)
 	}
 	return eng, topology.NewDumbbell(eng, n, cfg)
 }
@@ -30,7 +30,7 @@ func dial(d *topology.Dumbbell, i int, credits bool) {
 		core.Dial(f, core.Config{})
 		return
 	}
-	transport.NewConn(f, dctcp.New(), transport.ConnConfig{ECN: true, MinCwnd: 2})
+	transport.NewConn(f, dctcp.New(), 0)
 }
 
 // TestRingsFollowPeakOccupancy: after 64 long flows have run across the

@@ -14,18 +14,19 @@ import (
 // timing, no RSS reading — slot counts only. The topology-level halves
 // (a DCTCP dumbbell, the 256-pair flow table) are in footprint_ext_test.go.
 
-// TestPortStays696Bytes: Port is allocated once per link direction and
+// TestPortStays576Bytes: Port is allocated once per link direction and
 // buildRoutesTo's linkUp walks all of them with a stride of one Port. At
-// 696 bytes it sits in the allocator's 704-byte size class; a ring with
-// int head/count fields made it 712, the 768-byte class, and paper-scale
-// fig15 (4,098 ports in its largest cell) read 7–10% slower, all of it
-// in linkUp (130 → 500 ms): the strided walk then maps onto a quarter of
-// the cache sets. A field added to Port, dataQueue, creditQueue or
-// QueueStats has to fit in the existing padding or pay for a
-// measurement (DESIGN.md "What a port and the flow table hold").
-func TestPortStays696Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Port{}); got > 696 {
-		t.Fatalf("netem.Port is %d bytes, want at most 696 (the 704-byte size class)", got)
+// 560 bytes it sits in the allocator's 576-byte size class. A ring with
+// int head/count fields once pushed a 696-byte Port to 712, from the
+// 704-byte class to the 768-byte one, and paper-scale fig15 (4,098
+// ports in its largest cell) read 7–10% slower, all of it in linkUp
+// (130 → 500 ms): the strided walk then maps onto a quarter of the cache
+// sets. A field added to Port, dataQueue, creditScheduler or queueStats
+// has to fit in the 16 bytes left in the class or pay for a measurement
+// (DESIGN.md "What a port and the flow table hold").
+func TestPortStays576Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Port{}); got > 576 {
+		t.Fatalf("netem.Port is %d bytes, want at most 576 (the 576-byte size class)", got)
 	}
 }
 

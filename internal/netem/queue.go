@@ -61,7 +61,7 @@ func (s *queueStats) resetWindow(now sim.Time) {
 // The zero value is ready to use: ports embed their queues by value.
 //
 // head and n are uint32 on purpose: with two rings in it, Port must not
-// outgrow its allocator size class (TestPortStays696Bytes).
+// outgrow its allocator size class (TestPortStays576Bytes).
 type pktRing struct {
 	buf  []*packet.Packet
 	head uint32 // physical index of the oldest packet

@@ -111,7 +111,7 @@ func captureShuffle(t testing.TB) []obs.Event {
 		eng := sim.New(7)
 		cfg := topology.Config{LinkRate: 10 * unit.Gbps}
 		if !xp {
-			cfg.ECNThreshold = dctcp.RecommendedK(cfg.LinkRate)
+			cfg.Port.ECNThreshold = dctcp.RecommendedK(cfg.LinkRate)
 		}
 		st := topology.NewStar(eng, hosts, cfg)
 		st.Net.SetTracer(obs.NewTracer(ring))
@@ -119,14 +119,13 @@ func captureShuffle(t testing.TB) []obs.Event {
 			t.Fatal(err)
 		}
 		for _, s := range workload.Shuffle(eng.Rand().Fork(), workload.ShuffleConfig{
-			Hosts: hosts, TasksPerHost: 1, Bytes: 60 * unit.KB, StartJitter: 100 * sim.Microsecond,
-		}) {
+			Hosts: hosts, TasksPerHost: 1, Bytes: 60 * unit.KB}) {
 			f := transport.NewFlow(st.Net, st.Hosts[s.Src], st.Hosts[s.Dst], s.Size, s.Start)
 			if xp {
 				core.Dial(f, core.Config{BaseRTT: rtt})
 			} else {
 				transport.NewConn(f, dctcp.New(),
-					transport.ConnConfig{ECN: true, MinCwnd: 2})
+					0)
 			}
 		}
 		eng.RunUntil(20 * sim.Millisecond)

@@ -17,7 +17,7 @@ func pacedConn(t *testing.T) (*rcp.CC, *transport.Conn) {
 	d := topology.NewDumbbell(eng, 2, topology.Config{})
 	cc := rcp.New()
 	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := transport.NewConn(f, cc, transport.ConnConfig{Mode: transport.ModePaced})
+	c := transport.NewConn(f, cc, 0)
 	return cc, c
 }
 

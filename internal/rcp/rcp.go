@@ -13,17 +13,18 @@ import (
 	"expresspass/internal/unit"
 )
 
-// CC is the RCP policy for transport.Conn (ModePaced).
+// CC is the RCP policy for transport.Conn, a paced sender.
 type CC struct{}
 
 // New returns an RCP sender policy.
 func New() *CC { return &CC{} }
 
-// Init implements transport.CC.
+// Init implements transport.CC. RCP senders learn the router rate
+// during the handshake: a low-rate first RTT (1% of line rate), then the
+// first echoed rate.
 func (r *CC) Init(c *transport.Conn) {
-	if c.Cfg.Mode != transport.ModePaced {
-		panic("rcp: requires transport.ModePaced")
-	}
+	c.Paced = true
+	c.PaceRate = c.Flow.Sender.LineRate() / 100
 }
 
 // OnAck implements transport.CC: adopt the echoed explicit rate.

@@ -3,6 +3,7 @@ package rcp_test
 import (
 	"testing"
 
+	"expresspass/internal/netem"
 	"expresspass/internal/rcp"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
@@ -15,17 +16,14 @@ func rcpNet(seed uint64, n int) (*sim.Engine, *topology.Dumbbell) {
 	d := topology.NewDumbbell(eng, n, topology.Config{
 		LinkRate:  10 * unit.Gbps,
 		LinkDelay: 4 * sim.Microsecond,
-		RCP:       50 * sim.Microsecond,
+		Port:      netem.PortConfig{RCP: 50 * sim.Microsecond},
 	})
 	return eng, d
 }
 
 func dial(d *topology.Dumbbell, i int, size unit.Bytes) (*transport.Flow, *transport.Conn) {
 	f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], size, 0)
-	c := transport.NewConn(f, rcp.New(), transport.ConnConfig{
-		Mode: transport.ModePaced, InitRate: 100 * unit.Mbps,
-	})
-	return f, c
+	return f, transport.NewConn(f, rcp.New(), 0)
 }
 
 func TestRCPAdoptsRouterRate(t *testing.T) {
@@ -59,20 +57,6 @@ func TestRCPSplitsEvenly(t *testing.T) {
 		}
 	}
 	_ = conns
-}
-
-func TestRCPRequiresPacedMode(t *testing.T) {
-	eng, d := rcpNet(3, 2)
-	_ = eng
-	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("window-mode RCP did not panic")
-		}
-	}()
-	c := transport.NewConn(f, rcp.New(), transport.ConnConfig{Mode: transport.ModeWindow})
-	eng.RunUntil(sim.Microsecond) // Init runs at start
-	_ = c
 }
 
 func TestRCPMeterExposesRate(t *testing.T) {

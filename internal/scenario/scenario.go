@@ -110,8 +110,7 @@ func buildTopology(eng *sim.Engine, gen *sim.Rand, rep *Report) *netem.Network {
 		rep.Topology = "fattree/4"
 		net = topology.NewFatTree(eng, 4, cfg).Net
 	default:
-		p := topology.OversubParams{Cores: 1, Aggs: 2, ToRs: 4,
-			HostsPerToR: 2, UplinksPerToR: 2}
+		p := topology.OversubParams{Cores: 1, Aggs: 2, ToRs: 4, HostsPerToR: 2}
 		rep.Topology = "oversub/8"
 		net = topology.NewOversubTree(eng, p, cfg).Net
 	}

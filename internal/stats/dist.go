@@ -7,7 +7,7 @@ import (
 
 // Dist accumulates a sample distribution (FCTs, inter-credit gaps,
 // queue delays) and answers the distribution questions the evaluation
-// asks — mean, percentiles, Summary, CDF. Samples are retained and
+// asks — mean, percentiles, Summary. Samples are retained and
 // sorted once, lazily, on the first quantile query (re-sorting only
 // after new samples arrive), so a Summary followed by a Percentile pays
 // for one sort, not two. Results are bit-identical to
@@ -70,21 +70,4 @@ func (d *Dist) Percentile(p float64) float64 {
 func (d *Dist) Summary() Summary {
 	d.ensureSorted()
 	return Summarize(d.samples)
-}
-
-// CDF returns (sorted values, cumulative fractions) for plotting, one
-// point per sample.
-func (d *Dist) CDF() (vals, fracs []float64) {
-	d.ensureSorted()
-	return CDF(d.samples)
-}
-
-// Merge folds o's samples into d.
-func (d *Dist) Merge(o *Dist) {
-	if o == nil {
-		return
-	}
-	d.samples = append(d.samples, o.samples...)
-	d.sorted = false
-	d.sum += o.sum
 }

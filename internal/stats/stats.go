@@ -1,6 +1,6 @@
 // Package stats provides the measurement helpers the evaluation uses:
-// Jain's fairness index, percentiles/CDFs, time series sampling, and
-// convergence-time detection.
+// Jain's fairness index, percentiles, means and extrema, and the Dist
+// sample collector.
 package stats
 
 import (
@@ -36,9 +36,7 @@ func JainIndex(xs []float64) float64 {
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between order statistics. xs need not be sorted — but
-// input that already is (a prior Summarize/CDF call sorted a shared
-// slice, or a Dist handed out its samples) skips the copy and re-sort
-// entirely.
+// input that already is skips the copy and re-sort entirely.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
@@ -117,7 +115,7 @@ type Summary struct {
 
 // Summarize computes a Summary of xs. Already-sorted input takes a
 // read-only fast path with no copy or re-sort, so callers that sort
-// once can run Summarize, Percentile, and CDF for one sort's cost.
+// once can run Summarize and Percentile for one sort's cost.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
@@ -136,19 +134,4 @@ func Summarize(xs []float64) Summary {
 		Max:  s[len(s)-1],
 		Min:  s[0],
 	}
-}
-
-// CDF returns (sorted values, cumulative fractions) for plotting. The
-// values are always a fresh copy (callers plot and mutate them), but
-// already-sorted input skips the re-sort.
-func CDF(xs []float64) (vals, fracs []float64) {
-	vals = append([]float64(nil), xs...)
-	if !sort.Float64sAreSorted(vals) {
-		sort.Float64s(vals)
-	}
-	fracs = make([]float64, len(vals))
-	for i := range vals {
-		fracs[i] = float64(i+1) / float64(len(vals))
-	}
-	return vals, fracs
 }

@@ -99,16 +99,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	vals, fracs := CDF([]float64{3, 1, 2})
-	if vals[0] != 1 || vals[2] != 3 {
-		t.Errorf("vals = %v", vals)
-	}
-	if fracs[0] != 1.0/3 || fracs[2] != 1 {
-		t.Errorf("fracs = %v", fracs)
-	}
-}
-
 func TestMeanMaxMin(t *testing.T) {
 	xs := []float64{4, -1, 7}
 	if Mean(xs) != 10.0/3 || Max(xs) != 7 || Min(xs) != -1 {

@@ -97,7 +97,7 @@ func NewFatTree(eng *sim.Engine, k int, cfg Config) *FatTree {
 
 // OversubTree is the evaluation fabric of §6.3: a 3-tier tree where all
 // links run at the same speed and each ToR serves HostsPerToR hosts with
-// UplinksPerToR uplinks. The paper's configuration (8 core, 16 agg,
+// uplinksPerToR uplinks. The paper's configuration (8 core, 16 agg,
 // 32 ToR, 6 hosts/ToR, 2 uplinks/ToR, all 10G or all 40G) gives 3:1
 // oversubscription at the ToR layer.
 type OversubTree struct {
@@ -111,27 +111,26 @@ type OversubTree struct {
 	ToRUplinks [][]*netem.Port
 }
 
-// OversubParams sizes an OversubTree.
+// OversubParams sizes an OversubTree. Every agg links to every core
+// (a full agg–core mesh): the paper constrains only the ToR layer to
+// 3:1, and a full mesh guarantees min-hop connectivity between every agg
+// pair.
 type OversubParams struct {
 	Cores, Aggs, ToRs, HostsPerToR int
-	UplinksPerToR                  int // default 2
-	// CoreLinksPerAgg defaults to Cores (full agg–core mesh): the paper
-	// constrains only the ToR layer to 3:1, and a full mesh guarantees
-	// min-hop connectivity between every agg pair.
-	CoreLinksPerAgg int
 }
+
+// uplinksPerToR is each ToR's number of agg uplinks, the paper's 2.
+const uplinksPerToR = 2
 
 // PaperEval is the §6.3 fabric (192 hosts, 3:1 oversubscription).
 func PaperEval() OversubParams {
-	return OversubParams{Cores: 8, Aggs: 16, ToRs: 32, HostsPerToR: 6,
-		UplinksPerToR: 2}
+	return OversubParams{Cores: 8, Aggs: 16, ToRs: 32, HostsPerToR: 6}
 }
 
 // ScaledEval is a smaller fabric with the same 3:1 shape for quick runs
 // (48 hosts).
 func ScaledEval() OversubParams {
-	return OversubParams{Cores: 2, Aggs: 4, ToRs: 8, HostsPerToR: 6,
-		UplinksPerToR: 2}
+	return OversubParams{Cores: 2, Aggs: 4, ToRs: 8, HostsPerToR: 6}
 }
 
 // UplinkCapacity returns the aggregate ToR-uplink capacity, the
@@ -149,12 +148,6 @@ func (ot *OversubTree) UplinkCapacity() unit.Rate {
 // NewOversubTree builds the oversubscribed 3-tier fabric.
 func NewOversubTree(eng *sim.Engine, p OversubParams, cfg Config) *OversubTree {
 	cfg = cfg.withDefaults()
-	if p.UplinksPerToR == 0 {
-		p.UplinksPerToR = 2
-	}
-	if p.CoreLinksPerAgg == 0 {
-		p.CoreLinksPerAgg = p.Cores
-	}
 	net := netem.NewNetwork(eng)
 	ot := &OversubTree{Net: net, P: p}
 	for i := 0; i < p.Cores; i++ {
@@ -177,16 +170,15 @@ func NewOversubTree(eng *sim.Engine, p OversubParams, cfg Config) *OversubTree {
 	}
 	corePort := cfg.port(cfg.CoreRate)
 	edgePort := cfg.port(cfg.LinkRate)
-	for a, agg := range ot.Aggs {
-		for c := 0; c < p.CoreLinksPerAgg; c++ {
-			core := ot.Cores[(a*p.CoreLinksPerAgg+c)%p.Cores]
+	for _, agg := range ot.Aggs {
+		for _, core := range ot.Cores {
 			net.Connect(agg, core, corePort)
 		}
 	}
 	ot.ToRUplinks = make([][]*netem.Port, p.ToRs)
 	for t, tor := range ot.ToRs {
-		for f := 0; f < p.UplinksPerToR; f++ {
-			agg := ot.Aggs[(t*p.UplinksPerToR+f)%p.Aggs]
+		for f := 0; f < uplinksPerToR; f++ {
+			agg := ot.Aggs[(t*uplinksPerToR+f)%p.Aggs]
 			up, _ := net.Connect(tor, agg, corePort)
 			ot.ToRUplinks[t] = append(ot.ToRUplinks[t], up)
 		}

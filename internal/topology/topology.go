@@ -20,22 +20,10 @@ type Config struct {
 	CoreRate  unit.Rate    // fabric link speed; defaults to LinkRate
 	LinkDelay sim.Duration // per-link propagation delay (default 4 µs)
 
-	// Switch buffering.
-	DataCapacity   unit.Bytes // per-port data budget (default 384.5 KB)
-	CreditQueueCap int        // per-port credit budget in packets (default: netem's 8)
-	CreditBurst    unit.Bytes // credit token bucket size (default: netem's two max-size credits)
-
-	// CreditTailDrop disables random-victim credit dropping (Fig 6's
-	// jitter ablation runs on plain drop-tail queues).
-	CreditTailDrop bool
-
-	// Optional per-port features, applied to every switch port; zero is
-	// off (see netem.PortConfig).
-	ECNThreshold unit.Bytes
-	RED          bool
-	RCP          sim.Duration
-	Phantom      bool
-	PFC          unit.Bytes
+	// Port is every link's port configuration, buffering and optional
+	// features alike; its Rate and Delay are set per link from the
+	// fields above. DataCapacity defaults to 384.5 KB.
+	Port netem.PortConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -48,8 +36,8 @@ func (c Config) withDefaults() Config {
 	if c.LinkDelay == 0 {
 		c.LinkDelay = 4 * sim.Microsecond
 	}
-	if c.DataCapacity == 0 {
-		c.DataCapacity = unit.Bytes(384.5 * 1000) // 250 MTUs, paper §6.3
+	if c.Port.DataCapacity == 0 {
+		c.Port.DataCapacity = unit.Bytes(384.5 * 1000) // 250 MTUs, paper §6.3
 	}
 	return c
 }
@@ -60,20 +48,11 @@ func newHost(net *netem.Network, name string) *netem.Host {
 	return net.NewHost(name, netem.HardwareNICDelay())
 }
 
+// port returns the link configuration at rate.
 func (c Config) port(rate unit.Rate) netem.PortConfig {
-	return netem.PortConfig{
-		Rate:           rate,
-		Delay:          c.LinkDelay,
-		DataCapacity:   c.DataCapacity,
-		CreditQueueCap: c.CreditQueueCap,
-		CreditBurst:    c.CreditBurst,
-		CreditTailDrop: c.CreditTailDrop,
-		ECNThreshold:   c.ECNThreshold,
-		RED:            c.RED,
-		RCP:            c.RCP,
-		Phantom:        c.Phantom,
-		PFC:            c.PFC,
-	}
+	pc := c.Port
+	pc.Rate, pc.Delay = rate, c.LinkDelay
+	return pc
 }
 
 // Star is N hosts hanging off one switch: the dumbbell/incast/shuffle

@@ -231,8 +231,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.LinkRate != 10*unit.Gbps || star.DownPort(0).Config().CreditQueueCap != 8 {
 		t.Errorf("defaults: %+v, port %+v", c, star.DownPort(0).Config())
 	}
-	if c.DataCapacity != unit.Bytes(384500) {
-		t.Errorf("data capacity default %v, want 384.5KB (250 MTUs)", c.DataCapacity)
+	if c.Port.DataCapacity != unit.Bytes(384500) {
+		t.Errorf("data capacity default %v, want 384.5KB (250 MTUs)", c.Port.DataCapacity)
 	}
 	if h := star.Hosts[0]; h.Delay != netem.HardwareNICDelay() {
 		t.Errorf("host delay model %+v, want the NIC-hardware one", h.Delay)

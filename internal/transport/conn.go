@@ -6,22 +6,12 @@ import (
 	"expresspass/internal/unit"
 )
 
-// SendMode selects how a Conn decides it may transmit the next segment.
-type SendMode uint8
-
-// Send modes.
-const (
-	// ModeWindow transmits while in-flight bytes are below cwnd.
-	ModeWindow SendMode = iota
-	// ModePaced transmits one segment per pacing interval derived from
-	// PaceRate (used by RCP and the ideal-rate oracle).
-	ModePaced
-)
-
 // CC is the pluggable congestion-control policy of a Conn. Window-based
 // policies adjust c.Cwnd (in packets); paced policies adjust c.PaceRate.
 type CC interface {
-	// Init runs once when the connection starts.
+	// Init runs once when the connection starts, before its first
+	// segment. It is where a policy declares how its Conn sends: Paced,
+	// ECN, MinCwnd and the initial PaceRate are the CC's to set.
 	Init(c *Conn)
 	// OnAck runs for every new cumulative ACK. acked is the newly acked
 	// payload; the ack packet itself carries ECN echo / RCP rate / delay.
@@ -48,36 +38,23 @@ const (
 	txJitter        = sim.Microsecond
 )
 
-// ConnConfig tunes the reliability machinery.
-type ConnConfig struct {
-	Mode     SendMode
-	MinCwnd  float64      // packets, default 1
-	InitRate unit.Rate    // ModePaced initial rate (default line rate)
-	MinRTO   sim.Duration // default 10 ms
-	ECN      bool         // set ECT on data packets
-}
-
-func (c ConnConfig) withDefaults() ConnConfig {
-	if c.MinCwnd == 0 {
-		c.MinCwnd = 1
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 10 * sim.Millisecond // common datacenter TCP setting
-	}
-	return c
-}
-
 // Conn is a reliable unidirectional byte stream from Flow.Sender to
 // Flow.Receiver with congestion control. It registers one endpoint at
 // each host and runs entirely inside the simulation.
 type Conn struct {
 	Flow *Flow
-	Cfg  ConnConfig
 	CC   CC
 
+	// How the sender transmits, set by CC.Init: Paced sends one segment
+	// per PaceRate interval instead of filling Cwnd, ECN sets ECT on
+	// data packets, and MinCwnd is ClampCwnd's floor (default 1).
+	Paced   bool
+	ECN     bool
+	MinCwnd float64
+
 	// Sender state. Sequence numbers are payload byte offsets.
-	Cwnd         float64   // window in packets (ModeWindow)
-	PaceRate     unit.Rate // current rate (ModePaced)
+	Cwnd         float64   // window in packets (window mode)
+	PaceRate     unit.Rate // current rate (Paced; default line rate)
 	SRTT         sim.Duration
 	RTTVar       sim.Duration
 	nextSeq      int64 // next new byte to send
@@ -91,7 +68,8 @@ type Conn struct {
 	stopped      bool
 	senderActive bool
 	rng          *sim.Rand
-	lastTx       sim.Time // keeps jittered emissions FIFO
+	lastTx       sim.Time     // keeps jittered emissions FIFO
+	minRTO       sim.Duration // the RTO floor
 
 	// Receiver state.
 	expected int64
@@ -126,21 +104,21 @@ func connSend(obj, aux any, _ uint64) {
 }
 
 // NewConn wires a connection for f and schedules its start. cc may not
-// be nil.
-func NewConn(f *Flow, cc CC, cfg ConnConfig) *Conn {
-	cfg = cfg.withDefaults()
-	c := &Conn{
-		Flow: f,
-		Cfg:  cfg,
-		Cwnd: initCwnd,
-		CC:   cc,
-		ooo:  make(map[int64]unit.Bytes),
-		rng:  f.Sender.Rand().Fork(),
+// be nil; minRTO is the run's RTO floor (zero: 10 ms, a common
+// datacenter TCP setting).
+func NewConn(f *Flow, cc CC, minRTO sim.Duration) *Conn {
+	if minRTO == 0 {
+		minRTO = 10 * sim.Millisecond
 	}
-	if cfg.InitRate == 0 {
-		c.PaceRate = f.Sender.LineRate()
-	} else {
-		c.PaceRate = cfg.InitRate
+	c := &Conn{
+		Flow:     f,
+		CC:       cc,
+		MinCwnd:  1,
+		Cwnd:     initCwnd,
+		PaceRate: f.Sender.LineRate(),
+		ooo:      make(map[int64]unit.Bytes),
+		rng:      f.Sender.Rand().Fork(),
+		minRTO:   minRTO,
 	}
 	f.Sender.Register(f.ID, connSender{c})
 	f.Receiver.Register(f.ID, connReceiver{c})
@@ -156,7 +134,7 @@ func (c *Conn) start() {
 	c.senderActive = true
 	c.CC.Init(c)
 	c.armRTO()
-	if c.Cfg.Mode == ModePaced {
+	if c.Paced {
 		c.paceNext()
 	} else {
 		c.pump()
@@ -200,13 +178,10 @@ func (c *Conn) Stopped() bool { return c.stopped }
 // NextSeqNum returns the next new payload byte the sender will emit.
 func (c *Conn) NextSeqNum() int64 { return c.nextSeq }
 
-// AckSeqNum returns the highest cumulative ack received.
-func (c *Conn) AckSeqNum() int64 { return c.ackSeq }
-
 // ClampCwnd bounds Cwnd to [MinCwnd, 10,000 packets].
 func (c *Conn) ClampCwnd() {
-	if c.Cwnd < c.Cfg.MinCwnd {
-		c.Cwnd = c.Cfg.MinCwnd
+	if c.Cwnd < c.MinCwnd {
+		c.Cwnd = c.MinCwnd
 	}
 	if c.Cwnd > maxCwnd {
 		c.Cwnd = maxCwnd
@@ -229,9 +204,9 @@ func (c *Conn) totalBytes() int64 {
 	return int64(c.Flow.Size)
 }
 
-// pump transmits as much as the window allows (ModeWindow).
+// pump transmits as much as the window allows (window mode).
 func (c *Conn) pump() {
-	if c.stopped || c.Cfg.Mode != ModeWindow {
+	if c.stopped || c.Paced {
 		return
 	}
 	for c.sendPoint < c.totalBytes() {
@@ -244,9 +219,9 @@ func (c *Conn) pump() {
 	}
 }
 
-// paceNext emits one segment and schedules the next (ModePaced).
+// paceNext emits one segment and schedules the next (Paced).
 func (c *Conn) paceNext() {
-	if c.stopped || c.Cfg.Mode != ModePaced {
+	if c.stopped || !c.Paced {
 		return
 	}
 	if c.sendPoint >= c.totalBytes() {
@@ -298,7 +273,7 @@ func (c *Conn) sendSegmentAt(seq int64) unit.Bytes {
 	if p.Wire < unit.MinFrame {
 		p.Wire = unit.MinFrame
 	}
-	p.ECNCapable = c.Cfg.ECN
+	p.ECNCapable = c.ECN
 	if seq < c.nextSeq {
 		c.Retransmits++
 	}
@@ -411,7 +386,7 @@ func (c *Conn) onAckPacket(p *packet.Packet) {
 		c.rtoTimer.Cancel()
 		return
 	}
-	if c.Cfg.Mode == ModeWindow {
+	if !c.Paced {
 		c.pump()
 	} else if !c.paceTimer.Pending() {
 		c.paceNext()
@@ -441,8 +416,8 @@ func (c *Conn) updateRTT(s sim.Duration) {
 
 func (c *Conn) rto() sim.Duration {
 	r := c.SRTT + 4*c.RTTVar
-	if r < c.Cfg.MinRTO {
-		r = c.Cfg.MinRTO
+	if r < c.minRTO {
+		r = c.minRTO
 	}
 	if r > maxRTO {
 		r = maxRTO
@@ -474,9 +449,9 @@ func (c *Conn) onRTO() {
 	c.sendPoint = c.ackSeq
 	c.CC.OnTimeout(c)
 	c.armRTO()
-	if c.Cfg.Mode == ModeWindow {
-		c.pump()
-	} else {
+	if c.Paced {
 		c.paceNext()
+	} else {
+		c.pump()
 	}
 }

@@ -29,15 +29,23 @@ func (a *aimd) OnFastRetransmit(c *Conn) {
 }
 func (a *aimd) OnTimeout(c *Conn) {
 	a.rto++
-	c.Cwnd = c.Cfg.MinCwnd
+	c.Cwnd = c.MinCwnd
 }
+
+// pacedAIMD is aimd on a paced sender that starts at rate.
+type pacedAIMD struct {
+	aimd
+	rate unit.Rate
+}
+
+func (a *pacedAIMD) Init(c *Conn) { c.Paced, c.PaceRate = true, a.rate }
 
 func testNet(t *testing.T, queue unit.Bytes) (*sim.Engine, *topology.Dumbbell) {
 	t.Helper()
 	eng := sim.New(1)
 	d := topology.NewDumbbell(eng, 2, topology.Config{
 		LinkRate: 10 * unit.Gbps, LinkDelay: 2 * sim.Microsecond,
-		DataCapacity: queue,
+		Port: netem.PortConfig{DataCapacity: queue},
 	})
 	return eng, d
 }
@@ -45,7 +53,7 @@ func testNet(t *testing.T, queue unit.Bytes) (*sim.Engine, *topology.Dumbbell) {
 func TestConnDeliversExactly(t *testing.T) {
 	eng, d := testNet(t, 16*unit.MB)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 3*unit.MB, 0)
-	NewConn(f, &aimd{}, ConnConfig{})
+	NewConn(f, &aimd{}, 0)
 	eng.RunUntil(1 * sim.Second)
 	if !f.Finished {
 		t.Fatal("flow did not finish")
@@ -64,11 +72,11 @@ func TestConnRecoversFromDrops(t *testing.T) {
 	eng, d := testNet(t, 10*1538)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 2*unit.MB, 0)
 	cc := &aimd{}
-	c := NewConn(f, cc, ConnConfig{})
+	c := NewConn(f, cc, 0)
 	c.Cwnd = 64 // aimd.Init leaves the window alone: the flow starts at 64
 	eng.RunUntil(2 * sim.Second)
 	if !f.Finished {
-		t.Fatalf("flow did not finish (acked %v)", c.AckSeqNum())
+		t.Fatalf("flow did not finish (acked %v)", c.ackSeq)
 	}
 	if f.BytesDelivered != 2*unit.MB {
 		t.Errorf("delivered %v", f.BytesDelivered)
@@ -85,7 +93,7 @@ func TestConnFastRetransmitBeforeRTO(t *testing.T) {
 	eng, d := testNet(t, 30*1538)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 4*unit.MB, 0)
 	cc := &aimd{}
-	c := NewConn(f, cc, ConnConfig{MinRTO: 50 * sim.Millisecond})
+	c := NewConn(f, cc, 50*sim.Millisecond)
 	c.Cwnd = 128 // aimd.Init leaves the window alone: the flow starts at 128
 	eng.RunUntil(3 * sim.Second)
 	if !f.Finished {
@@ -99,7 +107,7 @@ func TestConnFastRetransmitBeforeRTO(t *testing.T) {
 func TestConnPacedModeRate(t *testing.T) {
 	eng, d := testNet(t, 16*unit.MB)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := NewConn(f, &aimd{}, ConnConfig{Mode: ModePaced, InitRate: 1 * unit.Gbps})
+	c := NewConn(f, &pacedAIMD{rate: 1 * unit.Gbps}, 0)
 	meas := 20 * sim.Millisecond
 	eng.RunUntil(meas)
 	got := float64(f.BytesDelivered) * 8 / meas.Seconds()
@@ -113,7 +121,7 @@ func TestConnPacedModeRate(t *testing.T) {
 func TestConnStopUnregisters(t *testing.T) {
 	eng, d := testNet(t, 16*unit.MB)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := NewConn(f, &aimd{}, ConnConfig{})
+	c := NewConn(f, &aimd{}, 0)
 	eng.RunUntil(1 * sim.Millisecond)
 	c.Stop()
 	before := d.Senders[0].Unclaimed + d.Receivers[0].Unclaimed
@@ -131,7 +139,7 @@ func TestConnStopUnregisters(t *testing.T) {
 func TestConnRTTEstimation(t *testing.T) {
 	eng, d := testNet(t, 16*unit.MB)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 1*unit.MB, 0)
-	c := NewConn(f, &aimd{}, ConnConfig{})
+	c := NewConn(f, &aimd{}, 0)
 	eng.RunUntil(1 * sim.Second)
 	// Base one-way ≈ 3 links × 2 µs + serialization; SRTT ≈ 2×one-way.
 	if c.SRTT < 10*sim.Microsecond || c.SRTT > 100*sim.Microsecond {
@@ -159,8 +167,8 @@ func TestFlowAccounting(t *testing.T) {
 	if f.FCT() != 2*sim.Millisecond {
 		t.Errorf("FCT = %v, want 2ms", f.FCT())
 	}
-	if f.Remaining() != 0 {
-		t.Errorf("Remaining = %v", f.Remaining())
+	if r := f.Size - f.BytesDelivered; r != 0 {
+		t.Errorf("remaining = %v", r)
 	}
 	if d := f.TakeDeliveredDelta(); d != 1000 {
 		t.Errorf("delta = %v", d)
@@ -173,7 +181,7 @@ func TestFlowAccounting(t *testing.T) {
 func TestLongRunningFlowNeverFinishes(t *testing.T) {
 	eng, d := testNet(t, 16*unit.MB)
 	f := NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	c := NewConn(f, &aimd{}, ConnConfig{})
+	c := NewConn(f, &aimd{}, 0)
 	eng.RunUntil(5 * sim.Millisecond)
 	if f.Finished {
 		t.Error("size-0 flow finished")
@@ -184,21 +192,21 @@ func TestLongRunningFlowNeverFinishes(t *testing.T) {
 	c.Stop()
 }
 
-func TestConnConfigDefaults(t *testing.T) {
-	c := ConnConfig{}.withDefaults()
-	if c.MinCwnd != 1 {
-		t.Errorf("defaults: %+v", c)
+// TestConnDefaults: a CC that declares nothing gets an
+// unpaced, non-ECN window sender with a 1-packet floor, paced at line
+// rate if it turns pacing on, and a zero minRTO means 10 ms.
+func TestConnDefaults(t *testing.T) {
+	_, d := testNet(t, 16*unit.MB)
+	c := NewConn(NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0), &aimd{}, 0)
+	if c.Paced || c.ECN || c.MinCwnd != 1 || c.PaceRate != 10*unit.Gbps {
+		t.Errorf("defaults: Paced %v ECN %v MinCwnd %v PaceRate %v", c.Paced, c.ECN, c.MinCwnd, c.PaceRate)
 	}
-	if c.MinRTO != 10*sim.Millisecond {
-		t.Errorf("minRTO default %v", c.MinRTO)
+	if c.minRTO != 10*sim.Millisecond {
+		t.Errorf("minRTO default %v", c.minRTO)
 	}
 	// A new connection opens at the ns-2 initial window of 10 full
 	// segments.
-	_, d := testNet(t, 16*unit.MB)
-	conn := NewConn(NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0), &aimd{}, c)
-	if conn.Cwnd != 10 || conn.CwndBytes() != 10*unit.MTUPayload {
-		t.Errorf("initial window %v packets, %v", conn.Cwnd, conn.CwndBytes())
+	if c.Cwnd != 10 || c.CwndBytes() != 10*unit.MTUPayload {
+		t.Errorf("initial window %v packets, %v", c.Cwnd, c.CwndBytes())
 	}
 }
-
-var _ = netem.PortConfig{}

@@ -74,15 +74,3 @@ func (f *Flow) TakeDeliveredDelta() unit.Bytes {
 	f.lastSampledBytes = f.BytesDelivered
 	return d
 }
-
-// Remaining returns bytes not yet delivered (Size 0 → a large sentinel).
-func (f *Flow) Remaining() unit.Bytes {
-	if f.Size == 0 {
-		return 1 << 50
-	}
-	r := f.Size - f.BytesDelivered
-	if r < 0 {
-		return 0
-	}
-	return r
-}

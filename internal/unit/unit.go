@@ -66,14 +66,6 @@ func TxTime(n Bytes, r Rate) sim.Duration {
 	return sim.Duration(sec)*sim.Second + sim.Duration(q)
 }
 
-// RateOf returns the average rate of n bytes transferred over d.
-func RateOf(n Bytes, d sim.Duration) Rate {
-	if d <= 0 {
-		return 0
-	}
-	return Rate(float64(n) * 8 / d.Seconds())
-}
-
 // Scale returns r scaled by f.
 func (r Rate) Scale(f float64) Rate { return Rate(float64(r) * f) }
 

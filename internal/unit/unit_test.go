@@ -47,13 +47,14 @@ func TestTxTimePanicsOnZeroRate(t *testing.T) {
 	TxTime(100, 0)
 }
 
-// Property: RateOf(TxTime) round-trips within quantization error.
+// Property: the rate n bytes over TxTime(n, r) recovers r within
+// quantization error.
 func TestRateRoundTripProperty(t *testing.T) {
 	f := func(kb uint16, gb uint8) bool {
 		n := Bytes(kb)*KB + 84
 		r := Rate(gb%100+1) * Gbps
 		d := TxTime(n, r)
-		got := RateOf(n, d)
+		got := Rate(float64(n) * 8 / d.Seconds())
 		diff := float64(got-r) / float64(r)
 		return diff < 0.001 && diff > -0.001
 	}
@@ -108,11 +109,5 @@ func TestScale(t *testing.T) {
 	}
 	if got := (10 * Gbps).Scale(CreditRatio); got < 517*Mbps || got > 519*Mbps {
 		t.Errorf("credit share of 10G = %v", got)
-	}
-}
-
-func TestRateOfZeroDuration(t *testing.T) {
-	if RateOf(100, 0) != 0 {
-		t.Error("RateOf with zero duration should be 0")
 	}
 }

@@ -100,10 +100,11 @@ type ShuffleConfig struct {
 	Hosts        int
 	TasksPerHost int
 	Bytes        unit.Bytes // per task-pair transfer (paper: 1 MB)
-	// StartJitter staggers flow starts slightly so the all-to-all burst
-	// isn't a single synchronized instant.
-	StartJitter sim.Duration
 }
+
+// shuffleJitter staggers shuffle flow starts uniformly over
+// [0, 1 ms] so the all-to-all burst isn't a single synchronized instant.
+const shuffleJitter = sim.Millisecond
 
 // Shuffle expands the config: host h sends (Hosts−1)·TasksPerHost²
 // flows, one per (local task, remote task) pair.
@@ -115,10 +116,7 @@ func Shuffle(rng *sim.Rand, cfg ShuffleConfig) []FlowSpec {
 				continue
 			}
 			for i := 0; i < cfg.TasksPerHost*cfg.TasksPerHost; i++ {
-				var st sim.Time
-				if cfg.StartJitter > 0 {
-					st = rng.Range(0, cfg.StartJitter)
-				}
+				st := rng.Range(0, shuffleJitter)
 				specs = append(specs, FlowSpec{Src: src, Dst: dst, Size: cfg.Bytes, Start: st})
 			}
 		}

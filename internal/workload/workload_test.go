@@ -141,6 +141,9 @@ func TestShuffleSpecs(t *testing.T) {
 		if s.Src == s.Dst {
 			t.Fatal("self shuffle")
 		}
+		if s.Start < 0 || s.Start > shuffleJitter {
+			t.Errorf("start %v outside [0, %v]", s.Start, shuffleJitter)
+		}
 		count[[2]int{s.Src, s.Dst}]++
 	}
 	for pair, c := range count {
