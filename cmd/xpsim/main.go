@@ -23,7 +23,8 @@
 //	                  laptop-fast shape check
 //	-seed N           deterministic random seed
 //	-procs N          worker goroutines sweep trials fan out across
-//	                  (1 = serial); see internal/runner
+//	                  (1 = serial); a run with -trace or -metrics uses
+//	                  1 (N > 1 prints a note); see internal/runner
 //	-shards N         ignored, kept so existing command lines parse:
 //	                  intra-run sharding was removed (N > 1 prints a note)
 //	-faults SPEC      fault timeline replacing the built-in one of the
@@ -113,7 +114,7 @@ func newFlags(fs *flag.FlagSet) *options {
 			"recurring every{...} chaos schedules, e.g. "+
 			"'gemodel:credit:0.02:0.3@10ms+40ms; every:20ms:roll{ stall@0ms+2ms }@10ms+80ms'")
 	fs.IntVar(&o.procs, "procs", runtime.GOMAXPROCS(0),
-		"worker goroutines for sweep trials (1 = serial; output is identical either way)")
+		"worker goroutines for sweep trials (1 = serial; output is identical either way; -trace/-metrics runs use 1)")
 	fs.IntVar(&o.shards, "shards", 0,
 		"ignored: intra-run sharding was removed; kept so existing command lines parse")
 	fs.BoolVar(&o.invariants, "invariants", false,
@@ -152,6 +153,13 @@ func checkFlagNeeds(fs *flag.FlagSet) error {
 		}
 	})
 	return err
+}
+
+// isSet reports whether the command line set the flag name.
+func isSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 // checkScenarioAlone rejects a command line that sets -scenario-seed
@@ -221,6 +229,9 @@ func parseCommandLine(argv []string, stderr io.Writer) (c *command, err error) {
 	}
 	if o.shards > 1 {
 		fmt.Fprintf(stderr, "xpsim: -shards %d ignored: intra-run sharding was removed (DESIGN.md \"One event queue per trial\")\n", o.shards)
+	}
+	if o.procs > 1 && (o.tracePath != "" || o.metricsPath != "") && isSet(fs, "procs") {
+		fmt.Fprintf(stderr, "xpsim: -procs %d: a traced or metered run runs its trials in order on one worker\n", o.procs)
 	}
 	if o.faultSpec != "" {
 		if c.params.Faults, err = expresspass.ParseFaultSpec(o.faultSpec); err != nil {
@@ -344,10 +355,6 @@ func main() {
 				rt.Elapsed().Round(time.Millisecond), humanSI(rate),
 				humanBytes(res.PeakRSSBytes), humanBytes(res.HeapAllocBytes),
 				res.NumGC, res.GCPauseTotal.Round(time.Microsecond))
-			if peak := rt.PeakBufferedBytes(); peak > 0 {
-				fmt.Fprintf(os.Stderr, "xpsim: peak worker trace/metrics buffers %s\n",
-					humanBytes(uint64(peak)))
-			}
 			events, _ := rt.EngineTotals()
 			fmt.Fprintf(os.Stderr, "xpsim: sched: %s\n", schedSummary(events, rt.SchedTotals()))
 		}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -364,6 +365,37 @@ func TestShardsFlagIsIgnored(t *testing.T) {
 		}
 		if out != serial {
 			t.Errorf("-shards %s stdout differs from -shards 0:\n%s\n---\n%s", shards, out, serial)
+		}
+	}
+}
+
+// TestObservedProcsNote: a traced or metered run runs its trials in
+// order on one worker (internal/runner), so an explicit -procs above 1
+// next to -trace or -metrics says once on stderr that it falls back to
+// serial. The default -procs, -procs 1 and a -progress-only run say
+// nothing.
+func TestObservedProcsNote(t *testing.T) {
+	// The default -procs is GOMAXPROCS: above 1, so the first row would
+	// print the note if an unset -procs counted.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, tc := range []struct {
+		args []string
+		note string
+	}{
+		{[]string{"-trace", "t.jsonl", "fig9"}, ""},
+		{[]string{"-procs", "1", "-trace", "t.jsonl", "fig9"}, ""},
+		{[]string{"-procs", "2", "-trace", "t.jsonl", "fig9"},
+			"xpsim: -procs 2: a traced or metered run runs its trials in order on one worker\n"},
+		{[]string{"-procs", "3", "-metrics", "m.csv", "fig9"},
+			"xpsim: -procs 3: a traced or metered run runs its trials in order on one worker\n"},
+		{[]string{"-procs", "2", "-progress", "fig9"}, ""},
+	} {
+		var stderr strings.Builder
+		if _, err := parseCommandLine(append([]string{"xpsim"}, tc.args...), &stderr); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if stderr.String() != tc.note {
+			t.Errorf("%q: stderr %q, want %q", tc.args, stderr.String(), tc.note)
 		}
 	}
 }

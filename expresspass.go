@@ -186,8 +186,9 @@ type Experiment = experiments.Experiment
 
 // ExperimentParams are one experiment run, whole: scale, seed and fault
 // plan, and how it runs — Procs sweep workers (0 = GOMAXPROCS; output is
-// byte-identical at any count), the Obs runtime its networks record
-// into and the Invariants set that checks them. Runs with different
+// byte-identical at any count; a run whose Obs traces or writes metrics
+// uses one), the Obs runtime its networks record into and the
+// Invariants set that checks them. Runs with different
 // params may share a process.
 type ExperimentParams = experiments.Params
 

@@ -36,7 +36,8 @@ type Params struct {
 	Faults faults.Plan
 	// Procs is how many worker goroutines a sweep fans its trials
 	// across (xpsim's -procs): 1 is serial, 0 means GOMAXPROCS. Output
-	// is byte-identical at any count.
+	// is byte-identical at any count. A run whose Obs traces or writes
+	// metrics runs serially whatever Procs says (runner.Run).
 	Procs int
 	// Obs, when non-nil, receives the trace events and metrics rows of
 	// every network the run builds (xpsim's -trace, -metrics, -progress).

@@ -76,7 +76,7 @@ var gateHeavy = map[string]bool{
 var gateAnalytic = map[string]bool{"table1": true, "fig5": true}
 
 // gateWorkers returns the parallel arm's worker count: at least 4 so
-// the worker pool, trial buffering, and submission-order merge are
+// the worker pool and the submission-order merge of results are
 // genuinely exercised even on single-core CI runners (where
 // GOMAXPROCS(0) == 1 would degenerate to the serial path).
 func gateWorkers() int {
@@ -235,14 +235,16 @@ func TestModeMatrixByteIdentical(t *testing.T) {
 
 // TestModeMatrixObsByteIdentical is the obs variant of the gate: a
 // traced, metered experiment runs serially and once per row of
-// gateModes, and stdout, the trace — produced through the per-trial
-// buffering path netem actually uses — and the metrics CSV must match
-// the serial run byte for byte. Every run has its own runtime and set,
-// so the rows run concurrently.
+// gateModes, and stdout, the trace — produced through the trial scopes
+// netem actually uses — and the metrics CSV must match the serial run
+// byte for byte. A traced or metered run runs its trials in order on
+// one worker whatever its Procs (runner.Run), so the rows hold that
+// rule to the serial bytes. Every run has its own runtime and set, so
+// the rows run concurrently.
 //
 // The serial reference runs unarmed and every other run is armed, so the
 // rows also prove that arming changes no trace byte: the checker sits on
-// the tee in front of the run's or the trial's tracer, subscribed to the
+// the tee in front of the run's tracer, subscribed to the
 // union of its own types and the trace's. The filtered row does the same
 // serially and at the pool width under a -trace-types filter of three
 // types the checker does not read, where that union is narrower than
@@ -304,8 +306,8 @@ func TestModeMatrixObsByteIdentical(t *testing.T) {
 		if ft == "" || len(ft) >= len(st) {
 			t.Fatalf("filtered trace is %d bytes, unfiltered %d", len(ft), len(st))
 		}
-		// Armed, serially — the checker's tee in front of the run's own
-		// tracer — and at the pool width, in front of each trial's buffer.
+		// Armed, at -procs 1 and at the pool width: the checker's tee in
+		// front of the run's own tracer either way.
 		for _, procs := range []int{1, gateWorkers()} {
 			mo, mt, mm := run(t, procs, true, filter...)
 			compare(t, procs, fo, ft, fm, mo, mt, mm)

@@ -39,9 +39,9 @@
 // event carries (obs.Event.Port, netem.Port.Number) and the credit
 // ledger by flow ID, both in plain slices: no name is hashed or compared
 // per event. There is deliberately no second, direct path from a port to
-// the checker: the tee is what -trace, -flight and the per-trial buffers
-// hang off, and it delivers events to the checker in emission order
-// whichever mode the run is in.
+// the checker: the tee is what -trace and -flight hang off, and it
+// delivers events to the checker in emission order whichever mode the
+// run is in.
 // Stats counts what a verdict rests on.
 package invariant
 

@@ -2,7 +2,7 @@ package netem
 
 // Observability wiring. A Network built on an engine whose Wiring names
 // a scope — the obs.Trial of the sweep trial that created the engine —
-// hands the trial's tracer to every port and, when a metrics CSV is
+// hands the run's tracer to every port and, when a metrics CSV is
 // requested, registers engine and per-port gauges in a private registry
 // sampled on the simulation clock; the rows carry the trial's scope
 // labels ("t3.0"). None of this runs for an engine without one: every

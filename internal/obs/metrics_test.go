@@ -132,7 +132,7 @@ func TestRuntimeMetricsCSV(t *testing.T) {
 
 // TestRuntimeEngineTotals: the runtime's totals are those of its
 // finished trials — events add up across trials, the peak is a max, and
-// a trial counts when it finishes, not when the head reaches it.
+// a trial counts when it finishes, in whatever order trials finish.
 func TestRuntimeEngineTotals(t *testing.T) {
 	rt := NewRuntime(Config{})
 	e1, e2 := sim.New(1), sim.New(2)
@@ -150,7 +150,7 @@ func TestRuntimeEngineTotals(t *testing.T) {
 	}
 	t1.Finish()
 	if events, _ := rt.EngineTotals(); events != 1 {
-		t.Errorf("events = %d after trial 1 finished behind the head, want 1", events)
+		t.Errorf("events = %d after trial 1 finished, want 1", events)
 	}
 	t0.Finish()
 	events, peak := rt.EngineTotals()

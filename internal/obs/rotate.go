@@ -58,7 +58,6 @@ type RotatingWriter struct {
 	// atBoundary is true when the last byte written was '\n' — the only
 	// points where rotation is allowed.
 	atBoundary bool
-	segments   []string
 	err        error
 }
 
@@ -99,7 +98,6 @@ func (w *RotatingWriter) openSegment(withHeader bool) error {
 		w.w = f
 	}
 	w.size = 0
-	w.segments = append(w.segments, name)
 	if withHeader && len(w.cfg.Header) > 0 {
 		n, herr := w.w.Write(w.cfg.Header)
 		w.size += int64(n)
@@ -194,10 +192,4 @@ func (w *RotatingWriter) Close() error {
 		err = cerr
 	}
 	return err
-}
-
-// Segments returns the paths of every segment created so far, oldest
-// first.
-func (w *RotatingWriter) Segments() []string {
-	return append([]string(nil), w.segments...)
 }

@@ -23,6 +23,17 @@ func testEvent(i int) Event {
 	}
 }
 
+// segmentFiles returns the files in dir, in name order: the segments a
+// RotatingWriter left on disk, oldest first.
+func segmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segs
+}
+
 func TestRotatingWriterSplitsAtLineBoundaries(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.jsonl")
@@ -37,7 +48,7 @@ func TestRotatingWriterSplitsAtLineBoundaries(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	segs := rw.Segments()
+	segs := segmentFiles(t, dir)
 	if len(segs) < 2 {
 		t.Fatalf("expected multiple segments, got %v", segs)
 	}
@@ -80,7 +91,7 @@ func TestRotatingWriterSegmentNaming(t *testing.T) {
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs := rw.Segments()
+	segs := segmentFiles(t, dir)
 	if got := filepath.Base(segs[0]); got != "trace-00000.jsonl" {
 		t.Fatalf("first segment named %q", got)
 	}
@@ -103,7 +114,7 @@ func TestRotatingWriterGzipSegmentsDecompressIndependently(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	segs := rw.Segments()
+	segs := segmentFiles(t, dir)
 	if len(segs) < 2 {
 		t.Fatalf("expected multiple segments, got %v", segs)
 	}
@@ -148,7 +159,7 @@ func TestRotatingWriterNoRotationGzipSingleFile(t *testing.T) {
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs := rw.Segments()
+	segs := segmentFiles(t, dir)
 	if len(segs) != 1 || filepath.Base(segs[0]) != "out.jsonl.gz" {
 		t.Fatalf("want single out.jsonl.gz, got %v", segs)
 	}
@@ -169,7 +180,7 @@ func TestRotatingWriterHeaderPerSegment(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs := rw.Segments()
+	segs := segmentFiles(t, dir)
 	if len(segs) < 2 {
 		t.Fatalf("expected multiple segments, got %v", segs)
 	}
@@ -215,7 +226,8 @@ func TestRotatingWriterWritesRunsWhole(t *testing.T) {
 		{"no rotation", RotateConfig{}, p, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rw, err := NewRotatingWriter(filepath.Join(t.TempDir(), "out.jsonl"), tc.cfg)
+			dir := t.TempDir()
+			rw, err := NewRotatingWriter(filepath.Join(dir, "out.jsonl"), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +243,7 @@ func TestRotatingWriterWritesRunsWhole(t *testing.T) {
 				t.Fatalf("first segment reached its file in calls %q, want one: %q", first.calls, tc.first)
 			}
 			var got []string
-			for _, seg := range rw.Segments() {
+			for _, seg := range segmentFiles(t, dir) {
 				b, err := os.ReadFile(seg)
 				if err != nil {
 					t.Fatal(err)
@@ -274,21 +286,18 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 var errDiskFull = errors.New("disk full")
 
 // checkSinkLatchesWriteError drives a sink whose writer w fails after
-// 100 bytes: the error must latch, Close must report it, and once it
-// has latched Record must stop encoding (lw's buffer stays as it was)
-// and the dead writer must see no further calls — not format into the
-// void for the rest of the run.
-func checkSinkLatchesWriteError(t *testing.T, sink interface {
-	Sink
-	Err() error
-}, lw *lineWriter, w *failAfterWriter) {
+// 100 bytes: the error must latch in the sink's lineWriter lw, Close
+// must report it, and once it has latched Record must stop encoding
+// (lw's buffer stays as it was) and the dead writer must see no further
+// calls — not format into the void for the rest of the run.
+func checkSinkLatchesWriteError(t *testing.T, sink Sink, lw *lineWriter, w *failAfterWriter) {
 	// The 64 KiB buffer absorbs writes until enough records force a
 	// flush; keep recording well past that point.
 	for i := 0; i < 5000; i++ {
 		sink.Record(testEvent(i))
 	}
-	if !errors.Is(sink.Err(), errDiskFull) {
-		t.Fatalf("Err() = %v, want latched %v", sink.Err(), errDiskFull)
+	if !errors.Is(lw.err, errDiskFull) {
+		t.Fatalf("latched error = %v, want %v", lw.err, errDiskFull)
 	}
 	if w.calls != 1 {
 		t.Fatalf("writer saw %d calls by the time the error latched, want the one that failed", w.calls)
@@ -300,8 +309,8 @@ func checkSinkLatchesWriteError(t *testing.T, sink interface {
 	if len(lw.buf) != held {
 		t.Errorf("Record kept encoding after the write failed: buffer grew %d → %d bytes", held, len(lw.buf))
 	}
-	if !errors.Is(sink.Close(), errDiskFull) {
-		t.Fatal("Close must report the latched write error")
+	if err := sink.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close = %v, want the latched write error %v", err, errDiskFull)
 	}
 	if w.calls != 1 {
 		t.Fatalf("writer saw %d calls after its write failed, want none", w.calls-1)

@@ -64,20 +64,6 @@ type Runtime struct {
 	sweepDone  atomic.Int64
 	started    time.Time
 	lastBeat   atomic.Int64 // unix nanos of the last heartbeat line
-
-	// Worker-buffer gauge: bytes of trace events and metrics rows
-	// currently held by trials that began behind the head, plus the
-	// high-water mark. Heartbeats report the live value so a sweep
-	// whose trials buffer faster than the merge drains them is visible
-	// before it becomes an RSS problem.
-	bufBytes atomic.Int64
-	bufPeak  atomic.Int64
-
-	// The sweep's head — its lowest trial not yet replayed — and the
-	// finished trials waiting behind it, keyed by index (Trial.Finish).
-	headMu   sync.Mutex
-	head     int
-	finished map[int]*Trial
 }
 
 // NewRuntime returns a runtime for cfg.
@@ -85,7 +71,7 @@ func NewRuntime(cfg Config) *Runtime {
 	if cfg.Interval <= 0 {
 		cfg.Interval = sim.Millisecond
 	}
-	rt := &Runtime{cfg: cfg, started: time.Now(), finished: map[int]*Trial{}}
+	rt := &Runtime{cfg: cfg, started: time.Now()}
 	if cfg.MetricsOut != nil {
 		rt.mw = newLineWriter(cfg.MetricsOut)
 	}
@@ -156,28 +142,6 @@ func (rt *Runtime) addTrial(engines []*sim.Engine) {
 	}
 }
 
-func atomicMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// addBufBytes adjusts the live worker-buffer gauge by n (negative at
-// flush) and maintains the high-water mark.
-func (rt *Runtime) addBufBytes(n int64) {
-	atomicMax(&rt.bufPeak, rt.bufBytes.Add(n))
-}
-
-// BufferedBytes returns the bytes currently held in the trace/metrics
-// buffers of trials not yet replayed, across all workers.
-func (rt *Runtime) BufferedBytes() int64 { return rt.bufBytes.Load() }
-
-// PeakBufferedBytes returns the high-water mark of BufferedBytes.
-func (rt *Runtime) PeakBufferedBytes() int64 { return rt.bufPeak.Load() }
-
 // SetPhase labels the current run phase (the experiment name) for
 // heartbeat lines. The CLIs call it before each experiment.
 func (rt *Runtime) SetPhase(name string) {
@@ -185,15 +149,10 @@ func (rt *Runtime) SetPhase(name string) {
 }
 
 // StartSweep announces a sweep of the given expected trial count for
-// heartbeat reporting and makes its trial 0 the head. The runner calls
-// it at the top of every Map.
+// heartbeat reporting. The runner calls it at the top of every Map.
 func (rt *Runtime) StartSweep(trials int) {
 	rt.sweepTotal.Store(int64(trials))
 	rt.sweepDone.Store(0)
-	rt.headMu.Lock()
-	rt.head = 0
-	clear(rt.finished)
-	rt.headMu.Unlock()
 }
 
 // trialDone records one finished trial for heartbeat reporting.
@@ -229,13 +188,9 @@ func (rt *Runtime) heartbeat(force bool) {
 	if elapsed > 0 {
 		rate = float64(events) / elapsed
 	}
-	buffered := ""
-	if b := rt.bufBytes.Load(); b > 0 {
-		buffered = ", " + humanCount(float64(b)) + "B buffered"
-	}
-	fmt.Fprintf(rt.cfg.Progress, "[%s] %d/%d trials, %s events, %s ev/s%s\n",
+	fmt.Fprintf(rt.cfg.Progress, "[%s] %d/%d trials, %s events, %s ev/s\n",
 		phase, rt.sweepDone.Load(), rt.sweepTotal.Load(),
-		humanCount(float64(events)), humanCount(rate), buffered)
+		humanCount(float64(events)), humanCount(rate))
 }
 
 // humanCount renders a count with an SI suffix (1.2k, 3.4M, 5.6G).

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -9,33 +10,25 @@ import (
 	"expresspass/internal/sim"
 )
 
-// TestTrialLifecycle walks a buffering trial scope through the full
-// sweep protocol — BeginTrial behind the head, AttachEngine, buffered
-// trace + metrics, Finish — and checks the engine totals land in the
-// runtime's at Finish while the buffers wait for trials 0–2: trial 3
-// replays into the shared runtime only once all three have finished.
+// TestTrialLifecycle walks a trial scope through the sweep protocol —
+// StartSweep, BeginTrial, AttachEngine, Finish — and checks the scope
+// mirrors the runtime, labels its metrics scopes by trial index, and
+// folds its engine totals into the runtime's and counts itself done only
+// at Finish.
 func TestTrialLifecycle(t *testing.T) {
-	var trace, metrics bytes.Buffer
 	rt := NewRuntime(Config{
-		Tracer:     NewTracer(NewJSONLSink(&trace)),
-		MetricsOut: &metrics,
+		Tracer:     NewTracer(NewJSONLSink(io.Discard)),
+		MetricsOut: io.Discard,
 	})
-	flushed := func() bool {
-		rt.mu.Lock()
-		rt.mw.flush()
-		rt.mu.Unlock()
-		return metrics.Len() != 0
-	}
-
+	rt.StartSweep(4)
 	tr := rt.BeginTrial(3)
-	if tr.Tracer() == nil || tr.Tracer() == rt.Tracer() {
-		t.Fatal("trial 3 of a tracing runtime does not buffer behind head 0")
-	}
-	if !tr.MetricsEnabled() || tr.Interval() != rt.Interval() {
+	if tr.Tracer() != rt.Tracer() || !tr.MetricsEnabled() || tr.Interval() != rt.Interval() {
 		t.Error("trial scope does not mirror runtime config")
 	}
-	if s := tr.NextScope(); s != "t3.0" {
-		t.Errorf("NextScope = %q, want t3.0", s)
+	for _, want := range []string{"t3.0", "t3.1"} {
+		if s := tr.NextScope(); s != want {
+			t.Errorf("NextScope = %q, want %q", s, want)
+		}
 	}
 
 	eng := sim.New(1)
@@ -46,36 +39,21 @@ func TestTrialLifecycle(t *testing.T) {
 	if !done {
 		t.Fatal("engine did not run")
 	}
-
-	tr.Tracer().Emit(Event{T: sim.Microsecond, Type: EvCreditSent, Scope: "a->b"})
-	tr.WriteRow(sim.Microsecond, "t3.0", "port/x/util", 0.5)
+	if ev, _ := rt.EngineTotals(); ev != 0 || rt.sweepDone.Load() != 0 {
+		t.Errorf("before Finish: %d engine events, %d trials done; want 0, 0", ev, rt.sweepDone.Load())
+	}
 	tr.Finish()
-	if ev, _ := rt.EngineTotals(); ev != 1 {
-		t.Errorf("Finish folded %d engine events, want the one event once", ev)
-	}
-	for _, idx := range []int{2, 0, 1} {
-		if flushed() {
-			t.Fatalf("trial 3 replayed before trial %d finished:\n%s", idx, metrics.String())
-		}
-		rt.BeginTrial(idx).Finish()
-	}
-	if !flushed() {
-		t.Fatal("trial 3 not replayed once trials 0–2 finished")
+	if ev, _ := rt.EngineTotals(); ev != 1 || rt.sweepDone.Load() != 1 {
+		t.Errorf("after Finish: %d engine events, %d trials done; want 1, 1", ev, rt.sweepDone.Load())
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(trace.String(), `"ev":"credit_sent"`) {
-		t.Errorf("replayed trace missing buffered event:\n%s", trace.String())
-	}
-	if !strings.Contains(metrics.String(), "t3.0,port/x/util,0.5") {
-		t.Errorf("replayed metrics missing buffered row:\n%s", metrics.String())
-	}
 }
 
-// TestStreamingTrialWritesThrough checks the head's scope: no
-// buffering — events and rows reach the shared runtime as they are
-// emitted, and Finish only folds the engine totals.
+// TestStreamingTrialWritesThrough checks a trial holds nothing back:
+// events and rows reach the shared runtime as they are emitted, before
+// Finish, which only folds the engine totals.
 func TestStreamingTrialWritesThrough(t *testing.T) {
 	var trace, metrics bytes.Buffer
 	rt := NewRuntime(Config{
@@ -83,19 +61,13 @@ func TestStreamingTrialWritesThrough(t *testing.T) {
 		MetricsOut: &metrics,
 	})
 	tr := rt.BeginTrial(0)
-	if tr.Tracer() != rt.Tracer() {
-		t.Fatal("head trial does not share the runtime tracer")
-	}
-	if s := tr.NextScope(); s != "t0.0" {
-		t.Errorf("NextScope = %q, want the same labels as buffered trials", s)
-	}
 	tr.Tracer().Emit(Event{T: sim.Microsecond, Type: EvCreditSent, Scope: "a->b"})
 	tr.WriteRow(sim.Microsecond, "t0.0", "port/x/util", 0.5)
 	rt.mu.Lock()
 	rt.mw.flush()
 	rt.mu.Unlock()
 	if !strings.Contains(metrics.String(), "t0.0,port/x/util,0.5") {
-		t.Error("head trial buffered its metrics row")
+		t.Error("trial held its metrics row back")
 	}
 	eng := sim.New(1)
 	tr.AttachEngine(eng)
@@ -105,14 +77,11 @@ func TestStreamingTrialWritesThrough(t *testing.T) {
 	if ev, _ := rt.EngineTotals(); ev == 0 {
 		t.Error("Finish did not fold engine totals")
 	}
-	if rt.PeakBufferedBytes() != 0 {
-		t.Errorf("head trial buffered %d bytes", rt.PeakBufferedBytes())
-	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(trace.String(), `"ev":"credit_sent"`) {
-		t.Error("head trial lost its trace event")
+		t.Error("trial lost its trace event")
 	}
 }
 
@@ -192,46 +161,5 @@ func TestResources(t *testing.T) {
 	}
 	if rt.Elapsed() <= 0 {
 		t.Error("Elapsed() <= 0")
-	}
-}
-
-// TestBufferedBytesGauge checks the worker-buffer telemetry: a trial
-// behind the head charges the runtime gauge as events and rows
-// accumulate, the peak survives the replay, and the live gauge returns
-// to zero once the head finishes and the buffers replay into the shared
-// outputs.
-func TestBufferedBytesGauge(t *testing.T) {
-	var trace, metrics bytes.Buffer
-	rt := NewRuntime(Config{
-		Tracer:     NewTracer(NewJSONLSink(&trace)),
-		MetricsOut: &metrics,
-	})
-	if rt.BufferedBytes() != 0 || rt.PeakBufferedBytes() != 0 {
-		t.Fatal("fresh runtime reports buffered bytes")
-	}
-	head := rt.BeginTrial(0)
-	tr := rt.BeginTrial(1)
-	tr.Tracer().Emit(Event{T: sim.Microsecond, Type: EvCreditSent, Scope: "a->b"})
-	tr.WriteRow(sim.Microsecond, "t1.0", "port/x/util", 0.5)
-	live := rt.BufferedBytes()
-	if live <= 0 {
-		t.Fatalf("BufferedBytes = %d after buffering, want > 0", live)
-	}
-	if peak := rt.PeakBufferedBytes(); peak < live {
-		t.Fatalf("PeakBufferedBytes = %d < live %d", peak, live)
-	}
-	tr.Finish()
-	if got := rt.BufferedBytes(); got != live {
-		t.Errorf("BufferedBytes = %d after trial 1 finished behind the head, want %d", got, live)
-	}
-	head.Finish()
-	if got := rt.BufferedBytes(); got != 0 {
-		t.Errorf("BufferedBytes = %d after the head finished, want 0 (buffers replayed)", got)
-	}
-	if peak := rt.PeakBufferedBytes(); peak != live {
-		t.Errorf("PeakBufferedBytes = %d after the replay, want the high-water %d", peak, live)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -52,14 +52,11 @@ func (s *JSONLSink) Record(ev Event) {
 	lw.commit(b)
 }
 
-// Err returns the first write error encountered, if any. Sinks keep
-// accepting Record calls after a failure (the simulation must not
-// crash mid-run over a full disk) but drop them unencoded; the error
-// is latched and reported here and from Close.
-func (s *JSONLSink) Err() error { return s.lw.err }
-
 // Close flushes buffered lines (and closes the underlying file, if
 // any), returning the first error seen across the sink's lifetime.
+// Sinks keep accepting Record calls after a write fails (the simulation
+// must not crash mid-run over a full disk) but drop them unencoded; the
+// error is latched and reported here.
 func (s *JSONLSink) Close() error { return s.lw.Close() }
 
 // WriteJSONL writes evs to w as lines of a JSONLSink trace, oldest
@@ -117,9 +114,6 @@ func (s *CSVSink) Record(ev Event) {
 	b = append(b, '\n')
 	lw.commit(b)
 }
-
-// Err returns the first write error encountered, if any.
-func (s *CSVSink) Err() error { return s.lw.err }
 
 // Close flushes buffered rows (and closes the underlying file, if
 // any), returning the first error seen across the sink's lifetime.

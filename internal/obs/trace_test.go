@@ -174,8 +174,8 @@ func TestEventTypeNames(t *testing.T) {
 }
 
 // TestEventStays80Bytes pins the struct size: Port must keep living in
-// the padding after Type. Every buffered event (Trial, the rings) is a copy of this struct and the -progress buffer figure is
-// computed from its size.
+// the padding after Type. Every event a ring holds is a copy of this
+// struct.
 func TestEventStays80Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(Event{}); n != 80 {
 		t.Fatalf("obs.Event is %d bytes, want 80", n)

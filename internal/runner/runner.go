@@ -20,18 +20,18 @@
 //   - Results (Map) come back in cell order, never completion order; a
 //     trial that prints returns what it prints as its result.
 //   - Every network records into its trial's scope (obs.Trial), the one
-//     instrumentation scope there is. The lowest trial not yet replayed
-//     streams into the run's obs.Runtime; a trial that begins behind it
-//     buffers and is replayed as soon as every trial before it has
-//     finished, so trace and metrics files are byte-identical at any
-//     worker count too, and a serial sweep buffers nothing.
+//     instrumentation scope there is, which writes straight into the
+//     run's obs.Runtime. A run that writes a trace or a metrics CSV runs
+//     its trials on one worker, in cell order (Run.workers), so those
+//     files are the serial run's at any Procs; a -progress-only or
+//     unobserved run keeps its workers.
 //
 // What a sweep needs of its run — the worker count, the obs runtime and
 // the per-network check — arrives as a Run value with every call; the
 // package holds no setting of its own. There is one code path for any
-// worker count: Run.Procs 1 runs every trial on the caller, in order;
-// cmd/xpsim exposes it as -procs. A run that builds one network is a
-// one-trial sweep like any other.
+// worker count: one worker runs every trial on the caller, in order;
+// cmd/xpsim exposes Run.Procs as -procs. A run that builds one network
+// is a one-trial sweep like any other.
 package runner
 
 import (
@@ -50,7 +50,8 @@ import (
 // an unobserved, unchecked run on runtime.GOMAXPROCS(0) workers.
 type Run struct {
 	// Procs is the worker-pool width, the caller included: 1 runs the
-	// sweep inline, 0 (or less) means runtime.GOMAXPROCS(0).
+	// sweep inline, 0 (or less) means runtime.GOMAXPROCS(0). A traced or
+	// metered run ignores it and runs inline (workers).
 	Procs int
 	// Obs, when non-nil, is the run's instrumentation runtime: each
 	// trial records into a scope of it (obs.Trial).
@@ -60,8 +61,18 @@ type Run struct {
 	Check func(*netem.Network)
 }
 
-// workers returns the effective worker count.
+// workers returns the effective worker count. A run that writes a trace
+// or a metrics CSV gets one: the runtime's sink and CSV writer take one
+// writer, and the trials' output goes to them in cell order. Running
+// those trials in parallel meant buffering every trial behind the lowest
+// unfinished one and replaying it later, on one goroutine; at -procs 2
+// on a 2-core host that was slower than -procs 1 and held 35–125× the
+// memory (fig15 at -scale 0.05 traced: 4.2–5.4 s and 0.8–1.0 GiB against
+// 2.0–2.8 s and 8.4 MiB; DESIGN.md "One event queue per trial").
 func (r Run) workers() int {
+	if r.Obs != nil && (r.Obs.Tracer() != nil || r.Obs.MetricsEnabled()) {
+		return 1
+	}
 	if r.Procs > 0 {
 		return r.Procs
 	}
@@ -146,7 +157,7 @@ func trials(run Run, n int, body func(t *T, i int)) {
 }
 
 // runTrial runs trial i and finishes its scope, whether or not the body
-// panics; Finish is what replays it into the run in cell order.
+// panics, so the run's engine totals count it.
 func runTrial(panics []string, stop *atomic.Bool, run Run, body func(t *T, i int), i int) {
 	var tr *obs.Trial
 	defer func() {

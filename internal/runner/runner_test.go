@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"expresspass/internal/netem"
 	"expresspass/internal/obs"
@@ -129,11 +130,8 @@ func TestMapPropagatesLowestIndexPanic(t *testing.T) {
 
 // TestObsMergeByteIdentical gives a run a runtime with a trace sink and
 // a metrics writer, runs a traced workload under Map at several worker
-// counts, and requires the merged trace and metrics bytes — plus the
-// EngineTotals accounting — to be identical to the serial run. Every
-// trial of a serial sweep begins as the head and streams straight into
-// the runtime, so it buffers nothing. Whether a parallel trial buffers
-// depends on scheduling; TestMapHeadOfLine makes that deterministic.
+// counts, and requires the trace and metrics bytes — plus the
+// EngineTotals accounting — to be identical to the serial run's.
 func TestObsMergeByteIdentical(t *testing.T) {
 	t.Parallel()
 	run := func(procs int) (trace, metrics string, events uint64, peak int) {
@@ -143,9 +141,6 @@ func TestObsMergeByteIdentical(t *testing.T) {
 			MetricsOut: &mb,
 		})
 		Map(Run{Procs: procs, Obs: rt}, seq(9), mergeWorkload)
-		if buffered := rt.PeakBufferedBytes(); procs == 1 && buffered != 0 {
-			t.Errorf("procs=1: a serial sweep buffered %d bytes, want 0 (it streams)", buffered)
-		}
 		events, peak = rt.EngineTotals()
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
@@ -191,66 +186,55 @@ func mergeWorkload(tr *T, i int) uint64 {
 	return eng.Executed()
 }
 
-// countingSink counts what reaches the run's sink before handing it on.
-type countingSink struct {
-	obs.Sink
-	n atomic.Int64
-}
-
-func (s *countingSink) Record(ev obs.Event) {
-	s.n.Add(1)
-	s.Sink.Record(ev)
-}
-
-// TestMapHeadOfLine makes the head-of-line rule deterministic: trial 0
-// holds the head until trials 1–3 have run to completion on the other
-// workers. Trial 0's events reach the sink while it runs (it streams);
-// 1–3 begin behind it, so they buffer, and reach the sink only once
-// trial 0 finishes; the bytes are the serial run's and the live buffer
-// gauge returns to 0.
-func TestMapHeadOfLine(t *testing.T) {
+// TestObservedMapRunsInOrder: a run that writes a trace or a metrics
+// CSV runs its trials one at a time, in cell order, whatever its Procs;
+// a -progress-only run and an unobserved one keep their workers, so
+// trial 0 can wait for trial 1.
+func TestObservedMapRunsInOrder(t *testing.T) {
 	t.Parallel()
-	run := func(procs int) (trace, metrics string) {
-		var tb, mb bytes.Buffer
-		sink := &countingSink{Sink: obs.NewJSONLSink(&tb)}
-		rt := obs.NewRuntime(obs.Config{Tracer: obs.NewTracer(sink), MetricsOut: &mb})
-		var rest sync.WaitGroup
-		rest.Add(3)
-		Map(Run{Procs: procs, Obs: rt}, seq(4), func(tr *T, i int) uint64 {
-			ex := mergeWorkload(tr, i)
-			if procs == 1 {
-				return ex
+	for name, cfg := range map[string]obs.Config{
+		"trace":   {Tracer: obs.NewTracer(obs.NewJSONLSink(io.Discard))},
+		"metrics": {MetricsOut: io.Discard},
+	} {
+		rt := obs.NewRuntime(cfg)
+		var inFlight atomic.Int32
+		var mu sync.Mutex
+		var order []int
+		Map(Run{Procs: 4, Obs: rt}, seq(8), func(_ *T, i int) int {
+			if n := inFlight.Add(1); n != 1 {
+				t.Errorf("%s: trial %d runs with %d trials in flight, want 1", name, i, n)
 			}
-			if i > 0 {
-				rest.Done()
-				return ex
-			}
-			if n := sink.n.Load(); n != 5 {
-				t.Errorf("trial 0 sent %d events to the sink while running, want its own 5", n)
-			}
-			rest.Wait()
-			if n := sink.n.Load(); n != 5 {
-				t.Errorf("sink holds %d events once trials 1–3 ran, want trial 0's 5 (they buffer)", n)
-			}
-			if rt.BufferedBytes() == 0 {
-				t.Error("trials 1–3 ran behind the head and buffered nothing")
-			}
-			return ex
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			inFlight.Add(-1)
+			return i
 		})
-		if n := sink.n.Load(); n != 20 {
-			t.Errorf("procs=%d: sink received %d events, want 20", procs, n)
-		}
-		if b := rt.BufferedBytes(); b != 0 {
-			t.Errorf("procs=%d: %d bytes still buffered after the sweep", procs, b)
+		if fmt.Sprint(order) != fmt.Sprint(seq(8)) {
+			t.Errorf("%s: trials ran in order %v, want %v", name, order, seq(8))
 		}
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.String(), mb.String()
 	}
-	st, sm := run(1)
-	if pt, pm := run(4); pt != st || pm != sm {
-		t.Fatalf("head-of-line run differs from serial\ntrace:\n%s\nserial:\n%s\nmetrics:\n%s\nserial:\n%s", pt, st, pm, sm)
+	for name, rt := range map[string]*obs.Runtime{
+		"progress": obs.NewRuntime(obs.Config{Progress: io.Discard}),
+		"nil":      nil,
+	} {
+		second := make(chan struct{})
+		Map(Run{Procs: 2, Obs: rt}, seq(2), func(_ *T, i int) int {
+			if i == 1 {
+				close(second)
+				return i
+			}
+			select {
+			case <-second:
+			case <-time.After(10 * time.Second):
+				t.Errorf("%s: trial 1 did not run while trial 0 waited for it", name)
+			}
+			return i
+		})
 	}
 }
 
