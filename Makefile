@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check test bench-gate bench-test gate fmt vet race fuzz-smoke cover
+.PHONY: check test bench-gate bench-test gate fmt vet race fuzz-smoke cover reach
 
 ## check: the pre-commit gate — vet, formatting, and the race-enabled
 ## tests of the engine, instrumentation, and parallel-runner layers
@@ -87,6 +87,40 @@ cover:
 		fi; \
 	done; \
 	exit $$fail
+
+## reach: which production code a run enters. Builds xpsim, xpcalc and
+## every examples/* program with `go build -cover -coverpkg=./...` into a
+## temporary directory, runs the flag matrix below with GOCOVERDIR set,
+## merges the counters, and prints per-package statement coverage and
+## every function at 0.0%. Not a tier-1 test: about 7 min on 2 cores,
+## nearly all of it the `-all` row. Nothing is written into the repo.
+## DESIGN.md "Reachability" records the last reading and why each 0%
+## function stays.
+REACH_FAULTS_ALL := dup:both:0.01@1ms+5ms; corrupt:data:0.01@2ms+5ms; reorder:0.05:20us@3ms+5ms; jitter:delay:normal:2us@4ms+5ms; jitter:rate:pareto:0.1@5ms+5ms; state:data:0.01@6ms+5ms; loss:credit:0.05:corr=0.5:swR->swL@7ms+5ms
+reach:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	mkdir -p $$d/bin $$d/cov $$d/out; \
+	go build -cover -coverpkg=./... -o $$d/bin/xpsim ./cmd/xpsim; \
+	go build -cover -coverpkg=./... -o $$d/bin/xpcalc ./cmd/xpcalc; \
+	for e in examples/*/; do go build -cover -coverpkg=./... -o $$d/bin/ex-$$(basename $$e) ./$$e; done; \
+	export GOCOVERDIR=$$d/cov; o=$$d/out; \
+	row() { s=$$(date +%s); "$$@" >/dev/null 2>$$o/stderr || { cat $$o/stderr; echo "reach: FAIL: $$*"; exit 1; }; \
+		echo "reach: $$(( $$(date +%s) - s ))s: $$*" | sed "s|$$d/bin/||; s|$$o/||g"; }; \
+	x=$$d/bin/xpsim; \
+	row $$x -procs 2 -scale 0.01 -seed 42 -all; \
+	row $$x -procs 1 -scale 0.02 -seed 7 -trace $$o/T.jsonl -metrics $$o/M.csv -invariants -flight $$o/F.jsonl -progress fig17 ext-chaos-storm fig15 ext-classes; \
+	row $$x -scale 0.02 -trace $$o/T.csv -trace-rotate 1m -trace-gzip -trace-types credit_drop,qdepth fig17; \
+	row $$x -scale 0.02 -cpuprofile $$o/cpu.prof -memprofile $$o/mem.prof fig9; \
+	for n in $$(seq 1 20); do row $$x -scenario-seed $$n; done; \
+	row $$x -scale 0.05 -faults 'flap@10ms+2ms; stall:s0@30ms+1ms' ext-faults-flap; \
+	row $$x -scale 0.05 -faults 'gemodel:credit:0.02:0.3@10ms+40ms' ext-chaos-matrix; \
+	row $$x -scale 0.05 -faults 'every:20ms:roll{ stall@0ms+2ms }@10ms+80ms' ext-chaos-storm; \
+	row $$x -scale 0.05 -faults '$(REACH_FAULTS_ALL)' ext-chaos-storm; \
+	row $$d/bin/xpcalc; \
+	for e in $$d/bin/ex-*; do row $$e; done; \
+	go tool covdata percent -i $$d/cov; \
+	echo "reach: functions at 0.0%:"; \
+	go tool covdata func -i $$d/cov | awk '$$NF == "0.0%"'
 
 ## gate: the full determinism gate — every registered experiment,
 ## including the heavy realistic workloads, run serially and then at

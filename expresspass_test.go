@@ -231,6 +231,126 @@ func TestConfigSurface(t *testing.T) {
 	}
 }
 
+// TestInternalExportsHaveACaller fails for an exported function or
+// method under internal/ that no non-test file of the tree names —
+// bench/ and examples/ included — so an accessor only a test reads does
+// not land in production code: a same-directory test reads it through
+// export_test.go. Names are matched without types: a selector that is
+// not called counts only when no struct field shares its name, and any
+// other function or method of the same name is a caller. So it misses
+// names like Rate or Node; `make reach` (DESIGN.md "Reachability") is
+// the full instrument.
+func TestInternalExportsHaveACaller(t *testing.T) {
+	t.Parallel()
+	// The survivors, each with the test in another package that needs it.
+	kept := map[string]string{
+		"core.Session.CreditsDuplicated": "invariant.TestDuplicatedCreditsCannotDoubleSpend counts the credits the sender's dedup window declined",
+		"core.Session.DataDuplicated":    "invariant.TestDuplicatedDataCannotInflateDelivery counts the data packets the receiver's dedup window dropped",
+		"netem.Network.ActiveEndpoints":  "experiments.TestLifecycleRetirementClearsLiveState checks that retirement empties the flow table",
+	}
+	type decl struct {
+		name *ast.Ident
+		key  string
+		pos  token.Position
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	var decls []decl
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		if !strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
+			return nil
+		}
+		for _, fd := range f.Decls {
+			fd, ok := fd.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			key := f.Name.Name + "."
+			if fd.Recv != nil {
+				typ := fd.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				key += typ.(*ast.Ident).Name + "."
+			}
+			decls = append(decls, decl{fd.Name, key + fd.Name.Name, fset.Position(fd.Pos())})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[*ast.Ident]bool{}
+	for _, d := range decls {
+		declared[d.name] = true
+	}
+	fields := map[string]bool{}         // every struct field name in the tree
+	maybeField := map[*ast.Ident]bool{} // x.Sel not called, or a literal's key
+	called := map[*ast.Ident]bool{}     // x.Sel(…)
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.StructType:
+				for _, fl := range n.Fields.List {
+					for _, id := range fl.Names {
+						fields[id.Name], declared[id] = true, true
+					}
+				}
+			case *ast.SelectorExpr:
+				maybeField[n.Sel] = true
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					maybeField[id] = true
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					called[sel.Sel] = true
+				}
+			}
+			return true
+		})
+	}
+	uses := map[string]int{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if ok && !declared[id] && !(maybeField[id] && !called[id] && fields[id.Name]) {
+				uses[id.Name]++
+			}
+			return true
+		})
+	}
+
+	for _, d := range decls {
+		_, ok := kept[d.key]
+		switch {
+		case uses[d.name.Name] == 0 && !ok:
+			t.Errorf("%s: %s has no caller outside _test.go files: delete it, or move it to the package's export_test.go", d.pos, d.key)
+		case uses[d.name.Name] > 0 && ok:
+			t.Errorf("%s: %s has a caller now: drop it from this test's kept list", d.pos, d.key)
+		}
+		delete(kept, d.key)
+	}
+	for key := range kept {
+		t.Errorf("kept %s is not declared any more: drop it from this test's list", key)
+	}
+}
+
 // TestNoAmbientState pins the package-level variables of the program —
 // the root package, cmd/ and internal/, test files aside — to the tables
 // built once at start-up and only read after. Anything else at package

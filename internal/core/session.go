@@ -179,12 +179,6 @@ func (s *Session) DataDuplicated() uint64 { return s.rcv.dataDup }
 // DataSent returns data packets emitted by the sender.
 func (s *Session) DataSent() uint64 { return s.snd.dataSent }
 
-// Rate returns the receiver's current credit sending rate.
-func (s *Session) Rate() unit.Rate { return s.rcv.fb.Rate }
-
-// W returns the receiver's current aggressiveness factor.
-func (s *Session) W() float64 { return s.rcv.fb.W }
-
 // ---- sender ----
 
 type sender struct {

@@ -48,9 +48,6 @@ func New() *CC {
 	return &CC{alpha: 1}
 }
 
-// Alpha returns the current congestion estimate.
-func (d *CC) Alpha() float64 { return d.alpha }
-
 // Init implements transport.CC.
 func (d *CC) Init(c *transport.Conn) {
 	c.Paced, c.ECN = true, true

@@ -41,9 +41,6 @@ func (d *CC) Init(c *transport.Conn) {
 	d.windowEnd = 0
 }
 
-// Alpha returns the current marked-fraction estimate.
-func (d *CC) Alpha() float64 { return d.alpha }
-
 // OnAck implements transport.CC.
 func (d *CC) OnAck(c *transport.Conn, acked unit.Bytes, ack *packet.Packet, _ sim.Duration) {
 	d.ackedB += acked

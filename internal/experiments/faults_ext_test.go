@@ -148,3 +148,30 @@ func TestFaultsMissingTargetIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestCreditClauseNeedsTheReversePort: a clause without a port aims at
+// the bottleneck's forward direction (swL->swR), which carries data and
+// no credits on the built-in dumbbells. A credit-class clause there
+// changes no output; aimed at the reverse port (swR->swL) it does.
+func TestCreditClauseNeedsTheReversePort(t *testing.T) {
+	t.Parallel()
+	run := func(spec string) string {
+		plan, err := faults.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := Run("ext-chaos-storm", Params{Scale: 0.05, Seed: 42, Faults: plan}, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	const stall = "stall@50ms+1ms"
+	base := run(stall)
+	if got := run(stall + "; loss:credit:0.5@0ms+200ms"); got != base {
+		t.Errorf("credit loss on the forward bottleneck changed the output:\n%s\nwant\n%s", got, base)
+	}
+	if got := run(stall + "; loss:credit:0.5:swR->swL@0ms+200ms"); got == base {
+		t.Errorf("credit loss on swR->swL left the output as it was:\n%s", got)
+	}
+}

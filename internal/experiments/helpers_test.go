@@ -74,7 +74,7 @@ func TestRTTDumbbellBaseRTT(t *testing.T) {
 	rtt := 120 * sim.Microsecond
 	d := rttDumbbell(eng, 1, 10*unit.Gbps, rtt, topology.Config{})
 	// Six propagation hops per round trip at rtt/6 each.
-	if got := d.Bottleneck.PropDelay(); got != rtt/6 {
+	if got := d.Bottleneck.Config().Delay; got != rtt/6 {
 		t.Errorf("link delay %v, want %v", got, rtt/6)
 	}
 }

@@ -78,8 +78,8 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 		mgr.Start()
 		eng.RunUntil(specs[len(specs)-1].Start + 4*sim.Second)
 
-		if !mgr.Drained() || mgr.Finished() != len(specs) {
-			t.Fatalf("drained=%v finished=%d/%d", mgr.Drained(), mgr.Finished(), len(specs))
+		if mgr.Live() != 0 || mgr.Finished() != len(specs) {
+			t.Fatalf("live=%d finished=%d/%d", mgr.Live(), mgr.Finished(), len(specs))
 		}
 		if !sawGauges {
 			t.Error("no per-flow gauges ever registered — the leak check below is vacuous")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"expresspass/internal/core"
-	"expresspass/internal/netem"
 	"expresspass/internal/obs"
 	"expresspass/internal/packet"
 	"expresspass/internal/sim"
@@ -114,16 +113,20 @@ func TestFlapRecovery(t *testing.T) {
 		t.Errorf("steady post-fault goodput %.0f < 99%% of pre-fault %.0f", postMean, preMean)
 	}
 
-	if n := ring.CountType(obs.EvFaultStart); n != 1 {
+	traced := map[obs.EventType]int{}
+	for _, ev := range ring.Events() {
+		traced[ev.Type]++
+	}
+	if n := traced[obs.EvFaultStart]; n != 1 {
 		t.Errorf("FaultStart events = %d, want 1", n)
 	}
-	if n := ring.CountType(obs.EvFaultEnd); n != 1 {
+	if n := traced[obs.EvFaultEnd]; n != 1 {
 		t.Errorf("FaultEnd events = %d, want 1", n)
 	}
 	if d.Net.Stats().FaultDrops == 0 {
 		t.Error("no fault drops accounted for a 5ms outage")
 	}
-	if got := ring.CountType(obs.EvFaultDrop); uint64(got) != d.Net.Stats().FaultDrops {
+	if got := traced[obs.EvFaultDrop]; uint64(got) != d.Net.Stats().FaultDrops {
 		t.Errorf("traced fault drops %d != accounted %d", got, d.Net.Stats().FaultDrops)
 	}
 }
@@ -326,22 +329,8 @@ func TestUnidirectionalFailurePathSymmetry(t *testing.T) {
 	ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
 	net := ft.Net
 
-	// Fail one direction of an agg→core link only.
-	var victim *netem.Port
-	for _, sw := range net.Switches() {
-		for _, p := range sw.Ports() {
-			if _, ok := p.Peer().Owner().(*netem.Switch); ok {
-				victim = p
-				break
-			}
-		}
-		if victim != nil {
-			break
-		}
-	}
-	if victim == nil {
-		t.Fatal("no switch-switch link found")
-	}
+	// Fail one direction of a core→agg link only.
+	victim := ft.Cores[0].Ports()[0]
 	victim.Fail() // one direction only; reverse stays healthy
 	net.BuildRoutes()
 
@@ -350,21 +339,18 @@ func TestUnidirectionalFailurePathSymmetry(t *testing.T) {
 		j := (i + len(hosts)/2) % len(hosts)
 		src, dst := hosts[i].ID(), hosts[j].ID()
 		for flow := packet.FlowID(1); flow <= 8; flow++ {
-			fwd := net.TracePath(src, dst, flow)
-			rev := net.TracePath(dst, src, flow)
-			if fwd == nil || rev == nil {
-				t.Fatalf("flow %d %v->%v unroutable after unidirectional failure", flow, src, dst)
+			fwd := net.TracePorts(src, dst, flow)
+			rev := net.TracePorts(dst, src, flow)
+			if fwd == nil || len(rev) != len(fwd) {
+				t.Fatalf("flow %d %v->%v unroutable or asymmetric after unidirectional failure", flow, src, dst)
 			}
-			for k := range fwd {
-				if fwd[k] != rev[len(rev)-1-k] {
+			for k, p := range fwd {
+				if p.Peer() != rev[len(rev)-1-k] {
 					t.Fatalf("asymmetric path for flow %d %v->%v:\n fwd %v\n rev %v",
 						flow, src, dst, fwd, rev)
 				}
-			}
-			// Neither direction of the victim link may appear on any path.
-			for k := 0; k+1 < len(fwd); k++ {
-				if (fwd[k] == victim.Owner().ID() && fwd[k+1] == victim.Peer().Owner().ID()) ||
-					(fwd[k] == victim.Peer().Owner().ID() && fwd[k+1] == victim.Owner().ID()) {
+				// Neither direction of the victim link may appear on any path.
+				if p == victim || p == victim.Peer() {
 					t.Fatalf("path %v crosses the half-failed link %s", fwd, victim.Name())
 				}
 			}

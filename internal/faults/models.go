@@ -57,12 +57,6 @@ func (m *GEModel) Drop() bool {
 	return lost
 }
 
-// SteadyLossRate returns the chain's closed-form stationary loss rate.
-func (m *GEModel) SteadyLossRate() float64 {
-	piB := m.p / (m.p + m.r)
-	return piB*(1-m.h) + (1-piB)*(1-m.k)
-}
-
 // FourState is tc netem's 4-state Markov loss chain (loss state): state
 // 1 is the gap period (delivered), state 2 a good burst inside a loss
 // neighborhood (delivered), state 3 a loss burst (lost), state 4 an
@@ -113,22 +107,6 @@ func (m *FourState) Drop() bool {
 		m.state = 1
 	}
 	return m.state >= 3
-}
-
-// TransitionMatrix returns the chain's 4×4 per-packet transition matrix
-// P[i][j] = P(next = j+1 | current = i+1). The property tests power-
-// iterate it to the stationary distribution and compare π3+π4 against
-// the empirical loss rate.
-func (m *FourState) TransitionMatrix() [4][4]float64 {
-	var P [4][4]float64
-	P[0][2], P[0][3] = m.p13, m.p14
-	P[0][0] = 1 - m.p13 - m.p14
-	P[1][2] = m.p23
-	P[1][1] = 1 - m.p23
-	P[2][0], P[2][1] = m.p31, m.p32
-	P[2][2] = 1 - m.p31 - m.p32
-	P[3][0] = 1
-	return P
 }
 
 // CorrelatedBernoulli is tc netem's correlated random loss: a first-

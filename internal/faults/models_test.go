@@ -16,6 +16,30 @@ import (
 
 var propSeeds = []uint64{1, 7, 42, 31337}
 
+// The two closed forms the suite checks the chains against.
+
+// SteadyLossRate returns the chain's closed-form stationary loss rate.
+func (m *GEModel) SteadyLossRate() float64 {
+	piB := m.p / (m.p + m.r)
+	return piB*(1-m.h) + (1-piB)*(1-m.k)
+}
+
+// TransitionMatrix returns the chain's 4×4 per-packet transition matrix
+// P[i][j] = P(next = j+1 | current = i+1). The property tests
+// power-iterate it to the stationary distribution and compare π3+π4 against
+// the empirical loss rate.
+func (m *FourState) TransitionMatrix() [4][4]float64 {
+	var P [4][4]float64
+	P[0][2], P[0][3] = m.p13, m.p14
+	P[0][0] = 1 - m.p13 - m.p14
+	P[1][2] = m.p23
+	P[1][1] = 1 - m.p23
+	P[2][0], P[2][1] = m.p31, m.p32
+	P[2][2] = 1 - m.p31 - m.p32
+	P[3][0] = 1
+	return P
+}
+
 // drops runs the model for n packets and returns the loss sequence.
 func drops(m interface{ Drop() bool }, n int) []bool {
 	out := make([]bool, n)

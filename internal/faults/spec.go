@@ -119,7 +119,10 @@ func (pl Plan) Empty() bool { return len(pl.Directives) == 0 && len(pl.Schedules
 // as <number><unit>, unit ∈ ns|us|µs|ms|s. Inside every{}, inner clause
 // start times are offsets from each occurrence. An omitted port resolves
 // to the scenario's bottleneck at Apply time; an omitted host to the
-// first host. The 4-state defaults mirror tc netem: p31 = 1−p13,
+// first host. On the built-in dumbbells the bottleneck is the forward
+// direction swL->swR, which carries no credits: a credit-class clause
+// without a port changes nothing there, so aim it at swR->swL. The
+// 4-state defaults mirror tc netem: p31 = 1−p13,
 // p23 = 1, p32 = 0, p14 = 0. Examples:
 //
 //	gemodel:credit:0.02:0.3@10ms+40ms; dup:data:0.01@20ms+5ms

@@ -231,13 +231,15 @@ func TestPlanApplyResolution(t *testing.T) {
 		}
 	}
 
-	// The scheduled flap must actually fire.
+	// The scheduled flap must actually fire: while the bottleneck is
+	// down, routing has no path across it.
+	routed := func() bool { return d.Net.TracePorts(d.Senders[0].ID(), d.Receivers[0].ID(), 1) != nil }
 	eng.RunUntil(1500 * sim.Microsecond)
-	if !d.Bottleneck.Down() {
+	if routed() {
 		t.Error("default-target flap did not take the bottleneck down")
 	}
 	eng.RunUntil(10 * sim.Millisecond)
-	if d.Bottleneck.Down() {
+	if !routed() {
 		t.Error("flap did not restore the bottleneck")
 	}
 }

@@ -376,15 +376,6 @@ func (c *Checker) onCreditWaste(ev *obs.Event) {
 	c.ledger(ev.Flow).spend(ev.Seq)
 }
 
-// Outstanding returns the number of credits received but not yet spent
-// by flow — in-flight authorizations. Test helper.
-func (c *Checker) Outstanding(flow int64) int {
-	if flow < 0 || flow >= int64(len(c.flows)) {
-		return 0
-	}
-	return len(c.flows[flow].outstanding)
-}
-
 // ---- per-port state ----
 
 // port returns the tracker of port number n (obs.Event.Port), creating

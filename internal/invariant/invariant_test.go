@@ -20,6 +20,15 @@ func collect() (*[]Violation, Options) {
 	return &vs, Options{OnViolation: func(v Violation) { vs = append(vs, v) }}
 }
 
+// outstanding returns the number of credits received but not yet spent
+// by flow — in-flight authorizations.
+func (c *Checker) outstanding(flow int64) int {
+	if flow < 0 || flow >= int64(len(c.flows)) {
+		return 0
+	}
+	return len(c.flows[flow].outstanding)
+}
+
 // TestCleanRunNoViolations drives a healthy multi-flow ExpressPass
 // dumbbell to drain with every invariant armed: nothing may fire, and
 // the packet pool must conserve.
@@ -188,7 +197,7 @@ func TestWastedCreditCannotBeSpentLater(t *testing.T) {
 	tr := net.Tracer()
 	tr.Emit(obs.Event{Type: obs.EvCreditRecv, Scope: "h0", Flow: 1, Seq: 9, Bytes: 84})
 	tr.Emit(obs.Event{Type: obs.EvCreditWaste, Scope: "h0", Flow: 1, Seq: 9})
-	if n := c.Outstanding(1); n != 0 {
+	if n := c.outstanding(1); n != 0 {
 		t.Fatalf("wasted credit still outstanding: %d", n)
 	}
 	tr.Emit(obs.Event{Type: obs.EvDataSend, Scope: "h0", Flow: 1, Seq: 9, Bytes: 1460})

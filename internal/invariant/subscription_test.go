@@ -313,11 +313,11 @@ func TestRetiredFlowIDStartsWithACleanLedger(t *testing.T) {
 	tr := net.Tracer()
 	tr.Emit(obs.Event{Type: obs.EvCreditRecv, Scope: "h0", Flow: 3, Seq: 5, Bytes: 84})
 	tr.Emit(obs.Event{Type: obs.EvCreditRecv, Scope: "h0", Flow: 3, Seq: 6, Bytes: 84})
-	if n := c.Outstanding(3); n != 2 {
+	if n := c.outstanding(3); n != 2 {
 		t.Fatalf("outstanding = %d, want 2", n)
 	}
 	tr.Emit(obs.Event{Type: obs.EvFlowRetire, Scope: "net", Flow: 3})
-	if n := c.Outstanding(3); n != 0 {
+	if n := c.outstanding(3); n != 0 {
 		t.Fatalf("retired flow still has %d credits outstanding", n)
 	}
 	tr.Emit(obs.Event{Type: obs.EvCreditRecv, Scope: "h0", Flow: 3, Seq: 5, Bytes: 84})
@@ -331,7 +331,7 @@ func TestRetiredFlowIDStartsWithACleanLedger(t *testing.T) {
 	}
 	// Retiring an ID the checker never heard of is not an error.
 	tr.Emit(obs.Event{Type: obs.EvFlowRetire, Scope: "net", Flow: 4000})
-	if n := c.Outstanding(4000); n != 0 {
+	if n := c.outstanding(4000); n != 0 {
 		t.Fatalf("outstanding = %d for a flow that never received a credit", n)
 	}
 }

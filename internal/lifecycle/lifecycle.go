@@ -106,8 +106,7 @@ type Manager struct {
 
 	next     int        // next spec to dial
 	live     []liveFlow // dialed, not yet retired, in dial order
-	retired  int
-	finished int // OnFinish hook; includes not-yet-retired flows
+	finished int        // OnFinish hook; includes not-yet-retired flows
 
 	fcts      map[string]*stats.Dist
 	reapArmed bool
@@ -233,29 +232,18 @@ func (m *Manager) retire(lf liveFlow) {
 	// the run never reach it, which is harmless — their IDs just stay
 	// allocated.
 	lf.f.Sender.Network().FreeFlowID(lf.f.ID)
-	m.retired++
 }
 
 // Total returns the number of specs under management.
 func (m *Manager) Total() int { return len(m.specs) }
 
-// Dialed returns how many flows have been dialed so far.
-func (m *Manager) Dialed() int { return m.next }
-
 // Live returns how many dialed flows have not yet been retired.
 func (m *Manager) Live() int { return len(m.live) }
-
-// Retired returns how many flows have been retired.
-func (m *Manager) Retired() int { return m.retired }
 
 // Finished returns how many flows have delivered every byte, including
 // flows not yet retired. Maintained by an OnFinish counter, so reading
 // it is O(1) — drivers stop on this instead of rescanning every flow.
 func (m *Manager) Finished() int { return m.finished }
-
-// Drained reports that every spec was dialed and every dialed flow
-// retired — the reaper has stopped re-arming and the engine can drain.
-func (m *Manager) Drained() bool { return m.next >= len(m.specs) && len(m.live) == 0 }
 
 // FCTs returns the per-class FCT accumulators of retired flows when
 // Config.Class is set (empty otherwise). Flows never retired are not in

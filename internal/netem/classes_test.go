@@ -240,7 +240,7 @@ func TestFailureExclusion(t *testing.T) {
 		t.Fatalf("post-failure candidates s2→a = %d, want 1 (reverse excluded too)", got)
 	}
 	// Traffic still flows over the surviving link.
-	if net.TracePath(a.ID(), b.ID(), 1) == nil {
+	if net.TracePorts(a.ID(), b.ID(), 1) == nil {
 		t.Fatal("unroutable after single-link failure")
 	}
 	l1ab.Restore()
@@ -267,8 +267,8 @@ func TestFailureDisconnectClearsRoutes(t *testing.T) {
 	if s1.Routes(b.ID()) != nil {
 		t.Error("stale route survives disconnection")
 	}
-	if net.TracePath(a.ID(), b.ID(), 1) != nil {
-		t.Error("TracePath found a path through a dead link")
+	if net.TracePorts(a.ID(), b.ID(), 1) != nil {
+		t.Error("TracePorts found a path through a dead link")
 	}
 }
 

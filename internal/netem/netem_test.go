@@ -464,12 +464,12 @@ func TestNetworkRoutesAllPairs(t *testing.T) {
 			if a == b {
 				continue
 			}
-			path := net.TracePath(a.ID(), b.ID(), 1)
+			path := net.TracePorts(a.ID(), b.ID(), 1)
 			if path == nil {
 				t.Fatalf("no path %v→%v", a.ID(), b.ID())
 			}
-			if path[len(path)-1] != b.ID() {
-				t.Fatalf("path %v does not end at %v", path, b.ID())
+			if last := path[len(path)-1]; last.peer.owner != b {
+				t.Fatalf("path ends at %v, not %v", last.peer.owner, b)
 			}
 		}
 	}

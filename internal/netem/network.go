@@ -188,9 +188,6 @@ func (n *Network) Switches() []*Switch { return n.switches }
 // AllPorts returns every egress port in the network.
 func (n *Network) AllPorts() []*Port { return n.ports }
 
-// Node returns the node with the given ID.
-func (n *Network) Node(id packet.NodeID) Node { return n.nodes[id] }
-
 // NextFlowID allocates a flow ID, preferring one retired by FreeFlowID
 // over growing the ID space. Reuse keeps the flow table (indexed by ID)
 // sized to the *concurrent* flow population instead of the total dialed
@@ -419,30 +416,4 @@ func (n *Network) TracePorts(src, dst packet.NodeID, flow packet.FlowID) []*Port
 		cur = out.peer.owner
 	}
 	return ports
-}
-
-// TracePath returns the sequence of nodes a packet of the given flow
-// would traverse from src to dst (inclusive), for path-symmetry checks.
-func (n *Network) TracePath(src, dst packet.NodeID, flow packet.FlowID) []packet.NodeID {
-	path := []packet.NodeID{src}
-	cur := n.nodes[src]
-	for cur.ID() != dst {
-		var next Node
-		switch v := cur.(type) {
-		case *Host:
-			next = v.NIC().peer.owner
-		case *Switch:
-			out := v.NextPort(src, dst, flow)
-			if out == nil {
-				return nil
-			}
-			next = out.peer.owner
-		}
-		path = append(path, next.ID())
-		cur = next
-		if len(path) > len(n.nodes) {
-			return nil // loop: broken routing
-		}
-	}
-	return path
 }

@@ -263,14 +263,8 @@ func (p *Port) Number() int32 { return int32(p.global) + 1 }
 // Peer returns the port on the far side of the link.
 func (p *Port) Peer() *Port { return p.peer }
 
-// Owner returns the node this egress port belongs to.
-func (p *Port) Owner() Node { return p.owner }
-
 // Rate returns the configured line rate.
 func (p *Port) Rate() unit.Rate { return p.cfg.Rate }
-
-// PropDelay returns the propagation delay to the peer.
-func (p *Port) PropDelay() sim.Duration { return p.cfg.Delay }
 
 // Config returns the port configuration.
 func (p *Port) Config() PortConfig { return p.cfg }
@@ -580,12 +574,6 @@ func (p *Port) Fail() { p.failed = true }
 // Restore clears a failure.
 func (p *Port) Restore() { p.failed = false }
 
-// Failed reports whether this direction is marked failed.
-func (p *Port) Failed() bool { return p.failed }
-
-// Down reports whether this direction is hard-down (Network.SetLinkDown).
-func (p *Port) Down() bool { return p.down }
-
 // faultDrop destroys pkt at this port on behalf of an injected fault,
 // keeping drop accounting and the packet pool balanced.
 func (p *Port) faultDrop(pkt *packet.Packet, now sim.Time) {
@@ -610,13 +598,4 @@ func (p *Port) dropQueued() {
 	for !p.creditEmpty() {
 		p.faultDrop(p.creditPop(now), now)
 	}
-}
-
-// RCPRate returns the port's current explicit RCP rate (0 when RCP is
-// not enabled on this port).
-func (p *Port) RCPRate() unit.Rate {
-	if p.rcp == nil {
-		return 0
-	}
-	return p.rcp.rate
 }

@@ -18,17 +18,17 @@ func TestNetemSurface(t *testing.T) {
 		want []string
 	}{
 		{(*Port)(nil), []string{
-			"Config", "Down", "Enqueue", "Fail", "Failed", "Name", "Number",
-			"Owner", "Peer", "PropDelay", "RCPRate", "Rate", "ResetStats",
-			"Restore", "SetCorruption", "SetDelayJitter", "SetDuplication",
-			"SetLossModel", "SetRateJitter", "SetReorder", "Stats", "String",
+			"Config", "Enqueue", "Fail", "Name", "Number", "Peer", "Rate",
+			"ResetStats", "Restore", "SetCorruption", "SetDelayJitter",
+			"SetDuplication", "SetLossModel", "SetRateJitter", "SetReorder",
+			"Stats", "String",
 		}},
 		{(*Network)(nil), []string{
 			"ActiveEndpoints", "AllPorts", "BuildRoutes", "ClaimFlowMetrics",
 			"Connect", "FreeFlowID", "Hosts", "Metrics", "NewHost", "NewSwitch",
-			"NextFlowID", "Node", "Pool", "ReleaseFlowMetrics", "ResetStats",
-			"SetLinkDown", "SetTracer", "Stats", "Switches", "TracePath",
-			"TracePorts", "Tracer",
+			"NextFlowID", "Pool", "ReleaseFlowMetrics", "ResetStats",
+			"SetLinkDown", "SetTracer", "Stats", "Switches", "TracePorts",
+			"Tracer",
 			"field Eng",
 		}},
 		{(*Host)(nil), []string{

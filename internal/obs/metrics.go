@@ -133,9 +133,6 @@ func (r *Registry) Unregister(name string) bool {
 	return true
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.entries) }
-
 // Sample is one named value of a snapshot.
 type Sample struct {
 	Name  string

@@ -162,14 +162,3 @@ func (s *RingSink) Events() []Event {
 	out = append(out, s.evs[s.next:]...)
 	return append(out, s.evs[:s.next]...)
 }
-
-// CountType returns how many retained events have the given type.
-func (s *RingSink) CountType(ty EventType) int {
-	n := 0
-	for _, ev := range s.Events() {
-		if ev.Type == ty {
-			n++
-		}
-	}
-	return n
-}

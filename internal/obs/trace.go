@@ -17,7 +17,8 @@
 // Runtime (experiments.Params.Obs; the CLIs do this). Every network the
 // run builds is built in a sweep trial and records into that trial's
 // Trial scope, which it picks up through its engine (netem.Wiring); the
-// Trial streams or buffers into the Runtime, which is no scope itself.
+// Trial writes its events straight to the Runtime's tracer, in trial
+// order, and the Runtime is no scope itself.
 package obs
 
 import (
@@ -187,8 +188,9 @@ func EventTypeByName(name string) (EventType, bool) {
 // the host's NIC — and 0 on everything else. The invariant checker
 // indexes its per-port state with it instead of hashing Scope. It sits
 // in the padding between Type and Scope, so the struct is still 80 bytes
-// (Trial charges unsafe.Sizeof(Event) per buffered event), and it is not
-// part of the trace schema: no encoder prints it.
+// (every event a RingSink holds, the -flight recorder's included, is a
+// copy of it), and it is not part of the trace schema: no encoder
+// prints it.
 type Event struct {
 	T     sim.Time
 	Type  EventType

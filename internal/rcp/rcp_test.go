@@ -59,21 +59,22 @@ func TestRCPSplitsEvenly(t *testing.T) {
 	_ = conns
 }
 
+// TestRCPMeterExposesRate: a sender leaves its 1%-of-line start rate
+// only for a rate a port's meter stamped, so on a network without RCP
+// ports it keeps that rate.
 func TestRCPMeterExposesRate(t *testing.T) {
+	start := 10 * unit.Gbps / 100
 	eng, d := rcpNet(4, 2)
-	dial(d, 0, 0)
+	_, c := dial(d, 0, 0)
 	eng.RunUntil(10 * sim.Millisecond)
-	if r := d.Bottleneck.RCPRate(); r <= 0 {
-		t.Error("bottleneck meter not running")
+	if c.PaceRate == start {
+		t.Error("no meter stamped a rate")
 	}
-	// A port without RCP reports zero.
-	if r := d.Senders[0].NIC().Peer().RCPRate(); r <= 0 {
-		// sender-side ToR ports also have RCP in this config; check a
-		// network without RCP instead.
-		eng2 := sim.New(1)
-		d2 := topology.NewDumbbell(eng2, 2, topology.Config{LinkRate: 10 * unit.Gbps})
-		if d2.Bottleneck.RCPRate() != 0 {
-			t.Error("non-RCP port reports a rate")
-		}
+	eng2 := sim.New(4)
+	d2 := topology.NewDumbbell(eng2, 2, topology.Config{LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond})
+	_, c2 := dial(d2, 0, 0)
+	eng2.RunUntil(10 * sim.Millisecond)
+	if c2.PaceRate != start {
+		t.Errorf("pace rate %v without RCP ports, want the start rate %v", c2.PaceRate, start)
 	}
 }

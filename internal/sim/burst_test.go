@@ -17,7 +17,7 @@ import (
 // stay on one picosecond forever.
 func syncTimer(obj, _ any, period uint64) {
 	e := obj.(*Engine)
-	e.After2(Duration(period), syncTimer, e, nil, period)
+	e.After2D(0, Duration(period), syncTimer, e, nil, period)
 }
 
 // holdEvent is the background stream: each event schedules one
@@ -40,7 +40,7 @@ func BenchmarkSyncTimers(b *testing.B) {
 			e := New(1)
 			const period = uint64(10 * Microsecond)
 			for i := 0; i < n; i++ {
-				e.After2(Duration(period), syncTimer, e, nil, period)
+				e.After2D(0, Duration(period), syncTimer, e, nil, period)
 			}
 			for i := 0; i < 64; i++ {
 				holdEvent(e, nil, uint64(i))

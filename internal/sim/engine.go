@@ -10,7 +10,7 @@ type Handler func()
 
 // Handler2 is the typed-event callback: a package-level function chosen
 // at the call site, invoked with the (obj, aux, arg) triple that was
-// stored inline in the event struct by At2/After2. Because the function
+// stored inline in the event struct by At2/After2D. Because the function
 // value is static and both any slots hold pointers, scheduling a typed
 // event performs no heap allocation — the closure API (At) is built on
 // it, allocates one closure per schedule and is kept for cold-path
@@ -407,13 +407,8 @@ func (e *Engine) At2D(dom int32, at Time, h Handler2, obj, aux any, arg uint64) 
 	return EventID{ev, seq}
 }
 
-// After2 schedules the typed event h(obj, aux, arg) to run d from now
-// (global domain).
-func (e *Engine) After2(d Duration, h Handler2, obj, aux any, arg uint64) EventID {
-	return e.At2D(0, e.now+d, h, obj, aux, arg)
-}
-
-// After2D is After2 with an explicit scheduling domain.
+// After2D schedules the typed event h(obj, aux, arg) to run d from now
+// in scheduling domain dom.
 func (e *Engine) After2D(dom int32, d Duration, h Handler2, obj, aux any, arg uint64) EventID {
 	return e.At2D(dom, e.now+d, h, obj, aux, arg)
 }

@@ -2,7 +2,7 @@ package sim
 
 import "testing"
 
-// Tests for the typed event API (At2/After2): dispatch of the stored
+// Tests for the typed event API (At2/After2D): dispatch of the stored
 // (obj, aux, arg) triple, interleaved ordering with closure events at
 // equal timestamps, EventID cancel/recycle semantics across both APIs,
 // and the zero-allocation property the API exists for.
@@ -27,7 +27,7 @@ func TestAt2DispatchesTriple(t *testing.T) {
 	s := &typedSink{}
 	aux := &struct{ x int }{7}
 	e.At2(5*Nanosecond, sinkRecord, s, aux, 42)
-	e.After2(10*Nanosecond, sinkRecord, s, nil, 43)
+	e.After2D(0, 10*Nanosecond, sinkRecord, s, nil, 43)
 	e.Run()
 	if len(s.calls) != 2 || s.calls[0] != 42 || s.calls[1] != 43 {
 		t.Fatalf("args = %v, want [42 43]", s.calls)

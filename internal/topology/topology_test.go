@@ -29,12 +29,12 @@ func TestStarShape(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if s.Net.TracePath(a.ID(), b.ID(), 1) == nil {
+			if s.Net.TracePorts(a.ID(), b.ID(), 1) == nil {
 				t.Fatalf("no route %d→%d", i, j)
 			}
 		}
 	}
-	if s.DownPort(2).Peer().Owner() != s.Hosts[2] {
+	if s.DownPort(2).Peer() != s.Hosts[2].NIC() {
 		t.Error("DownPort(2) does not face host 2")
 	}
 }
@@ -44,11 +44,11 @@ func TestDumbbellBottleneck(t *testing.T) {
 	d := NewDumbbell(eng, 3, cfg10G())
 	// Sender i to receiver i must cross the middle link.
 	for i := range d.Senders {
-		path := d.Net.TracePath(d.Senders[i].ID(), d.Receivers[i].ID(), packet.FlowID(i))
-		if len(path) != 4 {
-			t.Fatalf("path length %d, want 4 (host,swL,swR,host)", len(path))
+		path := d.Net.TracePorts(d.Senders[i].ID(), d.Receivers[i].ID(), packet.FlowID(i))
+		if len(path) != 3 {
+			t.Fatalf("path length %d, want 3 ports (host,swL,swR)", len(path))
 		}
-		if path[1] != d.Left.ID() || path[2] != d.Right.ID() {
+		if path[1] != d.Bottleneck {
 			t.Fatalf("path %v does not cross swL→swR", path)
 		}
 	}
@@ -57,15 +57,15 @@ func TestDumbbellBottleneck(t *testing.T) {
 func TestParkingLotPaths(t *testing.T) {
 	eng := sim.New(1)
 	pl := NewParkingLot(eng, 4, cfg10G())
-	long := pl.Net.TracePath(pl.LongSrc.ID(), pl.LongDst.ID(), 1)
-	// Long flow: host + 5 switches + host.
-	if len(long) != 7 {
-		t.Fatalf("long path length %d, want 7", len(long))
+	long := pl.Net.TracePorts(pl.LongSrc.ID(), pl.LongDst.ID(), 1)
+	// Long flow: out of the host and 5 switches.
+	if len(long) != 6 {
+		t.Fatalf("long path length %d, want 6", len(long))
 	}
 	for i := 0; i < 4; i++ {
-		cross := pl.Net.TracePath(pl.CrossSrc[i].ID(), pl.CrossDst[i].ID(), packet.FlowID(i))
-		if len(cross) != 4 {
-			t.Fatalf("cross path %d length %d, want 4", i, len(cross))
+		cross := pl.Net.TracePorts(pl.CrossSrc[i].ID(), pl.CrossDst[i].ID(), packet.FlowID(i))
+		if len(cross) != 3 {
+			t.Fatalf("cross path %d length %d, want 3", i, len(cross))
 		}
 	}
 }
@@ -74,13 +74,13 @@ func TestMultiBottleneckPaths(t *testing.T) {
 	eng := sim.New(1)
 	mb := NewMultiBottleneck(eng, 3, cfg10G())
 	// Flow 0 crosses only B→C.
-	p0 := mb.Net.TracePath(mb.Flow0Src.ID(), mb.Flow0Dst.ID(), 1)
-	if len(p0) != 4 {
+	p0 := mb.Net.TracePorts(mb.Flow0Src.ID(), mb.Flow0Dst.ID(), 1)
+	if len(p0) != 3 {
 		t.Fatalf("flow0 path %v", p0)
 	}
 	// Cross flows traverse A→B→C.
-	pc := mb.Net.TracePath(mb.Srcs[0].ID(), mb.Dsts[0].ID(), 2)
-	if len(pc) != 5 {
+	pc := mb.Net.TracePorts(mb.Srcs[0].ID(), mb.Dsts[0].ID(), 2)
+	if len(pc) != 4 {
 		t.Fatalf("cross path %v", pc)
 	}
 }
@@ -113,7 +113,7 @@ func TestFatTreeAllPairsRoutable(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if ft.Net.TracePath(a.ID(), b.ID(), 12345) == nil {
+			if ft.Net.TracePorts(a.ID(), b.ID(), 12345) == nil {
 				t.Fatalf("unroutable pair %s→%s", a.Name(), b.Name())
 			}
 		}
@@ -134,13 +134,13 @@ func TestFatTreePathSymmetry(t *testing.T) {
 		if a == b {
 			return true
 		}
-		fwd := ft.Net.TracePath(a, b, packet.FlowID(flow))
-		rev := ft.Net.TracePath(b, a, packet.FlowID(flow))
+		fwd := ft.Net.TracePorts(a, b, packet.FlowID(flow))
+		rev := ft.Net.TracePorts(b, a, packet.FlowID(flow))
 		if len(fwd) != len(rev) {
 			return false
 		}
-		for i := range fwd {
-			if fwd[i] != rev[len(rev)-1-i] {
+		for i, p := range fwd {
+			if p.Peer() != rev[len(rev)-1-i] {
 				return false
 			}
 		}
@@ -157,15 +157,17 @@ func TestFatTreeECMPSpreads(t *testing.T) {
 	ft := NewFatTree(eng, 4, cfg10G())
 	a := ft.Hosts[0].ID()  // pod 0
 	b := ft.Hosts[15].ID() // pod 3
-	cores := map[packet.NodeID]bool{}
-	coreSet := map[packet.NodeID]bool{}
+	cores := map[*netem.Switch]bool{}
+	coreOf := map[*netem.Port]*netem.Switch{}
 	for _, c := range ft.Cores {
-		coreSet[c.ID()] = true
+		for _, p := range c.Ports() {
+			coreOf[p] = c
+		}
 	}
 	for flow := 0; flow < 64; flow++ {
-		for _, node := range ft.Net.TracePath(a, b, packet.FlowID(flow)) {
-			if coreSet[node] {
-				cores[node] = true
+		for _, p := range ft.Net.TracePorts(a, b, packet.FlowID(flow)) {
+			if c := coreOf[p]; c != nil {
+				cores[c] = true
 			}
 		}
 	}
@@ -193,7 +195,7 @@ func TestOversubTreeShape(t *testing.T) {
 		t.Errorf("uplink capacity = %v", got)
 	}
 	// Cross-rack pairs must be routable.
-	if ot.Net.TracePath(ot.Hosts[0].ID(), ot.Hosts[191].ID(), 5) == nil {
+	if ot.Net.TracePorts(ot.Hosts[0].ID(), ot.Hosts[191].ID(), 5) == nil {
 		t.Error("cross-fabric pair unroutable")
 	}
 }
@@ -208,13 +210,13 @@ func TestOversubTreeSymmetry(t *testing.T) {
 		if a == b {
 			return true
 		}
-		fwd := ot.Net.TracePath(a, b, packet.FlowID(flow))
-		rev := ot.Net.TracePath(b, a, packet.FlowID(flow))
+		fwd := ot.Net.TracePorts(a, b, packet.FlowID(flow))
+		rev := ot.Net.TracePorts(b, a, packet.FlowID(flow))
 		if fwd == nil || rev == nil || len(fwd) != len(rev) {
 			return false
 		}
-		for i := range fwd {
-			if fwd[i] != rev[len(rev)-1-i] {
+		for i, p := range fwd {
+			if p.Peer() != rev[len(rev)-1-i] {
 				return false
 			}
 		}
