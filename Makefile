@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check test bench-gate bench-test gate fmt vet race fuzz-smoke cover reach
+.PHONY: check test bench-gate bench-test gate fmt vet race fuzz-smoke cover reach lines
 
 ## check: the pre-commit gate — vet, formatting, and the race-enabled
 ## tests of the engine, instrumentation, and parallel-runner layers
@@ -121,6 +121,13 @@ reach:
 	go tool covdata percent -i $$d/cov; \
 	echo "reach: functions at 0.0%:"; \
 	go tool covdata func -i $$d/cov | awk '$$NF == "0.0%"'
+
+## lines: the program's size, as CHANGES.md and ROADMAP.md quote it:
+## the non-blank lines that are not `//` comments in every Go file git
+## tracks, test files and the benchmark harness (bench/) left out. A
+## new file counts once it is staged (`git add`).
+lines:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | grep -v '^[[:space:]]*$$' | grep -v '^[[:space:]]*//' | wc -l
 
 ## gate: the full determinism gate — every registered experiment,
 ## including the heavy realistic workloads, run serially and then at

@@ -344,9 +344,9 @@ func main() {
 	}
 	if rt != nil {
 		if tr := rt.Tracer(); tr != nil {
-			events, peak := rt.EngineTotals()
+			s := rt.Totals()
 			fmt.Fprintf(os.Stderr, "xpsim: traced %d events (%d sim events, peak heap %d)\n",
-				tr.Count(), events, peak)
+				tr.Count(), s.Executed, s.PeakLive)
 		}
 		if o.progress {
 			res, rate := rt.Resources()
@@ -355,8 +355,7 @@ func main() {
 				rt.Elapsed().Round(time.Millisecond), humanSI(rate),
 				humanBytes(res.PeakRSSBytes), humanBytes(res.HeapAllocBytes),
 				res.NumGC, res.GCPauseTotal.Round(time.Microsecond))
-			events, _ := rt.EngineTotals()
-			fmt.Fprintf(os.Stderr, "xpsim: sched: %s\n", schedSummary(events, rt.SchedTotals()))
+			fmt.Fprintf(os.Stderr, "xpsim: sched: %s\n", schedSummary(rt.Totals()))
 		}
 		if err := rt.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "xpsim: %v\n", err)
@@ -464,14 +463,14 @@ func parseSize(s string) (int64, error) {
 // schedSummary renders the scheduler's counters: what share of the
 // run's pops came off the calendar's heap rather than a wheel bucket's
 // head, how many events a capped bucket walk sent there (same-instant
-// timers armed against key order; ≈ 0 otherwise), the heap's high-water
-// mark and the wheel rebuilds, then how many transmitter-done events
-// were reserved but never queued because no packet waited for them
-// (events counts queued events only, so the run an eager scheduler would
-// have executed is events plus that figure).
-func schedSummary(events uint64, s obs.SchedTotals) string {
+// timers armed against key order; ≈ 0 otherwise), the calendar heap's
+// high-water mark and the wheel rebuilds, then how many transmitter-done
+// events were reserved but never queued because no packet waited for
+// them (Executed counts queued events only, so the run an eager
+// scheduler would have executed is Executed plus that figure).
+func schedSummary(s sim.Stats) string {
 	out := fmt.Sprintf("%d heap pops (%.1f%% of %d sim events), %d walk spills, peak heap %d events, %d rebuilds",
-		s.HeapPops, 100*float64(s.HeapPops)/float64(max(events, 1)), events, s.WalkSpills, s.PeakHeap, s.Rebuilds)
+		s.HeapPops, 100*float64(s.HeapPops)/float64(max(s.Executed, 1)), s.Executed, s.WalkSpills, s.PeakHeap, s.Rebuilds)
 	if s.Reserved > 0 {
 		never := s.Reserved - s.Armed
 		out += fmt.Sprintf("; %d of %d tx-done events never queued (%.1f%%)",

@@ -19,7 +19,7 @@ import (
 	"testing"
 
 	"expresspass"
-	"expresspass/internal/obs"
+	"expresspass/internal/sim"
 )
 
 func TestCheckScale(t *testing.T) {
@@ -82,21 +82,21 @@ func TestParseSize(t *testing.T) {
 
 func TestSchedSummary(t *testing.T) {
 	want := "0 heap pops (0.0% of 1000 sim events), 0 walk spills, peak heap 0 events, 0 rebuilds"
-	if got := schedSummary(1000, obs.SchedTotals{}); got != want {
+	if got := schedSummary(sim.Stats{Executed: 1000}); got != want {
 		t.Errorf("wheel-only run: %q, want %q", got, want)
 	}
-	st := obs.SchedTotals{HeapPops: 250, WalkSpills: 246, PeakHeap: 258, Rebuilds: 7}
+	st := sim.Stats{Executed: 1000, HeapPops: 250, WalkSpills: 246, PeakHeap: 258, Rebuilds: 7}
 	want = "250 heap pops (25.0% of 1000 sim events), 246 walk spills, peak heap 258 events, 7 rebuilds"
-	if got := schedSummary(1000, st); got != want {
+	if got := schedSummary(st); got != want {
 		t.Errorf("spilling run: %q, want %q", got, want)
 	}
 	st.Reserved, st.Armed = 400, 100
 	want += "; 300 of 400 tx-done events never queued (75.0%)"
-	if got := schedSummary(1000, st); got != want {
+	if got := schedSummary(st); got != want {
 		t.Errorf("spilling run with elided tx-dones: %q, want %q", got, want)
 	}
 	want = "0 heap pops (0.0% of 0 sim events), 0 walk spills, peak heap 0 events, 0 rebuilds; 0 of 8 tx-done events never queued (0.0%)"
-	if got := schedSummary(0, obs.SchedTotals{Reserved: 8, Armed: 8}); got != want {
+	if got := schedSummary(sim.Stats{Reserved: 8, Armed: 8}); got != want {
 		t.Errorf("saturated run: %q, want %q", got, want)
 	}
 }

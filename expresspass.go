@@ -128,7 +128,7 @@ func Dial(f *Flow, cfg Config) *Session { return core.Dial(f, cfg) }
 // delay with a 250-MTU data buffer. Its credit queue is PortConfig's
 // default: one class of 8 credits.
 func Link(rate Rate, delay Duration) PortConfig {
-	return PortConfig{Rate: rate, Delay: delay, DataCapacity: Bytes(384.5 * 1000)}
+	return PortConfig{Rate: rate, Delay: delay, DataCapacity: netem.SwitchBuffer}
 }
 
 // HardwareNIC returns the NIC-hardware host delay model (∆d≈1 µs).

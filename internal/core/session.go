@@ -608,7 +608,7 @@ func (rc *receiver) sendCredit() {
 	c.Seq = rc.nextSeq
 	size := unit.MinFrame
 	if !rc.sess.Cfg.DisableCreditSizeRandomization {
-		size += unit.Bytes(rc.rng.Intn(9)) // 84–92 B
+		size += unit.Bytes(rc.rng.Intn(int(unit.MaxCredit-unit.MinFrame) + 1))
 	}
 	c.Wire = size
 	rc.creditsSent++

@@ -35,7 +35,7 @@ func runExtClasses(p Params) (Result, error) {
 		right := net.NewSwitch("R")
 		cfg := netem.PortConfig{
 			Rate: 10 * unit.Gbps, Delay: 4 * sim.Microsecond,
-			DataCapacity: 384500, CreditClasses: classes,
+			DataCapacity: netem.SwitchBuffer, CreditClasses: classes,
 		}
 		net.Connect(left, right, cfg)
 		var hosts []*netem.Host

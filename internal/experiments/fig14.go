@@ -72,7 +72,7 @@ func runFig14b(t *runner.T, p Params) Result {
 		c.Flow = 99
 		c.Src = st.Hosts[0].ID()
 		c.Dst = st.Hosts[1].ID()
-		c.Wire = unit.MinFrame + unit.Bytes(jr.Intn(9))
+		c.Wire = unit.MinFrame + unit.Bytes(jr.Intn(int(unit.MaxCredit-unit.MinFrame)+1))
 		st.Hosts[0].Send(c)
 		now := eng.Now()
 		if lastTx > 0 {

@@ -25,10 +25,10 @@ import (
 func TestNoSynchronisedTimerBurst(t *testing.T) {
 	eng := sim.New(7)
 	fig15Cell(eng, Params{Scale: 0.1, Seed: 7}.withDefaults(), 256, ProtoRCP)
-	executed, spills, heapPops, peak := eng.Executed(), eng.WalkSpills(), eng.HeapPops(), eng.PeakHeap()
+	s := eng.Stats()
 	t.Logf("%d events, %d walk spills, %d heap pops (%.1f%%), peak heap %d",
-		executed, spills, heapPops, 100*float64(heapPops)/float64(executed), peak)
-	if spills != 0 {
-		t.Errorf("Engine.WalkSpills() = %d over %d executed events, want 0: some model arms one timer per port or flow on a shared instant", spills, executed)
+		s.Executed, s.WalkSpills, s.HeapPops, 100*float64(s.HeapPops)/float64(s.Executed), s.PeakHeap)
+	if s.WalkSpills != 0 {
+		t.Errorf("Stats().WalkSpills = %d over %d executed events, want 0: some model arms one timer per port or flow on a shared instant", s.WalkSpills, s.Executed)
 	}
 }

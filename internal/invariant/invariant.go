@@ -112,7 +112,7 @@ const defaultFlightEvents = 4096
 // deliberately NOT the port's configured burst: the checker validates
 // the spec bound, so a port whose limiter was misconfigured with a huge
 // burst is caught.
-const DefaultBurstTolerance = 2 * (unit.MinFrame + 8)
+const DefaultBurstTolerance = 2 * unit.MaxCredit
 
 // ---- one run's checking ----
 

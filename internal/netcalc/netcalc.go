@@ -163,7 +163,7 @@ func (s Spec) Compute() Bounds {
 func (s Spec) ToRSwitchTotal(downPorts, upPorts int) (data, credit unit.Bytes) {
 	b := s.Compute()
 	data = unit.Bytes(downPorts)*b.ToRDown + unit.Bytes(upPorts)*b.ToRUp
-	perPort := unit.Bytes(s.CreditQueue) * (unit.MinFrame + 8)
+	perPort := unit.Bytes(s.CreditQueue) * unit.MaxCredit
 	credit = unit.Bytes(downPorts+upPorts) * perPort
 	return data, credit
 }

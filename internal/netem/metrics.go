@@ -1,15 +1,18 @@
 package netem
 
 // Observability wiring. A Network built on an engine whose Wiring names
-// a scope — the obs.Trial of the sweep trial that created the engine —
-// hands the run's tracer to every port and, when a metrics CSV is
-// requested, registers engine and per-port gauges in a private registry
-// sampled on the simulation clock; the rows carry the trial's scope
-// labels ("t3.0"). None of this runs for an engine without one: every
-// port carries a nil tracer. Network.SetTracer traces a hand-built
-// network without any run around it.
+// a runtime hands the run's tracer to every port and, when a metrics CSV
+// is requested, registers engine and per-port gauges in a private
+// registry sampled on the simulation clock; the rows carry a scope label
+// naming the trial and the network's place among its metered ones
+// ("t3.0", "t3.1", …), so rows of different trials and networks stay
+// apart and deterministically named. None of this runs for an engine
+// without one: every port carries a nil tracer. Network.SetTracer traces
+// a hand-built network without any run around it.
 
 import (
+	"strconv"
+
 	"expresspass/internal/obs"
 	"expresspass/internal/unit"
 )
@@ -19,15 +22,16 @@ import (
 // metrics CSV volume sane on many-thousand-flow workloads.
 const flowMetricsCap = 64
 
-// initObs attaches the network to its trial's scope: tracing if the
-// trial has a tracer, and a metrics registry plus sampler if a metrics
-// CSV was requested. The trial counts the engine itself (runner.T.Engine
-// attached it).
-func (n *Network) initObs(rt *obs.Trial) {
+// initObs attaches the network to the run's runtime: tracing if it has
+// a tracer, and a metrics registry plus sampler if a metrics CSV was
+// requested. The runner counts the engine itself (runner.T.Engine).
+func (n *Network) initObs(w *Wiring) {
+	rt := w.Obs
 	n.rt = rt
 	n.tracer = rt.Tracer()
 	if rt.MetricsEnabled() {
-		n.scope = rt.NextScope()
+		n.scope = "t" + strconv.Itoa(w.Trial) + "." + strconv.Itoa(w.scopes)
+		w.scopes++
 		n.metrics = obs.NewRegistry()
 		n.flowMetricsLeft = flowMetricsCap
 		n.registerEngineMetrics()
@@ -81,9 +85,9 @@ func (n *Network) registerEngineMetrics() {
 	r, e := n.metrics, n.Eng
 	r.Gauge("engine/events", func() float64 { return float64(e.Executed()) })
 	r.Gauge("engine/pending", func() float64 { return float64(e.Pending()) })
-	r.Gauge("engine/peak_heap", func() float64 { return float64(e.MaxPending()) })
-	r.Gauge("sim/freelist_size", func() float64 { return float64(e.FreeListSize()) })
-	r.Gauge("sim/resched", func() float64 { return float64(e.Rescheduled()) })
+	r.Gauge("engine/peak_heap", func() float64 { return float64(e.Stats().PeakLive) })
+	r.Gauge("sim/freelist_size", func() float64 { return float64(e.Stats().FreeList) })
+	r.Gauge("sim/resched", func() float64 { return float64(e.Stats().Rescheduled) })
 	ivalSec := n.rt.Interval().Seconds()
 	var last float64
 	r.Gauge("engine/events_per_sec", func() float64 {

@@ -10,18 +10,26 @@ import (
 )
 
 // Wiring is what a run attaches to every network built on its engines
-// (sim.Engine.Wiring): the instrumentation scope — the obs.Trial of the
-// sweep trial that created the engine — and the per-network check the
+// (sim.Engine.Wiring): the run's instrumentation runtime, the index of
+// the sweep trial that created the engine, and the per-network check the
 // run arms (invariant.Set.Attach), which is how layers above netem attach
-// themselves without netem importing them. Either may be nil.
+// themselves without netem importing them. Obs and Check may be nil. One
+// trial's engines share one Wiring, which numbers its metered networks.
 type Wiring struct {
-	Scope *obs.Trial
+	Obs   *obs.Runtime
+	Trial int
 	Check func(*Network)
+
+	scopes int // metered networks built so far: the n of "t<Trial>.<n>"
 }
 
 // DefaultHostQueue is the NIC egress data budget. It is generous so host
 // egress never drops locally-sourced data; contention is at switches.
 const DefaultHostQueue = 16 * unit.MB
+
+// SwitchBuffer is a switch port's data buffer: 250 MTU-size frames
+// (384.5 KB), paper §6.3.
+const SwitchBuffer = 250 * unit.MaxFrame
 
 // Network owns the nodes and links of one simulated topology.
 type Network struct {
@@ -55,21 +63,21 @@ type Network struct {
 	// case the simulation pays nothing beyond one nil check per hook).
 	tracer          *obs.Tracer
 	metrics         *obs.Registry
-	rt              *obs.Trial
+	rt              *obs.Runtime
 	scope           string
 	flowMetricsLeft int
 }
 
 // NewNetwork returns an empty network bound to eng, wired as eng's
-// Wiring says: with a scope, the network hands its tracer to every port,
-// registers per-port metrics and schedules a metrics sampler on eng;
-// with a check, the check runs last, before any node exists. An engine
-// without a Wiring builds an unobserved, unchecked network.
+// Wiring says: with a runtime, the network hands its tracer to every
+// port, registers per-port metrics and schedules a metrics sampler on
+// eng; with a check, the check runs last, before any node exists. An
+// engine without a Wiring builds an unobserved, unchecked network.
 func NewNetwork(eng *sim.Engine) *Network {
 	n := &Network{Eng: eng}
 	if w, _ := eng.Wiring.(*Wiring); w != nil {
-		if w.Scope != nil {
-			n.initObs(w.Scope)
+		if w.Obs != nil {
+			n.initObs(w)
 		}
 		if w.Check != nil {
 			w.Check(n)

@@ -70,7 +70,7 @@ func (c PortConfig) withDefaults() PortConfig {
 		c.CreditRatio = unit.CreditRatio
 	}
 	if c.CreditBurst == 0 {
-		c.CreditBurst = 2 * (unit.MinFrame + 8) // two max-size (92 B) credits
+		c.CreditBurst = 2 * unit.MaxCredit
 	}
 	if c.CreditQueueCap <= 0 {
 		c.CreditQueueCap = 8

@@ -140,25 +140,22 @@ func TestRuntimeEngineTotals(t *testing.T) {
 		e1.After(sim.Duration(i)*sim.Nanosecond, func() {})
 	}
 	e2.After(sim.Nanosecond, func() {})
-	t0, t1 := rt.BeginTrial(0), rt.BeginTrial(1)
-	t0.AttachEngine(e1)
-	t1.AttachEngine(e2)
 	e1.Run()
 	e2.Run()
-	if events, _ := rt.EngineTotals(); events != 0 {
+	if events := rt.Totals().Executed; events != 0 {
 		t.Errorf("events = %d before any trial finished, want 0", events)
 	}
-	t1.Finish()
-	if events, _ := rt.EngineTotals(); events != 1 {
+	rt.FinishTrial([]*sim.Engine{e2})
+	if events := rt.Totals().Executed; events != 1 {
 		t.Errorf("events = %d after trial 1 finished, want 1", events)
 	}
-	t0.Finish()
-	events, peak := rt.EngineTotals()
-	if events != 11 {
-		t.Errorf("events = %d, want 11", events)
+	rt.FinishTrial([]*sim.Engine{e1})
+	s := rt.Totals()
+	if s.Executed != 11 {
+		t.Errorf("events = %d, want 11", s.Executed)
 	}
-	if peak != 10 {
-		t.Errorf("peak heap = %d, want 10", peak)
+	if s.PeakLive != 10 {
+		t.Errorf("live-event peak = %d, want 10", s.PeakLive)
 	}
 }
 

@@ -38,12 +38,11 @@ type Config struct {
 
 // Runtime is one run's instrumentation state: the trace sink, the
 // metrics CSV, engine accounting and progress heartbeats. A run carries
-// it as a value (experiments.Params.Obs); the runner hands each sweep
-// trial a Trial scope of it, and a network built on an engine wired to
-// one (netem.Wiring) wires itself up at construction. The runtime itself
-// is no scope: every network records through a trial, and the engine
-// totals are those of finished trials. A network outside any run carries
-// nil hooks and the simulation runs at full speed.
+// it as a value (experiments.Params.Obs); a network built on an engine
+// the runner wired to it (netem.Wiring) wires itself up at construction
+// and labels its metrics rows with its trial's index. The engine totals
+// are those of finished trials (FinishTrial). A network outside any run
+// carries nil hooks and the simulation runs at full speed.
 type Runtime struct {
 	cfg Config
 
@@ -51,11 +50,9 @@ type Runtime struct {
 	mw     *lineWriter // metrics CSV; nil when metrics are off
 	header bool
 
-	// Totals of every finished trial (Trial.Finish), folded in once per
-	// trial under mu: counts add, peaks are a max.
-	events uint64
-	peak   int
-	sched  SchedTotals
+	// Totals of every finished trial (FinishTrial), folded in once per
+	// trial under mu.
+	total sim.Stats
 
 	// Sweep progress: phase label plus trial counters, driven by the
 	// runner. All atomic so heartbeats never contend with workers.
@@ -87,59 +84,26 @@ func (rt *Runtime) MetricsEnabled() bool { return rt.mw != nil }
 // Interval returns the metrics sampling period.
 func (rt *Runtime) Interval() sim.Duration { return rt.cfg.Interval }
 
-// EngineTotals sums executed events and takes the maximum event-heap
-// depth across the engines of every finished trial.
-func (rt *Runtime) EngineTotals() (events uint64, peakHeap int) {
+// Totals returns the summed counters (sim.Stats.Add) of the engines of
+// every finished trial.
+func (rt *Runtime) Totals() sim.Stats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.events, rt.peak
+	return rt.total
 }
 
-// SchedTotals is what the event scheduler did across the engines
-// EngineTotals covers: the pops it served from the calendar's heap, the
-// events a capped bucket walk sent there, the heap's high-water mark and
-// the wheel rebuilds (sim.Engine.HeapPops, WalkSpills, PeakHeap,
-// Rebuilds), and the keys reserved for transmitter-done events against
-// how many of them were ever queued (sim.Engine.Reserved) —
-// Reserved-Armed events never existed, so EngineTotals' event count does
-// not include them.
-type SchedTotals struct {
-	HeapPops   uint64
-	WalkSpills uint64
-	PeakHeap   int
-	Rebuilds   int
-	Reserved   uint64
-	Armed      uint64
-}
-
-// add folds one engine's counters in (counts add; the peak is a max).
-func (t *SchedTotals) add(e *sim.Engine) {
-	t.HeapPops += e.HeapPops()
-	t.WalkSpills += e.WalkSpills()
-	t.PeakHeap = max(t.PeakHeap, e.PeakHeap())
-	t.Rebuilds += e.Rebuilds()
-	r, a := e.Reserved()
-	t.Reserved += r
-	t.Armed += a
-}
-
-// SchedTotals sums the scheduler counters over the engines of every
-// finished trial.
-func (rt *Runtime) SchedTotals() SchedTotals {
+// FinishTrial folds a finished trial's engines into the totals and
+// counts the trial done. The runner calls it once per trial, after the
+// body returns or panics: the engines are quiescent, so the reads are
+// race-free, and progress heartbeats see events as trials finish.
+func (rt *Runtime) FinishTrial(engines []*sim.Engine) {
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.sched
-}
-
-// addTrial folds one finished trial's engines into the totals.
-func (rt *Runtime) addTrial(engines []*sim.Engine) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	for _, e := range engines {
-		rt.events += e.Executed()
-		rt.peak = max(rt.peak, e.MaxPending())
-		rt.sched.add(e)
+		rt.total.Add(e.Stats())
 	}
+	rt.mu.Unlock()
+	rt.sweepDone.Add(1)
+	rt.heartbeat(false)
 }
 
 // SetPhase labels the current run phase (the experiment name) for
@@ -153,12 +117,6 @@ func (rt *Runtime) SetPhase(name string) {
 func (rt *Runtime) StartSweep(trials int) {
 	rt.sweepTotal.Store(int64(trials))
 	rt.sweepDone.Store(0)
-}
-
-// trialDone records one finished trial for heartbeat reporting.
-func (rt *Runtime) trialDone() {
-	rt.sweepDone.Add(1)
-	rt.heartbeat(false)
 }
 
 // heartbeat emits one progress line if a Progress writer is configured
@@ -182,7 +140,7 @@ func (rt *Runtime) heartbeat(force bool) {
 	if p := rt.phase.Load(); p != nil {
 		phase = *p
 	}
-	events, _ := rt.EngineTotals()
+	events := rt.Totals().Executed
 	elapsed := time.Duration(now - rt.started.UnixNano()).Seconds()
 	rate := 0.0
 	if elapsed > 0 {
@@ -214,7 +172,7 @@ func (rt *Runtime) Elapsed() time.Duration { return time.Since(rt.started) }
 // runtime's aggregate event rate — the end-of-run telemetry line.
 func (rt *Runtime) Resources() (Resources, float64) {
 	res := ReadResources()
-	events, _ := rt.EngineTotals()
+	events := rt.Totals().Executed
 	rate := 0.0
 	if s := rt.Elapsed().Seconds(); s > 0 {
 		rate = float64(events) / s

@@ -10,96 +10,82 @@ import (
 	"expresspass/internal/sim"
 )
 
-// TestTrialLifecycle walks a trial scope through the sweep protocol —
-// StartSweep, BeginTrial, AttachEngine, Finish — and checks the scope
-// mirrors the runtime, labels its metrics scopes by trial index, and
-// folds its engine totals into the runtime's and counts itself done only
-// at Finish.
+// TestTrialLifecycle walks a trial through the sweep protocol —
+// StartSweep, then FinishTrial with the engines it ran — and checks the
+// runtime folds a trial's engines into its totals and counts it done
+// only at FinishTrial.
 func TestTrialLifecycle(t *testing.T) {
 	rt := NewRuntime(Config{
 		Tracer:     NewTracer(NewJSONLSink(io.Discard)),
 		MetricsOut: io.Discard,
 	})
 	rt.StartSweep(4)
-	tr := rt.BeginTrial(3)
-	if tr.Tracer() != rt.Tracer() || !tr.MetricsEnabled() || tr.Interval() != rt.Interval() {
-		t.Error("trial scope does not mirror runtime config")
-	}
-	for _, want := range []string{"t3.0", "t3.1"} {
-		if s := tr.NextScope(); s != want {
-			t.Errorf("NextScope = %q, want %q", s, want)
-		}
-	}
-
 	eng := sim.New(1)
-	tr.AttachEngine(eng)
 	done := false
 	eng.At(5*sim.Microsecond, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("engine did not run")
 	}
-	if ev, _ := rt.EngineTotals(); ev != 0 || rt.sweepDone.Load() != 0 {
-		t.Errorf("before Finish: %d engine events, %d trials done; want 0, 0", ev, rt.sweepDone.Load())
+	if ev := rt.Totals().Executed; ev != 0 || rt.sweepDone.Load() != 0 {
+		t.Errorf("before FinishTrial: %d engine events, %d trials done; want 0, 0", ev, rt.sweepDone.Load())
 	}
-	tr.Finish()
-	if ev, _ := rt.EngineTotals(); ev != 1 || rt.sweepDone.Load() != 1 {
-		t.Errorf("after Finish: %d engine events, %d trials done; want 1, 1", ev, rt.sweepDone.Load())
+	rt.FinishTrial([]*sim.Engine{eng})
+	if ev := rt.Totals().Executed; ev != 1 || rt.sweepDone.Load() != 1 {
+		t.Errorf("after FinishTrial: %d engine events, %d trials done; want 1, 1", ev, rt.sweepDone.Load())
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStreamingTrialWritesThrough checks a trial holds nothing back:
-// events and rows reach the shared runtime as they are emitted, before
-// Finish, which only folds the engine totals.
+// TestStreamingTrialWritesThrough checks the runtime holds nothing back
+// for a trial: events and rows reach the sinks as they are emitted,
+// before FinishTrial, which only folds the engine totals.
 func TestStreamingTrialWritesThrough(t *testing.T) {
 	var trace, metrics bytes.Buffer
 	rt := NewRuntime(Config{
 		Tracer:     NewTracer(NewJSONLSink(&trace)),
 		MetricsOut: &metrics,
 	})
-	tr := rt.BeginTrial(0)
-	tr.Tracer().Emit(Event{T: sim.Microsecond, Type: EvCreditSent, Scope: "a->b"})
-	tr.WriteRow(sim.Microsecond, "t0.0", "port/x/util", 0.5)
+	rt.Tracer().Emit(Event{T: sim.Microsecond, Type: EvCreditSent, Scope: "a->b"})
+	rt.WriteRow(sim.Microsecond, "t0.0", "port/x/util", 0.5)
 	rt.mu.Lock()
 	rt.mw.flush()
 	rt.mu.Unlock()
 	if !strings.Contains(metrics.String(), "t0.0,port/x/util,0.5") {
-		t.Error("trial held its metrics row back")
+		t.Error("runtime held its metrics row back")
 	}
 	eng := sim.New(1)
-	tr.AttachEngine(eng)
 	eng.At(sim.Microsecond, func() {})
 	eng.Run()
-	tr.Finish()
-	if ev, _ := rt.EngineTotals(); ev == 0 {
-		t.Error("Finish did not fold engine totals")
+	rt.FinishTrial([]*sim.Engine{eng})
+	if rt.Totals().Executed == 0 {
+		t.Error("FinishTrial did not fold engine totals")
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(trace.String(), `"ev":"credit_sent"`) {
-		t.Error("trial lost its trace event")
+		t.Error("runtime lost its trace event")
 	}
 }
 
 // TestHeartbeatProgress pins the heartbeat line format and its rate
-// limit: the first trialDone after StartSweep prints immediately,
+// limit: the first FinishTrial after StartSweep prints immediately,
 // back-to-back completions inside the same wall-clock second do not.
 func TestHeartbeatProgress(t *testing.T) {
 	var prog bytes.Buffer
 	rt := NewRuntime(Config{Progress: &prog})
 	rt.SetPhase("fig18")
 	rt.StartSweep(4)
-	rt.trialDone()
+	rt.FinishTrial(nil)
 	first := prog.String()
 	if !strings.HasPrefix(first, "[fig18] 1/4 trials, ") || !strings.Contains(first, " ev/s\n") {
 		t.Fatalf("heartbeat line = %q", first)
 	}
-	rt.trialDone()
-	rt.trialDone()
+	rt.FinishTrial(nil)
+	rt.FinishTrial(nil)
 	if prog.String() != first {
 		t.Errorf("rate limit failed: extra heartbeats within one second:\n%s", prog.String())
 	}
@@ -117,10 +103,10 @@ func TestHeartbeatProgress(t *testing.T) {
 func TestHeartbeatDisabled(t *testing.T) {
 	rt := NewRuntime(Config{})
 	rt.StartSweep(2)
-	rt.trialDone()
+	rt.FinishTrial(nil)
 	rt.heartbeat(true) // must not panic with nil Progress
 	if rt.sweepDone.Load() != 1 {
-		t.Error("trialDone did not count")
+		t.Error("FinishTrial did not count")
 	}
 }
 
@@ -143,11 +129,9 @@ func TestHumanCount(t *testing.T) {
 func TestResources(t *testing.T) {
 	rt := NewRuntime(Config{})
 	eng := sim.New(1)
-	tr := rt.BeginTrial(0)
-	tr.AttachEngine(eng)
 	eng.At(sim.Microsecond, func() {})
 	eng.Run()
-	tr.Finish()
+	rt.FinishTrial([]*sim.Engine{eng})
 	time.Sleep(time.Millisecond) // Elapsed() must be > 0
 	res, rate := rt.Resources()
 	if res.PeakRSSBytes == 0 {

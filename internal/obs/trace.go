@@ -15,10 +15,10 @@
 // Wiring is equally simple: either attach a Tracer to one network with
 // netem.Network.SetTracer (tests, library users), or give a run a
 // Runtime (experiments.Params.Obs; the CLIs do this). Every network the
-// run builds is built in a sweep trial and records into that trial's
-// Trial scope, which it picks up through its engine (netem.Wiring); the
-// Trial writes its events straight to the Runtime's tracer, in trial
-// order, and the Runtime is no scope itself.
+// run builds is built in a sweep trial and picks the Runtime up through
+// its engine (netem.Wiring); it writes its events straight to the
+// Runtime's tracer, and a traced run runs its trials one at a time, in
+// trial order.
 package obs
 
 import (

@@ -19,12 +19,14 @@
 //     worker.
 //   - Results (Map) come back in cell order, never completion order; a
 //     trial that prints returns what it prints as its result.
-//   - Every network records into its trial's scope (obs.Trial), the one
-//     instrumentation scope there is, which writes straight into the
-//     run's obs.Runtime. A run that writes a trace or a metrics CSV runs
-//     its trials on one worker, in cell order (Run.workers), so those
-//     files are the serial run's at any Procs; a -progress-only or
-//     unobserved run keeps its workers.
+//   - Every network writes its trace events and metrics rows straight
+//     into the run's obs.Runtime, its rows labelled with its trial's
+//     index. A run that writes a trace or a metrics CSV runs its trials
+//     on one worker, in cell order (Run.workers), so those files are the
+//     serial run's at any Procs; a -progress-only or unobserved run
+//     keeps its workers.
+//   - A trial's engines are counted in the run's totals when it ends
+//     (obs.Runtime.FinishTrial), whether its body returned or panicked.
 //
 // What a sweep needs of its run — the worker count, the obs runtime and
 // the per-network check — arrives as a Run value with every call; the
@@ -53,8 +55,9 @@ type Run struct {
 	// sweep inline, 0 (or less) means runtime.GOMAXPROCS(0). A traced or
 	// metered run ignores it and runs inline (workers).
 	Procs int
-	// Obs, when non-nil, is the run's instrumentation runtime: each
-	// trial records into a scope of it (obs.Trial).
+	// Obs, when non-nil, is the run's instrumentation runtime: the
+	// trials' networks record into it and their engines count in its
+	// totals.
 	Obs *obs.Runtime
 	// Check, when non-nil, runs on every network built on a trial's
 	// engines (invariant.Set.Attach). Trials call it concurrently.
@@ -79,30 +82,25 @@ func (r Run) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// T is the per-trial context handed to sweep bodies.
+// T is the per-trial context handed to sweep bodies: the wiring its
+// engines carry and, in an observed run, the engines it has created.
 type T struct {
-	wiring netem.Wiring
-}
-
-// newT returns a trial's context: networks built on its engines record
-// into tr (nil when the run is unobserved) and are checked as the run
-// asks.
-func (r Run) newT(tr *obs.Trial) *T {
-	return &T{wiring: netem.Wiring{Scope: tr, Check: r.Check}}
+	wiring  netem.Wiring
+	engines []*sim.Engine
 }
 
 // Engine returns a fresh deterministic engine for seed, wired to the
-// trial: networks built on it route their tracer and metrics through the
-// trial's scope and are checked as the run asks, and the engine counts
-// in the run's engine totals whether or not it carries a network. Trial
-// bodies must use this instead of sim.New — with the seeds the serial
-// code used — or their networks would be neither observed nor checked.
-// It is the only place a run wires an engine.
+// trial: networks built on it record into the run's runtime and are
+// checked as the run asks, and the engine counts in the run's engine
+// totals whether or not it carries a network. Trial bodies must use this
+// instead of sim.New — with the seeds the serial code used — or their
+// networks would be neither observed nor checked. It is the only place a
+// run wires an engine.
 func (t *T) Engine(seed uint64) *sim.Engine {
 	eng := sim.New(seed)
 	eng.Wiring = &t.wiring
-	if tr := t.wiring.Scope; tr != nil {
-		tr.AttachEngine(eng)
+	if t.wiring.Obs != nil {
+		t.engines = append(t.engines, eng)
 	}
 	return eng
 }
@@ -156,21 +154,18 @@ func trials(run Run, n int, body func(t *T, i int)) {
 	}
 }
 
-// runTrial runs trial i and finishes its scope, whether or not the body
-// panics, so the run's engine totals count it.
+// runTrial runs trial i and folds its engines into the run's totals,
+// whether or not the body panics.
 func runTrial(panics []string, stop *atomic.Bool, run Run, body func(t *T, i int), i int) {
-	var tr *obs.Trial
+	t := &T{wiring: netem.Wiring{Obs: run.Obs, Trial: i, Check: run.Check}}
 	defer func() {
 		if r := recover(); r != nil {
 			panics[i] = fmt.Sprintf("%v\n%s", r, debug.Stack())
 			stop.Store(true)
 		}
-		if tr != nil {
-			tr.Finish()
+		if run.Obs != nil {
+			run.Obs.FinishTrial(t.engines)
 		}
 	}()
-	if run.Obs != nil {
-		tr = run.Obs.BeginTrial(i)
-	}
-	body(run.newT(tr), i)
+	body(t, i)
 }

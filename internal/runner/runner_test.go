@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,53 +131,53 @@ func TestMapPropagatesLowestIndexPanic(t *testing.T) {
 
 // TestObsMergeByteIdentical gives a run a runtime with a trace sink and
 // a metrics writer, runs a traced workload under Map at several worker
-// counts, and requires the trace and metrics bytes — plus the
-// EngineTotals accounting — to be identical to the serial run's.
+// counts, and requires the trace and metrics bytes — plus the engine
+// totals — to be identical to the serial run's.
 func TestObsMergeByteIdentical(t *testing.T) {
 	t.Parallel()
-	run := func(procs int) (trace, metrics string, events uint64, peak int) {
+	run := func(procs int) (trace, metrics string, totals sim.Stats) {
 		var tb, mb bytes.Buffer
 		rt := obs.NewRuntime(obs.Config{
 			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb)),
 			MetricsOut: &mb,
 		})
 		Map(Run{Procs: procs, Obs: rt}, seq(9), mergeWorkload)
-		events, peak = rt.EngineTotals()
+		totals = rt.Totals()
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.String(), mb.String(), events, peak
+		return tb.String(), mb.String(), totals
 	}
-	st, sm, se, sp := run(1)
+	st, sm, ss := run(1)
 	for _, procs := range []int{2, 4, 0} {
-		pt, pm, pe, pp := run(procs)
+		pt, pm, ps := run(procs)
 		if pt != st {
 			t.Fatalf("procs=%d: trace bytes differ\nserial:\n%s\nparallel:\n%s", procs, st, pt)
 		}
 		if pm != sm {
 			t.Fatalf("procs=%d: metrics bytes differ\nserial:\n%s\nparallel:\n%s", procs, sm, pm)
 		}
-		if pe != se || pp != sp {
-			t.Fatalf("procs=%d: totals (%d,%d) != serial (%d,%d)", procs, pe, pp, se, sp)
+		if ps != ss {
+			t.Fatalf("procs=%d: totals %+v != serial %+v", procs, ps, ss)
 		}
 	}
-	if se == 0 {
-		t.Fatal("EngineTotals reported zero events — trial totals not merged")
+	if ss.Executed == 0 {
+		t.Fatal("Totals reported zero events — trial totals not merged")
 	}
 }
 
 // mergeWorkload is a traced trial: five ticks, each emitting one trace
-// event and one metrics row through the scope its engine is wired to,
-// exactly as netem.NewNetwork does.
+// event and one metrics row into the runtime its engine is wired to, as
+// netem.NewNetwork's ports and sampler do.
 func mergeWorkload(tr *T, i int) uint64 {
 	eng := tr.Engine(uint64(i) + 1)
-	sc := eng.Wiring.(*netem.Wiring).Scope
-	tc := sc.Tracer()
+	w := eng.Wiring.(*netem.Wiring)
+	tc := w.Obs.Tracer()
 	var tick func()
 	n := 0
 	tick = func() {
 		tc.Emit(obs.Event{T: eng.Now(), Type: obs.EvFeedback, Scope: "f", Flow: int64(i), Seq: int64(n), Val: float64(n)})
-		sc.WriteRow(eng.Now(), sc.NextScope(), "m", float64(i*100+n))
+		w.Obs.WriteRow(eng.Now(), fmt.Sprintf("t%d.%d", w.Trial, n), "m", float64(i*100+n))
 		if n++; n < 5 {
 			eng.After(sim.Microsecond, tick)
 		}
@@ -238,9 +239,9 @@ func TestObservedMapRunsInOrder(t *testing.T) {
 	}
 }
 
-// TestEngineWiring: an engine records into its own trial's scope inside
-// an observed sweep and into nothing when the run is unobserved, at any
-// worker count; every engine carries the run's check.
+// TestEngineWiring: an engine carries its own trial's wiring — the
+// run's runtime (nil when the run is unobserved), its trial's index and
+// the run's check — at any worker count.
 func TestEngineWiring(t *testing.T) {
 	t.Parallel()
 	var checked atomic.Int32
@@ -248,15 +249,14 @@ func TestEngineWiring(t *testing.T) {
 	rt := obs.NewRuntime(obs.Config{MetricsOut: io.Discard})
 	for _, procs := range []int{1, 2} {
 		for _, run := range []Run{{Procs: procs, Check: check}, {Procs: procs, Obs: rt, Check: check}} {
-			scopes := Map(run, seq(2), func(tr *T, _ int) *obs.Trial {
+			wirings := Map(run, seq(2), func(tr *T, _ int) *netem.Wiring {
 				w := tr.Engine(1).Wiring.(*netem.Wiring)
 				w.Check(nil)
-				return w.Scope
+				return w
 			})
-			observed := run.Obs != nil
-			for i, sc := range scopes {
-				if (sc != nil) != observed || (observed && sc == scopes[1-i]) {
-					t.Errorf("procs=%d obs=%v: trial %d's engine records into %p", procs, observed, i, sc)
+			for i, w := range wirings {
+				if w.Obs != run.Obs || w.Trial != i || w == wirings[1-i] {
+					t.Errorf("procs=%d obs=%v: trial %d's engine is wired to %+v", procs, run.Obs != nil, i, *w)
 				}
 			}
 		}
@@ -266,6 +266,66 @@ func TestEngineWiring(t *testing.T) {
 	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMetricsScopeLabels: each metered network's rows carry its trial's
+// index and its place among that trial's networks, whichever engine of
+// the trial it was built on.
+func TestMetricsScopeLabels(t *testing.T) {
+	t.Parallel()
+	var mb bytes.Buffer
+	rt := obs.NewRuntime(obs.Config{MetricsOut: &mb})
+	Map(Run{Obs: rt}, seq(2), func(tr *T, i int) int {
+		for seed := uint64(1); seed <= 2; seed++ {
+			eng := tr.Engine(seed)
+			netem.NewNetwork(eng)
+			eng.Run() // the sampler's one tick writes the engine gauges
+		}
+		return i
+	})
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var scopes []string
+	for _, line := range strings.Split(mb.String(), "\n")[1:] {
+		if f := strings.Split(line, ","); len(f) == 4 && !slices.Contains(scopes, f[1]) {
+			scopes = append(scopes, f[1])
+		}
+	}
+	if want := []string{"t0.0", "t0.1", "t1.0", "t1.1"}; !slices.Equal(scopes, want) {
+		t.Errorf("metrics scopes %q, want %q", scopes, want)
+	}
+}
+
+// TestPanickingTrialStillCounts: a trial that panics after running an
+// engine still has its events in the run's totals — on one worker and on
+// two — because runTrial folds its engines in its deferred recover.
+func TestPanickingTrialStillCounts(t *testing.T) {
+	t.Parallel()
+	for _, procs := range []int{1, 2} {
+		rt := obs.NewRuntime(obs.Config{Progress: io.Discard})
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Fatalf("procs=%d: trial 1's panic was not re-panicked", procs)
+				}
+			}()
+			Map(Run{Procs: procs, Obs: rt}, seq(2), func(tr *T, i int) int {
+				if i == 1 {
+					eng := tr.Engine(1)
+					for k := 1; k <= 3; k++ {
+						eng.After(sim.Duration(k)*sim.Nanosecond, func() {})
+					}
+					eng.Run()
+					panic("trial 1 fails after its run")
+				}
+				return i
+			})
+		}()
+		if n := rt.Totals().Executed; n != 3 {
+			t.Errorf("procs=%d: %d events in the totals, want trial 1's 3", procs, n)
+		}
 	}
 }
 

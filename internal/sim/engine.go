@@ -70,7 +70,7 @@ type EventID struct {
 // or already-canceled event is a no-op. Returns true if it was pending.
 // The struct stays queued until its time bubbles to the front (lazy
 // cancellation), but it leaves the live-event count immediately, so
-// Pending/MaxPending never report canceled events.
+// Pending and Stats' PeakLive never report canceled events.
 func (id EventID) Cancel() bool {
 	if id.ev == nil || id.ev.seq != id.seq || id.ev.canceled || id.ev.index < 0 {
 		return false
@@ -143,7 +143,7 @@ type Key struct {
 // event: Reserve takes a key — sequence number included — for an event
 // that is queued later through Arm or, when it would have had nothing to
 // do, never; Reached tells the key's owner whether dispatch order has
-// passed it. Executed, Pending and MaxPending count queued events only.
+// passed it. Executed, Pending and Stats count queued events only.
 type Engine struct {
 	now     Time
 	cal     *calQ
@@ -152,7 +152,7 @@ type Engine struct {
 	nEvents uint64 // executed events, for instrumentation
 
 	// live is the number of queued events that have not been canceled;
-	// maxLive is its high-water mark. Pending/MaxPending report these,
+	// maxLive is its high-water mark. Pending and Stats report these,
 	// so lazily-canceled structs awaiting their pop never inflate the
 	// obs gauges.
 	live    int
@@ -203,44 +203,70 @@ func (e *Engine) Executed() uint64 { return e.nEvents }
 // counted; see DESIGN.md "Event scheduler" for the accounting change.
 func (e *Engine) Pending() int { return e.live }
 
-// MaxPending returns the peak live-event population observed so far —
-// a proxy for model fan-out.
-func (e *Engine) MaxPending() int { return e.maxLive }
+// Stats is what an engine did: its counters, read in one value.
+// Executed, Pending and PeakLive count queued events only; a key that
+// Reserve handed out and Arm never queued is in Reserved alone.
+type Stats struct {
+	// Executed is the events dispatched (Engine.Executed).
+	Executed uint64
+	// PeakLive is the high-water mark of Pending: the live-event peak,
+	// a proxy for model fan-out (obs exports it as engine/peak_heap).
+	PeakLive int
+	// Rescheduled counts the timer re-arms that took the in-place
+	// EventID.Reschedule path instead of a cancel+push pair (sim/resched).
+	Rescheduled uint64
+	// HeapPops counts the pops the calendar served from its heap root
+	// rather than a wheel bucket's head: far timers, and whatever the
+	// walk cap spilled.
+	HeapPops uint64
+	// WalkSpills counts the events sent to the calendar's heap because
+	// sorting them into their bucket would have walked past the cap. Only
+	// a same-instant burst arriving against key order produces them — in
+	// practice, timers the model arms per port or flow for one instant.
+	WalkSpills uint64
+	// PeakHeap is the high-water mark of the calendar's heap.
+	PeakHeap int
+	// Rebuilds counts the wheel re-creations for a new geometry.
+	Rebuilds int
+	// Reserved counts the keys Reserve handed out, Armed how many of them
+	// Arm went on to queue; the difference is events a run with eager
+	// scheduling would have executed to no effect.
+	Reserved uint64
+	Armed    uint64
+	// FreeList is the event structs parked for reuse (sim/freelist_size).
+	FreeList int
+}
 
-// Rescheduled returns how many timer re-arms took the in-place
-// EventID.Reschedule fast path instead of a cancel+push pair — each one
-// is a dead event struct that never entered the queue (obs exports it
-// as sim/resched).
-func (e *Engine) Rescheduled() uint64 { return e.resched }
+// Add folds o into s: counts add, the two peaks take the larger.
+func (s *Stats) Add(o Stats) {
+	s.Executed += o.Executed
+	s.PeakLive = max(s.PeakLive, o.PeakLive)
+	s.Rescheduled += o.Rescheduled
+	s.HeapPops += o.HeapPops
+	s.WalkSpills += o.WalkSpills
+	s.PeakHeap = max(s.PeakHeap, o.PeakHeap)
+	s.Rebuilds += o.Rebuilds
+	s.Reserved += o.Reserved
+	s.Armed += o.Armed
+	s.FreeList += o.FreeList
+}
 
-// HeapPops returns how many pops the calendar served from its heap root
-// rather than from a wheel bucket's head: far timers, and whatever the
-// walk cap spilled.
-func (e *Engine) HeapPops() uint64 { return e.cal.heapPops }
-
-// WalkSpills returns how many events went to the calendar's heap because
-// sorting them into their bucket would have walked past the cap, not
-// because they lay beyond the horizon. Only a same-instant burst
-// arriving against key order produces them — in practice, timers the
-// model arms per port or flow for one picosecond.
-func (e *Engine) WalkSpills() uint64 { return e.cal.walkSpills }
-
-// PeakHeap returns the high-water mark of the calendar's heap.
-func (e *Engine) PeakHeap() int { return e.cal.peakHeap }
-
-// Rebuilds returns how many times the calendar re-created its wheel for
-// a new geometry, re-placing every pending event.
-func (e *Engine) Rebuilds() int { return e.cal.rebuilds }
-
-// Reserved returns how many keys Reserve has handed out and how many of
-// them Arm went on to queue. The difference is events a run with eager
-// scheduling would have executed to no effect.
-func (e *Engine) Reserved() (reserved, armed uint64) { return e.reserved, e.armed }
-
-// FreeListSize returns the number of event structs currently parked on
-// the recycling free list (instrumentation: obs exports it as
-// sim/freelist_size).
-func (e *Engine) FreeListSize() int { return len(e.free) }
+// Stats returns the engine's counters.
+func (e *Engine) Stats() Stats {
+	c := e.cal
+	return Stats{
+		Executed:    e.nEvents,
+		PeakLive:    e.maxLive,
+		Rescheduled: e.resched,
+		HeapPops:    c.heapPops,
+		WalkSpills:  c.walkSpills,
+		PeakHeap:    c.peakHeap,
+		Rebuilds:    c.rebuilds,
+		Reserved:    e.reserved,
+		Armed:       e.armed,
+		FreeList:    len(e.free),
+	}
+}
 
 // less orders events by (time, domain, insertion sequence). The domain
 // tie-break makes a same-instant tie between two components a function

@@ -167,21 +167,21 @@ func TestPendingTracksLifecycle(t *testing.T) {
 	eng.Run()
 }
 
-// TestMaxPendingHighWaterMark pins the MaxPending instrumentation: it
-// must capture the peak depth even after the heap drains.
+// TestMaxPendingHighWaterMark pins Stats' PeakLive: it must capture the
+// peak depth even after the heap drains.
 func TestMaxPendingHighWaterMark(t *testing.T) {
 	eng := New(5)
 	for i := 0; i < 37; i++ {
 		eng.After(Duration(i+1)*Nanosecond, func() {})
 	}
-	if got := eng.MaxPending(); got != 37 {
-		t.Errorf("MaxPending = %d before run, want 37", got)
+	if got := eng.Stats().PeakLive; got != 37 {
+		t.Errorf("PeakLive = %d before run, want 37", got)
 	}
 	eng.Run()
 	if eng.Pending() != 0 {
 		t.Error("heap not drained")
 	}
-	if got := eng.MaxPending(); got != 37 {
-		t.Errorf("MaxPending = %d after run, want 37 (high-water mark)", got)
+	if got := eng.Stats().PeakLive; got != 37 {
+		t.Errorf("PeakLive = %d after run, want 37 (high-water mark)", got)
 	}
 }

@@ -72,8 +72,8 @@ func TestFreeListScalesWithMaxHeap(t *testing.T) {
 	if len(e.free) != burst {
 		t.Fatalf("after Run: free list %d, want all %d recycles retained", len(e.free), burst)
 	}
-	if got := e.FreeListSize(); got != len(e.free) {
-		t.Fatalf("FreeListSize = %d, want %d", got, len(e.free))
+	if got := e.Stats().FreeList; got != len(e.free) {
+		t.Fatalf("Stats().FreeList = %d, want %d", got, len(e.free))
 	}
 
 	// Phase 2: claim half the free list back without running anything;

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -201,5 +202,53 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if (3 * Microsecond).Micros() != 3 {
 		t.Error("Micros()")
+	}
+}
+
+// TestStatsAddCoversEveryField folds two Stats with a distinct value in
+// every field, both ways round, and requires each field of the result to
+// be the sum — or, for the peaks named in maxed, the larger — of its
+// two. A counter added to Stats but not to Add fails here, so it cannot
+// go missing from a run's totals (obs.Runtime.FinishTrial).
+func TestStatsAddCoversEveryField(t *testing.T) {
+	maxed := map[string]bool{"PeakLive": true, "PeakHeap": true}
+	set := func(s *Stats, k func(i int) int64) {
+		v := reflect.ValueOf(s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanUint() {
+				f.SetUint(uint64(k(i)))
+			} else {
+				f.SetInt(k(i))
+			}
+		}
+	}
+	number := func(f reflect.Value) int64 {
+		if f.CanUint() {
+			return int64(f.Uint())
+		}
+		return f.Int()
+	}
+	small := func(i int) int64 { return int64(i + 1) }
+	large := func(i int) int64 { return int64(100 * (i + 1)) }
+	for _, order := range [][2]func(int) int64{{small, large}, {large, small}} {
+		var s, o Stats
+		set(&s, order[0])
+		set(&o, order[1])
+		s.Add(o)
+		v := reflect.ValueOf(s)
+		for i := 0; i < v.NumField(); i++ {
+			name, want := v.Type().Field(i).Name, small(i)+large(i)
+			if maxed[name] {
+				want = large(i)
+			}
+			if got := number(v.Field(i)); got != want {
+				t.Errorf("Add: %s = %d, want %d", name, got, want)
+			}
+		}
+	}
+	for name := range maxed {
+		if _, ok := reflect.TypeOf(Stats{}).FieldByName(name); !ok {
+			t.Errorf("maxed names %s, which Stats lacks", name)
+		}
 	}
 }

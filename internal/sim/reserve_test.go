@@ -60,8 +60,8 @@ func TestReachedWithinAnInstant(t *testing.T) {
 	if n := e.Executed(); n != 7 {
 		t.Errorf("Executed() = %d, want 7: the reserved key must not count", n)
 	}
-	if r, a := e.Reserved(); r != 1 || a != 0 {
-		t.Errorf("Reserved() = %d, %d; want 1 reserved, 0 armed", r, a)
+	if s := e.Stats(); s.Reserved != 1 || s.Armed != 0 {
+		t.Errorf("Stats() = %d reserved, %d armed; want 1 reserved, 0 armed", s.Reserved, s.Armed)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestArmRunsAtTheReservedKey(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("dispatch order %q, want %q", got, want)
 	}
-	if r, a := e.Reserved(); r != 1 || a != 1 {
-		t.Errorf("Reserved() = %d, %d; want 1, 1", r, a)
+	if s := e.Stats(); s.Reserved != 1 || s.Armed != 1 {
+		t.Errorf("Stats() = %d reserved, %d armed; want 1, 1", s.Reserved, s.Armed)
 	}
 }
 

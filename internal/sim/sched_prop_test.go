@@ -516,16 +516,16 @@ func replayOps(t *testing.T, seed uint64, rounds int, mode opsMode) {
 	}
 	for step() {
 	}
-	if got, want := e.MaxPending(), m.maxLive; got != want {
-		t.Fatalf("MaxPending() = %d, model peak %d", got, want)
+	if got, want := e.Stats().PeakLive, m.maxLive; got != want {
+		t.Fatalf("PeakLive = %d, model peak %d", got, want)
 	}
 	// Run on an empty queue settles the instant the clock stands on:
 	// idle keys the last event left behind at that instant have fired.
 	e.Run()
 	m.runUntil(m.now)
 	checkReached("after Run")
-	if r, a := e.Reserved(); r != uint64(reserved) || a != r-uint64(len(m.idle)) {
-		t.Fatalf("Reserved() = %d reserved, %d armed; model %d, %d", r, a, reserved, reserved-len(m.idle))
+	if s := e.Stats(); s.Reserved != uint64(reserved) || s.Armed != s.Reserved-uint64(len(m.idle)) {
+		t.Fatalf("Stats() = %d reserved, %d armed; model %d, %d", s.Reserved, s.Armed, reserved, reserved-len(m.idle))
 	}
 }
 
@@ -619,14 +619,14 @@ func TestRescheduleSemantics(t *testing.T) {
 	if id.Reschedule(e.Now() + 2*Microsecond) {
 		t.Fatal("Reschedule succeeded on a canceled event")
 	}
-	if n := e.Rescheduled(); n != 1 {
-		t.Fatalf("Rescheduled() = %d, want 1 (failures must not count)", n)
+	if n := e.Stats().Rescheduled; n != 1 {
+		t.Fatalf("Rescheduled = %d, want 1 (failures must not count)", n)
 	}
 }
 
 // TestPendingCountsLiveEventsOnly pins the live accounting:
 // lazily-canceled structs still sitting in the queue must not inflate
-// Pending or the MaxPending peak.
+// Pending or the PeakLive peak.
 func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	e := New(3)
 	var ids []EventID
@@ -644,8 +644,8 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	if got := e.Pending(); got != 50 {
 		t.Fatalf("Pending = %d after canceling 50, want 50", got)
 	}
-	if got := e.MaxPending(); got != 100 {
-		t.Fatalf("MaxPending = %d, want peak 100", got)
+	if got := e.Stats().PeakLive; got != 100 {
+		t.Fatalf("PeakLive = %d, want peak 100", got)
 	}
 	// Cancel+new-schedule churn must not ratchet the peak the way
 	// the old structure-size accounting did.
@@ -653,8 +653,8 @@ func TestPendingCountsLiveEventsOnly(t *testing.T) {
 		ids[i%50].Cancel()
 		ids[i%50] = e.At2D(1, Time(500+i)*Microsecond, func(any, any, uint64) {}, nil, nil, 0)
 	}
-	if got := e.MaxPending(); got != 100 {
-		t.Fatalf("MaxPending = %d after churn, want 100 (dead structs must not count)", got)
+	if got := e.Stats().PeakLive; got != 100 {
+		t.Fatalf("PeakLive = %d after churn, want 100 (dead structs must not count)", got)
 	}
 	e.Run()
 	if got := e.Pending(); got != 0 {
@@ -714,8 +714,8 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 		e := New(1)
 		burst(e, near, n, 5)
 		e.cal.rebuild(4*len(e.cal.heads), e.cal.logW-3, e.now)
-		if e.Rebuilds() != 1 || e.cal.len() != n {
-			t.Fatalf("after rebuild: Rebuilds() = %d, %d events queued, want 1 and %d", e.Rebuilds(), e.cal.len(), n)
+		if r := e.Stats().Rebuilds; r != 1 || e.cal.len() != n {
+			t.Fatalf("after rebuild: %d rebuilds, %d events queued, want 1 and %d", r, e.cal.len(), n)
 		}
 		checkWheel(t, e.cal)
 		drain(t, e)
@@ -731,8 +731,8 @@ func TestCrowdedBucketRelocation(t *testing.T) {
 		// the minimum from each container in turn.
 		burst(e, far, calWalk, 6)
 		burst(e, far, calWalk, 2)
-		if e.cal.wheelLen() == 0 || len(e.cal.heap) < n/2 || e.PeakHeap() != max(len(e.cal.heap), n/2+1) {
-			t.Fatalf("setup: %d events in the wheel, %d in the heap (peak %d)", e.cal.wheelLen(), len(e.cal.heap), e.PeakHeap())
+		if e.cal.wheelLen() == 0 || len(e.cal.heap) < n/2 || e.Stats().PeakHeap != max(len(e.cal.heap), n/2+1) {
+			t.Fatalf("setup: %d events in the wheel, %d in the heap (peak %d)", e.cal.wheelLen(), len(e.cal.heap), e.Stats().PeakHeap)
 		}
 		checkWheel(t, e.cal)
 		drain(t, e)
@@ -808,8 +808,8 @@ func TestWalkCapBoundsBurstCost(t *testing.T) {
 	}
 	// calWalk links reach the head of a ring of calWalk+1, so the ring
 	// takes one more before the first spill.
-	if c.wheelLen() != calWalk+2 || e.WalkSpills() != k-calWalk-2 {
-		t.Fatalf("%d events in the wheel after %d spills, want %d and %d", c.wheelLen(), e.WalkSpills(), calWalk+2, k-calWalk-2)
+	if spills := e.Stats().WalkSpills; c.wheelLen() != calWalk+2 || spills != k-calWalk-2 {
+		t.Fatalf("%d events in the wheel after %d spills, want %d and %d", c.wheelLen(), spills, calWalk+2, k-calWalk-2)
 	}
 	checkWheel(t, c)
 	place := k * (calWalk + depth(k))
@@ -820,8 +820,8 @@ func TestWalkCapBoundsBurstCost(t *testing.T) {
 	}
 	drained := c.cmps - built
 	t.Logf("%d-event worst-order burst: %d compares to build, %d to drain over %d rebuilds (%.1f an event)",
-		k, built, drained, e.Rebuilds(), float64(c.cmps)/k)
-	if bound := k*4*depth(k) + uint64(e.Rebuilds())*place; built > place || drained > bound {
+		k, built, drained, e.Stats().Rebuilds, float64(c.cmps)/k)
+	if bound := k*4*depth(k) + uint64(e.Stats().Rebuilds)*place; built > place || drained > bound {
 		t.Fatalf("a %d-event worst-order burst cost %d compares to build (bound %d) and %d to drain (bound %d): the walk cap no longer holds",
 			k, built, place, drained, bound)
 	}

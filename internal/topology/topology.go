@@ -1,8 +1,8 @@
 // Package topology builds the network shapes the paper evaluates on:
 // single-switch stars and dumbbells for microbenchmarks, the parking-lot
-// and multi-bottleneck shapes of Fig 4/10/11, and k-ary fat trees /
-// 3-tier Clos fabrics (optionally oversubscribed) for the realistic
-// workloads of §6.3. All builders return fully-routed networks.
+// and multi-bottleneck shapes of Fig 4/10/11, k-ary fat trees, and the
+// oversubscribed 3-tier tree (OversubTree) the realistic workloads of
+// §6.3 run on. All builders return fully-routed networks.
 package topology
 
 import (
@@ -22,7 +22,7 @@ type Config struct {
 
 	// Port is every link's port configuration, buffering and optional
 	// features alike; its Rate and Delay are set per link from the
-	// fields above. DataCapacity defaults to 384.5 KB.
+	// fields above. DataCapacity defaults to netem.SwitchBuffer.
 	Port netem.PortConfig
 }
 
@@ -37,7 +37,7 @@ func (c Config) withDefaults() Config {
 		c.LinkDelay = 4 * sim.Microsecond
 	}
 	if c.Port.DataCapacity == 0 {
-		c.Port.DataCapacity = unit.Bytes(384.5 * 1000) // 250 MTUs, paper §6.3
+		c.Port.DataCapacity = netem.SwitchBuffer
 	}
 	return c
 }

@@ -41,6 +41,9 @@ const (
 	MinFrame Bytes = 84
 	// MaxFrame is a full MTU Ethernet frame on the wire (1518 + 20).
 	MaxFrame Bytes = 1538
+	// MaxCredit is the largest credit on the wire: a MinFrame plus up
+	// to 8 B of random padding (credit size randomization).
+	MaxCredit Bytes = MinFrame + 8
 	// MTUPayload is the transport payload carried by a MaxFrame
 	// (1500 MTU minus 40 B of simulated TCP/IP-style headers).
 	MTUPayload Bytes = 1460
