@@ -3,7 +3,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check test bench-gate bench-test gate fmt vet race fuzz-smoke cover reach lines
+.PHONY: check test bench-gate bench-test gate fmt vet race fuzz-smoke cover reach lines bytes
 
 ## check: the pre-commit gate — vet, formatting, and the race-enabled
 ## tests of the engine, instrumentation, and parallel-runner layers
@@ -121,6 +121,41 @@ reach:
 	go tool covdata percent -i $$d/cov; \
 	echo "reach: functions at 0.0%:"; \
 	go tool covdata func -i $$d/cov | awk '$$NF == "0.0%"'
+
+## bytes: the byte check of a change that must print what its base
+## prints. Builds xpsim from `git archive $(BYTES_BASE)` (default HEAD,
+## the last commit) in a temporary directory and from the working tree,
+## runs both on the rows below, and compares every trace and metrics
+## stream and every stdout (its `(… wall)` lines dropped). Streams are
+## hashed through named pipes, so no trace reaches the disk (fig13 at
+## -scale 0.2 alone writes more than 8 GB). Exits non-zero on any
+## difference or failed run. Not a tier-1 test: a few minutes, most of it
+## the -all row. Compare against another commit with
+## `make bytes BYTES_BASE=<rev>`.
+BYTES_BASE ?= HEAD
+bytes:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; io=$$d/io; fail=0; \
+	mkdir $$d/src; git archive $(BYTES_BASE) | tar -x -C $$d/src; \
+	(cd $$d/src && go build -o $$d/xpsim.base ./cmd/xpsim); \
+	go build -o $$d/xpsim.work ./cmd/xpsim; \
+	row() { s=$$(date +%s); \
+		for b in base work; do \
+			rm -rf $$io; mkdir $$io; \
+			for a in "$$@"; do case $$a in $$io/*) mkfifo $$a; sha256sum <$$a >$$a.sha & ;; esac; done; \
+			rm -f $$d/rc; \
+			{ if $$d/xpsim.$$b "$$@" 2>$$d/err; then echo 0 >$$d/rc; else echo $$? >$$d/rc; fi; } | grep -v 'wall)' | sha256sum >$$io/stdout.sha; \
+			for a in "$$@"; do case $$a in $$io/*) true <>$$a;; esac; done; wait; \
+			if [ "$$(cat $$d/rc)" != 0 ]; then cat $$d/err; echo "bytes: FAIL: xpsim.$$b $$*" | sed "s|$$io/||g"; exit 1; fi; \
+			for h in $$io/*.sha; do echo "$${h##*/} $$(cut -c1-64 $$h)"; done >$$d/$$b.sum; \
+		done; \
+		if cmp -s $$d/base.sum $$d/work.sum; then r=same; else r=DIFFER; fail=1; diff $$d/base.sum $$d/work.sum || true; fi; \
+		echo "bytes: $$r ($$(( $$(date +%s) - s ))s): $$*" | sed "s|$$io/||g"; }; \
+	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.jsonl -metrics $$io/M.csv fig17 ext-failover; \
+	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.csv -metrics $$io/M.csv fig17 ext-failover; \
+	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl ext-chaos-storm fig13 fig16; \
+	row -procs 2 -seed 11 -scale 0.05 -all; \
+	if [ $$fail != 0 ]; then echo "bytes: FAIL against $(BYTES_BASE)"; exit 1; fi; \
+	echo "bytes: OK against $(BYTES_BASE)"
 
 ## lines: the program's size, as CHANGES.md and ROADMAP.md quote it:
 ## the non-blank lines that are not `//` comments in every Go file git

@@ -28,10 +28,15 @@ import (
 //   - Val/Aux/Aux2 are mostly small whole numbers (queue bytes, packet
 //     counts, kind codes, zeros). A whole v in [0, 10^6) prints under
 //     'g' as its integer digits.
+//   - Their fractions are mostly short decimals: every rate in Gbps is
+//     integer bit/s ÷ 10^9, and most of w has nine decimals or fewer. A
+//     v in [10^-4, 10^6) that is exactly the double nearest n·10^-9
+//     prints as n's digits with the point placed, by the argument made
+//     for t_us above (appendValue).
 //
-// Everything else — negative or ≥ 10^15 ps clocks, fractions (rates in
-// Gbps, w), -0, NaN, ±Inf, values ≥ 10^6 (where 'g' switches to
-// d.ddde+XX) — goes through strconv unchanged.
+// Everything else — negative or ≥ 10^15 ps clocks, other fractions,
+// -0, NaN, ±Inf, values below 10^-4 or ≥ 10^6 (where 'g' switches to
+// d.ddde±XX) — goes through strconv unchanged.
 //
 // Every integer digit string below 10^8 comes from one generator,
 // appendUint, which converts all eight digits at once in a uint64 (SWAR:
@@ -46,6 +51,7 @@ const (
 	microsFixedFrom  = sim.Time(100)  // below: exponent < -4, 'g' prints d.dde-05
 	microsFixedBelow = sim.Time(1e12) // from: exponent ≥ 6, 'g' prints d.ddde+06
 	valueIntBelow    = 1e6            // from: 'g' prints 1e+06
+	valueFixedFrom   = 1e-4           // below: 'g' prints d.dde-05
 	swarBelow        = 1e8            // appendUint's eight-digit register
 
 	asciiZeros = 0x30303030_30303030 // '0' in every byte
@@ -156,9 +162,30 @@ func appendMicros(dst []byte, t sim.Time) []byte {
 // one truncation, one unsigned range check (which every negative fails)
 // and one bit comparison: for a fraction, -0, NaN, ±Inf or anything out
 // of int64's range, whatever int64(v) yields converts back to other bits.
+//
+// A fraction in [10^-4, 10^6) that is exactly some n·10^-9 — every rate
+// in Gbps (integer bit/s ÷ 10^9) and most of w — prints from n: n <
+// 10^15 has at most 15 significant digits, float64(n) and 10^9 are exact
+// and the division rounds correctly, so when float64(n)/10^9 == v, v is
+// the double nearest n·10^-9 and (DBL_DIG = 15) no other decimal of up
+// to 15 digits names it: n's digits, the point placed nine from the
+// right and trailing zeros trimmed, are strconv's shortest digits. The
+// exponent lies in [-4, 5], where 'g' prints fixed notation. A rounding
+// in v·10^9 that picks the wrong n fails the check and falls back.
 func appendValue(dst []byte, v float64) []byte {
 	if i := int64(v); uint64(i) < valueIntBelow && math.Float64bits(float64(i)) == math.Float64bits(v) {
 		return appendUint(dst, uint64(i))
+	}
+	if v >= valueFixedFrom && v < valueIntBelow {
+		if n := uint64(v*1e9 + 0.5); float64(n)/1e9 == v {
+			// The nine-digit fraction is its first digit and a register
+			// of the other eight, cut after the highest non-zero byte.
+			frac := n % 1e9
+			dst = appendUint(dst, n/1e9)
+			dst = append(dst, '.', byte(frac/1e8)+'0')
+			d := swarDigits(frac % 1e8)
+			return put8(dst, d|asciiZeros, 8-bits.LeadingZeros64(d)/8)
+		}
 	}
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }

@@ -15,6 +15,20 @@ import (
 // AppendFloat(x, 'g', -1, 64) prints, appendMicros and appendValue must
 // print, and appendUint prints what AppendUint does. The tables below sit on every branch boundary of the integer
 // paths and seed the fuzz targets (which run as plain tests in tier-1).
+//
+// appendValue's short-decimal path (n·10^-9 printed from n) is held by
+// TestAppendValueShortDecimals and the edgeValues seeds; each of these
+// mutations of it fails them:
+//
+//   - `v < valueIntBelow` becoming `v <= valueIntBelow`: 1e6 prints
+//     "1000000.0", not "1e+06";
+//   - the lower bound moved below 10^-4 (`v >= 1e-5`): 9.9999e-05
+//     prints "0.000099999", not "9.9999e-05";
+//   - the `float64(n)/1e9 == v` check dropped: 1/3 prints "0.333333333".
+//
+// `v >= valueFixedFrom` becoming `v > valueFixedFrom` changes no byte
+// (10^-4 prints "0.0001" on either path), so no test can see it. The
+// sinks' zero-run mutations are listed in sink_diff_test.go.
 
 var edgeTimes = []sim.Time{
 	0, 1, 9, 10, 99, 100, 101, 999999, // sub-µs: d.dde-05 below 100 ps, 0.000d from it
@@ -29,6 +43,10 @@ var edgeTimes = []sim.Time{
 var edgeValues = []float64{
 	0, math.Copysign(0, -1), 0.5, 1, 9, 10, 84, 1538, 999999, 1e6, 1e6 - 0.5, 1e6 + 1,
 	-1, -0.5, 4.84, 0.0625, 1.0 / 3, 1 << 53, 1e21, 1e-7,
+	// the short-decimal path's bounds — n = 10^5 (10^-4) and the doubles
+	// either side of it, n = 10^5 - 1, n = 10^15 - 1 — and values inside it
+	1e-4, math.Nextafter(1e-4, 0), math.Nextafter(1e-4, 1), 9.9999e-05,
+	(1e15 - 1) / 1e9, 999999.999999999, 9.5, 1.000000001, 0.000100001,
 	math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64,
 }
 
@@ -96,6 +114,31 @@ func TestAppendValueSweep(t *testing.T) {
 		checkValue(t, float64(rng.Int63n(2_000_000)))
 		checkValue(t, float64(rng.Int63n(2_000_000))/8)
 		checkValue(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// TestAppendValueShortDecimals checks n·10^-9 against strconv: the
+// bounds of the short-decimal path, values whose v·10^9 lands on or next
+// to a half-integer (where the rounding of v·10^9 + 0.5 may pick the
+// wrong n and the check must catch it), and a seeded sample of every
+// decade of n from 10^5 to 10^15, each with the doubles either side.
+func TestAppendValueShortDecimals(t *testing.T) {
+	for _, v := range []float64{
+		1e-4, math.Nextafter(1e-4, 0), math.Nextafter(1e-4, 1), 9.9999e-05, 1e-5,
+		(1e15 - 1) / 1e9, 999999.999999999, math.Nextafter(1e6, 0), 1e6, 1e6 + 0.5,
+	} {
+		checkValue(t, v)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for p := uint64(1e5); p < 1e15; p *= 10 {
+		for i := 0; i < 20000; i++ {
+			n := p + rng.Uint64()%(9*p)
+			for _, v := range []float64{float64(n) / 1e9, (float64(n) + 0.5) / 1e9} {
+				checkValue(t, v)
+				checkValue(t, math.Nextafter(v, 0))
+				checkValue(t, math.Nextafter(v, 1e7))
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -151,14 +152,15 @@ func (rt *Runtime) heartbeat(force bool) {
 		humanCount(float64(events)), humanCount(rate))
 }
 
-// humanCount renders a count with an SI suffix (1.2k, 3.4M, 5.6G).
+// humanCount renders a count with an SI suffix (1.2k, 3.4M, 5.6G). The
+// suffix is picked after rounding: 999960 is 1.0M, not 1000.0k.
 func humanCount(v float64) string {
 	switch {
-	case v >= 1e9:
+	case math.Round(v/1e6*10) >= 1e4:
 		return strconv.FormatFloat(v/1e9, 'f', 1, 64) + "G"
-	case v >= 1e6:
+	case math.Round(v/1e3*10) >= 1e4:
 		return strconv.FormatFloat(v/1e6, 'f', 1, 64) + "M"
-	case v >= 1e3:
+	case math.Round(v) >= 1e3:
 		return strconv.FormatFloat(v/1e3, 'f', 1, 64) + "k"
 	default:
 		return strconv.FormatFloat(v, 'f', 0, 64)

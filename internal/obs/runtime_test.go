@@ -116,6 +116,9 @@ func TestHumanCount(t *testing.T) {
 		want string
 	}{
 		{0, "0"}, {999, "999"}, {1500, "1.5k"}, {2.5e6, "2.5M"}, {3.2e9, "3.2G"},
+		// rounding that reaches the next unit takes its suffix
+		{999.6, "1.0k"}, {999960, "1.0M"}, {999960000, "1.0G"},
+		{999.4, "999"}, {999940, "999.9k"}, {999940000, "999.9M"},
 	} {
 		if got := humanCount(tc.v); got != tc.want {
 			t.Errorf("humanCount(%g) = %q, want %q", tc.v, got, tc.want)

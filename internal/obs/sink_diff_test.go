@@ -4,6 +4,16 @@ package obs_test
 // for byte what the strconv/fmt encoders they replaced printed. Those
 // are kept here, verbatim in what they format, as the reference; with
 // the golden schema file they are the format's specification.
+//
+// edgeEvents holds the sinks' zero runs (Flow = Seq = Bytes = 0 and
+// Aux = Aux2 = 0 each printed as one constant) to their tests; each of
+// these mutations fails TestSinksMatchReferenceOnEdges:
+//
+//   - `Flow|Seq|int64(Bytes) == 0` written `Flow+Seq+int64(Bytes) == 0`,
+//     or with a field left out: a line with Flow = 1, Seq = -1, or with
+//     only that field non-zero, prints zeros;
+//   - `Float64bits(Aux)|Float64bits(Aux2) == 0` written `Aux+Aux2 == 0`
+//     or `Aux == 0 && Aux2 == 0`: -0 prints "0", and 1, -1 print 0, 0.
 
 import (
 	"bytes"
@@ -180,7 +190,8 @@ func edgeEvents() []obs.Event {
 	times := []sim.Time{0, 1, 99, 100, 999999, sim.Microsecond, 999999999999, sim.Second,
 		1e15 - 1, 1e15, -1, -sim.Second, sim.Forever}
 	vals := []float64{0, math.Copysign(0, -1), 0.5, 999999, 1e6, 1e6 - 0.5, -1, 1 << 53,
-		math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64}
+		math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64,
+		1e-4, math.Nextafter(1e-4, 0), 9.9999e-05, (1e15 - 1) / 1e9, 999999.999999999}
 	var evs []obs.Event
 	for i, ts := range times {
 		for j, v := range vals {
@@ -192,6 +203,16 @@ func edgeEvents() []obs.Event {
 		}
 	}
 	evs = append(evs, obs.Event{Type: 255}, obs.Event{Flow: math.MinInt64, Seq: -1, Bytes: -1})
+	// The zero runs: each integer field alone non-zero or negative, a
+	// pair that sums to zero, and -0 or cancelling payloads in Aux/Aux2.
+	negZero := math.Copysign(0, -1)
+	for _, ids := range [][3]int64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {-1, 0, 0}, {0, -1, 0}, {0, 0, -1},
+		{1, -1, 0}, {0, 1, -1}, {math.MinInt64, 0, 0}} {
+		evs = append(evs, obs.Event{T: sim.Microsecond, Scope: "h0", Flow: ids[0], Seq: ids[1], Bytes: unit.Bytes(ids[2]), Val: 0.5})
+	}
+	for _, aux := range [][2]float64{{negZero, 0}, {0, negZero}, {negZero, negZero}, {1, -1}, {0, 1}, {1, 0}, {0, math.NaN()}} {
+		evs = append(evs, obs.Event{T: sim.Microsecond, Scope: "h0", Val: 3, Aux: aux[0], Aux2: aux[1]})
+	}
 	return evs
 }
 

@@ -129,46 +129,65 @@ func TestMapPropagatesLowestIndexPanic(t *testing.T) {
 	}
 }
 
-// TestObsMergeByteIdentical gives a run a runtime with a trace sink and
-// a metrics writer, runs a traced workload under Map at several worker
-// counts, and requires the trace and metrics bytes — plus the engine
-// totals — to be identical to the serial run's.
+// TestObsMergeByteIdentical: a traced and metered run writes, at every
+// Procs, exactly the lines its trials emit in trial order, pinned here
+// line by line (a traced run is serial at any Procs, Run.workers, so a
+// comparison with the Procs 1 run would compare the serial run with
+// itself). A -progress-only run keeps its workers: its engine totals
+// must be the sum of its trials' at every worker count.
 func TestObsMergeByteIdentical(t *testing.T) {
 	t.Parallel()
-	run := func(procs int) (trace, metrics string, totals sim.Stats) {
+	const trials, ticks = 9, 5
+	var wantTrace, wantMetrics strings.Builder
+	wantMetrics.WriteString("t_us,scope,metric,value\n")
+	for i := range trials {
+		for n := range ticks {
+			fmt.Fprintf(&wantTrace, `{"t_us":%d,"ev":"feedback","scope":"f","flow":%d,"seq":%d,"bytes":0,"val":%d,"aux":0,"aux2":0}`+"\n", n, i, n, n)
+			fmt.Fprintf(&wantMetrics, "%d,t%d.%d,m,%d\n", n, i, n, i*100+n)
+		}
+	}
+	procsArms := []int{1, 2, 4, 0}
+	for _, procs := range procsArms {
 		var tb, mb bytes.Buffer
 		rt := obs.NewRuntime(obs.Config{
 			Tracer:     obs.NewTracer(obs.NewJSONLSink(&tb)),
 			MetricsOut: &mb,
 		})
-		Map(Run{Procs: procs, Obs: rt}, seq(9), mergeWorkload)
-		totals = rt.Totals()
+		Map(Run{Procs: procs, Obs: rt}, seq(trials), mergeWorkload)
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.String(), mb.String(), totals
-	}
-	st, sm, ss := run(1)
-	for _, procs := range []int{2, 4, 0} {
-		pt, pm, ps := run(procs)
-		if pt != st {
-			t.Fatalf("procs=%d: trace bytes differ\nserial:\n%s\nparallel:\n%s", procs, st, pt)
+		if tb.String() != wantTrace.String() {
+			t.Fatalf("procs=%d: trace bytes\n%s\nwant\n%s", procs, tb.String(), wantTrace.String())
 		}
-		if pm != sm {
-			t.Fatalf("procs=%d: metrics bytes differ\nserial:\n%s\nparallel:\n%s", procs, sm, pm)
-		}
-		if ps != ss {
-			t.Fatalf("procs=%d: totals %+v != serial %+v", procs, ps, ss)
+		if mb.String() != wantMetrics.String() {
+			t.Fatalf("procs=%d: metrics bytes\n%s\nwant\n%s", procs, mb.String(), wantMetrics.String())
 		}
 	}
-	if ss.Executed == 0 {
-		t.Fatal("Totals reported zero events — trial totals not merged")
+	var serial sim.Stats
+	for _, procs := range procsArms {
+		rt := obs.NewRuntime(obs.Config{Progress: io.Discard})
+		var executed uint64
+		for _, n := range Map(Run{Procs: procs, Obs: rt}, seq(trials), mergeWorkload) {
+			executed += n
+		}
+		totals := rt.Totals()
+		if totals.Executed != executed || executed == 0 {
+			t.Fatalf("procs=%d: totals count %d executed events, the trials %d", procs, totals.Executed, executed)
+		}
+		if procs == 1 {
+			serial = totals
+		} else if totals != serial {
+			t.Fatalf("procs=%d: totals %+v != serial %+v", procs, totals, serial)
+		}
 	}
 }
 
-// mergeWorkload is a traced trial: five ticks, each emitting one trace
-// event and one metrics row into the runtime its engine is wired to, as
-// netem.NewNetwork's ports and sampler do.
+// mergeWorkload is a traced trial: five ticks a microsecond apart, each
+// emitting one trace event and one metrics row into the runtime its
+// engine is wired to, as netem.NewNetwork's ports and sampler do. Each
+// tick also sleeps a little of wall time, so trials that ran on several
+// workers would overlap and interleave their lines.
 func mergeWorkload(tr *T, i int) uint64 {
 	eng := tr.Engine(uint64(i) + 1)
 	w := eng.Wiring.(*netem.Wiring)
@@ -176,8 +195,11 @@ func mergeWorkload(tr *T, i int) uint64 {
 	var tick func()
 	n := 0
 	tick = func() {
-		tc.Emit(obs.Event{T: eng.Now(), Type: obs.EvFeedback, Scope: "f", Flow: int64(i), Seq: int64(n), Val: float64(n)})
+		if tc != nil {
+			tc.Emit(obs.Event{T: eng.Now(), Type: obs.EvFeedback, Scope: "f", Flow: int64(i), Seq: int64(n), Val: float64(n)})
+		}
 		w.Obs.WriteRow(eng.Now(), fmt.Sprintf("t%d.%d", w.Trial, n), "m", float64(i*100+n))
+		time.Sleep(50 * time.Microsecond)
 		if n++; n < 5 {
 			eng.After(sim.Microsecond, tick)
 		}
