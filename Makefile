@@ -93,7 +93,9 @@ cover:
 ## temporary directory, runs the flag matrix below with GOCOVERDIR set,
 ## merges the counters, and prints per-package statement coverage and
 ## every function at 0.0%. Not a tier-1 test: about 7 min on 2 cores,
-## nearly all of it the `-all` row. Nothing is written into the repo.
+## nearly all of it the `-all` row. The traced and metered
+## ext-faults-*/ext-dcqcn/fig8 row (1 s) reaches the faults/* gauges,
+## which no other row does. Nothing is written into the repo.
 ## DESIGN.md "Reachability" records the last reading and why each 0%
 ## function stays.
 REACH_FAULTS_ALL := dup:both:0.01@1ms+5ms; corrupt:data:0.01@2ms+5ms; reorder:0.05:20us@3ms+5ms; jitter:delay:normal:2us@4ms+5ms; jitter:rate:pareto:0.1@5ms+5ms; state:data:0.01@6ms+5ms; loss:credit:0.05:corr=0.5:swR->swL@7ms+5ms
@@ -109,6 +111,7 @@ reach:
 	x=$$d/bin/xpsim; \
 	row $$x -procs 2 -scale 0.01 -seed 42 -all; \
 	row $$x -procs 1 -scale 0.02 -seed 7 -trace $$o/T.jsonl -metrics $$o/M.csv -invariants -flight $$o/F.jsonl -progress fig17 ext-chaos-storm fig15 ext-classes; \
+	row $$x -procs 1 -seed 7 -scale 0.05 -trace $$o/T.jsonl -metrics $$o/M.csv ext-faults-flap ext-faults-loss ext-faults-stall ext-dcqcn fig8; \
 	row $$x -scale 0.02 -trace $$o/T.csv -trace-rotate 1m -trace-gzip -trace-types credit_drop,qdepth fig17; \
 	row $$x -scale 0.02 -cpuprofile $$o/cpu.prof -memprofile $$o/mem.prof fig9; \
 	for n in $$(seq 1 20); do row $$x -scenario-seed $$n; done; \
@@ -130,7 +133,9 @@ reach:
 ## hashed through named pipes, so no trace reaches the disk (fig13 at
 ## -scale 0.2 alone writes more than 8 GB). Exits non-zero on any
 ## difference or failed run. Not a tier-1 test: a few minutes, most of it
-## the -all row. Compare against another commit with
+## the -all row. The traced and metered ext-faults-*/ext-dcqcn/fig8 row
+## (the only one that byte-checks those experiments' traces) takes 6 s
+## for both binaries on 2 cores. Compare against another commit with
 ## `make bytes BYTES_BASE=<rev>`.
 BYTES_BASE ?= HEAD
 bytes:
@@ -153,6 +158,7 @@ bytes:
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.jsonl -metrics $$io/M.csv fig17 ext-failover; \
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.csv -metrics $$io/M.csv fig17 ext-failover; \
 	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl ext-chaos-storm fig13 fig16; \
+	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl -metrics $$io/M.csv ext-faults-flap ext-faults-loss ext-faults-stall ext-dcqcn fig8; \
 	row -procs 2 -seed 11 -scale 0.05 -all; \
 	if [ $$fail != 0 ]; then echo "bytes: FAIL against $(BYTES_BASE)"; exit 1; fi; \
 	echo "bytes: OK against $(BYTES_BASE)"

@@ -479,29 +479,32 @@ func schedSummary(s sim.Stats) string {
 	return out
 }
 
-// humanBytes renders a byte count with a binary-unit suffix.
+// humanBytes renders a byte count with a binary-unit suffix, picked
+// after rounding so that 1 GiB − 1 prints 1.00 GiB, not 1024.0 MiB.
 func humanBytes(v uint64) string {
+	b := float64(v)
 	switch {
 	case v == 0:
 		return "unknown"
-	case v >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(v)/(1<<30))
-	case v >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(v)/(1<<20))
+	case math.Round(b/(1<<20)*10) >= 1024*10:
+		return fmt.Sprintf("%.2f GiB", b/(1<<30))
+	case math.Round(b/(1<<10)*10) >= 1024*10:
+		return fmt.Sprintf("%.1f MiB", b/(1<<20))
 	case v >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(v)/(1<<10))
+		return fmt.Sprintf("%.1f KiB", b/(1<<10))
 	}
 	return fmt.Sprintf("%d B", v)
 }
 
-// humanSI renders a rate with an SI suffix (k/M/G).
+// humanSI renders a rate with an SI suffix (k/M/G), picked after
+// rounding so that 999,960 prints 1.00M, not 1000.0k.
 func humanSI(v float64) string {
 	switch {
-	case v >= 1e9:
+	case math.Round(v/1e6*100) >= 1e5:
 		return fmt.Sprintf("%.2fG", v/1e9)
-	case v >= 1e6:
+	case math.Round(v/1e3*10) >= 1e4:
 		return fmt.Sprintf("%.2fM", v/1e6)
-	case v >= 1e3:
+	case math.Round(v) >= 1e3:
 		return fmt.Sprintf("%.1fk", v/1e3)
 	}
 	return fmt.Sprintf("%.0f", v)

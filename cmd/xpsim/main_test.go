@@ -101,6 +101,56 @@ func TestSchedSummary(t *testing.T) {
 	}
 }
 
+// TestHumanSI pins the event-rate figure of the resource line: the
+// suffix is picked after rounding, so a value that rounds up to the next
+// unit prints in it.
+func TestHumanSI(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{0, "0"},
+		{999.4, "999"},
+		{999.6, "1.0k"},
+		{12345, "12.3k"},
+		{999_940, "999.9k"},
+		{999_960, "1.00M"},
+		{10_200_000, "10.20M"},
+		{999_994_000, "999.99M"},
+		{999_996_000, "1.00G"},
+		{2.5e9, "2.50G"},
+	} {
+		if got := humanSI(tc.v); got != tc.want {
+			t.Errorf("humanSI(%v) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}
+
+// TestHumanBytes pins the RSS and heap figures of the resource line, the
+// suffix picked after rounding as in humanSI.
+func TestHumanBytes(t *testing.T) {
+	for _, tc := range []struct {
+		v    uint64
+		want string
+	}{
+		{0, "unknown"},
+		{1, "1 B"},
+		{1023, "1023 B"},
+		{1 << 10, "1.0 KiB"},
+		{1<<20 - 52, "1023.9 KiB"},
+		{1<<20 - 1, "1.0 MiB"},
+		{1 << 20, "1.0 MiB"},
+		{35 << 20, "35.0 MiB"},
+		{1<<30 - 52<<10, "1023.9 MiB"},
+		{1<<30 - 1, "1.00 GiB"},
+		{3 << 30, "3.00 GiB"},
+	} {
+		if got := humanBytes(tc.v); got != tc.want {
+			t.Errorf("humanBytes(%d) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}
+
 // TestReportInvariants pins the end-of-run invariant lines: what was
 // checked comes first, a warning follows when that undercuts the verdict
 // (a displaced checker, nothing checked at all — which is also what a run

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"expresspass/internal/core"
 	"expresspass/internal/faults"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
-	"expresspass/internal/topology"
-	"expresspass/internal/transport"
 	"expresspass/internal/unit"
 )
 
@@ -22,40 +19,6 @@ import (
 // ParseSpec, so the experiments double as end-to-end coverage of the
 // grammar; a Params.Faults plan (-faults) replaces the built-in arm, as
 // in the ext-faults-* family.
-
-// chaosDumbbell builds an n-pair 10G dumbbell with the protocol's
-// switch features installed and one flow per pair dialed through the
-// protocol under test. size==0 makes the flows long-running.
-func chaosDumbbell(eng *sim.Engine, pr Proto, n int, size unit.Bytes,
-	stagger sim.Duration) (*topology.Dumbbell, []*transport.Flow) {
-	tcfg := topology.Config{LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond}
-	pr.Features(&tcfg, faultRTT)
-	d := topology.NewDumbbell(eng, n, tcfg)
-	env := &Env{Eng: eng, Net: d.Net, BaseRTT: faultRTT,
-		XP:     core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16},
-		MinRTO: sim.Millisecond}
-	var flows []*transport.Flow
-	for i := 0; i < n; i++ {
-		f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i],
-			size, sim.Time(i)*sim.Time(stagger))
-		env.Dial(pr, f)
-		flows = append(flows, f)
-	}
-	return d, flows
-}
-
-// applyChaos is applyFaults with the built-in timeline given as a spec
-// string; a built-in spec that does not parse is a bug.
-func applyChaos(d *topology.Dumbbell, plan faults.Plan, spec string) error {
-	var builtin faults.Plan
-	if plan.Empty() && spec != "" {
-		var err error
-		if builtin, err = faults.ParseSpec(spec); err != nil {
-			panic(err)
-		}
-	}
-	return applyFaults(d, plan, builtin)
-}
 
 // usec renders a duration as integer microseconds for spec strings.
 func usec(d sim.Duration) int64 { return int64(d / sim.Microsecond) }
@@ -77,30 +40,31 @@ func runExtChaosMatrix(p Params) (Result, error) {
 	size := 128 * unit.KB
 
 	// Each arm is a spec head; the timing suffix arms it for the whole
-	// run. Credit-class arms target the reverse bottleneck (swR->swL),
-	// the path credits actually traverse.
-	type arm struct{ name, head string }
+	// run, and the spec is parsed once, before the trials. Credit-class
+	// arms target the reverse bottleneck (swR->swL), the path credits
+	// actually traverse.
+	type arm struct {
+		name string
+		plan faults.Plan
+	}
+	armed := func(name, head string) arm { return arm{name, mustParse(armSpec(head, 0, deadline))} }
 	arms := []arm{
-		{"clean", ""},
-		{"ge-loss-data", "gemodel:data:0.015:0.25"},
-		{"corr-loss-credit", "loss:credit:0.05:corr=0.6:swR->swL"},
-		{"dup-both", "dup:both:0.02; dup:both:0.02:swR->swL"},
-		{"corrupt-data", "corrupt:data:0.01"},
-		{"reorder", "reorder:0.05:20us"},
-		{"jitter-delay", "jitter:delay:pareto:5us"},
-		{"jitter-rate", "jitter:rate:normal:0.15"},
+		{name: "clean"},
+		armed("ge-loss-data", "gemodel:data:0.015:0.25"),
+		armed("corr-loss-credit", "loss:credit:0.05:corr=0.6:swR->swL"),
+		armed("dup-both", "dup:both:0.02; dup:both:0.02:swR->swL"),
+		armed("corrupt-data", "corrupt:data:0.01"),
+		armed("reorder", "reorder:0.05:20us"),
+		armed("jitter-delay", "jitter:delay:pareto:5us"),
+		armed("jitter-rate", "jitter:rate:normal:0.15"),
 	}
 	protos := EvalProtos()
 
 	rows, err := mapErr(p, cross(arms, protos), func(t *runner.T, c pair[arm, Proto]) ([]any, error) {
 		a, pr := c.a, c.b
 		eng := t.Engine(p.Seed)
-		d, flows := chaosDumbbell(eng, pr, n, size, 50*sim.Microsecond)
-		spec := ""
-		if a.head != "" {
-			spec = armSpec(a.head, 0, deadline)
-		}
-		if err := applyChaos(d, p.Faults, spec); err != nil {
+		d, flows, _ := pairDumbbell(eng, pr, evalXP(), n, size, 50*sim.Microsecond)
+		if err := applyFaults(d, p.Faults, a.plan); err != nil {
 			return nil, err
 		}
 		eng.RunUntil(sim.Time(deadline))
@@ -143,37 +107,34 @@ func runExtChaosStorm(p Params) (Result, error) {
 	period := stormD / 4
 	n := 4
 
-	type storm struct{ name, spec string }
+	type storm struct {
+		name string
+		plan faults.Plan
+	}
 	storms := []storm{
-		{"flap-train", fmt.Sprintf(
+		{"flap-train", mustParse(fmt.Sprintf(
 			"every:%dus:count=4{ flap@0us+%dus }@%dus+%dus",
-			usec(period), usec(period/8), usec(sim.Duration(stormAt)), usec(stormD))},
-		{"stall-wave", fmt.Sprintf(
+			usec(period), usec(period/8), usec(sim.Duration(stormAt)), usec(stormD)))},
+		{"stall-wave", mustParse(fmt.Sprintf(
 			"every:%dus:count=4:roll{ stall@0us+%dus }@%dus+%dus",
-			usec(period), usec(period/4), usec(sim.Duration(stormAt)), usec(stormD))},
-		{"loss-bursts", fmt.Sprintf(
+			usec(period), usec(period/4), usec(sim.Duration(stormAt)), usec(stormD)))},
+		{"loss-bursts", mustParse(fmt.Sprintf(
 			"every:%dus:count=4:duty=0.25{ gemodel:data:0.08:0.25@0us+1us; gemodel:credit:0.08:0.25:swR->swL@0us+1us }@%dus+%dus",
-			usec(period), usec(sim.Duration(stormAt)), usec(stormD))},
+			usec(period), usec(sim.Duration(stormAt)), usec(stormD)))},
 	}
 	protos := EvalProtos()
 
 	rows, err := mapErr(p, cross(storms, protos), func(t *runner.T, c pair[storm, Proto]) ([]any, error) {
 		s, pr := c.a, c.b
 		eng := t.Engine(p.Seed)
-		d, flows := chaosDumbbell(eng, pr, n, 0, 0)
-		if err := applyChaos(d, p.Faults, s.spec); err != nil {
+		d, flows, _ := pairDumbbell(eng, pr, evalXP(), n, 0, 0)
+		if err := applyFaults(d, p.Faults, s.plan); err != nil {
 			return nil, err
 		}
 
 		eng.RunUntil(warm)
-		sumDelivered(flows)
-		eng.RunFor(preD)
-		pre := gbps(sumDelivered(flows), preD)
-		eng.RunFor(stormD)
-		dip := gbps(sumDelivered(flows), stormD)
-		eng.RunFor(postD)
-		post := gbps(sumDelivered(flows), postD)
-		return []any{s.name, string(pr), pre, dip, post, d.Net.Stats().FaultDrops}, nil
+		g := goodputs(eng, flows, preD, stormD, postD)
+		return []any{s.name, string(pr), g[0], g[1], g[2], d.Net.Stats().FaultDrops}, nil
 	})
 	return Result{&Table{Header: []string{"storm", "proto", "pre Gbps", "storm Gbps", "post Gbps", "drops"}, Rows: rows}}, err
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"expresspass/internal/core"
 	"expresspass/internal/lifecycle"
 	"expresspass/internal/netem"
 	"expresspass/internal/runner"
@@ -33,32 +32,18 @@ func runExtDCQCN(p Params) (Result, error) {
 		tcfg := topology.Config{LinkRate: 10 * unit.Gbps, Port: netem.PortConfig{DataCapacity: 2 * unit.MB}}
 		proto.Features(&tcfg, 30*sim.Microsecond)
 		st := topology.NewStar(eng, 17, tcfg)
-		env := &Env{Eng: eng, Net: st.Net, BaseRTT: 30 * sim.Microsecond,
-			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
+		env := &Env{Eng: eng, Net: st.Net, BaseRTT: 30 * sim.Microsecond, XP: evalXP()}
 		specs := make([]workload.FlowSpec, fanout)
 		for i := range specs {
 			specs[i] = workload.FlowSpec{Src: 1 + i%16, Dst: 0,
 				Size: 256 * unit.KB, Start: sim.Time(i) * 200 * sim.Nanosecond}
 		}
 		fcts := stats.NewDist() // ms
-		fold := func(f *transport.Flow, _ lifecycle.Handle) {
+		env.runFlows(proto, st.Hosts, specs, 2*sim.Second, func(f *transport.Flow, _ lifecycle.Handle) {
 			if f.Finished {
 				fcts.Observe(f.FCT().Seconds() * 1e3)
 			}
-		}
-		mgr := lifecycle.NewManager(lifecycle.Config{
-			Engine: eng,
-			Specs:  specs,
-			Dial: func(s workload.FlowSpec, _ int) (*transport.Flow, lifecycle.Handle) {
-				f := transport.NewFlow(st.Net, st.Hosts[s.Src], st.Hosts[s.Dst], s.Size, s.Start)
-				return f, env.Dial(proto, f)
-			},
-			OnRetire: fold,
-			Grace:    10 * 30 * sim.Microsecond,
 		})
-		mgr.Start()
-		eng.RunUntil(2 * sim.Second)
-		mgr.ForEachLive(fold)
 		net := st.Net.Stats()
 		return []any{fanout, string(proto),
 			text("%.3g", fcts.Percentile(99)),

@@ -6,7 +6,6 @@ import (
 	"expresspass/internal/netem"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
-	"expresspass/internal/topology"
 	"expresspass/internal/transport"
 	"expresspass/internal/unit"
 )
@@ -21,39 +20,11 @@ import (
 // Params.Faults (the -faults CLI flag) replaces each experiment's
 // built-in timeline.
 
-const faultRTT = 50 * sim.Microsecond
-
-// applyFaults schedules the run's -faults plan onto the trial's
-// dumbbell or, when the run gave none, the experiment's built-in
-// timeline. A plan naming a port or host the network lacks is the
-// caller's error.
-func applyFaults(d *topology.Dumbbell, run, builtin faults.Plan) error {
-	if run.Empty() {
-		run = builtin
-	}
-	return run.Apply(d.Net, d.Bottleneck)
-}
-
-// faultDumbbell builds the shared scenario: an n-pair 10G dumbbell with
-// one long-running dialed flow per pair.
-func faultDumbbell(eng *sim.Engine, n int) (*topology.Dumbbell, []*transport.Flow, []*core.Session) {
-	d := topology.NewDumbbell(eng, n, topology.Config{
-		LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond,
-	})
-	var flows []*transport.Flow
-	var sessions []*core.Session
-	for i := 0; i < n; i++ {
-		f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0, 0)
-		sessions = append(sessions, core.Dial(f, core.Config{BaseRTT: faultRTT}))
-		flows = append(flows, f)
-	}
-	return d, flows, sessions
-}
-
-// snapCredits sums the credit/data counters across sessions, as a
-// baseline for wastedRatio.
-func snapCredits(sessions []*core.Session) (sent, data uint64) {
-	for _, s := range sessions {
+// snapCredits sums the credit/data counters across ExpressPass
+// sessions, as a baseline for wastedRatio.
+func snapCredits(sessions []Handle) (sent, data uint64) {
+	for _, h := range sessions {
+		s := h.(*core.Session)
 		sent += s.CreditsSent()
 		data += s.DataSent()
 	}
@@ -65,7 +36,7 @@ func snapCredits(sessions []*core.Session) (sent, data uint64) {
 // returned a data packet — dropped by the credit meter (the feedback
 // loop's designed ~10% target), destroyed by a fault in flight, or
 // arriving at a sender with nothing left to send.
-func wastedRatio(sessions []*core.Session, baseSent, baseData uint64) float64 {
+func wastedRatio(sessions []Handle, baseSent, baseData uint64) float64 {
 	sent, data := snapCredits(sessions)
 	sent -= baseSent
 	data -= baseData
@@ -78,21 +49,13 @@ func wastedRatio(sessions []*core.Session, baseSent, baseData uint64) float64 {
 // registerFaultMetrics exposes the fault-facing gauges when a metrics
 // CSV was requested: the credit-wasted ratio and the cumulative
 // fault-drop count.
-func registerFaultMetrics(net *netem.Network, sessions []*core.Session) {
+func registerFaultMetrics(net *netem.Network, sessions []Handle) {
 	r := net.Metrics()
 	if r == nil {
 		return
 	}
 	r.Gauge("faults/credit_wasted_ratio", func() float64 { return wastedRatio(sessions, 0, 0) })
 	r.Gauge("faults/drops", func() float64 { return float64(net.Stats().FaultDrops) })
-}
-
-func sumDelivered(flows []*transport.Flow) unit.Bytes {
-	var b unit.Bytes
-	for _, f := range flows {
-		b += f.TakeDeliveredDelta()
-	}
-	return b
 }
 
 // completion counts the finished flows and returns their mean FCT cell,
@@ -132,7 +95,7 @@ func runExtFaultsFlap(p Params) (Result, error) {
 
 	rows, err := mapErr(p, flaps, func(t *runner.T, flapD sim.Duration) ([]any, error) {
 		eng := t.Engine(p.Seed)
-		d, flows, sessions := faultDumbbell(eng, 4)
+		d, flows, sessions := pairDumbbell(eng, ProtoExpressPass, core.Config{}, 4, 0, 0)
 		registerFaultMetrics(d.Net, sessions)
 		faultAt := warm + sim.Time(preD)
 		flap := []faults.Directive{{Kind: "flap", At: faultAt, Dur: flapD}}
@@ -141,23 +104,21 @@ func runExtFaultsFlap(p Params) (Result, error) {
 		}
 
 		eng.RunUntil(warm)
-		sumDelivered(flows)
 		baseSent, baseData := snapCredits(sessions)
-		eng.RunFor(preD)
-		pre := gbps(sumDelivered(flows), preD)
+		pre := goodputs(eng, flows, preD)[0]
 
 		// Ride out the outage itself, then watch recovery window by
 		// window: recovery time is the delay from link-up to the first
 		// window back at ≥99% of the pre-fault rate.
 		eng.RunUntil(faultAt + flapD)
-		sumDelivered(flows)
+		wins := make([]sim.Duration, int((settle+postD)/win))
+		for k := range wins {
+			wins[k] = win
+		}
 		var recovery any = "-"
 		var postSum float64
 		postN := 0
-		nWin := int((settle + postD) / win)
-		for k := 0; k < nWin; k++ {
-			eng.RunFor(win)
-			g := gbps(sumDelivered(flows), win)
+		for k, g := range goodputs(eng, flows, wins...) {
 			if recovery == "-" && g >= 0.99*pre {
 				recovery = text("%.2fms", float64(k+1)*float64(win)/float64(sim.Millisecond))
 			}
@@ -202,17 +163,7 @@ func runExtFaultsLoss(p Params) (Result, error) {
 
 	rows, err := mapErr(p, arms, func(t *runner.T, a arm) ([]any, error) {
 		eng := t.Engine(p.Seed)
-		d := topology.NewDumbbell(eng, n, topology.Config{
-			LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond,
-		})
-		var flows []*transport.Flow
-		var sessions []*core.Session
-		for k := 0; k < n; k++ {
-			f := transport.NewFlow(d.Net, d.Senders[k], d.Receivers[k],
-				size, sim.Time(k)*sim.Time(100*sim.Microsecond))
-			sessions = append(sessions, core.Dial(f, core.Config{BaseRTT: faultRTT}))
-			flows = append(flows, f)
-		}
+		d, flows, sessions := pairDumbbell(eng, ProtoExpressPass, core.Config{}, n, size, 100*sim.Microsecond)
 		registerFaultMetrics(d.Net, sessions)
 		var builtin []faults.Directive
 		if a.credit > 0 {
@@ -233,10 +184,7 @@ func runExtFaultsLoss(p Params) (Result, error) {
 		// Retransmissions: data packets beyond the minimum needed to
 		// carry every flow's payload once.
 		minPkts := uint64(n) * uint64((size+unit.MTUPayload-1)/unit.MTUPayload)
-		var sent uint64
-		for _, s := range sessions {
-			sent += s.DataSent()
-		}
+		_, sent := snapCredits(sessions)
 		retx := uint64(0)
 		if sent > minPkts {
 			retx = sent - minPkts
@@ -265,7 +213,7 @@ func runExtFaultsStall(p Params) (Result, error) {
 
 	rows, err := mapErr(p, stalls, func(t *runner.T, stallD sim.Duration) ([]any, error) {
 		eng := t.Engine(p.Seed)
-		d, flows, sessions := faultDumbbell(eng, 2)
+		d, flows, sessions := pairDumbbell(eng, ProtoExpressPass, core.Config{}, 2, 0, 0)
 		registerFaultMetrics(d.Net, sessions)
 		faultAt := warm + sim.Time(preD)
 		stall := []faults.Directive{{Kind: "stall", Target: d.Senders[0].Name(), At: faultAt, Dur: stallD}}
@@ -274,14 +222,8 @@ func runExtFaultsStall(p Params) (Result, error) {
 		}
 
 		eng.RunUntil(warm)
-		sumDelivered(flows)
-		eng.RunFor(preD)
-		pre := gbps(sumDelivered(flows), preD)
-		eng.RunFor(stallD)
-		dip := gbps(sumDelivered(flows), stallD)
-		eng.RunFor(postD)
-		post := gbps(sumDelivered(flows), postD)
-		return []any{text("%gms", float64(stallD)/float64(sim.Millisecond)), pre, dip, post,
+		g := goodputs(eng, flows, preD, stallD, postD)
+		return []any{text("%gms", float64(stallD)/float64(sim.Millisecond)), g[0], g[1], g[2],
 			d.Net.Stats().FaultDrops}, nil
 	})
 	return Result{&Table{Header: []string{"stall", "pre Gbps", "during Gbps", "post Gbps", "fault drops"}, Rows: rows}}, err

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"expresspass/internal/core"
 	"expresspass/internal/invariant"
 	"expresspass/internal/lifecycle"
 	"expresspass/internal/obs"
@@ -33,8 +32,7 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 		eng := tr.Engine(seed)
 		st := topology.NewStar(eng, 8, topology.Config{LinkRate: 10 * unit.Gbps})
 		rtt := 30 * sim.Microsecond
-		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
-			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
+		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt, XP: evalXP()}
 		specs, err := workload.Poisson(eng.Rand().Fork(), workload.PoissonConfig{
 			Hosts: 8, Dist: workload.WebServer(), Load: 0.4,
 			RefRate: 80 * unit.Gbps, Flows: 200,
@@ -97,6 +95,67 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 		}
 		return struct{}{}
 	})
+}
+
+// TestRunFlowsFoldsEveryDialedFlowOnce cuts a run short: its deadline
+// falls after the short flows have retired, while the long flows are
+// still sending and before the late specs start. The driver must fold
+// every dialed flow exactly once, whether the reaper retired it during
+// the run or it was a straggler folded after, and must fold no spec it
+// never dialed.
+func TestRunFlowsFoldsEveryDialedFlowOnce(t *testing.T) {
+	t.Parallel()
+	eng := sim.New(7)
+	st := topology.NewStar(eng, 8, topology.Config{LinkRate: 10 * unit.Gbps})
+	env := &Env{Eng: eng, Net: st.Net, BaseRTT: 30 * sim.Microsecond, XP: evalXP()}
+	const deadline = 5*sim.Millisecond + 500*sim.Microsecond
+	var specs []workload.FlowSpec
+	for i := 0; i < 12; i++ { // done within a millisecond: retired
+		specs = append(specs, workload.FlowSpec{Src: 1 + i%7, Dst: 0, Size: 8 * unit.KB,
+			Start: sim.Time(i) * 50 * sim.Microsecond})
+	}
+	for i := 0; i < 3; i++ { // 8 MB takes 6.4 ms at line rate: unfinished
+		specs = append(specs, workload.FlowSpec{Src: 1 + i, Dst: 4 + i, Size: 8 * unit.MB,
+			Start: sim.Millisecond})
+	}
+	for i := 0; i < 4; i++ { // start after the deadline: never dialed
+		specs = append(specs, workload.FlowSpec{Src: 1 + i, Dst: 0, Size: 8 * unit.KB,
+			Start: deadline + sim.Time(i+1)*sim.Millisecond})
+	}
+	dialable := 15
+
+	folds := map[*transport.Flow]int{}
+	var retired, stragglers, unfinished, done int
+	finished := env.runFlows(ProtoExpressPass, st.Hosts, specs, deadline, func(f *transport.Flow, _ lifecycle.Handle) {
+		folds[f]++
+		if f.StartAt > deadline {
+			t.Errorf("flow %d starting at %v was folded: it starts after the %v deadline", f.ID, f.StartAt, deadline)
+		}
+		if eng.Now() < deadline {
+			retired++
+		} else {
+			stragglers++
+		}
+		if f.Finished {
+			done++
+		} else {
+			unfinished++
+		}
+	})
+	if len(folds) != dialable {
+		t.Errorf("folded %d distinct flows, want the %d dialed", len(folds), dialable)
+	}
+	for f, n := range folds {
+		if n != 1 {
+			t.Errorf("flow %d folded %d times", f.ID, n)
+		}
+	}
+	if retired == 0 || stragglers == 0 || unfinished == 0 {
+		t.Errorf("retired %d, stragglers %d (%d unfinished): the run must end with both kinds", retired, stragglers, unfinished)
+	}
+	if finished != done {
+		t.Errorf("runFlows reports %d finished, the fold saw %d", finished, done)
+	}
 }
 
 // TestLifecycleRSSGate is the memory-regression gate: one scale-0.5

@@ -148,24 +148,13 @@ func runFig2(p Params) (Result, error) {
 			// without it the displaced flow (cwnd 1, no dupacks) sits
 			// out 10 ms per loss and never re-converges.
 			MinRTO: sim.Millisecond}
-		f0 := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-		env.Dial(a.name, f0)
 		// Let flow 0 reach steady state, then start flow 1.
 		warm := p.scaleDur(50*sim.Millisecond, 10*sim.Millisecond)
 		if a.name == ProtoExpressPass {
 			warm = 2 * sim.Millisecond
 		}
-		eng.RunUntil(warm)
-		f1 := transport.NewFlow(d.Net, d.Senders[1], d.Receivers[1], 0, eng.Now())
-		env.Dial(a.name, f1)
-		f0.TakeDeliveredDelta()
-		f1.TakeDeliveredDelta()
-		bins := int(a.span / a.bin)
-		series := binRates(eng, []*transport.Flow{f0, f1}, a.bin, bins)
-		fair := maxGoodputGbps(10*unit.Gbps) / 2
-		if a.name != ProtoExpressPass {
-			fair = 10 * float64(unit.MTUPayload) / float64(unit.MaxFrame) / 2
-		}
+		series := env.join(a.name, d, warm, a.bin, int(a.span/a.bin))
+		fair := fairShare(a.name, 10*unit.Gbps)
 		ratio := 0.6
 		if a.name != ProtoExpressPass {
 			ratio = 0.5 // loss-based sawtooths dip deeper
@@ -281,15 +270,9 @@ func runFig8(p Params) (Result, error) {
 		eng := t.Engine(p.Seed)
 		d := rttDumbbell(eng, 2, 10*unit.Gbps, rtt, topology.Config{})
 		cfg := core.Config{BaseRTT: rtt, Alpha: alpha}
-		f0 := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-		core.Dial(f0, cfg)
-		eng.RunUntil(p.scaleDur(20*sim.Millisecond, 5*sim.Millisecond))
-		f1 := transport.NewFlow(d.Net, d.Senders[1], d.Receivers[1], 0, eng.Now())
-		core.Dial(f1, cfg)
-		f0.TakeDeliveredDelta()
-		f1.TakeDeliveredDelta()
-		series := binRates(eng, []*transport.Flow{f0, f1}, rtt, 60)
-		fair := maxGoodputGbps(10*unit.Gbps) / 2
+		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt, XP: cfg}
+		series := env.join(ProtoExpressPass, d, p.scaleDur(20*sim.Millisecond, 5*sim.Millisecond), rtt, 60)
+		fair := fairShare(ProtoExpressPass, 10*unit.Gbps)
 		cb := converged(series[1:], fair, 0.3, 2)
 
 		// (b) credit waste of a single-packet flow on an idle network.

@@ -282,20 +282,9 @@ func runFig16(p Params) (Result, error) {
 		d := rttDumbbell(eng, 2, rate, rtt, tcfg)
 		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
 			XP: core.Config{Alpha: a.alpha, WInit: a.alpha}}
-		f0 := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-		env.Dial(a.proto, f0)
 		warm := p.scaleDur(100*sim.Millisecond, 30*sim.Millisecond)
-		eng.RunUntil(warm)
-		f1 := transport.NewFlow(d.Net, d.Senders[1], d.Receivers[1], 0, eng.Now())
-		env.Dial(a.proto, f1)
-		f0.TakeDeliveredDelta()
-		f1.TakeDeliveredDelta()
-		bin := sim.Duration(a.binRTTs) * rtt
-		series := binRates(eng, []*transport.Flow{f0, f1}, bin, a.maxRTTs/a.binRTTs)
-		fair := maxGoodputGbps(rate) / 2
-		if a.proto != ProtoExpressPass {
-			fair = rate.Gbits() * float64(unit.MTUPayload) / float64(unit.MaxFrame) / 2
-		}
+		series := env.join(a.proto, d, warm, sim.Duration(a.binRTTs)*rtt, a.maxRTTs/a.binRTTs)
+		fair := fairShare(a.proto, rate)
 		cb := equalized(series, 2*fair, a.ratio, 3)
 		var conv any = text(">%d", a.maxRTTs)
 		if cb >= 0 {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"expresspass/internal/core"
 	"expresspass/internal/lifecycle"
 	"expresspass/internal/netem"
 	"expresspass/internal/runner"
@@ -42,8 +41,7 @@ func runFig1(p Params) (Result, error) {
 		ft := topology.NewFatTree(eng, 4, tcfg)
 		hosts := ft.Hosts
 		master := hosts[0]
-		env := &Env{Eng: eng, Net: ft.Net, BaseRTT: rtt,
-			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
+		env := &Env{Eng: eng, Net: ft.Net, BaseRTT: rtt, XP: evalXP()}
 		// The master continuously requests from `fanout` workers
 		// over persistent connections (§2); model the responses as
 		// backlogged worker→master streams whose starts are
@@ -97,36 +95,22 @@ func runFig17(p Params) (Result, error) {
 		st := topology.NewStar(eng, hosts, tcfg)
 		specs := workload.Shuffle(eng.Rand().Fork(), workload.ShuffleConfig{
 			Hosts: hosts, TasksPerHost: tasks, Bytes: bytes})
-		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt,
-			XP: core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16}}
+		env := &Env{Eng: eng, Net: st.Net, BaseRTT: rtt, XP: evalXP()}
 		fcts := stats.NewDist()
-		fold := func(f *transport.Flow, _ lifecycle.Handle) {
-			if f.Finished {
-				fcts.Observe(f.FCT().Seconds())
-			}
-		}
-		mgr := lifecycle.NewManager(lifecycle.Config{
-			Engine: eng,
-			Specs:  specs,
-			Dial: func(s workload.FlowSpec, _ int) (*transport.Flow, lifecycle.Handle) {
-				f := transport.NewFlow(st.Net, st.Hosts[s.Src], st.Hosts[s.Dst], s.Size, s.Start)
-				return f, env.Dial(proto, f)
-			},
-			OnRetire: fold,
-			Grace:    10 * rtt,
-		})
-		mgr.Start()
 		// Run to completion (with a generous cap).
 		ideal := float64(bytes) * float64(len(specs)) * 8 /
 			(float64(hosts) * 10e9 * 0.9)
-		cap := sim.Seconds(ideal*20) + 2*sim.Second
-		eng.RunUntil(cap)
-		mgr.ForEachLive(fold)
+		finished := env.runFlows(proto, st.Hosts, specs, sim.Seconds(ideal*20)+2*sim.Second,
+			func(f *transport.Flow, _ lifecycle.Handle) {
+				if f.Finished {
+					fcts.Observe(f.FCT().Seconds())
+				}
+			})
 		s := fcts.Summary()
 		return []any{string(proto),
 			text("%.4gs", s.P50), text("%.4gs", s.P99),
 			text("%.4gs", s.Max), st.Net.Stats().DataDrops,
-			text("%d/%d", mgr.Finished(), mgr.Total())}
+			text("%d/%d", finished, len(specs))}
 	})
 	return Result{
 		text("hosts=%d tasksPerHost=%d bytesPerPair=%v flows=%d", hosts, tasks, bytes, hosts*(hosts-1)*tasks*tasks),

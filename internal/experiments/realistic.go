@@ -21,8 +21,8 @@ type realisticCfg struct {
 	dist     *workload.SizeDist
 	load     float64
 	linkRate unit.Rate
-	alpha    float64 // ExpressPass α (0 → default 1/16 per §6.3)
-	winit    float64
+	alpha    float64 // ExpressPass α (0: evalXP's 1/16)
+	winit    float64 // ExpressPass w_init (0: evalXP's 1/16)
 }
 
 // realisticResult aggregates what the §6.3 figures report. FCTs
@@ -112,21 +112,24 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 		panic(err)
 	}
 
-	alpha, winit := rc.alpha, rc.winit
-	if alpha == 0 {
-		alpha = 1.0 / 16
+	xp := evalXP()
+	if rc.alpha != 0 {
+		xp.Alpha = rc.alpha
 	}
-	if winit == 0 {
-		winit = 1.0 / 16
+	if rc.winit != 0 {
+		xp.WInit = rc.winit
 	}
-	env := &Env{Eng: eng, Net: ot.Net, BaseRTT: baseRTT,
-		XP: core.Config{Alpha: alpha, WInit: winit, BaseRTT: baseRTT}}
+	env := &Env{Eng: eng, Net: ot.Net, BaseRTT: baseRTT, XP: xp}
 
 	res := realisticResult{fctByClass: map[string]*stats.Dist{}, total: len(specs), requested: requested}
+	// Run until every flow retires (the reaper stops re-arming and the
+	// engine drains), bounded by a generous deadline for runs where some
+	// flows never complete. No per-20ms rescan: completion is the
+	// manager's O(1) counter, termination is the engine draining. The
 	// fold observes a finished flow's FCT into its size class and sums
-	// the credit counters: in the reaper at each retirement, and after
-	// the run for the stragglers the reaper had not retired.
-	fold := func(f *transport.Flow, h lifecycle.Handle) {
+	// the credit counters.
+	deadline := specs[len(specs)-1].Start + 4*sim.Second
+	res.finished = env.runFlows(rc.proto, hosts, specs, deadline, func(f *transport.Flow, h lifecycle.Handle) {
 		if f.Finished {
 			cls := workload.SizeClass(f.Size)
 			d := res.fctByClass[cls]
@@ -140,28 +143,7 @@ func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 			res.creditRecv += s.CreditsReceived()
 			res.creditWaste += s.CreditsWasted()
 		}
-	}
-	mgr := lifecycle.NewManager(lifecycle.Config{
-		Engine: eng,
-		Specs:  specs,
-		Dial: func(s workload.FlowSpec, _ int) (*transport.Flow, lifecycle.Handle) {
-			f := transport.NewFlow(ot.Net, hosts[s.Src], hosts[s.Dst], s.Size, s.Start)
-			return f, env.Dial(rc.proto, f)
-		},
-		OnRetire: fold,
-		Grace:    10 * baseRTT,
 	})
-	mgr.Start()
-
-	// Run until every flow retires (the reaper stops re-arming and the
-	// engine drains), bounded by a generous deadline for runs where some
-	// flows never complete. No per-20ms rescan: completion is the
-	// manager's O(1) counter, termination is the engine draining.
-	deadline := specs[len(specs)-1].Start + 4*sim.Second
-	eng.RunUntil(deadline)
-
-	res.finished = mgr.Finished()
-	mgr.ForEachLive(fold)
 	res.dataDrops = ot.Net.Stats().DataDrops
 
 	var sumAvg float64
