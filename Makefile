@@ -157,7 +157,7 @@ bytes:
 		echo "bytes: $$r ($$(( $$(date +%s) - s ))s): $$*" | sed "s|$$io/||g"; }; \
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.jsonl -metrics $$io/M.csv fig17 ext-failover; \
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.csv -metrics $$io/M.csv fig17 ext-failover; \
-	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl ext-chaos-storm fig13 fig16; \
+	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl ext-chaos-storm fig13 fig16 fig2; \
 	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl -metrics $$io/M.csv ext-faults-flap ext-faults-loss ext-faults-stall ext-dcqcn fig8; \
 	row -procs 2 -seed 11 -scale 0.05 -all; \
 	if [ $$fail != 0 ]; then echo "bytes: FAIL against $(BYTES_BASE)"; exit 1; fi; \

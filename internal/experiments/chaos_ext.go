@@ -133,8 +133,9 @@ func runExtChaosStorm(p Params) (Result, error) {
 		}
 
 		eng.RunUntil(warm)
-		g := goodputs(eng, flows, preD, stormD, postD)
-		return []any{s.name, string(pr), g[0], g[1], g[2], d.Net.Stats().FaultDrops}, nil
+		g := delivered(eng, flows, preD, stormD, postD)
+		return []any{s.name, string(pr), gbps(total(g[0]), preD), gbps(total(g[1]), stormD), gbps(total(g[2]), postD),
+			d.Net.Stats().FaultDrops}, nil
 	})
 	return Result{&Table{Header: []string{"storm", "proto", "pre Gbps", "storm Gbps", "post Gbps", "drops"}, Rows: rows}}, err
 }

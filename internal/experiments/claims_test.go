@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"testing"
+
+	"expresspass/internal/sim"
 )
 
 // The paper's evaluation claims, read from typed cells of small-scale runs
@@ -42,6 +44,36 @@ func every(t *testing.T, rows []map[string]any, col, want string, ok func(float6
 		}
 	}
 	return nil
+}
+
+// TestClaimFig2Convergence: credit converges before both TCP schemes
+// (paper ≈ 25 µs against CUBIC's 47 ms and DCTCP's 70 ms), and every
+// row reads a convergence time: none reads 0 or runs out its window.
+func TestClaimFig2Convergence(t *testing.T) {
+	t.Parallel()
+	rows := result(t, "fig2", Params{Scale: 0.12, Seed: 42}).tables()[0].records()
+	col := "convergence (" + convRule() + ")"
+	at := map[Proto]sim.Duration{}
+	for _, r := range rows {
+		d, ok := r[col].(sim.Duration)
+		if !ok || d <= 0 {
+			t.Errorf("%v reads %v, not a convergence time", r["scheme"], r[col])
+		}
+		at[Proto(r["scheme"].(string))] = d
+	}
+	if len(at) != 3 {
+		t.Fatalf("fig2 rows: %v", rows)
+	}
+	first := func(p Proto, others ...Proto) error {
+		for _, o := range others {
+			if at[p] >= at[o] {
+				return fmt.Errorf("%s %v ≥ %s %v", p, at[p], o, at[o])
+			}
+		}
+		return nil
+	}
+	claim(t, "credit converges before CUBIC and DCTCP",
+		first(ProtoExpressPass, ProtoCubic, ProtoDCTCP), first(ProtoDCTCP, ProtoCubic, ProtoExpressPass))
 }
 
 // TestClaimFig10ParkingLot: feedback holds the lowest link of the parking

@@ -55,11 +55,9 @@ func runExtClasses(p Params) (Result, error) {
 		core.Dial(fLo, core.Config{BaseRTT: 50 * sim.Microsecond, Class: 1})
 		warm := p.scaleDur(20*sim.Millisecond, 8*sim.Millisecond)
 		eng.RunUntil(warm)
-		fHi.TakeDeliveredDelta()
-		fLo.TakeDeliveredDelta()
 		meas := p.scaleDur(40*sim.Millisecond, 15*sim.Millisecond)
-		eng.RunFor(meas)
-		return gbps(fHi.TakeDeliveredDelta(), meas), gbps(fLo.TakeDeliveredDelta(), meas)
+		got := delivered(eng, []*transport.Flow{fHi, fLo}, meas)[0]
+		return gbps(got[0], meas), gbps(got[1], meas)
 	}
 
 	type policy struct {
@@ -115,25 +113,21 @@ func runExtSpray(p Params) (Result, error) {
 		}
 		warm := p.scaleDur(20*sim.Millisecond, 10*sim.Millisecond)
 		eng.RunUntil(warm)
-		for _, f := range flows {
-			f.TakeDeliveredDelta()
-		}
 		ft.Net.ResetStats()
 		meas := p.scaleDur(40*sim.Millisecond, 20*sim.Millisecond)
-		eng.RunFor(meas)
 		var rates []float64
-		var total float64
-		for _, f := range flows {
-			r := gbps(f.TakeDeliveredDelta(), meas)
+		var sum float64
+		for _, b := range delivered(eng, flows, meas)[0] {
+			r := gbps(b, meas)
 			rates = append(rates, r)
-			total += r
+			sum += r
 		}
 		name := "symmetric ECMP"
 		if spray {
 			name = "packet spraying"
 		}
 		st := ft.Net.Stats()
-		return []any{name, total, stats.JainIndex(rates),
+		return []any{name, sum, stats.JainIndex(rates),
 			float64(st.DataQueueMaxBytes) / 1e3, st.DataDrops}
 	})
 	return Result{&Table{Header: []string{"routing", "aggregate Gbps", "jain", "maxQ KB", "data drops"}, Rows: rows}}, nil
@@ -165,17 +159,13 @@ func runExtFailover(p Params) (Result, error) {
 		}
 		phase := p.scaleDur(30*sim.Millisecond, 10*sim.Millisecond)
 		measure := func(label string) {
-			for _, f := range flows {
-				f.TakeDeliveredDelta()
-			}
 			preDrops := ft.Net.Stats().DataDrops
-			eng.RunFor(phase)
-			var total float64
-			for _, f := range flows {
-				total += gbps(f.TakeDeliveredDelta(), phase)
+			var sum float64
+			for _, b := range delivered(eng, flows, phase)[0] {
+				sum += gbps(b, phase)
 			}
 			lines = append(lines, text("%-28s aggregate %.2f Gbps, new data drops %d",
-				label, total, ft.Net.Stats().DataDrops-preDrops))
+				label, sum, ft.Net.Stats().DataDrops-preDrops))
 		}
 		eng.RunUntil(phase) // warm up
 		measure("healthy fabric:")

@@ -105,7 +105,7 @@ func runExtFaultsFlap(p Params) (Result, error) {
 
 		eng.RunUntil(warm)
 		baseSent, baseData := snapCredits(sessions)
-		pre := goodputs(eng, flows, preD)[0]
+		pre := gbps(total(delivered(eng, flows, preD)[0]), preD)
 
 		// Ride out the outage itself, then watch recovery window by
 		// window: recovery time is the delay from link-up to the first
@@ -118,7 +118,8 @@ func runExtFaultsFlap(p Params) (Result, error) {
 		var recovery any = "-"
 		var postSum float64
 		postN := 0
-		for k, g := range goodputs(eng, flows, wins...) {
+		for k, w := range delivered(eng, flows, wins...) {
+			g := gbps(total(w), win)
 			if recovery == "-" && g >= 0.99*pre {
 				recovery = text("%.2fms", float64(k+1)*float64(win)/float64(sim.Millisecond))
 			}
@@ -222,8 +223,9 @@ func runExtFaultsStall(p Params) (Result, error) {
 		}
 
 		eng.RunUntil(warm)
-		g := goodputs(eng, flows, preD, stallD, postD)
-		return []any{text("%gms", float64(stallD)/float64(sim.Millisecond)), g[0], g[1], g[2],
+		g := delivered(eng, flows, preD, stallD, postD)
+		return []any{text("%gms", float64(stallD)/float64(sim.Millisecond)),
+			gbps(total(g[0]), preD), gbps(total(g[1]), stallD), gbps(total(g[2]), postD),
 			d.Net.Stats().FaultDrops}, nil
 	})
 	return Result{&Table{Header: []string{"stall", "pre Gbps", "during Gbps", "post Gbps", "fault drops"}, Rows: rows}}, err

@@ -9,55 +9,115 @@ import (
 	"expresspass/internal/unit"
 )
 
-func TestConvergedDetector(t *testing.T) {
-	fair := 5.0
-	series := [][]float64{
-		{1, 3, 4.9, 5.0, 5.1, 5.0},
-		{9, 7, 5.1, 5.0, 4.9, 5.0},
+// TestConvergence holds the convergence rule to known answers: every
+// flow within ±30% of fair for two consecutive bins, read at the end of
+// the first bin of that run.
+func TestConvergence(t *testing.T) {
+	const bin = 100 * sim.Microsecond
+	cases := []struct {
+		name  string
+		fair  float64
+		rates [][]float64 // rates[b][i]: flow i's Gbps in bin b
+		want  sim.Duration
+		ok    bool
+	}{
+		{"settles in bin 2", 5, [][]float64{{1, 9}, {3, 7}, {4.9, 5.1}, {5.0, 5.0}, {5.1, 4.9}, {5.0, 5.0}}, 3 * bin, true},
+		{"uneven but in band", 4, [][]float64{{9, 0}, {7, 1}, {5, 4}, {5, 5}, {5, 5}}, 3 * bin, true},
+		// A newcomer joins a flow holding the whole link (fair 4.5, band
+		// 3.15–5.85): it enters the band in bin 2, overshoots in bin 3
+		// (6.0), and both stay inside from bin 4, so the run starts there.
+		{"two-flow join", 4.5, [][]float64{{9, 0.5}, {7, 2}, {5.5, 3.5}, {3, 6}, {4.6, 4.4}, {4.5, 4.5}}, 5 * bin, true},
+		{"holds from the first bin", 5, [][]float64{{5, 5}, {5, 5}}, bin, true},
+		{"one bin in band is not a run", 5, [][]float64{{1, 9}, {5, 5}, {1, 9}, {5, 5}}, 0, false},
+		{"equal because both are idle", 4, [][]float64{{0.1, 0.1}, {0.1, 0.1}}, 0, false},
+		{"all idle", 4, [][]float64{{0, 0}, {0, 0}, {0, 0}}, 0, false},
+		{"no bins", 5, nil, 0, false},
 	}
-	if got := converged(series, fair, 0.1, 3); got != 2 {
-		t.Errorf("converged = %d, want 2", got)
-	}
-	if got := converged(series, fair, 0.001, 3); got != -1 {
-		t.Errorf("tight tol should not converge: %d", got)
-	}
-	if got := converged(nil, fair, 0.1, 1); got != -1 {
-		t.Errorf("empty series: %d", got)
-	}
-}
-
-func TestEqualizedDetector(t *testing.T) {
-	series := [][]float64{
-		{9, 7, 5, 5, 5},
-		{0, 1, 4, 5, 5},
-	}
-	// Ratio 0.7 holds from index 2 (4/5 = 0.8) with sum >= fair/2.
-	if got := equalized(series, 8, 0.7, 2); got != 2 {
-		t.Errorf("equalized = %d, want 2", got)
-	}
-	// A sum floor rejects "equal because both are idle".
-	idle := [][]float64{{0.1, 0.1}, {0.1, 0.1}}
-	if got := equalized(idle, 8, 0.7, 1); got != -1 {
-		t.Errorf("idle flows must not count as equalized: %d", got)
+	for _, c := range cases {
+		if at, ok := convergence(c.rates, c.fair, bin); at != c.want || ok != c.ok {
+			t.Errorf("%s: convergence = %v, %v; want %v, %v", c.name, at, ok, c.want, c.ok)
+		}
 	}
 }
 
-func TestBinRatesAdvancesEngine(t *testing.T) {
+// TestConvergenceTightensMonotonically records fig2's DCTCP arm once and
+// reads it at tolerances from ±90% down to ±5%: the reading may only
+// grow as the band narrows. Tolerance tol is the rule's ±30% band
+// applied to rates whose distance from fair is stretched by 30%/tol, so
+// no threshold is passed and nothing is simulated per threshold.
+func TestConvergenceTightensMonotonically(t *testing.T) {
+	t.Parallel()
+	p := Params{Scale: 0.12, Seed: 42}.withDefaults()
+	arm := fig2Arms(p)[2]
+	if arm.name != ProtoDCTCP {
+		t.Fatalf("fig2's third arm is %s, want dctcp", arm.name)
+	}
+	rates := fig2Rates(sim.New(p.Seed), p, arm)
+	fair := fairShare(arm.name, 10*unit.Gbps)
+	reading := func(tol float64) sim.Duration {
+		stretched := make([][]float64, len(rates))
+		for b, row := range rates {
+			for _, r := range row {
+				stretched[b] = append(stretched[b], fair+(r-fair)*convTol/tol)
+			}
+		}
+		if at, ok := convergence(stretched, fair, arm.bin); ok {
+			return at
+		}
+		return sim.Forever
+	}
+	tols := []float64{0.9, 0.7, 0.5, 0.3, 0.2, 0.1, 0.05}
+	prev := reading(tols[0])
+	for _, tol := range tols[1:] {
+		at := reading(tol)
+		if at < prev {
+			t.Errorf("±%.0f%% reads %v, earlier than the looser band's %v", tol*100, at, prev)
+		}
+		prev = at
+	}
+	if first, last := reading(tols[0]), reading(tols[len(tols)-1]); first == last {
+		t.Errorf("±90%% and ±5%% both read %v: the sweep moves nothing", first)
+	}
+}
+
+// TestDeliveredWindows holds the goodput reading: it advances the engine
+// by exactly the windows, and each flow's bytes over them are its
+// BytesDelivered change.
+func TestDeliveredWindows(t *testing.T) {
 	eng := sim.New(1)
-	d := topology.NewDumbbell(eng, 1, topology.Config{LinkRate: 10 * unit.Gbps})
-	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
+	d := topology.NewDumbbell(eng, 2, topology.Config{LinkRate: 10 * unit.Gbps})
 	env := &Env{Eng: eng, Net: d.Net, BaseRTT: 30 * sim.Microsecond}
-	env.Dial(ProtoExpressPass, f)
-	series := binRates(eng, []*transport.Flow{f}, sim.Millisecond, 5)
-	if len(series) != 1 || len(series[0]) != 5 {
-		t.Fatalf("series shape: %dx%d", len(series), len(series[0]))
+	var flows []*transport.Flow
+	for i := 0; i < 2; i++ {
+		f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0, 0)
+		env.Dial(ProtoExpressPass, f)
+		flows = append(flows, f)
 	}
-	if eng.Now() != 5*sim.Millisecond {
-		t.Errorf("engine at %v, want 5ms", eng.Now())
+	eng.RunUntil(sim.Millisecond)
+	start := eng.Now()
+	before := []unit.Bytes{flows[0].BytesDelivered, flows[1].BytesDelivered}
+	windows := []sim.Duration{sim.Millisecond, 500 * sim.Microsecond, 2 * sim.Millisecond, 1500 * sim.Microsecond}
+	got := delivered(eng, flows, windows...)
+	if len(got) != len(windows) || len(got[0]) != len(flows) {
+		t.Fatalf("reading shape: %dx%d, want %dx%d", len(got), len(got[0]), len(windows), len(flows))
 	}
-	// After ramp-up the flow should run near line rate.
-	if series[0][4] < 8 {
-		t.Errorf("last bin %.2f Gbps, want ≈9", series[0][4])
+	if want := start + 5*sim.Millisecond; eng.Now() != want {
+		t.Errorf("engine at %v, want %v", eng.Now(), want)
+	}
+	for i, f := range flows {
+		var sum unit.Bytes
+		for _, w := range got {
+			sum += w[i]
+		}
+		if change := f.BytesDelivered - before[i]; sum != change {
+			t.Errorf("flow %d: windows sum to %d bytes, BytesDelivered moved %d", i, sum, change)
+		}
+	}
+	// Two flows share the link, so the last window's total runs near the
+	// payload ceiling.
+	last := len(windows) - 1
+	if g := gbps(total(got[last]), windows[last]); g < 8 {
+		t.Errorf("last window %.2f Gbps, want ≈9", g)
 	}
 }
 

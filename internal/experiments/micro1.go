@@ -23,83 +23,6 @@ func maxGoodputGbps(rate unit.Rate) float64 {
 	return rate.Gbits() * dataShare * float64(unit.MTUPayload) / float64(unit.MaxFrame)
 }
 
-// binRates advances the engine bin-by-bin, returning per-flow goodput
-// (Gbps) series.
-func binRates(eng *sim.Engine, flows []*transport.Flow, bin sim.Duration, bins int) [][]float64 {
-	out := make([][]float64, len(flows))
-	for b := 0; b < bins; b++ {
-		eng.RunFor(bin)
-		for i, f := range flows {
-			out[i] = append(out[i], gbps(f.TakeDeliveredDelta(), bin))
-		}
-	}
-	return out
-}
-
-// converged returns the first bin index from which every flow stays
-// within tol of the fair share for at least hold consecutive bins
-// (-1 if never).
-func converged(series [][]float64, fair, tol float64, hold int) int {
-	if len(series) == 0 {
-		return -1
-	}
-	bins := len(series[0])
-	run := 0
-	for b := 0; b < bins; b++ {
-		ok := true
-		for _, s := range series {
-			if s[b] < fair*(1-tol) || s[b] > fair*(1+tol) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			run++
-			if run >= hold {
-				return b - hold + 1
-			}
-		} else {
-			run = 0
-		}
-	}
-	return -1
-}
-
-// equalized returns the first bin from which the flows' per-bin rates
-// stay within ratio of each other (min/max >= ratio) while jointly using
-// at least half the fair aggregate, for hold consecutive bins (-1 if
-// never). It measures equalization robustly even when the aggregate
-// oscillates around the limit.
-func equalized(series [][]float64, fairTotal, ratio float64, hold int) int {
-	if len(series) == 0 {
-		return -1
-	}
-	bins := len(series[0])
-	run := 0
-	for b := 0; b < bins; b++ {
-		lo, hi, sum := series[0][b], series[0][b], 0.0
-		for _, s := range series {
-			v := s[b]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-			sum += v
-		}
-		if hi > 0 && lo/hi >= ratio && sum >= fairTotal/2 {
-			run++
-			if run >= hold {
-				return b - hold + 1
-			}
-		} else {
-			run = 0
-		}
-	}
-	return -1
-}
-
 // rttDumbbell builds a dumbbell whose base RTT is approximately rtt.
 func rttDumbbell(eng *sim.Engine, n int, rate unit.Rate, rtt sim.Duration, cfg topology.Config) *topology.Dumbbell {
 	cfg.LinkRate = rate
@@ -120,53 +43,56 @@ func init() {
 	})
 }
 
+// fig2RTT is fig2's base RTT.
+const fig2RTT = 25 * sim.Microsecond
+
+// fig2Arm is one scheme of fig2: its goodput bin and how long the
+// joining flow is watched.
+type fig2Arm struct {
+	name      Proto
+	bin, span sim.Duration
+}
+
+// fig2Arms are fig2's schemes. ExpressPass bins per RTT; the TCP arms
+// bin at 500 µs, so neither reads less than one of its bins.
+func fig2Arms(p Params) []fig2Arm {
+	return []fig2Arm{
+		{ProtoExpressPass, fig2RTT, p.scaleDur(4*sim.Millisecond, 1*sim.Millisecond)},
+		{ProtoCubic, 500 * sim.Microsecond, p.scaleDur(250*sim.Millisecond, 150*sim.Millisecond)},
+		{ProtoDCTCP, 500 * sim.Microsecond, p.scaleDur(300*sim.Millisecond, 80*sim.Millisecond)},
+	}
+}
+
+// fig2Rates runs arm a on eng: a second flow joins a steady one on a
+// 10G dumbbell, and the two flows' per-bin goodputs come back.
+func fig2Rates(eng *sim.Engine, p Params, a fig2Arm) [][]float64 {
+	tcfg := topology.Config{}
+	a.name.Features(&tcfg, fig2RTT)
+	d := rttDumbbell(eng, 2, 10*unit.Gbps, fig2RTT, tcfg)
+	env := &Env{Eng: eng, Net: d.Net, BaseRTT: fig2RTT,
+		XP: core.Config{Naive: true},
+		// A short min-RTO stands in for SACK-grade loss recovery:
+		// without it the displaced flow (cwnd 1, no dupacks) sits
+		// out 10 ms per loss and never re-converges.
+		MinRTO: sim.Millisecond}
+	// Let flow 0 reach steady state, then start flow 1.
+	warm := p.scaleDur(50*sim.Millisecond, 10*sim.Millisecond)
+	if a.name == ProtoExpressPass {
+		warm = 2 * sim.Millisecond
+	}
+	return env.join(a.name, d, warm, a.bin, int(a.span/a.bin))
+}
+
 func runFig2(p Params) (Result, error) {
-	rtt := 25 * sim.Microsecond
-	type arm struct {
-		name  Proto
-		naive bool
-		bin   sim.Duration
-		span  sim.Duration
-		hold  int
-	}
-	arms := []arm{
-		// XP bins per-RTT and equalizes within ~2 bins; the TCP arms use
-		// 500 µs bins and must hold longer to reject slow-start
-		// overshoot transients.
-		{ProtoExpressPass, true, rtt, p.scaleDur(4*sim.Millisecond, 1*sim.Millisecond), 2},
-		{ProtoCubic, false, 500 * sim.Microsecond, p.scaleDur(250*sim.Millisecond, 150*sim.Millisecond), 4},
-		{ProtoDCTCP, false, 500 * sim.Microsecond, p.scaleDur(300*sim.Millisecond, 80*sim.Millisecond), 4},
-	}
-	rows := runner.Map(p.sweep(), arms, func(t *runner.T, a arm) []any {
-		eng := t.Engine(p.Seed)
-		tcfg := topology.Config{}
-		a.name.Features(&tcfg, rtt)
-		d := rttDumbbell(eng, 2, 10*unit.Gbps, rtt, tcfg)
-		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
-			XP: core.Config{Naive: a.naive},
-			// A short min-RTO stands in for SACK-grade loss recovery:
-			// without it the displaced flow (cwnd 1, no dupacks) sits
-			// out 10 ms per loss and never re-converges.
-			MinRTO: sim.Millisecond}
-		// Let flow 0 reach steady state, then start flow 1.
-		warm := p.scaleDur(50*sim.Millisecond, 10*sim.Millisecond)
-		if a.name == ProtoExpressPass {
-			warm = 2 * sim.Millisecond
-		}
-		series := env.join(a.name, d, warm, a.bin, int(a.span/a.bin))
+	rows := runner.Map(p.sweep(), fig2Arms(p), func(t *runner.T, a fig2Arm) []any {
 		fair := fairShare(a.name, 10*unit.Gbps)
-		ratio := 0.6
-		if a.name != ProtoExpressPass {
-			ratio = 0.5 // loss-based sawtooths dip deeper
+		ct, ok := convergence(fig2Rates(t.Engine(p.Seed), p, a), fair, a.bin)
+		if !ok {
+			return []any{string(a.name), a.bin, text(">%v", a.span), "-", fair}
 		}
-		cb := equalized(series, 2*fair, ratio, a.hold)
-		if cb < 0 {
-			return []any{string(a.name), text(">%v", a.span), "-", fair}
-		}
-		ct := sim.Duration(cb) * a.bin
-		return []any{string(a.name), ct, float64(ct) / float64(rtt), fair}
+		return []any{string(a.name), a.bin, ct, float64(ct) / float64(fig2RTT), fair}
 	})
-	return Result{&Table{Header: []string{"scheme", "convergence", "RTTs", "fair Gbps"}, Rows: rows}}, nil
+	return Result{&Table{Header: []string{"scheme", "bin", "convergence (" + convRule() + ")", "RTTs", "fair Gbps"}, Rows: rows}}, nil
 }
 
 // ---- Fig 6: jitter vs fairness; inter-credit gap distribution ----
@@ -218,9 +144,6 @@ func runFig6(p Params) (Result, error) {
 			flows = append(flows, f)
 		}
 		eng.RunUntil(p.scaleDur(20*sim.Millisecond, 8*sim.Millisecond))
-		for _, f := range flows {
-			f.TakeDeliveredDelta()
-		}
 		// Measure over enough packets per flow that sampling noise
 		// doesn't mask ordering effects (the paper's 1 ms interval,
 		// stretched when flows are many).
@@ -228,12 +151,11 @@ func runFig6(p Params) (Result, error) {
 		if meas < sim.Millisecond {
 			meas = sim.Millisecond
 		}
-		eng.RunFor(meas)
-		var rates []float64
-		for _, f := range flows {
-			rates = append(rates, float64(f.TakeDeliveredDelta()))
+		var bytes []float64
+		for _, b := range delivered(eng, flows, meas)[0] {
+			bytes = append(bytes, float64(b))
 		}
-		return stats.JainIndex(rates)
+		return stats.JainIndex(bytes)
 	})
 	addPivot(tbl, counts, fairness)
 
@@ -264,6 +186,7 @@ func init() {
 
 func runFig8(p Params) (Result, error) {
 	rtt := 100 * sim.Microsecond
+	const bins = 60 // 1-RTT bins the joining flow is watched for
 	alphas := []float64{1, 0.5, 0.25, 0.125, 1.0 / 16, 1.0 / 32}
 	rows := runner.Map(p.sweep(), alphas, func(t *runner.T, alpha float64) []any {
 		// (a) convergence of a new flow against one established flow.
@@ -271,9 +194,8 @@ func runFig8(p Params) (Result, error) {
 		d := rttDumbbell(eng, 2, 10*unit.Gbps, rtt, topology.Config{})
 		cfg := core.Config{BaseRTT: rtt, Alpha: alpha}
 		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt, XP: cfg}
-		series := env.join(ProtoExpressPass, d, p.scaleDur(20*sim.Millisecond, 5*sim.Millisecond), rtt, 60)
-		fair := fairShare(ProtoExpressPass, 10*unit.Gbps)
-		cb := converged(series[1:], fair, 0.3, 2)
+		rates := env.join(ProtoExpressPass, d, p.scaleDur(20*sim.Millisecond, 5*sim.Millisecond), rtt, bins)
+		ct, ok := convergence(rates, fairShare(ProtoExpressPass, 10*unit.Gbps), rtt)
 
 		// (b) credit waste of a single-packet flow on an idle network.
 		eng2 := t.Engine(p.Seed + 1)
@@ -282,13 +204,13 @@ func runFig8(p Params) (Result, error) {
 		sess := core.Dial(fp, cfg)
 		eng2.RunUntil(50 * sim.Millisecond)
 
-		var conv any = "-"
-		if cb >= 0 {
-			conv = cb + 1
+		var conv any = text(">%d", bins)
+		if ok {
+			conv = int(ct / rtt)
 		}
 		return []any{text("1/%g", 1/alpha), conv, sess.CreditsWasted()}
 	})
-	return Result{&Table{Header: []string{"alpha", "conv RTTs", "wasted credits (1-pkt flow)"}, Rows: rows}}, nil
+	return Result{&Table{Header: []string{"alpha", "conv RTTs (bin 1 RTT; " + convRule() + ")", "wasted credits (1-pkt flow)"}, Rows: rows}}, nil
 }
 
 // ---- Fig 9: credit queue capacity vs under-utilization ----

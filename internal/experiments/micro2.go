@@ -84,10 +84,8 @@ func runFig11(p Params) (Result, error) {
 		}
 		warm := p.scaleDur(20*sim.Millisecond, 8*sim.Millisecond)
 		eng.RunUntil(warm)
-		f0.TakeDeliveredDelta()
 		meas := p.scaleDur(40*sim.Millisecond, 15*sim.Millisecond)
-		eng.RunFor(meas)
-		return gbps(f0.TakeDeliveredDelta(), meas)
+		return gbps(delivered(eng, []*transport.Flow{f0}, meas)[0][0], meas)
 	})
 	for i, r := range pivot(counts, rates) {
 		n := counts[i]
@@ -139,10 +137,7 @@ func runFig13(p Params) (Result, error) {
 		bn := d.Bottleneck
 		for ph := 0; ph < 10; ph++ {
 			bn.ResetStats()
-			for _, f := range flows {
-				f.TakeDeliveredDelta()
-			}
-			eng.RunFor(phase)
+			got := delivered(eng, flows, phase)[0]
 			var rates []float64
 			var active int
 			lo, hi := ph+1, 10-ph
@@ -153,8 +148,8 @@ func runFig13(p Params) (Result, error) {
 				lo = hi
 			}
 			desc := text("")
-			for i, f := range flows {
-				r := gbps(f.TakeDeliveredDelta(), phase)
+			for i, b := range got {
+				r := gbps(b, phase)
 				if r > 0.01 {
 					active++
 					rates = append(rates, r)
@@ -222,14 +217,10 @@ func fig15Cell(eng *sim.Engine, p Params, n int, proto Proto) []any {
 	warm := p.scaleDur(60*sim.Millisecond, 20*sim.Millisecond)
 	eng.RunUntil(warm)
 	d.Net.ResetStats()
-	for _, f := range flows {
-		f.TakeDeliveredDelta()
-	}
 	meas := p.scaleDur(100*sim.Millisecond, 50*sim.Millisecond)
-	eng.RunFor(meas)
 	var rates []float64
-	for _, f := range flows {
-		rates = append(rates, gbps(f.TakeDeliveredDelta(), meas))
+	for _, b := range delivered(eng, flows, meas)[0] {
+		rates = append(rates, gbps(b, meas))
 	}
 	// Utilization measured at the bottleneck egress (wire bytes
 	// of data actually transmitted during the window).
@@ -261,13 +252,12 @@ func runFig16(p Params) (Result, error) {
 		// binRTTs is the averaging window in RTTs; the paper bins
 		// DCTCP at 10 RTTs due to its throughput variance.
 		binRTTs int
-		ratio   float64
 	}
 	arms := []arm{
-		{"expresspass a=1/2", ProtoExpressPass, 0.5, 60, 1, 0.6},
-		{"expresspass a=1/16", ProtoExpressPass, 1.0 / 16, 60, 1, 0.6},
-		{"rcp", ProtoRCP, 0, 60, 1, 0.6},
-		{"dctcp", ProtoDCTCP, 0, p.scaleInt(6000, 1200), 10, 0.8},
+		{"expresspass a=1/2", ProtoExpressPass, 0.5, 60, 1},
+		{"expresspass a=1/16", ProtoExpressPass, 1.0 / 16, 60, 1},
+		{"rcp", ProtoRCP, 0, 60, 1},
+		{"dctcp", ProtoDCTCP, 0, p.scaleInt(6000, 1200), 10},
 	}
 	speeds := []unit.Rate{10 * unit.Gbps, 100 * unit.Gbps}
 	rows := runner.Map(p.sweep(), cross(speeds, arms), func(t *runner.T, c pair[unit.Rate, arm]) []any {
@@ -283,14 +273,14 @@ func runFig16(p Params) (Result, error) {
 		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
 			XP: core.Config{Alpha: a.alpha, WInit: a.alpha}}
 		warm := p.scaleDur(100*sim.Millisecond, 30*sim.Millisecond)
-		series := env.join(a.proto, d, warm, sim.Duration(a.binRTTs)*rtt, a.maxRTTs/a.binRTTs)
+		bin := sim.Duration(a.binRTTs) * rtt
 		fair := fairShare(a.proto, rate)
-		cb := equalized(series, 2*fair, a.ratio, 3)
+		ct, ok := convergence(env.join(a.proto, d, warm, bin, a.maxRTTs/a.binRTTs), fair, bin)
 		var conv any = text(">%d", a.maxRTTs)
-		if cb >= 0 {
-			conv = (cb + 1) * a.binRTTs
+		if ok {
+			conv = int(ct / rtt)
 		}
-		return []any{a.label, rate, conv, fair}
+		return []any{a.label, rate, a.binRTTs, conv, fair}
 	})
-	return Result{&Table{Header: []string{"scheme", "link", "conv RTTs", "fair Gbps"}, Rows: rows}}, nil
+	return Result{&Table{Header: []string{"scheme", "link", "bin RTTs", "conv RTTs (" + convRule() + ")", "fair Gbps"}, Rows: rows}}, nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"expresspass/internal/core"
 	"expresspass/internal/faults"
 	"expresspass/internal/lifecycle"
@@ -14,9 +16,10 @@ import (
 
 // The scaffolds the experiments share, one of each: the §6.3
 // ExpressPass setting, the flow-population driver of the FCT
-// experiments, the fault dumbbell and its one plan path, the phase
-// goodput reading, and the two-flow join with its per-protocol fair
-// share. A new experiment builds from these rather than writing its own.
+// experiments, the fault dumbbell and its one plan path, the goodput
+// window reading, the two-flow join with its per-protocol fair share,
+// and the convergence rule. A new experiment builds from these rather
+// than writing its own.
 
 // evalXP is the §6.3 ExpressPass setting: α = w_init = 1/16.
 func evalXP() core.Config { return core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16} }
@@ -91,40 +94,92 @@ func mustParse(spec string) faults.Plan {
 	return plan
 }
 
-// goodputs zeroes the flows' delivered counters, then runs the engine
-// through each of the consecutive windows and returns the flows'
-// aggregate goodput (Gbps) over each: the pre/during/post reading of
-// the robustness experiments, taken after their warm-up.
-func goodputs(eng *sim.Engine, flows []*transport.Flow, windows ...sim.Duration) []float64 {
-	delivered := func() unit.Bytes {
-		var b unit.Bytes
-		for _, f := range flows {
-			b += f.TakeDeliveredDelta()
-		}
-		return b
+// delivered is the experiments' one goodput reading. It zeroes the
+// flows' delivered counters, runs the engine through each of the
+// consecutive windows, and returns the payload bytes each flow delivered
+// in each: out[w][i] is flow i's in window w. Callers convert to Gbps.
+func delivered(eng *sim.Engine, flows []*transport.Flow, windows ...sim.Duration) [][]unit.Bytes {
+	for _, f := range flows {
+		f.TakeDeliveredDelta()
 	}
-	delivered()
-	out := make([]float64, len(windows))
-	for i, w := range windows {
-		eng.RunFor(w)
-		out[i] = gbps(delivered(), w)
+	out := make([][]unit.Bytes, len(windows))
+	for w, d := range windows {
+		eng.RunFor(d)
+		out[w] = make([]unit.Bytes, len(flows))
+		for i, f := range flows {
+			out[w][i] = f.TakeDeliveredDelta()
+		}
 	}
 	return out
 }
 
+// total is the bytes all flows delivered in one window of delivered.
+func total(window []unit.Bytes) unit.Bytes {
+	var b unit.Bytes
+	for _, v := range window {
+		b += v
+	}
+	return b
+}
+
 // join dials a long-running flow of pr on the dumbbell's first pair,
 // runs the engine to warm, then dials a second on the second pair and
-// returns the two flows' goodput series over bins bins of bin: the
-// convergence experiments' joining flow.
+// returns the two flows' goodputs (Gbps) over bins bins of bin,
+// rates[b][i] flow i's in bin b: the convergence experiments' joining
+// flow.
 func (e *Env) join(pr Proto, d *topology.Dumbbell, warm sim.Time, bin sim.Duration, bins int) [][]float64 {
 	f0 := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
 	e.Dial(pr, f0)
 	e.Eng.RunUntil(warm)
 	f1 := transport.NewFlow(d.Net, d.Senders[1], d.Receivers[1], 0, e.Eng.Now())
 	e.Dial(pr, f1)
-	f0.TakeDeliveredDelta()
-	f1.TakeDeliveredDelta()
-	return binRates(e.Eng, []*transport.Flow{f0, f1}, bin, bins)
+	wins := make([]sim.Duration, bins)
+	for b := range wins {
+		wins[b] = bin
+	}
+	rates := make([][]float64, bins)
+	for b, w := range delivered(e.Eng, []*transport.Flow{f0, f1}, wins...) {
+		rates[b] = []float64{gbps(w[0], bin), gbps(w[1], bin)}
+	}
+	return rates
+}
+
+// The convergence rule of fig2, fig8 and fig16: every flow's goodput
+// stays within convTol of its fair share for convHold consecutive bins.
+// The paper states no definition. A band around the fair share, unlike
+// a min/max ratio of the flows, rejects two flows that are equal because
+// both are starved, and it reads every scheme on one threshold where a
+// ratio needs one per scheme (EXPERIMENTS.md "Convergence rule").
+const (
+	convTol  = 0.3
+	convHold = 2
+)
+
+// convergence returns when the per-bin goodputs rates (rates[b][i]: flow
+// i's Gbps in bin b, bins of width bin) first meet the convergence rule:
+// the end of the first bin of the first run of convHold bins in which
+// every flow is within convTol of fair. It is never 0; ok is false if no
+// such run fits in the series.
+func convergence(rates [][]float64, fair float64, bin sim.Duration) (at sim.Duration, ok bool) {
+	run := 0
+	for b, flows := range rates {
+		run++
+		for _, r := range flows {
+			if r < fair*(1-convTol) || r > fair*(1+convTol) {
+				run = 0
+				break
+			}
+		}
+		if run == convHold {
+			return sim.Duration(b-convHold+2) * bin, true
+		}
+	}
+	return 0, false
+}
+
+// convRule names the convergence rule in a table header.
+func convRule() string {
+	return fmt.Sprintf("each flow ±%.0f%% of fair, %d bins", convTol*100, convHold)
 }
 
 // fairShare is each of two flows' fair goodput (Gbps) on a link of
