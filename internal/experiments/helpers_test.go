@@ -9,35 +9,59 @@ import (
 	"expresspass/internal/unit"
 )
 
-// TestConvergence holds the convergence rule to known answers: every
-// flow within ±30% of fair for two consecutive bins, read at the end of
-// the first bin of that run.
-func TestConvergence(t *testing.T) {
-	const bin = 100 * sim.Microsecond
-	cases := []struct {
-		name  string
-		fair  float64
-		rates [][]float64 // rates[b][i]: flow i's Gbps in bin b
-		want  sim.Duration
-		ok    bool
-	}{
-		{"settles in bin 2", 5, [][]float64{{1, 9}, {3, 7}, {4.9, 5.1}, {5.0, 5.0}, {5.1, 4.9}, {5.0, 5.0}}, 3 * bin, true},
-		{"uneven but in band", 4, [][]float64{{9, 0}, {7, 1}, {5, 4}, {5, 5}, {5, 5}}, 3 * bin, true},
-		// A newcomer joins a flow holding the whole link (fair 4.5, band
-		// 3.15–5.85): it enters the band in bin 2, overshoots in bin 3
-		// (6.0), and both stay inside from bin 4, so the run starts there.
-		{"two-flow join", 4.5, [][]float64{{9, 0.5}, {7, 2}, {5.5, 3.5}, {3, 6}, {4.6, 4.4}, {4.5, 4.5}}, 5 * bin, true},
-		{"holds from the first bin", 5, [][]float64{{5, 5}, {5, 5}}, bin, true},
-		{"one bin in band is not a run", 5, [][]float64{{1, 9}, {5, 5}, {1, 9}, {5, 5}}, 0, false},
-		{"equal because both are idle", 4, [][]float64{{0.1, 0.1}, {0.1, 0.1}}, 0, false},
-		{"all idle", 4, [][]float64{{0, 0}, {0, 0}, {0, 0}}, 0, false},
-		{"no bins", 5, nil, 0, false},
-	}
+// convCase is one known answer of the convergence rule: every flow
+// within ±30% of fair for two consecutive bins, read at the end of the
+// first bin of that run.
+type convCase struct {
+	name  string
+	fair  float64
+	rates [][]float64 // rates[b][i]: flow i's Gbps in bin b
+	want  sim.Duration
+	ok    bool
+}
+
+const convBin = 100 * sim.Microsecond
+
+func checkConvergence(t *testing.T, cases []convCase) {
+	t.Helper()
 	for _, c := range cases {
-		if at, ok := convergence(c.rates, c.fair, bin); at != c.want || ok != c.ok {
+		if at, ok := convergence(c.rates, c.fair, convBin); at != c.want || ok != c.ok {
 			t.Errorf("%s: convergence = %v, %v; want %v, %v", c.name, at, ok, c.want, c.ok)
 		}
 	}
+}
+
+// TestConvergedDetector holds the rule on flows that start apart and
+// meet at fair, and on flows that never meet.
+func TestConvergedDetector(t *testing.T) {
+	checkConvergence(t, []convCase{
+		{"settles in bin 2", 5, [][]float64{{1, 9}, {3, 7}, {4.9, 5.1}, {5.0, 5.0}, {5.1, 4.9}, {5.0, 5.0}}, 3 * convBin, true},
+		{"never meets", 5, [][]float64{{1, 9}, {2, 8}, {1, 9}, {2, 8}}, 0, false},
+		{"no bins", 5, nil, 0, false},
+	})
+}
+
+// TestEqualizedDetector holds the rule on an uneven split that is still
+// inside the band, and on flows that are equal only because both idle.
+func TestEqualizedDetector(t *testing.T) {
+	checkConvergence(t, []convCase{
+		{"uneven but in band", 4, [][]float64{{9, 0}, {7, 1}, {5, 4}, {5, 5}, {5, 5}}, 3 * convBin, true},
+		{"equal because both are idle", 4, [][]float64{{0.1, 0.1}, {0.1, 0.1}}, 0, false},
+	})
+}
+
+// TestConvergence holds the rule to the known answers on where a run
+// starts.
+func TestConvergence(t *testing.T) {
+	checkConvergence(t, []convCase{
+		// A newcomer joins a flow holding the whole link (fair 4.5, band
+		// 3.15–5.85): it enters the band in bin 2, overshoots in bin 3
+		// (6.0), and both stay inside from bin 4, so the run starts there.
+		{"two-flow join", 4.5, [][]float64{{9, 0.5}, {7, 2}, {5.5, 3.5}, {3, 6}, {4.6, 4.4}, {4.5, 4.5}}, 5 * convBin, true},
+		{"holds from the first bin", 5, [][]float64{{5, 5}, {5, 5}}, convBin, true},
+		{"one bin in band is not a run", 5, [][]float64{{1, 9}, {5, 5}, {1, 9}, {5, 5}}, 0, false},
+		{"all idle", 4, [][]float64{{0, 0}, {0, 0}, {0, 0}}, 0, false},
+	})
 }
 
 // TestConvergenceTightensMonotonically records fig2's DCTCP arm once and
