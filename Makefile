@@ -111,7 +111,7 @@ reach:
 	x=$$d/bin/xpsim; \
 	row $$x -procs 2 -scale 0.01 -seed 42 -all; \
 	row $$x -procs 1 -scale 0.02 -seed 7 -trace $$o/T.jsonl -metrics $$o/M.csv -invariants -flight $$o/F.jsonl -progress fig17 ext-chaos-storm fig15 ext-classes; \
-	row $$x -procs 1 -seed 7 -scale 0.05 -trace $$o/T.jsonl -metrics $$o/M.csv ext-faults-flap ext-faults-loss ext-faults-stall ext-dcqcn fig8; \
+	row $$x -procs 1 -seed 7 -scale 0.05 -trace $$o/T.jsonl -metrics $$o/M.csv ext-faults-flap ext-faults-stall ext-dcqcn fig8; \
 	row $$x -scale 0.02 -trace $$o/T.csv -trace-rotate 1m -trace-gzip -trace-types credit_drop,qdepth fig17; \
 	row $$x -scale 0.02 -cpuprofile $$o/cpu.prof -memprofile $$o/mem.prof fig9; \
 	for n in $$(seq 1 20); do row $$x -scenario-seed $$n; done; \
@@ -135,7 +135,8 @@ reach:
 ## difference or failed run. Not a tier-1 test: a few minutes, most of it
 ## the -all row. The traced and metered ext-faults-*/ext-dcqcn/fig8 row
 ## (the only one that byte-checks those experiments' traces) takes 6 s
-## for both binaries on 2 cores. Compare against another commit with
+## for both binaries on 2 cores; the traced -faults row is the one that
+## byte-checks a Params.Faults plan replacing the built-in ones. Compare against another commit with
 ## `make bytes BYTES_BASE=<rev>`.
 BYTES_BASE ?= HEAD
 bytes:
@@ -158,7 +159,8 @@ bytes:
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.jsonl -metrics $$io/M.csv fig17 ext-failover; \
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.csv -metrics $$io/M.csv fig17 ext-failover; \
 	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl ext-chaos-storm fig13 fig16 fig2; \
-	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl -metrics $$io/M.csv ext-faults-flap ext-faults-loss ext-faults-stall ext-dcqcn fig8; \
+	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl -metrics $$io/M.csv ext-faults-flap ext-faults-stall ext-dcqcn fig8; \
+	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl -faults '$(REACH_FAULTS_ALL)' ext-chaos-storm ext-faults-flap ext-faults-stall; \
 	row -procs 2 -seed 11 -scale 0.05 -all; \
 	if [ $$fail != 0 ]; then echo "bytes: FAIL against $(BYTES_BASE)"; exit 1; fi; \
 	echo "bytes: OK against $(BYTES_BASE)"

@@ -49,7 +49,6 @@ var gateScale = map[string]float64{
 	// Fault-injection experiments: the timelines floor at a few ms of
 	// simulated time regardless of scale, so a small scale suffices.
 	"ext-faults-flap":  0.06,
-	"ext-faults-loss":  0.06,
 	"ext-faults-stall": 0.06,
 
 	// Chaos-impairment experiments: like the fault timelines, their

@@ -12,7 +12,7 @@ import (
 // leaves: no walk spills. The calendar keeps each bucket sorted by
 // walking back from its tail and gives up after a dozen links, which
 // only a crowd of events on one picosecond, placed against (dom, seq)
-// order, makes it do; 24 of the 29 registered experiments read 0 (a
+// order, makes it do; 23 of the 28 registered experiments read 0 (a
 // fault schedule or a sampler puts tens to hundreds on the rest), and
 // what else reaches the heap is far timers (2.1% of this cell's pops). With
 // rcp.go's clock taken apart again into one rate timer per port the cell

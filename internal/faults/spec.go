@@ -121,7 +121,9 @@ func (pl Plan) Empty() bool { return len(pl.Directives) == 0 && len(pl.Schedules
 // to the scenario's bottleneck at Apply time; an omitted host to the
 // first host. On the built-in dumbbells the bottleneck is the forward
 // direction swL->swR, which carries no credits: a credit-class clause
-// without a port changes nothing there, so aim it at swR->swL. The
+// without a port changes nothing there, so aim it at swR->swL. A stall
+// freezes the host's credit processing, which only ExpressPass senders
+// read: it is no fault for a transport.Conn baseline. The
 // 4-state defaults mirror tc netem: p31 = 1−p13,
 // p23 = 1, p32 = 0, p14 = 0. Examples:
 //
