@@ -88,12 +88,12 @@ cover:
 	done; \
 	exit $$fail
 
-## reach: which production code a run enters. Builds xpsim, xpcalc and
-## every examples/* program with `go build -cover -coverpkg=./...` into a
-## temporary directory, runs the flag matrix below with GOCOVERDIR set,
-## merges the counters, and prints per-package statement coverage and
-## every function at 0.0%. Not a tier-1 test: about 7 min on 2 cores,
-## nearly all of it the `-all` row. The traced and metered
+## reach: which production code a run enters. Builds xpsim and xpcalc
+## with `go build -cover -coverpkg=./...` into a temporary directory,
+## runs the flag matrix below with GOCOVERDIR set, merges the counters,
+## and prints per-package statement coverage and every function at
+## 0.0%. Not a tier-1 test: about 7 min on 2 cores, nearly all of it the
+## `-all` row. The traced and metered
 ## ext-faults-*/ext-dcqcn/fig8 row (1 s) reaches the faults/* gauges,
 ## which no other row does. Nothing is written into the repo.
 ## DESIGN.md "Reachability" records the last reading and why each 0%
@@ -104,7 +104,6 @@ reach:
 	mkdir -p $$d/bin $$d/cov $$d/out; \
 	go build -cover -coverpkg=./... -o $$d/bin/xpsim ./cmd/xpsim; \
 	go build -cover -coverpkg=./... -o $$d/bin/xpcalc ./cmd/xpcalc; \
-	for e in examples/*/; do go build -cover -coverpkg=./... -o $$d/bin/ex-$$(basename $$e) ./$$e; done; \
 	export GOCOVERDIR=$$d/cov; o=$$d/out; \
 	row() { s=$$(date +%s); "$$@" >/dev/null 2>$$o/stderr || { cat $$o/stderr; echo "reach: FAIL: $$*"; exit 1; }; \
 		echo "reach: $$(( $$(date +%s) - s ))s: $$*" | sed "s|$$d/bin/||; s|$$o/||g"; }; \
@@ -120,7 +119,6 @@ reach:
 	row $$x -scale 0.05 -faults 'every:20ms:roll{ stall@0ms+2ms }@10ms+80ms' ext-chaos-storm; \
 	row $$x -scale 0.05 -faults '$(REACH_FAULTS_ALL)' ext-chaos-storm; \
 	row $$d/bin/xpcalc; \
-	for e in $$d/bin/ex-*; do row $$e; done; \
 	go tool covdata percent -i $$d/cov; \
 	echo "reach: functions at 0.0%:"; \
 	go tool covdata func -i $$d/cov | awk '$$NF == "0.0%"'

@@ -1,6 +1,10 @@
 // Command xpcalc computes the network-calculus zero-loss buffer bound of
 // §3.1 (Eq 1) for a 3-level multi-rooted tree: the ∆d delay spread per
-// switch-port class and the corresponding data buffer requirement.
+// switch-port class and the corresponding data buffer requirement. It
+// reproduces Fig 5 (and Eq 1 at any rates): its defaults are Fig 5's
+// software cell, whose ToR switch total is the 10/40G row of `xpsim
+// fig5`'s 8-credit-queue table. The host delay floor is Fig 5's 0.2 µs,
+// not Table 1's 0.9 µs, so its ToR down bound is not `xpsim table1`'s.
 //
 // Usage:
 //

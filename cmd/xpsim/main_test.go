@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -462,8 +463,8 @@ func goTool(t *testing.T) {
 	}
 }
 
-// heavyImport reports whether no library, command or example of this
-// module may link pkg: the network stack, TLS and what they drag in
+// heavyImport reports whether no library or command of this module may
+// link pkg: the network stack, TLS and what they drag in
 // (≈ 4 MiB of resident data and ≈ 1 ms of start-up on every run when
 // internal/obs served net/http/pprof — DESIGN.md "Why profiling is
 // file-based"), and process spawning. vendor/ is the
@@ -482,14 +483,14 @@ func heavyImport(pkg string) bool {
 }
 
 // TestLinkSurface holds the module's link surface: nothing the root
-// package, the two commands or the examples import — however many hops
+// package or the two commands import — however many hops
 // away — is a heavyImport. internal/obs is imported by every layer, so
 // one convenient import there is paid by every binary, test binary and
 // library user; this names the import and a chain that reaches it.
 func TestLinkSurface(t *testing.T) {
 	goTool(t)
 	cmd := exec.Command("go", "list", "-deps", "-f", `{{.ImportPath}} {{join .Imports " "}}`,
-		".", "./cmd/xpsim", "./cmd/xpcalc", "./examples/...")
+		".", "./cmd/xpsim", "./cmd/xpcalc")
 	cmd.Dir = filepath.Join("..", "..")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -578,6 +579,36 @@ func TestNoDeadProfile(t *testing.T) {
 		for _, e := range left {
 			t.Errorf("%s %s: left %s behind", tc.name, tc.args, e.Name())
 		}
+	}
+}
+
+// TestXpcalcIsFig5 runs xpcalc with no flags. Its defaults are fig5's
+// software cell (10G hosts, 40G fabric, 8 credit-queue slots, a 5.1 µs
+// host delay spread over fig5's 0.2 µs floor, 16+16 ToR ports), so its
+// ToR switch total is the 10/40G row of fig5's 8-credit-queue table:
+// 8.392MB + 23.55KB = 8.416MB.
+func TestXpcalcIsFig5(t *testing.T) {
+	goTool(t)
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "../xpcalc").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(filepath.Join(bin, "xpcalc")).Output()
+	if err != nil {
+		t.Fatalf("xpcalc: %v", err)
+	}
+	var fig5 bytes.Buffer
+	if err := expresspass.RunExperiment("fig5", expresspass.ExperimentParams{Scale: 1, Seed: 1}, &fig5); err != nil {
+		t.Fatal(err)
+	}
+	// The first 10/40G row is the 8-credit-queue table's.
+	row := regexp.MustCompile(`(?m)^10/40G +(\S+) +(\S+) +(\S+)$`).FindStringSubmatch(fig5.String())
+	if row == nil {
+		t.Fatalf("fig5 prints no 10/40G row:\n%s", fig5.String())
+	}
+	want := fmt.Sprintf("ToR switch total (16+16 ports): data %s + credit %s = %s\n", row[1], row[2], row[3])
+	if !strings.HasSuffix(string(out), want) {
+		t.Errorf("xpcalc prints\n%s\nwant its last line %q (fig5's 10/40G row)", out, want)
 	}
 }
 

@@ -10,23 +10,14 @@
 // downstream user needs to script their own simulations and exposes the
 // experiment registry used by cmd/xpsim and the benchmarks.
 //
-// # Quick start
+// # Examples
 //
-//	eng := expresspass.NewEngine(1)
-//	net := expresspass.NewNetwork(eng)
-//	sw := net.NewSwitch("tor")
-//	a := net.NewHost("a", expresspass.HardwareNIC())
-//	b := net.NewHost("b", expresspass.HardwareNIC())
-//	net.Connect(a, sw, expresspass.Link(10*expresspass.Gbps, 4*expresspass.Microsecond))
-//	net.Connect(b, sw, expresspass.Link(10*expresspass.Gbps, 4*expresspass.Microsecond))
-//	net.BuildRoutes()
-//
-//	flow := expresspass.NewFlow(net, a, b, 10*expresspass.MB, 0)
-//	expresspass.Dial(flow, expresspass.Config{})
-//	eng.Run()
-//	fmt.Println("FCT:", flow.FCT())
-//
-// See examples/ for complete programs and DESIGN.md for the system map.
+// The package's Examples (example_test.go) are its programs, each with
+// the output `go test -run Example -v .` checks: ExampleDial builds a
+// topology, dials one flow, runs the engine and reads the outcome;
+// ExampleCreditClassConfig is §7's QoS through credit classes;
+// ExampleFeedback runs Algorithm 1 alone; ExampleRunExperiment reaches
+// the experiment registry. DESIGN.md is the system map.
 package expresspass
 
 import (

@@ -172,7 +172,7 @@ func TestConfigSurface(t *testing.T) {
 		{reflect.TypeFor[netem.PortConfig](), "Rate Delay DataCapacity CreditQueueCap CreditBurst CreditRatio ECNThreshold CreditTailDrop RED CreditClasses RCP Phantom PFC"},
 		{reflect.TypeFor[obs.Config](), "Tracer MetricsOut Interval Progress"},
 		{reflect.TypeFor[obs.RotateConfig](), "MaxBytes Gzip Header"},
-		{reflect.TypeFor[topology.Config](), "LinkRate CoreRate LinkDelay Port"},
+		{reflect.TypeFor[topology.Config](), "LinkRate LinkDelay Port"},
 		{reflect.TypeFor[topology.OversubParams](), "Cores Aggs ToRs HostsPerToR"},
 		{reflect.TypeFor[workload.PoissonConfig](), "Hosts Dist Load RefRate Flows Start"},
 		{reflect.TypeFor[workload.ShuffleConfig](), "Hosts TasksPerHost Bytes"},
@@ -233,8 +233,8 @@ func TestConfigSurface(t *testing.T) {
 
 // TestInternalExportsHaveACaller fails for an exported function or
 // method under internal/ that no non-test file of the tree names —
-// bench/ and examples/ included — so an accessor only a test reads does
-// not land in production code: a same-directory test reads it through
+// bench/ included — so an accessor only a test reads does not land in
+// production code: a same-directory test reads it through
 // export_test.go. Names are matched without types: a selector that is
 // not called counts only when no struct field shares its name, and any
 // other function or method of the same name is a caller. So it misses

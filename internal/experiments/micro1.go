@@ -26,7 +26,6 @@ func maxGoodputGbps(rate unit.Rate) float64 {
 // rttDumbbell builds a dumbbell whose base RTT is approximately rtt.
 func rttDumbbell(eng *sim.Engine, n int, rate unit.Rate, rtt sim.Duration, cfg topology.Config) *topology.Dumbbell {
 	cfg.LinkRate = rate
-	cfg.CoreRate = rate
 	// Six propagation hops per round trip.
 	cfg.LinkDelay = rtt / 6
 	return topology.NewDumbbell(eng, n, cfg)

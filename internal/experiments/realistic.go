@@ -67,7 +67,7 @@ func (r realisticResult) wasteRatio() float64 {
 func runRealistic(t *runner.T, p Params, rc realisticCfg) realisticResult {
 	eng := t.Engine(p.Seed)
 	baseRTT := 52 * sim.Microsecond
-	tcfg := topology.Config{LinkRate: rc.linkRate, CoreRate: rc.linkRate}
+	tcfg := topology.Config{LinkRate: rc.linkRate}
 	rc.proto.Features(&tcfg, baseRTT)
 	params := topology.ScaledEval()
 	if p.Scale >= 0.5 {

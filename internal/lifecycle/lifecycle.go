@@ -234,9 +234,6 @@ func (m *Manager) retire(lf liveFlow) {
 	lf.f.Sender.Network().FreeFlowID(lf.f.ID)
 }
 
-// Total returns the number of specs under management.
-func (m *Manager) Total() int { return len(m.specs) }
-
 // Live returns how many dialed flows have not yet been retired.
 func (m *Manager) Live() int { return len(m.live) }
 

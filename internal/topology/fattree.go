@@ -10,9 +10,9 @@ import (
 
 // FatTree is a canonical k-ary fat tree: k pods, each with k/2 ToR and
 // k/2 aggregation switches; (k/2)² core switches; aggregation switch j of
-// every pod connects to cores [j·k/2, (j+1)·k/2). Host–ToR links run at
-// cfg.LinkRate; fabric links at cfg.CoreRate. Core-layer links use
-// CoreDelay (the paper uses 5 µs core / 1 µs edge in Table 1).
+// every pod connects to cores [j·k/2, (j+1)·k/2). Every link runs at
+// cfg.LinkRate with cfg.LinkDelay (Table 1's bound assumes 5 µs core /
+// 1 µs edge links; internal/netcalc carries those).
 type FatTree struct {
 	Net   *netem.Network
 	K     int
@@ -64,8 +64,6 @@ func NewFatTree(eng *sim.Engine, k int, cfg Config) *FatTree {
 		}
 	}
 
-	corePort := cfg.port(cfg.CoreRate)
-	edgePort := cfg.port(cfg.LinkRate)
 	ft.ToRUp = make([][]*netem.Port, k*half)
 	ft.ToRDown = make([][]*netem.Port, k*half)
 
@@ -74,11 +72,11 @@ func NewFatTree(eng *sim.Engine, k int, cfg Config) *FatTree {
 			agg := ft.Aggs[p*half+a]
 			// Agg a connects to cores [a*half, (a+1)*half).
 			for c := 0; c < half; c++ {
-				net.Connect(agg, ft.Cores[a*half+c], corePort)
+				net.Connect(agg, ft.Cores[a*half+c], cfg.Port)
 			}
 			for t := 0; t < half; t++ {
 				tor := ft.ToRs[p*half+t]
-				up, _ := net.Connect(tor, agg, corePort)
+				up, _ := net.Connect(tor, agg, cfg.Port)
 				ft.ToRUp[p*half+t] = append(ft.ToRUp[p*half+t], up)
 			}
 		}
@@ -86,7 +84,7 @@ func NewFatTree(eng *sim.Engine, k int, cfg Config) *FatTree {
 			tor := ft.ToRs[p*half+t]
 			for h := 0; h < half; h++ {
 				host := ft.Hosts[p*half*half+t*half+h]
-				_, down := net.Connect(host, tor, edgePort)
+				_, down := net.Connect(host, tor, cfg.Port)
 				ft.ToRDown[p*half+t] = append(ft.ToRDown[p*half+t], down)
 			}
 		}
@@ -168,23 +166,21 @@ func NewOversubTree(eng *sim.Engine, p OversubParams, cfg Config) *OversubTree {
 		tor.SetHashLevel(0)
 		ot.ToRs = append(ot.ToRs, tor)
 	}
-	corePort := cfg.port(cfg.CoreRate)
-	edgePort := cfg.port(cfg.LinkRate)
 	for _, agg := range ot.Aggs {
 		for _, core := range ot.Cores {
-			net.Connect(agg, core, corePort)
+			net.Connect(agg, core, cfg.Port)
 		}
 	}
 	ot.ToRUplinks = make([][]*netem.Port, p.ToRs)
 	for t, tor := range ot.ToRs {
 		for f := 0; f < uplinksPerToR; f++ {
 			agg := ot.Aggs[(t*uplinksPerToR+f)%p.Aggs]
-			up, _ := net.Connect(tor, agg, corePort)
+			up, _ := net.Connect(tor, agg, cfg.Port)
 			ot.ToRUplinks[t] = append(ot.ToRUplinks[t], up)
 		}
 		for h := 0; h < p.HostsPerToR; h++ {
 			host := newHost(net, fmt.Sprintf("h%d.%d", t, h))
-			net.Connect(host, tor, edgePort)
+			net.Connect(host, tor, cfg.Port)
 			ot.Hosts = append(ot.Hosts, host)
 		}
 	}

@@ -16,13 +16,12 @@ import (
 // Config carries the knobs shared by every builder. Every host gets the
 // NIC-hardware credit-processing delay model (netem.HardwareNICDelay).
 type Config struct {
-	LinkRate  unit.Rate    // edge link speed (host–ToR and default fabric)
-	CoreRate  unit.Rate    // fabric link speed; defaults to LinkRate
+	LinkRate  unit.Rate    // every link's speed, host and fabric alike (default 10 Gbps)
 	LinkDelay sim.Duration // per-link propagation delay (default 4 µs)
 
 	// Port is every link's port configuration, buffering and optional
-	// features alike; its Rate and Delay are set per link from the
-	// fields above. DataCapacity defaults to netem.SwitchBuffer.
+	// features alike; its Rate and Delay are the two fields above.
+	// DataCapacity defaults to netem.SwitchBuffer.
 	Port netem.PortConfig
 }
 
@@ -30,15 +29,13 @@ func (c Config) withDefaults() Config {
 	if c.LinkRate == 0 {
 		c.LinkRate = 10 * unit.Gbps
 	}
-	if c.CoreRate == 0 {
-		c.CoreRate = c.LinkRate
-	}
 	if c.LinkDelay == 0 {
 		c.LinkDelay = 4 * sim.Microsecond
 	}
 	if c.Port.DataCapacity == 0 {
 		c.Port.DataCapacity = netem.SwitchBuffer
 	}
+	c.Port.Rate, c.Port.Delay = c.LinkRate, c.LinkDelay
 	return c
 }
 
@@ -46,13 +43,6 @@ func (c Config) withDefaults() Config {
 // model, the one every builder uses.
 func newHost(net *netem.Network, name string) *netem.Host {
 	return net.NewHost(name, netem.HardwareNICDelay())
-}
-
-// port returns the link configuration at rate.
-func (c Config) port(rate unit.Rate) netem.PortConfig {
-	pc := c.Port
-	pc.Rate, pc.Delay = rate, c.LinkDelay
-	return pc
 }
 
 // Star is N hosts hanging off one switch: the dumbbell/incast/shuffle
@@ -72,7 +62,7 @@ func NewStar(eng *sim.Engine, n int, cfg Config) *Star {
 	s := &Star{Net: net, Switch: sw}
 	for i := 0; i < n; i++ {
 		h := newHost(net, fmt.Sprintf("h%d", i))
-		net.Connect(h, sw, cfg.port(cfg.LinkRate))
+		net.Connect(h, sw, cfg.Port)
 		s.Hosts = append(s.Hosts, h)
 	}
 	net.BuildRoutes()
@@ -98,22 +88,21 @@ type Dumbbell struct {
 	Reverse    *netem.Port // right→left egress (credit direction)
 }
 
-// NewDumbbell builds a dumbbell with n host pairs. Edge links run at
-// LinkRate and the middle link at CoreRate (LinkRate by default), so the
-// middle link is the single bottleneck when more than one pair is
-// active.
+// NewDumbbell builds a dumbbell with n host pairs. Every link runs at
+// LinkRate, so the middle link is the single bottleneck when more than
+// one pair is active.
 func NewDumbbell(eng *sim.Engine, n int, cfg Config) *Dumbbell {
 	cfg = cfg.withDefaults()
 	net := netem.NewNetwork(eng)
 	left := net.NewSwitch("swL")
 	right := net.NewSwitch("swR")
 	d := &Dumbbell{Net: net, Left: left, Right: right}
-	d.Bottleneck, d.Reverse = net.Connect(left, right, cfg.port(cfg.CoreRate))
+	d.Bottleneck, d.Reverse = net.Connect(left, right, cfg.Port)
 	for i := 0; i < n; i++ {
 		s := newHost(net, fmt.Sprintf("s%d", i))
-		net.Connect(s, left, cfg.port(cfg.LinkRate))
+		net.Connect(s, left, cfg.Port)
 		r := newHost(net, fmt.Sprintf("r%d", i))
-		net.Connect(r, right, cfg.port(cfg.LinkRate))
+		net.Connect(r, right, cfg.Port)
 		d.Senders = append(d.Senders, s)
 		d.Receivers = append(d.Receivers, r)
 	}
@@ -144,18 +133,18 @@ func NewParkingLot(eng *sim.Engine, n int, cfg Config) *ParkingLot {
 		pl.Switches = append(pl.Switches, net.NewSwitch(fmt.Sprintf("sw%d", i)))
 	}
 	for i := 0; i < n; i++ {
-		fwd, _ := net.Connect(pl.Switches[i], pl.Switches[i+1], cfg.port(cfg.CoreRate))
+		fwd, _ := net.Connect(pl.Switches[i], pl.Switches[i+1], cfg.Port)
 		pl.Links = append(pl.Links, fwd)
 	}
 	pl.LongSrc = newHost(net, "src")
-	net.Connect(pl.LongSrc, pl.Switches[0], cfg.port(cfg.LinkRate))
+	net.Connect(pl.LongSrc, pl.Switches[0], cfg.Port)
 	pl.LongDst = newHost(net, "dst")
-	net.Connect(pl.LongDst, pl.Switches[n], cfg.port(cfg.LinkRate))
+	net.Connect(pl.LongDst, pl.Switches[n], cfg.Port)
 	for i := 0; i < n; i++ {
 		s := newHost(net, fmt.Sprintf("xs%d", i))
-		net.Connect(s, pl.Switches[i], cfg.port(cfg.LinkRate))
+		net.Connect(s, pl.Switches[i], cfg.Port)
 		r := newHost(net, fmt.Sprintf("xr%d", i))
-		net.Connect(r, pl.Switches[i+1], cfg.port(cfg.LinkRate))
+		net.Connect(r, pl.Switches[i+1], cfg.Port)
 		pl.CrossSrc = append(pl.CrossSrc, s)
 		pl.CrossDst = append(pl.CrossDst, r)
 	}
@@ -187,17 +176,17 @@ func NewMultiBottleneck(eng *sim.Engine, n int, cfg Config) *MultiBottleneck {
 	m.A = net.NewSwitch("A")
 	m.B = net.NewSwitch("B")
 	m.C = net.NewSwitch("C")
-	m.Link1, _ = net.Connect(m.A, m.B, cfg.port(cfg.CoreRate))
-	m.Link3, _ = net.Connect(m.B, m.C, cfg.port(cfg.CoreRate))
+	m.Link1, _ = net.Connect(m.A, m.B, cfg.Port)
+	m.Link3, _ = net.Connect(m.B, m.C, cfg.Port)
 	m.Flow0Src = newHost(net, "f0src")
-	net.Connect(m.Flow0Src, m.B, cfg.port(cfg.LinkRate))
+	net.Connect(m.Flow0Src, m.B, cfg.Port)
 	m.Flow0Dst = newHost(net, "f0dst")
-	net.Connect(m.Flow0Dst, m.C, cfg.port(cfg.LinkRate))
+	net.Connect(m.Flow0Dst, m.C, cfg.Port)
 	for i := 0; i < n; i++ {
 		s := newHost(net, fmt.Sprintf("ms%d", i))
-		net.Connect(s, m.A, cfg.port(cfg.LinkRate))
+		net.Connect(s, m.A, cfg.Port)
 		r := newHost(net, fmt.Sprintf("mr%d", i))
-		net.Connect(r, m.C, cfg.port(cfg.LinkRate))
+		net.Connect(r, m.C, cfg.Port)
 		m.Srcs = append(m.Srcs, s)
 		m.Dsts = append(m.Dsts, r)
 	}
