@@ -127,7 +127,10 @@ reach:
 ## prints. Builds xpsim from `git archive $(BYTES_BASE)` (default HEAD,
 ## the last commit) in a temporary directory and from the working tree,
 ## runs both on the rows below, and compares every trace and metrics
-## stream and every stdout (its `(… wall)` lines dropped). Streams are
+## stream and every stdout (its `(… wall)` lines dropped). Each row's
+## stdout is cut at its `== <id>:` headers and compared per experiment:
+## one `same`/`DIFFER` line per id names the artifacts whose text moved,
+## the streams' hashes are compared per row. Streams are
 ## hashed through named pipes, so no trace reaches the disk (fig13 at
 ## -scale 0.2 alone writes more than 8 GB). Exits non-zero on any
 ## difference or failed run. Not a tier-1 test: a few minutes, most of it
@@ -147,13 +150,18 @@ bytes:
 			rm -rf $$io; mkdir $$io; \
 			for a in "$$@"; do case $$a in $$io/*) mkfifo $$a; sha256sum <$$a >$$a.sha & ;; esac; done; \
 			rm -f $$d/rc; \
-			{ if $$d/xpsim.$$b "$$@" 2>$$d/err; then echo 0 >$$d/rc; else echo $$? >$$d/rc; fi; } | grep -v 'wall)' | sha256sum >$$io/stdout.sha; \
+			{ if $$d/xpsim.$$b "$$@" 2>$$d/err; then echo 0 >$$d/rc; else echo $$? >$$d/rc; fi; } | { grep -v 'wall)' || true; } >$$d/stdout; \
 			for a in "$$@"; do case $$a in $$io/*) true <>$$a;; esac; done; wait; \
 			if [ "$$(cat $$d/rc)" != 0 ]; then cat $$d/err; echo "bytes: FAIL: xpsim.$$b $$*" | sed "s|$$io/||g"; exit 1; fi; \
-			for h in $$io/*.sha; do echo "$${h##*/} $$(cut -c1-64 $$h)"; done >$$d/$$b.sum; \
+			for h in $$io/*.sha; do [ -e "$$h" ] || continue; echo "$${h##*/} $$(cut -c1-64 $$h)"; done >$$d/$$b.sum; \
+			rm -f $$d/part.*; csplit -s -z -f $$d/part. $$d/stdout '/^== /' '{*}'; \
+			for p in $$d/part.*; do echo "$$(head -1 $$p | cut -d: -f1) $$(sha256sum <$$p | cut -c1-64)"; done >$$d/$$b.out; \
 		done; \
-		if cmp -s $$d/base.sum $$d/work.sum; then r=same; else r=DIFFER; fail=1; diff $$d/base.sum $$d/work.sum || true; fi; \
-		echo "bytes: $$r ($$(( $$(date +%s) - s ))s): $$*" | sed "s|$$io/||g"; }; \
+		if cmp -s $$d/base.sum $$d/work.sum && cmp -s $$d/base.out $$d/work.out; then r=same; else r=DIFFER; fail=1; diff $$d/base.sum $$d/work.sum || true; fi; \
+		echo "bytes: $$r ($$(( $$(date +%s) - s ))s): $$*" | sed "s|$$io/||g"; \
+		while read -r eq id h; do \
+			if grep -qxF "$$eq $$id $$h" $$d/work.out; then r=same; else r=DIFFER; fi; echo "bytes:   $$r stdout $$id"; \
+		done <$$d/base.out; }; \
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.jsonl -metrics $$io/M.csv fig17 ext-failover; \
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.csv -metrics $$io/M.csv fig17 ext-failover; \
 	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl ext-chaos-storm fig13 fig16 fig2; \

@@ -63,14 +63,13 @@ func ExampleCreditClassConfig() {
 
 		// Warm up for 20 ms, then measure 30 ms.
 		eng.RunUntil(20 * expresspass.Millisecond)
-		interactive.TakeDeliveredDelta()
-		bulk.TakeDeliveredDelta()
+		i0, b0 := interactive.BytesDelivered, bulk.BytesDelivered
 		meas := 30 * expresspass.Millisecond
 		eng.RunFor(meas)
-		gbps := func(f *expresspass.Flow) float64 {
-			return float64(f.TakeDeliveredDelta()) * 8 / meas.Seconds() / 1e9
+		gbps := func(f *expresspass.Flow, before expresspass.Bytes) float64 {
+			return float64(f.BytesDelivered-before) * 8 / meas.Seconds() / 1e9
 		}
-		fmt.Printf("%-22s interactive %5.2f Gbps | bulk %5.2f Gbps\n", policy, gbps(interactive), gbps(bulk))
+		fmt.Printf("%-22s interactive %5.2f Gbps | bulk %5.2f Gbps\n", policy, gbps(interactive, i0), gbps(bulk, b0))
 	}
 	run("fair (single class)", nil)
 	run("strict priority", []expresspass.CreditClassConfig{{Priority: 0}, {Priority: 1}})

@@ -364,7 +364,6 @@ func TestNoAmbientState(t *testing.T) {
 		"internal/experiments.protoSpecs",
 		"internal/experiments.registry",
 		"internal/invariant.subscription",
-		"internal/obs.FCTBoundsMS",
 		"internal/obs.csvTypeFrag",
 		"internal/obs.eventNames",
 		"internal/obs.jsonTypeFrag",

@@ -87,11 +87,6 @@ func (s *Session) initObs() {
 			}
 		}
 	}
-	if r := f.Sender.Metrics(); r != nil {
-		// FCT histogram is shared across flows (one instrument), so it is
-		// not subject to the per-flow gauge budget.
-		s.rcv.fctHist = r.Histogram("flow/fct_ms", obs.FCTBoundsMS)
-	}
 	if fr := f.Sender.ClaimFlowMetrics(); fr != nil {
 		pre := "flow/" + strconv.FormatInt(int64(f.ID), 10) + "/"
 		s.gaugePrefix = pre
@@ -474,11 +469,10 @@ func (sn *sender) onNack(p *packet.Packet) {
 // ---- receiver ----
 
 type receiver struct {
-	sess    *Session
-	host    *netem.Host
-	rng     *sim.Rand
-	fb      *Feedback
-	fctHist *obs.Histogram // nil when metrics are off
+	sess *Session
+	host *netem.Host
+	rng  *sim.Rand
+	fb   *Feedback
 
 	active      bool
 	creditTimer sim.EventID
@@ -648,9 +642,6 @@ func (rc *receiver) onData(p *packet.Packet) {
 	f.Deliver(now, p.Payload)
 	if !wasFinished && f.Finished {
 		rc.nackTimer.Cancel()
-		if h := rc.fctHist; h != nil {
-			h.Observe(f.FCT().Seconds() * 1e3)
-		}
 	}
 	seq := p.CreditSeq
 	rc.host.Pool().Put(p)

@@ -150,11 +150,10 @@ func TestTwoFlowsFairAndEfficient(t *testing.T) {
 	f1 := transport.NewFlow(d.Net, d.Senders[1], d.Receivers[1], 0, 0)
 	core.Dial(f1, cfg)
 	eng.RunUntil(20 * sim.Millisecond)
-	f0.TakeDeliveredDelta()
-	f1.TakeDeliveredDelta()
+	b0, b1 := f0.BytesDelivered, f1.BytesDelivered
 	eng.RunFor(50 * sim.Millisecond)
-	r0 := float64(f0.TakeDeliveredDelta()) * 8 / 0.05 / 1e9
-	r1 := float64(f1.TakeDeliveredDelta()) * 8 / 0.05 / 1e9
+	r0 := float64(f0.BytesDelivered-b0) * 8 / 0.05 / 1e9
+	r1 := float64(f1.BytesDelivered-b1) * 8 / 0.05 / 1e9
 	if r0+r1 < 8.2 {
 		t.Errorf("aggregate %.2f Gbps, want > 8.2", r0+r1)
 	}

@@ -30,9 +30,9 @@ func TestCubicFillsPipe(t *testing.T) {
 	eng, d := cubicNet(1, 2, 250*1538)
 	f, _ := dial(d, 0)
 	eng.RunUntil(20 * sim.Millisecond)
-	f.TakeDeliveredDelta()
+	before := f.BytesDelivered
 	eng.RunFor(30 * sim.Millisecond)
-	goodput := float64(f.TakeDeliveredDelta()) * 8 / 0.03
+	goodput := float64(f.BytesDelivered-before) * 8 / 0.03
 	if goodput < 8e9 {
 		t.Errorf("steady goodput %.3g bps", goodput)
 	}
@@ -61,11 +61,10 @@ func TestCubicEventuallyFair(t *testing.T) {
 	f0, _ := dial(d, 0)
 	f1, _ := dial(d, 1)
 	eng.RunUntil(150 * sim.Millisecond)
-	f0.TakeDeliveredDelta()
-	f1.TakeDeliveredDelta()
+	b0, b1 := f0.BytesDelivered, f1.BytesDelivered
 	eng.RunFor(150 * sim.Millisecond)
-	r0 := float64(f0.TakeDeliveredDelta())
-	r1 := float64(f1.TakeDeliveredDelta())
+	r0 := float64(f0.BytesDelivered - b0)
+	r1 := float64(f1.BytesDelivered - b1)
 	if ratio := r0 / r1; ratio < 0.25 || ratio > 4.0 {
 		t.Errorf("long-run share %.3g vs %.3g", r0, r1)
 	}

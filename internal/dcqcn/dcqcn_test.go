@@ -31,9 +31,9 @@ func TestDCQCNSingleFlowHoldsLineRate(t *testing.T) {
 	eng, d := dcqcnNet(1, 2)
 	f, _ := dial(d, 0)
 	eng.RunUntil(20 * sim.Millisecond)
-	f.TakeDeliveredDelta()
+	before := f.BytesDelivered
 	eng.RunFor(30 * sim.Millisecond)
-	goodput := float64(f.TakeDeliveredDelta()) * 8 / 0.03
+	goodput := float64(f.BytesDelivered-before) * 8 / 0.03
 	if goodput < 8.5e9 {
 		t.Errorf("steady goodput %.3g bps", goodput)
 	}
@@ -48,13 +48,14 @@ func TestDCQCNSharesAndKeepsQueueModerate(t *testing.T) {
 	}
 	eng.RunUntil(50 * sim.Millisecond)
 	d.Bottleneck.ResetStats()
-	for _, f := range flows {
-		f.TakeDeliveredDelta()
+	before := make([]unit.Bytes, len(flows))
+	for i, f := range flows {
+		before[i] = f.BytesDelivered
 	}
 	eng.RunFor(50 * sim.Millisecond)
 	var total float64
-	for _, f := range flows {
-		total += float64(f.TakeDeliveredDelta()) * 8 / 0.05 / 1e9
+	for i, f := range flows {
+		total += float64(f.BytesDelivered-before[i]) * 8 / 0.05 / 1e9
 	}
 	if total < 7.0 {
 		t.Errorf("aggregate %.2f Gbps", total)

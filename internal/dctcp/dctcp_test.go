@@ -36,9 +36,9 @@ func TestDCTCPSingleFlowSaturates(t *testing.T) {
 	// state only.
 	eng.RunUntil(10 * sim.Millisecond)
 	preDrops := d.Net.Stats().DataDrops
-	f.TakeDeliveredDelta()
+	before := f.BytesDelivered
 	eng.RunFor(20 * sim.Millisecond)
-	goodput := float64(f.TakeDeliveredDelta()) * 8 / 0.02
+	goodput := float64(f.BytesDelivered-before) * 8 / 0.02
 	if goodput < 8.5e9 {
 		t.Errorf("steady goodput %.3g, want near line rate", goodput)
 	}
@@ -70,11 +70,10 @@ func TestDCTCPFairTwoFlows(t *testing.T) {
 	f0, _ := dial(d, 0, 0, 0)
 	f1, _ := dial(d, 1, 0, 0)
 	eng.RunUntil(100 * sim.Millisecond)
-	f0.TakeDeliveredDelta()
-	f1.TakeDeliveredDelta()
+	b0, b1 := f0.BytesDelivered, f1.BytesDelivered
 	eng.RunFor(100 * sim.Millisecond)
-	r0 := float64(f0.TakeDeliveredDelta())
-	r1 := float64(f1.TakeDeliveredDelta())
+	r0 := float64(f0.BytesDelivered - b0)
+	r1 := float64(f1.BytesDelivered - b1)
 	if ratio := r0 / r1; ratio < 0.7 || ratio > 1.4 {
 		t.Errorf("unfair: %.3g vs %.3g", r0, r1)
 	}

@@ -58,11 +58,10 @@ func TestDXSharesFairly(t *testing.T) {
 	f0 := dial(d, 0)
 	f1 := dial(d, 1)
 	eng.RunUntil(30 * sim.Millisecond)
-	f0.TakeDeliveredDelta()
-	f1.TakeDeliveredDelta()
+	b0, b1 := f0.BytesDelivered, f1.BytesDelivered
 	eng.RunFor(50 * sim.Millisecond)
-	r0 := float64(f0.TakeDeliveredDelta())
-	r1 := float64(f1.TakeDeliveredDelta())
+	r0 := float64(f0.BytesDelivered - b0)
+	r1 := float64(f1.BytesDelivered - b1)
 	if ratio := r0 / r1; ratio < 0.6 || ratio > 1.7 {
 		t.Errorf("unfair: %.3g vs %.3g", r0, r1)
 	}

@@ -35,13 +35,12 @@ func TestCoexistenceWithUncreditedTraffic(t *testing.T) {
 		0)
 
 	eng.RunUntil(30 * sim.Millisecond)
-	xp.TakeDeliveredDelta()
-	tcp.TakeDeliveredDelta()
+	xp0, tcp0 := xp.BytesDelivered, tcp.BytesDelivered
 	meas := 50 * sim.Millisecond
 	eng.RunFor(meas)
 
-	xpG := float64(xp.TakeDeliveredDelta()) * 8 / meas.Seconds() / 1e9
-	tcpG := float64(tcp.TakeDeliveredDelta()) * 8 / meas.Seconds() / 1e9
+	xpG := float64(xp.BytesDelivered-xp0) * 8 / meas.Seconds() / 1e9
+	tcpG := float64(tcp.BytesDelivered-tcp0) * 8 / meas.Seconds() / 1e9
 	t.Logf("coexistence: expresspass %.2f Gbps, dctcp %.2f Gbps, data drops %d",
 		xpG, tcpG, d.Net.Stats().DataDrops)
 

@@ -238,11 +238,9 @@ const wireGbps = 10 * float64(unit.MTUPayload) / float64(unit.MaxFrame)
 // received during the stall after it, so its post-stall window may reach
 // the line's ceiling, and the credit ceiling bounds the stall and post
 // windows together.
-//
-// RCP's pre-storm cell is deviation 12 (EXPERIMENTS.md): it reads 11.46
-// Gb/s in every storm. The test holds it as an expected failure and
-// fails once that cell is under the ceiling, so whoever fixes it also
-// retires the deviation.
+// The convergence readings go under the same ceiling, scaled to the
+// link: every bin Env.join returns for CUBIC, DCTCP and RCP on fig2's
+// and fig16's dumbbells (both flows together).
 func TestPhaseGoodputUnderPayloadCeiling(t *testing.T) {
 	t.Parallel()
 	p := Params{Scale: 0.05, Seed: 42}
@@ -255,7 +253,6 @@ func TestPhaseGoodputUnderPayloadCeiling(t *testing.T) {
 		}
 	}
 
-	deviation12 := 0
 	for _, v := range []struct {
 		id    string
 		view  func(Params) (faultGrid, phases)
@@ -286,13 +283,6 @@ func TestPhaseGoodputUnderPayloadCeiling(t *testing.T) {
 				}
 				cell := fmt.Sprintf("%s %s %s %s", v.id, c.a.label, c.b, w.col)
 				got := value(t, row[w.col])
-				if c.b == ProtoRCP && w.col == "pre Gbps" {
-					deviation12++
-					if got <= wireGbps+edge(g.n, w.d) {
-						t.Errorf("%s reads %.4f Gb/s, under the ceiling: deviation 12 is gone; retire it in EXPERIMENTS.md and here", cell, got)
-					}
-					continue
-				}
 				under(cell, got, wireGbps+edge(g.n, w.d))
 				if c.b == ProtoExpressPass && !(stall && w.col == "post Gbps") {
 					under(cell, got, credit+edge(g.n, w.d))
@@ -305,8 +295,26 @@ func TestPhaseGoodputUnderPayloadCeiling(t *testing.T) {
 			}
 		}
 	}
-	if deviation12 != 3 {
-		t.Errorf("checked %d RCP pre-storm cells, want one per storm (3)", deviation12)
+
+	join := func(cell string, rate unit.Rate, bin sim.Duration, rates [][]float64) {
+		t.Helper()
+		ceiling := wireGbps * rate.Gbits() / 10
+		for b, flows := range rates {
+			under(fmt.Sprintf("%s bin %d", cell, b), flows[0]+flows[1], ceiling+edge(2, bin))
+		}
+	}
+	for _, a := range fig2Arms(p) {
+		if a.name != ProtoExpressPass {
+			join("fig2 "+string(a.name), 10*unit.Gbps, a.bin, fig2Rates(sim.New(p.Seed), p, a))
+		}
+	}
+	for _, rate := range []unit.Rate{10 * unit.Gbps, 100 * unit.Gbps} {
+		for _, a := range fig16Arms(p) {
+			if a.proto != ProtoExpressPass {
+				join(fmt.Sprintf("fig16 %s %v", a.label, rate), rate, sim.Duration(a.binRTTs)*fig16RTT,
+					fig16Rates(sim.New(p.Seed), p, rate, a))
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -40,20 +39,9 @@ func TestLifecycleRetirementClearsLiveState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Per-flow gauges are named flow/<id>/…; the shared flow/fct_ms
-		// histogram is network-wide and legitimately outlives every flow.
-		perFlowGauge := func(name string) bool {
-			rest, ok := strings.CutPrefix(name, "flow/")
-			if !ok {
-				return false
-			}
-			id, _, ok := strings.Cut(rest, "/")
-			if !ok {
-				return false
-			}
-			_, err := strconv.Atoi(id)
-			return err == nil
-		}
+		// Per-flow gauges are named flow/<id>/…, and every flow/ metric
+		// is one.
+		perFlowGauge := func(name string) bool { return strings.HasPrefix(name, "flow/") }
 		sawGauges := false
 		mgr := lifecycle.NewManager(lifecycle.Config{
 			Engine: eng,

@@ -242,43 +242,57 @@ func init() {
 	})
 }
 
-func runFig16(p Params) (Result, error) {
-	rtt := 100 * sim.Microsecond
-	type arm struct {
-		label   string
-		proto   Proto
-		alpha   float64
-		maxRTTs int
-		// binRTTs is the averaging window in RTTs; the paper bins
-		// DCTCP at 10 RTTs due to its throughput variance.
-		binRTTs int
-	}
-	arms := []arm{
+// fig16RTT is fig16's base RTT.
+const fig16RTT = 100 * sim.Microsecond
+
+// fig16Arm is one scheme of fig16: how long the joining flow is watched
+// and the goodput bin, both in RTTs.
+type fig16Arm struct {
+	label   string
+	proto   Proto
+	alpha   float64
+	maxRTTs int
+	// binRTTs is the averaging window in RTTs; the paper bins
+	// DCTCP at 10 RTTs due to its throughput variance.
+	binRTTs int
+}
+
+// fig16Arms are fig16's schemes; each runs at 10 and 100 Gbps.
+func fig16Arms(p Params) []fig16Arm {
+	return []fig16Arm{
 		{"expresspass a=1/2", ProtoExpressPass, 0.5, 60, 1},
 		{"expresspass a=1/16", ProtoExpressPass, 1.0 / 16, 60, 1},
 		{"rcp", ProtoRCP, 0, 60, 1},
 		{"dctcp", ProtoDCTCP, 0, p.scaleInt(6000, 1200), 10},
 	}
+}
+
+// fig16Rates runs arm a on eng: a second flow joins a steady one on a
+// dumbbell of rate, and the two flows' per-bin goodputs come back.
+func fig16Rates(eng *sim.Engine, p Params, rate unit.Rate, a fig16Arm) [][]float64 {
+	tcfg := topology.Config{}
+	a.proto.Features(&tcfg, fig16RTT)
+	if rate >= 100*unit.Gbps {
+		// Scale switch buffering and marking with BDP.
+		tcfg.Port.DataCapacity = 4 * unit.MB
+	}
+	d := rttDumbbell(eng, 2, rate, fig16RTT, tcfg)
+	env := &Env{Eng: eng, Net: d.Net, BaseRTT: fig16RTT,
+		XP: core.Config{Alpha: a.alpha, WInit: a.alpha}}
+	warm := p.scaleDur(100*sim.Millisecond, 30*sim.Millisecond)
+	return env.join(a.proto, d, warm, sim.Duration(a.binRTTs)*fig16RTT, a.maxRTTs/a.binRTTs)
+}
+
+func runFig16(p Params) (Result, error) {
 	speeds := []unit.Rate{10 * unit.Gbps, 100 * unit.Gbps}
-	rows := runner.Map(p.sweep(), cross(speeds, arms), func(t *runner.T, c pair[unit.Rate, arm]) []any {
+	rows := runner.Map(p.sweep(), cross(speeds, fig16Arms(p)), func(t *runner.T, c pair[unit.Rate, fig16Arm]) []any {
 		rate, a := c.a, c.b
-		eng := t.Engine(p.Seed)
-		tcfg := topology.Config{}
-		a.proto.Features(&tcfg, rtt)
-		if rate >= 100*unit.Gbps {
-			// Scale switch buffering and marking with BDP.
-			tcfg.Port.DataCapacity = 4 * unit.MB
-		}
-		d := rttDumbbell(eng, 2, rate, rtt, tcfg)
-		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
-			XP: core.Config{Alpha: a.alpha, WInit: a.alpha}}
-		warm := p.scaleDur(100*sim.Millisecond, 30*sim.Millisecond)
-		bin := sim.Duration(a.binRTTs) * rtt
+		bin := sim.Duration(a.binRTTs) * fig16RTT
 		fair := fairShare(a.proto, rate)
-		ct, ok := convergence(env.join(a.proto, d, warm, bin, a.maxRTTs/a.binRTTs), fair, bin)
+		ct, ok := convergence(fig16Rates(t.Engine(p.Seed), p, rate, a), fair, bin)
 		var conv any = text(">%d", a.maxRTTs)
 		if ok {
-			conv = int(ct / rtt)
+			conv = int(ct / fig16RTT)
 		}
 		return []any{a.label, rate, a.binRTTs, conv, fair}
 	})

@@ -94,20 +94,22 @@ func mustParse(spec string) faults.Plan {
 	return plan
 }
 
-// delivered is the experiments' one goodput reading. It zeroes the
-// flows' delivered counters, runs the engine through each of the
-// consecutive windows, and returns the payload bytes each flow delivered
-// in each: out[w][i] is flow i's in window w. Callers convert to Gbps.
+// delivered is the experiments' one goodput reading. It runs the engine
+// through each of the consecutive windows and returns the payload bytes
+// that arrived for each flow in each, the difference of BytesDelivered
+// across the window: out[w][i] is flow i's in window w. It changes no
+// flow. Callers convert to Gbps.
 func delivered(eng *sim.Engine, flows []*transport.Flow, windows ...sim.Duration) [][]unit.Bytes {
-	for _, f := range flows {
-		f.TakeDeliveredDelta()
+	last := make([]unit.Bytes, len(flows))
+	for i, f := range flows {
+		last[i] = f.BytesDelivered
 	}
 	out := make([][]unit.Bytes, len(windows))
 	for w, d := range windows {
 		eng.RunFor(d)
 		out[w] = make([]unit.Bytes, len(flows))
 		for i, f := range flows {
-			out[w][i] = f.TakeDeliveredDelta()
+			out[w][i], last[i] = f.BytesDelivered-last[i], f.BytesDelivered
 		}
 	}
 	return out

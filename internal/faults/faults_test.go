@@ -37,13 +37,24 @@ func schedule(t *testing.T, d *topology.Dumbbell, ds ...Directive) {
 	}
 }
 
-// goodput sums the delivered-byte deltas across flows over one window.
-func goodput(flows []*transport.Flow) unit.Bytes {
-	var b unit.Bytes
-	for _, f := range flows {
-		b += f.TakeDeliveredDelta()
+// goodput starts a windowed reading of flows: each call of the
+// returned func is the payload bytes that arrived across them since the
+// previous call (the first: since goodput).
+func goodput(flows []*transport.Flow) func() unit.Bytes {
+	sum := func() unit.Bytes {
+		var b unit.Bytes
+		for _, f := range flows {
+			b += f.BytesDelivered
+		}
+		return b
 	}
-	return b
+	last := sum()
+	return func() unit.Bytes {
+		b := sum()
+		d := b - last
+		last = b
+		return d
+	}
 }
 
 // TestFlapRecovery is the tentpole scenario: flap the dumbbell
@@ -65,13 +76,13 @@ func TestFlapRecovery(t *testing.T) {
 
 	// Warm up past slow start, then measure windowed goodput.
 	eng.RunUntil(10 * sim.Millisecond)
-	goodput(flows)
+	read := goodput(flows)
 	var pre, during, post unit.Bytes
 	var preN, postN int
 	recovered := sim.Time(-1)
 	for w := 0; w < 50; w++ {
 		eng.RunFor(window)
-		g := goodput(flows)
+		g := read()
 		end := eng.Now()
 		start := end - window
 		switch {
@@ -183,10 +194,10 @@ func TestCreditLossProportional(t *testing.T) {
 				Target: d.Bottleneck.Peer().Name(), At: 10 * sim.Millisecond, Dur: 40 * sim.Millisecond})
 		}
 		eng.RunUntil(10 * sim.Millisecond)
-		goodput(flows)
+		read := goodput(flows)
 		for w := 0; w < 40; w++ {
 			eng.RunFor(sim.Millisecond)
-			gw := goodput(flows)
+			gw := read()
 			if gw == 0 {
 				silent++
 			}
@@ -265,12 +276,12 @@ func TestStallDefersWithoutLoss(t *testing.T) {
 	d, flows := dumbbellFlows(eng, 1)
 	schedule(t, d, Directive{Kind: "stall", Target: d.Senders[0].Name(), At: 20 * sim.Millisecond, Dur: 4 * sim.Millisecond})
 	eng.RunUntil(10 * sim.Millisecond)
-	goodput(flows)
+	read := goodput(flows)
 	var pre, post unit.Bytes
 	dipped := false
 	for w := 0; w < 30; w++ {
 		eng.RunFor(sim.Millisecond)
-		g := goodput(flows)
+		g := read()
 		end := eng.Now()
 		switch {
 		case end <= 20*sim.Millisecond:

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -77,40 +76,6 @@ func TestRegistryUnregister(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("fct_ms", []float64{1, 2, 5, 10})
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5) // all in the (1,2] bucket
-	}
-	if h.Count() != 100 || h.Sum() != 150 {
-		t.Errorf("count=%d sum=%g", h.Count(), h.Sum())
-	}
-	if q := h.Quantile(0.5); q < 1 || q > 2 {
-		t.Errorf("p50 = %g, want within (1,2]", q)
-	}
-	h.Observe(100) // overflow bucket
-	if q := h.Quantile(1); q != 10 {
-		t.Errorf("p100 with overflow = %g, want clamp to top bound 10", q)
-	}
-	var empty Histogram
-	empty.bounds = []float64{1}
-	empty.counts = make([]uint64, 2)
-	if q := empty.Quantile(0.99); q != 0 {
-		t.Errorf("empty quantile = %g, want 0", q)
-	}
-	// Snapshot expansion.
-	snap := r.Snapshot()
-	names := make([]string, len(snap))
-	for i, s := range snap {
-		names[i] = s.Name
-	}
-	want := "fct_ms/count fct_ms/sum fct_ms/p50 fct_ms/p99"
-	if got := strings.Join(names, " "); got != want {
-		t.Errorf("histogram snapshot names = %q, want %q", got, want)
-	}
-}
-
 func TestRuntimeMetricsCSV(t *testing.T) {
 	var buf bytes.Buffer
 	rt := NewRuntime(Config{MetricsOut: &buf})
@@ -156,21 +121,5 @@ func TestRuntimeEngineTotals(t *testing.T) {
 	}
 	if s.PeakLive != 10 {
 		t.Errorf("live-event peak = %d, want 10", s.PeakLive)
-	}
-}
-
-func TestQuantileMonotone(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 3, 30, 300, 5, 7, 0.1, 50} {
-		h.Observe(v)
-	}
-	prev := math.Inf(-1)
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Errorf("quantile not monotone at q=%g: %g < %g", q, v, prev)
-		}
-		prev = v
 	}
 }

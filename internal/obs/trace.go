@@ -1,5 +1,5 @@
 // Package obs is the instrumentation layer of the simulator: a typed
-// event tracer, a metrics registry of gauges and histograms, and
+// event tracer, a metrics registry of gauges, and
 // runtime profiling hooks, all designed to cost nothing when disabled.
 //
 // The contract with the hot paths (sim.Engine, netem.Port, the core

@@ -46,12 +46,13 @@ func TestRCPSplitsEvenly(t *testing.T) {
 		conns = append(conns, c)
 	}
 	eng.RunUntil(30 * sim.Millisecond)
-	for _, f := range flows {
-		f.TakeDeliveredDelta()
+	before := make([]unit.Bytes, len(flows))
+	for i, f := range flows {
+		before[i] = f.BytesDelivered
 	}
 	eng.RunFor(30 * sim.Millisecond)
 	for i, f := range flows {
-		gbps := float64(f.TakeDeliveredDelta()) * 8 / 0.03 / 1e9
+		gbps := float64(f.BytesDelivered-before[i]) * 8 / 0.03 / 1e9
 		if gbps < 1.8 || gbps > 3.0 {
 			t.Errorf("flow %d: %.2f Gbps, want ≈2.37 (C/4)", i, gbps)
 		}

@@ -298,7 +298,9 @@ func (c *Conn) onDataPacket(p *packet.Packet) {
 	seq, n := p.Seq, p.Payload
 	c.Flow.Receiver.Pool().Put(p)
 
-	before := c.expected
+	// A segment's payload counts once, when its first copy lands, in
+	// order or not: the flow finishes at the arrival that fills its
+	// last hole, and a goodput window reads arrivals, as core's does.
 	switch {
 	case seq == c.expected:
 		c.expected += int64(n)
@@ -312,12 +314,16 @@ func (c *Conn) onDataPacket(p *packet.Packet) {
 			c.expected += int64(l)
 		}
 	case seq > c.expected:
+		held := len(c.ooo)
 		c.ooo[seq] = n
+		if len(c.ooo) == held {
+			n = 0 // a second copy of a held segment
+		}
 	default:
-		// Duplicate of already-delivered data; ack again.
+		n = 0 // a second copy of in-order data; ack again
 	}
-	if c.expected > before {
-		c.Flow.deliver(now, unit.Bytes(c.expected-before))
+	if n > 0 {
+		c.Flow.Deliver(now, n)
 	}
 
 	ack := c.Flow.Receiver.Pool().Get()

@@ -170,12 +170,6 @@ func TestFlowAccounting(t *testing.T) {
 	if r := f.Size - f.BytesDelivered; r != 0 {
 		t.Errorf("remaining = %v", r)
 	}
-	if d := f.TakeDeliveredDelta(); d != 1000 {
-		t.Errorf("delta = %v", d)
-	}
-	if d := f.TakeDeliveredDelta(); d != 0 {
-		t.Errorf("second delta = %v", d)
-	}
 }
 
 func TestLongRunningFlowNeverFinishes(t *testing.T) {

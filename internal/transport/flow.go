@@ -3,7 +3,10 @@
 // engine (sequence/ack, out-of-order buffering, fast retransmit, RTO)
 // with pluggable congestion control used by the window- and rate-based
 // baselines. ExpressPass itself lives in internal/core and only uses the
-// Flow type from here.
+// Flow type from here. Both transports account a flow the same way,
+// through Flow.Deliver: a payload byte counts once, when its first copy
+// reaches the receiver, so a goodput window reads the same quantity for
+// every protocol.
 package transport
 
 import (
@@ -14,6 +17,8 @@ import (
 )
 
 // Flow is one sender→receiver transfer and its measured outcome.
+// BytesDelivered only grows; a goodput window is the difference of two
+// readings of it.
 type Flow struct {
 	ID       packet.FlowID
 	Sender   *netem.Host
@@ -30,12 +35,10 @@ type Flow struct {
 	Started        bool
 	Finished       bool
 	FinishTime     sim.Time
-	BytesDelivered unit.Bytes // payload bytes accepted in-order at receiver
+	BytesDelivered unit.Bytes // payload bytes arrived at the receiver, each counted once
 
 	// OnFinish, if set, runs once when the last byte is delivered.
 	OnFinish func(f *Flow)
-
-	lastSampledBytes unit.Bytes
 }
 
 // NewFlow allocates a flow with a fresh ID from the network.
@@ -51,8 +54,10 @@ func (f *Flow) FCT() sim.Duration {
 	return f.FinishTime - f.StartAt
 }
 
-// deliver credits n newly-accepted payload bytes and fires completion.
-func (f *Flow) deliver(now sim.Time, n unit.Bytes) {
+// Deliver is every transport's accounting entry point: it credits n
+// payload bytes whose first copy just arrived at the receiver, in order
+// or not, and fires completion once all Size bytes have.
+func (f *Flow) Deliver(now sim.Time, n unit.Bytes) {
 	f.BytesDelivered += n
 	if f.Size > 0 && !f.Finished && f.BytesDelivered >= f.Size {
 		f.Finished = true
@@ -61,16 +66,4 @@ func (f *Flow) deliver(now sim.Time, n unit.Bytes) {
 			f.OnFinish(f)
 		}
 	}
-}
-
-// Deliver is the accounting entry point for transports that manage their
-// own reliability (ExpressPass): it credits n in-order payload bytes.
-func (f *Flow) Deliver(now sim.Time, n unit.Bytes) { f.deliver(now, n) }
-
-// TakeDeliveredDelta returns bytes delivered since the previous call,
-// for periodic throughput sampling.
-func (f *Flow) TakeDeliveredDelta() unit.Bytes {
-	d := f.BytesDelivered - f.lastSampledBytes
-	f.lastSampledBytes = f.BytesDelivered
-	return d
 }

@@ -131,3 +131,79 @@ func TestHeldSegmentIsResentWithTheWindow(t *testing.T) {
 		t.Errorf("%d recoveries, FCT %v; want 353 and over 4x the in-order %v", len(cc.end), f.FCT(), inOrder.FCT())
 	}
 }
+
+// firstCopies stands between holdBack and a Conn's receiver and checks
+// each arrival against the one meaning of Flow.BytesDelivered: a data
+// segment's payload counts when its first copy lands, in order or not,
+// and a later copy adds nothing. It records the count just before and
+// just after the segment at seq lands for the first time.
+type firstCopies struct {
+	t         *testing.T
+	inner     netem.Endpoint
+	f         *transport.Flow
+	seq       int64
+	arrived   map[int64]unit.Bytes
+	sum       unit.Bytes // payload of the distinct segments arrived
+	atHeld    [2]unit.Bytes
+	resentAdd unit.Bytes // what the second copies added: always 0
+}
+
+func (a *firstCopies) OnPacket(p *packet.Packet) {
+	seq, n := p.Seq, p.Payload // the Conn recycles p
+	before := a.f.BytesDelivered
+	a.inner.OnPacket(p)
+	added := a.f.BytesDelivered - before
+	if _, again := a.arrived[seq]; again {
+		a.resentAdd += added
+		return
+	}
+	a.arrived[seq] = n
+	a.sum += n
+	if added != n {
+		a.t.Errorf("first copy of seq %d (%v) added %v", seq, n, added)
+	}
+	if a.f.BytesDelivered != a.sum {
+		a.t.Errorf("after seq %d lands: BytesDelivered %v, want the %d distinct segments' %v",
+			seq, a.f.BytesDelivered, len(a.arrived), a.sum)
+	}
+	if seq == a.seq {
+		a.atHeld = [2]unit.Bytes{before, a.f.BytesDelivered}
+	}
+}
+
+// TestConnCountsEachSegmentOnArrival runs TestHeldSegmentIsResentWithTheWindow's
+// flow, segment #100 held back past three later ones, and holds
+// BytesDelivered to the payload of the distinct segments that have
+// arrived after every arrival. Just before the held copy lands it reads
+// 103 segments (#0–#99 and #101–#103), not the 100 reassembly has
+// released; when it lands, 104. None of the 1,267 second copies adds a
+// byte, and the flow finishes at the same instant as when Conn counted
+// released bytes only (7.312270466 ms): the count moves no event.
+func TestConnCountsEachSegmentOnArrival(t *testing.T) {
+	const size = 2 * unit.MB
+	mss := unit.MTUPayload
+	eng := sim.New(1)
+	d := topology.NewDumbbell(eng, 1, topology.Config{
+		LinkRate: 10 * unit.Gbps, LinkDelay: 2 * sim.Microsecond,
+		Port: netem.PortConfig{DataCapacity: 16 * unit.MB},
+	})
+	f := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], size, 0)
+	c := transport.NewConn(f, dctcp.New(), 0)
+	fc := &firstCopies{t: t, inner: transport.ReceiverEndpoint(c), f: f,
+		seq: 100 * int64(mss), arrived: map[int64]unit.Bytes{}}
+	d.Receivers[0].Register(f.ID, &holdBack{inner: fc, seq: fc.seq, arrivals: map[int64]int{}})
+	eng.RunUntil(sim.Second)
+
+	if !f.Finished || f.BytesDelivered != size || fc.sum != size {
+		t.Fatalf("finished %v, delivered %v, distinct payload %v; want all %v", f.Finished, f.BytesDelivered, fc.sum, size)
+	}
+	if want := [2]unit.Bytes{103 * mss, 104 * mss}; fc.atHeld != want {
+		t.Errorf("around the held copy BytesDelivered read %v, want %v", fc.atHeld, want)
+	}
+	if c.Retransmits != 1267 || fc.resentAdd != 0 {
+		t.Errorf("%d second copies added %v, want 1267 adding 0", c.Retransmits, fc.resentAdd)
+	}
+	if got, want := f.FCT(), sim.Duration(7312270466); got != want {
+		t.Errorf("FCT %v (%d), want %v", got, int64(got), want)
+	}
+}
