@@ -136,7 +136,10 @@ reach:
 ## difference or failed run. Not a tier-1 test: a few minutes, most of it
 ## the -all row. The traced and metered ext-faults-*/ext-dcqcn/fig8 row
 ## (the only one that byte-checks those experiments' traces) takes 6 s
-## for both binaries on 2 cores; the traced -faults row is the one that
+## for both binaries on 2 cores; the traced and metered
+## fig9/fig10/fig11/fig15/ext-classes/ext-spray row (about 41 s per
+## binary on 2 cores) byte-checks the long-flow views that no other row
+## traces; the traced -faults row is the one that
 ## byte-checks a Params.Faults plan replacing the built-in ones. Compare against another commit with
 ## `make bytes BYTES_BASE=<rev>`.
 BYTES_BASE ?= HEAD
@@ -166,6 +169,7 @@ bytes:
 	row -procs 1 -seed 7 -scale 0.06 -trace $$io/T.csv -metrics $$io/M.csv fig17 ext-failover; \
 	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl ext-chaos-storm fig13 fig16 fig2; \
 	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl -metrics $$io/M.csv ext-faults-flap ext-faults-stall ext-dcqcn fig8; \
+	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl -metrics $$io/M.csv fig9 fig10 fig11 fig15 ext-classes ext-spray; \
 	row -procs 1 -seed 7 -scale 0.05 -trace $$io/T.jsonl -faults '$(REACH_FAULTS_ALL)' ext-chaos-storm ext-faults-flap ext-faults-stall; \
 	row -procs 2 -seed 11 -scale 0.05 -all; \
 	if [ $$fail != 0 ]; then echo "bytes: FAIL against $(BYTES_BASE)"; exit 1; fi; \

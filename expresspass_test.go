@@ -360,7 +360,6 @@ func TestNoAmbientState(t *testing.T) {
 	allowed := []string{
 		"cmd/xpsim.flagNeeds",
 		"internal/core.flowGaugeSuffixes",
-		"internal/experiments.byID",
 		"internal/experiments.protoSpecs",
 		"internal/experiments.registry",
 		"internal/invariant.subscription",

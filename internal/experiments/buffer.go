@@ -9,15 +9,6 @@ import (
 
 // ---- Table 1: required buffer per port for zero data loss ----
 
-func init() {
-	register(Experiment{
-		ID:    "table1",
-		Title: "Network-calculus buffer bound per port class (zero data loss)",
-		Paper: "ToR down ≫ Core > ToR up; identical for fat tree and Clos; sublinear in link speed",
-		Run:   runTable1,
-	})
-}
-
 func runTable1(p Params) (Result, error) {
 	type topo struct {
 		name         string
@@ -41,15 +32,6 @@ func runTable1(p Params) (Result, error) {
 }
 
 // ---- Fig 5: maximum ToR switch buffer breakdown ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig5",
-		Title: "Max ToR-switch buffer vs link speed, by credit-queue size and host delay spread",
-		Paper: "(8cq, 5µs): grows sublinearly 10/40→100/100; (4cq, 1µs hardware) much smaller",
-		Run:   runFig5,
-	})
-}
 
 func runFig5(Params) (Result, error) {
 	speeds := []struct {

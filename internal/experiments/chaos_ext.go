@@ -137,15 +137,6 @@ func armSpec(head string, dur sim.Duration) string {
 
 // ---- ext-chaos-matrix: impairment kinds × protocols ----
 
-func init() {
-	register(Experiment{
-		ID:    "ext-chaos-matrix",
-		Title: "chaos: impairment matrix (loss, burst loss, dup, corrupt, reorder, jitter) × protocols",
-		Paper: "credit loss is self-healing (§3.1) and duplicated credits cannot double-spend; baselines pay in FCT and retransmissions",
-		Run:   runExtChaosMatrix,
-	})
-}
-
 // matrixView declares ext-chaos-matrix: every arm is a spec head armed
 // for the whole run, read at the returned deadline. Credit-class arms
 // target the reverse bottleneck (swR->swL), the path credits traverse.
@@ -181,15 +172,6 @@ func runExtChaosMatrix(p Params) (Result, error) {
 }
 
 // ---- ext-chaos-storm: recurring chaos schedules × protocols ----
-
-func init() {
-	register(Experiment{
-		ID:    "ext-chaos-storm",
-		Title: "chaos: recurring every{} storms (flap train, rolling stalls, loss bursts) × protocols",
-		Paper: "the credit loop re-converges within RTTs after each occurrence; goodput recovers to the pre-storm level",
-		Run:   runExtChaosStorm,
-	})
-}
 
 // stormView declares ext-chaos-storm: three every{} schedules of four
 // occurrences each over one storm window.

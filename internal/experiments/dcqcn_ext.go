@@ -14,15 +14,6 @@ import (
 
 // ---- ext-dcqcn: ExpressPass vs DCQCN-over-PFC under incast ----
 
-func init() {
-	register(Experiment{
-		ID:    "ext-dcqcn",
-		Title: "RDMA comparison: ExpressPass vs DCQCN+PFC under incast",
-		Paper: "§1: ECN-based RDMA CC needs PFC for zero loss and pays in pauses/queueing; credits need neither",
-		Run:   runExtDCQCN,
-	})
-}
-
 func runExtDCQCN(p Params) (Result, error) {
 	fanouts := dedupe([]int{16, 64, p.scaleInt(256, 64)})
 	protos := []Proto{ProtoExpressPass, ProtoDCQCN}

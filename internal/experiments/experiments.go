@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"expresspass/internal/faults"
@@ -184,73 +184,106 @@ type Experiment struct {
 	Run func(p Params) (Result, error)
 }
 
-var (
-	registry []Experiment
-	byID     = map[string]int{} // ID → index into registry
-)
-
-func register(e Experiment) {
-	if _, dup := byID[e.ID]; dup {
-		panic("experiments: duplicate ID " + e.ID)
-	}
-	byID[e.ID] = len(registry)
-	registry = append(registry, e)
+// registry is every experiment, in the order All lists them: figures by
+// number, then tables, then the ext-* extensions by ID.
+var registry = []Experiment{
+	{ID: "fig1", Run: runFig1,
+		Title: "Data-queue length under partition/aggregate vs fan-out (ideal rate, DCTCP, credit)",
+		Paper: "ideal & DCTCP queues grow ∝ fan-out (DCTCP worse); credit-based stays bounded"},
+	{ID: "fig2", Run: runFig2,
+		Title: "Convergence time: naïve credit vs CUBIC vs DCTCP (10G)",
+		Paper: "naïve credit ≈ 25 µs (1 RTT); CUBIC ≈ 47 ms; DCTCP ≈ 70 ms"},
+	{ID: "fig5", Run: runFig5,
+		Title: "Max ToR-switch buffer vs link speed, by credit-queue size and host delay spread",
+		Paper: "(8cq, 5µs): grows sublinearly 10/40→100/100; (4cq, 1µs hardware) much smaller"},
+	{ID: "fig6", Run: runFig6,
+		Title: "Credit-pacing jitter vs fairness (a); inter-credit gap CDF (b)",
+		Paper: "perfect pacing is unfair at scale; j ≥ 0.01 restores fairness"},
+	{ID: "fig8", Run: runFig8,
+		Title: "Initial credit rate: convergence time (a) vs 1-packet-flow credit waste (b)",
+		Paper: "α 1→1/32: convergence 2→14 RTTs; wasted credits 80→2"},
+	{ID: "fig9", Run: runFig9,
+		Title: "Credit queue capacity vs utilization",
+		Paper: "under-utilization <1% from 8-credit queues; worse below"},
+	{ID: "fig10", Run: runFig10,
+		Title: "Parking-lot utilization with N bottlenecks: feedback vs naïve",
+		Paper: "naïve 83.3%→60% as N grows; feedback ≈98% throughout"},
+	{ID: "fig11", Run: runFig11,
+		Title: "Multi-bottleneck fairness: Flow 0 throughput vs N competing flows",
+		Paper: "feedback tracks max-min C/(N+1); naïve gives Flow 0 ≈C/2 regardless"},
+	{ID: "fig13", Run: runFig13,
+		Title: "Five staggered flows: throughput stability and queue (XP vs DCTCP)",
+		Paper: "XP: stable shares, max queue 18 KB; DCTCP: oscillatory, 240.7 KB"},
+	{ID: "fig14", Run: runFig14,
+		Title: "Host model validation: credit-processing delay CDF (a); inter-credit gap through a switch (b)",
+		Paper: "(a) median 0.38 µs, 99.99%-ile 6.2 µs; (b) RX jitter within ~0.7 µs of TX"},
+	{ID: "fig15", Run: runFig15,
+		Title: "Flow scalability: utilization, fairness, max queue vs concurrent flows",
+		Paper: "XP ≈95% util, fair, queue ≤ ~10 KB; DCTCP collapses ≥64 flows; RCP overflows"},
+	{ID: "fig16", Run: runFig16,
+		Title: "Convergence time of a joining flow at 10/100 Gbps",
+		Paper: "XP 3 RTTs (α=1/2), 6 RTTs (α=1/16) at both speeds; DCTCP 260→2350 RTTs; RCP 3"},
+	{ID: "fig17", Run: runFig17,
+		Title: "Shuffle (all-to-all) flow completion times: XP vs DCTCP",
+		Paper: "DCTCP median slightly better; XP 1.51× better @99% and 6.65× at max"},
+	{ID: "fig18", Run: runFig18,
+		Title: "99%-ile FCT sensitivity to initial rate α and w_init (load 0.6)",
+		Paper: "α=w_init=1/16 is the sweet spot: large-flow FCT drops, small-flow FCT grows <100%"},
+	{ID: "fig19", Run: runFig19,
+		Title: "Avg/99% FCT by size class, 5 protocols, load 0.6",
+		Paper: "XP fastest for S/M across workloads; DCTCP/RCP better on L/XL"},
+	{ID: "fig20", Run: runFig20,
+		Title: "Credit waste ratio by workload, link speed, and α (load 0.6)",
+		Paper: "waste grows as flows shrink and speed rises: 4–34% @10G, up to 60% @40G with α=1/2; α=1/16 halves it"},
+	{ID: "fig21", Run: runFig21,
+		Title: "Average FCT speed-up of 40G links over 10G (load 0.6)",
+		Paper: "XP gains most (1.5–3.5×) except WebServer L (credit waste); DX/HULL benefit least"},
+	{ID: "table1", Run: runTable1,
+		Title: "Network-calculus buffer bound per port class (zero data loss)",
+		Paper: "ToR down ≫ Core > ToR up; identical for fat tree and Clos; sublinear in link speed"},
+	{ID: "table3", Run: runTable3,
+		Title: "Average/maximum switch queue occupancy by workload and load",
+		Paper: "XP avg ≤0.54 KB and max ≤50 KB, load-insensitive; others grow with load"},
+	{ID: "ext-chaos-matrix", Run: runExtChaosMatrix,
+		Title: "chaos: impairment matrix (loss, burst loss, dup, corrupt, reorder, jitter) × protocols",
+		Paper: "credit loss is self-healing (§3.1) and duplicated credits cannot double-spend; baselines pay in FCT and retransmissions"},
+	{ID: "ext-chaos-storm", Run: runExtChaosStorm,
+		Title: "chaos: recurring every{} storms (flap train, rolling stalls, loss bursts) × protocols",
+		Paper: "the credit loop re-converges within RTTs after each occurrence; goodput recovers to the pre-storm level"},
+	{ID: "ext-classes", Run: runExtClasses,
+		Title: "§7 extension: traffic classes via credit queues (strict priority, weighted)",
+		Paper: "prioritizing flow A's credits over B's yields strict data priority; weights yield weighted shares"},
+	{ID: "ext-dcqcn", Run: runExtDCQCN,
+		Title: "RDMA comparison: ExpressPass vs DCQCN+PFC under incast",
+		Paper: "§1: ECN-based RDMA CC needs PFC for zero loss and pays in pauses/queueing; credits need neither"},
+	{ID: "ext-failover", Run: runExtFailover,
+		Title: "§3.1 mechanism: excluding unidirectionally-failed links",
+		Paper: "symmetric routing must drop both directions of a half-failed link; traffic survives on remaining paths"},
+	{ID: "ext-faults-flap", Run: runExtFaultsFlap,
+		Title: "robustness: bottleneck link flap, reconvergence, and goodput recovery",
+		Paper: "goodput recovers to ≥99% of the pre-fault level after the flap; credit waste stays bounded"},
+	{ID: "ext-faults-stall", Run: runExtFaultsStall,
+		Title: "robustness: sender-side credit-processing stall (GC pause / preemption)",
+		Paper: "a stalled host defers credited data without loss; aggregate goodput dips and recovers"},
+	{ID: "ext-spray", Run: runExtSpray,
+		Title: "§7 extension: per-packet spraying with reorder-tolerant credit accounting",
+		Paper: "bounded queuing limits reordering; utilization and zero loss should survive spraying"},
+	{ID: "ext-stopmargin", Run: runExtStopMargin,
+		Title: "§7 extension: preemptive CREDIT_STOP to cut credit waste",
+		Paper: "announcing flow end ~1 BDP early reduces per-flow credit waste without stalling flows"},
 }
 
-// All returns the registered experiments sorted by ID (figures first).
-func All() []Experiment {
-	// Precompute each sort key once instead of re-deriving it inside
-	// the comparator (O(n log n) key builds → O(n)).
-	keyed := make([]struct {
-		key string
-		e   Experiment
-	}, len(registry))
-	for i, e := range registry {
-		keyed[i].key, keyed[i].e = idKey(e.ID), e
-	}
-	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
-	out := make([]Experiment, len(keyed))
-	for i := range keyed {
-		out[i] = keyed[i].e
-	}
-	return out
-}
-
-func idKey(id string) string {
-	// figNN sorts numerically, tables after figures.
-	if n, ok := numSuffix(id, "fig"); ok {
-		return fmt.Sprintf("a%04d", n)
-	}
-	if n, ok := numSuffix(id, "table"); ok {
-		return fmt.Sprintf("b%04d", n)
-	}
-	return "c" + id
-}
-
-// numSuffix parses ids of the form <prefix><digits> without the
-// reflection cost of fmt.Sscanf.
-func numSuffix(id, prefix string) (int, bool) {
-	rest, ok := strings.CutPrefix(id, prefix)
-	if !ok || rest == "" {
-		return 0, false
-	}
-	n := 0
-	for _, c := range []byte(rest) {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
+// All returns the experiments in registry order.
+func All() []Experiment { return slices.Clone(registry) }
 
 // Get returns the experiment with the given ID.
 func Get(id string) (Experiment, bool) {
-	i, ok := byID[id]
-	if !ok {
-		return Experiment{}, false
+	for _, e := range registry {
+		if e.ID == id {
+			return e, true
+		}
 	}
-	return registry[i], true
+	return Experiment{}, false
 }
 
 // Run executes the experiment with the given ID and writes its Result

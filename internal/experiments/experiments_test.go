@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,26 +37,41 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	}
 }
 
+// TestAllSortsFiguresThenTables holds the registry table to its order —
+// figures by number, then tables by number, then the ext-* extensions by
+// ID — and every ID to one entry, the one Get finds.
 func TestAllSortsFiguresThenTables(t *testing.T) {
-	all := All()
-	if all[0].ID != "fig1" {
-		t.Errorf("first = %s", all[0].ID)
-	}
-	// Order: figures, then tables, then ext-* extensions.
-	var kinds []int
-	for _, e := range all {
-		switch {
-		case strings.HasPrefix(e.ID, "fig"):
-			kinds = append(kinds, 0)
-		case strings.HasPrefix(e.ID, "table"):
-			kinds = append(kinds, 1)
-		default:
-			kinds = append(kinds, 2)
+	// key places an ID: its kind (figure, table, extension), its number,
+	// and for an extension the ID itself.
+	key := func(id string) (kind, n int, ext string) {
+		for kind, prefix := range []string{"fig", "table"} {
+			if num, ok := strings.CutPrefix(id, prefix); ok {
+				n, err := strconv.Atoi(num)
+				if err != nil {
+					t.Fatalf("ID %q: %s without a number", id, prefix)
+				}
+				return kind, n, ""
+			}
 		}
+		if !strings.HasPrefix(id, "ext-") {
+			t.Fatalf("ID %q is neither a figure, a table nor an ext-* extension", id)
+		}
+		return 2, 0, id
 	}
-	for i := 1; i < len(kinds); i++ {
-		if kinds[i] < kinds[i-1] {
-			t.Fatalf("ordering violated at %s", all[i].ID)
+	all := All()
+	seen := map[string]bool{}
+	for i, e := range all {
+		if seen[e.ID] {
+			t.Errorf("ID %s registered twice", e.ID)
+		}
+		seen[e.ID] = true
+		if i == 0 {
+			continue
+		}
+		pk, pn, pe := key(all[i-1].ID)
+		k, n, x := key(e.ID)
+		if k < pk || k == pk && (n < pn || n == pn && x <= pe) {
+			t.Errorf("%s comes after %s", e.ID, all[i-1].ID)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"expresspass/internal/core"
 	"expresspass/internal/netem"
@@ -17,15 +18,6 @@ import (
 // the paper's proposed extensions that its own evaluation did not cover.
 
 // ---- ext-classes: QoS via credit classes ----
-
-func init() {
-	register(Experiment{
-		ID:    "ext-classes",
-		Title: "§7 extension: traffic classes via credit queues (strict priority, weighted)",
-		Paper: "prioritizing flow A's credits over B's yields strict data priority; weights yield weighted shares",
-		Run:   runExtClasses,
-	})
-}
 
 func runExtClasses(p Params) (Result, error) {
 	run := func(t *runner.T, classes []netem.CreditClassConfig) (hi, lo float64) {
@@ -82,13 +74,14 @@ func runExtClasses(p Params) (Result, error) {
 
 // ---- ext-spray: packet spraying instead of symmetric hashing ----
 
-func init() {
-	register(Experiment{
-		ID:    "ext-spray",
-		Title: "§7 extension: per-packet spraying with reorder-tolerant credit accounting",
-		Paper: "bounded queuing limits reordering; utilization and zero loss should survive spraying",
-		Run:   runExtSpray,
-	})
+// crossPod dials the fat tree's cross-pod permutation: one never-ending
+// ExpressPass flow from every host i to host i+n/2 (mod n), the host in
+// the opposite pod, so every flow crosses the multipath core.
+func crossPod(eng *sim.Engine, ft *topology.FatTree) []*transport.Flow {
+	env := &Env{Eng: eng, Net: ft.Net, BaseRTT: 60 * sim.Microsecond}
+	n := len(ft.Hosts)
+	flows, _ := env.dialPairs(ProtoExpressPass, ft.Hosts, slices.Concat(ft.Hosts[n/2:], ft.Hosts[:n/2]), 0, 0)
+	return flows
 }
 
 func runExtSpray(p Params) (Result, error) {
@@ -101,25 +94,14 @@ func runExtSpray(p Params) (Result, error) {
 				sw.SetSpraying(true)
 			}
 		}
-		// Cross-pod permutation traffic: every host sends to the host in
-		// the opposite pod, exercising the multipath core.
-		hosts := ft.Hosts
-		var flows []*transport.Flow
-		for i := range hosts {
-			j := (i + len(hosts)/2) % len(hosts)
-			f := transport.NewFlow(ft.Net, hosts[i], hosts[j], 0, 0)
-			core.Dial(f, core.Config{BaseRTT: 60 * sim.Microsecond})
-			flows = append(flows, f)
-		}
+		flows := crossPod(eng, ft)
 		warm := p.scaleDur(20*sim.Millisecond, 10*sim.Millisecond)
 		eng.RunUntil(warm)
 		ft.Net.ResetStats()
 		meas := p.scaleDur(40*sim.Millisecond, 20*sim.Millisecond)
-		var rates []float64
+		got := rates(eng, flows, meas)
 		var sum float64
-		for _, b := range delivered(eng, flows, meas)[0] {
-			r := gbps(b, meas)
-			rates = append(rates, r)
+		for _, r := range got {
 			sum += r
 		}
 		name := "symmetric ECMP"
@@ -127,7 +109,7 @@ func runExtSpray(p Params) (Result, error) {
 			name = "packet spraying"
 		}
 		st := ft.Net.Stats()
-		return []any{name, sum, stats.JainIndex(rates),
+		return []any{name, sum, stats.JainIndex(got),
 			float64(st.DataQueueMaxBytes) / 1e3, st.DataDrops}
 	})
 	return Result{&Table{Header: []string{"routing", "aggregate Gbps", "jain", "maxQ KB", "data drops"}, Rows: rows}}, nil
@@ -135,34 +117,18 @@ func runExtSpray(p Params) (Result, error) {
 
 // ---- ext-failover: unidirectional link failure ----
 
-func init() {
-	register(Experiment{
-		ID:    "ext-failover",
-		Title: "§3.1 mechanism: excluding unidirectionally-failed links",
-		Paper: "symmetric routing must drop both directions of a half-failed link; traffic survives on remaining paths",
-		Run:   runExtFailover,
-	})
-}
-
 func runExtFailover(p Params) (Result, error) {
 	// A run that builds one network is a one-cell sweep like any other.
 	res := runner.Map(p.sweep(), []Params{p}, func(t *runner.T, p Params) (lines Result) {
 		eng := t.Engine(p.Seed)
 		ft := topology.NewFatTree(eng, 4, topology.Config{LinkRate: 10 * unit.Gbps})
-		hosts := ft.Hosts
-		var flows []*transport.Flow
-		for i := range hosts {
-			j := (i + len(hosts)/2) % len(hosts)
-			f := transport.NewFlow(ft.Net, hosts[i], hosts[j], 0, 0)
-			core.Dial(f, core.Config{BaseRTT: 60 * sim.Microsecond})
-			flows = append(flows, f)
-		}
+		flows := crossPod(eng, ft)
 		phase := p.scaleDur(30*sim.Millisecond, 10*sim.Millisecond)
 		measure := func(label string) {
 			preDrops := ft.Net.Stats().DataDrops
 			var sum float64
-			for _, b := range delivered(eng, flows, phase)[0] {
-				sum += gbps(b, phase)
+			for _, r := range rates(eng, flows, phase) {
+				sum += r
 			}
 			lines = append(lines, text("%-28s aggregate %.2f Gbps, new data drops %d",
 				label, sum, ft.Net.Stats().DataDrops-preDrops))
@@ -185,15 +151,6 @@ func runExtFailover(p Params) (Result, error) {
 }
 
 // ---- ext-stopmargin: preemptive CREDIT_STOP ----
-
-func init() {
-	register(Experiment{
-		ID:    "ext-stopmargin",
-		Title: "§7 extension: preemptive CREDIT_STOP to cut credit waste",
-		Paper: "announcing flow end ~1 BDP early reduces per-flow credit waste without stalling flows",
-		Run:   runExtStopMargin,
-	})
-}
 
 func runExtStopMargin(p Params) (Result, error) {
 	// ~1 BDP of data at 10G / 100 µs RTT ≈ 125 KB ≈ 81 MTUs.

@@ -71,15 +71,6 @@ func xpFaults(ph phases, n int, kind, target string, durs ...sim.Duration) fault
 
 // ---- ext-faults-flap: hard link flap with reconvergence ----
 
-func init() {
-	register(Experiment{
-		ID:    "ext-faults-flap",
-		Title: "robustness: bottleneck link flap, reconvergence, and goodput recovery",
-		Paper: "goodput recovers to ≥99% of the pre-fault level after the flap; credit waste stays bounded",
-		Run:   runExtFaultsFlap,
-	})
-}
-
 // flapView declares ext-faults-flap: a bottleneck flap on 4 pairs, its
 // post window a settling window and a read window of w each, read in
 // 250 µs bins.
@@ -115,15 +106,6 @@ func runExtFaultsFlap(p Params) (Result, error) {
 }
 
 // ---- ext-faults-stall: host credit-processing stall ----
-
-func init() {
-	register(Experiment{
-		ID:    "ext-faults-stall",
-		Title: "robustness: sender-side credit-processing stall (GC pause / preemption)",
-		Paper: "a stalled host defers credited data without loss; aggregate goodput dips and recovers",
-		Run:   runExtFaultsStall,
-	})
-}
 
 // stallView declares ext-faults-stall: a stall of the first sender, s0,
 // on 2 pairs.

@@ -14,15 +14,6 @@ import (
 
 // ---- Fig 14: host credit-processing delay and inter-credit gap ----
 
-func init() {
-	register(Experiment{
-		ID:    "fig14",
-		Title: "Host model validation: credit-processing delay CDF (a); inter-credit gap through a switch (b)",
-		Paper: "(a) median 0.38 µs, 99.99%-ile 6.2 µs; (b) RX jitter within ~0.7 µs of TX",
-		Run:   runFig14,
-	})
-}
-
 func runFig14(p Params) (Result, error) {
 	// Parts (a) and (b) are independent measurements, so they run as two
 	// sweep trials whose sections are stitched in order. Neither dials

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 
+	"expresspass/internal/core"
+	"expresspass/internal/dctcp"
 	"expresspass/internal/sim"
 	"expresspass/internal/topology"
 	"expresspass/internal/transport"
@@ -153,13 +155,23 @@ func TestMaxGoodput(t *testing.T) {
 	}
 }
 
-func TestRTTDumbbellBaseRTT(t *testing.T) {
-	eng := sim.New(1)
+// TestDumbbellBuilder holds dumbbell to its base RTT, six hops of
+// rtt/6, and to installing a protocol's features after the link rate:
+// DCTCP's marking threshold is the one recommended for the link it marks.
+func TestDumbbellBuilder(t *testing.T) {
 	rtt := 120 * sim.Microsecond
-	d := rttDumbbell(eng, 1, 10*unit.Gbps, rtt, topology.Config{})
-	// Six propagation hops per round trip at rtt/6 each.
+	d, env := dumbbell(sim.New(1), ProtoExpressPass, 1, 10*unit.Gbps, rtt, topology.Config{}, core.Config{})
 	if got := d.Bottleneck.Config().Delay; got != rtt/6 {
 		t.Errorf("link delay %v, want %v", got, rtt/6)
+	}
+	if env.BaseRTT != rtt || env.Net != d.Net {
+		t.Errorf("env base RTT %v on %p, want %v on %p", env.BaseRTT, env.Net, rtt, d.Net)
+	}
+	for _, rate := range []unit.Rate{10 * unit.Gbps, 100 * unit.Gbps} {
+		d, _ := dumbbell(sim.New(1), ProtoDCTCP, 2, rate, rtt, topology.Config{}, core.Config{})
+		if got, want := d.Bottleneck.Config().ECNThreshold, dctcp.RecommendedK(rate); got != want {
+			t.Errorf("DCTCP at %v: bottleneck ECN threshold %v, want %v", rate, got, want)
+		}
 	}
 }
 

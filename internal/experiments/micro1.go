@@ -23,24 +23,7 @@ func maxGoodputGbps(rate unit.Rate) float64 {
 	return rate.Gbits() * dataShare * float64(unit.MTUPayload) / float64(unit.MaxFrame)
 }
 
-// rttDumbbell builds a dumbbell whose base RTT is approximately rtt.
-func rttDumbbell(eng *sim.Engine, n int, rate unit.Rate, rtt sim.Duration, cfg topology.Config) *topology.Dumbbell {
-	cfg.LinkRate = rate
-	// Six propagation hops per round trip.
-	cfg.LinkDelay = rtt / 6
-	return topology.NewDumbbell(eng, n, cfg)
-}
-
 // ---- Fig 2: convergence of naïve credit vs TCP CUBIC vs DCTCP ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig2",
-		Title: "Convergence time: naïve credit vs CUBIC vs DCTCP (10G)",
-		Paper: "naïve credit ≈ 25 µs (1 RTT); CUBIC ≈ 47 ms; DCTCP ≈ 70 ms",
-		Run:   runFig2,
-	})
-}
 
 // fig2RTT is fig2's base RTT.
 const fig2RTT = 25 * sim.Microsecond
@@ -65,15 +48,11 @@ func fig2Arms(p Params) []fig2Arm {
 // fig2Rates runs arm a on eng: a second flow joins a steady one on a
 // 10G dumbbell, and the two flows' per-bin goodputs come back.
 func fig2Rates(eng *sim.Engine, p Params, a fig2Arm) [][]float64 {
-	tcfg := topology.Config{}
-	a.name.Features(&tcfg, fig2RTT)
-	d := rttDumbbell(eng, 2, 10*unit.Gbps, fig2RTT, tcfg)
-	env := &Env{Eng: eng, Net: d.Net, BaseRTT: fig2RTT,
-		XP: core.Config{Naive: true},
-		// A short min-RTO stands in for SACK-grade loss recovery:
-		// without it the displaced flow (cwnd 1, no dupacks) sits
-		// out 10 ms per loss and never re-converges.
-		MinRTO: sim.Millisecond}
+	d, env := dumbbell(eng, a.name, 2, 10*unit.Gbps, fig2RTT, topology.Config{}, core.Config{Naive: true})
+	// A short min-RTO stands in for SACK-grade loss recovery: without it
+	// the displaced flow (cwnd 1, no dupacks) sits out 10 ms per loss and
+	// never re-converges.
+	env.MinRTO = sim.Millisecond
 	// Let flow 0 reach steady state, then start flow 1.
 	warm := p.scaleDur(50*sim.Millisecond, 10*sim.Millisecond)
 	if a.name == ProtoExpressPass {
@@ -95,15 +74,6 @@ func runFig2(p Params) (Result, error) {
 }
 
 // ---- Fig 6: jitter vs fairness; inter-credit gap distribution ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig6",
-		Title: "Credit-pacing jitter vs fairness (a); inter-credit gap CDF (b)",
-		Paper: "perfect pacing is unfair at scale; j ≥ 0.01 restores fairness",
-		Run:   runFig6,
-	})
-}
 
 func runFig6(p Params) (Result, error) {
 	// The paper's Fig 6a isolates *credit-drop fairness*: flows send
@@ -129,19 +99,14 @@ func runFig6(p Params) (Result, error) {
 	fairness := runner.Map(p.sweep(), cross(counts, arms), func(t *runner.T, c pair[int, arm]) float64 {
 		n, a := c.a, c.b
 		eng := t.Engine(p.Seed)
-		d := rttDumbbell(eng, n, 10*unit.Gbps, 25*sim.Microsecond,
-			topology.Config{Port: netem.PortConfig{CreditTailDrop: a.tailDrop}})
-		cfg := core.Config{BaseRTT: 100 * sim.Microsecond,
-			Naive:                          true,
-			DisableCreditSizeRandomization: true,
-			JitterFrac:                     a.jitter}
-		var flows []*transport.Flow
-		for i := 0; i < n; i++ {
-			f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0,
-				sim.Duration(i)*sim.Nanosecond) // near-synchronized starts
-			core.Dial(f, cfg)
-			flows = append(flows, f)
-		}
+		d, env := dumbbell(eng, ProtoExpressPass, n, 10*unit.Gbps, 25*sim.Microsecond,
+			topology.Config{Port: netem.PortConfig{CreditTailDrop: a.tailDrop}},
+			core.Config{BaseRTT: 100 * sim.Microsecond,
+				Naive:                          true,
+				DisableCreditSizeRandomization: true,
+				JitterFrac:                     a.jitter})
+		// Near-synchronized starts.
+		flows, _ := env.dialPairs(ProtoExpressPass, d.Senders, d.Receivers, 0, sim.Nanosecond)
 		eng.RunUntil(p.scaleDur(20*sim.Millisecond, 8*sim.Millisecond))
 		// Measure over enough packets per flow that sampling noise
 		// doesn't mask ordering effects (the paper's 1 ms interval,
@@ -174,15 +139,6 @@ func runFig6(p Params) (Result, error) {
 
 // ---- Fig 8: initial rate vs convergence time and credit waste ----
 
-func init() {
-	register(Experiment{
-		ID:    "fig8",
-		Title: "Initial credit rate: convergence time (a) vs 1-packet-flow credit waste (b)",
-		Paper: "α 1→1/32: convergence 2→14 RTTs; wasted credits 80→2",
-		Run:   runFig8,
-	})
-}
-
 func runFig8(p Params) (Result, error) {
 	rtt := 100 * sim.Microsecond
 	const bins = 60 // 1-RTT bins the joining flow is watched for
@@ -190,17 +146,16 @@ func runFig8(p Params) (Result, error) {
 	rows := runner.Map(p.sweep(), alphas, func(t *runner.T, alpha float64) []any {
 		// (a) convergence of a new flow against one established flow.
 		eng := t.Engine(p.Seed)
-		d := rttDumbbell(eng, 2, 10*unit.Gbps, rtt, topology.Config{})
-		cfg := core.Config{BaseRTT: rtt, Alpha: alpha}
-		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt, XP: cfg}
-		rates := env.join(ProtoExpressPass, d, p.scaleDur(20*sim.Millisecond, 5*sim.Millisecond), rtt, bins)
-		ct, ok := convergence(rates, fairShare(ProtoExpressPass, 10*unit.Gbps), rtt)
+		cfg := core.Config{Alpha: alpha}
+		d, env := dumbbell(eng, ProtoExpressPass, 2, 10*unit.Gbps, rtt, topology.Config{}, cfg)
+		series := env.join(ProtoExpressPass, d, p.scaleDur(20*sim.Millisecond, 5*sim.Millisecond), rtt, bins)
+		ct, ok := convergence(series, fairShare(ProtoExpressPass, 10*unit.Gbps), rtt)
 
 		// (b) credit waste of a single-packet flow on an idle network.
 		eng2 := t.Engine(p.Seed + 1)
-		d2 := rttDumbbell(eng2, 2, 10*unit.Gbps, rtt, topology.Config{})
-		fp := transport.NewFlow(d2.Net, d2.Senders[0], d2.Receivers[0], 1000, 0)
-		sess := core.Dial(fp, cfg)
+		d2, env2 := dumbbell(eng2, ProtoExpressPass, 2, 10*unit.Gbps, rtt, topology.Config{}, cfg)
+		_, hs := env2.dialPairs(ProtoExpressPass, d2.Senders[:1], d2.Receivers[:1], 1000, 0)
+		sess := hs[0].(*core.Session)
 		eng2.RunUntil(50 * sim.Millisecond)
 
 		var conv any = text(">%d", bins)
@@ -213,15 +168,6 @@ func runFig8(p Params) (Result, error) {
 }
 
 // ---- Fig 9: credit queue capacity vs under-utilization ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig9",
-		Title: "Credit queue capacity vs utilization",
-		Paper: "under-utilization <1% from 8-credit queues; worse below",
-		Run:   runFig9,
-	})
-}
 
 func runFig9(p Params) (Result, error) {
 	caps := []int{1, 2, 4, 8, 16, 32}

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"expresspass/internal/core"
+	"expresspass/internal/netem"
 	"expresspass/internal/runner"
 	"expresspass/internal/sim"
 	"expresspass/internal/stats"
@@ -14,15 +15,6 @@ import (
 
 // ---- Fig 10: parking-lot utilization, naïve vs feedback ----
 
-func init() {
-	register(Experiment{
-		ID:    "fig10",
-		Title: "Parking-lot utilization with N bottlenecks: feedback vs naïve",
-		Paper: "naïve 83.3%→60% as N grows; feedback ≈98% throughout",
-		Run:   runFig10,
-	})
-}
-
 func runFig10(p Params) (Result, error) {
 	tbl := NewTable("bottlenecks", "naive util", "feedback util")
 	bottlenecks := []int{1, 2, 3, 4, 5, 6}
@@ -31,13 +23,9 @@ func runFig10(p Params) (Result, error) {
 		n, naive := c.a, c.b
 		eng := t.Engine(p.Seed)
 		pl := topology.NewParkingLot(eng, n, topology.Config{LinkRate: 10 * unit.Gbps})
-		cfg := core.Config{BaseRTT: 100 * sim.Microsecond, Naive: naive}
-		f0 := transport.NewFlow(pl.Net, pl.LongSrc, pl.LongDst, 0, 0)
-		core.Dial(f0, cfg)
-		for i := 0; i < n; i++ {
-			f := transport.NewFlow(pl.Net, pl.CrossSrc[i], pl.CrossDst[i], 0, 0)
-			core.Dial(f, cfg)
-		}
+		env := &Env{Eng: eng, Net: pl.Net, BaseRTT: 100 * sim.Microsecond, XP: core.Config{Naive: naive}}
+		env.dialPairs(ProtoExpressPass, append([]*netem.Host{pl.LongSrc}, pl.CrossSrc...),
+			append([]*netem.Host{pl.LongDst}, pl.CrossDst...), 0, 0)
 		warm := p.scaleDur(20*sim.Millisecond, 8*sim.Millisecond)
 		eng.RunUntil(warm)
 		pl.Net.ResetStats()
@@ -58,36 +46,23 @@ func runFig10(p Params) (Result, error) {
 
 // ---- Fig 11: multi-bottleneck fairness ----
 
-func init() {
-	register(Experiment{
-		ID:    "fig11",
-		Title: "Multi-bottleneck fairness: Flow 0 throughput vs N competing flows",
-		Paper: "feedback tracks max-min C/(N+1); naïve gives Flow 0 ≈C/2 regardless",
-		Run:   runFig11,
-	})
-}
-
 func runFig11(p Params) (Result, error) {
 	tbl := NewTable("N", "max-min ideal Gbps", "naive Gbps", "feedback Gbps")
 	counts := dedupe([]int{1, 4, 16, 64, p.scaleInt(256, 64)})
 	schemes := []bool{true, false} // naive, feedback
-	rates := runner.Map(p.sweep(), cross(counts, schemes), func(t *runner.T, c pair[int, bool]) float64 {
+	flow0 := runner.Map(p.sweep(), cross(counts, schemes), func(t *runner.T, c pair[int, bool]) float64 {
 		n, naive := c.a, c.b
 		eng := t.Engine(p.Seed)
 		mb := topology.NewMultiBottleneck(eng, n, topology.Config{LinkRate: 10 * unit.Gbps})
-		cfg := core.Config{BaseRTT: 100 * sim.Microsecond, Naive: naive}
-		f0 := transport.NewFlow(mb.Net, mb.Flow0Src, mb.Flow0Dst, 0, 0)
-		core.Dial(f0, cfg)
-		for i := 0; i < n; i++ {
-			f := transport.NewFlow(mb.Net, mb.Srcs[i], mb.Dsts[i], 0, 0)
-			core.Dial(f, cfg)
-		}
+		env := &Env{Eng: eng, Net: mb.Net, BaseRTT: 100 * sim.Microsecond, XP: core.Config{Naive: naive}}
+		flows, _ := env.dialPairs(ProtoExpressPass, append([]*netem.Host{mb.Flow0Src}, mb.Srcs...),
+			append([]*netem.Host{mb.Flow0Dst}, mb.Dsts...), 0, 0)
 		warm := p.scaleDur(20*sim.Millisecond, 8*sim.Millisecond)
 		eng.RunUntil(warm)
 		meas := p.scaleDur(40*sim.Millisecond, 15*sim.Millisecond)
-		return gbps(delivered(eng, []*transport.Flow{f0}, meas)[0][0], meas)
+		return rates(eng, flows[:1], meas)[0]
 	})
-	for i, r := range pivot(counts, rates) {
+	for i, r := range pivot(counts, flow0) {
 		n := counts[i]
 		ideal := maxGoodputGbps(10*unit.Gbps) / float64(n+1)
 		tbl.Add(n, ideal, r[0], r[1])
@@ -97,15 +72,6 @@ func runFig11(p Params) (Result, error) {
 
 // ---- Fig 13: convergence behaviour with staggered arrivals ----
 
-func init() {
-	register(Experiment{
-		ID:    "fig13",
-		Title: "Five staggered flows: throughput stability and queue (XP vs DCTCP)",
-		Paper: "XP: stable shares, max queue 18 KB; DCTCP: oscillatory, 240.7 KB",
-		Run:   runFig13,
-	})
-}
-
 func runFig13(p Params) (Result, error) {
 	rtt := 25 * sim.Microsecond
 	phase := p.scaleDur(1*sim.Second, 25*sim.Millisecond)
@@ -113,23 +79,10 @@ func runFig13(p Params) (Result, error) {
 	// Each protocol is a section of its own: a title, then its table.
 	secs := runner.Map(p.sweep(), protos, func(t *runner.T, proto Proto) Result {
 		eng := t.Engine(p.Seed)
-		tcfg := topology.Config{}
-		proto.Features(&tcfg, rtt)
-		d := rttDumbbell(eng, 5, 10*unit.Gbps, rtt, tcfg)
-		env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
-			XP: core.Config{}}
-
-		var flows []*transport.Flow
-		var handles []Handle
-		for i := 0; i < 5; i++ {
-			f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0,
-				sim.Duration(i)*phase)
-			flows = append(flows, f)
-			handles = append(handles, env.Dial(proto, f))
-		}
-		// Departures mirror arrivals: flow i leaves at (10−i)·phase.
-		for i := 0; i < 5; i++ {
-			h := handles[i]
+		d, env := dumbbell(eng, proto, 5, 10*unit.Gbps, rtt, topology.Config{}, core.Config{})
+		// Flow i arrives at i·phase and leaves at (10−i)·phase.
+		flows, handles := env.dialPairs(proto, d.Senders, d.Receivers, 0, phase)
+		for i, h := range handles {
 			eng.At(sim.Duration(10-i)*phase, h.Stop)
 		}
 
@@ -137,27 +90,17 @@ func runFig13(p Params) (Result, error) {
 		bn := d.Bottleneck
 		for ph := 0; ph < 10; ph++ {
 			bn.ResetStats()
-			got := delivered(eng, flows, phase)[0]
-			var rates []float64
-			var active int
-			lo, hi := ph+1, 10-ph
-			if hi > 5 {
-				hi = 5
-			}
-			if lo > hi {
-				lo = hi
-			}
+			got := rates(eng, flows, phase)
+			var active []float64
 			desc := text("")
-			for i, b := range got {
-				r := gbps(b, phase)
+			for i, r := range got {
 				if r > 0.01 {
-					active++
-					rates = append(rates, r)
+					active = append(active, r)
 					desc.Format += "f%d=%.2f "
 					desc.V = append(desc.V, i, r)
 				}
 			}
-			tbl.Add(ph, active, desc, stats.JainIndex(rates),
+			tbl.Add(ph, len(active), desc, stats.JainIndex(active),
 				float64(bn.Stats().DataQueueMaxBytes)/1e3)
 		}
 		return Result{text("\n%s (phase=%v):", proto, phase), tbl}
@@ -166,15 +109,6 @@ func runFig13(p Params) (Result, error) {
 }
 
 // ---- Fig 15: flow scalability ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig15",
-		Title: "Flow scalability: utilization, fairness, max queue vs concurrent flows",
-		Paper: "XP ≈95% util, fair, queue ≤ ~10 KB; DCTCP collapses ≥64 flows; RCP overflows",
-		Run:   runFig15,
-	})
-}
 
 func runFig15(p Params) (Result, error) {
 	counts := dedupe([]int{4, 16, 64, 256, p.scaleInt(1024, 256)})
@@ -189,58 +123,30 @@ func runFig15(p Params) (Result, error) {
 // dumbbell on eng and returns the cell's table row.
 func fig15Cell(eng *sim.Engine, p Params, n int, proto Proto) []any {
 	rtt := 100 * sim.Microsecond
-	tcfg := topology.Config{}
-	proto.Features(&tcfg, rtt)
-	d := rttDumbbell(eng, n, 10*unit.Gbps, rtt, tcfg)
-	env := &Env{Eng: eng, Net: d.Net, BaseRTT: rtt,
-		XP: core.Config{}}
-	var flows []*transport.Flow
-	var timeouts func() uint64
-	var conns []*transport.Conn
-	for i := 0; i < n; i++ {
-		// Unsynchronized long-running flows.
-		f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i], 0,
-			sim.Duration(i)*73*sim.Microsecond)
-		flows = append(flows, f)
-		h := env.Dial(proto, f)
-		if c, ok := h.(*transport.Conn); ok {
-			conns = append(conns, c)
-		}
-	}
-	timeouts = func() uint64 {
-		var t uint64
-		for _, c := range conns {
-			t += c.Timeouts
-		}
-		return t
-	}
+	d, env := dumbbell(eng, proto, n, 10*unit.Gbps, rtt, topology.Config{}, core.Config{})
+	// Unsynchronized long-running flows.
+	flows, handles := env.dialPairs(proto, d.Senders, d.Receivers, 0, 73*sim.Microsecond)
 	warm := p.scaleDur(60*sim.Millisecond, 20*sim.Millisecond)
 	eng.RunUntil(warm)
 	d.Net.ResetStats()
 	meas := p.scaleDur(100*sim.Millisecond, 50*sim.Millisecond)
-	var rates []float64
-	for _, b := range delivered(eng, flows, meas)[0] {
-		rates = append(rates, gbps(b, meas))
+	got := rates(eng, flows, meas)
+	var timeouts uint64
+	for _, h := range handles {
+		if c, ok := h.(*transport.Conn); ok {
+			timeouts += c.Timeouts
+		}
 	}
 	// Utilization measured at the bottleneck egress (wire bytes
 	// of data actually transmitted during the window).
 	bn := d.Bottleneck.Stats()
 	util := float64(bn.TxDataBytes) * 8 / meas.Seconds() / 1e9
-	return []any{n, string(proto), util, stats.JainIndex(rates),
+	return []any{n, string(proto), util, stats.JainIndex(got),
 		float64(bn.DataQueueMaxBytes) / 1e3,
-		d.Net.Stats().DataDrops, timeouts()}
+		d.Net.Stats().DataDrops, timeouts}
 }
 
 // ---- Fig 16: convergence time at 10 and 100 Gbps ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig16",
-		Title: "Convergence time of a joining flow at 10/100 Gbps",
-		Paper: "XP 3 RTTs (α=1/2), 6 RTTs (α=1/16) at both speeds; DCTCP 260→2350 RTTs; RCP 3",
-		Run:   runFig16,
-	})
-}
 
 // fig16RTT is fig16's base RTT.
 const fig16RTT = 100 * sim.Microsecond
@@ -271,14 +177,12 @@ func fig16Arms(p Params) []fig16Arm {
 // dumbbell of rate, and the two flows' per-bin goodputs come back.
 func fig16Rates(eng *sim.Engine, p Params, rate unit.Rate, a fig16Arm) [][]float64 {
 	tcfg := topology.Config{}
-	a.proto.Features(&tcfg, fig16RTT)
 	if rate >= 100*unit.Gbps {
-		// Scale switch buffering and marking with BDP.
+		// Scale switch buffering with BDP; dumbbell scales DCTCP's
+		// marking threshold with the rate.
 		tcfg.Port.DataCapacity = 4 * unit.MB
 	}
-	d := rttDumbbell(eng, 2, rate, fig16RTT, tcfg)
-	env := &Env{Eng: eng, Net: d.Net, BaseRTT: fig16RTT,
-		XP: core.Config{Alpha: a.alpha, WInit: a.alpha}}
+	d, env := dumbbell(eng, a.proto, 2, rate, fig16RTT, tcfg, core.Config{Alpha: a.alpha, WInit: a.alpha})
 	warm := p.scaleDur(100*sim.Millisecond, 30*sim.Millisecond)
 	return env.join(a.proto, d, warm, sim.Duration(a.binRTTs)*fig16RTT, a.maxRTTs/a.binRTTs)
 }

@@ -14,15 +14,6 @@ import (
 
 // ---- Fig 1: partition/aggregate queue build-up vs fan-out ----
 
-func init() {
-	register(Experiment{
-		ID:    "fig1",
-		Title: "Data-queue length under partition/aggregate vs fan-out (ideal rate, DCTCP, credit)",
-		Paper: "ideal & DCTCP queues grow ∝ fan-out (DCTCP worse); credit-based stays bounded",
-		Run:   runFig1,
-	})
-}
-
 func runFig1(p Params) (Result, error) {
 	rtt := 50 * sim.Microsecond
 	fanouts := dedupe([]int{32, 64, 128, p.scaleInt(512, 128), p.scaleInt(2048, 128)})
@@ -69,15 +60,6 @@ func runFig1(p Params) (Result, error) {
 }
 
 // ---- Fig 17: MapReduce shuffle FCT distribution ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig17",
-		Title: "Shuffle (all-to-all) flow completion times: XP vs DCTCP",
-		Paper: "DCTCP median slightly better; XP 1.51× better @99% and 6.65× at max",
-		Run:   runFig17,
-	})
-}
 
 func runFig17(p Params) (Result, error) {
 	rtt := 50 * sim.Microsecond

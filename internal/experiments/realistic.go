@@ -173,15 +173,6 @@ const paperFlowCap = 100000
 
 // ---- Fig 18: FCT sensitivity to α and w_init ----
 
-func init() {
-	register(Experiment{
-		ID:    "fig18",
-		Title: "99%-ile FCT sensitivity to initial rate α and w_init (load 0.6)",
-		Paper: "α=w_init=1/16 is the sweet spot: large-flow FCT drops, small-flow FCT grows <100%",
-		Run:   runFig18,
-	})
-}
-
 func runFig18(p Params) (Result, error) {
 	type combo struct{ a, wi float64 }
 	combos := []combo{
@@ -205,15 +196,6 @@ func runFig18(p Params) (Result, error) {
 
 // ---- Fig 19: FCT by flow-size class across protocols ----
 
-func init() {
-	register(Experiment{
-		ID:    "fig19",
-		Title: "Avg/99% FCT by size class, 5 protocols, load 0.6",
-		Paper: "XP fastest for S/M across workloads; DCTCP/RCP better on L/XL",
-		Run:   runFig19,
-	})
-}
-
 func runFig19(p Params) (Result, error) {
 	dists := []*workload.SizeDist{workload.WebServer(), workload.CacheFollower(), workload.DataMining()}
 	protos := EvalProtos()
@@ -236,15 +218,6 @@ func runFig19(p Params) (Result, error) {
 }
 
 // ---- Fig 20: credit waste ratio ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig20",
-		Title: "Credit waste ratio by workload, link speed, and α (load 0.6)",
-		Paper: "waste grows as flows shrink and speed rises: 4–34% @10G, up to 60% @40G with α=1/2; α=1/16 halves it",
-		Run:   runFig20,
-	})
-}
 
 func runFig20(p Params) (Result, error) {
 	tbl := NewTable("workload", "10G a=1/16", "10G a=1/2", "40G a=1/16", "40G a=1/2")
@@ -272,15 +245,6 @@ func runFig20(p Params) (Result, error) {
 }
 
 // ---- Fig 21: FCT speed-up of 40G over 10G ----
-
-func init() {
-	register(Experiment{
-		ID:    "fig21",
-		Title: "Average FCT speed-up of 40G links over 10G (load 0.6)",
-		Paper: "XP gains most (1.5–3.5×) except WebServer L (credit waste); DX/HULL benefit least",
-		Run:   runFig21,
-	})
-}
 
 func runFig21(p Params) (Result, error) {
 	dists := []*workload.SizeDist{workload.WebServer(), workload.WebSearch()}
@@ -311,15 +275,6 @@ func runFig21(p Params) (Result, error) {
 }
 
 // ---- Table 3: queue occupancy ----
-
-func init() {
-	register(Experiment{
-		ID:    "table3",
-		Title: "Average/maximum switch queue occupancy by workload and load",
-		Paper: "XP avg ≤0.54 KB and max ≤50 KB, load-insensitive; others grow with load",
-		Run:   runTable3,
-	})
-}
 
 func runTable3(p Params) (Result, error) {
 	loads := []float64{0.2, 0.4, 0.6}

@@ -15,14 +15,42 @@ import (
 )
 
 // The scaffolds the experiments share, one of each: the §6.3
-// ExpressPass setting, the flow-population driver of the FCT
-// experiments, the fault dumbbell and its one plan path, the goodput
-// window reading, the two-flow join with its per-protocol fair share,
-// and the convergence rule. A new experiment builds from these rather
-// than writing its own.
+// ExpressPass setting, the long-flow dumbbell and its dial of one flow
+// per host pair, the flow-population driver of the FCT experiments, the
+// fault dumbbell and its one plan path, the goodput window readings,
+// the two-flow join with its per-protocol fair share, and the
+// convergence rule. A new experiment builds from these rather than
+// writing its own.
 
 // evalXP is the §6.3 ExpressPass setting: α = w_init = 1/16.
 func evalXP() core.Config { return core.Config{Alpha: 1.0 / 16, WInit: 1.0 / 16} }
+
+// dumbbell builds an n-pair dumbbell of rate whose base RTT is about
+// rtt, six propagation hops of rtt/6 each, and the Env that dials pr on
+// it (ExpressPass at setting xp). It sets the link first and installs
+// pr's switch features after, so a feature scaled by the line rate (the
+// DCTCP marking threshold) sees the link it goes on.
+func dumbbell(eng *sim.Engine, pr Proto, n int, rate unit.Rate, rtt sim.Duration,
+	cfg topology.Config, xp core.Config) (*topology.Dumbbell, *Env) {
+	cfg.LinkRate, cfg.LinkDelay = rate, rtt/6
+	pr.Features(&cfg, rtt)
+	d := topology.NewDumbbell(eng, n, cfg)
+	return d, &Env{Eng: eng, Net: d.Net, BaseRTT: rtt, XP: xp}
+}
+
+// dialPairs dials one flow of pr per host pair, in index order: flow i
+// carries size bytes (0: it never ends) from srcs[i] to dsts[i],
+// starting i·stagger after now. It returns the flows and their handles.
+func (e *Env) dialPairs(pr Proto, srcs, dsts []*netem.Host, size unit.Bytes,
+	stagger sim.Duration) ([]*transport.Flow, []Handle) {
+	flows := make([]*transport.Flow, len(srcs))
+	handles := make([]Handle, len(srcs))
+	for i := range srcs {
+		flows[i] = transport.NewFlow(e.Net, srcs[i], dsts[i], size, e.Eng.Now()+sim.Time(i)*stagger)
+		handles[i] = e.Dial(pr, flows[i])
+	}
+	return flows, handles
+}
 
 // runFlows is the flow-population driver: a lifecycle.Manager dials
 // each spec between hosts at its start through pr and retires a flow
@@ -53,23 +81,17 @@ func (e *Env) runFlows(pr Proto, hosts []*netem.Host, specs []workload.FlowSpec,
 const faultRTT = 50 * sim.Microsecond
 
 // pairDumbbell builds the robustness experiments' n-pair 10G dumbbell
-// with pr's switch features, and one flow per pair dialed through pr
-// (ExpressPass with setting xp): flow i carries size bytes (0: it never
-// ends) from i·stagger. It returns the flows and their handles.
+// with pr's switch features, and dials one flow per pair through pr
+// (ExpressPass with setting xp; dialPairs): flow i carries size bytes
+// (0: it never ends) from i·stagger. It returns the flows and their
+// handles.
 func pairDumbbell(eng *sim.Engine, pr Proto, xp core.Config, n int, size unit.Bytes,
 	stagger sim.Duration) (*topology.Dumbbell, []*transport.Flow, []Handle) {
 	tcfg := topology.Config{LinkRate: 10 * unit.Gbps, LinkDelay: 4 * sim.Microsecond}
 	pr.Features(&tcfg, faultRTT)
 	d := topology.NewDumbbell(eng, n, tcfg)
 	env := &Env{Eng: eng, Net: d.Net, BaseRTT: faultRTT, XP: xp, MinRTO: sim.Millisecond}
-	var flows []*transport.Flow
-	var handles []Handle
-	for i := 0; i < n; i++ {
-		f := transport.NewFlow(d.Net, d.Senders[i], d.Receivers[i],
-			size, sim.Time(i)*sim.Time(stagger))
-		handles = append(handles, env.Dial(pr, f))
-		flows = append(flows, f)
-	}
+	flows, handles := env.dialPairs(pr, d.Senders, d.Receivers, size, stagger)
 	return d, flows, handles
 }
 
@@ -115,6 +137,16 @@ func delivered(eng *sim.Engine, flows []*transport.Flow, windows ...sim.Duration
 	return out
 }
 
+// rates runs the engine for d and returns each flow's goodput (Gbps)
+// over it: delivered's one window, converted.
+func rates(eng *sim.Engine, flows []*transport.Flow, d sim.Duration) []float64 {
+	out := make([]float64, len(flows))
+	for i, b := range delivered(eng, flows, d)[0] {
+		out[i] = gbps(b, d)
+	}
+	return out
+}
+
 // total is the bytes all flows delivered in one window of delivered.
 func total(window []unit.Bytes) unit.Bytes {
 	var b unit.Bytes
@@ -130,20 +162,15 @@ func total(window []unit.Bytes) unit.Bytes {
 // rates[b][i] flow i's in bin b: the convergence experiments' joining
 // flow.
 func (e *Env) join(pr Proto, d *topology.Dumbbell, warm sim.Time, bin sim.Duration, bins int) [][]float64 {
-	f0 := transport.NewFlow(d.Net, d.Senders[0], d.Receivers[0], 0, 0)
-	e.Dial(pr, f0)
+	f0, _ := e.dialPairs(pr, d.Senders[:1], d.Receivers[:1], 0, 0)
 	e.Eng.RunUntil(warm)
-	f1 := transport.NewFlow(d.Net, d.Senders[1], d.Receivers[1], 0, e.Eng.Now())
-	e.Dial(pr, f1)
-	wins := make([]sim.Duration, bins)
-	for b := range wins {
-		wins[b] = bin
+	f1, _ := e.dialPairs(pr, d.Senders[1:2], d.Receivers[1:2], 0, 0)
+	flows := append(f0, f1...)
+	out := make([][]float64, bins)
+	for b := range out {
+		out[b] = rates(e.Eng, flows, bin)
 	}
-	rates := make([][]float64, bins)
-	for b, w := range delivered(e.Eng, []*transport.Flow{f0, f1}, wins...) {
-		rates[b] = []float64{gbps(w[0], bin), gbps(w[1], bin)}
-	}
-	return rates
+	return out
 }
 
 // The convergence rule of fig2, fig8 and fig16: every flow's goodput
